@@ -467,9 +467,8 @@ impl Udr {
         self.advance_to(now);
         let timeout = self.cfg.frash.op_timeout;
 
-        let span =
-            self.tracer
-                .begin_op_with(op_trace_name(op), now, Some(format!("tenant={tenant}")));
+        let label = self.tracer.enabled().then(|| format!("tenant={tenant}"));
+        let span = self.tracer.begin_op_with(op_trace_name(op), now, label);
         let mut ctx = PipelineCtx::new(op, class, client_site, now)
             .with_session(session)
             .with_priority(priority)

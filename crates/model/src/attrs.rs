@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -226,9 +227,16 @@ impl From<Vec<u8>> for AttrValue {
 }
 
 /// One subscriber entry: an ordered attribute map.
+///
+/// The map sits behind an [`Arc`] and is copied on write: `clone` is a
+/// reference-count bump, so the store, the commit log, the ship channels,
+/// every slave and every disk snapshot share one immutable allocation per
+/// committed version. The mutators ([`Entry::set`], [`Entry::remove`],
+/// [`Entry::apply`]) copy the map first when it is shared, which keeps value
+/// semantics: a change to one handle is never visible through another.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Entry {
-    attrs: BTreeMap<AttrId, AttrValue>,
+    attrs: Arc<BTreeMap<AttrId, AttrValue>>,
 }
 
 impl Entry {
@@ -239,7 +247,7 @@ impl Entry {
 
     /// Set (or replace) an attribute; returns the previous value.
     pub fn set(&mut self, id: AttrId, value: impl Into<AttrValue>) -> Option<AttrValue> {
-        self.attrs.insert(id, value.into())
+        Arc::make_mut(&mut self.attrs).insert(id, value.into())
     }
 
     /// Read an attribute.
@@ -249,7 +257,7 @@ impl Entry {
 
     /// Remove an attribute; returns the removed value.
     pub fn remove(&mut self, id: AttrId) -> Option<AttrValue> {
-        self.attrs.remove(&id)
+        Arc::make_mut(&mut self.attrs).remove(&id)
     }
 
     /// Whether the attribute is present.
@@ -280,13 +288,14 @@ impl Entry {
 
     /// Apply a set of attribute modifications in order.
     pub fn apply(&mut self, mods: &[AttrMod]) {
+        let attrs = Arc::make_mut(&mut self.attrs);
         for m in mods {
             match m {
                 AttrMod::Set(id, v) => {
-                    self.attrs.insert(*id, v.clone());
+                    attrs.insert(*id, v.clone());
                 }
                 AttrMod::Delete(id) => {
-                    self.attrs.remove(id);
+                    attrs.remove(id);
                 }
             }
         }
@@ -296,7 +305,7 @@ impl Entry {
 impl FromIterator<(AttrId, AttrValue)> for Entry {
     fn from_iter<I: IntoIterator<Item = (AttrId, AttrValue)>>(iter: I) -> Self {
         Entry {
-            attrs: iter.into_iter().collect(),
+            attrs: Arc::new(iter.into_iter().collect()),
         }
     }
 }

@@ -2,9 +2,13 @@
 //! string must survive the intern → symbol → resolve round trip exactly,
 //! interning must be idempotent (same string ⇒ same symbol), and the
 //! digit-packed fast path must never collide with the spilled path.
+//! Also the value semantics of the copy-on-write [`Entry`].
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
 use udr_model::identity::{Identity, IdentityKind, Impi, Impu, Imsi, Msisdn};
 use udr_model::intern::IdentityInterner;
 use udr_model::tenant::{Capability, CapabilitySet, TenantId};
@@ -18,7 +22,95 @@ fn digits(range: std::ops::Range<usize>) -> impl Strategy<Value = String> {
     pat.prop_map(|s| s)
 }
 
+/// One change to an entry, and which mutator carries it.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Set(AttrId, u64),
+    Remove(AttrId),
+    Apply(Vec<AttrMod>),
+}
+
+fn attr_id() -> impl Strategy<Value = AttrId> {
+    prop::sample::select(AttrId::ALL.to_vec())
+}
+
+fn attr_mod() -> impl Strategy<Value = AttrMod> {
+    prop_oneof![
+        (attr_id(), any::<u64>()).prop_map(|(id, v)| AttrMod::Set(id, AttrValue::U64(v))),
+        attr_id().prop_map(AttrMod::Delete),
+    ]
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (attr_id(), any::<u64>()).prop_map(|(id, v)| Mutation::Set(id, v)),
+        attr_id().prop_map(Mutation::Remove),
+        prop::collection::vec(attr_mod(), 0..4).prop_map(Mutation::Apply),
+    ]
+}
+
+/// Apply `m` to the entry through its own mutator and to the plain map
+/// that models what the entry must hold.
+fn mutate(entry: &mut Entry, model: &mut BTreeMap<AttrId, AttrValue>, m: &Mutation) {
+    match m {
+        Mutation::Set(id, v) => {
+            entry.set(*id, *v);
+            model.insert(*id, AttrValue::U64(*v));
+        }
+        Mutation::Remove(id) => {
+            entry.remove(*id);
+            model.remove(id);
+        }
+        Mutation::Apply(mods) => {
+            entry.apply(mods);
+            for m in mods {
+                match m {
+                    AttrMod::Set(id, v) => model.insert(*id, v.clone()),
+                    AttrMod::Delete(id) => model.remove(id),
+                };
+            }
+        }
+    }
+}
+
+fn holds(entry: &Entry, model: &BTreeMap<AttrId, AttrValue>) -> bool {
+    entry.iter().eq(model.iter())
+}
+
 proptest! {
+    /// `Entry` shares its map between clones, yet behaves as a value: a
+    /// mutation through one handle is never visible through the other, in
+    /// either direction, and equality follows content, not sharing.
+    #[test]
+    fn entry_clones_are_independent_values(
+        base in prop::collection::vec((attr_id(), any::<u64>()), 0..12),
+        on_clone in prop::collection::vec(mutation(), 1..6),
+        on_original in prop::collection::vec(mutation(), 1..6),
+    ) {
+        let mut original_model: BTreeMap<AttrId, AttrValue> =
+            base.iter().map(|(id, v)| (*id, AttrValue::U64(*v))).collect();
+        let mut original: Entry = original_model.clone().into_iter().collect();
+        let mut copy = original.clone();
+        let mut copy_model = original_model.clone();
+        prop_assert_eq!(&copy, &original);
+
+        for m in &on_clone {
+            mutate(&mut copy, &mut copy_model, m);
+            prop_assert!(holds(&copy, &copy_model));
+            prop_assert!(holds(&original, &original_model), "clone's {m:?} leaked");
+        }
+        for m in &on_original {
+            mutate(&mut original, &mut original_model, m);
+            prop_assert!(holds(&original, &original_model));
+            prop_assert!(holds(&copy, &copy_model), "original's {m:?} leaked");
+        }
+
+        prop_assert_eq!(copy == original, copy_model == original_model);
+        let rebuilt: Entry = copy_model.into_iter().collect();
+        prop_assert_eq!(&rebuilt, &copy);
+        prop_assert_eq!(rebuilt.approx_size(), copy.approx_size());
+    }
+
     /// IMSI: construct → symbol → as_str reproduces the exact digit
     /// string, and re-interning yields the same symbol (dedup).
     #[test]

@@ -166,20 +166,21 @@ impl Engine {
     }
 
     /// Read the latest committed version outside any transaction (what a
-    /// slave replica serves to front-ends).
+    /// slave replica serves to front-ends). The returned entry shares the
+    /// committed payload; nothing is copied.
     pub fn read_committed(&self, uid: SubscriberUid) -> Option<Entry> {
         self.committed.entry(uid).cloned()
     }
 
-    /// Borrow the latest committed payload without cloning — the zero-copy
-    /// read path front-ends should prefer for lookups.
+    /// Borrow the latest committed payload — for lookups that do not need
+    /// to own the entry.
     pub fn committed_entry(&self, uid: SubscriberUid) -> Option<&Entry> {
         self.committed.entry(uid)
     }
 
     /// The full committed version (with LSN and commit time), for staleness
-    /// measurement and merges. Clones the payload; metadata-only callers
-    /// should use [`Engine::committed_view`].
+    /// measurement and merges. Shares the payload; metadata-only callers
+    /// can use [`Engine::committed_view`].
     pub fn committed_version(&self, uid: SubscriberUid) -> Option<RecordVersion> {
         self.committed.version(uid)
     }
@@ -326,14 +327,17 @@ impl Engine {
         self.log.truncate_through(upto);
     }
 
-    /// Take a durability snapshot of the committed state.
+    /// Take a durability snapshot of the committed state: one vector, a
+    /// sort, and a shared handle to every payload.
     pub fn snapshot(&self) -> EngineSnapshot {
         let mut records: Vec<_> = self
             .committed
             .iter()
             .map(|view| (view.uid, view.to_version()))
             .collect();
-        records.sort_by_key(|(k, _)| *k);
+        // Uids are unique, so the unstable sort yields the same order as
+        // a stable one, and it sorts in place.
+        records.sort_unstable_by_key(|(k, _)| *k);
         EngineSnapshot {
             records,
             last_lsn: self.log.last_lsn(),

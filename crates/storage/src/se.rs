@@ -387,9 +387,8 @@ impl StorageElement {
     pub fn force_snapshot(&mut self, now: SimTime) -> SimDuration {
         let mut bytes = 0usize;
         for (pid, r) in &self.replicas {
-            let snap = r.engine.snapshot();
-            bytes += snap.approx_bytes();
-            self.disk.store(*pid, snap);
+            bytes += r.engine.store().snapshot_bytes();
+            self.disk.store(*pid, r.engine.snapshot());
         }
         self.disk.last_snapshot_at = Some(now);
         self.disk.snapshot_cycles += 1;
@@ -650,6 +649,64 @@ mod tests {
             .unwrap()
             .is_some());
         assert_eq!(newcomer.last_lsn(PartitionId(0)).unwrap(), Lsn(1));
+    }
+
+    fn modify_one(se: &mut StorageElement, uid: u64, v: &str, now: SimTime) -> CommitRecord {
+        let t = se
+            .begin(PartitionId(0), IsolationLevel::ReadCommitted)
+            .unwrap();
+        let mods = [AttrMod::Set(AttrId::Msisdn, v.into())];
+        se.modify(PartitionId(0), t, SubscriberUid(uid), &mods)
+            .unwrap();
+        se.commit(PartitionId(0), t, now).unwrap().0.unwrap()
+    }
+
+    /// The disk snapshot shares its payloads with the live store; a modify
+    /// after the snapshot must copy, not write through.
+    #[test]
+    fn modify_after_snapshot_does_not_reach_the_disk_copy() {
+        let mut se = se_with_master(DurabilityMode::None);
+        write_one(&mut se, 1, "before", SimTime(0));
+        se.force_snapshot(SimTime(1));
+        modify_one(&mut se, 1, "after", SimTime(2));
+        assert_eq!(
+            se.read_committed(PartitionId(0), SubscriberUid(1)).unwrap(),
+            Some(entry("after"))
+        );
+
+        se.crash();
+        assert_eq!(se.restore(SimTime(3)), vec![(PartitionId(0), Lsn(1))]);
+        assert_eq!(
+            se.read_committed(PartitionId(0), SubscriberUid(1)).unwrap(),
+            Some(entry("before"))
+        );
+    }
+
+    /// A slave seeded from a master snapshot shares the master's payloads
+    /// until either side writes; the master's later writes stay its own.
+    #[test]
+    fn seeded_slave_does_not_see_the_masters_later_writes() {
+        let mut master = se_with_master(DurabilityMode::None);
+        write_one(&mut master, 1, "seeded", SimTime(0));
+        write_one(&mut master, 2, "kept", SimTime(1));
+        let snap = master.engine(PartitionId(0)).unwrap().snapshot();
+        let mut slave = StorageElement::new(SeId(1), SiteId(1), DurabilityMode::None);
+        slave.seed_replica(PartitionId(0), ReplicaRole::Slave, snap);
+
+        let rec = modify_one(&mut master, 1, "later", SimTime(2));
+        let t = master
+            .begin(PartitionId(0), IsolationLevel::ReadCommitted)
+            .unwrap();
+        master.delete(PartitionId(0), t, SubscriberUid(2)).unwrap();
+        master.commit(PartitionId(0), t, SimTime(3)).unwrap();
+
+        let read = |se: &StorageElement, uid| se.read_committed(PartitionId(0), uid).unwrap();
+        assert_eq!(read(&slave, SubscriberUid(1)), Some(entry("seeded")));
+        assert_eq!(read(&slave, SubscriberUid(2)), Some(entry("kept")));
+        // Shipping the record is the only way the write arrives.
+        slave.apply_replicated(PartitionId(0), &rec).unwrap();
+        assert_eq!(read(&slave, SubscriberUid(1)), Some(entry("later")));
+        assert_eq!(read(&master, SubscriberUid(1)), Some(entry("later")));
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! parallel columns indexed by a dense slot id: the scalar columns (uid,
 //! LSN, commit instant, writing SE) pack 4–8 bytes per record each and scan
 //! contiguously, while entry payloads sit in their own column and are only
-//! touched by reads that need them. Reads hand out [`RecordView`]s that
-//! borrow the payload — no clone on the hot path — and the whole store can
-//! be frozen into a contiguous byte image whose per-record slices share one
-//! allocation ([`StoreImage`], zero-copy via the `bytes` shim).
+//! touched by reads that need them. A payload is a copy-on-write
+//! [`Entry`]: one immutable allocation per committed version, shared by
+//! this store, the commit log, the ship channels, the slaves and the disk
+//! snapshots. Reads hand out [`RecordView`]s that borrow it, and the owning
+//! reads ([`RecordStore::version`], `Engine::read_committed`) clone the
+//! handle — a reference-count bump, never a copy of the attributes. The
+//! only deep copy on any path is the one a modify makes before it changes
+//! a shared payload. The whole store can also be frozen into a contiguous
+//! byte image whose per-record slices share one allocation
+//! ([`StoreImage`], zero-copy via the `bytes` shim).
 //!
 //! Deletes keep their slot as a tombstone (the engine's semantics: a
 //! tombstone carries the delete's LSN), so slots are never recycled and a
@@ -48,7 +54,7 @@ pub struct RecordView<'a> {
 }
 
 impl RecordView<'_> {
-    /// Materialise an owned [`RecordVersion`] (clones the payload).
+    /// Materialise an owned [`RecordVersion`] (shares the payload).
     pub fn to_version(&self) -> RecordVersion {
         RecordVersion {
             entry: self.entry.cloned(),
@@ -70,6 +76,9 @@ pub struct RecordStore {
     stamps: Vec<SimTime>,
     writers: Vec<SeId>,
     entries: Vec<Option<Entry>>,
+    /// Sum of [`Entry::approx_size`] over the live payloads, kept current by
+    /// [`RecordStore::upsert`] so byte accounting never walks the payloads.
+    payload_bytes: usize,
 }
 
 impl RecordStore {
@@ -87,6 +96,7 @@ impl RecordStore {
             stamps: Vec::with_capacity(n),
             writers: Vec::with_capacity(n),
             entries: Vec::with_capacity(n),
+            payload_bytes: 0,
         }
     }
 
@@ -108,13 +118,15 @@ impl RecordStore {
         committed_at: SimTime,
         written_by: SeId,
     ) {
+        self.payload_bytes += entry.as_ref().map_or(0, Entry::approx_size);
         match self.index.get(&uid) {
             Some(&slot) => {
                 let slot = slot as usize;
                 self.lsns[slot] = lsn;
                 self.stamps[slot] = committed_at;
                 self.writers[slot] = written_by;
-                self.entries[slot] = entry;
+                let old = std::mem::replace(&mut self.entries[slot], entry);
+                self.payload_bytes -= old.as_ref().map_or(0, Entry::approx_size);
             }
             None => {
                 let slot = u32::try_from(self.uids.len()).expect("record store slot overflow");
@@ -141,7 +153,7 @@ impl RecordStore {
             .and_then(|&slot| self.entries[slot as usize].as_ref())
     }
 
-    /// Owned committed version of a record (clones the payload).
+    /// Owned committed version of a record (shares the payload).
     pub fn version(&self, uid: SubscriberUid) -> Option<RecordVersion> {
         self.get(uid).map(|v| v.to_version())
     }
@@ -181,12 +193,17 @@ impl RecordStore {
     pub fn approx_bytes(&self) -> usize {
         let scalar_columns = self.len() * (8 + 8 + 8 + 4);
         let index = self.index.len() * 16;
-        let payloads: usize = self
-            .entries
-            .iter()
-            .map(|e| 8 + e.as_ref().map_or(0, Entry::approx_size))
-            .sum();
+        let payloads = self.len() * 8 + self.payload_bytes;
         scalar_columns + index + payloads
+    }
+
+    /// What [`EngineSnapshot::approx_bytes`] returns for a snapshot of this
+    /// store, without taking one: 16 bytes of metadata per slot plus the
+    /// payload estimates.
+    ///
+    /// [`EngineSnapshot::approx_bytes`]: crate::engine::EngineSnapshot::approx_bytes
+    pub fn snapshot_bytes(&self) -> usize {
+        self.len() * 16 + self.payload_bytes
     }
 
     /// Freeze the live records into one contiguous byte image. Per-record
@@ -456,6 +473,65 @@ mod tests {
         let v = s.get(SubscriberUid(1)).unwrap();
         assert_eq!(v.lsn, Lsn(2));
         assert!(v.entry.is_none());
+    }
+
+    /// The byte totals as a walk over every payload computes them.
+    fn walked_bytes(s: &RecordStore) -> (usize, usize) {
+        let payloads: usize = s
+            .iter()
+            .map(|v| 8 + v.entry.map_or(0, Entry::approx_size))
+            .sum();
+        let snapshot = crate::engine::EngineSnapshot {
+            records: s.iter().map(|v| (v.uid, v.to_version())).collect(),
+            last_lsn: Lsn::ZERO,
+        };
+        (
+            s.len() * (8 + 8 + 8 + 4) + s.len() * 16 + payloads,
+            snapshot.approx_bytes(),
+        )
+    }
+
+    #[test]
+    fn running_byte_totals_equal_the_walk() {
+        let mut s = RecordStore::new();
+        let check = |s: &RecordStore, step: &str| {
+            assert_eq!(
+                (s.approx_bytes(), s.snapshot_bytes()),
+                walked_bytes(s),
+                "{step}"
+            );
+        };
+        check(&s, "empty");
+        for i in 0..20u64 {
+            let e = entry(&format!("346{:0width$}", i, width = i as usize % 9), i);
+            s.upsert(SubscriberUid(i), Some(e), Lsn(i + 1), SimTime(i), SeId(0));
+            check(&s, "add");
+        }
+        for i in (0..20u64).step_by(3) {
+            let mut e = s.entry(SubscriberUid(i)).unwrap().clone();
+            e.set(AttrId::ApnProfiles, vec!["internet".to_owned(); i as usize]);
+            e.remove(AttrId::AuthSqn);
+            s.upsert(SubscriberUid(i), Some(e), Lsn(30 + i), SimTime(i), SeId(0));
+            check(&s, "modify");
+        }
+        for i in (0..20u64).step_by(4) {
+            s.upsert(SubscriberUid(i), None, Lsn(60 + i), SimTime(i), SeId(0));
+            check(&s, "delete");
+        }
+        // A tombstone replaced by a tombstone, then brought back to life.
+        s.upsert(SubscriberUid(0), None, Lsn(90), SimTime(0), SeId(0));
+        check(&s, "delete again");
+        s.upsert(
+            SubscriberUid(0),
+            Some(entry("34600000000", 0)),
+            Lsn(91),
+            SimTime(0),
+            SeId(0),
+        );
+        check(&s, "re-add");
+
+        let restored = RecordStore::from_records(s.iter().map(|v| (v.uid, v.to_version())));
+        check(&restored, "from_records");
     }
 
     #[test]

@@ -1,0 +1,116 @@
+//! Allocation-count regression test for the shared, copy-on-write payload.
+//!
+//! One `#[test]` in a binary of its own: the counting allocator is global,
+//! so a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
+use udr_model::config::IsolationLevel;
+use udr_model::ids::{SeId, SubscriberUid};
+use udr_model::time::SimTime;
+use udr_storage::Engine;
+
+/// Length of the one blob attribute every payload carries. No other
+/// allocation in the test asks for exactly this many bytes, so a request of
+/// this size is a deep copy of a payload.
+const BLOB: usize = 4099;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static BLOBS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+fn count(size: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    if size == BLOB {
+        BLOBS.fetch_add(1, Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters never touch the memory
+// handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr`/`layout` came from this allocator; `new_size` is
+        // the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// `(allocator calls, payload deep copies)` made by `f`.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (calls, blobs) = (CALLS.load(Relaxed), BLOBS.load(Relaxed));
+    let out = f();
+    (
+        out,
+        CALLS.load(Relaxed) - calls,
+        BLOBS.load(Relaxed) - blobs,
+    )
+}
+
+fn payload(i: u64) -> Entry {
+    let mut e = Entry::new();
+    e.set(AttrId::Msisdn, format!("346{i:08}"));
+    e.set(AttrId::AuthKi, vec![i as u8; BLOB]);
+    e.set(AttrId::OdbMask, 0u64);
+    e
+}
+
+#[test]
+fn committed_payloads_are_shared_not_copied() {
+    const RECORDS: u64 = 10_000;
+    let mut master = Engine::new(SeId(0));
+    let mut slave = Engine::new(SeId(1));
+    for i in 0..RECORDS {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.put(txn, SubscriberUid(i), payload(i)).unwrap();
+        let record = master.commit(txn, SimTime(i)).unwrap().unwrap();
+        slave.apply_replicated(&record).unwrap();
+    }
+
+    // A snapshot is one vector of shared handles, however many records.
+    let (snapshot, calls, copies) = counted(|| master.snapshot());
+    assert_eq!(snapshot.records.len() as u64, RECORDS);
+    assert!(calls <= 2, "snapshot made {calls} allocations");
+    assert_eq!(copies, 0);
+
+    // An owning read shares the committed payload.
+    let (read, calls, _) = counted(|| master.read_committed(SubscriberUid(7)));
+    assert_eq!(calls, 0, "read_committed allocated");
+    assert_eq!(read, Some(payload(7)));
+
+    // A modify copies the payload once, before changing it; the store, the
+    // two logs, the commit record and the slave then share that copy.
+    let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5))];
+    let ((), _, copies) = counted(|| {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.modify(txn, SubscriberUid(7), &mods).unwrap();
+        let record = master.commit(txn, SimTime(RECORDS)).unwrap().unwrap();
+        slave.apply_replicated(&record).unwrap();
+    });
+    assert_eq!(copies, 1, "modify + commit + apply copied the payload");
+
+    // The copy did not write through to the snapshot taken before it.
+    let mut modified = payload(7);
+    modified.apply(&mods);
+    assert_eq!(slave.read_committed(SubscriberUid(7)), Some(modified));
+    assert_eq!(snapshot.records[7].1.entry, Some(payload(7)));
+}
