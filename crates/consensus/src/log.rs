@@ -7,7 +7,8 @@
 //! checks that invariant on every learn and reports a violation instead of
 //! silently overwriting, so the test suite can assert agreement directly.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::ops::Bound;
 
 use crate::ballot::Slot;
 use crate::msg::{CmdId, Command};
@@ -20,6 +21,10 @@ pub struct ChosenLog {
     applied: Slot,
     /// Ids of non-noop commands chosen (for leader-side deduplication).
     ids: HashSet<CmdId>,
+    /// Slots whose command id also holds a lower slot — every slot of an
+    /// id but its first. Empty unless a command was re-forwarded around a
+    /// leader change, so exactly-once apply costs no per-slot state.
+    shadowed: BTreeSet<Slot>,
 }
 
 /// Two different commands were decided for the same slot — a Paxos safety
@@ -66,8 +71,18 @@ impl ChosenLog {
                 incoming: cmd,
             });
         }
-        if !cmd.id.is_noop() {
-            self.ids.insert(cmd.id);
+        if !cmd.id.is_noop() && !self.ids.insert(cmd.id) {
+            // The id already holds a slot; only its lowest slot stays
+            // effective. Slots at or below the watermark are all decided,
+            // so `slot` lies above it and the loser is never one
+            // `effective_after` has already yielded. (One scan per
+            // duplicate, which only a leader change produces.)
+            let first = self
+                .chosen
+                .iter()
+                .find_map(|(s, c)| (c.id == cmd.id).then_some(*s))
+                .expect("an id in `ids` holds a chosen slot");
+            self.shadowed.insert(first.max(slot));
         }
         self.chosen.insert(slot, cmd);
         self.advance();
@@ -133,22 +148,24 @@ impl ChosenLog {
     /// exactly-once semantics: no-ops are skipped, and a command id that
     /// appears in more than one slot (possible when a command is
     /// re-forwarded around a leader change after its original proposal
-    /// survived) is yielded only at its first slot. This is the iterator
-    /// the storage apply layer consumes.
+    /// survived) is yielded only at its first slot. This is the sequence
+    /// the storage apply layer consumes; it only ever grows at the end.
     pub fn iter_effective(&self) -> impl Iterator<Item = (Slot, &Command)> + '_ {
-        let mut seen: HashSet<CmdId> = HashSet::new();
+        self.effective_after(Slot::ZERO)
+    }
+
+    /// The part of [`iter_effective`](Self::iter_effective) in slots
+    /// strictly above `above` — what an apply cursor resting at `above`
+    /// has still to consume. Costs O(log n) to start plus the slots
+    /// walked, allocates nothing, and is empty for `above >= committed()`.
+    pub fn effective_after(&self, above: Slot) -> impl Iterator<Item = (Slot, &Command)> + '_ {
+        // An inverted `BTreeMap::range` panics; a cursor at or past the
+        // watermark simply has nothing left.
+        let above = above.min(self.applied);
         self.chosen
-            .range(..=self.applied)
-            .filter_map(move |(s, c)| {
-                if c.is_noop() {
-                    return None;
-                }
-                if seen.insert(c.id) {
-                    Some((*s, c))
-                } else {
-                    None
-                }
-            })
+            .range((Bound::Excluded(above), Bound::Included(self.applied)))
+            .filter(|(s, c)| !c.is_noop() && !self.shadowed.contains(s))
+            .map(|(s, c)| (*s, c))
     }
 
     /// Check prefix consistency against another log: every slot decided in
@@ -247,6 +264,47 @@ mod tests {
         log.record(Slot(3), w(3)).unwrap(); // gap at 2
         let effective: Vec<_> = log.iter_effective().map(|(s, _)| s).collect();
         assert_eq!(effective, vec![Slot(1)], "slot 3 is not applicable yet");
+    }
+
+    #[test]
+    fn a_duplicate_recorded_below_its_twin_takes_over_as_first() {
+        let mut log = ChosenLog::new();
+        log.record(Slot(1), w(1)).unwrap();
+        log.record(Slot(4), w(10)).unwrap(); // above a gap: not applicable yet
+        log.record(Slot(3), w(10)).unwrap(); // same id, lower slot
+        log.record(Slot(5), w(10)).unwrap(); // and a third copy above both
+        assert_eq!(log.iter_effective().count(), 1);
+        log.record(Slot(2), w(2)).unwrap();
+        let effective: Vec<_> = log.iter_effective().map(|(s, c)| (s, c.id)).collect();
+        assert_eq!(
+            effective,
+            vec![
+                (Slot(1), CmdId(1)),
+                (Slot(2), CmdId(2)),
+                (Slot(3), CmdId(10))
+            ]
+        );
+    }
+
+    #[test]
+    fn effective_after_is_total_at_and_past_the_watermark() {
+        let mut log = ChosenLog::new();
+        assert_eq!(log.effective_after(Slot::ZERO).count(), 0);
+        assert_eq!(log.effective_after(Slot(9)).count(), 0);
+        log.record(Slot(1), w(1)).unwrap();
+        log.record(Slot(2), Command::noop()).unwrap();
+        log.record(Slot(3), w(3)).unwrap();
+        log.record(Slot(5), w(5)).unwrap(); // gap at 4: watermark stays at 3
+        let after = |above: u64| -> Vec<Slot> {
+            log.effective_after(Slot(above)).map(|(s, _)| s).collect()
+        };
+        assert_eq!(after(0), vec![Slot(1), Slot(3)]);
+        assert_eq!(after(1), vec![Slot(3)]);
+        assert_eq!(after(2), vec![Slot(3)]);
+        assert!(after(3).is_empty(), "cursor at the watermark");
+        assert!(after(4).is_empty(), "cursor past the watermark");
+        assert!(after(5).is_empty());
+        assert!(after(u64::MAX).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use udr_consensus::runtime::{ClusterConfig, ConsensusCluster};
-use udr_consensus::{CmdId, Payload};
+use udr_consensus::{ChosenLog, CmdId, Command, Payload, Slot};
 use udr_model::ids::SubscriberUid;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::Topology;
@@ -127,6 +127,63 @@ proptest! {
         check_invariants(&report, "fault-free");
         prop_assert_eq!(report.committed(), submissions.len(),
             "uncommitted fates: {:?}", report.fates);
+    }
+}
+
+/// The model `ChosenLog::effective_after` is checked against: one walk of
+/// the finished log's applicable prefix with a fresh seen-set, yielding
+/// each non-noop id at its first slot.
+fn effective_by_full_walk(log: &ChosenLog) -> Vec<(Slot, CmdId)> {
+    let mut seen = std::collections::HashSet::new();
+    log.iter()
+        .take_while(|(slot, _)| *slot <= log.committed())
+        .filter(|(_, cmd)| !cmd.is_noop() && seen.insert(cmd.id))
+        .map(|(slot, cmd)| (slot, cmd.id))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// An apply cursor sees every effective entry exactly once, whatever
+    /// the order the log fills in. Slot `i + 1` holds `steps[i]`'s command
+    /// — kind 0 a no-op, 1 never decided (a lasting gap), anything else a
+    /// write whose id is drawn from so few that duplicates land in earlier
+    /// and in later slots — and is recorded in the order of the keys; a
+    /// step may re-record a decided slot and may drain a batch.
+    #[test]
+    fn cursor_batches_concatenate_to_the_effective_sequence(
+        steps in proptest::collection::vec((0u64..8, 0u64..1_000, 0u32..4, 0u32..3), 1..48),
+    ) {
+        let command = |kind: u64| match kind {
+            0 => Command::noop(),
+            id => Command::write(CmdId(id), SubscriberUid(id), None),
+        };
+        let mut order: Vec<usize> = (0..steps.len()).filter(|i| steps[*i].0 != 1).collect();
+        order.sort_by_key(|i| steps[*i].1);
+
+        let mut log = ChosenLog::new();
+        let mut cursor = Slot::ZERO;
+        let mut drained: Vec<(Slot, CmdId)> = Vec::new();
+        for (done, &i) in order.iter().enumerate() {
+            let (kind, key, rerecord, drain) = steps[i];
+            prop_assert_eq!(log.record(Slot(i as u64 + 1), command(kind)), Ok(true));
+            if rerecord == 0 {
+                let j = order[key as usize % (done + 1)];
+                prop_assert_eq!(log.record(Slot(j as u64 + 1), command(steps[j].0)), Ok(false));
+            }
+            if drain == 0 {
+                drained.extend(log.effective_after(cursor).map(|(slot, cmd)| (slot, cmd.id)));
+                cursor = log.committed();
+            }
+        }
+        drained.extend(log.effective_after(cursor).map(|(slot, cmd)| (slot, cmd.id)));
+
+        let model = effective_by_full_walk(&log);
+        prop_assert_eq!(&drained, &model);
+        let whole: Vec<(Slot, CmdId)> =
+            log.iter_effective().map(|(slot, cmd)| (slot, cmd.id)).collect();
+        prop_assert_eq!(&whole, &model);
     }
 }
 

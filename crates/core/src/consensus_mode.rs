@@ -34,7 +34,7 @@
 //! [`Payload::Reconfig`]: udr_consensus::Payload::Reconfig
 
 use udr_consensus::{
-    ChosenLog, CmdId, Command, Message, NodeId, Payload, Replica, ReplicaConfig, Role,
+    ChosenLog, CmdId, Command, Message, NodeId, Payload, Replica, ReplicaConfig, Role, Slot,
 };
 use udr_model::attrs::Entry;
 use udr_model::config::ReplicationMode;
@@ -58,9 +58,13 @@ pub(crate) struct ConsensusGroup {
     /// The protocol state machines (RAM *and* the durable acceptor state —
     /// preserved across SE crashes, as Paxos requires).
     pub(crate) replicas: Vec<Replica>,
-    /// Effective-entry apply cursor per node: how many entries of
-    /// `iter_effective()` this node has applied to its storage.
-    pub(crate) applied: Vec<usize>,
+    /// Apply cursor per node: the slot up to which this node's storage
+    /// holds its log's effective entries. `consensus_apply` resumes
+    /// strictly above it and leaves it at the log's `committed()`.
+    pub(crate) applied: Vec<Slot>,
+    /// Scratch for the read-index echoes of one `consensus_read`, kept so
+    /// a read allocates nothing.
+    pub(crate) echoes: Vec<SimDuration>,
     /// Last observed serving leader (bookkeeping for failover counting).
     pub(crate) last_leader: Option<usize>,
     /// Serving-leader hand-offs observed (failovers under consensus).
@@ -82,7 +86,8 @@ impl ConsensusGroup {
             })
             .collect();
         ConsensusGroup {
-            applied: vec![0; members.len()],
+            applied: vec![Slot::ZERO; members.len()],
+            echoes: Vec::with_capacity(members.len()),
             replicas,
             members,
             last_leader: None,
@@ -96,26 +101,21 @@ impl ConsensusGroup {
     }
 }
 
-/// The apply cursor equivalent to `writes` committed records: positioned
-/// right after the `writes`-th effective `Write` entry, so a recovering
-/// engine at LSN `writes` resumes exactly where its disk state left off.
-/// Reconfig entries at or after the cursor are re-applied; the
-/// first-apply-wins guard in [`Udr::consensus_reconfig_applied`] makes
-/// that a no-op.
-fn cursor_for_writes(log: &ChosenLog, writes: u64) -> usize {
+/// The apply cursor equivalent to `writes` committed records: the slot of
+/// the `writes`-th effective `Write` entry, so a recovering engine at LSN
+/// `writes` resumes exactly where its disk state left off. Reconfig
+/// entries above the cursor are re-applied; the first-apply-wins guard in
+/// [`Udr::consensus_reconfig_applied`] makes that a no-op. The one walk
+/// of the log's history left, paid per restore.
+fn cursor_for_writes(log: &ChosenLog, writes: u64) -> Slot {
     if writes == 0 {
-        return 0;
+        return Slot::ZERO;
     }
-    let mut seen = 0u64;
-    for (idx, (_, cmd)) in log.iter_effective().enumerate() {
-        if matches!(cmd.payload, Payload::Write { .. }) {
-            seen += 1;
-            if seen == writes {
-                return idx + 1;
-            }
-        }
-    }
-    log.iter_effective().count()
+    log.iter_effective()
+        .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
+        .nth(writes as usize - 1)
+        // More writes on disk than the durable log exposes cannot happen.
+        .map_or(log.committed(), |(slot, _)| slot)
 }
 
 impl Udr {
@@ -273,25 +273,19 @@ impl Udr {
                 Some(format!("p{} n{from}→n{to}", partition.0)),
             );
         }
-        let applied_before = self.consensus[p].applied.iter().sum::<usize>();
         let outs = self.consensus[p].replicas[to].handle(t, NodeId(from as u32), msg);
         self.route_consensus(t, partition, to, outs, trace);
-        self.consensus_apply(t, partition);
-        if trace != 0 && self.tracer.enabled() {
-            let applied_after = self.consensus[p].applied.iter().sum::<usize>();
-            if applied_after > applied_before {
-                self.tracer.instant(
-                    trace,
-                    0,
-                    "consensus.apply",
-                    t,
-                    Some(format!(
-                        "p{} n={}",
-                        partition.0,
-                        applied_after - applied_before
-                    )),
-                );
-            }
+        // Only `to`'s log can have grown; every other node applied its own
+        // when it last handled a message or ticked.
+        let applied = self.consensus_apply_node(t, partition, to);
+        if applied > 0 && trace != 0 && self.tracer.enabled() {
+            self.tracer.instant(
+                trace,
+                0,
+                "consensus.apply",
+                t,
+                Some(format!("p{} n={applied}", partition.0)),
+            );
         }
         self.note_consensus_leadership(p);
     }
@@ -356,58 +350,74 @@ impl Udr {
         }
     }
 
-    /// Apply newly chosen commands on every up replica: roll each node's
-    /// engine forward to its log's effective committed prefix. `Write`
-    /// entries become ordinary commit records (the LSN is the node's own
-    /// next position — every node applies the identical `Write`
-    /// subsequence, so the engines stay byte-identical); `Reconfig`
-    /// entries execute the migration cutover exactly once.
+    /// Apply newly chosen commands on every up replica (ticks and restore;
+    /// a delivery applies at its destination only).
     pub(crate) fn consensus_apply(&mut self, t: SimTime, partition: PartitionId) {
+        for i in 0..self.consensus[partition.index()].members.len() {
+            self.consensus_apply_node(t, partition, i);
+        }
+    }
+
+    /// Roll node `i`'s engine forward to its log's effective committed
+    /// prefix, resuming at the node's slot cursor — the cost is the newly
+    /// chosen entries, not the log's history. `Write` entries become
+    /// ordinary commit records (the LSN is the node's own next position —
+    /// every node applies the identical `Write` subsequence, so the
+    /// engines stay byte-identical); `Reconfig` entries execute the
+    /// migration cutover exactly once. Returns how many entries it
+    /// applied; a down node applies nothing.
+    fn consensus_apply_node(&mut self, t: SimTime, partition: PartitionId, i: usize) -> usize {
         let p = partition.index();
-        for i in 0..self.consensus[p].members.len() {
-            if !self.consensus_node_up(p, i) {
-                continue;
-            }
-            loop {
-                let next = {
-                    let g = &self.consensus[p];
-                    g.replicas[i]
-                        .log()
-                        .iter_effective()
-                        .nth(g.applied[i])
-                        .map(|(_, cmd)| cmd.clone())
-                };
-                let Some(cmd) = next else { break };
-                // Advance the cursor *before* applying: a reconfig apply
-                // re-seeds membership state and must not be clobbered by
-                // a post-increment.
-                self.consensus[p].applied[i] += 1;
-                match cmd.payload {
-                    Payload::Noop => {}
-                    Payload::Write { uid, entry } => {
-                        let se = self.consensus[p].members[i];
-                        let lsn = self.ses[se.index()]
-                            .last_lsn(partition)
-                            .unwrap_or(Lsn::ZERO)
-                            .next();
-                        let written_by = self.consensus[p].members[0];
-                        let record = CommitRecord {
-                            lsn,
-                            committed_at: t,
-                            written_by,
-                            changes: vec![Change { uid, entry }],
-                        };
-                        let _ = self.ses[se.index()].apply_replicated(partition, &record);
-                    }
-                    Payload::Reconfig { migration } => {
-                        self.consensus_reconfig_applied(t, migration);
-                    }
+        if !self.consensus_node_up(p, i) {
+            return 0;
+        }
+        let mut applied = 0;
+        loop {
+            let next = {
+                let g = &self.consensus[p];
+                g.replicas[i]
+                    .log()
+                    .effective_after(g.applied[i])
+                    .next()
+                    .map(|(slot, cmd)| (slot, cmd.clone()))
+            };
+            let Some((slot, cmd)) = next else { break };
+            // Advance the cursor *before* applying: a reconfig apply
+            // re-seeds membership state and must not be clobbered by a
+            // store made after it.
+            self.consensus[p].applied[i] = slot;
+            applied += 1;
+            match cmd.payload {
+                Payload::Noop => {}
+                Payload::Write { uid, entry } => {
+                    let se = self.consensus[p].members[i];
+                    let lsn = self.ses[se.index()]
+                        .last_lsn(partition)
+                        .unwrap_or(Lsn::ZERO)
+                        .next();
+                    let written_by = self.consensus[p].members[0];
+                    let record = CommitRecord {
+                        lsn,
+                        committed_at: t,
+                        written_by,
+                        changes: vec![Change { uid, entry }],
+                    };
+                    let _ = self.ses[se.index()].apply_replicated(partition, &record);
+                }
+                Payload::Reconfig { migration } => {
+                    self.consensus_reconfig_applied(t, migration);
                 }
             }
-            let viols = self.consensus[p].replicas[i].take_violations();
-            self.consensus_violations
-                .extend(viols.into_iter().map(|v| format!("partition {p}: {v}")));
         }
+        // Nothing effective is left above the cursor (trailing no-ops and
+        // shadowed duplicates at most): rest it on the watermark, which is
+        // what `consensus_settled` compares.
+        let g = &mut self.consensus[p];
+        g.applied[i] = g.replicas[i].log().committed();
+        let viols = g.replicas[i].take_violations();
+        self.consensus_violations
+            .extend(viols.into_iter().map(|v| format!("partition {p}: {v}")));
+        applied
     }
 
     /// Track serving-leader hand-offs (the consensus notion of failover).
@@ -445,8 +455,9 @@ impl Udr {
         &self.consensus_violations
     }
 
-    /// Total protocol messages each ensemble exchanged, by partition
-    /// (write-amplification visibility for experiments).
+    /// The committed watermark of each partition's ensemble — the deepest
+    /// contiguous chosen slot any of its replicas holds, no-ops included
+    /// (log-growth visibility for experiments).
     pub fn consensus_committed_slots(&self) -> Vec<u64> {
         self.consensus
             .iter()
@@ -486,8 +497,8 @@ impl Udr {
 
     /// Whether every ensemble has fully re-converged: a serving leader
     /// exists, all up nodes agree on the committed watermark, every up
-    /// node has applied its full effective prefix, and the leader has
-    /// nothing in flight. The consensus-mode arm of
+    /// node's apply cursor rests on it, and the leader has nothing in
+    /// flight. The consensus-mode arm of
     /// [`Udr::replication_settled`].
     pub(crate) fn consensus_settled(&self) -> bool {
         self.consensus.iter().enumerate().all(|(p, g)| {
@@ -501,10 +512,7 @@ impl Udr {
             let watermark = leader.log().committed();
             (0..g.members.len())
                 .filter(|i| self.consensus_node_up(p, *i))
-                .all(|i| {
-                    g.replicas[i].log().committed() == watermark
-                        && g.applied[i] == g.replicas[i].log().iter_effective().count()
-                })
+                .all(|i| g.replicas[i].log().committed() == watermark && g.applied[i] == watermark)
         })
     }
 
@@ -676,26 +684,238 @@ impl Udr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rebalance::{MigrationPlan, MoveReason};
+    use crate::UdrConfig;
+    use udr_model::attrs::{AttrId, AttrMod, AttrValue};
+    use udr_model::config::DurabilityMode;
+    use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+    use udr_sim::FaultSchedule;
 
     fn write(id: u64) -> Command {
         Command::write(CmdId(id), udr_model::ids::SubscriberUid(id), None)
+    }
+
+    const P0: PartitionId = PartitionId(0);
+    const SUBSCRIBERS: u64 = 6;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    fn imsi(n: u64) -> Imsi {
+        Imsi::new(format!("21401{n:010}")).unwrap()
+    }
+
+    /// One modify per subscriber, 100 ms apart from `start_ms`, each
+    /// writing a value no other round writes.
+    fn modify_round(udr: &mut Udr, round: u64, start_ms: u64) {
+        for n in 0..SUBSCRIBERS {
+            let out = udr.modify_services(
+                &Identity::Imsi(imsi(n)),
+                vec![AttrMod::Set(
+                    AttrId::OdbMask,
+                    AttrValue::U64(round * 100 + n),
+                )],
+                SiteId(0),
+                at(start_ms + n * 100),
+            );
+            assert!(out.is_ok(), "round {round} write {n}: {:?}", out.result);
+        }
+    }
+
+    /// Move partition 0's ensemble node `node` onto a fresh SE and wait
+    /// for the cutover; returns the migration id.
+    fn migrate_node(udr: &mut Udr, node: usize, start_ms: u64) -> u64 {
+        let from = udr.consensus[0].members[node];
+        let to = udr.add_se(udr.ses[from.index()].site(), at(start_ms));
+        let id = udr.start_migration(
+            MigrationPlan {
+                partition: P0,
+                from,
+                to,
+                reason: MoveReason::ScaleOut,
+            },
+            at(start_ms),
+        );
+        udr.advance_to(at(start_ms + 4_000));
+        assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
+        assert_eq!(udr.consensus[0].members[node], to);
+        id
+    }
+
+    fn effective_writes(log: &ChosenLog) -> u64 {
+        log.iter_effective()
+            .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
+            .count() as u64
+    }
+
+    /// How many commit records `se`'s copy of partition 0 has applied.
+    fn lsn_of(udr: &Udr, se: SeId) -> u64 {
+        udr.ses[se.index()].last_lsn(P0).expect("hosted").raw()
+    }
+
+    /// Node `i`'s copy of partition 0, without the per-node apply instant.
+    fn records(udr: &Udr, i: usize) -> Vec<(SubscriberUid, Lsn, SeId, Option<Entry>)> {
+        let se = udr.consensus[0].members[i];
+        let engine = udr.ses[se.index()].engine(P0).expect("member hosts it");
+        let mut rows: Vec<_> = engine
+            .iter_committed()
+            .map(|v| (v.uid, v.lsn, v.written_by, v.entry.cloned()))
+            .collect();
+        rows.sort_by_key(|row| row.0);
+        rows
+    }
+
+    /// Crash the serving leader mid-stream and bring it back, with a
+    /// cutover on each side of what its disk recovers (`snapshot`: a disk
+    /// image between the two; otherwise nothing survives) and one command
+    /// id chosen in two slots: the replay must land the engine on the
+    /// node's committed prefix with every write applied once.
+    fn crash_and_restore_a_member(durability: DurabilityMode, snapshot: bool) {
+        let mut cfg = UdrConfig::figure2();
+        cfg.partitions = 1;
+        cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+        cfg.frash.durability = durability;
+        cfg.seed = 22;
+        let mut udr = Udr::build(cfg).unwrap();
+        for n in 0..SUBSCRIBERS {
+            let ids = IdentitySet {
+                imsi: imsi(n),
+                msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
+                impus: vec![],
+                impi: None,
+            };
+            let out = udr.provision_subscriber(&ids, 0, SiteId(0), at(2_000 + n * 100));
+            assert!(out.is_ok(), "provisioning {n}: {:?}", out.op.result);
+        }
+        let f = udr.consensus_serving_leader(0).expect("a leader serves");
+        let f_se = udr.consensus[0].members[f];
+        // Neither the node under test nor member 0, whose id every apply
+        // stamps as `written_by`.
+        let mover = if f == 1 { 2 } else { 1 };
+
+        modify_round(&mut udr, 1, 5_000);
+        let first = migrate_node(&mut udr, mover, 7_000);
+        modify_round(&mut udr, 2, 12_000);
+        udr.advance_to(at(14_000));
+        let on_disk = lsn_of(&udr, f_se);
+        if snapshot {
+            udr.ses[f_se.index()].force_snapshot(at(14_000));
+        }
+        modify_round(&mut udr, 3, 15_000);
+        let second = migrate_node(&mut udr, mover, 17_000);
+        modify_round(&mut udr, 4, 22_000);
+
+        // A second slot for round 1's first write, as a re-forward around
+        // a leader change leaves behind. Every node learns it; the leader
+        // crashes before it would propose into that slot itself.
+        udr.advance_to(at(24_000));
+        assert!(udr.replication_settled());
+        let log = udr.consensus[0].replicas[f].log();
+        let (_, twin) = log
+            .iter_effective()
+            .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
+            .nth(SUBSCRIBERS as usize)
+            .expect("round 1 is in the log");
+        let (twin, twin_slot) = (twin.clone(), log.committed().next());
+        for to in 0..3 {
+            let learn = Message::Learn {
+                slot: twin_slot,
+                cmd: twin.clone(),
+            };
+            udr.consensus_deliver(at(24_000), P0, to, (to + 1) % 3, learn, 0);
+        }
+        let writes_at_crash = effective_writes(udr.consensus[0].replicas[f].log());
+        assert_eq!(
+            lsn_of(&udr, f_se),
+            writes_at_crash,
+            "the twin must not be applied"
+        );
+
+        udr.schedule_faults(FaultSchedule::new().se_outage(
+            at(24_001),
+            SimDuration::from_secs(10),
+            f_se,
+        ));
+        modify_round(&mut udr, 5, 30_000);
+
+        // Restore replays the node's own log from the recovered position:
+        // rounds 3 and 4, the second cutover (a no-op by now) and the
+        // shadowed twin — or, from nothing, all of it.
+        udr.advance_to(at(34_001));
+        let recovered = if snapshot { on_disk } else { 0 };
+        assert!(recovered < writes_at_crash);
+        assert_eq!(
+            lsn_of(&udr, f_se),
+            writes_at_crash,
+            "replay from LSN {recovered} must end where the crash left off"
+        );
+        assert_eq!(
+            udr.consensus[0].applied[f],
+            udr.consensus[0].replicas[f].log().committed()
+        );
+
+        modify_round(&mut udr, 6, 36_000);
+        udr.advance_to(at(60_000));
+
+        let l = udr.consensus_serving_leader(0).expect("a leader serves");
+        assert_ne!(l, f, "the crash must have moved leadership");
+        let g = &udr.consensus[0];
+        let log = g.replicas[f].log();
+        assert_eq!(log.committed(), g.replicas[l].log().committed());
+        assert_eq!(g.applied[f], log.committed());
+        assert!(udr.replication_settled());
+        assert_eq!(records(&udr, f), records(&udr, l));
+        assert_eq!(records(&udr, f).len(), SUBSCRIBERS as usize);
+        assert_eq!(
+            lsn_of(&udr, f_se),
+            effective_writes(log),
+            "one commit record per effective write"
+        );
+        assert_eq!(effective_writes(log), 7 * SUBSCRIBERS);
+        assert_eq!(log.iter().filter(|(_, c)| c.id == twin.id).count(), 2);
+        assert_eq!(log.get(twin_slot).map(|c| c.id), Some(twin.id));
+        for id in [first, second] {
+            assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
+        }
+        assert_eq!(udr.metrics.migrations_completed, 2);
+        assert_eq!(udr.metrics.migrations_aborted, 0);
+        assert!(udr.consensus_violations().is_empty());
+    }
+
+    #[test]
+    fn restore_resumes_at_the_slot_of_the_recovered_lsn() {
+        let hourly = DurabilityMode::PeriodicSnapshot {
+            interval: SimDuration::from_secs(3_600),
+        };
+        crash_and_restore_a_member(hourly, true);
+    }
+
+    #[test]
+    fn restore_without_a_disk_image_replays_the_whole_log() {
+        crash_and_restore_a_member(DurabilityMode::None, false);
     }
 
     #[test]
     fn cursor_for_writes_lands_after_the_nth_write() {
         let mut log = ChosenLog::default();
         // slot1: noop, slot2: write, slot3: reconfig, slot4: write
-        log.record(udr_consensus::Slot(1), Command::noop()).unwrap();
-        log.record(udr_consensus::Slot(2), write(1)).unwrap();
-        log.record(udr_consensus::Slot(3), Command::reconfig(CmdId(9), 0))
-            .unwrap();
-        log.record(udr_consensus::Slot(4), write(2)).unwrap();
-        // Effective entries: [write1, reconfig, write2].
-        assert_eq!(cursor_for_writes(&log, 0), 0);
-        assert_eq!(cursor_for_writes(&log, 1), 1); // reconfig re-applies (no-op)
-        assert_eq!(cursor_for_writes(&log, 2), 3);
+        log.record(Slot(1), Command::noop()).unwrap();
+        log.record(Slot(2), write(1)).unwrap();
+        log.record(Slot(3), Command::reconfig(CmdId(9), 0)).unwrap();
+        log.record(Slot(4), write(2)).unwrap();
+        // Effective entries: write1 @2, reconfig @3, write2 @4.
+        assert_eq!(cursor_for_writes(&log, 0), Slot::ZERO);
+        assert_eq!(cursor_for_writes(&log, 1), Slot(2)); // reconfig re-applies (no-op)
+        assert_eq!(cursor_for_writes(&log, 2), Slot(4));
         // More writes on disk than the log exposes cannot happen (the log
-        // is durable); the cursor saturates at the effective length.
-        assert_eq!(cursor_for_writes(&log, 7), 3);
+        // is durable); the cursor saturates at the watermark.
+        assert_eq!(cursor_for_writes(&log, 7), Slot(4));
+        // A re-forwarded duplicate and a trailing no-op count for nothing.
+        log.record(Slot(5), write(1)).unwrap();
+        log.record(Slot(6), write(3)).unwrap();
+        log.record(Slot(7), Command::noop()).unwrap();
+        assert_eq!(cursor_for_writes(&log, 3), Slot(6));
+        assert_eq!(cursor_for_writes(&log, 4), Slot(7));
     }
 }

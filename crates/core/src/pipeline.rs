@@ -963,7 +963,7 @@ impl ReplicationStage {
             Ok(cur) => cur,
             Err(e) => return Err(ctx.fail(e)),
         };
-        let costs = udr.ses[leader_se.index()].cost_model().clone();
+        let costs = udr.ses[leader_se.index()].cost_model();
         let entry = match ctx.op {
             LdapOp::Add { entry, .. } => {
                 if current.is_some() {
@@ -1120,7 +1120,8 @@ impl ReplicationStage {
 
         // Read-index confirmation: a majority echo (leader included)
         // proves the leader has not been silently deposed.
-        let mut confirms: Vec<SimDuration> = Vec::new();
+        let mut echoes = std::mem::take(&mut udr.consensus[p].echoes);
+        echoes.clear();
         for j in 0..udr.consensus[p].members.len() {
             if j == leader || !udr.consensus_node_up(p, j) {
                 continue;
@@ -1128,19 +1129,22 @@ impl ReplicationStage {
             let peer_se = udr.consensus[p].members[j];
             let peer_site = udr.ses[peer_se.index()].site();
             if let Some(echo) = udr.net.round_trip(leader_site, peer_site, &mut udr.rng) {
-                confirms.push(echo);
+                echoes.push(echo);
             }
         }
-        confirms.sort_unstable();
-        if confirms.len() + 1 < majority {
+        echoes.sort_unstable();
+        let acked = echoes.len() + 1;
+        // The (majority-1)-th fastest echo completes the confirmation.
+        let confirmed_after = echoes.get(majority - 2).copied();
+        udr.consensus[p].echoes = echoes;
+        let Some(confirmed_after) = confirmed_after else {
             ctx.breakdown.replication += udr.cfg.frash.op_timeout;
             return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked: confirms.len() + 1,
+                acked,
                 required: majority,
             }));
-        }
-        // The (majority-1)-th fastest echo completes the confirmation.
-        ctx.breakdown.replication += confirms[majority - 2];
+        };
+        ctx.breakdown.replication += confirmed_after;
         ctx.target = Some(leader_se);
         ctx.consensus_served = true;
         Ok(())
