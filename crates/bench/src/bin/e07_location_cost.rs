@@ -74,7 +74,7 @@ fn main() {
         table.row([
             format!("{n}"),
             format!("{ns:.0} ns"),
-            prev.map_or("-".to_owned(), |p| format!("x{:.2}", ns / p)),
+            prev.map_or_else(|| "-".to_owned(), |p| format!("x{:.2}", ns / p)),
         ]);
         prev = Some(ns);
     }

@@ -102,7 +102,8 @@ fn main() {
             table.row([
                 locator.to_string(),
                 row.subscribers.to_string(),
-                row.window.map_or("none".to_owned(), |w| w.to_string()),
+                row.window
+                    .map_or_else(|| "none".to_owned(), |w| w.to_string()),
                 row.blocked_ops.to_string(),
                 row.probes.to_string(),
             ]);

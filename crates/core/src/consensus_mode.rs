@@ -115,7 +115,7 @@ fn cursor_for_writes(log: &ChosenLog, writes: u64) -> Slot {
         .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
         .nth(writes as usize - 1)
         // More writes on disk than the durable log exposes cannot happen.
-        .map_or(log.committed(), |(slot, _)| slot)
+        .map_or_else(|| log.committed(), |(slot, _)| slot)
 }
 
 impl Udr {

@@ -275,10 +275,12 @@ impl Udr {
                 let priority = req
                     .priority
                     .unwrap_or_else(|| PriorityClass::default_for_txn(req.class));
-                let capability = req.capability.unwrap_or(if op.is_write() {
-                    Capability::DirectWrite
-                } else {
-                    Capability::DirectRead
+                let capability = req.capability.unwrap_or_else(|| {
+                    if op.is_write() {
+                        Capability::DirectWrite
+                    } else {
+                        Capability::DirectRead
+                    }
                 });
                 ExecOutcome::Op(self.execute_one(
                     op,

@@ -1252,14 +1252,7 @@ impl ReplicationStage {
             // transactional and the quorum-served path.)
             if let LdapOp::Search { attrs, .. } | LdapOp::SearchFilter { attrs, .. } = ctx.op {
                 if !attrs.is_empty() {
-                    if let Some(entry) = value.take() {
-                        let projected: Entry = entry
-                            .iter()
-                            .filter(|(id, _)| attrs.contains(id))
-                            .map(|(id, v)| (*id, v.clone()))
-                            .collect();
-                        value = Some(projected);
-                    }
+                    value = value.map(|entry| entry.project(attrs));
                 }
             }
         }
@@ -1670,10 +1663,9 @@ impl StorageStage {
         match op {
             LdapOp::SearchFilter { filter, .. } => filter.matches(&entry).then_some(entry),
             LdapOp::Bind { .. } => None,
-            LdapOp::Compare { attr, value, .. } => entry
-                .get(*attr)
-                .filter(|v| *v == value)
-                .map(|v| [(*attr, v.clone())].into_iter().collect()),
+            LdapOp::Compare { attr, value, .. } => {
+                (entry.get(*attr) == Some(value)).then(|| entry.project(&[*attr]))
+            }
             _ => Some(entry),
         }
     }
@@ -1688,7 +1680,8 @@ impl StorageStage {
         isolation: udr_model::config::IsolationLevel,
         commit_at: SimTime,
     ) -> (UdrResult<Option<Entry>>, SimDuration, Option<CommitRecord>) {
-        let costs = backend.cost_model().clone();
+        let costs = backend.cost_model();
+        let (read_cost, write_cost) = (costs.read, costs.write);
         let mut cost = SimDuration::ZERO;
 
         let txn = match backend.begin(partition, isolation) {
@@ -1697,7 +1690,7 @@ impl StorageStage {
         };
         let staged: UdrResult<Option<Entry>> = match op {
             LdapOp::Search { .. } => {
-                cost += costs.read;
+                cost += read_cost;
                 match backend.read(partition, txn, uid) {
                     Ok(Some(entry)) => Ok(Some(entry)),
                     Ok(None) => Err(UdrError::NotFound(uid)),
@@ -1708,7 +1701,7 @@ impl StorageStage {
             // returned only when it satisfies the filter; a non-match is an
             // empty result set, not an error.
             LdapOp::SearchFilter { filter, .. } => {
-                cost += costs.read + costs.read * filter.assertion_count() as u64;
+                cost += read_cost + read_cost * filter.assertion_count() as u64;
                 match backend.read(partition, txn, uid) {
                     Ok(Some(entry)) => Ok(if filter.matches(&entry) {
                         Some(entry)
@@ -1723,7 +1716,7 @@ impl StorageStage {
             // engine only verifies the entry exists (credential checking is
             // out of the paper's scope).
             LdapOp::Bind { .. } => {
-                cost += costs.read;
+                cost += read_cost;
                 match backend.read(partition, txn, uid) {
                     Ok(Some(_)) => Ok(None),
                     Ok(None) => Err(UdrError::NotFound(uid)),
@@ -1733,28 +1726,27 @@ impl StorageStage {
             // Compare: `Some(asserted attr)` = compareTrue, `None` =
             // compareFalse (RFC 2251 §4.10 mapped onto the payload).
             LdapOp::Compare { attr, value, .. } => {
-                cost += costs.read;
+                cost += read_cost;
                 match backend.read(partition, txn, uid) {
-                    Ok(Some(entry)) => Ok(entry
-                        .get(*attr)
-                        .filter(|v| *v == value)
-                        .map(|v| [(*attr, v.clone())].into_iter().collect())),
+                    Ok(Some(entry)) => {
+                        Ok((entry.get(*attr) == Some(value)).then(|| entry.project(&[*attr])))
+                    }
                     Ok(None) => Err(UdrError::NotFound(uid)),
                     Err(e) => Err(e),
                 }
             }
             LdapOp::Add { entry, .. } => {
-                cost += costs.write;
+                cost += write_cost;
                 backend
                     .insert(partition, txn, uid, entry.clone())
                     .map(|_| None)
             }
             LdapOp::Modify { mods, .. } => {
-                cost += costs.read + costs.write;
+                cost += read_cost + write_cost;
                 backend.modify(partition, txn, uid, mods).map(|_| None)
             }
             LdapOp::Delete { .. } => {
-                cost += costs.write;
+                cost += write_cost;
                 backend.delete(partition, txn, uid).map(|_| None)
             }
         };

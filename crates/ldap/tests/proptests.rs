@@ -132,6 +132,26 @@ proptest! {
         prop_assert_eq!(decoded, resp);
     }
 
+    /// A projected entry is a masked view of the full payload; on the wire
+    /// it is exactly the copy of the selected attributes, and decodes back
+    /// to an entry equal to the view.
+    #[test]
+    fn a_projected_entry_encodes_as_the_copy_of_its_selection(
+        message_id in any::<u32>(),
+        entry in entry_strategy(),
+        selection in prop::collection::vec(attr_id_strategy(), 0..8),
+    ) {
+        let view = entry.project(&selection);
+        let copy: Entry = entry
+            .iter()
+            .filter(|(id, _)| selection.contains(id))
+            .map(|(id, v)| (*id, v.clone()))
+            .collect();
+        let on_wire = encode_response(&LdapResponse::with_entry(message_id, view.clone()));
+        prop_assert_eq!(&on_wire, &encode_response(&LdapResponse::with_entry(message_id, copy)));
+        prop_assert_eq!(decode_response(&on_wire).unwrap().entry, Some(view));
+    }
+
     /// The decoder never panics on arbitrary bytes — it returns errors.
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {

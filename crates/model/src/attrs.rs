@@ -6,7 +6,6 @@
 //! engine (which stores whole entries as record versions) and the LDAP layer
 //! (which reads and modifies attributes).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -69,7 +68,7 @@ pub enum AttrId {
 
 impl AttrId {
     /// Every attribute, in numeric order (useful for exhaustive tests).
-    pub const ALL: [AttrId; 20] = [
+    pub const ALL: [AttrId; 22] = [
         AttrId::Imsi,
         AttrId::Msisdn,
         AttrId::ImpuList,
@@ -90,7 +89,30 @@ impl AttrId {
         AttrId::MmeAddress,
         AttrId::ImsRegState,
         AttrId::ScscfName,
+        AttrId::HomeRegion,
+        AttrId::ProvisioningGen,
     ];
+
+    /// One past the largest wire tag.
+    const TAGS: usize = AttrId::ALL[AttrId::ALL.len() - 1] as usize + 1;
+
+    /// Wire tag → position in [`AttrId::ALL`]: the dense index an
+    /// [`Entry`]'s visibility mask is laid out over.
+    const DENSE: [u8; AttrId::TAGS] = {
+        let mut dense = [0u8; AttrId::TAGS];
+        let mut i = 0;
+        while i < AttrId::ALL.len() {
+            dense[AttrId::ALL[i] as usize] = i as u8;
+            i += 1;
+        }
+        dense
+    };
+
+    /// The attribute's bit in an [`Entry`]'s visibility mask.
+    #[inline]
+    const fn bit(self) -> u32 {
+        1 << Self::DENSE[self as usize]
+    }
 
     /// Numeric wire tag (used by the codec).
     #[inline]
@@ -128,6 +150,9 @@ impl AttrId {
         })
     }
 }
+
+// One bit per attribute in `Entry::visible`.
+const _: () = assert!(AttrId::ALL.len() <= u32::BITS as usize);
 
 impl fmt::Display for AttrId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -228,15 +253,30 @@ impl From<Vec<u8>> for AttrValue {
 
 /// One subscriber entry: an ordered attribute map.
 ///
-/// The map sits behind an [`Arc`] and is copied on write: `clone` is a
-/// reference-count bump, so the store, the commit log, the ship channels,
-/// every slave and every disk snapshot share one immutable allocation per
-/// committed version. The mutators ([`Entry::set`], [`Entry::remove`],
-/// [`Entry::apply`]) copy the map first when it is shared, which keeps value
-/// semantics: a change to one handle is never visible through another.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The attributes are a vector sorted by [`AttrId`] behind an [`Arc`],
+/// copied on write: `clone` is a reference-count bump, so the store, the
+/// commit log, the ship channels, every slave and every disk snapshot share
+/// one immutable allocation per committed version. A handle also carries a
+/// visibility mask, one bit per attribute it shows, so a projection
+/// ([`Entry::project`]) is another handle to the same payload with fewer bits
+/// set and copies nothing. Every accessor sees the visible attributes only.
+/// The mutators ([`Entry::set`], [`Entry::remove`], [`Entry::apply`]) first
+/// take a private payload holding exactly the visible attributes when the
+/// payload is shared or the handle hides part of it, which keeps value
+/// semantics: a change to one handle is never visible through another, and
+/// a hidden attribute is gone for good from the handle that hid it.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Entry {
-    attrs: Arc<BTreeMap<AttrId, AttrValue>>,
+    /// Sorted by `AttrId`, one element per attribute.
+    attrs: Arc<Vec<(AttrId, AttrValue)>>,
+    /// The `AttrId::bit`s of the attributes in `attrs` that this handle
+    /// shows.
+    visible: u32,
+}
+
+/// Where `id` sits in a sorted payload, or where it would be inserted.
+fn position(attrs: &[(AttrId, AttrValue)], id: AttrId) -> Result<usize, usize> {
+    attrs.binary_search_by_key(&id, |(k, _)| *k)
 }
 
 impl Entry {
@@ -245,68 +285,134 @@ impl Entry {
         Entry::default()
     }
 
+    /// The payload for writing: private to this handle and holding the
+    /// visible attributes only.
+    fn payload_mut(&mut self) -> &mut Vec<(AttrId, AttrValue)> {
+        if self.len() != self.attrs.len() {
+            let mut shown = Vec::with_capacity(self.len());
+            shown.extend(self.iter().map(|(id, v)| (*id, v.clone())));
+            self.attrs = Arc::new(shown);
+        }
+        Arc::make_mut(&mut self.attrs)
+    }
+
     /// Set (or replace) an attribute; returns the previous value.
     pub fn set(&mut self, id: AttrId, value: impl Into<AttrValue>) -> Option<AttrValue> {
-        Arc::make_mut(&mut self.attrs).insert(id, value.into())
+        let value = value.into();
+        let attrs = self.payload_mut();
+        match position(attrs, id) {
+            Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value)),
+            Err(i) => {
+                attrs.insert(i, (id, value));
+                self.visible |= id.bit();
+                None
+            }
+        }
     }
 
     /// Read an attribute.
     pub fn get(&self, id: AttrId) -> Option<&AttrValue> {
-        self.attrs.get(&id)
+        if !self.contains(id) {
+            return None;
+        }
+        position(&self.attrs, id).ok().map(|i| &self.attrs[i].1)
     }
 
     /// Remove an attribute; returns the removed value.
     pub fn remove(&mut self, id: AttrId) -> Option<AttrValue> {
-        Arc::make_mut(&mut self.attrs).remove(&id)
+        if !self.contains(id) {
+            return None;
+        }
+        let attrs = self.payload_mut();
+        let i = position(attrs, id).ok()?;
+        let (_, value) = attrs.remove(i);
+        self.visible &= !id.bit();
+        Some(value)
     }
 
     /// Whether the attribute is present.
     pub fn contains(&self, id: AttrId) -> bool {
-        self.attrs.contains_key(&id)
+        self.visible & id.bit() != 0
     }
 
     /// Number of attributes in the entry.
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.visible.count_ones() as usize
     }
 
     /// Whether the entry holds no attributes.
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.visible == 0
     }
 
     /// Iterate attributes in `AttrId` order.
     pub fn iter(&self) -> impl Iterator<Item = (&AttrId, &AttrValue)> {
-        self.attrs.iter()
+        let visible = self.visible;
+        self.attrs
+            .iter()
+            .filter(move |(id, _)| visible & id.bit() != 0)
+            .map(|(id, v)| (id, v))
     }
 
     /// Approximate in-RAM footprint of the whole entry, in bytes.
     pub fn approx_size(&self) -> usize {
-        // Map node overhead is roughly 48 bytes per entry on 64-bit targets.
-        self.attrs.values().map(|v| 2 + 48 + v.approx_size()).sum()
+        // The capacity model's figure: roughly 48 bytes of map node per
+        // attribute on 64-bit targets.
+        self.iter().map(|(_, v)| 2 + 48 + v.approx_size()).sum()
     }
 
     /// Apply a set of attribute modifications in order.
     pub fn apply(&mut self, mods: &[AttrMod]) {
-        let attrs = Arc::make_mut(&mut self.attrs);
         for m in mods {
             match m {
                 AttrMod::Set(id, v) => {
-                    attrs.insert(*id, v.clone());
+                    self.set(*id, v.clone());
                 }
                 AttrMod::Delete(id) => {
-                    attrs.remove(id);
+                    self.remove(*id);
                 }
             }
         }
+    }
+
+    /// The entry restricted to the listed attributes (an LDAP search's
+    /// attribute selection): a view of the same payload, no attribute is
+    /// copied. Attributes the entry does not show stay absent.
+    pub fn project(&self, attrs: &[AttrId]) -> Entry {
+        let wanted = attrs.iter().fold(0, |mask, id| mask | id.bit());
+        Entry {
+            attrs: Arc::clone(&self.attrs),
+            visible: self.visible & wanted,
+        }
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.visible == other.visible
+            && (Arc::ptr_eq(&self.attrs, &other.attrs) || self.iter().eq(other.iter()))
+    }
+}
+
+impl fmt::Debug for Entry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let map = fmt::from_fn(|f| f.debug_map().entries(self.iter()).finish());
+        f.debug_struct("Entry").field("attrs", &map).finish()
     }
 }
 
 impl FromIterator<(AttrId, AttrValue)> for Entry {
     fn from_iter<I: IntoIterator<Item = (AttrId, AttrValue)>>(iter: I) -> Self {
-        Entry {
-            attrs: Arc::new(iter.into_iter().collect()),
+        let iter = iter.into_iter();
+        let room = iter.size_hint().0.min(AttrId::ALL.len());
+        let mut entry = Entry {
+            attrs: Arc::new(Vec::with_capacity(room)),
+            visible: 0,
+        };
+        for (id, value) in iter {
+            entry.set(id, value);
         }
+        entry
     }
 }
 
@@ -339,11 +445,58 @@ mod tests {
         for a in AttrId::ALL {
             assert_eq!(AttrId::from_tag(a.tag()), Some(a), "{a:?}");
         }
-        assert_eq!(
-            AttrId::from_tag(AttrId::HomeRegion.tag()),
-            Some(AttrId::HomeRegion)
-        );
         assert_eq!(AttrId::from_tag(9999), None);
+    }
+
+    #[test]
+    fn all_is_every_attribute_in_tag_order() {
+        let by_tag: Vec<AttrId> = (0..=u16::MAX).filter_map(AttrId::from_tag).collect();
+        assert_eq!(by_tag, AttrId::ALL);
+        // The visibility mask's layout: one distinct bit per attribute.
+        let mask = AttrId::ALL.iter().fold(0u32, |m, a| m | a.bit());
+        assert_eq!(mask.count_ones() as usize, AttrId::ALL.len());
+    }
+
+    #[test]
+    fn a_projection_shows_only_what_it_was_given_and_asked_for() {
+        let mut e = Entry::new();
+        e.set(AttrId::Imsi, "214010000000001");
+        e.set(AttrId::OdbMask, 5u64);
+        e.set(AttrId::HomeRegion, 2u64);
+        let view = e.project(&[AttrId::OdbMask, AttrId::HomeRegion, AttrId::Msisdn]);
+        assert_eq!(view.len(), 2);
+        assert_eq!(view.get(AttrId::Imsi), None);
+        assert!(!view.contains(AttrId::Msisdn));
+        assert_eq!(
+            view.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            [AttrId::OdbMask, AttrId::HomeRegion]
+        );
+        // A view of a view cannot widen, and equality is by visible content.
+        let narrow = view.project(&[AttrId::Imsi, AttrId::OdbMask]);
+        let same: Entry = [(AttrId::OdbMask, AttrValue::U64(5))].into_iter().collect();
+        assert_eq!(narrow, same);
+        assert_ne!(narrow, view);
+        assert_eq!(format!("{narrow:?}"), "Entry { attrs: {OdbMask: U64(5)} }");
+        assert!(e.project(&[]).is_empty());
+    }
+
+    #[test]
+    fn writing_to_a_view_drops_what_it_hides_and_leaves_the_source_alone() {
+        let mut e = Entry::new();
+        e.set(AttrId::Imsi, "214010000000001");
+        e.set(AttrId::OdbMask, 5u64);
+        let mut view = e.project(&[AttrId::OdbMask]);
+        // Setting a hidden attribute does not bring the hidden value back...
+        assert_eq!(view.set(AttrId::Imsi, "999"), None);
+        assert_eq!(view.remove(AttrId::OdbMask), Some(AttrValue::U64(5)));
+        assert_eq!(view.len(), 1);
+        // ...and nothing reaches the entry the view came from.
+        assert_eq!(e.len(), 2);
+        assert_eq!(
+            e.get(AttrId::Imsi).and_then(AttrValue::as_str),
+            Some("214010000000001")
+        );
+        assert_eq!(e.get(AttrId::OdbMask), Some(&AttrValue::U64(5)));
     }
 
     #[test]

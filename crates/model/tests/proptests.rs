@@ -2,7 +2,8 @@
 //! string must survive the intern → symbol → resolve round trip exactly,
 //! interning must be idempotent (same string ⇒ same symbol), and the
 //! digit-packed fast path must never collide with the spilled path.
-//! Also the value semantics of the copy-on-write [`Entry`].
+//! Also the value semantics of the copy-on-write [`Entry`] and of its
+//! projected views.
 
 use std::collections::BTreeMap;
 
@@ -77,6 +78,49 @@ fn holds(entry: &Entry, model: &BTreeMap<AttrId, AttrValue>) -> bool {
     entry.iter().eq(model.iter())
 }
 
+fn attr_value() -> impl Strategy<Value = AttrValue> {
+    prop_oneof![
+        any::<u64>().prop_map(AttrValue::U64),
+        any::<bool>().prop_map(AttrValue::Bool),
+        "[a-z]{0,12}".prop_map(AttrValue::Str),
+        prop::collection::vec("[a-z]{0,6}".prop_map(String::from), 0..3)
+            .prop_map(AttrValue::StrList),
+    ]
+}
+
+/// The reference projection: copy the selected attributes into a new map
+/// (what `ReplicationStage::finish` did before `Entry::project`).
+fn project_by_copy(
+    model: &BTreeMap<AttrId, AttrValue>,
+    attrs: &[AttrId],
+) -> BTreeMap<AttrId, AttrValue> {
+    model
+        .iter()
+        .filter(|(id, _)| attrs.contains(id))
+        .map(|(id, v)| (*id, v.clone()))
+        .collect()
+}
+
+/// Every read accessor of `entry` answers as the plain map does.
+fn assert_reads_as(entry: &Entry, model: &BTreeMap<AttrId, AttrValue>) {
+    assert!(entry.iter().eq(model.iter()), "{entry:?} vs {model:?}");
+    assert_eq!(entry.len(), model.len());
+    assert_eq!(entry.is_empty(), model.is_empty());
+    for id in AttrId::ALL {
+        assert_eq!(entry.get(id), model.get(&id), "{id}");
+        assert_eq!(entry.contains(id), model.contains_key(&id), "{id}");
+    }
+    let size: usize = model.values().map(|v| 2 + 48 + v.approx_size()).sum();
+    assert_eq!(entry.approx_size(), size);
+    let rebuilt: Entry = model.clone().into_iter().collect();
+    assert_eq!(*entry, rebuilt);
+    assert_eq!(rebuilt, *entry);
+    assert_eq!(
+        format!("{entry:?}"),
+        format!("Entry {{ attrs: {model:?} }}")
+    );
+}
+
 proptest! {
     /// `Entry` shares its map between clones, yet behaves as a value: a
     /// mutation through one handle is never visible through the other, in
@@ -109,6 +153,51 @@ proptest! {
         let rebuilt: Entry = copy_model.into_iter().collect();
         prop_assert_eq!(&rebuilt, &copy);
         prop_assert_eq!(rebuilt.approx_size(), copy.approx_size());
+    }
+
+    /// A projection is a view of the shared payload, yet reads and writes
+    /// as the copy it replaced: through any nesting of projections and any
+    /// mutations made after projecting, every accessor agrees with the
+    /// copying projection over a plain map, and neither the entry projected
+    /// from nor any other handle to its payload ever changes.
+    #[test]
+    fn projected_views_read_and_write_as_copies(
+        base in prop::collection::vec((attr_id(), attr_value()), 0..16),
+        selections in prop::collection::vec(prop::collection::vec(attr_id(), 0..8), 1..4),
+        on_view in prop::collection::vec(mutation(), 0..6),
+        on_view_clone in prop::collection::vec(mutation(), 0..4),
+    ) {
+        let source_model: BTreeMap<AttrId, AttrValue> = base.into_iter().collect();
+        let source: Entry = source_model.clone().into_iter().collect();
+        let other_handle = source.clone();
+
+        let mut view = source.clone();
+        let mut view_model = source_model.clone();
+        for attrs in &selections {
+            view = view.project(attrs);
+            view_model = project_by_copy(&view_model, attrs);
+            assert_reads_as(&view, &view_model);
+        }
+        let untouched_view = view.clone();
+        let untouched_model = view_model.clone();
+        let mut view_clone = view.clone();
+        let mut view_clone_model = view_model.clone();
+
+        for m in &on_view {
+            mutate(&mut view, &mut view_model, m);
+            assert_reads_as(&view, &view_model);
+        }
+        for m in &on_view_clone {
+            mutate(&mut view_clone, &mut view_clone_model, m);
+            assert_reads_as(&view_clone, &view_clone_model);
+        }
+
+        assert_reads_as(&view, &view_model);
+        assert_reads_as(&untouched_view, &untouched_model);
+        assert_reads_as(&source, &source_model);
+        assert_reads_as(&other_handle, &source_model);
+        prop_assert_eq!(view == view_clone, view_model == view_clone_model);
+        prop_assert_eq!(view == source, view_model == source_model);
     }
 
     /// IMSI: construct → symbol → as_str reproduces the exact digit

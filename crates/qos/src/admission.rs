@@ -97,7 +97,9 @@ impl AdmissionController {
             // sample instant: nothing was queued across an idle gap, so
             // the gap itself counts as drained time and the first low
             // sample after it can clear the episode outright.
-            let below = *self.below_since.get_or_insert(prev_sample.unwrap_or(now));
+            let below = *self
+                .below_since
+                .get_or_insert_with(|| prev_sample.unwrap_or(now));
             if now.duration_since(below) >= self.cfg.shed_interval {
                 self.above_since = None;
                 self.shedding_since = None;

@@ -153,10 +153,7 @@ impl StorageElement {
         self.replicas
             .get_mut(&partition)
             .map(|r| r.role = role)
-            .ok_or(UdrError::Config(format!(
-                "{} hosts no replica of {partition}",
-                self.id
-            )))
+            .ok_or_else(|| UdrError::Config(format!("{} hosts no replica of {partition}", self.id)))
     }
 
     fn check_up(&self) -> UdrResult<()> {
@@ -170,19 +167,14 @@ impl StorageElement {
     fn replica(&self, partition: PartitionId) -> UdrResult<&Replica> {
         self.replicas
             .get(&partition)
-            .ok_or(UdrError::Config(format!(
-                "{} hosts no replica of {partition}",
-                self.id
-            )))
+            .ok_or_else(|| UdrError::Config(format!("{} hosts no replica of {partition}", self.id)))
     }
 
     fn replica_mut(&mut self, partition: PartitionId) -> UdrResult<&mut Replica> {
         let id = self.id;
         self.replicas
             .get_mut(&partition)
-            .ok_or(UdrError::Config(format!(
-                "{id} hosts no replica of {partition}"
-            )))
+            .ok_or_else(|| UdrError::Config(format!("{id} hosts no replica of {partition}")))
     }
 
     fn writable_engine(&mut self, partition: PartitionId) -> UdrResult<&mut Engine> {

@@ -1,4 +1,5 @@
-//! Allocation-count regression test for the shared, copy-on-write payload.
+//! Allocation-count regression test for the shared, copy-on-write payload
+//! and for the storage element's calls on their success path.
 //!
 //! One `#[test]` in a binary of its own: the counting allocator is global,
 //! so a second test running beside it would be counted too.
@@ -7,10 +8,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
-use udr_model::config::IsolationLevel;
-use udr_model::ids::{SeId, SubscriberUid};
+use udr_model::config::{DurabilityMode, IsolationLevel};
+use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::SimTime;
-use udr_storage::Engine;
+use udr_storage::{Engine, StorageElement};
 
 /// Length of the one blob attribute every payload carries. No other
 /// allocation in the test asks for exactly this many bytes, so a request of
@@ -113,4 +114,57 @@ fn committed_payloads_are_shared_not_copied() {
     modified.apply(&mods);
     assert_eq!(slave.read_committed(SubscriberUid(7)), Some(modified));
     assert_eq!(snapshot.records[7].1.entry, Some(payload(7)));
+
+    // A storage element finds its copy of the partition without building
+    // the "hosts no replica" message it would return on a miss: a read
+    // transaction, a modify and a slave apply through it allocate exactly
+    // what the engines beneath it allocate.
+    const P: PartitionId = PartitionId(0);
+    let mut se_master = StorageElement::new(SeId(0), SiteId(0), DurabilityMode::None);
+    se_master.add_replica(P, ReplicaRole::Master);
+    let mut se_slave = StorageElement::new(SeId(1), SiteId(1), DurabilityMode::None);
+    se_slave.add_replica(P, ReplicaRole::Slave);
+    let mut master = Engine::new(SeId(0));
+    let mut slave = Engine::new(SeId(1));
+    for i in 0..64 {
+        let txn = se_master.begin(P, IsolationLevel::ReadCommitted).unwrap();
+        se_master.put(P, txn, SubscriberUid(i), payload(i)).unwrap();
+        let (record, _) = se_master.commit(P, txn, SimTime(i)).unwrap();
+        se_slave.apply_replicated(P, &record.unwrap()).unwrap();
+
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.put(txn, SubscriberUid(i), payload(i)).unwrap();
+        let record = master.commit(txn, SimTime(i)).unwrap().unwrap();
+        slave.apply_replicated(&record).unwrap();
+    }
+
+    let (_, through_se, _) = counted(|| {
+        let txn = se_master.begin(P, IsolationLevel::ReadCommitted).unwrap();
+        let read = se_master.read(P, txn, SubscriberUid(7)).unwrap();
+        se_master.commit(P, txn, SimTime(64)).unwrap();
+        (read, se_master.last_lsn(P).unwrap())
+    });
+    let (_, bare, _) = counted(|| {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        let read = master.read(txn, SubscriberUid(7)).unwrap();
+        master.commit(txn, SimTime(64)).unwrap();
+        (read, master.last_lsn())
+    });
+    assert_eq!(through_se, bare, "begin + read + commit + last_lsn");
+
+    let (record, through_se, _) = counted(|| {
+        let txn = se_master.begin(P, IsolationLevel::ReadCommitted).unwrap();
+        se_master.modify(P, txn, SubscriberUid(7), &mods).unwrap();
+        se_master.commit(P, txn, SimTime(65)).unwrap().0.unwrap()
+    });
+    let (_, bare, _) = counted(|| {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.modify(txn, SubscriberUid(7), &mods).unwrap();
+        master.commit(txn, SimTime(65)).unwrap().unwrap()
+    });
+    assert_eq!(through_se, bare, "begin + modify + commit");
+
+    let (_, through_se, _) = counted(|| se_slave.apply_replicated(P, &record).unwrap());
+    let (_, bare, _) = counted(|| slave.apply_replicated(&record).unwrap());
+    assert_eq!(through_se, bare, "apply_replicated");
 }

@@ -579,8 +579,11 @@ fn record_line(out: &mut String, kind: &str, rec: &TraceRecord) {
         rec.parent,
         json_str(rec.name),
         rec.start.as_nanos(),
-        rec.dur.map_or("null".to_string(), |d| d.as_nanos().to_string()),
-        rec.arg.as_deref().map_or("null".to_string(), json_str),
+        rec.dur
+            .map_or_else(|| "null".to_string(), |d| d.as_nanos().to_string()),
+        rec.arg
+            .as_deref()
+            .map_or_else(|| "null".to_string(), json_str),
         rec.digest
     ));
 }
