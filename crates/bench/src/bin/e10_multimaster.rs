@@ -56,7 +56,7 @@ fn run(mode: ReplicationMode, partition_s: u64, write_gap_ms: u64) -> Row {
             &id,
             vec![AttrMod::Set(
                 AttrId::CallForwarding,
-                AttrValue::Str(format!("34{i:09}")),
+                format!("34{i:09}").into(),
             )],
             SiteId(2),
             at + SimDuration::from_millis(write_gap_ms / 2),

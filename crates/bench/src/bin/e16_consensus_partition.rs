@@ -68,7 +68,7 @@ fn run_udr(mode: ReplicationMode, partition_s: u64, gap_ms: u64) -> Row {
             &id,
             vec![AttrMod::Set(
                 AttrId::CallForwarding,
-                AttrValue::Str(format!("34{i:09}")),
+                format!("34{i:09}").into(),
             )],
             SiteId(2),
             at + SimDuration::from_millis(gap_ms / 2),

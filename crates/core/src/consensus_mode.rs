@@ -33,6 +33,8 @@
 //! [`Payload::Write`]: udr_consensus::Payload::Write
 //! [`Payload::Reconfig`]: udr_consensus::Payload::Reconfig
 
+use std::sync::Arc;
+
 use udr_consensus::{
     ChosenLog, CmdId, Command, Message, NodeId, Payload, Replica, ReplicaConfig, Role, Slot,
 };
@@ -400,7 +402,7 @@ impl Udr {
                         lsn,
                         committed_at: t,
                         written_by,
-                        changes: vec![Change { uid, entry }],
+                        changes: Arc::new([Change { uid, entry }]),
                     };
                     let _ = self.ses[se.index()].apply_replicated(partition, &record);
                 }

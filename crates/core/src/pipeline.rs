@@ -1277,18 +1277,26 @@ impl ReplicationStage {
     ) -> UdrResult<SimDuration> {
         let p = partition.index();
         let master_site = udr.ses[master.index()].site();
-        let slaves: Vec<SeId> = udr.groups[p]
-            .members()
-            .iter()
-            .copied()
-            .filter(|se| *se != master)
-            .collect();
 
         // Asynchronous shipping happens in every mode (it is the stream
-        // the slaves replay); the mode decides what the commit *waits* for.
+        // the slaves replay); the mode decides what the commit *waits* for,
+        // and only what that wait reads is kept from the walk over the
+        // slaves: the first live ack round trip (dual-in-sequence) or every
+        // member's response, the master's first (quorum).
         let batching = !udr.cfg.ship_batch.is_per_record();
-        let mut slave_rtts: Vec<(SeId, Option<SimDuration>)> = Vec::with_capacity(slaves.len());
-        for slave in &slaves {
+        let mut first_live_rtt = None;
+        let quorum = matches!(udr.cfg.frash.replication, ReplicationMode::Quorum { .. });
+        // Master counts as the first ack at its local commit cost.
+        let mut responses = if quorum {
+            vec![(master, Some(SimDuration::ZERO))]
+        } else {
+            Vec::new()
+        };
+        for i in 0..udr.groups[p].members().len() {
+            let slave = udr.groups[p].members()[i];
+            if slave == master {
+                continue;
+            }
             let slave_site = udr.ses[slave.index()].site();
             let up = udr.ses[slave.index()].is_up();
             let delay = if up {
@@ -1300,26 +1308,26 @@ impl ReplicationStage {
                 // Coalesce: the record joins the channel's open batch; the
                 // batch ships as one message at its cap or linger deadline.
                 let cfg = udr.cfg.ship_batch;
-                match udr.shippers[p].enqueue(*slave, record, &cfg) {
+                match udr.shippers[p].enqueue(slave, record, &cfg) {
                     Enqueue::Opened { seq } => {
                         // The opener's trace rides the batch: stamp it so
                         // the eventual flush and delivery attribute to the
                         // op that started the linger window.
                         let trace = udr.tracer.active_trace();
                         if trace != 0 {
-                            udr.shippers[p].stamp_open_trace(*slave, trace);
+                            udr.shippers[p].stamp_open_trace(slave, trace);
                         }
                         udr.schedule_event(
                             now + cfg.linger,
                             UdrEvent::ShipFlush {
                                 partition,
-                                slave: *slave,
+                                slave,
                                 seq,
                             },
                         );
                     }
                     Enqueue::Full => {
-                        if let Some(b) = udr.shippers[p].flush_open(*slave, now, delay) {
+                        if let Some(b) = udr.shippers[p].flush_open(slave, now, delay) {
                             if udr.tracer.enabled() && b.trace != 0 {
                                 udr.tracer.instant(
                                     b.trace,
@@ -1347,7 +1355,7 @@ impl ReplicationStage {
                     }
                     Enqueue::Joined | Enqueue::Refused => {}
                 }
-            } else if let Some(d) = udr.shippers[p].ship(*slave, record, now, delay) {
+            } else if let Some(d) = udr.shippers[p].ship(slave, record, now, delay) {
                 udr.schedule_event(
                     d.arrives,
                     UdrEvent::ReplDeliver {
@@ -1358,7 +1366,11 @@ impl ReplicationStage {
                 );
             }
             // The ack round trip is twice the one-way delay.
-            slave_rtts.push((*slave, delay.map(|d| d * 2)));
+            let rtt = delay.map(|d| d * 2);
+            first_live_rtt = first_live_rtt.or(rtt);
+            if quorum {
+                responses.push((slave, rtt));
+            }
         }
 
         match udr.cfg.frash.replication {
@@ -1373,18 +1385,12 @@ impl ReplicationStage {
             ReplicationMode::DualInSequence => {
                 // §5: apply in sequence to two replicas, commit when both
                 // succeed. The wait is the designated second copy's ack.
-                match slave_rtts.iter().find(|(_, rtt)| rtt.is_some()) {
-                    Some((_, Some(rtt))) => Ok(*rtt),
-                    _ => Err(UdrError::ReplicationFailed {
-                        acked: 1,
-                        required: 2,
-                    }),
-                }
+                first_live_rtt.ok_or(UdrError::ReplicationFailed {
+                    acked: 1,
+                    required: 2,
+                })
             }
             ReplicationMode::Quorum { w, .. } => {
-                // Master counts as the first ack at its local commit cost.
-                let mut responses = vec![(master, Some(SimDuration::ZERO))];
-                responses.extend(slave_rtts);
                 let out = quorum_write(&responses, w as usize);
                 // §5 ack carry-over: a replica whose ack the commit wait
                 // counted has applied the record by the time the client

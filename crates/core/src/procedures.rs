@@ -56,9 +56,8 @@ pub fn procedure_ops(kind: ProcedureKind, ids: &IdentitySet, fe_site: SiteId) ->
     let imsi: Identity = ids.imsi.into();
     let msisdn: Identity = ids.msisdn.into();
     let ims_id: Identity = ids.impus.first().map(|i| (*i).into()).unwrap_or(imsi);
-    let vlr = format!("vlr-{fe_site}");
-    let mme = format!("mme-{fe_site}");
-    let scscf = format!("scscf-{fe_site}");
+    // The serving node's address at the front-end's site.
+    let node = |kind: &str| AttrValue::from(format!("{kind}-{fe_site}"));
 
     match kind {
         ProcedureKind::Attach => vec![
@@ -74,17 +73,14 @@ pub fn procedure_ops(kind: ProcedureKind, ids: &IdentitySet, fe_site: SiteId) ->
             modify(
                 imsi,
                 vec![
-                    AttrMod::Set(AttrId::VlrAddress, AttrValue::Str(vlr)),
-                    AttrMod::Set(AttrId::MmeAddress, AttrValue::Str(mme)),
+                    AttrMod::Set(AttrId::VlrAddress, node("vlr")),
+                    AttrMod::Set(AttrId::MmeAddress, node("mme")),
                 ],
             ),
         ],
         ProcedureKind::LocationUpdate => vec![
             search(imsi, vec![AttrId::SubscriberStatus]),
-            modify(
-                imsi,
-                vec![AttrMod::Set(AttrId::VlrAddress, AttrValue::Str(vlr))],
-            ),
+            modify(imsi, vec![AttrMod::Set(AttrId::VlrAddress, node("vlr"))]),
         ],
         ProcedureKind::CallSetupMt => vec![
             search(msisdn, vec![AttrId::VlrAddress, AttrId::Imsi]),
@@ -101,15 +97,9 @@ pub fn procedure_ops(kind: ProcedureKind, ids: &IdentitySet, fe_site: SiteId) ->
             search(ims_id, vec![AttrId::ScscfName]),
             modify(
                 ims_id,
-                vec![AttrMod::Set(
-                    AttrId::ImsRegState,
-                    AttrValue::Str("registered".into()),
-                )],
+                vec![AttrMod::Set(AttrId::ImsRegState, "registered".into())],
             ),
-            modify(
-                ims_id,
-                vec![AttrMod::Set(AttrId::ScscfName, AttrValue::Str(scscf))],
-            ),
+            modify(ims_id, vec![AttrMod::Set(AttrId::ScscfName, node("scscf"))]),
         ],
         ProcedureKind::ImsSession => vec![
             search(ims_id, vec![AttrId::ImsRegState]),

@@ -6,6 +6,8 @@
 //! experiment (E6) — protocol encode/decode is part of the per-operation
 //! CPU cost a 1M ops/s LDAP server must absorb.
 
+use std::sync::Arc;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
@@ -86,7 +88,7 @@ fn encode_attr_value(buf: &mut BytesMut, value: &AttrValue) {
         AttrValue::Bytes(b) => put_tlv(buf, CTX_BYTES, b),
         AttrValue::StrList(items) => {
             let mut inner = BytesMut::new();
-            for item in items {
+            for item in items.iter() {
                 put_tlv(&mut inner, TAG_OCTET, item.as_bytes());
             }
             put_tlv(buf, CTX_STRLIST, &inner);
@@ -367,8 +369,8 @@ impl<'a> Reader<'a> {
         Self::u64_body(&body)
     }
 
-    fn str_body(body: &Reader<'a>) -> UdrResult<String> {
-        String::from_utf8(body.data.to_vec()).map_err(|_| Self::err("invalid UTF-8"))
+    fn str_body(body: &Reader<'a>) -> UdrResult<&'a str> {
+        std::str::from_utf8(body.data).map_err(|_| Self::err("invalid UTF-8"))
     }
 
     fn at_end(&self) -> bool {
@@ -384,21 +386,21 @@ impl<'a> Reader<'a> {
 fn decode_attr_value(reader: &mut Reader<'_>) -> UdrResult<AttrValue> {
     let (tag, body) = reader.tlv()?;
     Ok(match tag {
-        CTX_STR => AttrValue::Str(Reader::str_body(&body)?),
+        CTX_STR => AttrValue::Str(Reader::str_body(&body)?.into()),
         CTX_U64 => AttrValue::U64(Reader::u64_body(&body)?),
         CTX_BOOL => {
             let b = *body.data.first().ok_or_else(|| Reader::err("empty bool"))?;
             AttrValue::Bool(b != 0)
         }
-        CTX_BYTES => AttrValue::Bytes(body.data.to_vec()),
+        CTX_BYTES => AttrValue::Bytes(body.data.into()),
         CTX_STRLIST => {
             let mut items = Vec::new();
             let mut inner = body;
             while !inner.at_end() {
                 let item = inner.expect_tlv(TAG_OCTET)?;
-                items.push(Reader::str_body(&item)?);
+                items.push(Arc::from(Reader::str_body(&item)?));
             }
-            AttrValue::StrList(items)
+            AttrValue::StrList(items.into())
         }
         _ => return Err(Reader::err(&format!("unknown value tag {tag:#x}"))),
     })
@@ -451,7 +453,7 @@ fn decode_filter(reader: &mut Reader<'_>, depth: u32) -> UdrResult<Filter> {
         FLT_EQ => {
             let attr = decode_attr_id(body.expect_u64(TAG_INT)?)?;
             let value = Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?;
-            Filter::Equality(attr, value)
+            Filter::Equality(attr, value.to_owned())
         }
         FLT_GE => {
             let attr = decode_attr_id(body.expect_u64(TAG_INT)?)?;
@@ -467,7 +469,7 @@ fn decode_filter(reader: &mut Reader<'_>, depth: u32) -> UdrResult<Filter> {
             let (mut initial, mut any, mut fin) = (None, Vec::new(), None);
             while !parts.at_end() {
                 let (part_tag, part) = parts.tlv()?;
-                let text = Reader::str_body(&part)?;
+                let text = Reader::str_body(&part)?.to_owned();
                 match part_tag {
                     SUB_INITIAL if initial.is_none() && any.is_empty() && fin.is_none() => {
                         initial = Some(text)
@@ -496,18 +498,18 @@ pub fn decode_request(bytes: &[u8]) -> UdrResult<LdapRequest> {
     let (tag, mut body) = msg.tlv()?;
     let op = match tag {
         APP_BIND => {
-            let dn = Dn::parse(&Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
+            let dn = Dn::parse(Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
             let password = body.expect_tlv(TAG_OCTET)?.data.to_vec();
             LdapOp::Bind { dn, password }
         }
         APP_COMPARE => {
-            let dn = Dn::parse(&Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
+            let dn = Dn::parse(Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
             let attr = decode_attr_id(body.expect_u64(TAG_INT)?)?;
             let value = decode_attr_value(&mut body)?;
             LdapOp::Compare { dn, attr, value }
         }
         APP_SEARCH => {
-            let dn = Dn::parse(&Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
+            let dn = Dn::parse(Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
             let filter = match body.peek_tag() {
                 Some(tag) if is_filter_tag(tag) => Some(decode_filter(&mut body, 0)?),
                 _ => None,
@@ -527,12 +529,12 @@ pub fn decode_request(bytes: &[u8]) -> UdrResult<LdapRequest> {
             }
         }
         APP_ADD => {
-            let dn = Dn::parse(&Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
+            let dn = Dn::parse(Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
             let entry = decode_entry(&mut body)?;
             LdapOp::Add { dn, entry }
         }
         APP_MODIFY => {
-            let dn = Dn::parse(&Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
+            let dn = Dn::parse(Reader::str_body(&body.expect_tlv(TAG_OCTET)?)?)?;
             let mut list = body.expect_tlv(TAG_SEQ)?;
             let mut mods = Vec::new();
             while !list.at_end() {
@@ -548,7 +550,7 @@ pub fn decode_request(bytes: &[u8]) -> UdrResult<LdapRequest> {
             LdapOp::Modify { dn, mods }
         }
         APP_DELETE => {
-            let dn = Dn::parse(&Reader::str_body(&body)?)?;
+            let dn = Dn::parse(Reader::str_body(&body)?)?;
             LdapOp::Delete { dn }
         }
         other => return Err(Reader::err(&format!("unknown op tag {other:#x}"))),

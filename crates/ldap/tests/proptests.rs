@@ -25,12 +25,11 @@ fn attr_id_strategy() -> impl Strategy<Value = AttrId> {
 
 fn attr_value_strategy() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
-        "[ -~]{0,40}".prop_map(AttrValue::Str),
+        "[ -~]{0,40}".prop_map(AttrValue::from),
         any::<u64>().prop_map(AttrValue::U64),
         any::<bool>().prop_map(AttrValue::Bool),
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(AttrValue::Bytes),
-        prop::collection::vec("[ -~]{0,16}".prop_map(String::from), 0..6)
-            .prop_map(AttrValue::StrList),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(AttrValue::from),
+        prop::collection::vec("[ -~]{0,16}".prop_map(String::from), 0..6).prop_map(AttrValue::from),
     ]
 }
 

@@ -161,18 +161,24 @@ impl fmt::Display for AttrId {
 }
 
 /// An attribute value.
+///
+/// The three heap-backed shapes are immutable and reference-counted: `clone`
+/// copies no string, octet or list, so every version of a record that did
+/// not change an attribute shares that attribute's buffer with the version
+/// before it. A value is replaced whole ([`Entry::set`]), never edited, which
+/// is what keeps the sharing invisible.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AttrValue {
     /// A UTF-8 string.
-    Str(String),
+    Str(Arc<str>),
     /// An unsigned integer (counters, bitmasks, region indexes).
     U64(u64),
     /// A boolean flag.
     Bool(bool),
     /// Raw octets (keys, opaque blobs).
-    Bytes(Vec<u8>),
+    Bytes(Arc<[u8]>),
     /// A list of strings (IMPUs, teleservice codes, APNs).
-    StrList(Vec<String>),
+    StrList(Arc<[Arc<str>]>),
 }
 
 impl AttrValue {
@@ -212,7 +218,7 @@ impl AttrValue {
     }
 
     /// Borrow the list payload, if this is a `StrList`.
-    pub fn as_str_list(&self) -> Option<&[String]> {
+    pub fn as_str_list(&self) -> Option<&[Arc<str>]> {
         match self {
             AttrValue::StrList(l) => Some(l),
             _ => None,
@@ -222,12 +228,12 @@ impl AttrValue {
 
 impl From<&str> for AttrValue {
     fn from(s: &str) -> Self {
-        AttrValue::Str(s.to_owned())
+        AttrValue::Str(s.into())
     }
 }
 impl From<String> for AttrValue {
     fn from(s: String) -> Self {
-        AttrValue::Str(s)
+        AttrValue::Str(s.into())
     }
 }
 impl From<u64> for AttrValue {
@@ -242,12 +248,12 @@ impl From<bool> for AttrValue {
 }
 impl From<Vec<String>> for AttrValue {
     fn from(v: Vec<String>) -> Self {
-        AttrValue::StrList(v)
+        AttrValue::StrList(v.into_iter().map(Arc::from).collect())
     }
 }
 impl From<Vec<u8>> for AttrValue {
     fn from(v: Vec<u8>) -> Self {
-        AttrValue::Bytes(v)
+        AttrValue::Bytes(v.into())
     }
 }
 
@@ -264,7 +270,10 @@ impl From<Vec<u8>> for AttrValue {
 /// take a private payload holding exactly the visible attributes when the
 /// payload is shared or the handle hides part of it, which keeps value
 /// semantics: a change to one handle is never visible through another, and
-/// a hidden attribute is gone for good from the handle that hid it.
+/// a hidden attribute is gone for good from the handle that hid it. Taking
+/// that private payload copies the attribute vector and no value: the
+/// strings, octets and lists in it are shared ([`AttrValue`]), so a
+/// modification costs what it changes, not what the record holds.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Entry {
     /// Sorted by `AttrId`, one element per attribute.
@@ -546,7 +555,7 @@ mod tests {
         assert_eq!(AttrValue::Bool(true).as_bool(), Some(true));
         assert_eq!(AttrValue::Str("x".into()).as_str(), Some("x"));
         assert_eq!(AttrValue::U64(5).as_str(), None);
-        let l = AttrValue::StrList(vec!["a".into()]);
+        let l = AttrValue::StrList(Arc::new(["a".into()]));
         assert_eq!(l.as_str_list().map(|s| s.len()), Some(1));
     }
 

@@ -1,10 +1,31 @@
 //! Typed view over a subscriber [`Entry`]: the profile a Provisioning System
 //! creates and application front-ends consult during network procedures.
 
+use std::sync::{Arc, LazyLock};
+
 use serde::{Deserialize, Serialize};
 
 use crate::attrs::{AttrId, AttrValue, Entry};
 use crate::identity::IdentitySet;
+
+/// The values every new subscription starts with. Each is built once per
+/// process; a provisioned profile holds a reference to it, not a copy.
+struct Defaults {
+    status: AttrValue,
+    teleservices: AttrValue,
+    apn_profiles: AttrValue,
+    charging_profile: AttrValue,
+}
+
+static DEFAULTS: LazyLock<Defaults> = LazyLock::new(|| {
+    let list = |items: &[&str]| AttrValue::StrList(items.iter().map(|s| Arc::from(*s)).collect());
+    Defaults {
+        status: SubscriberStatus::ServiceGranted.as_str().into(),
+        teleservices: list(&["telephony", "sms-mt", "sms-mo"]),
+        apn_profiles: list(&["internet"]),
+        charging_profile: "default".into(),
+    }
+});
 
 /// Administrative states for a subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,36 +71,22 @@ impl SubscriberProfile {
         entry.set(AttrId::Imsi, ids.imsi.as_str());
         entry.set(AttrId::Msisdn, ids.msisdn.as_str());
         if !ids.impus.is_empty() {
-            entry.set(
-                AttrId::ImpuList,
-                ids.impus
-                    .iter()
-                    .map(|i| i.as_str().to_owned())
-                    .collect::<Vec<_>>(),
-            );
+            let impus = ids.impus.iter().map(|i| Arc::from(i.as_str())).collect();
+            entry.set(AttrId::ImpuList, AttrValue::StrList(impus));
         }
         if let Some(impi) = &ids.impi {
             entry.set(AttrId::Impi, impi.as_str());
         }
-        entry.set(AttrId::AuthKi, ki.to_vec());
+        entry.set(AttrId::AuthKi, AttrValue::Bytes(Arc::from(ki)));
         entry.set(AttrId::AuthAmf, 0x8000u64);
         entry.set(AttrId::AuthSqn, 0u64);
-        entry.set(
-            AttrId::SubscriberStatus,
-            SubscriberStatus::ServiceGranted.as_str(),
-        );
+        let defaults = &*DEFAULTS;
+        entry.set(AttrId::SubscriberStatus, defaults.status.clone());
         entry.set(AttrId::OdbMask, 0u64);
         entry.set(AttrId::CallBarring, false);
-        entry.set(
-            AttrId::Teleservices,
-            vec![
-                "telephony".to_owned(),
-                "sms-mt".to_owned(),
-                "sms-mo".to_owned(),
-            ],
-        );
-        entry.set(AttrId::ApnProfiles, vec!["internet".to_owned()]);
-        entry.set(AttrId::ChargingProfile, "default".to_owned());
+        entry.set(AttrId::Teleservices, defaults.teleservices.clone());
+        entry.set(AttrId::ApnProfiles, defaults.apn_profiles.clone());
+        entry.set(AttrId::ChargingProfile, defaults.charging_profile.clone());
         entry.set(AttrId::HomeRegion, u64::from(home_region));
         entry.set(AttrId::ProvisioningGen, 1u64);
         SubscriberProfile { entry }

@@ -82,9 +82,8 @@ fn attr_value() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
         any::<u64>().prop_map(AttrValue::U64),
         any::<bool>().prop_map(AttrValue::Bool),
-        "[a-z]{0,12}".prop_map(AttrValue::Str),
-        prop::collection::vec("[a-z]{0,6}".prop_map(String::from), 0..3)
-            .prop_map(AttrValue::StrList),
+        "[a-z]{0,12}".prop_map(AttrValue::from),
+        prop::collection::vec("[a-z]{0,6}".prop_map(String::from), 0..3).prop_map(AttrValue::from),
     ]
 }
 

@@ -288,7 +288,9 @@ impl AsyncShipper {
             return None;
         };
         let arrives = (now + delay).max(ch.last_arrival);
-        let records = std::mem::take(&mut ch.pending);
+        // The next batch on this channel is most likely as long as this one.
+        let room = ch.pending.len();
+        let records = std::mem::replace(&mut ch.pending, Vec::with_capacity(room));
         let trace = std::mem::take(&mut ch.open_trace);
         let last = records.last().expect("non-empty batch").lsn;
         ch.inflight = last;

@@ -261,13 +261,18 @@ impl Engine {
             return Ok(None);
         }
         let lsn = self.log.last_lsn().next();
-        let mut changes = Vec::with_capacity(txn.writes.len());
-        for (uid, entry) in txn.writes {
-            self.locks.remove(&uid);
-            self.dirty.remove(&uid);
-            self.committed.upsert(uid, entry.clone(), lsn, now, self.se);
-            changes.push(Change { uid, entry });
-        }
+        // Counting the range, not the map's iterator, tells `collect` the
+        // exact length, so the shared change list is allocated once.
+        let mut writes = txn.writes.into_iter();
+        let changes = (0..writes.len())
+            .map(|_| {
+                let (uid, entry) = writes.next().expect("one write per counted index");
+                self.locks.remove(&uid);
+                self.dirty.remove(&uid);
+                self.committed.upsert(uid, entry.clone(), lsn, now, self.se);
+                Change { uid, entry }
+            })
+            .collect();
         let record = CommitRecord {
             lsn,
             committed_at: now,
@@ -298,7 +303,7 @@ impl Engine {
                 reason: "replication LSN gap",
             });
         }
-        for change in &record.changes {
+        for change in record.changes.iter() {
             self.committed.upsert(
                 change.uid,
                 change.entry.clone(),

@@ -120,6 +120,7 @@ impl From<u64> for Lsn {
 mod tests {
     use super::*;
     use crate::version::Change;
+    use std::sync::Arc;
     use udr_model::ids::{SeId, SubscriberUid};
     use udr_model::time::SimTime;
 
@@ -128,10 +129,10 @@ mod tests {
             lsn: Lsn(lsn),
             committed_at: SimTime(lsn * 10),
             written_by: SeId(0),
-            changes: vec![Change {
+            changes: Arc::new([Change {
                 uid: SubscriberUid(lsn),
                 entry: None,
-            }],
+            }]),
         }
     }
 

@@ -16,10 +16,13 @@
 //! this store, the commit log, the ship channels, the slaves and the disk
 //! snapshots. Reads hand out [`RecordView`]s that borrow it, and the owning
 //! reads ([`RecordStore::version`], `Engine::read_committed`) clone the
-//! handle — a reference-count bump, never a copy of the attributes. The
-//! only deep copy on any path is the one a modify makes before it changes
-//! a shared payload. The whole store can also be frozen into a contiguous
-//! byte image whose per-record slices share one allocation
+//! handle — a reference-count bump, never a copy of the attributes. A
+//! modify copies the attribute vector of the version it changes and no
+//! value in it: strings, octets and lists are reference-counted too
+//! ([`AttrValue`]), so the new version shares every attribute it did not
+//! touch with the old one, wherever the old one is still held. Nothing on
+//! any path deep-copies a value. The whole store can also be frozen into a
+//! contiguous byte image whose per-record slices share one allocation
 //! ([`StoreImage`], zero-copy via the `bytes` shim).
 //!
 //! Deletes keep their slot as a tombstone (the engine's semantics: a
@@ -27,6 +30,7 @@
 //! slot id is stable for the life of the store.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -334,7 +338,7 @@ pub fn encode_entry(entry: &Entry, buf: &mut BytesMut) {
             AttrValue::StrList(l) => {
                 buf.put_u8(VAL_STR_LIST);
                 buf.put_u16(l.len() as u16);
-                for s in l {
+                for s in l.iter() {
                     put_str(buf, s);
                 }
             }
@@ -356,20 +360,17 @@ pub fn decode_entry(r: &mut Reader<'_>) -> UdrResult<Entry> {
         let id = AttrId::from_tag(tag)
             .ok_or_else(|| UdrError::Codec(format!("unknown attr tag {tag}")))?;
         let value = match r.u8()? {
-            VAL_STR => AttrValue::Str(r.string()?),
+            VAL_STR => AttrValue::Str(r.str()?.into()),
             VAL_U64 => AttrValue::U64(r.u64()?),
             VAL_BOOL => AttrValue::Bool(r.u8()? != 0),
             VAL_BYTES => {
                 let len = r.u32()? as usize;
-                AttrValue::Bytes(r.take(len)?.to_vec())
+                AttrValue::Bytes(r.take(len)?.into())
             }
             VAL_STR_LIST => {
                 let count = r.u16()?;
-                let mut l = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    l.push(r.string()?);
-                }
-                AttrValue::StrList(l)
+                let list: UdrResult<_> = (0..count).map(|_| r.str().map(Arc::from)).collect();
+                AttrValue::StrList(list?)
             }
             t => return Err(UdrError::Codec(format!("unknown value tag {t}"))),
         };
@@ -418,10 +419,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> UdrResult<String> {
+    fn str(&mut self) -> UdrResult<&'a str> {
         let len = self.u32()? as usize;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| UdrError::Codec("invalid utf-8".into()))
+        std::str::from_utf8(raw).map_err(|_| UdrError::Codec("invalid utf-8".into()))
     }
 }
 

@@ -1,6 +1,8 @@
 //! Record versions and commit records: the units the engine stores and the
 //! replication layer ships.
 
+use std::sync::Arc;
+
 use udr_model::attrs::Entry;
 use udr_model::ids::{SeId, SubscriberUid};
 use udr_model::time::SimTime;
@@ -61,6 +63,10 @@ pub struct Change {
 }
 
 /// A committed transaction as it appears in the replication log.
+///
+/// `clone` copies three scalars and bumps one reference count: the change
+/// list is built once at commit and shared by the master's log, every ship
+/// channel and every slave's log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitRecord {
     /// Sequence number on the originating replica.
@@ -70,7 +76,7 @@ pub struct CommitRecord {
     /// Master SE that produced the record.
     pub written_by: SeId,
     /// Record-level changes, in write order.
-    pub changes: Vec<Change>,
+    pub changes: Arc<[Change]>,
 }
 
 impl CommitRecord {
@@ -108,7 +114,7 @@ mod tests {
             lsn: Lsn(1),
             committed_at: SimTime(10),
             written_by: SeId(0),
-            changes: vec![
+            changes: Arc::new([
                 Change {
                     uid: SubscriberUid(1),
                     entry: Some(Entry::new()),
@@ -117,7 +123,7 @@ mod tests {
                     uid: SubscriberUid(2),
                     entry: None,
                 },
-            ],
+            ]),
         };
         assert_eq!(rec.len(), 2);
         assert!(!rec.is_empty());

@@ -2,14 +2,16 @@
 //! design depends on (§3.2's serialization-order guarantee and §3.1's
 //! snapshot durability semantics).
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use udr_model::attrs::{AttrId, AttrValue, Entry};
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
 use udr_model::config::IsolationLevel;
 use udr_model::ids::{SeId, SubscriberUid};
 use udr_model::time::SimTime;
 use udr_storage::store::{decode_entry, encode_entry};
-use udr_storage::{CommitRecord, Engine};
+use udr_storage::{CommitLog, CommitRecord, Engine, EngineSnapshot};
 
 /// One scripted engine operation.
 #[derive(Debug, Clone)]
@@ -174,11 +176,11 @@ proptest! {
 
 fn attr_value_strategy() -> impl Strategy<Value = AttrValue> {
     prop_oneof![
-        "[ -~]{0,24}".prop_map(AttrValue::Str),
+        "[ -~]{0,24}".prop_map(AttrValue::from),
         any::<u64>().prop_map(AttrValue::U64),
         any::<bool>().prop_map(AttrValue::Bool),
-        prop::collection::vec(any::<u8>(), 0..32).prop_map(AttrValue::Bytes),
-        prop::collection::vec("[a-z0-9]{0,12}", 0..4).prop_map(AttrValue::StrList),
+        prop::collection::vec(any::<u8>(), 0..32).prop_map(AttrValue::from),
+        prop::collection::vec("[a-z0-9]{0,12}", 0..4).prop_map(AttrValue::from),
     ]
 }
 
@@ -233,5 +235,221 @@ proptest! {
             prop_assert_eq!(version.written_by, view.written_by);
             prop_assert_eq!(version.entry.as_ref(), view.entry);
         }
+    }
+}
+
+// -- value semantics under sharing ---------------------------------------------
+// Versions of a record share attribute values, and a commit's change list is
+// shared by every log and channel it reaches. The model below shares nothing:
+// it owns every string, octet and list and copies all of them on every write.
+// Whatever the engine hands out must stay equal to the model's copy taken at
+// that moment, whatever is written afterwards.
+
+/// An attribute value that owns its buffers.
+#[derive(Debug, Clone, PartialEq)]
+enum OwnedValue {
+    Str(String),
+    U64(u64),
+    Bool(bool),
+    Bytes(Vec<u8>),
+    StrList(Vec<String>),
+}
+
+type OwnedEntry = BTreeMap<AttrId, OwnedValue>;
+/// Committed state: uid → entry, `None` a tombstone.
+type OwnedState = BTreeMap<u64, Option<OwnedEntry>>;
+
+fn owned_value(v: &AttrValue) -> OwnedValue {
+    match v {
+        AttrValue::Str(s) => OwnedValue::Str(s.to_string()),
+        AttrValue::U64(n) => OwnedValue::U64(*n),
+        AttrValue::Bool(b) => OwnedValue::Bool(*b),
+        AttrValue::Bytes(b) => OwnedValue::Bytes(b.to_vec()),
+        AttrValue::StrList(l) => OwnedValue::StrList(l.iter().map(|s| s.to_string()).collect()),
+    }
+}
+
+fn owned_entry(e: &Entry) -> OwnedEntry {
+    e.iter().map(|(id, v)| (*id, owned_value(v))).collect()
+}
+
+fn owned_changes(record: &CommitRecord) -> Vec<(u64, Option<OwnedEntry>)> {
+    record
+        .changes
+        .iter()
+        .map(|c| (c.uid.raw(), c.entry.as_ref().map(owned_entry)))
+        .collect()
+}
+
+fn owned_snapshot(snapshot: &EngineSnapshot) -> OwnedState {
+    snapshot
+        .records
+        .iter()
+        .map(|(uid, v)| (uid.raw(), v.entry.as_ref().map(owned_entry)))
+        .collect()
+}
+
+fn owned_engine(engine: &Engine) -> OwnedState {
+    engine
+        .iter_committed()
+        .map(|view| (view.uid.raw(), view.entry.map(owned_entry)))
+        .collect()
+}
+
+/// One write inside a transaction.
+#[derive(Debug, Clone)]
+enum Write {
+    Put(u64, Entry),
+    Modify(u64, Vec<AttrMod>),
+    Delete(u64),
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    /// One transaction; aborted as a whole if any write fails.
+    Txn(Vec<Write>),
+    Snapshot,
+    /// The slave applies everything committed so far.
+    SlaveCatchUp,
+}
+
+fn mod_strategy() -> impl Strategy<Value = AttrMod> {
+    prop_oneof![
+        (0usize..AttrId::ALL.len(), attr_value_strategy())
+            .prop_map(|(i, v)| AttrMod::Set(AttrId::ALL[i], v)),
+        (0usize..AttrId::ALL.len()).prop_map(|i| AttrMod::Delete(AttrId::ALL[i])),
+    ]
+}
+
+fn write_strategy() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (0u64..6, entry_strategy()).prop_map(|(uid, e)| Write::Put(uid, e)),
+        // One attribute or many.
+        (0u64..6, prop::collection::vec(mod_strategy(), 1..7))
+            .prop_map(|(uid, mods)| Write::Modify(uid, mods)),
+        (0u64..6).prop_map(Write::Delete),
+    ]
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        prop::collection::vec(write_strategy(), 1..4).prop_map(Step::Txn),
+        Just(Step::Snapshot),
+        Just(Step::SlaveCatchUp),
+    ]
+}
+
+/// Stage one write on the engine; `Err` aborts the transaction.
+fn stage(engine: &mut Engine, txn: udr_storage::TxnId, w: &Write) -> Result<(), ()> {
+    match w {
+        Write::Put(uid, e) => engine.put(txn, SubscriberUid(*uid), e.clone()),
+        Write::Modify(uid, mods) => engine.modify(txn, SubscriberUid(*uid), mods),
+        Write::Delete(uid) => engine.delete(txn, SubscriberUid(*uid)),
+    }
+    .map_err(|_| ())
+}
+
+/// The same write on the model, every value copied. Returns the uid
+/// written, or `Err` where the engine refuses (modify or delete of a record
+/// that is absent or a tombstone).
+fn stage_owned(state: &mut OwnedState, w: &Write) -> Result<u64, ()> {
+    match w {
+        Write::Put(uid, e) => {
+            state.insert(*uid, Some(owned_entry(e)));
+            Ok(*uid)
+        }
+        Write::Modify(uid, mods) => {
+            let entry = state.get_mut(uid).and_then(Option::as_mut).ok_or(())?;
+            for m in mods {
+                match m {
+                    AttrMod::Set(id, v) => entry.insert(*id, owned_value(v)),
+                    AttrMod::Delete(id) => entry.remove(id),
+                };
+            }
+            Ok(*uid)
+        }
+        Write::Delete(uid) => {
+            let slot = state.get_mut(uid).filter(|e| e.is_some()).ok_or(())?;
+            *slot = None;
+            Ok(*uid)
+        }
+    }
+}
+
+fn assert_log_matches(log: &CommitLog, expected: &[Vec<(u64, Option<OwnedEntry>)>]) {
+    assert_eq!(log.len(), expected.len());
+    for (record, expected) in log.iter().zip(expected) {
+        assert_eq!(&owned_changes(record), expected, "retained, {}", record.lsn);
+    }
+}
+
+proptest! {
+    /// Sharing is invisible: every snapshot, every commit record handed
+    /// out and every retained log record still reads as it did when it was
+    /// produced, after any sequence of later writes, and the slave's replay
+    /// equals the master.
+    #[test]
+    fn shared_values_and_change_lists_keep_value_semantics(
+        steps in prop::collection::vec(step_strategy(), 1..60),
+    ) {
+        let mut master = Engine::new(SeId(0));
+        let mut slave = Engine::new(SeId(1));
+        let mut state = OwnedState::new();
+        // What the engine handed out, beside the model's copy at that time.
+        let mut records: Vec<CommitRecord> = Vec::new();
+        let mut expected_records = Vec::new();
+        let mut snapshots: Vec<(EngineSnapshot, OwnedState)> = Vec::new();
+        let mut slave_has = 0;
+
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                Step::Txn(writes) => {
+                    let txn = master.begin(IsolationLevel::ReadCommitted);
+                    let mut next = state.clone();
+                    let staged: Result<Vec<u64>, ()> = writes
+                        .iter()
+                        .map(|w| {
+                            let model = stage_owned(&mut next, w);
+                            prop_assert_eq!(stage(&mut master, txn, w), model.map(drop));
+                            model
+                        })
+                        .collect();
+                    match staged {
+                        Ok(mut uids) => {
+                            let record = master.commit(txn, SimTime(i as u64)).unwrap().unwrap();
+                            uids.sort_unstable();
+                            uids.dedup();
+                            expected_records
+                                .push(uids.iter().map(|u| (*u, next[u].clone())).collect());
+                            records.push(record);
+                            state = next;
+                        }
+                        Err(()) => master.abort(txn),
+                    }
+                }
+                Step::Snapshot => snapshots.push((master.snapshot(), state.clone())),
+                Step::SlaveCatchUp => {
+                    for record in &records[slave_has..] {
+                        slave.apply_replicated(record).unwrap();
+                    }
+                    slave_has = records.len();
+                }
+            }
+            prop_assert_eq!(&owned_engine(&master), &state, "after step {}", i);
+        }
+        for record in &records[slave_has..] {
+            slave.apply_replicated(record).unwrap();
+        }
+
+        for (record, expected) in records.iter().zip(&expected_records) {
+            prop_assert_eq!(&owned_changes(record), expected, "handed out, {}", record.lsn);
+        }
+        assert_log_matches(master.log(), &expected_records);
+        assert_log_matches(slave.log(), &expected_records);
+        for (n, (snapshot, expected)) in snapshots.iter().enumerate() {
+            prop_assert_eq!(&owned_snapshot(snapshot), expected, "snapshot {}", n);
+        }
+        prop_assert_eq!(committed_state(&master), committed_state(&slave));
+        prop_assert_eq!(&owned_engine(&slave), &state);
     }
 }

@@ -73,7 +73,7 @@ fn main() {
         if rng.chance(0.70) {
             mods.push(AttrMod::Set(
                 AttrId::VlrAddress,
-                AttrValue::Str(format!("vlr{}.region{}.example", i % 4, sub.home_region)),
+                format!("vlr{}.region{}.example", i % 4, sub.home_region).into(),
             ));
         }
         let id = Identity::Imsi(sub.ids.imsi);
