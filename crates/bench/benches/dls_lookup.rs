@@ -1,5 +1,6 @@
 //! Criterion: data-location stage lookups (feeds experiment E7 — the
-//! O(log N) identity maps vs the O(1) ring of §3.5).
+//! identity maps the paper models as O(log N), hashed here, vs the O(1)
+//! ring of §3.5).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

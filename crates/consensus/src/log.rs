@@ -7,8 +7,10 @@
 //! checks that invariant on every learn and reports a violation instead of
 //! silently overwriting, so the test suite can assert agreement directly.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+
+use udr_model::ids::IdSet;
 
 use crate::ballot::Slot;
 use crate::msg::{CmdId, Command};
@@ -20,7 +22,7 @@ pub struct ChosenLog {
     /// Contiguous watermark: every slot `<= applied` is chosen.
     applied: Slot,
     /// Ids of non-noop commands chosen (for leader-side deduplication).
-    ids: HashSet<CmdId>,
+    ids: IdSet<CmdId>,
     /// Slots whose command id also holds a lower slot — every slot of an
     /// id but its first. Empty unless a command was re-forwarded around a
     /// leader change, so exactly-once apply costs no per-slot state.

@@ -26,8 +26,9 @@
 //! keep campaigns from colliding forever; ballots are totally ordered so
 //! colliding campaigns are safe, just slow.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use udr_model::ids::IdSet;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::SimRng;
 
@@ -123,13 +124,13 @@ pub struct Replica {
     /// Leader: proposals awaiting a majority, with last send instant.
     inflight: BTreeMap<Slot, (Command, SimTime)>,
     /// Ids of commands currently in flight (deduplication).
-    inflight_ids: HashSet<CmdId>,
+    inflight_ids: IdSet<CmdId>,
     /// Next free slot while leading.
     next_slot: Slot,
     /// Commands waiting for a leader (at followers/candidates, or moved
     /// back from `inflight` when a leader steps down).
     pending: VecDeque<PendingCmd>,
-    pending_ids: HashSet<CmdId>,
+    pending_ids: IdSet<CmdId>,
 
     /// Failure detector.
     leader_hint: Option<NodeId>,
@@ -170,10 +171,10 @@ impl Replica {
             merged: BTreeMap::new(),
             acks: BTreeMap::new(),
             inflight: BTreeMap::new(),
-            inflight_ids: HashSet::new(),
+            inflight_ids: IdSet::default(),
             next_slot: Slot(1),
             pending: VecDeque::new(),
-            pending_ids: HashSet::new(),
+            pending_ids: IdSet::default(),
             leader_hint: None,
             election_due,
             last_heartbeat_sent: SimTime::ZERO,
@@ -222,9 +223,11 @@ impl Replica {
         }
     }
 
-    /// Take the decisions learned since the previous call.
-    pub fn drain_newly_chosen(&mut self) -> Vec<(Slot, Command)> {
-        std::mem::take(&mut self.newly_chosen)
+    /// Take the decisions learned since the previous call. The buffer
+    /// keeps its capacity; dropping the iterator unread discards them.
+    /// Whoever drives the replica must drain it, or it grows with the log.
+    pub fn drain_newly_chosen(&mut self) -> std::vec::Drain<'_, (Slot, Command)> {
+        self.newly_chosen.drain(..)
     }
 
     /// Take any safety violations observed (must stay empty).

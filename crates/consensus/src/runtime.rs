@@ -328,7 +328,6 @@ impl ConsensusCluster {
     fn post_process(&mut self, now: SimTime, node: NodeId) {
         let was_leader = self.leader_changes.last().map(|(_, n)| *n);
         let replica = &mut self.replicas[node.index()];
-        let chosen = replica.drain_newly_chosen();
         for v in replica.take_violations() {
             self.violations.push(format!("{node}: {v}"));
         }
@@ -336,7 +335,7 @@ impl ConsensusCluster {
             // A node observed winning leadership since the last change.
             self.leader_changes.push((now, node));
         }
-        for (slot, cmd) in chosen {
+        for (slot, cmd) in replica.drain_newly_chosen() {
             if cmd.id.is_noop() {
                 continue;
             }

@@ -40,7 +40,7 @@ use udr_consensus::{
 };
 use udr_model::attrs::Entry;
 use udr_model::config::ReplicationMode;
-use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr_model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
 use udr_storage::{Change, CommitRecord, Lsn};
@@ -416,6 +416,10 @@ impl Udr {
         // what `consensus_settled` compares.
         let g = &mut self.consensus[p];
         g.applied[i] = g.replicas[i].log().committed();
+        // The apply cursor already tracks what is new; the replica's own
+        // list of new decisions (the standalone runtime's latency feed)
+        // would otherwise hold a second copy of the whole log.
+        g.replicas[i].drain_newly_chosen();
         let viols = g.replicas[i].take_violations();
         self.consensus_violations
             .extend(viols.into_iter().map(|v| format!("partition {p}: {v}")));
@@ -544,8 +548,7 @@ impl Udr {
         se: SeId,
         recovered: &[(PartitionId, Lsn)],
     ) {
-        let recovered: std::collections::HashMap<PartitionId, Lsn> =
-            recovered.iter().copied().collect();
+        let recovered: IdMap<PartitionId, Lsn> = recovered.iter().copied().collect();
         for p in 0..self.consensus.len() {
             let Some(i) = self.consensus[p].members.iter().position(|m| *m == se) else {
                 continue;
@@ -768,12 +771,9 @@ mod tests {
         rows
     }
 
-    /// Crash the serving leader mid-stream and bring it back, with a
-    /// cutover on each side of what its disk recovers (`snapshot`: a disk
-    /// image between the two; otherwise nothing survives) and one command
-    /// id chosen in two slots: the replay must land the engine on the
-    /// node's committed prefix with every write applied once.
-    fn crash_and_restore_a_member(durability: DurabilityMode, snapshot: bool) {
+    /// One partition on a `Consensus{n:3}` ensemble, `SUBSCRIBERS`
+    /// provisioned from 2 s on, 100 ms apart.
+    fn provisioned(durability: DurabilityMode) -> Udr {
         let mut cfg = UdrConfig::figure2();
         cfg.partitions = 1;
         cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
@@ -790,6 +790,36 @@ mod tests {
             let out = udr.provision_subscriber(&ids, 0, SiteId(0), at(2_000 + n * 100));
             assert!(out.is_ok(), "provisioning {n}: {:?}", out.op.result);
         }
+        udr
+    }
+
+    /// The deployment applies decisions through its own slot cursor; the
+    /// replicas' lists of new decisions must not keep a second copy of the
+    /// log for the whole run.
+    #[test]
+    fn applied_decisions_are_not_kept_twice() {
+        let mut udr = provisioned(DurabilityMode::None);
+        for round in 1..=3 {
+            modify_round(&mut udr, round, 2_000 + round * 1_000);
+        }
+        udr.advance_to(at(7_000));
+        assert!(udr.replication_settled());
+        for (i, replica) in udr.consensus[0].replicas.iter_mut().enumerate() {
+            assert!(replica.log().committed() > Slot(3 * SUBSCRIBERS));
+            assert!(
+                replica.drain_newly_chosen().next().is_none(),
+                "node {i} still holds decisions it applied"
+            );
+        }
+    }
+
+    /// Crash the serving leader mid-stream and bring it back, with a
+    /// cutover on each side of what its disk recovers (`snapshot`: a disk
+    /// image between the two; otherwise nothing survives) and one command
+    /// id chosen in two slots: the replay must land the engine on the
+    /// node's committed prefix with every write applied once.
+    fn crash_and_restore_a_member(durability: DurabilityMode, snapshot: bool) {
+        let mut udr = provisioned(durability);
         let f = udr.consensus_serving_leader(0).expect("a leader serves");
         let f_se = udr.consensus[0].members[f];
         // Neither the node under test nor member 0, whose id every apply

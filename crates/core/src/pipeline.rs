@@ -118,7 +118,8 @@ pub struct PipelineCtx<'a> {
     /// routing).
     target: Option<SeId>,
     /// Whether the replication stage consulted a read quorum (the storage
-    /// stage then serves a committed read instead of a transaction).
+    /// stage then reads without another SE round trip: the consult paid
+    /// the wait).
     quorum_served: bool,
     /// Whether the replication stage routed this read through a consensus
     /// serving leader (committed-prefix read; same storage path as
@@ -1158,9 +1159,11 @@ impl ReplicationStage {
         partition: PartitionId,
         r: u8,
     ) -> Result<(), OpOutcome> {
-        let members: Vec<SeId> = udr.groups[partition.index()].members().to_vec();
-        let mut responders: Vec<(SeId, SimDuration)> = Vec::new();
-        for se in members {
+        let p = partition.index();
+        let mut responders = std::mem::take(&mut udr.quorum_responders);
+        responders.clear();
+        for i in 0..udr.groups[p].members().len() {
+            let se = udr.groups[p].members()[i];
             if !udr.ses[se.index()].is_up() {
                 continue;
             }
@@ -1170,28 +1173,31 @@ impl ReplicationStage {
             }
         }
         responders.sort_by_key(|(_, rtt)| *rtt);
-        if responders.len() < r as usize {
+        let available = responders.len();
+        // The r-th fastest answer ends the wait; the freshest copy among
+        // the consulted serves.
+        let consulted = responders.get(..r as usize).map(|consulted| {
+            let (serving, _) = consulted
+                .iter()
+                .max_by_key(|(se, _)| {
+                    udr.ses[se.index()]
+                        .last_lsn(partition)
+                        .unwrap_or(udr_storage::Lsn::ZERO)
+                })
+                .copied()
+                .expect("r >= 1 consulted");
+            let wait = consulted.last().map_or(SimDuration::ZERO, |(_, rtt)| *rtt);
+            (serving, wait)
+        });
+        udr.quorum_responders = responders;
+        let Some((serving, wait)) = consulted else {
             ctx.breakdown.replication += udr.cfg.frash.op_timeout;
             return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked: responders.len(),
+                acked: available,
                 required: r as usize,
             }));
-        }
-        let consulted = &responders[..r as usize];
-        ctx.breakdown.replication += consulted
-            .last()
-            .map(|(_, rtt)| *rtt)
-            .unwrap_or(SimDuration::ZERO);
-        // Freshest copy among the consulted wins.
-        let (serving, _) = consulted
-            .iter()
-            .max_by_key(|(se, _)| {
-                udr.ses[se.index()]
-                    .last_lsn(partition)
-                    .unwrap_or(udr_storage::Lsn::ZERO)
-            })
-            .copied()
-            .expect("r >= 1 consulted");
+        };
+        ctx.breakdown.replication += wait;
         ctx.target = Some(serving);
         ctx.quorum_served = true;
         if ctx.span.is_active() && udr.tracer.enabled() {
@@ -1248,8 +1254,7 @@ impl ReplicationStage {
             }
             Self::account_guarantees(udr, ctx, location.partition, se_id);
             // Attribute projection. (Filter matching and Bind/Compare
-            // shaping already happened in the storage stage, on both the
-            // transactional and the quorum-served path.)
+            // shaping already happened in the storage stage.)
             if let LdapOp::Search { attrs, .. } | LdapOp::SearchFilter { attrs, .. } = ctx.op {
                 if !attrs.is_empty() {
                     value = value.map(|entry| entry.project(attrs));
@@ -1586,85 +1591,101 @@ impl ReplicationStage {
     }
 }
 
-/// Stage 4 — §3.2 decision 1: execute the operation inside a single-SE
-/// transaction through the [`StorageBackend`] trait (SEs are
-/// transactional; nothing spans elements).
+/// Stage 4 — §3.2 decision 1: execute the operation on one SE through the
+/// [`StorageBackend`] trait (SEs are transactional; nothing spans
+/// elements).
+///
+/// A write runs inside a single-element transaction. A read opens none: it
+/// reads the latest committed version. That is exactly what a one-read
+/// transaction returns. At READ_COMMITTED a transaction that wrote nothing
+/// sees the committed version. READ_UNCOMMITTED would also see other
+/// transactions' staged writes, but every transaction this stage opens
+/// commits or aborts before [`StorageStage::run`] returns, so between calls
+/// there are none to see.
 pub struct StorageStage;
 
 impl StorageStage {
-    /// Run the stage: reach the routed SE and execute the operation in a
-    /// single-element transaction through [`StorageBackend`].
+    /// Run the stage: reach the routed SE, then serve a read off its
+    /// committed store or execute a write in a single-element transaction
+    /// through [`StorageBackend`].
     pub fn run(udr: &mut Udr, ctx: &mut PipelineCtx) -> Result<Option<Entry>, OpOutcome> {
         let se_id = ctx.target.expect("replication stage routed");
         let location = ctx.loc();
-
-        if ctx.quorum_served || ctx.consensus_served {
-            // The consult already paid the ensemble wait; serve a
-            // committed read off the freshest consulted copy, with the
-            // same per-operation semantics as the transactional path.
-            let backend: &dyn StorageBackend = &udr.ses[se_id.index()];
-            let costs = backend.cost_model();
-            ctx.breakdown.storage += match ctx.op {
-                LdapOp::SearchFilter { filter, .. } => {
-                    costs.read + costs.read * filter.assertion_count() as u64
-                }
-                _ => costs.read,
-            };
-            ctx.crossed_backbone = backend.site() != ctx.server_site;
-            return match backend.read_committed(location.partition, location.uid) {
-                Ok(Some(entry)) => Ok(Self::shape_read(ctx.op, entry)),
-                Ok(None) => Err(ctx.fail(UdrError::NotFound(location.uid))),
-                Err(e) => Err(ctx.fail(e)),
-            };
-        }
-
         let se_site = udr.ses[se_id.index()].site();
         ctx.crossed_backbone = se_site != ctx.server_site;
-        let Some(se_rtt) = sample_rtt(udr, ctx.server_site, se_site) else {
-            ctx.breakdown = LatencyBreakdown {
-                storage: udr.cfg.frash.op_timeout,
-                ..LatencyBreakdown::default()
-            };
-            ctx.crossed_backbone = false;
-            // A cut on the path is a *partition* failure and must say so
-            // — fault campaigns distinguish "unavailable by design" from
-            // bugs by the error type. Only genuine message loss (the pair
-            // is connected, the datagram vanished) reads as a timeout.
-            let err = if udr.net.reachable(ctx.server_site, se_site) {
-                UdrError::Timeout
-            } else {
-                UdrError::Unreachable {
-                    se: se_id,
-                    reason: "partition",
-                }
-            };
-            return Err(ctx.fail(err));
-        };
-        ctx.breakdown.storage += se_rtt;
 
-        let isolation = udr.cfg.frash.intra_se_isolation;
-        let commit_at = ctx.now + ctx.breakdown.total();
-        let backend: &mut dyn StorageBackend = &mut udr.ses[se_id.index()];
-        let (result, engine_cost, record) = Self::run_txn(
-            backend,
-            ctx.op,
-            location.partition,
-            location.uid,
-            isolation,
-            commit_at,
-        );
-        ctx.breakdown.storage += engine_cost;
-        ctx.record = record;
-        match result {
-            Ok(value) => Ok(value),
-            Err(e) => Err(ctx.fail(e)),
+        // A quorum consult or a read-index round already paid the ensemble
+        // wait; a routed operation still has to reach its SE.
+        if !ctx.quorum_served && !ctx.consensus_served {
+            let Some(se_rtt) = sample_rtt(udr, ctx.server_site, se_site) else {
+                ctx.breakdown = LatencyBreakdown {
+                    storage: udr.cfg.frash.op_timeout,
+                    ..LatencyBreakdown::default()
+                };
+                ctx.crossed_backbone = false;
+                // A cut on the path is a *partition* failure and must say
+                // so — fault campaigns distinguish "unavailable by design"
+                // from bugs by the error type. Only genuine message loss
+                // (the pair is connected, the datagram vanished) reads as
+                // a timeout.
+                let err = if udr.net.reachable(ctx.server_site, se_site) {
+                    UdrError::Timeout
+                } else {
+                    UdrError::Unreachable {
+                        se: se_id,
+                        reason: "partition",
+                    }
+                };
+                return Err(ctx.fail(err));
+            };
+            ctx.breakdown.storage += se_rtt;
+        }
+
+        if ctx.op.is_write() {
+            let isolation = udr.cfg.frash.intra_se_isolation;
+            let commit_at = ctx.now + ctx.breakdown.total();
+            let backend: &mut dyn StorageBackend = &mut udr.ses[se_id.index()];
+            let (result, engine_cost, record) = Self::run_txn(
+                backend,
+                ctx.op,
+                location.partition,
+                location.uid,
+                isolation,
+                commit_at,
+            );
+            ctx.breakdown.storage += engine_cost;
+            ctx.record = record;
+            return result.map_err(|e| ctx.fail(e));
+        }
+
+        // An SE that cannot serve (down, or hosting no copy) refuses
+        // before the engine does any work, so it charges no read.
+        let backend: &dyn StorageBackend = &udr.ses[se_id.index()];
+        let entry = match backend.read_committed(location.partition, location.uid) {
+            Ok(entry) => entry,
+            Err(e) => return Err(ctx.fail(e)),
+        };
+        let costs = backend.cost_model();
+        ctx.breakdown.storage += match ctx.op {
+            LdapOp::SearchFilter { filter, .. } => {
+                costs.read + costs.read * filter.assertion_count() as u64
+            }
+            _ => costs.read,
+        };
+        match entry {
+            Some(entry) => Ok(Self::shape_read(ctx.op, entry)),
+            None => Err(ctx.fail(UdrError::NotFound(location.uid))),
         }
     }
 
-    /// Shape a committed entry per read-operation semantics — the quorum
-    /// path's counterpart of the per-op dispatch in [`Self::run_txn`]:
-    /// filters decide between the entry and an empty result, binds return
-    /// no payload, compares return the asserted attribute or nothing.
+    /// Shape a committed entry per read-operation semantics. Filtered
+    /// searches (§1/§2.2 BI clients) return the entry only when it
+    /// satisfies the filter — a non-match is an empty result set, not an
+    /// error. Binds authenticate against the directory front-end; the
+    /// engine only verifies the entry exists (credential checking is out of
+    /// the paper's scope), so they return no payload. Compares return
+    /// `Some(asserted attr)` for compareTrue and `None` for compareFalse
+    /// (RFC 2251 §4.10 mapped onto the payload).
     fn shape_read(op: &LdapOp, entry: Entry) -> Option<Entry> {
         match op {
             LdapOp::SearchFilter { filter, .. } => filter.matches(&entry).then_some(entry),
@@ -1676,7 +1697,7 @@ impl StorageStage {
         }
     }
 
-    /// One single-backend transaction covering the operation.
+    /// One single-backend transaction covering a write.
     #[allow(clippy::type_complexity)]
     fn run_txn(
         backend: &mut dyn StorageBackend,
@@ -1695,52 +1716,6 @@ impl StorageStage {
             Err(e) => return (Err(e), cost, None),
         };
         let staged: UdrResult<Option<Entry>> = match op {
-            LdapOp::Search { .. } => {
-                cost += read_cost;
-                match backend.read(partition, txn, uid) {
-                    Ok(Some(entry)) => Ok(Some(entry)),
-                    Ok(None) => Err(UdrError::NotFound(uid)),
-                    Err(e) => Err(e),
-                }
-            }
-            // Filtered search (§1/§2.2 BI clients): the located entry is
-            // returned only when it satisfies the filter; a non-match is an
-            // empty result set, not an error.
-            LdapOp::SearchFilter { filter, .. } => {
-                cost += read_cost + read_cost * filter.assertion_count() as u64;
-                match backend.read(partition, txn, uid) {
-                    Ok(Some(entry)) => Ok(if filter.matches(&entry) {
-                        Some(entry)
-                    } else {
-                        None
-                    }),
-                    Ok(None) => Err(UdrError::NotFound(uid)),
-                    Err(e) => Err(e),
-                }
-            }
-            // Binds authenticate against the directory front-end; the
-            // engine only verifies the entry exists (credential checking is
-            // out of the paper's scope).
-            LdapOp::Bind { .. } => {
-                cost += read_cost;
-                match backend.read(partition, txn, uid) {
-                    Ok(Some(_)) => Ok(None),
-                    Ok(None) => Err(UdrError::NotFound(uid)),
-                    Err(e) => Err(e),
-                }
-            }
-            // Compare: `Some(asserted attr)` = compareTrue, `None` =
-            // compareFalse (RFC 2251 §4.10 mapped onto the payload).
-            LdapOp::Compare { attr, value, .. } => {
-                cost += read_cost;
-                match backend.read(partition, txn, uid) {
-                    Ok(Some(entry)) => {
-                        Ok((entry.get(*attr) == Some(value)).then(|| entry.project(&[*attr])))
-                    }
-                    Ok(None) => Err(UdrError::NotFound(uid)),
-                    Err(e) => Err(e),
-                }
-            }
             LdapOp::Add { entry, .. } => {
                 cost += write_cost;
                 backend
@@ -1755,6 +1730,10 @@ impl StorageStage {
                 cost += write_cost;
                 backend.delete(partition, txn, uid).map(|_| None)
             }
+            LdapOp::Search { .. }
+            | LdapOp::SearchFilter { .. }
+            | LdapOp::Bind { .. }
+            | LdapOp::Compare { .. } => unreachable!("reads open no transaction"),
         };
         match staged {
             Ok(value) => match backend.commit(partition, txn, commit_at) {

@@ -10,13 +10,15 @@
 //! to the call instant, so replication lag, partitions and crashes unfold
 //! deterministically relative to traffic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use udr_dls::{DataLocationStage, IdentityLocationMap, PlacementContext, ShardMap};
 use udr_ldap::{LdapServer, PointOfAccess};
 use udr_model::config::{DurabilityMode, LocatorKind, Pacelc, ReplicationMode, TxnClass};
 use udr_model::error::UdrResult;
-use udr_model::ids::{ClusterId, LdapServerId, PartitionId, PoaId, ReplicaRole, SeId, SiteId};
+use udr_model::ids::{
+    ClusterId, IdMap, LdapServerId, PartitionId, PoaId, ReplicaRole, SeId, SiteId,
+};
 use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
@@ -281,11 +283,14 @@ pub struct Udr {
     /// Currently active partition windows.
     pub(crate) active_cuts: Vec<(CutHandle, SimTime)>,
     /// Master LSN captured at crash time, for lost-commit accounting.
-    pub(crate) master_lsn_at_crash: HashMap<PartitionId, Lsn>,
+    pub(crate) master_lsn_at_crash: IdMap<PartitionId, Lsn>,
     /// Highest LSN per partition whose quorum write round reached `w`
     /// acks — the acknowledged tail quorum-served reads are audited
     /// against. Records above it were never promised to anybody.
     pub(crate) quorum_acked: Vec<Lsn>,
+    /// Scratch for the responders of one quorum read consult, kept so a
+    /// read allocates nothing.
+    pub(crate) quorum_responders: Vec<(SeId, SimDuration)>,
     /// Per-partition Multi-Paxos ensembles; empty unless the deployment
     /// runs [`ReplicationMode::Consensus`].
     pub(crate) consensus: Vec<ConsensusGroup>,
@@ -462,6 +467,7 @@ impl Udr {
             subs_per_partition: vec![0; cfg.partitions as usize],
             ops_per_partition: vec![0; cfg.partitions as usize],
             quorum_acked: vec![Lsn::ZERO; cfg.partitions as usize],
+            quorum_responders: Vec::new(),
             cfg,
             net,
             rng: rng.fork(1),
@@ -482,7 +488,7 @@ impl Udr {
             next_cluster_rr: vec![0; sites],
             diverged: BTreeMap::new(),
             active_cuts: Vec::new(),
-            master_lsn_at_crash: HashMap::new(),
+            master_lsn_at_crash: IdMap::default(),
             consensus,
             next_cmd_id: 1,
             consensus_violations: Vec::new(),
@@ -1064,7 +1070,7 @@ impl Udr {
             self.consensus_restore(self.events.now(), se, &recovered);
             return;
         }
-        let recovered_map: HashMap<PartitionId, Lsn> = recovered.into_iter().collect();
+        let recovered_map: IdMap<PartitionId, Lsn> = recovered.into_iter().collect();
         // Rejoin every group this SE belongs to.
         let member_of: Vec<PartitionId> = self
             .groups

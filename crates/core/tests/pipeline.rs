@@ -6,13 +6,22 @@
 //! `OpOutcome::latency`, deterministically across identically-seeded
 //! deployments.
 
-use udr_core::{LatencyBreakdown, OpRequest, Udr, UdrConfig};
-use udr_ldap::{Dn, LdapOp};
-use udr_model::attrs::{AttrId, AttrMod, AttrValue};
-use udr_model::config::{LocatorKind, ReplicationMode, TxnClass};
+use udr_core::{
+    AccessStage, LatencyBreakdown, LocationStage, OpRequest, PipelineCtx, ReplicationStage,
+    StorageStage, Udr, UdrConfig,
+};
+use udr_ldap::{Dn, Filter, LdapOp};
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
+use udr_model::config::{
+    DurabilityMode, IsolationLevel, LocatorKind, ReadPolicy, ReplicationMode, TxnClass,
+};
+use udr_model::error::{UdrError, UdrResult};
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
-use udr_model::ids::SiteId;
+use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
+use udr_sim::net::{LatencyModel, LinkProfile};
+use udr_sim::FaultSchedule;
+use udr_storage::{StorageBackend, StorageElement};
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -355,4 +364,295 @@ fn procedure_latency_is_the_sum_of_stage_decompositions() {
         at += out.latency;
     }
     assert_eq!(by_stage, total);
+}
+
+// ---- reads open no transaction --------------------------------------------
+
+/// One-way delay of every link, intra-site included, in the equivalence
+/// deployments: fixed and lossless, so the storage stage's SE round trip
+/// is exactly two hops whichever SE it reaches.
+const HOP: SimDuration = SimDuration::from_micros(100);
+const P0: PartitionId = PartitionId(0);
+
+/// The storage stage's read dispatch before reads stopped opening
+/// transactions, kept as the reference: begin, read through the
+/// transaction, shape per operation, commit (a read-only commit costs
+/// nothing) or abort. Returns the result and the engine charge.
+fn read_through_txn(
+    backend: &mut dyn StorageBackend,
+    op: &LdapOp,
+    partition: PartitionId,
+    uid: SubscriberUid,
+    isolation: IsolationLevel,
+) -> (UdrResult<Option<Entry>>, SimDuration) {
+    let read_cost = backend.cost_model().read;
+    let mut cost = SimDuration::ZERO;
+    let txn = match backend.begin(partition, isolation) {
+        Ok(t) => t,
+        Err(e) => return (Err(e), cost),
+    };
+    let staged = match op {
+        LdapOp::Search { .. } => {
+            cost += read_cost;
+            match backend.read(partition, txn, uid) {
+                Ok(Some(entry)) => Ok(Some(entry)),
+                Ok(None) => Err(UdrError::NotFound(uid)),
+                Err(e) => Err(e),
+            }
+        }
+        LdapOp::SearchFilter { filter, .. } => {
+            cost += read_cost + read_cost * filter.assertion_count() as u64;
+            match backend.read(partition, txn, uid) {
+                Ok(Some(entry)) => Ok(if filter.matches(&entry) {
+                    Some(entry)
+                } else {
+                    None
+                }),
+                Ok(None) => Err(UdrError::NotFound(uid)),
+                Err(e) => Err(e),
+            }
+        }
+        LdapOp::Bind { .. } => {
+            cost += read_cost;
+            match backend.read(partition, txn, uid) {
+                Ok(Some(_)) => Ok(None),
+                Ok(None) => Err(UdrError::NotFound(uid)),
+                Err(e) => Err(e),
+            }
+        }
+        LdapOp::Compare { attr, value, .. } => {
+            cost += read_cost;
+            match backend.read(partition, txn, uid) {
+                Ok(Some(entry)) => {
+                    Ok((entry.get(*attr) == Some(value)).then(|| entry.project(&[*attr])))
+                }
+                Ok(None) => Err(UdrError::NotFound(uid)),
+                Err(e) => Err(e),
+            }
+        }
+        other => panic!("not a read: {other:?}"),
+    };
+    match staged {
+        Ok(value) => match backend.commit(partition, txn, SimTime::ZERO) {
+            Ok((_, commit_cost)) => (Ok(value), cost + commit_cost),
+            Err(e) => (Err(e), cost),
+        },
+        Err(e) => {
+            backend.abort(partition, txn);
+            (Err(e), cost)
+        }
+    }
+}
+
+/// A stand-alone copy of `se`'s replica of `partition` — the same
+/// committed records (tombstones included), cost model, role and up/down
+/// state — for the reference to run against.
+fn mirror(udr: &Udr, se: SeId, partition: PartitionId) -> StorageElement {
+    let src = udr.se(se);
+    let mut copy = StorageElement::new(se, src.site(), DurabilityMode::None);
+    copy.set_cost_model(src.cost_model().clone());
+    match src.engine(partition) {
+        Ok(engine) => {
+            let role = src.role(partition).expect("hosted");
+            copy.seed_replica(partition, role, engine.snapshot());
+        }
+        Err(_) => copy.add_replica(partition, ReplicaRole::Slave),
+    }
+    if !src.is_up() {
+        copy.crash();
+    }
+    copy
+}
+
+/// The condition that makes a committed read exact at READ_UNCOMMITTED:
+/// nothing the pipeline opened is still open.
+fn assert_no_open_txns(udr: &Udr, after: &str) {
+    for i in 0..udr.se_count() {
+        let se = udr.se(SeId(i as u32));
+        if !se.is_up() {
+            continue;
+        }
+        for p in se.partitions() {
+            let open = se.engine(p).expect("hosted").active_txns();
+            assert_eq!(
+                open, 0,
+                "after {after}: se{i} holds {open} open transactions"
+            );
+        }
+    }
+}
+
+fn execute_checked(udr: &mut Udr, op: &LdapOp, site: SiteId, at: SimTime) {
+    let out = udr.execute(OpRequest::new(op).site(site).at(at)).into_op();
+    assert!(out.is_ok(), "{op:?}: {:?}", out.result);
+    assert_no_open_txns(udr, &format!("{op:?}"));
+}
+
+/// One partition on three fixed-latency sites; subscriber 0 carries
+/// `odbMask=7`, subscriber 1 is deleted by a raw `Delete` (its bindings
+/// stay, so the stages still route to the tombstone).
+fn equivalence_udr(isolation: IsolationLevel) -> Udr {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.intra_se_isolation = isolation;
+    cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
+    let mut udr = Udr::build(cfg).unwrap();
+    let fixed = LinkProfile::lossless(LatencyModel::Fixed(HOP));
+    for a in 0..3 {
+        for b in a..3 {
+            udr.net
+                .topology_mut()
+                .set_link(SiteId(a), SiteId(b), fixed.clone());
+        }
+    }
+    for i in 0..3u64 {
+        let out = udr.provision_subscriber(&ids(i), 0, SiteId(0), t(1));
+        assert!(out.is_ok(), "provisioning {i}: {:?}", out.op.result);
+        assert_no_open_txns(&udr, "provisioning");
+    }
+    let set_mask = LdapOp::Modify {
+        dn: Dn::for_identity(Identity::from(ids(0).imsi)),
+        mods: vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(7))],
+    };
+    execute_checked(&mut udr, &set_mask, SiteId(0), t(2));
+    let delete = LdapOp::Delete {
+        dn: Dn::for_identity(Identity::from(ids(1).imsi)),
+    };
+    execute_checked(&mut udr, &delete, SiteId(0), t(3));
+    udr.advance_to(t(5));
+    assert!(udr.replication_settled());
+    udr
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Held {
+    Present,
+    Absent,
+    Tombstoned,
+    SeDown,
+}
+
+/// The six read shapes, against subscriber `n`.
+fn read_ops(n: u64) -> Vec<LdapOp> {
+    let dn = || Dn::for_identity(Identity::from(ids(n).imsi));
+    let filter = |f: &str| f.parse::<Filter>().expect("valid filter");
+    let compare = |mask| LdapOp::Compare {
+        dn: dn(),
+        attr: AttrId::OdbMask,
+        value: AttrValue::U64(mask),
+    };
+    vec![
+        LdapOp::Search {
+            base: dn(),
+            attrs: vec![],
+        },
+        LdapOp::SearchFilter {
+            base: dn(),
+            filter: filter("(&(odbMask=7)(!(odbMask=8)))"),
+            attrs: vec![],
+        },
+        LdapOp::SearchFilter {
+            base: dn(),
+            filter: filter("(&(odbMask=8)(!(odbMask=7)))"),
+            attrs: vec![AttrId::Imsi],
+        },
+        LdapOp::Bind {
+            dn: dn(),
+            password: b"secret".to_vec(),
+        },
+        compare(7),
+        compare(8),
+    ]
+}
+
+/// Route read number `k` in state `held` through the first three stages,
+/// then check `StorageStage::run` against [`read_through_txn`] on a mirror
+/// of the routed SE: same value or error, same storage charge.
+fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held: Held, k: usize) {
+    let mut udr = equivalence_udr(isolation);
+    // Read at a slave's site: nearest-copy routing serves it from that
+    // slave, which has not yet received an Add committed at the master in
+    // the same instant.
+    let master = udr.group(P0).master();
+    let target = *udr
+        .group(P0)
+        .members()
+        .iter()
+        .find(|se| **se != master)
+        .expect("a slave copy");
+    let site = udr.se(target).site();
+    let now = t(10);
+    let n = match held {
+        Held::Present | Held::SeDown => 0,
+        Held::Tombstoned => 1,
+        Held::Absent => {
+            let out = udr.provision_subscriber(&ids(3), 0, SiteId(0), now);
+            assert!(out.is_ok(), "provisioning: {:?}", out.op.result);
+            3
+        }
+    };
+    let uid = udr
+        .lookup_authority(&Identity::from(ids(n).imsi))
+        .expect("bound")
+        .uid;
+    let op = read_ops(n).swap_remove(k);
+    let label = format!("{isolation:?} {held:?} {op:?}");
+
+    udr.advance_to(now);
+    let mut ctx = PipelineCtx::new(&op, TxnClass::FrontEnd, site, now);
+    assert!(AccessStage::run(&mut udr, &mut ctx).is_ok(), "{label}");
+    assert!(LocationStage::run(&mut udr, &mut ctx).is_ok(), "{label}");
+    assert!(
+        ReplicationStage::route(&mut udr, &mut ctx).is_ok(),
+        "{label}"
+    );
+    if held == Held::SeDown {
+        udr.schedule_faults(FaultSchedule::new().se_outage(now, SimDuration::from_secs(1), target));
+        udr.advance_to(now);
+        assert!(!udr.se(target).is_up(), "{label}");
+    }
+
+    let mut reference = mirror(&udr, target, P0);
+    let (expected, engine_charge) = read_through_txn(&mut reference, &op, P0, uid, isolation);
+    match held {
+        Held::Present => assert!(expected.is_ok(), "{label}: {expected:?}"),
+        Held::Absent | Held::Tombstoned => {
+            assert_eq!(expected, Err(UdrError::NotFound(uid)), "{label}")
+        }
+        Held::SeDown => assert_eq!(expected, Err(UdrError::SeUnavailable(target)), "{label}"),
+    }
+
+    let before = ctx.breakdown.storage;
+    let got = StorageStage::run(&mut udr, &mut ctx).map_err(|out| out.result.unwrap_err());
+    assert_eq!(got, expected, "{label}");
+    assert_eq!(
+        ctx.breakdown.storage - before,
+        HOP * 2 + engine_charge,
+        "{label}: storage charge"
+    );
+    drop(ctx);
+
+    // The same read end to end opens nothing either, and (while the copy
+    // is up) is served by the SE the mirror copied.
+    let out = udr
+        .execute(OpRequest::new(&op).site(site).at(now))
+        .into_op();
+    assert_no_open_txns(&udr, &label);
+    if held == Held::Present {
+        assert_eq!(out.served_by, Some(target), "{label}");
+    }
+}
+
+#[test]
+fn reads_return_what_a_read_only_transaction_returned() {
+    for isolation in [
+        IsolationLevel::ReadCommitted,
+        IsolationLevel::ReadUncommitted,
+    ] {
+        for held in [Held::Present, Held::Absent, Held::Tombstoned, Held::SeDown] {
+            for k in 0..read_ops(0).len() {
+                storage_stage_matches_the_transactional_read(isolation, held, k);
+            }
+        }
+    }
 }

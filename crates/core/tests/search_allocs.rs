@@ -1,7 +1,8 @@
 //! Complexity guard for the read path: once the deployment is warm, a
 //! `Search` makes no allocator call inside `Udr::execute` — the payload is
-//! shared, a projection is a view of it, and no error value is built for an
-//! operation that succeeds.
+//! shared, a projection is a view of it, no error value is built for an
+//! operation that succeeds, and a quorum consult keeps its responders in a
+//! scratch vector.
 //!
 //! One `#[test]` in a binary of its own: the counting allocator is global,
 //! so a second test running beside it would be counted too.
@@ -176,4 +177,5 @@ fn a_warm_search_makes_no_allocator_call() {
         "master/slave-served: {by_master}/{by_slave}"
     );
     searches_allocate_nothing(ReplicationMode::Consensus { n: 3 });
+    searches_allocate_nothing(ReplicationMode::Quorum { n: 3, w: 2, r: 2 });
 }

@@ -6,9 +6,8 @@
 //! multiple or even all the SE in the system. Those data location queries
 //! may become a hurdle to scalability."
 
-use std::collections::HashMap;
-
 use udr_model::identity::Identity;
+use udr_model::ids::IdMap;
 
 use crate::maps::Location;
 use crate::shardmap::Epoch;
@@ -25,7 +24,7 @@ use crate::shardmap::Epoch;
 #[derive(Debug, Clone)]
 pub struct CachedLocator {
     capacity: usize,
-    map: HashMap<u32, (Location, bool)>,
+    map: IdMap<u32, (Location, bool)>,
     /// Insertion ring for clock eviction.
     ring: Vec<u32>,
     hand: usize,
@@ -61,7 +60,7 @@ impl CachedLocator {
         assert!(capacity > 0);
         CachedLocator {
             capacity,
-            map: HashMap::with_capacity(capacity),
+            map: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             ring: Vec::with_capacity(capacity),
             hand: 0,
             hits: 0,

@@ -4,8 +4,9 @@
 //! identities (IMSI/MSISDN/IMPU/IMPI) to the partition/SE holding their
 //! data. §3.5 of the paper weighs three realisations, all implemented here:
 //!
-//! * [`maps`] — provisioned identity-location maps: multi-index B-trees,
-//!   O(log N), supporting selective placement (the paper's choice);
+//! * [`maps`] — provisioned identity-location maps: one index per identity
+//!   kind, supporting selective placement (the paper's choice; it models
+//!   the lookup as O(log N), the host index here is hashed);
 //! * [`cache`] — maps built on the fly and cached: no scale-out sync
 //!   window, but every miss broadcasts a probe to many/all SEs;
 //! * [`ring`] — consistent hashing: O(1) lookups, no selective placement.

@@ -4,12 +4,18 @@
 //! multiple indexes (one index per subscriber identity, i.e. MSISDN, IMSI,
 //! IMPU etc.) and must support also the selective placement of subscriber
 //! data." A state-full stage whose "processing cost typically grows as
-//! O(log N)" — realised here as one ordered map per identity kind.
-
-use std::collections::BTreeMap;
+//! O(log N)".
+//!
+//! That O(log N) is the paper's model of the stage, and sim-time follows
+//! the paper, not the host: a resolve charges what the paper says to charge
+//! ("very small and can be neglected"), and the footprint the model sizes
+//! RAM with is [`IdentityLocationMap::approx_bytes`]'s per-binding formula.
+//! The host index is one hash table per identity kind, keyed by interned
+//! symbols with [`IdHasher`](udr_model::ids::IdHasher): a resolve is one
+//! probe, and nothing in the stage needs key order.
 
 use udr_model::identity::{Identity, IdentityKind};
-use udr_model::ids::{PartitionId, SubscriberUid};
+use udr_model::ids::{IdMap, PartitionId, SubscriberUid};
 use udr_model::intern::IdentityInterner;
 
 use crate::shardmap::Epoch;
@@ -24,19 +30,19 @@ pub struct Location {
     pub partition: PartitionId,
 }
 
-/// One ordered index per identity kind: the provisioned maps of §3.5.
+/// One hashed index per identity kind: the provisioned maps of §3.5.
 ///
 /// Indexes are keyed by interned identity symbols (`u32`), not strings:
 /// at national-operator scale the maps dominate stage memory (§3.3.1), and
 /// one word per key plus the process-wide interner beats one heap string
-/// per key per index. Lookups compare a single integer instead of up to
-/// 15 bytes of digits.
+/// per key per index. A lookup hashes and compares a single integer
+/// instead of up to 15 bytes of digits.
 #[derive(Debug, Clone, Default)]
 pub struct IdentityLocationMap {
-    imsi: BTreeMap<u32, Location>,
-    msisdn: BTreeMap<u32, Location>,
-    impu: BTreeMap<u32, Location>,
-    impi: BTreeMap<u32, Location>,
+    imsi: IdMap<u32, Location>,
+    msisdn: IdMap<u32, Location>,
+    impu: IdMap<u32, Location>,
+    impi: IdMap<u32, Location>,
     /// Lookups served (diagnostics).
     pub lookups: u64,
     /// Shard-map epoch this instance last observed (route-cache version).
@@ -49,7 +55,7 @@ impl IdentityLocationMap {
         Self::default()
     }
 
-    fn index(&self, kind: IdentityKind) -> &BTreeMap<u32, Location> {
+    fn index(&self, kind: IdentityKind) -> &IdMap<u32, Location> {
         match kind {
             IdentityKind::Imsi => &self.imsi,
             IdentityKind::Msisdn => &self.msisdn,
@@ -58,7 +64,7 @@ impl IdentityLocationMap {
         }
     }
 
-    fn index_mut(&mut self, kind: IdentityKind) -> &mut BTreeMap<u32, Location> {
+    fn index_mut(&mut self, kind: IdentityKind) -> &mut IdMap<u32, Location> {
         match kind {
             IdentityKind::Imsi => &mut self.imsi,
             IdentityKind::Msisdn => &mut self.msisdn,
@@ -78,7 +84,7 @@ impl IdentityLocationMap {
         self.index_mut(identity.kind()).remove(&identity.symbol())
     }
 
-    /// O(log N) lookup.
+    /// One-probe lookup.
     pub fn lookup(&mut self, identity: &Identity) -> Option<Location> {
         self.lookups += 1;
         self.index(identity.kind()).get(&identity.symbol()).copied()
@@ -108,18 +114,21 @@ impl IdentityLocationMap {
     /// identity-location maps deprives storage elements from memory they
     /// could use to store more data". Keys are one interned symbol each;
     /// the shared string storage lives in the process-wide interner and is
-    /// accounted there, not per index.
+    /// accounted there, not per index. The formula is the paper's
+    /// per-binding accounting, not the host table's layout, so the
+    /// footprint every sim-time cost derives from does not depend on how
+    /// the index is built.
     pub fn approx_bytes(&self) -> usize {
         let entry_cost =
-            |m: &BTreeMap<u32, Location>| m.len() * (24 + std::mem::size_of::<Location>());
+            |m: &IdMap<u32, Location>| m.len() * (24 + std::mem::size_of::<Location>());
         entry_cost(&self.imsi)
             + entry_cost(&self.msisdn)
             + entry_cost(&self.impu)
             + entry_cost(&self.impi)
     }
 
-    /// Dump every binding (used by the scale-out sync protocol to seed a
-    /// peer stage instance). The textual form is exported — the sync
+    /// Dump every binding, in no particular order (used by the scale-out
+    /// sync protocol to seed a peer stage instance). The textual form is exported — the sync
     /// protocol models a wire transfer, and symbols are only meaningful
     /// inside one process.
     pub fn export(&self) -> Vec<(IdentityKind, String, Location)> {

@@ -1,11 +1,13 @@
 //! Property tests for the data-location stage: map/export fidelity, ring
 //! stability and placement invariants.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
 use udr_dls::{ConsistentHashRing, IdentityLocationMap, Location, PlacementContext};
 use udr_model::config::PlacementPolicy;
-use udr_model::identity::{Identity, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentityKind, Impi, Impu, Imsi, Msisdn};
 use udr_model::ids::{PartitionId, SubscriberUid};
 
 fn imsi(i: u64) -> Identity {
@@ -16,7 +18,61 @@ fn msisdn(i: u64) -> Identity {
     Msisdn::new(format!("34600{i:06}")).unwrap().into()
 }
 
+/// Identity `key` of kind number `kind`. The MSISDN spells the IMSI's
+/// digits, so the two share one interned symbol in different indexes.
+fn identity(kind: u8, key: u64) -> Identity {
+    match kind {
+        0 => imsi(key),
+        1 => Msisdn::new(format!("21401{key:010}")).unwrap().into(),
+        2 => Impu::new(format!("sip:user{key}@ims.example.com"))
+            .unwrap()
+            .into(),
+        _ => Impi::new(format!("user{key}@ims.example.com"))
+            .unwrap()
+            .into(),
+    }
+}
+
 proptest! {
+    /// The hashed indexes hold exactly what one ordered map per identity
+    /// kind holds: insert, remove and lookup agree step by step, and
+    /// `len`, `len_of` and `export` (as a set — it has no order) agree at
+    /// the end.
+    #[test]
+    fn maps_agree_with_an_ordered_model(
+        steps in prop::collection::vec((0u8..3, 0u8..4, 0u64..48, 0u64..1000, 0u32..16), 0..300),
+    ) {
+        let mut map = IdentityLocationMap::new();
+        let mut model: BTreeMap<(IdentityKind, &str), Location> = BTreeMap::new();
+        for (op, kind, key, uid, part) in steps {
+            let id = identity(kind, key);
+            let k = (id.kind(), id.as_str());
+            match op {
+                0 => {
+                    let loc = Location { uid: SubscriberUid(uid), partition: PartitionId(part) };
+                    map.insert(&id, loc);
+                    model.insert(k, loc);
+                }
+                1 => prop_assert_eq!(map.remove(&id), model.remove(&k)),
+                _ => prop_assert_eq!(map.lookup(&id), model.get(&k).copied()),
+            }
+            prop_assert_eq!(map.peek(&id), model.get(&k).copied());
+        }
+        prop_assert_eq!(map.len(), model.len());
+        for kind in IdentityKind::ALL {
+            prop_assert_eq!(map.len_of(kind), model.keys().filter(|(k, _)| *k == kind).count());
+        }
+        let row = |kind: IdentityKind, text: String, loc: Location| (kind, text, loc.uid, loc.partition);
+        let exported: Vec<_> = map.export().into_iter().map(|(k, s, l)| row(k, s, l)).collect();
+        let exported_set: BTreeSet<_> = exported.iter().cloned().collect();
+        prop_assert_eq!(exported_set.len(), exported.len());
+        let expected: BTreeSet<_> = model
+            .iter()
+            .map(|((kind, text), loc)| row(*kind, text.to_string(), *loc))
+            .collect();
+        prop_assert_eq!(exported_set, expected);
+    }
+
     /// Export → import reproduces every binding exactly.
     #[test]
     fn export_import_is_lossless(bindings in prop::collection::btree_map(0u64..5000, (0u64..1000, 0u32..16), 0..200)) {

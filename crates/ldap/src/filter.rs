@@ -18,7 +18,7 @@
 //!   value matches;
 //! * assertion values are strings, coerced per the attribute value's
 //!   actual type — integers numerically, booleans as `TRUE`/`FALSE`,
-//!   octet strings as lowercase hex;
+//!   octet strings as hex (two digits per byte, either case);
 //! * `>=`/`<=` apply numerically and never match non-numeric values.
 //!
 //! ```
@@ -31,7 +31,7 @@
 //! assert!(barred_roamers.matches(&e));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 use udr_model::attrs::{AttrId, AttrValue, Entry};
@@ -178,12 +178,23 @@ fn value_matches(v: &AttrValue, assertion: &str) -> bool {
             true => assertion.eq_ignore_ascii_case("true"),
             false => assertion.eq_ignore_ascii_case("false"),
         },
-        AttrValue::Bytes(bytes) => {
-            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-            hex.eq_ignore_ascii_case(assertion)
-        }
+        AttrValue::Bytes(bytes) => hex_spells(bytes, assertion),
         AttrValue::StrList(list) => list.iter().any(|s| s.eq_ignore_ascii_case(assertion)),
     }
+}
+
+/// Whether `hex` spells `bytes` as two hex digits per byte, in either
+/// case — compared nibble by nibble, without formatting the bytes.
+fn hex_spells(bytes: &[u8], hex: &str) -> bool {
+    let nibble = |c: u8| (c as char).to_digit(16);
+    hex.len() == 2 * bytes.len()
+        && bytes
+            .iter()
+            .zip(hex.as_bytes().chunks_exact(2))
+            .all(|(b, pair)| {
+                nibble(pair[0]) == Some(u32::from(b >> 4))
+                    && nibble(pair[1]) == Some(u32::from(b & 0xf))
+            })
 }
 
 fn substring_str(s: &str, initial: &Option<String>, any: &[String], fin: &Option<String>) -> bool {
@@ -232,8 +243,7 @@ fn escape(s: &str, out: &mut String) {
     for b in s.bytes() {
         match b {
             b'(' | b')' | b'*' | b'\\' | 0 => {
-                out.push('\\');
-                out.push_str(&format!("{b:02x}"));
+                write!(out, "\\{b:02x}").expect("writing to a String cannot fail");
             }
             _ => out.push(b as char),
         }
@@ -685,5 +695,18 @@ mod tests {
         assert!(Filter::eq(AttrId::AuthKi, "deadbeef").matches(&e));
         assert!(Filter::eq(AttrId::AuthKi, "DEADBEEF").matches(&e));
         assert!(!Filter::eq(AttrId::AuthKi, "deadbeee").matches(&e));
+        assert!(Filter::eq(AttrId::AuthKi, "DeAdBeEf").matches(&e));
+        // Odd length: one digit short, or one too many.
+        assert!(!Filter::eq(AttrId::AuthKi, "deadbee").matches(&e));
+        assert!(!Filter::eq(AttrId::AuthKi, "deadbeef0").matches(&e));
+        // A character that is not a hex digit never matches.
+        assert!(!Filter::eq(AttrId::AuthKi, "deadbeeg").matches(&e));
+        assert!(!Filter::eq(AttrId::AuthKi, "deadbe\u{e9}").matches(&e));
+        // The empty value is spelled by the empty assertion only.
+        let mut empty = Entry::new();
+        empty.set(AttrId::AuthKi, Vec::<u8>::new());
+        assert!(Filter::eq(AttrId::AuthKi, "").matches(&empty));
+        assert!(!Filter::eq(AttrId::AuthKi, "00").matches(&empty));
+        assert!(!Filter::eq(AttrId::AuthKi, "").matches(&e));
     }
 }

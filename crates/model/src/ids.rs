@@ -5,10 +5,72 @@
 //! Access* (PoA). Subscriber data is split into *partitions*, each further
 //! split into *sub-partitions*; every SE holds the primary copy of one
 //! partition and secondary copies of others.
+//!
+//! Maps keyed by ids the program assigns itself ([`PartitionId`],
+//! [`SeId`], [`SubscriberUid`], transaction and command ids, interned
+//! identity symbols) use [`IdMap`]/[`IdSet`]: no key reaches them from
+//! outside the program, so they need no protection against crafted
+//! collisions and take one multiply per probe instead of SipHash.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
+
+/// An Fx-style hasher for ids the program assigns itself: each word is
+/// folded in as `(h.rotate_left(5) ^ word) * K` with an odd `K`. An odd
+/// multiplier is a bijection on every low-bit window, so dense keys stay
+/// distinct in the low bits a hash table indexes by, and the multiply
+/// carries them into the high bits hashbrown tags buckets with.
+///
+/// Not for keys that arrive from outside the program: an adversary can
+/// pick colliding keys. Those maps keep the default SipHash.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` keyed by a program-assigned id, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of program-assigned ids, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -167,6 +229,25 @@ mod tests {
     fn ids_are_ordered() {
         assert!(SeId(1) < SeId(2));
         assert!(SubscriberUid(10) < SubscriberUid(11));
+    }
+
+    /// Dense keys, and keys at an odd stride, land on distinct low 16
+    /// bits: the table's bucket index never collides on them.
+    #[test]
+    fn id_hasher_keeps_dense_keys_distinct_in_the_low_bits() {
+        use std::hash::{BuildHasher, Hash};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let low16 = |key: u64| build.hash_one(key) & 0xffff;
+        for stride in [1u64, 3] {
+            let distinct: HashSet<u64> = (0..65_536u64).map(|k| low16(k * stride)).collect();
+            assert_eq!(distinct.len(), 65_536, "stride {stride}");
+        }
+        // Newtype ids hash as the word they wrap.
+        let mut a = IdHasher::default();
+        SeId(7).hash(&mut a);
+        let mut b = IdHasher::default();
+        7u32.hash(&mut b);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

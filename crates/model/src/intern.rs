@@ -51,6 +51,10 @@ pub fn pack_digits(s: &str) -> Option<u64> {
     Some(packed)
 }
 
+/// Both lookup tables keep the default SipHash, unlike the id-keyed maps
+/// ([`IdMap`](crate::ids::IdMap)): their keys are identity strings that
+/// arrive from outside the program, so a client could pick keys that
+/// collide under a fixed hash.
 #[derive(Default)]
 struct Tables {
     /// Digit-packed fast path: packed word → symbol.

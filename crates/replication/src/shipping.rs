@@ -7,9 +7,9 @@
 //! channel stalls and a catch-up pass re-ships the missing suffix from the
 //! master's log once the slave is reachable again.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use udr_model::ids::SeId;
+use udr_model::ids::{IdMap, SeId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_storage::{CommitRecord, Engine, Lsn};
 
@@ -77,7 +77,7 @@ struct Channel {
 /// The shipping ledger for one replication group.
 #[derive(Debug, Clone, Default)]
 pub struct AsyncShipper {
-    channels: HashMap<SeId, Channel>,
+    channels: IdMap<SeId, Channel>,
     /// Slaves explicitly drained from the group. A drained slave's channel
     /// is gone for good: stray [`AsyncShipper::reseeded`] confirmations or
     /// in-flight delivery acks must not resurrect it, or the periodic

@@ -5,10 +5,8 @@
 //! sync-commit alternative and why it is normally off. The simulated disk
 //! here is what survives an SE crash.
 
-use std::collections::HashMap;
-
 use udr_model::config::DurabilityMode;
-use udr_model::ids::PartitionId;
+use udr_model::ids::{IdMap, PartitionId};
 use udr_model::time::{SimDuration, SimTime};
 
 use crate::engine::EngineSnapshot;
@@ -65,7 +63,7 @@ impl CostModel {
 /// survive crashes; RAM does not.
 #[derive(Debug, Clone, Default)]
 pub struct Disk {
-    snapshots: HashMap<PartitionId, EngineSnapshot>,
+    snapshots: IdMap<PartitionId, EngineSnapshot>,
     /// When the last snapshot cycle completed.
     pub last_snapshot_at: Option<SimTime>,
     /// Snapshot cycles performed.

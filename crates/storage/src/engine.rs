@@ -5,17 +5,25 @@
 //! writers take row locks that fail fast on conflict), with READ_UNCOMMITTED
 //! available for the cross-SE transaction groups the paper demotes.
 //!
+//! Reads served to clients take no transaction: the pipeline calls
+//! [`Engine::read_committed`], and only writes `begin` and `commit`. That
+//! is exact at both levels. A transaction that has written nothing sees the
+//! latest committed version at READ_COMMITTED; at READ_UNCOMMITTED it would
+//! also see other transactions' staged writes, but the pipeline commits or
+//! aborts every transaction inside the call that opened it, so when a read
+//! runs no staged write exists anywhere.
+//!
 //! The engine is clock-free: commit timestamps are supplied by the caller
 //! (virtual time in simulations, wall time in benchmarks), which keeps the
 //! same code path usable from both the DES and Criterion.
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use udr_model::attrs::{AttrMod, Entry};
 use udr_model::config::IsolationLevel;
 use udr_model::error::{UdrError, UdrResult};
-use udr_model::ids::{SeId, SubscriberUid};
+use udr_model::ids::{IdMap, SeId, SubscriberUid};
 use udr_model::time::SimTime;
 
 use crate::log::CommitLog;
@@ -70,10 +78,10 @@ pub struct Engine {
     /// Committed state, stored column-wise (see [`RecordStore`]).
     committed: RecordStore,
     /// Row write locks: uid → holding transaction.
-    locks: HashMap<SubscriberUid, TxnId>,
+    locks: IdMap<SubscriberUid, TxnId>,
     /// Uncommitted staged values, readable at READ_UNCOMMITTED.
-    dirty: HashMap<SubscriberUid, (TxnId, Option<Entry>)>,
-    active: HashMap<TxnId, ActiveTxn>,
+    dirty: IdMap<SubscriberUid, (TxnId, Option<Entry>)>,
+    active: IdMap<TxnId, ActiveTxn>,
     log: CommitLog,
     next_txn: u64,
     /// Commits applied (local + replicated), for reporting.
@@ -88,9 +96,9 @@ impl Engine {
         Engine {
             se,
             committed: RecordStore::new(),
-            locks: HashMap::new(),
-            dirty: HashMap::new(),
-            active: HashMap::new(),
+            locks: IdMap::default(),
+            dirty: IdMap::default(),
+            active: IdMap::default(),
             log: CommitLog::new(),
             next_txn: 1,
             commit_count: 0,
@@ -105,9 +113,9 @@ impl Engine {
         Engine {
             se,
             committed: RecordStore::from_records(snapshot.records),
-            locks: HashMap::new(),
-            dirty: HashMap::new(),
-            active: HashMap::new(),
+            locks: IdMap::default(),
+            dirty: IdMap::default(),
+            active: IdMap::default(),
             log: CommitLog::starting_after(snapshot.last_lsn),
             next_txn: 1,
             commit_count: 0,

@@ -7,12 +7,10 @@
 //! durability (§3.1), and a crash/restore lifecycle: on crash the RAM
 //! engines vanish and only disk snapshots survive.
 
-use std::collections::HashMap;
-
 use udr_model::attrs::{AttrMod, Entry};
 use udr_model::config::{DurabilityMode, IsolationLevel};
 use udr_model::error::{UdrError, UdrResult};
-use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr_model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 
 use crate::durability::{CostModel, Disk, SnapshotScheduler};
@@ -46,7 +44,7 @@ pub struct StorageElement {
     id: SeId,
     site: SiteId,
     state: SeState,
-    replicas: HashMap<PartitionId, Replica>,
+    replicas: IdMap<PartitionId, Replica>,
     disk: Disk,
     scheduler: SnapshotScheduler,
     cost: CostModel,
@@ -63,7 +61,7 @@ impl StorageElement {
             id,
             site,
             state: SeState::Up,
-            replicas: HashMap::new(),
+            replicas: IdMap::default(),
             disk: Disk::new(),
             scheduler: SnapshotScheduler::new(durability, SimTime::ZERO),
             cost: CostModel::default(),

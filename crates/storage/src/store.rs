@@ -29,14 +29,13 @@
 //! tombstone carries the delete's LSN), so slots are never recycled and a
 //! slot id is stable for the life of the store.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use udr_model::attrs::{AttrId, AttrValue, Entry};
 use udr_model::error::{UdrError, UdrResult};
-use udr_model::ids::{SeId, SubscriberUid};
+use udr_model::ids::{IdMap, SeId, SubscriberUid};
 use udr_model::time::SimTime;
 
 use crate::version::{Lsn, RecordVersion};
@@ -73,7 +72,7 @@ impl RecordView<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct RecordStore {
     /// uid → slot.
-    index: HashMap<SubscriberUid, u32>,
+    index: IdMap<SubscriberUid, u32>,
     // -- parallel columns, one element per slot ------------------------------
     uids: Vec<SubscriberUid>,
     lsns: Vec<Lsn>,
@@ -94,7 +93,7 @@ impl RecordStore {
     /// An empty store with room for `n` records.
     pub fn with_capacity(n: usize) -> Self {
         RecordStore {
-            index: HashMap::with_capacity(n),
+            index: IdMap::with_capacity_and_hasher(n, Default::default()),
             uids: Vec::with_capacity(n),
             lsns: Vec::with_capacity(n),
             stamps: Vec::with_capacity(n),
