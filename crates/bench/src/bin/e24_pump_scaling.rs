@@ -11,7 +11,8 @@
 //! argument overrides — CI runs a small-N smoke). Each lane count
 //! replays the same schedule; the campaign digests every run's
 //! per-shard subsequences and refuses to report a row that diverged
-//! from the legacy single-heap timeline.
+//! from the sequential pop's timeline (a one-lane pump popped in
+//! `(time, seq)` order).
 //!
 //! Sustained rate uses the drain's **critical path** (Σ per-round max
 //! lane busy time + serialized cross time — what an N-core box pays);
@@ -84,23 +85,23 @@ fn main() {
         .config("cross_ratio", cfg.cross_ratio)
         .config("digest", format!("{:016x}", out.digest));
 
-    let legacy = &out.baseline;
+    let sequential = &out.baseline;
     table.row([
-        "legacy heap".to_owned(),
-        legacy.events.to_string(),
-        format!("{:.3}", legacy.wall_s),
-        format!("{:.3}", legacy.critical_path_s),
-        format!("{:.0}", legacy.sustained_per_sec),
+        "sequential".to_owned(),
+        sequential.events.to_string(),
+        format!("{:.3}", sequential.wall_s),
+        format!("{:.3}", sequential.critical_path_s),
+        format!("{:.0}", sequential.sustained_per_sec),
         "—".to_owned(),
         "—".to_owned(),
     ]);
     report.row(vec![
         ("lanes", 0u64.into()),
-        ("label", "legacy".into()),
-        ("events", legacy.events.into()),
-        ("wall_s", legacy.wall_s.into()),
-        ("critical_path_s", legacy.critical_path_s.into()),
-        ("sustained_per_sec", legacy.sustained_per_sec.into()),
+        ("label", "sequential".into()),
+        ("events", sequential.events.into()),
+        ("wall_s", sequential.wall_s.into()),
+        ("critical_path_s", sequential.critical_path_s.into()),
+        ("sustained_per_sec", sequential.sustained_per_sec.into()),
         ("speedup_vs_1", JsonValue::Null),
         ("efficiency", JsonValue::Null),
     ]);
@@ -128,7 +129,7 @@ fn main() {
     }
     println!("{table}");
     println!(
-        "\ndigest {:016x} — identical for the legacy heap and every lane count\n\
+        "\ndigest {:016x} — identical for the sequential pop and every lane count\n\
          (per-shard subsequences + barrier trace; asserted, not sampled)",
         out.digest
     );

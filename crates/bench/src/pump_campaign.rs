@@ -2,7 +2,7 @@
 //!
 //! Drives one synthetic-but-representative workload — per-shard engine
 //! commits mixed with serialized cross-shard barriers, the shape of the
-//! e23 pipeline stage — through the legacy single-heap [`EventQueue`]
+//! e23 pipeline stage — through a sequential [`ShardedPump::pop`] loop
 //! and through [`ShardedPump::drain_parallel`] at several lane counts,
 //! and reports sustained pipeline events/s per lane count.
 //!
@@ -13,9 +13,12 @@
 //! pay), which [`udr_sim::DrainStats`] measures from real per-lane busy time.
 //! Wall clock is reported alongside so the two can never be confused.
 //!
-//! Determinism: every lane count must produce the identical per-shard
-//! event subsequences — the campaign digests them and refuses to report
-//! numbers for a run that broke the merge contract.
+//! Determinism: every lane count must produce the per-shard event
+//! subsequences of the sequential pop — the campaign digests them and
+//! refuses to report numbers for a run that broke the merge contract.
+//! The pop loop is a different algorithm from the windowed drain (one
+//! global `(time, seq)` merge against lookahead rounds), so the digest
+//! check compares two independent schedules, not one with itself.
 
 use std::time::Instant;
 
@@ -23,7 +26,7 @@ use udr_model::attrs::{AttrId, AttrValue, Entry};
 use udr_model::config::IsolationLevel;
 use udr_model::ids::{SeId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::{EventQueue, LaneClass, PumpConfig, ShardedPump, SimRng};
+use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
 use udr_storage::Engine;
 
 /// Campaign knobs.
@@ -66,7 +69,7 @@ impl PumpCampaignConfig {
 /// One swept row: a lane count's sustained rate and scaling efficiency.
 #[derive(Debug, Clone)]
 pub struct LaneRow {
-    /// Lane count (0 = the legacy single-heap baseline).
+    /// Lane count (0 = the sequential-pop reference row).
     pub lanes: usize,
     /// Events drained (local + cross; identical across rows).
     pub events: u64,
@@ -81,10 +84,10 @@ pub struct LaneRow {
     pub efficiency: f64,
     /// Per-shard-subsequence digest; must match every other row.
     pub digest: u64,
-    /// Wall-clock busy nanoseconds per lane (empty for the legacy row).
+    /// Wall-clock busy nanoseconds per lane (empty for the sequential row).
     /// Host timing — excluded from determinism digests.
     pub lane_busy_ns: Vec<u64>,
-    /// Lane-local events processed per lane (empty for the legacy row).
+    /// Lane-local events processed per lane (empty for the sequential row).
     /// A pure function of the schedule, unlike `lane_busy_ns`.
     pub lane_events: Vec<u64>,
 }
@@ -92,7 +95,7 @@ pub struct LaneRow {
 /// The campaign outcome.
 #[derive(Debug, Clone)]
 pub struct PumpOutcome {
-    /// The legacy single-heap baseline (wall-clock timed).
+    /// The sequential-pop reference row (wall-clock timed).
     pub baseline: LaneRow,
     /// One row per swept lane count.
     pub rows: Vec<LaneRow>,
@@ -220,7 +223,7 @@ fn stream(cfg: &PumpCampaignConfig) -> Vec<(LaneClass, SimTime, PumpEvent)> {
             barrier_round += 1;
             // Half a µs off the local grid: the drain's cross-first rule
             // at equal instants is part of its contract and differs from
-            // the legacy queue's insertion-order ties, so barriers never
+            // the sequential pop's insertion-order ties, so barriers never
             // share an instant with a commit here (class-boundary ties
             // are pinned down by the sim crate's unit tests instead).
             out.push((
@@ -252,12 +255,12 @@ fn horizon(cfg: &PumpCampaignConfig) -> SimTime {
     SimTime(cfg.events * 1_000 * 1_000)
 }
 
-/// Drain the stream through the legacy single-heap queue (the seed
-/// pump): the wall-clock baseline every sharded row must reproduce.
-fn run_legacy(cfg: &PumpCampaignConfig) -> LaneRow {
-    let mut queue: EventQueue<PumpEvent> = EventQueue::new();
-    for (_, at, ev) in stream(cfg) {
-        queue.schedule_at(at, ev.clone());
+/// Drain the stream by popping a one-lane pump in `(time, seq)` order:
+/// the reference timeline every windowed drain must reproduce.
+fn run_sequential(cfg: &PumpCampaignConfig) -> LaneRow {
+    let mut queue: ShardedPump<PumpEvent> = ShardedPump::new(PumpConfig::single());
+    for (class, at, ev) in stream(cfg) {
+        queue.schedule_at(class, at, ev);
     }
     let mut state = lane_states(cfg.shards, 1);
     let mut barriers: Vec<(u64, u64)> = Vec::new();
@@ -272,6 +275,7 @@ fn run_legacy(cfg: &PumpCampaignConfig) -> LaneRow {
                 // First-generation events only — follow-ups are terminal.
                 if uid < cfg.events && uid.is_multiple_of(8) {
                     queue.schedule_at(
+                        LaneClass::Local(shard),
                         t + LOOKAHEAD,
                         PumpEvent::Commit {
                             shard,
@@ -407,14 +411,15 @@ pub fn run_traced(cfg: &PumpCampaignConfig, tracer: &mut udr_trace::Tracer) -> P
     out
 }
 
-/// Run the campaign. Panics if any lane count diverges from the legacy
-/// merged timeline — a determinism regression outranks any speedup.
+/// Run the campaign. Panics if any lane count diverges from the
+/// sequential pop's timeline — a determinism regression outranks any
+/// speedup.
 pub fn run(cfg: &PumpCampaignConfig) -> PumpOutcome {
     assert!(
         cfg.lane_counts.contains(&1),
         "the sweep needs the 1-lane scaling baseline"
     );
-    let baseline = run_legacy(cfg);
+    let baseline = run_sequential(cfg);
     let mut rows: Vec<LaneRow> = cfg
         .lane_counts
         .iter()
@@ -442,7 +447,7 @@ pub fn run(cfg: &PumpCampaignConfig) -> PumpOutcome {
         };
         assert_eq!(
             row.digest, baseline.digest,
-            "{} lanes diverged from the legacy merged timeline",
+            "{} lanes diverged from the sequential pop's timeline",
             row.lanes
         );
         assert_eq!(
@@ -463,18 +468,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_campaign_is_lane_invariant_and_scales() {
+    fn small_campaign_replays_the_sequential_timeline_at_every_lane_count() {
         let cfg = PumpCampaignConfig::small(4_000);
         let out = run(&cfg);
         assert_eq!(out.rows.len(), 4);
+        assert!(out.baseline.events >= cfg.events);
         for row in &out.rows {
             assert_eq!(row.digest, out.digest);
-            assert!(row.events >= cfg.events);
+            assert_eq!(row.events, out.baseline.events);
         }
-        // The 4-lane sustained rate must beat 1-lane on the critical
-        // path; the full 2× gate lives in the e24 binary where N is
-        // large enough for stable timing.
-        assert!(out.speedup(4) > 1.0, "4-lane speedup {}", out.speedup(4));
+        // Speed-up is host timing: the e24 binary gates it, not tier-1.
     }
 
     #[test]

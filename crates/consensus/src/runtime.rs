@@ -2,8 +2,9 @@
 //!
 //! The runtime owns N [`Replica`]s (one per site of a [`Topology`]), routes
 //! their messages through the [`Network`] — sampling latency and loss,
-//! honouring partitions — and drives timers from the shared
-//! [`EventQueue`]. Fault schedules (partitions, node crashes/restarts) and
+//! honouring partitions — and drives timers and deliveries from one
+//! single-lane [`ShardedPump`], the event queue every simulation here
+//! runs on. Fault schedules (partitions, node crashes/restarts) and
 //! client submissions are registered up front; [`ConsensusCluster::run_until`]
 //! then replays everything on the virtual clock and reports per-command
 //! fates, leader changes, message costs and (never, in a correct build)
@@ -18,9 +19,8 @@ use std::collections::BTreeMap;
 
 use udr_model::ids::SiteId;
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::event::EventQueue;
 use udr_sim::net::{Cut, CutHandle, Network, Topology};
-use udr_sim::SimRng;
+use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
 
 use crate::ballot::{NodeId, Slot};
 use crate::msg::{CmdId, Command, Envelope, Message};
@@ -142,6 +142,10 @@ impl RunReport {
     }
 }
 
+/// Every event shares one lane: the replicas, the network and the fault
+/// state are one shared state, advanced by sequential pops.
+const LANE: LaneClass = LaneClass::Local(0);
+
 enum Ev {
     Deliver { to: NodeId, env: Envelope },
     Tick { node: NodeId },
@@ -158,7 +162,7 @@ pub struct ConsensusCluster {
     sites: Vec<SiteId>,
     down: Vec<bool>,
     net: Network,
-    queue: EventQueue<Ev>,
+    queue: ShardedPump<Ev>,
     rng: SimRng,
     cfg: ClusterConfig,
     cuts: Vec<Cut>,
@@ -184,7 +188,7 @@ impl ConsensusCluster {
             sites,
             down: vec![false; n],
             net: Network::new(topo),
-            queue: EventQueue::new(),
+            queue: ShardedPump::new(PumpConfig::single()),
             rng: SimRng::seed_from_u64(seed ^ 0x5EED_CAFE),
             cfg,
             cuts: Vec::new(),
@@ -242,6 +246,7 @@ impl ConsensusCluster {
         self.next_cmd += 1;
         let origin = NodeId(origin);
         self.queue.schedule_at(
+            LANE,
             at,
             Ev::Submit {
                 origin,
@@ -262,20 +267,21 @@ impl ConsensusCluster {
         let idx = self.cuts.len();
         self.cuts.push(cut);
         self.active_cuts.push(None);
-        self.queue.schedule_at(at, Ev::StartCut { idx });
+        self.queue.schedule_at(LANE, at, Ev::StartCut { idx });
         self.queue
-            .schedule_at(at.saturating_add(duration), Ev::Heal { idx });
+            .schedule_at(LANE, at.saturating_add(duration), Ev::Heal { idx });
     }
 
     /// Crash node `node` at `at` (stops processing; state survives).
     pub fn schedule_crash(&mut self, at: SimTime, node: u32) {
-        self.queue.schedule_at(at, Ev::Crash { node: NodeId(node) });
+        self.queue
+            .schedule_at(LANE, at, Ev::Crash { node: NodeId(node) });
     }
 
     /// Restart a crashed node at `at`.
     pub fn schedule_restart(&mut self, at: SimTime, node: u32) {
         self.queue
-            .schedule_at(at, Ev::Restart { node: NodeId(node) });
+            .schedule_at(LANE, at, Ev::Restart { node: NodeId(node) });
     }
 
     fn start_ticks(&mut self) {
@@ -287,6 +293,7 @@ impl ConsensusCluster {
             // Small per-node stagger so timer events interleave.
             let first = self.cfg.tick_interval + SimDuration::from_micros(137 * i as u64);
             self.queue.schedule_at(
+                LANE,
                 SimTime::ZERO + first,
                 Ev::Tick {
                     node: NodeId(i as u32),
@@ -315,6 +322,7 @@ impl ConsensusCluster {
         self.messages.count(msg.kind(), sf != st);
         if let Some(delay) = self.net.send(sf, st, &mut self.rng).delay() {
             self.queue.schedule_at(
+                LANE,
                 now + delay,
                 Ev::Deliver {
                     to,
@@ -367,7 +375,7 @@ impl ConsensusCluster {
                 }
                 Ev::Tick { node } => {
                     self.queue
-                        .schedule_at(now + self.cfg.tick_interval, Ev::Tick { node });
+                        .schedule_at(LANE, now + self.cfg.tick_interval, Ev::Tick { node });
                     if self.down[node.index()] {
                         continue;
                     }

@@ -42,7 +42,7 @@ pub struct UdrConfig {
     /// enables batching to amortise the per-message cost.
     pub ship_batch: ShipBatchConfig,
     /// Event-pump sharding: lane-local queues per partition group plus a
-    /// cross-lane queue. Defaults to the legacy single-lane shape; any
+    /// cross-lane queue. Defaults to one lane ([`PumpConfig::single`]); any
     /// lane count replays the identical merged timeline (the pump's
     /// deterministic-merge contract), so this is a throughput knob, not
     /// a semantics knob.

@@ -8,16 +8,13 @@
 //! op, per-op with fail-fast for a procedure), enforces the operation
 //! timeout and records metrics.
 //!
-//! Historically every optional concern (session token, priority class,
-//! batch framing) grew its own `execute_op_*` variant; tenancy would have
-//! doubled that surface again. [`OpRequest`] replaces the whole family:
+//! Every optional concern (session token, priority class, batch framing,
+//! tenant) is a builder method on [`OpRequest`]:
 //!
 //! ```text
 //! udr.execute(OpRequest::new(&op).session(&mut tok).tenant(id))
 //! udr.execute(OpRequest::procedure(kind, &ids).site(fe).at(now))
 //! ```
-//!
-//! The old entry points survive as `#[deprecated]` shims delegating here.
 
 use udr_model::attrs::Entry;
 use udr_model::config::TxnClass;
@@ -89,7 +86,7 @@ pub enum OpPayload<'a> {
 
 /// One request against the UDR, with every optional concern as a builder
 /// method instead of a positional parameter. Consumed by
-/// [`Udr::execute`] — the single non-deprecated entry point.
+/// [`Udr::execute`] — the single entry point.
 ///
 /// Defaults: [`TxnClass::FrontEnd`], site 0, `t = 0`, no session, no
 /// frame, [`TenantId::DEFAULT`], priority derived from the payload (the
@@ -344,113 +341,6 @@ impl Udr {
                 })
             }
         }
-    }
-
-    /// Execute one LDAP operation issued by a client of `class` attached at
-    /// `client_site`, arriving at the local PoA at `now`.
-    #[deprecated(note = "build an OpRequest and call Udr::execute")]
-    pub fn execute_op(
-        &mut self,
-        op: &LdapOp,
-        class: TxnClass,
-        client_site: SiteId,
-        now: SimTime,
-    ) -> OpOutcome {
-        self.execute(OpRequest::new(op).class(class).site(client_site).at(now))
-            .into_op()
-    }
-
-    /// `execute_op` for a client that maintains a [`SessionToken`].
-    #[deprecated(note = "build an OpRequest and call Udr::execute")]
-    pub fn execute_op_with_session(
-        &mut self,
-        op: &LdapOp,
-        class: TxnClass,
-        client_site: SiteId,
-        now: SimTime,
-        session: Option<&mut SessionToken>,
-    ) -> OpOutcome {
-        let mut req = OpRequest::new(op).class(class).site(client_site).at(now);
-        if let Some(session) = session {
-            req = req.session(session);
-        }
-        self.execute(req).into_op()
-    }
-
-    /// `execute_op_with_session` with an explicit QoS priority class.
-    #[deprecated(note = "build an OpRequest and call Udr::execute")]
-    pub fn execute_op_prioritized(
-        &mut self,
-        op: &LdapOp,
-        class: TxnClass,
-        priority: PriorityClass,
-        client_site: SiteId,
-        now: SimTime,
-        session: Option<&mut SessionToken>,
-    ) -> OpOutcome {
-        let mut req = OpRequest::new(op)
-            .class(class)
-            .priority(priority)
-            .site(client_site)
-            .at(now);
-        if let Some(session) = session {
-            req = req.session(session);
-        }
-        self.execute(req).into_op()
-    }
-
-    /// `execute_op_prioritized` for an operation that is part of a framed
-    /// batch.
-    #[deprecated(note = "build an OpRequest and call Udr::execute")]
-    #[allow(clippy::too_many_arguments)] // mirrors the legacy signature
-    pub fn execute_op_framed(
-        &mut self,
-        op: &LdapOp,
-        class: TxnClass,
-        priority: PriorityClass,
-        client_site: SiteId,
-        now: SimTime,
-        session: Option<&mut SessionToken>,
-        frame: &mut FrameCursor,
-    ) -> OpOutcome {
-        let mut req = OpRequest::new(op)
-            .class(class)
-            .priority(priority)
-            .site(client_site)
-            .at(now)
-            .framed(frame);
-        if let Some(session) = session {
-            req = req.session(session);
-        }
-        self.execute(req).into_op()
-    }
-
-    /// Execute `ops` as one framed batch arriving together at `now`: the
-    /// batch travels as a single wire message
-    /// ([`udr_ldap::FramedBatch`]) and comes back as per-op results, in
-    /// order. Each op is admitted, routed and accounted individually;
-    /// ops after the first on a station amortise the framing share.
-    #[deprecated(note = "share one FrameCursor across OpRequest::framed calls to Udr::execute")]
-    pub fn execute_op_batch(
-        &mut self,
-        ops: &[LdapOp],
-        class: TxnClass,
-        client_site: SiteId,
-        now: SimTime,
-    ) -> Vec<OpOutcome> {
-        let mut frame = FrameCursor::new();
-        ops.iter()
-            .map(|op| {
-                self.execute(
-                    OpRequest::new(op)
-                        .class(class)
-                        .site(client_site)
-                        .at(now)
-                        .framed(&mut frame),
-                )
-                .into_op()
-            })
-            .collect()
     }
 
     #[allow(clippy::too_many_arguments)]

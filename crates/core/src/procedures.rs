@@ -11,11 +11,7 @@ use udr_model::error::UdrError;
 use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
-use udr_model::session::SessionToken;
-use udr_model::time::{SimDuration, SimTime};
-
-use crate::ops::OpRequest;
-use crate::udr::Udr;
+use udr_model::time::SimDuration;
 
 /// Result of one network procedure run.
 #[derive(Debug, Clone)]
@@ -111,40 +107,6 @@ pub fn procedure_ops(kind: ProcedureKind, ids: &IdentitySet, fe_site: SiteId) ->
         ProcedureKind::Detach => {
             vec![modify(imsi, vec![AttrMod::Delete(AttrId::VlrAddress)])]
         }
-    }
-}
-
-impl Udr {
-    /// Run one network procedure for a subscriber from an application
-    /// front-end at `fe_site`, starting at `now`.
-    #[deprecated(note = "build an OpRequest::procedure and call Udr::execute")]
-    pub fn run_procedure(
-        &mut self,
-        kind: ProcedureKind,
-        ids: &IdentitySet,
-        fe_site: SiteId,
-        now: SimTime,
-    ) -> ProcedureOutcome {
-        self.execute(OpRequest::procedure(kind, ids).site(fe_site).at(now))
-            .into_procedure()
-    }
-
-    /// `run_procedure` for a subscriber whose front-end signalling
-    /// maintains a [`SessionToken`].
-    #[deprecated(note = "build an OpRequest::procedure and call Udr::execute")]
-    pub fn run_procedure_with_session(
-        &mut self,
-        kind: ProcedureKind,
-        ids: &IdentitySet,
-        fe_site: SiteId,
-        now: SimTime,
-        session: Option<&mut SessionToken>,
-    ) -> ProcedureOutcome {
-        let mut req = OpRequest::procedure(kind, ids).site(fe_site).at(now);
-        if let Some(session) = session {
-            req = req.session(session);
-        }
-        self.execute(req).into_procedure()
     }
 }
 

@@ -302,26 +302,3 @@ fn tenant_budgets_spend_independently() {
     assert_eq!(cb.shed(), 0, "B never borrows or pays for A");
     assert_eq!(ca.forbidden + cb.forbidden, 0);
 }
-
-/// The deprecated single-op shim delegates to `Udr::execute` exactly:
-/// same outcome, same latency, same breakdown (intentional shim-compat
-/// coverage; everything else in the tree uses the builder).
-#[test]
-fn deprecated_shims_delegate_to_execute() {
-    let (mut udr_a, subs_a) = build(two_tenant_directory(), 3);
-    let (mut udr_b, subs_b) = build(two_tenant_directory(), 3);
-    #[allow(deprecated)]
-    let legacy = udr_a.execute_op(&read_op(&subs_a[2]), TxnClass::FrontEnd, SiteId(2), t(5));
-    let current = udr_b
-        .execute(
-            OpRequest::new(&read_op(&subs_b[2]))
-                .class(TxnClass::FrontEnd)
-                .site(SiteId(2))
-                .at(t(5)),
-        )
-        .into_op();
-    assert_eq!(legacy.result.is_ok(), current.result.is_ok());
-    assert_eq!(legacy.latency, current.latency);
-    assert_eq!(legacy.breakdown, current.breakdown);
-    assert_eq!(legacy.served_by, current.served_by);
-}

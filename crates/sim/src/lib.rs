@@ -1,11 +1,11 @@
 //! # udr-sim
 //!
 //! The deterministic discrete-event substrate replacing the paper's
-//! multi-national deployment: a virtual clock and event queue
-//! ([`event::EventQueue`]), the simulated IP network with LAN/backbone
-//! latency models, partitions and loss ([`net`]), fault schedules
-//! ([`faults`]), CPU processing stations ([`service`]) and seeded random
-//! sources ([`rng`]).
+//! multi-national deployment: a virtual clock and event queue, optionally
+//! split into lanes ([`pump::ShardedPump`]), the simulated IP network with
+//! LAN/backbone latency models, partitions and loss ([`net`]), fault
+//! schedules ([`faults`]), CPU processing stations ([`service`]) and seeded
+//! random sources ([`rng`]).
 //!
 //! CAP/PACELC behaviour depends only on message delay, ordering and
 //! reachability; simulating those deterministically lets every experiment in
@@ -13,14 +13,12 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod faults;
 pub mod net;
 pub mod pump;
 pub mod rng;
 pub mod service;
 
-pub use event::EventQueue;
 pub use faults::{Fault, FaultPhase, FaultSchedule, FaultScript};
 pub use net::{
     Cut, CutHandle, Degrade, DegradeHandle, LatencyModel, LinkOutcome, LinkProfile, NetStats,

@@ -1,11 +1,11 @@
-//! The sharded event pump: per-lane event queues plus a cross-lane
-//! queue, with a deterministic merge.
+//! The simulator's one event queue: per-lane heaps plus a cross-lane
+//! heap, with a deterministic merge.
 //!
-//! The single-heap [`EventQueue`](crate::event::EventQueue) serializes a
-//! whole deployment through one `O(log n)` heap on one core. The paper's
-//! architecture is the opposite shape: independent storage elements and
-//! site groups whose event streams rarely interact. [`ShardedPump`]
-//! exploits that independence:
+//! Every event fires in `(time, insertion seq)` order — earliest first,
+//! FIFO at equal instants — and an instant in the past clamps to `now`.
+//! [`PumpConfig::single`] gives one lane; more lanes pay off because the
+//! paper's storage elements and site groups have event streams that
+//! rarely interact:
 //!
 //! * **Lanes.** Every event is classified at schedule time as
 //!   [`LaneClass::Local`] to one lane (partition/site-group scoped) or
@@ -14,9 +14,9 @@
 //!   cross events live in a dedicated queue.
 //! * **Deterministic merge.** Sequence numbers are allocated globally at
 //!   schedule time, so popping the minimum `(time, seq)` across all
-//!   heaps replays *exactly* the single-heap order — same seed ⇒
-//!   byte-identical event timeline, for any lane count. This is the mode
-//!   deployments with shared mutable state (the full UDR) use.
+//!   heaps gives the same order at any lane count — same seed ⇒
+//!   byte-identical event timeline. Deployments with shared mutable
+//!   state (the full UDR, the consensus cluster) advance this way.
 //! * **Conservative parallel drain.** When the per-lane states are
 //!   disjoint, [`ShardedPump::drain_parallel`] advances all lanes
 //!   concurrently in rounds bounded by a lookahead barrier (the minimum
@@ -32,12 +32,41 @@
 //! (on a single-core container the two diverge; on a multicore host the
 //! wall clock converges to the critical path).
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use udr_model::time::{SimDuration, SimTime};
 
-use crate::event::Scheduled;
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so earliest time pops first,
+        // breaking ties by insertion sequence (FIFO).
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
 
 /// How a deployment advances its [`ShardedPump`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +81,7 @@ pub struct PumpConfig {
 }
 
 impl PumpConfig {
-    /// The legacy shape: one lane, sequential.
+    /// One lane, sequential — the default.
     pub const fn single() -> Self {
         PumpConfig {
             lanes: 1,
@@ -98,8 +127,19 @@ pub enum LaneClass {
 /// A deterministic sharded discrete-event scheduler.
 ///
 /// The sequential API ([`ShardedPump::pop`], [`ShardedPump::pop_until`])
-/// is drop-in for [`EventQueue`](crate::event::EventQueue) and replays
-/// the identical `(time, insertion-seq)` order for any lane count.
+/// pops in `(time, insertion-seq)` order, the same for any lane count;
+/// [`ShardedPump::drain_parallel`] runs disjoint lanes side by side.
+///
+/// ```
+/// use udr_sim::pump::{LaneClass, PumpConfig, ShardedPump};
+/// use udr_model::time::SimTime;
+///
+/// let mut pump: ShardedPump<&'static str> = ShardedPump::new(PumpConfig::single());
+/// pump.schedule_at(LaneClass::Local(0), SimTime(20), "b");
+/// pump.schedule_at(LaneClass::Local(0), SimTime(10), "a");
+/// assert_eq!(pump.pop(), Some((SimTime(10), "a")));
+/// assert_eq!(pump.now(), SimTime(10));
+/// ```
 pub struct ShardedPump<E> {
     lanes: Vec<BinaryHeap<Scheduled<E>>>,
     cross: BinaryHeap<Scheduled<E>>,
@@ -164,8 +204,8 @@ impl<E> ShardedPump<E> {
     }
 
     /// Schedule an event at an absolute instant into its classified
-    /// queue. Instants in the past clamp to `now`, like the single-heap
-    /// queue.
+    /// queue. Instants in the past clamp to `now` (the event fires next,
+    /// after any already due at `now`).
     pub fn schedule_at(&mut self, class: LaneClass, at: SimTime, event: E) {
         let at = at.max(self.now);
         let slot = Scheduled {
@@ -188,9 +228,9 @@ impl<E> ShardedPump<E> {
         self.schedule_at(class, self.now + delay, event);
     }
 
-    /// The queue holding the globally earliest event, by `(time, seq)`.
-    /// `None` = lane index, `Some` handled below: returns `usize::MAX`
-    /// sentinel for the cross queue.
+    /// The queue holding the globally earliest event, by `(time, seq)`:
+    /// a lane index, or `usize::MAX` for the cross queue. `None` when
+    /// every queue is empty.
     fn min_source(&self) -> Option<usize> {
         let mut best: Option<(SimTime, u64, usize)> =
             self.cross.peek().map(|s| (s.at, s.seq, usize::MAX));
@@ -206,8 +246,8 @@ impl<E> ShardedPump<E> {
     }
 
     /// Pop the earliest event across all queues and advance the clock —
-    /// the deterministic merge. Identical order to the single-heap
-    /// queue for any lane count, because `seq` is allocated globally.
+    /// the deterministic merge. The order is the same for any lane
+    /// count, because `seq` is allocated globally.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_classified().map(|(_, t, e)| (t, e))
     }
@@ -342,7 +382,7 @@ impl<E: Send> ShardedPump<E> {
     /// round no lane advances past `min(t_min + lookahead, next cross
     /// event, horizon)`, so no lane can run ahead of an effect aimed at
     /// it. Events arriving late clamp to the round boundary, exactly as
-    /// the single-heap queue clamps past events to `now`.
+    /// [`ShardedPump::schedule_at`] clamps past events to `now`.
     ///
     /// Determinism: each lane's event subsequence and handler order are
     /// a pure function of the schedule, independent of thread timing and
@@ -516,8 +556,8 @@ impl<E: Send> ShardedPump<E> {
                 .max(round_base + max_follow_ups * lane_count as u64);
             for (at, ev) in cross_follow_ups {
                 // The lookahead contract: cross effects land no earlier
-                // than the round boundary (late ones clamp, like the
-                // single-heap queue clamps past instants to `now`).
+                // than the round boundary (late ones clamp, like
+                // `schedule_at` clamps past instants to `now`).
                 let at = at.max(window_end.min(horizon));
                 self.schedule_at(LaneClass::Cross, at, ev);
             }
@@ -545,7 +585,6 @@ impl<E> std::fmt::Debug for ShardedPump<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
 
     fn t(us: u64) -> SimTime {
         SimTime(us)
@@ -553,7 +592,6 @@ mod tests {
 
     #[test]
     fn merged_pop_matches_single_heap_order() {
-        let mut legacy: EventQueue<u32> = EventQueue::new();
         let mut pump: ShardedPump<u32> = ShardedPump::new(PumpConfig::sharded(4));
         let stream = [
             (t(30), 0u32),
@@ -564,7 +602,6 @@ mod tests {
             (t(30), 5),
         ];
         for (i, (at, e)) in stream.iter().enumerate() {
-            legacy.schedule_at(*at, *e);
             let class = if i % 3 == 0 {
                 LaneClass::Cross
             } else {
@@ -572,11 +609,61 @@ mod tests {
             };
             pump.schedule_at(class, *at, *e);
         }
-        let a: Vec<_> = std::iter::from_fn(|| legacy.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| pump.pop()).collect();
-        assert_eq!(a, b);
+        // Earliest first; equal instants in insertion order, across lanes
+        // and the cross queue alike.
+        let popped: Vec<_> = std::iter::from_fn(|| pump.pop()).collect();
+        assert_eq!(
+            popped,
+            [
+                (t(10), 1),
+                (t(10), 2),
+                (t(10), 4),
+                (t(20), 3),
+                (t(30), 0),
+                (t(30), 5),
+            ]
+        );
         assert_eq!(pump.processed(), 6);
         assert_eq!(pump.now(), t(30));
+    }
+
+    #[test]
+    fn clock_advances_monotonically() {
+        let mut pump: ShardedPump<()> = ShardedPump::new(PumpConfig::sharded(2));
+        pump.schedule_at(LaneClass::Local(0), t(10), ());
+        pump.schedule_at(LaneClass::Cross, t(10), ());
+        pump.schedule_at(LaneClass::Local(1), t(25), ());
+        assert_eq!((pump.now(), pump.processed()), (SimTime::ZERO, 0));
+        let mut last = SimTime::ZERO;
+        while let Some((at, ())) = pump.pop() {
+            assert!(at >= last);
+            assert_eq!(pump.now(), at);
+            last = at;
+        }
+        assert_eq!(pump.now(), t(25));
+        assert_eq!(pump.processed(), 3);
+    }
+
+    #[test]
+    fn schedule_in_is_relative() {
+        let mut pump: ShardedPump<&str> = ShardedPump::new(PumpConfig::single());
+        pump.schedule_at(LaneClass::Local(0), t(40), "a");
+        pump.pop();
+        pump.schedule_in(LaneClass::Cross, SimDuration(5), "b");
+        assert_eq!(pump.pop(), Some((t(45), "b")));
+    }
+
+    #[test]
+    fn clear_empties_every_queue() {
+        let mut pump: ShardedPump<()> = ShardedPump::new(PumpConfig::sharded(3));
+        pump.schedule_at(LaneClass::Local(0), t(10), ());
+        pump.schedule_at(LaneClass::Local(2), t(20), ());
+        pump.schedule_at(LaneClass::Cross, t(30), ());
+        assert_eq!(pump.depths(), (vec![1, 0, 1], 1));
+        pump.clear();
+        assert!(pump.is_empty());
+        assert_eq!(pump.len(), 0);
+        assert!(pump.pop().is_none());
     }
 
     #[test]

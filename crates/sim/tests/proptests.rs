@@ -5,10 +5,9 @@ use proptest::prelude::*;
 
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::event::EventQueue;
 use udr_sim::net::{Cut, Network, Topology};
 use udr_sim::service::Station;
-use udr_sim::{FaultPhase, FaultScript, SimRng};
+use udr_sim::{FaultPhase, FaultScript, LaneClass, PumpConfig, ShardedPump, SimRng};
 
 /// A random fault phase with small, valid-for-3-sites parameters.
 fn arb_phase() -> impl Strategy<Value = FaultPhase> {
@@ -59,23 +58,25 @@ fn arb_script() -> impl Strategy<Value = FaultScript> {
 
 proptest! {
     /// Pops come out sorted by time with FIFO tie-break, regardless of the
-    /// insertion order.
+    /// insertion order, on one lane and spread over four.
     #[test]
     fn event_queue_is_a_stable_priority_queue(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule_at(SimTime(*t), i);
-        }
-        let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        while let Some(p) = q.pop() {
-            popped.push(p);
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for pair in popped.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0, "time order violated");
-            if pair[0].0 == pair[1].0 {
-                // Same instant: insertion order (the payload index) holds.
-                prop_assert!(pair[0].1 < pair[1].1, "FIFO violated");
+        for lanes in [1usize, 4] {
+            let mut q = ShardedPump::new(PumpConfig::sharded(lanes));
+            for (i, t) in times.iter().enumerate() {
+                q.schedule_at(LaneClass::Local(i), SimTime(*t), i);
+            }
+            let mut popped: Vec<(SimTime, usize)> = Vec::new();
+            while let Some(p) = q.pop() {
+                popped.push(p);
+            }
+            prop_assert_eq!(popped.len(), times.len());
+            for pair in popped.windows(2) {
+                prop_assert!(pair[0].0 <= pair[1].0, "time order violated");
+                if pair[0].0 == pair[1].0 {
+                    // Same instant: insertion order (the payload index) holds.
+                    prop_assert!(pair[0].1 < pair[1].1, "FIFO violated");
+                }
             }
         }
     }

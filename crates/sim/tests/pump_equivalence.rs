@@ -1,18 +1,53 @@
 //! Property tests for the sharded pump's determinism contract:
 //!
 //! * any event stream replayed through a [`ShardedPump`] with **one**
-//!   lane pops bit-identically to the legacy [`EventQueue`];
+//!   lane pops exactly as [`Model`], an ordered map keyed by
+//!   `(time, seq)` that clamps past instants to `now`;
 //! * with **N** lanes the merged `(time, seq)` timeline is *still*
 //!   identical, because sequence numbers are allocated globally at
 //!   schedule time — lane assignment never reorders the merge;
 //! * the conservative parallel drain replays the same per-shard event
 //!   subsequences for any lane count and for either threading mode.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::event::EventQueue;
 use udr_sim::pump::{LaneClass, PumpConfig, ShardedPump};
+
+/// The event order written down as directly as possible: earliest
+/// `(time, insertion seq)` first, past instants clamped to `now`.
+#[derive(Default)]
+struct Model {
+    pending: BTreeMap<(SimTime, u64), usize>,
+    now: SimTime,
+    seq: u64,
+    processed: u64,
+}
+
+impl Model {
+    fn schedule_at(&mut self, at: SimTime, event: usize) {
+        self.pending.insert((at.max(self.now), self.seq), event);
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let ((at, _), event) = self.pending.pop_first()?;
+        self.now = at;
+        self.processed += 1;
+        Some((at, event))
+    }
+
+    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, usize)> {
+        let (&(at, _), _) = self.pending.first_key_value()?;
+        if at <= horizon {
+            self.pop()
+        } else {
+            None
+        }
+    }
+}
 
 /// One scheduled entry: (at, shard, is_cross). Shards are the unit of
 /// lane assignment, exactly as partitions are in `udr-core`.
@@ -39,19 +74,19 @@ fn merged_timeline(stream: &[(u64, usize, bool)], lanes: usize) -> Vec<(SimTime,
 }
 
 proptest! {
-    /// A 1-lane sharded pump is bit-identical to the legacy queue:
-    /// identical pop order, clock trajectory and processed count.
+    /// A 1-lane sharded pump is bit-identical to the model: identical
+    /// pop order, clock trajectory and processed count.
     #[test]
-    fn one_lane_matches_legacy_queue(stream in arb_stream()) {
-        let mut legacy: EventQueue<usize> = EventQueue::new();
+    fn one_lane_matches_reference_model(stream in arb_stream()) {
+        let mut model = Model::default();
         for (i, (at, _, _)) in stream.iter().enumerate() {
-            legacy.schedule_at(SimTime(*at), i);
+            model.schedule_at(SimTime(*at), i);
         }
         let mut expect = Vec::new();
         let mut clocks = Vec::new();
-        while let Some(p) = legacy.pop() {
+        while let Some(p) = model.pop() {
             expect.push(p);
-            clocks.push(legacy.now());
+            clocks.push(model.now);
         }
 
         let mut pump: ShardedPump<usize> = ShardedPump::new(PumpConfig::single());
@@ -67,7 +102,7 @@ proptest! {
         }
         prop_assert_eq!(&expect, &got);
         prop_assert_eq!(&clocks, &pump_clocks);
-        prop_assert_eq!(legacy.processed(), pump.processed());
+        prop_assert_eq!(model.processed, pump.processed());
     }
 
     /// Lane count never changes the merged timeline: global sequence
@@ -81,20 +116,20 @@ proptest! {
     }
 
     /// `pop_until` horizons interleave with late scheduling exactly as
-    /// the legacy queue: past instants clamp to `now` in both.
+    /// in the model: past instants clamp to `now` in both.
     #[test]
-    fn incremental_drains_match_legacy(
+    fn incremental_drains_match_reference_model(
         stream in arb_stream(),
         horizons in prop::collection::vec(0u64..6_000, 1..10),
     ) {
         let mut sorted = horizons;
         sorted.sort_unstable();
-        let mut legacy: EventQueue<usize> = EventQueue::new();
+        let mut model = Model::default();
         let mut pump: ShardedPump<usize> = ShardedPump::new(PumpConfig::sharded(4));
         let mut feed = stream.iter().enumerate();
-        let mut schedule_next = |legacy: &mut EventQueue<usize>, pump: &mut ShardedPump<usize>| {
+        let mut schedule_next = |model: &mut Model, pump: &mut ShardedPump<usize>| {
             if let Some((i, (at, shard, cross))) = feed.next() {
-                legacy.schedule_at(SimTime(*at), i);
+                model.schedule_at(SimTime(*at), i);
                 let class = if *cross { LaneClass::Cross } else { LaneClass::Local(*shard) };
                 pump.schedule_at(class, SimTime(*at), i);
             }
@@ -102,19 +137,19 @@ proptest! {
         // Seed a few, then alternate drains at each horizon with more
         // (possibly past-clamped) scheduling.
         for _ in 0..5 {
-            schedule_next(&mut legacy, &mut pump);
+            schedule_next(&mut model, &mut pump);
         }
         for h in sorted {
             loop {
-                let a = legacy.pop_until(SimTime(h));
+                let a = model.pop_until(SimTime(h));
                 let b = pump.pop_until(SimTime(h));
                 prop_assert_eq!(a, b);
                 if a.is_none() {
                     break;
                 }
-                schedule_next(&mut legacy, &mut pump);
+                schedule_next(&mut model, &mut pump);
             }
-            prop_assert_eq!(legacy.now(), pump.now());
+            prop_assert_eq!(model.now, pump.now());
         }
     }
 

@@ -1,0 +1,581 @@
+//! Allocation floors: what the hot paths may ask of the allocator.
+//!
+//! * a warm `Search` makes no allocator call inside `Udr::execute`;
+//! * a one-attribute `Modify` allocates for what it changes, not for what
+//!   the record holds;
+//! * under consensus, what an operation allocates does not grow with the
+//!   chosen log;
+//! * the storage engine shares committed payloads instead of copying them.
+//!
+//! One counting allocator serves all four. It counts per thread, in
+//! const-initialised thread-locals that never allocate, so the floors run
+//! in parallel as separate tests and each sees only its own calls.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::ops::Range;
+use std::sync::Arc;
+
+use udr::core::{OpRequest, Udr, UdrConfig};
+use udr::ldap::{Dn, LdapOp};
+use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry};
+use udr::model::config::{DurabilityMode, IsolationLevel, ReadPolicy, ReplicationMode};
+use udr::model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr::model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr::model::time::{SimDuration, SimTime};
+use udr::replication::ShipBatchConfig;
+use udr::sim::net::LinkProfile;
+use udr::storage::{Engine, Lsn, StorageElement};
+
+/// What the allocator saw on one thread.
+#[derive(Clone, Copy)]
+struct Tally {
+    /// `alloc` and `realloc` calls.
+    calls: u64,
+    /// Bytes requested (a `realloc` counts its new size).
+    bytes: u64,
+    /// Requests whose size fell inside this thread's [`window`].
+    in_window: u64,
+}
+
+thread_local! {
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
+            calls: 0,
+            bytes: 0,
+            in_window: 0,
+        })
+    };
+    static WINDOW: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+fn count(size: usize) {
+    let (lo, hi) = WINDOW.with(Cell::get);
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        tally.calls += 1;
+        tally.bytes += size as u64;
+        tally.in_window += u64::from((lo..hi).contains(&size));
+        t.set(tally);
+    });
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are `Copy` cells in
+// const thread-locals, so counting neither allocates nor touches the memory
+// handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr`/`layout` came from this allocator; `new_size` is
+        // the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Count requests of a size in `sizes` on this thread from now on.
+fn window(sizes: Range<usize>) {
+    WINDOW.with(|w| w.set((sizes.start, sizes.end)));
+}
+
+/// This thread's running totals.
+fn tally() -> Tally {
+    TALLY.with(Cell::get)
+}
+
+/// What this thread asked of the allocator while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    let before = tally();
+    let out = f();
+    let after = tally();
+    (
+        out,
+        Tally {
+            calls: after.calls - before.calls,
+            bytes: after.bytes - before.bytes,
+            in_window: after.in_window - before.in_window,
+        },
+    )
+}
+
+const SITES: u32 = 3;
+
+fn imsi(n: u64) -> Imsi {
+    Imsi::new(format!("21401{n:010}")).unwrap()
+}
+
+/// Figure 2's backbone loses one message in 10⁴; a lost message fails the
+/// operation, and a failure may allocate.
+fn lossless_backbone(udr: &mut Udr) {
+    for a in 0..SITES {
+        for b in a + 1..SITES {
+            let latency = udr
+                .net
+                .topology()
+                .link(SiteId(a), SiteId(b))
+                .latency
+                .clone();
+            udr.net
+                .topology_mut()
+                .set_link(SiteId(a), SiteId(b), LinkProfile::lossless(latency));
+        }
+    }
+}
+
+/// Provision subscribers `0..subscribers` from site 0, one every 100 ms
+/// after `now`; returns the instant of the last.
+fn provision(udr: &mut Udr, subscribers: u64, mut now: SimTime) -> SimTime {
+    for n in 0..subscribers {
+        let ids = IdentitySet {
+            imsi: imsi(n),
+            msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
+            impus: vec![],
+            impi: None,
+        };
+        now += SimDuration::from_millis(100);
+        let out = udr.provision_subscriber(&ids, 0, SiteId(0), now);
+        assert!(out.is_ok(), "provisioning {n}: {:?}", out.op.result);
+    }
+    now
+}
+
+// --- Search: a warm search makes no allocator call --------------------------
+//
+// The payload is shared, a projection is a view of it, no error value is
+// built for an operation that succeeds, and a quorum consult keeps its
+// responders in a scratch vector.
+
+const SEARCH_SUBSCRIBERS: u64 = 40;
+/// Sim-time between searches: two consensus ticks, so the pump has work
+/// between any two searches — done by `advance_to`, outside the count.
+const SEARCH_GAP: SimDuration = SimDuration::from_millis(100);
+
+/// Whether search number `i` selects one attribute (else: everything).
+fn selects_one(i: u64) -> bool {
+    i.is_multiple_of(2)
+}
+
+/// Search number `i`: subscribers, sites and the attribute selection all
+/// rotate.
+fn search(i: u64) -> (LdapOp, SiteId) {
+    let attrs = if selects_one(i) {
+        vec![AttrId::OdbMask]
+    } else {
+        vec![]
+    };
+    let op = LdapOp::Search {
+        base: Dn::for_identity(Identity::Imsi(imsi(i % SEARCH_SUBSCRIBERS))),
+        attrs,
+    };
+    (op, SiteId((i / 2 % u64::from(SITES)) as u32))
+}
+
+/// Build, provision, write to every subscriber once, settle; then 1 000
+/// searches after a warm-up. Returns how many were served by the master
+/// copy and how many by a slave.
+fn searches_allocate_nothing(replication: ReplicationMode) -> (u64, u64) {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = replication;
+    cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
+    cfg.seed = 23;
+    let mut udr = Udr::build(cfg).unwrap();
+    lossless_backbone(&mut udr);
+
+    let mut now = provision(
+        &mut udr,
+        SEARCH_SUBSCRIBERS,
+        SimTime::ZERO + SimDuration::from_secs(2),
+    );
+    for n in 0..SEARCH_SUBSCRIBERS {
+        now += SEARCH_GAP;
+        let out = udr.modify_services(
+            &Identity::Imsi(imsi(n)),
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(n + 1))],
+            SiteId(0),
+            now,
+        );
+        assert!(out.is_ok(), "write {n}: {:?}", out.result);
+    }
+    now += SimDuration::from_secs(5);
+    udr.advance_to(now);
+    assert!(udr.replication_settled());
+
+    let master = udr.group(PartitionId(0)).master();
+    let (mut by_master, mut by_slave) = (0, 0);
+    for i in 0..1_200u64 {
+        let (op, site) = search(i);
+        now += SEARCH_GAP;
+        udr.advance_to(now);
+        let (out, tally) = counted(|| {
+            udr.execute(OpRequest::new(&op).site(site).at(now))
+                .into_op()
+        });
+
+        let entry = match &out.result {
+            Ok(Some(entry)) => entry,
+            other => panic!("search {i} from {site}: {other:?}"),
+        };
+        assert_eq!(
+            entry.get(AttrId::OdbMask),
+            Some(&AttrValue::U64(i % SEARCH_SUBSCRIBERS + 1))
+        );
+        assert_eq!(entry.len() == 1, selects_one(i), "search {i}: {entry:?}");
+        if i < 200 {
+            continue; // warm-up: histograms, scratch buffers, caches
+        }
+        assert_eq!(
+            tally.calls, 0,
+            "{replication}: search {i} from {site}, served by {:?}, made {} allocator calls",
+            out.served_by, tally.calls
+        );
+        if out.served_by == Some(master) {
+            by_master += 1;
+        } else {
+            by_slave += 1;
+        }
+    }
+    (by_master, by_slave)
+}
+
+#[test]
+fn a_warm_search_makes_no_allocator_call() {
+    let (by_master, by_slave) = searches_allocate_nothing(ReplicationMode::AsyncMasterSlave);
+    assert!(
+        by_master >= 300 && by_slave >= 300,
+        "master/slave-served: {by_master}/{by_slave}"
+    );
+    searches_allocate_nothing(ReplicationMode::Consensus { n: 3 });
+    searches_allocate_nothing(ReplicationMode::Quorum { n: 3, w: 2, r: 2 });
+}
+
+// --- Modify: a write costs what it changes ----------------------------------
+//
+// The new version copies the attribute vector and shares every value;
+// master log, ship channels and slave logs share one change list; shipping
+// collects no scratch vectors. The bound is an average over 1 000 writes
+// with the pump included, because logs, ship batches and the event queue
+// grow by doubling.
+
+const MODIFY_SUBSCRIBERS: u64 = 40;
+const WARM_UP: u64 = 200;
+const COUNTED: u64 = 1_000;
+/// Sim-time between writes: ten to a linger window, so batches of ten ship
+/// on the timer and the pump has deliveries to apply between writes.
+const MODIFY_GAP: SimDuration = SimDuration::from_micros(500);
+
+#[test]
+fn a_warm_modify_allocates_for_what_it_changes() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
+    cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
+    cfg.ship_batch = ShipBatchConfig::coalesce(64, SimDuration::from_millis(5));
+    cfg.seed = 23;
+    let mut udr = Udr::build(cfg).unwrap();
+    lossless_backbone(&mut udr);
+
+    let mut now = provision(
+        &mut udr,
+        MODIFY_SUBSCRIBERS,
+        SimTime::ZERO + SimDuration::from_secs(2),
+    );
+    now += SimDuration::from_secs(5);
+    udr.advance_to(now);
+
+    let ops: Vec<LdapOp> = (0..WARM_UP + COUNTED)
+        .map(|i| LdapOp::Modify {
+            dn: Dn::for_identity(Identity::Imsi(imsi(i % MODIFY_SUBSCRIBERS))),
+            mods: vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i + 1))],
+        })
+        .collect();
+    let mut counted_from = 0;
+    for (i, op) in ops.iter().enumerate() {
+        if i as u64 == WARM_UP {
+            counted_from = tally().calls;
+        }
+        now += MODIFY_GAP;
+        udr.advance_to(now);
+        let site = SiteId(i as u32 % SITES);
+        let out = udr.execute(OpRequest::new(op).site(site).at(now)).into_op();
+        assert!(out.is_ok(), "modify {i} from {site}: {:?}", out.result);
+    }
+    let calls = tally().calls - counted_from;
+
+    now += SimDuration::from_secs(5);
+    udr.advance_to(now);
+    assert!(udr.replication_settled());
+    assert!(
+        calls <= 6 * COUNTED,
+        "{COUNTED} warm modifies made {calls} allocator calls, pump included"
+    );
+}
+
+// --- Consensus: allocation does not grow with the chosen log ----------------
+
+/// Enough subscribers that neither write window straddles a power of two
+/// of the log length (logs, id sets and commit logs double there, which is
+/// amortised growth, not a cost per operation): with one chosen entry per
+/// provisioning, the windows see lengths 201–300 and 4 101–4 200.
+const CONSENSUS_SUBSCRIBERS: u64 = 100;
+/// Sim-time between operations: two protocol ticks, so every operation
+/// also pays for the pump work of an idle ensemble.
+const CONSENSUS_GAP: SimDuration = SimDuration::from_millis(100);
+
+struct Stream {
+    udr: Udr,
+    now: SimTime,
+    writes: u64,
+}
+
+impl Stream {
+    /// Writes number `self.writes + 1 ..= upto`, in order.
+    fn write_upto(&mut self, upto: u64) {
+        while self.writes < upto {
+            self.writes += 1;
+            self.now += CONSENSUS_GAP;
+            let out = self.udr.modify_services(
+                &Identity::Imsi(imsi(self.writes % CONSENSUS_SUBSCRIBERS)),
+                vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(self.writes))],
+                SiteId(0),
+                self.now,
+            );
+            assert!(out.is_ok(), "write {}: {:?}", self.writes, out.result);
+        }
+    }
+
+    /// Bytes one `Search` allocates, with the pump already at its instant.
+    fn search_bytes(&mut self) -> u64 {
+        self.now += CONSENSUS_GAP;
+        self.udr.advance_to(self.now);
+        let op = LdapOp::Search {
+            base: Dn::for_identity(Identity::Imsi(imsi(7))),
+            attrs: vec![AttrId::OdbMask],
+        };
+        let (found, tally) = counted(|| {
+            let out = self
+                .udr
+                .execute(OpRequest::new(&op).site(SiteId(0)).at(self.now))
+                .into_op();
+            matches!(out.result, Ok(Some(_)))
+        });
+        assert!(found, "the search must be served");
+        tally.bytes
+    }
+}
+
+#[test]
+fn consensus_ops_allocate_the_same_however_long_the_log() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+    cfg.seed = 22;
+    let mut udr = Udr::build(cfg).unwrap();
+    let now = provision(
+        &mut udr,
+        CONSENSUS_SUBSCRIBERS,
+        SimTime::ZERO + SimDuration::from_secs(2),
+    );
+    let mut s = Stream {
+        udr,
+        now,
+        writes: 0,
+    };
+
+    s.write_upto(100);
+    let early_search = s.search_bytes();
+    let early_writes = counted(|| s.write_upto(200)).1.bytes;
+    s.write_upto(4_000);
+    let late_search = s.search_bytes();
+    let late_writes = counted(|| s.write_upto(4_100)).1.bytes;
+
+    assert_eq!(
+        s.udr.consensus_committed_slots(),
+        vec![CONSENSUS_SUBSCRIBERS + 4_100],
+        "one chosen slot per write: the windows sit where the comment says"
+    );
+    assert!(
+        late_writes * 2 <= early_writes * 3,
+        "writes 4001-4100 allocated {late_writes} B against {early_writes} B for writes \
+         101-200: applying a chosen command must cost the new entries, not the log"
+    );
+    assert_eq!(
+        late_search, early_search,
+        "a consensus search after 4000 writes against one after 100"
+    );
+}
+
+// --- Storage: committed payloads are shared, not copied ---------------------
+
+/// Length of the one blob attribute every payload carries. A copy of it asks
+/// the allocator for this many bytes plus, for a reference-counted buffer,
+/// the counts' header and padding; no other allocation in the test falls in
+/// that range (columns and tables grow through powers of two on either side
+/// of it), so a request of such a size is a deep copy of that value.
+const BLOB: usize = 4099;
+
+fn payload(i: u64) -> Entry {
+    let mut e = Entry::new();
+    e.set(AttrId::Msisdn, format!("346{i:08}"));
+    e.set(AttrId::AuthKi, vec![i as u8; BLOB]);
+    e.set(AttrId::OdbMask, 0u64);
+    e
+}
+
+#[test]
+fn committed_payloads_are_shared_not_copied() {
+    const RECORDS: u64 = 10_000;
+    window(BLOB..BLOB + 32);
+    let mut master = Engine::new(SeId(0));
+    let mut slave = Engine::new(SeId(1));
+    for i in 0..RECORDS {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.put(txn, SubscriberUid(i), payload(i)).unwrap();
+        let record = master.commit(txn, SimTime(i)).unwrap().unwrap();
+        slave.apply_replicated(&record).unwrap();
+    }
+
+    // A snapshot is one vector of shared handles, however many records.
+    let (snapshot, tally) = counted(|| master.snapshot());
+    assert_eq!(snapshot.records.len() as u64, RECORDS);
+    assert!(
+        tally.calls <= 2,
+        "snapshot made {} allocations",
+        tally.calls
+    );
+    assert_eq!(tally.in_window, 0);
+
+    // An owning read shares the committed payload.
+    let (read, tally) = counted(|| master.read_committed(SubscriberUid(7)));
+    assert_eq!(tally.calls, 0, "read_committed allocated");
+    assert_eq!(read, Some(payload(7)));
+
+    let ki = |e: Option<&Entry>| match e.and_then(|e| e.get(AttrId::AuthKi)) {
+        Some(AttrValue::Bytes(b)) => Arc::clone(b),
+        other => panic!("no AuthKi octets: {other:?}"),
+    };
+
+    // The blob detector sees a copy into a shared buffer.
+    let (blob, tally) = counted(|| ki(read.as_ref()).to_vec());
+    assert_eq!(tally.in_window, 1);
+    let (_, tally) = counted(|| Arc::<[u8]>::from(blob));
+    assert_eq!((tally.calls, tally.in_window), (1, 1));
+
+    // A modify copies the attribute vector and no value in it; the store,
+    // the two logs, the commit record and the slave then share the new
+    // version, and the new version shares every untouched value with the
+    // old one. Four allocator calls in all: the vector, its `Arc`, the
+    // write-set node and the change list (the logs have room: this is the
+    // 10 001st push into a capacity of 16 384).
+    let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5))];
+    let ((), tally) = counted(|| {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.modify(txn, SubscriberUid(7), &mods).unwrap();
+        let record = master.commit(txn, SimTime(RECORDS)).unwrap().unwrap();
+        slave.apply_replicated(&record).unwrap();
+    });
+    assert_eq!(
+        tally.in_window, 0,
+        "modify + commit + apply copied the blob"
+    );
+    assert!(
+        tally.calls <= 4,
+        "modify + commit + apply made {} allocations",
+        tally.calls
+    );
+
+    let new = ki(master.committed_entry(SubscriberUid(7)));
+    let put_lsn = Lsn(8);
+    for (held_by, old) in [
+        ("the store, before", ki(read.as_ref())),
+        ("the snapshot", ki(snapshot.records[7].1.entry.as_ref())),
+        (
+            "the master log",
+            ki(master.log().get(put_lsn).unwrap().changes[0].entry.as_ref()),
+        ),
+        (
+            "the slave log",
+            ki(slave.log().get(put_lsn).unwrap().changes[0].entry.as_ref()),
+        ),
+        ("the slave", ki(slave.committed_entry(SubscriberUid(7)))),
+    ] {
+        assert!(Arc::ptr_eq(&new, &old), "AuthKi not shared with {held_by}");
+    }
+
+    // The copy did not write through to the snapshot taken before it.
+    let mut modified = payload(7);
+    modified.apply(&mods);
+    assert_eq!(slave.read_committed(SubscriberUid(7)), Some(modified));
+    assert_eq!(snapshot.records[7].1.entry, Some(payload(7)));
+
+    // A storage element finds its copy of the partition without building
+    // the "hosts no replica" message it would return on a miss: a read
+    // transaction, a modify and a slave apply through it allocate exactly
+    // what the engines beneath it allocate.
+    const P: PartitionId = PartitionId(0);
+    let mut se_master = StorageElement::new(SeId(0), SiteId(0), DurabilityMode::None);
+    se_master.add_replica(P, ReplicaRole::Master);
+    let mut se_slave = StorageElement::new(SeId(1), SiteId(1), DurabilityMode::None);
+    se_slave.add_replica(P, ReplicaRole::Slave);
+    let mut master = Engine::new(SeId(0));
+    let mut slave = Engine::new(SeId(1));
+    for i in 0..64 {
+        let txn = se_master.begin(P, IsolationLevel::ReadCommitted).unwrap();
+        se_master.put(P, txn, SubscriberUid(i), payload(i)).unwrap();
+        let (record, _) = se_master.commit(P, txn, SimTime(i)).unwrap();
+        se_slave.apply_replicated(P, &record.unwrap()).unwrap();
+
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.put(txn, SubscriberUid(i), payload(i)).unwrap();
+        let record = master.commit(txn, SimTime(i)).unwrap().unwrap();
+        slave.apply_replicated(&record).unwrap();
+    }
+
+    let (_, through_se) = counted(|| {
+        let txn = se_master.begin(P, IsolationLevel::ReadCommitted).unwrap();
+        let read = se_master.read(P, txn, SubscriberUid(7)).unwrap();
+        se_master.commit(P, txn, SimTime(64)).unwrap();
+        (read, se_master.last_lsn(P).unwrap())
+    });
+    let (_, bare) = counted(|| {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        let read = master.read(txn, SubscriberUid(7)).unwrap();
+        master.commit(txn, SimTime(64)).unwrap();
+        (read, master.last_lsn())
+    });
+    assert_eq!(
+        through_se.calls, bare.calls,
+        "begin + read + commit + last_lsn"
+    );
+
+    let (record, through_se) = counted(|| {
+        let txn = se_master.begin(P, IsolationLevel::ReadCommitted).unwrap();
+        se_master.modify(P, txn, SubscriberUid(7), &mods).unwrap();
+        se_master.commit(P, txn, SimTime(65)).unwrap().0.unwrap()
+    });
+    let (_, bare) = counted(|| {
+        let txn = master.begin(IsolationLevel::ReadCommitted);
+        master.modify(txn, SubscriberUid(7), &mods).unwrap();
+        master.commit(txn, SimTime(65)).unwrap().unwrap()
+    });
+    assert_eq!(through_se.calls, bare.calls, "begin + modify + commit");
+
+    let (_, through_se) = counted(|| se_slave.apply_replicated(P, &record).unwrap());
+    let (_, bare) = counted(|| slave.apply_replicated(&record).unwrap());
+    assert_eq!(through_se.calls, bare.calls, "apply_replicated");
+}
