@@ -672,12 +672,13 @@ impl Udr {
             UdrEvent::ReplDeliverBatch {
                 partition,
                 slave,
-                records,
+                mut records,
                 trace: _,
             } => {
-                for record in records {
+                for record in records.drain(..) {
                     self.deliver_replication(t, partition, slave, record);
                 }
+                self.shippers[partition.index()].recycle(records);
             }
             UdrEvent::ShipFlush {
                 partition,
@@ -905,9 +906,11 @@ impl Udr {
                 continue;
             }
             let master_site = self.ses[master.index()].site();
-            let slaves: Vec<SeId> = self.groups[p].slaves().collect();
-            for slave in slaves {
-                if !self.ses[slave.index()].is_up() {
+            // By index: nothing below changes the group, and the idle tick
+            // collects nothing.
+            for i in 0..self.groups[p].members().len() {
+                let slave = self.groups[p].members()[i];
+                if slave == master || !self.ses[slave.index()].is_up() {
                     continue;
                 }
                 let slave_site = self.ses[slave.index()].site();

@@ -6,6 +6,11 @@
 //! is asynchronous: commits never wait. When a slave is unreachable the
 //! channel stalls and a catch-up pass re-ships the missing suffix from the
 //! master's log once the slave is reachable again.
+//!
+//! Batched shipping recycles its vectors: a delivered batch hands its
+//! emptied record vector back ([`AsyncShipper::recycle`]), and the next
+//! flush on any of the shipper's channels takes a returned vector before it
+//! allocates one, so a steady stream of batches allocates no batch vector.
 
 use std::collections::BTreeSet;
 
@@ -83,6 +88,9 @@ pub struct AsyncShipper {
     /// in-flight delivery acks must not resurrect it, or the periodic
     /// catch-up pass would retry its pending suffix forever.
     drained: BTreeSet<SeId>,
+    /// Emptied batch vectors handed back by delivered batches, for the
+    /// next flushes to reuse.
+    spares: Vec<Vec<CommitRecord>>,
     /// Records shipped (including re-ships).
     pub shipped: u64,
     /// Catch-up passes performed.
@@ -288,9 +296,14 @@ impl AsyncShipper {
             return None;
         };
         let arrives = (now + delay).max(ch.last_arrival);
-        // The next batch on this channel is most likely as long as this one.
+        // A recycled vector if a delivered batch returned one; else room
+        // for a batch as long as this one, the likeliest next length.
         let room = ch.pending.len();
-        let records = std::mem::replace(&mut ch.pending, Vec::with_capacity(room));
+        let next = self
+            .spares
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(room));
+        let records = std::mem::replace(&mut ch.pending, next);
         let trace = std::mem::take(&mut ch.open_trace);
         let last = records.last().expect("non-empty batch").lsn;
         ch.inflight = last;
@@ -304,6 +317,13 @@ impl AsyncShipper {
             arrives,
             trace,
         })
+    }
+
+    /// Take back a delivered batch's record vector for a later flush to
+    /// reuse; whatever it still holds is dropped.
+    pub fn recycle(&mut self, mut records: Vec<CommitRecord>) {
+        records.clear();
+        self.spares.push(records);
     }
 
     /// Flush `slave`'s open batch only if it is still generation `seq`
@@ -736,6 +756,55 @@ mod tests {
         }
         assert_eq!(shipper.batches, 2);
         assert_eq!(shipper.shipped, 2);
+    }
+
+    #[test]
+    fn a_flush_reuses_a_delivered_batch_vector() {
+        let mut master = Engine::new(SeId(0));
+        let recs = commit_n(&mut master, 6);
+        let mut shipper = AsyncShipper::new();
+        shipper.register_slave(SeId(1), Lsn::ZERO);
+        shipper.register_slave(SeId(2), Lsn::ZERO);
+        let cfg = ShipBatchConfig::coalesce(2, SimDuration::from_millis(5));
+        let delay = Some(SimDuration::from_millis(1));
+        let flush = |shipper: &mut AsyncShipper, slave, recs: &[CommitRecord]| {
+            for r in recs {
+                shipper.enqueue(slave, r, &cfg);
+            }
+            shipper
+                .flush_open(slave, SimTime(0), delay)
+                .unwrap()
+                .records
+        };
+
+        // Nothing delivered yet: each flush allocates its own vector.
+        let first = flush(&mut shipper, SeId(1), &recs[..2]);
+        let other = flush(&mut shipper, SeId(2), &recs[..2]);
+        assert_eq!(shipper.spares.len(), 0);
+
+        // Delivered and handed back: the next flush, on either channel,
+        // takes it as the channel's open batch, and the batch after ships
+        // in that buffer.
+        let buffer = first.as_ptr();
+        shipper.recycle(first);
+        assert_eq!(shipper.spares.len(), 1);
+        let next = flush(&mut shipper, SeId(2), &recs[2..4]);
+        assert_eq!(shipper.spares.len(), 0);
+        let again = flush(&mut shipper, SeId(2), &recs[4..6]);
+        assert!(
+            std::ptr::eq(again.as_ptr(), buffer),
+            "the buffer was not reused"
+        );
+        assert_eq!(
+            again.iter().map(|r| r.lsn).collect::<Vec<_>>(),
+            [Lsn(5), Lsn(6)]
+        );
+
+        // The shipper holds at most one spare per delivered batch.
+        for (delivered, batch) in [other, next, again].into_iter().enumerate() {
+            shipper.recycle(batch);
+            assert!(shipper.spares.len() <= delivered + 1);
+        }
     }
 
     #[test]

@@ -16,9 +16,17 @@
 //! The engine is clock-free: commit timestamps are supplied by the caller
 //! (virtual time in simulations, wall time in benchmarks), which keeps the
 //! same code path usable from both the DES and Criterion.
+//!
+//! A transaction's write set is a vector kept sorted by uid, and the engine
+//! lends one to each transaction it begins: `begin` takes the engine's spare
+//! vector and `commit`/`abort` hand it back emptied, so in the pipeline's
+//! one-transaction-at-a-time use a write stages into memory the previous
+//! transaction already allocated. A transaction that begins while another
+//! holds the spare starts with an empty vector of its own. Row locks and
+//! staged values are one map, so staging a write is one probe and so is
+//! releasing it at commit.
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::BTreeMap;
 
 use udr_model::attrs::{AttrMod, Entry};
 use udr_model::config::IsolationLevel;
@@ -37,9 +45,17 @@ pub struct TxnId(pub u64);
 #[derive(Debug)]
 struct ActiveTxn {
     isolation: IsolationLevel,
-    /// Staged final values per record (`None` = delete), in uid order so
-    /// commit application is deterministic.
-    writes: BTreeMap<SubscriberUid, Option<Entry>>,
+    /// Staged final values per record (`None` = delete), one per uid,
+    /// sorted by uid so commit application is deterministic.
+    writes: Vec<(SubscriberUid, Option<Entry>)>,
+}
+
+impl ActiveTxn {
+    /// This transaction's staged value for `uid`, if it wrote one.
+    fn staged(&self, uid: SubscriberUid) -> Option<&Option<Entry>> {
+        let i = self.writes.binary_search_by_key(&uid, |(u, _)| *u).ok()?;
+        Some(&self.writes[i].1)
+    }
 }
 
 /// A snapshot of an engine's committed state (what periodic durability
@@ -77,11 +93,13 @@ pub struct Engine {
     se: SeId,
     /// Committed state, stored column-wise (see [`RecordStore`]).
     committed: RecordStore,
-    /// Row write locks: uid → holding transaction.
-    locks: IdMap<SubscriberUid, TxnId>,
-    /// Uncommitted staged values, readable at READ_UNCOMMITTED.
+    /// Row write locks with the holder's staged value: uid → (holding
+    /// transaction, value readable at READ_UNCOMMITTED).
     dirty: IdMap<SubscriberUid, (TxnId, Option<Entry>)>,
     active: IdMap<TxnId, ActiveTxn>,
+    /// The write-set vector the next `begin` borrows (empty, capacity
+    /// kept).
+    spare_writes: Vec<(SubscriberUid, Option<Entry>)>,
     log: CommitLog,
     next_txn: u64,
     /// Commits applied (local + replicated), for reporting.
@@ -96,9 +114,9 @@ impl Engine {
         Engine {
             se,
             committed: RecordStore::new(),
-            locks: IdMap::default(),
             dirty: IdMap::default(),
             active: IdMap::default(),
+            spare_writes: Vec::new(),
             log: CommitLog::new(),
             next_txn: 1,
             commit_count: 0,
@@ -113,9 +131,9 @@ impl Engine {
         Engine {
             se,
             committed: RecordStore::from_records(snapshot.records),
-            locks: IdMap::default(),
             dirty: IdMap::default(),
             active: IdMap::default(),
+            spare_writes: Vec::new(),
             log: CommitLog::starting_after(snapshot.last_lsn),
             next_txn: 1,
             commit_count: 0,
@@ -141,10 +159,19 @@ impl Engine {
             id,
             ActiveTxn {
                 isolation,
-                writes: BTreeMap::new(),
+                writes: std::mem::take(&mut self.spare_writes),
             },
         );
         id
+    }
+
+    /// Take back a finished transaction's write-set vector, emptied. Of two
+    /// vectors the engine keeps the roomier.
+    fn return_writes(&mut self, mut writes: Vec<(SubscriberUid, Option<Entry>)>) {
+        if writes.capacity() > self.spare_writes.capacity() {
+            writes.clear();
+            self.spare_writes = writes;
+        }
     }
 
     fn txn(&self, id: TxnId) -> UdrResult<&ActiveTxn> {
@@ -160,7 +187,7 @@ impl Engine {
     ///   writes (dirty reads).
     pub fn read(&self, id: TxnId, uid: SubscriberUid) -> UdrResult<Option<Entry>> {
         let txn = self.txn(id)?;
-        if let Some(staged) = txn.writes.get(&uid) {
+        if let Some(staged) = txn.staged(uid) {
             return Ok(staged.clone());
         }
         if txn.isolation == IsolationLevel::ReadUncommitted {
@@ -199,25 +226,24 @@ impl Engine {
         self.committed.get(uid)
     }
 
-    fn lock(&mut self, id: TxnId, uid: SubscriberUid) -> UdrResult<()> {
-        match self.locks.entry(uid) {
-            MapEntry::Occupied(e) if *e.get() != id => {
+    /// Lock `uid` for `id` (or find it already locked by `id`) and stage
+    /// `value` as its new version.
+    fn stage(&mut self, id: TxnId, uid: SubscriberUid, value: Option<Entry>) -> UdrResult<()> {
+        let txn = self.active.get_mut(&id).ok_or(UdrError::TxnInvalid)?;
+        match self.dirty.entry(uid) {
+            MapEntry::Occupied(e) if e.get().0 != id => {
                 self.conflict_count += 1;
-                Err(UdrError::WriteConflict(uid))
+                return Err(UdrError::WriteConflict(uid));
             }
-            MapEntry::Occupied(_) => Ok(()),
+            MapEntry::Occupied(mut e) => e.get_mut().1 = value.clone(),
             MapEntry::Vacant(e) => {
-                e.insert(id);
-                Ok(())
+                e.insert((id, value.clone()));
             }
         }
-    }
-
-    fn stage(&mut self, id: TxnId, uid: SubscriberUid, value: Option<Entry>) -> UdrResult<()> {
-        self.lock(id, uid)?;
-        let txn = self.active.get_mut(&id).ok_or(UdrError::TxnInvalid)?;
-        txn.writes.insert(uid, value.clone());
-        self.dirty.insert(uid, (id, value));
+        match txn.writes.binary_search_by_key(&uid, |(u, _)| *u) {
+            Ok(i) => txn.writes[i].1 = value,
+            Err(i) => txn.writes.insert(i, (uid, value)),
+        }
         Ok(())
     }
 
@@ -225,7 +251,7 @@ impl Engine {
     /// first, then committed.
     fn visible_for_write(&self, id: TxnId, uid: SubscriberUid) -> UdrResult<Option<Entry>> {
         let txn = self.txn(id)?;
-        if let Some(staged) = txn.writes.get(&uid) {
+        if let Some(staged) = txn.staged(uid) {
             return Ok(staged.clone());
         }
         Ok(self.read_committed(uid))
@@ -264,23 +290,23 @@ impl Engine {
     /// Commit: atomically publish all staged writes with the next LSN.
     /// Returns `None` for read-only transactions (no log record produced).
     pub fn commit(&mut self, id: TxnId, now: SimTime) -> UdrResult<Option<CommitRecord>> {
-        let txn = self.active.remove(&id).ok_or(UdrError::TxnInvalid)?;
-        if txn.writes.is_empty() {
+        let mut writes = self.active.remove(&id).ok_or(UdrError::TxnInvalid)?.writes;
+        if writes.is_empty() {
+            self.return_writes(writes);
             return Ok(None);
         }
         let lsn = self.log.last_lsn().next();
-        // Counting the range, not the map's iterator, tells `collect` the
-        // exact length, so the shared change list is allocated once.
-        let mut writes = txn.writes.into_iter();
-        let changes = (0..writes.len())
-            .map(|_| {
-                let (uid, entry) = writes.next().expect("one write per counted index");
-                self.locks.remove(&uid);
+        // `drain` reports its exact length, so the shared change list is
+        // allocated once, in ascending uid order.
+        let changes = writes
+            .drain(..)
+            .map(|(uid, entry)| {
                 self.dirty.remove(&uid);
                 self.committed.upsert(uid, entry.clone(), lsn, now, self.se);
                 Change { uid, entry }
             })
             .collect();
+        self.return_writes(writes);
         let record = CommitRecord {
             lsn,
             committed_at: now,
@@ -295,10 +321,10 @@ impl Engine {
     /// Abort: discard staged writes and release locks.
     pub fn abort(&mut self, id: TxnId) {
         if let Some(txn) = self.active.remove(&id) {
-            for uid in txn.writes.keys() {
-                self.locks.remove(uid);
+            for (uid, _) in &txn.writes {
                 self.dirty.remove(uid);
             }
+            self.return_writes(txn.writes);
         }
     }
 

@@ -75,7 +75,7 @@ pub struct CommitRecord {
     pub committed_at: SimTime,
     /// Master SE that produced the record.
     pub written_by: SeId,
-    /// Record-level changes, in write order.
+    /// Record-level changes, one per record, in ascending uid order.
     pub changes: Arc<[Change]>,
 }
 

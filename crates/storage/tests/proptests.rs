@@ -304,10 +304,33 @@ enum Write {
     Delete(u64),
 }
 
+impl Write {
+    fn uid(&self) -> u64 {
+        match self {
+            Write::Put(uid, _) | Write::Modify(uid, _) | Write::Delete(uid) => *uid,
+        }
+    }
+
+    /// The same write to another record.
+    fn to(&self, uid: u64) -> Write {
+        match self {
+            Write::Put(_, e) => Write::Put(uid, e.clone()),
+            Write::Modify(_, mods) => Write::Modify(uid, mods.clone()),
+            Write::Delete(_) => Write::Delete(uid),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Step {
     /// One transaction; aborted as a whole if any write fails.
     Txn(Vec<Write>),
+    /// Two transactions open at once, their writes staged alternately on
+    /// disjoint records (the second's uids are shifted past the first's);
+    /// the second commits first if the flag is set. The second begins
+    /// while the first holds the engine's spare write set, so it stages
+    /// into a vector of its own.
+    Interleaved(Vec<Write>, Vec<Write>, bool),
     Snapshot,
     /// The slave applies everything committed so far.
     SlaveCatchUp,
@@ -331,9 +354,21 @@ fn write_strategy() -> impl Strategy<Value = Write> {
     ]
 }
 
+/// Records the second of two interleaved transactions writes are shifted
+/// by this much, past every uid `write_strategy` draws.
+const SHIFT: u64 = 6;
+
 fn step_strategy() -> impl Strategy<Value = Step> {
+    let txn = || prop::collection::vec(write_strategy(), 1..4);
     prop_oneof![
-        prop::collection::vec(write_strategy(), 1..4).prop_map(Step::Txn),
+        txn().prop_map(Step::Txn),
+        // Every write of the transaction to one record.
+        (0u64..6, prop::collection::vec(write_strategy(), 2..5))
+            .prop_map(|(uid, writes)| Step::Txn(writes.iter().map(|w| w.to(uid)).collect())),
+        (txn(), txn(), any::<bool>()).prop_map(|(a, b, flip)| {
+            let b = b.iter().map(|w| w.to(w.uid() + SHIFT)).collect();
+            Step::Interleaved(a, b, flip)
+        }),
         Just(Step::Snapshot),
         Just(Step::SlaveCatchUp),
     ]
@@ -376,6 +411,62 @@ fn stage_owned(state: &mut OwnedState, w: &Write) -> Result<u64, ()> {
     }
 }
 
+/// A transaction in flight beside the model of what it staged.
+struct Open {
+    txn: udr_storage::TxnId,
+    /// The committed state with this transaction's writes applied.
+    next: OwnedState,
+    /// Uids written so far; `None` once a write failed.
+    uids: Option<Vec<u64>>,
+}
+
+impl Open {
+    fn new(txn: udr_storage::TxnId, state: &OwnedState) -> Self {
+        Open {
+            txn,
+            next: state.clone(),
+            uids: Some(Vec::new()),
+        }
+    }
+
+    /// Stage `w` on the engine and the model alike, unless an earlier
+    /// write failed; the engine must refuse exactly what the model does.
+    fn stage(&mut self, engine: &mut Engine, w: &Write) {
+        let Some(uids) = &mut self.uids else {
+            return;
+        };
+        let model = stage_owned(&mut self.next, w);
+        prop_assert_eq!(stage(engine, self.txn, w), model.map(drop));
+        match model {
+            Ok(uid) => uids.push(uid),
+            Err(()) => self.uids = None,
+        }
+    }
+
+    /// Commit, carrying the records written into `state`, or abort if a
+    /// write failed.
+    fn finish(
+        self,
+        engine: &mut Engine,
+        at: SimTime,
+        state: &mut OwnedState,
+        records: &mut Vec<CommitRecord>,
+        expected: &mut Vec<Vec<(u64, Option<OwnedEntry>)>>,
+    ) {
+        let Some(mut uids) = self.uids else {
+            engine.abort(self.txn);
+            return;
+        };
+        records.push(engine.commit(self.txn, at).unwrap().unwrap());
+        uids.sort_unstable();
+        uids.dedup();
+        expected.push(uids.iter().map(|u| (*u, self.next[u].clone())).collect());
+        for u in uids {
+            state.insert(u, self.next[&u].clone());
+        }
+    }
+}
+
 fn assert_log_matches(log: &CommitLog, expected: &[Vec<(u64, Option<OwnedEntry>)>]) {
     assert_eq!(log.len(), expected.len());
     for (record, expected) in log.iter().zip(expected) {
@@ -405,27 +496,27 @@ proptest! {
             match step {
                 Step::Txn(writes) => {
                     let txn = master.begin(IsolationLevel::ReadCommitted);
-                    let mut next = state.clone();
-                    let staged: Result<Vec<u64>, ()> = writes
-                        .iter()
-                        .map(|w| {
-                            let model = stage_owned(&mut next, w);
-                            prop_assert_eq!(stage(&mut master, txn, w), model.map(drop));
-                            model
-                        })
-                        .collect();
-                    match staged {
-                        Ok(mut uids) => {
-                            let record = master.commit(txn, SimTime(i as u64)).unwrap().unwrap();
-                            uids.sort_unstable();
-                            uids.dedup();
-                            expected_records
-                                .push(uids.iter().map(|u| (*u, next[u].clone())).collect());
-                            records.push(record);
-                            state = next;
-                        }
-                        Err(()) => master.abort(txn),
+                    let mut open = Open::new(txn, &state);
+                    for w in writes {
+                        open.stage(&mut master, w);
                     }
+                    open.finish(&mut master, SimTime(i as u64), &mut state, &mut records, &mut expected_records);
+                }
+                Step::Interleaved(a, b, b_first) => {
+                    let mut first = Open::new(master.begin(IsolationLevel::ReadCommitted), &state);
+                    let mut second = Open::new(master.begin(IsolationLevel::ReadCommitted), &state);
+                    for k in 0..a.len().max(b.len()) {
+                        if let Some(w) = a.get(k) {
+                            first.stage(&mut master, w);
+                        }
+                        if let Some(w) = b.get(k) {
+                            second.stage(&mut master, w);
+                        }
+                    }
+                    let at = SimTime(i as u64);
+                    let (one, two) = if *b_first { (second, first) } else { (first, second) };
+                    one.finish(&mut master, at, &mut state, &mut records, &mut expected_records);
+                    two.finish(&mut master, at, &mut state, &mut records, &mut expected_records);
                 }
                 Step::Snapshot => snapshots.push((master.snapshot(), state.clone())),
                 Step::SlaveCatchUp => {
@@ -443,6 +534,11 @@ proptest! {
 
         for (record, expected) in records.iter().zip(&expected_records) {
             prop_assert_eq!(&owned_changes(record), expected, "handed out, {}", record.lsn);
+            prop_assert!(
+                record.changes.windows(2).all(|w| w[0].uid < w[1].uid),
+                "{}: changes not in strictly ascending uid order",
+                record.lsn
+            );
         }
         assert_log_matches(master.log(), &expected_records);
         assert_log_matches(slave.log(), &expected_records);
