@@ -8,10 +8,10 @@
 //!
 //! Every client operation runs through the explicit four-stage
 //! [`pipeline`] (`AccessStage → LocationStage → ReplicationStage →
-//! StorageStage`), with data location behind the
-//! [`Locator`](udr_dls::Locator) trait and storage behind the
-//! [`StorageBackend`](udr_storage::StorageBackend) trait. [`Udr`] itself
-//! is the deployment container and event pump. The access stage fronts
+//! StorageStage`), which calls the serving cluster's
+//! [`DataLocationStage`](udr_dls::DataLocationStage) and the routed
+//! [`StorageElement`](udr_storage::StorageElement) directly. [`Udr`]
+//! itself is the deployment container and event pump. The access stage fronts
 //! everything with per-cluster QoS admission control
 //! ([`udr_qos::AdmissionController`], disabled by default): priority-
 //! class-aware load shedding before an operation costs server CPU, and

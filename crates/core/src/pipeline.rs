@@ -6,18 +6,18 @@
 //!
 //! ```text
 //! AccessStage ──▶ LocationStage ──▶ ReplicationStage ──▶ StorageStage
-//!  (PoA + LDAP     (DLS resolution    (copy routing,       (single-SE
-//!   server, §3.4)    via Locator,       quorum/multi-        transaction
-//!                     §3.3.1/§3.5)      master, §3.3/§5)     via Storage-
-//!                                                            Backend, §3.2)
+//!  (PoA + LDAP     (DLS resolution,   (copy routing,       (single-SE
+//!   server, §3.4)    §3.3.1/§3.5)       quorum/multi-        transaction,
+//!                                       master, §3.3/§5)     §3.2)
 //!                                      ◀── finish: post-commit
 //!                                          replication + staleness
 //! ```
 //!
-//! The location stage runs behind the [`Locator`] trait (provisioned maps,
-//! cached maps, and the consistent-hash ring all implement it) and the
-//! storage stage behind the [`StorageBackend`] trait (implemented by the
-//! in-RAM [`udr_storage::StorageElement`]). A [`PipelineCtx`] carries the
+//! The location stage calls the serving cluster's
+//! [`udr_dls::DataLocationStage`], which hosts provisioned maps, cached
+//! maps or the consistent-hash ring as chosen by the deployment's
+//! `LocatorKind`; the storage stage calls the routed
+//! [`udr_storage::StorageElement`]. A [`PipelineCtx`] carries the
 //! operation plus the accumulated [`LatencyBreakdown`], so experiments
 //! can attribute end-to-end latency to the stage that caused it.
 //!
@@ -25,7 +25,7 @@
 //! deployment container and event pump, and `ops.rs` is a thin entry
 //! point that builds a context and runs this chain.
 
-use udr_dls::{Location, Locator, Resolution};
+use udr_dls::{Location, Resolution};
 use udr_ldap::{FrameCursor, LdapOp};
 use udr_model::attrs::Entry;
 use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
@@ -38,7 +38,7 @@ use udr_model::tenant::{Capability, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::quorum::quorum_write;
 use udr_replication::Enqueue;
-use udr_storage::{CommitRecord, StorageBackend};
+use udr_storage::{CommitRecord, StorageElement};
 use udr_trace::SpanCtx;
 
 use crate::ops::OpOutcome;
@@ -470,10 +470,11 @@ impl AccessStage {
 }
 
 /// Stage 2 — §3.3.1 decision 1: resolve the identity to a data location
-/// through the cluster's [`Locator`]. Cached and hashed locators may
-/// require an SE probe broadcast (§3.5's scalability hurdle).
+/// through the cluster's [`udr_dls::DataLocationStage`]. Cached and hashed
+/// realisations may require an SE probe broadcast (§3.5's scalability
+/// hurdle).
 ///
-/// The stage also version-checks the locator's routing view against the
+/// The stage also version-checks the cluster stage's routing view against the
 /// deployment's epoch-versioned shard map: a lookup resolved under a
 /// stale epoch whose partition moved since (live migration cutover or
 /// failover) first bounces off the retired owner — one wasted round trip,
@@ -483,20 +484,16 @@ pub struct LocationStage;
 
 impl LocationStage {
     /// Run the stage: resolve the operation's identity via the cluster's
-    /// [`Locator`], probing SEs on a miss and retrying a stale-epoch
+    /// location stage, probing SEs on a miss and retrying a stale-epoch
     /// route at most once.
     pub fn run(udr: &mut Udr, ctx: &mut PipelineCtx) -> Result<(), OpOutcome> {
         let identity = *ctx.op.dn().identity();
         let current = udr.shard_map.epoch();
         let mut retried = false;
         loop {
-            let (observed, resolution) = {
-                let locator: &mut dyn Locator = &mut udr.clusters[ctx.cluster_idx].stage;
-                (
-                    locator.map_epoch(),
-                    locator.resolve(&identity, ctx.now, None),
-                )
-            };
+            let stage = &mut udr.clusters[ctx.cluster_idx].stage;
+            let (observed, resolution) =
+                (stage.map_epoch(), stage.resolve(&identity, ctx.now, None));
             return match resolution {
                 Resolution::Found(loc) => {
                     if !retried
@@ -522,15 +519,17 @@ impl LocationStage {
                                 Some(format!("p{} epoch {observed}→{current}", loc.partition.0)),
                             );
                         }
-                        let locator: &mut dyn Locator = &mut udr.clusters[ctx.cluster_idx].stage;
-                        locator.install_map_epoch(current);
+                        udr.clusters[ctx.cluster_idx]
+                            .stage
+                            .install_map_epoch(current);
                         retried = true;
                         continue;
                     }
                     if observed < current {
                         // Unmoved partition: piggyback the refresh for free.
-                        let locator: &mut dyn Locator = &mut udr.clusters[ctx.cluster_idx].stage;
-                        locator.install_map_epoch(current);
+                        udr.clusters[ctx.cluster_idx]
+                            .stage
+                            .install_map_epoch(current);
                     }
                     ctx.location = Some(loc);
                     Ok(())
@@ -546,7 +545,7 @@ impl LocationStage {
         }
     }
 
-    /// Locator miss: broadcast a location probe to the SEs. The answer
+    /// Location-stage miss: broadcast a location probe to the SEs. The answer
     /// comes from the owning partition's master; absence is known only
     /// after the slowest reachable SE answers.
     fn probe(
@@ -573,8 +572,9 @@ impl LocationStage {
                     }));
                 };
                 ctx.breakdown.location += owner_rtt;
-                let locator: &mut dyn Locator = &mut udr.clusters[ctx.cluster_idx].stage;
-                locator.fill(identity, loc);
+                udr.clusters[ctx.cluster_idx]
+                    .stage
+                    .fill_cache(identity, loc);
                 ctx.location = Some(loc);
                 Ok(())
             }
@@ -911,6 +911,40 @@ impl ReplicationStage {
         Some(candidate)
     }
 
+    /// Reach partition `p`'s serving consensus leader from the serving LDAP
+    /// server: one round trip, charged to replication. Returns the leader's
+    /// member index, SE and site. No serving leader (an election gap or a
+    /// minority-side leader), a cut path or a lost message each refuse
+    /// with a typed error after the operation timeout.
+    fn reach_consensus_leader(
+        udr: &mut Udr,
+        ctx: &mut PipelineCtx,
+        p: usize,
+    ) -> Result<(usize, SeId, SiteId), OpOutcome> {
+        let Some(leader) = udr.consensus_serving_leader(p) else {
+            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::ReplicationFailed {
+                acked: udr.consensus_reachable_from(p, ctx.server_site),
+                required: udr.consensus[p].majority(),
+            }));
+        };
+        let leader_se = udr.consensus[p].members[leader];
+        let leader_site = udr.ses[leader_se.index()].site();
+        if !udr.net.reachable(ctx.server_site, leader_site) {
+            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::Unreachable {
+                se: leader_se,
+                reason: "partition",
+            }));
+        }
+        let Some(rtt) = sample_rtt(udr, ctx.server_site, leader_site) else {
+            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::Timeout));
+        };
+        ctx.breakdown.replication += rtt;
+        Ok((leader, leader_se, leader_site))
+    }
+
     /// Consensus write: replicate the post-image through the partition's
     /// Multi-Paxos group and acknowledge only once the command is chosen.
     ///
@@ -932,28 +966,7 @@ impl ReplicationStage {
     ) -> Result<(), OpOutcome> {
         let p = partition.index();
         let majority = udr.consensus[p].majority();
-        let Some(leader) = udr.consensus_serving_leader(p) else {
-            // Election gap or minority-side leader: typed refusal.
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked: udr.consensus_reachable_from(p, ctx.server_site),
-                required: majority,
-            }));
-        };
-        let leader_se = udr.consensus[p].members[leader];
-        let leader_site = udr.ses[leader_se.index()].site();
-        if !udr.net.reachable(ctx.server_site, leader_site) {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::Unreachable {
-                se: leader_se,
-                reason: "partition",
-            }));
-        }
-        let Some(rtt) = sample_rtt(udr, ctx.server_site, leader_site) else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::Timeout));
-        };
-        ctx.breakdown.replication += rtt;
+        let (leader, leader_se, leader_site) = Self::reach_consensus_leader(udr, ctx, p)?;
         ctx.crossed_backbone = leader_site != ctx.server_site;
 
         // The leader serializes the write against its committed state and
@@ -1097,27 +1110,7 @@ impl ReplicationStage {
     ) -> Result<(), OpOutcome> {
         let p = partition.index();
         let majority = udr.consensus[p].majority();
-        let Some(leader) = udr.consensus_serving_leader(p) else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked: udr.consensus_reachable_from(p, ctx.server_site),
-                required: majority,
-            }));
-        };
-        let leader_se = udr.consensus[p].members[leader];
-        let leader_site = udr.ses[leader_se.index()].site();
-        if !udr.net.reachable(ctx.server_site, leader_site) {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::Unreachable {
-                se: leader_se,
-                reason: "partition",
-            }));
-        }
-        let Some(rtt) = sample_rtt(udr, ctx.server_site, leader_site) else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::Timeout));
-        };
-        ctx.breakdown.replication += rtt;
+        let (leader, leader_se, leader_site) = Self::reach_consensus_leader(udr, ctx, p)?;
 
         // Read-index confirmation: a majority echo (leader included)
         // proves the leader has not been silently deposed.
@@ -1591,9 +1584,8 @@ impl ReplicationStage {
     }
 }
 
-/// Stage 4 — §3.2 decision 1: execute the operation on one SE through the
-/// [`StorageBackend`] trait (SEs are transactional; nothing spans
-/// elements).
+/// Stage 4 — §3.2 decision 1: execute the operation on one
+/// [`StorageElement`] (SEs are transactional; nothing spans elements).
 ///
 /// A write runs inside a single-element transaction. A read opens none: it
 /// reads the latest committed version. That is exactly what a one-read
@@ -1606,8 +1598,7 @@ pub struct StorageStage;
 
 impl StorageStage {
     /// Run the stage: reach the routed SE, then serve a read off its
-    /// committed store or execute a write in a single-element transaction
-    /// through [`StorageBackend`].
+    /// committed store or execute a write in a single-element transaction.
     pub fn run(udr: &mut Udr, ctx: &mut PipelineCtx) -> Result<Option<Entry>, OpOutcome> {
         let se_id = ctx.target.expect("replication stage routed");
         let location = ctx.loc();
@@ -1644,9 +1635,8 @@ impl StorageStage {
         if ctx.op.is_write() {
             let isolation = udr.cfg.frash.intra_se_isolation;
             let commit_at = ctx.now + ctx.breakdown.total();
-            let backend: &mut dyn StorageBackend = &mut udr.ses[se_id.index()];
             let (result, engine_cost, record) = Self::run_txn(
-                backend,
+                &mut udr.ses[se_id.index()],
                 ctx.op,
                 location.partition,
                 location.uid,
@@ -1660,12 +1650,12 @@ impl StorageStage {
 
         // An SE that cannot serve (down, or hosting no copy) refuses
         // before the engine does any work, so it charges no read.
-        let backend: &dyn StorageBackend = &udr.ses[se_id.index()];
-        let entry = match backend.read_committed(location.partition, location.uid) {
+        let se = &udr.ses[se_id.index()];
+        let entry = match se.read_committed(location.partition, location.uid) {
             Ok(entry) => entry,
             Err(e) => return Err(ctx.fail(e)),
         };
-        let costs = backend.cost_model();
+        let costs = se.cost_model();
         ctx.breakdown.storage += match ctx.op {
             LdapOp::SearchFilter { filter, .. } => {
                 costs.read + costs.read * filter.assertion_count() as u64
@@ -1697,38 +1687,36 @@ impl StorageStage {
         }
     }
 
-    /// One single-backend transaction covering a write.
+    /// One single-element transaction covering a write.
     #[allow(clippy::type_complexity)]
     fn run_txn(
-        backend: &mut dyn StorageBackend,
+        se: &mut StorageElement,
         op: &LdapOp,
         partition: PartitionId,
         uid: SubscriberUid,
         isolation: udr_model::config::IsolationLevel,
         commit_at: SimTime,
     ) -> (UdrResult<Option<Entry>>, SimDuration, Option<CommitRecord>) {
-        let costs = backend.cost_model();
+        let costs = se.cost_model();
         let (read_cost, write_cost) = (costs.read, costs.write);
         let mut cost = SimDuration::ZERO;
 
-        let txn = match backend.begin(partition, isolation) {
+        let txn = match se.begin(partition, isolation) {
             Ok(t) => t,
             Err(e) => return (Err(e), cost, None),
         };
         let staged: UdrResult<Option<Entry>> = match op {
             LdapOp::Add { entry, .. } => {
                 cost += write_cost;
-                backend
-                    .insert(partition, txn, uid, entry.clone())
-                    .map(|_| None)
+                se.insert(partition, txn, uid, entry.clone()).map(|_| None)
             }
             LdapOp::Modify { mods, .. } => {
                 cost += read_cost + write_cost;
-                backend.modify(partition, txn, uid, mods).map(|_| None)
+                se.modify(partition, txn, uid, mods).map(|_| None)
             }
             LdapOp::Delete { .. } => {
                 cost += write_cost;
-                backend.delete(partition, txn, uid).map(|_| None)
+                se.delete(partition, txn, uid).map(|_| None)
             }
             LdapOp::Search { .. }
             | LdapOp::SearchFilter { .. }
@@ -1736,7 +1724,7 @@ impl StorageStage {
             | LdapOp::Compare { .. } => unreachable!("reads open no transaction"),
         };
         match staged {
-            Ok(value) => match backend.commit(partition, txn, commit_at) {
+            Ok(value) => match se.commit(partition, txn, commit_at) {
                 Ok((record, commit_cost)) => {
                     cost += commit_cost;
                     (Ok(value), cost, record)
@@ -1744,7 +1732,7 @@ impl StorageStage {
                 Err(e) => (Err(e), cost, None),
             },
             Err(e) => {
-                backend.abort(partition, txn);
+                se.abort(partition, txn);
                 (Err(e), cost, None)
             }
         }

@@ -535,11 +535,6 @@ impl Udr {
         self.ses.len()
     }
 
-    /// Live subscribers per partition.
-    pub fn subscribers_in(&self, partition: PartitionId) -> u64 {
-        self.subs_per_partition[partition.index()]
-    }
-
     /// The authoritative epoch-versioned shard map.
     pub fn shard_map(&self) -> &ShardMap {
         &self.shard_map
@@ -649,12 +644,6 @@ impl Udr {
         let before = self.events.processed();
         self.advance_to(until);
         self.events.processed() - before
-    }
-
-    /// Pump-lane occupancy: pending events per lane plus the cross
-    /// queue, for harnesses reporting lane balance.
-    pub fn pump_depths(&self) -> (Vec<usize>, usize) {
-        self.events.depths()
     }
 
     fn handle_event(&mut self, t: SimTime, event: UdrEvent) {
@@ -1265,20 +1254,6 @@ impl Udr {
         })
     }
 
-    /// Whether `partition` currently accepts writes issued from
-    /// `from_site` (the master — or, under multi-master, any up replica —
-    /// reachable).
-    pub fn partition_writable_from(&self, partition: PartitionId, from_site: SiteId) -> bool {
-        if self.cfg.frash.replication.writes_survive_partition() {
-            return self.partition_readable_from(partition, from_site);
-        }
-        let master = self.groups[partition.index()].master();
-        self.ses[master.index()].is_up()
-            && self
-                .net
-                .reachable(from_site, self.ses[master.index()].site())
-    }
-
     /// Fraction of subscribers whose data is readable from `from_site`,
     /// weighted by per-partition population.
     pub fn readable_subscriber_fraction(&self, from_site: SiteId) -> f64 {
@@ -1366,11 +1341,6 @@ impl Udr {
         &self.qos[idx]
     }
 
-    /// The tenant directory this deployment authorizes against.
-    pub fn tenant_directory(&self) -> &TenantDirectory {
-        &self.cfg.tenants
-    }
-
     /// Mutate the tenant directory at runtime (grant/revoke/budget
     /// changes). Every mutation bumps the directory epoch, which makes
     /// the pipeline rebuild the derived rate-budget buckets before the
@@ -1421,11 +1391,6 @@ impl Udr {
         } else {
             None
         }
-    }
-
-    /// Number of clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
     }
 
     /// Pick the serving cluster for a client at `site` (round-robin over

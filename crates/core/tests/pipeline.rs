@@ -21,7 +21,7 @@ use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
 use udr_sim::FaultSchedule;
-use udr_storage::{StorageBackend, StorageElement};
+use udr_storage::StorageElement;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -379,22 +379,22 @@ const P0: PartitionId = PartitionId(0);
 /// transaction, shape per operation, commit (a read-only commit costs
 /// nothing) or abort. Returns the result and the engine charge.
 fn read_through_txn(
-    backend: &mut dyn StorageBackend,
+    se: &mut StorageElement,
     op: &LdapOp,
     partition: PartitionId,
     uid: SubscriberUid,
     isolation: IsolationLevel,
 ) -> (UdrResult<Option<Entry>>, SimDuration) {
-    let read_cost = backend.cost_model().read;
+    let read_cost = se.cost_model().read;
     let mut cost = SimDuration::ZERO;
-    let txn = match backend.begin(partition, isolation) {
+    let txn = match se.begin(partition, isolation) {
         Ok(t) => t,
         Err(e) => return (Err(e), cost),
     };
     let staged = match op {
         LdapOp::Search { .. } => {
             cost += read_cost;
-            match backend.read(partition, txn, uid) {
+            match se.read(partition, txn, uid) {
                 Ok(Some(entry)) => Ok(Some(entry)),
                 Ok(None) => Err(UdrError::NotFound(uid)),
                 Err(e) => Err(e),
@@ -402,7 +402,7 @@ fn read_through_txn(
         }
         LdapOp::SearchFilter { filter, .. } => {
             cost += read_cost + read_cost * filter.assertion_count() as u64;
-            match backend.read(partition, txn, uid) {
+            match se.read(partition, txn, uid) {
                 Ok(Some(entry)) => Ok(if filter.matches(&entry) {
                     Some(entry)
                 } else {
@@ -414,7 +414,7 @@ fn read_through_txn(
         }
         LdapOp::Bind { .. } => {
             cost += read_cost;
-            match backend.read(partition, txn, uid) {
+            match se.read(partition, txn, uid) {
                 Ok(Some(_)) => Ok(None),
                 Ok(None) => Err(UdrError::NotFound(uid)),
                 Err(e) => Err(e),
@@ -422,7 +422,7 @@ fn read_through_txn(
         }
         LdapOp::Compare { attr, value, .. } => {
             cost += read_cost;
-            match backend.read(partition, txn, uid) {
+            match se.read(partition, txn, uid) {
                 Ok(Some(entry)) => {
                     Ok((entry.get(*attr) == Some(value)).then(|| entry.project(&[*attr])))
                 }
@@ -433,12 +433,12 @@ fn read_through_txn(
         other => panic!("not a read: {other:?}"),
     };
     match staged {
-        Ok(value) => match backend.commit(partition, txn, SimTime::ZERO) {
+        Ok(value) => match se.commit(partition, txn, SimTime::ZERO) {
             Ok((_, commit_cost)) => (Ok(value), cost + commit_cost),
             Err(e) => (Err(e), cost),
         },
         Err(e) => {
-            backend.abort(partition, txn);
+            se.abort(partition, txn);
             (Err(e), cost)
         }
     }

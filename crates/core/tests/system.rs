@@ -2,6 +2,7 @@
 //! must hold on the Figure 2 deployment.
 
 use udr_core::{BatchItem, OpRequest, RetryPolicy, Udr, UdrConfig};
+use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{
     DurabilityMode, LocatorKind, Pacelc, PlacementPolicy, ReplicationMode, TxnClass,
@@ -614,6 +615,54 @@ fn cached_locator_probes_on_miss_then_hits() {
         udr.metrics.dls_probes > probes_before,
         "cold cache never probed"
     );
+}
+
+/// Deleting a subscription unbinds its identities in every location
+/// stage, whichever realisation it hosts: a search by any of the four
+/// fails as an unknown identity, not as a missing record, while the other
+/// subscriber keeps resolving.
+#[test]
+fn delete_subscription_unbinds_every_identity() {
+    for locator in [
+        LocatorKind::ProvisionedMaps,
+        LocatorKind::CachedMaps,
+        LocatorKind::ConsistentHashing,
+    ] {
+        let mut cfg = UdrConfig::figure2();
+        cfg.frash.locator = locator;
+        let mut udr = Udr::build(cfg).unwrap();
+        let subs = provision_n(&mut udr, 2, 3);
+        assert_eq!(udr.total_subscribers(), 2);
+        let out = udr.delete_subscription(&subs[0], SiteId(0), t(5));
+        assert!(out.is_ok(), "{locator:?}: delete failed: {:?}", out.result);
+        assert_eq!(udr.total_subscribers(), 1, "{locator:?}");
+
+        let mut at = t(10);
+        let mut search = |udr: &mut Udr, identity: Identity| {
+            let op = LdapOp::Search {
+                base: Dn::for_identity(identity),
+                attrs: vec![],
+            };
+            at += SimDuration::from_millis(10);
+            udr.execute(OpRequest::new(&op).site(SiteId(0)).at(at))
+                .into_op()
+                .result
+        };
+        for identity in subs[0].iter() {
+            let result = search(&mut udr, identity);
+            assert!(
+                matches!(result, Err(UdrError::UnknownIdentity(_))),
+                "{locator:?}: deleted {identity} gave {result:?}"
+            );
+        }
+        for identity in subs[1].iter() {
+            let result = search(&mut udr, identity);
+            assert!(
+                result.is_ok(),
+                "{locator:?}: kept {identity} gave {result:?}"
+            );
+        }
+    }
 }
 
 #[test]

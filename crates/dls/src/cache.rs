@@ -10,7 +10,6 @@ use udr_model::identity::Identity;
 use udr_model::ids::IdMap;
 
 use crate::maps::Location;
-use crate::shardmap::Epoch;
 
 /// A bounded cache of identity → location bindings with FIFO-clock
 /// eviction. Misses are reported so callers can account for the SE
@@ -34,8 +33,6 @@ pub struct CachedLocator {
     pub misses: u64,
     /// Entries evicted.
     pub evictions: u64,
-    /// Shard-map epoch this instance last observed (route-cache version).
-    pub map_epoch: Epoch,
     /// How many SEs a miss probe fans out to.
     total_ses: usize,
 }
@@ -66,7 +63,6 @@ impl CachedLocator {
             hits: 0,
             misses: 0,
             evictions: 0,
-            map_epoch: Epoch::INITIAL,
             total_ses,
         }
     }
@@ -150,11 +146,6 @@ impl CachedLocator {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Number of SEs a miss probe fans out to.
-    pub fn fanout(&self) -> usize {
-        self.total_ses
     }
 }
 

@@ -15,12 +15,12 @@
 //! a new PoA cannot serve; [`placement`] implements random vs home-region
 //! subscription placement; [`shardmap`] is the epoch-versioned partition →
 //! SE assignment table that lets placements move while traffic flows;
-//! [`stage`] wraps everything behind a single per-PoA API.
+//! [`stage`] is the per-PoA instance the pipeline calls: it hosts one of
+//! the three realisations, chosen when the stage is built.
 
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod locator;
 pub mod maps;
 pub mod placement;
 pub mod ring;
@@ -29,7 +29,6 @@ pub mod stage;
 pub mod sync;
 
 pub use cache::{CacheOutcome, CachedLocator};
-pub use locator::Locator;
 pub use maps::{IdentityLocationMap, Location};
 pub use placement::PlacementContext;
 pub use ring::ConsistentHashRing;

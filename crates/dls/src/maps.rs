@@ -18,8 +18,6 @@ use udr_model::identity::{Identity, IdentityKind};
 use udr_model::ids::{IdMap, PartitionId, SubscriberUid};
 use udr_model::intern::IdentityInterner;
 
-use crate::shardmap::Epoch;
-
 /// Where a subscription lives: its internal uid and the partition holding
 /// its data (the replication layer knows which SE masters the partition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +43,6 @@ pub struct IdentityLocationMap {
     impi: IdMap<u32, Location>,
     /// Lookups served (diagnostics).
     pub lookups: u64,
-    /// Shard-map epoch this instance last observed (route-cache version).
-    pub map_epoch: Epoch,
 }
 
 impl IdentityLocationMap {

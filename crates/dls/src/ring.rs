@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 use udr_model::identity::Identity;
 use udr_model::ids::PartitionId;
 
-use crate::shardmap::Epoch;
-
 /// FNV-1a with a splitmix64 finalizer: stable across platforms and Rust
 /// versions (the ring layout must be deterministic in experiments), with the
 /// finalizer fixing FNV's weak avalanche on short, similar keys such as
@@ -37,10 +35,6 @@ pub struct ConsistentHashRing {
     /// Virtual nodes per partition.
     vnodes: usize,
     partitions: Vec<PartitionId>,
-    /// Shard-map epoch this instance last observed. The ring itself is
-    /// placement-free, but its host still routes partition → SE through
-    /// the shard map, so it versions its view like every other locator.
-    pub map_epoch: Epoch,
 }
 
 impl ConsistentHashRing {
@@ -51,7 +45,6 @@ impl ConsistentHashRing {
             ring: BTreeMap::new(),
             vnodes,
             partitions: vec![],
-            map_epoch: Epoch::INITIAL,
         };
         for p in partitions {
             ring.add_partition(p);

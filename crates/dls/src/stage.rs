@@ -2,11 +2,11 @@
 //! point of access to the UDR is capable of resolving data location locally
 //! to the PoA").
 //!
-//! The stage wraps one of the three realisations the paper discusses —
-//! provisioned maps, cached maps, or a consistent-hash ring — behind a
-//! uniform `resolve` API so experiments can swap them with one knob.
+//! The stage hosts one of the three realisations the paper discusses —
+//! provisioned maps, cached maps, or a consistent-hash ring — chosen once
+//! when the stage is built, and answers every lookup with a `match` over
+//! that closed set.
 
-use udr_model::config::LocatorKind;
 use udr_model::identity::Identity;
 use udr_model::ids::SubscriberUid;
 use udr_model::time::SimTime;
@@ -35,74 +35,60 @@ pub enum Resolution {
     Syncing,
 }
 
+/// The §3.5 realisation a stage hosts.
+#[derive(Debug)]
+enum Realisation {
+    /// Provisioned maps (the paper's choice), which pay the §3.4.2
+    /// scale-out sync window.
+    Provisioned(StageSync),
+    /// Maps built on the fly and cached; a miss probes the SEs.
+    Cached(CachedLocator),
+    /// Consistent hashing; no per-subscriber state.
+    Hashed(ConsistentHashRing),
+}
+
 /// One stage instance.
 #[derive(Debug)]
 pub struct DataLocationStage {
-    kind: LocatorKind,
+    realisation: Realisation,
     maps: IdentityLocationMap,
-    cache: Option<CachedLocator>,
-    ring: Option<ConsistentHashRing>,
-    sync: StageSync,
     /// Shard-map epoch this stage instance last observed.
     map_epoch: Epoch,
 }
 
 impl DataLocationStage {
-    /// A ready provisioned-maps stage (the paper's chosen realisation).
-    pub fn provisioned() -> Self {
+    fn with(realisation: Realisation) -> Self {
         DataLocationStage {
-            kind: LocatorKind::ProvisionedMaps,
+            realisation,
             maps: IdentityLocationMap::new(),
-            cache: None,
-            ring: None,
-            sync: StageSync::ready(),
             map_epoch: Epoch::INITIAL,
         }
+    }
+
+    /// A ready provisioned-maps stage (the paper's chosen realisation).
+    pub fn provisioned() -> Self {
+        Self::with(Realisation::Provisioned(StageSync::ready()))
     }
 
     /// A provisioned-maps stage created by scale-out: it must first copy
     /// `entries` bindings from a peer before it can serve.
     pub fn provisioned_syncing(now: SimTime, entries: usize, cost: &SyncCostModel) -> Self {
-        DataLocationStage {
-            kind: LocatorKind::ProvisionedMaps,
-            maps: IdentityLocationMap::new(),
-            cache: None,
-            ring: None,
-            sync: StageSync::syncing(now, entries, cost),
-            map_epoch: Epoch::INITIAL,
-        }
+        Self::with(Realisation::Provisioned(StageSync::syncing(
+            now, entries, cost,
+        )))
     }
 
     /// A cached-maps stage (§3.5 alternative): `capacity` bindings, misses
     /// probe `total_ses` elements.
     pub fn cached(capacity: usize, total_ses: usize) -> Self {
-        DataLocationStage {
-            kind: LocatorKind::CachedMaps,
-            maps: IdentityLocationMap::new(),
-            cache: Some(CachedLocator::new(capacity, total_ses)),
-            ring: None,
-            sync: StageSync::ready(),
-            map_epoch: Epoch::INITIAL,
-        }
+        Self::with(Realisation::Cached(CachedLocator::new(capacity, total_ses)))
     }
 
     /// A consistent-hashing stage (§3.5 alternative). Ring lookups yield a
     /// partition; the uid is derived from the identity hash, so no
     /// per-subscriber state exists at all.
     pub fn hashed(ring: ConsistentHashRing) -> Self {
-        DataLocationStage {
-            kind: LocatorKind::ConsistentHashing,
-            maps: IdentityLocationMap::new(),
-            cache: None,
-            ring: Some(ring),
-            sync: StageSync::ready(),
-            map_epoch: Epoch::INITIAL,
-        }
-    }
-
-    /// Which realisation this stage uses.
-    pub fn kind(&self) -> LocatorKind {
-        self.kind
+        Self::with(Realisation::Hashed(ring))
     }
 
     /// The shard-map epoch this stage last observed.
@@ -127,9 +113,9 @@ impl DataLocationStage {
         now: SimTime,
         uid_hint: Option<SubscriberUid>,
     ) -> Resolution {
-        match self.kind {
-            LocatorKind::ProvisionedMaps => {
-                if !self.sync.is_ready(now) {
+        match &mut self.realisation {
+            Realisation::Provisioned(sync) => {
+                if !sync.is_ready(now) {
                     return Resolution::Syncing;
                 }
                 match self.maps.lookup(identity) {
@@ -137,59 +123,45 @@ impl DataLocationStage {
                     None => Resolution::Unknown,
                 }
             }
-            LocatorKind::CachedMaps => {
-                let cache = self.cache.as_mut().expect("cached stage has cache");
-                match cache.lookup(identity) {
-                    CacheOutcome::Hit(loc) => Resolution::Found(loc),
-                    CacheOutcome::Miss { ses_to_probe } => Resolution::NeedsProbe { ses_to_probe },
-                }
-            }
-            LocatorKind::ConsistentHashing => {
-                let ring = self.ring.as_ref().expect("hashed stage has ring");
-                match (ring.locate(identity), uid_hint) {
-                    (Some(partition), Some(uid)) => Resolution::Found(Location { uid, partition }),
-                    // Without a uid hint the SE must resolve the identity
-                    // itself; we model that as a single-SE probe.
-                    (Some(_), None) => Resolution::NeedsProbe { ses_to_probe: 1 },
-                    (None, _) => Resolution::Unknown,
-                }
-            }
+            Realisation::Cached(cache) => match cache.lookup(identity) {
+                CacheOutcome::Hit(loc) => Resolution::Found(loc),
+                CacheOutcome::Miss { ses_to_probe } => Resolution::NeedsProbe { ses_to_probe },
+            },
+            Realisation::Hashed(ring) => match (ring.locate(identity), uid_hint) {
+                (Some(partition), Some(uid)) => Resolution::Found(Location { uid, partition }),
+                // Without a uid hint the SE must resolve the identity
+                // itself; we model that as a single-SE probe.
+                (Some(_), None) => Resolution::NeedsProbe { ses_to_probe: 1 },
+                (None, _) => Resolution::Unknown,
+            },
         }
     }
 
     /// Provision a binding (PS write path). Meaningful for provisioned
     /// maps; for cached stages it warms the cache; no-op for hashed stages.
     pub fn provision(&mut self, identity: &Identity, location: Location) {
-        match self.kind {
-            LocatorKind::ProvisionedMaps => self.maps.insert(identity, location),
-            LocatorKind::CachedMaps => {
-                if let Some(c) = self.cache.as_mut() {
-                    c.fill(identity, location);
-                }
-            }
-            LocatorKind::ConsistentHashing => {}
+        match &mut self.realisation {
+            Realisation::Provisioned(_) => self.maps.insert(identity, location),
+            Realisation::Cached(cache) => cache.fill(identity, location),
+            Realisation::Hashed(_) => {}
         }
     }
 
     /// Remove a binding (deprovisioning).
     pub fn deprovision(&mut self, identity: &Identity) {
-        match self.kind {
-            LocatorKind::ProvisionedMaps => {
+        match &mut self.realisation {
+            Realisation::Provisioned(_) => {
                 self.maps.remove(identity);
             }
-            LocatorKind::CachedMaps => {
-                if let Some(c) = self.cache.as_mut() {
-                    c.invalidate(identity);
-                }
-            }
-            LocatorKind::ConsistentHashing => {}
+            Realisation::Cached(cache) => cache.invalidate(identity),
+            Realisation::Hashed(_) => {}
         }
     }
 
     /// Install a probe answer into a cached stage.
     pub fn fill_cache(&mut self, identity: &Identity, location: Location) {
-        if let Some(c) = self.cache.as_mut() {
-            c.fill(identity, location);
+        if let Realisation::Cached(cache) = &mut self.realisation {
+            cache.fill(identity, location);
         }
     }
 
@@ -213,26 +185,17 @@ impl DataLocationStage {
         self.maps.is_empty()
     }
 
-    /// Whether the stage can serve at `now`.
-    pub fn is_ready(&mut self, now: SimTime) -> bool {
-        self.sync.is_ready(now)
-    }
-
     /// When the ongoing scale-out sync completes (`None` when serving).
     pub fn sync_done_at(&self) -> Option<SimTime> {
-        self.sync.done_at()
+        match &self.realisation {
+            Realisation::Provisioned(sync) => sync.done_at(),
+            Realisation::Cached(_) | Realisation::Hashed(_) => None,
+        }
     }
 
     /// Approximate RAM used by the provisioned maps (H-link accounting).
     pub fn approx_bytes(&self) -> usize {
         self.maps.approx_bytes()
-    }
-
-    /// Cache statistics, when this is a cached stage.
-    pub fn cache_stats(&self) -> Option<(u64, u64, f64)> {
-        self.cache
-            .as_ref()
-            .map(|c| (c.hits, c.misses, c.hit_ratio()))
     }
 }
 
@@ -254,9 +217,20 @@ mod tests {
         }
     }
 
+    /// A fresh stage starts at the initial epoch, and installing an older
+    /// epoch never rolls its route view back.
+    fn assert_epoch_is_monotonic(s: &mut DataLocationStage) {
+        assert_eq!(s.map_epoch(), Epoch::INITIAL);
+        s.install_map_epoch(Epoch(3));
+        assert_eq!(s.map_epoch(), Epoch(3));
+        s.install_map_epoch(Epoch(1));
+        assert_eq!(s.map_epoch(), Epoch(3));
+    }
+
     #[test]
     fn provisioned_stage_round_trip() {
         let mut s = DataLocationStage::provisioned();
+        assert_epoch_is_monotonic(&mut s);
         s.provision(&imsi(1), loc(1, 0));
         assert_eq!(
             s.resolve(&imsi(1), SimTime::ZERO, None),
@@ -307,6 +281,7 @@ mod tests {
     #[test]
     fn cached_stage_probes_then_hits() {
         let mut s = DataLocationStage::cached(128, 16);
+        assert_epoch_is_monotonic(&mut s);
         assert_eq!(
             s.resolve(&imsi(1), SimTime::ZERO, None),
             Resolution::NeedsProbe { ses_to_probe: 16 }
@@ -316,14 +291,19 @@ mod tests {
             s.resolve(&imsi(1), SimTime::ZERO, None),
             Resolution::Found(loc(1, 2))
         );
-        let (hits, misses, _) = s.cache_stats().unwrap();
-        assert_eq!((hits, misses), (1, 1));
+        // Deprovisioning drops the cached binding: the next lookup probes.
+        s.deprovision(&imsi(1));
+        assert_eq!(
+            s.resolve(&imsi(1), SimTime::ZERO, None),
+            Resolution::NeedsProbe { ses_to_probe: 16 }
+        );
     }
 
     #[test]
     fn hashed_stage_uses_ring_and_hint() {
         let ring = ConsistentHashRing::new((0..4).map(PartitionId), 32);
         let mut s = DataLocationStage::hashed(ring);
+        assert_epoch_is_monotonic(&mut s);
         // With a uid hint, resolution is immediate.
         match s.resolve(&imsi(5), SimTime::ZERO, Some(SubscriberUid(5))) {
             Resolution::Found(l) => assert_eq!(l.uid, SubscriberUid(5)),

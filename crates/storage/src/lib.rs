@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod durability;
 pub mod engine;
 pub mod log;
@@ -28,7 +27,6 @@ pub mod shared;
 pub mod store;
 pub mod version;
 
-pub use backend::StorageBackend;
 pub use durability::{CostModel, Disk, SnapshotScheduler};
 pub use engine::{Engine, EngineSnapshot, TxnId};
 pub use log::CommitLog;

@@ -357,11 +357,6 @@ impl StorageElement {
         Ok(&self.replica(partition)?.engine)
     }
 
-    /// Direct mutable engine access.
-    pub fn engine_mut(&mut self, partition: PartitionId) -> UdrResult<&mut Engine> {
-        Ok(&mut self.replica_mut(partition)?.engine)
-    }
-
     // ---- durability & lifecycle ------------------------------------------
 
     /// Run the periodic snapshot cycle if due; returns the simulated cost
@@ -472,6 +467,38 @@ mod tests {
         se.put(PartitionId(0), t, SubscriberUid(uid), entry(v))
             .unwrap();
         se.commit(PartitionId(0), t, now).unwrap().0.unwrap()
+    }
+
+    /// The cycle the pipeline's storage stage drives: a write transaction
+    /// charged the durability mode's commit cost, then a transactional
+    /// read, an abort, and a committed read at the new LSN.
+    #[test]
+    fn insert_commit_then_read_back() {
+        let mut se = se_with_master(DurabilityMode::None);
+        assert!(se.is_up());
+
+        let t = se
+            .begin(PartitionId(0), IsolationLevel::ReadCommitted)
+            .unwrap();
+        se.insert(PartitionId(0), t, SubscriberUid(1), entry("34600000001"))
+            .unwrap();
+        let (record, cost) = se.commit(PartitionId(0), t, SimTime(0)).unwrap();
+        assert!(record.is_some());
+        assert_eq!(cost, se.cost_model().commit_cost(DurabilityMode::None));
+
+        let t = se
+            .begin(PartitionId(0), IsolationLevel::ReadCommitted)
+            .unwrap();
+        assert!(se
+            .read(PartitionId(0), t, SubscriberUid(1))
+            .unwrap()
+            .is_some());
+        se.abort(PartitionId(0), t);
+        assert!(se
+            .read_committed(PartitionId(0), SubscriberUid(1))
+            .unwrap()
+            .is_some());
+        assert_eq!(se.last_lsn(PartitionId(0)).unwrap(), Lsn(1));
     }
 
     #[test]
