@@ -1,15 +1,20 @@
 //! Consensus replication mode: per-partition Multi-Paxos replica groups
-//! embedded in the deployment's event pump.
+//! embedded in the deployment's event pump, and the routing through them.
 //!
 //! Under [`ReplicationMode::Consensus`] the ordinary master/slave
 //! machinery — asynchronous shippers, failover checks, snapshot reseeds —
 //! is switched off. Each partition instead runs an `n`-node
-//! [`udr_consensus::Replica`] ensemble over the same Storage Elements the
-//! replication group names: node `i` of partition `p`'s ensemble lives on
-//! `groups[p].members()[i]`. Protocol timers ([`UdrEvent::ConsensusTick`])
-//! and message deliveries ([`UdrEvent::ConsensusDeliver`]) flow through
-//! the sharded pump on the partition's lane, so consensus traffic
-//! interleaves deterministically with faults and client operations.
+//! [`udr_consensus::Replica`] ensemble whose membership is the replication
+//! group's alone: node `i` of partition `p` lives on
+//! `groups[p].members()[i]`, and a cutover's `replace_member` swaps in
+//! place. Protocol timers ([`UdrEvent::ConsensusTick`]) and message
+//! deliveries ([`UdrEvent::ConsensusDeliver`]) flow through the sharded
+//! pump on the partition's lane, so consensus traffic interleaves
+//! deterministically with faults and client operations.
+//!
+//! Routing lives here with the ensembles: `ReplicationStage::route` hands
+//! a consensus deployment's operations to `Udr::consensus_route` in one
+//! dispatch line.
 //!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen
@@ -17,7 +22,7 @@
 //! record (`Udr::consensus_apply`). A replica's engine therefore always
 //! equals its applied committed prefix — the structural property that
 //! makes stale reads impossible when reads are routed to the serving
-//! leader (see `ReplicationStage::consensus_read` in the pipeline).
+//! leader (`Udr::consensus_read`).
 //!
 //! Crashes model a process stop with acceptor state preserved across
 //! restart (the persistence Paxos requires): a down node simply stops
@@ -38,46 +43,46 @@ use std::sync::Arc;
 use udr_consensus::{
     ChosenLog, CmdId, Command, Message, NodeId, Payload, Replica, ReplicaConfig, Role, Slot,
 };
+use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
 use udr_model::config::ReplicationMode;
+use udr_model::error::UdrError;
 use udr_model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
 use udr_storage::{Change, CommitRecord, Lsn};
 
+use crate::ops::OpOutcome;
+use crate::pipeline::{sample_rtt, PipelineCtx, ReadRoute};
 use crate::udr::{Udr, UdrEvent};
 
 /// How often each partition's ensemble runs its protocol timers
 /// (election timeouts, heartbeats, forward retries, catch-up probes).
 pub(crate) const CONSENSUS_TICK_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
-/// One partition's Multi-Paxos ensemble and its apply bookkeeping.
+/// One partition's Multi-Paxos ensemble and its apply bookkeeping. Node
+/// `i` is hosted by the partition's `groups[p].members()[i]`.
 pub(crate) struct ConsensusGroup {
-    /// Hosting SEs; index `i` is protocol node `NodeId(i)`. Kept in sync
-    /// with the partition's [`udr_replication::ReplicationGroup`] — a
-    /// migration cutover swaps the member here and there atomically.
-    pub(crate) members: Vec<SeId>,
     /// The protocol state machines (RAM *and* the durable acceptor state —
     /// preserved across SE crashes, as Paxos requires).
-    pub(crate) replicas: Vec<Replica>,
+    replicas: Vec<Replica>,
     /// Apply cursor per node: the slot up to which this node's storage
     /// holds its log's effective entries. `consensus_apply` resumes
     /// strictly above it and leaves it at the log's `committed()`.
-    pub(crate) applied: Vec<Slot>,
+    applied: Vec<Slot>,
     /// Scratch for the read-index echoes of one `consensus_read`, kept so
     /// a read allocates nothing.
-    pub(crate) echoes: Vec<SimDuration>,
+    echoes: Vec<SimDuration>,
     /// Last observed serving leader (bookkeeping for failover counting).
-    pub(crate) last_leader: Option<usize>,
+    last_leader: Option<usize>,
     /// Serving-leader hand-offs observed (failovers under consensus).
-    pub(crate) leader_changes: u64,
+    leader_changes: u64,
 }
 
 impl ConsensusGroup {
-    /// A fresh ensemble of `n` followers over `members`.
-    pub(crate) fn new(members: Vec<SeId>, n: usize, seed: u64, partition: u32) -> Self {
-        debug_assert_eq!(members.len(), n, "ensemble size must match membership");
-        let replicas = (0..members.len())
+    /// A fresh ensemble of `n` followers.
+    pub(crate) fn new(n: usize, seed: u64, partition: u32) -> Self {
+        let replicas = (0..n)
             .map(|i| {
                 Replica::new(
                     NodeId(i as u32),
@@ -88,18 +93,17 @@ impl ConsensusGroup {
             })
             .collect();
         ConsensusGroup {
-            applied: vec![Slot::ZERO; members.len()],
-            echoes: Vec::with_capacity(members.len()),
+            applied: vec![Slot::ZERO; n],
+            echoes: Vec::with_capacity(n),
             replicas,
-            members,
             last_leader: None,
             leader_changes: 0,
         }
     }
 
     /// Majority threshold of this ensemble.
-    pub(crate) fn majority(&self) -> usize {
-        self.members.len() / 2 + 1
+    fn majority(&self) -> usize {
+        self.replicas.len() / 2 + 1
     }
 }
 
@@ -130,25 +134,25 @@ impl Udr {
     }
 
     /// Whether ensemble node `i` of partition `p` is up (its hosting SE).
-    pub(crate) fn consensus_node_up(&self, p: usize, i: usize) -> bool {
-        let se = self.consensus[p].members[i];
+    fn consensus_node_up(&self, p: usize, i: usize) -> bool {
+        let se = self.groups[p].members()[i];
         self.ses[se.index()].is_up()
     }
 
     fn consensus_node_site(&self, p: usize, i: usize) -> SiteId {
-        let se = self.consensus[p].members[i];
+        let se = self.groups[p].members()[i];
         self.ses[se.index()].site()
     }
 
     /// Allocate the next client command id (0 is the reserved no-op).
-    pub(crate) fn consensus_alloc_cmd_id(&mut self) -> CmdId {
+    fn consensus_alloc_cmd_id(&mut self) -> CmdId {
         let id = self.next_cmd_id;
         self.next_cmd_id += 1;
         CmdId(id)
     }
 
     /// Whether any replica of partition `p` has chosen command `id`.
-    pub(crate) fn consensus_chosen(&self, p: usize, id: CmdId) -> bool {
+    fn consensus_chosen(&self, p: usize, id: CmdId) -> bool {
         self.consensus[p]
             .replicas
             .iter()
@@ -159,7 +163,7 @@ impl Udr {
     /// `Leader` role, the one holding the highest ballot (a deposed
     /// leader that has not yet heard of its successor loses the tie).
     fn consensus_live_leader(&self, p: usize) -> Option<usize> {
-        (0..self.consensus[p].members.len())
+        (0..self.consensus[p].replicas.len())
             .filter(|i| {
                 self.consensus_node_up(p, *i)
                     && self.consensus[p].replicas[*i].role() == Role::Leader
@@ -172,10 +176,10 @@ impl Udr {
     /// A leader stranded on the minority side of a cut cannot confirm its
     /// lease and is not allowed to serve — the read-index check that makes
     /// minority-side refusals typed instead of stale.
-    pub(crate) fn consensus_serving_leader(&self, p: usize) -> Option<usize> {
+    fn consensus_serving_leader(&self, p: usize) -> Option<usize> {
         let leader = self.consensus_live_leader(p)?;
         let leader_site = self.consensus_node_site(p, leader);
-        let n = self.consensus[p].members.len();
+        let n = self.consensus[p].replicas.len();
         let reach = (0..n)
             .filter(|j| {
                 self.consensus_node_up(p, *j)
@@ -189,8 +193,8 @@ impl Udr {
 
     /// Up ensemble members of partition `p` reachable from `from`
     /// (the "acks available" figure a typed refusal reports).
-    pub(crate) fn consensus_reachable_from(&self, p: usize, from: SiteId) -> usize {
-        (0..self.consensus[p].members.len())
+    fn consensus_reachable_from(&self, p: usize, from: SiteId) -> usize {
+        (0..self.consensus[p].replicas.len())
             .filter(|j| {
                 self.consensus_node_up(p, *j)
                     && self.net.reachable(from, self.consensus_node_site(p, *j))
@@ -202,7 +206,7 @@ impl Udr {
     /// whatever the protocol wants sent. `trace` (0 = untraced) rides every
     /// protocol message the submission fans out, so a traced client write
     /// can be followed propose → chosen → apply across the ensemble.
-    pub(crate) fn consensus_submit_via(
+    fn consensus_submit_via(
         &mut self,
         t: SimTime,
         partition: PartitionId,
@@ -223,11 +227,258 @@ impl Udr {
         self.route_consensus(t, partition, node, outs, trace);
     }
 
+    /// The replication stage under consensus, which bypasses copy routing:
+    /// a write commits through the partition's ensemble, a read is served
+    /// from the serving leader's committed prefix.
+    pub(crate) fn consensus_route(
+        &mut self,
+        ctx: &mut PipelineCtx,
+        partition: PartitionId,
+    ) -> Result<(), OpOutcome> {
+        if ctx.op.is_write() {
+            self.consensus_write(ctx, partition)
+        } else {
+            self.consensus_read(ctx, partition)
+        }
+    }
+
+    /// Reach partition `p`'s serving consensus leader from the serving LDAP
+    /// server: one round trip, charged to replication. Returns the leader's
+    /// member index, SE and site. No serving leader (an election gap or a
+    /// minority-side leader), a cut path or a lost message each refuse
+    /// with a typed error after the operation timeout.
+    fn reach_consensus_leader(
+        &mut self,
+        ctx: &mut PipelineCtx,
+        p: usize,
+    ) -> Result<(usize, SeId, SiteId), OpOutcome> {
+        let Some(leader) = self.consensus_serving_leader(p) else {
+            ctx.breakdown.replication += self.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::ReplicationFailed {
+                acked: self.consensus_reachable_from(p, ctx.server_site),
+                required: self.consensus[p].majority(),
+            }));
+        };
+        let leader_se = self.groups[p].members()[leader];
+        let leader_site = self.ses[leader_se.index()].site();
+        if !self.net.reachable(ctx.server_site, leader_site) {
+            ctx.breakdown.replication += self.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::Unreachable {
+                se: leader_se,
+                reason: "partition",
+            }));
+        }
+        let Some(rtt) = sample_rtt(self, ctx.server_site, leader_site) else {
+            ctx.breakdown.replication += self.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::Timeout));
+        };
+        ctx.breakdown.replication += rtt;
+        Ok((leader, leader_se, leader_site))
+    }
+
+    /// Consensus write: replicate the post-image through the partition's
+    /// Multi-Paxos group and acknowledge only once the command is chosen.
+    ///
+    /// The leader computes the post-image against its committed store (the
+    /// ensemble's serialization point), submits it as a log command, and
+    /// routing waits — in virtual time, driving the event pump — for the
+    /// choice. No serving leader, an unreachable leader or an election
+    /// gap all yield *typed* refusals ([`UdrError::is_partition_induced`]),
+    /// never a silent downgrade: the CP contract of the mode.
+    ///
+    /// Returns `Err` in both directions: a refusal carries the error, a
+    /// chosen command carries the completed [`OpOutcome`] directly (the
+    /// storage work already happened inside the replica group, so the
+    /// storage stage must not run again).
+    fn consensus_write(
+        &mut self,
+        ctx: &mut PipelineCtx,
+        partition: PartitionId,
+    ) -> Result<(), OpOutcome> {
+        let p = partition.index();
+        let majority = self.consensus[p].majority();
+        let (leader, leader_se, leader_site) = self.reach_consensus_leader(ctx, p)?;
+        ctx.crossed_backbone = leader_site != ctx.server_site;
+
+        // The leader serializes the write against its committed state and
+        // replicates the *post-image*, so every replica applies the
+        // identical record regardless of local history.
+        let uid = ctx.loc().uid;
+        let current = match self.ses[leader_se.index()].read_committed(partition, uid) {
+            Ok(cur) => cur,
+            Err(e) => return Err(ctx.fail(e)),
+        };
+        let costs = self.ses[leader_se.index()].cost_model();
+        let entry = match ctx.op {
+            LdapOp::Add { entry, .. } => {
+                if current.is_some() {
+                    return Err(ctx.fail(UdrError::AlreadyExists(uid)));
+                }
+                ctx.breakdown.storage += costs.write;
+                Some(entry.clone())
+            }
+            LdapOp::Modify { mods, .. } => {
+                let Some(mut entry) = current else {
+                    return Err(ctx.fail(UdrError::NotFound(uid)));
+                };
+                ctx.breakdown.storage += costs.read + costs.write;
+                entry.apply(mods);
+                Some(entry)
+            }
+            LdapOp::Delete { .. } => {
+                if current.is_none() {
+                    return Err(ctx.fail(UdrError::NotFound(uid)));
+                }
+                ctx.breakdown.storage += costs.write;
+                None
+            }
+            _ => unreachable!("consensus_write only runs for write ops"),
+        };
+
+        let cmd_id = self.consensus_alloc_cmd_id();
+        let t0 = self.now().max(ctx.now);
+        self.consensus_submit_via(
+            t0,
+            partition,
+            leader,
+            Command::write(cmd_id, uid, entry),
+            ctx.span.trace,
+        );
+
+        // Drive the pump until the command is chosen or the operation
+        // budget runs out (margin below the timeout so a success is not
+        // re-classified by the ok-over-deadline clamp).
+        let allowed_wait = self
+            .cfg
+            .frash
+            .op_timeout
+            .saturating_sub(ctx.breakdown.total() + SimDuration::from_millis(2));
+        let deadline = t0 + allowed_wait;
+        let mut t = t0;
+        let chosen_at = loop {
+            if self.consensus_chosen(p, cmd_id) {
+                break Some(t);
+            }
+            if t >= deadline {
+                break None;
+            }
+            t = (t + SimDuration::from_millis(1)).min(deadline);
+            self.advance_to(t);
+        };
+        match chosen_at {
+            Some(at) => {
+                if ctx.span.is_active() && self.tracer.enabled() {
+                    let commit_span = self.tracer.alloc_span();
+                    self.tracer.span(
+                        ctx.span.trace,
+                        commit_span,
+                        ctx.span.span,
+                        "consensus.commit",
+                        t0,
+                        at.duration_since(t0),
+                        Some(format!("p{} cmd={}", partition.0, cmd_id.0)),
+                    );
+                    self.tracer.instant(
+                        ctx.span.trace,
+                        commit_span,
+                        "consensus.chosen",
+                        at,
+                        Some(format!("p{} cmd={}", partition.0, cmd_id.0)),
+                    );
+                }
+                ctx.breakdown.replication += at.duration_since(t0);
+                self.metrics.consensus_commits += 1;
+                let written_lsn = self.ses[leader_se.index()]
+                    .last_lsn(partition)
+                    .map(|l| l.raw())
+                    .unwrap_or(0);
+                if let Some(token) = ctx.session.as_deref_mut() {
+                    token.observe_write(partition, written_lsn);
+                }
+                Err(OpOutcome {
+                    result: Ok(None),
+                    latency: ctx.breakdown.total(),
+                    served_by: Some(leader_se),
+                    crossed_backbone: ctx.crossed_backbone,
+                    breakdown: ctx.breakdown,
+                })
+            }
+            None => {
+                // Not chosen in time. The submission may still commit
+                // later (a requeued proposal surviving a leader change) —
+                // campaign oracles treat unacknowledged writes as
+                // possibly-effective, exactly like a real client.
+                if ctx.span.is_active() && self.tracer.enabled() {
+                    self.tracer.instant(
+                        ctx.span.trace,
+                        ctx.span.span,
+                        "consensus.timeout",
+                        deadline,
+                        Some(format!("p{} cmd={} not chosen", partition.0, cmd_id.0)),
+                    );
+                }
+                ctx.breakdown.replication += allowed_wait;
+                Err(ctx.fail(UdrError::ReplicationFailed {
+                    acked: self.consensus_reachable_from(p, leader_site),
+                    required: majority,
+                }))
+            }
+        }
+    }
+
+    /// Consensus read: serve from the serving leader's committed prefix
+    /// after a read-index confirmation round.
+    ///
+    /// The leader's lease is confirmed by a majority round trip (itself
+    /// included), which rules out a deposed leader serving a stale prefix
+    /// — the structural no-stale-reads property the e25 campaign asserts.
+    /// The storage stage then reads the leader's committed store without
+    /// another round trip, as it does for a quorum-served read.
+    fn consensus_read(
+        &mut self,
+        ctx: &mut PipelineCtx,
+        partition: PartitionId,
+    ) -> Result<(), OpOutcome> {
+        let p = partition.index();
+        let majority = self.consensus[p].majority();
+        let (leader, leader_se, leader_site) = self.reach_consensus_leader(ctx, p)?;
+
+        // Read-index confirmation: a majority echo (leader included)
+        // proves the leader has not been silently deposed.
+        let mut echoes = std::mem::take(&mut self.consensus[p].echoes);
+        echoes.clear();
+        for j in 0..self.consensus[p].replicas.len() {
+            if j == leader || !self.consensus_node_up(p, j) {
+                continue;
+            }
+            let peer_site = self.consensus_node_site(p, j);
+            if let Some(echo) = sample_rtt(self, leader_site, peer_site) {
+                echoes.push(echo);
+            }
+        }
+        echoes.sort_unstable();
+        let acked = echoes.len() + 1;
+        // The (majority-1)-th fastest echo completes the confirmation.
+        let confirmed_after = echoes.get(majority - 2).copied();
+        self.consensus[p].echoes = echoes;
+        let Some(confirmed_after) = confirmed_after else {
+            ctx.breakdown.replication += self.cfg.frash.op_timeout;
+            return Err(ctx.fail(UdrError::ReplicationFailed {
+                acked,
+                required: majority,
+            }));
+        };
+        ctx.breakdown.replication += confirmed_after;
+        ctx.target = Some(leader_se);
+        ctx.read_route = ReadRoute::Leader;
+        Ok(())
+    }
+
     /// `ConsensusTick`: run every up replica's protocol timers, apply what
     /// got chosen, and re-arm the partition's timer.
     pub(crate) fn consensus_tick(&mut self, t: SimTime, partition: PartitionId) {
         let p = partition.index();
-        for i in 0..self.consensus[p].members.len() {
+        for i in 0..self.consensus[p].replicas.len() {
             if !self.consensus_node_up(p, i) {
                 continue;
             }
@@ -309,7 +560,7 @@ impl Udr {
                     self.consensus_send(t, partition, from, dest.0 as usize, msg, trace);
                 }
                 Outbound::Broadcast(msg) => {
-                    for j in 0..self.consensus[partition.index()].members.len() {
+                    for j in 0..self.consensus[partition.index()].replicas.len() {
                         if j != from {
                             self.consensus_send(t, partition, from, j, msg.clone(), trace);
                         }
@@ -354,8 +605,8 @@ impl Udr {
 
     /// Apply newly chosen commands on every up replica (ticks and restore;
     /// a delivery applies at its destination only).
-    pub(crate) fn consensus_apply(&mut self, t: SimTime, partition: PartitionId) {
-        for i in 0..self.consensus[partition.index()].members.len() {
+    fn consensus_apply(&mut self, t: SimTime, partition: PartitionId) {
+        for i in 0..self.consensus[partition.index()].replicas.len() {
             self.consensus_apply_node(t, partition, i);
         }
     }
@@ -392,12 +643,12 @@ impl Udr {
             match cmd.payload {
                 Payload::Noop => {}
                 Payload::Write { uid, entry } => {
-                    let se = self.consensus[p].members[i];
+                    let se = self.groups[p].members()[i];
                     let lsn = self.ses[se.index()]
                         .last_lsn(partition)
                         .unwrap_or(Lsn::ZERO)
                         .next();
-                    let written_by = self.consensus[p].members[0];
+                    let written_by = self.groups[p].members()[0];
                     let record = CommitRecord {
                         lsn,
                         committed_at: t,
@@ -516,7 +767,7 @@ impl Udr {
                 return false;
             }
             let watermark = leader.log().committed();
-            (0..g.members.len())
+            (0..g.replicas.len())
                 .filter(|i| self.consensus_node_up(p, *i))
                 .all(|i| g.replicas[i].log().committed() == watermark && g.applied[i] == watermark)
         })
@@ -527,7 +778,7 @@ impl Udr {
     pub(crate) fn consensus_replica_lag(&self) -> u64 {
         let mut max = 0u64;
         for (p, g) in self.consensus.iter().enumerate() {
-            let marks: Vec<u64> = (0..g.members.len())
+            let marks: Vec<u64> = (0..g.replicas.len())
                 .filter(|i| self.consensus_node_up(p, *i))
                 .map(|i| g.replicas[i].log().committed().0)
                 .collect();
@@ -550,7 +801,7 @@ impl Udr {
     ) {
         let recovered: IdMap<PartitionId, Lsn> = recovered.iter().copied().collect();
         for p in 0..self.consensus.len() {
-            let Some(i) = self.consensus[p].members.iter().position(|m| *m == se) else {
+            let Some(i) = self.groups[p].members().iter().position(|m| *m == se) else {
                 continue;
             };
             let pid = PartitionId(p as u32);
@@ -572,8 +823,8 @@ impl Udr {
         }
     }
 
-    /// Drive active migrations under consensus (runs on each
-    /// `CatchupTick` instead of the legacy channel catch-up): once the
+    /// Drive active migrations under consensus (`run_catchup` calls it on
+    /// each `CatchupTick` instead of the legacy channel catch-up): once the
     /// seed transfer is done, the cutover is a [`Payload::Reconfig`]
     /// command submitted through the serving leader — exactly-once and
     /// totally ordered against the write stream, no write-freeze window.
@@ -588,8 +839,8 @@ impl Udr {
             }
             let p = plan.partition.index();
             let valid = p < self.consensus.len()
-                && self.consensus[p].members.contains(&plan.from)
-                && !self.consensus[p].members.contains(&plan.to)
+                && self.groups[p].contains(plan.from)
+                && !self.groups[p].contains(plan.to)
                 && plan.to.index() < self.ses.len()
                 && self.ses[plan.from.index()].is_up()
                 && self.ses[plan.to.index()].is_up();
@@ -624,11 +875,12 @@ impl Udr {
 
     /// A chosen [`Payload::Reconfig`] executes here, once per migration:
     /// the first replica to apply it performs the cutover (swap the
-    /// member in the ensemble and the replication group, carry the
+    /// member in the replication group, in place, so the moved node keeps
+    /// its index and its protocol state; carry the
     /// retiring copy's exact storage state to the target, bump the
     /// shard-map epoch); every later apply finds the migration already in
     /// a terminal state and no-ops — the exactly-once guarantee.
-    pub(crate) fn consensus_reconfig_applied(&mut self, t: SimTime, migration: u64) {
+    fn consensus_reconfig_applied(&mut self, t: SimTime, migration: u64) {
         let Some(m) = self.migrations.get(migration as usize) else {
             return;
         };
@@ -637,15 +889,8 @@ impl Udr {
             return; // already cut over (or aborted): exactly-once no-op
         }
         let p = plan.partition.index();
-        let Some(i) = self.consensus[p]
-            .members
-            .iter()
-            .position(|s| *s == plan.from)
-        else {
-            self.migration_abort(t, migration);
-            return;
-        };
-        let feasible = !self.consensus[p].members.contains(&plan.to)
+        let feasible = self.groups[p].contains(plan.from)
+            && !self.groups[p].contains(plan.to)
             && plan.to.index() < self.ses.len()
             && self.ses[plan.to.index()].is_up()
             && self.ses[plan.from.index()].is_up();
@@ -671,7 +916,6 @@ impl Udr {
         self.groups[p]
             .replace_member(plan.from, plan.to)
             .expect("cutover swap validated");
-        self.consensus[p].members[i] = plan.to;
         let _ = self.ses[plan.from.index()].release_partition(plan.partition);
         self.sync_shard_map(plan.partition);
         self.rebuild_placement();
@@ -731,7 +975,7 @@ mod tests {
     /// Move partition 0's ensemble node `node` onto a fresh SE and wait
     /// for the cutover; returns the migration id.
     fn migrate_node(udr: &mut Udr, node: usize, start_ms: u64) -> u64 {
-        let from = udr.consensus[0].members[node];
+        let from = udr.groups[0].members()[node];
         let to = udr.add_se(udr.ses[from.index()].site(), at(start_ms));
         let id = udr.start_migration(
             MigrationPlan {
@@ -744,7 +988,7 @@ mod tests {
         );
         udr.advance_to(at(start_ms + 4_000));
         assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
-        assert_eq!(udr.consensus[0].members[node], to);
+        assert_eq!(udr.groups[0].members()[node], to);
         id
     }
 
@@ -761,7 +1005,7 @@ mod tests {
 
     /// Node `i`'s copy of partition 0, without the per-node apply instant.
     fn records(udr: &Udr, i: usize) -> Vec<(SubscriberUid, Lsn, SeId, Option<Entry>)> {
-        let se = udr.consensus[0].members[i];
+        let se = udr.groups[0].members()[i];
         let engine = udr.ses[se.index()].engine(P0).expect("member hosts it");
         let mut rows: Vec<_> = engine
             .iter_committed()
@@ -813,6 +1057,29 @@ mod tests {
         }
     }
 
+    /// Node 0's SE masters the partition and stamps every apply as
+    /// `written_by`, so moving node 0 is a master move cut over through
+    /// the log: mastership, the shard map and the stamp all follow it.
+    #[test]
+    fn moving_node_0_moves_the_master() {
+        let mut udr = provisioned(DurabilityMode::None);
+        modify_round(&mut udr, 1, 5_000);
+        assert_eq!(udr.groups[0].master(), udr.groups[0].members()[0]);
+        migrate_node(&mut udr, 0, 7_000); // asserts `Done`
+        let new = udr.groups[0].members()[0];
+        assert_eq!(udr.groups[0].master(), new);
+        assert_eq!(udr.shard_map().master_of(P0), Some(new));
+        modify_round(&mut udr, 2, 12_000);
+        udr.advance_to(at(14_000));
+        assert!(udr.replication_settled());
+        let rows = records(&udr, 0);
+        assert_eq!(rows.len(), SUBSCRIBERS as usize);
+        assert!(rows.iter().all(|(_, _, by, _)| *by == new));
+        for i in 1..3 {
+            assert_eq!(records(&udr, i), rows, "node {i} diverged");
+        }
+    }
+
     /// Crash the serving leader mid-stream and bring it back, with a
     /// cutover on each side of what its disk recovers (`snapshot`: a disk
     /// image between the two; otherwise nothing survives) and one command
@@ -821,7 +1088,7 @@ mod tests {
     fn crash_and_restore_a_member(durability: DurabilityMode, snapshot: bool) {
         let mut udr = provisioned(durability);
         let f = udr.consensus_serving_leader(0).expect("a leader serves");
-        let f_se = udr.consensus[0].members[f];
+        let f_se = udr.groups[0].members()[f];
         // Neither the node under test nor member 0, whose id every apply
         // stamps as `written_by`.
         let mover = if f == 1 { 2 } else { 1 };

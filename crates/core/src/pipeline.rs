@@ -21,6 +21,10 @@
 //! operation plus the accumulated [`LatencyBreakdown`], so experiments
 //! can attribute end-to-end latency to the stage that caused it.
 //!
+//! The copy families of §3.3/§5 are routed here; consensus (§6) routing
+//! lives with the ensembles in [`crate::consensus_mode`]. In every mode
+//! the replication group alone says which SEs host a partition.
+//!
 //! [`Udr`] itself no longer routes anything per-operation: it is the
 //! deployment container and event pump, and `ops.rs` is a thin entry
 //! point that builds a context and runs this chain.
@@ -111,21 +115,14 @@ pub struct PipelineCtx<'a> {
     /// Serving cluster (set by the access stage).
     cluster_idx: usize,
     /// Site of the serving LDAP server (set by the access stage).
-    server_site: SiteId,
+    pub(crate) server_site: SiteId,
     /// Resolved data location (set by the location stage).
     location: Option<Location>,
     /// The SE chosen to serve the data portion (set by replication
     /// routing).
-    target: Option<SeId>,
-    /// Whether the replication stage consulted a read quorum (the storage
-    /// stage then reads without another SE round trip: the consult paid
-    /// the wait).
-    quorum_served: bool,
-    /// Whether the replication stage routed this read through a consensus
-    /// serving leader (committed-prefix read; same storage path as
-    /// quorum-served, but audited as a master read — staleness is
-    /// structurally impossible).
-    consensus_served: bool,
+    pub(crate) target: Option<SeId>,
+    /// How replication routing picked `target` for a read.
+    pub(crate) read_route: ReadRoute,
     /// Commit record of a committed write, for post-commit replication.
     record: Option<CommitRecord>,
     /// Reference LSN bounded-staleness routing measured lag against,
@@ -137,7 +134,20 @@ pub struct PipelineCtx<'a> {
     /// downgrade itself is what gets recorded).
     policy_downgraded: bool,
     /// Whether reaching the SE crossed the inter-site backbone.
-    crossed_backbone: bool,
+    pub(crate) crossed_backbone: bool,
+}
+
+/// How the replication stage picked the SE that serves a read.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReadRoute {
+    /// By the read policy; the storage stage still has to reach the copy
+    /// (every write is routed this way too).
+    Routed,
+    /// The freshest copy of a read quorum, whose consult paid the wait.
+    Quorum,
+    /// A consensus serving leader, whose read-index round paid the wait;
+    /// audited as a master read (staleness is structurally impossible).
+    Leader,
 }
 
 impl<'a> PipelineCtx<'a> {
@@ -163,8 +173,7 @@ impl<'a> PipelineCtx<'a> {
             server_site: client_site,
             location: None,
             target: None,
-            quorum_served: false,
-            consensus_served: false,
+            read_route: ReadRoute::Routed,
             record: None,
             bounded_reference: None,
             policy_downgraded: false,
@@ -210,7 +219,7 @@ impl<'a> PipelineCtx<'a> {
     }
 
     /// Fail with the latency accumulated so far.
-    fn fail(&self, err: UdrError) -> OpOutcome {
+    pub(crate) fn fail(&self, err: UdrError) -> OpOutcome {
         OpOutcome {
             result: Err(err),
             latency: self.breakdown.total(),
@@ -221,7 +230,7 @@ impl<'a> PipelineCtx<'a> {
     }
 
     /// The location resolved by the location stage.
-    fn loc(&self) -> Location {
+    pub(crate) fn loc(&self) -> Location {
         self.location.expect("location stage ran")
     }
 }
@@ -260,9 +269,10 @@ pub fn run(udr: &mut Udr, ctx: &mut PipelineCtx) -> OpOutcome {
 /// breakdown field the stage advanced is recorded — named after the
 /// *field*, not the stage, so the per-name sums in a trace reproduce the
 /// breakdown exactly even when a stage charges several components (a
-/// consensus write accrues both `replication` and `storage` inside
-/// routing). A stage that added no simulated time leaves one zero-duration
-/// span named `hint` so the causal tree still shows it ran.
+/// consensus write, which `route` hands to `Udr::consensus_route`, accrues
+/// both `replication` and `storage` there and completes inside routing).
+/// A stage that added no simulated time leaves one zero-duration span
+/// named `hint` so the causal tree still shows it ran.
 fn traced_stage<'b, T>(
     udr: &mut Udr,
     ctx: &mut PipelineCtx<'b>,
@@ -325,7 +335,7 @@ fn traced_stage<'b, T>(
     out
 }
 
-fn sample_rtt(udr: &mut Udr, a: SiteId, b: SiteId) -> Option<SimDuration> {
+pub(crate) fn sample_rtt(udr: &mut Udr, a: SiteId, b: SiteId) -> Option<SimDuration> {
     udr.net.round_trip(a, b, &mut udr.rng)
 }
 
@@ -601,10 +611,12 @@ impl LocationStage {
 }
 
 /// Stage 3 — replica routing and replication effects: picks the SE that
-/// serves the operation under the configured replication mode and read
-/// policy (§3.3), consults read quorums (§5), and — after the storage
-/// stage commits — propagates the record and waits for whatever the mode
-/// requires.
+/// serves the operation under the configured copy family and read policy
+/// (§3.3), consults read quorums (§5), and — after the storage stage
+/// commits — propagates the record and waits for whatever the mode
+/// requires. Under consensus (§6) routing is the ensembles' own
+/// (`Udr::consensus_route` in [`crate::consensus_mode`]): a write commits
+/// there and a read comes back routed to the serving leader.
 pub struct ReplicationStage;
 
 impl ReplicationStage {
@@ -618,15 +630,8 @@ impl ReplicationStage {
             *slot += 1;
         }
 
-        // Consensus mode bypasses copy routing entirely: writes commit
-        // through the partition's replica group, reads are served from
-        // the serving leader's committed prefix.
         if udr.consensus_mode() {
-            return if ctx.op.is_write() {
-                Self::consensus_write(udr, ctx, location.partition)
-            } else {
-                Self::consensus_read(udr, ctx, location.partition)
-            };
+            return udr.consensus_route(ctx, location.partition);
         }
 
         // Quorum mode handles reads through the ensemble, not one copy.
@@ -911,239 +916,6 @@ impl ReplicationStage {
         Some(candidate)
     }
 
-    /// Reach partition `p`'s serving consensus leader from the serving LDAP
-    /// server: one round trip, charged to replication. Returns the leader's
-    /// member index, SE and site. No serving leader (an election gap or a
-    /// minority-side leader), a cut path or a lost message each refuse
-    /// with a typed error after the operation timeout.
-    fn reach_consensus_leader(
-        udr: &mut Udr,
-        ctx: &mut PipelineCtx,
-        p: usize,
-    ) -> Result<(usize, SeId, SiteId), OpOutcome> {
-        let Some(leader) = udr.consensus_serving_leader(p) else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked: udr.consensus_reachable_from(p, ctx.server_site),
-                required: udr.consensus[p].majority(),
-            }));
-        };
-        let leader_se = udr.consensus[p].members[leader];
-        let leader_site = udr.ses[leader_se.index()].site();
-        if !udr.net.reachable(ctx.server_site, leader_site) {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::Unreachable {
-                se: leader_se,
-                reason: "partition",
-            }));
-        }
-        let Some(rtt) = sample_rtt(udr, ctx.server_site, leader_site) else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::Timeout));
-        };
-        ctx.breakdown.replication += rtt;
-        Ok((leader, leader_se, leader_site))
-    }
-
-    /// Consensus write: replicate the post-image through the partition's
-    /// Multi-Paxos group and acknowledge only once the command is chosen.
-    ///
-    /// The leader computes the post-image against its committed store (the
-    /// ensemble's serialization point), submits it as a log command, and
-    /// the pipeline waits — in virtual time, driving the event pump — for
-    /// the choice. No serving leader, an unreachable leader or an election
-    /// gap all yield *typed* refusals ([`UdrError::is_partition_induced`]),
-    /// never a silent downgrade: the CP contract of the mode.
-    ///
-    /// Returns `Err` in both directions: a refusal carries the error, a
-    /// chosen command carries the completed [`OpOutcome`] directly (the
-    /// storage work already happened inside the replica group, so the
-    /// storage stage must not run again).
-    fn consensus_write(
-        udr: &mut Udr,
-        ctx: &mut PipelineCtx,
-        partition: PartitionId,
-    ) -> Result<(), OpOutcome> {
-        let p = partition.index();
-        let majority = udr.consensus[p].majority();
-        let (leader, leader_se, leader_site) = Self::reach_consensus_leader(udr, ctx, p)?;
-        ctx.crossed_backbone = leader_site != ctx.server_site;
-
-        // The leader serializes the write against its committed state and
-        // replicates the *post-image*, so every replica applies the
-        // identical record regardless of local history.
-        let uid = ctx.loc().uid;
-        let current = match udr.ses[leader_se.index()].read_committed(partition, uid) {
-            Ok(cur) => cur,
-            Err(e) => return Err(ctx.fail(e)),
-        };
-        let costs = udr.ses[leader_se.index()].cost_model();
-        let entry = match ctx.op {
-            LdapOp::Add { entry, .. } => {
-                if current.is_some() {
-                    return Err(ctx.fail(UdrError::AlreadyExists(uid)));
-                }
-                ctx.breakdown.storage += costs.write;
-                Some(entry.clone())
-            }
-            LdapOp::Modify { mods, .. } => {
-                let Some(mut entry) = current else {
-                    return Err(ctx.fail(UdrError::NotFound(uid)));
-                };
-                ctx.breakdown.storage += costs.read + costs.write;
-                entry.apply(mods);
-                Some(entry)
-            }
-            LdapOp::Delete { .. } => {
-                if current.is_none() {
-                    return Err(ctx.fail(UdrError::NotFound(uid)));
-                }
-                ctx.breakdown.storage += costs.write;
-                None
-            }
-            _ => unreachable!("consensus_write only runs for write ops"),
-        };
-
-        let cmd_id = udr.consensus_alloc_cmd_id();
-        let t0 = udr.now().max(ctx.now);
-        udr.consensus_submit_via(
-            t0,
-            partition,
-            leader,
-            udr_consensus::Command::write(cmd_id, uid, entry),
-            ctx.span.trace,
-        );
-
-        // Drive the pump until the command is chosen or the operation
-        // budget runs out (margin below the timeout so a success is not
-        // re-classified by the ok-over-deadline clamp).
-        let allowed_wait = udr
-            .cfg
-            .frash
-            .op_timeout
-            .saturating_sub(ctx.breakdown.total() + SimDuration::from_millis(2));
-        let deadline = t0 + allowed_wait;
-        let mut t = t0;
-        let chosen_at = loop {
-            if udr.consensus_chosen(p, cmd_id) {
-                break Some(t);
-            }
-            if t >= deadline {
-                break None;
-            }
-            t = (t + SimDuration::from_millis(1)).min(deadline);
-            udr.advance_to(t);
-        };
-        match chosen_at {
-            Some(at) => {
-                if ctx.span.is_active() && udr.tracer.enabled() {
-                    let commit_span = udr.tracer.alloc_span();
-                    udr.tracer.span(
-                        ctx.span.trace,
-                        commit_span,
-                        ctx.span.span,
-                        "consensus.commit",
-                        t0,
-                        at.duration_since(t0),
-                        Some(format!("p{} cmd={}", partition.0, cmd_id.0)),
-                    );
-                    udr.tracer.instant(
-                        ctx.span.trace,
-                        commit_span,
-                        "consensus.chosen",
-                        at,
-                        Some(format!("p{} cmd={}", partition.0, cmd_id.0)),
-                    );
-                }
-                ctx.breakdown.replication += at.duration_since(t0);
-                udr.metrics.consensus_commits += 1;
-                let written_lsn = udr.ses[leader_se.index()]
-                    .last_lsn(partition)
-                    .map(|l| l.raw())
-                    .unwrap_or(0);
-                if let Some(token) = ctx.session.as_deref_mut() {
-                    token.observe_write(partition, written_lsn);
-                }
-                Err(OpOutcome {
-                    result: Ok(None),
-                    latency: ctx.breakdown.total(),
-                    served_by: Some(leader_se),
-                    crossed_backbone: ctx.crossed_backbone,
-                    breakdown: ctx.breakdown,
-                })
-            }
-            None => {
-                // Not chosen in time. The submission may still commit
-                // later (a requeued proposal surviving a leader change) —
-                // campaign oracles treat unacknowledged writes as
-                // possibly-effective, exactly like a real client.
-                if ctx.span.is_active() && udr.tracer.enabled() {
-                    udr.tracer.instant(
-                        ctx.span.trace,
-                        ctx.span.span,
-                        "consensus.timeout",
-                        deadline,
-                        Some(format!("p{} cmd={} not chosen", partition.0, cmd_id.0)),
-                    );
-                }
-                ctx.breakdown.replication += allowed_wait;
-                Err(ctx.fail(UdrError::ReplicationFailed {
-                    acked: udr.consensus_reachable_from(p, leader_site),
-                    required: majority,
-                }))
-            }
-        }
-    }
-
-    /// Consensus read: serve from the serving leader's committed prefix
-    /// after a read-index confirmation round.
-    ///
-    /// The leader's lease is confirmed by a majority round trip (itself
-    /// included), which rules out a deposed leader serving a stale prefix
-    /// — the structural no-stale-reads property the e25 campaign asserts.
-    /// The storage stage then reads the leader's committed store via the
-    /// same path quorum-served reads use.
-    fn consensus_read(
-        udr: &mut Udr,
-        ctx: &mut PipelineCtx,
-        partition: PartitionId,
-    ) -> Result<(), OpOutcome> {
-        let p = partition.index();
-        let majority = udr.consensus[p].majority();
-        let (leader, leader_se, leader_site) = Self::reach_consensus_leader(udr, ctx, p)?;
-
-        // Read-index confirmation: a majority echo (leader included)
-        // proves the leader has not been silently deposed.
-        let mut echoes = std::mem::take(&mut udr.consensus[p].echoes);
-        echoes.clear();
-        for j in 0..udr.consensus[p].members.len() {
-            if j == leader || !udr.consensus_node_up(p, j) {
-                continue;
-            }
-            let peer_se = udr.consensus[p].members[j];
-            let peer_site = udr.ses[peer_se.index()].site();
-            if let Some(echo) = udr.net.round_trip(leader_site, peer_site, &mut udr.rng) {
-                echoes.push(echo);
-            }
-        }
-        echoes.sort_unstable();
-        let acked = echoes.len() + 1;
-        // The (majority-1)-th fastest echo completes the confirmation.
-        let confirmed_after = echoes.get(majority - 2).copied();
-        udr.consensus[p].echoes = echoes;
-        let Some(confirmed_after) = confirmed_after else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked,
-                required: majority,
-            }));
-        };
-        ctx.breakdown.replication += confirmed_after;
-        ctx.target = Some(leader_se);
-        ctx.consensus_served = true;
-        Ok(())
-    }
-
     /// Quorum read consult (§5 Cassandra comparison): wait for the `r`
     /// nearest reachable replicas, then serve from the freshest of them.
     fn quorum_consult(
@@ -1192,7 +964,7 @@ impl ReplicationStage {
         };
         ctx.breakdown.replication += wait;
         ctx.target = Some(serving);
-        ctx.quorum_served = true;
+        ctx.read_route = ReadRoute::Quorum;
         if ctx.span.is_active() && udr.tracer.enabled() {
             udr.tracer.instant(
                 ctx.span.trace,
@@ -1233,7 +1005,7 @@ impl ReplicationStage {
         }
 
         if !ctx.op.is_write() {
-            if ctx.consensus_served {
+            if ctx.read_route == ReadRoute::Leader {
                 // Leader committed-prefix read: fresh by construction.
                 udr.metrics.staleness.record_master_read();
             } else {
@@ -1242,7 +1014,7 @@ impl ReplicationStage {
                     location.partition,
                     location.uid,
                     se_id,
-                    ctx.quorum_served,
+                    ctx.read_route == ReadRoute::Quorum,
                 );
             }
             Self::account_guarantees(udr, ctx, location.partition, se_id);
@@ -1456,11 +1228,12 @@ impl ReplicationStage {
     /// policies, then raise the session's monotonic-reads floor to the
     /// applied position the serving engine exposed.
     fn account_guarantees(udr: &mut Udr, ctx: &mut PipelineCtx, partition: PartitionId, se: SeId) {
-        if ctx.quorum_served || ctx.consensus_served {
-            // Quorum consults pick their own copy outside the read-policy
-            // routing; auditing them against a policy that never ran would
-            // report phantom violations. (`FrashConfig::validate` rejects
-            // guarded policies under quorum replication anyway.)
+        if ctx.read_route != ReadRoute::Routed {
+            // Quorum consults and leader reads pick their own copy outside
+            // the read-policy routing; auditing them against a policy that
+            // never ran would report phantom violations.
+            // (`FrashConfig::validate` rejects guarded policies under
+            // quorum and consensus replication anyway.)
             return;
         }
         if ctx.policy_downgraded {
@@ -1607,7 +1380,7 @@ impl StorageStage {
 
         // A quorum consult or a read-index round already paid the ensemble
         // wait; a routed operation still has to reach its SE.
-        if !ctx.quorum_served && !ctx.consensus_served {
+        if ctx.read_route == ReadRoute::Routed {
             let Some(se_rtt) = sample_rtt(udr, ctx.server_site, se_site) else {
                 ctx.breakdown = LatencyBreakdown {
                     storage: udr.cfg.frash.op_timeout,

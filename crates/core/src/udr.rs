@@ -320,7 +320,7 @@ impl Udr {
         let mut clusters_at_site = vec![Vec::new(); cfg.sites as usize];
         let total_ses = cfg.total_ses() as usize;
         for site in 0..cfg.sites {
-            for c in 0..cfg.clusters_per_site {
+            for _ in 0..cfg.clusters_per_site {
                 let cluster_idx = clusters.len();
                 let cluster_id = ClusterId(cluster_idx as u32);
                 let mut poa = PointOfAccess::new(PoaId(cluster_idx as u32), SiteId(site));
@@ -361,7 +361,6 @@ impl Udr {
                     stage,
                 });
                 clusters_at_site[site as usize].push(cluster_idx);
-                let _ = c;
             }
         }
 
@@ -436,13 +435,8 @@ impl Udr {
         // lockstep.
         let mut consensus = Vec::new();
         if let ReplicationMode::Consensus { n } = cfg.frash.replication {
-            for (p, g) in groups.iter().enumerate() {
-                consensus.push(ConsensusGroup::new(
-                    g.members().to_vec(),
-                    n as usize,
-                    cfg.seed,
-                    p as u32,
-                ));
+            for p in 0..groups.len() {
+                consensus.push(ConsensusGroup::new(n as usize, cfg.seed, p as u32));
                 let tick = UdrEvent::ConsensusTick {
                     partition: PartitionId(p as u32),
                 };
@@ -656,7 +650,7 @@ impl Udr {
                 slave,
                 record,
             } => {
-                self.deliver_replication(t, partition, slave, record);
+                self.deliver_replication(partition, slave, record);
             }
             UdrEvent::ReplDeliverBatch {
                 partition,
@@ -665,7 +659,7 @@ impl Udr {
                 trace: _,
             } => {
                 for record in records.drain(..) {
-                    self.deliver_replication(t, partition, slave, record);
+                    self.deliver_replication(partition, slave, record);
                 }
                 self.shippers[partition.index()].recycle(records);
             }
@@ -701,7 +695,7 @@ impl Udr {
                     self.active_cuts.retain(|(handle, _)| *handle != h);
                 }
                 if !self.net.partitioned() {
-                    self.run_restorations(t);
+                    self.run_restorations();
                 }
             }
             UdrEvent::DegradeStart { degrade, duration } => {
@@ -710,12 +704,12 @@ impl Udr {
             }
             UdrEvent::DegradeHeal { handle } => self.net.heal_degrade(handle),
             UdrEvent::SeCrash { se } => self.crash_se(t, se),
-            UdrEvent::SeRestore { se } => self.restore_se(t, se),
-            UdrEvent::FailoverCheck { partition } => self.failover_check(t, partition),
+            UdrEvent::SeRestore { se } => self.restore_se(se),
+            UdrEvent::FailoverCheck { partition } => self.failover_check(partition),
             UdrEvent::MigrationStart { id } => self.migration_start(t, id),
             UdrEvent::MigrationCutover { id } => self.migration_cutover(t, id),
             UdrEvent::MigrationAbort { id } => self.migration_abort(t, id),
-            UdrEvent::MigrationDeliver { id, record } => self.migration_deliver(t, id, record),
+            UdrEvent::MigrationDeliver { id, record } => self.migration_deliver(id, record),
             UdrEvent::ConsensusTick { partition } => self.consensus_tick(t, partition),
             UdrEvent::ConsensusDeliver {
                 partition,
@@ -802,13 +796,7 @@ impl Udr {
         }
     }
 
-    fn deliver_replication(
-        &mut self,
-        t: SimTime,
-        partition: PartitionId,
-        slave: SeId,
-        record: CommitRecord,
-    ) {
+    fn deliver_replication(&mut self, partition: PartitionId, slave: SeId, record: CommitRecord) {
         // The message may arrive after a partition started or the slave
         // crashed; then it is simply lost (catch-up re-ships later).
         let master = self.groups[partition.index()].master();
@@ -823,7 +811,6 @@ impl Udr {
             .is_ok()
         {
             self.shippers[partition.index()].on_applied(slave, lsn);
-            let _ = t;
         }
     }
 
@@ -879,13 +866,13 @@ impl Udr {
             // acting master. No heal event will ever fire for that, so
             // the periodic tick merges outstanding branches as soon as
             // connectivity is whole (a no-op otherwise).
-            self.run_restorations(t);
+            self.run_restorations();
         }
         if self.consensus_mode() {
             // No shipping channels under consensus: the ensembles'
             // catch-up protocol keeps lagging replicas current. Only the
             // migration state machines ride this tick.
-            self.run_migration_catchup(t);
+            self.run_consensus_migrations(t);
             return;
         }
         for p in 0..self.groups.len() {
@@ -914,7 +901,7 @@ impl Udr {
                     self.shippers[p].needs_reseed(slave, master_engine)
                 };
                 if needs_reseed {
-                    self.reseed_slave(pid, slave);
+                    self.reseed_from(pid, master, slave);
                     continue;
                 }
                 let lag = {
@@ -949,19 +936,6 @@ impl Udr {
             }
         }
         self.run_migration_catchup(t);
-    }
-
-    /// Seed `slave` with a fresh snapshot of the master's current state.
-    pub(crate) fn reseed_slave(&mut self, partition: PartitionId, slave: SeId) {
-        let master = self.groups[partition.index()].master();
-        let snapshot = self.ses[master.index()]
-            .engine(partition)
-            .expect("master hosts partition")
-            .snapshot();
-        let lsn = snapshot.last_lsn;
-        self.ses[slave.index()].seed_replica(partition, ReplicaRole::Slave, snapshot);
-        self.shippers[partition.index()].reseeded(slave, lsn);
-        self.metrics.reseeds += 1;
     }
 
     fn crash_se(&mut self, t: SimTime, se: SeId) {
@@ -999,7 +973,7 @@ impl Udr {
         }
     }
 
-    fn failover_check(&mut self, _t: SimTime, partition: PartitionId) {
+    fn failover_check(&mut self, partition: PartitionId) {
         let p = partition.index();
         let master = self.groups[p].master();
         if self.ses[master.index()].is_up() {
@@ -1035,24 +1009,31 @@ impl Udr {
         // Mastership moved: bump the shard-map epoch so route caches learn
         // (lazily) that the old owner is retired.
         self.sync_shard_map(partition);
-        // Rebuild the shipping ledger around the new master.
+        self.rebuild_shipper(partition, candidate_lsn);
+        self.metrics.failovers += 1;
+    }
+
+    /// Replace `partition`'s shipping ledger with a fresh one around the
+    /// group's current master, whose position is `master_lsn`: an up slave
+    /// registers at what it holds, capped at `master_lsn`, and a down one
+    /// at zero (its restore reseeds or re-registers it).
+    fn rebuild_shipper(&mut self, partition: PartitionId, master_lsn: Lsn) {
         let mut shipper = AsyncShipper::new();
-        for slave in self.groups[p].slaves() {
+        for slave in self.groups[partition.index()].slaves() {
             let lsn = if self.ses[slave.index()].is_up() {
                 self.ses[slave.index()]
                     .last_lsn(partition)
                     .unwrap_or(Lsn::ZERO)
-                    .min(candidate_lsn)
+                    .min(master_lsn)
             } else {
                 Lsn::ZERO
             };
             shipper.register_slave(slave, lsn);
         }
-        self.shippers[p] = shipper;
-        self.metrics.failovers += 1;
+        self.shippers[partition.index()] = shipper;
     }
 
-    fn restore_se(&mut self, _t: SimTime, se: SeId) {
+    fn restore_se(&mut self, se: SeId) {
         let recovered = self.ses[se.index()].restore(self.events.now());
         if self.consensus_mode() {
             // Reset the apply cursor to the recovered disk position and
@@ -1119,21 +1100,17 @@ impl Udr {
         self.metrics.lost_commits += crash_lsn.raw().saturating_sub(base_lsn.raw());
         // Slaves ahead of the rebuilt master hold orphaned commits: reseed
         // them down to the master's lineage.
-        let slaves: Vec<SeId> = self.groups[p].slaves().collect();
-        let mut shipper = AsyncShipper::new();
-        for slave in slaves {
-            if self.ses[slave.index()].is_up() {
-                let slave_lsn = self.ses[slave.index()].last_lsn(pid).unwrap_or(Lsn::ZERO);
-                if slave_lsn > base_lsn {
-                    self.reseed_from(pid, se, slave);
-                }
-                let lsn = self.ses[slave.index()].last_lsn(pid).unwrap_or(Lsn::ZERO);
-                shipper.register_slave(slave, lsn.min(base_lsn));
-            } else {
-                shipper.register_slave(slave, Lsn::ZERO);
-            }
+        let ahead: Vec<SeId> = self.groups[p]
+            .slaves()
+            .filter(|s| {
+                self.ses[s.index()].is_up()
+                    && self.ses[s.index()].last_lsn(pid).unwrap_or(Lsn::ZERO) > base_lsn
+            })
+            .collect();
+        for slave in ahead {
+            self.reseed_from(pid, se, slave);
         }
-        self.shippers[p] = shipper;
+        self.rebuild_shipper(pid, base_lsn);
     }
 
     /// A crashed SE restores as a slave (its mastership moved or it always
@@ -1185,7 +1162,7 @@ impl Udr {
         self.active_cuts.iter().map(|(_, t)| *t).min()
     }
 
-    fn run_restorations(&mut self, t: SimTime) {
+    fn run_restorations(&mut self) {
         if self.cfg.frash.replication != ReplicationMode::MultiMaster || self.diverged.is_empty() {
             return;
         }
@@ -1215,7 +1192,6 @@ impl Udr {
                 merge_branches(since, &engines)
             };
             let master = self.groups[p].master();
-            let mut shipper = AsyncShipper::new();
             for se in &members {
                 let role = if *se == master {
                     ReplicaRole::Master
@@ -1223,23 +1199,14 @@ impl Udr {
                     ReplicaRole::Slave
                 };
                 self.ses[se.index()].seed_replica(pid, role, outcome.snapshot.clone());
-                if *se != master {
-                    shipper.register_slave(*se, outcome.snapshot.last_lsn);
-                }
             }
-            // Members still down re-register at zero; restore logic reseeds.
-            for se in self.groups[p].slaves() {
-                if !members.contains(&se) {
-                    shipper.register_slave(se, Lsn::ZERO);
-                }
-            }
-            self.shippers[p] = shipper;
+            // Every up member now holds the merged state.
+            self.rebuild_shipper(pid, outcome.snapshot.last_lsn);
             self.metrics.merges += 1;
             self.metrics.merge_conflicts += outcome.stats.conflicts as u64;
             self.metrics.merge_records += outcome.stats.records_examined as u64;
             self.metrics.merge_time +=
                 restoration_duration(outcome.stats.records_examined, MERGE_COST_PER_RECORD);
-            let _ = t;
         }
     }
 
@@ -1566,12 +1533,9 @@ impl Udr {
     }
 
     /// Drive every active migration one catch-up step (runs on each
-    /// `CatchupTick`, after the replica channels).
+    /// `CatchupTick`, after the replica channels; a consensus deployment
+    /// runs `run_consensus_migrations` instead).
     fn run_migration_catchup(&mut self, t: SimTime) {
-        if self.consensus_mode() {
-            self.run_consensus_migrations(t);
-            return;
-        }
         for id in 0..self.migrations.len() {
             let (plan, state, started) = {
                 let m = &self.migrations[id];
@@ -1696,7 +1660,7 @@ impl Udr {
     }
 
     /// `MigrationDeliver`: apply one migrated record on the target copy.
-    fn migration_deliver(&mut self, _t: SimTime, id: u64, record: CommitRecord) {
+    fn migration_deliver(&mut self, id: u64, record: CommitRecord) {
         let Some(m) = self.migrations.get(id as usize) else {
             return;
         };
@@ -1761,19 +1725,7 @@ impl Udr {
         if was_master_move {
             // Rebuild the shipping ledger around the new master (same
             // lineage, so the slaves' applied LSNs carry over).
-            let mut shipper = AsyncShipper::new();
-            for slave in self.groups[p].slaves() {
-                let lsn = if self.ses[slave.index()].is_up() {
-                    self.ses[slave.index()]
-                        .last_lsn(plan.partition)
-                        .unwrap_or(Lsn::ZERO)
-                        .min(master_lsn)
-                } else {
-                    Lsn::ZERO
-                };
-                shipper.register_slave(slave, lsn);
-            }
-            self.shippers[p] = shipper;
+            self.rebuild_shipper(plan.partition, master_lsn);
         } else {
             self.shippers[p].unregister_slave(plan.from);
             self.shippers[p].register_slave(plan.to, target_lsn.min(master_lsn));
