@@ -49,6 +49,7 @@ fn bench_accept_processing(c: &mut Criterion) {
         let ballot = Ballot::new(1, NodeId(0));
         let mut slot = 1u64;
         let mut replica = Replica::new(NodeId(1), 3, ReplicaConfig::default(), 3);
+        let mut out = Vec::new();
         b.iter(|| {
             let msg = Message::Accept {
                 ballot,
@@ -57,7 +58,9 @@ fn bench_accept_processing(c: &mut Criterion) {
                 committed: Slot(slot.saturating_sub(1)),
             };
             slot += 1;
-            replica.handle(SimTime(slot), NodeId(0), msg)
+            out.clear();
+            replica.handle(SimTime(slot), NodeId(0), msg, &mut out);
+            out.len()
         });
     });
 }

@@ -171,7 +171,7 @@ fn commit_records(n: u64) -> Vec<CommitRecord> {
         master.put(txn, SubscriberUid(i % 512), entry).unwrap();
         master.commit(txn, SimTime(i)).unwrap();
     }
-    master.log().since(Lsn::ZERO).to_vec()
+    master.log().iter().cloned().collect()
 }
 
 fn bench_ship_batch(c: &mut Criterion) {

@@ -1,10 +1,11 @@
 //! One multi-Paxos node: acceptor + learner + (when elected) leader.
 //!
 //! The replica is a pure state machine: `handle`/`tick`/`submit` consume an
-//! input at a virtual instant and return the messages to send. All timing
-//! (delays, loss, partitions) lives in the runtime, which makes every
-//! protocol path unit-testable without a network and keeps runs
-//! deterministic.
+//! input at a virtual instant and push the messages to send onto a sink the
+//! caller owns and drains, so a caller that keeps one sink allocates
+//! nothing per input. All timing (delays, loss, partitions) lives in the
+//! runtime, which makes every protocol path unit-testable without a
+//! network and keeps runs deterministic.
 //!
 //! Protocol shape — classic multi-Paxos with a stable leader:
 //!
@@ -26,6 +27,7 @@
 //! keep campaigns from colliding forever; ballots are totally ordered so
 //! colliding campaigns are safe, just slow.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use udr_model::ids::IdSet;
@@ -97,6 +99,17 @@ struct PendingCmd {
     last_sent: Option<SimTime>,
 }
 
+/// A leader's proposal awaiting a majority.
+#[derive(Debug, Clone)]
+struct Inflight {
+    cmd: Command,
+    /// Last instant the `Accept` was sent.
+    sent: SimTime,
+    /// Nodes that accepted it under the current ballot (leader included),
+    /// one bit per [`NodeId`]: a repeated ack sets a bit already set.
+    acks: u64,
+}
+
 /// One consensus node.
 #[derive(Debug)]
 pub struct Replica {
@@ -119,10 +132,8 @@ pub struct Replica {
     promised_from: BTreeSet<NodeId>,
     /// Highest-ballot accepted entries gathered during the campaign.
     merged: BTreeMap<Slot, (Ballot, Command)>,
-    /// Leader: per-slot acks gathered (includes self).
-    acks: BTreeMap<Slot, BTreeSet<NodeId>>,
-    /// Leader: proposals awaiting a majority, with last send instant.
-    inflight: BTreeMap<Slot, (Command, SimTime)>,
+    /// Leader: proposals awaiting a majority, with their acks.
+    inflight: BTreeMap<Slot, Inflight>,
     /// Ids of commands currently in flight (deduplication).
     inflight_ids: IdSet<CmdId>,
     /// Next free slot while leading.
@@ -147,10 +158,12 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// A fresh follower. `n` is the ensemble size; `seed` feeds the
-    /// node-local jitter stream.
+    /// A fresh follower. `n` is the ensemble size, at most 64 (a
+    /// proposal's acks are one bit per node); `seed` feeds the node-local
+    /// jitter stream.
     pub fn new(id: NodeId, n: usize, cfg: ReplicaConfig, seed: u64) -> Self {
         assert!(n >= 1, "an ensemble needs at least one node");
+        assert!(n <= 64, "acks are a 64-bit node mask");
         assert!(
             cfg.heartbeat_interval < cfg.election_timeout,
             "heartbeats must outpace election timeouts"
@@ -169,7 +182,6 @@ impl Replica {
             ballot: Ballot::ZERO,
             promised_from: BTreeSet::new(),
             merged: BTreeMap::new(),
-            acks: BTreeMap::new(),
             inflight: BTreeMap::new(),
             inflight_ids: IdSet::default(),
             next_slot: Slot(1),
@@ -256,17 +268,15 @@ impl Replica {
 
     /// A client (or the runtime on behalf of one) hands this node a
     /// command. The leader proposes immediately; others forward to the
-    /// believed leader or queue until one is known.
-    pub fn submit(&mut self, now: SimTime, cmd: Command) -> Vec<Outbound> {
-        let mut out = Vec::new();
-        self.ingest_command(now, cmd, &mut out);
-        out
+    /// believed leader or queue until one is known. Messages to send are
+    /// pushed onto `out`.
+    pub fn submit(&mut self, now: SimTime, cmd: Command, out: &mut Vec<Outbound>) {
+        self.ingest_command(now, cmd, out);
     }
 
     /// Periodic timer: drives elections, heartbeats, retransmissions and
-    /// pending-command forwarding.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Outbound> {
-        let mut out = Vec::new();
+    /// pending-command forwarding. Messages to send are pushed onto `out`.
+    pub fn tick(&mut self, now: SimTime, out: &mut Vec<Outbound>) {
         match self.role {
             Role::Leader => {
                 // Retransmit stale proposals (lost Accepts) and heartbeat.
@@ -274,19 +284,13 @@ impl Replica {
                     >= self.cfg.retry_interval.as_nanos();
                 if retry_before {
                     let cutoff = SimTime(now.as_nanos() - self.cfg.retry_interval.as_nanos());
-                    let stale: Vec<Slot> = self
-                        .inflight
-                        .iter()
-                        .filter(|(_, (_, sent))| *sent <= cutoff)
-                        .map(|(s, _)| *s)
-                        .collect();
-                    for slot in stale {
-                        if let Some((cmd, sent)) = self.inflight.get_mut(&slot) {
-                            *sent = now;
+                    for (slot, p) in &mut self.inflight {
+                        if p.sent <= cutoff {
+                            p.sent = now;
                             out.push(Outbound::Broadcast(Message::Accept {
                                 ballot: self.ballot,
-                                slot,
-                                cmd: cmd.clone(),
+                                slot: *slot,
+                                cmd: p.cmd.clone(),
                                 committed: self.log.committed(),
                             }));
                         }
@@ -302,41 +306,40 @@ impl Replica {
             }
             Role::Follower => {
                 if now >= self.election_due {
-                    self.start_election(now, &mut out);
+                    self.start_election(now, out);
                 } else {
-                    self.forward_pending(now, &mut out);
+                    self.forward_pending(now, out);
                 }
             }
             Role::Candidate => {
                 if now >= self.election_due {
                     // Campaign stalled (lost messages or a split): rebid.
-                    self.start_election(now, &mut out);
+                    self.start_election(now, out);
                 }
             }
         }
-        out
     }
 
-    /// Process one incoming message.
-    pub fn handle(&mut self, now: SimTime, from: NodeId, msg: Message) -> Vec<Outbound> {
-        let mut out = Vec::new();
+    /// Process one incoming message. Messages to send are pushed onto
+    /// `out`.
+    pub fn handle(&mut self, now: SimTime, from: NodeId, msg: Message, out: &mut Vec<Outbound>) {
         match msg {
             Message::Prepare { ballot, committed } => {
-                self.on_prepare(now, from, ballot, committed, &mut out)
+                self.on_prepare(now, from, ballot, committed, out)
             }
             Message::Promise {
                 ballot,
                 accepted,
                 chosen,
-            } => self.on_promise(now, from, ballot, accepted, chosen, &mut out),
+            } => self.on_promise(now, from, ballot, accepted, chosen, out),
             Message::PrepareNack { promised } => self.on_nack(now, promised),
             Message::Accept {
                 ballot,
                 slot,
                 cmd,
                 committed,
-            } => self.on_accept(now, from, ballot, slot, cmd, committed, &mut out),
-            Message::Accepted { ballot, slot } => self.on_accepted(from, ballot, slot, &mut out),
+            } => self.on_accept(now, from, ballot, slot, cmd, committed, out),
+            Message::Accepted { ballot, slot } => self.on_accepted(from, ballot, slot, out),
             Message::AcceptNack { promised } => self.on_nack(now, promised),
             Message::Learn { slot, cmd } => {
                 if Some(from) == self.leader_hint {
@@ -345,7 +348,7 @@ impl Replica {
                 self.learn(slot, cmd);
             }
             Message::Heartbeat { ballot, committed } => {
-                self.on_heartbeat(now, from, ballot, committed, &mut out)
+                self.on_heartbeat(now, from, ballot, committed, out)
             }
             Message::CatchUpRequest { above } => {
                 let chosen = self.log.suffix(above);
@@ -358,9 +361,8 @@ impl Replica {
                     self.learn(slot, cmd);
                 }
             }
-            Message::Forward { cmd } => self.ingest_command(now, cmd, &mut out),
+            Message::Forward { cmd } => self.ingest_command(now, cmd, out),
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -545,7 +547,6 @@ impl Replica {
     fn become_leader(&mut self, now: SimTime, out: &mut Vec<Outbound>) {
         self.role = Role::Leader;
         self.leader_hint = Some(self.id);
-        self.acks.clear();
         self.inflight.clear();
         self.inflight_ids.clear();
 
@@ -595,12 +596,11 @@ impl Replica {
         // back to pending and will be forwarded to the new leader.
         let inflight = std::mem::take(&mut self.inflight);
         self.inflight_ids.clear();
-        for (_, (cmd, _)) in inflight {
-            if !cmd.is_noop() {
-                self.queue_pending(cmd);
+        for (_, p) in inflight {
+            if !p.cmd.is_noop() {
+                self.queue_pending(p.cmd);
             }
         }
-        self.acks.clear();
         self.merged.clear();
         self.promised_from.clear();
         self.election_due = now + Self::timeout_with_jitter(&self.cfg, &mut self.rng);
@@ -693,8 +693,14 @@ impl Replica {
         if !cmd.id.is_noop() {
             self.inflight_ids.insert(cmd.id);
         }
-        self.inflight.insert(slot, (cmd.clone(), now));
-        self.acks.entry(slot).or_default().insert(self.id);
+        self.inflight.insert(
+            slot,
+            Inflight {
+                cmd: cmd.clone(),
+                sent: now,
+                acks: node_bit(self.id),
+            },
+        );
         out.push(Outbound::Broadcast(Message::Accept {
             ballot: self.ballot,
             slot,
@@ -708,24 +714,21 @@ impl Replica {
         if self.role != Role::Leader || ballot != self.ballot {
             return;
         }
-        if let Some(set) = self.acks.get_mut(&slot) {
-            set.insert(from);
+        if let Some(p) = self.inflight.get_mut(&slot) {
+            p.acks |= node_bit(from);
         }
         self.maybe_choose(slot, out);
     }
 
     fn maybe_choose(&mut self, slot: Slot, out: &mut Vec<Outbound>) {
-        let reached = self
-            .acks
-            .get(&slot)
-            .is_some_and(|s| s.len() >= self.majority());
-        if !reached {
-            return;
-        }
-        let Some((cmd, _)) = self.inflight.remove(&slot) else {
+        let majority = self.majority();
+        let Entry::Occupied(p) = self.inflight.entry(slot) else {
             return;
         };
-        self.acks.remove(&slot);
+        if (p.get().acks.count_ones() as usize) < majority {
+            return;
+        }
+        let cmd = p.remove().cmd;
         self.inflight_ids.remove(&cmd.id);
         self.learn(slot, cmd.clone());
         out.push(Outbound::Broadcast(Message::Learn { slot, cmd }));
@@ -756,6 +759,11 @@ impl Replica {
     }
 }
 
+/// `node`'s bit in a proposal's ack mask.
+fn node_bit(node: NodeId) -> u64 {
+    1 << node.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,6 +781,34 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    /// What `r.tick` sends.
+    fn tick(r: &mut Replica, now: SimTime) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        r.tick(now, &mut out);
+        out
+    }
+
+    /// What `r.handle` sends.
+    fn handle(r: &mut Replica, now: SimTime, from: NodeId, msg: Message) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        r.handle(now, from, msg, &mut out);
+        out
+    }
+
+    /// What `r.submit` sends.
+    fn submit(r: &mut Replica, now: SimTime, cmd: Command) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        r.submit(now, cmd, &mut out);
+        out
+    }
+
+    fn accepted(ballot: Ballot, slot: u64) -> Message {
+        Message::Accepted {
+            ballot,
+            slot: Slot(slot),
+        }
+    }
+
     /// Walk a 3-node ensemble to a stable leader by hand-delivering
     /// messages; returns (replicas, leader index).
     fn elect_leader() -> (Vec<Replica>, usize) {
@@ -781,7 +817,7 @@ mod tests {
             .collect();
         // Force node 0 to campaign.
         let due = nodes[0].election_due;
-        let mut out = nodes[0].tick(due);
+        let mut out = tick(&mut nodes[0], due);
         assert_eq!(nodes[0].role(), Role::Candidate);
         // Deliver the Prepare to peers, collect promises.
         let prepare = match out.pop() {
@@ -790,7 +826,7 @@ mod tests {
         };
         let mut promises = Vec::new();
         for i in 1..3u32 {
-            for o in nodes[i as usize].handle(due, NodeId(0), prepare.clone()) {
+            for o in handle(&mut nodes[i as usize], due, NodeId(0), prepare.clone()) {
                 if let Outbound::To(to, m) = o {
                     assert_eq!(to, NodeId(0));
                     promises.push((NodeId(i), m));
@@ -798,19 +834,91 @@ mod tests {
             }
         }
         for (from, m) in promises {
-            nodes[0].handle(due, from, m);
+            handle(&mut nodes[0], due, from, m);
         }
         assert_eq!(nodes[0].role(), Role::Leader);
         (nodes, 0)
+    }
+
+    /// Node 0 of a 5-node ensemble, leading in round 2 on promises from
+    /// nodes 1 and 2 (its round-1 campaign drew none), and the instant it
+    /// won.
+    fn leader_of_five() -> (Replica, SimTime) {
+        let mut r = Replica::new(NodeId(0), 5, cfg(), 5);
+        let mut due = r.election_due;
+        tick(&mut r, due);
+        due = r.election_due;
+        tick(&mut r, due);
+        let ballot = r.current_ballot();
+        assert_eq!(ballot, Ballot::new(2, NodeId(0)));
+        for from in 1..=2 {
+            let promise = Message::Promise {
+                ballot,
+                accepted: vec![],
+                chosen: vec![],
+            };
+            handle(&mut r, due, NodeId(from), promise);
+        }
+        assert_eq!(r.role(), Role::Leader);
+        (r, due)
+    }
+
+    #[test]
+    fn a_majority_of_five_is_three_distinct_acks_under_the_current_ballot() {
+        let (mut r, now) = leader_of_five();
+        let ballot = r.current_ballot();
+        submit(&mut r, now, w(1));
+        // The leader's own ack and node 1's, however often node 1 repeats it.
+        for _ in 0..4 {
+            assert!(handle(&mut r, now, NodeId(1), accepted(ballot, 1)).is_empty());
+        }
+        assert_eq!(r.log().committed(), Slot::ZERO);
+        // Node 2 acking under the round-1 ballot is not an ack for round 2.
+        let stale = Ballot::new(1, NodeId(0));
+        assert!(handle(&mut r, now, NodeId(2), accepted(stale, 1)).is_empty());
+        assert_eq!(r.log().committed(), Slot::ZERO);
+        assert!(!r.read_index_ready());
+        // Node 2 under the current ballot is the third.
+        let out = handle(&mut r, now, NodeId(2), accepted(ballot, 1));
+        assert_eq!(r.log().committed(), Slot(1));
+        assert!(out.iter().any(
+            |o| matches!(o, Outbound::Broadcast(Message::Learn { slot, .. }) if *slot == Slot(1))
+        ));
+        assert!(r.read_index_ready());
+        // A late ack for a chosen slot changes nothing.
+        assert!(handle(&mut r, now, NodeId(3), accepted(ballot, 1)).is_empty());
+        assert_eq!(r.log().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit node mask")]
+    fn an_ensemble_wider_than_the_ack_mask_is_refused() {
+        Replica::new(NodeId(0), 65, cfg(), 1);
+    }
+
+    #[test]
+    fn one_sink_collects_the_output_of_several_inputs() {
+        let (mut nodes, leader) = elect_leader();
+        let mut out = Vec::new();
+        nodes[leader].submit(t(2000), w(1), &mut out);
+        nodes[leader].submit(t(2000), w(2), &mut out);
+        let slots: Vec<Slot> = out
+            .iter()
+            .filter_map(|o| match o {
+                Outbound::Broadcast(Message::Accept { slot, .. }) => Some(*slot),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(slots, vec![Slot(1), Slot(2)], "appended, not replaced");
     }
 
     #[test]
     fn lone_node_elects_itself_and_commits() {
         let mut r = Replica::new(NodeId(0), 1, cfg(), 1);
         let due = r.election_due;
-        r.tick(due);
+        tick(&mut r, due);
         assert_eq!(r.role(), Role::Leader);
-        r.submit(due, w(1));
+        submit(&mut r, due, w(1));
         assert_eq!(r.log().committed(), Slot(1));
         assert_eq!(r.log().get(Slot(1)).unwrap().id, CmdId(1));
     }
@@ -820,7 +928,7 @@ mod tests {
         let (mut nodes, leader) = elect_leader();
         let now = t(2000);
         // Leader proposes; acceptors accept; majority chooses.
-        let out = nodes[leader].submit(now, w(7));
+        let out = submit(&mut nodes[leader], now, w(7));
         let accept = out
             .iter()
             .find_map(|o| match o {
@@ -828,12 +936,12 @@ mod tests {
                 _ => None,
             })
             .expect("leader must broadcast an accept");
-        let reply = nodes[1].handle(now, NodeId(0), accept);
+        let reply = handle(&mut nodes[1], now, NodeId(0), accept);
         let accepted = match &reply[0] {
             Outbound::To(_, m @ Message::Accepted { .. }) => m.clone(),
             other => panic!("expected accepted, got {other:?}"),
         };
-        let out = nodes[leader].handle(now, NodeId(1), accepted);
+        let out = handle(&mut nodes[leader], now, NodeId(1), accepted);
         // With 2/3 acks the command is chosen and learned broadcast.
         assert_eq!(nodes[leader].log().committed(), Slot(1));
         assert!(out.iter().any(
@@ -845,7 +953,8 @@ mod tests {
     fn acceptor_rejects_stale_ballots() {
         let mut r = Replica::new(NodeId(1), 3, cfg(), 9);
         let high = Ballot::new(5, NodeId(2));
-        let out = r.handle(
+        let out = handle(
+            &mut r,
             t(0),
             NodeId(2),
             Message::Prepare {
@@ -856,7 +965,8 @@ mod tests {
         assert!(matches!(&out[0], Outbound::To(_, Message::Promise { .. })));
         // A lower campaign is refused with the promised ballot.
         let low = Ballot::new(3, NodeId(0));
-        let out = r.handle(
+        let out = handle(
+            &mut r,
             t(1),
             NodeId(0),
             Message::Prepare {
@@ -872,7 +982,8 @@ mod tests {
             other => panic!("expected nack, got {other:?}"),
         }
         // Accept below the promise is also refused.
-        let out = r.handle(
+        let out = handle(
+            &mut r,
             t(2),
             NodeId(0),
             Message::Accept {
@@ -895,10 +1006,11 @@ mod tests {
         // value, not its own.
         let mut leader = Replica::new(NodeId(2), 3, cfg(), 3);
         let due = leader.election_due;
-        leader.tick(due);
+        tick(&mut leader, due);
         let ballot = leader.current_ballot();
         let old = Ballot::new(1, NodeId(0));
-        let out = leader.handle(
+        let out = handle(
+            &mut leader,
             due,
             NodeId(1),
             Message::Promise {
@@ -919,11 +1031,12 @@ mod tests {
     fn gaps_fill_with_noops_on_leader_change() {
         let mut leader = Replica::new(NodeId(2), 3, cfg(), 3);
         let due = leader.election_due;
-        leader.tick(due);
+        tick(&mut leader, due);
         let ballot = leader.current_ballot();
         // Promise reports an accepted entry at slot 3 only: slots 1-2 are
         // gaps the new leader must close with no-ops.
-        let out = leader.handle(
+        let out = handle(
+            &mut leader,
             due,
             NodeId(1),
             Message::Promise {
@@ -947,7 +1060,8 @@ mod tests {
     fn follower_forwards_submissions_to_leader() {
         let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
         // Learn of a leader via heartbeat.
-        f.handle(
+        handle(
+            &mut f,
             t(0),
             NodeId(0),
             Message::Heartbeat {
@@ -955,12 +1069,13 @@ mod tests {
                 committed: Slot::ZERO,
             },
         );
-        let out = f.submit(t(1), w(5));
+        let out = submit(&mut f, t(1), w(5));
         assert!(matches!(&out[0],
             Outbound::To(to, Message::Forward { cmd }) if *to == NodeId(0) && cmd.id == CmdId(5)));
         // Still queued for re-forwarding until observed chosen.
         assert_eq!(f.pending_len(), 1);
-        f.handle(
+        handle(
+            &mut f,
             t(2),
             NodeId(0),
             Message::Learn {
@@ -974,10 +1089,11 @@ mod tests {
     #[test]
     fn leaderless_submissions_queue_until_leader_known() {
         let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
-        assert!(f.submit(t(0), w(5)).is_empty());
+        assert!(submit(&mut f, t(0), w(5)).is_empty());
         assert_eq!(f.pending_len(), 1);
         // Heartbeat announces a leader: pending flushes as Forward.
-        let out = f.handle(
+        let out = handle(
+            &mut f,
             t(1),
             NodeId(0),
             Message::Heartbeat {
@@ -994,12 +1110,13 @@ mod tests {
     fn duplicate_submissions_are_ignored() {
         let (mut nodes, leader) = elect_leader();
         let now = t(2000);
-        nodes[leader].submit(now, w(7));
-        let out = nodes[leader].submit(now, w(7));
+        submit(&mut nodes[leader], now, w(7));
+        let out = submit(&mut nodes[leader], now, w(7));
         assert!(out.is_empty(), "duplicate while inflight must be dropped");
         // And once chosen it is still deduplicated.
         let ballot = nodes[leader].current_ballot();
-        nodes[leader].handle(
+        handle(
+            &mut nodes[leader],
             now,
             NodeId(1),
             Message::Accepted {
@@ -1008,7 +1125,7 @@ mod tests {
             },
         );
         assert_eq!(nodes[leader].log().committed(), Slot(1));
-        let out = nodes[leader].submit(now, w(7));
+        let out = submit(&mut nodes[leader], now, w(7));
         assert!(out.is_empty());
     }
 
@@ -1016,9 +1133,10 @@ mod tests {
     fn leader_steps_down_on_higher_ballot() {
         let (mut nodes, leader) = elect_leader();
         let now = t(3000);
-        nodes[leader].submit(now, w(1));
+        submit(&mut nodes[leader], now, w(1));
         let higher = nodes[leader].current_ballot().succeed(NodeId(2));
-        nodes[leader].handle(
+        handle(
+            &mut nodes[leader],
             now,
             NodeId(2),
             Message::Prepare {
@@ -1034,7 +1152,8 @@ mod tests {
     #[test]
     fn lagging_learner_requests_catchup() {
         let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
-        let out = f.handle(
+        let out = handle(
+            &mut f,
             t(0),
             NodeId(0),
             Message::Heartbeat {
@@ -1052,7 +1171,8 @@ mod tests {
     #[test]
     fn catchup_reply_fills_log() {
         let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
-        f.handle(
+        handle(
+            &mut f,
             t(0),
             NodeId(0),
             Message::CatchUpReply {
@@ -1068,9 +1188,10 @@ mod tests {
     fn catchup_request_served_from_log() {
         let (mut nodes, leader) = elect_leader();
         let now = t(2000);
-        nodes[leader].submit(now, w(1));
+        submit(&mut nodes[leader], now, w(1));
         let ballot = nodes[leader].current_ballot();
-        nodes[leader].handle(
+        handle(
+            &mut nodes[leader],
             now,
             NodeId(1),
             Message::Accepted {
@@ -1078,7 +1199,8 @@ mod tests {
                 slot: Slot(1),
             },
         );
-        let out = nodes[leader].handle(
+        let out = handle(
+            &mut nodes[leader],
             now,
             NodeId(2),
             Message::CatchUpRequest { above: Slot::ZERO },
@@ -1099,7 +1221,8 @@ mod tests {
         let mut now = t(0);
         // Regular heartbeats: no election for a long horizon.
         for _ in 0..100 {
-            f.handle(
+            handle(
+                &mut f,
                 now,
                 NodeId(0),
                 Message::Heartbeat {
@@ -1108,13 +1231,13 @@ mod tests {
                 },
             );
             now += SimDuration::from_millis(100);
-            let out = f.tick(now);
+            let out = tick(&mut f, now);
             assert_eq!(f.role(), Role::Follower);
             assert!(out.is_empty());
         }
         // Silence: the next tick past the deadline campaigns.
         now += SimDuration::from_millis(3000);
-        f.tick(now);
+        tick(&mut f, now);
         assert_eq!(f.role(), Role::Candidate);
         assert_eq!(f.elections_started, 1);
     }
@@ -1123,11 +1246,11 @@ mod tests {
     fn candidate_rebids_with_higher_round_after_timeout() {
         let mut c = Replica::new(NodeId(0), 3, cfg(), 4);
         let due = c.election_due;
-        c.tick(due);
+        tick(&mut c, due);
         let first = c.current_ballot();
         // No promises arrive; past the rebid deadline a new campaign starts.
         let rebid_at = c.election_due;
-        c.tick(rebid_at);
+        tick(&mut c, rebid_at);
         let second = c.current_ballot();
         assert!(second > first);
         assert_eq!(c.elections_started, 2);
@@ -1137,10 +1260,10 @@ mod tests {
     fn leader_retransmits_unacked_proposals() {
         let (mut nodes, leader) = elect_leader();
         let now = t(2000);
-        nodes[leader].submit(now, w(1));
+        submit(&mut nodes[leader], now, w(1));
         // No Accepted arrives; after the retry interval the Accept re-sends.
         let later = now + SimDuration::from_millis(250);
-        let out = nodes[leader].tick(later);
+        let out = tick(&mut nodes[leader], later);
         assert!(out.iter().any(|o| matches!(
             o,
             Outbound::Broadcast(Message::Accept { slot, .. }) if *slot == Slot(1)
@@ -1150,7 +1273,8 @@ mod tests {
     #[test]
     fn learn_is_idempotent_and_detects_conflicts() {
         let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
-        f.handle(
+        handle(
+            &mut f,
             t(0),
             NodeId(0),
             Message::Learn {
@@ -1158,7 +1282,8 @@ mod tests {
                 cmd: w(1),
             },
         );
-        f.handle(
+        handle(
+            &mut f,
             t(1),
             NodeId(0),
             Message::Learn {
@@ -1169,7 +1294,8 @@ mod tests {
         assert!(f.take_violations().is_empty());
         // A conflicting decision (impossible in a correct protocol run) is
         // surfaced, not silently applied.
-        f.handle(
+        handle(
+            &mut f,
             t(2),
             NodeId(0),
             Message::Learn {

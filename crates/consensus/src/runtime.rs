@@ -173,6 +173,8 @@ pub struct ConsensusCluster {
     messages: MsgStats,
     violations: Vec<String>,
     ticks_started: bool,
+    /// What the replica being stepped sends; empty between steps.
+    outbox: Vec<Outbound>,
 }
 
 impl ConsensusCluster {
@@ -199,6 +201,7 @@ impl ConsensusCluster {
             messages: MsgStats::default(),
             violations: Vec::new(),
             ticks_started: false,
+            outbox: Vec::new(),
         }
     }
 
@@ -302,19 +305,31 @@ impl ConsensusCluster {
         }
     }
 
-    fn route(&mut self, now: SimTime, from: NodeId, outputs: Vec<Outbound>) {
-        for out in outputs {
+    /// Feed `node` one input (`input` pushes what it sends onto the
+    /// cluster's one outbox), account for what it learned, then send the
+    /// outbox's messages and leave it empty for the next input.
+    fn step(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        input: impl FnOnce(&mut Replica, &mut Vec<Outbound>),
+    ) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        input(&mut self.replicas[node.index()], &mut outbox);
+        self.post_process(now, node);
+        for out in outbox.drain(..) {
             match out {
-                Outbound::To(dest, msg) => self.send_one(now, from, dest, msg),
+                Outbound::To(dest, msg) => self.send_one(now, node, dest, msg),
                 Outbound::Broadcast(msg) => {
                     for i in 0..self.replicas.len() as u32 {
-                        if NodeId(i) != from {
-                            self.send_one(now, from, NodeId(i), msg.clone());
+                        if NodeId(i) != node {
+                            self.send_one(now, node, NodeId(i), msg.clone());
                         }
                     }
                 }
             }
         }
+        self.outbox = outbox;
     }
 
     fn send_one(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: Message) {
@@ -369,9 +384,7 @@ impl ConsensusCluster {
                     if self.down[to.index()] {
                         continue;
                     }
-                    let outputs = self.replicas[to.index()].handle(now, env.from, env.msg);
-                    self.post_process(now, to);
-                    self.route(now, to, outputs);
+                    self.step(now, to, |r, out| r.handle(now, env.from, env.msg, out));
                 }
                 Ev::Tick { node } => {
                     self.queue
@@ -379,9 +392,7 @@ impl ConsensusCluster {
                     if self.down[node.index()] {
                         continue;
                     }
-                    let outputs = self.replicas[node.index()].tick(now);
-                    self.post_process(now, node);
-                    self.route(now, node, outputs);
+                    self.step(now, node, |r, out| r.tick(now, out));
                 }
                 Ev::Submit { origin, cmd } => {
                     self.fates.insert(
@@ -397,9 +408,7 @@ impl ConsensusCluster {
                     if self.down[origin.index()] {
                         continue; // client hit a dead PoA: counts as failed
                     }
-                    let outputs = self.replicas[origin.index()].submit(now, cmd);
-                    self.post_process(now, origin);
-                    self.route(now, origin, outputs);
+                    self.step(now, origin, |r, out| r.submit(now, cmd, out));
                 }
                 Ev::StartCut { idx } => {
                     let handle = self.net.start_partition(self.cuts[idx].clone());

@@ -16,6 +16,17 @@
 //! a consensus deployment's operations to `Udr::consensus_route` in one
 //! dispatch line.
 //!
+//! A protocol step allocates nothing once an ensemble is warm. Every
+//! replica input (`Udr::consensus_step`) pushes what it sends onto the
+//! ensemble's one outbox, which routing drains and keeps. A message in
+//! flight waits in the ensemble's mailbox, a slab whose slots a LIFO free
+//! list recycles; the [`UdrEvent::ConsensusDeliver`] that carries it holds
+//! only its `u32` ticket, and delivery takes the message out before
+//! anything else, so a message dropped at a down or cut-off node frees its
+//! slot too. A chosen write becomes a commit record holding its one change
+//! inline. What a consensus write still allocates is its post-image and
+//! its share of chosen-log growth.
+//!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen
 //! [`Payload::Write`] carries it, so every replica applies the identical
@@ -38,8 +49,7 @@
 //! [`Payload::Write`]: udr_consensus::Payload::Write
 //! [`Payload::Reconfig`]: udr_consensus::Payload::Reconfig
 
-use std::sync::Arc;
-
+use udr_consensus::replica::Outbound;
 use udr_consensus::{
     ChosenLog, CmdId, Command, Message, NodeId, Payload, Replica, ReplicaConfig, Role, Slot,
 };
@@ -73,6 +83,11 @@ pub(crate) struct ConsensusGroup {
     /// Scratch for the read-index echoes of one `consensus_read`, kept so
     /// a read allocates nothing.
     echoes: Vec<SimDuration>,
+    /// What the replica being stepped sends; empty between steps, kept so
+    /// a protocol step allocates nothing.
+    outbox: Vec<Outbound>,
+    /// The protocol messages in flight between this ensemble's nodes.
+    mailbox: Mailbox,
     /// Last observed serving leader (bookkeeping for failover counting).
     last_leader: Option<usize>,
     /// Serving-leader hand-offs observed (failovers under consensus).
@@ -95,6 +110,8 @@ impl ConsensusGroup {
         ConsensusGroup {
             applied: vec![Slot::ZERO; n],
             echoes: Vec::with_capacity(n),
+            outbox: Vec::new(),
+            mailbox: Mailbox::default(),
             replicas,
             last_leader: None,
             leader_changes: 0,
@@ -104,6 +121,48 @@ impl ConsensusGroup {
     /// Majority threshold of this ensemble.
     fn majority(&self) -> usize {
         self.replicas.len() / 2 + 1
+    }
+}
+
+/// Protocol messages in flight, each held in a slot a
+/// [`UdrEvent::ConsensusDeliver`] names by its ticket. A delivered slot
+/// goes on a free list and the next message posted takes the most
+/// recently freed one, so once the slab has grown to the most messages
+/// ever in flight at once, posting a message allocates nothing.
+#[derive(Default)]
+struct Mailbox {
+    slots: Vec<Option<Message>>,
+    free: Vec<u32>,
+}
+
+impl Mailbox {
+    /// Hold `msg` until its delivery; returns its ticket.
+    fn post(&mut self, msg: Message) -> u32 {
+        match self.free.pop() {
+            Some(ticket) => {
+                self.slots[ticket as usize] = Some(msg);
+                ticket
+            }
+            None => {
+                self.slots.push(Some(msg));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The message `ticket` names, freeing its slot.
+    fn take(&mut self, ticket: u32) -> Message {
+        let msg = self.slots[ticket as usize]
+            .take()
+            .expect("a ticket is delivered once");
+        self.free.push(ticket);
+        msg
+    }
+
+    /// Messages posted and not yet taken.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -223,8 +282,7 @@ impl Udr {
                 Some(format!("p{} via n{node} cmd={}", partition.0, cmd.id.0)),
             );
         }
-        let outs = self.consensus[partition.index()].replicas[node].submit(t, cmd);
-        self.route_consensus(t, partition, node, outs, trace);
+        self.consensus_step(t, partition, node, trace, |r, out| r.submit(t, cmd, out));
     }
 
     /// The replication stage under consensus, which bypasses copy routing:
@@ -482,8 +540,7 @@ impl Udr {
             if !self.consensus_node_up(p, i) {
                 continue;
             }
-            let outs = self.consensus[p].replicas[i].tick(t);
-            self.route_consensus(t, partition, i, outs, 0);
+            self.consensus_step(t, partition, i, 0, |r, out| r.tick(t, out));
         }
         self.consensus_apply(t, partition);
         self.note_consensus_leadership(p);
@@ -493,11 +550,12 @@ impl Udr {
         );
     }
 
-    /// `ConsensusDeliver`: hand a protocol message to its destination
-    /// replica. The message may arrive after a cut started or the node
-    /// crashed; then it is simply lost (retries and catch-up re-cover it).
-    /// `trace` is the context the sender stamped (0 = untraced); responses
-    /// the handler generates inherit it, so the causal chain survives
+    /// `ConsensusDeliver`: hand the protocol message `ticket` names to its
+    /// destination replica. The message may arrive after a cut started or
+    /// the node crashed; then it is simply lost (retries and catch-up
+    /// re-cover it), and its mailbox slot is freed all the same. `trace`
+    /// is the context the sender stamped (0 = untraced); responses the
+    /// handler generates inherit it, so the causal chain survives
     /// multi-hop rounds.
     pub(crate) fn consensus_deliver(
         &mut self,
@@ -505,10 +563,11 @@ impl Udr {
         partition: PartitionId,
         to: usize,
         from: usize,
-        msg: Message,
+        ticket: u32,
         trace: u64,
     ) {
         let p = partition.index();
+        let msg = self.consensus[p].mailbox.take(ticket);
         if !self.consensus_node_up(p, to) {
             return;
         }
@@ -526,8 +585,9 @@ impl Udr {
                 Some(format!("p{} n{from}→n{to}", partition.0)),
             );
         }
-        let outs = self.consensus[p].replicas[to].handle(t, NodeId(from as u32), msg);
-        self.route_consensus(t, partition, to, outs, trace);
+        self.consensus_step(t, partition, to, trace, |r, out| {
+            r.handle(t, NodeId(from as u32), msg, out)
+        });
         // Only `to`'s log can have grown; every other node applied its own
         // when it last handled a message or ticked.
         let applied = self.consensus_apply_node(t, partition, to);
@@ -543,31 +603,36 @@ impl Udr {
         self.note_consensus_leadership(p);
     }
 
-    /// Route a replica's outbound messages over the simulated network,
-    /// stamping each with the originating `trace` context.
-    fn route_consensus(
+    /// Feed node `node` of `partition`'s ensemble one input (`input`
+    /// pushes what the replica sends onto the ensemble's one outbox), then
+    /// route the outbox over the simulated network, stamping each message
+    /// with the originating `trace` context, and leave it empty for the
+    /// next step.
+    fn consensus_step(
         &mut self,
         t: SimTime,
         partition: PartitionId,
-        from: usize,
-        outs: Vec<udr_consensus::replica::Outbound>,
+        node: usize,
         trace: u64,
+        input: impl FnOnce(&mut Replica, &mut Vec<Outbound>),
     ) {
-        use udr_consensus::replica::Outbound;
-        for out in outs {
+        let g = &mut self.consensus[partition.index()];
+        let mut outbox = std::mem::take(&mut g.outbox);
+        input(&mut g.replicas[node], &mut outbox);
+        let n = g.replicas.len();
+        for out in outbox.drain(..) {
             match out {
                 Outbound::To(dest, msg) => {
-                    self.consensus_send(t, partition, from, dest.0 as usize, msg, trace);
+                    self.consensus_send(t, partition, node, dest.index(), msg, trace);
                 }
                 Outbound::Broadcast(msg) => {
-                    for j in 0..self.consensus[partition.index()].replicas.len() {
-                        if j != from {
-                            self.consensus_send(t, partition, from, j, msg.clone(), trace);
-                        }
+                    for j in (0..n).filter(|j| *j != node) {
+                        self.consensus_send(t, partition, node, j, msg.clone(), trace);
                     }
                 }
             }
         }
+        self.consensus[partition.index()].outbox = outbox;
     }
 
     /// Sample the path and schedule one protocol message delivery (or
@@ -590,13 +655,14 @@ impl Udr {
         let to_site = self.consensus_node_site(p, to);
         if let Some(delay) = self.net.send(from_site, to_site, &mut self.rng).delay() {
             self.metrics.consensus_messages += 1;
+            let ticket = self.consensus[p].mailbox.post(msg);
             self.schedule_event(
                 t + delay,
                 UdrEvent::ConsensusDeliver {
                     partition,
                     to,
                     from,
-                    msg: Box::new(msg),
+                    ticket,
                     trace,
                 },
             );
@@ -653,7 +719,7 @@ impl Udr {
                         lsn,
                         committed_at: t,
                         written_by,
-                        changes: Arc::new([Change { uid, entry }]),
+                        changes: Change { uid, entry }.into(),
                     };
                     let _ = self.ses[se.index()].apply_replicated(partition, &record);
                 }
@@ -1118,11 +1184,11 @@ mod tests {
             .expect("round 1 is in the log");
         let (twin, twin_slot) = (twin.clone(), log.committed().next());
         for to in 0..3 {
-            let learn = Message::Learn {
+            let ticket = udr.consensus[0].mailbox.post(Message::Learn {
                 slot: twin_slot,
                 cmd: twin.clone(),
-            };
-            udr.consensus_deliver(at(24_000), P0, to, (to + 1) % 3, learn, 0);
+            });
+            udr.consensus_deliver(at(24_000), P0, to, (to + 1) % 3, ticket, 0);
         }
         let writes_at_crash = effective_writes(udr.consensus[0].replicas[f].log());
         assert_eq!(
@@ -1180,6 +1246,46 @@ mod tests {
         assert_eq!(udr.metrics.migrations_completed, 2);
         assert_eq!(udr.metrics.migrations_aborted, 0);
         assert!(udr.consensus_violations().is_empty());
+    }
+
+    /// A message that reaches a node after it crashed is dropped, and its
+    /// mailbox slot is freed all the same: once the run settles after the
+    /// crash and the restore, no ticket is left live.
+    #[test]
+    fn messages_dropped_at_a_crashed_node_free_their_tickets() {
+        let mut udr = provisioned(DurabilityMode::None);
+        let leader = udr.consensus_serving_leader(0).expect("a leader serves");
+        let f_se = udr.groups[0].members()[(leader + 1) % 3];
+        // A write returns once the leader has chosen it, while the Learns
+        // announcing it are still on the wire; the follower crashes
+        // before its Learn arrives.
+        modify_round(&mut udr, 1, 5_000);
+        assert!(udr.consensus[0].mailbox.live() > 0, "nothing in flight");
+        udr.schedule_faults(FaultSchedule::new().se_outage(
+            udr.now(),
+            SimDuration::from_secs(2),
+            f_se,
+        ));
+        modify_round(&mut udr, 2, 6_000);
+        udr.advance_to(at(9_000));
+        assert!(udr.ses[f_se.index()].is_up());
+        modify_round(&mut udr, 3, 9_000);
+        udr.advance_to(at(12_000));
+        assert!(udr.replication_settled());
+
+        // Heartbeats keep a message or two on the wire for part of every
+        // interval; a leaked ticket stays live for good.
+        let mut now = at(12_000);
+        let drained = (0..200).any(|_| {
+            now += SimDuration::from_millis(1);
+            udr.advance_to(now);
+            udr.consensus[0].mailbox.live() == 0
+        });
+        assert!(
+            drained,
+            "{} tickets live throughout the 200 ms after settling",
+            udr.consensus[0].mailbox.live()
+        );
     }
 
     #[test]

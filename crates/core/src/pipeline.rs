@@ -1203,7 +1203,7 @@ impl ReplicationStage {
                 continue;
             };
             let suffix: Vec<CommitRecord> = match udr.ses[master.index()].engine(partition) {
-                Ok(engine) => engine.log().since(applied).to_vec(),
+                Ok(engine) => engine.log().since(applied).cloned().collect(),
                 Err(_) => continue,
             };
             // A truncated log cannot serve the gap; the periodic catch-up

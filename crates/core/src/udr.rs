@@ -185,14 +185,20 @@ pub enum UdrEvent {
         to: usize,
         /// Sending node index within the ensemble.
         from: usize,
-        /// The protocol message (boxed: large relative to other events).
-        msg: Box<udr_consensus::Message>,
+        /// Where the protocol message waits in the ensemble's mailbox: a
+        /// message is larger than most events, and holding it there keeps
+        /// it out of every event and off the allocator.
+        ticket: u32,
         /// Trace of the operation this message works for (0 = protocol
         /// background), propagated from the submit through every response
         /// so a commit round reads as one causal chain.
         trace: u64,
     },
 }
+
+// Every scheduled event is moved through the pump's heaps at this size;
+// the largest variant sets it (a link degradation).
+const _: () = assert!(std::mem::size_of::<UdrEvent>() == 80);
 
 impl UdrEvent {
     /// Schedule-time lane classification for the sharded pump
@@ -715,9 +721,9 @@ impl Udr {
                 partition,
                 to,
                 from,
-                msg,
+                ticket,
                 trace,
-            } => self.consensus_deliver(t, partition, to, from, *msg, trace),
+            } => self.consensus_deliver(t, partition, to, from, ticket, trace),
         }
     }
 

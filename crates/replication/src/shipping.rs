@@ -373,14 +373,16 @@ impl AsyncShipper {
         let Some(delay) = delay else {
             return Vec::new();
         };
-        let records = master.log().since(ch.applied);
-        if records.is_empty() || records[0].lsn != ch.applied.next() {
+        let mut records = master.log().since(ch.applied).peekable();
+        if records.peek().map(|r| r.lsn) != Some(ch.applied.next()) {
             // The suffix was truncated; a full reseed is required instead.
             return Vec::new();
         }
         self.catchups += 1;
         let mut arrives = (now + delay).max(ch.last_arrival);
-        let mut deliveries = Vec::with_capacity(records.len());
+        // LSNs are contiguous, so the suffix is exactly this long.
+        let len = master.last_lsn().raw() - ch.applied.raw();
+        let mut deliveries = Vec::with_capacity(len as usize);
         for record in records {
             deliveries.push(Delivery {
                 slave,

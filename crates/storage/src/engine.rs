@@ -296,8 +296,8 @@ impl Engine {
             return Ok(None);
         }
         let lsn = self.log.last_lsn().next();
-        // `drain` reports its exact length, so the shared change list is
-        // allocated once, in ascending uid order.
+        // In ascending uid order: one change is held inline, and `drain`
+        // reports its exact length, so a longer list is allocated once.
         let changes = writes
             .drain(..)
             .map(|(uid, entry)| {

@@ -33,4 +33,4 @@ pub use log::CommitLog;
 pub use se::{Replica, SeState, StorageElement};
 pub use shared::SharedEngine;
 pub use store::{RecordStore, RecordView, StoreImage};
-pub use version::{Change, CommitRecord, Lsn, RecordVersion};
+pub use version::{Change, Changes, CommitRecord, Lsn, RecordVersion};

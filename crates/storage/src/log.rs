@@ -7,14 +7,23 @@
 
 use crate::version::{CommitRecord, Lsn};
 
+/// Records per segment of a [`CommitLog`].
+const SEGMENT: usize = 4096;
+
 /// An append-only, truncatable sequence of [`CommitRecord`]s.
 ///
-/// Records are stored contiguously; `base` is the LSN of the first retained
-/// record. Truncation models snapshot-based log reclaim.
+/// Records are stored in segments of 4 096 records, oldest first. The first
+/// segment grows by doubling, so a short log stays small; once it is full,
+/// each later segment is allocated at its full size when the one before it
+/// fills. An append therefore never copies the records before it, and a
+/// long log costs one allocation per 4 096 appends. `base` is the LSN of
+/// the first retained record. Truncation models snapshot-based log reclaim.
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
-    records: Vec<CommitRecord>,
-    /// LSN of `records[0]`; valid only when `records` is non-empty.
+    /// Never holds an empty segment.
+    segments: Vec<Vec<CommitRecord>>,
+    /// LSN of the first retained record; valid only when the log is
+    /// non-empty.
     base: Lsn,
     last: Lsn,
 }
@@ -22,18 +31,14 @@ pub struct CommitLog {
 impl CommitLog {
     /// An empty log starting at LSN 1.
     pub fn new() -> Self {
-        CommitLog {
-            records: Vec::new(),
-            base: Lsn(1),
-            last: Lsn::ZERO,
-        }
+        CommitLog::starting_after(Lsn::ZERO)
     }
 
     /// An empty log that continues after `last` (used when restoring a
     /// replica from a snapshot taken at `last`).
     pub fn starting_after(last: Lsn) -> Self {
         CommitLog {
-            records: Vec::new(),
+            segments: Vec::new(),
             base: last.next(),
             last,
         }
@@ -58,7 +63,14 @@ impl CommitLog {
             self.last.next()
         );
         self.last = record.lsn;
-        self.records.push(record);
+        match self.segments.last_mut() {
+            Some(segment) if segment.len() < SEGMENT => segment.push(record),
+            full => {
+                let mut segment = Vec::with_capacity(if full.is_some() { SEGMENT } else { 0 });
+                segment.push(record);
+                self.segments.push(segment);
+            }
+        }
     }
 
     /// Fetch a record by LSN, if still retained.
@@ -66,17 +78,14 @@ impl CommitLog {
         if lsn < self.base || lsn > self.last {
             return None;
         }
-        self.records.get((lsn.0 - self.base.0) as usize)
+        self.iter().nth((lsn.0 - self.base.0) as usize)
     }
 
-    /// All retained records with LSN strictly greater than `after`.
-    pub fn since(&self, after: Lsn) -> &[CommitRecord] {
-        if after >= self.last {
-            return &[];
-        }
-        let from = after.max(self.base.0.saturating_sub(1).into());
-        let idx = (from.0 + 1).saturating_sub(self.base.0) as usize;
-        &self.records[idx.min(self.records.len())..]
+    /// All retained records with LSN strictly greater than `after`, in
+    /// order. Finding the first costs a step per segment, not per record.
+    pub fn since(&self, after: Lsn) -> impl Iterator<Item = &CommitRecord> {
+        self.iter()
+            .skip((after.0 + 1).saturating_sub(self.base.0) as usize)
     }
 
     /// Drop all records with LSN ≤ `upto` (snapshot-based reclaim).
@@ -84,29 +93,36 @@ impl CommitLog {
         if upto < self.base {
             return;
         }
-        let keep_from = ((upto.0 + 1).saturating_sub(self.base.0) as usize).min(self.records.len());
-        self.records.drain(..keep_from);
+        let mut drop = (upto.0 + 1 - self.base.0) as usize;
+        while let Some(first) = self.segments.first_mut() {
+            if drop < first.len() {
+                first.drain(..drop);
+                break;
+            }
+            drop -= first.len();
+            self.segments.remove(0);
+        }
         self.base = upto.next();
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.segments.iter().map(Vec::len).sum()
     }
 
     /// Whether no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.segments.is_empty()
     }
 
     /// LSN of the oldest retained record, if any.
     pub fn first_retained(&self) -> Option<Lsn> {
-        (!self.records.is_empty()).then_some(self.base)
+        (!self.is_empty()).then_some(self.base)
     }
 
     /// Iterate all retained records in order.
     pub fn iter(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.records.iter()
+        self.segments.iter().flatten()
     }
 }
 
@@ -120,7 +136,6 @@ impl From<u64> for Lsn {
 mod tests {
     use super::*;
     use crate::version::Change;
-    use std::sync::Arc;
     use udr_model::ids::{SeId, SubscriberUid};
     use udr_model::time::SimTime;
 
@@ -129,10 +144,11 @@ mod tests {
             lsn: Lsn(lsn),
             committed_at: SimTime(lsn * 10),
             written_by: SeId(0),
-            changes: Arc::new([Change {
+            changes: Change {
                 uid: SubscriberUid(lsn),
                 entry: None,
-            }]),
+            }
+            .into(),
         }
     }
 
@@ -161,12 +177,45 @@ mod tests {
         for i in 1..=5 {
             log.append(rec(i));
         }
-        let tail = log.since(Lsn(3));
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].lsn, Lsn(4));
-        assert!(log.since(Lsn(5)).is_empty());
-        assert!(log.since(Lsn(9)).is_empty());
-        assert_eq!(log.since(Lsn::ZERO).len(), 5);
+        let tail: Vec<Lsn> = log.since(Lsn(3)).map(|r| r.lsn).collect();
+        assert_eq!(tail, vec![Lsn(4), Lsn(5)]);
+        assert_eq!(log.since(Lsn(5)).count(), 0);
+        assert_eq!(log.since(Lsn(9)).count(), 0);
+        assert_eq!(log.since(Lsn::ZERO).count(), 5);
+    }
+
+    /// Assert that `log` holds exactly LSNs `first..=last`, read three ways.
+    fn assert_holds(log: &CommitLog, first: u64, last: u64) {
+        let want: Vec<Lsn> = (first..=last).map(Lsn).collect();
+        assert_eq!(log.iter().map(|r| r.lsn).collect::<Vec<_>>(), want);
+        assert_eq!(log.len(), want.len());
+        for &lsn in &want {
+            assert_eq!(log.get(lsn).map(|r| r.lsn), Some(lsn));
+            assert_eq!(log.since(Lsn(lsn.0 - 1)).next().map(|r| r.lsn), Some(lsn));
+        }
+        assert_eq!(log.get(Lsn(last + 1)), None);
+    }
+
+    #[test]
+    fn a_long_log_is_segments_that_read_as_one_sequence() {
+        let total = 2 * SEGMENT as u64 + 10;
+        let mut log = CommitLog::new();
+        for i in 1..=total {
+            log.append(rec(i));
+        }
+        assert_eq!(log.segments.len(), 3);
+        assert!(log.segments.iter().skip(1).all(|s| s.capacity() == SEGMENT));
+        assert_holds(&log, 1, total);
+
+        // Truncating inside the first segment, then past it.
+        log.truncate_through(Lsn(100));
+        assert_eq!(log.first_retained(), Some(Lsn(101)));
+        assert_holds(&log, 101, total);
+        log.truncate_through(Lsn(SEGMENT as u64 + 1));
+        assert_eq!(log.segments.len(), 2);
+        assert_holds(&log, SEGMENT as u64 + 2, total);
+        log.append(rec(total + 1));
+        assert_holds(&log, SEGMENT as u64 + 2, total + 1);
     }
 
     #[test]
@@ -181,7 +230,8 @@ mod tests {
         assert_eq!(log.get(Lsn(4)), None);
         assert_eq!(log.get(Lsn(5)).unwrap().lsn, Lsn(5));
         // since() after truncation still works for retained range.
-        assert_eq!(log.since(Lsn(4)).len(), 2);
+        assert_eq!(log.since(Lsn(4)).count(), 2);
+        assert_eq!(log.since(Lsn(2)).count(), 2);
         // Appending continues from the last LSN.
         log.append(rec(7));
         assert_eq!(log.last_lsn(), Lsn(7));

@@ -62,11 +62,64 @@ pub struct Change {
     pub entry: Option<Entry>,
 }
 
+/// The record-level changes of one commit, read as a slice.
+///
+/// A commit that changes one record, which is what every modify makes,
+/// holds that change inline: building it allocates nothing, and `clone`
+/// bumps the entry's reference count. A commit of several records holds
+/// them behind one shared allocation, built once and shared by the
+/// master's log, every ship channel and every slave's log.
+#[derive(Clone, PartialEq)]
+pub struct Changes(Repr);
+
+/// Exactly one change is always `One`, so equal lists are equal values.
+#[derive(Clone, PartialEq)]
+enum Repr {
+    One(Change),
+    Many(Arc<[Change]>),
+}
+
+impl From<Change> for Changes {
+    fn from(change: Change) -> Self {
+        Changes(Repr::One(change))
+    }
+}
+
+impl FromIterator<Change> for Changes {
+    /// One change is held inline; any other number is collected into one
+    /// allocation, sized once when the iterator knows its length.
+    fn from_iter<I: IntoIterator<Item = Change>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        match (iter.next(), iter.next()) {
+            (Some(only), None) => only.into(),
+            (first, second) => Changes(Repr::Many(
+                first.into_iter().chain(second).chain(iter).collect(),
+            )),
+        }
+    }
+}
+
+impl std::ops::Deref for Changes {
+    type Target = [Change];
+
+    fn deref(&self) -> &[Change] {
+        match &self.0 {
+            Repr::One(change) => std::slice::from_ref(change),
+            Repr::Many(changes) => changes,
+        }
+    }
+}
+
+impl std::fmt::Debug for Changes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A committed transaction as it appears in the replication log.
 ///
-/// `clone` copies three scalars and bumps one reference count: the change
-/// list is built once at commit and shared by the master's log, every ship
-/// channel and every slave's log.
+/// `clone` copies three scalars and bumps one reference count: the entry
+/// of a one-record commit, or the change list of a larger one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitRecord {
     /// Sequence number on the originating replica.
@@ -76,7 +129,7 @@ pub struct CommitRecord {
     /// Master SE that produced the record.
     pub written_by: SeId,
     /// Record-level changes, one per record, in ascending uid order.
-    pub changes: Arc<[Change]>,
+    pub changes: Changes,
 }
 
 impl CommitRecord {
@@ -114,7 +167,7 @@ mod tests {
             lsn: Lsn(1),
             committed_at: SimTime(10),
             written_by: SeId(0),
-            changes: Arc::new([
+            changes: [
                 Change {
                     uid: SubscriberUid(1),
                     entry: Some(Entry::new()),
@@ -123,11 +176,33 @@ mod tests {
                     uid: SubscriberUid(2),
                     entry: None,
                 },
-            ]),
+            ]
+            .into_iter()
+            .collect(),
         };
         assert_eq!(rec.len(), 2);
         assert!(!rec.is_empty());
         let uids: Vec<_> = rec.uids().collect();
         assert_eq!(uids, vec![SubscriberUid(1), SubscriberUid(2)]);
+    }
+
+    #[test]
+    fn one_change_is_held_inline_and_reads_like_many() {
+        let change = |uid| Change {
+            uid: SubscriberUid(uid),
+            entry: None,
+        };
+        let one: Changes = std::iter::once(change(7)).collect();
+        assert!(matches!(one.0, Repr::One(_)));
+        assert_eq!(one, Changes::from(change(7)));
+        assert_eq!(&*one, &[change(7)]);
+        assert_eq!(format!("{one:?}"), format!("{:?}", [change(7)]));
+
+        let many: Changes = (1..=3).map(change).collect();
+        assert!(matches!(many.0, Repr::Many(_)));
+        assert_eq!(&*many, &[change(1), change(2), change(3)]);
+        assert_ne!(one, many);
+        let none: Changes = std::iter::empty().collect();
+        assert!(none.is_empty());
     }
 }

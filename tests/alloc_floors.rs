@@ -3,11 +3,13 @@
 //! * a warm `Search` makes no allocator call inside `Udr::execute`;
 //! * a one-attribute `Modify` allocates for what it changes, not for what
 //!   the record holds;
+//! * a consensus write allocates its post-image and nothing per protocol
+//!   message;
 //! * under consensus, what an operation allocates does not grow with the
 //!   chosen log;
 //! * the storage engine shares committed payloads instead of copying them.
 //!
-//! One counting allocator serves all four. It counts per thread, in
+//! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
 //! in parallel as separate tests and each sees only its own calls.
 
@@ -267,12 +269,12 @@ fn a_warm_search_makes_no_allocator_call() {
 
 // --- Modify: a write costs what it changes ----------------------------------
 //
-// The new version copies the attribute vector and shares every value;
-// master log, ship channels and slave logs share one change list; the
-// write set and the ship batches reuse vectors earlier ones returned. The
-// bound is three calls per write plus a fifth of one, averaged over 1 000
-// writes with the pump included, because logs and the event queue grow by
-// doubling.
+// The new version copies the attribute vector and shares every value; the
+// commit record holds its one change inline, and master log, ship channels
+// and slave logs each keep a copy of that record; the write set and the
+// ship batches reuse vectors earlier ones returned. The bound is two calls
+// per write plus a fifth of one, averaged over 1 000 writes with the pump
+// included, because logs and the event queue grow.
 
 const MODIFY_SUBSCRIBERS: u64 = 40;
 const WARM_UP: u64 = 200;
@@ -281,16 +283,12 @@ const COUNTED: u64 = 1_000;
 /// on the timer and the pump has deliveries to apply between writes.
 const MODIFY_GAP: SimDuration = SimDuration::from_micros(500);
 
-#[test]
-fn a_warm_modify_allocates_for_what_it_changes() {
-    let mut cfg = UdrConfig::figure2();
-    cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
-    cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
-    cfg.ship_batch = ShipBatchConfig::coalesce(64, SimDuration::from_millis(5));
+/// `cfg` built on a lossless backbone, with `MODIFY_SUBSCRIBERS`
+/// provisioned and settled; returns it and the instant it settled at.
+fn provisioned_for_writes(mut cfg: UdrConfig) -> (Udr, SimTime) {
     cfg.seed = 23;
     let mut udr = Udr::build(cfg).unwrap();
     lossless_backbone(&mut udr);
-
     let mut now = provision(
         &mut udr,
         MODIFY_SUBSCRIBERS,
@@ -298,7 +296,13 @@ fn a_warm_modify_allocates_for_what_it_changes() {
     );
     now += SimDuration::from_secs(5);
     udr.advance_to(now);
+    (udr, now)
+}
 
+/// `WARM_UP + COUNTED` one-attribute modifies from rotating sites, `gap`
+/// apart, the pump advanced to each before it runs; returns the allocator
+/// calls of the last `COUNTED`, pump included, and the instant of the last.
+fn warm_writes(udr: &mut Udr, mut now: SimTime, gap: SimDuration) -> (u64, SimTime) {
     let ops: Vec<LdapOp> = (0..WARM_UP + COUNTED)
         .map(|i| LdapOp::Modify {
             dn: Dn::for_identity(Identity::Imsi(imsi(i % MODIFY_SUBSCRIBERS))),
@@ -310,20 +314,56 @@ fn a_warm_modify_allocates_for_what_it_changes() {
         if i as u64 == WARM_UP {
             counted_from = tally().calls;
         }
-        now += MODIFY_GAP;
+        now += gap;
         udr.advance_to(now);
         let site = SiteId(i as u32 % SITES);
         let out = udr.execute(OpRequest::new(op).site(site).at(now)).into_op();
         assert!(out.is_ok(), "modify {i} from {site}: {:?}", out.result);
     }
-    let calls = tally().calls - counted_from;
+    (tally().calls - counted_from, now)
+}
 
-    now += SimDuration::from_secs(5);
-    udr.advance_to(now);
+#[test]
+fn a_warm_modify_allocates_for_what_it_changes() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
+    cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
+    cfg.ship_batch = ShipBatchConfig::coalesce(64, SimDuration::from_millis(5));
+    let (mut udr, now) = provisioned_for_writes(cfg);
+    let (calls, now) = warm_writes(&mut udr, now, MODIFY_GAP);
+
+    udr.advance_to(now + SimDuration::from_secs(5));
     assert!(udr.replication_settled());
     assert!(
-        calls <= 3 * COUNTED + COUNTED / 5,
+        calls <= 2 * COUNTED + COUNTED / 5,
         "{COUNTED} warm modifies made {calls} allocator calls, pump included"
+    );
+}
+
+// --- Consensus: a CP write allocates its post-image -------------------------
+//
+// The serving leader copies the attribute vector into the post-image it
+// proposes (the vector and its `Arc`); the protocol around it allocates
+// nothing per write: every replica step pushes into the ensemble's one
+// outbox, messages in flight wait in its mailbox, a proposal's acks are
+// bits beside it, and each node's commit record holds its one change
+// inline. What is left is chosen-log growth and the odd catch-up transfer.
+// The bound is three calls per write, averaged over 1 000 writes with the
+// pump's ticks and deliveries between them included.
+
+#[test]
+fn a_warm_consensus_write_allocates_its_post_image() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+    let (mut udr, now) = provisioned_for_writes(cfg);
+    let (calls, now) = warm_writes(&mut udr, now, CONSENSUS_GAP);
+
+    udr.advance_to(now + SimDuration::from_secs(5));
+    assert!(udr.replication_settled());
+    assert!(
+        calls <= 3 * COUNTED,
+        "{COUNTED} warm consensus writes made {calls} allocator calls, pump included"
     );
 }
 
@@ -541,10 +581,10 @@ fn committed_payloads_are_shared_not_copied() {
     // A modify copies the attribute vector and no value in it; the store,
     // the two logs, the commit record and the slave then share the new
     // version, and the new version shares every untouched value with the
-    // old one. Three allocator calls in all: the vector, its `Arc` and the
-    // change list. The write set is the vector the previous transaction
-    // returned, and the logs have room: this is the 10 001st push into a
-    // capacity of 16 384.
+    // old one. Two allocator calls in all: the vector and its `Arc`; the
+    // commit record holds its one change inline. The write set is the
+    // vector the previous transaction returned, and the logs have room:
+    // this is the 1 809th push into their third segment of 4 096.
     let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5))];
     let ((), tally) = counted(|| {
         let txn = master.begin(IsolationLevel::ReadCommitted);
@@ -557,7 +597,7 @@ fn committed_payloads_are_shared_not_copied() {
         "modify + commit + apply copied the blob"
     );
     assert_eq!(
-        tally.calls, 3,
+        tally.calls, 2,
         "modify + commit + apply made {} allocations",
         tally.calls
     );

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Allocation and digest gates: run each benchmark workload briefly and
 fail if it is incorrect, allocates more per operation than its committed
-bound, or reaches a different sim-time digest than the committed one.
+bounds, or reaches a different sim-time digest than the committed one.
 
     python3 tools/alloc_gates.py
 
-`tools/alloc_gates.json` maps each workload to `allocs_per_op_below`, a
-`digest` and a `why`; edit the bounds and digests there. Every workload
-runs once through `benchmark/run.sh` at `--seed 11 --seconds 2 --trace 0`.
-`allocs_per_op` is an exact count of allocator calls, identical on every
-run of one build, so a bound needs no margin for noise: it sits just
-above what the workload reads. The digest (the `digest …` line `udr-perf`
-prints) hashes every operation's outcome and simulated latency, so a
-refactor that changes no behaviour leaves it equal; a change that means
-to move it records the new value in the same commit.
+`tools/alloc_gates.json` maps each workload to `allocs_per_op_below`,
+`alloc_bytes_per_op_below`, a `digest` and a `why`; edit the bounds and
+digests there. Every workload runs once through `benchmark/run.sh` at
+`--seed 11 --seconds 2 --trace 0`. `allocs_per_op` and
+`alloc_bytes_per_op` are exact counts of allocator calls and of the bytes
+they request, identical on every run of one build, so a bound needs no
+margin for noise: it sits just above what the workload reads. The digest
+(the `digest …` line `udr-perf` prints) hashes every operation's outcome
+and simulated latency, so a refactor that changes no behaviour leaves it
+equal; a change that means to move it records the new value in the same
+commit.
 """
 
 import json
@@ -45,12 +47,21 @@ def main():
     failed = []
     for workload, gate in gates.items():
         result, digest = run(workload)
-        allocs = result["metrics"]["allocs_per_op"]["value"]
+        metrics = result["metrics"]
+        allocs = metrics["allocs_per_op"]["value"]
         bound = gate["allocs_per_op_below"]
-        ok = result["correct"] is True and allocs < bound and digest == gate["digest"]
+        alloc_bytes = metrics["alloc_bytes_per_op"]["value"]
+        bytes_bound = gate["alloc_bytes_per_op_below"]
+        ok = (
+            result["correct"] is True
+            and allocs < bound
+            and alloc_bytes < bytes_bound
+            and digest == gate["digest"]
+        )
         print(
             f"{'ok  ' if ok else 'FAIL'} {workload}: correct={result['correct']} "
             f"allocs_per_op={allocs:.5f} (bound < {bound}) "
+            f"alloc_bytes_per_op={alloc_bytes:.1f} (bound < {bytes_bound}) "
             f"digest={digest} (committed {gate['digest']})"
         )
         if not ok:
