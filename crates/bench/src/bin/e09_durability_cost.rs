@@ -5,9 +5,11 @@
 //! disk before committing for 100% guaranteed durability, but that would
 //! slow down storage elements too much." This experiment measures the
 //! commit-path latency and the crash-loss window for every durability
-//! mode, on the same write workload.
+//! mode, on the same write workload. Emits `BENCH_e09.json` (one row per
+//! durability mode) for cross-PR tracking; standard output is the table.
 
 use udr_bench::harness::{provisioned_system, t};
+use udr_bench::json::BenchReport;
 use udr_core::UdrConfig;
 use udr_metrics::Table;
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -16,6 +18,9 @@ use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_sim::FaultSchedule;
+
+const SUBSCRIBERS: u64 = 60;
+const SEED: u64 = 3;
 
 struct Row {
     mode: String,
@@ -30,7 +35,7 @@ fn run(mode: DurabilityMode) -> Row {
     cfg.frash.durability = mode;
     cfg.frash.replication_factor = 1; // isolate the engine's F–R trade
     cfg.frash.auto_failover = false;
-    let mut s = provisioned_system(cfg, 60, 3);
+    let mut s = provisioned_system(cfg, SUBSCRIBERS, SEED);
 
     // Only site-0 subscribers: local writes, so latency is engine-dominated.
     let home0: Vec<_> = s
@@ -103,6 +108,13 @@ fn main() {
         "engine commit ceiling (ops/s)",
     ])
     .with_title("the F–R slide, per durability mode");
+    let mut report = BenchReport::new("e09", SEED);
+    report
+        .config("subscribers", SUBSCRIBERS)
+        .config("replication_factor", 1u64)
+        .config("writes_per_sec", 40u64)
+        .config("crash_at_s", 77u64)
+        .config("outage_s", 8u64);
     for mode in [
         DurabilityMode::None,
         DurabilityMode::PeriodicSnapshot {
@@ -114,6 +126,22 @@ fn main() {
         DurabilityMode::SyncCommit,
     ] {
         let row = run(mode);
+        report.row(vec![
+            ("durability_mode", row.mode.as_str().into()),
+            (
+                "mean_write_latency_us",
+                row.mean_commit.as_micros_f64().into(),
+            ),
+            (
+                "p99_write_latency_us",
+                row.p99_commit.as_micros_f64().into(),
+            ),
+            ("commits_lost", row.lost.into()),
+            (
+                "engine_commit_ceiling_per_sec",
+                row.throughput_ceiling.round().into(),
+            ),
+        ]);
         table.row([
             row.mode,
             row.mean_commit.to_string(),
@@ -123,6 +151,11 @@ fn main() {
         ]);
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e09.json: {e}"),
+    }
     println!(
         "Shape check (paper): RAM-only commits run at full speed but a crash erases\n\
          everything since the last save — shrinking the snapshot interval shrinks the loss\n\

@@ -7,9 +7,11 @@
 //!
 //! Compares async, dual-in-sequence and Cassandra-style quorums on commit
 //! latency and on what a lagging-master crash costs, under identical load
-//! and faults.
+//! and faults. Emits `BENCH_e11.json` (one row per replication mode) for
+//! cross-PR tracking; standard output is the table.
 
 use udr_bench::harness::{provisioned_system, t};
+use udr_bench::json::BenchReport;
 use udr_core::UdrConfig;
 use udr_metrics::Table;
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -18,6 +20,9 @@ use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_sim::FaultSchedule;
+
+const SUBSCRIBERS: u64 = 60;
+const SEED: u64 = 23;
 
 struct Row {
     mode: String,
@@ -33,8 +38,8 @@ fn run(mode: ReplicationMode) -> Row {
     let mut cfg = UdrConfig::figure2();
     cfg.frash.replication = mode;
     cfg.frash.failover_detection = SimDuration::from_secs(2);
-    cfg.seed = 23;
-    let mut s = provisioned_system(cfg, 60, 23);
+    cfg.seed = SEED;
+    let mut s = provisioned_system(cfg, SUBSCRIBERS, SEED);
     let home0: Vec<_> = s
         .population
         .iter()
@@ -107,6 +112,14 @@ fn main() {
         "partial (1-replica)",
     ])
     .with_title("latency paid vs transactions lost");
+    let mut report = BenchReport::new("e11", SEED);
+    report
+        .config("subscribers", SUBSCRIBERS)
+        .config("writes_per_sec", 20u64)
+        .config("isolated_at_s", 55u64)
+        .config("isolation_s", 10u64)
+        .config("crash_at_s", 60u64)
+        .config("outage_s", 20u64);
     for mode in [
         ReplicationMode::AsyncMasterSlave,
         ReplicationMode::DualInSequence,
@@ -114,6 +127,15 @@ fn main() {
         ReplicationMode::Quorum { n: 3, w: 3, r: 1 },
     ] {
         let row = run(mode);
+        report.row(vec![
+            ("replication", row.mode.as_str().into()),
+            ("mean_commit_us", row.mean.as_micros_f64().into()),
+            ("p99_commit_us", row.p99.as_micros_f64().into()),
+            ("writes_ok", row.ok.into()),
+            ("writes_refused", row.refused.into()),
+            ("commits_lost", row.lost.into()),
+            ("partial_commits", row.partial.into()),
+        ]);
         table.row([
             row.mode,
             row.mean.to_string(),
@@ -125,6 +147,11 @@ fn main() {
         ]);
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e11.json: {e}"),
+    }
     println!(
         "Shape check (paper): async commits in microseconds and silently loses the isolated\n\
          window's writes; dual-in-sequence adds one sequential WAN ack (~2x one-way) and\n\

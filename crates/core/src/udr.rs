@@ -1522,12 +1522,12 @@ impl Udr {
             return;
         }
         let master = self.groups[p].master();
-        let snapshot = self.ses[master.index()]
+        let engine = self.ses[master.index()]
             .engine(plan.partition)
-            .expect("master hosts partition")
-            .snapshot();
+            .expect("master hosts partition");
+        let bytes = engine.store().snapshot_bytes() as u64;
+        let snapshot = engine.snapshot();
         let lsn = snapshot.last_lsn;
-        let bytes = snapshot.approx_bytes() as u64;
         self.ses[plan.to.index()].seed_replica(plan.partition, ReplicaRole::Slave, snapshot);
         let transfer =
             MIGRATION_SEED_BASE + SimDuration::from_micros(bytes / MIGRATION_SEED_BYTES_PER_US);

@@ -446,6 +446,13 @@ impl Entry {
         }
     }
 
+    /// Whether `self` and `other` are the same handle: one payload shown
+    /// through the same mask. Reads no attribute. Same handles are equal
+    /// entries; equal entries built apart are not the same handle.
+    pub fn same_handle(&self, other: &Entry) -> bool {
+        Arc::ptr_eq(&self.attrs, &other.attrs) && self.shown == other.shown
+    }
+
     /// The entry restricted to the listed attributes (an LDAP search's
     /// attribute selection): a view of the same payload, no attribute is
     /// copied. Attributes the entry does not show stay absent.
@@ -648,6 +655,23 @@ mod tests {
         view.remove(AttrId::HomeRegion);
         check(&view, "remove on a view");
         check(&e, "the source, after writes to its views");
+    }
+
+    #[test]
+    fn same_handle_is_identity_not_equality() {
+        let mut e = Entry::new();
+        e.set(AttrId::Imsi, "214010000000001");
+        e.set(AttrId::OdbMask, 5u64);
+        assert!(e.same_handle(&e.clone()));
+        // Equal content built apart, a narrower view of the same payload,
+        // and a copied-on-write version are all other handles.
+        let rebuilt: Entry = e.iter().map(|(k, v)| (*k, v.clone())).collect();
+        assert_eq!(rebuilt, e);
+        assert!(!rebuilt.same_handle(&e));
+        assert!(!e.project(&[AttrId::OdbMask]).same_handle(&e));
+        let mut written = e.clone();
+        written.set(AttrId::OdbMask, 6u64);
+        assert!(!written.same_handle(&e));
     }
 
     #[test]

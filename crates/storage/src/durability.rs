@@ -9,7 +9,7 @@ use udr_model::config::DurabilityMode;
 use udr_model::ids::{IdMap, PartitionId};
 use udr_model::time::{SimDuration, SimTime};
 
-use crate::engine::EngineSnapshot;
+use crate::engine::{Engine, EngineSnapshot};
 
 /// Latency costs of engine-side operations, added by the simulation when an
 /// operation executes. Defaults approximate the 2014-era hardware the paper
@@ -59,8 +59,14 @@ impl CostModel {
     }
 }
 
-/// The per-SE simulated disk: snapshots per partition replica. Contents
+/// The per-SE simulated disk: one snapshot per partition replica. Contents
 /// survive crashes; RAM does not.
+///
+/// A save refreshes the stored image in place ([`Disk::refresh`]) rather
+/// than replacing it, so a save after few writes costs the host a walk of
+/// the slots and the writes, not a new image. What the simulation charges
+/// for a save does not depend on this: it prices the whole image
+/// ([`CostModel::snapshot_cost`]), as a disk that rewrites it would.
 #[derive(Debug, Clone, Default)]
 pub struct Disk {
     snapshots: IdMap<PartitionId, EngineSnapshot>,
@@ -76,9 +82,15 @@ impl Disk {
         Disk::default()
     }
 
-    /// Store a snapshot for one partition replica.
-    pub fn store(&mut self, partition: PartitionId, snapshot: EngineSnapshot) {
-        self.snapshots.insert(partition, snapshot);
+    /// Save `engine`'s committed state as the image of `partition`: the
+    /// stored image is brought up to date in place
+    /// ([`Engine::snapshot_into`]), or built if there is none.
+    pub fn refresh(&mut self, partition: PartitionId, engine: &Engine) {
+        let image = self
+            .snapshots
+            .entry(partition)
+            .or_insert_with(EngineSnapshot::empty);
+        engine.snapshot_into(image);
     }
 
     /// Fetch the stored snapshot for a partition, if any.
@@ -94,14 +106,6 @@ impl Disk {
     /// Partitions with stored snapshots.
     pub fn partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
         self.snapshots.keys().copied()
-    }
-
-    /// Total bytes on disk.
-    pub fn approx_bytes(&self) -> usize {
-        self.snapshots
-            .values()
-            .map(EngineSnapshot::approx_bytes)
-            .sum()
     }
 }
 
@@ -150,6 +154,7 @@ impl SnapshotScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udr_model::ids::SeId;
 
     #[test]
     fn commit_cost_by_mode() {
@@ -182,8 +187,8 @@ mod tests {
     fn disk_store_load_remove() {
         let mut d = Disk::new();
         assert!(d.load(PartitionId(0)).is_none());
-        d.store(PartitionId(0), EngineSnapshot::empty());
-        assert!(d.load(PartitionId(0)).is_some());
+        d.refresh(PartitionId(0), &Engine::new(SeId(0)));
+        assert_eq!(d.load(PartitionId(0)), Some(&EngineSnapshot::empty()));
         assert_eq!(d.partitions().count(), 1);
         d.remove(PartitionId(0));
         assert!(d.load(PartitionId(0)).is_none());

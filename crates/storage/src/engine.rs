@@ -59,8 +59,10 @@ impl ActiveTxn {
 }
 
 /// A snapshot of an engine's committed state (what periodic durability
-/// writes to disk).
-#[derive(Debug, Clone)]
+/// writes to disk): every slot, tombstones included, in uid order. The
+/// simulated disk keeps one per replica and refreshes it in place
+/// ([`Engine::snapshot_into`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Committed records at snapshot time.
     pub records: Vec<(SubscriberUid, RecordVersion)>,
@@ -84,6 +86,20 @@ impl EngineSnapshot {
             .map(|(_, v)| 16 + v.entry.as_ref().map_or(0, Entry::approx_size))
             .sum()
     }
+}
+
+/// Whether a snapshot record already holds the slot `view` shows: the same
+/// metadata and the same payload handle, so no attribute is read.
+fn holds((uid, version): &(SubscriberUid, RecordVersion), view: &RecordView<'_>) -> bool {
+    *uid == view.uid
+        && version.lsn == view.lsn
+        && version.committed_at == view.committed_at
+        && version.written_by == view.written_by
+        && match (&version.entry, view.entry) {
+            (Some(held), Some(live)) => held.same_handle(live),
+            (None, None) => true,
+            _ => false,
+        }
 }
 
 /// The transactional store for one partition replica.
@@ -366,21 +382,43 @@ impl Engine {
         self.log.truncate_through(upto);
     }
 
-    /// Take a durability snapshot of the committed state: one vector, a
-    /// sort, and a shared handle to every payload.
+    /// Take a durability snapshot of the committed state: one vector of
+    /// shared payload handles, sorted by uid. This is
+    /// [`Engine::snapshot_into`] on an empty snapshot.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut records: Vec<_> = self
-            .committed
-            .iter()
-            .map(|view| (view.uid, view.to_version()))
-            .collect();
+        let mut snap = EngineSnapshot::empty();
+        self.snapshot_into(&mut snap);
+        snap
+    }
+
+    /// Bring `snap` up to date with the committed state, in place; it then
+    /// equals what [`Engine::snapshot`] returns, whatever it held before.
+    ///
+    /// The store's slots are walked in step with `snap.records`. A record
+    /// whose uid, LSN, commit stamp, writer and payload handle
+    /// ([`Entry::same_handle`]) all match stays as it is, so a refresh
+    /// after no write touches no reference count and reads no attribute.
+    /// Any other record is overwritten, slots the snapshot lacks are
+    /// appended after growing it to exactly the slot count, and a surplus
+    /// is truncated. When the slots are already in uid order, as they
+    /// usually are, the closing sort is one linear pass; otherwise it is a
+    /// real sort.
+    pub fn snapshot_into(&self, snap: &mut EngineSnapshot) {
+        let records = &mut snap.records;
+        let slots = self.committed.len();
+        records.truncate(slots);
+        let mut views = self.committed.iter();
+        for (held, view) in records.iter_mut().zip(views.by_ref()) {
+            if !holds(held, &view) {
+                *held = (view.uid, view.to_version());
+            }
+        }
+        records.reserve_exact(slots - records.len());
+        records.extend(views.map(|view| (view.uid, view.to_version())));
         // Uids are unique, so the unstable sort yields the same order as
         // a stable one, and it sorts in place.
         records.sort_unstable_by_key(|(k, _)| *k);
-        EngineSnapshot {
-            records,
-            last_lsn: self.log.last_lsn(),
-        }
+        snap.last_lsn = self.log.last_lsn();
     }
 
     /// Number of live (non-tombstone) records.

@@ -311,11 +311,7 @@ impl StorageElement {
         let record = self.replica_mut(partition)?.engine.commit(txn, now)?;
         let cost = if record.is_some() {
             self.commits += 1;
-            if mode == DurabilityMode::SyncCommit {
-                // Disk stays in lock-step with RAM; model the flush cost.
-                let snap = self.replica(partition)?.engine.snapshot();
-                self.disk.store(partition, snap);
-            }
+            self.sync_to_disk(partition);
             self.cost.commit_cost(mode)
         } else {
             SimDuration::ZERO
@@ -337,14 +333,23 @@ impl StorageElement {
         record: &CommitRecord,
     ) -> UdrResult<()> {
         self.check_up()?;
-        let mode = self.scheduler.mode();
-        let r = self.replica_mut(partition)?;
-        r.engine.apply_replicated(record)?;
-        if mode == DurabilityMode::SyncCommit {
-            let snap = r.engine.snapshot();
-            self.disk.store(partition, snap);
-        }
+        self.replica_mut(partition)?
+            .engine
+            .apply_replicated(record)?;
+        self.sync_to_disk(partition);
         Ok(())
+    }
+
+    /// Under sync-commit, bring the disk image of `partition` level with
+    /// RAM after a commit or an apply: the image is refreshed in place, and
+    /// the flush's cost is what [`CostModel::commit_cost`] charges.
+    fn sync_to_disk(&mut self, partition: PartitionId) {
+        if self.scheduler.mode() != DurabilityMode::SyncCommit {
+            return;
+        }
+        if let Some(r) = self.replicas.get(&partition) {
+            self.disk.refresh(partition, &r.engine);
+        }
     }
 
     /// Last applied/committed LSN on this SE's copy of `partition`.
@@ -368,12 +373,14 @@ impl StorageElement {
         Some(self.force_snapshot(now))
     }
 
-    /// Unconditionally snapshot every replica to disk.
+    /// Unconditionally snapshot every replica to disk. Each stored image is
+    /// refreshed in place ([`Disk::refresh`]); the simulated cost is that
+    /// of writing every image whole.
     pub fn force_snapshot(&mut self, now: SimTime) -> SimDuration {
         let mut bytes = 0usize;
         for (pid, r) in &self.replicas {
             bytes += r.engine.store().snapshot_bytes();
-            self.disk.store(*pid, r.engine.snapshot());
+            self.disk.refresh(*pid, &r.engine);
         }
         self.disk.last_snapshot_at = Some(now);
         self.disk.snapshot_cycles += 1;
@@ -387,7 +394,7 @@ impl StorageElement {
             return;
         }
         // Under sync-commit the disk is in lock-step with RAM by
-        // construction (every commit stored a snapshot), so nothing to do;
+        // construction (every commit refreshed the image), so nothing to do;
         // under the other modes whatever happened after the last snapshot is
         // simply gone — the §4.2 durability gap.
         self.replicas.clear();
@@ -697,6 +704,46 @@ mod tests {
             se.read_committed(PartitionId(0), SubscriberUid(1)).unwrap(),
             Some(entry("before"))
         );
+    }
+
+    /// Two save cycles refresh one disk image in place. Under periodic
+    /// snapshots a crash keeps what the second save saw and loses what came
+    /// after it; under sync-commit every write reached the disk.
+    #[test]
+    fn a_refreshed_image_keeps_the_last_save_and_nothing_after() {
+        let (x, y, z) = (SubscriberUid(1), SubscriberUid(2), SubscriberUid(3));
+        let read = |se: &StorageElement, uid| se.read_committed(PartitionId(0), uid).unwrap();
+        for mode in [
+            DurabilityMode::periodic_default(),
+            DurabilityMode::SyncCommit,
+        ] {
+            let mut se = se_with_master(mode);
+            for uid in [x, y, z] {
+                write_one(&mut se, uid.0, "v0", SimTime(0));
+            }
+            se.force_snapshot(SimTime(1));
+            modify_one(&mut se, x.0, "x1", SimTime(2));
+            se.force_snapshot(SimTime(3));
+            modify_one(&mut se, y.0, "y1", SimTime(4));
+            let t = se
+                .begin(PartitionId(0), IsolationLevel::ReadCommitted)
+                .unwrap();
+            se.delete(PartitionId(0), t, z).unwrap();
+            se.commit(PartitionId(0), t, SimTime(5)).unwrap();
+
+            se.crash();
+            let recovered = se.restore(SimTime(6));
+            assert_eq!(read(&se, x), Some(entry("x1")), "{mode}");
+            if mode == DurabilityMode::SyncCommit {
+                assert_eq!(recovered, vec![(PartitionId(0), Lsn(6))]);
+                assert_eq!(read(&se, y), Some(entry("y1")));
+                assert_eq!(read(&se, z), None);
+            } else {
+                assert_eq!(recovered, vec![(PartitionId(0), Lsn(4))]);
+                assert_eq!(read(&se, y), Some(entry("v0")));
+                assert_eq!(read(&se, z), Some(entry("v0")));
+            }
+        }
     }
 
     /// A slave seeded from a master snapshot shares the master's payloads

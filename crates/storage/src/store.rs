@@ -103,9 +103,12 @@ impl RecordStore {
         }
     }
 
-    /// Build a store from owned `(uid, version)` pairs (snapshot restore).
+    /// Build a store from owned `(uid, version)` pairs (snapshot restore,
+    /// reseed, migration seed), with the columns and the index sized once
+    /// from the iterator's lower size hint.
     pub fn from_records(records: impl IntoIterator<Item = (SubscriberUid, RecordVersion)>) -> Self {
-        let mut store = RecordStore::new();
+        let records = records.into_iter();
+        let mut store = RecordStore::with_capacity(records.size_hint().0);
         for (uid, v) in records {
             store.upsert(uid, v.entry, v.lsn, v.committed_at, v.written_by);
         }

@@ -549,3 +549,177 @@ proptest! {
         prop_assert_eq!(&owned_engine(&slave), &state);
     }
 }
+
+// -- one disk image, refreshed in place ----------------------------------------
+// The simulated disk keeps one snapshot per replica and brings it up to date
+// in place. Whatever the image held before, and whichever engine refreshed it
+// last, a refresh must leave exactly what a snapshot built from scratch would
+// hold, and a copy of the image taken earlier must not see the refresh.
+
+#[derive(Debug, Clone)]
+enum ImageStep {
+    /// One write on the master, committed alone, and the same write on the
+    /// twin. Uids are drawn at random, so records arrive out of uid order,
+    /// and a put on a deleted record re-adds it.
+    Write(Write),
+    /// A put of the record's own committed entry, if it has one, on master
+    /// and twin: a new LSN and commit stamp over the same payload handle.
+    Rewrite(u64),
+    /// The slave applies everything committed so far.
+    SlaveCatchUp,
+    /// The slave is rebuilt from a fresh master snapshot, its slots in uid
+    /// order where the master's are in arrival order.
+    Reseed,
+    /// Refresh the image from the master.
+    FromMaster,
+    /// Refresh the image from the slave.
+    FromSlave,
+    /// Refresh the image from the twin.
+    FromTwin,
+}
+
+/// Uids the image steps write to.
+const IMAGE_UIDS: u64 = 40;
+
+fn image_step_strategy() -> impl Strategy<Value = ImageStep> {
+    prop_oneof![
+        (0..IMAGE_UIDS, entry_strategy()).prop_map(|(uid, e)| ImageStep::Write(Write::Put(uid, e))),
+        (0..IMAGE_UIDS, prop::collection::vec(mod_strategy(), 1..3))
+            .prop_map(|(uid, mods)| ImageStep::Write(Write::Modify(uid, mods))),
+        (0..IMAGE_UIDS).prop_map(|uid| ImageStep::Write(Write::Delete(uid))),
+        (0..IMAGE_UIDS).prop_map(ImageStep::Rewrite),
+        Just(ImageStep::SlaveCatchUp),
+        Just(ImageStep::Reseed),
+        Just(ImageStep::FromMaster),
+        Just(ImageStep::FromSlave),
+        Just(ImageStep::FromTwin),
+    ]
+}
+
+/// The twin's version of a master write: a put carries one more attribute,
+/// so the twin's records match the master's in every field but the payload.
+fn twin_write(w: &Write) -> Write {
+    match w {
+        Write::Put(uid, e) => {
+            let mut e = e.clone();
+            e.set(AttrId::ScscfName, "twin");
+            Write::Put(*uid, e)
+        }
+        other => other.clone(),
+    }
+}
+
+/// Stage `w` on `engine` as a transaction of its own and commit it, or
+/// abort it where the engine refuses the write.
+fn commit_alone(engine: &mut Engine, w: &Write, at: SimTime) {
+    let txn = engine.begin(IsolationLevel::ReadCommitted);
+    match stage(engine, txn, w) {
+        Ok(()) => assert!(engine.commit(txn, at).unwrap().is_some()),
+        Err(()) => engine.abort(txn),
+    }
+}
+
+/// A put of `uid`'s own committed entry, if it has one.
+fn rewrite(engine: &mut Engine, uid: u64, at: SimTime) {
+    if let Some(entry) = engine.read_committed(SubscriberUid(uid)) {
+        commit_alone(engine, &Write::Put(uid, entry), at);
+    }
+}
+
+/// Everything an image holds, every value copied: per record its uid, LSN,
+/// commit stamp, writer and entry.
+type OwnedImage = (u64, Vec<(u64, u64, u64, u32, Option<OwnedEntry>)>);
+
+fn owned_image(image: &EngineSnapshot) -> OwnedImage {
+    let records = image
+        .records
+        .iter()
+        .map(|(uid, v)| {
+            (
+                uid.raw(),
+                v.lsn.raw(),
+                v.committed_at.0,
+                v.written_by.0,
+                v.entry.as_ref().map(owned_entry),
+            )
+        })
+        .collect();
+    (image.last_lsn.raw(), records)
+}
+
+/// `engine`'s committed state as a snapshot should hold it, built without
+/// the engine's snapshot code: every slot, in uid order.
+fn reference_image(engine: &Engine) -> OwnedImage {
+    let mut records: Vec<_> = engine
+        .iter_committed()
+        .map(|view| {
+            (
+                view.uid.raw(),
+                view.lsn.raw(),
+                view.committed_at.0,
+                view.written_by.0,
+                view.entry.map(owned_entry),
+            )
+        })
+        .collect();
+    records.sort_by_key(|r| r.0);
+    (engine.last_lsn().raw(), records)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A refresh in place equals a snapshot built from scratch of the
+    /// engine it reads, after any writes, slave applies and reseeds, and
+    /// after a refresh from another engine, including a twin whose records
+    /// differ from the master's in the payload alone; a copy taken before a
+    /// refresh keeps what it held.
+    #[test]
+    fn a_refreshed_image_equals_a_fresh_snapshot(
+        steps in prop::collection::vec(image_step_strategy(), 1..100),
+    ) {
+        let mut master = Engine::new(SeId(0));
+        let mut twin = Engine::new(SeId(0));
+        let mut slave = Engine::new(SeId(1));
+        let mut image = EngineSnapshot::empty();
+        let mut copies: Vec<(EngineSnapshot, OwnedImage)> = Vec::new();
+
+        for (i, step) in steps.iter().enumerate() {
+            let at = SimTime(i as u64);
+            let source = match step {
+                ImageStep::Write(w) => {
+                    commit_alone(&mut master, w, at);
+                    commit_alone(&mut twin, &twin_write(w), at);
+                    prop_assert_eq!(master.last_lsn(), twin.last_lsn());
+                    continue;
+                }
+                ImageStep::Rewrite(uid) => {
+                    rewrite(&mut master, *uid, at);
+                    rewrite(&mut twin, *uid, at);
+                    continue;
+                }
+                ImageStep::SlaveCatchUp => {
+                    let applied = slave.last_lsn();
+                    for record in master.log().iter().filter(|r| r.lsn > applied) {
+                        slave.apply_replicated(record).unwrap();
+                    }
+                    continue;
+                }
+                ImageStep::Reseed => {
+                    slave = Engine::from_snapshot(SeId(1), master.snapshot());
+                    continue;
+                }
+                ImageStep::FromMaster => &master,
+                ImageStep::FromSlave => &slave,
+                ImageStep::FromTwin => &twin,
+            };
+            copies.push((image.clone(), owned_image(&image)));
+            source.snapshot_into(&mut image);
+            prop_assert_eq!(owned_image(&image), reference_image(source), "step {}: {:?}", i, step);
+            prop_assert_eq!(&image, &source.snapshot());
+        }
+        for (n, (copy, held)) in copies.iter().enumerate() {
+            prop_assert_eq!(&owned_image(copy), held, "copy {}", n);
+        }
+    }
+}

@@ -7,7 +7,10 @@
 //!   message;
 //! * under consensus, what an operation allocates does not grow with the
 //!   chosen log;
-//! * the storage engine shares committed payloads instead of copying them.
+//! * the storage engine shares committed payloads instead of copying them;
+//! * a save refreshes the disk image in place: nothing once it is built,
+//!   one exact growth per replica that gained records, and nothing extra
+//!   for a sync-commit write.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -681,4 +684,100 @@ fn committed_payloads_are_shared_not_copied() {
     let (_, through_se) = counted(|| se_slave.apply_replicated(P, &record).unwrap());
     let (_, bare) = counted(|| slave.apply_replicated(&record).unwrap());
     assert_eq!(through_se.calls, bare.calls, "apply_replicated");
+}
+
+// --- Durability: a save refreshes the disk image in place -------------------
+//
+// The disk keeps one image per replica and a save brings it up to date: a
+// record whose metadata and payload handle are unchanged is left alone, a
+// changed one is overwritten, and the image grows only by the slots it
+// lacks, in one exact step.
+
+const SAVED_REPLICAS: u32 = 3;
+const SAVED_RECORDS: u64 = 10_000;
+
+fn small(i: u64) -> Entry {
+    let mut e = Entry::new();
+    e.set(AttrId::Msisdn, format!("346{i:08}"));
+    e.set(AttrId::OdbMask, 0u64);
+    e
+}
+
+/// One committed transaction on `se`'s copy of `p`: a put, or a
+/// one-attribute modify.
+fn se_write(se: &mut StorageElement, p: PartitionId, uid: u64, put: bool, at: SimTime) {
+    let txn = se.begin(p, IsolationLevel::ReadCommitted).unwrap();
+    let uid = SubscriberUid(uid);
+    if put {
+        se.put(p, txn, uid, small(uid.0)).unwrap();
+    } else {
+        let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(at.0))];
+        se.modify(p, txn, uid, &mods).unwrap();
+    }
+    se.commit(p, txn, at).unwrap();
+}
+
+#[test]
+fn a_save_refreshes_the_disk_image_in_place() {
+    let mut se = StorageElement::new(SeId(0), SiteId(0), DurabilityMode::periodic_default());
+    let partitions = (0..SAVED_REPLICAS).map(PartitionId);
+    for p in partitions.clone() {
+        se.add_replica(p, ReplicaRole::Master);
+        for i in 0..SAVED_RECORDS {
+            se_write(&mut se, p, i, true, SimTime(i));
+        }
+    }
+    let mut at = SimTime(SAVED_RECORDS);
+    let mut save = |se: &mut StorageElement| {
+        at += SimDuration::from_secs(30);
+        counted(|| se.force_snapshot(at)).1.calls
+    };
+
+    save(&mut se); // builds the images
+    assert_eq!(save(&mut se), 0, "a save with nothing written since");
+
+    for p in partitions.clone() {
+        for i in (0..SAVED_RECORDS).step_by(97) {
+            se_write(&mut se, p, i, false, SimTime(SAVED_RECORDS + i));
+        }
+    }
+    assert_eq!(save(&mut se), 0, "a save after modifies");
+
+    // New records on two of the three replicas, out of uid order.
+    for p in partitions.take(2) {
+        for i in [SAVED_RECORDS + 7, SAVED_RECORDS + 3] {
+            se_write(&mut se, p, i, true, SimTime(i));
+        }
+    }
+    assert_eq!(save(&mut se), 2, "one exact growth per grown replica");
+    assert_eq!(save(&mut se), 0, "a save after the growth");
+}
+
+/// Allocator calls of one warm one-attribute modify, its disk refresh
+/// included under sync-commit.
+fn warm_se_modify_calls(mode: DurabilityMode) -> u64 {
+    const P: PartitionId = PartitionId(0);
+    let mut se = StorageElement::new(SeId(0), SiteId(0), mode);
+    se.add_replica(P, ReplicaRole::Master);
+    for i in 0..1_000 {
+        se_write(&mut se, P, i, true, SimTime(i));
+    }
+    se.force_snapshot(SimTime(1_000));
+    for i in 0..10 {
+        se_write(&mut se, P, i, false, SimTime(1_001 + i));
+    }
+    counted(|| se_write(&mut se, P, 500, false, SimTime(2_000)))
+        .1
+        .calls
+}
+
+#[test]
+fn a_sync_commit_modify_allocates_what_a_periodic_one_does() {
+    let periodic = warm_se_modify_calls(DurabilityMode::periodic_default());
+    assert_eq!(periodic, 2, "the attribute vector and its `Arc`");
+    assert_eq!(
+        warm_se_modify_calls(DurabilityMode::SyncCommit),
+        periodic,
+        "a sync-commit modify refreshes the disk image without allocating"
+    );
 }
