@@ -6,9 +6,12 @@
 //! always fail since most provisioning transactions involve writes."
 //!
 //! Sweeps partition durations and measures per-class success during the
-//! window, for both the island side and the majority side.
+//! window, for both the island side and the majority side. Emits
+//! `BENCH_e04.json` (one row per duration and side) for cross-PR
+//! tracking; standard output is the table.
 
 use udr_bench::harness::{provisioned_system, t};
+use udr_bench::json::BenchReport;
 use udr_core::{OpRequest, UdrConfig};
 use udr_metrics::{pct, Table};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -25,8 +28,21 @@ struct WindowCounts {
     ps_fail: u64,
 }
 
+/// Population seed of every cell.
+const SEED: u64 = 4;
+
+impl WindowCounts {
+    fn fe_success(&self) -> f64 {
+        self.fe_ok as f64 / (self.fe_ok + self.fe_fail).max(1) as f64
+    }
+
+    fn ps_success(&self) -> f64 {
+        self.ps_ok as f64 / (self.ps_ok + self.ps_fail).max(1) as f64
+    }
+}
+
 fn run(duration_s: u64) -> (WindowCounts, WindowCounts) {
-    let mut s = provisioned_system(UdrConfig::figure2(), 90, 4);
+    let mut s = provisioned_system(UdrConfig::figure2(), 90, SEED);
     s.udr.schedule_faults(FaultSchedule::new().partition(
         t(100),
         SimDuration::from_secs(duration_s),
@@ -118,34 +134,47 @@ fn main() {
     );
     let mut table = Table::new(["partition", "side", "FE success", "PS success"])
         .with_title("per-class success during the partition window");
+    let mut report = BenchReport::new("e04", SEED);
+    report
+        .config("subscribers", 90u64)
+        .config("island_site", 2u64)
+        .config("op_gap_ms", 400u64);
     for duration in [30u64, 120, 600] {
         let (island, majority) = run(duration);
+        for (side, counts) in [
+            ("island (site 2)", &island),
+            ("majority (sites 0+1)", &majority),
+        ] {
+            report.row(vec![
+                ("partition", format!("{duration} s").into()),
+                ("side", side.into()),
+                ("fe_ok", counts.fe_ok.into()),
+                ("fe_fail", counts.fe_fail.into()),
+                ("ps_ok", counts.ps_ok.into()),
+                ("ps_fail", counts.ps_fail.into()),
+                ("fe_success", counts.fe_success().into()),
+                ("ps_success", counts.ps_success().into()),
+            ]);
+        }
         table.row([
             format!("{duration} s"),
             "island (site 2)".to_owned(),
-            pct(
-                island.fe_ok as f64 / (island.fe_ok + island.fe_fail).max(1) as f64,
-                1,
-            ),
-            pct(
-                island.ps_ok as f64 / (island.ps_ok + island.ps_fail).max(1) as f64,
-                1,
-            ),
+            pct(island.fe_success(), 1),
+            pct(island.ps_success(), 1),
         ]);
         table.row([
             String::new(),
             "majority (sites 0+1)".to_owned(),
-            pct(
-                majority.fe_ok as f64 / (majority.fe_ok + majority.fe_fail).max(1) as f64,
-                1,
-            ),
-            pct(
-                majority.ps_ok as f64 / (majority.ps_ok + majority.ps_fail).max(1) as f64,
-                1,
-            ),
+            pct(majority.fe_success(), 1),
+            pct(majority.ps_success(), 1),
         ]);
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e04.json: {e}"),
+    }
     println!(
         "Shape check (paper): FE success stays high on both sides (pure reads always find\n\
          a local copy; only the write leg of location updates fails when the master is on\n\

@@ -4,9 +4,11 @@
 //! between replicas, there's a certain chance that a read operation on a
 //! slave replica gets stale data." The chance is a function of the write
 //! rate and the replication lag (backbone delay); this experiment sweeps
-//! both.
+//! both. Emits `BENCH_e05.json` (one row per cell) for cross-PR
+//! tracking; standard output is the table.
 
 use udr_bench::harness::{provisioned_system, t};
+use udr_bench::json::BenchReport;
 use udr_core::{OpRequest, UdrConfig};
 use udr_metrics::{pct, Table};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -16,13 +18,16 @@ use udr_model::procedures::ProcedureKind;
 use udr_model::time::SimDuration;
 use udr_sim::net::{LatencyModel, LinkProfile};
 
+/// Population seed of every cell (the deployment seed varies per cell).
+const SEED: u64 = 11;
+
 /// One cell: write every `write_gap` at the home site, read from a remote
 /// site at a random offset inside the gap; report the stale fraction.
 #[allow(clippy::explicit_counter_loop)] // `i` also seeds per-round values
 fn run(write_gap: SimDuration, wan_median_ms: u64) -> (f64, f64) {
     let mut cfg = UdrConfig::figure2();
     cfg.seed = 5 + wan_median_ms;
-    let mut s = provisioned_system(cfg, 30, 11);
+    let mut s = provisioned_system(cfg, 30, SEED);
     // Re-profile every inter-site link with the requested median.
     let wan = LinkProfile {
         latency: LatencyModel::wan(SimDuration::from_millis(wan_median_ms)),
@@ -95,9 +100,20 @@ fn main() {
         "mean lag of stale reads",
     ])
     .with_title("stale fraction grows with write rate × replication lag");
+    let mut report = BenchReport::new("e05", SEED);
+    report
+        .config("subscribers", 30u64)
+        .config("rounds", 600u64)
+        .config("read_site", 1u64);
     for gap_ms in [1000u64, 100, 30] {
         for wan_ms in [5u64, 15, 60] {
             let (stale, mean_lag_ms) = run(SimDuration::from_millis(gap_ms), wan_ms);
+            report.row(vec![
+                ("write_gap", format!("{gap_ms} ms").into()),
+                ("wan_median", format!("{wan_ms} ms").into()),
+                ("stale_slave_fraction", stale.into()),
+                ("mean_stale_lag_ms", mean_lag_ms.into()),
+            ]);
             table.row([
                 format!("{gap_ms} ms"),
                 format!("{wan_ms} ms"),
@@ -107,6 +123,11 @@ fn main() {
         }
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e05.json: {e}"),
+    }
     println!(
         "Shape check (paper): with slow writes (1 s gap) and a 5 ms backbone, almost every\n\
          remote read is fresh; push the write gap toward the one-way delay and staleness\n\

@@ -6,9 +6,11 @@
 //! over, a consistency restoration process must run across the whole UDR
 //! NF." This experiment sweeps partition duration × write rate and
 //! measures provisioning availability gained vs conflicts incurred and
-//! restoration work.
+//! restoration work. Emits `BENCH_e10.json` (one row per cell) for
+//! cross-PR tracking; standard output is the table.
 
 use udr_bench::harness::{provisioned_system, t};
+use udr_bench::json::BenchReport;
 use udr_core::UdrConfig;
 use udr_metrics::{pct, Table};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -17,6 +19,9 @@ use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_sim::FaultSchedule;
+
+/// Deployment seed of every cell.
+const SEED: u64 = 77;
 
 struct Row {
     ps_availability: f64,
@@ -29,7 +34,7 @@ struct Row {
 fn run(mode: ReplicationMode, partition_s: u64, write_gap_ms: u64) -> Row {
     let mut cfg = UdrConfig::figure2();
     cfg.frash.replication = mode;
-    cfg.seed = 77;
+    cfg.seed = SEED;
     let mut s = provisioned_system(cfg, 90, 8);
     s.udr.schedule_faults(FaultSchedule::new().partition(
         t(100),
@@ -91,12 +96,27 @@ fn main() {
         "restoration time",
     ])
     .with_title("availability bought, consistency paid");
+    let mut report = BenchReport::new("e10", SEED);
+    report
+        .config("subscribers", 90u64)
+        .config("island_site", 2u64)
+        .config("settle_after_heal_s", 120u64);
     for (mode, label) in [
         (ReplicationMode::AsyncMasterSlave, "master/slave"),
         (ReplicationMode::MultiMaster, "multi-master"),
     ] {
         for (partition_s, gap_ms) in [(30u64, 500u64), (120, 500), (120, 100), (600, 500)] {
             let row = run(mode, partition_s, gap_ms);
+            report.row(vec![
+                ("mode", label.into()),
+                ("partition", format!("{partition_s} s").into()),
+                ("write_gap", format!("{gap_ms} ms").into()),
+                ("ps_availability", row.ps_availability.into()),
+                ("conflicts", row.conflicts.into()),
+                ("merges", row.merges.into()),
+                ("records_scanned", row.records_scanned.into()),
+                ("restoration_time_us", row.merge_time.as_micros_f64().into()),
+            ]);
             table.row([
                 label.to_owned(),
                 format!("{partition_s} s"),
@@ -109,6 +129,11 @@ fn main() {
         }
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e10.json: {e}"),
+    }
     println!(
         "Shape check (paper): master/slave holds consistency (0 conflicts) at ~⅓–⅔ PS\n\
          availability; multi-master restores ~100% availability while conflicts grow with\n\
