@@ -12,9 +12,13 @@
 //! pump on the partition's lane, so consensus traffic interleaves
 //! deterministically with faults and client operations.
 //!
-//! Routing lives here with the ensembles: `ReplicationStage::route` hands
-//! a consensus deployment's operations to `Udr::consensus_route` in one
-//! dispatch line.
+//! This module holds the ensembles and the paths only they have: routing
+//! (the consensus arm of `ReplicationStage::route` calls
+//! `Udr::consensus_route`), protocol steps, apply and the reconfig
+//! cutover. Where consensus and the copy families answer the same question
+//! (catch-up, crash, restore, lag, settle) the answer is one function in
+//! [`crate::replication`] with a consensus arm, reading the ensemble state
+//! this module exposes to the crate.
 //!
 //! A protocol step allocates nothing once an ensemble is warm. Every
 //! replica input (`Udr::consensus_step`) pushes what it sends onto the
@@ -37,8 +41,9 @@
 //!
 //! Crashes model a process stop with acceptor state preserved across
 //! restart (the persistence Paxos requires): a down node simply stops
-//! ticking and receiving; on restore its engine is rolled forward from
-//! the recovered disk position by replaying the chosen log.
+//! ticking and receiving; on restore (`Udr::restore_se`) its engine is
+//! rolled forward from the recovered disk position by replaying the chosen
+//! log from `cursor_for_writes`.
 //!
 //! Migration cutovers ride the log as [`Payload::Reconfig`] commands —
 //! exactly-once (command-id dedup plus first-apply-wins) and totally
@@ -55,9 +60,8 @@ use udr_consensus::{
 };
 use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
-use udr_model::config::ReplicationMode;
 use udr_model::error::UdrError;
-use udr_model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
 use udr_storage::{Change, CommitRecord, Lsn};
@@ -75,11 +79,11 @@ pub(crate) const CONSENSUS_TICK_INTERVAL: SimDuration = SimDuration::from_millis
 pub(crate) struct ConsensusGroup {
     /// The protocol state machines (RAM *and* the durable acceptor state —
     /// preserved across SE crashes, as Paxos requires).
-    replicas: Vec<Replica>,
+    pub(crate) replicas: Vec<Replica>,
     /// Apply cursor per node: the slot up to which this node's storage
     /// holds its log's effective entries. `consensus_apply` resumes
     /// strictly above it and leaves it at the log's `committed()`.
-    applied: Vec<Slot>,
+    pub(crate) applied: Vec<Slot>,
     /// Scratch for the read-index echoes of one `consensus_read`, kept so
     /// a read allocates nothing.
     echoes: Vec<SimDuration>,
@@ -172,7 +176,7 @@ impl Mailbox {
 /// entries above the cursor are re-applied; the first-apply-wins guard in
 /// [`Udr::consensus_reconfig_applied`] makes that a no-op. The one walk
 /// of the log's history left, paid per restore.
-fn cursor_for_writes(log: &ChosenLog, writes: u64) -> Slot {
+pub(crate) fn cursor_for_writes(log: &ChosenLog, writes: u64) -> Slot {
     if writes == 0 {
         return Slot::ZERO;
     }
@@ -184,16 +188,8 @@ fn cursor_for_writes(log: &ChosenLog, writes: u64) -> Slot {
 }
 
 impl Udr {
-    /// Whether the deployment replicates through consensus.
-    pub(crate) fn consensus_mode(&self) -> bool {
-        matches!(
-            self.cfg.frash.replication,
-            ReplicationMode::Consensus { .. }
-        )
-    }
-
     /// Whether ensemble node `i` of partition `p` is up (its hosting SE).
-    fn consensus_node_up(&self, p: usize, i: usize) -> bool {
+    pub(crate) fn consensus_node_up(&self, p: usize, i: usize) -> bool {
         let se = self.groups[p].members()[i];
         self.ses[se.index()].is_up()
     }
@@ -235,7 +231,7 @@ impl Udr {
     /// A leader stranded on the minority side of a cut cannot confirm its
     /// lease and is not allowed to serve — the read-index check that makes
     /// minority-side refusals typed instead of stale.
-    fn consensus_serving_leader(&self, p: usize) -> Option<usize> {
+    pub(crate) fn consensus_serving_leader(&self, p: usize) -> Option<usize> {
         let leader = self.consensus_live_leader(p)?;
         let leader_site = self.consensus_node_site(p, leader);
         let n = self.consensus[p].replicas.len();
@@ -671,7 +667,7 @@ impl Udr {
 
     /// Apply newly chosen commands on every up replica (ticks and restore;
     /// a delivery applies at its destination only).
-    fn consensus_apply(&mut self, t: SimTime, partition: PartitionId) {
+    pub(crate) fn consensus_apply(&mut self, t: SimTime, partition: PartitionId) {
         for i in 0..self.consensus[partition.index()].replicas.len() {
             self.consensus_apply_node(t, partition, i);
         }
@@ -730,7 +726,7 @@ impl Udr {
         }
         // Nothing effective is left above the cursor (trailing no-ops and
         // shadowed duplicates at most): rest it on the watermark, which is
-        // what `consensus_settled` compares.
+        // what `Udr::replication_settled` compares.
         let g = &mut self.consensus[p];
         g.applied[i] = g.replicas[i].log().committed();
         // The apply cursor already tracks what is new; the replica's own
@@ -818,77 +814,6 @@ impl Udr {
             .collect()
     }
 
-    /// Whether every ensemble has fully re-converged: a serving leader
-    /// exists, all up nodes agree on the committed watermark, every up
-    /// node's apply cursor rests on it, and the leader has nothing in
-    /// flight. The consensus-mode arm of
-    /// [`Udr::replication_settled`].
-    pub(crate) fn consensus_settled(&self) -> bool {
-        self.consensus.iter().enumerate().all(|(p, g)| {
-            let Some(l) = self.consensus_serving_leader(p) else {
-                return false;
-            };
-            let leader = &g.replicas[l];
-            if leader.pending_len() != 0 || !leader.read_index_ready() {
-                return false;
-            }
-            let watermark = leader.log().committed();
-            (0..g.replicas.len())
-                .filter(|i| self.consensus_node_up(p, *i))
-                .all(|i| g.replicas[i].log().committed() == watermark && g.applied[i] == watermark)
-        })
-    }
-
-    /// Consensus-mode replica lag: the widest committed-watermark spread
-    /// between up members of any ensemble.
-    pub(crate) fn consensus_replica_lag(&self) -> u64 {
-        let mut max = 0u64;
-        for (p, g) in self.consensus.iter().enumerate() {
-            let marks: Vec<u64> = (0..g.replicas.len())
-                .filter(|i| self.consensus_node_up(p, *i))
-                .map(|i| g.replicas[i].log().committed().0)
-                .collect();
-            if let (Some(lo), Some(hi)) = (marks.iter().min(), marks.iter().max()) {
-                max = max.max(hi - lo);
-            }
-        }
-        max
-    }
-
-    /// Restore bookkeeping for a recovered SE under consensus: the chosen
-    /// log survived the crash (durable acceptor state), the engine came
-    /// back at its recovered disk position — reset the apply cursor there
-    /// and replay the rest of the committed prefix.
-    pub(crate) fn consensus_restore(
-        &mut self,
-        t: SimTime,
-        se: SeId,
-        recovered: &[(PartitionId, Lsn)],
-    ) {
-        let recovered: IdMap<PartitionId, Lsn> = recovered.iter().copied().collect();
-        for p in 0..self.consensus.len() {
-            let Some(i) = self.groups[p].members().iter().position(|m| *m == se) else {
-                continue;
-            };
-            let pid = PartitionId(p as u32);
-            let lsn = recovered.get(&pid).copied();
-            if lsn.is_none() {
-                // Nothing on disk (in-RAM durability): rejoin empty; the
-                // log replay below rebuilds the full committed prefix.
-                let role = if self.groups[p].master() == se {
-                    ReplicaRole::Master
-                } else {
-                    ReplicaRole::Slave
-                };
-                self.ses[se.index()].add_replica(pid, role);
-            }
-            let writes = lsn.unwrap_or(Lsn::ZERO).raw();
-            self.consensus[p].applied[i] =
-                cursor_for_writes(self.consensus[p].replicas[i].log(), writes);
-            self.consensus_apply(t, pid);
-        }
-    }
-
     /// Drive active migrations under consensus (`run_catchup` calls it on
     /// each `CatchupTick` instead of the legacy channel catch-up): once the
     /// seed transfer is done, the cutover is a [`Payload::Reconfig`]
@@ -903,17 +828,11 @@ impl Udr {
             if !state.is_active() || !started {
                 continue;
             }
-            let p = plan.partition.index();
-            let valid = p < self.consensus.len()
-                && self.groups[p].contains(plan.from)
-                && !self.groups[p].contains(plan.to)
-                && plan.to.index() < self.ses.len()
-                && self.ses[plan.from.index()].is_up()
-                && self.ses[plan.to.index()].is_up();
-            if !valid {
+            if !self.migration_feasible(&plan) {
                 self.migration_abort(t, id as u64);
                 continue;
             }
+            let p = plan.partition.index();
             match state {
                 MigrationState::Seeding { ready_at } if t < ready_at => {}
                 MigrationState::Seeding { .. } => {
@@ -954,44 +873,30 @@ impl Udr {
         if !state.is_active() {
             return; // already cut over (or aborted): exactly-once no-op
         }
-        let p = plan.partition.index();
-        let feasible = self.groups[p].contains(plan.from)
-            && !self.groups[p].contains(plan.to)
-            && plan.to.index() < self.ses.len()
-            && self.ses[plan.to.index()].is_up()
-            && self.ses[plan.from.index()].is_up();
-        if !feasible {
+        if !self.migration_feasible(&plan) {
             self.migration_abort(t, migration);
             return;
         }
-        let was_master_move = self.groups[p].master() == plan.from;
-        // The replica process migrates with its replicated state: the
-        // target takes the retiring copy's engine verbatim (exactly the
-        // node's applied prefix — LSN continuity, no cursor rewind).
-        let Ok(engine) = self.ses[plan.from.index()].engine(plan.partition) else {
-            self.migration_abort(t, migration);
-            return;
-        };
-        let snapshot = engine.snapshot();
-        let role = if was_master_move {
+        let p = plan.partition.index();
+        let role = if self.groups[p].master() == plan.from {
             ReplicaRole::Master
         } else {
             ReplicaRole::Slave
         };
-        self.ses[plan.to.index()].seed_replica(plan.partition, role, snapshot);
+        // The replica process migrates with its replicated state: the
+        // target takes the retiring copy's engine verbatim (exactly the
+        // node's applied prefix — LSN continuity, no cursor rewind).
+        if self
+            .seed_copy(plan.partition, plan.from, plan.to, role)
+            .is_err()
+        {
+            self.migration_abort(t, migration);
+            return;
+        }
         self.groups[p]
             .replace_member(plan.from, plan.to)
             .expect("cutover swap validated");
-        let _ = self.ses[plan.from.index()].release_partition(plan.partition);
-        self.sync_shard_map(plan.partition);
-        self.rebuild_placement();
-        if plan.reason == crate::rebalance::MoveReason::HotspotSplit {
-            self.ops_per_partition[p] = 0;
-        }
-        let task = &mut self.migrations[migration as usize];
-        task.state = MigrationState::Done;
-        task.channel = None;
-        self.metrics.migrations_completed += 1;
+        self.complete_cutover(migration);
         self.metrics.consensus_commits += 1;
     }
 }
@@ -1002,7 +907,7 @@ mod tests {
     use crate::rebalance::{MigrationPlan, MoveReason};
     use crate::UdrConfig;
     use udr_model::attrs::{AttrId, AttrMod, AttrValue};
-    use udr_model::config::DurabilityMode;
+    use udr_model::config::{DurabilityMode, ReplicationMode};
     use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
     use udr_sim::FaultSchedule;
 

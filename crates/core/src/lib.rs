@@ -37,16 +37,16 @@ pub mod pipeline;
 pub mod procedures;
 pub mod provisioning;
 pub mod rebalance;
+pub mod replication;
 pub mod udr;
 
 pub use capacity::CapacityModel;
 pub use config::UdrConfig;
 pub use metrics_agg::{StageLatencyMetrics, UdrMetrics};
 pub use ops::{ExecOutcome, OpOutcome, OpPayload, OpRequest};
-pub use pipeline::{
-    AccessStage, LatencyBreakdown, LocationStage, PipelineCtx, ReplicationStage, StorageStage,
-};
+pub use pipeline::{AccessStage, LatencyBreakdown, LocationStage, PipelineCtx, StorageStage};
 pub use procedures::{procedure_ops, ProcedureOutcome};
 pub use provisioning::{BatchItem, BatchOptions, BatchReport, ProvisionOutcome, RetryPolicy};
 pub use rebalance::{MigrationPlan, MoveReason, Rebalancer};
+pub use replication::ReplicationStage;
 pub use udr::{Cluster, Udr, UdrEvent};

@@ -21,32 +21,32 @@
 //! operation plus the accumulated [`LatencyBreakdown`], so experiments
 //! can attribute end-to-end latency to the stage that caused it.
 //!
-//! The copy families of §3.3/§5 are routed here; consensus (§6) routing
-//! lives with the ensembles in [`crate::consensus_mode`]. In every mode
-//! the replication group alone says which SEs host a partition.
+//! This module holds the context, the chain and three of the stages. The
+//! third, [`ReplicationStage`], is the one that depends on the replication
+//! mode, so it lives with the copy families in [`crate::replication`]; no
+//! code here asks which mode the deployment runs.
 //!
-//! [`Udr`] itself no longer routes anything per-operation: it is the
-//! deployment container and event pump, and `ops.rs` is a thin entry
-//! point that builds a context and runs this chain.
+//! [`Udr`] itself routes nothing per operation: it is the deployment
+//! container and event pump, and `ops.rs` is a thin entry point that
+//! builds a context and runs this chain.
 
 use udr_dls::{Location, Resolution};
 use udr_ldap::{FrameCursor, LdapOp};
 use udr_model::attrs::Entry;
-use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
+use udr_model::config::TxnClass;
 use udr_model::error::{UdrError, UdrResult};
 use udr_model::identity::Identity;
-use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr_model::ids::{PartitionId, SeId, SiteId, SubscriberUid};
 use udr_model::qos::{PriorityClass, ShedReason};
 use udr_model::session::{RawLsn, SessionToken};
 use udr_model::tenant::{Capability, TenantId};
 use udr_model::time::{SimDuration, SimTime};
-use udr_replication::quorum::quorum_write;
-use udr_replication::Enqueue;
 use udr_storage::{CommitRecord, StorageElement};
 use udr_trace::SpanCtx;
 
 use crate::ops::OpOutcome;
-use crate::udr::{Udr, UdrEvent};
+use crate::replication::ReplicationStage;
+use crate::udr::Udr;
 
 /// Per-stage latency attribution for one operation.
 ///
@@ -113,7 +113,7 @@ pub struct PipelineCtx<'a> {
     /// provisioning). `None` (the default) is the per-op wire path.
     frame: Option<&'a mut FrameCursor>,
     /// Serving cluster (set by the access stage).
-    cluster_idx: usize,
+    pub(crate) cluster_idx: usize,
     /// Site of the serving LDAP server (set by the access stage).
     pub(crate) server_site: SiteId,
     /// Resolved data location (set by the location stage).
@@ -124,15 +124,15 @@ pub struct PipelineCtx<'a> {
     /// How replication routing picked `target` for a read.
     pub(crate) read_route: ReadRoute,
     /// Commit record of a committed write, for post-commit replication.
-    record: Option<CommitRecord>,
+    pub(crate) record: Option<CommitRecord>,
     /// Reference LSN bounded-staleness routing measured lag against,
     /// reused by the post-read audit (deployment state cannot change
     /// between the two within one operation).
-    bounded_reference: Option<RawLsn>,
+    pub(crate) bounded_reference: Option<RawLsn>,
     /// Whether a guarded read policy was downgraded to nearest-copy by
     /// the overload-degradation policy (skips the freshness audit — the
     /// downgrade itself is what gets recorded).
-    policy_downgraded: bool,
+    pub(crate) policy_downgraded: bool,
     /// Whether reaching the SE crossed the inter-site backbone.
     pub(crate) crossed_backbone: bool,
 }
@@ -606,753 +606,6 @@ impl LocationStage {
                 ctx.breakdown.location += worst;
                 Err(ctx.fail(UdrError::UnknownIdentity(identity.to_string())))
             }
-        }
-    }
-}
-
-/// Stage 3 — replica routing and replication effects: picks the SE that
-/// serves the operation under the configured copy family and read policy
-/// (§3.3), consults read quorums (§5), and — after the storage stage
-/// commits — propagates the record and waits for whatever the mode
-/// requires. Under consensus (§6) routing is the ensembles' own
-/// (`Udr::consensus_route` in [`crate::consensus_mode`]): a write commits
-/// there and a read comes back routed to the serving leader.
-pub struct ReplicationStage;
-
-impl ReplicationStage {
-    /// Routing half of the stage: pick the serving SE (or consult a read
-    /// quorum) under the configured replication mode and read policy.
-    pub fn route(udr: &mut Udr, ctx: &mut PipelineCtx) -> Result<(), OpOutcome> {
-        let location = ctx.loc();
-        // Per-partition load accounting (hotspot detection for the
-        // rebalancer).
-        if let Some(slot) = udr.ops_per_partition.get_mut(location.partition.index()) {
-            *slot += 1;
-        }
-
-        if udr.consensus_mode() {
-            return udr.consensus_route(ctx, location.partition);
-        }
-
-        // Quorum mode handles reads through the ensemble, not one copy.
-        if let ReplicationMode::Quorum { r, .. } = udr.cfg.frash.replication {
-            if !ctx.op.is_write() {
-                return Self::quorum_consult(udr, ctx, location.partition, r);
-            }
-        }
-
-        let read_policy = match ctx.class {
-            TxnClass::FrontEnd => udr.cfg.frash.fe_read_policy,
-            TxnClass::Provisioning => udr.cfg.frash.ps_read_policy,
-        };
-        let target = if ctx.op.is_write() {
-            Self::write_target(udr, location.partition, ctx.server_site, ctx.now)
-        } else {
-            Self::read_target(udr, ctx, location.partition, read_policy)
-        };
-        match target {
-            Some(se) => {
-                ctx.target = Some(se);
-                Ok(())
-            }
-            None => {
-                let master = udr.groups[location.partition.index()].master();
-                ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-                Err(ctx.fail(UdrError::Unreachable {
-                    se: master,
-                    reason: "partition",
-                }))
-            }
-        }
-    }
-
-    /// Pick the SE serving a read under a policy.
-    fn read_target(
-        udr: &mut Udr,
-        ctx: &mut PipelineCtx,
-        partition: PartitionId,
-        policy: ReadPolicy,
-    ) -> Option<SeId> {
-        let from_site = ctx.server_site;
-        match policy {
-            ReadPolicy::MasterOnly => {
-                let master = udr.groups[partition.index()].master();
-                Self::copy_usable(udr, from_site, master).then_some(master)
-            }
-            // Nearest-copy is the guarded selection with a zero floor:
-            // every copy qualifies, so the preference chain (same-site →
-            // master → any reachable copy) decides alone and no redirect
-            // ever fires.
-            ReadPolicy::NearestCopy => Self::guarded_target(udr, ctx, partition, 0),
-            // The middle of the consistency spectrum: both intermediate
-            // policies reduce to "nearest copy whose applied LSN has
-            // reached a freshness floor". Under sustained overload the
-            // QoS controller may downgrade them to nearest-copy — lag
-            // lookups and master redirects are latency the deployment can
-            // no longer afford; the trade is recorded as an explicit
-            // policy downgrade, never taken silently.
-            ReadPolicy::BoundedStaleness { max_lag } => {
-                if Self::degrade_guarded_read(udr, ctx) {
-                    return Self::guarded_target(udr, ctx, partition, 0);
-                }
-                let reference = Self::reference_lsn(udr, partition, from_site);
-                ctx.bounded_reference = Some(reference);
-                Self::guarded_target(udr, ctx, partition, reference.saturating_sub(max_lag))
-            }
-            ReadPolicy::SessionConsistent => {
-                if Self::degrade_guarded_read(udr, ctx) {
-                    return Self::guarded_target(udr, ctx, partition, 0);
-                }
-                let required = ctx
-                    .session
-                    .as_ref()
-                    .map(|token| token.required_lsn(partition))
-                    .unwrap_or(0);
-                Self::guarded_target(udr, ctx, partition, required)
-            }
-        }
-    }
-
-    /// Whether the serving cluster's sustained-overload state downgrades
-    /// this guarded read to nearest-copy. Records the downgrade (the
-    /// explicit consistency-for-latency trade) when it does.
-    fn degrade_guarded_read(udr: &mut Udr, ctx: &mut PipelineCtx) -> bool {
-        if !udr.qos[ctx.cluster_idx].degraded(ctx.now) {
-            return false;
-        }
-        udr.metrics.guarantees.record_policy_downgrade();
-        ctx.policy_downgraded = true;
-        if ctx.span.is_active() && udr.tracer.enabled() {
-            let state = udr.qos[ctx.cluster_idx].pressure_label(ctx.now);
-            udr.tracer.instant(
-                ctx.span.trace,
-                ctx.span.span,
-                "qos.degrade",
-                ctx.now + ctx.breakdown.total(),
-                Some(format!("guarded read → nearest-copy ({state})")),
-            );
-        }
-        true
-    }
-
-    /// Whether `se` can serve a request issued from `from_site` at all.
-    fn copy_usable(udr: &Udr, from_site: SiteId, se: SeId) -> bool {
-        udr.ses[se.index()].is_up() && udr.net.reachable(from_site, udr.ses[se.index()].site())
-    }
-
-    /// The applied LSN of `se`'s copy of `partition` as the router may
-    /// assume it: the engine's own position for the master, the shipping
-    /// ledger's *confirmed* position for slaves — never ahead of the
-    /// slave's true state, so a routing decision based on it is safe.
-    fn routed_applied_lsn(udr: &Udr, partition: PartitionId, se: SeId) -> RawLsn {
-        let p = partition.index();
-        let engine_lsn = || {
-            udr.ses[se.index()]
-                .last_lsn(partition)
-                .map(|l| l.raw())
-                .unwrap_or(0)
-        };
-        if udr.groups[p].master() == se {
-            return engine_lsn();
-        }
-        match udr.shippers[p].applied(se) {
-            Some(lsn) => lsn.raw(),
-            // No shipping channel (e.g. mid-rebuild): the engine is the
-            // only source of truth left.
-            None => engine_lsn(),
-        }
-    }
-
-    /// The log position staleness is measured against: the master's
-    /// position while it is up, else the freshest position any reachable
-    /// copy advertises (best-known state during a master outage).
-    fn reference_lsn(udr: &Udr, partition: PartitionId, from_site: SiteId) -> RawLsn {
-        let group = &udr.groups[partition.index()];
-        let master = group.master();
-        if udr.ses[master.index()].is_up() {
-            return Self::routed_applied_lsn(udr, partition, master);
-        }
-        group
-            .members()
-            .iter()
-            .copied()
-            .filter(|se| Self::copy_usable(udr, from_site, *se))
-            .map(|se| Self::routed_applied_lsn(udr, partition, se))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Lag-aware replica selection shared by every slave-read policy:
-    /// the nearest usable copy whose applied LSN has reached `required`,
-    /// preferring same-site, then the master, then any reachable copy.
-    /// `required = 0` is plain nearest-copy routing (every copy
-    /// qualifies, no lag lookups). When the copy nearest-copy routing
-    /// would have used fails the floor, the read bounces off it and is
-    /// redirected: the wasted hop is charged to
-    /// [`LatencyBreakdown::replication`] and counted in
-    /// [`udr_metrics::GuaranteeTracker::master_redirects`]. Returns
-    /// `None` when no reachable copy qualifies (the consistency side of
-    /// the trade: the read fails rather than violate its floor).
-    fn guarded_target(
-        udr: &mut Udr,
-        ctx: &mut PipelineCtx,
-        partition: PartitionId,
-        required: RawLsn,
-    ) -> Option<SeId> {
-        let from_site = ctx.server_site;
-        // Selection is pure inspection; mutation (RTT sampling, metrics)
-        // happens after the borrows end.
-        let (nearest, pick) = {
-            let group = &udr.groups[partition.index()];
-            let master = group.master();
-            let members = group.members();
-            let qualifies = |se: SeId| {
-                required == 0 || Self::routed_applied_lsn(udr, partition, se) >= required
-            };
-
-            // The copy plain nearest-copy routing would have used (full
-            // preference chain, no freshness filter), so redirects are
-            // charged whenever the floor changes the routing decision.
-            let nearest = members
-                .iter()
-                .copied()
-                .filter(|se| {
-                    udr.ses[se.index()].site() == from_site
-                        && Self::copy_usable(udr, from_site, *se)
-                })
-                .min()
-                .or_else(|| Self::copy_usable(udr, from_site, master).then_some(master))
-                .or_else(|| {
-                    members
-                        .iter()
-                        .copied()
-                        .filter(|se| Self::copy_usable(udr, from_site, *se))
-                        .min()
-                });
-            let pick = members
-                .iter()
-                .copied()
-                .filter(|se| {
-                    udr.ses[se.index()].site() == from_site
-                        && Self::copy_usable(udr, from_site, *se)
-                        && qualifies(*se)
-                })
-                .min()
-                .or_else(|| {
-                    (Self::copy_usable(udr, from_site, master) && qualifies(master))
-                        .then_some(master)
-                })
-                .or_else(|| {
-                    members
-                        .iter()
-                        .copied()
-                        .filter(|se| Self::copy_usable(udr, from_site, *se) && qualifies(*se))
-                        .min()
-                });
-            (nearest, pick)
-        };
-        let pick = pick?;
-        if let Some(near) = nearest {
-            if near != pick {
-                // The nearest copy answered "too stale, redirect": one
-                // wasted round trip before the fresher copy serves.
-                let near_site = udr.ses[near.index()].site();
-                if let Some(rtt) = sample_rtt(udr, from_site, near_site) {
-                    ctx.breakdown.replication += rtt;
-                }
-                udr.metrics.guarantees.record_master_redirect();
-                if ctx.span.is_active() && udr.tracer.enabled() {
-                    udr.tracer.instant(
-                        ctx.span.trace,
-                        ctx.span.span,
-                        "repl.redirect",
-                        ctx.now + ctx.breakdown.total(),
-                        Some(format!(
-                            "se{} too stale, redirected to se{}",
-                            near.0, pick.0
-                        )),
-                    );
-                }
-            }
-        }
-        Some(pick)
-    }
-
-    /// Pick the SE taking a write; under multi-master an acting master is
-    /// elected on the client's side of a partition (§5).
-    fn write_target(
-        udr: &mut Udr,
-        partition: PartitionId,
-        from_site: SiteId,
-        now: SimTime,
-    ) -> Option<SeId> {
-        let group = &udr.groups[partition.index()];
-        let master = group.master();
-        let master_ok = udr.ses[master.index()].is_up()
-            && udr.net.reachable(from_site, udr.ses[master.index()].site());
-        if master_ok {
-            return Some(master);
-        }
-        if udr.cfg.frash.replication != ReplicationMode::MultiMaster {
-            return None;
-        }
-        // Acting master: same-site preferred, then lowest SeId — a
-        // deterministic choice, so every client on this side of the cut
-        // elects the same copy.
-        let candidate = group
-            .members()
-            .iter()
-            .copied()
-            .filter(|se| {
-                udr.ses[se.index()].is_up()
-                    && udr.net.reachable(from_site, udr.ses[se.index()].site())
-            })
-            .min_by_key(|se| (udr.ses[se.index()].site() != from_site, *se))?;
-        if udr.ses[candidate.index()].role(partition) != Some(ReplicaRole::Master) {
-            let _ = udr.ses[candidate.index()].set_role(partition, ReplicaRole::Master);
-        }
-        let diverged_at = udr.earliest_active_cut().unwrap_or(now);
-        udr.diverged.entry(partition).or_insert(diverged_at);
-        Some(candidate)
-    }
-
-    /// Quorum read consult (§5 Cassandra comparison): wait for the `r`
-    /// nearest reachable replicas, then serve from the freshest of them.
-    fn quorum_consult(
-        udr: &mut Udr,
-        ctx: &mut PipelineCtx,
-        partition: PartitionId,
-        r: u8,
-    ) -> Result<(), OpOutcome> {
-        let p = partition.index();
-        let mut responders = std::mem::take(&mut udr.quorum_responders);
-        responders.clear();
-        for i in 0..udr.groups[p].members().len() {
-            let se = udr.groups[p].members()[i];
-            if !udr.ses[se.index()].is_up() {
-                continue;
-            }
-            let site = udr.ses[se.index()].site();
-            if let Some(rtt) = sample_rtt(udr, ctx.server_site, site) {
-                responders.push((se, rtt));
-            }
-        }
-        responders.sort_by_key(|(_, rtt)| *rtt);
-        let available = responders.len();
-        // The r-th fastest answer ends the wait; the freshest copy among
-        // the consulted serves.
-        let consulted = responders.get(..r as usize).map(|consulted| {
-            let (serving, _) = consulted
-                .iter()
-                .max_by_key(|(se, _)| {
-                    udr.ses[se.index()]
-                        .last_lsn(partition)
-                        .unwrap_or(udr_storage::Lsn::ZERO)
-                })
-                .copied()
-                .expect("r >= 1 consulted");
-            let wait = consulted.last().map_or(SimDuration::ZERO, |(_, rtt)| *rtt);
-            (serving, wait)
-        });
-        udr.quorum_responders = responders;
-        let Some((serving, wait)) = consulted else {
-            ctx.breakdown.replication += udr.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::ReplicationFailed {
-                acked: available,
-                required: r as usize,
-            }));
-        };
-        ctx.breakdown.replication += wait;
-        ctx.target = Some(serving);
-        ctx.read_route = ReadRoute::Quorum;
-        if ctx.span.is_active() && udr.tracer.enabled() {
-            udr.tracer.instant(
-                ctx.span.trace,
-                ctx.span.span,
-                "repl.quorum_consult",
-                ctx.now + ctx.breakdown.total(),
-                Some(format!("r={r} serving=se{}", serving.0)),
-            );
-        }
-        Ok(())
-    }
-
-    /// Post-commit half of the stage: propagate the committed record per
-    /// the replication mode, account read staleness, and assemble the
-    /// final outcome.
-    pub fn finish(udr: &mut Udr, ctx: &mut PipelineCtx, mut value: Option<Entry>) -> OpOutcome {
-        let se_id = ctx.target.expect("storage stage ran");
-        let location = ctx.loc();
-
-        if let Some(record) = ctx.record.take() {
-            let commit_done = ctx.now + ctx.breakdown.total();
-            let write_lsn = record.lsn.raw();
-            match Self::replicate_after_commit(udr, location.partition, se_id, &record, commit_done)
-            {
-                Ok(extra) => {
-                    ctx.breakdown.replication += extra;
-                    // Raise the session's read-your-writes floor to the
-                    // committed position.
-                    if let Some(token) = ctx.session.as_deref_mut() {
-                        token.observe_write(location.partition, write_lsn);
-                    }
-                }
-                Err(e) => {
-                    udr.metrics.partial_commits += 1;
-                    return ctx.fail(e);
-                }
-            }
-        }
-
-        if !ctx.op.is_write() {
-            if ctx.read_route == ReadRoute::Leader {
-                // Leader committed-prefix read: fresh by construction.
-                udr.metrics.staleness.record_master_read();
-            } else {
-                Self::record_read_staleness(
-                    udr,
-                    location.partition,
-                    location.uid,
-                    se_id,
-                    ctx.read_route == ReadRoute::Quorum,
-                );
-            }
-            Self::account_guarantees(udr, ctx, location.partition, se_id);
-            // Attribute projection. (Filter matching and Bind/Compare
-            // shaping already happened in the storage stage.)
-            if let LdapOp::Search { attrs, .. } | LdapOp::SearchFilter { attrs, .. } = ctx.op {
-                if !attrs.is_empty() {
-                    value = value.map(|entry| entry.project(attrs));
-                }
-            }
-        }
-
-        OpOutcome {
-            result: Ok(value),
-            latency: ctx.breakdown.total(),
-            served_by: Some(se_id),
-            crossed_backbone: ctx.crossed_backbone,
-            breakdown: ctx.breakdown,
-        }
-    }
-
-    /// Propagate a committed record per the replication mode; returns the
-    /// extra commit latency the client observes.
-    fn replicate_after_commit(
-        udr: &mut Udr,
-        partition: PartitionId,
-        master: SeId,
-        record: &CommitRecord,
-        now: SimTime,
-    ) -> UdrResult<SimDuration> {
-        let p = partition.index();
-        let master_site = udr.ses[master.index()].site();
-
-        // Asynchronous shipping happens in every mode (it is the stream
-        // the slaves replay); the mode decides what the commit *waits* for,
-        // and only what that wait reads is kept from the walk over the
-        // slaves: the first live ack round trip (dual-in-sequence) or every
-        // member's response, the master's first (quorum).
-        let batching = !udr.cfg.ship_batch.is_per_record();
-        let mut first_live_rtt = None;
-        let quorum = matches!(udr.cfg.frash.replication, ReplicationMode::Quorum { .. });
-        // Master counts as the first ack at its local commit cost.
-        let mut responses = if quorum {
-            vec![(master, Some(SimDuration::ZERO))]
-        } else {
-            Vec::new()
-        };
-        for i in 0..udr.groups[p].members().len() {
-            let slave = udr.groups[p].members()[i];
-            if slave == master {
-                continue;
-            }
-            let slave_site = udr.ses[slave.index()].site();
-            let up = udr.ses[slave.index()].is_up();
-            let delay = if up {
-                udr.net.send(master_site, slave_site, &mut udr.rng).delay()
-            } else {
-                None
-            };
-            if batching {
-                // Coalesce: the record joins the channel's open batch; the
-                // batch ships as one message at its cap or linger deadline.
-                let cfg = udr.cfg.ship_batch;
-                match udr.shippers[p].enqueue(slave, record, &cfg) {
-                    Enqueue::Opened { seq } => {
-                        // The opener's trace rides the batch: stamp it so
-                        // the eventual flush and delivery attribute to the
-                        // op that started the linger window.
-                        let trace = udr.tracer.active_trace();
-                        if trace != 0 {
-                            udr.shippers[p].stamp_open_trace(slave, trace);
-                        }
-                        udr.schedule_event(
-                            now + cfg.linger,
-                            UdrEvent::ShipFlush {
-                                partition,
-                                slave,
-                                seq,
-                            },
-                        );
-                    }
-                    Enqueue::Full => {
-                        if let Some(b) = udr.shippers[p].flush_open(slave, now, delay) {
-                            if udr.tracer.enabled() && b.trace != 0 {
-                                udr.tracer.instant(
-                                    b.trace,
-                                    0,
-                                    "ship.flush",
-                                    now,
-                                    Some(format!(
-                                        "p{} se{} n={} cap",
-                                        partition.0,
-                                        b.slave.0,
-                                        b.records.len()
-                                    )),
-                                );
-                            }
-                            udr.schedule_event(
-                                b.arrives,
-                                UdrEvent::ReplDeliverBatch {
-                                    partition,
-                                    slave: b.slave,
-                                    records: b.records,
-                                    trace: b.trace,
-                                },
-                            );
-                        }
-                    }
-                    Enqueue::Joined | Enqueue::Refused => {}
-                }
-            } else if let Some(d) = udr.shippers[p].ship(slave, record, now, delay) {
-                udr.schedule_event(
-                    d.arrives,
-                    UdrEvent::ReplDeliver {
-                        partition,
-                        slave: d.slave,
-                        record: d.record,
-                    },
-                );
-            }
-            // The ack round trip is twice the one-way delay.
-            let rtt = delay.map(|d| d * 2);
-            first_live_rtt = first_live_rtt.or(rtt);
-            if quorum {
-                responses.push((slave, rtt));
-            }
-        }
-
-        match udr.cfg.frash.replication {
-            ReplicationMode::Consensus { .. } => {
-                unreachable!(
-                    "consensus writes commit through the replica group, not the storage pipeline"
-                )
-            }
-            ReplicationMode::AsyncMasterSlave | ReplicationMode::MultiMaster => {
-                Ok(SimDuration::ZERO)
-            }
-            ReplicationMode::DualInSequence => {
-                // §5: apply in sequence to two replicas, commit when both
-                // succeed. The wait is the designated second copy's ack.
-                first_live_rtt.ok_or(UdrError::ReplicationFailed {
-                    acked: 1,
-                    required: 2,
-                })
-            }
-            ReplicationMode::Quorum { w, .. } => {
-                let out = quorum_write(&responses, w as usize);
-                // §5 ack carry-over: a replica whose ack the commit wait
-                // counted has applied the record by the time the client
-                // sees the commit — the ack IS the apply confirmation.
-                // Carrying the responders forward synchronously (failed
-                // rounds included: a replica that received the write keeps
-                // it even when the coordinator never reaches `w`) is what
-                // lets a r+w>n read quorum guarantee freshness at consult
-                // time rather than eventually.
-                Self::carry_over_quorum_acks(udr, partition, master, &out.applied);
-                if out.committed {
-                    // Advance the acknowledged tail: freshness promises
-                    // (and the staleness audit) reach exactly this far.
-                    let acked = &mut udr.quorum_acked[p];
-                    *acked = (*acked).max(record.lsn);
-                    Ok(out.latency)
-                } else {
-                    Err(UdrError::ReplicationFailed {
-                        acked: out.applied.len(),
-                        required: w as usize,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Apply the master-log suffix each quorum responder is missing, at
-    /// ack time. W-sets vary per write, so an acked slave may be missing
-    /// earlier records too — prefix completeness requires replaying the
-    /// whole gap, not just the current record. The asynchronous
-    /// deliveries already in flight for the same LSNs arrive later as
-    /// duplicates and are dropped by the engine's gap check.
-    fn carry_over_quorum_acks(udr: &mut Udr, partition: PartitionId, master: SeId, acked: &[SeId]) {
-        let p = partition.index();
-        for &slave in acked {
-            if slave == master {
-                continue;
-            }
-            let Ok(applied) = udr.ses[slave.index()].last_lsn(partition) else {
-                continue;
-            };
-            let suffix: Vec<CommitRecord> = match udr.ses[master.index()].engine(partition) {
-                Ok(engine) => engine.log().since(applied).cloned().collect(),
-                Err(_) => continue,
-            };
-            // A truncated log cannot serve the gap; the periodic catch-up
-            // pass reseeds the slave from a snapshot instead.
-            if suffix.first().map(|r| r.lsn) != Some(applied.next()) {
-                continue;
-            }
-            for record in &suffix {
-                if udr.ses[slave.index()]
-                    .apply_replicated(partition, record)
-                    .is_err()
-                {
-                    break;
-                }
-                udr.shippers[p].on_applied(slave, record.lsn);
-            }
-        }
-    }
-
-    /// Audit a served read against its policy's promise and update the
-    /// session token: record kept/broken guarantees for the intermediate
-    /// policies, then raise the session's monotonic-reads floor to the
-    /// applied position the serving engine exposed.
-    fn account_guarantees(udr: &mut Udr, ctx: &mut PipelineCtx, partition: PartitionId, se: SeId) {
-        if ctx.read_route != ReadRoute::Routed {
-            // Quorum consults and leader reads pick their own copy outside
-            // the read-policy routing; auditing them against a policy that
-            // never ran would report phantom violations.
-            // (`FrashConfig::validate` rejects guarded policies under
-            // quorum and consensus replication anyway.)
-            return;
-        }
-        if ctx.policy_downgraded {
-            // The read was explicitly downgraded to nearest-copy under
-            // overload: no freshness promise was made, so there is
-            // nothing to audit — the downgrade was recorded when routing
-            // took the trade. The session token still advances below.
-            if let Some(token) = ctx.session.as_deref_mut() {
-                let served_lsn = udr.ses[se.index()]
-                    .last_lsn(partition)
-                    .map(|l| l.raw())
-                    .unwrap_or(0);
-                token.observe_read(partition, served_lsn);
-            }
-            return;
-        }
-        let policy = match ctx.class {
-            TxnClass::FrontEnd => udr.cfg.frash.fe_read_policy,
-            TxnClass::Provisioning => udr.cfg.frash.ps_read_policy,
-        };
-        // What the read actually saw: the serving engine's applied LSN
-        // (at least the ledger-confirmed position routing relied on).
-        let served_lsn = udr.ses[se.index()]
-            .last_lsn(partition)
-            .map(|l| l.raw())
-            .unwrap_or(0);
-        match policy {
-            ReadPolicy::BoundedStaleness { max_lag } => {
-                let reference = ctx
-                    .bounded_reference
-                    .unwrap_or_else(|| Self::reference_lsn(udr, partition, ctx.server_site));
-                udr.metrics
-                    .guarantees
-                    .record_bounded_read(reference.saturating_sub(served_lsn), max_lag);
-            }
-            ReadPolicy::SessionConsistent => {
-                let required = ctx
-                    .session
-                    .as_ref()
-                    .map(|token| token.required_lsn(partition))
-                    .unwrap_or(0);
-                udr.metrics
-                    .guarantees
-                    .record_session_read(served_lsn, required);
-            }
-            ReadPolicy::NearestCopy | ReadPolicy::MasterOnly => {}
-        }
-        if let Some(token) = ctx.session.as_deref_mut() {
-            token.observe_read(partition, served_lsn);
-        }
-    }
-
-    /// Record whether a read served by `se` returned stale data relative
-    /// to the partition master.
-    ///
-    /// Quorum-served reads are audited against the *acknowledged* tail
-    /// instead of the master's raw engine state: under quorum replication
-    /// the master's log also holds partially-committed records whose
-    /// write round never reached `w` — nobody was promised those, so
-    /// serving behind them is not staleness. Up to the acked watermark
-    /// the §5 ack carry-over plus the r+w>n overlap guarantee the
-    /// consulted set contains a fresh copy, which is what makes the
-    /// audit assertable outright.
-    fn record_read_staleness(
-        udr: &mut Udr,
-        partition: PartitionId,
-        uid: SubscriberUid,
-        se: SeId,
-        quorum_served: bool,
-    ) {
-        let master = udr.groups[partition.index()].master();
-        if se == master {
-            udr.metrics.staleness.record_master_read();
-            return;
-        }
-        if !udr.ses[master.index()].is_up() {
-            // No ground truth to compare against; count as a fresh slave
-            // read (conservative).
-            udr.metrics
-                .staleness
-                .record_slave_read(0, SimDuration::ZERO);
-            return;
-        }
-        // Metadata-only comparison: borrow views, never clone payloads.
-        let master_ver = udr.ses[master.index()]
-            .engine(partition)
-            .ok()
-            .and_then(|e| e.committed_view(uid).map(|v| (v.lsn, v.committed_at)));
-        if quorum_served {
-            if let Some((m_lsn, _)) = master_ver {
-                if m_lsn > udr.quorum_acked[partition.index()] {
-                    // The master's version was never acknowledged: the
-                    // read is as fresh as any promise made.
-                    udr.metrics
-                        .staleness
-                        .record_slave_read(0, SimDuration::ZERO);
-                    return;
-                }
-            }
-        }
-        let slave_ver = udr.ses[se.index()]
-            .engine(partition)
-            .ok()
-            .and_then(|e| e.committed_view(uid).map(|v| (v.lsn, v.committed_at)));
-        match (master_ver, slave_ver) {
-            (Some((m_lsn, m_at)), Some((s_lsn, s_at))) if m_lsn > s_lsn => {
-                let lag = m_lsn.raw() - s_lsn.raw();
-                let age = m_at.duration_since(s_at);
-                udr.metrics.staleness.record_slave_read(lag, age);
-            }
-            (Some((m_lsn, _)), None) => {
-                udr.metrics
-                    .staleness
-                    .record_slave_read(m_lsn.raw().max(1), SimDuration::ZERO);
-            }
-            _ => udr
-                .metrics
-                .staleness
-                .record_slave_read(0, SimDuration::ZERO),
         }
     }
 }

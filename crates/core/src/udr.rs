@@ -9,12 +9,20 @@
 //! virtual time: every client entry point first drains internal events up
 //! to the call instant, so replication lag, partitions and crashes unfold
 //! deterministically relative to traffic.
+//!
+//! This module is the container, the pump, fault injection and the
+//! migration bookkeeping both migration engines share (the ledger, the
+//! feasibility check, abort and the end of a cutover). How an event plays
+//! out depends on the replication mode, and that is decided elsewhere:
+//! [`crate::replication`] handles the copy families' deliveries, catch-up,
+//! crashes, failover, restores, restoration and channel migrations, and
+//! [`crate::consensus_mode`] handles the ensembles' timers and messages.
 
 use std::collections::BTreeMap;
 
 use udr_dls::{DataLocationStage, IdentityLocationMap, PlacementContext, ShardMap};
 use udr_ldap::{LdapServer, PointOfAccess};
-use udr_model::config::{DurabilityMode, LocatorKind, Pacelc, ReplicationMode, TxnClass};
+use udr_model::config::{DurabilityMode, LocatorKind, Pacelc, TxnClass};
 use udr_model::error::UdrResult;
 use udr_model::ids::{
     ClusterId, IdMap, LdapServerId, PartitionId, PoaId, ReplicaRole, SeId, SiteId,
@@ -23,7 +31,6 @@ use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
-use udr_replication::multimaster::{merge_branches, restoration_duration};
 use udr_replication::{AsyncShipper, MigrationChannel, MigrationState, ReplicationGroup};
 use udr_sim::faults::{Fault, FaultSchedule, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
@@ -32,20 +39,12 @@ use udr_storage::{CommitRecord, Lsn, StorageElement};
 use udr_trace::{TraceExport, Tracer};
 
 use crate::config::UdrConfig;
-use crate::consensus_mode::{ConsensusGroup, CONSENSUS_TICK_INTERVAL};
+use crate::consensus_mode::ConsensusGroup;
 use crate::metrics_agg::UdrMetrics;
-use crate::rebalance::MigrationPlan;
+use crate::rebalance::{MigrationPlan, MoveReason};
 
 /// How often stalled replication channels retry catch-up.
 pub(crate) const CATCHUP_INTERVAL: SimDuration = SimDuration::from_millis(200);
-/// Per-record cost of the consistency-restoration scan (§5 merge).
-const MERGE_COST_PER_RECORD: SimDuration = SimDuration::from_micros(5);
-/// Catch-up lag (records) at which a master move freezes writes for the
-/// final hand-off window.
-const MIGRATION_FREEZE_LAG: u64 = 64;
-/// Lag at which a slave-copy move may cut over: the remainder flows over
-/// the group's ordinary replica channel after the swap, no freeze needed.
-const MIGRATION_SLAVE_CUTOVER_LAG: u64 = 32;
 /// Fixed setup cost of a migration snapshot transfer.
 const MIGRATION_SEED_BASE: SimDuration = SimDuration::from_millis(50);
 /// Snapshot transfer throughput (bytes per microsecond ≙ 100 MB/s).
@@ -298,7 +297,7 @@ pub struct Udr {
     /// read allocates nothing.
     pub(crate) quorum_responders: Vec<(SeId, SimDuration)>,
     /// Per-partition Multi-Paxos ensembles; empty unless the deployment
-    /// runs [`ReplicationMode::Consensus`].
+    /// runs [`ReplicationMode::Consensus`](udr_model::config::ReplicationMode::Consensus).
     pub(crate) consensus: Vec<ConsensusGroup>,
     /// Next consensus command id (0 is the protocol's reserved no-op).
     pub(crate) next_cmd_id: u64,
@@ -373,7 +372,6 @@ impl Udr {
         // ---- partitions: masters round-robin, secondaries geo-spread ----
         let rf = cfg.frash.replication_factor as usize;
         let mut groups = Vec::with_capacity(cfg.partitions as usize);
-        let mut shippers = Vec::with_capacity(cfg.partitions as usize);
         for p in 0..cfg.partitions {
             let master_idx = (p as usize) % ses.len();
             let mut members = vec![SeId(master_idx as u32)];
@@ -409,12 +407,7 @@ impl Udr {
                 };
                 ses[se.index()].add_replica(pid, role);
             }
-            let mut shipper = AsyncShipper::new();
-            for se in members.iter().skip(1) {
-                shipper.register_slave(*se, Lsn::ZERO);
-            }
             groups.push(ReplicationGroup::new(pid, members)?);
-            shippers.push(shipper);
         }
 
         // ---- placement context -------------------------------------------
@@ -436,26 +429,6 @@ impl Udr {
             }
         }
 
-        // Consensus mode: one ensemble per partition over the group's
-        // members, with staggered protocol timers so lanes do not beat in
-        // lockstep.
-        let mut consensus = Vec::new();
-        if let ReplicationMode::Consensus { n } = cfg.frash.replication {
-            for p in 0..groups.len() {
-                consensus.push(ConsensusGroup::new(n as usize, cfg.seed, p as u32));
-                let tick = UdrEvent::ConsensusTick {
-                    partition: PartitionId(p as u32),
-                };
-                events.schedule_at(
-                    tick.lane_class(),
-                    SimTime::ZERO
-                        + CONSENSUS_TICK_INTERVAL
-                        + SimDuration::from_micros(137 * p as u64),
-                    tick,
-                );
-            }
-        }
-
         let shard_map = ShardMap::new(groups.iter().map(|g| (g.partition(), g.members().to_vec())));
 
         let sites = cfg.sites as usize;
@@ -463,7 +436,7 @@ impl Udr {
         let tenant_buckets = Self::build_tenant_buckets(&cfg.tenants);
         let tenant_buckets_epoch = cfg.tenants.epoch();
         let tracer = Tracer::new(cfg.trace);
-        Ok(Udr {
+        let mut udr = Udr {
             subs_per_partition: vec![0; cfg.partitions as usize],
             ops_per_partition: vec![0; cfg.partitions as usize],
             quorum_acked: vec![Lsn::ZERO; cfg.partitions as usize],
@@ -479,7 +452,7 @@ impl Udr {
             tenant_buckets_epoch,
             servers,
             groups,
-            shippers,
+            shippers: Vec::new(),
             shard_map,
             migrations: Vec::new(),
             placement,
@@ -489,13 +462,15 @@ impl Udr {
             diverged: BTreeMap::new(),
             active_cuts: Vec::new(),
             master_lsn_at_crash: IdMap::default(),
-            consensus,
+            consensus: Vec::new(),
             next_cmd_id: 1,
             consensus_violations: Vec::new(),
             next_uid: 1,
             metrics: UdrMetrics::default(),
             tracer,
-        })
+        };
+        udr.build_replication();
+        Ok(udr)
     }
 
     /// Snapshot everything the flight recorder retained (records,
@@ -661,14 +636,9 @@ impl Udr {
             UdrEvent::ReplDeliverBatch {
                 partition,
                 slave,
-                mut records,
+                records,
                 trace: _,
-            } => {
-                for record in records.drain(..) {
-                    self.deliver_replication(partition, slave, record);
-                }
-                self.shippers[partition.index()].recycle(records);
-            }
+            } => self.deliver_batch(partition, slave, records),
             UdrEvent::ShipFlush {
                 partition,
                 slave,
@@ -802,420 +772,6 @@ impl Udr {
         }
     }
 
-    fn deliver_replication(&mut self, partition: PartitionId, slave: SeId, record: CommitRecord) {
-        // The message may arrive after a partition started or the slave
-        // crashed; then it is simply lost (catch-up re-ships later).
-        let master = self.groups[partition.index()].master();
-        let master_site = self.ses[master.index()].site();
-        let slave_site = self.ses[slave.index()].site();
-        if !self.ses[slave.index()].is_up() || !self.net.reachable(master_site, slave_site) {
-            return;
-        }
-        let lsn = record.lsn;
-        if self.ses[slave.index()]
-            .apply_replicated(partition, &record)
-            .is_ok()
-        {
-            self.shippers[partition.index()].on_applied(slave, lsn);
-        }
-    }
-
-    /// Linger timer for a shipping batch: sample the path once and flush
-    /// the channel's open batch as a single message, if it is still the
-    /// generation the timer was armed for.
-    fn ship_flush(&mut self, t: SimTime, partition: PartitionId, slave: SeId, seq: u64) {
-        let p = partition.index();
-        let master = self.groups[p].master();
-        if !self.ses[master.index()].is_up() {
-            return;
-        }
-        let master_site = self.ses[master.index()].site();
-        let slave_site = self.ses[slave.index()].site();
-        let delay = if self.ses[slave.index()].is_up() {
-            self.net
-                .send(master_site, slave_site, &mut self.rng)
-                .delay()
-        } else {
-            None
-        };
-        if let Some(batch) = self.shippers[p].flush_if_open(slave, seq, t, delay) {
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    batch.trace,
-                    0,
-                    "ship.flush",
-                    t,
-                    Some(format!(
-                        "p{} se{} n={} linger",
-                        p,
-                        slave.index(),
-                        batch.records.len()
-                    )),
-                );
-            }
-            self.schedule_event(
-                batch.arrives,
-                UdrEvent::ReplDeliverBatch {
-                    partition,
-                    slave: batch.slave,
-                    records: batch.records,
-                    trace: batch.trace,
-                },
-            );
-        }
-    }
-
-    fn run_catchup(&mut self, t: SimTime) {
-        if !self.net.partitioned() {
-            // Divergence can arise without any cut: under multi-master a
-            // *crashed* master makes each client site elect its own
-            // acting master. No heal event will ever fire for that, so
-            // the periodic tick merges outstanding branches as soon as
-            // connectivity is whole (a no-op otherwise).
-            self.run_restorations();
-        }
-        if self.consensus_mode() {
-            // No shipping channels under consensus: the ensembles'
-            // catch-up protocol keeps lagging replicas current. Only the
-            // migration state machines ride this tick.
-            self.run_consensus_migrations(t);
-            return;
-        }
-        for p in 0..self.groups.len() {
-            let pid = PartitionId(p as u32);
-            let master = self.groups[p].master();
-            if !self.ses[master.index()].is_up() {
-                continue;
-            }
-            let master_site = self.ses[master.index()].site();
-            // By index: nothing below changes the group, and the idle tick
-            // collects nothing.
-            for i in 0..self.groups[p].members().len() {
-                let slave = self.groups[p].members()[i];
-                if slave == master || !self.ses[slave.index()].is_up() {
-                    continue;
-                }
-                let slave_site = self.ses[slave.index()].site();
-                if !self.net.reachable(master_site, slave_site) {
-                    continue;
-                }
-                // Reseed when the master's log can no longer serve the gap.
-                let needs_reseed = {
-                    let master_engine = self.ses[master.index()]
-                        .engine(pid)
-                        .expect("master hosts partition");
-                    self.shippers[p].needs_reseed(slave, master_engine)
-                };
-                if needs_reseed {
-                    self.reseed_from(pid, master, slave);
-                    continue;
-                }
-                let lag = {
-                    let master_engine = self.ses[master.index()]
-                        .engine(pid)
-                        .expect("master hosts partition");
-                    self.shippers[p].lag(slave, master_engine).unwrap_or(0)
-                };
-                if lag == 0 {
-                    continue;
-                }
-                let delay = self
-                    .net
-                    .send(master_site, slave_site, &mut self.rng)
-                    .delay();
-                let deliveries = {
-                    let master_engine = self.ses[master.index()]
-                        .engine(pid)
-                        .expect("master hosts partition");
-                    self.shippers[p].catch_up(slave, master_engine, t, delay)
-                };
-                for d in deliveries {
-                    self.schedule_event(
-                        d.arrives,
-                        UdrEvent::ReplDeliver {
-                            partition: pid,
-                            slave: d.slave,
-                            record: d.record,
-                        },
-                    );
-                }
-            }
-        }
-        self.run_migration_catchup(t);
-    }
-
-    fn crash_se(&mut self, t: SimTime, se: SeId) {
-        if !self.ses[se.index()].is_up() {
-            return;
-        }
-        if self.consensus_mode() {
-            // No failover machinery: the ensemble's elections handle
-            // mastership, and the chosen log is the durable acceptor
-            // state the protocol requires — it survives the crash.
-            self.ses[se.index()].crash();
-            return;
-        }
-        // Capture mastered partitions and their LSNs before RAM vanishes.
-        let mastered: Vec<(PartitionId, Lsn)> = self
-            .groups
-            .iter()
-            .filter(|g| g.master() == se)
-            .map(|g| {
-                let lsn = self.ses[se.index()]
-                    .last_lsn(g.partition())
-                    .unwrap_or(Lsn::ZERO);
-                (g.partition(), lsn)
-            })
-            .collect();
-        self.ses[se.index()].crash();
-        for (pid, lsn) in mastered {
-            self.master_lsn_at_crash.insert(pid, lsn);
-            if self.cfg.frash.auto_failover {
-                self.schedule_event(
-                    t + self.cfg.frash.failover_detection,
-                    UdrEvent::FailoverCheck { partition: pid },
-                );
-            }
-        }
-    }
-
-    fn failover_check(&mut self, partition: PartitionId) {
-        let p = partition.index();
-        let master = self.groups[p].master();
-        if self.ses[master.index()].is_up() {
-            return; // master came back before detection completed
-        }
-        let alive: Vec<(SeId, Lsn)> = self.groups[p]
-            .slaves()
-            .filter(|s| self.ses[s.index()].is_up())
-            .map(|s| {
-                (
-                    s,
-                    self.ses[s.index()].last_lsn(partition).unwrap_or(Lsn::ZERO),
-                )
-            })
-            .collect();
-        let Some(candidate) = self.groups[p].promotion_candidate(&alive) else {
-            return; // total outage: nothing to promote
-        };
-        let candidate_lsn = alive
-            .iter()
-            .find(|(s, _)| *s == candidate)
-            .map(|(_, l)| *l)
-            .unwrap_or(Lsn::ZERO);
-        if let Some(crash_lsn) = self.master_lsn_at_crash.get(&partition) {
-            // §4.2: transactions committed at the master but not yet
-            // replicated are lost by the promotion.
-            self.metrics.lost_commits += crash_lsn.raw().saturating_sub(candidate_lsn.raw());
-        }
-        self.groups[p]
-            .promote(candidate)
-            .expect("candidate is a member");
-        let _ = self.ses[candidate.index()].set_role(partition, ReplicaRole::Master);
-        // Mastership moved: bump the shard-map epoch so route caches learn
-        // (lazily) that the old owner is retired.
-        self.sync_shard_map(partition);
-        self.rebuild_shipper(partition, candidate_lsn);
-        self.metrics.failovers += 1;
-    }
-
-    /// Replace `partition`'s shipping ledger with a fresh one around the
-    /// group's current master, whose position is `master_lsn`: an up slave
-    /// registers at what it holds, capped at `master_lsn`, and a down one
-    /// at zero (its restore reseeds or re-registers it).
-    fn rebuild_shipper(&mut self, partition: PartitionId, master_lsn: Lsn) {
-        let mut shipper = AsyncShipper::new();
-        for slave in self.groups[partition.index()].slaves() {
-            let lsn = if self.ses[slave.index()].is_up() {
-                self.ses[slave.index()]
-                    .last_lsn(partition)
-                    .unwrap_or(Lsn::ZERO)
-                    .min(master_lsn)
-            } else {
-                Lsn::ZERO
-            };
-            shipper.register_slave(slave, lsn);
-        }
-        self.shippers[partition.index()] = shipper;
-    }
-
-    fn restore_se(&mut self, se: SeId) {
-        let recovered = self.ses[se.index()].restore(self.events.now());
-        if self.consensus_mode() {
-            // Reset the apply cursor to the recovered disk position and
-            // replay the chosen log's committed prefix; no lost-commit
-            // accounting — consensus never acknowledged anything the log
-            // does not hold.
-            self.consensus_restore(self.events.now(), se, &recovered);
-            return;
-        }
-        let recovered_map: IdMap<PartitionId, Lsn> = recovered.into_iter().collect();
-        // Rejoin every group this SE belongs to.
-        let member_of: Vec<PartitionId> = self
-            .groups
-            .iter()
-            .filter(|g| g.contains(se))
-            .map(|g| g.partition())
-            .collect();
-        for pid in member_of {
-            let p = pid.index();
-            let is_master = self.groups[p].master() == se;
-            let recovered_lsn = recovered_map.get(&pid).copied();
-            if is_master {
-                self.restore_master(pid, se, recovered_lsn);
-            } else {
-                self.restore_slave(pid, se, recovered_lsn);
-            }
-        }
-    }
-
-    /// A crashed master restores while still holding mastership (failover
-    /// disabled, not yet fired, or no candidate existed).
-    fn restore_master(&mut self, pid: PartitionId, se: SeId, recovered: Option<Lsn>) {
-        let p = pid.index();
-        let restored_lsn = recovered.unwrap_or(Lsn::ZERO);
-        if recovered.is_none() {
-            self.ses[se.index()].add_replica(pid, ReplicaRole::Slave);
-        }
-        // If a slave is ahead of the restored disk state, prefer rebuilding
-        // the master from the most caught-up slave: less data loss.
-        let best_slave: Option<(SeId, Lsn)> = self.groups[p]
-            .slaves()
-            .filter(|s| self.ses[s.index()].is_up())
-            .map(|s| (s, self.ses[s.index()].last_lsn(pid).unwrap_or(Lsn::ZERO)))
-            .max_by_key(|(_, l)| *l);
-        let crash_lsn = self
-            .master_lsn_at_crash
-            .remove(&pid)
-            .unwrap_or(restored_lsn);
-        let base_lsn = match best_slave {
-            Some((donor, donor_lsn)) if donor_lsn > restored_lsn => {
-                let snapshot = self.ses[donor.index()]
-                    .engine(pid)
-                    .expect("donor hosts partition")
-                    .snapshot();
-                self.ses[se.index()].seed_replica(pid, ReplicaRole::Master, snapshot);
-                self.metrics.reseeds += 1;
-                donor_lsn
-            }
-            _ => {
-                let _ = self.ses[se.index()].set_role(pid, ReplicaRole::Master);
-                restored_lsn
-            }
-        };
-        self.metrics.lost_commits += crash_lsn.raw().saturating_sub(base_lsn.raw());
-        // Slaves ahead of the rebuilt master hold orphaned commits: reseed
-        // them down to the master's lineage.
-        let ahead: Vec<SeId> = self.groups[p]
-            .slaves()
-            .filter(|s| {
-                self.ses[s.index()].is_up()
-                    && self.ses[s.index()].last_lsn(pid).unwrap_or(Lsn::ZERO) > base_lsn
-            })
-            .collect();
-        for slave in ahead {
-            self.reseed_from(pid, se, slave);
-        }
-        self.rebuild_shipper(pid, base_lsn);
-    }
-
-    /// A crashed SE restores as a slave (its mastership moved or it always
-    /// was a slave).
-    fn restore_slave(&mut self, pid: PartitionId, se: SeId, recovered: Option<Lsn>) {
-        let p = pid.index();
-        let master = self.groups[p].master();
-        let master_lsn = if self.ses[master.index()].is_up() {
-            self.ses[master.index()].last_lsn(pid).unwrap_or(Lsn::ZERO)
-        } else {
-            Lsn::ZERO
-        };
-        match recovered {
-            Some(lsn) if lsn <= master_lsn => {
-                self.shippers[p].register_slave(se, lsn);
-            }
-            _ => {
-                // Nothing on disk, or disk state ahead of the current
-                // master's lineage (orphaned commits): reseed.
-                if self.ses[master.index()].is_up() {
-                    if recovered.is_none() {
-                        self.ses[se.index()].add_replica(pid, ReplicaRole::Slave);
-                    }
-                    self.reseed_from(pid, master, se);
-                } else {
-                    self.ses[se.index()].add_replica(pid, ReplicaRole::Slave);
-                    self.shippers[p].register_slave(se, Lsn::ZERO);
-                }
-            }
-        }
-    }
-
-    /// Seed `target`'s replica of `pid` from `source`'s current state.
-    fn reseed_from(&mut self, pid: PartitionId, source: SeId, target: SeId) {
-        let snapshot = self.ses[source.index()]
-            .engine(pid)
-            .expect("source hosts partition")
-            .snapshot();
-        let lsn = snapshot.last_lsn;
-        self.ses[target.index()].seed_replica(pid, ReplicaRole::Slave, snapshot);
-        self.shippers[pid.index()].reseeded(target, lsn);
-        self.metrics.reseeds += 1;
-    }
-
-    // ---- multi-master restoration (§5) --------------------------------------
-
-    /// Earliest active partition start (divergence stamp for new branches).
-    pub(crate) fn earliest_active_cut(&self) -> Option<SimTime> {
-        self.active_cuts.iter().map(|(_, t)| *t).min()
-    }
-
-    fn run_restorations(&mut self) {
-        if self.cfg.frash.replication != ReplicationMode::MultiMaster || self.diverged.is_empty() {
-            return;
-        }
-        let diverged: Vec<(PartitionId, SimTime)> =
-            self.diverged.iter().map(|(p, t)| (*p, *t)).collect();
-        self.diverged.clear();
-        for (pid, since) in diverged {
-            let p = pid.index();
-            let members: Vec<SeId> = self.groups[p]
-                .members()
-                .iter()
-                .copied()
-                .filter(|se| self.ses[se.index()].is_up())
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let outcome = {
-                let engines: Vec<&udr_storage::Engine> = members
-                    .iter()
-                    .map(|se| {
-                        self.ses[se.index()]
-                            .engine(pid)
-                            .expect("member hosts partition")
-                    })
-                    .collect();
-                merge_branches(since, &engines)
-            };
-            let master = self.groups[p].master();
-            for se in &members {
-                let role = if *se == master {
-                    ReplicaRole::Master
-                } else {
-                    ReplicaRole::Slave
-                };
-                self.ses[se.index()].seed_replica(pid, role, outcome.snapshot.clone());
-            }
-            // Every up member now holds the merged state.
-            self.rebuild_shipper(pid, outcome.snapshot.last_lsn);
-            self.metrics.merges += 1;
-            self.metrics.merge_conflicts += outcome.stats.conflicts as u64;
-            self.metrics.merge_records += outcome.stats.records_examined as u64;
-            self.metrics.merge_time +=
-                restoration_duration(outcome.stats.records_examined, MERGE_COST_PER_RECORD);
-        }
-    }
-
     // ---- structural availability probes -------------------------------------
 
     /// Whether `partition` currently has a readable copy reachable from
@@ -1241,59 +797,6 @@ impl Udr {
             .map(|g| self.subs_per_partition[g.partition().index()])
             .sum();
         ok as f64 / total as f64
-    }
-
-    /// The largest replication lag (log records) any up slave currently
-    /// shows against its partition master. Crashed endpoints are skipped
-    /// — they cannot catch up until they restore.
-    pub fn max_replica_lag(&self) -> u64 {
-        if self.consensus_mode() {
-            return self.consensus_replica_lag();
-        }
-        let mut max = 0u64;
-        for (p, group) in self.groups.iter().enumerate() {
-            let master = group.master();
-            if !self.ses[master.index()].is_up() {
-                continue;
-            }
-            let Ok(engine) = self.ses[master.index()].engine(group.partition()) else {
-                continue;
-            };
-            for slave in group.slaves() {
-                if !self.ses[slave.index()].is_up() {
-                    continue;
-                }
-                if let Some(lag) = self.shippers[p].lag(slave, engine) {
-                    max = max.max(lag);
-                }
-            }
-        }
-        max
-    }
-
-    /// Whether replication has fully re-converged: zero lag on every
-    /// live channel, no diverged multi-master branches awaiting merge,
-    /// and no partition or degradation still active. The condition the
-    /// heal-time measurement of a fault campaign waits for.
-    pub fn replication_settled(&self) -> bool {
-        if self.consensus_mode() {
-            return !self.net.partitioned() && !self.net.degraded() && self.consensus_settled();
-        }
-        !self.net.partitioned()
-            && !self.net.degraded()
-            && self.diverged.is_empty()
-            && self.max_replica_lag() == 0
-    }
-
-    /// Coalesced shipping batches delivered across all partitions'
-    /// channels (zero under per-record shipping).
-    pub fn shipping_batches(&self) -> u64 {
-        self.shippers.iter().map(|s| s.batches).sum()
-    }
-
-    /// Records shipped (including catch-up re-ships) across all channels.
-    pub fn shipped_records(&self) -> u64 {
-        self.shippers.iter().map(|s| s.shipped).sum()
     }
 
     /// Allocate the next subscriber uid.
@@ -1510,25 +1013,19 @@ impl Udr {
     fn migration_start(&mut self, t: SimTime, id: u64) {
         let plan = self.migrations[id as usize].plan;
         let p = plan.partition.index();
-        let valid = plan.from != plan.to
-            && p < self.groups.len()
-            && plan.to.index() < self.ses.len()
-            && self.groups[p].contains(plan.from)
-            && !self.groups[p].contains(plan.to)
-            && self.ses[plan.from.index()].is_up()
-            && self.ses[plan.to.index()].is_up();
-        if !valid || !self.ses[self.groups[p].master().index()].is_up() {
+        if !self.migration_feasible(&plan) || !self.ses[self.groups[p].master().index()].is_up() {
             self.migration_abort(t, id);
             return;
         }
         let master = self.groups[p].master();
-        let engine = self.ses[master.index()]
+        let bytes = self.ses[master.index()]
             .engine(plan.partition)
+            .expect("master hosts partition")
+            .store()
+            .snapshot_bytes() as u64;
+        let lsn = self
+            .seed_copy(plan.partition, master, plan.to, ReplicaRole::Slave)
             .expect("master hosts partition");
-        let bytes = engine.store().snapshot_bytes() as u64;
-        let snapshot = engine.snapshot();
-        let lsn = snapshot.last_lsn;
-        self.ses[plan.to.index()].seed_replica(plan.partition, ReplicaRole::Slave, snapshot);
         let transfer =
             MIGRATION_SEED_BASE + SimDuration::from_micros(bytes / MIGRATION_SEED_BYTES_PER_US);
         let task = &mut self.migrations[id as usize];
@@ -1538,217 +1035,37 @@ impl Udr {
         };
     }
 
-    /// Drive every active migration one catch-up step (runs on each
-    /// `CatchupTick`, after the replica channels; a consensus deployment
-    /// runs `run_consensus_migrations` instead).
-    fn run_migration_catchup(&mut self, t: SimTime) {
-        for id in 0..self.migrations.len() {
-            let (plan, state, started) = {
-                let m = &self.migrations[id];
-                (m.plan, m.state, m.channel.is_some())
-            };
-            if !state.is_active() || !started {
-                continue;
-            }
-            let p = plan.partition.index();
-            let master = self.groups[p].master();
-            // Fault policy: a crashed endpoint or a cut on the shipping
-            // path abandons the move — restarting later is cheaper than
-            // reasoning about a half-seeded copy across a partition.
-            let endpoints_up = self.ses[plan.from.index()].is_up()
-                && self.ses[plan.to.index()].is_up()
-                && self.ses[master.index()].is_up();
-            let master_site = self.ses[master.index()].site();
-            let to_site = self.ses[plan.to.index()].site();
-            if !endpoints_up || !self.net.reachable(master_site, to_site) {
-                self.migration_abort(t, id as u64);
-                continue;
-            }
-            match state {
-                MigrationState::Seeding { ready_at } if t < ready_at => continue,
-                MigrationState::Seeding { .. } => {
-                    self.migrations[id].state = MigrationState::CatchingUp;
-                }
-                _ => {}
-            }
-            // A truncated master log (or a failover onto a new lineage)
-            // invalidates the seed: reseed from the current master.
-            let needs_reseed = {
-                let engine = self.ses[master.index()]
-                    .engine(plan.partition)
-                    .expect("master hosts partition");
-                self.migrations[id]
-                    .channel
-                    .as_ref()
-                    .expect("started migration has channel")
-                    .needs_reseed(engine)
-            };
-            if needs_reseed {
-                let snapshot = self.ses[master.index()]
-                    .engine(plan.partition)
-                    .expect("master hosts partition")
-                    .snapshot();
-                let lsn = snapshot.last_lsn;
-                self.ses[plan.to.index()].seed_replica(
-                    plan.partition,
-                    ReplicaRole::Slave,
-                    snapshot,
-                );
-                self.migrations[id]
-                    .channel
-                    .as_mut()
-                    .expect("started migration has channel")
-                    .reseeded(lsn);
-                self.metrics.reseeds += 1;
-                continue;
-            }
-            let lag = {
-                let engine = self.ses[master.index()]
-                    .engine(plan.partition)
-                    .expect("master hosts partition");
-                self.migrations[id]
-                    .channel
-                    .as_ref()
-                    .expect("started migration has channel")
-                    .lag(engine)
-            };
-            if plan.from == master {
-                // Master move: converge, freeze the log, cut over at
-                // exact equality.
-                if lag <= MIGRATION_FREEZE_LAG
-                    && !matches!(self.migrations[id].state, MigrationState::Frozen { .. })
-                {
-                    let _ = self.ses[master.index()].freeze_partition(plan.partition);
-                    self.migrations[id].state = MigrationState::Frozen { since: t };
-                }
-                if matches!(self.migrations[id].state, MigrationState::Frozen { .. }) && lag == 0 {
-                    // The cutover itself is a coordination round between
-                    // the endpoints: the freeze window is never zero.
-                    let coord = self
-                        .net
-                        .round_trip(master_site, to_site, &mut self.rng)
-                        .unwrap_or(SimDuration::from_millis(1));
-                    self.schedule_event(t + coord, UdrEvent::MigrationCutover { id: id as u64 });
-                    continue;
-                }
-            } else if lag <= MIGRATION_SLAVE_CUTOVER_LAG {
-                // Slave move: the ordinary replica channel closes the
-                // remainder after the swap; no freeze needed.
-                self.schedule_event(t, UdrEvent::MigrationCutover { id: id as u64 });
-                continue;
-            }
-            if lag == 0 {
-                continue;
-            }
-            let delay = self.net.send(master_site, to_site, &mut self.rng).delay();
-            let deliveries = {
-                let ses = &self.ses;
-                let engine = ses[master.index()]
-                    .engine(plan.partition)
-                    .expect("master hosts partition");
-                self.migrations[id]
-                    .channel
-                    .as_mut()
-                    .expect("started migration has channel")
-                    .catch_up(engine, t, delay)
-            };
-            self.metrics.migration_records_shipped += deliveries.len() as u64;
-            for d in deliveries {
-                self.schedule_event(
-                    d.arrives,
-                    UdrEvent::MigrationDeliver {
-                        id: id as u64,
-                        record: d.record,
-                    },
-                );
-            }
-        }
+    /// Whether `plan` can run, checked by both migration engines when the
+    /// move starts and at each later step: the partition exists, the
+    /// source is a member and the target is not, and both endpoints are
+    /// up. (A malformed plan, such as an out-of-range partition or a
+    /// target equal to its source, fails here too.)
+    pub(crate) fn migration_feasible(&self, plan: &MigrationPlan) -> bool {
+        let Some(group) = self.groups.get(plan.partition.index()) else {
+            return false;
+        };
+        group.contains(plan.from)
+            && !group.contains(plan.to)
+            && plan.to.index() < self.ses.len()
+            && self.ses[plan.from.index()].is_up()
+            && self.ses[plan.to.index()].is_up()
     }
 
-    /// `MigrationDeliver`: apply one migrated record on the target copy.
-    fn migration_deliver(&mut self, id: u64, record: CommitRecord) {
-        let Some(m) = self.migrations.get(id as usize) else {
-            return;
-        };
-        if !m.state.is_active() || m.channel.is_none() {
-            return;
-        }
-        let plan = m.plan;
-        let master = self.groups[plan.partition.index()].master();
-        let master_site = self.ses[master.index()].site();
-        let to_site = self.ses[plan.to.index()].site();
-        if !self.ses[plan.to.index()].is_up() || !self.net.reachable(master_site, to_site) {
-            return;
-        }
-        let lsn = record.lsn;
-        if self.ses[plan.to.index()]
-            .apply_replicated(plan.partition, &record)
-            .is_ok()
-        {
-            if let Some(ch) = self.migrations[id as usize].channel.as_mut() {
-                ch.on_applied(lsn);
-            }
-        }
-    }
-
-    /// `MigrationCutover`: atomically swap the copy into the replica set,
-    /// release the retired copy and bump the shard-map epoch.
-    fn migration_cutover(&mut self, t: SimTime, id: u64) {
-        let (plan, state) = {
-            let m = &self.migrations[id as usize];
-            (m.plan, m.state)
-        };
-        if !state.is_active() {
-            return;
-        }
-        let p = plan.partition.index();
-        let master = self.groups[p].master();
-        let was_master_move = plan.from == master;
-        let master_site = self.ses[master.index()].site();
-        let to_site = self.ses[plan.to.index()].site();
-        let to_ok = self.ses[plan.to.index()].is_up() && self.net.reachable(master_site, to_site);
-        let target_lsn = self.ses[plan.to.index()]
-            .last_lsn(plan.partition)
-            .unwrap_or(Lsn::ZERO);
-        let master_lsn = self.ses[master.index()]
-            .last_lsn(plan.partition)
-            .unwrap_or(Lsn::ZERO);
-        // A master hand-off must be exact: every committed record is on
-        // the target before the old master retires (zero loss).
-        if !to_ok || (was_master_move && target_lsn != master_lsn) {
-            self.migration_abort(t, id);
-            return;
-        }
-        self.groups[p]
-            .replace_member(plan.from, plan.to)
-            .expect("cutover swap validated");
-        let new_role = if was_master_move {
-            ReplicaRole::Master
-        } else {
-            ReplicaRole::Slave
-        };
-        let _ = self.ses[plan.to.index()].set_role(plan.partition, new_role);
-        if was_master_move {
-            // Rebuild the shipping ledger around the new master (same
-            // lineage, so the slaves' applied LSNs carry over).
-            self.rebuild_shipper(plan.partition, master_lsn);
-        } else {
-            self.shippers[p].unregister_slave(plan.from);
-            self.shippers[p].register_slave(plan.to, target_lsn.min(master_lsn));
-        }
-        // Hand-off complete: the retired copy releases its RAM and disk.
+    /// The end every cutover shares, after the engine has swapped the copy
+    /// into the group: the retired copy releases its RAM and disk, the new
+    /// replica set is published (epoch bump), placement follows the
+    /// masters, a hotspot's load counter resets, and the migration is done.
+    pub(crate) fn complete_cutover(&mut self, id: u64) {
+        let plan = self.migrations[id as usize].plan;
         let _ = self.ses[plan.from.index()].release_partition(plan.partition);
         self.sync_shard_map(plan.partition);
         self.rebuild_placement();
-        if plan.reason == crate::rebalance::MoveReason::HotspotSplit {
+        if plan.reason == MoveReason::HotspotSplit {
             // The relocation served this load; reset the counter so the
             // planner chases *current* heat, not history (otherwise the
             // same partition stays the maximum forever and periodic
             // re-planning thrashes its master back and forth).
-            self.ops_per_partition[p] = 0;
-        }
-        if let MigrationState::Frozen { since } = state {
-            self.metrics.migration_freeze_time += t.duration_since(since);
+            self.ops_per_partition[plan.partition.index()] = 0;
         }
         let task = &mut self.migrations[id as usize];
         task.state = MigrationState::Done;
