@@ -1136,25 +1136,26 @@ impl Udr {
     fn restore_slave(&mut self, pid: PartitionId, se: SeId, recovered: Option<Lsn>) {
         let p = pid.index();
         let master = self.groups[p].master();
-        let master_lsn = if self.ses[master.index()].is_up() {
-            self.ses[master.index()].last_lsn(pid).unwrap_or(Lsn::ZERO)
-        } else {
-            Lsn::ZERO
-        };
+        let master_lsn = self.ses[master.index()]
+            .is_up()
+            .then(|| self.ses[master.index()].last_lsn(pid).unwrap_or(Lsn::ZERO));
         match recovered {
-            Some(lsn) if lsn <= master_lsn => {
+            // A recovered copy resumes where its disk left off, unless it
+            // is ahead of an up master's lineage. Under a down master it is
+            // kept as it is: whoever masters next settles the lineage —
+            // failover promotes the freshest live copy, and a restoring
+            // master reseeds the slaves ahead of it.
+            Some(lsn) if master_lsn.is_none_or(|m| lsn <= m) => {
                 self.shippers[p].register_slave(se, lsn);
             }
-            _ => {
-                // Nothing on disk, or disk state ahead of the current
-                // master's lineage (orphaned commits): reseed.
-                if self.ses[master.index()].is_up() {
-                    if recovered.is_none() {
-                        self.ses[se.index()].add_replica(pid, ReplicaRole::Slave);
-                    }
+            // Disk state ahead of the master (orphaned commits): reseed.
+            Some(_) => self.reseed_from(pid, master, se),
+            // Nothing on disk: rejoin empty, seeded from an up master.
+            None => {
+                self.ses[se.index()].add_replica(pid, ReplicaRole::Slave);
+                if master_lsn.is_some() {
                     self.reseed_from(pid, master, se);
                 } else {
-                    self.ses[se.index()].add_replica(pid, ReplicaRole::Slave);
                     self.shippers[p].register_slave(se, Lsn::ZERO);
                 }
             }

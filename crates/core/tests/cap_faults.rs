@@ -12,7 +12,7 @@ use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
-use udr_sim::FaultScript;
+use udr_sim::{FaultSchedule, FaultScript};
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -345,4 +345,51 @@ fn se_outage_script_crashes_and_restores() {
     assert!(udr.se(SeId(0)).is_up());
     udr.advance_to(t(30));
     assert!(udr.replication_settled());
+}
+
+/// A slave that restores while its partitions' masters are down keeps
+/// what its disk recovered: the failover that then promotes it loses
+/// nothing the last save held (§3.1 bounds a crash's loss to what came
+/// after the last save).
+#[test]
+fn slave_restored_under_a_down_master_keeps_its_disk_copy() {
+    let (mut udr, subs) = build(
+        ReplicationMode::AsyncMasterSlave,
+        ReadPolicy::NearestCopy,
+        41,
+    );
+    let records = |udr: &Udr, se: SeId| -> usize {
+        let se = udr.se(se);
+        se.partitions()
+            .map(|p| se.engine(p).map_or(0, |e| e.live_records()))
+            .sum()
+    };
+    // Every SE holds every record, and the 30 s save has them on disk.
+    udr.advance_to(t(35));
+    for se in 0..3 {
+        assert_eq!(records(&udr, SeId(se)), 3, "se{se} before the outages");
+    }
+    // SE1 restores at 43 s, while the masters of its slave copies (SE0 and
+    // SE2) are both down; failover then promotes it for their partitions.
+    udr.schedule_faults(
+        FaultSchedule::new()
+            .se_outage(t(40), SimDuration::from_secs(100), SeId(2))
+            .se_outage(t(41), SimDuration::from_secs(2), SeId(1))
+            .se_outage(t(42), SimDuration::from_secs(100), SeId(0)),
+    );
+    udr.advance_to(t(44));
+    assert_eq!(records(&udr, SeId(1)), 3, "se1 after its restore");
+    udr.advance_to(t(50));
+    assert_eq!(udr.metrics.lost_commits, 0);
+    for (i, sub) in subs.iter().enumerate() {
+        let out = udr
+            .execute(
+                OpRequest::new(&read_op(sub))
+                    .class(TxnClass::FrontEnd)
+                    .site(SiteId(1))
+                    .at(t(50)),
+            )
+            .into_op();
+        assert!(out.is_ok(), "subscriber {i}: {:?}", out.result);
+    }
 }
