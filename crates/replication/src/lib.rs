@@ -35,6 +35,6 @@ pub use multimaster::{merge_branches, restoration_duration, MergeOutcome, MergeS
 pub use quorum::{
     quorum_consistent, quorum_read, quorum_write, QuorumReadOutcome, QuorumWriteOutcome,
 };
-pub use semisync::{dual_in_sequence, DualOutcome, TxnShape};
+pub use semisync::{dual_in_sequence, DualOutcome};
 pub use shipping::{AsyncShipper, BatchDelivery, Delivery, Enqueue, ShipBatchConfig};
 pub use twophase::{two_phase_commit, TwoPcOutcome};

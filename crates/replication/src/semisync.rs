@@ -67,34 +67,6 @@ pub fn dual_in_sequence(
     }
 }
 
-/// Whether a transaction is safe for dual-in-sequence replication under the
-/// paper's restriction: "restrict the dual-in-sequence replication of
-/// transactions to simple transactions that are idempotent or easy to
-/// roll-back".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnShape {
-    /// Single-record, attribute-level set: idempotent.
-    IdempotentSimple,
-    /// Multi-record or non-idempotent (e.g. counter bumps).
-    Complex,
-}
-
-impl TxnShape {
-    /// Classify by record count and idempotence flag.
-    pub fn classify(records_touched: usize, idempotent: bool) -> Self {
-        if records_touched <= 1 && idempotent {
-            TxnShape::IdempotentSimple
-        } else {
-            TxnShape::Complex
-        }
-    }
-
-    /// Whether dual-in-sequence replication may be used.
-    pub fn dual_eligible(self) -> bool {
-        self == TxnShape::IdempotentSimple
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,12 +100,5 @@ mod tests {
         let out = dual_in_sequence(false, Some((SeId(1), Some(SimDuration::ZERO))));
         assert!(!out.committed);
         assert_eq!(out.replicas_updated, 0);
-    }
-
-    #[test]
-    fn txn_shape_eligibility() {
-        assert!(TxnShape::classify(1, true).dual_eligible());
-        assert!(!TxnShape::classify(2, true).dual_eligible());
-        assert!(!TxnShape::classify(1, false).dual_eligible());
     }
 }
