@@ -6,6 +6,7 @@
 
 use udr_core::{MigrationPlan, MoveReason, OpRequest, Rebalancer, Udr, UdrConfig};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
+use udr_model::config::ReplicationMode;
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
@@ -36,7 +37,10 @@ fn system() -> Udr {
     Udr::build(cfg).unwrap()
 }
 
+/// Provision `n` subscribers 5 ms apart, from 1 s or from the
+/// deployment's current instant, whichever is later.
 fn provision_n(udr: &mut Udr, n: u64) -> Vec<IdentitySet> {
+    let start = udr.now().max(t(1));
     let mut subs = Vec::with_capacity(n as usize);
     for i in 0..n {
         let set = ids(i);
@@ -44,7 +48,7 @@ fn provision_n(udr: &mut Udr, n: u64) -> Vec<IdentitySet> {
             &set,
             (i % 3) as u32,
             SiteId(0),
-            t(1) + SimDuration::from_millis(i * 5),
+            start + SimDuration::from_millis(i * 5),
         );
         assert!(out.is_ok(), "provisioning {i} failed: {:?}", out.op.result);
         subs.push(set);
@@ -398,49 +402,65 @@ fn failover_updates_shard_map_master() {
 /// started/completed/aborted ledger stays consistent.
 #[test]
 fn invalid_plans_abort_cleanly() {
-    let mut udr = system();
-    provision_n(&mut udr, 6);
-    udr.advance_to(t(9));
-    let member = udr
-        .shard_map()
-        .members_of(udr_model::ids::PartitionId(0))
-        .unwrap()[1];
+    // The same plans must abort under both migration engines: the
+    // shipping channel's and the consensus reconfig's.
+    let mut consensus = UdrConfig::figure2();
+    consensus.ses_per_cluster = 2;
+    consensus.partitions = 6;
+    consensus.frash.replication = ReplicationMode::Consensus { n: 3 };
+    consensus.frash.replication_factor = 3;
+    let mut consensus = Udr::build(consensus).unwrap();
+    // Let the ensembles elect their leaders before provisioning.
+    consensus.advance_to(t(5));
+    for mut udr in [system(), consensus] {
+        let mode = udr.config().frash.replication;
+        provision_n(&mut udr, 6);
+        udr.advance_to(t(9));
+        let member = udr
+            .shard_map()
+            .members_of(udr_model::ids::PartitionId(0))
+            .unwrap()[1];
 
-    let bogus = [
-        // Partition that does not exist.
-        MigrationPlan {
-            partition: udr_model::ids::PartitionId(99),
-            from: SeId(0),
-            to: SeId(1),
-            reason: MoveReason::Drain,
-        },
-        // Target == source.
-        MigrationPlan {
-            partition: udr_model::ids::PartitionId(0),
-            from: SeId(0),
-            to: SeId(0),
-            reason: MoveReason::ScaleOut,
-        },
-        // Target already a member of the replica set.
-        MigrationPlan {
-            partition: udr_model::ids::PartitionId(0),
-            from: SeId(0),
-            to: member,
-            reason: MoveReason::ScaleOut,
-        },
-    ];
-    let mut ids = Vec::new();
-    for (i, plan) in bogus.iter().enumerate() {
-        ids.push(udr.start_migration(*plan, t(10) + SimDuration::from_millis(i as u64)));
+        let bogus = [
+            // Partition that does not exist.
+            MigrationPlan {
+                partition: udr_model::ids::PartitionId(99),
+                from: SeId(0),
+                to: SeId(1),
+                reason: MoveReason::Drain,
+            },
+            // Target == source.
+            MigrationPlan {
+                partition: udr_model::ids::PartitionId(0),
+                from: SeId(0),
+                to: SeId(0),
+                reason: MoveReason::ScaleOut,
+            },
+            // Target already a member of the replica set.
+            MigrationPlan {
+                partition: udr_model::ids::PartitionId(0),
+                from: SeId(0),
+                to: member,
+                reason: MoveReason::ScaleOut,
+            },
+        ];
+        let mut ids = Vec::new();
+        for (i, plan) in bogus.iter().enumerate() {
+            ids.push(udr.start_migration(*plan, t(10) + SimDuration::from_millis(i as u64)));
+        }
+        udr.advance_to(t(12));
+        for id in ids {
+            assert_eq!(
+                udr.migration_state(id),
+                Some(MigrationState::Aborted),
+                "{mode:?}"
+            );
+        }
+        assert_eq!(udr.metrics.migrations_started, 3, "{mode:?}");
+        assert_eq!(udr.metrics.migrations_aborted, 3, "{mode:?}");
+        assert_eq!(udr.metrics.migrations_completed, 0, "{mode:?}");
+        assert_eq!(udr.shard_map().epoch(), udr_dls::Epoch::INITIAL, "{mode:?}");
     }
-    udr.advance_to(t(12));
-    for id in ids {
-        assert_eq!(udr.migration_state(id), Some(MigrationState::Aborted));
-    }
-    assert_eq!(udr.metrics.migrations_started, 3);
-    assert_eq!(udr.metrics.migrations_aborted, 3);
-    assert_eq!(udr.metrics.migrations_completed, 0);
-    assert_eq!(udr.shard_map().epoch(), udr_dls::Epoch::INITIAL);
 }
 
 #[test]
