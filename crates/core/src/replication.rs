@@ -226,18 +226,22 @@ impl ReplicationStage {
             .unwrap_or(0)
     }
 
-    /// The copy-selection preference chain over the usable copies `accept`
-    /// lets through: the lowest-id one at `from_site`, then the master,
-    /// then the lowest-id one anywhere.
+    /// The copy-selection preference chain over the usable copies whose
+    /// routed applied LSN has reached `required` (every copy when it is
+    /// 0, with no lag lookup): the lowest-id one at `from_site`, then the
+    /// master, then the lowest-id one anywhere.
     fn preferred_copy(
         udr: &Udr,
         partition: PartitionId,
         from_site: SiteId,
-        accept: impl Fn(SeId) -> bool,
+        required: RawLsn,
     ) -> Option<SeId> {
         let group = &udr.groups[partition.index()];
         let master = group.master();
-        let usable = |se: SeId| Self::copy_usable(udr, from_site, se) && accept(se);
+        let usable = |se: SeId| {
+            Self::copy_usable(udr, from_site, se)
+                && (required == 0 || Self::routed_applied_lsn(udr, partition, se) >= required)
+        };
         group
             .members()
             .iter()
@@ -276,10 +280,8 @@ impl ReplicationStage {
         // The copy plain nearest-copy routing would have used (no
         // freshness filter), so redirects are charged whenever the floor
         // changes the routing decision.
-        let nearest = Self::preferred_copy(udr, partition, from_site, |_| true);
-        let pick = Self::preferred_copy(udr, partition, from_site, |se| {
-            required == 0 || Self::routed_applied_lsn(udr, partition, se) >= required
-        })?;
+        let nearest = Self::preferred_copy(udr, partition, from_site, 0);
+        let pick = Self::preferred_copy(udr, partition, from_site, required)?;
         if let Some(near) = nearest {
             if near != pick {
                 // The nearest copy answered "too stale, redirect": one
@@ -325,7 +327,7 @@ impl ReplicationStage {
         // chain picks the lowest-id usable copy, same-site first — a
         // deterministic choice, so every client on this side of the cut
         // elects the same copy.
-        let candidate = Self::preferred_copy(udr, partition, from_site, |_| true)?;
+        let candidate = Self::preferred_copy(udr, partition, from_site, 0)?;
         if udr.ses[candidate.index()].role(partition) != Some(ReplicaRole::Master) {
             let _ = udr.ses[candidate.index()].set_role(partition, ReplicaRole::Master);
         }

@@ -1035,11 +1035,12 @@ impl Udr {
         };
     }
 
-    /// Whether `plan` can run, checked by both migration engines when the
-    /// move starts and at each later step: the partition exists, the
-    /// source is a member and the target is not, and both endpoints are
-    /// up. (A malformed plan, such as an out-of-range partition or a
-    /// target equal to its source, fails here too.)
+    /// Whether `plan` can run: the partition exists, the source is a
+    /// member and the target is not, and both endpoints are up. Checked
+    /// when any move starts, and by the consensus engine again on each
+    /// tick and when its reconfig applies. (A malformed plan, such as an
+    /// out-of-range partition or a target equal to its source, fails here
+    /// too.)
     pub(crate) fn migration_feasible(&self, plan: &MigrationPlan) -> bool {
         let Some(group) = self.groups.get(plan.partition.index()) else {
             return false;
