@@ -10,8 +10,11 @@
 //! [`pipeline`] (`AccessStage → LocationStage → ReplicationStage →
 //! StorageStage`), which calls the serving cluster's
 //! [`DataLocationStage`](udr_dls::DataLocationStage) and the routed
-//! [`StorageElement`](udr_storage::StorageElement) directly. [`Udr`]
-//! itself is the deployment container and event pump. The access stage fronts
+//! [`StorageElement`](udr_storage::StorageElement) directly. Every
+//! decision that depends on the replication mode — the
+//! [`ReplicationStage`] and the copy families' background work — lives in
+//! [`replication`]; the Multi-Paxos ensembles live in [`consensus_mode`].
+//! [`Udr`] itself is the deployment container and event pump. The access stage fronts
 //! everything with per-cluster QoS admission control
 //! ([`udr_qos::AdmissionController`], disabled by default): priority-
 //! class-aware load shedding before an operation costs server CPU, and
