@@ -5,8 +5,10 @@
 //! protocols like e.g. 2-Phase Commit (2PC) across geographically disperse
 //! locations, which may be expensive." We measure how expensive: commit
 //! latency vs participant spread, and the in-doubt blocking a partition
-//! inflicts on prepared participants.
+//! inflicts on prepared participants. Emits `BENCH_e15.json` (one row per
+//! transaction shape); standard output is the table.
 
+use udr_bench::json::BenchReport;
 use udr_metrics::{pct, Table};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::SimDuration;
@@ -124,39 +126,51 @@ fn main() {
         "in-doubt (locks held)",
     ])
     .with_title("single-element transactions vs cross-element 2PC");
-    table.row([
-        "single SE, same site (the paper's design)".into(),
-        single_local.mean.to_string(),
-        pct(single_local.p_committed, 1),
-        pct(single_local.p_in_doubt, 2),
-    ]);
-    table.row([
-        "single SE, remote site".into(),
-        single_remote.mean.to_string(),
-        pct(single_remote.p_committed, 1),
-        pct(single_remote.p_in_doubt, 2),
-    ]);
-    for (label, sites) in [
-        ("2PC across 2 SEs, same site", vec![0u32, 0]),
-        ("2PC across 2 SEs, two sites", vec![0, 1]),
-        ("2PC across 3 SEs, three sites", vec![0, 1, 2]),
-    ] {
-        let cell = run(&sites, None, 3 + sites.len() as u64);
+    let mut report = BenchReport::new("e15", 1);
+    report
+        .config("rounds", ROUNDS)
+        .config("timeout_ms", TIMEOUT.as_millis_f64())
+        .config("coordinator_site", 0u64);
+    let mut row = |label: &str, seed: u64, cell: &Cell| {
         table.row([
             label.into(),
             cell.mean.to_string(),
             pct(cell.p_committed, 1),
             pct(cell.p_in_doubt, 2),
         ]);
+        report.row(vec![
+            ("transaction_shape", label.into()),
+            ("seed", seed.into()),
+            ("mean_commit_latency_us", cell.mean.as_micros_f64().into()),
+            ("committed", cell.p_committed.into()),
+            ("in_doubt", cell.p_in_doubt.into()),
+        ]);
+    };
+    row(
+        "single SE, same site (the paper's design)",
+        1,
+        &single_local,
+    );
+    row("single SE, remote site", 2, &single_remote);
+    for (label, sites) in [
+        ("2PC across 2 SEs, same site", vec![0u32, 0]),
+        ("2PC across 2 SEs, two sites", vec![0, 1]),
+        ("2PC across 3 SEs, three sites", vec![0, 1, 2]),
+    ] {
+        let seed = 3 + sites.len() as u64;
+        row(label, seed, &run(&sites, None, seed));
     }
-    let partitioned = run(&[0, 1, 2], Some(2), 7);
-    table.row([
-        "2PC across 3 sites, partitions mid-protocol".into(),
-        partitioned.mean.to_string(),
-        pct(partitioned.p_committed, 1),
-        pct(partitioned.p_in_doubt, 2),
-    ]);
+    row(
+        "2PC across 3 sites, partitions mid-protocol",
+        7,
+        &run(&[0, 1, 2], Some(2), 7),
+    );
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e15.json: {e}"),
+    }
     println!(
         "Shape check (paper): geographically disperse 2PC pays two sequential WAN rounds\n\
          (~4x one-way delay ≈ 60 ms vs ~30 ms for one remote exchange and ~0.6 ms local),\n\

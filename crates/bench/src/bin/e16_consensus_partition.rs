@@ -16,9 +16,13 @@
 //! heal without any human intervention (queued commands commit on their
 //! own; pre-UDC networks needed someone to "check what parts of the batch
 //! failed and apply those parts manually").
+//!
+//! Emits `BENCH_e16.json` (one row per partition length × scheme);
+//! standard output is the table.
 
 use udr_bench::consensus_harness::{committed_fraction, settled_cluster, submit_paced};
 use udr_bench::harness::{provisioned_system, t};
+use udr_bench::json::BenchReport;
 use udr_core::UdrConfig;
 use udr_metrics::{pct, Table};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -152,6 +156,11 @@ fn main() {
         "conflicts",
     ])
     .with_title("provisioning availability during the window, by replication scheme");
+    let mut report = BenchReport::new("e16", 77);
+    report
+        .config("subscribers", 90u64)
+        .config("island_site", 2u64)
+        .config("tail_s", 120u64);
     for (partition_s, gap_ms) in [(30u64, 500u64), (120, 500), (600, 500)] {
         for mode in ["master/slave", "multi-master", "paxos"] {
             let row = match mode {
@@ -167,9 +176,23 @@ fn main() {
                 pct(row.eventual, 1),
                 row.conflicts.to_string(),
             ]);
+            report.row(vec![
+                ("mode", mode.into()),
+                ("partition_s", partition_s.into()),
+                ("gap_ms", gap_ms.into()),
+                ("island_avail", row.island_avail.into()),
+                ("majority_avail", row.majority_avail.into()),
+                ("eventual", row.eventual.into()),
+                ("conflicts", row.conflicts.into()),
+            ]);
         }
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e16.json: {e}"),
+    }
     println!(
         "Shape check (§5/§6): master/slave is PC — each side only commits writes whose\n\
          master it holds (~1/3 vs ~2/3), no conflicts. Multi-master is PA — both sides\n\

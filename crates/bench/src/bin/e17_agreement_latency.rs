@@ -13,9 +13,13 @@
 //! parallel round trips) and measured multi-Paxos (one majority round trip
 //! at the leader; forward + learn legs when the client's PoA is not the
 //! leader's site).
+//!
+//! Emits `BENCH_e17.json` (one row per WAN median, mean and p95 per
+//! scheme); standard output is the table.
 
 use udr_bench::consensus_harness::{fate_latencies, settled_cluster, submit_paced, LatencyKind};
 use udr_bench::harness::t;
+use udr_bench::json::{BenchReport, JsonValue};
 use udr_consensus::NodeId;
 use udr_metrics::Histogram;
 use udr_metrics::Table;
@@ -114,6 +118,16 @@ fn cell(h: &Histogram) -> String {
     )
 }
 
+/// Mean and p95 of `h` in ms as report cells (`null` when nothing
+/// committed, where the table prints `-`).
+fn ms_cells(h: &Histogram) -> (JsonValue, JsonValue) {
+    let some = !h.is_empty();
+    (
+        some.then(|| h.mean().as_millis_f64()).into(),
+        some.then(|| h.percentile(95.0).as_millis_f64()).into(),
+    )
+}
+
 fn main() {
     println!(
         "E17 — commit latency vs durability scheme (PACELC EL/EC, §5/§6)\n\
@@ -129,6 +143,11 @@ fn main() {
         "paxos@follower",
     ])
     .with_title("provisioning commit latency, mean / p95 ms");
+    let mut report = BenchReport::new("e17", 0xE17);
+    report
+        .config("trials", TRIALS)
+        .config("sites", 3u64)
+        .config("paxos_submissions_per_poa", 400u64);
     for wan_ms in [5u64, 15, 40, 80] {
         let (a, d, q2, q3) = analytic(wan_ms);
         let (pl, pf) = paxos(wan_ms);
@@ -141,8 +160,27 @@ fn main() {
             cell(&pl),
             cell(&pf),
         ]);
+        let mut row = vec![("wan_median_ms", wan_ms.into())];
+        for (mean_key, p95_key, h) in [
+            ("async_mean_ms", "async_p95_ms", &a),
+            ("dual_in_seq_mean_ms", "dual_in_seq_p95_ms", &d),
+            ("quorum_w2_mean_ms", "quorum_w2_p95_ms", &q2),
+            ("quorum_w3_mean_ms", "quorum_w3_p95_ms", &q3),
+            ("paxos_leader_mean_ms", "paxos_leader_p95_ms", &pl),
+            ("paxos_follower_mean_ms", "paxos_follower_p95_ms", &pf),
+        ] {
+            let (mean, p95) = ms_cells(h);
+            row.push((mean_key, mean));
+            row.push((p95_key, p95));
+        }
+        report.row(row);
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e17.json: {e}"),
+    }
     println!(
         "Shape check (paper): async commits at LAN speed regardless of the backbone — the\n\
          EL choice §3.3.1 makes. Every durable scheme pays ≥1 WAN round trip, scaling\n\

@@ -7,12 +7,14 @@
 //! 2f+1 ensemble survives f site losses, and every extra member widens
 //! the majority a commit must reach across the backbone. This ablation
 //! sweeps the ensemble size and measures what each additional site buys
-//! and costs on identical geography.
+//! and costs on identical geography. Emits `BENCH_e18.json` (one row per
+//! ensemble size); standard output is the table.
 
 use udr_bench::consensus_harness::{
     committed_fraction, fate_latencies, settled_cluster, submit_paced, LatencyKind,
 };
 use udr_bench::harness::t;
+use udr_bench::json::BenchReport;
 use udr_metrics::{pct, Histogram, Table};
 use udr_model::time::SimDuration;
 use udr_sim::net::Topology;
@@ -102,6 +104,10 @@ fn main() {
         "avail @ f+1 down",
     ])
     .with_title("what each extra geographically-disperse site buys and costs");
+    let mut report = BenchReport::new("e18", 3);
+    report
+        .config("steady_submissions", 300u64)
+        .config("crash_probe_submissions", 40u64);
     for n in [3usize, 5, 7] {
         let row = run(n);
         table.row([
@@ -116,8 +122,25 @@ fn main() {
             pct(row.avail_at_f, 1),
             pct(row.avail_past_f, 1),
         ]);
+        report.row(vec![
+            ("ensemble", n.into()),
+            ("tolerates_f", ((n - 1) / 2).into()),
+            ("commit_mean_ms", row.latency.mean().as_millis_f64().into()),
+            (
+                "commit_p95_ms",
+                row.latency.percentile(95.0).as_millis_f64().into(),
+            ),
+            ("msgs_per_commit", row.msgs_per_commit.into()),
+            ("avail_at_f", row.avail_at_f.into()),
+            ("avail_past_f", row.avail_past_f.into()),
+        ]);
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e18.json: {e}"),
+    }
     println!(
         "Shape check: fault tolerance steps only at odd sizes (2f+1), so each step from\n\
          3→5→7 buys one more survivable site loss. Commit latency barely moves — the\n\
