@@ -28,9 +28,9 @@
 //! * **the whole grid is deterministic**: replaying a cell yields a
 //!   field-identical verdict and byte-identical report rows.
 
-use udr_bench::campaign::{run_cell, run_cell_traced, CampaignConfig};
+use udr_bench::campaign::{row_bytes, run_cell, verdict_cells, CampaignConfig};
 use udr_bench::json::{BenchReport, JsonValue};
-use udr_bench::traceio::{trace_headline, write_trace_files};
+use udr_bench::traceio::emit_trace;
 use udr_metrics::{pct, CapVerdict, Table, VerdictMatrix};
 use udr_model::config::{ReadPolicy, ReplicationMode};
 use udr_trace::TraceConfig;
@@ -63,43 +63,14 @@ fn policies() -> [ReadPolicy; 4] {
 }
 
 fn row_cells(v: &CapVerdict) -> Vec<(&'static str, JsonValue)> {
-    vec![
-        ("mode", v.mode.clone().into()),
-        ("policy", v.policy.clone().into()),
-        ("scenario", v.scenario.clone().into()),
-        ("expected_pacelc", v.expected_pacelc.clone().into()),
-        ("reads_in_fault", v.reads_in_fault.into()),
-        ("reads_ok_in_fault", v.reads_ok_in_fault.into()),
-        ("writes_in_fault", v.writes_in_fault.into()),
-        ("writes_ok_in_fault", v.writes_ok_in_fault.into()),
-        ("reads_outside", v.reads_outside.into()),
-        ("writes_outside", v.writes_outside.into()),
-        ("read_avail_in_fault", v.read_availability_in_fault().into()),
-        (
-            "write_avail_in_fault",
-            v.write_availability_in_fault().into(),
-        ),
-        ("avail_outside", v.availability_outside().into()),
-        ("unavailable_by_design", v.unavailable_by_design.into()),
-        ("unexpected_failures", v.unexpected_failures.into()),
-        ("generic_timeouts", v.generic_timeouts.into()),
-        ("stale_reads", v.stale_reads.into()),
-        ("guarantee_violations", v.guarantee_violations.into()),
-        ("lost_acked_writes", v.lost_acked_writes.into()),
-        ("duplicated_records", v.duplicated_records.into()),
+    let mut cells = verdict_cells(v);
+    cells.extend([
         ("divergence_merges", v.divergence_merges.into()),
         ("merge_conflicts", v.merge_conflicts.into()),
         ("heal_ms", v.heal_time.as_millis_f64().into()),
         ("observed_stance", v.observed_stance().into()),
-    ]
-}
-
-/// Serialise one verdict the way the report does — the byte string two
-/// replays of the same cell must agree on.
-fn row_bytes(v: &CapVerdict) -> String {
-    let mut r = BenchReport::new("e22-determinism", SEED);
-    r.row(row_cells(v));
-    r.to_json()
+    ]);
+    cells
 }
 
 /// `--trace` mode: replay one async-master-slave cell with full tracing
@@ -116,9 +87,9 @@ fn trace_main() {
          under TraceConfig::full(); QoS, replication-routing and shipper decisions land\n\
          as instants on each operation's span tree\n"
     );
-    let (verdict, trace) = run_cell_traced(&cc, &cc.script());
-    assert!(verdict.sound(), "traced cell verdict unsound");
-    let export = trace.expect("tracing was enabled");
+    let out = run_cell(&cc, &cc.script());
+    assert!(out.verdict.sound(), "traced cell verdict unsound");
+    let export = out.trace.expect("tracing was enabled");
     let has = |name: &str| {
         export
             .records
@@ -129,20 +100,7 @@ fn trace_main() {
     for needed in ["stage.access", "stage.storage", "fault.partition"] {
         assert!(has(needed), "trace export lacks any {needed} record");
     }
-    println!("trace: {}", trace_headline(&export));
-    match write_trace_files("e22", &export) {
-        Ok((jsonl, chrome)) => println!(
-            "wrote {} and {}\n(open the .chrome.json in https://ui.perfetto.dev; \
-             summarize with tools/trace_summarize.py {})",
-            jsonl.display(),
-            chrome.display(),
-            jsonl.display()
-        ),
-        Err(e) => {
-            eprintln!("could not write trace files: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit_trace("e22", &export);
 }
 
 fn main() {
@@ -197,7 +155,7 @@ fn main() {
                     skipped += 1;
                     continue;
                 }
-                let v = run_cell(&cc);
+                let v = run_cell(&cc, &cc.script()).verdict;
                 table.row([
                     v.mode.clone(),
                     v.policy.clone(),
@@ -344,11 +302,11 @@ fn main() {
             let first = matrix
                 .get(&mode.to_string(), &policy.to_string(), "clean-partition")
                 .expect("measured cell present");
-            let again = run_cell(&cc);
+            let again = run_cell(&cc, &cc.script()).verdict;
             assert_eq!(first, &again, "cell verdict not reproducible");
             assert_eq!(
-                row_bytes(first),
-                row_bytes(&again),
+                row_bytes("e22-determinism", SEED, row_cells(first)),
+                row_bytes("e22-determinism", SEED, row_cells(&again)),
                 "report rows not byte-identical across replays"
             );
             replayed += 1;

@@ -24,9 +24,9 @@
 //! * **the grid is deterministic**: replaying a cell yields a
 //!   field-identical verdict and byte-identical report rows.
 
-use udr_bench::campaign::{run_consensus_cell, CampaignConfig, ConsensusCellOutcome};
+use udr_bench::campaign::{row_bytes, run_cell, verdict_cells, CampaignConfig, CellOutcome};
 use udr_bench::json::{stage_latency_value, BenchReport, JsonValue};
-use udr_bench::traceio::{trace_headline, write_trace_files};
+use udr_bench::traceio::emit_trace;
 use udr_metrics::{pct, Table};
 use udr_model::config::{ReadPolicy, ReplicationMode};
 use udr_model::time::SimDuration;
@@ -56,32 +56,10 @@ fn cell_config(policy: ReadPolicy, scenario: PartitionScenario) -> CampaignConfi
     cc
 }
 
-fn row_cells(out: &ConsensusCellOutcome) -> Vec<(&'static str, JsonValue)> {
+fn row_cells(out: &CellOutcome) -> Vec<(&'static str, JsonValue)> {
     let v = &out.verdict;
-    vec![
-        ("mode", v.mode.clone().into()),
-        ("policy", v.policy.clone().into()),
-        ("scenario", v.scenario.clone().into()),
-        ("expected_pacelc", v.expected_pacelc.clone().into()),
-        ("reads_in_fault", v.reads_in_fault.into()),
-        ("reads_ok_in_fault", v.reads_ok_in_fault.into()),
-        ("writes_in_fault", v.writes_in_fault.into()),
-        ("writes_ok_in_fault", v.writes_ok_in_fault.into()),
-        ("reads_outside", v.reads_outside.into()),
-        ("writes_outside", v.writes_outside.into()),
-        ("read_avail_in_fault", v.read_availability_in_fault().into()),
-        (
-            "write_avail_in_fault",
-            v.write_availability_in_fault().into(),
-        ),
-        ("avail_outside", v.availability_outside().into()),
-        ("unavailable_by_design", v.unavailable_by_design.into()),
-        ("unexpected_failures", v.unexpected_failures.into()),
-        ("generic_timeouts", v.generic_timeouts.into()),
-        ("stale_reads", v.stale_reads.into()),
-        ("guarantee_violations", v.guarantee_violations.into()),
-        ("lost_acked_writes", v.lost_acked_writes.into()),
-        ("duplicated_records", v.duplicated_records.into()),
+    let mut cells = verdict_cells(v);
+    cells.extend([
         ("heal_ms", v.heal_time.as_millis_f64().into()),
         ("observed_stance", v.observed_stance().into()),
         ("elections", out.elections.into()),
@@ -93,15 +71,8 @@ fn row_cells(out: &ConsensusCellOutcome) -> Vec<(&'static str, JsonValue)> {
             "linearizable",
             u64::from(out.history.check().is_ok()).into(),
         ),
-    ]
-}
-
-/// Serialise one outcome the way the report does — the byte string two
-/// replays of the same cell must agree on.
-fn row_bytes(out: &ConsensusCellOutcome) -> String {
-    let mut r = BenchReport::new("e25-determinism", SEED);
-    r.row(row_cells(out));
-    r.to_json()
+    ]);
+    cells
 }
 
 /// `--trace` mode: replay one cell with full tracing and export the
@@ -118,7 +89,7 @@ fn trace_main() {
          recorder, slow ops (≥ {}) are kept as exemplars\n",
         cc.trace.slow_op_threshold
     );
-    let out = run_consensus_cell(&cc, &cc.script());
+    let out = run_cell(&cc, &cc.script());
     assert!(out.verdict.sound(), "traced cell verdict unsound");
     assert!(
         out.violations.is_empty(),
@@ -166,20 +137,7 @@ fn trace_main() {
         names.len()
     );
 
-    println!("trace: {}", trace_headline(&export));
-    match write_trace_files("e25", &export) {
-        Ok((jsonl, chrome)) => println!(
-            "wrote {} and {}\n(open the .chrome.json in https://ui.perfetto.dev; \
-             summarize with tools/trace_summarize.py {})",
-            jsonl.display(),
-            chrome.display(),
-            jsonl.display()
-        ),
-        Err(e) => {
-            eprintln!("could not write trace files: {e}");
-            std::process::exit(1);
-        }
-    }
+    emit_trace("e25", &export);
 }
 
 fn main() {
@@ -218,12 +176,12 @@ fn main() {
         .config("fault_window_s", probe.fault_duration.as_millis_f64() / 1e3)
         .config("heal_budget_ms", HEAL_BUDGET.as_millis_f64());
 
-    let mut cells: Vec<ConsensusCellOutcome> = Vec::new();
+    let mut cells: Vec<CellOutcome> = Vec::new();
     for policy in policies() {
         for scenario in PartitionScenario::ALL {
             let cc = cell_config(policy, scenario);
             assert!(cc.is_valid(), "consensus cells must all be valid");
-            let out = run_consensus_cell(&cc, &cc.script());
+            let out = run_cell(&cc, &cc.script());
             let v = &out.verdict;
             table.row([
                 v.policy.clone(),
@@ -362,7 +320,7 @@ fn main() {
                         && o.verdict.scenario == scenario.to_string()
                 })
                 .expect("measured cell present");
-            let again = run_consensus_cell(&cc, &cc.script());
+            let again = run_cell(&cc, &cc.script());
             assert_eq!(
                 first.verdict, again.verdict,
                 "cell verdict not reproducible"
@@ -373,8 +331,8 @@ fn main() {
                 "protocol evidence not reproducible"
             );
             assert_eq!(
-                row_bytes(first),
-                row_bytes(&again),
+                row_bytes("e25-determinism", SEED, row_cells(first)),
+                row_bytes("e25-determinism", SEED, row_cells(&again)),
                 "report rows not byte-identical across replays"
             );
             replayed += 1;

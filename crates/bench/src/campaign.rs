@@ -1,26 +1,41 @@
 //! Deterministic fault-campaign cells: drive one (replication mode ×
 //! read policy × fault scenario) configuration through a seeded
 //! [`FaultScript`] and measure what it actually gives up, as a
-//! [`CapVerdict`].
+//! [`CapVerdict`]. One driver, [`run_cell`], serves every replication
+//! family: e22 runs the shipping families through it, e25 the consensus
+//! column.
 //!
 //! One cell runs four deterministic streams against a loss-free
 //! figure-2 deployment:
 //!
-//! 1. a read-only front-end procedure stream (Poisson, roaming) from
-//!    every site;
-//! 2. a per-subscriber write stream carrying a **monotone sequence
-//!    oracle** — every write sets `OdbMask` to a globally increasing
-//!    sequence number, and every *acknowledged* value is remembered;
+//! 1. a read-only front-end stream (Poisson, roaming) from every site;
+//! 2. a per-subscriber write stream carrying a **sequence oracle**: each
+//!    write sets `OdbMask` to a globally increasing sequence number, and
+//!    every *acknowledged* value is remembered;
 //! 3. the compiled fault timeline of the scenario's [`FaultScript`];
 //! 4. a post-traffic settle phase that polls until replication fully
 //!    re-converges (the heal-time measurement).
 //!
-//! After settling, the oracle scan reads every written subscriber back
-//! through the authoritative master: a final value *below* the highest
-//! acknowledged sequence is a lost acknowledged write (asserted zero in
-//! every cell — writes per subscriber are issued sequentially in virtual
-//! time, so last-writer-wins merges preserve monotonicity), and any
-//! partition copy hosted outside its replica set is a duplicate.
+//! Three decisions follow the mode's advertised contract and are made
+//! once, from [`CampaignConfig::mode`]:
+//!
+//! * **what a read observes** — the shipping families run read
+//!   procedures; a consensus cell reads `OdbMask` with a one-attribute
+//!   search and records every read and write into an interval
+//!   [`History`] for the linearizability checker;
+//! * **the oracle-write values** — they start above `1 << 32`, clear of
+//!   any provisioned `OdbMask`, so a history read names exactly one
+//!   write (the shipping families' reports are byte-identical with this
+//!   base, so every family uses it);
+//! * **the lost-write oracle** — for the shipping families, a monotone
+//!   scan of every master: a final value *below* the highest acknowledged
+//!   sequence is a lost acknowledged write (writes per subscriber are
+//!   issued sequentially in virtual time, so last-writer-wins merges
+//!   preserve monotonicity). Under consensus that scan would misjudge a
+//!   legal "zombie" — a timed-out lower write that commits after a later
+//!   acknowledged one — so an acknowledged value is durable iff it appears
+//!   in the final chosen log, and a value chosen twice is a duplicate.
+//!   Any partition copy hosted outside its replica set is a duplicate too.
 //!
 //! Writes are quiesced for one second before each scheduled SE crash:
 //! the campaign measures the *replication* loss channel, not the §4.2
@@ -28,21 +43,26 @@
 //!
 //! Everything — population, traffic, faults, network jitter — derives
 //! from the cell seed, so replaying a cell reproduces the identical
-//! [`CapVerdict`], field for field. CI regresses on exactly that.
+//! [`CellOutcome`], field for field. CI regresses on exactly that.
 
-use udr_core::{OpRequest, StageLatencyMetrics, UdrConfig};
+use std::collections::HashMap;
+
+use udr_core::{OpRequest, StageLatencyMetrics, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_metrics::CapVerdict;
-use udr_model::attrs::{AttrId, AttrMod, AttrValue};
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
 use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
 use udr_model::identity::Identity;
 use udr_model::ids::{SeId, SiteId};
+use udr_model::procedures::ProcedureKind;
+use udr_model::session::SessionToken;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::FaultScript;
 use udr_trace::{TraceConfig, TraceExport};
 use udr_workload::{PartitionScenario, ProcedureMix, SessionBook, TrafficModel};
 
 use crate::harness::provisioned_system;
+use crate::json::{BenchReport, JsonValue};
 use crate::linear::{HistOp, History, OpKind};
 
 /// How long writes are quiesced ahead of a scheduled SE crash.
@@ -53,6 +73,8 @@ const SETTLE_STEP: SimDuration = SimDuration::from_millis(50);
 const SETTLE_LIMIT: SimDuration = SimDuration::from_secs(60);
 /// Every N-th write of a subscriber is issued from a roamed site.
 const ROAM_EVERY: u64 = 5;
+/// Oracle-write values live above this base.
+const SEQ_BASE: u64 = 1 << 32;
 
 /// One cell of the fault-campaign grid.
 #[derive(Debug, Clone)]
@@ -87,9 +109,9 @@ pub struct CampaignConfig {
     /// contract); the determinism regression exercises exactly that.
     pub pump: udr_sim::PumpConfig,
     /// Tracing for the cell's deployment. Disabled by default; when
-    /// enabled the traced entry points return the cell's
-    /// [`TraceExport`] alongside the verdict. The trace never feeds the
-    /// verdict, so enabling it must not change any measured field.
+    /// enabled the cell's [`TraceExport`] comes back in
+    /// [`CellOutcome::trace`]. The trace never feeds the verdict, so
+    /// enabling it must not change any measured field.
     pub trace: TraceConfig,
 }
 
@@ -146,70 +168,107 @@ impl CampaignConfig {
     }
 }
 
-/// Run one campaign cell under its scenario's own fault script.
-pub fn run_cell(cc: &CampaignConfig) -> CapVerdict {
-    run_cell_with_script(cc, &cc.script())
+/// What one campaign cell yields: the CAP verdict, the recorded
+/// history, the protocol evidence, the stage latency and the trace.
+/// The protocol evidence is 0 or empty for the shipping families.
+#[derive(Debug)]
+pub struct CellOutcome {
+    /// The CAP verdict.
+    pub verdict: CapVerdict,
+    /// Consensus cells: the per-subscriber interval history of every
+    /// read and write the cell issued (refused or timed-out writes
+    /// recorded as pending — they may commit later), plus one final
+    /// committed read per subscriber. Empty for the shipping families.
+    pub history: History,
+    /// Elections started across all ensembles (failover evidence).
+    pub elections: u64,
+    /// Serving-leader hand-offs observed (failover evidence).
+    pub leader_changes: u64,
+    /// Paxos safety violations observed — asserted empty in every cell.
+    pub violations: Vec<String>,
+    /// Client commands committed through the consensus logs.
+    pub commits: u64,
+    /// Per-stage latency histograms of every successful operation the
+    /// cell drove (the serialisable `UdrMetrics` slice e25 embeds in its
+    /// report's `"metrics"` object).
+    pub stage_latency: StageLatencyMetrics,
+    /// The cell's trace export when [`CampaignConfig::trace`] is
+    /// enabled; `None` otherwise. Never feeds the verdict.
+    pub trace: Option<TraceExport>,
 }
 
-/// One merged traffic item: a read procedure or an oracle write.
-enum CampaignOp {
-    Read {
-        at: SimTime,
-        subscriber: usize,
-        kind: udr_model::procedures::ProcedureKind,
-        fe_site: SiteId,
-    },
-    Write {
-        at: SimTime,
-        subscriber: usize,
-        site: SiteId,
-    },
+/// One merged traffic item, issued from `site`: a read when `read`
+/// names its procedure, an oracle write otherwise.
+struct CampaignOp {
+    at: SimTime,
+    subscriber: usize,
+    site: SiteId,
+    read: Option<ProcedureKind>,
 }
 
-impl CampaignOp {
-    fn at(&self) -> SimTime {
-        match self {
-            CampaignOp::Read { at, .. } | CampaignOp::Write { at, .. } => *at,
-        }
+/// The `OdbMask` value an entry holds.
+fn odb_mask(entry: &Entry) -> Option<u64> {
+    match entry.get(AttrId::OdbMask) {
+        Some(AttrValue::U64(v)) => Some(*v),
+        _ => None,
     }
 }
 
-/// Run one campaign cell under an explicit fault script (the determinism
-/// regression replays random scripts through this entry point).
-pub fn run_cell_with_script(cc: &CampaignConfig, script: &FaultScript) -> CapVerdict {
-    run_cell_traced(cc, script).0
+/// The `OdbMask` value the subscriber's authoritative master holds.
+fn master_odb_mask(udr: &Udr, identity: &Identity) -> Option<u64> {
+    udr.lookup_authority(identity)
+        .and_then(|loc| {
+            let master = udr.shard_map().master_of(loc.partition)?;
+            udr.se(master)
+                .read_committed(loc.partition, loc.uid)
+                .ok()
+                .flatten()
+        })
+        .and_then(|entry| odb_mask(&entry))
 }
 
-/// Run one campaign cell and also return its trace export (`None` when
-/// the cell's [`CampaignConfig::trace`] is disabled). The verdict is
-/// identical to [`run_cell_with_script`] — tracing observes, never
-/// steers.
-pub fn run_cell_traced(
-    cc: &CampaignConfig,
-    script: &FaultScript,
-) -> (CapVerdict, Option<TraceExport>) {
+/// Attach the subscriber's session token, when it has one.
+fn sessioned<'a>(req: OpRequest<'a>, token: Option<&'a mut SessionToken>) -> OpRequest<'a> {
+    match token {
+        Some(token) => req.session(token),
+        None => req,
+    }
+}
+
+/// Run one campaign cell under `script` — the scenario's own
+/// ([`CampaignConfig::script`]) or any other (the determinism regression
+/// replays random ones).
+pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     let cfg = cc.udr_config();
     cfg.validate().expect("campaign cell configuration invalid");
     let sites = cfg.sites;
     let expected = cfg.frash.pacelc_for(TxnClass::FrontEnd).to_string();
+    let consensus = matches!(cc.mode, ReplicationMode::Consensus { .. });
     let mut s = provisioned_system(cfg, cc.subscribers, cc.seed ^ 0x5EED);
 
     // Loss-free links: every failure in the run is then attributable to
     // the injected faults, never to background WAN loss.
     for a in 0..sites {
-        for b in 0..sites {
-            if a < b {
-                let mut link = s.udr.net.topology().link(SiteId(a), SiteId(b)).clone();
-                link.loss = 0.0;
-                s.udr
-                    .net
-                    .topology_mut()
-                    .set_link(SiteId(a), SiteId(b), link);
-            }
+        for b in a + 1..sites {
+            let mut link = s.udr.net.topology().link(SiteId(a), SiteId(b)).clone();
+            link.loss = 0.0;
+            s.udr
+                .net
+                .topology_mut()
+                .set_link(SiteId(a), SiteId(b), link);
         }
     }
 
     s.udr.schedule_script(script);
+
+    // Seed the checker with each subscriber's provisioned register value.
+    let mut history = History::new();
+    if consensus {
+        for (i, sub) in s.population.iter().enumerate() {
+            let initial = master_odb_mask(&s.udr, &sub.ids.imsi.into());
+            history.set_initial(i, initial.unwrap_or(0));
+        }
+    }
 
     // ---- the two traffic streams, merged into one virtual-time order --
     let mut model = TrafficModel::flat(cc.read_rate, sites);
@@ -226,11 +285,11 @@ pub fn run_cell_traced(
     };
     let mut ops: Vec<CampaignOp> = reads
         .iter()
-        .map(|ev| CampaignOp::Read {
+        .map(|ev| CampaignOp {
             at: ev.at,
             subscriber: ev.subscriber,
-            kind: ev.kind,
-            fe_site: ev.fe_site,
+            site: ev.fe_site,
+            read: Some(ev.kind),
         })
         .collect();
     for (i, sub) in s.population.iter().enumerate() {
@@ -250,17 +309,19 @@ pub fn run_cell_traced(
                 } else {
                     SiteId(sub.home_region)
                 };
-                ops.push(CampaignOp::Write {
+                ops.push(CampaignOp {
                     at,
                     subscriber: i,
                     site,
+                    read: None,
                 });
             }
             at += cc.write_period;
             k += 1;
         }
     }
-    ops.sort_by_key(CampaignOp::at);
+    // Stable, so reads stay ahead of writes at equal instants.
+    ops.sort_by_key(|op| op.at);
 
     // ---- drive ---------------------------------------------------------
     let mut verdict = CapVerdict::new(
@@ -270,52 +331,84 @@ pub fn run_cell_traced(
         expected,
     );
     let mut sessions = SessionBook::all(s.population.len());
-    let mut seq = 0u64;
+    let mut seq = SEQ_BASE;
     let mut acked: Vec<u64> = vec![0; s.population.len()];
     let heal_at = script.end();
     let mut settled_at: Option<SimTime> = None;
-    for op in &ops {
-        let in_fault = script.active_at(op.at());
-        match op {
-            CampaignOp::Read {
-                at,
-                subscriber,
-                kind,
-                fe_site,
-            } => {
-                let sub = &s.population[*subscriber];
-                let mut req = OpRequest::procedure(*kind, &sub.ids).site(*fe_site).at(*at);
-                if let Some(token) = sessions.token_mut(*subscriber) {
-                    req = req.session(token);
-                }
-                let out = s.udr.execute(req).into_procedure();
-                verdict.record(false, in_fault, out.failure.as_ref());
+    for &CampaignOp {
+        at,
+        subscriber,
+        site,
+        read,
+    } in &ops
+    {
+        let in_fault = script.active_at(at);
+        match read {
+            Some(kind) => {
+                let ids = &s.population[subscriber].ids;
+                let session = sessions.token_mut(subscriber);
+                let failure = if consensus {
+                    let search = LdapOp::Search {
+                        base: Dn::for_identity(Identity::Imsi(ids.imsi)),
+                        attrs: vec![AttrId::OdbMask],
+                    };
+                    let req = OpRequest::new(&search).site(site).at(at);
+                    let out = s.udr.execute(sessioned(req, session)).into_op();
+                    match out.result {
+                        Ok(entry) => {
+                            let observed = entry.as_ref().and_then(odb_mask).unwrap_or(0);
+                            history.record(
+                                subscriber,
+                                HistOp {
+                                    inv: at,
+                                    resp: Some(at + out.latency),
+                                    kind: OpKind::Read(observed),
+                                },
+                            );
+                            None
+                        }
+                        Err(e) => Some(e),
+                    }
+                } else {
+                    let req = OpRequest::procedure(kind, ids).site(site).at(at);
+                    let out = s.udr.execute(sessioned(req, session));
+                    out.into_procedure().failure
+                };
+                verdict.record(false, in_fault, failure.as_ref());
             }
-            CampaignOp::Write {
-                at,
-                subscriber,
-                site,
-            } => {
+            None => {
                 seq += 1;
-                let sub = &s.population[*subscriber];
-                let op = LdapOp::Modify {
-                    dn: Dn::for_identity(Identity::Imsi(sub.ids.imsi)),
+                let write = LdapOp::Modify {
+                    dn: Dn::for_identity(Identity::Imsi(s.population[subscriber].ids.imsi)),
                     mods: vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(seq))],
                 };
-                let mut req = OpRequest::new(&op)
-                    .class(TxnClass::FrontEnd)
-                    .site(*site)
-                    .at(*at);
-                if let Some(token) = sessions.token_mut(*subscriber) {
-                    req = req.session(token);
-                }
-                let out = s.udr.execute(req).into_op();
-                match &out.result {
+                let req = OpRequest::new(&write).site(site).at(at);
+                let out = s
+                    .udr
+                    .execute(sessioned(req, sessions.token_mut(subscriber)))
+                    .into_op();
+                // A refused or timed-out write may still commit after the
+                // fault heals ("zombie write"): pending, never acknowledged.
+                let resp = match &out.result {
                     Ok(_) => {
-                        acked[*subscriber] = seq;
+                        acked[subscriber] = seq;
                         verdict.record(true, in_fault, None);
+                        Some(at + out.latency)
                     }
-                    Err(e) => verdict.record(true, in_fault, Some(e)),
+                    Err(e) => {
+                        verdict.record(true, in_fault, Some(e));
+                        None
+                    }
+                };
+                if consensus {
+                    history.record(
+                        subscriber,
+                        HistOp {
+                            inv: at,
+                            resp,
+                            kind: OpKind::Write(seq),
+                        },
+                    );
                 }
             }
         }
@@ -323,12 +416,12 @@ pub fn run_cell_traced(
         // window closing at which replication is observed fully
         // re-converged (probed at op granularity while traffic still
         // flows, then at SETTLE_STEP granularity after it stops).
-        if settled_at.is_none() && op.at() >= heal_at && s.udr.replication_settled() {
-            settled_at = Some(op.at());
+        if settled_at.is_none() && at >= heal_at && s.udr.replication_settled() {
+            settled_at = Some(at);
         }
     }
 
-    // ---- settle: wait out catch-up, finish the heal-time measurement ---
+    // ---- settle: wait out re-election and catch-up ---------------------
     let baseline = heal_at.max(cc.traffic_end);
     let limit = baseline + SETTLE_LIMIT;
     let mut now = baseline;
@@ -346,31 +439,48 @@ pub fn run_cell_traced(
     );
     verdict.heal_time = settled_at.unwrap_or(now).duration_since(heal_at);
 
-    // ---- post-heal oracle scan ----------------------------------------
-    for (i, sub) in s.population.iter().enumerate() {
-        if acked[i] == 0 {
-            continue;
+    // ---- post-heal oracles --------------------------------------------
+    if consensus {
+        // Every acknowledged value must appear as a chosen post-image,
+        // and no value may be chosen twice.
+        let mut chosen: HashMap<u64, u64> = HashMap::new();
+        for partition in s.udr.shard_map().partitions() {
+            for (_, entry) in s.udr.consensus_write_history(partition) {
+                if let Some(v) = entry.as_ref().and_then(odb_mask).filter(|&v| v >= SEQ_BASE) {
+                    *chosen.entry(v).or_insert(0) += 1;
+                }
+            }
         }
-        let identity: Identity = sub.ids.imsi.into();
-        let final_value = s
-            .udr
-            .lookup_authority(&identity)
-            .and_then(|loc| {
-                let master = s.udr.shard_map().master_of(loc.partition)?;
-                s.udr
-                    .se(master)
-                    .read_committed(loc.partition, loc.uid)
-                    .ok()
-                    .flatten()
-            })
-            .and_then(|entry| match entry.get(AttrId::OdbMask) {
-                Some(AttrValue::U64(v)) => Some(*v),
-                _ => None,
-            });
+        let lost = acked
+            .iter()
+            .filter(|&&a| a != 0 && !chosen.contains_key(&a));
+        verdict.lost_acked_writes += lost.count() as u64;
+        verdict.duplicated_records += chosen.values().map(|&n| n - 1).sum::<u64>();
+        // Close every key's history with a committed read of the final
+        // state: whatever the store converged to must itself be
+        // linearizable against the recorded operations.
+        for (i, sub) in s.population.iter().enumerate() {
+            if let Some(v) = master_odb_mask(&s.udr, &sub.ids.imsi.into()) {
+                let read = OpKind::Read(v);
+                history.record(
+                    i,
+                    HistOp {
+                        inv: now,
+                        resp: Some(now),
+                        kind: read,
+                    },
+                );
+            }
+        }
+    } else {
         // An acknowledged write may be *overwritten* by a later sequence
         // (including a timed-out-but-committed one); it may never vanish.
-        if final_value.is_none_or(|v| v < acked[i]) {
-            verdict.lost_acked_writes += 1;
+        for (i, sub) in s.population.iter().enumerate() {
+            if acked[i] != 0
+                && master_odb_mask(&s.udr, &sub.ids.imsi.into()).is_none_or(|v| v < acked[i])
+            {
+                verdict.lost_acked_writes += 1;
+            }
         }
     }
     for partition in s.udr.shard_map().partitions() {
@@ -389,333 +499,7 @@ pub fn run_cell_traced(
     verdict.guarantee_violations = m.guarantees.violations();
     verdict.divergence_merges = m.merges;
     verdict.merge_conflicts = m.merge_conflicts;
-    let trace = s.udr.tracer.enabled().then(|| s.udr.trace_export());
-    (verdict, trace)
-}
-
-/// Oracle-write values in consensus cells live above this base so they
-/// can never collide with whatever `OdbMask` the population generator
-/// provisioned (reads must name exactly one write).
-const CONSENSUS_SEQ_BASE: u64 = 1 << 32;
-
-/// What one consensus campaign cell (e25) yields: the CAP verdict, the
-/// recorded interval history for the linearizability checker, and the
-/// protocol-level evidence the cell's assertions consume.
-#[derive(Debug)]
-pub struct ConsensusCellOutcome {
-    /// The CAP verdict, with the lost/duplicated oracle fields computed
-    /// against the **chosen log** (see below), not the monotone scan.
-    pub verdict: CapVerdict,
-    /// Per-subscriber interval history of every read and write the cell
-    /// issued (timed-out writes recorded as pending — they may commit
-    /// later), plus one final committed read per written subscriber.
-    pub history: History,
-    /// Elections started across all ensembles (failover evidence).
-    pub elections: u64,
-    /// Serving-leader hand-offs observed (failover evidence).
-    pub leader_changes: u64,
-    /// Paxos safety violations observed — asserted empty in every cell.
-    pub violations: Vec<String>,
-    /// Client commands committed through the consensus logs.
-    pub commits: u64,
-    /// Per-stage latency histograms of every successful operation the
-    /// cell drove (the serialisable `UdrMetrics` slice e25 embeds in its
-    /// report's `"metrics"` object).
-    pub stage_latency: StageLatencyMetrics,
-    /// The cell's trace export when [`CampaignConfig::trace`] is
-    /// enabled; `None` otherwise. Never feeds the verdict.
-    pub trace: Option<TraceExport>,
-}
-
-/// Run one consensus campaign cell (the e25 grid) under an explicit
-/// fault script.
-///
-/// Shares the e22 cell's deterministic streams (loss-free figure-2
-/// deployment, read procedures, per-subscriber oracle writes, quiesce
-/// windows, settle phase), with three differences:
-///
-/// 1. reads go through [`LdapOp::Search`] so the *observed value* can be
-///    recorded into an interval [`History`] for the Wing & Gong checker;
-/// 2. the lost-acked-write oracle is **log-aware**: an acknowledged
-///    value is durable iff its post-image appears in the final chosen
-///    log (the e22 monotone scan would misjudge a legal "zombie" — a
-///    timed-out lower-sequence write that commits after a later
-///    acknowledged one — as a lost write);
-/// 3. duplicated records additionally count any post-image value chosen
-///    more than once (exactly-once application through the log).
-pub fn run_consensus_cell(cc: &CampaignConfig, script: &FaultScript) -> ConsensusCellOutcome {
-    let cfg = cc.udr_config();
-    cfg.validate().expect("campaign cell configuration invalid");
-    assert!(
-        matches!(cfg.frash.replication, ReplicationMode::Consensus { .. }),
-        "run_consensus_cell drives Consensus cells only"
-    );
-    let sites = cfg.sites;
-    let expected = cfg.frash.pacelc_for(TxnClass::FrontEnd).to_string();
-    let mut s = provisioned_system(cfg, cc.subscribers, cc.seed ^ 0x5EED);
-
-    for a in 0..sites {
-        for b in 0..sites {
-            if a < b {
-                let mut link = s.udr.net.topology().link(SiteId(a), SiteId(b)).clone();
-                link.loss = 0.0;
-                s.udr
-                    .net
-                    .topology_mut()
-                    .set_link(SiteId(a), SiteId(b), link);
-            }
-        }
-    }
-
-    s.udr.schedule_script(script);
-
-    // Seed the checker with each subscriber's provisioned register value.
-    let mut history = History::new();
-    let committed_value = |udr: &udr_core::Udr, identity: &Identity| -> Option<u64> {
-        udr.lookup_authority(identity)
-            .and_then(|loc| {
-                let master = udr.shard_map().master_of(loc.partition)?;
-                udr.se(master)
-                    .read_committed(loc.partition, loc.uid)
-                    .ok()
-                    .flatten()
-            })
-            .and_then(|entry| match entry.get(AttrId::OdbMask) {
-                Some(AttrValue::U64(v)) => Some(*v),
-                _ => None,
-            })
-    };
-    for (i, sub) in s.population.iter().enumerate() {
-        let identity: Identity = sub.ids.imsi.into();
-        history.set_initial(i, committed_value(&s.udr, &identity).unwrap_or(0));
-    }
-
-    // ---- the two traffic streams, merged into one virtual-time order --
-    let mut model = TrafficModel::flat(cc.read_rate, sites);
-    model.mix = ProcedureMix::read_only();
-    model.roaming_probability = cc.roaming;
-    let mut rng = udr_sim::SimRng::seed_from_u64(cc.seed ^ 0xA11CE);
-    let reads = model.generate(&s.population, cc.traffic_start, cc.traffic_end, &mut rng);
-
-    let crash_instants = script.crash_instants();
-    let quiesced = |at: SimTime| {
-        crash_instants
-            .iter()
-            .any(|c| at + CRASH_QUIESCE >= *c && at < *c)
-    };
-    let mut ops: Vec<CampaignOp> = reads
-        .iter()
-        .map(|ev| CampaignOp::Read {
-            at: ev.at,
-            subscriber: ev.subscriber,
-            kind: ev.kind,
-            fe_site: ev.fe_site,
-        })
-        .collect();
-    for (i, sub) in s.population.iter().enumerate() {
-        let offset =
-            SimDuration::from_nanos(cc.write_period.as_nanos() * i as u64 / cc.subscribers.max(1));
-        let mut at = cc.traffic_start + offset;
-        let mut k = 0u64;
-        while at < cc.traffic_end {
-            if !quiesced(at) {
-                let site = if k % ROAM_EVERY == ROAM_EVERY - 1 {
-                    SiteId((sub.home_region + 1 + (k as u32 % (sites - 1))) % sites)
-                } else {
-                    SiteId(sub.home_region)
-                };
-                ops.push(CampaignOp::Write {
-                    at,
-                    subscriber: i,
-                    site,
-                });
-            }
-            at += cc.write_period;
-            k += 1;
-        }
-    }
-    ops.sort_by_key(CampaignOp::at);
-
-    // ---- drive ---------------------------------------------------------
-    let mut verdict = CapVerdict::new(
-        cc.mode.to_string(),
-        cc.fe_policy.to_string(),
-        cc.scenario.to_string(),
-        expected,
-    );
-    let mut sessions = SessionBook::all(s.population.len());
-    let mut seq = CONSENSUS_SEQ_BASE;
-    let mut acked: Vec<u64> = vec![0; s.population.len()];
-    let heal_at = script.end();
-    let mut settled_at: Option<SimTime> = None;
-    for op in &ops {
-        let in_fault = script.active_at(op.at());
-        match op {
-            CampaignOp::Read {
-                at,
-                subscriber,
-                fe_site,
-                ..
-            } => {
-                let sub = &s.population[*subscriber];
-                let op = LdapOp::Search {
-                    base: Dn::for_identity(Identity::Imsi(sub.ids.imsi)),
-                    attrs: vec![AttrId::OdbMask],
-                };
-                let mut req = OpRequest::new(&op)
-                    .class(TxnClass::FrontEnd)
-                    .site(*fe_site)
-                    .at(*at);
-                if let Some(token) = sessions.token_mut(*subscriber) {
-                    req = req.session(token);
-                }
-                let out = s.udr.execute(req).into_op();
-                match &out.result {
-                    Ok(entry) => {
-                        let observed = entry
-                            .as_ref()
-                            .and_then(|e| match e.get(AttrId::OdbMask) {
-                                Some(AttrValue::U64(v)) => Some(*v),
-                                _ => None,
-                            })
-                            .unwrap_or(0);
-                        history.record(
-                            *subscriber,
-                            HistOp {
-                                inv: *at,
-                                resp: Some(*at + out.latency),
-                                kind: OpKind::Read(observed),
-                            },
-                        );
-                        verdict.record(false, in_fault, None);
-                    }
-                    Err(e) => verdict.record(false, in_fault, Some(e)),
-                }
-            }
-            CampaignOp::Write {
-                at,
-                subscriber,
-                site,
-            } => {
-                seq += 1;
-                let sub = &s.population[*subscriber];
-                let op = LdapOp::Modify {
-                    dn: Dn::for_identity(Identity::Imsi(sub.ids.imsi)),
-                    mods: vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(seq))],
-                };
-                let mut req = OpRequest::new(&op)
-                    .class(TxnClass::FrontEnd)
-                    .site(*site)
-                    .at(*at);
-                if let Some(token) = sessions.token_mut(*subscriber) {
-                    req = req.session(token);
-                }
-                let out = s.udr.execute(req).into_op();
-                match &out.result {
-                    Ok(_) => {
-                        acked[*subscriber] = seq;
-                        history.record(
-                            *subscriber,
-                            HistOp {
-                                inv: *at,
-                                resp: Some(*at + out.latency),
-                                kind: OpKind::Write(seq),
-                            },
-                        );
-                        verdict.record(true, in_fault, None);
-                    }
-                    Err(e) => {
-                        // A refused or timed-out consensus write may still
-                        // commit after the fault heals ("zombie write"):
-                        // record it pending, never acknowledged.
-                        history.record(
-                            *subscriber,
-                            HistOp {
-                                inv: *at,
-                                resp: None,
-                                kind: OpKind::Write(seq),
-                            },
-                        );
-                        verdict.record(true, in_fault, Some(e));
-                    }
-                }
-            }
-        }
-        if settled_at.is_none() && op.at() >= heal_at && s.udr.replication_settled() {
-            settled_at = Some(op.at());
-        }
-    }
-
-    // ---- settle: wait out re-election and catch-up ---------------------
-    let baseline = heal_at.max(cc.traffic_end);
-    let limit = baseline + SETTLE_LIMIT;
-    let mut now = baseline;
-    s.udr.advance_to(now);
-    while !s.udr.replication_settled() && now < limit {
-        now += SETTLE_STEP;
-        s.udr.advance_to(now);
-    }
-    assert!(
-        s.udr.replication_settled(),
-        "consensus never re-converged after {SETTLE_LIMIT}: lag={} partitioned={} degraded={}",
-        s.udr.max_replica_lag(),
-        s.udr.net.partitioned(),
-        s.udr.net.degraded(),
-    );
-    verdict.heal_time = settled_at.unwrap_or(now).duration_since(heal_at);
-
-    // ---- post-heal oracles --------------------------------------------
-    // Log-aware durability oracle: every acknowledged value must appear
-    // as a chosen post-image, and no value may be chosen twice.
-    let mut chosen: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for partition in s.udr.shard_map().partitions() {
-        for (_, entry) in s.udr.consensus_write_history(partition) {
-            if let Some(AttrValue::U64(v)) = entry.as_ref().and_then(|e| e.get(AttrId::OdbMask)) {
-                if *v >= CONSENSUS_SEQ_BASE {
-                    *chosen.entry(*v).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    for &ack in acked.iter().filter(|&&a| a != 0) {
-        if !chosen.contains_key(&ack) {
-            verdict.lost_acked_writes += 1;
-        }
-    }
-    verdict.duplicated_records += chosen.values().map(|&n| n.saturating_sub(1)).sum::<u64>();
-    for partition in s.udr.shard_map().partitions() {
-        let members = s.udr.shard_map().members_of(partition).unwrap_or(&[]);
-        for i in 0..s.udr.se_count() {
-            let se = s.udr.se(SeId(i as u32));
-            if se.partitions().any(|p| p == partition) && !members.contains(&se.id()) {
-                verdict.duplicated_records += 1;
-            }
-        }
-    }
-    // Close every key's history with a committed read of the final state:
-    // whatever the store converged to must itself be linearizable against
-    // the recorded operations.
-    for (i, sub) in s.population.iter().enumerate() {
-        let identity: Identity = sub.ids.imsi.into();
-        if let Some(v) = committed_value(&s.udr, &identity) {
-            history.record(
-                i,
-                HistOp {
-                    inv: now,
-                    resp: Some(now),
-                    kind: OpKind::Read(v),
-                },
-            );
-        }
-    }
-
-    // ---- consistency debt from the run metrics ------------------------
-    let m = &s.udr.metrics;
-    verdict.stale_reads = m.staleness.stale_reads;
-    verdict.guarantee_violations = m.guarantees.violations();
-    verdict.divergence_merges = m.merges;
-    verdict.merge_conflicts = m.merge_conflicts;
-    ConsensusCellOutcome {
+    CellOutcome {
         verdict,
         history,
         elections: s.udr.consensus_elections(),
@@ -725,6 +509,45 @@ pub fn run_consensus_cell(cc: &CampaignConfig, script: &FaultScript) -> Consensu
         stage_latency: std::mem::take(&mut s.udr.metrics.stage_latency),
         trace: s.udr.tracer.enabled().then(|| s.udr.trace_export()),
     }
+}
+
+/// The first 20 report columns of a cell, which e22 and e25 both emit
+/// in this order: labels, traffic counts, availability, failure classes
+/// and the oracle audit.
+pub fn verdict_cells(v: &CapVerdict) -> Vec<(&'static str, JsonValue)> {
+    vec![
+        ("mode", v.mode.clone().into()),
+        ("policy", v.policy.clone().into()),
+        ("scenario", v.scenario.clone().into()),
+        ("expected_pacelc", v.expected_pacelc.clone().into()),
+        ("reads_in_fault", v.reads_in_fault.into()),
+        ("reads_ok_in_fault", v.reads_ok_in_fault.into()),
+        ("writes_in_fault", v.writes_in_fault.into()),
+        ("writes_ok_in_fault", v.writes_ok_in_fault.into()),
+        ("reads_outside", v.reads_outside.into()),
+        ("writes_outside", v.writes_outside.into()),
+        ("read_avail_in_fault", v.read_availability_in_fault().into()),
+        (
+            "write_avail_in_fault",
+            v.write_availability_in_fault().into(),
+        ),
+        ("avail_outside", v.availability_outside().into()),
+        ("unavailable_by_design", v.unavailable_by_design.into()),
+        ("unexpected_failures", v.unexpected_failures.into()),
+        ("generic_timeouts", v.generic_timeouts.into()),
+        ("stale_reads", v.stale_reads.into()),
+        ("guarantee_violations", v.guarantee_violations.into()),
+        ("lost_acked_writes", v.lost_acked_writes.into()),
+        ("duplicated_records", v.duplicated_records.into()),
+    ]
+}
+
+/// Serialise one report row on its own, under report `name` — the byte
+/// string two replays of the same cell must agree on.
+pub fn row_bytes(name: &str, seed: u64, cells: Vec<(&str, JsonValue)>) -> String {
+    let mut r = BenchReport::new(name, seed);
+    r.row(cells);
+    r.to_json()
 }
 
 #[cfg(test)]
@@ -767,7 +590,7 @@ mod tests {
             ReadPolicy::NearestCopy,
             PartitionScenario::CleanPartition,
         );
-        let v = run_cell(&cc);
+        let v = run_cell(&cc, &cc.script()).verdict;
         assert!(v.total_ops() > 100, "too little traffic: {}", v.total_ops());
         assert!(v.reads_in_fault > 0 && v.reads_outside > 0);
         assert!(v.sound(), "cell broke a non-negotiable: {v:?}");
@@ -787,8 +610,8 @@ mod tests {
             ReadPolicy::BoundedStaleness { max_lag: 4 },
             PartitionScenario::Flapping,
         );
-        let a = run_cell(&cc);
-        let b = run_cell(&cc);
+        let a = run_cell(&cc, &cc.script()).verdict;
+        let b = run_cell(&cc, &cc.script()).verdict;
         assert_eq!(a, b, "same cell, different verdicts");
         assert!(a.sound());
     }

@@ -20,10 +20,7 @@ pub mod pump_campaign;
 pub mod scale;
 pub mod traceio;
 
-pub use campaign::{
-    run_cell, run_cell_traced, run_cell_with_script, run_consensus_cell, CampaignConfig,
-    ConsensusCellOutcome,
-};
+pub use campaign::{run_cell, CampaignConfig, CellOutcome};
 pub use consensus_harness::{
     committed_fraction, fate_latencies, settled_cluster, submit_paced, LatencyKind, SettledCluster,
 };

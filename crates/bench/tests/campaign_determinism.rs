@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use udr_bench::campaign::{run_cell_with_script, run_consensus_cell, CampaignConfig};
+use udr_bench::campaign::{run_cell, CampaignConfig};
 use udr_model::config::{ReadPolicy, ReplicationMode};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
@@ -116,8 +116,8 @@ fn consensus_cells_replay_identically_across_pump_shapes() {
         let mut cc = small_cell(ReplicationMode::Consensus { n: 3 }, policy, 25);
         cc.scenario = scenario;
         let script = cc.script();
-        let a = run_consensus_cell(&cc, &script);
-        let b = run_consensus_cell(&cc, &script);
+        let a = run_cell(&cc, &script);
+        let b = run_cell(&cc, &script);
         assert_eq!(a.verdict, b.verdict, "{scenario}: replay diverged");
         assert_eq!(
             (a.elections, a.leader_changes, a.commits),
@@ -132,7 +132,7 @@ fn consensus_cells_replay_identically_across_pump_shapes() {
             .unwrap_or_else(|e| panic!("{scenario}: history not linearizable: {e}"));
 
         cc.pump = PumpConfig::sharded(4);
-        let c = run_consensus_cell(&cc, &script);
+        let c = run_cell(&cc, &script);
         assert_eq!(
             a.verdict, c.verdict,
             "{scenario}: sharded(4) pump changed the verdict"
@@ -161,8 +161,8 @@ proptest! {
         prop_assert_eq!(script.timeline(), script.clone().timeline());
         let cc = small_cell(mode, policy, seed);
         prop_assert!(cc.is_valid());
-        let first = run_cell_with_script(&cc, &script);
-        let again = run_cell_with_script(&cc, &script);
+        let first = run_cell(&cc, &script).verdict;
+        let again = run_cell(&cc, &script).verdict;
         prop_assert_eq!(&first, &again, "replay diverged for script {:?}", script);
         // Whatever the random faults did, the non-negotiables hold: no
         // acknowledged write lost, no duplicate copies, no broken
@@ -174,14 +174,16 @@ proptest! {
     /// determinism above is seed-derived, not accidental constancy).
     #[test]
     fn different_seed_perturbs_the_run(script in arb_script()) {
-        let a = run_cell_with_script(
+        let a = run_cell(
             &small_cell(ReplicationMode::AsyncMasterSlave, ReadPolicy::NearestCopy, 1),
             &script,
-        );
-        let b = run_cell_with_script(
+        )
+        .verdict;
+        let b = run_cell(
             &small_cell(ReplicationMode::AsyncMasterSlave, ReadPolicy::NearestCopy, 2),
             &script,
-        );
+        )
+        .verdict;
         // Different populations/traffic ⇒ some observable difference in
         // the op counts (times are Poisson draws from different seeds).
         prop_assert!(

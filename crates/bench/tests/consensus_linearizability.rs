@@ -4,7 +4,7 @@
 //! (Wing & Gong). The e25 experiment asserts this per cell; this test
 //! keeps the property in the default `cargo test` tier.
 
-use udr_bench::campaign::{run_consensus_cell, CampaignConfig};
+use udr_bench::campaign::{run_cell, CampaignConfig};
 use udr_model::config::{ReadPolicy, ReplicationMode};
 use udr_model::time::{SimDuration, SimTime};
 use udr_workload::PartitionScenario;
@@ -27,7 +27,7 @@ fn small_consensus_cell(policy: ReadPolicy, scenario: PartitionScenario) -> Camp
 #[test]
 fn clean_partition_history_is_linearizable_and_cp() {
     let cc = small_consensus_cell(ReadPolicy::MasterOnly, PartitionScenario::CleanPartition);
-    let out = run_consensus_cell(&cc, &cc.script());
+    let out = run_cell(&cc, &cc.script());
     let v = &out.verdict;
 
     assert!(!out.history.is_empty(), "cell recorded no operations");
@@ -59,7 +59,7 @@ fn clean_partition_history_is_linearizable_and_cp() {
 #[test]
 fn se_outage_history_is_linearizable() {
     let cc = small_consensus_cell(ReadPolicy::NearestCopy, PartitionScenario::SeOutage);
-    let out = run_consensus_cell(&cc, &cc.script());
+    let out = run_cell(&cc, &cc.script());
 
     out.history
         .check()

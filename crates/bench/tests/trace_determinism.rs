@@ -16,7 +16,7 @@
 //!    interpreter is on PATH).
 
 use proptest::prelude::*;
-use udr_bench::campaign::{run_cell_traced, run_consensus_cell, CampaignConfig};
+use udr_bench::campaign::{run_cell, CampaignConfig};
 use udr_core::{OpRequest, Udr};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -66,7 +66,7 @@ fn trace_digest_is_pump_lane_invariant() {
     for lanes in [1usize, 2, 4] {
         let mut cc = consensus_cell(91);
         cc.pump = PumpConfig::sharded(lanes);
-        let out = run_consensus_cell(&cc, &cc.script());
+        let out = run_cell(&cc, &cc.script());
         let export = out.trace.expect("tracing enabled");
         assert!(
             !export.records.is_empty(),
@@ -94,14 +94,17 @@ fn disabled_tracing_leaves_the_timeline_bit_identical() {
     // a tracer that burned RNG draws, scheduled events or perturbed
     // timing would diverge here.
     let plain = async_cell(17);
-    let (bare, no_trace) = run_cell_traced(&plain, &plain.script());
-    assert!(no_trace.is_none(), "disabled tracing must export nothing");
+    let bare = run_cell(&plain, &plain.script());
+    assert!(bare.trace.is_none(), "disabled tracing must export nothing");
 
     let mut traced = async_cell(17);
     traced.trace = TraceConfig::full();
-    let (seen, export) = run_cell_traced(&traced, &traced.script());
-    assert_eq!(bare, seen, "tracing changed the measured timeline");
-    assert!(!export.expect("tracing enabled").records.is_empty());
+    let seen = run_cell(&traced, &traced.script());
+    assert_eq!(
+        bare.verdict, seen.verdict,
+        "tracing changed the measured timeline"
+    );
+    assert!(!seen.trace.expect("tracing enabled").records.is_empty());
 }
 
 proptest! {
@@ -112,8 +115,8 @@ proptest! {
     #[test]
     fn same_seed_reproduces_the_trace_digest(seed in 1u64..1_000) {
         let cc = consensus_cell(seed);
-        let a = run_consensus_cell(&cc, &cc.script());
-        let b = run_consensus_cell(&cc, &cc.script());
+        let a = run_cell(&cc, &cc.script());
+        let b = run_cell(&cc, &cc.script());
         let (ea, eb) = (a.trace.expect("enabled"), b.trace.expect("enabled"));
         prop_assert_eq!(ea.digest, eb.digest, "same seed, different digest");
         prop_assert_eq!(ea.records.len(), eb.records.len());
@@ -178,7 +181,7 @@ fn stage_spans_sum_to_the_latency_breakdown() {
 fn jsonl_export_round_trips_through_the_summarizer() {
     let mut cc = consensus_cell(7);
     cc.subscribers = 4;
-    let out = run_consensus_cell(&cc, &cc.script());
+    let out = run_cell(&cc, &cc.script());
     let export = out.trace.expect("tracing enabled");
 
     // Structural round-trip without a JSON parser: line counts match
