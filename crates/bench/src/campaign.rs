@@ -104,10 +104,6 @@ pub struct CampaignConfig {
     pub fault_at: SimTime,
     /// How long the fault window lasts.
     pub fault_duration: SimDuration,
-    /// Event-pump sharding for the cell's deployment. Any lane count
-    /// must replay the identical cell (the pump's deterministic-merge
-    /// contract); the determinism regression exercises exactly that.
-    pub pump: udr_sim::PumpConfig,
     /// Tracing for the cell's deployment. Disabled by default; when
     /// enabled the cell's [`TraceExport`] comes back in
     /// [`CellOutcome::trace`]. The trace never feeds the verdict, so
@@ -133,7 +129,6 @@ impl CampaignConfig {
             traffic_end: t(60),
             fault_at: t(20),
             fault_duration: SimDuration::from_secs(20),
-            pump: udr_sim::PumpConfig::single(),
             trace: TraceConfig::disabled(),
         }
     }
@@ -145,7 +140,6 @@ impl CampaignConfig {
         cfg.frash.replication = self.mode;
         cfg.frash.fe_read_policy = self.fe_policy;
         cfg.seed = self.seed ^ 0xE22;
-        cfg.pump = self.pump;
         cfg.trace = self.trace;
         cfg
     }

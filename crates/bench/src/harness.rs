@@ -15,7 +15,7 @@ use udr_model::tenant::TenantId;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::SimRng;
 use udr_workload::retry::RetryPolicy;
-use udr_workload::{PopulationBuilder, SessionBook, Subscriber, TrafficEvent, TrafficModel};
+use udr_workload::{PopulationBuilder, Subscriber, TrafficEvent, TrafficModel};
 
 /// Virtual-time shorthand.
 pub fn t(secs: u64) -> SimTime {
@@ -115,31 +115,6 @@ pub fn run_events(
         fe_count += 1;
     }
     (fe_count, ps_count)
-}
-
-/// Drive a pre-generated FE event stream with per-subscriber session
-/// state: every sessioned subscriber's procedures carry and update its
-/// [`SessionBook`] token (the client side of
-/// `ReadPolicy::SessionConsistent`). Returns the number of events run.
-pub fn run_events_sessioned(
-    scenario: &mut Scenario,
-    events: &[TrafficEvent],
-    sessions: &mut SessionBook,
-) -> u64 {
-    let mut count = 0u64;
-    for ev in events {
-        let sub = &scenario.population[ev.subscriber];
-        let mut req = OpRequest::procedure(ev.kind, &sub.ids)
-            .site(ev.fe_site)
-            .at(ev.at)
-            .tenant(ev.tenant);
-        if let Some(token) = sessions.token_mut(ev.subscriber) {
-            req = req.session(token);
-        }
-        scenario.udr.execute(req);
-        count += 1;
-    }
-    count
 }
 
 /// Final fate of one offered procedure driven through
@@ -259,21 +234,6 @@ mod tests {
         assert_eq!(s.udr.total_subscribers(), 30);
         assert_eq!(s.udr.metrics.fe_ops.attempts(), 0);
         assert_eq!(s.udr.metrics.ps_ops.attempts(), 0);
-    }
-
-    #[test]
-    fn run_events_sessioned_updates_tokens() {
-        let mut cfg = UdrConfig::figure2();
-        cfg.frash.fe_read_policy = udr_model::config::ReadPolicy::SessionConsistent;
-        let mut s = provisioned_system(cfg, 20, 4);
-        let events = standard_traffic(&s, 0.05, 0.3, t(10), t(60), 5);
-        let mut sessions = SessionBook::all(s.population.len());
-        let ran = run_events_sessioned(&mut s, &events, &mut sessions);
-        assert_eq!(ran as usize, events.len());
-        assert!(s.udr.metrics.guarantees.session_reads > 0);
-        assert_eq!(s.udr.metrics.guarantees.session_violations, 0);
-        // At least one token observed something.
-        assert!((0..sessions.len()).any(|i| sessions.token(i).is_some_and(|t| !t.is_empty())));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The benchmark harness regenerating every figure and numeric claim of
 //! the paper. Each experiment is a binary (`cargo run --release -p
-//! udr-bench --bin eNN_*`); the shared scaffolding lives here. Criterion
-//! microbenchmarks (storage engine, DLS lookup, LDAP codec, replication
-//! apply) live under `benches/`.
+//! udr-bench --bin eNN_*`); the shared scaffolding lives in the modules
+//! here, and callers import through them (`udr_bench::campaign::run_cell`,
+//! `udr_bench::harness::provisioned_system`). Criterion microbenchmarks
+//! (storage engine, DLS lookup, LDAP codec, replication apply) live under
+//! `benches/`.
 //!
 //! See DESIGN.md §3 for the experiment ↔ paper mapping and EXPERIMENTS.md
 //! for recorded paper-vs-measured results.
@@ -19,14 +21,3 @@ pub mod linear;
 pub mod pump_campaign;
 pub mod scale;
 pub mod traceio;
-
-pub use campaign::{run_cell, CampaignConfig, CellOutcome};
-pub use consensus_harness::{
-    committed_fraction, fate_latencies, settled_cluster, submit_paced, LatencyKind, SettledCluster,
-};
-pub use harness::{provisioned_system, run_events, Scenario};
-pub use json::{BenchReport, JsonValue};
-pub use linear::{HistOp, History, OpKind};
-pub use pump_campaign::{run as run_pump, LaneRow, PumpCampaignConfig, PumpOutcome};
-pub use scale::{run as run_scale, ScaleConfig, ScaleOutcome, StageStats};
-pub use traceio::{trace_headline, write_trace_files};

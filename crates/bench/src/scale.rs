@@ -26,7 +26,7 @@ use udr_model::profile::SubscriberProfile;
 use udr_model::time::{SimDuration, SimTime};
 use udr_model::IdentityInterner;
 use udr_replication::{AsyncShipper, Enqueue, ShipBatchConfig};
-use udr_sim::{PumpConfig, SimRng};
+use udr_sim::SimRng;
 use udr_storage::{Engine, Lsn};
 use udr_trace::{TraceConfig, TraceExport};
 use udr_workload::PopulationBuilder;
@@ -44,12 +44,6 @@ pub struct ScaleConfig {
     pub pipeline_ops: u64,
     /// Shipping coalescing used by the ship stage and the pipeline stage.
     pub ship_batch: ShipBatchConfig,
-    /// Event-pump sharding for the pipeline stage. Any lane count replays
-    /// the identical merged timeline (the pump's deterministic-merge
-    /// contract), so the campaign digest is pump-invariant — which this
-    /// campaign, run under different lane counts, is one standing proof
-    /// of.
-    pub pump: PumpConfig,
     /// RNG seed: same seed ⇒ identical digest.
     pub seed: u64,
     /// Tracing for the pipeline stage's deployment (the other stages
@@ -67,7 +61,6 @@ impl ScaleConfig {
             reads: 1_000_000,
             pipeline_ops: 20_000,
             ship_batch: ShipBatchConfig::coalesce(64, SimDuration::from_millis(5)),
-            pump: PumpConfig::sharded(4),
             seed: 23,
             trace: TraceConfig::disabled(),
         }
@@ -371,7 +364,6 @@ pub fn run(cfg: &ScaleConfig) -> ScaleOutcome {
     pipe_cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
     pipe_cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
     pipe_cfg.ship_batch = cfg.ship_batch;
-    pipe_cfg.pump = cfg.pump;
     pipe_cfg.seed = cfg.seed;
     pipe_cfg.trace = cfg.trace;
     let mut udr = Udr::build(pipe_cfg).expect("valid config");

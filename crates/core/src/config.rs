@@ -6,7 +6,6 @@ use udr_model::error::{UdrError, UdrResult};
 use udr_model::tenant::TenantDirectory;
 use udr_qos::QosConfig;
 use udr_replication::ShipBatchConfig;
-use udr_sim::PumpConfig;
 use udr_trace::TraceConfig;
 
 /// Full configuration of one simulated UDR deployment.
@@ -41,12 +40,6 @@ pub struct UdrConfig {
     /// delivery per commit, the paper's baseline); the scale campaign
     /// enables batching to amortise the per-message cost.
     pub ship_batch: ShipBatchConfig,
-    /// Event-pump sharding: lane-local queues per partition group plus a
-    /// cross-lane queue. Defaults to one lane ([`PumpConfig::single`]); any
-    /// lane count replays the identical merged timeline (the pump's
-    /// deterministic-merge contract), so this is a throughput knob, not
-    /// a semantics knob.
-    pub pump: PumpConfig,
     /// Structured tracing (flight recorder + slow-op exemplars). Disabled
     /// by default; enabling it must never change simulated behaviour,
     /// only record it.
@@ -72,7 +65,6 @@ impl Default for UdrConfig {
             ldap_ops_per_sec: 1_000_000.0,
             dls_cache_capacity: 65_536,
             ship_batch: ShipBatchConfig::per_record(),
-            pump: PumpConfig::single(),
             trace: TraceConfig::disabled(),
             tenants: TenantDirectory::single_tenant(),
             seed: 0xC0FFEE,
@@ -131,9 +123,6 @@ impl UdrConfig {
         }
         if self.ldap_ops_per_sec <= 0.0 {
             return Err(UdrError::Config("ldap_ops_per_sec must be positive".into()));
-        }
-        if self.pump.lanes == 0 {
-            return Err(UdrError::Config("the pump needs at least one lane".into()));
         }
         Ok(())
     }

@@ -8,8 +8,8 @@
 //! group's alone: node `i` of partition `p` lives on
 //! `groups[p].members()[i]`, and a cutover's `replace_member` swaps in
 //! place. Protocol timers ([`UdrEvent::ConsensusTick`]) and message
-//! deliveries ([`UdrEvent::ConsensusDeliver`]) flow through the sharded
-//! pump on the partition's lane, so consensus traffic interleaves
+//! deliveries ([`UdrEvent::ConsensusDeliver`]) flow through the
+//! deployment's one event pump, so consensus traffic interleaves
 //! deterministically with faults and client operations.
 //!
 //! This module holds the ensembles and the paths only they have: routing

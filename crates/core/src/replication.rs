@@ -748,7 +748,7 @@ impl Udr {
     /// Build the per-partition replication state of the deployment's mode,
     /// once [`Udr::build`] has placed the groups: under consensus one
     /// Multi-Paxos ensemble per partition over the group's members, with
-    /// protocol timers staggered so lanes do not beat in lockstep; under
+    /// protocol timers staggered so ensembles do not beat in lockstep; under
     /// every other mode one shipping ledger per partition.
     pub(crate) fn build_replication(&mut self) {
         match self.cfg.frash.replication {

@@ -34,7 +34,7 @@ use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
 use udr_replication::{AsyncShipper, MigrationChannel, MigrationState, ReplicationGroup};
 use udr_sim::faults::{Fault, FaultSchedule, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
-use udr_sim::{LaneClass, ShardedPump, SimRng};
+use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
 use udr_storage::{CommitRecord, Lsn, StorageElement};
 use udr_trace::{TraceExport, Tracer};
 
@@ -199,39 +199,10 @@ pub enum UdrEvent {
 // the largest variant sets it (a link degradation).
 const _: () = assert!(std::mem::size_of::<UdrEvent>() == 80);
 
-impl UdrEvent {
-    /// Schedule-time lane classification for the sharded pump
-    /// ([`udr_sim::ShardedPump`]): partition-scoped events (replication
-    /// deliveries, batch flushes, failover checks) are local to lane
-    /// `partition % lanes`; everything that touches shared deployment
-    /// state — the network fabric, whole SEs, the periodic sweeps,
-    /// migrations spanning two partitions — serializes through the
-    /// cross-lane queue. The merged `(time, seq)` order is identical
-    /// either way; classification shrinks per-heap sizes and marks
-    /// which events a lane-isolated drain may run concurrently.
-    pub fn lane_class(&self) -> LaneClass {
-        match self {
-            UdrEvent::ReplDeliver { partition, .. }
-            | UdrEvent::ReplDeliverBatch { partition, .. }
-            | UdrEvent::ShipFlush { partition, .. }
-            | UdrEvent::FailoverCheck { partition }
-            | UdrEvent::ConsensusTick { partition }
-            | UdrEvent::ConsensusDeliver { partition, .. } => LaneClass::Local(partition.index()),
-            UdrEvent::SnapshotTick { .. }
-            | UdrEvent::CatchupTick
-            | UdrEvent::PartitionStart { .. }
-            | UdrEvent::PartitionHeal { .. }
-            | UdrEvent::DegradeStart { .. }
-            | UdrEvent::DegradeHeal { .. }
-            | UdrEvent::SeCrash { .. }
-            | UdrEvent::SeRestore { .. }
-            | UdrEvent::MigrationStart { .. }
-            | UdrEvent::MigrationCutover { .. }
-            | UdrEvent::MigrationAbort { .. }
-            | UdrEvent::MigrationDeliver { .. } => LaneClass::Cross,
-        }
-    }
-}
+/// Every event shares one lane: handlers mutate shared deployment state
+/// (the network, the shard map, cross-partition metrics), advanced by
+/// sequential pops.
+const LANE: LaneClass = LaneClass::Local(0);
 
 /// One tracked live migration (see [`MigrationPlan`] for the intent and
 /// [`MigrationState`] for the lifecycle).
@@ -419,13 +390,13 @@ impl Udr {
         let placement = PlacementContext::new(by_region);
 
         // ---- initial events -----------------------------------------------
-        let mut events = ShardedPump::new(cfg.pump);
+        let mut events = ShardedPump::new(PumpConfig::single());
         let tick = UdrEvent::CatchupTick;
-        events.schedule_at(tick.lane_class(), SimTime::ZERO + CATCHUP_INTERVAL, tick);
+        events.schedule_at(LANE, SimTime::ZERO + CATCHUP_INTERVAL, tick);
         if let DurabilityMode::PeriodicSnapshot { interval } = cfg.frash.durability {
             for se in &ses {
                 let snap = UdrEvent::SnapshotTick { se: se.id() };
-                events.schedule_at(snap.lane_class(), SimTime::ZERO + interval, snap);
+                events.schedule_at(LANE, SimTime::ZERO + interval, snap);
             }
         }
 
@@ -587,10 +558,9 @@ impl Udr {
         self.schedule_faults(script.compile());
     }
 
-    /// Schedule an internal event on its classified pump lane.
+    /// Schedule an internal event on the pump.
     pub(crate) fn schedule_event(&mut self, at: SimTime, event: UdrEvent) {
-        let class = event.lane_class();
-        self.events.schedule_at(class, at, event);
+        self.events.schedule_at(LANE, at, event);
     }
 
     /// Drain internal events up to `now`. Every client entry point calls
@@ -604,17 +574,12 @@ impl Udr {
     /// Run the deployment's event pump to `until` and return how many
     /// events it processed.
     ///
-    /// This is [`Udr::advance_to`] under the [`PumpConfig`] the
-    /// deployment was built with (`cfg.pump`): events pop in merged
-    /// `(time, seq)` order across all lanes, so any lane count replays
-    /// the byte-identical timeline — handlers mutate shared deployment
-    /// state (the network, the shard map, cross-partition metrics), so
-    /// the full UDR always consumes the merge sequentially. Workloads
-    /// whose state decomposes per lane (the e24 campaign's per-shard
-    /// engines) use [`udr_sim::ShardedPump::drain_parallel`] directly to
-    /// overlap lanes on worker threads.
-    ///
-    /// [`PumpConfig`]: udr_sim::PumpConfig
+    /// This is [`Udr::advance_to`]: events pop in `(time, seq)` order,
+    /// one at a time, because handlers mutate shared deployment state (the
+    /// network, the shard map, cross-partition metrics). Workloads whose
+    /// state decomposes per lane (the e24 campaign's per-shard engines)
+    /// use [`udr_sim::ShardedPump::drain_parallel`] directly to overlap
+    /// lanes on worker threads.
     pub fn run(&mut self, until: SimTime) -> u64 {
         let before = self.events.processed();
         self.advance_to(until);

@@ -15,8 +15,9 @@
 //! * **Deterministic merge.** Sequence numbers are allocated globally at
 //!   schedule time, so popping the minimum `(time, seq)` across all
 //!   heaps gives the same order at any lane count — same seed ⇒
-//!   byte-identical event timeline. Deployments with shared mutable
-//!   state (the full UDR, the consensus cluster) advance this way.
+//!   byte-identical event timeline. Deployments whose handlers share
+//!   mutable state (the full UDR, the consensus cluster) schedule every
+//!   event on one lane and advance by sequential pops.
 //! * **Conservative parallel drain.** When the per-lane states are
 //!   disjoint, [`ShardedPump::drain_parallel`] advances all lanes
 //!   concurrently in rounds bounded by a lookahead barrier (the minimum
@@ -163,16 +164,6 @@ impl<E> ShardedPump<E> {
         }
     }
 
-    /// Number of lane-local queues.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether parallel draining was requested at construction.
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Current virtual time (the timestamp of the last popped event).
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -192,15 +183,6 @@ impl<E> ShardedPump<E> {
     /// Total events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Pending events per lane, plus the cross queue's depth — the
-    /// lane-balance view harnesses report.
-    pub fn depths(&self) -> (Vec<usize>, usize) {
-        (
-            self.lanes.iter().map(BinaryHeap::len).collect(),
-            self.cross.len(),
-        )
     }
 
     /// Schedule an event at an absolute instant into its classified
@@ -249,21 +231,16 @@ impl<E> ShardedPump<E> {
     /// the deterministic merge. The order is the same for any lane
     /// count, because `seq` is allocated globally.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_classified().map(|(_, t, e)| (t, e))
-    }
-
-    /// [`ShardedPump::pop`] plus which queue served the event.
-    pub fn pop_classified(&mut self) -> Option<(LaneClass, SimTime, E)> {
         let src = self.min_source()?;
-        let (class, slot) = if src == usize::MAX {
-            (LaneClass::Cross, self.cross.pop()?)
+        let slot = if src == usize::MAX {
+            self.cross.pop()?
         } else {
-            (LaneClass::Local(src), self.lanes[src].pop()?)
+            self.lanes[src].pop()?
         };
         debug_assert!(slot.at >= self.now, "time went backwards");
         self.now = slot.at;
         self.processed += 1;
-        Some((class, slot.at, slot.event))
+        Some((slot.at, slot.event))
     }
 
     /// Peek at the earliest event's timestamp without advancing.
@@ -286,14 +263,6 @@ impl<E> ShardedPump<E> {
         } else {
             None
         }
-    }
-
-    /// Drop every pending event (experiment teardown).
-    pub fn clear(&mut self) {
-        for lane in &mut self.lanes {
-            lane.clear();
-        }
-        self.cross.clear();
     }
 }
 
@@ -651,19 +620,6 @@ mod tests {
         pump.pop();
         pump.schedule_in(LaneClass::Cross, SimDuration(5), "b");
         assert_eq!(pump.pop(), Some((t(45), "b")));
-    }
-
-    #[test]
-    fn clear_empties_every_queue() {
-        let mut pump: ShardedPump<()> = ShardedPump::new(PumpConfig::sharded(3));
-        pump.schedule_at(LaneClass::Local(0), t(10), ());
-        pump.schedule_at(LaneClass::Local(2), t(20), ());
-        pump.schedule_at(LaneClass::Cross, t(30), ());
-        assert_eq!(pump.depths(), (vec![1, 0, 1], 1));
-        pump.clear();
-        assert!(pump.is_empty());
-        assert_eq!(pump.len(), 0);
-        assert!(pump.pop().is_none());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! - **Deterministic**: records carry only virtual time ([`SimTime`]) and
 //!   IDs allocated from per-[`Tracer`] counters, so the same seed produces
-//!   a byte-identical trace digest regardless of host timing or pump lane
-//!   count. Wall-clock annotations (e.g. per-lane busy slices) are marked
+//!   a byte-identical trace digest regardless of host timing.
+//!   Wall-clock annotations (e.g. e24's per-lane busy slices) are marked
 //!   `digest: false` and excluded from the digest.
 //! - **Zero cost when disabled**: [`TraceConfig::disabled`] (the default)
 //!   makes every entry point a single branch; no allocation, no ID burn.
@@ -412,7 +412,7 @@ impl Tracer {
 
     /// FNV-1a digest over every `digest: true` record currently retained
     /// (flight recorder first, then exemplar trees). Same seed ⇒ same
-    /// digest, independent of host timing and pump lane count.
+    /// digest, independent of host timing.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         for rec in &self.ring {
