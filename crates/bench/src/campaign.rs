@@ -180,7 +180,8 @@ pub struct CellOutcome {
     pub leader_changes: u64,
     /// Paxos safety violations observed — asserted empty in every cell.
     pub violations: Vec<String>,
-    /// Client commands committed through the consensus logs.
+    /// Client commands committed through the consensus logs after
+    /// provisioning (its commits are zeroed with the other counters).
     pub commits: u64,
     /// Per-stage latency histograms of every successful operation the
     /// cell drove (the serialisable `UdrMetrics` slice e25 embeds in its

@@ -74,6 +74,7 @@ pub fn provisioned_system(cfg: UdrConfig, n: u64, seed: u64) -> Scenario {
     udr.metrics.stage_latency = Default::default();
     udr.metrics.backbone_ops = 0;
     udr.metrics.local_ops = 0;
+    udr.metrics.consensus_commits = 0;
     Scenario { udr, population }
 }
 
