@@ -9,19 +9,11 @@
 //! restoration work. Emits `BENCH_e10.json` (one row per cell) for
 //! cross-PR tracking; standard output is the table.
 
-use udr_bench::harness::{provisioned_system, t};
+use udr_bench::harness::{islanded_dual_ps, DUAL_PS_SEED};
 use udr_bench::json::BenchReport;
-use udr_core::UdrConfig;
 use udr_metrics::{pct, Table};
-use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::ReplicationMode;
-use udr_model::identity::Identity;
-use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
-use udr_sim::FaultSchedule;
-
-/// Deployment seed of every cell.
-const SEED: u64 = 77;
 
 struct Row {
     ps_availability: f64,
@@ -31,46 +23,10 @@ struct Row {
     merge_time: SimDuration,
 }
 
+/// Both PS instances (sites 0 and 2; the paper allows "one or two PS
+/// instances") write the same subscribers through the partition.
 fn run(mode: ReplicationMode, partition_s: u64, write_gap_ms: u64) -> Row {
-    let mut cfg = UdrConfig::figure2();
-    cfg.frash.replication = mode;
-    cfg.seed = SEED;
-    let mut s = provisioned_system(cfg, 90, 8);
-    s.udr.schedule_faults(FaultSchedule::new().partition(
-        t(100),
-        SimDuration::from_secs(partition_s),
-        [SiteId(2)],
-    ));
-
-    // During the partition, both sides write the same subscriber set: the
-    // PS instance at site 0 and a second PS instance at site 2 (the paper
-    // allows "one or two PS instances").
-    let mut at = t(100) + SimDuration::from_millis(37);
-    let end = t(100) + SimDuration::from_secs(partition_s);
-    let mut i = 0u64;
-    while at < end {
-        let sub = &s.population[(i % s.population.len() as u64) as usize];
-        let id = Identity::Imsi(sub.ids.imsi);
-        s.udr.modify_services(
-            &id,
-            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i))],
-            SiteId(0),
-            at,
-        );
-        s.udr.modify_services(
-            &id,
-            vec![AttrMod::Set(
-                AttrId::CallForwarding,
-                format!("34{i:09}").into(),
-            )],
-            SiteId(2),
-            at + SimDuration::from_millis(write_gap_ms / 2),
-        );
-        i += 1;
-        at += SimDuration::from_millis(write_gap_ms);
-    }
-    s.udr.advance_to(end + SimDuration::from_secs(120));
-
+    let s = islanded_dual_ps(mode, partition_s, write_gap_ms).scenario;
     Row {
         ps_availability: s.udr.metrics.ps_ops.operational_availability(),
         conflicts: s.udr.metrics.merge_conflicts,
@@ -96,7 +52,7 @@ fn main() {
         "restoration time",
     ])
     .with_title("availability bought, consistency paid");
-    let mut report = BenchReport::new("e10", SEED);
+    let mut report = BenchReport::new("e10", DUAL_PS_SEED);
     report
         .config("subscribers", 90u64)
         .config("island_site", 2u64)

@@ -21,17 +21,12 @@
 //! standard output is the table.
 
 use udr_bench::consensus_harness::{committed_fraction, settled_cluster, submit_paced};
-use udr_bench::harness::{provisioned_system, t};
+use udr_bench::harness::{islanded_dual_ps, t};
 use udr_bench::json::BenchReport;
-use udr_core::UdrConfig;
 use udr_metrics::{pct, Table};
-use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::ReplicationMode;
-use udr_model::identity::Identity;
-use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_sim::net::Topology;
-use udr_sim::FaultSchedule;
 
 struct Row {
     island_avail: f64,
@@ -41,57 +36,17 @@ struct Row {
 }
 
 /// Master/slave or multi-master through the real UDR (per-side counting,
-/// same write cadence E10 uses).
+/// the drive E10 uses).
 fn run_udr(mode: ReplicationMode, partition_s: u64, gap_ms: u64) -> Row {
-    let mut cfg = UdrConfig::figure2();
-    cfg.frash.replication = mode;
-    cfg.seed = 77;
-    let mut s = provisioned_system(cfg, 90, 8);
-    s.udr.schedule_faults(FaultSchedule::new().partition(
-        t(100),
-        SimDuration::from_secs(partition_s),
-        [SiteId(2)],
-    ));
-
-    let mut at = t(100) + SimDuration::from_millis(37);
-    let end = t(100) + SimDuration::from_secs(partition_s);
-    let (mut isl_ok, mut isl_n, mut maj_ok, mut maj_n) = (0u64, 0u64, 0u64, 0u64);
-    let mut i = 0u64;
-    while at < end {
-        let sub = &s.population[(i % s.population.len() as u64) as usize];
-        let id = Identity::Imsi(sub.ids.imsi);
-        let w = s.udr.modify_services(
-            &id,
-            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i))],
-            SiteId(0),
-            at,
-        );
-        maj_n += 1;
-        maj_ok += w.is_ok() as u64;
-        let w = s.udr.modify_services(
-            &id,
-            vec![AttrMod::Set(
-                AttrId::CallForwarding,
-                format!("34{i:09}").into(),
-            )],
-            SiteId(2),
-            at + SimDuration::from_millis(gap_ms / 2),
-        );
-        isl_n += 1;
-        isl_ok += w.is_ok() as u64;
-        i += 1;
-        at += SimDuration::from_millis(gap_ms);
-    }
-    s.udr.advance_to(end + SimDuration::from_secs(120));
-    let island_avail = isl_ok as f64 / isl_n.max(1) as f64;
-    let majority_avail = maj_ok as f64 / maj_n.max(1) as f64;
+    let run = islanded_dual_ps(mode, partition_s, gap_ms);
+    let (isl, maj) = (run.island, run.majority);
     Row {
-        island_avail,
-        majority_avail,
+        island_avail: isl.ok as f64 / isl.attempts.max(1) as f64,
+        majority_avail: maj.ok as f64 / maj.attempts.max(1) as f64,
         // Failed master/slave and multi-master writes are lost client
         // calls; nothing retries them, so eventual = during-window.
-        eventual: (isl_ok + maj_ok) as f64 / (isl_n + maj_n).max(1) as f64,
-        conflicts: s.udr.metrics.merge_conflicts,
+        eventual: (isl.ok + maj.ok) as f64 / (isl.attempts + maj.attempts).max(1) as f64,
+        conflicts: run.scenario.udr.metrics.merge_conflicts,
     }
 }
 

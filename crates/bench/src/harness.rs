@@ -1,19 +1,20 @@
 //! Shared experiment scaffolding: provisioned systems, traffic driving
-//! (with or without client retries), and the interleaved PS write stream
-//! most experiments use.
+//! (with or without client retries), the interleaved PS write stream
+//! most experiments use, and the islanded dual-PS drive of e10 and e16.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
+use udr_model::config::ReplicationMode;
 use udr_model::error::UdrError;
 use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::tenant::TenantId;
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::SimRng;
+use udr_sim::{FaultSchedule, SimRng};
 use udr_workload::retry::RetryPolicy;
 use udr_workload::{PopulationBuilder, Subscriber, TrafficEvent, TrafficModel};
 
@@ -40,7 +41,7 @@ pub fn provisioned_system(cfg: UdrConfig, n: u64, seed: u64) -> Scenario {
     let mut at = SimTime::ZERO + SimDuration::from_millis(1);
     if matches!(
         udr.config().frash.replication,
-        udr_model::config::ReplicationMode::Consensus { .. }
+        ReplicationMode::Consensus { .. }
     ) {
         // Let the ensembles elect their first leaders before provisioning
         // traffic arrives; writes during the initial election gap would
@@ -116,6 +117,89 @@ pub fn run_events(
         fe_count += 1;
     }
     (fe_count, ps_count)
+}
+
+/// Deployment seed of the islanded dual-PS drive.
+pub const DUAL_PS_SEED: u64 = 77;
+
+/// Writes one PS instance attempted and how many succeeded.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SideCount {
+    /// Writes that succeeded.
+    pub ok: u64,
+    /// Writes attempted.
+    pub attempts: u64,
+}
+
+impl SideCount {
+    fn record(&mut self, ok: bool) {
+        self.attempts += 1;
+        self.ok += u64::from(ok);
+    }
+}
+
+/// The scenario and per-side write counts [`islanded_dual_ps`] leaves.
+pub struct DualPsRun {
+    /// The deployment after the drive and its settle tail.
+    pub scenario: Scenario,
+    /// Writes from the PS instance at site 0, the majority side.
+    pub majority: SideCount,
+    /// Writes from the PS instance at site 2, the island.
+    pub island: SideCount,
+}
+
+/// §5's two PS instances writing through a site-2 island.
+///
+/// Builds figure 2 under `mode` (seed [`DUAL_PS_SEED`], 90 subscribers
+/// provisioned with seed 8) and islands site 2 from t = 100 s for
+/// `partition_s`. Throughout the window both sides write the same
+/// subscribers: `OdbMask` from site 0 every `gap_ms` (first at
+/// 100 s + 37 ms) and `CallForwarding` from site 2 half a gap later. Then
+/// the pump runs 120 s past the heal.
+pub fn islanded_dual_ps(mode: ReplicationMode, partition_s: u64, gap_ms: u64) -> DualPsRun {
+    let mut cfg = UdrConfig::figure2();
+    cfg.frash.replication = mode;
+    cfg.seed = DUAL_PS_SEED;
+    let mut s = provisioned_system(cfg, 90, 8);
+    s.udr.schedule_faults(FaultSchedule::new().partition(
+        t(100),
+        SimDuration::from_secs(partition_s),
+        [SiteId(2)],
+    ));
+
+    let mut at = t(100) + SimDuration::from_millis(37);
+    let end = t(100) + SimDuration::from_secs(partition_s);
+    let (mut majority, mut island) = (SideCount::default(), SideCount::default());
+    let mut i = 0u64;
+    while at < end {
+        let sub = &s.population[(i % s.population.len() as u64) as usize];
+        let id = Identity::Imsi(sub.ids.imsi);
+        let w = s.udr.modify_services(
+            &id,
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i))],
+            SiteId(0),
+            at,
+        );
+        majority.record(w.is_ok());
+        let w = s.udr.modify_services(
+            &id,
+            vec![AttrMod::Set(
+                AttrId::CallForwarding,
+                format!("34{i:09}").into(),
+            )],
+            SiteId(2),
+            at + SimDuration::from_millis(gap_ms / 2),
+        );
+        island.record(w.is_ok());
+        i += 1;
+        at += SimDuration::from_millis(gap_ms);
+    }
+    s.udr.advance_to(end + SimDuration::from_secs(120));
+    DualPsRun {
+        scenario: s,
+        majority,
+        island,
+    }
 }
 
 /// Final fate of one offered procedure driven through

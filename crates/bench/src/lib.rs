@@ -18,6 +18,5 @@ pub mod consensus_harness;
 pub mod harness;
 pub mod json;
 pub mod linear;
-pub mod pump_campaign;
 pub mod scale;
 pub mod traceio;

@@ -3,12 +3,12 @@
 //! The runtime owns N [`Replica`]s (one per site of a [`Topology`]), routes
 //! their messages through the [`Network`] — sampling latency and loss,
 //! honouring partitions — and drives timers and deliveries from one
-//! single-lane [`ShardedPump`], the event queue every simulation here
-//! runs on. Fault schedules (partitions, node crashes/restarts) and
-//! client submissions are registered up front; [`ConsensusCluster::run_until`]
-//! then replays everything on the virtual clock and reports per-command
-//! fates, leader changes, message costs and (never, in a correct build)
-//! agreement violations.
+//! [`ShardedPump`], the event queue every simulation here runs on. Fault
+//! schedules (partitions, node crashes/restarts) and client submissions
+//! are registered up front; [`ConsensusCluster::run_until`] then replays
+//! everything on the virtual clock and reports per-command fates, leader
+//! changes, message costs and (never, in a correct build) agreement
+//! violations.
 //!
 //! Node crashes model a process stop with acceptor state preserved across
 //! restart — the persistence Paxos requires and which the paper's SAF
@@ -142,8 +142,7 @@ impl RunReport {
     }
 }
 
-/// Every event shares one lane: the replicas, the network and the fault
-/// state are one shared state, advanced by sequential pops.
+/// The class argument the pump's scheduling calls take and ignore.
 const LANE: LaneClass = LaneClass::Local(0);
 
 enum Ev {

@@ -195,13 +195,11 @@ pub enum UdrEvent {
     },
 }
 
-// Every scheduled event is moved through the pump's heaps at this size;
+// Every scheduled event is moved through the pump's heap at this size;
 // the largest variant sets it (a link degradation).
 const _: () = assert!(std::mem::size_of::<UdrEvent>() == 80);
 
-/// Every event shares one lane: handlers mutate shared deployment state
-/// (the network, the shard map, cross-partition metrics), advanced by
-/// sequential pops.
+/// The class argument the pump's scheduling calls take and ignore.
 const LANE: LaneClass = LaneClass::Local(0);
 
 /// One tracked live migration (see [`MigrationPlan`] for the intent and
@@ -574,12 +572,10 @@ impl Udr {
     /// Run the deployment's event pump to `until` and return how many
     /// events it processed.
     ///
-    /// This is [`Udr::advance_to`]: events pop in `(time, seq)` order,
-    /// one at a time, because handlers mutate shared deployment state (the
-    /// network, the shard map, cross-partition metrics). Workloads whose
-    /// state decomposes per lane (the e24 campaign's per-shard engines)
-    /// use [`udr_sim::ShardedPump::drain_parallel`] directly to overlap
-    /// lanes on worker threads.
+    /// This is [`Udr::advance_to`]: events pop from the one queue in
+    /// `(time, seq)` order, one at a time, because handlers mutate shared
+    /// deployment state (the network, the shard map, cross-partition
+    /// metrics).
     pub fn run(&mut self, until: SimTime) -> u64 {
         let before = self.events.processed();
         self.advance_to(until);

@@ -1,9 +1,9 @@
 //! # udr-sim
 //!
 //! The deterministic discrete-event substrate replacing the paper's
-//! multi-national deployment: a virtual clock and event queue, optionally
-//! split into lanes ([`pump::ShardedPump`]), the simulated IP network with
-//! LAN/backbone latency models, partitions and loss ([`net`]), fault
+//! multi-national deployment: a virtual clock and one event queue popped in
+//! `(time, seq)` order ([`pump::ShardedPump`]), the simulated IP network
+//! with LAN/backbone latency models, partitions and loss ([`net`]), fault
 //! schedules ([`faults`]), CPU processing stations ([`service`]) and seeded
 //! random sources ([`rng`]).
 //!
@@ -24,6 +24,6 @@ pub use net::{
     Cut, CutHandle, Degrade, DegradeHandle, LatencyModel, LinkOutcome, LinkProfile, NetStats,
     Network, Topology,
 };
-pub use pump::{DrainStats, LaneClass, LaneCtx, PumpConfig, ShardedPump};
+pub use pump::{LaneClass, PumpConfig, ShardedPump};
 pub use rng::SimRng;
 pub use service::{Overload, Station};

@@ -10,8 +10,6 @@
 //! - **Deterministic**: records carry only virtual time ([`SimTime`]) and
 //!   IDs allocated from per-[`Tracer`] counters, so the same seed produces
 //!   a byte-identical trace digest regardless of host timing.
-//!   Wall-clock annotations (e.g. e24's per-lane busy slices) are marked
-//!   `digest: false` and excluded from the digest.
 //! - **Zero cost when disabled**: [`TraceConfig::disabled`] (the default)
 //!   makes every entry point a single branch; no allocation, no ID burn.
 //! - **Causal**: each operation gets a fresh trace ID threaded through the
@@ -131,9 +129,6 @@ pub struct TraceRecord {
     pub dur: Option<SimDuration>,
     /// Free-form annotation built from deterministic data only.
     pub arg: Option<String>,
-    /// Whether the record participates in the trace digest. Wall-clock
-    /// annotations set this `false` so digests stay host-independent.
-    pub digest: bool,
 }
 
 /// A retained slow operation: its root metadata plus full span tree.
@@ -278,7 +273,6 @@ impl Tracer {
                 Some(extra) => format!("{status} {extra}"),
                 None => status.to_string(),
             }),
-            digest: true,
         });
         if latency >= self.cfg.slow_op_threshold && self.cfg.exemplar_capacity > 0 {
             self.retain_exemplar(&active, latency, status);
@@ -331,7 +325,6 @@ impl Tracer {
             start,
             dur: Some(dur),
             arg,
-            digest: true,
         });
     }
 
@@ -355,29 +348,6 @@ impl Tracer {
             start: at,
             dur: None,
             arg,
-            digest: true,
-        });
-    }
-
-    /// Record one pump lane's wall-clock busy slice (from
-    /// `DrainStats::lane_busy`). Marked `digest: false`: host timing must
-    /// never leak into the deterministic digest.
-    pub fn lane_slice(&mut self, lane: usize, busy: std::time::Duration, events: u64, at: SimTime) {
-        if !self.cfg.enabled {
-            return;
-        }
-        self.route(TraceRecord {
-            trace: 0,
-            span: 0,
-            parent: 0,
-            name: "pump.lane",
-            start: at,
-            dur: None,
-            arg: Some(format!(
-                "lane={lane} busy_ns={} events={events}",
-                busy.as_nanos()
-            )),
-            digest: false,
         });
     }
 
@@ -410,9 +380,9 @@ impl Tracer {
         self.dropped
     }
 
-    /// FNV-1a digest over every `digest: true` record currently retained
-    /// (flight recorder first, then exemplar trees). Same seed ⇒ same
-    /// digest, independent of host timing.
+    /// FNV-1a digest over every record currently retained (flight
+    /// recorder first, then exemplar trees). Same seed ⇒ same digest,
+    /// independent of host timing.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         for rec in &self.ring {
@@ -443,9 +413,6 @@ impl Tracer {
 }
 
 fn hash_record(h: &mut Fnv, rec: &TraceRecord) {
-    if !rec.digest {
-        return;
-    }
     h.bytes(rec.name.as_bytes());
     h.u64(rec.trace);
     h.u64(rec.span);
@@ -573,7 +540,7 @@ impl TraceExport {
 /// Append one JSONL record line.
 fn record_line(out: &mut String, kind: &str, rec: &TraceRecord) {
     out.push_str(&format!(
-        "{{\"kind\":\"{kind}\",\"trace\":{},\"span\":{},\"parent\":{},\"name\":{},\"start_ns\":{},\"dur_ns\":{},\"arg\":{},\"digest\":{}}}\n",
+        "{{\"kind\":\"{kind}\",\"trace\":{},\"span\":{},\"parent\":{},\"name\":{},\"start_ns\":{},\"dur_ns\":{},\"arg\":{}}}\n",
         rec.trace,
         rec.span,
         rec.parent,
@@ -584,7 +551,6 @@ fn record_line(out: &mut String, kind: &str, rec: &TraceRecord) {
         rec.arg
             .as_deref()
             .map_or_else(|| "null".to_string(), json_str),
-        rec.digest
     ));
 }
 
@@ -749,20 +715,6 @@ mod tests {
         };
         assert_eq!(run(false), run(false));
         assert_ne!(run(false), run(true));
-    }
-
-    #[test]
-    fn wall_clock_slices_do_not_perturb_digest() {
-        let mut a = Tracer::new(TraceConfig::full());
-        let mut b = Tracer::new(TraceConfig::full());
-        for tr in [&mut a, &mut b] {
-            tr.instant(0, 0, "fault.crash", t(1), None);
-        }
-        a.lane_slice(0, std::time::Duration::from_micros(123), 10, t(2));
-        b.lane_slice(0, std::time::Duration::from_micros(456), 10, t(2));
-        assert_eq!(a.digest(), b.digest());
-        // ...but they do export.
-        assert_eq!(a.export().records.len(), 2);
     }
 
     #[test]

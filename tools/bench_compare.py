@@ -2,8 +2,8 @@
 """Compare two BENCH_*.json runs of the same experiment.
 
 Rows are matched by their identity columns (every string-valued cell,
-e.g. ``stage`` for e23 or ``label`` for e24, plus integer knobs like
-``lanes`` that appear in both runs with disjoint numeric roles), then
+e.g. ``stage`` for e23 or ``mode`` for e16, plus integer knobs like
+``partition_s`` that appear in both runs with disjoint numeric roles), then
 every shared numeric column is diffed. Rate-like columns (``*per_sec``)
 count as regressions when they *drop*; latency-like columns (``*_ns``,
 ``*_ms``, ``*_s``) when they *rise*; everything else is reported but
@@ -45,8 +45,8 @@ def load(path: str) -> dict:
 def key_columns(old_rows: list[dict], new_rows: list[dict]) -> list[str]:
     """Columns identifying a row: every string column, extended with
     integer columns (in column order) until rows are unique in both
-    files — ``label`` alone does not distinguish e24's per-lane rows,
-    ``label`` + ``lanes`` does."""
+    files — ``mode`` alone does not distinguish e16's rows, ``mode`` +
+    ``partition_s`` does."""
     sample = old_rows[0] if old_rows else {}
     chosen = [c for c, v in sample.items() if isinstance(v, str)]
     int_cols = [

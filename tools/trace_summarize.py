@@ -41,7 +41,6 @@ REC_REQUIRED = {
     "parent": int,
     "name": str,
     "start_ns": int,
-    "digest": bool,
 }
 EXEMPLAR_REQUIRED = {
     "trace": int,
