@@ -377,7 +377,6 @@ mod consensus_smoke {
         cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
         cfg.frash.replication_factor = 3;
         cfg.frash.fe_read_policy = ReadPolicy::MasterOnly;
-        cfg.frash.ps_read_policy = ReadPolicy::MasterOnly;
         let mut s = provisioned_system(cfg, 10, 1);
         assert_eq!(s.udr.total_subscribers(), 10);
         let events = standard_traffic(&s, 0.1, 0.3, t(10), t(30), 5);

@@ -4,9 +4,9 @@
 //! the paper. Each experiment is a binary (`cargo run --release -p
 //! udr-bench --bin eNN_*`); the shared scaffolding lives in the modules
 //! here, and callers import through them (`udr_bench::campaign::run_cell`,
-//! `udr_bench::harness::provisioned_system`). Criterion microbenchmarks
-//! (storage engine, DLS lookup, LDAP codec, replication apply) live under
-//! `benches/`.
+//! `udr_bench::harness::provisioned_system`). Two Criterion sweeps the
+//! `udr-perf` ledger lacks live under `benches/`: `scale/intern` (fresh
+//! identity interning) and `ldap/admit` (framed LDAP admission).
 //!
 //! See DESIGN.md §3 for the experiment ↔ paper mapping and EXPERIMENTS.md
 //! for recorded paper-vs-measured results.

@@ -132,14 +132,6 @@ impl RunReport {
             .filter_map(CommandFate::commit_latency)
             .collect()
     }
-
-    /// Fraction of submitted commands committed.
-    pub fn commit_rate(&self) -> f64 {
-        if self.fates.is_empty() {
-            return 1.0;
-        }
-        self.committed() as f64 / self.fates.len() as f64
-    }
 }
 
 /// The class argument the pump's scheduling calls take and ignore.

@@ -33,7 +33,7 @@
 use udr_dls::{Location, Resolution};
 use udr_ldap::{FrameCursor, LdapOp};
 use udr_model::attrs::Entry;
-use udr_model::config::TxnClass;
+use udr_model::config::{IsolationLevel, TxnClass};
 use udr_model::error::{UdrError, UdrResult};
 use udr_model::identity::Identity;
 use udr_model::ids::{PartitionId, SeId, SiteId, SubscriberUid};
@@ -659,14 +659,12 @@ impl StorageStage {
         }
 
         if ctx.op.is_write() {
-            let isolation = udr.cfg.frash.intra_se_isolation;
             let commit_at = ctx.now + ctx.breakdown.total();
             let (result, engine_cost, record) = Self::run_txn(
                 &mut udr.ses[se_id.index()],
                 ctx.op,
                 location.partition,
                 location.uid,
-                isolation,
                 commit_at,
             );
             ctx.breakdown.storage += engine_cost;
@@ -713,21 +711,21 @@ impl StorageStage {
         }
     }
 
-    /// One single-element transaction covering a write.
+    /// One single-element transaction covering a write, at the intra-SE
+    /// level §3.2 decision 2 fixes: READ_COMMITTED.
     #[allow(clippy::type_complexity)]
     fn run_txn(
         se: &mut StorageElement,
         op: &LdapOp,
         partition: PartitionId,
         uid: SubscriberUid,
-        isolation: udr_model::config::IsolationLevel,
         commit_at: SimTime,
     ) -> (UdrResult<Option<Entry>>, SimDuration, Option<CommitRecord>) {
         let costs = se.cost_model();
         let (read_cost, write_cost) = (costs.read, costs.write);
         let mut cost = SimDuration::ZERO;
 
-        let txn = match se.begin(partition, isolation) {
+        let txn = match se.begin(partition, IsolationLevel::ReadCommitted) {
             Ok(t) => t,
             Err(e) => return (Err(e), cost, None),
         };

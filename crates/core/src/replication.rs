@@ -105,11 +105,12 @@ impl ReplicationStage {
         }
     }
 
-    /// The read policy configured for a transaction class.
+    /// The read policy of a transaction class: front-end reads follow the
+    /// configured policy; provisioning reads master copies only (§3.3.3).
     fn read_policy(udr: &Udr, class: TxnClass) -> ReadPolicy {
         match class {
             TxnClass::FrontEnd => udr.cfg.frash.fe_read_policy,
-            TxnClass::Provisioning => udr.cfg.frash.ps_read_policy,
+            TxnClass::Provisioning => ReadPolicy::MasterOnly,
         }
     }
 

@@ -491,10 +491,9 @@ fn execute_checked(udr: &mut Udr, op: &LdapOp, site: SiteId, at: SimTime) {
 /// One partition on three fixed-latency sites; subscriber 0 carries
 /// `odbMask=7`, subscriber 1 is deleted by a raw `Delete` (its bindings
 /// stay, so the stages still route to the tombstone).
-fn equivalence_udr(isolation: IsolationLevel) -> Udr {
+fn equivalence_udr() -> Udr {
     let mut cfg = UdrConfig::figure2();
     cfg.partitions = 1;
-    cfg.frash.intra_se_isolation = isolation;
     cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
     let mut udr = Udr::build(cfg).unwrap();
     let fixed = LinkProfile::lossless(LatencyModel::Fixed(HOP));
@@ -569,7 +568,7 @@ fn read_ops(n: u64) -> Vec<LdapOp> {
 /// then check `StorageStage::run` against [`read_through_txn`] on a mirror
 /// of the routed SE: same value or error, same storage charge.
 fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held: Held, k: usize) {
-    let mut udr = equivalence_udr(isolation);
+    let mut udr = equivalence_udr();
     // Read at a slave's site: nearest-copy routing serves it from that
     // slave, which has not yet received an Add committed at the master in
     // the same instant.

@@ -3,7 +3,6 @@
 //! Figures 5–6 and measure the consequences.
 
 use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -47,22 +46,6 @@ impl fmt::Display for DurabilityMode {
                 write!(f, "snapshot/{interval}")
             }
             DurabilityMode::SyncCommit => f.write_str("sync-commit"),
-        }
-    }
-}
-
-impl FromStr for DurabilityMode {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "none" => Ok(DurabilityMode::None),
-            "sync-commit" => Ok(DurabilityMode::SyncCommit),
-            _ => s
-                .strip_prefix("snapshot/")
-                .and_then(|d| d.parse::<SimDuration>().ok())
-                .map(|interval| DurabilityMode::PeriodicSnapshot { interval })
-                .ok_or_else(|| UdrError::Config(format!("unknown durability mode `{s}`"))),
         }
     }
 }
@@ -133,45 +116,6 @@ impl fmt::Display for ReplicationMode {
     }
 }
 
-impl FromStr for ReplicationMode {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "async-master-slave" => Ok(ReplicationMode::AsyncMasterSlave),
-            "dual-in-sequence" => Ok(ReplicationMode::DualInSequence),
-            "multi-master" => Ok(ReplicationMode::MultiMaster),
-            _ => {
-                if let Some(n) = s
-                    .strip_prefix("consensus(n=")
-                    .and_then(|rest| rest.strip_suffix(')'))
-                    .and_then(|n| n.parse::<u8>().ok())
-                {
-                    return Ok(ReplicationMode::Consensus { n });
-                }
-                let parsed = s
-                    .strip_prefix("quorum(n=")
-                    .and_then(|rest| rest.strip_suffix(')'))
-                    .and_then(|rest| {
-                        let mut parts = rest.split(",w=");
-                        let n = parts.next()?.parse::<u8>().ok()?;
-                        let mut tail = parts.next()?.split(",r=");
-                        if parts.next().is_some() {
-                            return None; // more than one ",w=" segment
-                        }
-                        let w = tail.next()?.parse::<u8>().ok()?;
-                        let r = tail.next()?.parse::<u8>().ok()?;
-                        if tail.next().is_some() {
-                            return None; // trailing ",r=…" garbage
-                        }
-                        Some(ReplicationMode::Quorum { n, w, r })
-                    });
-                parsed.ok_or_else(|| UdrError::Config(format!("unknown replication mode `{s}`")))
-            }
-        }
-    }
-}
-
 /// SQL-92 isolation levels the engine supports (§3.2 decision 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum IsolationLevel {
@@ -189,18 +133,6 @@ impl fmt::Display for IsolationLevel {
             IsolationLevel::ReadUncommitted => "READ_UNCOMMITTED",
             IsolationLevel::ReadCommitted => "READ_COMMITTED",
         })
-    }
-}
-
-impl FromStr for IsolationLevel {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "READ_UNCOMMITTED" => Ok(IsolationLevel::ReadUncommitted),
-            "READ_COMMITTED" => Ok(IsolationLevel::ReadCommitted),
-            _ => Err(UdrError::Config(format!("unknown isolation level `{s}`"))),
-        }
     }
 }
 
@@ -264,28 +196,6 @@ impl fmt::Display for ReadPolicy {
     }
 }
 
-impl FromStr for ReadPolicy {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "nearest-copy" => Ok(ReadPolicy::NearestCopy),
-            "master-only" => Ok(ReadPolicy::MasterOnly),
-            "session-consistent" => Ok(ReadPolicy::SessionConsistent),
-            _ => {
-                let lag = s
-                    .strip_prefix("bounded-staleness(max_lag=")
-                    .and_then(|rest| rest.strip_suffix(')'))
-                    .and_then(|n| n.parse::<u64>().ok());
-                match lag {
-                    Some(max_lag) => Ok(ReadPolicy::BoundedStaleness { max_lag }),
-                    None => Err(UdrError::Config(format!("unknown read policy `{s}`"))),
-                }
-            }
-        }
-    }
-}
-
 /// How subscriptions are placed onto partitions (§3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
@@ -302,18 +212,6 @@ impl fmt::Display for PlacementPolicy {
             PlacementPolicy::Random => "random",
             PlacementPolicy::HomeRegion => "home-region",
         })
-    }
-}
-
-impl FromStr for PlacementPolicy {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "random" => Ok(PlacementPolicy::Random),
-            "home-region" => Ok(PlacementPolicy::HomeRegion),
-            _ => Err(UdrError::Config(format!("unknown placement policy `{s}`"))),
-        }
     }
 }
 
@@ -341,19 +239,6 @@ impl fmt::Display for LocatorKind {
     }
 }
 
-impl FromStr for LocatorKind {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "provisioned-maps" => Ok(LocatorKind::ProvisionedMaps),
-            "cached-maps" => Ok(LocatorKind::CachedMaps),
-            "consistent-hashing" => Ok(LocatorKind::ConsistentHashing),
-            _ => Err(UdrError::Config(format!("unknown locator kind `{s}`"))),
-        }
-    }
-}
-
 /// The two transaction classes the paper distinguishes throughout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TxnClass {
@@ -371,18 +256,6 @@ impl fmt::Display for TxnClass {
             TxnClass::FrontEnd => "front-end",
             TxnClass::Provisioning => "provisioning",
         })
-    }
-}
-
-impl FromStr for TxnClass {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "front-end" => Ok(TxnClass::FrontEnd),
-            "provisioning" => Ok(TxnClass::Provisioning),
-            _ => Err(UdrError::Config(format!("unknown transaction class `{s}`"))),
-        }
     }
 }
 
@@ -444,12 +317,8 @@ pub struct FrashConfig {
     pub replication: ReplicationMode,
     /// Copies of every partition (primary + secondaries), ≥ 1.
     pub replication_factor: u8,
-    /// Isolation inside one SE.
-    pub intra_se_isolation: IsolationLevel,
     /// Read routing for front-end traffic.
     pub fe_read_policy: ReadPolicy,
-    /// Read routing for provisioning traffic.
-    pub ps_read_policy: ReadPolicy,
     /// Subscription placement (H–R link).
     pub placement: PlacementPolicy,
     /// Data-location stage realisation (F–S–H triangle).
@@ -469,9 +338,7 @@ impl Default for FrashConfig {
             durability: DurabilityMode::periodic_default(),
             replication: ReplicationMode::AsyncMasterSlave,
             replication_factor: 3,
-            intra_se_isolation: IsolationLevel::ReadCommitted,
             fe_read_policy: ReadPolicy::NearestCopy,
-            ps_read_policy: ReadPolicy::MasterOnly,
             placement: PlacementPolicy::HomeRegion,
             locator: LocatorKind::ProvisionedMaps,
             op_timeout: SimDuration::from_millis(500),
@@ -483,8 +350,7 @@ impl Default for FrashConfig {
 
 impl FrashConfig {
     /// Validate internal consistency of the knob set.
-    pub fn validate(&self) -> Result<(), crate::error::UdrError> {
-        use crate::error::UdrError;
+    pub fn validate(&self) -> Result<(), UdrError> {
         if self.replication_factor == 0 {
             return Err(UdrError::Config("replication_factor must be >= 1".into()));
         }
@@ -524,34 +390,32 @@ impl FrashConfig {
         // copy (the policy would silently not be enforced), and diverged
         // multi-master branches reuse LSN numbers (a copy could satisfy a
         // floor numerically while missing the session's write).
-        for (class, policy) in [("fe", self.fe_read_policy), ("ps", self.ps_read_policy)] {
-            let guarded = matches!(
-                policy,
-                ReadPolicy::BoundedStaleness { .. } | ReadPolicy::SessionConsistent
-            );
-            if !guarded {
-                continue;
-            }
-            if matches!(self.replication, ReplicationMode::Quorum { .. }) {
-                return Err(UdrError::Config(format!(
-                    "{class}_read_policy `{policy}` is not enforced under quorum \
-                     replication (reads consult the ensemble, not a routed copy)"
-                )));
-            }
-            if self.replication == ReplicationMode::MultiMaster {
-                return Err(UdrError::Config(format!(
-                    "{class}_read_policy `{policy}` is unsound under multi-master \
-                     replication (diverged branches reuse LSNs, so freshness floors \
-                     do not identify the session's writes)"
-                )));
-            }
-            if matches!(self.replication, ReplicationMode::Consensus { .. }) {
-                return Err(UdrError::Config(format!(
-                    "{class}_read_policy `{policy}` is redundant under consensus \
-                     replication (every read is served from the leader's committed \
-                     prefix, not a routed copy, so lag floors never apply)"
-                )));
-            }
+        let policy = self.fe_read_policy;
+        if !matches!(
+            policy,
+            ReadPolicy::BoundedStaleness { .. } | ReadPolicy::SessionConsistent
+        ) {
+            return Ok(());
+        }
+        if matches!(self.replication, ReplicationMode::Quorum { .. }) {
+            return Err(UdrError::Config(format!(
+                "fe_read_policy `{policy}` is not enforced under quorum \
+                 replication (reads consult the ensemble, not a routed copy)"
+            )));
+        }
+        if self.replication == ReplicationMode::MultiMaster {
+            return Err(UdrError::Config(format!(
+                "fe_read_policy `{policy}` is unsound under multi-master \
+                 replication (diverged branches reuse LSNs, so freshness floors \
+                 do not identify the session's writes)"
+            )));
+        }
+        if matches!(self.replication, ReplicationMode::Consensus { .. }) {
+            return Err(UdrError::Config(format!(
+                "fe_read_policy `{policy}` is redundant under consensus \
+                 replication (every read is served from the leader's committed \
+                 prefix, not a routed copy, so lag floors never apply)"
+            )));
         }
         Ok(())
     }
@@ -593,10 +457,9 @@ impl FrashConfig {
                     ReplicationMode::AsyncMasterSlave | ReplicationMode::MultiMaster
                 ) && self.fe_read_policy.may_read_slaves()
             }
-            // Master-only reads + atomic intent = consistency over latency,
-            // unless replication itself is fire-and-forget *and* reads are
-            // allowed to drift without any bound.
-            TxnClass::Provisioning => self.ps_read_policy.tolerates_unbounded_staleness(),
+            // Provisioning reads master copies only (§3.3.3) and writes are
+            // atomic: consistency over latency.
+            TxnClass::Provisioning => false,
         };
         Pacelc {
             partition_availability,
@@ -608,6 +471,7 @@ impl FrashConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_distinct_labels;
 
     #[test]
     fn default_config_is_the_papers_first_realization() {
@@ -615,8 +479,6 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.replication, ReplicationMode::AsyncMasterSlave);
         assert_eq!(c.fe_read_policy, ReadPolicy::NearestCopy);
-        assert_eq!(c.ps_read_policy, ReadPolicy::MasterOnly);
-        assert_eq!(c.intra_se_isolation, IsolationLevel::ReadCommitted);
     }
 
     #[test]
@@ -709,7 +571,6 @@ mod tests {
                 replication: ReplicationMode::Consensus { n: 3 },
                 replication_factor: 3,
                 fe_read_policy: policy,
-                ps_read_policy: policy,
                 ..Default::default()
             };
             assert!(c.validate().is_ok());
@@ -768,28 +629,16 @@ mod tests {
         );
     }
 
-    fn round_trips<T>(values: &[T])
-    where
-        T: fmt::Display + FromStr + PartialEq + fmt::Debug,
-        <T as FromStr>::Err: fmt::Debug,
-    {
-        for v in values {
-            let shown = v.to_string();
-            let parsed: T = shown.parse().expect("display output must parse back");
-            assert_eq!(&parsed, v, "`{shown}` did not round-trip");
-        }
-    }
-
     #[test]
     fn every_policy_enum_round_trips_through_display() {
-        round_trips(&[
+        assert_distinct_labels(&[
             ReadPolicy::NearestCopy,
             ReadPolicy::MasterOnly,
             ReadPolicy::SessionConsistent,
             ReadPolicy::BoundedStaleness { max_lag: 0 },
             ReadPolicy::BoundedStaleness { max_lag: 1000 },
         ]);
-        round_trips(&[
+        assert_distinct_labels(&[
             ReplicationMode::AsyncMasterSlave,
             ReplicationMode::DualInSequence,
             ReplicationMode::MultiMaster,
@@ -797,7 +646,7 @@ mod tests {
             ReplicationMode::Consensus { n: 3 },
             ReplicationMode::Consensus { n: 5 },
         ]);
-        round_trips(&[
+        assert_distinct_labels(&[
             DurabilityMode::None,
             DurabilityMode::SyncCommit,
             DurabilityMode::periodic_default(),
@@ -805,40 +654,17 @@ mod tests {
                 interval: SimDuration::from_millis(250),
             },
         ]);
-        round_trips(&[
+        assert_distinct_labels(&[
             IsolationLevel::ReadUncommitted,
             IsolationLevel::ReadCommitted,
         ]);
-        round_trips(&[PlacementPolicy::Random, PlacementPolicy::HomeRegion]);
-        round_trips(&[
+        assert_distinct_labels(&[PlacementPolicy::Random, PlacementPolicy::HomeRegion]);
+        assert_distinct_labels(&[
             LocatorKind::ProvisionedMaps,
             LocatorKind::CachedMaps,
             LocatorKind::ConsistentHashing,
         ]);
-        round_trips(&[TxnClass::FrontEnd, TxnClass::Provisioning]);
-    }
-
-    #[test]
-    fn malformed_policy_strings_are_rejected() {
-        assert!("nearest".parse::<ReadPolicy>().is_err());
-        assert!("bounded-staleness(max_lag=)".parse::<ReadPolicy>().is_err());
-        assert!("bounded-staleness(max_lag=-1)"
-            .parse::<ReadPolicy>()
-            .is_err());
-        assert!("quorum(n=3,w=2)".parse::<ReplicationMode>().is_err());
-        assert!("quorum(n=3,w=2,r=2,r=9)"
-            .parse::<ReplicationMode>()
-            .is_err());
-        assert!("quorum(n=3,w=2,w=4,r=2)"
-            .parse::<ReplicationMode>()
-            .is_err());
-        assert!("consensus(n=)".parse::<ReplicationMode>().is_err());
-        assert!("consensus(n=3,w=2)".parse::<ReplicationMode>().is_err());
-        assert!("consensus(3)".parse::<ReplicationMode>().is_err());
-        assert!("snapshot/oops".parse::<DurabilityMode>().is_err());
-        assert!("read_committed".parse::<IsolationLevel>().is_err());
-        assert!("".parse::<LocatorKind>().is_err());
-        assert!("ps".parse::<TxnClass>().is_err());
+        assert_distinct_labels(&[TxnClass::FrontEnd, TxnClass::Provisioning]);
     }
 
     #[test]
@@ -856,7 +682,7 @@ mod tests {
     #[test]
     fn guarded_policies_require_a_single_master_lineage() {
         // Quorum reads bypass routed-copy selection; multi-master branches
-        // reuse LSNs. Both combinations must be rejected, for either class.
+        // reuse LSNs. Both combinations must be rejected.
         let quorum = FrashConfig {
             replication: ReplicationMode::Quorum { n: 3, w: 2, r: 2 },
             replication_factor: 3,
@@ -866,7 +692,7 @@ mod tests {
         assert!(quorum.validate().is_err());
         let multimaster = FrashConfig {
             replication: ReplicationMode::MultiMaster,
-            ps_read_policy: ReadPolicy::BoundedStaleness { max_lag: 4 },
+            fe_read_policy: ReadPolicy::BoundedStaleness { max_lag: 4 },
             ..Default::default()
         };
         assert!(multimaster.validate().is_err());
@@ -878,12 +704,16 @@ mod tests {
         };
         assert!(consensus.validate().is_err());
         // The async default accepts both intermediates.
-        let ok = FrashConfig {
-            fe_read_policy: ReadPolicy::BoundedStaleness { max_lag: 4 },
-            ps_read_policy: ReadPolicy::SessionConsistent,
-            ..Default::default()
-        };
-        assert!(ok.validate().is_ok());
+        for fe_read_policy in [
+            ReadPolicy::BoundedStaleness { max_lag: 4 },
+            ReadPolicy::SessionConsistent,
+        ] {
+            let ok = FrashConfig {
+                fe_read_policy,
+                ..Default::default()
+            };
+            assert!(ok.validate().is_ok());
+        }
     }
 
     #[test]

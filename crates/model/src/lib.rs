@@ -42,3 +42,11 @@ pub use qos::{PriorityClass, ShedReason};
 pub use session::{RawLsn, SessionToken};
 pub use tenant::{Capability, CapabilitySet, TenantBudget, TenantDirectory, TenantGrant, TenantId};
 pub use time::{SimDuration, SimTime};
+
+/// Verdict and report rows key on `Display` labels, so no two of `values`
+/// may print alike.
+#[cfg(test)]
+pub(crate) fn assert_distinct_labels<T: std::fmt::Display>(values: &[T]) {
+    let labels: std::collections::HashSet<String> = values.iter().map(T::to_string).collect();
+    assert_eq!(labels.len(), values.len(), "duplicate label in {labels:?}");
+}

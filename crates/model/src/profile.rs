@@ -92,11 +92,6 @@ impl SubscriberProfile {
         SubscriberProfile { entry }
     }
 
-    /// Wrap an existing entry.
-    pub fn from_entry(entry: Entry) -> Self {
-        SubscriberProfile { entry }
-    }
-
     /// Borrow the underlying entry.
     pub fn entry(&self) -> &Entry {
         &self.entry

@@ -8,12 +8,10 @@
 //! delay-based shedder) lives in the `udr-qos` crate.
 
 use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::TxnClass;
-use crate::error::UdrError;
 use crate::procedures::ProcedureKind;
 
 /// Priority class of an operation, ordered **highest priority first**:
@@ -101,21 +99,6 @@ impl fmt::Display for PriorityClass {
     }
 }
 
-impl FromStr for PriorityClass {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "emergency" => Ok(PriorityClass::Emergency),
-            "call-setup" => Ok(PriorityClass::CallSetup),
-            "registration" => Ok(PriorityClass::Registration),
-            "query" => Ok(PriorityClass::Query),
-            "provisioning" => Ok(PriorityClass::Provisioning),
-            _ => Err(UdrError::Config(format!("unknown priority class `{s}`"))),
-        }
-    }
-}
-
 /// Why the admission controller refused an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ShedReason {
@@ -133,18 +116,6 @@ impl fmt::Display for ShedReason {
             ShedReason::RateLimit => "rate-limit",
             ShedReason::QueueDelay => "queue-delay",
         })
-    }
-}
-
-impl FromStr for ShedReason {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "rate-limit" => Ok(ShedReason::RateLimit),
-            "queue-delay" => Ok(ShedReason::QueueDelay),
-            _ => Err(UdrError::Config(format!("unknown shed reason `{s}`"))),
-        }
     }
 }
 
@@ -205,15 +176,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_display() {
-        for class in PriorityClass::ALL {
-            let parsed: PriorityClass = class.to_string().parse().unwrap();
-            assert_eq!(parsed, class);
-        }
-        for reason in [ShedReason::RateLimit, ShedReason::QueueDelay] {
-            let parsed: ShedReason = reason.to_string().parse().unwrap();
-            assert_eq!(parsed, reason);
-        }
-        assert!("p0".parse::<PriorityClass>().is_err());
-        assert!("overload".parse::<ShedReason>().is_err());
+        crate::assert_distinct_labels(&PriorityClass::ALL);
+        crate::assert_distinct_labels(&[ShedReason::RateLimit, ShedReason::QueueDelay]);
     }
 }

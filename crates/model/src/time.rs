@@ -117,12 +117,6 @@ impl SimDuration {
         Self::from_secs_f64(ms / 1e3)
     }
 
-    /// Construct from fractional microseconds. Negative values clamp to zero.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Whole nanoseconds in this span.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -271,40 +265,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// Parse the [`fmt::Display`] format (`"1.500ms"`, `"30.000s"`, `"250ns"`)
-/// back into a span, so configuration knobs embedding durations can be
-/// read back. Exact for what the string says; note that [`fmt::Display`]
-/// itself rounds to three decimals of the chosen unit, so values with
-/// finer precision than their printed form do not round-trip losslessly.
-impl std::str::FromStr for SimDuration {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (digits, scale_ns) = if let Some(d) = s.strip_suffix("ms") {
-            (d, 1e6)
-        } else if let Some(d) = s.strip_suffix("us") {
-            (d, 1e3)
-        } else if let Some(d) = s.strip_suffix("ns") {
-            (d, 1.0)
-        } else if let Some(d) = s.strip_suffix('s') {
-            (d, 1e9)
-        } else {
-            return Err(format!("duration `{s}` lacks a s/ms/us/ns suffix"));
-        };
-        let value: f64 = digits
-            .parse()
-            .map_err(|_| format!("duration `{s}` has a malformed magnitude"))?;
-        if !value.is_finite() || value < 0.0 {
-            return Err(format!("duration `{s}` must be finite and non-negative"));
-        }
-        let ns = value * scale_ns;
-        if ns > u64::MAX as f64 {
-            return Err(format!("duration `{s}` overflows the nanosecond range"));
-        }
-        Ok(SimDuration(ns.round() as u64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,23 +276,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
         assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimDuration::from_hours(1), SimDuration::from_mins(60));
-    }
-
-    #[test]
-    fn display_parses_back() {
-        for d in [
-            SimDuration::ZERO,
-            SimDuration::from_nanos(999),
-            SimDuration::from_micros(250),
-            SimDuration::from_millis(30),
-            SimDuration::from_secs(30),
-        ] {
-            assert_eq!(d.to_string().parse::<SimDuration>(), Ok(d));
-        }
-        assert!("30".parse::<SimDuration>().is_err());
-        assert!("xs".parse::<SimDuration>().is_err());
-        assert!("-5ms".parse::<SimDuration>().is_err());
-        assert!("1e30s".parse::<SimDuration>().is_err());
     }
 
     #[test]

@@ -41,15 +41,6 @@ impl LatencyModel {
         }
     }
 
-    /// Metro link between clusters of the same country: median 2 ms.
-    pub fn metro() -> Self {
-        LatencyModel::LogNormal {
-            median: SimDuration::from_millis(2),
-            sigma: 0.25,
-            floor: SimDuration::from_micros(500),
-        }
-    }
-
     /// Long-haul backbone with a given median one-way delay.
     pub fn wan(median: SimDuration) -> Self {
         LatencyModel::LogNormal {

@@ -15,7 +15,8 @@
 //!
 //! The engine is clock-free: commit timestamps are supplied by the caller
 //! (virtual time in simulations, wall time in benchmarks), which keeps the
-//! same code path usable from both the DES and Criterion.
+//! same code path usable from both the DES and `udr-perf`'s isolated
+//! replays.
 //!
 //! A transaction's write set is a vector kept sorted by uid, and the engine
 //! lends one to each transaction it begins: `begin` takes the engine's spare

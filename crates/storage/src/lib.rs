@@ -14,8 +14,8 @@
 //! * a crash/restore lifecycle in which RAM vanishes and disk survives.
 //!
 //! The engine is clock-free (timestamps are injected), so the same code runs
-//! under the discrete-event simulator and under Criterion wall-clock
-//! benchmarks.
+//! under the discrete-event simulator and under `udr-perf`'s wall-clock
+//! isolated replays.
 
 #![warn(missing_docs)]
 
@@ -23,7 +23,6 @@ pub mod durability;
 pub mod engine;
 pub mod log;
 pub mod se;
-pub mod shared;
 pub mod store;
 pub mod version;
 
@@ -31,6 +30,5 @@ pub use durability::{CostModel, Disk, SnapshotScheduler};
 pub use engine::{Engine, EngineSnapshot, TxnId};
 pub use log::CommitLog;
 pub use se::{Replica, SeState, StorageElement};
-pub use shared::SharedEngine;
 pub use store::{RecordStore, RecordView, StoreImage};
 pub use version::{Change, Changes, CommitRecord, Lsn, RecordVersion};

@@ -4,9 +4,7 @@
 //! grid sweeps.
 
 use std::fmt;
-use std::str::FromStr;
 
-use udr_model::error::UdrError;
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::{FaultSchedule, FaultScript, SimRng};
@@ -205,21 +203,6 @@ impl fmt::Display for PartitionScenario {
     }
 }
 
-impl FromStr for PartitionScenario {
-    type Err = UdrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "clean-partition" => Ok(PartitionScenario::CleanPartition),
-            "asymmetric-loss" => Ok(PartitionScenario::AsymmetricLoss),
-            "link-flapping" => Ok(PartitionScenario::Flapping),
-            "wan-degradation" => Ok(PartitionScenario::WanDegradation),
-            "se-outage" => Ok(PartitionScenario::SeOutage),
-            _ => Err(UdrError::Config(format!("unknown fault scenario `{s}`"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +327,7 @@ mod tests {
 
     #[test]
     fn scenario_labels_round_trip() {
-        for scenario in PartitionScenario::ALL {
-            let shown = scenario.to_string();
-            let parsed: PartitionScenario = shown.parse().expect("label parses back");
-            assert_eq!(parsed, scenario, "`{shown}` did not round-trip");
-        }
-        assert!("partition".parse::<PartitionScenario>().is_err());
+        crate::assert_distinct_labels(&PartitionScenario::ALL);
     }
 
     #[test]

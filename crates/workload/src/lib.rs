@@ -26,3 +26,11 @@ pub use traffic::{
     LoadProfile, ProcedureMix, SessionBook, StormKind, StormSpec, TenantSlice, TrafficEvent,
     TrafficModel,
 };
+
+/// Verdict and report rows key on `Display` labels, so no two of `values`
+/// may print alike.
+#[cfg(test)]
+pub(crate) fn assert_distinct_labels<T: std::fmt::Display>(values: &[T]) {
+    let labels: std::collections::HashSet<String> = values.iter().map(T::to_string).collect();
+    assert_eq!(labels.len(), values.len(), "duplicate label in {labels:?}");
+}

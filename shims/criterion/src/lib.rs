@@ -1,32 +1,25 @@
 //! Offline stand-in for `criterion`.
 //!
 //! The registry is unreachable in this build environment, so this crate
-//! implements the criterion API surface the benches use — groups,
-//! `bench_function`/`bench_with_input`, `iter`/`iter_batched_ref`,
-//! throughput annotations, the `criterion_group!`/`criterion_main!`
-//! macros — on top of a small wall-clock timing loop. Numbers print as
-//! mean ns/iter without statistical machinery; good enough to compare
-//! hot paths and to keep bench targets compiling and runnable.
+//! implements the criterion API surface the benches use — groups with an
+//! element-throughput annotation, `bench_function` over
+//! `iter_batched_ref`, the `criterion_group!`/`criterion_main!` macros —
+//! on top of a small wall-clock timing loop. Numbers print as mean
+//! ns/iter without statistical machinery; good enough to compare hot
+//! paths and to keep bench targets compiling and runnable.
 
-use std::fmt;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
 /// How long each benchmark is measured for.
 const MEASURE_TARGET: Duration = Duration::from_millis(200);
-/// Warm-up before measuring.
-const WARMUP_TARGET: Duration = Duration::from_millis(50);
 
-/// Batch sizing hints (accepted, not load-bearing here).
+/// Batch sizing hint (accepted, not load-bearing here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
     /// Small per-iteration state.
     SmallInput,
-    /// Large per-iteration state.
-    LargeInput,
-    /// One batch per sample.
-    PerIteration,
 }
 
 /// Throughput annotation for a benchmark group.
@@ -34,41 +27,17 @@ pub enum BatchSize {
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
-/// A benchmark identifier (`function_name/parameter`).
+/// A benchmark identifier.
 #[derive(Debug, Clone)]
 pub struct BenchmarkId {
     id: String,
 }
 
-impl BenchmarkId {
-    /// `name/parameter`.
-    pub fn new(name: impl Into<String>, parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{}/{parameter}", name.into()),
-        }
-    }
-
-    /// Parameter-only id.
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
-
 impl From<String> for BenchmarkId {
     fn from(id: String) -> Self {
         BenchmarkId { id }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(id: &str) -> Self {
-        BenchmarkId { id: id.to_string() }
     }
 }
 
@@ -79,30 +48,6 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    fn new() -> Self {
-        Bencher {
-            total: Duration::ZERO,
-            iters: 0,
-        }
-    }
-
-    /// Measure a routine.
-    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warm up.
-        let warm_start = Instant::now();
-        while warm_start.elapsed() < WARMUP_TARGET {
-            black_box(routine());
-        }
-        let start = Instant::now();
-        let mut iters = 0u64;
-        while start.elapsed() < MEASURE_TARGET {
-            black_box(routine());
-            iters += 1;
-        }
-        self.total = start.elapsed();
-        self.iters = iters;
-    }
-
     /// Measure a routine over fresh setup state each iteration, passing the
     /// state by mutable reference (setup time excluded).
     pub fn iter_batched_ref<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
@@ -135,9 +80,6 @@ fn report(group: &str, id: &str, b: &Bencher, throughput: Option<Throughput>) {
         Some(Throughput::Elements(n)) => {
             format!("  {:.0} elem/s", n as f64 * 1e9 / ns)
         }
-        Some(Throughput::Bytes(n)) => {
-            format!("  {:.0} MiB/s", n as f64 * 1e9 / ns / (1024.0 * 1024.0))
-        }
         None => String::new(),
     };
     println!("{group}/{id}: {ns:.1} ns/iter ({} iters){rate}", b.iters);
@@ -157,36 +99,17 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Override the sample count (accepted for compatibility).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Benchmark a routine.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut b = Bencher::new();
+        let mut b = Bencher {
+            total: Duration::ZERO,
+            iters: 0,
+        };
         f(&mut b);
-        report(&self.name, &id.id, &b, self.throughput);
-        self
-    }
-
-    /// Benchmark a routine against a borrowed input.
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let id = id.into();
-        let mut b = Bencher::new();
-        f(&mut b, input);
         report(&self.name, &id.id, &b, self.throughput);
         self
     }
@@ -207,18 +130,6 @@ impl Criterion {
             throughput: None,
             _parent: self,
         }
-    }
-
-    /// Benchmark a routine outside any group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let mut b = Bencher::new();
-        f(&mut b);
-        report("bench", &id.id, &b, None);
-        self
     }
 }
 

@@ -1,58 +1,11 @@
 //! Offline stand-in for `parking_lot` backed by `std::sync`.
 //!
-//! Exposes the `parking_lot` locking API surface the repository uses
-//! (non-poisoning `lock()` without `unwrap`). Internally delegates to the
-//! std primitives, recovering from poisoning the way `parking_lot` never
-//! poisons in the first place.
+//! Exposes the one piece of the `parking_lot` API the repository uses: an
+//! `RwLock` whose `read()`/`write()` need no `unwrap`. Internally delegates
+//! to the std primitive, recovering from poisoning the way `parking_lot`
+//! never poisons in the first place.
 
-use std::fmt;
 use std::sync::PoisonError;
-
-/// A mutex whose `lock` never fails (poisoning is swallowed).
-#[derive(Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-/// RAII guard returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-impl<T> Mutex<T> {
-    /// Wrap a value.
-    pub fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking the current thread.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Get mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
 
 /// A reader-writer lock whose acquisitions never fail.
 #[derive(Default)]
@@ -62,18 +15,6 @@ pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
 /// Exclusive-write guard returned by [`RwLock::write`].
 pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Wrap a value.
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read guard.
@@ -87,29 +28,14 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mutex_round_trip() {
-        let m = Mutex::new(1);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
     fn rwlock_round_trip() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
+        let l = RwLock::<i32>::default();
         *l.write() = 6;
-        assert_eq!(l.into_inner(), 6);
+        assert_eq!(*l.read(), 6);
     }
 }
