@@ -5,8 +5,10 @@
 //! transaction classes (blue = front-end, red = provisioning in Figure 6)
 //! on the F (latency), A-on-partition (availability) and C (staleness /
 //! conflicts) axes, alongside the PACELC class the configuration claims.
+//! Emits `BENCH_e01.json` (one row per configuration × class).
 
 use udr_bench::harness::{provisioned_system, run_events, standard_traffic, t};
+use udr_bench::json::BenchReport;
 use udr_core::UdrConfig;
 use udr_metrics::{pct, Table};
 use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
@@ -80,6 +82,13 @@ fn main() {
         "claimed PACELC",
     ])
     .with_title("measured trade-off points (blue=front-end, red=provisioning rows of Fig. 6)");
+    let mut report = BenchReport::new("e01", 42);
+    report
+        .config("subscribers", 120u64)
+        .config("island_site", 2u64)
+        .config("partition_start_s", 100u64)
+        .config("partition_s", 60u64)
+        .config("run_s", 240u64);
 
     for variant in variants() {
         let mut s = provisioned_system(variant.cfg, 120, 42);
@@ -125,18 +134,39 @@ fn main() {
             (TxnClass::FrontEnd, part_fe),
             (TxnClass::Provisioning, part_ps),
         ] {
+            let mean = s.udr.metrics.latency(class).mean();
+            let stale = s.udr.metrics.staleness.stale_fraction();
+            let conflicts = s.udr.metrics.merge_conflicts;
+            let pacelc = s.udr.config().frash.pacelc_for(class).to_string();
+            report.row(vec![
+                ("configuration", variant.name.into()),
+                ("class", class.to_string().into()),
+                ("mean_latency_us", mean.as_micros_f64().into()),
+                (
+                    "availability_in_partition",
+                    part.operational_availability().into(),
+                ),
+                ("stale_fraction", stale.into()),
+                ("merge_conflicts", conflicts.into()),
+                ("claimed_pacelc", pacelc.as_str().into()),
+            ]);
             table.row([
                 variant.name.to_owned(),
                 class.to_string(),
-                s.udr.metrics.latency(class).mean().to_string(),
+                mean.to_string(),
                 pct(part.operational_availability(), 1),
-                pct(s.udr.metrics.staleness.stale_fraction(), 2),
-                s.udr.metrics.merge_conflicts.to_string(),
-                s.udr.config().frash.pacelc_for(class).to_string(),
+                pct(stale, 2),
+                conflicts.to_string(),
+                pacelc,
             ]);
         }
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e01.json: {e}"),
+    }
     println!(
         "Shape check (paper): the first realization shows FE≈available/fast/stale (PA/EL)\n\
          and PS≈unavailable-on-partition/consistent (PC/EC); master-only FE reads trade A\n\

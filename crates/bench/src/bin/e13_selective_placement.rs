@@ -5,9 +5,11 @@
 //! a subscriber can be pinned to a location close to the application
 //! front-ends in the home region, chances of having to surf the IP
 //! back-bone decrease enormously. Only when the user roams…" Sweeps the
-//! roaming probability under pinned vs random placement.
+//! roaming probability under pinned vs random placement. Emits
+//! `BENCH_e13.json` (one row per placement × roaming cell).
 
 use udr_bench::harness::{provisioned_system, run_events, standard_traffic, t};
+use udr_bench::json::BenchReport;
 use udr_core::UdrConfig;
 use udr_metrics::{pct, Table};
 use udr_model::config::{PlacementPolicy, TxnClass};
@@ -70,9 +72,28 @@ fn main() {
         "FE availability in partition",
     ])
     .with_title("pinning buys locality, latency and partition survival");
+    let mut report = BenchReport::new("e13", 44);
+    report
+        .config("subscribers", 150u64)
+        .config("island_site", 2u64)
+        .config("partition_start_s", 80u64)
+        .config("partition_s", 40u64);
     for placement in [PlacementPolicy::HomeRegion, PlacementPolicy::Random] {
         for roaming in [0.0, 0.05, 0.2, 0.5] {
             let row = run(placement, roaming);
+            report.row(vec![
+                ("placement", placement.to_string().into()),
+                ("roaming", roaming.into()),
+                ("backbone_fraction", row.backbone.into()),
+                (
+                    "mean_fe_latency_us",
+                    row.mean_latency.as_micros_f64().into(),
+                ),
+                (
+                    "fe_availability_in_partition",
+                    row.fe_availability_during_partition.into(),
+                ),
+            ]);
             table.row([
                 placement.to_string(),
                 pct(roaming, 0),
@@ -83,6 +104,11 @@ fn main() {
         }
     }
     println!("{table}");
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e13.json: {e}"),
+    }
     println!(
         "Shape check (paper): pinned placement keeps backbone crossings near the roaming\n\
          probability (only roamers' writes travel); random placement pays ~⅔ crossings on\n\

@@ -10,8 +10,10 @@
 //! Identical provisioning streams run through the same partition episode on
 //! (a) the node-based pre-UDC network (HLR silos + per-site SLF instances,
 //! no transactions) and (b) the UDR. We count what each leaves behind.
+//! Emits `BENCH_e14.json` (one row per network).
 
 use udr_bench::harness::t;
+use udr_bench::json::BenchReport;
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_metrics::{pct, Table};
 use udr_model::ids::SiteId;
@@ -170,6 +172,38 @@ fn main() {
         "0".to_owned(),
     ]);
     println!("{table}");
+    let mut report = BenchReport::new("e14", 99);
+    report
+        .config("items", N)
+        .config("items_per_sec", 5u64)
+        .config("island_site", 2u64)
+        .config("partition_start_s", 40u64)
+        .config("partition_s", 40u64);
+    report.row(vec![
+        ("network", "pre-udc".into()),
+        ("provisioned_clean", pre.clean.into()),
+        ("failed_clean", pre.failed_clean.into()),
+        ("left_partial", pre.incomplete.into()),
+        ("peak_divergent", peak_div.into()),
+        ("divergent_at_end", div_end.into()),
+        ("repair_queue", pending.into()),
+        ("fe_routing_misses", pre.routing_misses.into()),
+    ]);
+    report.row(vec![
+        ("network", "udc".into()),
+        ("provisioned_clean", udc_ok.into()),
+        ("failed_clean", udc_failed.into()),
+        ("left_partial", 0u64.into()),
+        ("peak_divergent", udc_inconsistent.into()),
+        ("divergent_at_end", udc_inconsistent.into()),
+        ("repair_queue", 0u64.into()),
+        ("fe_routing_misses", 0u64.into()),
+    ]);
+    // Standard output stays the table alone; the report path goes to stderr.
+    match report.write() {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_e14.json: {e}"),
+    }
     println!(
         "Shape check (paper): the pre-UDC network accumulates partially-provisioned\n\
          subscriptions during the partition — live on some sites, invisible on others —\n\
