@@ -14,7 +14,7 @@ use udr_metrics::{pct, Table};
 use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 struct Variant {
     name: &'static str,
@@ -92,7 +92,7 @@ fn main() {
 
     for variant in variants() {
         let mut s = provisioned_system(variant.cfg, 120, 42);
-        s.udr.schedule_faults(FaultSchedule::new().partition(
+        s.udr.schedule_script(&FaultScript::new(0).clean_partition(
             t(100),
             SimDuration::from_secs(60),
             [SiteId(2)],

@@ -15,7 +15,7 @@ use udr_core::UdrConfig;
 use udr_metrics::{pct, AvailabilityLedger, Table};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::{FaultSchedule, SimRng};
+use udr_sim::{FaultScript, SimRng};
 use udr_workload::OutageProcess;
 
 fn weekly_availability(rf: u8, process: OutageProcess, seed: u64) -> f64 {
@@ -26,7 +26,7 @@ fn weekly_availability(rf: u8, process: OutageProcess, seed: u64) -> f64 {
     let horizon = t(7 * 24 * 3600);
     let mut rng = SimRng::seed_from_u64(seed ^ 0xABCD);
     s.udr
-        .schedule_faults(process.schedule(3, horizon, &mut rng));
+        .schedule_script(&process.schedule(3, horizon, &mut rng));
 
     // Integrate structural readability (subscriber-weighted) in 30 s steps
     // using the availability ledger's semantics.
@@ -110,8 +110,8 @@ fn main() {
     // Structural claim: with RF=3 over 3 SEs, the base stays 100 % readable
     // with only one SE alive (§2.3's Figure 2 walk-through).
     let mut s = provisioned_system(UdrConfig::figure2(), 90, 9);
-    s.udr.schedule_faults(
-        FaultSchedule::new()
+    s.udr.schedule_script(
+        &FaultScript::new(0)
             .se_crash(t(10), SeId(0))
             .se_crash(t(10), SeId(1)),
     );

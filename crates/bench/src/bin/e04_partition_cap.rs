@@ -19,7 +19,7 @@ use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::time::SimDuration;
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 struct WindowCounts {
     fe_ok: u64,
@@ -43,7 +43,7 @@ impl WindowCounts {
 
 fn run(duration_s: u64) -> (WindowCounts, WindowCounts) {
     let mut s = provisioned_system(UdrConfig::figure2(), 90, SEED);
-    s.udr.schedule_faults(FaultSchedule::new().partition(
+    s.udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(duration_s),
         [SiteId(2)],

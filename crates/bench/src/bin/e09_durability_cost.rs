@@ -17,7 +17,7 @@ use udr_model::config::DurabilityMode;
 use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 const SUBSCRIBERS: u64 = 60;
 const SEED: u64 = 3;
@@ -57,7 +57,7 @@ fn run(mode: DurabilityMode) -> Row {
         )
         .master();
     s.udr
-        .schedule_faults(FaultSchedule::new().se_outage(t(77), SimDuration::from_secs(8), master));
+        .schedule_script(&FaultScript::new(0).se_outage(t(77), SimDuration::from_secs(8), master));
 
     let mut at = t(10);
     let mut i = 0u64;

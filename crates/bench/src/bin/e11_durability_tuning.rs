@@ -19,7 +19,7 @@ use udr_model::config::ReplicationMode;
 use udr_model::identity::Identity;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 const SUBSCRIBERS: u64 = 60;
 const SEED: u64 = 23;
@@ -58,9 +58,9 @@ fn run(mode: ReplicationMode) -> Row {
 
     // Isolate site 0 (master + its PS) for 10 s, crash the master inside
     // the window: whatever async accepted there is unreplicated.
-    s.udr.schedule_faults(
-        FaultSchedule::new()
-            .partition(t(55), SimDuration::from_secs(10), [SiteId(0)])
+    s.udr.schedule_script(
+        &FaultScript::new(0)
+            .clean_partition(t(55), SimDuration::from_secs(10), [SiteId(0)])
             .se_outage(t(60), SimDuration::from_secs(20), master),
     );
 

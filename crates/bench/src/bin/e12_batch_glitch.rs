@@ -15,7 +15,7 @@ use udr_metrics::{pct, Table};
 use udr_model::config::ReplicationMode;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
-use udr_sim::{FaultSchedule, SimRng};
+use udr_sim::{FaultScript, SimRng};
 use udr_workload::PopulationBuilder;
 
 struct Row {
@@ -41,7 +41,7 @@ fn run(mode: ReplicationMode, glitch_s: u64, attempts: u32, options: BatchOption
         })
         .collect();
     if glitch_s > 0 {
-        udr.schedule_faults(FaultSchedule::new().glitch(t(60), SimDuration::from_secs(glitch_s)));
+        udr.schedule_script(&FaultScript::new(0).glitch(t(60), SimDuration::from_secs(glitch_s)));
     }
     // 10 items/s ⇒ nominally a 180 s batch.
     let report = udr.run_provisioning_batch_with(

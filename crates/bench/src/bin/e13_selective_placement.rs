@@ -15,7 +15,7 @@ use udr_metrics::{pct, Table};
 use udr_model::config::{PlacementPolicy, TxnClass};
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 struct Row {
     backbone: f64,
@@ -30,7 +30,7 @@ fn run(placement: PlacementPolicy, roaming: f64) -> Row {
     let mut s = provisioned_system(cfg, 150, 44);
     // A partition of site 2 in the middle third measures the H–R claim:
     // remote data is not only slower but less *available*.
-    s.udr.schedule_faults(FaultSchedule::new().partition(
+    s.udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(80),
         SimDuration::from_secs(40),
         [SiteId(2)],

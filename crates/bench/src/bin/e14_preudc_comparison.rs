@@ -20,7 +20,7 @@ use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_preudc::PreUdcNetwork;
 use udr_sim::net::Cut;
-use udr_sim::{FaultSchedule, SimRng};
+use udr_sim::{FaultScript, SimRng};
 use udr_workload::PopulationBuilder;
 
 const N: u64 = 600;
@@ -77,7 +77,7 @@ fn run_udc() -> (u64, u64, u64) {
     let mut udr = Udr::build(cfg).unwrap();
     let mut rng = SimRng::seed_from_u64(14);
     let population = PopulationBuilder::new(3).build(N, &mut rng);
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(40),
         SimDuration::from_secs(40),
         [SiteId(2)],

@@ -25,8 +25,10 @@ use udr_bench::harness::{islanded_dual_ps, t};
 use udr_bench::json::BenchReport;
 use udr_metrics::{pct, Table};
 use udr_model::config::ReplicationMode;
+use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_sim::net::Topology;
+use udr_sim::FaultScript;
 
 struct Row {
     island_avail: f64,
@@ -57,7 +59,8 @@ fn run_paxos(partition_s: u64, gap_ms: u64) -> Row {
     let start = t(100);
     let window = SimDuration::from_secs(partition_s);
     let end = start.saturating_add(window);
-    s.cluster.schedule_partition(start, window, [2u32]);
+    s.cluster
+        .schedule_script(&FaultScript::new(0).clean_partition(start, window, [SiteId(2)]));
 
     // Same interleaved dual-PS cadence `run_udr` drives: site 0 writes on
     // the cadence, site 2 half a gap later.

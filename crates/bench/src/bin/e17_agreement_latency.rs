@@ -25,7 +25,7 @@ use udr_metrics::Histogram;
 use udr_metrics::Table;
 use udr_model::ids::SeId;
 use udr_model::time::SimDuration;
-use udr_replication::{dual_in_sequence, quorum_write};
+use udr_replication::quorum_write;
 use udr_sim::net::{LatencyModel, LinkProfile, Network, Topology};
 use udr_sim::SimRng;
 
@@ -65,7 +65,7 @@ fn analytic(wan_ms: u64) -> (Histogram, Histogram, Histogram, Histogram) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        h_dual.record(local + dual_in_sequence(true, Some((SeId(1), second))).extra_latency);
+        h_dual.record(local + second.unwrap_or(SimDuration::ZERO));
 
         // Quorum n=3: master's own apply is ~local, peers in parallel.
         let responses = vec![(SeId(0), Some(local)), (SeId(1), r1), (SeId(2), r2)];

@@ -16,8 +16,10 @@ use udr_bench::consensus_harness::{
 use udr_bench::harness::t;
 use udr_bench::json::BenchReport;
 use udr_metrics::{pct, Histogram, Table};
+use udr_model::ids::SeId;
 use udr_model::time::SimDuration;
 use udr_sim::net::Topology;
+use udr_sim::FaultScript;
 
 struct Row {
     /// Steady-state commit latency at the leader PoA.
@@ -61,10 +63,13 @@ fn run(n: usize) -> Row {
         if victims.len() < crashes {
             victims.push(s.leader.0);
         }
-        for (k, v) in victims.iter().enumerate() {
-            s.cluster
-                .schedule_crash(t(6) + SimDuration::from_millis(100 * k as u64), *v);
-        }
+        let crashes = victims
+            .iter()
+            .enumerate()
+            .fold(FaultScript::new(0), |script, (k, v)| {
+                script.se_crash(t(6) + SimDuration::from_millis(100 * k as u64), SeId(*v))
+            });
+        s.cluster.schedule_script(&crashes);
         let origin = (0..n as u32)
             .find(|i| !victims.contains(i))
             .expect("a survivor");

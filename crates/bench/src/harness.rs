@@ -14,7 +14,7 @@ use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::tenant::TenantId;
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::{FaultSchedule, SimRng};
+use udr_sim::{FaultScript, SimRng};
 use udr_workload::retry::RetryPolicy;
 use udr_workload::{PopulationBuilder, Subscriber, TrafficEvent, TrafficModel};
 
@@ -161,7 +161,7 @@ pub fn islanded_dual_ps(mode: ReplicationMode, partition_s: u64, gap_ms: u64) ->
     cfg.frash.replication = mode;
     cfg.seed = DUAL_PS_SEED;
     let mut s = provisioned_system(cfg, 90, 8);
-    s.udr.schedule_faults(FaultSchedule::new().partition(
+    s.udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(partition_s),
         [SiteId(2)],

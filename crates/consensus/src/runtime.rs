@@ -4,7 +4,7 @@
 //! their messages through the [`Network`] — sampling latency and loss,
 //! honouring partitions — and drives timers and deliveries from one
 //! [`ShardedPump`], the event queue every simulation here runs on. Fault
-//! schedules (partitions, node crashes/restarts) and client submissions
+//! scripts (partitions, node crashes/restarts) and client submissions
 //! are registered up front; [`ConsensusCluster::run_until`] then replays
 //! everything on the virtual clock and reports per-command fates, leader
 //! changes, message costs and (never, in a correct build) agreement
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use udr_model::ids::SiteId;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{Cut, CutHandle, Network, Topology};
-use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
+use udr_sim::{Fault, FaultScript, LaneClass, PumpConfig, ShardedPump, SimRng};
 
 use crate::ballot::{NodeId, Slot};
 use crate::msg::{CmdId, Command, Envelope, Message};
@@ -250,32 +250,34 @@ impl ConsensusCluster {
         id
     }
 
-    /// Partition `island` away from the rest between `at` and `at + duration`.
-    pub fn schedule_partition<I: IntoIterator<Item = u32>>(
-        &mut self,
-        at: SimTime,
-        duration: SimDuration,
-        island: I,
-    ) {
-        let cut = Cut::isolating(island.into_iter().map(SiteId));
-        let idx = self.cuts.len();
-        self.cuts.push(cut);
-        self.active_cuts.push(None);
-        self.queue.schedule_at(LANE, at, Ev::StartCut { idx });
-        self.queue
-            .schedule_at(LANE, at.saturating_add(duration), Ev::Heal { idx });
-    }
-
-    /// Crash node `node` at `at` (stops processing; state survives).
-    pub fn schedule_crash(&mut self, at: SimTime, node: u32) {
-        self.queue
-            .schedule_at(LANE, at, Ev::Crash { node: NodeId(node) });
-    }
-
-    /// Restart a crashed node at `at`.
-    pub fn schedule_restart(&mut self, at: SimTime, node: u32) {
-        self.queue
-            .schedule_at(LANE, at, Ev::Restart { node: NodeId(node) });
+    /// Inject a [`FaultScript`]. Nodes sit one per site, so a compiled
+    /// partition's island `SiteId`s are node sites: the island is cut off
+    /// at its instant and healed after its duration. `SeId(n)` names node
+    /// `n`: a crash stops it (acceptor state survives), a restore restarts
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// On any other fault kind — a backbone glitch, one-way loss or WAN
+    /// brown-out. The bare cluster models cuts and crashes only.
+    pub fn schedule_script(&mut self, script: &FaultScript) {
+        for (at, fault) in script.timeline() {
+            let ev = match fault {
+                Fault::Partition { island, duration } => {
+                    let idx = self.cuts.len();
+                    self.cuts.push(Cut { island });
+                    self.active_cuts.push(None);
+                    self.queue.schedule_at(LANE, at, Ev::StartCut { idx });
+                    self.queue
+                        .schedule_at(LANE, at.saturating_add(duration), Ev::Heal { idx });
+                    continue;
+                }
+                Fault::SeCrash { se } => Ev::Crash { node: NodeId(se.0) },
+                Fault::SeRestore { se } => Ev::Restart { node: NodeId(se.0) },
+                other => panic!("the consensus cluster models cuts and crashes only: {other:?}"),
+            };
+            self.queue.schedule_at(LANE, at, ev);
+        }
     }
 
     fn start_ticks(&mut self) {
@@ -448,7 +450,7 @@ impl ConsensusCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udr_model::ids::SubscriberUid;
+    use udr_model::ids::{SeId, SubscriberUid};
 
     fn secs(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -525,7 +527,11 @@ mod tests {
         let leader = cluster.current_leader().expect("stable leader");
         // Partition a NON-leader island; submit through the islanded node.
         let island = (0..3u32).find(|i| NodeId(*i) != leader).unwrap();
-        cluster.schedule_partition(secs(5), SimDuration::from_secs(20), [island]);
+        cluster.schedule_script(&FaultScript::new(0).clean_partition(
+            secs(5),
+            SimDuration::from_secs(20),
+            [SiteId(island)],
+        ));
         cluster.submit_write_at(secs(10), island, SubscriberUid(1), None);
         let mid = cluster.run_until(secs(20));
         assert_eq!(mid.committed(), 0, "islanded client must not commit");
@@ -541,7 +547,11 @@ mod tests {
         cluster.run_until(secs(4));
         let leader = cluster.current_leader().expect("stable leader");
         // Island the leader alone: the other four re-elect and continue.
-        cluster.schedule_partition(secs(5), SimDuration::from_secs(30), [leader.0]);
+        cluster.schedule_script(&FaultScript::new(0).clean_partition(
+            secs(5),
+            SimDuration::from_secs(30),
+            [SiteId(leader.0)],
+        ));
         let majority_node = (0..5u32).find(|i| NodeId(*i) != leader).unwrap();
         for i in 0..10 {
             cluster.submit_write_at(
@@ -582,7 +592,12 @@ mod tests {
                 None,
             );
         }
-        cluster.schedule_crash(secs(6), leader.0);
+        // The ex-leader restarts at 26 s, after the first checkpoint.
+        cluster.schedule_script(&FaultScript::new(0).se_outage(
+            secs(6),
+            SimDuration::from_secs(20),
+            SeId(leader.0),
+        ));
         for i in 5..10 {
             cluster.submit_write_at(
                 secs(8) + SimDuration::from_millis(100 * i),
@@ -596,7 +611,6 @@ mod tests {
         assert!(report.violations.is_empty());
 
         // Restart: the crashed ex-leader catches back up.
-        cluster.schedule_restart(secs(26), leader.0);
         let report = cluster.run_until(secs(60));
         assert!(report.violations.is_empty());
         let max = report.final_committed.iter().max().copied().unwrap();
@@ -634,7 +648,7 @@ mod tests {
     fn submissions_to_crashed_node_fail() {
         let mut cluster = quiet_cluster(3, 7);
         cluster.run_until(secs(4));
-        cluster.schedule_crash(secs(5), 2);
+        cluster.schedule_script(&FaultScript::new(0).se_crash(secs(5), SeId(2)));
         cluster.submit_write_at(secs(6), 2, SubscriberUid(1), None);
         let report = cluster.run_until(secs(15));
         assert_eq!(report.committed(), 0);
@@ -656,9 +670,11 @@ mod tests {
             );
         }
         // A mid-run partition plus a node crash for good measure.
-        cluster.schedule_partition(secs(3), SimDuration::from_secs(4), [1u32]);
-        cluster.schedule_crash(secs(4), 3);
-        cluster.schedule_restart(secs(9), 3);
+        cluster.schedule_script(
+            &FaultScript::new(0)
+                .clean_partition(secs(3), SimDuration::from_secs(4), [SiteId(1)])
+                .se_outage(secs(4), SimDuration::from_secs(5), SeId(3)),
+        );
         let report = cluster.run_until(secs(40));
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.committed(), 40);

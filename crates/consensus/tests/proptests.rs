@@ -16,9 +16,10 @@ use proptest::prelude::*;
 
 use udr_consensus::runtime::{ClusterConfig, ConsensusCluster};
 use udr_consensus::{ChosenLog, CmdId, Command, Payload, Slot};
-use udr_model::ids::SubscriberUid;
+use udr_model::ids::{SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::Topology;
+use udr_sim::FaultScript;
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
@@ -76,18 +77,27 @@ fn run_case(
             None,
         );
     }
+    let mut script = FaultScript::new(seed);
     for (at, dur, island) in &plan.partitions {
         // Guard: never isolate every node (that is a dead network, trivially
         // safe but uninteresting).
         let island: Vec<u32> = island.iter().copied().filter(|n| *n < nodes).collect();
         if !island.is_empty() && island.len() < nodes as usize {
-            cluster.schedule_partition(SimTime::ZERO + ms(*at), ms(*dur), island);
+            script = script.clean_partition(
+                SimTime::ZERO + ms(*at),
+                ms(*dur),
+                island.into_iter().map(SiteId),
+            );
         }
     }
     for (crash, restart, node) in &plan.crashes {
-        cluster.schedule_crash(SimTime::ZERO + ms(*crash), node % nodes);
-        cluster.schedule_restart(SimTime::ZERO + ms(*restart), node % nodes);
+        script = script.se_outage(
+            SimTime::ZERO + ms(*crash),
+            ms(restart - crash),
+            SeId(node % nodes),
+        );
     }
+    cluster.schedule_script(&script);
     // Long tail so the cluster can heal, re-elect and drain pending work.
     cluster.run_until(secs(90))
 }
@@ -203,10 +213,12 @@ fn committed_commands_are_durable_and_exactly_once() {
             );
         }
         // Rolling islands plus a leaderless gap.
-        cluster.schedule_partition(secs(4), SimDuration::from_secs(5), [0u32, 1]);
-        cluster.schedule_partition(secs(11), SimDuration::from_secs(5), [3u32]);
-        cluster.schedule_crash(secs(6), 4);
-        cluster.schedule_restart(secs(14), 4);
+        cluster.schedule_script(
+            &FaultScript::new(seed)
+                .clean_partition(secs(4), SimDuration::from_secs(5), [SiteId(0), SiteId(1)])
+                .clean_partition(secs(11), SimDuration::from_secs(5), [SiteId(3)])
+                .se_outage(secs(6), SimDuration::from_secs(8), SeId(4)),
+        );
         let report = cluster.run_until(secs(120));
         assert!(
             report.violations.is_empty(),

@@ -5,9 +5,10 @@
 
 use udr_consensus::runtime::{ClusterConfig, ConsensusCluster};
 use udr_consensus::CmdId;
-use udr_model::ids::SubscriberUid;
+use udr_model::ids::{SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::Topology;
+use udr_sim::FaultScript;
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
@@ -29,8 +30,11 @@ fn no_majority_freezes_writes_without_losing_them() {
 
     // Both cuts active from t=5; the {0,1} cut heals at t=40, giving
     // {0,1,2,3} a majority again. The {4} cut lasts until t=80.
-    cluster.schedule_partition(secs(5), SimDuration::from_secs(35), [0u32, 1]);
-    cluster.schedule_partition(secs(5), SimDuration::from_secs(75), [4u32]);
+    cluster.schedule_script(
+        &FaultScript::new(0)
+            .clean_partition(secs(5), SimDuration::from_secs(35), [SiteId(0), SiteId(1)])
+            .clean_partition(secs(5), SimDuration::from_secs(75), [SiteId(4)]),
+    );
 
     let mut ids = Vec::new();
     for i in 0..10u64 {
@@ -90,7 +94,9 @@ fn serial_leader_crashes_lose_nothing() {
             uid += 1;
         }
         if round < 2 {
-            cluster.schedule_crash(secs(now) + ms(700), leader.0);
+            cluster.schedule_script(
+                &FaultScript::new(0).se_crash(secs(now) + ms(700), SeId(leader.0)),
+            );
             crashed.push(leader.0);
         }
         now += 15;
@@ -107,7 +113,7 @@ fn serial_leader_crashes_lose_nothing() {
     // Third assassination: the surviving trio drops to a 2-node rump.
     cluster.run_until(secs(now + 21));
     let leader = cluster.current_leader().expect("trio has a leader");
-    cluster.schedule_crash(secs(now + 22), leader.0);
+    cluster.schedule_script(&FaultScript::new(0).se_crash(secs(now + 22), SeId(leader.0)));
     let origin = (0..5u32)
         .find(|i| *i != leader.0 && !crashed.contains(i))
         .expect("a live non-leader exists");
@@ -126,11 +132,15 @@ fn seven_nodes_tolerate_exactly_three_failures() {
         ConsensusCluster::new(Topology::multinational(7), ClusterConfig::default(), 47);
     cluster.run_until(secs(4));
     let leader = cluster.current_leader().expect("leader");
-    // Crash three non-leader nodes.
+    // Crash three non-leader nodes; the first returns at 41 s, after the
+    // freeze below.
     let victims: Vec<u32> = (0..7u32).filter(|i| *i != leader.0).take(3).collect();
-    for (k, v) in victims.iter().enumerate() {
-        cluster.schedule_crash(secs(5) + ms(200 * k as u64), *v);
-    }
+    cluster.schedule_script(
+        &FaultScript::new(0)
+            .se_outage(secs(5), SimDuration::from_secs(36), SeId(victims[0]))
+            .se_crash(secs(5) + ms(200), SeId(victims[1]))
+            .se_crash(secs(5) + ms(400), SeId(victims[2])),
+    );
     let origin = (0..7u32)
         .find(|i| *i != leader.0 && !victims.contains(i))
         .unwrap();
@@ -145,7 +155,7 @@ fn seven_nodes_tolerate_exactly_three_failures() {
     let fourth = (0..7u32)
         .find(|i| *i != leader.0 && !victims.contains(i) && *i != origin)
         .unwrap();
-    cluster.schedule_crash(secs(21), fourth);
+    cluster.schedule_script(&FaultScript::new(0).se_crash(secs(21), SeId(fourth)));
     for i in 10..15u64 {
         cluster.submit_write_at(secs(25) + ms(300 * i), origin, SubscriberUid(i), None);
     }
@@ -153,7 +163,6 @@ fn seven_nodes_tolerate_exactly_three_failures() {
     assert_eq!(frozen.committed(), 10, "3 of 7 must not commit");
 
     // One victim returns: service resumes and the queue drains.
-    cluster.schedule_restart(secs(41), victims[0]);
     let resumed = cluster.run_until(secs(80));
     assert_eq!(resumed.committed(), 15);
     assert!(resumed.violations.is_empty());
@@ -167,10 +176,10 @@ fn partition_flapping_preserves_safety() {
     let mut cluster =
         ConsensusCluster::new(Topology::multinational(3), ClusterConfig::default(), 53);
     cluster.run_until(secs(3));
-    for flap in 0..5u64 {
-        let start = secs(5 + 6 * flap);
-        cluster.schedule_partition(start, SimDuration::from_secs(3), [2u32]);
-    }
+    let flaps = (0..5u64).fold(FaultScript::new(0), |script, flap| {
+        script.clean_partition(secs(5 + 6 * flap), SimDuration::from_secs(3), [SiteId(2)])
+    });
+    cluster.schedule_script(&flaps);
     let mut majority_ids = Vec::new();
     for i in 0..60u64 {
         let at = secs(5) + ms(500 * i);

@@ -909,7 +909,7 @@ mod tests {
     use udr_model::attrs::{AttrId, AttrMod, AttrValue};
     use udr_model::config::{DurabilityMode, ReplicationMode};
     use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
-    use udr_sim::FaultSchedule;
+    use udr_sim::FaultScript;
 
     fn write(id: u64) -> Command {
         Command::write(CmdId(id), udr_model::ids::SubscriberUid(id), None)
@@ -1102,7 +1102,7 @@ mod tests {
             "the twin must not be applied"
         );
 
-        udr.schedule_faults(FaultSchedule::new().se_outage(
+        udr.schedule_script(&FaultScript::new(0).se_outage(
             at(24_001),
             SimDuration::from_secs(10),
             f_se,
@@ -1166,7 +1166,7 @@ mod tests {
         // before its Learn arrives.
         modify_round(&mut udr, 1, 5_000);
         assert!(udr.consensus[0].mailbox.live() > 0, "nothing in flight");
-        udr.schedule_faults(FaultSchedule::new().se_outage(
+        udr.schedule_script(&FaultScript::new(0).se_outage(
             udr.now(),
             SimDuration::from_secs(2),
             f_se,

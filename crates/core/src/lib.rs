@@ -25,7 +25,7 @@
 //! * [`Udr::execute`] with an [`OpRequest`] — FE operations and network
 //!   procedures (session, priority, tenant and framing as builder
 //!   options); [`Udr::provision_subscriber`] — PS lifecycle flows;
-//! * [`Udr::schedule_faults`] + [`Udr::advance_to`] — fault injection and
+//! * [`Udr::schedule_script`] + [`Udr::advance_to`] — fault injection and
 //!   virtual time;
 //! * [`Udr::metrics`] — everything measured.
 

@@ -1372,7 +1372,10 @@ impl Udr {
                     .channel
                     .as_ref()
                     .expect("started migration has channel");
-                (channel.needs_reseed(engine), channel.lag(engine))
+                (
+                    channel.needs_reseed(plan.to, engine),
+                    channel.lag(plan.to, engine).unwrap_or(0),
+                )
             };
             // A truncated master log (or a failover onto a new lineage)
             // invalidates the seed: reseed from the current master.
@@ -1384,7 +1387,7 @@ impl Udr {
                     .channel
                     .as_mut()
                     .expect("started migration has channel")
-                    .reseeded(lsn);
+                    .register_slave(plan.to, lsn);
                 self.metrics.reseeds += 1;
                 continue;
             }
@@ -1426,7 +1429,7 @@ impl Udr {
                     .channel
                     .as_mut()
                     .expect("started migration has channel")
-                    .catch_up(engine, t, delay)
+                    .catch_up(plan.to, engine, t, delay)
             };
             self.metrics.migration_records_shipped += deliveries.len() as u64;
             for d in deliveries {
@@ -1462,7 +1465,7 @@ impl Udr {
             .is_ok()
         {
             if let Some(ch) = self.migrations[id as usize].channel.as_mut() {
-                ch.on_applied(lsn);
+                ch.on_applied(plan.to, lsn);
             }
         }
     }

@@ -31,8 +31,8 @@ use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
-use udr_replication::{AsyncShipper, MigrationChannel, MigrationState, ReplicationGroup};
-use udr_sim::faults::{Fault, FaultSchedule, FaultScript};
+use udr_replication::{AsyncShipper, MigrationState, ReplicationGroup};
+use udr_sim::faults::{Fault, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
 use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
 use udr_storage::{CommitRecord, Lsn, StorageElement};
@@ -207,9 +207,10 @@ const LANE: LaneClass = LaneClass::Local(0);
 pub(crate) struct MigrationTask {
     pub(crate) plan: MigrationPlan,
     pub(crate) state: MigrationState,
-    /// The shipping ledger; `None` until [`UdrEvent::MigrationStart`]
-    /// fires (and again after a terminal state).
-    pub(crate) channel: Option<MigrationChannel>,
+    /// The shipping ledger, with `plan.to` its one registered slave;
+    /// `None` until [`UdrEvent::MigrationStart`] fires (and again after a
+    /// terminal state).
+    pub(crate) channel: Option<AsyncShipper>,
 }
 
 /// The assembled UDR network function.
@@ -505,10 +506,13 @@ impl Udr {
 
     // ---- event engine ------------------------------------------------------
 
-    /// Inject a fault schedule (partitions, glitches, SE outages).
-    pub fn schedule_faults(&mut self, schedule: FaultSchedule) {
+    /// Inject a [`FaultScript`] campaign (partitions, glitches, grey
+    /// failures, SE outages). The compiled timeline is a pure function of
+    /// the script, so replaying the same script against the same
+    /// deployment seed reproduces the identical fault sequence.
+    pub fn schedule_script(&mut self, script: &FaultScript) {
         let sites = self.cfg.sites as usize;
-        for (at, fault) in schedule.into_sorted() {
+        for (at, fault) in script.timeline() {
             match fault {
                 Fault::Partition { island, duration } => self.schedule_event(
                     at,
@@ -546,14 +550,6 @@ impl Udr {
                 Fault::SeRestore { se } => self.schedule_event(at, UdrEvent::SeRestore { se }),
             }
         }
-    }
-
-    /// Compile and inject a [`FaultScript`] campaign. The compiled
-    /// timeline is a pure function of the script, so replaying the same
-    /// script against the same deployment seed reproduces the identical
-    /// fault sequence.
-    pub fn schedule_script(&mut self, script: &FaultScript) {
-        self.schedule_faults(script.compile());
     }
 
     /// Schedule an internal event on the pump.
@@ -990,7 +986,9 @@ impl Udr {
         let transfer =
             MIGRATION_SEED_BASE + SimDuration::from_micros(bytes / MIGRATION_SEED_BYTES_PER_US);
         let task = &mut self.migrations[id as usize];
-        task.channel = Some(MigrationChannel::new(plan.to, lsn));
+        let mut channel = AsyncShipper::new();
+        channel.register_slave(plan.to, lsn);
+        task.channel = Some(channel);
         task.state = MigrationState::Seeding {
             ready_at: t + transfer,
         };

@@ -12,7 +12,7 @@ use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
-use udr_sim::{FaultSchedule, FaultScript};
+use udr_sim::FaultScript;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -371,8 +371,8 @@ fn slave_restored_under_a_down_master_keeps_its_disk_copy() {
     }
     // SE1 restores at 43 s, while the masters of its slave copies (SE0 and
     // SE2) are both down; failover then promotes it for their partitions.
-    udr.schedule_faults(
-        FaultSchedule::new()
+    udr.schedule_script(
+        &FaultScript::new(0)
             .se_outage(t(40), SimDuration::from_secs(100), SeId(2))
             .se_outage(t(41), SimDuration::from_secs(2), SeId(1))
             .se_outage(t(42), SimDuration::from_secs(100), SeId(0)),

@@ -12,7 +12,7 @@ use udr_model::ids::{SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -231,7 +231,7 @@ fn partition_cut_between_reseed_and_cutover_aborts_cleanly() {
 
     // The cut lands right after the snapshot reseed (MigrationStart at
     // t=10) but before the first catch-up tick can drive the cutover.
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(10) + SimDuration::from_millis(20),
         SimDuration::from_secs(30),
         [SiteId(1)],
@@ -379,7 +379,7 @@ fn failover_updates_shard_map_master() {
     let partition = udr.shard_map().partitions().next().unwrap();
     let old_master = udr.shard_map().master_of(partition).unwrap();
     let epoch_before = udr.shard_map().epoch();
-    udr.schedule_faults(FaultSchedule::new().se_crash(t(10), old_master));
+    udr.schedule_script(&FaultScript::new(0).se_crash(t(10), old_master));
     udr.advance_to(t(20)); // past failover detection
 
     let new_master = udr.group(partition).master();

@@ -20,7 +20,7 @@ use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 use udr_storage::StorageElement;
 
 fn ids(n: u64) -> IdentitySet {
@@ -606,7 +606,7 @@ fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held:
         "{label}"
     );
     if held == Held::SeDown {
-        udr.schedule_faults(FaultSchedule::new().se_outage(now, SimDuration::from_secs(1), target));
+        udr.schedule_script(&FaultScript::new(0).se_outage(now, SimDuration::from_secs(1), target));
         udr.advance_to(now);
         assert!(!udr.se(target).is_up(), "{label}");
     }

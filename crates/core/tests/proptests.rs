@@ -10,7 +10,7 @@ use udr_model::config::ReplicationMode;
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -57,8 +57,8 @@ fn fault_strategy() -> impl Strategy<Value = RandomFault> {
     ]
 }
 
-fn schedule_of(faults: &[RandomFault]) -> FaultSchedule {
-    let mut s = FaultSchedule::new();
+fn script_of(faults: &[RandomFault]) -> FaultScript {
+    let mut s = FaultScript::new(0);
     for f in faults {
         match f {
             RandomFault::Partition {
@@ -66,7 +66,7 @@ fn schedule_of(faults: &[RandomFault]) -> FaultSchedule {
                 at_s,
                 dur_s,
             } => {
-                s = s.partition(
+                s = s.clean_partition(
                     t(*at_s),
                     SimDuration::from_secs(*dur_s),
                     [SiteId(*island_site)],
@@ -122,7 +122,7 @@ proptest! {
             ReplicationMode::AsyncMasterSlave
         };
         let mut udr = build(mode, 0xF00D);
-        udr.schedule_faults(schedule_of(&faults));
+        udr.schedule_script(&script_of(&faults));
 
         let mut sorted = writes.clone();
         sorted.sort_by_key(|(_, _, at, _)| *at);
@@ -185,7 +185,7 @@ proptest! {
         partition_at in 30u64..80,
     ) {
         let mut udr = build(ReplicationMode::AsyncMasterSlave, 0xBEEF);
-        udr.schedule_faults(FaultSchedule::new().partition(
+        udr.schedule_script(&FaultScript::new(0).clean_partition(
             t(partition_at),
             SimDuration::from_secs(30),
             [SiteId(2)],

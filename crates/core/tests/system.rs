@@ -12,7 +12,7 @@ use udr_model::identity::{Identity, IdentitySet, Impi, Impu, Imsi, Msisdn};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::FaultSchedule;
+use udr_sim::FaultScript;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -107,7 +107,7 @@ fn partition_fails_provisioning_but_not_fe_reads() {
     let subs = provision_n(&mut udr, 30, 3);
 
     // Partition site 2 away from sites 0-1 from t=100 for 60 s.
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(60),
         [SiteId(2)],
@@ -231,7 +231,7 @@ fn master_crash_fails_writes_until_failover_promotes() {
         .group(udr.lookup_authority(&imsi).unwrap().partition)
         .master();
 
-    udr.schedule_faults(FaultSchedule::new().se_crash(t(100), master));
+    udr.schedule_script(&FaultScript::new(0).se_crash(t(100), master));
 
     // Before detection completes, writes fail.
     let w1 = udr.modify_services(
@@ -260,7 +260,7 @@ fn reads_survive_se_crash_via_other_replicas() {
     let mut udr = Udr::build(UdrConfig::figure2()).unwrap();
     let subs = provision_n(&mut udr, 9, 3);
     udr.advance_to(t(50)); // let replication settle
-    udr.schedule_faults(FaultSchedule::new().se_crash(t(100), SeId(0)));
+    udr.schedule_script(&FaultScript::new(0).se_crash(t(100), SeId(0)));
 
     // All subscribers stay readable from every site (RF=3).
     let mut at = t(101);
@@ -289,7 +289,7 @@ fn multimaster_keeps_provisioning_alive_and_merges_after_heal() {
     let imsi = Identity::Imsi(victim.imsi);
     udr.advance_to(t(50));
 
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(60),
         [SiteId(2)],
@@ -371,7 +371,7 @@ fn periodic_snapshot_bounds_crash_loss_and_reseed_restores_fleet() {
         t(40),
     );
     assert!(w.is_ok());
-    udr.schedule_faults(FaultSchedule::new().se_outage(t(45), SimDuration::from_secs(5), master));
+    udr.schedule_script(&FaultScript::new(0).se_outage(t(45), SimDuration::from_secs(5), master));
     udr.advance_to(t(55));
 
     // The restored master rebuilt itself from the most caught-up slave
@@ -408,7 +408,7 @@ fn sync_commit_masters_lose_nothing_even_without_slaves() {
         t(40),
     );
     assert!(w.is_ok());
-    udr.schedule_faults(FaultSchedule::new().se_outage(t(41), SimDuration::from_secs(4), master));
+    udr.schedule_script(&FaultScript::new(0).se_outage(t(41), SimDuration::from_secs(4), master));
     udr.advance_to(t(50));
 
     let entry = udr
@@ -449,7 +449,7 @@ fn dual_in_sequence_waits_for_second_replica_and_fails_on_partition() {
     // Cut the master's site off from both slave sites: the second copy is
     // unreachable, the transaction reports failure (§5: one replica updated
     // is acceptable but the commit fails).
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(30),
         [SiteId(0)],
@@ -508,7 +508,7 @@ fn quorum_write_latency_and_partition_behaviour() {
 
     // Island of one site: the master side retains quorum (2 of 3 sites),
     // so writes from the majority side still succeed.
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(30),
         [SiteId(2)],
@@ -526,7 +526,7 @@ fn quorum_write_latency_and_partition_behaviour() {
     );
 
     // Master alone on an island: quorum lost, write fails.
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(200),
         SimDuration::from_secs(30),
         [SiteId(0)],
@@ -685,7 +685,7 @@ fn batch_survives_glitch_with_retries_but_not_without() {
 
     // A backbone glitch at t=30 for 30 s; the batch runs 10 items/s for 60s.
     let mut udr = build();
-    udr.schedule_faults(FaultSchedule::new().glitch(t(30), SimDuration::from_secs(30)));
+    udr.schedule_script(&FaultScript::new(0).glitch(t(30), SimDuration::from_secs(30)));
     let no_retry = udr.run_provisioning_batch(
         items(600),
         10.0,
@@ -703,7 +703,7 @@ fn batch_survives_glitch_with_retries_but_not_without() {
     );
 
     let mut udr = build();
-    udr.schedule_faults(FaultSchedule::new().glitch(t(30), SimDuration::from_secs(30)));
+    udr.schedule_script(&FaultScript::new(0).glitch(t(30), SimDuration::from_secs(30)));
     let with_retry = udr.run_provisioning_batch(
         items(600),
         10.0,
@@ -772,8 +772,8 @@ fn readable_fraction_probe_tracks_partitions() {
 
     // Crash two of three SEs: every partition still has one copy (RF=3),
     // so data stays readable — the §2.3 "one PoA and one SE" claim.
-    udr.schedule_faults(
-        FaultSchedule::new()
+    udr.schedule_script(
+        &FaultScript::new(0)
             .se_crash(t(100), SeId(0))
             .se_crash(t(100), SeId(1)),
     );

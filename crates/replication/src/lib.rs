@@ -8,12 +8,10 @@
 //!   partitions and snapshot reseeds after log truncation;
 //! * [`group`] — replica sets, mastership epochs and failover candidate
 //!   selection (most-caught-up slave wins);
-//! * [`migration`] — migration channels for live partition moves: the
-//!   snapshot-seed + log-tail catch-up ledger of a copy that is joining,
-//!   kept apart from the group's replica channels until cutover;
-//! * [`semisync`] — the §5 dual-in-sequence scheme (commit only when both
-//!   replicas report success; a failed second replica may stay updated);
-//! * [`quorum`] — the §5 Cassandra-style `(n, w, r)` ensemble comparison;
+//! * [`migration`] — the lifecycle of a live partition move (a copy that
+//!   joins over its own shipping ledger, kept apart from the group's
+//!   replica channels until cutover);
+//! * [`quorum`] — the §5 Cassandra-style `(n, w)` write round;
 //! * [`multimaster`] — §5 multi-master divergence and the
 //!   consistency-restoration merge (state-based LWW with conflict counts);
 //! * [`twophase`] — the cross-SE 2PC the paper rejects (§3.2), implemented
@@ -25,16 +23,12 @@ pub mod group;
 pub mod migration;
 pub mod multimaster;
 pub mod quorum;
-pub mod semisync;
 pub mod shipping;
 pub mod twophase;
 
 pub use group::ReplicationGroup;
-pub use migration::{MigrationChannel, MigrationState};
+pub use migration::MigrationState;
 pub use multimaster::{merge_branches, restoration_duration, MergeOutcome, MergeStats};
-pub use quorum::{
-    quorum_consistent, quorum_read, quorum_write, QuorumReadOutcome, QuorumWriteOutcome,
-};
-pub use semisync::{dual_in_sequence, DualOutcome};
+pub use quorum::{quorum_write, QuorumWriteOutcome};
 pub use shipping::{AsyncShipper, BatchDelivery, Delivery, Enqueue, ShipBatchConfig};
 pub use twophase::{two_phase_commit, TwoPcOutcome};

@@ -1,14 +1,15 @@
-//! Migration channels: the data-movement counterpart of the replica
-//! channels in [`shipping`](crate::shipping).
+//! Live partition migration: the data-movement counterpart of the
+//! replica channels in [`shipping`](crate::shipping).
 //!
 //! A live partition migration reuses the replication machinery — seed the
 //! target from an [`EngineSnapshot`](udr_storage::EngineSnapshot), then
 //! stream the master's log tail until the target converges — but the
 //! target is *not* a group member while it catches up: commits must not
 //! wait for it, failovers must not promote it, and read policies must not
-//! route to it. A [`MigrationChannel`] therefore keeps its own shipping
-//! ledger (an [`AsyncShipper`] with exactly one registered slave) next to
-//! the group's, plus the migration state machine the orchestrator drives:
+//! route to it. A migration therefore keeps its own shipping ledger (an
+//! [`AsyncShipper`](crate::AsyncShipper) with the target as its one
+//! registered slave) next to the group's, plus the [`MigrationState`]
+//! machine the orchestrator drives:
 //!
 //! ```text
 //! Seeding ──▶ CatchingUp ──▶ Frozen ──▶ Done
@@ -22,11 +23,7 @@
 //! * `Done` / `Aborted` — cutover applied, or the move was abandoned
 //!   (fault on either end) without any epoch change.
 
-use udr_model::ids::SeId;
-use udr_model::time::{SimDuration, SimTime};
-use udr_storage::{Engine, Lsn};
-
-use crate::shipping::{AsyncShipper, Delivery};
+use udr_model::time::SimTime;
 
 /// Lifecycle of one live partition migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,122 +53,9 @@ impl MigrationState {
     }
 }
 
-/// The shipping ledger of one in-flight partition migration.
-#[derive(Debug, Clone)]
-pub struct MigrationChannel {
-    target: SeId,
-    shipper: AsyncShipper,
-}
-
-impl MigrationChannel {
-    /// A channel to `target`, seeded from a snapshot at `seeded` (tail
-    /// shipping resumes right after that LSN).
-    pub fn new(target: SeId, seeded: Lsn) -> Self {
-        let mut shipper = AsyncShipper::new();
-        shipper.register_slave(target, seeded);
-        MigrationChannel { target, shipper }
-    }
-
-    /// The SE receiving the copy.
-    pub fn target(&self) -> SeId {
-        self.target
-    }
-
-    /// Highest LSN the target confirmed applied.
-    pub fn applied(&self) -> Lsn {
-        self.shipper.applied(self.target).unwrap_or(Lsn::ZERO)
-    }
-
-    /// Confirm the target applied everything through `lsn`.
-    pub fn on_applied(&mut self, lsn: Lsn) {
-        self.shipper.on_applied(self.target, lsn);
-    }
-
-    /// Records the target still misses relative to the source master.
-    pub fn lag(&self, source: &Engine) -> u64 {
-        self.shipper.lag(self.target, source).unwrap_or(0)
-    }
-
-    /// Whether the source log was truncated past what the target needs,
-    /// so only a fresh snapshot reseed can converge the copy.
-    pub fn needs_reseed(&self, source: &Engine) -> bool {
-        self.shipper.needs_reseed(self.target, source)
-    }
-
-    /// Reset the ledger after reseeding the target at `lsn`.
-    pub fn reseeded(&mut self, lsn: Lsn) {
-        self.shipper.register_slave(self.target, lsn);
-    }
-
-    /// Ship the log suffix the target misses (one catch-up pass). Same
-    /// contract as [`AsyncShipper::catch_up`].
-    pub fn catch_up(
-        &mut self,
-        source: &Engine,
-        now: SimTime,
-        delay: Option<SimDuration>,
-    ) -> Vec<Delivery> {
-        self.shipper.catch_up(self.target, source, now, delay)
-    }
-
-    /// Records shipped over this channel so far (including re-ships).
-    pub fn records_shipped(&self) -> u64 {
-        self.shipper.shipped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udr_model::attrs::{AttrId, Entry};
-    use udr_model::config::IsolationLevel;
-    use udr_model::ids::SubscriberUid;
-
-    fn commit_n(engine: &mut Engine, n: u64) {
-        for i in 0..n {
-            let t = engine.begin(IsolationLevel::ReadCommitted);
-            let mut e = Entry::new();
-            e.set(AttrId::OdbMask, i);
-            engine.put(t, SubscriberUid(i), e).unwrap();
-            engine.commit(t, SimTime(i)).unwrap().unwrap();
-        }
-    }
-
-    #[test]
-    fn channel_converges_target_from_snapshot_point() {
-        let mut source = Engine::new(SeId(0));
-        commit_n(&mut source, 3);
-        // Target seeded at LSN 3; two more commits land during transfer.
-        let mut ch = MigrationChannel::new(SeId(7), Lsn(3));
-        commit_n(&mut source, 2);
-        assert_eq!(ch.lag(&source), 2);
-
-        let deliveries = ch.catch_up(&source, SimTime(10), Some(SimDuration::from_millis(1)));
-        assert_eq!(deliveries.len(), 2);
-        for d in &deliveries {
-            assert_eq!(d.slave, SeId(7));
-            // (The real target was snapshot-seeded; here we only check the
-            // ledger converges.)
-            ch.on_applied(d.record.lsn);
-        }
-        assert_eq!(ch.lag(&source), 0);
-        assert_eq!(ch.records_shipped(), 2);
-    }
-
-    #[test]
-    fn truncated_source_log_demands_reseed() {
-        let mut source = Engine::new(SeId(0));
-        commit_n(&mut source, 5);
-        source.truncate_log(Lsn(4));
-        let mut ch = MigrationChannel::new(SeId(7), Lsn(1));
-        assert!(ch.needs_reseed(&source));
-        assert!(ch
-            .catch_up(&source, SimTime(0), Some(SimDuration::ZERO))
-            .is_empty());
-        ch.reseeded(source.last_lsn());
-        assert!(!ch.needs_reseed(&source));
-        assert_eq!(ch.lag(&source), 0);
-    }
 
     #[test]
     fn state_machine_terminal_states() {

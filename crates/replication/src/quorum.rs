@@ -5,12 +5,12 @@
 //! consensus protocol across an ensemble of replicas; the more replicas are
 //! involved in the transaction, the higher the durability guarantees." We
 //! model the coordination cost: a write goes to all `n` replicas in
-//! parallel and acknowledges after the `w`-th response; a read consults `r`
-//! replicas and returns the freshest.
+//! parallel and acknowledges after the `w`-th response. (The deployment's
+//! read side, consulting `r` replicas for the freshest copy, is
+//! `udr_core::ReplicationStage::quorum_consult`.)
 
 use udr_model::ids::SeId;
 use udr_model::time::SimDuration;
-use udr_storage::Lsn;
 
 /// Outcome of a quorum write round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,52 +48,6 @@ pub fn quorum_write(responses: &[(SeId, Option<SimDuration>)], w: usize) -> Quor
     }
 }
 
-/// Outcome of a quorum read round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuorumReadOutcome {
-    /// Whether `r` replicas responded.
-    pub served: bool,
-    /// Latency: the `r`-th fastest round trip.
-    pub latency: SimDuration,
-    /// The freshest LSN among the consulted replicas (what the client sees).
-    pub freshest: Lsn,
-}
-
-/// Evaluate a quorum read given per-replica `(rtt, replica_lsn)` responses.
-pub fn quorum_read(
-    responses: &[(SeId, Option<(SimDuration, Lsn)>)],
-    r: usize,
-) -> QuorumReadOutcome {
-    let mut acks: Vec<(SimDuration, Lsn)> =
-        responses.iter().filter_map(|(_, resp)| *resp).collect();
-    acks.sort_by_key(|(d, _)| *d);
-    if acks.len() >= r && r > 0 {
-        let consulted = &acks[..r];
-        let freshest = consulted
-            .iter()
-            .map(|(_, lsn)| *lsn)
-            .max()
-            .unwrap_or(Lsn::ZERO);
-        QuorumReadOutcome {
-            served: true,
-            latency: consulted[r - 1].0,
-            freshest,
-        }
-    } else {
-        QuorumReadOutcome {
-            served: false,
-            latency: SimDuration::ZERO,
-            freshest: Lsn::ZERO,
-        }
-    }
-}
-
-/// Whether a `(n, w, r)` configuration guarantees read-your-writes
-/// consistency (`w + r > n`, the classic overlap condition).
-pub const fn quorum_consistent(n: u8, w: u8, r: u8) -> bool {
-    w as u16 + r as u16 > n as u16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,44 +82,8 @@ mod tests {
     }
 
     #[test]
-    fn read_returns_freshest_of_consulted() {
-        let responses = vec![
-            (SeId(0), Some((ms(1), Lsn(10)))),
-            (SeId(1), Some((ms(5), Lsn(12)))),
-            (SeId(2), Some((ms(30), Lsn(15)))),
-        ];
-        let r2 = quorum_read(&responses, 2);
-        assert!(r2.served);
-        assert_eq!(r2.latency, ms(5));
-        assert_eq!(r2.freshest, Lsn(12)); // Lsn(15) was not consulted
-
-        let r3 = quorum_read(&responses, 3);
-        assert_eq!(r3.freshest, Lsn(15));
-        assert_eq!(r3.latency, ms(30));
-    }
-
-    #[test]
-    fn read_fails_without_quorum() {
-        let responses = vec![
-            (SeId(0), Some((ms(1), Lsn(1)))),
-            (SeId(1), None),
-            (SeId(2), None),
-        ];
-        assert!(!quorum_read(&responses, 2).served);
-    }
-
-    #[test]
-    fn overlap_condition() {
-        assert!(quorum_consistent(3, 2, 2));
-        assert!(!quorum_consistent(3, 2, 1));
-        assert!(quorum_consistent(3, 3, 1));
-        assert!(!quorum_consistent(3, 1, 1));
-    }
-
-    #[test]
     fn degenerate_quorums() {
         assert!(!quorum_write(&[], 1).committed);
-        assert!(!quorum_read(&[], 1).served);
         let out = quorum_write(&[(SeId(0), Some(ms(1)))], 0);
         assert!(!out.committed, "w=0 is rejected");
     }

@@ -9,8 +9,7 @@ use udr_model::config::IsolationLevel;
 use udr_model::ids::{SeId, SubscriberUid};
 use udr_model::time::SimTime;
 use udr_replication::multimaster::merge_branches;
-use udr_replication::quorum::{quorum_read, quorum_write};
-use udr_storage::{Engine, Lsn};
+use udr_storage::Engine;
 
 #[derive(Debug, Clone)]
 struct BranchWrite {
@@ -158,49 +157,5 @@ proptest! {
         let shared = ua.intersection(&ub).count();
         prop_assert!(merged.stats.conflicts <= shared,
             "conflicts {} > shared uids {}", merged.stats.conflicts, shared);
-    }
-
-    /// Quorum algebra: a write that reaches w replicas followed by a read of
-    /// r replicas with w + r > n always observes the write (when the same
-    /// replicas answer).
-    #[test]
-    fn quorum_overlap_guarantees_visibility(
-        rtts in prop::collection::vec(1u64..200, 3..=7),
-        w in 1usize..4,
-        r in 1usize..4,
-    ) {
-        let n = rtts.len();
-        prop_assume!(w <= n && r <= n);
-        let write_responses: Vec<_> = rtts
-            .iter()
-            .enumerate()
-            .map(|(i, ms)| (SeId(i as u32), Some(udr_model::time::SimDuration::from_millis(*ms))))
-            .collect();
-        let wout = quorum_write(&write_responses, w);
-        prop_assert!(wout.committed);
-
-        // The replicas that applied hold Lsn(1); the rest hold Lsn(0).
-        let applied: std::collections::BTreeSet<_> =
-            wout.applied.iter().take(w).copied().collect();
-        let read_responses: Vec<_> = rtts
-            .iter()
-            .enumerate()
-            .map(|(i, ms)| {
-                let se = SeId(i as u32);
-                let lsn = if applied.contains(&se) { Lsn(1) } else { Lsn(0) };
-                (se, Some((udr_model::time::SimDuration::from_millis(*ms), lsn)))
-            })
-            .collect();
-        let rout = quorum_read(&read_responses, r);
-        prop_assert!(rout.served);
-        if w + r > n {
-            // Overlap condition met: must see the write... but only when the
-            // read consults the *fastest* r replicas, which may not overlap
-            // in adversarial latency layouts. The classic guarantee assumes
-            // the read waits for r *any* replicas; our model reads the r
-            // fastest, so check the union bound instead: the fastest r and
-            // the applied w must intersect when w + r > n.
-            prop_assert_eq!(rout.freshest, Lsn(1));
-        }
     }
 }

@@ -1,7 +1,8 @@
-//! Fault schedules: the unplanned events of §3.1 ("on unplanned events
+//! Fault scripts: the unplanned events of §3.1 ("on unplanned events
 //! contents of volatile media may vanish") and the partition incidents of
-//! §4.1 ("a network glitch as short as 30 seconds") — plus the seeded,
-//! composable [`FaultScript`] campaigns the CAP verdict matrix replays.
+//! §4.1 ("a network glitch as short as 30 seconds"), written as seeded,
+//! composable [`FaultScript`]s — the one way every driver describes the
+//! faults it injects.
 
 use std::collections::BTreeSet;
 
@@ -11,7 +12,8 @@ use udr_model::time::{SimDuration, SimTime};
 use crate::net::Cut;
 use crate::rng::SimRng;
 
-/// One fault to inject at a point in virtual time.
+/// One fault to inject at a point in virtual time: what a [`FaultScript`]
+/// compiles to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     /// Start a network partition isolating `island` for `duration`.
@@ -61,129 +63,7 @@ pub enum Fault {
     },
 }
 
-/// A time-ordered fault plan.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSchedule {
-    entries: Vec<(SimTime, Fault)>,
-}
-
-impl FaultSchedule {
-    /// Empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a partition isolating `island` starting at `at`.
-    pub fn partition<I: IntoIterator<Item = SiteId>>(
-        mut self,
-        at: SimTime,
-        duration: SimDuration,
-        island: I,
-    ) -> Self {
-        self.entries.push((
-            at,
-            Fault::Partition {
-                island: island.into_iter().collect(),
-                duration,
-            },
-        ));
-        self
-    }
-
-    /// Add a full backbone glitch at `at`.
-    pub fn glitch(mut self, at: SimTime, duration: SimDuration) -> Self {
-        self.entries.push((at, Fault::BackboneGlitch { duration }));
-        self
-    }
-
-    /// Crash `se` at `at` and restore it after `outage`.
-    pub fn se_outage(mut self, at: SimTime, outage: SimDuration, se: SeId) -> Self {
-        self.entries.push((at, Fault::SeCrash { se }));
-        self.entries.push((at + outage, Fault::SeRestore { se }));
-        self
-    }
-
-    /// Crash `se` at `at` permanently.
-    pub fn se_crash(mut self, at: SimTime, se: SeId) -> Self {
-        self.entries.push((at, Fault::SeCrash { se }));
-        self
-    }
-
-    /// Black-hole all traffic leaving `from` starting at `at`.
-    pub fn one_way_loss<I: IntoIterator<Item = SiteId>>(
-        mut self,
-        at: SimTime,
-        duration: SimDuration,
-        from: I,
-    ) -> Self {
-        self.entries.push((
-            at,
-            Fault::OneWayLoss {
-                from: from.into_iter().collect(),
-                duration,
-            },
-        ));
-        self
-    }
-
-    /// Degrade the whole backbone starting at `at`.
-    pub fn wan_degrade(
-        mut self,
-        at: SimTime,
-        duration: SimDuration,
-        latency_factor: f64,
-        loss: f64,
-    ) -> Self {
-        self.entries.push((
-            at,
-            Fault::WanDegrade {
-                latency_factor,
-                loss,
-                duration,
-            },
-        ));
-        self
-    }
-
-    /// Consume into time-sorted `(time, fault)` pairs, stable for equal
-    /// timestamps.
-    pub fn into_sorted(mut self) -> Vec<(SimTime, Fault)> {
-        self.entries.sort_by_key(|(t, _)| *t);
-        self.entries
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 impl Fault {
-    /// For partition-like faults, the cut to apply and its duration.
-    pub fn as_cut(&self, total_sites: usize) -> Option<(Cut, SimDuration)> {
-        match self {
-            Fault::Partition { island, duration } => Some((
-                Cut {
-                    island: island.clone(),
-                },
-                *duration,
-            )),
-            Fault::BackboneGlitch { duration: _ } => {
-                // Isolate every site: equivalent to cutting each site off.
-                // One cut per site except the last is enough, but a single
-                // cut cannot express a full shatter; callers expand it.
-                let _ = total_sites;
-                None
-            }
-            _ => None,
-        }
-    }
-
     /// Expand a backbone glitch into per-site cuts (every site its own
     /// island).
     pub fn glitch_cuts(total_sites: usize) -> Vec<Cut> {
@@ -204,6 +84,14 @@ pub enum FaultPhase {
         duration: SimDuration,
         /// Sites on the isolated side.
         island: BTreeSet<SiteId>,
+    },
+    /// A backbone glitch: every site cut off from every other for
+    /// `duration` (§4.1's 30 s example).
+    BackboneGlitch {
+        /// When the glitch starts.
+        at: SimTime,
+        /// How long it lasts.
+        duration: SimDuration,
     },
     /// Asymmetric one-way link loss: traffic leaving `from` black-holed.
     AsymmetricLoss {
@@ -265,6 +153,7 @@ impl FaultPhase {
     pub fn span(&self) -> (SimTime, SimTime) {
         match self {
             FaultPhase::CleanPartition { at, duration, .. }
+            | FaultPhase::BackboneGlitch { at, duration }
             | FaultPhase::AsymmetricLoss { at, duration, .. }
             | FaultPhase::WanDegradation { at, duration, .. } => (*at, *at + *duration),
             FaultPhase::LinkFlapping {
@@ -281,7 +170,7 @@ impl FaultPhase {
 }
 
 /// A composable, seeded fault campaign: timed phases that compile into a
-/// deterministic [`FaultSchedule`] timeline.
+/// deterministic [`Fault`] timeline.
 ///
 /// The determinism contract every experiment and the CI regression lean
 /// on: **the compiled timeline is a pure function of the script** (its
@@ -332,6 +221,11 @@ impl FaultScript {
             duration,
             island: island.into_iter().collect(),
         })
+    }
+
+    /// Add a full backbone glitch.
+    pub fn glitch(self, at: SimTime, duration: SimDuration) -> Self {
+        self.phase(FaultPhase::BackboneGlitch { at, duration })
     }
 
     /// Add an asymmetric one-way loss window.
@@ -437,24 +331,39 @@ impl FaultScript {
             .collect()
     }
 
-    /// Compile the script into a concrete fault schedule. Deterministic:
-    /// the only randomness (flap-window jitter) comes from a per-phase
-    /// fork of the script seed, so identical scripts always yield
-    /// identical timelines.
-    pub fn compile(&self) -> FaultSchedule {
-        let mut schedule = FaultSchedule::new();
+    /// The compiled timeline: time-sorted `(time, fault)` pairs, stable
+    /// in phase order for equal instants — what two replays of the same
+    /// script must agree on byte-for-byte. Deterministic: the only
+    /// randomness (flap-window jitter) comes from a per-phase fork of the
+    /// script seed.
+    pub fn timeline(&self) -> Vec<(SimTime, Fault)> {
+        let mut timeline = Vec::new();
         for (i, phase) in self.phases.iter().enumerate() {
             match phase {
                 FaultPhase::CleanPartition {
                     at,
                     duration,
                     island,
-                } => {
-                    schedule = schedule.partition(*at, *duration, island.iter().copied());
-                }
-                FaultPhase::AsymmetricLoss { at, duration, from } => {
-                    schedule = schedule.one_way_loss(*at, *duration, from.iter().copied());
-                }
+                } => timeline.push((
+                    *at,
+                    Fault::Partition {
+                        island: island.clone(),
+                        duration: *duration,
+                    },
+                )),
+                FaultPhase::BackboneGlitch { at, duration } => timeline.push((
+                    *at,
+                    Fault::BackboneGlitch {
+                        duration: *duration,
+                    },
+                )),
+                FaultPhase::AsymmetricLoss { at, duration, from } => timeline.push((
+                    *at,
+                    Fault::OneWayLoss {
+                        from: from.clone(),
+                        duration: *duration,
+                    },
+                )),
                 FaultPhase::LinkFlapping {
                     at,
                     island,
@@ -467,9 +376,13 @@ impl FaultScript {
                     );
                     for c in 0..*cycles {
                         let jitter = 0.8 + 0.2 * rng.uniform();
-                        let start = *at + (*down + *up) * u64::from(c);
-                        schedule =
-                            schedule.partition(start, down.mul_f64(jitter), island.iter().copied());
+                        timeline.push((
+                            *at + (*down + *up) * u64::from(c),
+                            Fault::Partition {
+                                island: island.clone(),
+                                duration: down.mul_f64(jitter),
+                            },
+                        ));
                     }
                 }
                 FaultPhase::WanDegradation {
@@ -477,24 +390,23 @@ impl FaultScript {
                     duration,
                     latency_factor,
                     loss,
-                } => {
-                    schedule = schedule.wan_degrade(*at, *duration, *latency_factor, *loss);
-                }
+                } => timeline.push((
+                    *at,
+                    Fault::WanDegrade {
+                        latency_factor: *latency_factor,
+                        loss: *loss,
+                        duration: *duration,
+                    },
+                )),
                 FaultPhase::SeOutage { at, outage, se } => {
-                    schedule = schedule.se_outage(*at, *outage, *se);
+                    timeline.push((*at, Fault::SeCrash { se: *se }));
+                    timeline.push((*at + *outage, Fault::SeRestore { se: *se }));
                 }
-                FaultPhase::SeCrash { at, se } => {
-                    schedule = schedule.se_crash(*at, *se);
-                }
+                FaultPhase::SeCrash { at, se } => timeline.push((*at, Fault::SeCrash { se: *se })),
             }
         }
-        schedule
-    }
-
-    /// The compiled timeline as time-sorted `(time, fault)` pairs —
-    /// what two replays of the same script must agree on byte-for-byte.
-    pub fn timeline(&self) -> Vec<(SimTime, Fault)> {
-        self.compile().into_sorted()
+        timeline.sort_by_key(|(t, _)| *t);
+        timeline
     }
 }
 
@@ -502,37 +414,78 @@ impl FaultScript {
 mod tests {
     use super::*;
 
+    fn secs(v: u64) -> SimDuration {
+        SimDuration::from_secs(v)
+    }
+
+    fn at(v: u64) -> SimTime {
+        SimTime::ZERO + secs(v)
+    }
+
     #[test]
     fn schedule_sorts_by_time() {
-        let sched = FaultSchedule::new()
+        let timeline = FaultScript::new(0)
             .se_crash(SimTime(300), SeId(1))
             .glitch(SimTime(100), SimDuration::from_secs(30))
-            .partition(SimTime(200), SimDuration::from_secs(60), [SiteId(0)]);
-        let sorted = sched.into_sorted();
-        let times: Vec<u64> = sorted.iter().map(|(t, _)| t.as_nanos()).collect();
+            .clean_partition(SimTime(200), SimDuration::from_secs(60), [SiteId(0)])
+            .timeline();
+        let times: Vec<u64> = timeline.iter().map(|(t, _)| t.as_nanos()).collect();
         assert_eq!(times, vec![100, 200, 300]);
     }
 
     #[test]
-    fn se_outage_emits_crash_and_restore() {
-        let sched =
-            FaultSchedule::new().se_outage(SimTime(50), SimDuration::from_nanos(25), SeId(3));
-        let sorted = sched.into_sorted();
-        assert_eq!(sorted.len(), 2);
-        assert_eq!(sorted[0], (SimTime(50), Fault::SeCrash { se: SeId(3) }));
-        assert_eq!(sorted[1], (SimTime(75), Fault::SeRestore { se: SeId(3) }));
+    fn timeline_is_stable_for_equal_instants() {
+        let timeline = FaultScript::new(0)
+            .se_crash(at(10), SeId(2))
+            .se_outage(at(5), secs(5), SeId(1))
+            .se_crash(at(10), SeId(3))
+            .timeline();
+        let order: Vec<&Fault> = timeline.iter().map(|(_, f)| f).collect();
+        assert_eq!(
+            order,
+            [
+                &Fault::SeCrash { se: SeId(1) },
+                &Fault::SeCrash { se: SeId(2) },
+                &Fault::SeRestore { se: SeId(1) },
+                &Fault::SeCrash { se: SeId(3) },
+            ]
+        );
     }
 
     #[test]
-    fn partition_fault_yields_cut() {
-        let f = Fault::Partition {
-            island: [SiteId(1), SiteId(2)].into_iter().collect(),
-            duration: SimDuration::from_secs(10),
-        };
-        let (cut, d) = f.as_cut(4).unwrap();
-        assert!(cut.separates(SiteId(1), SiteId(0)));
-        assert!(!cut.separates(SiteId(1), SiteId(2)));
-        assert_eq!(d, SimDuration::from_secs(10));
+    fn se_outage_emits_crash_and_restore() {
+        let timeline = FaultScript::new(0)
+            .se_outage(SimTime(50), SimDuration::from_nanos(25), SeId(3))
+            .timeline();
+        assert_eq!(timeline.len(), 2);
+        assert_eq!(timeline[0], (SimTime(50), Fault::SeCrash { se: SeId(3) }));
+        assert_eq!(timeline[1], (SimTime(75), Fault::SeRestore { se: SeId(3) }));
+    }
+
+    #[test]
+    fn glitch_compiles_to_one_backbone_glitch() {
+        let script = FaultScript::new(0).glitch(at(30), secs(30));
+        assert_eq!(
+            script.timeline(),
+            vec![(at(30), Fault::BackboneGlitch { duration: secs(30) })]
+        );
+        assert_eq!(script.spans(), vec![(at(30), at(60))]);
+        assert!(script.active_at(at(30)));
+        assert!(script.active_at(at(59)));
+        assert!(!script.active_at(at(60)));
+        assert_eq!(script.end(), at(60));
+        assert!(
+            script.crash_instants().is_empty(),
+            "a glitch crashes nothing"
+        );
+    }
+
+    #[test]
+    fn empty_schedule() {
+        let script = FaultScript::new(0);
+        assert!(script.is_empty());
+        assert_eq!(script.len(), 0);
+        assert!(script.timeline().is_empty());
     }
 
     #[test]
@@ -547,21 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_schedule() {
-        let s = FaultSchedule::new();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-    }
-
-    fn secs(v: u64) -> SimDuration {
-        SimDuration::from_secs(v)
-    }
-
-    fn at(v: u64) -> SimTime {
-        SimTime::ZERO + secs(v)
-    }
-
-    #[test]
     fn script_compiles_every_phase_kind() {
         let script = FaultScript::new(42)
             .clean_partition(at(10), secs(20), [SiteId(2)])
@@ -569,11 +507,13 @@ mod tests {
             .flapping(at(60), [SiteId(2)], 3, secs(3), secs(2))
             .wan_degradation(at(80), secs(10), 8.0, 0.02)
             .se_outage(at(100), secs(15), SeId(0))
-            .se_crash(at(130), SeId(1));
-        assert_eq!(script.len(), 6);
+            .se_crash(at(130), SeId(1))
+            .glitch(at(150), secs(30));
+        assert_eq!(script.len(), 7);
         let timeline = script.timeline();
         // partition + loss + 3 flaps + degrade + (crash, restore) + crash
-        assert_eq!(timeline.len(), 9);
+        // + glitch
+        assert_eq!(timeline.len(), 10);
         assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(timeline
             .iter()
@@ -581,6 +521,9 @@ mod tests {
         assert!(timeline
             .iter()
             .any(|(_, f)| matches!(f, Fault::WanDegrade { .. })));
+        assert!(timeline
+            .iter()
+            .any(|(_, f)| matches!(f, Fault::BackboneGlitch { .. })));
         assert_eq!(
             timeline
                 .iter()
@@ -628,7 +571,6 @@ mod tests {
         assert!(!script.active_at(at(30)));
         assert!(script.active_at(at(55)));
         assert_eq!(script.end(), at(60));
-        assert!(FaultScript::new(0).timeline().is_empty());
         assert_eq!(FaultScript::new(0).end(), SimTime::ZERO);
     }
 

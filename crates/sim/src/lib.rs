@@ -4,7 +4,7 @@
 //! multi-national deployment: a virtual clock and one event queue popped in
 //! `(time, seq)` order ([`pump::ShardedPump`]), the simulated IP network
 //! with LAN/backbone latency models, partitions and loss ([`net`]), fault
-//! schedules ([`faults`]), CPU processing stations ([`service`]) and seeded
+//! scripts ([`faults`]), CPU processing stations ([`service`]) and seeded
 //! random sources ([`rng`]).
 //!
 //! CAP/PACELC behaviour depends only on message delay, ordering and
@@ -19,7 +19,7 @@ pub mod pump;
 pub mod rng;
 pub mod service;
 
-pub use faults::{Fault, FaultPhase, FaultSchedule, FaultScript};
+pub use faults::{Fault, FaultPhase, FaultScript};
 pub use net::{
     Cut, CutHandle, Degrade, DegradeHandle, LatencyModel, LinkOutcome, LinkProfile, NetStats,
     Network, Topology,

@@ -22,6 +22,8 @@ fn arb_phase() -> impl Strategy<Value = FaultPhase> {
                 island,
             }
         }),
+        (at.clone(), dur.clone())
+            .prop_map(|(at, duration)| FaultPhase::BackboneGlitch { at, duration }),
         (at.clone(), dur.clone(), island.clone())
             .prop_map(|(at, duration, from)| { FaultPhase::AsymmetricLoss { at, duration, from } }),
         (at.clone(), island, 1u32..5, 1u64..6, 1u64..6).prop_map(

@@ -1,4 +1,4 @@
-//! Fault-schedule generators: random SE outage processes (MTBF/MTTR),
+//! Fault-script generators: random SE outage processes (MTBF/MTTR),
 //! the partition scenarios the paper's availability discussion needs,
 //! and the named [`PartitionScenario`] catalogue the e22 fault-campaign
 //! grid sweeps.
@@ -7,7 +7,7 @@ use std::fmt;
 
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
-use udr_sim::{FaultSchedule, FaultScript, SimRng};
+use udr_sim::{FaultScript, SimRng};
 
 /// Random SE outages: exponential time-between-failures and repair times.
 #[derive(Debug, Clone, Copy)]
@@ -19,11 +19,11 @@ pub struct OutageProcess {
 }
 
 impl OutageProcess {
-    /// Build a schedule of crash/restore pairs for `ses` elements over
-    /// `[0, horizon)`. Outages of one SE never overlap (a crashed element
-    /// must restore before failing again).
-    pub fn schedule(&self, ses: u32, horizon: SimTime, rng: &mut SimRng) -> FaultSchedule {
-        let mut schedule = FaultSchedule::new();
+    /// Build a script of SE outages (crash/restore pairs) for `ses`
+    /// elements over `[0, horizon)`. Outages of one SE never overlap (a
+    /// crashed element must restore before failing again).
+    pub fn schedule(&self, ses: u32, horizon: SimTime, rng: &mut SimRng) -> FaultScript {
+        let mut script = FaultScript::new(0);
         for se in 0..ses {
             let mut t = SimTime::ZERO;
             loop {
@@ -34,11 +34,11 @@ impl OutageProcess {
                 }
                 let repair = rng.exponential(self.mttr.as_secs_f64()).max(0.001);
                 let outage = SimDuration::from_secs_f64(repair);
-                schedule = schedule.se_outage(t, outage, SeId(se));
+                script = script.se_outage(t, outage, SeId(se));
                 t += outage;
             }
         }
-        schedule
+        script
     }
 
     /// The analytic steady-state availability of one SE under this process
@@ -59,13 +59,13 @@ pub fn periodic_partitions(
     period: SimDuration,
     duration: SimDuration,
     count: u32,
-) -> FaultSchedule {
-    let mut schedule = FaultSchedule::new();
+) -> FaultScript {
+    let mut script = FaultScript::new(0);
     for i in 0..count {
         let at = first_at + period * u64::from(i);
-        schedule = schedule.partition(at, duration, island.clone());
+        script = script.clean_partition(at, duration, island.iter().copied());
     }
-    schedule
+    script
 }
 
 /// Where a [`PartitionScenario`]'s fault lands: which sites form the
@@ -215,11 +215,11 @@ mod tests {
         };
         let mut rng = SimRng::seed_from_u64(1);
         let horizon = SimTime::ZERO + SimDuration::from_hours(10);
-        let schedule = p.schedule(4, horizon, &mut rng);
+        let timeline = p.schedule(4, horizon, &mut rng).timeline();
         // Events come in (crash, restore) pairs.
-        assert_eq!(schedule.len() % 2, 0);
+        assert_eq!(timeline.len() % 2, 0);
         assert!(
-            !schedule.is_empty(),
+            !timeline.is_empty(),
             "10 h at 1000 s MTBF should produce outages"
         );
     }
@@ -232,7 +232,7 @@ mod tests {
         };
         let mut rng = SimRng::seed_from_u64(2);
         let horizon = SimTime::ZERO + SimDuration::from_hours(5);
-        let sorted = p.schedule(1, horizon, &mut rng).into_sorted();
+        let sorted = p.schedule(1, horizon, &mut rng).timeline();
         // For a single SE the events must alternate crash/restore.
         for pair in sorted.chunks(2) {
             assert!(matches!(pair[0].1, udr_sim::Fault::SeCrash { .. }));
@@ -339,7 +339,7 @@ mod tests {
             SimDuration::from_secs(30),
             3,
         );
-        let sorted = s.into_sorted();
+        let sorted = s.timeline();
         assert_eq!(sorted.len(), 3);
         assert_eq!(sorted[1].0, SimTime::ZERO + SimDuration::from_secs(110));
     }

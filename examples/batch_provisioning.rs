@@ -14,7 +14,7 @@ use udr::core::{BatchItem, RetryPolicy, Udr, UdrConfig};
 use udr::metrics::{pct, Table};
 use udr::model::ids::SiteId;
 use udr::model::{ReplicationMode, SimDuration, SimTime};
-use udr::sim::{FaultSchedule, SimRng};
+use udr::sim::{FaultScript, SimRng};
 use udr::workload::PopulationBuilder;
 
 fn t(secs: u64) -> SimTime {
@@ -38,7 +38,7 @@ fn run(mode: ReplicationMode, retries: u32) -> (String, udr::core::BatchReport, 
         .collect();
 
     // 10 items/s ⇒ a 120 s batch; the glitch hits at t=40 for 30 s.
-    udr.schedule_faults(FaultSchedule::new().glitch(t(40), SimDuration::from_secs(30)));
+    udr.schedule_script(&FaultScript::new(0).glitch(t(40), SimDuration::from_secs(30)));
     let report = udr.run_provisioning_batch(
         items,
         10.0,

@@ -14,9 +14,10 @@
 use udr::consensus::runtime::{ClusterConfig, ConsensusCluster};
 use udr::consensus::NodeId;
 use udr::metrics::Table;
-use udr::model::ids::SubscriberUid;
+use udr::model::ids::{SeId, SiteId, SubscriberUid};
 use udr::model::{SimDuration, SimTime};
 use udr::sim::net::Topology;
+use udr::sim::FaultScript;
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
@@ -47,9 +48,11 @@ fn main() {
 
     // The drill: leader site crashes at t=30s, restarts at t=60s;
     // then sites {3,4} are cut off from t=80s to t=100s.
-    cluster.schedule_crash(secs(30), leader.0);
-    cluster.schedule_restart(secs(60), leader.0);
-    cluster.schedule_partition(secs(80), SimDuration::from_secs(20), [3u32, 4]);
+    cluster.schedule_script(
+        &FaultScript::new(0)
+            .se_outage(secs(30), SimDuration::from_secs(30), SeId(leader.0))
+            .clean_partition(secs(80), SimDuration::from_secs(20), [SiteId(3), SiteId(4)]),
+    );
 
     let report = cluster.run_until(secs(180));
 

@@ -22,7 +22,7 @@ use udr::model::ids::SiteId;
 use udr::model::{
     AttrId, AttrMod, AttrValue, DurabilityMode, Identity, ReplicationMode, SimDuration, SimTime,
 };
-use udr::sim::{FaultSchedule, SimRng};
+use udr::sim::{FaultScript, SimRng};
 use udr::workload::PopulationBuilder;
 
 fn t(secs: u64) -> SimTime {
@@ -66,9 +66,9 @@ fn run(durability: DurabilityMode, replication: ReplicationMode, auto_failover: 
         )
         .master();
 
-    udr.schedule_faults(
-        FaultSchedule::new()
-            .partition(t(55), SimDuration::from_secs(10), [SiteId(0)])
+    udr.schedule_script(
+        &FaultScript::new(0)
+            .clean_partition(t(55), SimDuration::from_secs(10), [SiteId(0)])
             .se_outage(t(60), SimDuration::from_secs(30), master),
     );
 

@@ -13,7 +13,7 @@ use udr::core::{OpRequest, Udr, UdrConfig};
 use udr::metrics::{pct, Table};
 use udr::model::ids::SiteId;
 use udr::model::{AttrId, AttrMod, AttrValue, Identity, SimDuration, SimTime, TxnClass};
-use udr::sim::{FaultSchedule, SimRng};
+use udr::sim::{FaultScript, SimRng};
 use udr::workload::{PopulationBuilder, TrafficModel};
 
 fn t(secs: u64) -> SimTime {
@@ -46,7 +46,7 @@ fn main() {
     println!("generated {} procedure arrivals over 600 s", events.len());
 
     // Fault: site 2 cut off from the backbone between t=200 and t=320.
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(200),
         SimDuration::from_secs(120),
         [SiteId(2)],

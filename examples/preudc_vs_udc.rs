@@ -16,7 +16,7 @@ use udr::model::ids::SiteId;
 use udr::model::{Identity, ProcedureKind, SimDuration, SimTime};
 use udr::preudc::PreUdcNetwork;
 use udr::sim::net::Cut;
-use udr::sim::{FaultSchedule, SimRng};
+use udr::sim::{FaultScript, SimRng};
 use udr::workload::PopulationBuilder;
 
 fn t(secs: u64) -> SimTime {
@@ -65,7 +65,7 @@ fn main() {
         let mut cfg = UdrConfig::figure2();
         cfg.seed = 7;
         let mut udr = Udr::build(cfg).unwrap();
-        udr.schedule_faults(FaultSchedule::new().partition(
+        udr.schedule_script(&FaultScript::new(0).clean_partition(
             t(0),
             SimDuration::from_secs(30),
             [SiteId(2)],

@@ -7,10 +7,10 @@ use udr::consensus::runtime::{ClusterConfig, ConsensusCluster};
 use udr::consensus::{NodeId, Payload};
 use udr::core::{Udr, UdrConfig};
 use udr::model::attrs::{AttrId, AttrMod, AttrValue};
-use udr::model::ids::{SiteId, SubscriberUid};
+use udr::model::ids::{SeId, SiteId, SubscriberUid};
 use udr::model::{Identity, SimDuration, SimTime};
 use udr::sim::net::Topology;
-use udr::sim::{FaultSchedule, SimRng};
+use udr::sim::{FaultScript, SimRng};
 use udr::storage::Engine;
 use udr::workload::PopulationBuilder;
 
@@ -40,7 +40,7 @@ fn consensus_beats_master_slave_on_majority_side_availability() {
             }
         }
     }
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(60),
         [SiteId(2)],
@@ -69,7 +69,11 @@ fn consensus_beats_master_slave_on_majority_side_availability() {
     let mut cluster =
         ConsensusCluster::new(Topology::multinational(3), ClusterConfig::default(), 5);
     cluster.run_until(t(5));
-    cluster.schedule_partition(t(100), SimDuration::from_secs(60), [2u32]);
+    cluster.schedule_script(&FaultScript::new(0).clean_partition(
+        t(100),
+        SimDuration::from_secs(60),
+        [SiteId(2)],
+    ));
     let mut ids = Vec::new();
     let mut w = t(110);
     for i in 0..60u64 {
@@ -109,7 +113,11 @@ fn chosen_log_applies_identically_on_every_replica() {
             Some(entry),
         );
     }
-    cluster.schedule_partition(t(3), SimDuration::from_secs(2), [1u32]);
+    cluster.schedule_script(&FaultScript::new(0).clean_partition(
+        t(3),
+        SimDuration::from_secs(2),
+        [SiteId(1)],
+    ));
     let report = cluster.run_until(t(60));
     assert!(report.violations.is_empty());
     assert_eq!(report.committed(), 40);
@@ -152,7 +160,7 @@ fn leader_site_catastrophe_is_survivable() {
     let leader = cluster.current_leader().expect("leader by t=5");
     let origin = (0..5u32).find(|i| NodeId(*i) != leader).unwrap();
 
-    cluster.schedule_crash(t(20), leader.0);
+    cluster.schedule_script(&FaultScript::new(0).se_crash(t(20), SeId(leader.0)));
     let mut ids = Vec::new();
     for i in 0..100u64 {
         ids.push(cluster.submit_write_at(

@@ -8,7 +8,7 @@ use udr::model::{
     AttrId, AttrMod, AttrValue, Identity, ProcedureKind, ReplicationMode, SimDuration, SimTime,
     TxnClass,
 };
-use udr::sim::{FaultSchedule, SimRng};
+use udr::sim::{FaultScript, SimRng};
 use udr::workload::{OutageProcess, PopulationBuilder, TrafficModel};
 
 fn t(secs: u64) -> SimTime {
@@ -78,7 +78,7 @@ fn five_nines_under_realistic_outage_process() {
     };
     let mut rng = SimRng::seed_from_u64(4);
     let horizon = t(24 * 3600);
-    udr.schedule_faults(process.schedule(3, horizon, &mut rng));
+    udr.schedule_script(&process.schedule(3, horizon, &mut rng));
 
     // Integrate structural readability in 60 s steps.
     let mut readable_seconds = 0.0f64;
@@ -112,7 +112,7 @@ fn multimaster_traffic_through_partition_converges_everywhere() {
             .is_ok());
         at += SimDuration::from_millis(2);
     }
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(50),
         SimDuration::from_secs(60),
         [SiteId(2)],
@@ -181,7 +181,7 @@ fn multimaster_traffic_through_partition_converges_everywhere() {
 fn procedure_mix_is_read_mostly_and_partitions_split_by_class() {
     // §4.1's asymmetry driven by the generated mix itself.
     let (mut udr, population) = system(90, 7);
-    udr.schedule_faults(FaultSchedule::new().partition(
+    udr.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
         SimDuration::from_secs(100),
         [SiteId(2)],
