@@ -30,7 +30,7 @@ use udr_bench::traceio::emit_trace;
 use udr_metrics::{pct, Table};
 use udr_model::config::{ReadPolicy, ReplicationMode};
 use udr_model::time::SimDuration;
-use udr_trace::TraceConfig;
+use udr_trace::{TraceConfig, SLOW_OP_THRESHOLD};
 use udr_workload::PartitionScenario;
 
 const SEED: u64 = 25;
@@ -87,7 +87,7 @@ fn trace_main() {
         "E25 --trace — one [consensus × master-only × clean-partition] cell under\n\
          TraceConfig::full(): every operation's causal span tree goes to the flight\n\
          recorder, slow ops (≥ {}) are kept as exemplars\n",
-        cc.trace.slow_op_threshold
+        SLOW_OP_THRESHOLD
     );
     let out = run_cell(&cc, &cc.script());
     assert!(out.verdict.sound(), "traced cell verdict unsound");

@@ -382,11 +382,11 @@ impl Udr {
     }
 
     /// Record run metrics for one finished operation — shared by the
-    /// per-op and framed paths so both account identically. The tenant ×
-    /// class matrix mirrors the class counters, except that a
-    /// [`UdrError::Forbidden`] denial is counted *only* as forbidden:
-    /// it never entered the QoS domain, so it must not read as offered
-    /// load or shed traffic anywhere.
+    /// per-op and framed paths so both account identically. QoS counts
+    /// land once, in the tenant × class matrix (the per-class view sums
+    /// it). A [`UdrError::Forbidden`] denial is counted *only* as
+    /// forbidden: it never entered the QoS domain, so it must not read as
+    /// offered load or shed traffic anywhere.
     fn record_op_metrics(
         &mut self,
         class: TxnClass,
@@ -399,13 +399,11 @@ impl Udr {
             self.metrics.ops_mut(class).other_failure();
             return;
         }
-        self.metrics.qos.record_offered(priority);
         self.metrics.qos.record_tenant_offered(tenant, priority);
         match &outcome.result {
             Ok(_) => {
                 self.metrics.ops_mut(class).success();
                 self.metrics.latency_mut(class).record(outcome.latency);
-                self.metrics.qos.record_completed(priority, outcome.latency);
                 self.metrics
                     .qos
                     .record_tenant_completed(tenant, priority, outcome.latency);
@@ -422,16 +420,13 @@ impl Udr {
                     self.metrics.migration_blocked_ops += 1;
                 }
                 if let UdrError::Shed { class, reason } = e {
-                    self.metrics.qos.record_shed(*class, *reason);
                     self.metrics.qos.record_tenant_shed(tenant, *class, *reason);
                 } else {
-                    self.metrics.qos.record_failed(priority);
                     self.metrics.qos.record_tenant_failed(tenant, priority);
                 }
                 self.metrics.ops_mut(class).availability_failure();
             }
             Err(_) => {
-                self.metrics.qos.record_failed(priority);
                 self.metrics.qos.record_tenant_failed(tenant, priority);
                 self.metrics.ops_mut(class).other_failure();
             }

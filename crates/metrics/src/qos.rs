@@ -91,12 +91,12 @@ impl TenantCounters {
     }
 }
 
-/// Per-class QoS accounting for one run.
+/// QoS accounting for one run: the tenant × class matrix, from which the
+/// per-class view is summed on demand.
 #[derive(Debug, Clone, Default)]
 pub struct QosTracker {
-    by_rank: [ClassCounters; PriorityClass::ALL.len()],
-    /// Per-tenant view of the same operations, grown on first sight of a
-    /// tenant id (ids are dense; see `udr_model::tenant`).
+    /// Per-tenant counters, grown on first sight of a tenant id (ids are
+    /// dense; see `udr_model::tenant`).
     tenants: Vec<TenantCounters>,
     /// Shed decisions where some strictly-lower-priority class would have
     /// been admitted at the same instant — must stay 0 (the controller
@@ -110,35 +110,19 @@ impl QosTracker {
         QosTracker::default()
     }
 
-    /// The counters of one class.
-    pub fn class(&self, class: PriorityClass) -> &ClassCounters {
-        &self.by_rank[class.rank()]
-    }
-
-    /// Record an operation arriving with `class`.
-    pub fn record_offered(&mut self, class: PriorityClass) {
-        self.by_rank[class.rank()].offered += 1;
-    }
-
-    /// Record a shed decision.
-    pub fn record_shed(&mut self, class: PriorityClass, reason: ShedReason) {
-        let c = &mut self.by_rank[class.rank()];
-        match reason {
-            ShedReason::RateLimit => c.shed_rate += 1,
-            ShedReason::QueueDelay => c.shed_delay += 1,
+    /// The counters of one class, summed over every tenant (latency
+    /// histograms merge exactly).
+    pub fn class(&self, class: PriorityClass) -> ClassCounters {
+        let mut sum = ClassCounters::default();
+        for c in self.tenants.iter().map(|t| t.class(class)) {
+            sum.offered += c.offered;
+            sum.shed_rate += c.shed_rate;
+            sum.shed_delay += c.shed_delay;
+            sum.completed += c.completed;
+            sum.failed += c.failed;
+            sum.latency.merge(&c.latency);
         }
-    }
-
-    /// Record a successful completion.
-    pub fn record_completed(&mut self, class: PriorityClass, latency: SimDuration) {
-        let c = &mut self.by_rank[class.rank()];
-        c.completed += 1;
-        c.latency.record(latency);
-    }
-
-    /// Record a post-admission failure.
-    pub fn record_failed(&mut self, class: PriorityClass) {
-        self.by_rank[class.rank()].failed += 1;
+        sum
     }
 
     /// Record a priority inversion caught by the shed-time audit.
@@ -205,14 +189,15 @@ impl QosTracker {
         self.tenant_mut(tenant).forbidden += 1;
     }
 
-    /// Total operations shed across all classes.
+    /// Total operations shed across all tenants and classes.
     pub fn total_shed(&self) -> u64 {
-        self.by_rank.iter().map(ClassCounters::shed).sum()
+        self.tenants.iter().map(TenantCounters::shed).sum()
     }
 
-    /// Total operations offered across all classes.
+    /// Total operations offered across all tenants and classes (excludes
+    /// forbidden operations).
     pub fn total_offered(&self) -> u64 {
-        self.by_rank.iter().map(|c| c.offered).sum()
+        self.tenants.iter().map(TenantCounters::offered).sum()
     }
 }
 
@@ -224,13 +209,16 @@ mod tests {
     #[test]
     fn counters_route_by_class_and_reason() {
         let mut t = QosTracker::new();
-        t.record_offered(PriorityClass::CallSetup);
-        t.record_offered(PriorityClass::CallSetup);
-        t.record_offered(PriorityClass::Provisioning);
-        t.record_completed(PriorityClass::CallSetup, SimDuration::from_millis(2));
-        t.record_shed(PriorityClass::CallSetup, ShedReason::QueueDelay);
-        t.record_shed(PriorityClass::Provisioning, ShedReason::RateLimit);
+        let (a, b) = (TenantId(0), TenantId(1));
+        t.record_tenant_offered(a, PriorityClass::CallSetup);
+        t.record_tenant_offered(b, PriorityClass::CallSetup);
+        t.record_tenant_offered(a, PriorityClass::Provisioning);
+        t.record_tenant_completed(a, PriorityClass::CallSetup, SimDuration::from_millis(2));
+        t.record_tenant_shed(b, PriorityClass::CallSetup, ShedReason::QueueDelay);
+        t.record_tenant_shed(a, PriorityClass::Provisioning, ShedReason::RateLimit);
+        t.record_tenant_forbidden(b);
 
+        // The class view sums the tenants.
         let call = t.class(PriorityClass::CallSetup);
         assert_eq!(call.offered, 2);
         assert_eq!(call.shed_delay, 1);
@@ -238,10 +226,12 @@ mod tests {
         assert_eq!(call.admitted(), 1);
         assert_eq!(call.completed, 1);
         assert_eq!(call.latency.count(), 1);
+        assert_eq!(call.latency.max(), SimDuration::from_millis(2));
         assert!((call.goodput_fraction() - 0.5).abs() < 1e-9);
 
         let ps = t.class(PriorityClass::Provisioning);
         assert_eq!(ps.shed_rate, 1);
+        // A forbidden op counts nowhere in the class view.
         assert_eq!(t.total_shed(), 2);
         assert_eq!(t.total_offered(), 3);
     }

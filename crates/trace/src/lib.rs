@@ -23,62 +23,40 @@ use std::collections::VecDeque;
 
 use udr_model::time::{SimDuration, SimTime};
 
-/// Tracing knobs. The default ([`TraceConfig::disabled`]) records nothing.
+/// Flight-recorder ring capacity, in records. Oldest records are evicted
+/// (and counted in [`TraceExport::dropped`]) once full.
+pub const RING_CAPACITY: usize = 1 << 16;
+
+/// Any operation whose end-to-end latency reaches this threshold is
+/// retained with its full span tree as an exemplar: the paper's 10 ms
+/// latency target (§2.3).
+pub const SLOW_OP_THRESHOLD: SimDuration = SimDuration::from_millis(10);
+
+/// How many slowest exemplars a tracer retains (top-K by latency).
+pub const EXEMPLAR_CAPACITY: usize = 16;
+
+/// Tracing switch. The default ([`TraceConfig::disabled`]) records nothing;
+/// [`TraceConfig::full`] records every operation into a
+/// [`RING_CAPACITY`]-record ring plus the [`EXEMPLAR_CAPACITY`] slowest
+/// operations at or above [`SLOW_OP_THRESHOLD`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch. When `false` no IDs are allocated and every tracer
     /// entry point returns immediately.
     pub enabled: bool,
-    /// Flight-recorder ring capacity, in records. Oldest records are
-    /// evicted (and counted in [`TraceExport::dropped`]) once full.
-    pub capacity: usize,
-    /// Head-sampling modulus: a trace whose ID is divisible by this is
-    /// kept in the flight recorder. `1` keeps every trace, `0` keeps none
-    /// (slow-op exemplars are still captured). The background trace
-    /// (ID 0) is kept whenever the modulus is non-zero.
-    pub sample_every: u64,
-    /// Any operation whose end-to-end latency reaches this threshold is
-    /// retained with its full span tree as an exemplar, regardless of
-    /// sampling. Defaults to the paper's 10 ms latency target (§2.3).
-    pub slow_op_threshold: SimDuration,
-    /// How many slowest exemplars to retain (top-K by latency).
-    pub exemplar_capacity: usize,
 }
 
 impl TraceConfig {
     /// Tracing off — the default; must leave sim behaviour and hot-path
     /// costs unchanged.
     pub const fn disabled() -> Self {
-        TraceConfig {
-            enabled: false,
-            capacity: 0,
-            sample_every: 0,
-            slow_op_threshold: SimDuration::from_millis(10),
-            exemplar_capacity: 0,
-        }
+        TraceConfig { enabled: false }
     }
 
-    /// Record every trace: head-sampling keeps all ops, plus slow-op
-    /// exemplars at the paper's 10 ms target.
+    /// Record every trace, plus slow-op exemplars at the paper's 10 ms
+    /// target.
     pub const fn full() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: 1 << 16,
-            sample_every: 1,
-            slow_op_threshold: SimDuration::from_millis(10),
-            exemplar_capacity: 16,
-        }
-    }
-
-    /// Head-sample one trace in `every`; exemplar capture stays always-on.
-    pub const fn sampled(every: u64) -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: 1 << 16,
-            sample_every: every,
-            slow_op_threshold: SimDuration::from_millis(10),
-            exemplar_capacity: 16,
-        }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -200,11 +178,6 @@ impl Tracer {
         &self.cfg
     }
 
-    /// Whether a trace ID passes head sampling into the flight recorder.
-    fn sampled(&self, trace: u64) -> bool {
-        self.cfg.sample_every != 0 && trace.is_multiple_of(self.cfg.sample_every)
-    }
-
     /// Trace ID of the operation currently in flight (0 if none) — used
     /// to stamp trace context onto events scheduled on the op's behalf.
     pub fn active_trace(&self) -> u64 {
@@ -255,9 +228,8 @@ impl Tracer {
     }
 
     /// Finish the active operation: emit its root span, move the staged
-    /// tree into the flight recorder if the trace is head-sampled, and
-    /// retain it as an exemplar if `latency` breached the slow-op
-    /// threshold.
+    /// tree into the flight recorder, and retain it as an exemplar if
+    /// `latency` breached [`SLOW_OP_THRESHOLD`].
     pub fn end_op(&mut self, latency: SimDuration, status: &'static str) {
         let Some(mut active) = self.active.take() else {
             return;
@@ -274,13 +246,11 @@ impl Tracer {
                 None => status.to_string(),
             }),
         });
-        if latency >= self.cfg.slow_op_threshold && self.cfg.exemplar_capacity > 0 {
+        if latency >= SLOW_OP_THRESHOLD {
             self.retain_exemplar(&active, latency, status);
         }
-        if self.sampled(active.trace) {
-            for rec in active.records {
-                self.push_ring(rec);
-            }
+        for rec in active.records {
+            self.push_ring(rec);
         }
     }
 
@@ -297,12 +267,12 @@ impl Tracer {
         });
         self.exemplars
             .sort_by_key(|e| (std::cmp::Reverse(e.latency), e.trace));
-        self.exemplars.truncate(self.cfg.exemplar_capacity);
+        self.exemplars.truncate(EXEMPLAR_CAPACITY);
     }
 
     /// Record a completed span. Routed to the active op's staging buffer
-    /// when it belongs to that trace, else straight to the flight recorder
-    /// (subject to head sampling).
+    /// when it belongs to that trace, else straight to the flight
+    /// recorder.
     #[allow(clippy::too_many_arguments)]
     pub fn span(
         &mut self,
@@ -358,17 +328,11 @@ impl Tracer {
                 return;
             }
         }
-        if self.sampled(rec.trace) {
-            self.push_ring(rec);
-        }
+        self.push_ring(rec);
     }
 
     fn push_ring(&mut self, rec: TraceRecord) {
-        if self.cfg.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.cfg.capacity {
+        if self.ring.len() == RING_CAPACITY {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -654,27 +618,17 @@ mod tests {
     }
 
     #[test]
-    fn slow_op_is_retained_even_when_unsampled() {
-        let mut cfg = TraceConfig::full();
-        cfg.sample_every = 0; // nothing head-sampled
-        let mut tr = Tracer::new(cfg);
+    fn exemplars_keep_top_k_by_latency() {
+        let mut tr = Tracer::new(TraceConfig::full());
+        // A slow op keeps its whole staged tree, root span included.
         let ctx = tr.begin_op("op.add", t(0));
         tr.instant(ctx.trace, ctx.span, "qos.shed", t(5), None);
         tr.end_op(SimDuration::from_millis(12), "timeout");
         let export = tr.export();
-        assert!(export.records.is_empty());
         assert_eq!(export.exemplars.len(), 1);
-        let ex = &export.exemplars[0];
-        assert_eq!(ex.latency, SimDuration::from_millis(12));
-        assert_eq!(ex.records.len(), 2);
-    }
-
-    #[test]
-    fn exemplars_keep_top_k_by_latency() {
-        let mut cfg = TraceConfig::full();
-        cfg.exemplar_capacity = 2;
-        let mut tr = Tracer::new(cfg);
-        for ms in [11u64, 30, 20] {
+        assert_eq!(export.exemplars[0].records.len(), 2);
+        // 17 slow ops at 12 ms and 13..=28 ms: the fastest one falls out.
+        for ms in 13u64..=28 {
             tr.begin_op("op.search", t(0));
             tr.end_op(SimDuration::from_millis(ms), "ok");
         }
@@ -684,21 +638,22 @@ mod tests {
             .iter()
             .map(|e| e.latency.as_nanos() / 1_000_000)
             .collect();
-        assert_eq!(latencies, vec![30, 20]);
+        assert_eq!(EXEMPLAR_CAPACITY, 16);
+        assert_eq!(latencies, (13u64..=28).rev().collect::<Vec<_>>());
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let mut cfg = TraceConfig::full();
-        cfg.capacity = 2;
-        let mut tr = Tracer::new(cfg);
-        for i in 0..4 {
-            tr.instant(0, 0, "fault.crash", t(i), None);
+        let mut tr = Tracer::new(TraceConfig::full());
+        let records = RING_CAPACITY as u64 + 1;
+        for i in 0..records {
+            tr.instant(0, 0, "fault.crash", SimTime(i), None);
         }
         let export = tr.export();
-        assert_eq!(export.records.len(), 2);
-        assert_eq!(export.dropped, 2);
-        assert_eq!(export.records[0].start, t(2));
+        assert_eq!(records, 65_537);
+        assert_eq!(export.records.len(), RING_CAPACITY);
+        assert_eq!(export.dropped, 1);
+        assert_eq!(export.records[0].start, SimTime(1));
     }
 
     #[test]
