@@ -5,9 +5,9 @@
 //! consensus protocol across an ensemble of replicas; the more replicas are
 //! involved in the transaction, the higher the durability guarantees." We
 //! model the coordination cost: a write goes to all `n` replicas in
-//! parallel and acknowledges after the `w`-th response. (The deployment's
-//! read side, consulting `r` replicas for the freshest copy, is
-//! `udr_core::ReplicationStage::quorum_consult`.)
+//! parallel and acknowledges after the `w`-th response. The read side
+//! (consult `r` replicas, return the freshest) lives in `udr-core`'s
+//! replication stage.
 
 use udr_model::ids::SeId;
 use udr_model::time::SimDuration;
