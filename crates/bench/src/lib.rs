@@ -12,6 +12,7 @@
 //! for recorded paper-vs-measured results.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod campaign;
 pub mod consensus_harness;

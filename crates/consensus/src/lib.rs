@@ -50,6 +50,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod ballot;
 pub mod log;

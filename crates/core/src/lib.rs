@@ -30,6 +30,7 @@
 //! * [`Udr::metrics`] — everything measured.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod capacity;
 pub mod config;

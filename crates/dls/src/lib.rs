@@ -19,6 +19,7 @@
 //! the three realisations, chosen when the stage is built.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod maps;

@@ -408,20 +408,25 @@ fn decode_attr_value(reader: &mut Reader<'_>) -> UdrResult<AttrValue> {
 
 fn decode_entry(reader: &mut Reader<'_>) -> UdrResult<Entry> {
     let mut seq = reader.expect_tlv(TAG_SEQ)?;
-    let mut entry = Entry::new();
-    while !seq.at_end() {
-        let mut pair = seq.expect_tlv(TAG_SEQ)?;
-        let tag = pair.expect_u64(TAG_INT)?;
-        let attr = AttrId::from_tag(tag as u16)
-            .ok_or_else(|| Reader::err(&format!("unknown attribute tag {tag}")))?;
-        let value = decode_attr_value(&mut pair)?;
-        entry.set(attr, value);
-    }
-    Ok(entry)
+    std::iter::from_fn(|| (!seq.at_end()).then(|| decode_attr(&mut seq))).collect()
+}
+
+/// One `(tag, value)` pair of an encoded entry.
+fn decode_attr(seq: &mut Reader<'_>) -> UdrResult<(AttrId, AttrValue)> {
+    let mut pair = seq.expect_tlv(TAG_SEQ)?;
+    let attr = decode_attr_id(pair.expect_u64(TAG_INT)?)?;
+    Ok((attr, decode_attr_value(&mut pair)?))
 }
 
 fn decode_attr_id(v: u64) -> UdrResult<AttrId> {
-    AttrId::from_tag(v as u16).ok_or_else(|| Reader::err(&format!("unknown attribute tag {v}")))
+    u16::try_from(v)
+        .ok()
+        .and_then(AttrId::from_tag)
+        .ok_or_else(|| Reader::err(&format!("unknown attribute tag {v}")))
+}
+
+fn decode_message_id(v: u64) -> UdrResult<u32> {
+    u32::try_from(v).map_err(|_| Reader::err(&format!("message id {v} out of range")))
 }
 
 fn is_filter_tag(tag: u8) -> bool {
@@ -494,7 +499,7 @@ fn decode_filter(reader: &mut Reader<'_>, depth: u32) -> UdrResult<Filter> {
 pub fn decode_request(bytes: &[u8]) -> UdrResult<LdapRequest> {
     let mut top = Reader::new(bytes);
     let mut msg = top.expect_tlv(TAG_SEQ)?;
-    let message_id = msg.expect_u64(TAG_INT)? as u32;
+    let message_id = decode_message_id(msg.expect_u64(TAG_INT)?)?;
     let (tag, mut body) = msg.tlv()?;
     let op = match tag {
         APP_BIND => {
@@ -562,10 +567,12 @@ pub fn decode_request(bytes: &[u8]) -> UdrResult<LdapRequest> {
 pub fn decode_response(bytes: &[u8]) -> UdrResult<LdapResponse> {
     let mut top = Reader::new(bytes);
     let mut msg = top.expect_tlv(TAG_SEQ)?;
-    let message_id = msg.expect_u64(TAG_INT)? as u32;
+    let message_id = decode_message_id(msg.expect_u64(TAG_INT)?)?;
     let mut body = msg.expect_tlv(APP_RESPONSE)?;
     let code_raw = body.expect_u64(TAG_ENUM)?;
-    let code = ResultCode::from_u8(code_raw as u8)
+    let code = u8::try_from(code_raw)
+        .ok()
+        .and_then(ResultCode::from_u8)
         .ok_or_else(|| Reader::err(&format!("unknown result code {code_raw}")))?;
     let entry = if body.at_end() {
         None
@@ -806,6 +813,80 @@ mod tests {
     fn garbage_rejected() {
         assert!(decode_request(&[0xFF, 0x03, 1, 2, 3]).is_err());
         assert!(decode_response(&[0x30, 0x00]).is_err());
+    }
+
+    /// A frame as the encoders lay it out: message id, then one
+    /// application element whose body is `body`.
+    fn frame(message_id: u64, op_tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut msg = BytesMut::new();
+        put_u64(&mut msg, TAG_INT, message_id);
+        put_tlv(&mut msg, op_tag, body);
+        let mut out = BytesMut::new();
+        put_tlv(&mut out, TAG_SEQ, &msg);
+        out.to_vec()
+    }
+
+    /// A response body: the result code, then one attribute tagged `tag`.
+    fn response_body(code: u64, tag: u64) -> BytesMut {
+        let mut pair = BytesMut::new();
+        put_u64(&mut pair, TAG_INT, tag);
+        encode_attr_value(&mut pair, &AttrValue::U64(5));
+        let mut attrs = BytesMut::new();
+        put_tlv(&mut attrs, TAG_SEQ, &pair);
+        let mut body = BytesMut::new();
+        put_u64(&mut body, TAG_ENUM, code);
+        put_tlv(&mut body, TAG_SEQ, &attrs);
+        body
+    }
+
+    #[test]
+    fn the_frame_helpers_build_what_decodes() {
+        let imsi = u64::from(AttrId::Imsi.tag());
+        let resp = decode_response(&frame(4, APP_RESPONSE, &response_body(0, imsi))).unwrap();
+        assert_eq!(resp.message_id, 4);
+        assert_eq!(resp.code, ResultCode::Success);
+        let attrs: Vec<_> = resp.entry.iter().flat_map(|e| e.iter()).collect();
+        assert_eq!(attrs, [(&AttrId::Imsi, &AttrValue::U64(5))]);
+    }
+
+    #[test]
+    fn an_entry_attribute_tag_past_u16_is_rejected() {
+        // 65 537 is `Imsi`'s tag plus 2¹⁶.
+        let body = response_body(0, 65_537);
+        assert!(decode_response(&frame(4, APP_RESPONSE, &body)).is_err());
+    }
+
+    #[test]
+    fn an_attribute_id_past_u16_is_rejected() {
+        let mut body = BytesMut::new();
+        put_tlv(&mut body, TAG_OCTET, dn().to_string().as_bytes());
+        put_u64(&mut body, TAG_INT, 65_537);
+        encode_attr_value(&mut body, &AttrValue::U64(5));
+        assert!(decode_request(&frame(4, APP_COMPARE, &body)).is_err());
+    }
+
+    #[test]
+    fn a_request_message_id_past_u32_is_rejected() {
+        let dn = dn().to_string();
+        let valid = frame(7, APP_DELETE, dn.as_bytes());
+        assert_eq!(decode_request(&valid).unwrap().message_id, 7);
+        let wrapped = frame((1 << 32) + 7, APP_DELETE, dn.as_bytes());
+        assert!(decode_request(&wrapped).is_err());
+    }
+
+    #[test]
+    fn a_response_message_id_past_u32_is_rejected() {
+        let imsi = u64::from(AttrId::Imsi.tag());
+        let body = response_body(0, imsi);
+        assert!(decode_response(&frame((1 << 32) + 4, APP_RESPONSE, &body)).is_err());
+    }
+
+    #[test]
+    fn a_result_code_past_u8_is_rejected() {
+        // 256 is `Success`'s code plus 2⁸.
+        let imsi = u64::from(AttrId::Imsi.tag());
+        let body = response_body(256, imsi);
+        assert!(decode_response(&frame(4, APP_RESPONSE, &body)).is_err());
     }
 
     #[test]

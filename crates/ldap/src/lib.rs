@@ -20,6 +20,7 @@
 //!   detection and health-based routing.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod codec;

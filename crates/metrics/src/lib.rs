@@ -18,6 +18,7 @@
 //! * [`report`] — fixed-width tables for paper-style output.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod availability;
 pub mod guarantees;

@@ -4,12 +4,17 @@
 //! "structure and semantics of subscriber data" open (§1). We model an entry
 //! as an ordered attribute map — the common denominator between the storage
 //! engine (which stores whole entries as record versions) and the LDAP layer
-//! (which reads and modifies attributes).
+//! (which reads and modifies attributes). A committed version of an entry is
+//! one allocation: its reference count, length and attribute slots share one
+//! heap block, so a modify, a consensus post-image and a profile build each
+//! make one allocator call.
 
 use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+
+use crate::payload::Payload;
 
 /// Well-known subscriber attributes (the columns of HLR/HSS data).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -108,10 +113,16 @@ impl AttrId {
         dense
     };
 
+    /// The attribute's position in [`AttrId::ALL`].
+    #[inline]
+    const fn dense(self) -> usize {
+        Self::DENSE[self as usize] as usize
+    }
+
     /// The attribute's bit in an [`Entry`]'s visibility mask.
     #[inline]
     const fn bit(self) -> u32 {
-        1 << Self::DENSE[self as usize]
+        1 << self.dense()
     }
 
     /// Numeric wire tag (used by the codec).
@@ -259,21 +270,27 @@ impl From<Vec<u8>> for AttrValue {
 
 /// One subscriber entry: an ordered attribute map.
 ///
-/// The attributes are a vector sorted by [`AttrId`] behind an [`Arc`],
-/// copied on write: `clone` is a reference-count bump, so the store, the
-/// commit log, the ship channels, every slave and every disk snapshot share
-/// one immutable allocation per committed version. A handle also carries a
-/// visibility mask, one bit per attribute it shows, so a projection
-/// ([`Entry::project`]) is another handle to the same payload with fewer bits
-/// set and copies nothing. Every accessor sees the visible attributes only.
-/// The mutators ([`Entry::set`], [`Entry::remove`], [`Entry::apply`]) first
-/// take a private payload holding exactly the visible attributes when the
-/// payload is shared or the handle hides part of it, which keeps value
-/// semantics: a change to one handle is never visible through another, and
-/// a hidden attribute is gone for good from the handle that hid it. Taking
-/// that private payload copies the attribute vector and no value: the
-/// strings, octets and lists in it are shared ([`AttrValue`]), so a
-/// modification costs what it changes, not what the record holds.
+/// The attributes are a slice sorted by [`AttrId`] in one reference-counted
+/// heap block (count, length and attributes together, behind one 8-byte
+/// pointer), copied on write: `clone` is a reference-count bump, so the
+/// store, the commit log, the ship channels, every slave and every disk
+/// snapshot share one immutable allocation per committed version. A handle
+/// also carries a visibility mask, one bit per attribute it shows, so a
+/// projection ([`Entry::project`]) is another handle to the same payload
+/// with fewer bits set and copies nothing. Every accessor sees the visible
+/// attributes only. The mutators ([`Entry::set`], [`Entry::remove`],
+/// [`Entry::apply`]) build a new payload holding exactly the visible
+/// attributes and the change, in one allocator call, when the payload is
+/// shared, the handle hides part of it, or the change adds or removes an
+/// attribute; only a handle that owns and shows its whole payload replaces
+/// a value in place. That keeps value semantics: a change to one handle is
+/// never visible through another, and a hidden attribute is gone for good
+/// from the handle that hid it. A new payload copies the attribute slots
+/// and no value: the strings, octets and lists in it are shared
+/// ([`AttrValue`]), so a modification costs what it changes, not what the
+/// record holds. Builders ([`FromIterator`], the profile and the codecs)
+/// gather attributes by tag first and allocate once, not once per
+/// attribute.
 ///
 /// A handle also caches [`Entry::approx_size`] of what it shows, beside its
 /// visibility mask: [`Entry::set`] and [`Entry::remove`] adjust it by the
@@ -285,7 +302,7 @@ impl From<Vec<u8>> for AttrValue {
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Entry {
     /// Sorted by `AttrId`, one element per attribute.
-    attrs: Arc<Vec<(AttrId, AttrValue)>>,
+    attrs: Payload<(AttrId, AttrValue)>,
     /// Low half: the `AttrId::bit`s of the attributes in `attrs` that this
     /// handle shows. High half: `approx_size()` of those attributes, or
     /// [`UNKNOWN_SIZE`]. One word, not two fields: a pointer and one
@@ -296,8 +313,15 @@ pub struct Entry {
     shown: u64,
 }
 
-// The size cache costs no space: it fills what was padding.
-const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+// The size cache costs no space: it fills what was padding. The payload
+// pointer is never null, so an absent entry costs nothing either.
+const _: () = assert!(size_of::<Entry>() == 16);
+const _: () = assert!(size_of::<Option<Entry>>() == 16);
+// Every layer hands entries across the simulator's threads.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<Entry>()
+};
 
 /// An [`Entry`] size cache that only a walk can answer.
 const UNKNOWN_SIZE: u32 = u32::MAX;
@@ -319,6 +343,10 @@ fn position(attrs: &[(AttrId, AttrValue)], id: AttrId) -> Result<usize, usize> {
     attrs.binary_search_by_key(&id, |(k, _)| *k)
 }
 
+/// Attribute values by [`AttrId::dense`] position: what a builder gathers
+/// before it allocates the payload once.
+type Dense = [Option<AttrValue>; AttrId::ALL.len()];
+
 impl Entry {
     /// Empty entry.
     pub fn new() -> Self {
@@ -337,15 +365,40 @@ impl Entry {
         (self.shown >> 32) as u32
     }
 
-    /// The payload for writing: private to this handle and holding the
-    /// visible attributes only.
-    fn payload_mut(&mut self) -> &mut Vec<(AttrId, AttrValue)> {
-        if self.len() != self.attrs.len() {
-            let mut shown = Vec::with_capacity(self.len());
-            shown.extend(self.iter().map(|(id, v)| (*id, v.clone())));
-            self.attrs = Arc::new(shown);
+    /// Whether this handle hides part of its payload.
+    #[inline]
+    fn hides(&self) -> bool {
+        self.len() != self.attrs.len()
+    }
+
+    /// The visible attributes, gathered by tag.
+    fn dense(&self) -> Dense {
+        let mut dense = Dense::default();
+        for (id, value) in self.iter() {
+            dense[id.dense()] = Some(value.clone());
         }
-        Arc::make_mut(&mut self.attrs)
+        dense
+    }
+
+    /// The entry holding the attributes of `dense`, in one allocation.
+    fn from_dense(dense: Dense) -> Entry {
+        let len = dense.iter().flatten().count();
+        let (mut visible, mut size) = (0, 0);
+        let present = AttrId::ALL
+            .into_iter()
+            .zip(dense)
+            .filter_map(|(id, value)| {
+                let value = value?;
+                visible |= id.bit();
+                size += attr_size(&value);
+                Some((id, value))
+            });
+        let attrs = Payload::from_exact(len, present);
+        let size = u32::try_from(size).unwrap_or(UNKNOWN_SIZE);
+        Entry {
+            attrs,
+            shown: shown(visible, size),
+        }
     }
 
     /// Show `visible`, with the size cache moved from `removed` bytes of
@@ -360,13 +413,31 @@ impl Entry {
 
     /// Set (or replace) an attribute; returns the previous value.
     pub fn set(&mut self, id: AttrId, value: impl Into<AttrValue>) -> Option<AttrValue> {
-        let value = value.into();
+        self.set_value(id, value.into())
+    }
+
+    /// [`Entry::set`], compiled once rather than per value type.
+    fn set_value(&mut self, id: AttrId, value: AttrValue) -> Option<AttrValue> {
+        if self.hides() {
+            let mut dense = self.dense();
+            let old = dense[id.dense()].replace(value);
+            *self = Entry::from_dense(dense);
+            return old;
+        }
         let added = attr_size(&value);
-        let attrs = self.payload_mut();
-        let old = match position(attrs, id) {
-            Ok(i) => Some(std::mem::replace(&mut attrs[i].1, value)),
+        let old = match position(&self.attrs, id) {
+            Ok(i) => match self.attrs.get_mut() {
+                Some(attrs) => Some(std::mem::replace(&mut attrs[i].1, value)),
+                None => {
+                    let old = self.attrs[i].1.clone();
+                    let (before, after) = (&self.attrs[..i], &self.attrs[i + 1..]);
+                    self.attrs = Payload::splice(before, Some((id, value)), after);
+                    Some(old)
+                }
+            },
             Err(i) => {
-                attrs.insert(i, (id, value));
+                let (before, after) = self.attrs.split_at(i);
+                self.attrs = Payload::splice(before, Some((id, value)), after);
                 None
             }
         };
@@ -391,11 +462,17 @@ impl Entry {
         if !self.contains(id) {
             return None;
         }
-        let attrs = self.payload_mut();
-        let i = position(attrs, id).ok()?;
-        let (_, value) = attrs.remove(i);
-        self.reshow(self.visible() & !id.bit(), 0, attr_size(&value));
-        Some(value)
+        if self.hides() {
+            let mut dense = self.dense();
+            let old = dense[id.dense()].take();
+            *self = Entry::from_dense(dense);
+            return old;
+        }
+        let i = position(&self.attrs, id).ok()?;
+        let old = self.attrs[i].1.clone();
+        self.attrs = Payload::splice(&self.attrs[..i], None, &self.attrs[i + 1..]);
+        self.reshow(self.visible() & !id.bit(), 0, attr_size(&old));
+        Some(old)
     }
 
     /// Whether the attribute is present.
@@ -432,16 +509,26 @@ impl Entry {
         }
     }
 
-    /// Apply a set of attribute modifications in order.
+    /// Apply a set of attribute modifications in order. The post-image is
+    /// built in one allocation however many modifications there are.
     pub fn apply(&mut self, mods: &[AttrMod]) {
-        for m in mods {
-            match m {
-                AttrMod::Set(id, v) => {
-                    self.set(*id, v.clone());
+        match mods {
+            [] => {}
+            [AttrMod::Set(id, v)] => {
+                self.set_value(*id, v.clone());
+            }
+            [AttrMod::Delete(id)] => {
+                self.remove(*id);
+            }
+            _ => {
+                let mut dense = self.dense();
+                for m in mods {
+                    dense[m.attr().dense()] = match m {
+                        AttrMod::Set(_, v) => Some(v.clone()),
+                        AttrMod::Delete(_) => None,
+                    };
                 }
-                AttrMod::Delete(id) => {
-                    self.remove(*id);
-                }
+                *self = Entry::from_dense(dense);
             }
         }
     }
@@ -450,7 +537,7 @@ impl Entry {
     /// through the same mask. Reads no attribute. Same handles are equal
     /// entries; equal entries built apart are not the same handle.
     pub fn same_handle(&self, other: &Entry) -> bool {
-        Arc::ptr_eq(&self.attrs, &other.attrs) && self.shown == other.shown
+        Payload::ptr_eq(&self.attrs, &other.attrs) && self.shown == other.shown
     }
 
     /// The entry restricted to the listed attributes (an LDAP search's
@@ -465,7 +552,7 @@ impl Entry {
             UNKNOWN_SIZE
         };
         Entry {
-            attrs: Arc::clone(&self.attrs),
+            attrs: self.attrs.clone(),
             shown: shown(visible, size),
         }
     }
@@ -474,7 +561,7 @@ impl Entry {
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.visible() == other.visible()
-            && (Arc::ptr_eq(&self.attrs, &other.attrs) || self.iter().eq(other.iter()))
+            && (Payload::ptr_eq(&self.attrs, &other.attrs) || self.iter().eq(other.iter()))
     }
 }
 
@@ -485,18 +572,15 @@ impl fmt::Debug for Entry {
     }
 }
 
+/// Gathers the attributes by tag, a later value replacing an earlier one
+/// for the same attribute, then allocates the payload once.
 impl FromIterator<(AttrId, AttrValue)> for Entry {
     fn from_iter<I: IntoIterator<Item = (AttrId, AttrValue)>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let room = iter.size_hint().0.min(AttrId::ALL.len());
-        let mut entry = Entry {
-            attrs: Arc::new(Vec::with_capacity(room)),
-            shown: 0,
-        };
+        let mut dense = Dense::default();
         for (id, value) in iter {
-            entry.set(id, value);
+            dense[id.dense()] = Some(value);
         }
-        entry
+        Entry::from_dense(dense)
     }
 }
 
@@ -672,6 +756,41 @@ mod tests {
         let mut written = e.clone();
         written.set(AttrId::OdbMask, 6u64);
         assert!(!written.same_handle(&e));
+    }
+
+    #[test]
+    fn handles_cloned_and_dropped_on_many_threads_free_the_payload_once() {
+        let imsi: Arc<str> = Arc::from("214010000000001");
+        let mut e = Entry::new();
+        e.set(AttrId::Imsi, AttrValue::Str(Arc::clone(&imsi)));
+        e.set(AttrId::OdbMask, 5u64);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let e = e.clone();
+                s.spawn(move || {
+                    let mut held = Vec::new();
+                    for k in 0..2_000 {
+                        held.push(e.clone());
+                        if k % 3 == 0 {
+                            held.swap_remove(k % held.len());
+                        }
+                    }
+                    assert!(held.iter().all(|h| h.same_handle(&e)));
+                    let mut mine = e.clone();
+                    mine.set(AttrId::OdbMask, t);
+                    assert_eq!(mine.get(AttrId::OdbMask), Some(&AttrValue::U64(t)));
+                    assert_eq!(e.get(AttrId::OdbMask), Some(&AttrValue::U64(5)));
+                });
+            }
+            // The spawned threads may still hold handles, so the payload's
+            // last drop can fall on any of them.
+            drop(e);
+        });
+        assert_eq!(
+            Arc::strong_count(&imsi),
+            1,
+            "the payload dropped its value once"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! speak the same types without cycles.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod attrs;
 pub mod config;
@@ -17,6 +18,8 @@ pub mod error;
 pub mod identity;
 pub mod ids;
 pub mod intern;
+#[allow(unsafe_code)]
+mod payload;
 pub mod procedures;
 pub mod profile;
 pub mod qos;

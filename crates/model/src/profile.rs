@@ -67,28 +67,33 @@ impl SubscriberProfile {
     /// Create a fully-populated default profile for a new subscription, as a
     /// provisioning "create" transaction would (§2.4).
     pub fn provision(ids: &IdentitySet, home_region: u32, ki: [u8; 16]) -> Self {
-        let mut entry = Entry::new();
-        entry.set(AttrId::Imsi, ids.imsi.as_str());
-        entry.set(AttrId::Msisdn, ids.msisdn.as_str());
-        if !ids.impus.is_empty() {
+        let impus = (!ids.impus.is_empty()).then(|| {
             let impus = ids.impus.iter().map(|i| Arc::from(i.as_str())).collect();
-            entry.set(AttrId::ImpuList, AttrValue::StrList(impus));
-        }
-        if let Some(impi) = &ids.impi {
-            entry.set(AttrId::Impi, impi.as_str());
-        }
-        entry.set(AttrId::AuthKi, AttrValue::Bytes(Arc::from(ki)));
-        entry.set(AttrId::AuthAmf, 0x8000u64);
-        entry.set(AttrId::AuthSqn, 0u64);
+            (AttrId::ImpuList, AttrValue::StrList(impus))
+        });
+        let impi = ids.impi.as_ref().map(|i| (AttrId::Impi, i.as_str().into()));
         let defaults = &*DEFAULTS;
-        entry.set(AttrId::SubscriberStatus, defaults.status.clone());
-        entry.set(AttrId::OdbMask, 0u64);
-        entry.set(AttrId::CallBarring, false);
-        entry.set(AttrId::Teleservices, defaults.teleservices.clone());
-        entry.set(AttrId::ApnProfiles, defaults.apn_profiles.clone());
-        entry.set(AttrId::ChargingProfile, defaults.charging_profile.clone());
-        entry.set(AttrId::HomeRegion, u64::from(home_region));
-        entry.set(AttrId::ProvisioningGen, 1u64);
+        let entry = [
+            (AttrId::Imsi, ids.imsi.as_str().into()),
+            (AttrId::Msisdn, ids.msisdn.as_str().into()),
+        ]
+        .into_iter()
+        .chain(impus)
+        .chain(impi)
+        .chain([
+            (AttrId::AuthKi, AttrValue::Bytes(Arc::from(ki))),
+            (AttrId::AuthAmf, 0x8000u64.into()),
+            (AttrId::AuthSqn, 0u64.into()),
+            (AttrId::SubscriberStatus, defaults.status.clone()),
+            (AttrId::OdbMask, 0u64.into()),
+            (AttrId::CallBarring, false.into()),
+            (AttrId::Teleservices, defaults.teleservices.clone()),
+            (AttrId::ApnProfiles, defaults.apn_profiles.clone()),
+            (AttrId::ChargingProfile, defaults.charging_profile.clone()),
+            (AttrId::HomeRegion, u64::from(home_region).into()),
+            (AttrId::ProvisioningGen, 1u64.into()),
+        ])
+        .collect();
         SubscriberProfile { entry }
     }
 

@@ -3,7 +3,7 @@
 //! interning must be idempotent (same string ⇒ same symbol), and the
 //! digit-packed fast path must never collide with the spilled path.
 //! Also the value semantics of the copy-on-write [`Entry`] and of its
-//! projected views.
+//! projected views, and the handle identity of its shared payload.
 
 use std::collections::BTreeMap;
 
@@ -118,6 +118,103 @@ fn assert_reads_as(entry: &Entry, model: &BTreeMap<AttrId, AttrValue>) {
         format!("{entry:?}"),
         format!("Entry {{ attrs: {model:?} }}")
     );
+}
+
+/// One step on a pool of entry handles.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Mutate handle `.0` (modulo the pool).
+    Mutate(usize, Mutation),
+    /// Push a clone of handle `.0`.
+    Clone(usize),
+    /// Push a projection of handle `.0`.
+    Project(usize, Vec<AttrId>),
+    /// Drop handle `.0`, unless it is the last.
+    Drop(usize),
+}
+
+fn rich_mutation() -> impl Strategy<Value = Mutation> {
+    let set = (attr_id(), attr_value()).prop_map(|(id, v)| AttrMod::Set(id, v));
+    let any_mod = prop_oneof![set, attr_id().prop_map(AttrMod::Delete)];
+    prop_oneof![
+        mutation(),
+        prop::collection::vec(any_mod, 0..5).prop_map(Mutation::Apply),
+    ]
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..8usize, rich_mutation()).prop_map(|(i, m)| Step::Mutate(i, m)),
+        (0..8usize).prop_map(Step::Clone),
+        (0..8usize, prop::collection::vec(attr_id(), 0..10)).prop_map(|(i, a)| Step::Project(i, a)),
+        (0..8usize).prop_map(Step::Drop),
+    ]
+}
+
+proptest! {
+    /// A pool of handles to shared payloads, driven by random sets,
+    /// removes, applies, projections, clones and drops, reads as a pool of
+    /// plain maps after every step: contents, `len` and `approx_size`
+    /// agree, a clone or a projection that hides nothing is the same
+    /// handle as its source, same handles always hold equal maps, and a
+    /// handle whose content changed shares its payload with no other.
+    #[test]
+    fn a_pool_of_entry_handles_reads_as_a_pool_of_maps(
+        base in prop::collection::vec((attr_id(), attr_value()), 0..16),
+        steps in prop::collection::vec(step(), 1..40),
+    ) {
+        let model: BTreeMap<AttrId, AttrValue> = base.into_iter().collect();
+        let mut pool: Vec<(Entry, BTreeMap<AttrId, AttrValue>)> =
+            vec![(model.clone().into_iter().collect(), model)];
+        for step in &steps {
+            let changed = match step {
+                Step::Mutate(i, m) => {
+                    let i = i % pool.len();
+                    let (entry, model) = &mut pool[i];
+                    let before = model.clone();
+                    mutate(entry, model, m);
+                    (before != *model).then_some(i)
+                }
+                Step::Clone(i) => {
+                    let (entry, model) = pool[i % pool.len()].clone();
+                    prop_assert!(entry.same_handle(&pool[i % pool.len()].0));
+                    pool.push((entry, model));
+                    None
+                }
+                Step::Project(i, attrs) => {
+                    let (entry, model) = &pool[i % pool.len()];
+                    let view = entry.project(attrs);
+                    let view_model = project_by_copy(model, attrs);
+                    prop_assert_eq!(view.same_handle(entry), view_model == *model);
+                    pool.push((view, view_model));
+                    None
+                }
+                Step::Drop(i) => {
+                    if pool.len() > 1 {
+                        pool.swap_remove(i % pool.len());
+                    }
+                    None
+                }
+            };
+            for (k, (entry, model)) in pool.iter().enumerate() {
+                prop_assert!(holds(entry, model), "{step:?}: handle {k}");
+                prop_assert_eq!(entry.len(), model.len());
+                let size: usize = model.values().map(|v| 2 + 48 + v.approx_size()).sum();
+                prop_assert_eq!(entry.approx_size(), size);
+                for (other, other_model) in &pool {
+                    if entry.same_handle(other) {
+                        prop_assert_eq!(model, other_model);
+                    }
+                }
+                if changed == Some(k) {
+                    let shared = pool.iter().enumerate().any(|(j, (other, _))| {
+                        j != k && Entry::same_handle(entry, other)
+                    });
+                    prop_assert!(!shared, "{step:?} left handle {k} shared");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

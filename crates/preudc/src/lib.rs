@@ -14,6 +14,7 @@
 //! single-writer transaction (Figure 4) eliminates.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod network;
 pub mod nodes;

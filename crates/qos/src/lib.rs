@@ -26,6 +26,7 @@
 //!   deployments behave exactly as before.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod bucket;

@@ -18,6 +18,7 @@
 //!   so the ablation experiment can measure the cost and blocking hazard.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod group;
 pub mod migration;

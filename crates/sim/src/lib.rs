@@ -12,6 +12,7 @@
 //! the benchmark harness regenerate the paper's shapes reproducibly.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod faults;
 pub mod net;

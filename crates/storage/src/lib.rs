@@ -18,6 +18,7 @@
 //! isolated replays.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod durability;
 pub mod engine;

@@ -12,13 +12,15 @@
 //! LSN, commit instant, writing SE) pack 4–8 bytes per record each and scan
 //! contiguously, while entry payloads sit in their own column and are only
 //! touched by reads that need them. A payload is a copy-on-write
-//! [`Entry`]: one immutable allocation per committed version, shared by
+//! [`Entry`]: one immutable allocation per committed version (reference
+//! count, length and attribute slots in one block), shared by
 //! this store, the commit log, the ship channels, the slaves and the disk
 //! snapshots. Reads hand out [`RecordView`]s that borrow it, and the owning
 //! reads ([`RecordStore::version`], `Engine::read_committed`) clone the
 //! handle — a reference-count bump, never a copy of the attributes. A
-//! modify copies the attribute vector of the version it changes and no
-//! value in it: strings, octets and lists are reference-counted too
+//! modify copies the attribute slots of the version it changes into one
+//! new block, one allocator call, and no value in them: strings, octets
+//! and lists are reference-counted too
 //! ([`AttrValue`]), so the new version shares every attribute it did not
 //! touch with the old one, wherever the old one is still held. Nothing on
 //! any path deep-copies a value. The whole store can also be frozen into a
@@ -356,29 +358,30 @@ fn put_str(buf: &mut BytesMut, s: &str) {
 /// Decode one entry encoded by [`encode_entry`].
 pub fn decode_entry(r: &mut Reader<'_>) -> UdrResult<Entry> {
     let n = r.u16()?;
-    let mut entry = Entry::new();
-    for _ in 0..n {
-        let tag = r.u16()?;
-        let id = AttrId::from_tag(tag)
-            .ok_or_else(|| UdrError::Codec(format!("unknown attr tag {tag}")))?;
-        let value = match r.u8()? {
-            VAL_STR => AttrValue::Str(r.str()?.into()),
-            VAL_U64 => AttrValue::U64(r.u64()?),
-            VAL_BOOL => AttrValue::Bool(r.u8()? != 0),
-            VAL_BYTES => {
-                let len = r.u32()? as usize;
-                AttrValue::Bytes(r.take(len)?.into())
-            }
-            VAL_STR_LIST => {
-                let count = r.u16()?;
-                let list: UdrResult<_> = (0..count).map(|_| r.str().map(Arc::from)).collect();
-                AttrValue::StrList(list?)
-            }
-            t => return Err(UdrError::Codec(format!("unknown value tag {t}"))),
-        };
-        entry.set(id, value);
-    }
-    Ok(entry)
+    (0..n).map(|_| decode_attr(r)).collect()
+}
+
+/// One attribute of an encoded entry: its tag and its typed value.
+fn decode_attr(r: &mut Reader<'_>) -> UdrResult<(AttrId, AttrValue)> {
+    let tag = r.u16()?;
+    let id =
+        AttrId::from_tag(tag).ok_or_else(|| UdrError::Codec(format!("unknown attr tag {tag}")))?;
+    let value = match r.u8()? {
+        VAL_STR => AttrValue::Str(r.str()?.into()),
+        VAL_U64 => AttrValue::U64(r.u64()?),
+        VAL_BOOL => AttrValue::Bool(r.u8()? != 0),
+        VAL_BYTES => {
+            let len = r.u32()? as usize;
+            AttrValue::Bytes(r.take(len)?.into())
+        }
+        VAL_STR_LIST => {
+            let count = r.u16()?;
+            let list: UdrResult<_> = (0..count).map(|_| r.str().map(Arc::from)).collect();
+            AttrValue::StrList(list?)
+        }
+        t => return Err(UdrError::Codec(format!("unknown value tag {t}"))),
+    };
+    Ok((id, value))
 }
 
 /// A bounds-checked big-endian cursor over a byte slice.

@@ -18,6 +18,7 @@
 //!   pipeline stages, QoS decisions, shipper flushes and consensus rounds.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::collections::VecDeque;
 

@@ -13,6 +13,7 @@
 //! what turns a transient overload into a metastable storm.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod faultgen;
 pub mod population;

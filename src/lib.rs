@@ -1,4 +1,6 @@
 //! Umbrella crate re-exporting the full UDR reproduction.
+#![deny(unsafe_code)]
+
 pub use udr_consensus as consensus;
 pub use udr_core as core;
 pub use udr_dls as dls;

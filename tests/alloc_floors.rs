@@ -272,12 +272,12 @@ fn a_warm_search_makes_no_allocator_call() {
 
 // --- Modify: a write costs what it changes ----------------------------------
 //
-// The new version copies the attribute vector and shares every value; the
-// commit record holds its one change inline, and master log, ship channels
-// and slave logs each keep a copy of that record; the write set and the
-// ship batches reuse vectors earlier ones returned. The bound is two calls
-// per write plus a fifth of one, averaged over 1 000 writes with the pump
-// included, because logs and the event queue grow.
+// The new version copies the attribute slots into one block and shares
+// every value; the commit record holds its one change inline, and master
+// log, ship channels and slave logs each keep a copy of that record; the
+// write set and the ship batches reuse vectors earlier ones returned. The
+// bound is one call per write plus a fifth of one, averaged over 1 000
+// writes with the pump included, because logs and the event queue grow.
 
 const MODIFY_SUBSCRIBERS: u64 = 40;
 const WARM_UP: u64 = 200;
@@ -338,21 +338,21 @@ fn a_warm_modify_allocates_for_what_it_changes() {
     udr.advance_to(now + SimDuration::from_secs(5));
     assert!(udr.replication_settled());
     assert!(
-        calls <= 2 * COUNTED + COUNTED / 5,
+        calls <= COUNTED + COUNTED / 5,
         "{COUNTED} warm modifies made {calls} allocator calls, pump included"
     );
 }
 
 // --- Consensus: a CP write allocates its post-image -------------------------
 //
-// The serving leader copies the attribute vector into the post-image it
-// proposes (the vector and its `Arc`); the protocol around it allocates
-// nothing per write: every replica step pushes into the ensemble's one
-// outbox, messages in flight wait in its mailbox, a proposal's acks are
-// bits beside it, and each node's commit record holds its one change
-// inline. What is left is chosen-log growth and the odd catch-up transfer.
-// The bound is three calls per write, averaged over 1 000 writes with the
-// pump's ticks and deliveries between them included.
+// The serving leader copies the attribute slots into the post-image it
+// proposes, one block and one allocator call; the protocol around it
+// allocates nothing per write: every replica step pushes into the
+// ensemble's one outbox, messages in flight wait in its mailbox, a
+// proposal's acks are bits beside it, and each node's commit record holds
+// its one change inline. What is left is chosen-log growth and the odd
+// catch-up transfer. The bound is two calls per write, averaged over 1 000
+// writes with the pump's ticks and deliveries between them included.
 
 #[test]
 fn a_warm_consensus_write_allocates_its_post_image() {
@@ -365,7 +365,7 @@ fn a_warm_consensus_write_allocates_its_post_image() {
     udr.advance_to(now + SimDuration::from_secs(5));
     assert!(udr.replication_settled());
     assert!(
-        calls <= 3 * COUNTED,
+        calls <= 2 * COUNTED,
         "{COUNTED} warm consensus writes made {calls} allocator calls, pump included"
     );
 }
@@ -581,11 +581,12 @@ fn committed_payloads_are_shared_not_copied() {
     let (_, tally) = counted(|| Arc::<[u8]>::from(blob));
     assert_eq!((tally.calls, tally.in_window), (1, 1));
 
-    // A modify copies the attribute vector and no value in it; the store,
+    // A modify copies the attribute slots and no value in them; the store,
     // the two logs, the commit record and the slave then share the new
     // version, and the new version shares every untouched value with the
-    // old one. Two allocator calls in all: the vector and its `Arc`; the
-    // commit record holds its one change inline. The write set is the
+    // old one. One allocator call in all: the new version's block, which
+    // holds its reference count, length and slots together; the commit
+    // record holds its one change inline. The write set is the
     // vector the previous transaction returned, and the logs have room:
     // this is the 1 809th push into their third segment of 4 096.
     let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5))];
@@ -600,7 +601,7 @@ fn committed_payloads_are_shared_not_copied() {
         "modify + commit + apply copied the blob"
     );
     assert_eq!(
-        tally.calls, 2,
+        tally.calls, 1,
         "modify + commit + apply made {} allocations",
         tally.calls
     );
@@ -774,7 +775,7 @@ fn warm_se_modify_calls(mode: DurabilityMode) -> u64 {
 #[test]
 fn a_sync_commit_modify_allocates_what_a_periodic_one_does() {
     let periodic = warm_se_modify_calls(DurabilityMode::periodic_default());
-    assert_eq!(periodic, 2, "the attribute vector and its `Arc`");
+    assert_eq!(periodic, 1, "the new version's one block");
     assert_eq!(
         warm_se_modify_calls(DurabilityMode::SyncCommit),
         periodic,
