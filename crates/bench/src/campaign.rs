@@ -499,7 +499,7 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
         history,
         elections: s.udr.consensus_elections(),
         leader_changes: s.udr.consensus_leader_changes(),
-        violations: s.udr.consensus_violations().to_vec(),
+        violations: s.udr.consensus_violations(),
         commits: s.udr.metrics.consensus_commits,
         stage_latency: std::mem::take(&mut s.udr.metrics.stage_latency),
         trace: s.udr.tracer.enabled().then(|| s.udr.trace_export()),

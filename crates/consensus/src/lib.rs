@@ -23,9 +23,14 @@
 //!   election with randomized timeouts and a stable-leader fast path
 //!   (phase 1 amortized across slots, the property that makes ZooKeeper's
 //!   primary-order broadcast affordable);
-//! * [`runtime`] — a deterministic cluster harness wiring N replicas to the
-//!   simulated IP backbone of [`udr_sim`], with partition schedules, node
-//!   crashes, message loss, and per-command fate/latency accounting.
+//! * [`ensemble`] — the one host of N replicas: it steps a replica, fans
+//!   out what it sends, holds messages in flight under tickets, and
+//!   answers leader, majority and agreement for the deployment's
+//!   per-partition groups and the cluster harness alike;
+//! * [`runtime`] — a host of it: a deterministic cluster harness wiring
+//!   an [`Ensemble`] to the simulated IP backbone of [`udr_sim`], with
+//!   partition schedules, node crashes, message loss, and per-command
+//!   fate/latency accounting.
 //!
 //! The protocol follows Paxos safety to the letter: an acceptor never
 //! accepts below its promise; a new leader re-proposes the
@@ -53,13 +58,15 @@
 #![deny(unsafe_code)]
 
 pub mod ballot;
+pub mod ensemble;
 pub mod log;
 pub mod msg;
 pub mod replica;
 pub mod runtime;
 
 pub use ballot::{Ballot, NodeId, Slot};
+pub use ensemble::Ensemble;
 pub use log::ChosenLog;
-pub use msg::{CmdId, Command, Envelope, Message, Payload};
+pub use msg::{CmdId, Command, Message, Payload};
 pub use replica::{Replica, ReplicaConfig, Role};
 pub use runtime::{ClusterConfig, CommandFate, ConsensusCluster, MsgStats, RunReport};

@@ -11,7 +11,7 @@
 use udr_model::attrs::Entry;
 use udr_model::ids::SubscriberUid;
 
-use crate::ballot::{Ballot, NodeId, Slot};
+use crate::ballot::{Ballot, Slot};
 
 /// Unique id of a client command. `CmdId(0)` is reserved for leader-issued
 /// no-ops (gap filling after failover) and is exempt from deduplication.
@@ -199,15 +199,6 @@ impl Message {
             Message::Forward { .. } => "forward",
         }
     }
-}
-
-/// A routed message: who sent it plus the payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Envelope {
-    /// The sending node.
-    pub from: NodeId,
-    /// The message.
-    pub msg: Message,
 }
 
 #[cfg(test)]

@@ -149,7 +149,9 @@ pub struct Replica {
     last_heartbeat_sent: SimTime,
     last_catchup_request: Option<SimTime>,
 
-    /// Decisions learned since the last drain (runtime latency accounting).
+    /// Decisions learned since the last drain: what the cluster harness
+    /// times commands by (the deployment applies by its own cursor and
+    /// only drains it).
     newly_chosen: Vec<(Slot, Command)>,
     /// Safety violations observed (always empty in a correct run).
     violations: Vec<AgreementViolation>,

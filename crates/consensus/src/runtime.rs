@@ -1,14 +1,17 @@
 //! A deterministic consensus cluster over the simulated backbone.
 //!
-//! The runtime owns N [`Replica`]s (one per site of a [`Topology`]), routes
-//! their messages through the [`Network`] — sampling latency and loss,
-//! honouring partitions — and drives timers and deliveries from one
-//! [`ShardedPump`], the event queue every simulation here runs on. Fault
-//! scripts (partitions, node crashes/restarts) and client submissions
-//! are registered up front; [`ConsensusCluster::run_until`] then replays
-//! everything on the virtual clock and reports per-command fates, leader
-//! changes, message costs and (never, in a correct build) agreement
-//! violations.
+//! The runtime is a host of an [`Ensemble`] (one node per site of a
+//! [`Topology`]): it routes the ensemble's messages through the
+//! [`Network`] — sampling latency and loss, honouring partitions — and
+//! drives timers and deliveries from one [`ShardedPump`], the event queue
+//! every simulation here runs on. Fault scripts (partitions, node
+//! crashes/restarts) and client submissions are registered up front;
+//! [`ConsensusCluster::run_until`] then replays everything on the virtual
+//! clock and reports per-command fates, leader changes, message costs and
+//! (never, in a correct build) agreement violations. The deployment's
+//! per-partition groups host the same [`Ensemble`], so what this harness
+//! checks is the code the deployment runs, bar the delivery rule the
+//! [`ensemble`](crate::ensemble) module doc describes.
 //!
 //! Node crashes model a process stop with acceptor state preserved across
 //! restart — the persistence Paxos requires and which the paper's SAF
@@ -23,7 +26,8 @@ use udr_sim::net::{Cut, CutHandle, Network, Topology};
 use udr_sim::{Fault, FaultScript, LaneClass, PumpConfig, ShardedPump, SimRng};
 
 use crate::ballot::{NodeId, Slot};
-use crate::msg::{CmdId, Command, Envelope, Message};
+use crate::ensemble::Ensemble;
+use crate::msg::{CmdId, Command};
 use crate::replica::{Outbound, Replica, ReplicaConfig, Role};
 
 /// Cluster-level knobs.
@@ -138,7 +142,7 @@ impl RunReport {
 const LANE: LaneClass = LaneClass::Local(0);
 
 enum Ev {
-    Deliver { to: NodeId, env: Envelope },
+    Deliver { to: usize, from: usize, ticket: u32 },
     Tick { node: NodeId },
     Submit { origin: NodeId, cmd: Command },
     StartCut { idx: usize },
@@ -149,7 +153,7 @@ enum Ev {
 
 /// N replicas, one per site, over the simulated backbone.
 pub struct ConsensusCluster {
-    replicas: Vec<Replica>,
+    ensemble: Ensemble,
     sites: Vec<SiteId>,
     down: Vec<bool>,
     net: Network,
@@ -162,10 +166,7 @@ pub struct ConsensusCluster {
     fates: BTreeMap<CmdId, CommandFate>,
     leader_changes: Vec<(SimTime, NodeId)>,
     messages: MsgStats,
-    violations: Vec<String>,
     ticks_started: bool,
-    /// What the replica being stepped sends; empty between steps.
-    outbox: Vec<Outbound>,
 }
 
 impl ConsensusCluster {
@@ -173,11 +174,8 @@ impl ConsensusCluster {
     pub fn new(topo: Topology, cfg: ClusterConfig, seed: u64) -> Self {
         let n = topo.sites();
         let sites: Vec<SiteId> = (0..n as u32).map(SiteId).collect();
-        let replicas = (0..n as u32)
-            .map(|i| Replica::new(NodeId(i), n, cfg.replica.clone(), seed))
-            .collect();
         ConsensusCluster {
-            replicas,
+            ensemble: Ensemble::new(n, cfg.replica.clone(), seed),
             sites,
             down: vec![false; n],
             net: Network::new(topo),
@@ -190,45 +188,53 @@ impl ConsensusCluster {
             fates: BTreeMap::new(),
             leader_changes: Vec::new(),
             messages: MsgStats::default(),
-            violations: Vec::new(),
             ticks_started: false,
-            outbox: Vec::new(),
         }
     }
 
     /// Ensemble size.
     pub fn len(&self) -> usize {
-        self.replicas.len()
+        self.ensemble.nodes().len()
     }
 
     /// Whether the ensemble is empty (never true after construction).
     pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
+        self.ensemble.nodes().is_empty()
     }
 
     /// Read access to a replica (assertions in tests).
     pub fn node(&self, i: usize) -> &Replica {
-        &self.replicas[i]
+        &self.ensemble.nodes()[i]
     }
 
-    /// The current leader, if exactly one live node believes it leads.
+    /// The current leader: among live nodes that believe they lead, the
+    /// one holding the highest ballot.
     pub fn current_leader(&self) -> Option<NodeId> {
-        let leaders: Vec<NodeId> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| !self.down[*i] && r.role() == Role::Leader)
-            .map(|(_, r)| r.id())
-            .collect();
-        if leaders.len() == 1 {
-            Some(leaders[0])
-        } else {
-            None
-        }
+        self.ensemble
+            .leader(|i| !self.down[i])
+            .map(|i| NodeId(i as u32))
+    }
+
+    /// `k` as a node of this cluster.
+    ///
+    /// # Panics
+    ///
+    /// If the cluster has no node `k`.
+    fn node_id(&self, k: u32) -> NodeId {
+        let n = self.len();
+        assert!(
+            (k as usize) < n,
+            "node {k} is outside the {n}-node ensemble"
+        );
+        NodeId(k)
     }
 
     /// Queue a subscriber-write command through node `origin` at `at`.
     /// Returns the assigned command id.
+    ///
+    /// # Panics
+    ///
+    /// If the cluster has no node `origin`.
     pub fn submit_write_at(
         &mut self,
         at: SimTime,
@@ -236,9 +242,9 @@ impl ConsensusCluster {
         uid: udr_model::ids::SubscriberUid,
         entry: Option<udr_model::attrs::Entry>,
     ) -> CmdId {
+        let origin = self.node_id(origin);
         let id = CmdId(self.next_cmd);
         self.next_cmd += 1;
-        let origin = NodeId(origin);
         self.queue.schedule_at(
             LANE,
             at,
@@ -259,7 +265,8 @@ impl ConsensusCluster {
     /// # Panics
     ///
     /// On any other fault kind — a backbone glitch, one-way loss or WAN
-    /// brown-out. The bare cluster models cuts and crashes only.
+    /// brown-out. The bare cluster models cuts and crashes only. Also on
+    /// a crash or restore of an `SeId` the cluster has no node for.
     pub fn schedule_script(&mut self, script: &FaultScript) {
         for (at, fault) in script.timeline() {
             let ev = match fault {
@@ -272,8 +279,12 @@ impl ConsensusCluster {
                         .schedule_at(LANE, at.saturating_add(duration), Ev::Heal { idx });
                     continue;
                 }
-                Fault::SeCrash { se } => Ev::Crash { node: NodeId(se.0) },
-                Fault::SeRestore { se } => Ev::Restart { node: NodeId(se.0) },
+                Fault::SeCrash { se } => Ev::Crash {
+                    node: self.node_id(se.0),
+                },
+                Fault::SeRestore { se } => Ev::Restart {
+                    node: self.node_id(se.0),
+                },
                 other => panic!("the consensus cluster models cuts and crashes only: {other:?}"),
             };
             self.queue.schedule_at(LANE, at, ev);
@@ -285,7 +296,7 @@ impl ConsensusCluster {
             return;
         }
         self.ticks_started = true;
-        for i in 0..self.replicas.len() {
+        for i in 0..self.len() {
             // Small per-node stagger so timer events interleave.
             let first = self.cfg.tick_interval + SimDuration::from_micros(137 * i as u64);
             self.queue.schedule_at(
@@ -298,60 +309,36 @@ impl ConsensusCluster {
         }
     }
 
-    /// Feed `node` one input (`input` pushes what it sends onto the
-    /// cluster's one outbox), account for what it learned, then send the
-    /// outbox's messages and leave it empty for the next input.
+    /// Feed `node` one input through the ensemble, sending what it sends
+    /// over the backbone, then account for what it learned.
     fn step(
         &mut self,
         now: SimTime,
         node: NodeId,
         input: impl FnOnce(&mut Replica, &mut Vec<Outbound>),
     ) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        input(&mut self.replicas[node.index()], &mut outbox);
+        self.ensemble
+            .step(node.index(), input, |from, to, ticket, msg| {
+                let (sf, st) = (self.sites[from], self.sites[to]);
+                self.messages.count(msg.kind(), sf != st);
+                // Lost / unreachable: dropped; retransmission timers recover.
+                let Some(delay) = self.net.send(sf, st, &mut self.rng).delay() else {
+                    return false;
+                };
+                self.queue
+                    .schedule_at(LANE, now + delay, Ev::Deliver { to, from, ticket });
+                true
+            });
         self.post_process(now, node);
-        for out in outbox.drain(..) {
-            match out {
-                Outbound::To(dest, msg) => self.send_one(now, node, dest, msg),
-                Outbound::Broadcast(msg) => {
-                    for i in 0..self.replicas.len() as u32 {
-                        if NodeId(i) != node {
-                            self.send_one(now, node, NodeId(i), msg.clone());
-                        }
-                    }
-                }
-            }
-        }
-        self.outbox = outbox;
-    }
-
-    fn send_one(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: Message) {
-        let (sf, st) = (self.sites[from.index()], self.sites[to.index()]);
-        self.messages.count(msg.kind(), sf != st);
-        if let Some(delay) = self.net.send(sf, st, &mut self.rng).delay() {
-            self.queue.schedule_at(
-                LANE,
-                now + delay,
-                Ev::Deliver {
-                    to,
-                    env: Envelope { from, msg },
-                },
-            );
-        }
-        // Lost / unreachable: dropped; retransmission timers recover.
     }
 
     fn post_process(&mut self, now: SimTime, node: NodeId) {
         let was_leader = self.leader_changes.last().map(|(_, n)| *n);
-        let replica = &mut self.replicas[node.index()];
-        for v in replica.take_violations() {
-            self.violations.push(format!("{node}: {v}"));
-        }
-        if replica.role() == Role::Leader && was_leader != Some(node) {
+        if self.node(node.index()).role() == Role::Leader && was_leader != Some(node) {
             // A node observed winning leadership since the last change.
             self.leader_changes.push((now, node));
         }
-        for (slot, cmd) in replica.drain_newly_chosen() {
+        for (slot, cmd) in self.ensemble.drain_newly_chosen(node.index()) {
             if cmd.id.is_noop() {
                 continue;
             }
@@ -373,11 +360,13 @@ impl ConsensusCluster {
         self.start_ticks();
         while let Some((now, ev)) = self.queue.pop_until(horizon) {
             match ev {
-                Ev::Deliver { to, env } => {
-                    if self.down[to.index()] {
+                Ev::Deliver { to, from, ticket } => {
+                    let msg = self.ensemble.take(ticket);
+                    if self.down[to] {
                         continue;
                     }
-                    self.step(now, to, |r, out| r.handle(now, env.from, env.msg, out));
+                    let (to, from) = (NodeId(to as u32), NodeId(from as u32));
+                    self.step(now, to, |r, out| r.handle(now, from, msg, out));
                 }
                 Ev::Tick { node } => {
                     self.queue
@@ -421,23 +410,18 @@ impl ConsensusCluster {
 
     /// Snapshot the current report without running further.
     pub fn report(&mut self) -> RunReport {
-        let mut violations = self.violations.clone();
-        // Pairwise agreement across every replica's log, crashed or not:
-        // a crashed node's decided prefix must still agree.
-        for a in 0..self.replicas.len() {
-            for b in (a + 1)..self.replicas.len() {
-                if let Err(v) = self.replicas[a].log().agrees_with(self.replicas[b].log()) {
-                    violations.push(format!("n{a} vs n{b}: {v}"));
-                }
-            }
-        }
         RunReport {
             fates: self.fates.clone(),
-            elections: self.replicas.iter().map(|r| r.elections_started).sum(),
+            elections: self.ensemble.elections(),
             leader_changes: self.leader_changes.clone(),
             messages: self.messages.clone(),
-            violations,
-            final_committed: self.replicas.iter().map(|r| r.log().committed()).collect(),
+            violations: self.ensemble.agreement_violations(),
+            final_committed: self
+                .ensemble
+                .nodes()
+                .iter()
+                .map(|r| r.log().committed())
+                .collect(),
         }
     }
 
@@ -695,6 +679,63 @@ mod tests {
         assert!(report.messages.by_kind.contains_key("accept"));
         assert!(report.messages.by_kind.contains_key("heartbeat"));
         assert!(report.messages.wan > 0, "consensus must cross the backbone");
+    }
+
+    /// Messages that reach a node while it is down are dropped, and their
+    /// mailbox slots are freed all the same: once the run quiesces after
+    /// the crash and the restart, no ticket is left live.
+    #[test]
+    fn messages_dropped_at_a_crashed_node_free_their_tickets() {
+        let mut cluster = quiet_cluster(3, 11);
+        cluster.run_until(secs(4));
+        let leader = cluster.current_leader().expect("stable leader");
+        let follower = (0..3u32).find(|i| NodeId(*i) != leader).unwrap();
+        for i in 0..10 {
+            cluster.submit_write_at(
+                secs(5) + SimDuration::from_millis(10 * i),
+                leader.0,
+                SubscriberUid(i),
+                None,
+            );
+        }
+        // Down while the writes' Accepts and Learns and the heartbeats
+        // are on their way to it.
+        cluster.schedule_script(&FaultScript::new(0).se_outage(
+            secs(5) + SimDuration::from_millis(20),
+            SimDuration::from_secs(2),
+            SeId(follower),
+        ));
+        let report = cluster.run_until(secs(10));
+        assert_eq!(report.committed(), 10);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+
+        // Heartbeats keep a message or two on the wire for part of every
+        // interval; a leaked ticket stays live for good.
+        let mut now = secs(10);
+        let drained = (0..200).any(|_| {
+            now += SimDuration::from_millis(1);
+            cluster.run_until(now);
+            cluster.ensemble.in_flight() == 0
+        });
+        assert!(
+            drained,
+            "{} tickets live throughout the 200 ms after quiescing",
+            cluster.ensemble.in_flight()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 is outside the 3-node ensemble")]
+    fn a_fault_script_naming_a_missing_node_is_refused() {
+        let mut cluster = quiet_cluster(3, 12);
+        cluster.schedule_script(&FaultScript::new(0).se_crash(secs(1), SeId(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 5 is outside the 3-node ensemble")]
+    fn a_submission_through_a_missing_node_is_refused() {
+        let mut cluster = quiet_cluster(3, 13);
+        cluster.submit_write_at(secs(1), 5, SubscriberUid(1), None);
     }
 
     #[test]

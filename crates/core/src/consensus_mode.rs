@@ -12,24 +12,21 @@
 //! deployment's one event pump, so consensus traffic interleaves
 //! deterministically with faults and client operations.
 //!
-//! This module holds the ensembles and the paths only they have: routing
-//! (the consensus arm of `ReplicationStage::route` calls
-//! `Udr::consensus_route`), protocol steps, apply and the reconfig
-//! cutover. Where consensus and the copy families answer the same question
+//! This module holds the groups and the paths only the deployment has:
+//! routing (the consensus arm of `ReplicationStage::route` calls
+//! `Udr::consensus_route`), the tick and delivery rule, apply and the
+//! reconfig cutover. Where consensus and the copy families answer the same question
 //! (catch-up, crash, restore, lag, settle) the answer is one function in
 //! [`crate::replication`] with a consensus arm, reading the ensemble state
 //! this module exposes to the crate.
 //!
-//! A protocol step allocates nothing once an ensemble is warm. Every
-//! replica input (`Udr::consensus_step`) pushes what it sends onto the
-//! ensemble's one outbox, which routing drains and keeps. A message in
-//! flight waits in the ensemble's mailbox, a slab whose slots a LIFO free
-//! list recycles; the [`UdrEvent::ConsensusDeliver`] that carries it holds
-//! only its `u32` ticket, and delivery takes the message out before
-//! anything else, so a message dropped at a down or cut-off node frees its
-//! slot too. A chosen write becomes a commit record holding its one change
-//! inline. What a consensus write still allocates is its post-image and
-//! its share of chosen-log growth.
+//! Each group hosts an [`Ensemble`], the same host `udr_consensus`'s
+//! cluster harness runs on: it steps the replicas, fans out and holds
+//! their messages (a [`UdrEvent::ConsensusDeliver`] carries only a `u32`
+//! ticket), and names the live leader. Its [module doc] says how a
+//! protocol step stays allocation-free. A chosen write becomes a commit record
+//! holding its one change inline. What a consensus write still allocates
+//! is its post-image and its share of chosen-log growth.
 //!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen
@@ -51,12 +48,13 @@
 //! window (see `Udr::run_consensus_migrations`).
 //!
 //! [`ReplicationMode::Consensus`]: udr_model::config::ReplicationMode::Consensus
+//! [module doc]: udr_consensus::ensemble
 //! [`Payload::Write`]: udr_consensus::Payload::Write
 //! [`Payload::Reconfig`]: udr_consensus::Payload::Reconfig
 
 use udr_consensus::replica::Outbound;
 use udr_consensus::{
-    ChosenLog, CmdId, Command, Message, NodeId, Payload, Replica, ReplicaConfig, Role, Slot,
+    ChosenLog, CmdId, Command, Ensemble, NodeId, Payload, Replica, ReplicaConfig, Slot,
 };
 use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
@@ -68,7 +66,7 @@ use udr_storage::{Change, CommitRecord, Lsn};
 
 use crate::ops::OpOutcome;
 use crate::pipeline::{sample_rtt, PipelineCtx, ReadRoute};
-use crate::udr::{Udr, UdrEvent};
+use crate::udr::{Udr, UdrEvent, LANE};
 
 /// How often each partition's ensemble runs its protocol timers
 /// (election timeouts, heartbeats, forward retries, catch-up probes).
@@ -78,8 +76,9 @@ pub(crate) const CONSENSUS_TICK_INTERVAL: SimDuration = SimDuration::from_millis
 /// `i` is hosted by the partition's `groups[p].members()[i]`.
 pub(crate) struct ConsensusGroup {
     /// The protocol state machines (RAM *and* the durable acceptor state —
-    /// preserved across SE crashes, as Paxos requires).
-    pub(crate) replicas: Vec<Replica>,
+    /// preserved across SE crashes, as Paxos requires) and the messages in
+    /// flight between them.
+    pub(crate) ensemble: Ensemble,
     /// Apply cursor per node: the slot up to which this node's storage
     /// holds its log's effective entries. `consensus_apply` resumes
     /// strictly above it and leaves it at the log's `committed()`.
@@ -87,11 +86,6 @@ pub(crate) struct ConsensusGroup {
     /// Scratch for the read-index echoes of one `consensus_read`, kept so
     /// a read allocates nothing.
     echoes: Vec<SimDuration>,
-    /// What the replica being stepped sends; empty between steps, kept so
-    /// a protocol step allocates nothing.
-    outbox: Vec<Outbound>,
-    /// The protocol messages in flight between this ensemble's nodes.
-    mailbox: Mailbox,
     /// Last observed serving leader (bookkeeping for failover counting).
     last_leader: Option<usize>,
     /// Serving-leader hand-offs observed (failovers under consensus).
@@ -101,72 +95,14 @@ pub(crate) struct ConsensusGroup {
 impl ConsensusGroup {
     /// A fresh ensemble of `n` followers.
     pub(crate) fn new(n: usize, seed: u64, partition: u32) -> Self {
-        let replicas = (0..n)
-            .map(|i| {
-                Replica::new(
-                    NodeId(i as u32),
-                    n,
-                    ReplicaConfig::default(),
-                    seed ^ 0x9A05 ^ ((partition as u64) << 8),
-                )
-            })
-            .collect();
+        let seed = seed ^ 0x9A05 ^ ((partition as u64) << 8);
         ConsensusGroup {
+            ensemble: Ensemble::new(n, ReplicaConfig::default(), seed),
             applied: vec![Slot::ZERO; n],
             echoes: Vec::with_capacity(n),
-            outbox: Vec::new(),
-            mailbox: Mailbox::default(),
-            replicas,
             last_leader: None,
             leader_changes: 0,
         }
-    }
-
-    /// Majority threshold of this ensemble.
-    fn majority(&self) -> usize {
-        self.replicas.len() / 2 + 1
-    }
-}
-
-/// Protocol messages in flight, each held in a slot a
-/// [`UdrEvent::ConsensusDeliver`] names by its ticket. A delivered slot
-/// goes on a free list and the next message posted takes the most
-/// recently freed one, so once the slab has grown to the most messages
-/// ever in flight at once, posting a message allocates nothing.
-#[derive(Default)]
-struct Mailbox {
-    slots: Vec<Option<Message>>,
-    free: Vec<u32>,
-}
-
-impl Mailbox {
-    /// Hold `msg` until its delivery; returns its ticket.
-    fn post(&mut self, msg: Message) -> u32 {
-        match self.free.pop() {
-            Some(ticket) => {
-                self.slots[ticket as usize] = Some(msg);
-                ticket
-            }
-            None => {
-                self.slots.push(Some(msg));
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    /// The message `ticket` names, freeing its slot.
-    fn take(&mut self, ticket: u32) -> Message {
-        let msg = self.slots[ticket as usize]
-            .take()
-            .expect("a ticket is delivered once");
-        self.free.push(ticket);
-        msg
-    }
-
-    /// Messages posted and not yet taken.
-    #[cfg(test)]
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
     }
 }
 
@@ -206,35 +142,16 @@ impl Udr {
         CmdId(id)
     }
 
-    /// Whether any replica of partition `p` has chosen command `id`.
-    fn consensus_chosen(&self, p: usize, id: CmdId) -> bool {
-        self.consensus[p]
-            .replicas
-            .iter()
-            .any(|r| r.log().contains_id(id))
-    }
-
-    /// The live leader of partition `p`'s ensemble: among up nodes in the
-    /// `Leader` role, the one holding the highest ballot (a deposed
-    /// leader that has not yet heard of its successor loses the tie).
-    fn consensus_live_leader(&self, p: usize) -> Option<usize> {
-        (0..self.consensus[p].replicas.len())
-            .filter(|i| {
-                self.consensus_node_up(p, *i)
-                    && self.consensus[p].replicas[*i].role() == Role::Leader
-            })
-            .max_by_key(|i| self.consensus[p].replicas[*i].current_ballot())
-    }
-
     /// The *serving* leader of partition `p`: the live leader, provided it
     /// structurally reaches a majority of the ensemble (itself included).
     /// A leader stranded on the minority side of a cut cannot confirm its
     /// lease and is not allowed to serve — the read-index check that makes
     /// minority-side refusals typed instead of stale.
     pub(crate) fn consensus_serving_leader(&self, p: usize) -> Option<usize> {
-        let leader = self.consensus_live_leader(p)?;
+        let ensemble = &self.consensus[p].ensemble;
+        let leader = ensemble.leader(|i| self.consensus_node_up(p, i))?;
         let leader_site = self.consensus_node_site(p, leader);
-        let n = self.consensus[p].replicas.len();
+        let n = ensemble.nodes().len();
         let reach = (0..n)
             .filter(|j| {
                 self.consensus_node_up(p, *j)
@@ -243,13 +160,13 @@ impl Udr {
                         .reachable(leader_site, self.consensus_node_site(p, *j))
             })
             .count();
-        (reach >= self.consensus[p].majority()).then_some(leader)
+        (reach >= ensemble.majority()).then_some(leader)
     }
 
     /// Up ensemble members of partition `p` reachable from `from`
     /// (the "acks available" figure a typed refusal reports).
     fn consensus_reachable_from(&self, p: usize, from: SiteId) -> usize {
-        (0..self.consensus[p].replicas.len())
+        (0..self.consensus[p].ensemble.nodes().len())
             .filter(|j| {
                 self.consensus_node_up(p, *j)
                     && self.net.reachable(from, self.consensus_node_site(p, *j))
@@ -310,7 +227,7 @@ impl Udr {
             ctx.breakdown.replication += self.cfg.frash.op_timeout;
             return Err(ctx.fail(UdrError::ReplicationFailed {
                 acked: self.consensus_reachable_from(p, ctx.server_site),
-                required: self.consensus[p].majority(),
+                required: self.consensus[p].ensemble.majority(),
             }));
         };
         let leader_se = self.groups[p].members()[leader];
@@ -350,7 +267,7 @@ impl Udr {
         partition: PartitionId,
     ) -> Result<(), OpOutcome> {
         let p = partition.index();
-        let majority = self.consensus[p].majority();
+        let majority = self.consensus[p].ensemble.majority();
         let (leader, leader_se, leader_site) = self.reach_consensus_leader(ctx, p)?;
         ctx.crossed_backbone = leader_site != ctx.server_site;
 
@@ -410,7 +327,7 @@ impl Udr {
         let deadline = t0 + allowed_wait;
         let mut t = t0;
         let chosen_at = loop {
-            if self.consensus_chosen(p, cmd_id) {
+            if self.consensus[p].ensemble.chosen(cmd_id) {
                 break Some(t);
             }
             if t >= deadline {
@@ -494,14 +411,14 @@ impl Udr {
         partition: PartitionId,
     ) -> Result<(), OpOutcome> {
         let p = partition.index();
-        let majority = self.consensus[p].majority();
+        let majority = self.consensus[p].ensemble.majority();
         let (leader, leader_se, leader_site) = self.reach_consensus_leader(ctx, p)?;
 
         // Read-index confirmation: a majority echo (leader included)
         // proves the leader has not been silently deposed.
         let mut echoes = std::mem::take(&mut self.consensus[p].echoes);
         echoes.clear();
-        for j in 0..self.consensus[p].replicas.len() {
+        for j in 0..self.consensus[p].ensemble.nodes().len() {
             if j == leader || !self.consensus_node_up(p, j) {
                 continue;
             }
@@ -532,7 +449,7 @@ impl Udr {
     /// got chosen, and re-arm the partition's timer.
     pub(crate) fn consensus_tick(&mut self, t: SimTime, partition: PartitionId) {
         let p = partition.index();
-        for i in 0..self.consensus[p].replicas.len() {
+        for i in 0..self.consensus[p].ensemble.nodes().len() {
             if !self.consensus_node_up(p, i) {
                 continue;
             }
@@ -563,7 +480,7 @@ impl Udr {
         trace: u64,
     ) {
         let p = partition.index();
-        let msg = self.consensus[p].mailbox.take(ticket);
+        let msg = self.consensus[p].ensemble.take(ticket);
         if !self.consensus_node_up(p, to) {
             return;
         }
@@ -601,9 +518,10 @@ impl Udr {
 
     /// Feed node `node` of `partition`'s ensemble one input (`input`
     /// pushes what the replica sends onto the ensemble's one outbox), then
-    /// route the outbox over the simulated network, stamping each message
-    /// with the originating `trace` context, and leave it empty for the
-    /// next step.
+    /// route what it sends over the simulated network, stamping each
+    /// message with the originating `trace` context. A message to a down
+    /// node is not sent; a cut or link loss loses the datagram, as for
+    /// replication deliveries.
     fn consensus_step(
         &mut self,
         t: SimTime,
@@ -612,63 +530,38 @@ impl Udr {
         trace: u64,
         input: impl FnOnce(&mut Replica, &mut Vec<Outbound>),
     ) {
-        let g = &mut self.consensus[partition.index()];
-        let mut outbox = std::mem::take(&mut g.outbox);
-        input(&mut g.replicas[node], &mut outbox);
-        let n = g.replicas.len();
-        for out in outbox.drain(..) {
-            match out {
-                Outbound::To(dest, msg) => {
-                    self.consensus_send(t, partition, node, dest.index(), msg, trace);
+        let members = self.groups[partition.index()].members();
+        self.consensus[partition.index()]
+            .ensemble
+            .step(node, input, |from, to, ticket, _| {
+                let (from_se, to_se) = (
+                    &self.ses[members[from].index()],
+                    &self.ses[members[to].index()],
+                );
+                if !to_se.is_up() {
+                    return false;
                 }
-                Outbound::Broadcast(msg) => {
-                    for j in (0..n).filter(|j| *j != node) {
-                        self.consensus_send(t, partition, node, j, msg.clone(), trace);
-                    }
-                }
-            }
-        }
-        self.consensus[partition.index()].outbox = outbox;
-    }
-
-    /// Sample the path and schedule one protocol message delivery (or
-    /// drop it: a cut or link loss loses the datagram, as for replication
-    /// deliveries).
-    fn consensus_send(
-        &mut self,
-        t: SimTime,
-        partition: PartitionId,
-        from: usize,
-        to: usize,
-        msg: Message,
-        trace: u64,
-    ) {
-        let p = partition.index();
-        if !self.consensus_node_up(p, to) {
-            return;
-        }
-        let from_site = self.consensus_node_site(p, from);
-        let to_site = self.consensus_node_site(p, to);
-        if let Some(delay) = self.net.send(from_site, to_site, &mut self.rng).delay() {
-            self.metrics.consensus_messages += 1;
-            let ticket = self.consensus[p].mailbox.post(msg);
-            self.schedule_event(
-                t + delay,
-                UdrEvent::ConsensusDeliver {
+                let path = self.net.send(from_se.site(), to_se.site(), &mut self.rng);
+                let Some(delay) = path.delay() else {
+                    return false;
+                };
+                self.metrics.consensus_messages += 1;
+                let deliver = UdrEvent::ConsensusDeliver {
                     partition,
                     to,
                     from,
                     ticket,
                     trace,
-                },
-            );
-        }
+                };
+                self.events.schedule_at(LANE, t + delay, deliver);
+                true
+            });
     }
 
     /// Apply newly chosen commands on every up replica (ticks and restore;
     /// a delivery applies at its destination only).
     pub(crate) fn consensus_apply(&mut self, t: SimTime, partition: PartitionId) {
-        for i in 0..self.consensus[partition.index()].replicas.len() {
+        for i in 0..self.consensus[partition.index()].ensemble.nodes().len() {
             self.consensus_apply_node(t, partition, i);
         }
     }
@@ -690,7 +583,7 @@ impl Udr {
         loop {
             let next = {
                 let g = &self.consensus[p];
-                g.replicas[i]
+                g.ensemble.nodes()[i]
                     .log()
                     .effective_after(g.applied[i])
                     .next()
@@ -728,14 +621,11 @@ impl Udr {
         // shadowed duplicates at most): rest it on the watermark, which is
         // what `Udr::replication_settled` compares.
         let g = &mut self.consensus[p];
-        g.applied[i] = g.replicas[i].log().committed();
+        g.applied[i] = g.ensemble.nodes()[i].log().committed();
         // The apply cursor already tracks what is new; the replica's own
-        // list of new decisions (the standalone runtime's latency feed)
+        // list of new decisions (the cluster harness's latency feed)
         // would otherwise hold a second copy of the whole log.
-        g.replicas[i].drain_newly_chosen();
-        let viols = g.replicas[i].take_violations();
-        self.consensus_violations
-            .extend(viols.into_iter().map(|v| format!("partition {p}: {v}")));
+        g.ensemble.drain_newly_chosen(i);
         applied
     }
 
@@ -756,11 +646,7 @@ impl Udr {
     /// Elections started across all ensembles (proof a campaign actually
     /// exercised leader failover).
     pub fn consensus_elections(&self) -> u64 {
-        self.consensus
-            .iter()
-            .flat_map(|g| g.replicas.iter())
-            .map(|r| r.elections_started)
-            .sum()
+        self.consensus.iter().map(|g| g.ensemble.elections()).sum()
     }
 
     /// Serving-leader hand-offs observed across all partitions.
@@ -768,10 +654,19 @@ impl Udr {
         self.consensus.iter().map(|g| g.leader_changes).sum()
     }
 
-    /// Paxos safety violations observed (always empty in a correct run —
-    /// fault campaigns assert this outright).
-    pub fn consensus_violations(&self) -> &[String] {
-        &self.consensus_violations
+    /// Paxos safety violations observed in every partition's ensemble,
+    /// each replica's own and every pair of logs checked against each
+    /// other (always empty in a correct run — fault campaigns assert this
+    /// outright).
+    pub fn consensus_violations(&self) -> Vec<String> {
+        self.consensus
+            .iter()
+            .enumerate()
+            .flat_map(|(p, g)| {
+                let violations = g.ensemble.agreement_violations().into_iter();
+                violations.map(move |v| format!("partition {p}: {v}"))
+            })
+            .collect()
     }
 
     /// The committed watermark of each partition's ensemble — the deepest
@@ -780,13 +675,7 @@ impl Udr {
     pub fn consensus_committed_slots(&self) -> Vec<u64> {
         self.consensus
             .iter()
-            .map(|g| {
-                g.replicas
-                    .iter()
-                    .map(|r| r.log().committed().0)
-                    .max()
-                    .unwrap_or(0)
-            })
+            .map(|g| g.ensemble.committed_watermark().0)
             .collect()
     }
 
@@ -801,7 +690,8 @@ impl Udr {
     ) -> Vec<(SubscriberUid, Option<Entry>)> {
         let g = &self.consensus[partition.index()];
         let best = g
-            .replicas
+            .ensemble
+            .nodes()
             .iter()
             .max_by_key(|r| r.log().committed())
             .expect("ensembles are never empty");
@@ -906,6 +796,7 @@ mod tests {
     use super::*;
     use crate::rebalance::{MigrationPlan, MoveReason};
     use crate::UdrConfig;
+    use udr_consensus::Message;
     use udr_model::attrs::{AttrId, AttrMod, AttrValue};
     use udr_model::config::{DurabilityMode, ReplicationMode};
     use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
@@ -1019,10 +910,11 @@ mod tests {
         }
         udr.advance_to(at(7_000));
         assert!(udr.replication_settled());
-        for (i, replica) in udr.consensus[0].replicas.iter_mut().enumerate() {
-            assert!(replica.log().committed() > Slot(3 * SUBSCRIBERS));
+        let ensemble = &mut udr.consensus[0].ensemble;
+        for i in 0..3 {
+            assert!(ensemble.nodes()[i].log().committed() > Slot(3 * SUBSCRIBERS));
             assert!(
-                replica.drain_newly_chosen().next().is_none(),
+                ensemble.drain_newly_chosen(i).next().is_none(),
                 "node {i} still holds decisions it applied"
             );
         }
@@ -1081,7 +973,7 @@ mod tests {
         // crashes before it would propose into that slot itself.
         udr.advance_to(at(24_000));
         assert!(udr.replication_settled());
-        let log = udr.consensus[0].replicas[f].log();
+        let log = udr.consensus[0].ensemble.nodes()[f].log();
         let (_, twin) = log
             .iter_effective()
             .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
@@ -1089,13 +981,13 @@ mod tests {
             .expect("round 1 is in the log");
         let (twin, twin_slot) = (twin.clone(), log.committed().next());
         for to in 0..3 {
-            let ticket = udr.consensus[0].mailbox.post(Message::Learn {
+            let ticket = udr.consensus[0].ensemble.post(Message::Learn {
                 slot: twin_slot,
                 cmd: twin.clone(),
             });
             udr.consensus_deliver(at(24_000), P0, to, (to + 1) % 3, ticket, 0);
         }
-        let writes_at_crash = effective_writes(udr.consensus[0].replicas[f].log());
+        let writes_at_crash = effective_writes(udr.consensus[0].ensemble.nodes()[f].log());
         assert_eq!(
             lsn_of(&udr, f_se),
             writes_at_crash,
@@ -1122,7 +1014,7 @@ mod tests {
         );
         assert_eq!(
             udr.consensus[0].applied[f],
-            udr.consensus[0].replicas[f].log().committed()
+            udr.consensus[0].ensemble.nodes()[f].log().committed()
         );
 
         modify_round(&mut udr, 6, 36_000);
@@ -1131,8 +1023,8 @@ mod tests {
         let l = udr.consensus_serving_leader(0).expect("a leader serves");
         assert_ne!(l, f, "the crash must have moved leadership");
         let g = &udr.consensus[0];
-        let log = g.replicas[f].log();
-        assert_eq!(log.committed(), g.replicas[l].log().committed());
+        let log = g.ensemble.nodes()[f].log();
+        assert_eq!(log.committed(), g.ensemble.nodes()[l].log().committed());
         assert_eq!(g.applied[f], log.committed());
         assert!(udr.replication_settled());
         assert_eq!(records(&udr, f), records(&udr, l));
@@ -1165,7 +1057,10 @@ mod tests {
         // announcing it are still on the wire; the follower crashes
         // before its Learn arrives.
         modify_round(&mut udr, 1, 5_000);
-        assert!(udr.consensus[0].mailbox.live() > 0, "nothing in flight");
+        assert!(
+            udr.consensus[0].ensemble.in_flight() > 0,
+            "nothing in flight"
+        );
         udr.schedule_script(&FaultScript::new(0).se_outage(
             udr.now(),
             SimDuration::from_secs(2),
@@ -1184,12 +1079,37 @@ mod tests {
         let drained = (0..200).any(|_| {
             now += SimDuration::from_millis(1);
             udr.advance_to(now);
-            udr.consensus[0].mailbox.live() == 0
+            udr.consensus[0].ensemble.in_flight() == 0
         });
         assert!(
             drained,
             "{} tickets live throughout the 200 ms after settling",
-            udr.consensus[0].mailbox.live()
+            udr.consensus[0].ensemble.in_flight()
+        );
+    }
+
+    /// Two nodes that learn different commands for one slot each hold a
+    /// log that agrees with itself; only comparing the logs pairwise
+    /// shows the conflict.
+    #[test]
+    fn conflicting_decisions_on_two_nodes_are_reported() {
+        let mut udr = provisioned(DurabilityMode::None);
+        udr.advance_to(at(3_000));
+        assert!(udr.consensus_violations().is_empty());
+        // Far above anything the leader proposes during the test.
+        let slot = Slot(udr.consensus[0].ensemble.committed_watermark().0 + 1_000);
+        for (to, from, id) in [(0, 1, 1_001), (1, 0, 1_002)] {
+            let ticket = udr.consensus[0].ensemble.post(Message::Learn {
+                slot,
+                cmd: write(id),
+            });
+            udr.consensus_deliver(at(3_000), P0, to, from, ticket, 0);
+        }
+        let violations = udr.consensus_violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("partition 0: n0 vs n1"),
+            "{violations:?}"
         );
     }
 

@@ -1078,7 +1078,7 @@ impl Udr {
                     }
                     let writes = lsn.unwrap_or(Lsn::ZERO).raw();
                     self.consensus[p].applied[i] =
-                        cursor_for_writes(self.consensus[p].replicas[i].log(), writes);
+                        cursor_for_writes(self.consensus[p].ensemble.nodes()[i].log(), writes);
                     self.consensus_apply(t, pid);
                 }
                 _ if is_master => self.restore_master(pid, se, lsn),
@@ -1261,9 +1261,10 @@ impl Udr {
         for (p, group) in self.groups.iter().enumerate() {
             if let ReplicationMode::Consensus { .. } = self.cfg.frash.replication {
                 let g = &self.consensus[p];
-                let (lo, hi) = (0..g.replicas.len())
+                let nodes = g.ensemble.nodes();
+                let (lo, hi) = (0..nodes.len())
                     .filter(|i| self.consensus_node_up(p, *i))
-                    .map(|i| g.replicas[i].log().committed().0)
+                    .map(|i| nodes[i].log().committed().0)
                     .fold((u64::MAX, 0), |(lo, hi), mark| (lo.min(mark), hi.max(mark)));
                 max = max.max(hi.saturating_sub(lo));
                 continue;
@@ -1303,16 +1304,15 @@ impl Udr {
                 let Some(l) = self.consensus_serving_leader(p) else {
                     return false;
                 };
-                let leader = &g.replicas[l];
+                let nodes = g.ensemble.nodes();
+                let leader = &nodes[l];
                 if leader.pending_len() != 0 || !leader.read_index_ready() {
                     return false;
                 }
                 let watermark = leader.log().committed();
-                (0..g.replicas.len())
+                (0..nodes.len())
                     .filter(|i| self.consensus_node_up(p, *i))
-                    .all(|i| {
-                        g.replicas[i].log().committed() == watermark && g.applied[i] == watermark
-                    })
+                    .all(|i| nodes[i].log().committed() == watermark && g.applied[i] == watermark)
             }),
             _ => self.diverged.is_empty() && self.max_replica_lag() == 0,
         }

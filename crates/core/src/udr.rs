@@ -200,7 +200,7 @@ pub enum UdrEvent {
 const _: () = assert!(std::mem::size_of::<UdrEvent>() == 80);
 
 /// The class argument the pump's scheduling calls take and ignore.
-const LANE: LaneClass = LaneClass::Local(0);
+pub(crate) const LANE: LaneClass = LaneClass::Local(0);
 
 /// One tracked live migration (see [`MigrationPlan`] for the intent and
 /// [`MigrationState`] for the lifecycle).
@@ -271,8 +271,6 @@ pub struct Udr {
     pub(crate) consensus: Vec<ConsensusGroup>,
     /// Next consensus command id (0 is the protocol's reserved no-op).
     pub(crate) next_cmd_id: u64,
-    /// Paxos safety violations observed (always empty in a correct run).
-    pub(crate) consensus_violations: Vec<String>,
     pub(crate) next_uid: u64,
     /// Run metrics.
     pub metrics: UdrMetrics,
@@ -434,7 +432,6 @@ impl Udr {
             master_lsn_at_crash: IdMap::default(),
             consensus: Vec::new(),
             next_cmd_id: 1,
-            consensus_violations: Vec::new(),
             next_uid: 1,
             metrics: UdrMetrics::default(),
             tracer,
