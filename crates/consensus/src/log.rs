@@ -6,19 +6,36 @@
 //! is a prefix-consistent view of one immutable sequence. [`ChosenLog::record`]
 //! checks that invariant on every learn and reports a violation instead of
 //! silently overwriting, so the test suite can assert agreement directly.
+//!
+//! Decisions are stored by slot number in fixed segments of 256 slots
+//! (≈ 10 KB each): slot `s` lives at index `(s − 1) % 256` of segment
+//! `(s − 1) / 256`. A segment is allocated at its full length the first time
+//! one of its slots is chosen and is never reallocated, so choosing a slot
+//! costs no allocation beyond one segment per 256 slots, and finding a slot
+//! is index arithmetic. A segment no decision has reached is an empty
+//! pointer: a gap costs eight bytes per 256 slots, not a segment.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::BTreeSet;
+use std::fmt;
 
 use udr_model::ids::IdSet;
 
 use crate::ballot::Slot;
 use crate::msg::{CmdId, Command};
 
+/// Slots per segment of a [`ChosenLog`].
+const SEGMENT: u64 = 256;
+
 /// A replica's view of the decided sequence.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct ChosenLog {
-    chosen: BTreeMap<Slot, Command>,
+    /// Slot `s` at `segments[(s − 1) / SEGMENT][(s − 1) % SEGMENT]`; `None`
+    /// for a segment none of whose slots is chosen yet.
+    segments: Vec<Option<Box<[Option<Command>]>>>,
+    /// Number of decided slots.
+    len: usize,
+    /// The highest decided slot (`ZERO` when none is).
+    max: Slot,
     /// Contiguous watermark: every slot `<= applied` is chosen.
     applied: Slot,
     /// Ids of non-noop commands chosen (for leader-side deduplication).
@@ -42,14 +59,30 @@ pub struct AgreementViolation {
     pub incoming: Command,
 }
 
-impl std::fmt::Display for AgreementViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for AgreementViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "agreement violation at {}: {:?} vs {:?}",
             self.slot, self.existing.id, self.incoming.id
         )
     }
+}
+
+/// The segment and the index inside it that hold `slot`; `None` for the
+/// sentinel slot 0 (and, on a 32-bit target, for a slot no segment index
+/// reaches).
+fn position(slot: Slot) -> Option<(usize, usize)> {
+    let index = slot.0.checked_sub(1)?;
+    Some((
+        usize::try_from(index / SEGMENT).ok()?,
+        (index % SEGMENT) as usize,
+    ))
+}
+
+/// The slot held at index `at` of segment `segment`.
+fn slot_at(segment: usize, at: usize) -> Slot {
+    Slot(segment as u64 * SEGMENT + at as u64 + 1)
 }
 
 impl ChosenLog {
@@ -61,9 +94,14 @@ impl ChosenLog {
     /// Record a decision. Returns `Ok(true)` if the slot was newly chosen,
     /// `Ok(false)` if it was already chosen with the same command, and an
     /// [`AgreementViolation`] if a *different* command was already chosen.
+    ///
+    /// Slot 0 is the "nothing chosen" watermark, never a decision: recording
+    /// it returns `Ok(false)` and records nothing.
     pub fn record(&mut self, slot: Slot, cmd: Command) -> Result<bool, AgreementViolation> {
-        debug_assert!(slot > Slot::ZERO, "slot 0 is the empty watermark");
-        if let Some(existing) = self.chosen.get(&slot) {
+        let Some((segment, at)) = position(slot) else {
+            return Ok(false);
+        };
+        if let Some(existing) = self.get(slot) {
             if *existing == cmd {
                 return Ok(false);
             }
@@ -80,19 +118,24 @@ impl ChosenLog {
             // `effective_after` has already yielded. (One scan per
             // duplicate, which only a leader change produces.)
             let first = self
-                .chosen
                 .iter()
-                .find_map(|(s, c)| (c.id == cmd.id).then_some(*s))
+                .find_map(|(s, c)| (c.id == cmd.id).then_some(s))
                 .expect("an id in `ids` holds a chosen slot");
             self.shadowed.insert(first.max(slot));
         }
-        self.chosen.insert(slot, cmd);
+        if self.segments.len() <= segment {
+            self.segments.resize_with(segment + 1, || None);
+        }
+        self.segments[segment].get_or_insert_with(|| vec![None; SEGMENT as usize].into())[at] =
+            Some(cmd);
+        self.len += 1;
+        self.max = self.max.max(slot);
         self.advance();
         Ok(true)
     }
 
     fn advance(&mut self) {
-        while self.chosen.contains_key(&self.applied.next()) {
+        while self.get(self.applied.next()).is_some() {
             self.applied = self.applied.next();
         }
     }
@@ -105,26 +148,23 @@ impl ChosenLog {
 
     /// The highest slot with a decision, contiguous or not.
     pub fn max_slot(&self) -> Slot {
-        self.chosen
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(Slot::ZERO)
+        self.max
     }
 
     /// Number of decided slots.
     pub fn len(&self) -> usize {
-        self.chosen.len()
+        self.len
     }
 
     /// Whether nothing is decided yet.
     pub fn is_empty(&self) -> bool {
-        self.chosen.is_empty()
+        self.len == 0
     }
 
     /// The decision at `slot`, if any.
     pub fn get(&self, slot: Slot) -> Option<&Command> {
-        self.chosen.get(&slot)
+        let (segment, at) = position(slot)?;
+        self.segments.get(segment)?.as_deref()?[at].as_ref()
     }
 
     /// Whether a non-noop command id was already chosen somewhere.
@@ -135,15 +175,38 @@ impl ChosenLog {
     /// Chosen entries strictly above `above`, in slot order (catch-up
     /// transfers and promise piggybacks).
     pub fn suffix(&self, above: Slot) -> Vec<(Slot, Command)> {
-        self.chosen
-            .range(above.next()..)
-            .map(|(s, c)| (*s, c.clone()))
+        self.from(above.next())
+            .map(|(s, c)| (s, c.clone()))
             .collect()
     }
 
     /// Iterate every decided `(slot, command)` in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (Slot, &Command)> + '_ {
-        self.chosen.iter().map(|(s, c)| (*s, c))
+        self.from(Slot(1))
+    }
+
+    /// Decided `(slot, command)` pairs at `first` and above, in slot order.
+    /// Starting costs nothing, and a segment no decision has reached is
+    /// passed over in one step.
+    fn from(&self, first: Slot) -> impl Iterator<Item = (Slot, &Command)> + '_ {
+        let (first_segment, first_at) = position(first).unwrap_or((0, 0));
+        self.segments
+            .iter()
+            .enumerate()
+            .skip(first_segment)
+            .filter_map(|(segment, slots)| Some((segment, slots.as_deref()?)))
+            .flat_map(move |(segment, slots)| {
+                let skip = if segment == first_segment {
+                    first_at
+                } else {
+                    0
+                };
+                slots
+                    .iter()
+                    .enumerate()
+                    .skip(skip)
+                    .filter_map(move |(at, cmd)| Some((slot_at(segment, at), cmd.as_ref()?)))
+            })
     }
 
     /// Iterate the *applicable* prefix (slots `1..=committed()`) with
@@ -158,22 +221,22 @@ impl ChosenLog {
 
     /// The part of [`iter_effective`](Self::iter_effective) in slots
     /// strictly above `above` — what an apply cursor resting at `above`
-    /// has still to consume. Costs O(log n) to start plus the slots
-    /// walked, allocates nothing, and is empty for `above >= committed()`.
+    /// has still to consume. A walk from `above + 1` to
+    /// [`committed`](Self::committed): costs nothing to start, allocates
+    /// nothing, and is empty for `above >= committed()`.
     pub fn effective_after(&self, above: Slot) -> impl Iterator<Item = (Slot, &Command)> + '_ {
-        // An inverted `BTreeMap::range` panics; a cursor at or past the
-        // watermark simply has nothing left.
+        // Every slot up to the watermark is decided, so the walk meets no
+        // gap before it stops.
         let above = above.min(self.applied);
-        self.chosen
-            .range((Bound::Excluded(above), Bound::Included(self.applied)))
+        self.from(above.next())
+            .take_while(|(s, _)| *s <= self.applied)
             .filter(|(s, c)| !c.is_noop() && !self.shadowed.contains(s))
-            .map(|(s, c)| (*s, c))
     }
 
     /// Check prefix consistency against another log: every slot decided in
     /// both must hold the same command.
     pub fn agrees_with(&self, other: &ChosenLog) -> Result<(), AgreementViolation> {
-        // Iterate the smaller map for efficiency.
+        // Iterate the smaller log for efficiency.
         let (small, large) = if self.len() <= other.len() {
             (self, other)
         } else {
@@ -191,6 +254,24 @@ impl ChosenLog {
             }
         }
         Ok(())
+    }
+}
+
+/// The decided slots as a map, not segments full of `None`.
+impl fmt::Debug for ChosenLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Chosen<'a>(&'a ChosenLog);
+        impl fmt::Debug for Chosen<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("ChosenLog")
+            .field("chosen", &Chosen(self))
+            .field("applied", &self.applied)
+            .field("ids", &self.ids)
+            .field("shadowed", &self.shadowed)
+            .finish()
     }
 }
 
@@ -330,6 +411,18 @@ mod tests {
         assert!(b.agrees_with(&a).is_ok());
         b.record(Slot(2), w(99)).unwrap();
         assert!(a.agrees_with(&b).is_err());
+    }
+
+    #[test]
+    fn debug_prints_the_decided_slots_as_a_map() {
+        let mut log = ChosenLog::new();
+        log.record(Slot(2), Command::noop()).unwrap();
+        let printed = format!("{log:?}");
+        assert!(
+            printed.starts_with("ChosenLog { chosen: {Slot(2): Command {"),
+            "{printed}"
+        );
+        assert!(!printed.contains("None"), "{printed}");
     }
 
     #[test]

@@ -1309,4 +1309,21 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].slot, Slot(1));
     }
+
+    #[test]
+    fn a_learn_for_slot_zero_is_ignored() {
+        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        handle(
+            &mut f,
+            t(0),
+            NodeId(0),
+            Message::Learn {
+                slot: Slot::ZERO,
+                cmd: w(1),
+            },
+        );
+        assert_eq!(f.log().len(), 0);
+        assert_eq!(f.log().committed(), Slot::ZERO);
+        assert!(f.take_violations().is_empty());
+    }
 }

@@ -197,6 +197,128 @@ proptest! {
     }
 }
 
+/// Slots per segment of `ChosenLog`'s storage (a private constant of
+/// `log.rs`; keep the two equal so the boundary draws below sit on it).
+const SEGMENT: u64 = 256;
+
+/// A slot for the model test below to record at.
+fn slot_draw() -> impl Strategy<Value = u64> {
+    let s = SEGMENT;
+    prop_oneof![
+        // Anywhere in the first four segments.
+        1u64..=4 * s,
+        // On or beside a segment boundary, and the slot-0 sentinel.
+        proptest::sample::select(vec![
+            0,
+            1,
+            2,
+            s - 1,
+            s,
+            s + 1,
+            s + 2,
+            2 * s,
+            2 * s + 1,
+            3 * s
+        ]),
+        // Dense runs, so the watermark crosses a boundary.
+        (0u64..4, 0u64..12).prop_map(move |(seg, off)| (seg * s + 1).saturating_sub(6) + off),
+    ]
+}
+
+/// `effective_after(above)` computed from the model: the contiguous prefix,
+/// no-ops skipped, each id at its first slot.
+fn model_effective_after(
+    model: &std::collections::BTreeMap<Slot, Command>,
+    committed: Slot,
+    above: Slot,
+) -> Vec<(Slot, CmdId)> {
+    let mut seen = std::collections::HashSet::new();
+    model
+        .range(..=committed)
+        .filter(|(_, cmd)| !cmd.is_noop() && seen.insert(cmd.id))
+        .filter(|(slot, _)| **slot > above)
+        .map(|(slot, cmd)| (*slot, cmd.id))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// The log answers every query the way a `BTreeMap<Slot, Command>`
+    /// does, over slots that span four storage segments. Each step records
+    /// command `kind` (0 a no-op, any other a write with that id, so ids
+    /// repeat) at a drawn slot: gaps, re-records of the same command,
+    /// conflicting commands and duplicate ids all occur, and the two slots
+    /// either side of the first boundary are always recorded at drawn
+    /// points. After every step `get`, `len`, `max_slot`, `committed`,
+    /// `suffix`, `iter` and `effective_after` are compared with the model.
+    #[test]
+    fn the_log_matches_a_map_model_across_segment_boundaries(
+        mut steps in proptest::collection::vec((slot_draw(), 0u64..6, 0u64..4 * SEGMENT), 1..160),
+        boundary in (0usize..160, 0u64..6, 0usize..160, 0u64..6),
+    ) {
+        let command = |kind: u64| match kind {
+            0 => Command::noop(),
+            id => Command::write(CmdId(id), SubscriberUid(id), None),
+        };
+        let (at, kind, at_next, kind_next) = boundary;
+        steps.insert(at % (steps.len() + 1), (SEGMENT, kind, SEGMENT - 1));
+        steps.insert(at_next % (steps.len() + 1), (SEGMENT + 1, kind_next, SEGMENT));
+
+        let mut log = ChosenLog::new();
+        let mut model: std::collections::BTreeMap<Slot, Command> = Default::default();
+        for (slot, kind, above) in steps {
+            let (slot, cmd, above) = (Slot(slot), command(kind), Slot(above));
+            let expected = match model.get(&slot) {
+                _ if slot == Slot::ZERO => Ok(false),
+                Some(existing) if *existing == cmd => Ok(false),
+                Some(existing) => Err((existing.id, cmd.id)),
+                None => {
+                    model.insert(slot, cmd.clone());
+                    Ok(true)
+                }
+            };
+            let got = log.record(slot, cmd).map_err(|v| {
+                prop_assert_eq!(v.slot, slot);
+                (v.existing.id, v.incoming.id)
+            });
+            prop_assert_eq!(got, expected);
+
+            let committed = (1..)
+                .map(Slot)
+                .take_while(|s| model.contains_key(s))
+                .last()
+                .unwrap_or(Slot::ZERO);
+            let max = model.keys().next_back().copied().unwrap_or(Slot::ZERO);
+            prop_assert_eq!(log.len(), model.len());
+            prop_assert_eq!(log.is_empty(), model.is_empty());
+            prop_assert_eq!(log.max_slot(), max);
+            prop_assert_eq!(log.committed(), committed);
+            for probe in [
+                Slot::ZERO,
+                slot,
+                slot.next(),
+                Slot(slot.0.saturating_sub(1)),
+                Slot(SEGMENT),
+                Slot(SEGMENT + 1),
+                max.next(),
+                Slot(u64::MAX),
+            ] {
+                prop_assert_eq!(log.get(probe), model.get(&probe));
+            }
+            let iter: Vec<(Slot, &Command)> = log.iter().collect();
+            let model_iter: Vec<(Slot, &Command)> = model.iter().map(|(s, c)| (*s, c)).collect();
+            prop_assert_eq!(iter, model_iter);
+            let model_suffix: Vec<(Slot, Command)> =
+                model.range(above.next()..).map(|(s, c)| (*s, c.clone())).collect();
+            prop_assert_eq!(log.suffix(above), model_suffix);
+            let effective: Vec<(Slot, CmdId)> =
+                log.effective_after(above).map(|(s, c)| (s, c.id)).collect();
+            prop_assert_eq!(effective, model_effective_after(&model, committed, above));
+        }
+    }
+}
+
 /// Deterministic deep-check on a handful of adversarial seeds: inspect the
 /// actual logs, not just the report.
 #[test]

@@ -26,7 +26,9 @@
 //! ticket), and names the live leader. Its [module doc] says how a
 //! protocol step stays allocation-free. A chosen write becomes a commit record
 //! holding its one change inline. What a consensus write still allocates
-//! is its post-image and its share of chosen-log growth.
+//! is its post-image and the odd catch-up transfer. Its slot costs no
+//! allocation of its own: each replica's [`ChosenLog`] stores decisions by
+//! slot in fixed segments, one allocation per 256 slots.
 //!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen

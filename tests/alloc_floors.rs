@@ -350,9 +350,12 @@ fn a_warm_modify_allocates_for_what_it_changes() {
 // allocates nothing per write: every replica step pushes into the
 // ensemble's one outbox, messages in flight wait in its mailbox, a
 // proposal's acks are bits beside it, and each node's commit record holds
-// its one change inline. What is left is chosen-log growth and the odd
-// catch-up transfer. The bound is two calls per write, averaged over 1 000
-// writes with the pump's ticks and deliveries between them included.
+// its one change inline. Choosing a slot allocates nothing either: a
+// replica's chosen log stores decisions by slot number in fixed segments,
+// so it grows by one allocation per segment of 256 slots on each node.
+// What is left beyond the post-image is that growth and the odd catch-up
+// transfer. The bound is 1.1 calls per write, averaged over 1 000 writes
+// with the pump's ticks and deliveries between them included.
 
 #[test]
 fn a_warm_consensus_write_allocates_its_post_image() {
@@ -365,7 +368,7 @@ fn a_warm_consensus_write_allocates_its_post_image() {
     udr.advance_to(now + SimDuration::from_secs(5));
     assert!(udr.replication_settled());
     assert!(
-        calls <= 2 * COUNTED,
+        calls <= COUNTED + COUNTED / 10,
         "{COUNTED} warm consensus writes made {calls} allocator calls, pump included"
     );
 }
