@@ -10,13 +10,13 @@
 
 use udr_bench::harness::t;
 use udr_bench::json::BenchReport;
-use udr_core::{BatchItem, BatchOptions, RetryPolicy, Udr, UdrConfig};
+use udr_core::{BatchItem, Udr, UdrConfig};
 use udr_metrics::{pct, Table};
 use udr_model::config::ReplicationMode;
 use udr_model::ids::SiteId;
 use udr_model::time::SimDuration;
 use udr_sim::{FaultScript, SimRng};
-use udr_workload::PopulationBuilder;
+use udr_workload::{PopulationBuilder, RetryPolicy};
 
 struct Row {
     failed: usize,
@@ -26,7 +26,7 @@ struct Row {
     finish_s: f64,
 }
 
-fn run(mode: ReplicationMode, glitch_s: u64, attempts: u32, options: BatchOptions) -> Row {
+fn run(mode: ReplicationMode, glitch_s: u64, attempts: u32, access_chunk: usize) -> Row {
     let mut cfg = UdrConfig::figure2();
     cfg.frash.replication = mode;
     cfg.seed = 12;
@@ -44,16 +44,13 @@ fn run(mode: ReplicationMode, glitch_s: u64, attempts: u32, options: BatchOption
         udr.schedule_script(&FaultScript::new(0).glitch(t(60), SimDuration::from_secs(glitch_s)));
     }
     // 10 items/s ⇒ nominally a 180 s batch.
-    let report = udr.run_provisioning_batch_with(
+    let report = udr.run_provisioning_batch(
         items,
         10.0,
         t(0),
         SiteId(0),
-        RetryPolicy {
-            max_attempts: attempts,
-            backoff: SimDuration::from_secs(15),
-        },
-        options,
+        RetryPolicy::fixed(attempts, SimDuration::from_secs(15)),
+        access_chunk,
     );
     Row {
         failed: report.failed,
@@ -92,12 +89,12 @@ fn main() {
     ] {
         for glitch_s in [0u64, 30, 120] {
             for attempts in [1u32, 6] {
-                let row = run(mode, glitch_s, attempts, BatchOptions::per_op());
+                let row = run(mode, glitch_s, attempts, 1);
                 // Framed-access guard: coalescing the access path into
                 // 8-op frames amortises wire cost but must not move a
                 // single verdict — same failures, same retries, same
                 // back-log, same finish instant.
-                let framed = run(mode, glitch_s, attempts, BatchOptions::framed(8));
+                let framed = run(mode, glitch_s, attempts, 8);
                 assert_eq!(
                     (row.failed, row.retries, framed.manual == row.manual),
                     (framed.failed, framed.retries, true),
@@ -153,7 +150,7 @@ fn main() {
     );
     println!(
         "\nFramed-access guard: every cell re-ran with 8-op framed access \
-         (BatchOptions::framed(8)); verdicts, back-log and finish instants \
+         (access_chunk 8); verdicts, back-log and finish instants \
          were identical to the per-op wire shape."
     );
 }

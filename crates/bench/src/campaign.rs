@@ -135,7 +135,7 @@ impl CampaignConfig {
 
     /// The deployment this cell builds: figure-2 with the cell's
     /// replication mode and front-end read policy.
-    pub fn udr_config(&self) -> UdrConfig {
+    fn udr_config(&self) -> UdrConfig {
         let mut cfg = UdrConfig::figure2();
         cfg.frash.replication = self.mode;
         cfg.frash.fe_read_policy = self.fe_policy;

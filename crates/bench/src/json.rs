@@ -207,7 +207,7 @@ impl BenchReport {
 /// Serialise one latency [`HistogramSnapshot`] as a nested object:
 /// headline stats plus the full `(bucket_floor_ns, count)` table. Only
 /// valid under a report's `"metrics"` key.
-pub fn histogram_value(s: &HistogramSnapshot) -> JsonValue {
+fn histogram_value(s: &HistogramSnapshot) -> JsonValue {
     JsonValue::Object(vec![
         ("count".into(), s.count.into()),
         ("mean_ns".into(), s.mean_ns.into()),

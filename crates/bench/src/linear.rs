@@ -99,7 +99,7 @@ impl History {
 /// (remaining-set, register-value) states. A schedule is accepted once
 /// every remaining operation is a pending write — those are allowed to
 /// never take effect.
-pub fn check_key(ops: &[HistOp], initial: u64) -> Result<(), String> {
+fn check_key(ops: &[HistOp], initial: u64) -> Result<(), String> {
     if ops.len() > 64 {
         return Err(format!(
             "history of {} ops exceeds the 64-op cap",

@@ -56,11 +56,6 @@ impl Ballot {
             node,
         }
     }
-
-    /// Whether this is a real ballot (some node campaigned for it).
-    pub fn is_real(self) -> bool {
-        self != Ballot::ZERO
-    }
 }
 
 impl fmt::Display for Ballot {
@@ -118,14 +113,6 @@ mod tests {
         assert!(mine > seen, "{mine} must beat {seen}");
         assert_eq!(mine.round, 8);
         assert_eq!(mine.node, NodeId(0));
-    }
-
-    #[test]
-    fn zero_ballot_is_not_real() {
-        assert!(!Ballot::ZERO.is_real());
-        assert!(Ballot::new(1, NodeId(0)).is_real());
-        // Round 0 owned by a nonzero node is still a real (orderable) ballot.
-        assert!(Ballot::new(0, NodeId(1)).is_real());
     }
 
     #[test]

@@ -223,11 +223,6 @@ impl Replica {
         &self.log
     }
 
-    /// Who this node believes leads (itself when leader).
-    pub fn leader_hint(&self) -> Option<NodeId> {
-        self.leader_hint
-    }
-
     /// The ballot this node last campaigned under or promised.
     pub fn current_ballot(&self) -> Ballot {
         if self.role == Role::Follower {

@@ -74,7 +74,7 @@ impl Default for UdrConfig {
 
 impl UdrConfig {
     /// Total clusters.
-    pub fn total_clusters(&self) -> u32 {
+    fn total_clusters(&self) -> u32 {
         self.sites * self.clusters_per_site
     }
 
@@ -121,8 +121,10 @@ impl UdrConfig {
                 self.total_ses()
             )));
         }
-        if self.ldap_ops_per_sec <= 0.0 {
-            return Err(UdrError::Config("ldap_ops_per_sec must be positive".into()));
+        if !(self.ldap_ops_per_sec.is_finite() && self.ldap_ops_per_sec > 0.0) {
+            return Err(UdrError::Config(
+                "ldap_ops_per_sec must be finite and positive".into(),
+            ));
         }
         Ok(())
     }
@@ -168,9 +170,11 @@ mod tests {
         c.frash.replication_factor = 200;
         assert!(c.validate().is_err());
 
-        let mut c = UdrConfig::default();
-        c.ldap_ops_per_sec = 0.0;
-        assert!(c.validate().is_err());
+        for rate in [0.0, f64::NAN, f64::INFINITY] {
+            let mut c = UdrConfig::default();
+            c.ldap_ops_per_sec = rate;
+            assert!(c.validate().is_err(), "ldap_ops_per_sec = {rate}");
+        }
     }
 
     #[test]

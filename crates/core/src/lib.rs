@@ -50,7 +50,7 @@ pub use metrics_agg::{StageLatencyMetrics, UdrMetrics};
 pub use ops::{ExecOutcome, OpOutcome, OpPayload, OpRequest};
 pub use pipeline::{AccessStage, LatencyBreakdown, LocationStage, PipelineCtx, StorageStage};
 pub use procedures::{procedure_ops, ProcedureOutcome};
-pub use provisioning::{BatchItem, BatchOptions, BatchReport, ProvisionOutcome, RetryPolicy};
+pub use provisioning::{BatchItem, BatchReport, ProvisionOutcome};
 pub use rebalance::{MigrationPlan, MoveReason, Rebalancer};
 pub use replication::ReplicationStage;
 pub use udr::{Cluster, Udr, UdrEvent};

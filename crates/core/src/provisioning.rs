@@ -6,7 +6,13 @@
 //! bindings — exactly the cross-element grouping the architecture cannot
 //! make atomic (§3.2), so failures leave cleanup to PS logic, which this
 //! module implements and counts.
+//!
+//! Bulk provisioning (§3.3) has one entry point,
+//! [`Udr::run_provisioning_batch`]: items dispatched at a fixed rate,
+//! retried per a [`udr_workload::RetryPolicy`], with every run of
+//! `access_chunk` dispatches sharing one framed LDAP request per station.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use udr_ldap::{Dn, FrameCursor, LdapOp};
@@ -20,6 +26,7 @@ use udr_model::procedures::ProvisioningKind;
 use udr_model::profile::SubscriberProfile;
 use udr_model::tenant::Capability;
 use udr_model::time::{SimDuration, SimTime};
+use udr_workload::RetryPolicy;
 
 use crate::ops::{OpOutcome, OpRequest};
 use crate::udr::Udr;
@@ -59,22 +66,10 @@ impl Udr {
         self.provision_subscriber_internal(ids, home_region, ps_site, now, None)
     }
 
-    /// [`Udr::provision_subscriber`] as part of a framed batch: the
-    /// profile Add rides `frame`'s open framed request when one covers
-    /// its station (§3.3.3 bulk provisioning), amortising the
-    /// per-message framing share. Placement, bindings, rollback and
-    /// results are identical to the per-op path.
-    pub fn provision_subscriber_framed(
-        &mut self,
-        ids: &IdentitySet,
-        home_region: u32,
-        ps_site: SiteId,
-        now: SimTime,
-        frame: &mut FrameCursor,
-    ) -> ProvisionOutcome {
-        self.provision_subscriber_internal(ids, home_region, ps_site, now, Some(frame))
-    }
-
+    /// [`Udr::provision_subscriber`], with the profile Add riding
+    /// `frame`'s open framed request when one covers its station (§3.3.3
+    /// bulk provisioning). Placement, bindings, rollback and results do
+    /// not depend on `frame`.
     fn provision_subscriber_internal(
         &mut self,
         ids: &IdentitySet,
@@ -159,34 +154,24 @@ impl Udr {
         ps_site: SiteId,
         now: SimTime,
     ) -> OpOutcome {
-        let op = LdapOp::Modify {
-            dn: Dn::for_identity(*identity),
-            mods,
-        };
-        self.execute_provisioning(&op, ProvisioningKind::ModifyServices, ps_site, now, None)
+        self.modify_services_internal(identity, mods, ps_site, now, None)
     }
 
-    /// [`Udr::modify_services`] as part of a framed batch (see
-    /// [`Udr::provision_subscriber_framed`]).
-    pub fn modify_services_framed(
+    /// [`Udr::modify_services`], framed like
+    /// [`Udr::provision_subscriber_internal`].
+    fn modify_services_internal(
         &mut self,
         identity: &Identity,
         mods: Vec<AttrMod>,
         ps_site: SiteId,
         now: SimTime,
-        frame: &mut FrameCursor,
+        frame: Option<&mut FrameCursor>,
     ) -> OpOutcome {
         let op = LdapOp::Modify {
             dn: Dn::for_identity(*identity),
             mods,
         };
-        self.execute_provisioning(
-            &op,
-            ProvisioningKind::ModifyServices,
-            ps_site,
-            now,
-            Some(frame),
-        )
+        self.execute_provisioning(&op, ProvisioningKind::ModifyServices, ps_site, now, frame)
     }
 
     /// Dispatch one provisioning op, framed when a batch frame is open.
@@ -294,59 +279,6 @@ pub enum BatchItem {
     },
 }
 
-/// Access-path options of the PS pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Dispatches per framed access window: the PS coalesces each run of
-    /// `access_chunk` dispatches into one framed request per station
-    /// ([`udr_ldap::FramedBatch`]), amortising the per-message framing
-    /// share for ops after the first on a station. `1` (the default) is
-    /// today's per-op wire shape — every dispatch opens and closes its
-    /// own window, so framing never engages. Any chunk size leaves item
-    /// verdicts (success / retry / manual) unchanged: admission is
-    /// per-op at the item's own due instant either way.
-    pub access_chunk: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions { access_chunk: 1 }
-    }
-}
-
-impl BatchOptions {
-    /// Per-op wire shape (no framing).
-    pub fn per_op() -> Self {
-        BatchOptions::default()
-    }
-
-    /// Frame every run of `chunk` dispatches into one request per
-    /// station.
-    pub fn framed(chunk: usize) -> Self {
-        BatchOptions {
-            access_chunk: chunk.max(1),
-        }
-    }
-}
-
-/// Retry policy of the PS pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Attempts per item (1 = no retry).
-    pub max_attempts: u32,
-    /// Wait before a retry.
-    pub backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: SimDuration::from_secs(5),
-        }
-    }
-}
-
 /// Outcome of a batch run.
 #[derive(Debug)]
 pub struct BatchReport {
@@ -376,39 +308,22 @@ impl BatchReport {
     }
 }
 
-#[derive(Debug)]
-struct Pending {
-    due: SimTime,
-    seq: usize,
-    item: BatchItem,
-    attempt: u32,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (due, seq).
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 impl Udr {
     /// Run a provisioning batch through the PS pipeline at `rate` items/s
     /// from `ps_site`, with retries per `policy`. Returns the §4.1-style
     /// report (how much of the batch survived a mid-run glitch).
+    ///
+    /// The PS frames each run of `access_chunk` dispatches into one
+    /// request per station ([`udr_ldap::FramedBatch`]), amortising the
+    /// per-message framing share for ops after the first on a station.
+    /// `1` is the per-op wire shape: every dispatch opens and closes its
+    /// own window, so framing never engages (`0` acts as `1`). The chunk
+    /// leaves due instants, admission, retries and verdicts unchanged;
+    /// the e12 campaign asserts so.
+    ///
+    /// A retry's backoff comes from [`RetryPolicy::backoff`]; a policy
+    /// with jitter draws from the deployment's RNG, a
+    /// [`RetryPolicy::fixed`] one draws nothing.
     pub fn run_provisioning_batch(
         &mut self,
         items: Vec<BatchItem>,
@@ -416,44 +331,18 @@ impl Udr {
         start: SimTime,
         ps_site: SiteId,
         policy: RetryPolicy,
-    ) -> BatchReport {
-        self.run_provisioning_batch_with(
-            items,
-            rate,
-            start,
-            ps_site,
-            policy,
-            BatchOptions::per_op(),
-        )
-    }
-
-    /// [`Udr::run_provisioning_batch`] with explicit access-path options:
-    /// `options.access_chunk > 1` frames each run of that many dispatches
-    /// into one request per station, amortising per-message framing cost
-    /// without touching item semantics (due instants, admission, retries
-    /// and verdicts are identical to the per-op path — the e12 campaign
-    /// asserts so).
-    pub fn run_provisioning_batch_with(
-        &mut self,
-        items: Vec<BatchItem>,
-        rate: f64,
-        start: SimTime,
-        ps_site: SiteId,
-        policy: RetryPolicy,
-        options: BatchOptions,
+        access_chunk: usize,
     ) -> BatchReport {
         assert!(rate > 0.0, "batch rate must be positive");
         let submitted = items.len();
         let gap = SimDuration::from_secs_f64(1.0 / rate);
-        let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
-        for (seq, item) in items.into_iter().enumerate() {
-            heap.push(Pending {
-                due: start + gap * seq as u64,
-                seq,
-                item,
-                attempt: 1,
-            });
-        }
+        // Min-heap over (due instant, tiebreak sequence, item index):
+        // first tries and retries drain in one deterministic order.
+        let mut heap: BinaryHeap<Reverse<(SimTime, usize, usize)>> = (0..submitted)
+            .map(|idx| Reverse((start + gap * idx as u64, idx, idx)))
+            .collect();
+        // Failed attempts per item so far.
+        let mut attempts = vec![0u32; submitted];
         let mut succeeded = 0usize;
         let mut failed = 0usize;
         let mut retries = 0u64;
@@ -461,12 +350,11 @@ impl Udr {
         let mut next_seq = submitted;
         let mut finished_at = start;
         let mut sample_gate = start;
-        let chunk = options.access_chunk.max(1);
+        let chunk = access_chunk.max(1);
         let mut frame = FrameCursor::new();
         let mut dispatched = 0usize;
 
-        while let Some(pending) = heap.pop() {
-            let now = pending.due;
+        while let Some(Reverse((now, _, idx))) = heap.pop() {
             // A new framed window every `chunk` dispatches; chunk 1 resets
             // the frame before every op, which is exactly per-op framing.
             if dispatched.is_multiple_of(chunk) {
@@ -483,45 +371,26 @@ impl Udr {
                 backlog.push(now, arrived.saturating_sub(resolved) as f64);
                 sample_gate = now + SimDuration::from_secs(1);
             }
-            let outcome_ok = match &pending.item {
-                BatchItem::Create { ids, home_region } => {
-                    let out = self.provision_subscriber_framed(
-                        ids,
-                        *home_region,
-                        ps_site,
-                        now,
-                        &mut frame,
-                    );
-                    match out.op.result {
-                        Ok(_) => Ok(()),
-                        Err(e) => Err(e),
-                    }
-                }
-                BatchItem::Modify { identity, mods } => {
-                    let out = self.modify_services_framed(
-                        identity,
-                        mods.clone(),
-                        ps_site,
-                        now,
-                        &mut frame,
-                    );
-                    match out.result {
-                        Ok(_) => Ok(()),
-                        Err(e) => Err(e),
-                    }
-                }
+            let framed = Some(&mut frame);
+            let result = match &items[idx] {
+                BatchItem::Create { ids, home_region } => self
+                    .provision_subscriber_internal(ids, *home_region, ps_site, now, framed)
+                    .op
+                    .result
+                    .map(drop),
+                BatchItem::Modify { identity, mods } => self
+                    .modify_services_internal(identity, mods.clone(), ps_site, now, framed)
+                    .result
+                    .map(drop),
             };
             finished_at = self.now().max(now);
-            match outcome_ok {
+            match result {
                 Ok(()) => succeeded += 1,
-                Err(e) if e.is_retryable() && pending.attempt < policy.max_attempts => {
+                Err(e) if e.is_retryable() && policy.should_retry(attempts[idx]) => {
                     retries += 1;
-                    heap.push(Pending {
-                        due: now + policy.backoff,
-                        seq: next_seq,
-                        item: pending.item,
-                        attempt: pending.attempt + 1,
-                    });
+                    let backoff = policy.backoff(attempts[idx], &mut self.rng);
+                    attempts[idx] += 1;
+                    heap.push(Reverse((now + backoff, next_seq, idx)));
                     next_seq += 1;
                 }
                 Err(_) => failed += 1,

@@ -1194,7 +1194,7 @@ impl Udr {
     // ---- multi-master restoration (§5) --------------------------------------
 
     /// Earliest active partition start (divergence stamp for new branches).
-    pub(crate) fn earliest_active_cut(&self) -> Option<SimTime> {
+    fn earliest_active_cut(&self) -> Option<SimTime> {
         self.active_cuts.iter().map(|(_, t)| *t).min()
     }
 

@@ -44,7 +44,7 @@ use crate::metrics_agg::UdrMetrics;
 use crate::rebalance::{MigrationPlan, MoveReason};
 
 /// How often stalled replication channels retry catch-up.
-pub(crate) const CATCHUP_INTERVAL: SimDuration = SimDuration::from_millis(200);
+const CATCHUP_INTERVAL: SimDuration = SimDuration::from_millis(200);
 /// Fixed setup cost of a migration snapshot transfer.
 const MIGRATION_SEED_BASE: SimDuration = SimDuration::from_millis(50);
 /// Snapshot transfer throughput (bytes per microsecond ≙ 100 MB/s).
@@ -286,54 +286,16 @@ impl Udr {
         let mut rng = SimRng::seed_from_u64(cfg.seed);
         let net = Network::new(Topology::multinational(cfg.sites as usize));
 
-        // ---- storage elements, clusters, servers -------------------------
+        // ---- storage elements (clusters are wired once `udr` exists) ------
         let mut ses = Vec::new();
-        let mut clusters = Vec::new();
-        let mut servers = Vec::new();
-        let mut clusters_at_site = vec![Vec::new(); cfg.sites as usize];
-        let total_ses = cfg.total_ses() as usize;
         for site in 0..cfg.sites {
-            for _ in 0..cfg.clusters_per_site {
-                let cluster_idx = clusters.len();
-                let cluster_id = ClusterId(cluster_idx as u32);
-                let mut poa = PointOfAccess::new(PoaId(cluster_idx as u32), SiteId(site));
-                let mut server_ids = Vec::new();
-                for _ in 0..cfg.ldap_servers_per_cluster {
-                    let id = LdapServerId(servers.len() as u32);
-                    servers.push(LdapServer::with_rate(
-                        id,
-                        SiteId(site),
-                        cluster_id,
-                        cfg.ldap_ops_per_sec,
-                    ));
-                    poa.register(id);
-                    server_ids.push(id);
-                }
-                for _ in 0..cfg.ses_per_cluster {
-                    let se_id = SeId(ses.len() as u32);
-                    ses.push(StorageElement::new(
-                        se_id,
-                        SiteId(site),
-                        cfg.frash.durability,
-                    ));
-                }
-                let stage = match cfg.frash.locator {
-                    LocatorKind::ProvisionedMaps => DataLocationStage::provisioned(),
-                    LocatorKind::CachedMaps => {
-                        DataLocationStage::cached(cfg.dls_cache_capacity, total_ses)
-                    }
-                    LocatorKind::ConsistentHashing => DataLocationStage::hashed(
-                        udr_dls::ConsistentHashRing::new((0..cfg.partitions).map(PartitionId), 64),
-                    ),
-                };
-                clusters.push(Cluster {
-                    id: cluster_id,
-                    site: SiteId(site),
-                    poa,
-                    servers: server_ids,
-                    stage,
-                });
-                clusters_at_site[site as usize].push(cluster_idx);
+            for _ in 0..cfg.clusters_per_site * cfg.ses_per_cluster {
+                let se_id = SeId(ses.len() as u32);
+                ses.push(StorageElement::new(
+                    se_id,
+                    SiteId(site),
+                    cfg.frash.durability,
+                ));
             }
         }
 
@@ -400,7 +362,6 @@ impl Udr {
         let shard_map = ShardMap::new(groups.iter().map(|g| (g.partition(), g.members().to_vec())));
 
         let sites = cfg.sites as usize;
-        let qos = clusters.iter().map(|_| cfg.qos.controller()).collect();
         let tenant_buckets = Self::build_tenant_buckets(&cfg.tenants);
         let tenant_buckets_epoch = cfg.tenants.epoch();
         let tracer = Tracer::new(cfg.trace);
@@ -414,18 +375,18 @@ impl Udr {
             rng: rng.fork(1),
             events,
             ses,
-            clusters,
-            qos,
+            clusters: Vec::new(),
+            qos: Vec::new(),
             tenant_buckets,
             tenant_buckets_epoch,
-            servers,
+            servers: Vec::new(),
             groups,
             shippers: Vec::new(),
             shard_map,
             migrations: Vec::new(),
             placement,
             authority: IdentityLocationMap::new(),
-            clusters_at_site,
+            clusters_at_site: vec![Vec::new(); sites],
             next_cluster_rr: vec![0; sites],
             diverged: BTreeMap::new(),
             active_cuts: Vec::new(),
@@ -436,8 +397,74 @@ impl Udr {
             metrics: UdrMetrics::default(),
             tracer,
         };
+        let total_ses = udr.ses.len();
+        for site in 0..udr.cfg.sites {
+            for _ in 0..udr.cfg.clusters_per_site {
+                let stage = match udr.cfg.frash.locator {
+                    LocatorKind::ProvisionedMaps => DataLocationStage::provisioned(),
+                    LocatorKind::CachedMaps => {
+                        DataLocationStage::cached(udr.cfg.dls_cache_capacity, total_ses)
+                    }
+                    LocatorKind::ConsistentHashing => {
+                        DataLocationStage::hashed(udr_dls::ConsistentHashRing::new(
+                            (0..udr.cfg.partitions).map(PartitionId),
+                            64,
+                        ))
+                    }
+                };
+                udr.push_cluster(SiteId(site), stage);
+            }
+        }
         udr.build_replication();
         Ok(udr)
+    }
+
+    /// Panics unless `site` is one of the deployment's sites: sites are
+    /// fixed at build time, and an out-of-range site would otherwise only
+    /// surface as an index panic after the deployment was half changed.
+    fn assert_in_topology(&self, site: SiteId) {
+        assert!(
+            site.index() < self.cfg.sites as usize,
+            "{site} is outside the {}-site topology",
+            self.cfg.sites
+        );
+    }
+
+    /// Wire a blade cluster at `site` around `stage`: a new PoA, the
+    /// configured number of LDAP servers registered with it, and the
+    /// cluster's QoS controller. Returns the new cluster's index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `site` is outside the deployment's topology, before
+    /// anything is added.
+    fn push_cluster(&mut self, site: SiteId, stage: DataLocationStage) -> usize {
+        self.assert_in_topology(site);
+        let cluster_idx = self.clusters.len();
+        let cluster_id = ClusterId(cluster_idx as u32);
+        let mut poa = PointOfAccess::new(PoaId(cluster_idx as u32), site);
+        let mut server_ids = Vec::new();
+        for _ in 0..self.cfg.ldap_servers_per_cluster {
+            let id = LdapServerId(self.servers.len() as u32);
+            self.servers.push(LdapServer::with_rate(
+                id,
+                site,
+                cluster_id,
+                self.cfg.ldap_ops_per_sec,
+            ));
+            poa.register(id);
+            server_ids.push(id);
+        }
+        self.clusters.push(Cluster {
+            id: cluster_id,
+            site,
+            poa,
+            servers: server_ids,
+            stage,
+        });
+        self.qos.push(self.cfg.qos.controller());
+        self.clusters_at_site[site.index()].push(cluster_idx);
+        cluster_idx
     }
 
     /// Snapshot everything the flight recorder retained (records,
@@ -730,7 +757,7 @@ impl Udr {
 
     /// Whether `partition` currently has a readable copy reachable from
     /// `from_site` (any up replica on a reachable site).
-    pub fn partition_readable_from(&self, partition: PartitionId, from_site: SiteId) -> bool {
+    fn partition_readable_from(&self, partition: PartitionId, from_site: SiteId) -> bool {
         self.groups[partition.index()].members().iter().any(|se| {
             self.ses[se.index()].is_up()
                 && self.net.reachable(from_site, self.ses[se.index()].site())
@@ -844,23 +871,13 @@ impl Udr {
     /// is no sync window.
     ///
     /// Returns the new cluster's index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `site` is outside the deployment's topology, before
+    /// the cluster is wired.
     pub fn add_cluster(&mut self, site: SiteId, now: SimTime) -> usize {
         self.advance_to(now);
-        let cluster_idx = self.clusters.len();
-        let cluster_id = ClusterId(cluster_idx as u32);
-        let mut poa = PointOfAccess::new(PoaId(cluster_idx as u32), site);
-        let mut server_ids = Vec::new();
-        for _ in 0..self.cfg.ldap_servers_per_cluster {
-            let id = LdapServerId(self.servers.len() as u32);
-            self.servers.push(LdapServer::with_rate(
-                id,
-                site,
-                cluster_id,
-                self.cfg.ldap_ops_per_sec,
-            ));
-            poa.register(id);
-            server_ids.push(id);
-        }
         let mut stage = match self.cfg.frash.locator {
             LocatorKind::ProvisionedMaps => {
                 // Copy the maps from a peer stage; the transfer blocks the
@@ -880,16 +897,7 @@ impl Udr {
         };
         // The sync copies a current view: the stage joins at today's epoch.
         stage.install_map_epoch(self.shard_map.epoch());
-        self.clusters.push(Cluster {
-            id: cluster_id,
-            site,
-            poa,
-            servers: server_ids,
-            stage,
-        });
-        self.qos.push(self.cfg.qos.controller());
-        self.clusters_at_site[site.index()].push(cluster_idx);
-        cluster_idx
+        self.push_cluster(site, stage)
     }
 
     /// When the cluster's location stage finishes syncing (`None` when it
@@ -907,15 +915,10 @@ impl Udr {
     /// # Panics
     ///
     /// Panics immediately when `site` is outside the deployment's
-    /// topology (sites are fixed at build time; an out-of-range site
-    /// would otherwise only surface as an index panic deep inside the
-    /// event pump).
+    /// topology (an out-of-range site would otherwise only surface as an
+    /// index panic deep inside the event pump).
     pub fn add_se(&mut self, site: SiteId, now: SimTime) -> SeId {
-        assert!(
-            site.index() < self.cfg.sites as usize,
-            "{site} is outside the {}-site topology",
-            self.cfg.sites
-        );
+        self.assert_in_topology(site);
         self.advance_to(now);
         let id = SeId(self.ses.len() as u32);
         self.ses
@@ -1076,7 +1079,7 @@ impl Udr {
 
     /// Recompute the placement context from current partition masters
     /// (masters move sites on cutover/failover).
-    pub(crate) fn rebuild_placement(&mut self) {
+    fn rebuild_placement(&mut self) {
         let mut by_region: Vec<Vec<PartitionId>> = vec![Vec::new(); self.cfg.sites as usize];
         for g in &self.groups {
             let site = self.ses[g.master().index()].site();

@@ -3,13 +3,13 @@
 //! the amortised framing share — and change nothing else (admission,
 //! routing, results, metrics classes).
 
-use udr_core::{BatchItem, BatchOptions, OpRequest, RetryPolicy, Udr, UdrConfig};
+use udr_core::{BatchItem, OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, FrameCursor, LdapOp};
-use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::TxnClass;
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::SiteId;
 use udr_model::time::{SimDuration, SimTime};
+use udr_workload::RetryPolicy;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -160,45 +160,6 @@ fn rejected_ops_do_not_open_frames() {
     assert_eq!(frame.open_frames(), 1, "served op opened its frame");
 }
 
-/// The chunked provisioning batch with chunk 1 reports exactly what the
-/// legacy entry point reports — per-op framing is the identity.
-#[test]
-fn chunk_one_batch_matches_legacy_batch() {
-    let items = |base: u64| -> Vec<BatchItem> {
-        (0..20)
-            .map(|i| {
-                if i % 4 == 3 {
-                    BatchItem::Modify {
-                        identity: Identity::Imsi(ids(base).imsi),
-                        mods: vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i))],
-                    }
-                } else {
-                    BatchItem::Create {
-                        ids: ids(base + 100 + i),
-                        home_region: (i % 3) as u32,
-                    }
-                }
-            })
-            .collect()
-    };
-    let (mut udr_a, _) = build(17);
-    let (mut udr_b, _) = build(17);
-    let a = udr_a.run_provisioning_batch(items(1), 50.0, t(2), SiteId(0), RetryPolicy::default());
-    let b = udr_b.run_provisioning_batch_with(
-        items(1),
-        50.0,
-        t(2),
-        SiteId(0),
-        RetryPolicy::default(),
-        BatchOptions::per_op(),
-    );
-    assert_eq!(a.submitted, b.submitted);
-    assert_eq!(a.succeeded, b.succeeded);
-    assert_eq!(a.failed, b.failed);
-    assert_eq!(a.retries, b.retries);
-    assert_eq!(a.finished_at, b.finished_at);
-}
-
 /// Chunked framing leaves batch verdicts untouched while the deployment
 /// finishes no later (framed ops only ever get cheaper).
 #[test]
@@ -213,22 +174,9 @@ fn chunked_batch_keeps_verdicts() {
     };
     let (mut udr_a, _) = build(19);
     let (mut udr_b, _) = build(19);
-    let a = udr_a.run_provisioning_batch_with(
-        items(0),
-        100.0,
-        t(2),
-        SiteId(0),
-        RetryPolicy::default(),
-        BatchOptions::per_op(),
-    );
-    let b = udr_b.run_provisioning_batch_with(
-        items(0),
-        100.0,
-        t(2),
-        SiteId(0),
-        RetryPolicy::default(),
-        BatchOptions::framed(8),
-    );
+    let policy = RetryPolicy::fixed(3, SimDuration::from_secs(5));
+    let a = udr_a.run_provisioning_batch(items(0), 100.0, t(2), SiteId(0), policy.clone(), 1);
+    let b = udr_b.run_provisioning_batch(items(0), 100.0, t(2), SiteId(0), policy, 8);
     assert_eq!(a.succeeded, b.succeeded);
     assert_eq!(a.failed, b.failed);
     assert_eq!(a.retries, b.retries);

@@ -365,6 +365,15 @@ fn add_se_rejects_unknown_site() {
     udr.add_se(SiteId(3), t(1));
 }
 
+/// A cluster outside the topology is refused before any of its servers,
+/// its PoA or its QoS controller joins the deployment.
+#[test]
+#[should_panic(expected = "outside the 3-site topology")]
+fn add_cluster_rejects_unknown_site() {
+    let mut udr = system();
+    udr.add_cluster(SiteId(3), t(1));
+}
+
 /// Failover promotes a slave whose position in the member vector is not
 /// first; the shard map must still record the *promoted* SE as master
 /// (regression: `reassign` used to receive insertion-ordered members and

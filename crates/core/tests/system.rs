@@ -1,7 +1,7 @@
 //! System-level tests of the assembled UDR: the paper's qualitative claims
 //! must hold on the Figure 2 deployment.
 
-use udr_core::{BatchItem, OpRequest, RetryPolicy, Udr, UdrConfig};
+use udr_core::{BatchItem, OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{
@@ -13,6 +13,7 @@ use udr_model::ids::{SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::FaultScript;
+use udr_workload::RetryPolicy;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -691,10 +692,8 @@ fn batch_survives_glitch_with_retries_but_not_without() {
         10.0,
         t(0),
         SiteId(0),
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: SimDuration::from_secs(1),
-        },
+        RetryPolicy::fixed(1, SimDuration::from_secs(1)),
+        1,
     );
     assert!(
         no_retry.failed > 100,
@@ -709,10 +708,8 @@ fn batch_survives_glitch_with_retries_but_not_without() {
         10.0,
         t(0),
         SiteId(0),
-        RetryPolicy {
-            max_attempts: 10,
-            backoff: SimDuration::from_secs(10),
-        },
+        RetryPolicy::fixed(10, SimDuration::from_secs(10)),
+        1,
     );
     assert!(with_retry.failed < no_retry.failed);
     assert!(with_retry.retries > 0);

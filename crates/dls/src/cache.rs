@@ -137,16 +137,6 @@ impl CachedLocator {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Hit ratio so far (0 when nothing looked up).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +164,6 @@ mod tests {
         assert_eq!(c.lookup(&imsi(1)), CacheOutcome::Hit(loc(1)));
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -84,27 +84,9 @@ impl ConsistentHashRing {
             .map(|(_, p)| *p)
     }
 
-    /// Locate by raw key (used for uids or pre-stringified identities).
-    pub fn locate_key(&self, key: &str) -> Option<PartitionId> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        let point = fnv1a(key.as_bytes());
-        self.ring
-            .range(point..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .map(|(_, p)| *p)
-    }
-
     /// The partitions currently on the ring.
     pub fn partitions(&self) -> &[PartitionId] {
         &self.partitions
-    }
-
-    /// Number of virtual nodes on the ring.
-    pub fn vnode_count(&self) -> usize {
-        self.ring.len()
     }
 }
 
@@ -189,16 +171,7 @@ mod tests {
     #[test]
     fn adding_partition_is_idempotent() {
         let mut r = ring(3);
-        let v = r.vnode_count();
         r.add_partition(PartitionId(1));
-        assert_eq!(r.vnode_count(), v);
         assert_eq!(r.partitions().len(), 3);
-    }
-
-    #[test]
-    fn locate_key_matches_identity_form() {
-        let r = ring(4);
-        let id = imsi(7);
-        assert_eq!(r.locate(&id), r.locate_key(id.as_str()));
     }
 }

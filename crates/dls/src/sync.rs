@@ -44,7 +44,7 @@ impl Default for SyncCostModel {
 
 impl SyncCostModel {
     /// Total time to copy `entries` bindings from a peer.
-    pub fn transfer_time(&self, entries: usize) -> SimDuration {
+    fn transfer_time(&self, entries: usize) -> SimDuration {
         self.base + self.per_entry * entries as u64
     }
 }

@@ -58,7 +58,7 @@ impl Dn {
     }
 
     /// The RDN attribute name for an identity kind.
-    pub fn rdn_attr(kind: IdentityKind) -> &'static str {
+    fn rdn_attr(kind: IdentityKind) -> &'static str {
         match kind {
             IdentityKind::Imsi => "imsi",
             IdentityKind::Msisdn => "msisdn",

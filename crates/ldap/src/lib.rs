@@ -17,7 +17,7 @@
 //! * [`server`] — stateless, processor-hungry server processes with the
 //!   paper's 10⁶ ops/s nominal rate and admission control;
 //! * [`poa`] — the L4-balancer Point of Access with automatic backend
-//!   detection and health-based routing.
+//!   detection and round-robin routing.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -34,6 +34,6 @@ pub use batch::{frame_share, FrameCursor, FramedBatch, FramedResults, FRAME_SHAR
 pub use codec::{decode_request, decode_response, encode_request, encode_response};
 pub use dn::{Dn, SUBSCRIBER_BASE};
 pub use filter::{attr_by_name, attr_name, Filter, FilterParseError};
-pub use poa::{BackendHealth, PointOfAccess};
+pub use poa::PointOfAccess;
 pub use proto::{LdapOp, LdapRequest, LdapResponse, ResultCode};
 pub use server::{LdapServer, PAPER_OPS_PER_SERVER_PER_SEC};

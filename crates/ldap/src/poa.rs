@@ -7,34 +7,24 @@
 //! The IP balancer realizing the PoA automatically detects new LDAP server
 //! instances deployed to the blade cluster so growth in LDAP processing
 //! capacity is automatic."
+//!
+//! Every registered server stays in rotation: the deployment's faults cut
+//! or degrade inter-site links and crash storage elements, never LDAP
+//! servers, so the balancer needs no health checks and
+//! [`PointOfAccess::pick`] is a plain round robin in registration order.
 
 use udr_model::ids::{LdapServerId, PoaId, SiteId};
-
-/// Health as seen by the balancer's L4 checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendHealth {
-    /// Responding to health checks.
-    Healthy,
-    /// Failing health checks; skipped by the balancer.
-    Unhealthy,
-}
-
-#[derive(Debug, Clone)]
-struct Backend {
-    id: LdapServerId,
-    health: BackendHealth,
-}
 
 /// The L4 balancer fronting one blade cluster.
 #[derive(Debug)]
 pub struct PointOfAccess {
     id: PoaId,
     site: SiteId,
-    backends: Vec<Backend>,
+    backends: Vec<LdapServerId>,
     next: usize,
     /// Operations dispatched.
     pub dispatched: u64,
-    /// Operations refused because no healthy backend existed.
+    /// Operations refused because no backend was registered.
     pub refused: u64,
 }
 
@@ -63,56 +53,21 @@ impl PointOfAccess {
 
     /// Auto-detection of a new LDAP server (idempotent).
     pub fn register(&mut self, server: LdapServerId) {
-        if !self.backends.iter().any(|b| b.id == server) {
-            self.backends.push(Backend {
-                id: server,
-                health: BackendHealth::Healthy,
-            });
+        if !self.backends.contains(&server) {
+            self.backends.push(server);
         }
     }
 
-    /// Remove a server (scale-in).
-    pub fn deregister(&mut self, server: LdapServerId) {
-        self.backends.retain(|b| b.id != server);
-    }
-
-    /// Health-check transition for a server.
-    pub fn set_health(&mut self, server: LdapServerId, health: BackendHealth) {
-        if let Some(b) = self.backends.iter_mut().find(|b| b.id == server) {
-            b.health = health;
-        }
-    }
-
-    /// Round-robin pick of the next healthy backend.
+    /// Round-robin pick of the next backend.
     pub fn pick(&mut self) -> Option<LdapServerId> {
-        if self.backends.is_empty() {
+        // `next` stays below the length: backends are only ever added.
+        let Some(&id) = self.backends.get(self.next) else {
             self.refused += 1;
             return None;
-        }
-        let n = self.backends.len();
-        for i in 0..n {
-            let idx = (self.next + i) % n;
-            if self.backends[idx].health == BackendHealth::Healthy {
-                self.next = (idx + 1) % n;
-                self.dispatched += 1;
-                return Some(self.backends[idx].id);
-            }
-        }
-        self.refused += 1;
-        None
-    }
-
-    /// Registered backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
-    /// Healthy backends.
-    pub fn healthy_count(&self) -> usize {
-        self.backends
-            .iter()
-            .filter(|b| b.health == BackendHealth::Healthy)
-            .count()
+        };
+        self.next = (self.next + 1) % self.backends.len();
+        self.dispatched += 1;
+        Some(id)
     }
 }
 
@@ -140,49 +95,16 @@ mod tests {
     fn register_is_idempotent_and_auto_detected() {
         let mut p = poa();
         p.register(LdapServerId(1));
-        assert_eq!(p.backend_count(), 3);
         // A newly deployed server starts receiving traffic automatically.
         p.register(LdapServerId(3));
         let picks: Vec<_> = (0..4).map(|_| p.pick().unwrap().0).collect();
-        assert!(picks.contains(&3));
-    }
-
-    #[test]
-    fn unhealthy_backends_are_skipped() {
-        let mut p = poa();
-        p.set_health(LdapServerId(1), BackendHealth::Unhealthy);
-        let picks: Vec<_> = (0..4).map(|_| p.pick().unwrap().0).collect();
-        assert!(!picks.contains(&1));
-        assert_eq!(p.healthy_count(), 2);
-        // Recovery puts it back in rotation.
-        p.set_health(LdapServerId(1), BackendHealth::Healthy);
-        let picks: Vec<_> = (0..3).map(|_| p.pick().unwrap().0).collect();
-        assert!(picks.contains(&1));
-    }
-
-    #[test]
-    fn no_healthy_backend_refuses() {
-        let mut p = poa();
-        for i in 0..3 {
-            p.set_health(LdapServerId(i), BackendHealth::Unhealthy);
-        }
-        assert_eq!(p.pick(), None);
-        assert_eq!(p.refused, 1);
+        assert_eq!(picks, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_poa_refuses() {
         let mut p = PointOfAccess::new(PoaId(1), SiteId(0));
         assert_eq!(p.pick(), None);
-    }
-
-    #[test]
-    fn deregister_removes() {
-        let mut p = poa();
-        p.deregister(LdapServerId(0));
-        assert_eq!(p.backend_count(), 2);
-        for _ in 0..4 {
-            assert_ne!(p.pick(), Some(LdapServerId(0)));
-        }
+        assert_eq!(p.refused, 1);
     }
 }

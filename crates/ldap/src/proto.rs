@@ -182,11 +182,6 @@ impl LdapResponse {
             entry: None,
         }
     }
-
-    /// Whether the response reports success.
-    pub fn is_success(&self) -> bool {
-        self.code == ResultCode::Success
-    }
 }
 
 #[cfg(test)]
@@ -255,8 +250,6 @@ mod tests {
 
     #[test]
     fn response_constructors() {
-        assert!(LdapResponse::success(1).is_success());
-        assert!(!LdapResponse::error(1, ResultCode::Busy).is_success());
         let r = LdapResponse::with_entry(7, Entry::new());
         assert_eq!(r.message_id, 7);
         assert!(r.entry.is_some());

@@ -20,8 +20,6 @@ pub struct AvailabilityLedger {
     window_start: SimTime,
     /// Accumulated subscriber-nanoseconds of downtime.
     down_sub_ns: u128,
-    /// Currently open outages: (subscribers affected, started at).
-    open: Vec<(u64, SimTime)>,
 }
 
 impl AvailabilityLedger {
@@ -31,46 +29,23 @@ impl AvailabilityLedger {
             total_subscribers,
             window_start: start,
             down_sub_ns: 0,
-            open: Vec::new(),
         }
     }
 
-    /// Record a closed outage affecting `subscribers` for `duration`.
+    /// Record an outage affecting `subscribers` for `duration`.
     pub fn record_outage(&mut self, subscribers: u64, duration: SimDuration) {
         self.down_sub_ns += u128::from(subscribers) * u128::from(duration.as_nanos());
     }
 
-    /// Open an outage affecting `subscribers` at `at`; returns a token to
-    /// close it.
-    pub fn open_outage(&mut self, subscribers: u64, at: SimTime) -> usize {
-        self.open.push((subscribers, at));
-        self.open.len() - 1
-    }
-
-    /// Close a previously opened outage at `at`. Unknown tokens are ignored
-    /// (idempotent close).
-    pub fn close_outage(&mut self, token: usize, at: SimTime) {
-        if let Some((subs, started)) = self.open.get(token).copied() {
-            if subs > 0 {
-                self.record_outage(subs, at.duration_since(started));
-            }
-            self.open[token] = (0, started); // tombstone: double-close safe
-        }
-    }
-
-    /// Average per-subscriber availability over `[start, now]`, counting
-    /// still-open outages up to `now`. 1.0 when the window is empty.
+    /// Average per-subscriber availability over `[start, now]`. 1.0 when
+    /// the window is empty.
     pub fn availability(&self, now: SimTime) -> f64 {
         let window = now.duration_since(self.window_start).as_nanos();
         if window == 0 || self.total_subscribers == 0 {
             return 1.0;
         }
-        let mut down = self.down_sub_ns;
-        for (subs, started) in &self.open {
-            down += u128::from(*subs) * u128::from(now.duration_since(*started).as_nanos());
-        }
         let total = u128::from(self.total_subscribers) * u128::from(window);
-        1.0 - (down as f64 / total as f64)
+        1.0 - (self.down_sub_ns as f64 / total as f64)
     }
 
     /// The number of nines of availability (e.g. 4.99998 ⇒ 5 nines ≈
@@ -82,11 +57,6 @@ impl AvailabilityLedger {
         } else {
             -(1.0 - a).log10()
         }
-    }
-
-    /// Whether the window meets the paper's 99.999 % target.
-    pub fn meets_five_nines(&self, now: SimTime) -> bool {
-        self.availability(now) >= 0.99999
     }
 
     /// Total subscribers observed.
@@ -170,7 +140,6 @@ mod tests {
         let now = SimTime::ZERO + secs(3600);
         assert_eq!(ledger.availability(now), 1.0);
         assert_eq!(ledger.nines(now), 9.0);
-        assert!(ledger.meets_five_nines(now));
     }
 
     #[test]
@@ -183,32 +152,6 @@ mod tests {
         let now = SimTime::ZERO + window;
         let a = ledger.availability(now);
         assert!((a - 0.99999).abs() < 1e-9, "a={a}");
-        assert!(ledger.meets_five_nines(now));
-        // Two such subscribers breach the target.
-        ledger.record_outage(1, window);
-        assert!(!ledger.meets_five_nines(now));
-    }
-
-    #[test]
-    fn open_close_outage_integrates_interval() {
-        let mut ledger = AvailabilityLedger::new(1000, SimTime::ZERO);
-        let token = ledger.open_outage(100, SimTime::ZERO + secs(10));
-        ledger.close_outage(token, SimTime::ZERO + secs(20));
-        let now = SimTime::ZERO + secs(100);
-        // 100 subs × 10 s / 1000 subs × 100 s = 1 %.
-        let a = ledger.availability(now);
-        assert!((a - 0.99).abs() < 1e-9, "a={a}");
-        // Double close is a no-op.
-        ledger.close_outage(token, SimTime::ZERO + secs(50));
-        assert!((ledger.availability(now) - 0.99).abs() < 1e-9);
-    }
-
-    #[test]
-    fn still_open_outage_counts_up_to_now() {
-        let mut ledger = AvailabilityLedger::new(10, SimTime::ZERO);
-        ledger.open_outage(10, SimTime::ZERO + secs(50));
-        let a = ledger.availability(SimTime::ZERO + secs(100));
-        assert!((a - 0.5).abs() < 1e-9, "a={a}");
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct GuaranteeTracker {
     /// broken guarantee — the consistency-for-latency trade is always
     /// visible, never a silent violation.
     pub policy_downgrades: u64,
-    /// Sum of observed partition lag (LSNs) over bounded reads.
-    bounded_lag_sum: u128,
     /// Maximum partition lag observed on any bounded read.
     max_bounded_lag: u64,
 }
@@ -50,7 +48,6 @@ impl GuaranteeTracker {
     /// the partition reference under a `bound`-LSN budget.
     pub fn record_bounded_read(&mut self, lag: u64, bound: u64) {
         self.bounded_reads += 1;
-        self.bounded_lag_sum += u128::from(lag);
         self.max_bounded_lag = self.max_bounded_lag.max(lag);
         if lag > bound {
             self.bounded_violations += 1;
@@ -78,33 +75,9 @@ impl GuaranteeTracker {
         self.policy_downgrades += 1;
     }
 
-    /// Total reads that carried a guarantee.
-    pub fn guarded_reads(&self) -> u64 {
-        self.bounded_reads + self.session_reads
-    }
-
     /// Total broken guarantees (must be 0 on a correct implementation).
     pub fn violations(&self) -> u64 {
         self.bounded_violations + self.session_violations
-    }
-
-    /// Fraction of guarded reads that were redirected off the nearest copy.
-    pub fn redirect_fraction(&self) -> f64 {
-        let n = self.guarded_reads();
-        if n == 0 {
-            0.0
-        } else {
-            self.master_redirects as f64 / n as f64
-        }
-    }
-
-    /// Mean partition lag over bounded reads (0 when none ran).
-    pub fn mean_bounded_lag(&self) -> f64 {
-        if self.bounded_reads == 0 {
-            0.0
-        } else {
-            self.bounded_lag_sum as f64 / self.bounded_reads as f64
-        }
     }
 
     /// Maximum partition lag observed on any bounded read.
@@ -120,7 +93,6 @@ impl GuaranteeTracker {
         self.bounded_violations += other.bounded_violations;
         self.session_violations += other.session_violations;
         self.policy_downgrades += other.policy_downgrades;
-        self.bounded_lag_sum += other.bounded_lag_sum;
         self.max_bounded_lag = self.max_bounded_lag.max(other.max_bounded_lag);
     }
 }
@@ -132,10 +104,7 @@ mod tests {
     #[test]
     fn empty_tracker_defaults() {
         let t = GuaranteeTracker::new();
-        assert_eq!(t.guarded_reads(), 0);
         assert_eq!(t.violations(), 0);
-        assert_eq!(t.redirect_fraction(), 0.0);
-        assert_eq!(t.mean_bounded_lag(), 0.0);
         assert_eq!(t.max_bounded_lag(), 0);
     }
 
@@ -148,7 +117,6 @@ mod tests {
         assert_eq!(t.bounded_reads, 3);
         assert_eq!(t.bounded_violations, 1);
         assert_eq!(t.violations(), 1);
-        assert!((t.mean_bounded_lag() - 10.0 / 3.0).abs() < 1e-9);
         assert_eq!(t.max_bounded_lag(), 6);
     }
 
@@ -160,15 +128,6 @@ mod tests {
         t.record_session_read(9, 10); // behind the floor: broken
         assert_eq!(t.session_reads, 3);
         assert_eq!(t.session_violations, 1);
-    }
-
-    #[test]
-    fn redirect_fraction_over_guarded_reads() {
-        let mut t = GuaranteeTracker::new();
-        t.record_bounded_read(1, 4);
-        t.record_session_read(5, 5);
-        t.record_master_redirect();
-        assert!((t.redirect_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -188,6 +147,5 @@ mod tests {
         assert_eq!(a.bounded_violations, 1);
         assert_eq!(a.session_violations, 1);
         assert_eq!(a.max_bounded_lag(), 8);
-        assert!((a.mean_bounded_lag() - 5.0).abs() < 1e-9);
     }
 }

@@ -40,16 +40,6 @@ impl ClassCounters {
     pub fn admitted(&self) -> u64 {
         self.offered.saturating_sub(self.shed())
     }
-
-    /// Completed / offered — the fraction of this class's offered load
-    /// that turned into useful work (1.0 when nothing was offered).
-    pub fn goodput_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.offered as f64
-        }
-    }
 }
 
 /// Per-tenant accounting: the full tenant × class matrix plus the
@@ -227,7 +217,6 @@ mod tests {
         assert_eq!(call.completed, 1);
         assert_eq!(call.latency.count(), 1);
         assert_eq!(call.latency.max(), SimDuration::from_millis(2));
-        assert!((call.goodput_fraction() - 0.5).abs() < 1e-9);
 
         let ps = t.class(PriorityClass::Provisioning);
         assert_eq!(ps.shed_rate, 1);
@@ -237,15 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_class_has_unit_goodput() {
-        let t = QosTracker::new();
-        assert_eq!(t.class(PriorityClass::Emergency).goodput_fraction(), 1.0);
-        assert_eq!(t.priority_inversions, 0);
-    }
-
-    #[test]
     fn inversions_accumulate() {
         let mut t = QosTracker::new();
+        assert_eq!(t.priority_inversions, 0);
         t.record_inversion();
         assert_eq!(t.priority_inversions, 1);
     }
@@ -273,7 +256,6 @@ mod tests {
         assert_eq!(tb.shed(), 0);
         assert_eq!(tb.completed(), 1);
         assert_eq!(tb.forbidden, 1);
-        assert!((tb.class(PriorityClass::CallSetup).goodput_fraction() - 1.0).abs() < 1e-9);
 
         // A tenant never seen reads as empty and does not grow the table.
         assert_eq!(t.tenant(TenantId(9)).offered(), 0);

@@ -55,28 +55,6 @@ impl TimeSeries {
         })
     }
 
-    /// Time-weighted average over the covered span (simple left-step
-    /// integration). `None` for fewer than two points.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for pair in self.points.windows(2) {
-            let (t0, v0) = pair[0];
-            let (t1, _) = pair[1];
-            let dt = t1.duration_since(t0).as_secs_f64();
-            area += v0 * dt;
-            span += dt;
-        }
-        if span == 0.0 {
-            None
-        } else {
-            Some(area / span)
-        }
-    }
-
     /// Render a compact sparkline-style summary for reports: sampled values
     /// at `n` evenly spaced indices.
     pub fn sampled(&self, n: usize) -> Vec<f64> {
@@ -113,16 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_mean_steps() {
-        let mut s = TimeSeries::new();
-        s.push(t(0), 0.0);
-        s.push(t(10), 10.0); // 0 for 10 s
-        s.push(t(20), 10.0); // 10 for 10 s
-        let m = s.time_weighted_mean().unwrap();
-        assert!((m - 5.0).abs() < 1e-9, "m={m}");
-    }
-
-    #[test]
     fn out_of_order_clamps() {
         let mut s = TimeSeries::new();
         s.push(t(10), 1.0);
@@ -136,7 +104,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.last(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.time_weighted_mean(), None);
         assert!(s.sampled(5).is_empty());
     }
 

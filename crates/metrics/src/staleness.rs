@@ -4,7 +4,7 @@
 //! between replicas, there's a certain chance that a read operation on a
 //! slave replica gets stale data, decreasing the consistency of read
 //! operations." Every read is recorded with whether the serving replica was
-//! behind the master and by how much (LSNs and time).
+//! behind the master and, if so, how old its newest missing commit was.
 
 use udr_model::time::SimDuration;
 
@@ -17,12 +17,8 @@ pub struct StalenessTracker {
     pub fresh_slave_reads: u64,
     /// Reads served from a lagging slave.
     pub stale_reads: u64,
-    /// Sum of LSN lag over stale reads.
-    lag_lsn_sum: u128,
     /// Sum of time lag over stale reads.
     lag_time_sum_ns: u128,
-    /// Maximum time lag observed.
-    max_lag: SimDuration,
 }
 
 impl StalenessTracker {
@@ -43,9 +39,7 @@ impl StalenessTracker {
             self.fresh_slave_reads += 1;
         } else {
             self.stale_reads += 1;
-            self.lag_lsn_sum += u128::from(lag_lsns);
             self.lag_time_sum_ns += u128::from(lag_time.as_nanos());
-            self.max_lag = self.max_lag.max(lag_time);
         }
     }
 
@@ -74,15 +68,6 @@ impl StalenessTracker {
         }
     }
 
-    /// Mean LSN lag among stale reads.
-    pub fn mean_lag_lsns(&self) -> f64 {
-        if self.stale_reads == 0 {
-            0.0
-        } else {
-            self.lag_lsn_sum as f64 / self.stale_reads as f64
-        }
-    }
-
     /// Mean time lag among stale reads.
     pub fn mean_lag_time(&self) -> SimDuration {
         if self.stale_reads == 0 {
@@ -92,19 +77,12 @@ impl StalenessTracker {
         }
     }
 
-    /// Maximum time lag observed.
-    pub fn max_lag_time(&self) -> SimDuration {
-        self.max_lag
-    }
-
     /// Merge another tracker into this one.
     pub fn merge(&mut self, other: &StalenessTracker) {
         self.master_reads += other.master_reads;
         self.fresh_slave_reads += other.fresh_slave_reads;
         self.stale_reads += other.stale_reads;
-        self.lag_lsn_sum += other.lag_lsn_sum;
         self.lag_time_sum_ns += other.lag_time_sum_ns;
-        self.max_lag = self.max_lag.max(other.max_lag);
     }
 }
 
@@ -139,9 +117,7 @@ mod tests {
         let mut t = StalenessTracker::new();
         t.record_slave_read(2, SimDuration::from_millis(10));
         t.record_slave_read(4, SimDuration::from_millis(30));
-        assert!((t.mean_lag_lsns() - 3.0).abs() < 1e-9);
         assert_eq!(t.mean_lag_time(), SimDuration::from_millis(20));
-        assert_eq!(t.max_lag_time(), SimDuration::from_millis(30));
     }
 
     #[test]
@@ -154,14 +130,12 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_reads(), 3);
         assert_eq!(a.stale_reads, 2);
-        assert_eq!(a.max_lag_time(), SimDuration::from_millis(50));
     }
 
     #[test]
     fn empty_tracker_defaults() {
         let t = StalenessTracker::new();
         assert_eq!(t.stale_fraction(), 0.0);
-        assert_eq!(t.mean_lag_lsns(), 0.0);
         assert_eq!(t.mean_lag_time(), SimDuration::ZERO);
     }
 }

@@ -242,24 +242,6 @@ impl VerdictMatrix {
         }
         out
     }
-
-    /// The distinct `(mode, policy)` pairs, in first-seen order.
-    pub fn mode_policy_pairs(&self) -> Vec<(&str, &str)> {
-        let mut out: Vec<(&str, &str)> = Vec::new();
-        for c in &self.cells {
-            let pair = (c.mode.as_str(), c.policy.as_str());
-            if !out.contains(&pair) {
-                out.push(pair);
-            }
-        }
-        out
-    }
-
-    /// Whether every measured cell upheld the non-negotiables
-    /// ([`CapVerdict::sound`]).
-    pub fn all_sound(&self) -> bool {
-        self.cells.iter().all(CapVerdict::sound)
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +344,6 @@ mod tests {
         assert!(m.get("async", "nearest-copy", "clean-partition").is_some());
         assert!(m.get("async", "master-only", "clean-partition").is_none());
         assert_eq!(m.scenarios(), vec!["clean-partition", "wan-degradation"]);
-        assert_eq!(
-            m.mode_policy_pairs(),
-            vec![
-                ("async", "nearest-copy"),
-                ("quorum(n=3,w=2,r=2)", "master-only"),
-            ]
-        );
         assert_eq!(m.select(|c| c.mode == "async").count(), 2);
-        assert!(m.all_sound());
     }
 }

@@ -227,14 +227,6 @@ impl AttrValue {
             _ => None,
         }
     }
-
-    /// Borrow the list payload, if this is a `StrList`.
-    pub fn as_str_list(&self) -> Option<&[Arc<str>]> {
-        match self {
-            AttrValue::StrList(l) => Some(l),
-            _ => None,
-        }
-    }
 }
 
 impl From<&str> for AttrValue {
@@ -799,8 +791,6 @@ mod tests {
         assert_eq!(AttrValue::Bool(true).as_bool(), Some(true));
         assert_eq!(AttrValue::Str("x".into()).as_str(), Some("x"));
         assert_eq!(AttrValue::U64(5).as_str(), None);
-        let l = AttrValue::StrList(Arc::new(["a".into()]));
-        assert_eq!(l.as_str_list().map(|s| s.len()), Some(1));
     }
 
     #[test]

@@ -87,20 +87,8 @@ pub enum ReplicationMode {
 impl ReplicationMode {
     /// True when a partitioned minority side keeps accepting writes
     /// (availability over consistency — PA in PACELC).
-    pub fn writes_survive_partition(self) -> bool {
+    fn writes_survive_partition(self) -> bool {
         matches!(self, ReplicationMode::MultiMaster)
-    }
-
-    /// How many replica acknowledgements a commit waits for (master
-    /// included). `None` means "no waiting at all beyond the master".
-    pub fn commit_acks(self) -> usize {
-        match self {
-            ReplicationMode::AsyncMasterSlave | ReplicationMode::MultiMaster => 1,
-            ReplicationMode::DualInSequence => 2,
-            ReplicationMode::Quorum { w, .. } => w as usize,
-            // A chosen command has been accepted by a majority of the group.
-            ReplicationMode::Consensus { n } => n as usize / 2 + 1,
-        }
     }
 }
 
@@ -170,7 +158,7 @@ pub enum ReadPolicy {
 
 impl ReadPolicy {
     /// Whether reads under this policy may ever be served by slave copies.
-    pub fn may_read_slaves(self) -> bool {
+    fn may_read_slaves(self) -> bool {
         !matches!(self, ReadPolicy::MasterOnly)
     }
 
@@ -178,7 +166,7 @@ impl ReadPolicy {
     /// have to wait out a replication stall, so they keep being served on
     /// the minority side of a partition (PA in PACELC). Bounded and
     /// session reads stall once no reachable copy satisfies their floor.
-    pub fn tolerates_unbounded_staleness(self) -> bool {
+    fn tolerates_unbounded_staleness(self) -> bool {
         matches!(self, ReadPolicy::NearestCopy)
     }
 }
@@ -586,18 +574,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn commit_acks_per_mode() {
-        assert_eq!(ReplicationMode::AsyncMasterSlave.commit_acks(), 1);
-        assert_eq!(ReplicationMode::DualInSequence.commit_acks(), 2);
-        assert_eq!(
-            ReplicationMode::Quorum { n: 3, w: 2, r: 1 }.commit_acks(),
-            2
-        );
-        assert_eq!(ReplicationMode::Consensus { n: 3 }.commit_acks(), 2);
-        assert_eq!(ReplicationMode::Consensus { n: 5 }.commit_acks(), 3);
     }
 
     #[test]

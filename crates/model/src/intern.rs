@@ -12,7 +12,7 @@
 //!
 //! * **digit-packed fast path** — IMSIs and MSISDNs are pure digit strings of
 //!   at most 15 digits, so they pack losslessly into one `u64`
-//!   (see [`pack_digits`]); interning hashes that word instead of the string.
+//!   (see `pack_digits`); interning hashes that word instead of the string.
 //! * **general path** — URIs and NAIs (IMPU/IMPI) intern through a string
 //!   keyed table.
 //!
@@ -28,7 +28,7 @@ use parking_lot::RwLock;
 
 /// Maximum digit count the packed fast path accepts (the 3GPP identity
 /// maximum: IMSI and E.164 numbers are at most 15 digits).
-pub const PACK_MAX_DIGITS: usize = 15;
+const PACK_MAX_DIGITS: usize = 15;
 
 /// Pack an all-digit string of 1..=15 digits into one `u64`.
 ///
@@ -36,7 +36,7 @@ pub const PACK_MAX_DIGITS: usize = 15;
 /// (`"007"` packs as `1007`, distinct from `"07"` = `107`), so the packing
 /// is injective over its domain. Returns `None` for empty, over-long or
 /// non-digit input — those strings take the general interning path.
-pub fn pack_digits(s: &str) -> Option<u64> {
+fn pack_digits(s: &str) -> Option<u64> {
     let bytes = s.as_bytes();
     if bytes.is_empty() || bytes.len() > PACK_MAX_DIGITS {
         return None;
@@ -146,7 +146,7 @@ impl IdentityInterner {
     }
 
     /// How many symbols entered through the digit-packed fast path.
-    pub fn packed_len(&self) -> usize {
+    fn packed_len(&self) -> usize {
         self.tables.read().by_packed.len()
     }
 

@@ -40,7 +40,7 @@ pub use ids::{
 };
 pub use intern::IdentityInterner;
 pub use procedures::{ProcedureKind, ProvisioningKind};
-pub use profile::{SubscriberProfile, SubscriberStatus};
+pub use profile::SubscriberProfile;
 pub use qos::{PriorityClass, ShedReason};
 pub use session::{RawLsn, SessionToken};
 pub use tenant::{Capability, CapabilitySet, TenantBudget, TenantDirectory, TenantGrant, TenantId};

@@ -64,14 +64,6 @@ impl ProcedureKind {
         let (r, w) = self.ldap_ops();
         r + w
     }
-
-    /// Whether this is one of the heavier IMS procedures (footnote 8).
-    pub const fn is_ims(self) -> bool {
-        matches!(
-            self,
-            ProcedureKind::ImsRegistration | ProcedureKind::ImsSession
-        )
-    }
 }
 
 impl fmt::Display for ProcedureKind {
@@ -133,7 +125,10 @@ mod tests {
     fn non_ims_procedures_cost_one_to_three_ops() {
         // §3.5: typical procedures cause between 1 and 3 LDAP operations.
         for p in ProcedureKind::ALL {
-            if !p.is_ims() {
+            if !matches!(
+                p,
+                ProcedureKind::ImsRegistration | ProcedureKind::ImsSession
+            ) {
                 let total = p.total_ops();
                 assert!((1..=3).contains(&total), "{p} costs {total} ops");
             }

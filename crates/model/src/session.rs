@@ -91,19 +91,6 @@ impl SessionToken {
         self.writes.is_empty() && self.reads.is_empty()
     }
 
-    /// Partitions this token holds a floor for.
-    pub fn touched_partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
-        let mut all: Vec<PartitionId> = self
-            .writes
-            .keys()
-            .chain(self.reads.keys())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.into_iter()
-    }
-
     /// Fold another token's floors into this one (session hand-off between
     /// front-ends: the union is safe because floors are monotone).
     pub fn merge(&mut self, other: &SessionToken) {
@@ -128,7 +115,6 @@ mod tests {
         let t = SessionToken::new();
         assert!(t.is_empty());
         assert_eq!(t.required_lsn(P0), 0);
-        assert_eq!(t.touched_partitions().count(), 0);
     }
 
     #[test]
@@ -151,7 +137,6 @@ mod tests {
         t.observe_read(P1, 4);
         assert_eq!(t.required_lsn(P0), 10);
         assert_eq!(t.required_lsn(P1), 4);
-        assert_eq!(t.touched_partitions().collect::<Vec<_>>(), vec![P0, P1]);
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl SimDuration {
         }
     }
 
-    /// Construct from fractional milliseconds. Negative values clamp to zero.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Whole nanoseconds in this span.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -283,10 +277,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_secs_f64(0.5),
             SimDuration::from_millis(500)
-        );
-        assert_eq!(
-            SimDuration::from_millis_f64(1.5),
-            SimDuration::from_micros(1500)
         );
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }

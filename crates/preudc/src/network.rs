@@ -47,11 +47,6 @@ impl ProvisionResult {
     pub fn is_ok(&self) -> bool {
         *self == ProvisionResult::Clean
     }
-
-    /// Whether the network was left inconsistent.
-    pub fn left_inconsistent(&self) -> bool {
-        matches!(self, ProvisionResult::Incomplete { .. })
-    }
 }
 
 /// Counters for the pre-UDC network.
@@ -114,16 +109,6 @@ impl PreUdcNetwork {
     /// Number of sites.
     pub fn sites(&self) -> usize {
         self.hlrs.len()
-    }
-
-    /// Direct HLR access (fault injection / audits).
-    pub fn hlr_mut(&mut self, hlr: HlrId) -> &mut HlrNode {
-        &mut self.hlrs[hlr.0 as usize]
-    }
-
-    /// Direct SLF access (fault injection / audits).
-    pub fn slf_mut(&mut self, site: SiteId) -> &mut SlfNode {
-        &mut self.slfs[site.index()]
     }
 
     /// Subscriptions still awaiting repair.
@@ -403,7 +388,6 @@ mod tests {
                 missing_sites: vec![SiteId(2)]
             }
         );
-        assert!(result.left_inconsistent());
         assert_eq!(net.pending_repairs(), 1);
 
         // Divergence visible: 2 identities present at sites 0,1 missing at 2.
@@ -431,7 +415,7 @@ mod tests {
     #[test]
     fn down_slf_creates_incomplete_subscription() {
         let mut net = PreUdcNetwork::new(3, SiteId(0), 4);
-        net.slf_mut(SiteId(1)).set_up(false);
+        net.slfs[1].set_up(false);
         let (result, _) = net.provision(&ids(1), 0, SimTime(0));
         assert_eq!(
             result,
@@ -439,7 +423,7 @@ mod tests {
                 missing_sites: vec![SiteId(1)]
             }
         );
-        net.slf_mut(SiteId(1)).set_up(true);
+        net.slfs[1].set_up(true);
         assert_eq!(net.run_repairs(SimTime(1)), 1);
         assert_eq!(net.audit(), (0, 0));
     }
@@ -453,7 +437,7 @@ mod tests {
         for i in 0..6 {
             assert!(net.provision(&ids(i), (i % 3) as u32, SimTime(0)).0.is_ok());
         }
-        net.hlr_mut(HlrId(1)).set_up(false);
+        net.hlrs[1].set_up(false);
         let mut dead = 0;
         for i in 0..6 {
             let id: Identity = ids(i).imsi.into();

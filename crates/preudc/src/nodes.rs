@@ -168,15 +168,6 @@ impl SlfNode {
         Ok(())
     }
 
-    /// Remove a routing tuple.
-    pub fn unbind(&mut self, identity: &Identity) -> UdrResult<()> {
-        if !self.up {
-            return Err(UdrError::Timeout);
-        }
-        self.routes.remove(identity.as_str());
-        Ok(())
-    }
-
     /// Resolve an identity to its owning HLR.
     pub fn resolve(&self, identity: &Identity) -> UdrResult<Option<(SubscriberUid, HlrId)>> {
         if !self.up {
@@ -247,8 +238,6 @@ mod tests {
             slf.resolve(&id).unwrap(),
             Some((SubscriberUid(7), HlrId(3)))
         );
-        slf.unbind(&id).unwrap();
-        assert_eq!(slf.resolve(&id).unwrap(), None);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl AdmissionController {
     /// Whether the controller is currently shedding at all — by queue
     /// delay *or* by rate ceiling. A pure rate-limit storm (healthy
     /// queue, exhausted buckets) is overload too.
-    pub fn is_shedding(&self) -> bool {
+    fn is_shedding(&self) -> bool {
         self.shedding_since.is_some() || self.rate_shed_since.is_some()
     }
 

@@ -9,7 +9,7 @@
 //! (in-doubt blocking).
 
 use udr_model::ids::SeId;
-use udr_model::time::{SimDuration, SimTime};
+use udr_model::time::SimDuration;
 
 /// Outcome of one distributed transaction attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,16 +38,9 @@ pub enum TwoPcOutcome {
     },
 }
 
-impl TwoPcOutcome {
-    /// Whether the transaction committed everywhere.
-    pub fn is_committed(&self) -> bool {
-        matches!(self, TwoPcOutcome::Committed { .. })
-    }
-}
-
 /// One participant's connectivity for a round, as sampled by the caller:
 /// `Some(rtt)` when reachable, `None` when not.
-pub type RoundTrip = Option<SimDuration>;
+type RoundTrip = Option<SimDuration>;
 
 /// Evaluate a two-phase commit given per-participant round trips for the
 /// prepare phase and the commit phase. `votes_yes[i]` is participant `i`'s
@@ -118,12 +111,6 @@ pub fn two_phase_commit(
     }
 }
 
-/// The lock-hold (blocking) time an in-doubt participant suffers: from the
-/// moment it prepared until the coordinator becomes reachable again.
-pub fn in_doubt_hold_time(prepared_at: SimTime, coordinator_reachable_at: SimTime) -> SimDuration {
-    coordinator_reachable_at.duration_since(prepared_at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +154,6 @@ mod tests {
             TwoPcOutcome::Aborted { culprit, .. } => assert_eq!(culprit, SeId(1)),
             other => panic!("expected abort, got {other:?}"),
         }
-        assert!(!out.is_committed());
     }
 
     #[test]
@@ -206,14 +192,5 @@ mod tests {
             }
             other => panic!("expected in-doubt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn in_doubt_hold_time_spans_the_partition() {
-        let hold = in_doubt_hold_time(
-            SimTime::ZERO + SimDuration::from_secs(10),
-            SimTime::ZERO + SimDuration::from_secs(40),
-        );
-        assert_eq!(hold, SimDuration::from_secs(30));
     }
 }

@@ -143,7 +143,7 @@ impl<E> ShardedPump<E> {
     }
 
     /// Peek at the earliest event's timestamp without advancing.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|s| s.at)
     }
 

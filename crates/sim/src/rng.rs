@@ -77,7 +77,7 @@ impl SimRng {
     }
 
     /// Standard normal variate via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = self.uniform().max(1e-12);
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -140,15 +140,6 @@ impl SnapshotScheduler {
             _ => false,
         }
     }
-
-    /// The next instant a snapshot becomes due (`None` for non-periodic
-    /// modes).
-    pub fn next_due(&self) -> Option<SimTime> {
-        match self.mode {
-            DurabilityMode::PeriodicSnapshot { interval } => Some(self.last + interval),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,10 +196,6 @@ mod tests {
         // Anchor advanced: not due again immediately.
         assert!(!s.due(SimTime::ZERO + SimDuration::from_secs(31)));
         assert!(s.due(SimTime::ZERO + SimDuration::from_secs(60)));
-        assert_eq!(
-            s.next_due(),
-            Some(SimTime::ZERO + SimDuration::from_secs(90))
-        );
     }
 
     #[test]
@@ -218,6 +205,5 @@ mod tests {
         let late = SimTime::ZERO + SimDuration::from_hours(10);
         assert!(!none.due(late));
         assert!(!sync.due(late));
-        assert_eq!(none.next_due(), None);
     }
 }

@@ -230,13 +230,6 @@ impl Engine {
         self.committed.entry(uid)
     }
 
-    /// The full committed version (with LSN and commit time), for staleness
-    /// measurement and merges. Shares the payload; metadata-only callers
-    /// can use [`Engine::committed_view`].
-    pub fn committed_version(&self, uid: SubscriberUid) -> Option<RecordVersion> {
-        self.committed.version(uid)
-    }
-
     /// Borrowed view of the committed record (metadata by value, payload by
     /// reference).
     pub fn committed_view(&self, uid: SubscriberUid) -> Option<RecordView<'_>> {
@@ -611,7 +604,7 @@ mod tests {
         assert!(eng.read_committed(uid(1)).is_none());
         assert_eq!(eng.live_records(), 0);
         // The tombstone carries the delete's LSN.
-        assert_eq!(eng.committed_version(uid(1)).unwrap().lsn, Lsn(2));
+        assert_eq!(eng.committed_view(uid(1)).unwrap().lsn, Lsn(2));
     }
 
     #[test]
@@ -639,8 +632,8 @@ mod tests {
         let rec = eng.commit(t, SimTime(3)).unwrap().unwrap();
         assert_eq!(rec.lsn, Lsn(1));
         assert_eq!(rec.len(), 2);
-        assert_eq!(eng.committed_version(uid(1)).unwrap().lsn, Lsn(1));
-        assert_eq!(eng.committed_version(uid(2)).unwrap().lsn, Lsn(1));
+        assert_eq!(eng.committed_view(uid(1)).unwrap().lsn, Lsn(1));
+        assert_eq!(eng.committed_view(uid(2)).unwrap().lsn, Lsn(1));
     }
 
     #[test]
@@ -680,7 +673,7 @@ mod tests {
             assert_eq!(slave.read_committed(uid(i)), master.read_committed(uid(i)));
         }
         // The slave records the master as the writer.
-        assert_eq!(slave.committed_version(uid(0)).unwrap().written_by, SeId(0));
+        assert_eq!(slave.committed_view(uid(0)).unwrap().written_by, SeId(0));
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl StorageElement {
         }
     }
 
-    /// Whether this SE's copy of `partition` is frozen for hand-off.
-    pub fn is_frozen(&self, partition: PartitionId) -> bool {
-        self.replicas.get(&partition).is_some_and(|r| r.frozen)
-    }
-
     /// Release this SE's copy of `partition` after a migration hand-off:
     /// the RAM engine is dropped and the on-disk snapshot is removed so a
     /// later crash/restore cannot resurrect a retired copy. Returns the
@@ -787,7 +782,6 @@ mod tests {
         let mut se = se_with_master(DurabilityMode::None);
         write_one(&mut se, 1, "x", SimTime(0));
         se.freeze_partition(PartitionId(0)).unwrap();
-        assert!(se.is_frozen(PartitionId(0)));
         // Reads keep serving during the hand-off window.
         assert!(se
             .read_committed(PartitionId(0), SubscriberUid(1))

@@ -16,7 +16,7 @@
 //! count, length and attribute slots in one block), shared by
 //! this store, the commit log, the ship channels, the slaves and the disk
 //! snapshots. Reads hand out [`RecordView`]s that borrow it, and the owning
-//! reads ([`RecordStore::version`], `Engine::read_committed`) clone the
+//! reads ([`RecordView::to_version`], `Engine::read_committed`) clone the
 //! handle — a reference-count bump, never a copy of the attributes. A
 //! modify copies the attribute slots of the version it changes into one
 //! new block, one allocator call, and no value in them: strings, octets
@@ -159,11 +159,6 @@ impl RecordStore {
         self.index
             .get(&uid)
             .and_then(|&slot| self.entries[slot as usize].as_ref())
-    }
-
-    /// Owned committed version of a record (shares the payload).
-    pub fn version(&self, uid: SubscriberUid) -> Option<RecordVersion> {
-        self.get(uid).map(|v| v.to_version())
     }
 
     /// Iterate every slot in slot order (stable: insertion order).

@@ -83,7 +83,7 @@ pub struct FaultPlacement {
 impl FaultPlacement {
     /// The historical default for a `sites`-site deployment: isolate the
     /// last site, crash `SeId(0)`.
-    pub fn last_site(sites: u32) -> Self {
+    fn last_site(sites: u32) -> Self {
         assert!(sites >= 2, "fault scenarios need at least two sites");
         FaultPlacement {
             island: vec![SiteId(sites - 1)],
@@ -145,7 +145,7 @@ impl PartitionScenario {
     /// placement — which island the connectivity faults isolate and
     /// which element the SE outage crashes. `WanDegradation` degrades the
     /// whole backbone and ignores the placement.
-    pub fn script_at(
+    fn script_at(
         self,
         seed: u64,
         placement: &FaultPlacement,

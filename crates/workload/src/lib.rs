@@ -2,7 +2,7 @@
 //!
 //! Workload generation for the experiments: deterministic subscriber
 //! populations ([`population`]), Poisson front-end traffic with procedure
-//! mixes, busy-hour modulation and roaming ([`traffic`]), and fault
+//! mixes, roaming, hotspots and re-registration storms ([`traffic`]), and fault
 //! processes (random SE outages, periodic partitions — [`faultgen`]).
 //!
 //! The paper's claims are about *rates and mixes* — 1–3 LDAP ops per
@@ -24,8 +24,7 @@ pub use faultgen::{periodic_partitions, FaultPlacement, OutageProcess, Partition
 pub use population::{PopulationBuilder, Subscriber};
 pub use retry::RetryPolicy;
 pub use traffic::{
-    LoadProfile, ProcedureMix, SessionBook, StormKind, StormSpec, TenantSlice, TrafficEvent,
-    TrafficModel,
+    ProcedureMix, SessionBook, StormKind, StormSpec, TenantSlice, TrafficEvent, TrafficModel,
 };
 
 /// Verdict and report rows key on `Display` labels, so no two of `values`

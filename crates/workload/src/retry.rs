@@ -70,6 +70,19 @@ impl RetryPolicy {
         }
     }
 
+    /// A deterministic schedule: up to `max_attempts` tries, each retry
+    /// after the same `backoff` (no growth, no jitter, so
+    /// [`RetryPolicy::backoff`] draws nothing from its RNG).
+    pub fn fixed(max_attempts: u32, backoff: SimDuration) -> Self {
+        RetryPolicy {
+            max_attempts,
+            base_backoff: backoff,
+            multiplier: 1.0,
+            max_backoff: backoff,
+            jitter: 0.0,
+        }
+    }
+
     /// Whether a failure of 0-based `attempt` should be retried.
     pub fn should_retry(&self, attempt: u32) -> bool {
         attempt + 1 < self.max_attempts
@@ -136,6 +149,19 @@ mod tests {
                 assert!(b <= cap, "backoff {b} above envelope {cap}");
             }
         }
+    }
+
+    #[test]
+    fn fixed_policy_repeats_one_backoff_without_drawing() {
+        let p = RetryPolicy::fixed(3, ms(5000));
+        assert!(p.should_retry(1));
+        assert!(!p.should_retry(2));
+        let mut rng = SimRng::seed_from_u64(4);
+        let mut untouched = SimRng::seed_from_u64(4);
+        for attempt in [0, 1, 7] {
+            assert_eq!(p.backoff(attempt, &mut rng), ms(5000));
+        }
+        assert_eq!(rng.uniform(), untouched.uniform(), "no draw");
     }
 
     #[test]

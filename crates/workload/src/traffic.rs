@@ -1,8 +1,8 @@
-//! Front-end traffic generation: Poisson procedure arrivals with a
-//! configurable procedure mix, busy-hour modulation, a roaming model
-//! (§3.5: "users stay within the home region of the subscription most of
-//! the time"), and the overload storms that kill real HLR/HSS
-//! deployments (post-outage mass re-registration, flash crowds).
+//! Front-end traffic generation: Poisson procedure arrivals at a constant
+//! rate with a configurable procedure mix, a roaming model (§3.5: "users
+//! stay within the home region of the subscription most of the time"),
+//! hotspots, and the overload storm that kills real HLR/HSS deployments:
+//! post-outage mass re-registration.
 
 use std::fmt;
 
@@ -57,55 +57,6 @@ impl ProcedureMix {
         let weights: Vec<f64> = self.kinds.iter().map(|(_, w)| *w).collect();
         self.kinds[rng.weighted_choice(&weights)].0
     }
-
-    /// Expected LDAP operations per procedure under this mix.
-    pub fn mean_ops(&self) -> f64 {
-        let total: f64 = self.kinds.iter().map(|(_, w)| w).sum();
-        self.kinds
-            .iter()
-            .map(|(k, w)| f64::from(k.total_ops()) * w / total)
-            .sum()
-    }
-}
-
-/// Diurnal load modulation (§3.3: "low traffic hours").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadProfile {
-    /// Constant rate.
-    Flat,
-    /// Sinusoidal day: peak at `busy_hour`, trough at `busy_hour + 12 h`,
-    /// trough-to-peak ratio `depth` (0 = flat, 1 = silent trough).
-    Diurnal {
-        /// Hour of day (0–23) with peak load.
-        busy_hour: u32,
-        /// Modulation depth in `[0, 1]`.
-        depth: f64,
-    },
-}
-
-impl LoadProfile {
-    /// Rate multiplier at a given instant.
-    pub fn multiplier(&self, at: SimTime) -> f64 {
-        match self {
-            LoadProfile::Flat => 1.0,
-            LoadProfile::Diurnal { busy_hour, depth } => {
-                let hours = at.as_secs_f64() / 3600.0;
-                let phase = (hours - f64::from(*busy_hour)) / 24.0 * std::f64::consts::TAU;
-                1.0 - depth / 2.0 + depth / 2.0 * phase.cos()
-            }
-        }
-    }
-}
-
-impl fmt::Display for LoadProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadProfile::Flat => f.write_str("flat"),
-            LoadProfile::Diurnal { busy_hour, depth } => {
-                write!(f, "diurnal(busy_hour={busy_hour},depth={depth})")
-            }
-        }
-    }
 }
 
 /// The flavour of an overlaid traffic storm.
@@ -116,19 +67,12 @@ pub enum StormKind {
     /// home sites — the HLR-killer of arXiv:1304.2867's location-update
     /// analysis.
     Reregistration,
-    /// Flash crowd: a mass event concentrates call/session-setup traffic
-    /// on one site's front ends.
-    FlashCrowd {
-        /// The site soaking up the crowd.
-        site: u32,
-    },
 }
 
 impl fmt::Display for StormKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StormKind::Reregistration => f.write_str("reregistration"),
-            StormKind::FlashCrowd { site } => write!(f, "flash-crowd(site={site})"),
         }
     }
 }
@@ -136,7 +80,7 @@ impl fmt::Display for StormKind {
 /// A traffic storm overlaid on the base stream: for `duration` starting
 /// at `start`, an *additional* Poisson arrival process runs at
 /// `multiplier ×` the model's base aggregate rate with the storm kind's
-/// own procedure mix and site targeting.
+/// own procedure mix, each event at its subscriber's home site.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormSpec {
     /// When the storm begins.
@@ -164,13 +108,6 @@ impl StormSpec {
                 (ProcedureKind::Attach, 45.0),
                 (ProcedureKind::LocationUpdate, 35.0),
                 (ProcedureKind::ImsRegistration, 20.0),
-            ]),
-            // A mass event is calls and sessions.
-            StormKind::FlashCrowd { .. } => ProcedureMix::new(vec![
-                (ProcedureKind::CallSetupMo, 40.0),
-                (ProcedureKind::CallSetupMt, 30.0),
-                (ProcedureKind::ImsSession, 20.0),
-                (ProcedureKind::SmsDelivery, 10.0),
             ]),
         }
     }
@@ -229,18 +166,6 @@ impl SessionBook {
         self.tokens.is_empty()
     }
 
-    /// Whether `subscriber` maintains a session token.
-    pub fn is_sessioned(&self, subscriber: usize) -> bool {
-        self.tokens
-            .get(subscriber)
-            .is_some_and(|token| token.is_some())
-    }
-
-    /// Subscribers that maintain a session token.
-    pub fn sessioned_count(&self) -> usize {
-        self.tokens.iter().filter(|t| t.is_some()).count()
-    }
-
     /// The token of `subscriber`, when it maintains one.
     pub fn token(&self, subscriber: usize) -> Option<&SessionToken> {
         self.tokens.get(subscriber).and_then(|t| t.as_ref())
@@ -286,12 +211,10 @@ pub struct TenantSlice {
 /// Configuration of a traffic stream.
 #[derive(Debug, Clone)]
 pub struct TrafficModel {
-    /// Mean procedures per subscriber per second at peak.
+    /// Mean procedures per subscriber per second.
     pub per_sub_rate: f64,
     /// Procedure mix.
     pub mix: ProcedureMix,
-    /// Diurnal profile.
-    pub profile: LoadProfile,
     /// Probability a procedure originates outside the home region.
     pub roaming_probability: f64,
     /// Total sites (roaming targets).
@@ -312,12 +235,11 @@ pub struct TrafficModel {
 }
 
 impl TrafficModel {
-    /// A typical-mix, flat-profile model.
+    /// A typical-mix, constant-rate model.
     pub fn flat(per_sub_rate: f64, sites: u32) -> Self {
         TrafficModel {
             per_sub_rate,
             mix: ProcedureMix::typical(),
-            profile: LoadProfile::Flat,
             roaming_probability: 0.05,
             sites,
             hot_set: Vec::new(),
@@ -329,8 +251,7 @@ impl TrafficModel {
 
     /// A flat model with an overlaid storm of `kind`: during
     /// `[start, start + duration)` an additional arrival process offers
-    /// `multiplier ×` the base aggregate load with the storm's own mix
-    /// and site targeting.
+    /// `multiplier ×` the base aggregate load with the storm's own mix.
     pub fn with_storm(
         per_sub_rate: f64,
         sites: u32,
@@ -384,7 +305,7 @@ impl TrafficModel {
     }
 
     /// The operator owning `subscriber` under the model's tenancy slices.
-    pub fn tenant_for(&self, subscriber: usize) -> TenantId {
+    fn tenant_for(&self, subscriber: usize) -> TenantId {
         self.tenancy
             .iter()
             .find(|s| (s.start..s.end).contains(&subscriber))
@@ -423,20 +344,16 @@ impl TrafficModel {
         if n == 0 || self.per_sub_rate <= 0.0 {
             return Vec::new();
         }
-        // Aggregate Poisson process, thinned by the diurnal profile and
-        // attributed to uniformly-chosen subscribers.
-        let peak_rate = self.per_sub_rate * n as f64;
+        // Aggregate Poisson process attributed to uniformly-chosen
+        // subscribers.
+        let rate = self.per_sub_rate * n as f64;
         let mut events = Vec::new();
         let mut now = start;
         loop {
-            let step = rng.exponential(1.0 / peak_rate);
+            let step = rng.exponential(1.0 / rate);
             now += SimDuration::from_secs_f64(step);
             if now >= end {
                 break;
-            }
-            // Thinning for the diurnal profile.
-            if !rng.chance(self.profile.multiplier(now)) {
-                continue;
             }
             let subscriber = if !self.hot_set.is_empty() && rng.chance(self.hot_probability) {
                 self.hot_set[rng.below(self.hot_set.len() as u64) as usize] % n
@@ -514,12 +431,8 @@ impl TrafficModel {
                 pool[rng.below(pool.len() as u64) as usize]
             };
             let kind = mix.sample(rng);
-            let fe_site = match storm.kind {
-                // Re-registrations land where the subscriber lives.
-                StormKind::Reregistration => SiteId(population[subscriber].home_region),
-                // The crowd is all at one place.
-                StormKind::FlashCrowd { site } => SiteId(site.min(self.sites.saturating_sub(1))),
-            };
+            // Re-registrations land where the subscriber lives.
+            let fe_site = SiteId(population[subscriber].home_region);
             events.push(TrafficEvent {
                 at: now,
                 subscriber,
@@ -601,27 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_profile_modulates() {
-        let profile = LoadProfile::Diurnal {
-            busy_hour: 12,
-            depth: 0.8,
-        };
-        let noon = SimTime::ZERO + SimDuration::from_hours(12);
-        let midnight = SimTime::ZERO + SimDuration::from_hours(0);
-        assert!(profile.multiplier(noon) > 0.99);
-        assert!(profile.multiplier(midnight) < 0.3);
-        assert_eq!(LoadProfile::Flat.multiplier(noon), 1.0);
-    }
-
-    #[test]
-    fn typical_mix_means_one_to_three_ops() {
-        // §3.5: typical procedures cost 1–3 ops; the blended mean with some
-        // IMS traffic sits in between.
-        let mean = ProcedureMix::typical().mean_ops();
-        assert!((1.5..=3.5).contains(&mean), "mean ops {mean}");
-    }
-
-    #[test]
     fn read_only_mix_has_no_writes() {
         let mix = ProcedureMix::read_only();
         let mut rng = SimRng::seed_from_u64(9);
@@ -679,23 +571,23 @@ mod tests {
     fn session_book_spreads_the_fraction() {
         let book = SessionBook::new(100, 0.25);
         assert_eq!(book.len(), 100);
-        assert_eq!(book.sessioned_count(), 25);
+        let sessioned =
+            |range: std::ops::Range<usize>| range.filter(|&i| book.token(i).is_some()).count();
+        assert_eq!(sessioned(0..100), 25);
         // Evenly spread, not front-loaded: both halves carry sessions.
-        assert!((0..50).any(|i| book.is_sessioned(i)));
-        assert!((50..100).any(|i| book.is_sessioned(i)));
+        assert!(sessioned(0..50) > 0);
+        assert!(sessioned(50..100) > 0);
     }
 
     #[test]
     fn session_book_extremes() {
         let none = SessionBook::new(10, 0.0);
-        assert_eq!(none.sessioned_count(), 0);
-        assert!(none.token(3).is_none());
+        assert!((0..10).all(|i| none.token(i).is_none()));
 
         let mut all = SessionBook::all(10);
-        assert_eq!(all.sessioned_count(), 10);
+        assert!((0..10).all(|i| all.token(i).is_some()));
         assert!(all.token_mut(9).is_some());
         assert!(all.token(10).is_none()); // out of range
-        assert!(!all.is_sessioned(10));
     }
 
     #[test]
@@ -705,29 +597,6 @@ mod tests {
         book.token_mut(1).unwrap().observe_write(PartitionId(0), 7);
         assert_eq!(book.token(1).unwrap().required_lsn(PartitionId(0)), 7);
         assert_eq!(book.token(0).unwrap().required_lsn(PartitionId(0)), 0);
-    }
-
-    #[test]
-    fn load_profiles_round_trip_through_display() {
-        crate::assert_distinct_labels(&[
-            LoadProfile::Flat,
-            LoadProfile::Diurnal {
-                busy_hour: 12,
-                depth: 0.8,
-            },
-            LoadProfile::Diurnal {
-                busy_hour: 0,
-                depth: 0.0,
-            },
-        ]);
-    }
-
-    #[test]
-    fn storm_kinds_round_trip_through_display() {
-        crate::assert_distinct_labels(&[
-            StormKind::Reregistration,
-            StormKind::FlashCrowd { site: 2 },
-        ]);
     }
 
     #[test]
@@ -774,37 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn flash_crowd_concentrates_on_one_site() {
-        let pop = population(100);
-        let storm_at = SimTime::ZERO + SimDuration::from_secs(10);
-        let model = TrafficModel::with_storm(
-            0.05,
-            3,
-            StormKind::FlashCrowd { site: 1 },
-            storm_at,
-            SimDuration::from_secs(20),
-            8.0,
-        );
-        let mut rng = SimRng::seed_from_u64(12);
-        let events = model.generate(
-            &pop,
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_secs(40),
-            &mut rng,
-        );
-        let in_window: Vec<&TrafficEvent> = events
-            .iter()
-            .filter(|e| e.at >= storm_at && e.at < storm_at + SimDuration::from_secs(20))
-            .collect();
-        let at_site1 = in_window.iter().filter(|e| e.fe_site == SiteId(1)).count();
-        assert!(
-            at_site1 as f64 > in_window.len() as f64 * 0.8,
-            "crowd concentrated: {at_site1}/{}",
-            in_window.len()
-        );
-    }
-
-    #[test]
     fn generation_is_deterministic_per_seed() {
         // Guards the bench against nondeterminism sneaking in through
         // the storm/retry machinery: same seed ⇒ identical stream.
@@ -816,14 +654,6 @@ mod tests {
                 0.1,
                 3,
                 StormKind::Reregistration,
-                SimTime::ZERO + SimDuration::from_secs(20),
-                SimDuration::from_secs(30),
-                6.0,
-            ),
-            TrafficModel::with_storm(
-                0.1,
-                3,
-                StormKind::FlashCrowd { site: 2 },
                 SimTime::ZERO + SimDuration::from_secs(20),
                 SimDuration::from_secs(30),
                 6.0,

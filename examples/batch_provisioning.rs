@@ -10,12 +10,12 @@
 //! cargo run --release --example batch_provisioning
 //! ```
 
-use udr::core::{BatchItem, RetryPolicy, Udr, UdrConfig};
+use udr::core::{BatchItem, Udr, UdrConfig};
 use udr::metrics::{pct, Table};
 use udr::model::ids::SiteId;
 use udr::model::{ReplicationMode, SimDuration, SimTime};
 use udr::sim::{FaultScript, SimRng};
-use udr::workload::PopulationBuilder;
+use udr::workload::{PopulationBuilder, RetryPolicy};
 
 fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
@@ -44,10 +44,8 @@ fn run(mode: ReplicationMode, retries: u32) -> (String, udr::core::BatchReport, 
         10.0,
         t(0),
         SiteId(0),
-        RetryPolicy {
-            max_attempts: retries,
-            backoff: SimDuration::from_secs(10),
-        },
+        RetryPolicy::fixed(retries, SimDuration::from_secs(10)),
+        1,
     );
     udr.advance_to(t(1200));
     let label = format!("{mode} / {} attempt(s)", retries);
