@@ -11,9 +11,9 @@
 //!   Under consensus it hands the operation to the partition's ensemble
 //!   (`Udr::consensus_route`);
 //! * in the background, the event pump calls the shipping families' work
-//!   here: batch delivery and linger flushes, the periodic catch-up, crash
-//!   capture and failover, master and slave restore, multi-master
-//!   restoration and the channel migration engine;
+//!   here: batch delivery and linger flushes, the periodic catch-up and
+//!   log truncation, crash capture and failover, master and slave restore,
+//!   multi-master restoration and the channel migration engine;
 //! * for drivers, [`Udr::max_replica_lag`] and [`Udr::replication_settled`]
 //!   read the shipping ledgers or the ensembles alike.
 //!
@@ -881,8 +881,9 @@ impl Udr {
     }
 
     /// `CatchupTick`: merge diverged multi-master branches once the network
-    /// is whole, re-ship what stalled channels are missing, and drive the
-    /// active migrations one step.
+    /// is whole, re-ship what stalled channels are missing, drive the
+    /// active migrations one step, then truncate the commit logs behind
+    /// their slowest readers.
     pub(crate) fn run_catchup(&mut self, t: SimTime) {
         if !self.net.partitioned() {
             // Divergence can arise without any cut: under multi-master a
@@ -902,6 +903,75 @@ impl Udr {
                 self.run_migration_catchup(t);
             }
         }
+        self.truncate_logs();
+    }
+
+    /// Truncate every replica's commit log behind its slowest reader, the
+    /// last step of each `CatchupTick`.
+    ///
+    /// Under a shipping family every member of a group is truncated through
+    /// one floor ([`Udr::log_floor`]): any member may master the partition
+    /// next, and its log must then serve every reader the old master's did.
+    /// Under consensus no code reads an engine's log (a restore replays the
+    /// chosen log, and a migration seeds from a snapshot), so each replica
+    /// keeps only what it applied since the last tick. Truncation drops only
+    /// records no later read reaches, so no simulated result depends on it.
+    /// It draws nothing from the RNG and schedules nothing, and on a tick
+    /// where no floor moved it changes nothing.
+    fn truncate_logs(&mut self) {
+        let consensus = matches!(
+            self.cfg.frash.replication,
+            ReplicationMode::Consensus { .. }
+        );
+        for p in 0..self.groups.len() {
+            let pid = PartitionId(p as u32);
+            let floor = (!consensus).then(|| self.log_floor(pid));
+            for &se in self.groups[p].members() {
+                let se = &mut self.ses[se.index()];
+                // Under consensus, through the replica's own position.
+                if let Some(upto) = floor.or_else(|| se.last_lsn(pid).ok()) {
+                    se.truncate_log(pid, upto);
+                }
+            }
+        }
+    }
+
+    /// The highest LSN through which every member's log of `pid` may be
+    /// truncated under a shipping family: the lowest position any reader
+    /// may still resume from. The readers, and why each is one:
+    /// * every member's disk image, or `Lsn::ZERO` before its first save. A
+    ///   member that crashes restores from its image, and its channel
+    ///   restarts there (`restore_slave`) to catch up from the master's log;
+    /// * every up member's own position. Quorum ack carry-over replays a
+    ///   responder's gap from the master's log, and after a failover or a
+    ///   master move the new master's log serves each slave from there;
+    /// * every ship channel's confirmed position, and every live migration
+    ///   channel's: a catch-up pass re-ships the suffix after it.
+    fn log_floor(&self, pid: PartitionId) -> Lsn {
+        let p = pid.index();
+        let members = self.groups[p]
+            .members()
+            .iter()
+            .map(|se| &self.ses[se.index()]);
+        let images = members.clone().map(|se| {
+            se.disk()
+                .load(pid)
+                .map_or(Lsn::ZERO, |image| image.last_lsn)
+        });
+        let copies = members
+            .filter(|se| se.is_up())
+            .map(|se| se.last_lsn(pid).unwrap_or(Lsn::ZERO));
+        let migrations = self
+            .migrations
+            .iter()
+            .filter(|m| m.plan.partition == pid)
+            .filter_map(|m| m.channel.as_ref()?.min_applied());
+        images
+            .chain(copies)
+            .chain(self.shippers[p].min_applied())
+            .chain(migrations)
+            .min()
+            .unwrap_or(Lsn::ZERO)
     }
 
     /// Re-ship to every reachable up slave what its channel is missing, or

@@ -6,13 +6,14 @@
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
-use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
+use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
 use udr_model::error::UdrError;
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
-use udr_model::ids::{SeId, SiteId};
+use udr_model::ids::{PartitionId, SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
 use udr_sim::FaultScript;
+use udr_storage::Lsn;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -27,14 +28,8 @@ fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
 }
 
-/// A loss-free figure-2 deployment with one subscriber per home region
-/// (subscriber `r` is mastered at site `r` under home-region placement).
-fn build(mode: ReplicationMode, policy: ReadPolicy, seed: u64) -> (Udr, Vec<IdentitySet>) {
-    let mut cfg = UdrConfig::figure2();
-    cfg.frash.replication = mode;
-    cfg.frash.fe_read_policy = policy;
-    cfg.seed = seed;
-    let mut udr = Udr::build(cfg).expect("valid config");
+/// Make every backbone link a loss-free 15 ms WAN link.
+fn lossless_wan(udr: &mut Udr) {
     let wan = LinkProfile {
         latency: LatencyModel::wan(SimDuration::from_millis(15)),
         loss: 0.0,
@@ -48,6 +43,17 @@ fn build(mode: ReplicationMode, policy: ReadPolicy, seed: u64) -> (Udr, Vec<Iden
             }
         }
     }
+}
+
+/// A loss-free figure-2 deployment with one subscriber per home region
+/// (subscriber `r` is mastered at site `r` under home-region placement).
+fn build(mode: ReplicationMode, policy: ReadPolicy, seed: u64) -> (Udr, Vec<IdentitySet>) {
+    let mut cfg = UdrConfig::figure2();
+    cfg.frash.replication = mode;
+    cfg.frash.fe_read_policy = policy;
+    cfg.seed = seed;
+    let mut udr = Udr::build(cfg).expect("valid config");
+    lossless_wan(&mut udr);
     let mut subs = Vec::new();
     for r in 0..3u64 {
         let subscriber = ids(r + 1);
@@ -391,5 +397,153 @@ fn slave_restored_under_a_down_master_keeps_its_disk_copy() {
             )
             .into_op();
         assert!(out.is_ok(), "subscriber {i}: {:?}", out.result);
+    }
+}
+
+// --- Log truncation behind the slowest reader -------------------------------
+
+/// The one partition of the truncation tests.
+const P: PartitionId = PartitionId(0);
+/// The catch-up pass, which truncates the logs, runs every 200 ms.
+const CATCHUP_TICK: SimDuration = SimDuration::from_millis(200);
+/// Modifies inside each catch-up tick's window, 50 ms apart.
+const WRITES_PER_TICK: u64 = 4;
+
+/// A loss-free one-partition figure-2 deployment under `mode` that saves
+/// every SE's RAM to disk every second, with one subscriber provisioned.
+fn saving_every_second(mode: ReplicationMode) -> (Udr, IdentitySet) {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = mode;
+    cfg.frash.durability = DurabilityMode::PeriodicSnapshot {
+        interval: SimDuration::from_secs(1),
+    };
+    cfg.seed = 43;
+    let mut udr = Udr::build(cfg).expect("valid config");
+    lossless_wan(&mut udr);
+    let sub = ids(1);
+    let at = t(2) - SimDuration::from_millis(150);
+    let out = udr.provision_subscriber(&sub, 0, SiteId(0), at);
+    assert!(out.is_ok(), "provisioning failed: {:?}", out.op.result);
+    (udr, sub)
+}
+
+/// Write through catch-up ticks `ticks`: `WRITES_PER_TICK` modifies of
+/// `sub` from site 0 inside each tick's 200 ms window, then the tick that
+/// closes it, after which `check` runs. Returns the writes made.
+fn write_through_ticks(
+    udr: &mut Udr,
+    sub: &IdentitySet,
+    ticks: std::ops::RangeInclusive<u64>,
+    mut check: impl FnMut(&Udr),
+) -> u64 {
+    let mut writes = 0;
+    for tick in ticks {
+        let window = SimTime::ZERO + CATCHUP_TICK * (tick - 1);
+        for i in 0..WRITES_PER_TICK {
+            let at = window + SimDuration::from_millis(10 + 50 * i);
+            udr.advance_to(at);
+            let out = udr
+                .execute(
+                    OpRequest::new(&write_op(sub, tick * 10 + i))
+                        .site(SiteId(0))
+                        .at(at),
+                )
+                .into_op();
+            assert!(out.is_ok(), "write {i} of tick {tick}: {:?}", out.result);
+            writes += 1;
+        }
+        udr.advance_to(window + CATCHUP_TICK);
+        check(udr);
+    }
+    writes
+}
+
+/// The position a member's copy restores from: its disk image's LSN, or
+/// zero before its first save.
+fn image_lsn(udr: &Udr, se: SeId) -> Lsn {
+    udr.se(se)
+        .disk()
+        .load(P)
+        .map_or(Lsn::ZERO, |image| image.last_lsn)
+}
+
+/// After every catch-up tick, no member's commit log holds more than the
+/// records committed since the oldest member's disk image. A slave that
+/// crashes after a save, misses writes and restores from that save is
+/// caught up from the master's log, without a reseed, because the log
+/// reached back to its image all along.
+#[test]
+fn logs_truncate_behind_the_oldest_disk_image_and_a_restore_still_catches_up() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::AsyncMasterSlave);
+    let master = udr.group(P).master();
+    let slave = udr
+        .group(P)
+        .members()
+        .iter()
+        .copied()
+        .find(|&se| se != master)
+        .unwrap();
+    let bounded = |udr: &Udr| {
+        let head = udr.se(master).last_lsn(P).unwrap();
+        let members = udr.group(P).members();
+        let oldest = members.iter().map(|&se| image_lsn(udr, se)).min().unwrap();
+        for &se in members {
+            if let Ok(engine) = udr.se(se).engine(P) {
+                let len = engine.log().len() as u64;
+                assert!(
+                    len <= head.raw() - oldest.raw(),
+                    "{se} holds {len} records; the oldest image is at {oldest}, the master at {head}"
+                );
+            }
+        }
+    };
+
+    // Writes from 2 s on; the slave crashes 100 ms after the 3 s save,
+    // with two writes past its image, and restores at 4.6 s.
+    udr.schedule_script(&FaultScript::new(6).se_outage(
+        t(3) + SimDuration::from_millis(100),
+        SimDuration::from_millis(1_500),
+        slave,
+    ));
+    let writes = write_through_ticks(&mut udr, &sub, 11..=16, bounded);
+    assert!(!udr.se(slave).is_up());
+    let image = image_lsn(&udr, slave);
+    assert!(udr.se(master).last_lsn(P).unwrap() > image);
+    let writes = writes + write_through_ticks(&mut udr, &sub, 17..=40, bounded);
+
+    udr.advance_to(t(9));
+    assert!(udr.replication_settled());
+    assert_eq!(udr.metrics.reseeds, 0, "the restore caught up from the log");
+    let head = udr.se(master).last_lsn(P).unwrap();
+    assert_eq!(udr.se(slave).last_lsn(P).unwrap(), head);
+    // Every member has saved the head since the last write, and every
+    // channel has confirmed it: no reader is left for any record.
+    for &se in udr.group(P).members() {
+        assert_eq!(image_lsn(&udr, se), head);
+        assert!(udr.se(se).engine(P).unwrap().log().is_empty(), "{se}");
+    }
+    // Every write committed, after the provisioning.
+    assert!(head.raw() > writes);
+}
+
+/// Under consensus no code reads an engine's log, so each catch-up tick
+/// empties it: after every tick a replica's log holds at most the one
+/// tick of writes applied since.
+#[test]
+fn consensus_engine_logs_hold_at_most_one_tick_of_records() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
+    let members = udr.group(P).members().to_vec();
+    let writes = write_through_ticks(&mut udr, &sub, 11..=25, |udr| {
+        for &se in &members {
+            let len = udr.se(se).engine(P).unwrap().log().len() as u64;
+            assert!(len <= WRITES_PER_TICK, "{se} holds {len} records");
+        }
+    });
+    udr.advance_to(t(6));
+    assert!(udr.replication_settled());
+    for &se in &members {
+        // Every write went through each replica's engine.
+        assert!(udr.se(se).last_lsn(P).unwrap().raw() > writes);
     }
 }

@@ -7,6 +7,12 @@
 //! channel stalls and a catch-up pass re-ships the missing suffix from the
 //! master's log once the slave is reachable again.
 //!
+//! The master's log is what a catch-up pass re-ships, so it must reach back
+//! to the record after each channel's confirmed position
+//! ([`AsyncShipper::min_applied`]); the deployment truncates it no further
+//! than that. A record in flight travels as a clone; should it be lost, the
+//! re-ship starts from the confirmed position, which the log still reaches.
+//!
 //! Batched shipping recycles its vectors: a delivered batch hands its
 //! emptied record vector back ([`AsyncShipper::recycle`]), and the next
 //! flush on any of the shipper's channels takes a returned vector before it
@@ -192,6 +198,13 @@ impl AsyncShipper {
     /// The highest LSN `slave` has confirmed applied.
     pub fn applied(&self, slave: SeId) -> Option<Lsn> {
         self.channels.get(&slave).map(|c| c.applied)
+    }
+
+    /// The lowest LSN any channel has confirmed applied, `None` without a
+    /// channel. A catch-up pass re-ships from the record after it, so the
+    /// master's log must still hold that record.
+    pub fn min_applied(&self) -> Option<Lsn> {
+        self.channels.values().map(|c| c.applied).min()
     }
 
     /// Plan delivery of one just-committed record to one slave. `delay` is

@@ -371,7 +371,10 @@ impl Engine {
         &self.log
     }
 
-    /// Truncate the log through `upto` (after a snapshot covers it).
+    /// Drop the log's records through `upto`, once no reader can ask for
+    /// them: the deployment passes the position of the slowest channel,
+    /// copy or disk image that may still read this log
+    /// ([`CommitLog::truncate_through`]).
     pub fn truncate_log(&mut self, upto: Lsn) {
         self.log.truncate_through(upto);
     }

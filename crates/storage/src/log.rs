@@ -4,6 +4,15 @@
 //! the serialization order of writes replicated to any slave copy is exactly
 //! the same as that imposed by the master copy"); slaves keep a log too so
 //! cascading reads and merge procedures can inspect history.
+//!
+//! A log only has to reach back as far as some reader can still ask: a
+//! ship or migration channel re-shipping what its slave has not confirmed,
+//! or a copy restoring from its disk image (§3.1 decision 1: a crash loses
+//! only what came after the last save). The deployment's catch-up tick
+//! truncates every log behind its slowest such reader
+//! ([`CommitLog::truncate_through`]), and the segments a truncation empties
+//! are kept for the appends that follow, so a log that is truncated as fast
+//! as it grows stops asking the allocator for segments.
 
 use crate::version::{CommitRecord, Lsn};
 
@@ -17,11 +26,20 @@ const SEGMENT: usize = 4096;
 /// each later segment is allocated at its full size when the one before it
 /// fills. An append therefore never copies the records before it, and a
 /// long log costs one allocation per 4 096 appends. `base` is the LSN of
-/// the first retained record. Truncation models snapshot-based log reclaim.
+/// the first retained record.
+///
+/// Truncation drops the oldest records and keeps each segment it empties as
+/// a spare, emptied but with its capacity; an append that needs a new
+/// segment takes a spare before it allocates one. The spares are only ever
+/// segments this log itself released, so a log never holds more segments,
+/// retained and spare together, than it did at its longest.
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
-    /// Never holds an empty segment.
+    /// The first `live` segments hold the retained records, oldest first,
+    /// and none of them is empty; the rest are empty spares.
     segments: Vec<Vec<CommitRecord>>,
+    /// How many segments hold records.
+    live: usize,
     /// LSN of the first retained record; valid only when the log is
     /// non-empty.
     base: Lsn,
@@ -39,6 +57,7 @@ impl CommitLog {
     pub fn starting_after(last: Lsn) -> Self {
         CommitLog {
             segments: Vec::new(),
+            live: 0,
             base: last.next(),
             last,
         }
@@ -63,14 +82,16 @@ impl CommitLog {
             self.last.next()
         );
         self.last = record.lsn;
-        match self.segments.last_mut() {
-            Some(segment) if segment.len() < SEGMENT => segment.push(record),
-            full => {
-                let mut segment = Vec::with_capacity(if full.is_some() { SEGMENT } else { 0 });
-                segment.push(record);
-                self.segments.push(segment);
+        if self.live == 0 || self.segments[self.live - 1].len() == SEGMENT {
+            if self.live == self.segments.len() {
+                // No spare left: allocate, the first segment empty so that
+                // it grows by doubling.
+                let room = if self.live == 0 { 0 } else { SEGMENT };
+                self.segments.push(Vec::with_capacity(room));
             }
+            self.live += 1;
         }
+        self.segments[self.live - 1].push(record);
     }
 
     /// Fetch a record by LSN, if still retained.
@@ -88,31 +109,40 @@ impl CommitLog {
             .skip((after.0 + 1).saturating_sub(self.base.0) as usize)
     }
 
-    /// Drop all records with LSN ≤ `upto` (snapshot-based reclaim).
+    /// Drop every record with LSN ≤ `upto`; an `upto` past the last record
+    /// drops them all and the next append still takes `last_lsn().next()`.
+    /// Each segment this empties becomes a spare for later appends; a
+    /// segment it only shortens keeps its remaining records in place.
     pub fn truncate_through(&mut self, upto: Lsn) {
+        let upto = upto.min(self.last);
         if upto < self.base {
             return;
         }
         let mut drop = (upto.0 + 1 - self.base.0) as usize;
-        while let Some(first) = self.segments.first_mut() {
-            if drop < first.len() {
-                first.drain(..drop);
-                break;
-            }
-            drop -= first.len();
-            self.segments.remove(0);
+        let mut emptied = 0;
+        while emptied < self.live && self.segments[emptied].len() <= drop {
+            drop -= self.segments[emptied].len();
+            self.segments[emptied].clear();
+            emptied += 1;
+        }
+        // The emptied segments move behind the retained ones, among the
+        // spares; no segment is allocated or freed.
+        self.segments[..self.live].rotate_left(emptied);
+        self.live -= emptied;
+        if drop > 0 {
+            self.segments[0].drain(..drop);
         }
         self.base = upto.next();
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
+        self.segments[..self.live].iter().map(Vec::len).sum()
     }
 
     /// Whether no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.live == 0
     }
 
     /// LSN of the oldest retained record, if any.
@@ -122,7 +152,7 @@ impl CommitLog {
 
     /// Iterate all retained records in order.
     pub fn iter(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.segments.iter().flatten()
+        self.segments[..self.live].iter().flatten()
     }
 }
 
@@ -212,7 +242,7 @@ mod tests {
         assert_eq!(log.first_retained(), Some(Lsn(101)));
         assert_holds(&log, 101, total);
         log.truncate_through(Lsn(SEGMENT as u64 + 1));
-        assert_eq!(log.segments.len(), 2);
+        assert_eq!(log.live, 2);
         assert_holds(&log, SEGMENT as u64 + 2, total);
         log.append(rec(total + 1));
         assert_holds(&log, SEGMENT as u64 + 2, total + 1);
@@ -268,5 +298,59 @@ mod tests {
         assert_eq!(log.first_retained(), None);
         log.append(rec(4));
         assert_eq!(log.len(), 1);
+    }
+
+    /// Regression: truncating through an LSN past the last record used to
+    /// move `base` past it too, so the next append was unreadable and the
+    /// log reported a gap in front of it.
+    #[test]
+    fn truncating_past_the_last_record_keeps_the_next_append() {
+        let mut log = CommitLog::new();
+        for i in 1..=3 {
+            log.append(rec(i));
+        }
+        log.truncate_through(Lsn(10));
+        assert!(log.is_empty());
+        assert_eq!(log.last_lsn(), Lsn(3));
+        log.append(rec(4));
+        assert_eq!(log.get(Lsn(4)).map(|r| r.lsn), Some(Lsn(4)));
+        assert_eq!(log.first_retained(), Some(Lsn(4)));
+        assert_holds(&log, 4, 4);
+    }
+
+    #[test]
+    fn an_append_after_a_truncation_reuses_the_emptied_segment() {
+        // The first segment, emptied while still growing, comes back as
+        // the next first segment with the room it had.
+        let mut log = CommitLog::new();
+        for i in 1..=100 {
+            log.append(rec(i));
+        }
+        let (first, room) = (log.segments[0].as_ptr(), log.segments[0].capacity());
+        log.truncate_through(Lsn(100));
+        log.append(rec(101));
+        assert_eq!(log.segments[0].as_ptr(), first);
+        assert_eq!(log.segments[0].capacity(), room);
+        assert_eq!(log.segments.len(), 1);
+
+        // Full segments emptied by one truncation are taken in turn, at
+        // their full size, before anything is allocated.
+        let s = SEGMENT as u64;
+        let mut log = CommitLog::new();
+        for i in 1..=3 * s {
+            log.append(rec(i));
+        }
+        let full: Vec<_> = log.segments.iter().map(|s| s.as_ptr()).collect();
+        assert_eq!(full.len(), 3);
+        log.truncate_through(Lsn(2 * s + 5));
+        assert_eq!((log.live, log.segments.len()), (1, 3));
+        assert_holds(&log, 2 * s + 6, 3 * s);
+        for i in 3 * s + 1..=5 * s {
+            log.append(rec(i));
+        }
+        let reused: Vec<_> = log.segments.iter().map(|s| s.as_ptr()).collect();
+        assert_eq!(reused, [full[2], full[0], full[1]]);
+        assert!(log.segments.iter().all(|s| s.capacity() == SEGMENT));
+        assert_holds(&log, 2 * s + 6, 5 * s);
     }
 }

@@ -352,6 +352,15 @@ impl StorageElement {
         Ok(self.replica(partition)?.engine.last_lsn())
     }
 
+    /// Drop the commit-log records of this SE's copy of `partition`
+    /// through `upto` ([`Engine::truncate_log`]); a no-op when it hosts no
+    /// copy, as when it is down.
+    pub fn truncate_log(&mut self, partition: PartitionId, upto: Lsn) {
+        if let Some(r) = self.replicas.get_mut(&partition) {
+            r.engine.truncate_log(upto);
+        }
+    }
+
     /// Direct engine access (replication and merge procedures need it).
     pub fn engine(&self, partition: PartitionId) -> UdrResult<&Engine> {
         Ok(&self.replica(partition)?.engine)

@@ -2,7 +2,7 @@
 //! design depends on (§3.2's serialization-order guarantee and §3.1's
 //! snapshot durability semantics).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 
@@ -11,7 +11,7 @@ use udr_model::config::IsolationLevel;
 use udr_model::ids::{SeId, SubscriberUid};
 use udr_model::time::SimTime;
 use udr_storage::store::{decode_entry, encode_entry};
-use udr_storage::{CommitLog, CommitRecord, Engine, EngineSnapshot};
+use udr_storage::{Change, CommitLog, CommitRecord, Engine, EngineSnapshot, Lsn};
 
 /// One scripted engine operation.
 #[derive(Debug, Clone)]
@@ -720,6 +720,110 @@ proptest! {
         }
         for (n, (copy, held)) in copies.iter().enumerate() {
             prop_assert_eq!(&owned_image(copy), held, "copy {}", n);
+        }
+    }
+}
+
+// --- CommitLog against a deque model ----------------------------------------
+
+/// Records per segment of `CommitLog`'s storage (a private constant of
+/// `log.rs`; keep the two equal so the draws below cross its boundaries).
+const LOG_SEGMENT: u64 = 4096;
+
+/// One step of the log model test: append `n` records, or truncate
+/// through `base - 1 + delta`, where `base` is the oldest retained LSN
+/// (the next one when the log is empty) and `delta` may reach below it.
+#[derive(Debug, Clone, Copy)]
+enum LogStep {
+    Append(u64),
+    Truncate(i64),
+}
+
+fn log_step_strategy() -> impl Strategy<Value = LogStep> {
+    let s = LOG_SEGMENT;
+    let si = s as i64;
+    prop_oneof![
+        (1u64..40).prop_map(LogStep::Append),
+        proptest::sample::select(vec![s - 1, s, s + 1, 2 * s + 3]).prop_map(LogStep::Append),
+        // Below the first retained record, inside the first segment, or
+        // one side or the other of a segment boundary.
+        (-3i64..60).prop_map(LogStep::Truncate),
+        proptest::sample::select(vec![si - 1, si, si + 1, 2 * si, 2 * si + 1])
+            .prop_map(LogStep::Truncate),
+        // Far past the last record: everything goes.
+        (3 * si..4 * si).prop_map(LogStep::Truncate),
+    ]
+}
+
+fn log_record(lsn: u64) -> CommitRecord {
+    CommitRecord {
+        lsn: Lsn(lsn),
+        committed_at: SimTime(lsn),
+        written_by: SeId(0),
+        changes: Change {
+            uid: SubscriberUid(lsn),
+            entry: None,
+        }
+        .into(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `CommitLog` answers every query the way a deque of its retained
+    /// LSNs does, through appends and truncations below its first record,
+    /// inside its first segment, across segment boundaries, to empty and
+    /// past its last record; a log restored at `start` behaves the same.
+    #[test]
+    fn the_commit_log_matches_a_deque_model(
+        start in prop_oneof![Just(0u64), 1u64..10_000],
+        steps in prop::collection::vec(log_step_strategy(), 1..24),
+    ) {
+        let mut log = CommitLog::starting_after(Lsn(start));
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut last = start;
+        for (i, step) in steps.into_iter().enumerate() {
+            let base = model.front().copied().unwrap_or(last + 1);
+            match step {
+                LogStep::Append(n) => {
+                    for lsn in last + 1..=last + n {
+                        log.append(log_record(lsn));
+                        model.push_back(lsn);
+                    }
+                    last += n;
+                }
+                LogStep::Truncate(delta) => {
+                    let upto = (base as i64 - 1 + delta).max(0) as u64;
+                    log.truncate_through(Lsn(upto));
+                    while model.front().is_some_and(|&lsn| lsn <= upto) {
+                        model.pop_front();
+                    }
+                }
+            }
+
+            prop_assert_eq!(log.last_lsn(), Lsn(last), "step {}: {:?}", i, step);
+            prop_assert_eq!(log.len(), model.len());
+            prop_assert_eq!(log.is_empty(), model.is_empty());
+            prop_assert_eq!(log.first_retained(), model.front().map(|&lsn| Lsn(lsn)));
+            prop_assert!(log.iter().map(|r| r.lsn.raw()).eq(model.iter().copied()));
+            let first = model.front().copied().unwrap_or(last + 1);
+            for probe in [0, first.saturating_sub(1), first, first + 1, first + LOG_SEGMENT, last, last + 1] {
+                prop_assert_eq!(
+                    log.get(Lsn(probe)).map(|r| r.lsn.raw()),
+                    model.contains(&probe).then_some(probe),
+                    "get({})", probe
+                );
+                // `iter` was compared whole above: a suffix is right when
+                // it starts and ends where the model's does.
+                let above = model.iter().filter(|&&lsn| lsn > probe);
+                prop_assert_eq!(
+                    log.since(Lsn(probe)).next().map(|r| r.lsn.raw()),
+                    above.clone().next().copied(),
+                    "since({})", probe
+                );
+                prop_assert_eq!(log.since(Lsn(probe)).count(), above.count(), "since({})", probe);
+            }
         }
     }
 }

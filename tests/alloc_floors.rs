@@ -10,7 +10,9 @@
 //! * the storage engine shares committed payloads instead of copying them;
 //! * a save refreshes the disk image in place: nothing once it is built,
 //!   one exact growth per replica that gained records, and nothing extra
-//!   for a sync-commit write.
+//!   for a sync-commit write;
+//! * a commit log truncated behind its readers takes the segments it
+//!   emptied back, instead of asking for new ones.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -30,7 +32,7 @@ use udr::model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr::model::time::{SimDuration, SimTime};
 use udr::replication::ShipBatchConfig;
 use udr::sim::net::LinkProfile;
-use udr::storage::{Engine, Lsn, StorageElement};
+use udr::storage::{CommitRecord, Engine, Lsn, StorageElement};
 
 /// What the allocator saw on one thread.
 #[derive(Clone, Copy)]
@@ -437,8 +439,8 @@ fn an_idle_pump_allocates_nothing() {
 // --- Consensus: allocation does not grow with the chosen log ----------------
 
 /// Enough subscribers that neither write window straddles a power of two
-/// of the log length (logs, id sets and commit logs double there, which is
-/// amortised growth, not a cost per operation): with one chosen entry per
+/// of the log length (logs and id sets double there, which is amortised
+/// growth, not a cost per operation): with one chosen entry per
 /// provisioning, the windows see lengths 201–300 and 4 101–4 200.
 const CONSENSUS_SUBSCRIBERS: u64 = 100;
 /// Sim-time between operations: two protocol ticks, so every operation
@@ -784,4 +786,69 @@ fn a_sync_commit_modify_allocates_what_a_periodic_one_does() {
         periodic,
         "a sync-commit modify refreshes the disk image without allocating"
     );
+}
+
+// --- Log truncation: an emptied segment is taken back -----------------------
+//
+// The catch-up tick truncates every replica's commit log behind its slowest
+// reader, here the disk image saved each second, and each segment of 4 096
+// records a truncation empties is kept for the appends that follow. Once a
+// log has been truncated, a stream of writes as fast as before finds a
+// spare whenever its tail segment fills, so no log asks the allocator for a
+// segment again. Nothing else here requests a block of that size.
+
+/// Bytes of one full commit-log segment.
+const LOG_SEGMENT_BYTES: usize = 4096 * std::mem::size_of::<CommitRecord>();
+/// Writes 200 µs apart: 5 000 between two saves, so a log spans two
+/// segments before each truncation and one after it.
+const STREAM_GAP: SimDuration = SimDuration::from_micros(200);
+/// Writes before and while counting: three seconds of writes each, so both
+/// cross three saves and truncations, and each replica's tail segment
+/// fills at least three times while counted.
+const STREAM_WRITES: u64 = 15_000;
+
+#[test]
+fn a_truncated_log_asks_for_no_new_segment() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
+    cfg.frash.durability = DurabilityMode::PeriodicSnapshot {
+        interval: SimDuration::from_secs(1),
+    };
+    cfg.ship_batch = ShipBatchConfig::coalesce(64, SimDuration::from_millis(5));
+    let (mut udr, mut now) = provisioned_for_writes(cfg);
+    let mut write = |i: u64| {
+        now += STREAM_GAP;
+        let out = udr.modify_services(
+            &Identity::Imsi(imsi(i % MODIFY_SUBSCRIBERS)),
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i + 1))],
+            SiteId(0),
+            now,
+        );
+        assert!(out.is_ok(), "write {i}: {:?}", out.result);
+    };
+
+    for i in 0..STREAM_WRITES {
+        write(i);
+    }
+    window(LOG_SEGMENT_BYTES..LOG_SEGMENT_BYTES + 1);
+    let ((), tally) = counted(|| {
+        for i in STREAM_WRITES..2 * STREAM_WRITES {
+            write(i);
+        }
+    });
+    assert_eq!(
+        tally.in_window, 0,
+        "{STREAM_WRITES} writes across saves asked for a new log segment"
+    );
+
+    let p = PartitionId(0);
+    for &se in udr.group(p).members() {
+        let log = udr.se(se).engine(p).unwrap().log();
+        assert!(
+            log.len() < 2 * 4096,
+            "{se} kept {} records: its log was not truncated",
+            log.len()
+        );
+    }
 }
