@@ -240,6 +240,8 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     let expected = cfg.frash.pacelc_for(TxnClass::FrontEnd).to_string();
     let consensus = matches!(cc.mode, ReplicationMode::Consensus { .. });
     let mut s = provisioned_system(cfg, cc.subscribers, cc.seed ^ 0x5EED);
+    // The lost-write and duplicate oracles below read every chosen write.
+    s.udr.record_consensus_writes();
 
     // Loss-free links: every failure in the run is then attributable to
     // the injected faults, never to background WAN loss.

@@ -28,7 +28,7 @@
 //!
 //! [`ConsensusCluster`]: crate::runtime::ConsensusCluster
 
-use crate::ballot::{NodeId, Slot};
+use crate::ballot::{Ballot, NodeId, Slot};
 use crate::msg::{CmdId, Command, Message};
 use crate::replica::{Outbound, Replica, ReplicaConfig, Role};
 
@@ -164,7 +164,12 @@ impl Ensemble {
     /// Every agreement violation observed (empty in a correct run): what
     /// each replica found against its own log, then every pair of logs
     /// checked against each other — a down node's decided prefix must
-    /// still agree.
+    /// still agree. A pair compares the slots both still hold one by one,
+    /// and what either compacted by the digest of its prefix at the higher
+    /// of their bases ([`ChosenLog::agrees_with`]), so a conflict stays
+    /// reported after compaction took its slot.
+    ///
+    /// [`ChosenLog::agrees_with`]: crate::ChosenLog::agrees_with
     pub fn agreement_violations(&self) -> Vec<String> {
         let mut violations = self.violations.clone();
         for (a, ra) in self.replicas.iter().enumerate() {
@@ -175,6 +180,65 @@ impl Ensemble {
             }
         }
         violations
+    }
+
+    /// Compact every node's chosen log through `floor`
+    /// ([`ChosenLog::compact_through`], which clamps it to each log's
+    /// watermark); a floor no log's base is below changes nothing. The host
+    /// picks a floor no reader of any log lies below.
+    ///
+    /// Nothing is compacted while a command already chosen may yet be
+    /// chosen, or learned, at a second slot (`second_copy_pending`):
+    /// each log shadows the second copy only while it holds the first.
+    ///
+    /// [`ChosenLog::compact_through`]: crate::ChosenLog::compact_through
+    pub fn compact_through(&mut self, floor: Slot) {
+        let moves = |r: &Replica| r.log().base() < floor.min(r.log().committed());
+        if !self.replicas.iter().any(moves) || self.second_copy_pending() {
+            return;
+        }
+        for replica in &mut self.replicas {
+            replica.compact_log_through(floor);
+        }
+    }
+
+    /// Whether a command chosen at one slot may still be chosen at, or has
+    /// not yet reached every log at, another. That takes a leader change
+    /// around a re-forwarded command, so it is rare, and one of:
+    /// * a node holds a proposal of the command at another slot (a value
+    ///   it accepted, or one a campaign gathered), which a new leader may
+    ///   choose there;
+    /// * a message in flight carries one: a `Forward`, which a leader
+    ///   whose log no longer holds the id would propose afresh, or an
+    ///   `Accept` or `Promise` for another slot;
+    /// * a log holds a shadowed second copy another log has not decided
+    ///   yet: that log must still hold the first copy when it learns it.
+    ///
+    /// A pending command needs no check: its node has not learned the
+    /// command's slot, so the floor, at most that node's cursor or image,
+    /// stays below that slot.
+    fn second_copy_pending(&self) -> bool {
+        let chosen_elsewhere = |slot: Option<Slot>, cmd: &Command| {
+            !cmd.id.is_noop()
+                && self.replicas.iter().any(|q| {
+                    q.log().contains_id(cmd.id)
+                        && slot.is_none_or(|s| q.log().get(s).is_none_or(|held| held.id != cmd.id))
+                })
+        };
+        let proposals = self
+            .replicas
+            .iter()
+            .flat_map(Replica::proposals)
+            .map(|(slot, cmd)| (Some(slot), cmd));
+        let undecided = |slot: Slot| self.replicas.iter().any(|q| !q.log().is_decided(slot));
+        proposals
+            .chain(self.mailbox.proposals())
+            .any(|(slot, cmd)| chosen_elsewhere(slot, cmd))
+            || self
+                .replicas
+                .iter()
+                .flat_map(|r| r.log().shadowed_slots())
+                .any(undecided)
     }
 }
 
@@ -221,6 +285,22 @@ impl Mailbox {
         msg
     }
 
+    /// The commands the messages in flight propose, each with the slot it
+    /// is proposed at, if any: a `Forward`'s command (no slot yet), an
+    /// `Accept`'s, and a `Promise`'s accepted values.
+    fn proposals(&self) -> impl Iterator<Item = (Option<Slot>, &Command)> + '_ {
+        self.slots.iter().flatten().flat_map(|msg| {
+            let (single, accepted): (_, &[(Slot, Ballot, Command)]) = match msg {
+                Message::Forward { cmd } => (Some((None, cmd)), &[]),
+                Message::Accept { slot, cmd, .. } => (Some((Some(*slot), cmd)), &[]),
+                Message::Promise { accepted, .. } => (None, accepted),
+                _ => (None, &[]),
+            };
+            let accepted = accepted.iter().map(|(slot, _, cmd)| (Some(*slot), cmd));
+            single.into_iter().chain(accepted)
+        })
+    }
+
     /// Messages posted and not yet taken.
     fn live(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -230,7 +310,6 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ballot::Ballot;
 
     fn heartbeat(committed: u64) -> Message {
         Message::Heartbeat {
@@ -311,21 +390,85 @@ mod tests {
         assert_eq!(ensemble.in_flight(), 0);
     }
 
+    fn write(id: u64) -> Command {
+        Command::write(CmdId(id), udr_model::ids::SubscriberUid(id), None)
+    }
+
+    /// Have `node` learn `cmd` at `slot`.
+    fn learn(ensemble: &mut Ensemble, node: usize, slot: u64, cmd: Command) {
+        let msg = Message::Learn {
+            slot: Slot(slot),
+            cmd,
+        };
+        ensemble.step(
+            node,
+            |r, out| r.handle(udr_model::time::SimTime::ZERO, NodeId(0), msg, out),
+            |_, _, _, _| false,
+        );
+    }
+
+    /// A command chosen twice, at slots 1 and 3, that node 2 has learned
+    /// only at slot 1: compacting slot 1 away first would leave node 2
+    /// nothing to shadow slot 3 with, so compaction waits for it.
+    #[test]
+    fn a_second_copy_not_yet_learned_everywhere_holds_compaction() {
+        let mut ensemble = trio();
+        for node in 0..3 {
+            learn(&mut ensemble, node, 1, write(1));
+            learn(&mut ensemble, node, 2, write(2));
+        }
+        for node in 0..2 {
+            learn(&mut ensemble, node, 3, write(1));
+        }
+        ensemble.compact_through(Slot(2));
+        assert!(ensemble
+            .nodes()
+            .iter()
+            .all(|r| r.log().base() == Slot::ZERO));
+
+        learn(&mut ensemble, 2, 3, write(1));
+        ensemble.compact_through(Slot(2));
+        for r in ensemble.nodes() {
+            assert_eq!(r.log().base(), Slot(2));
+            assert_eq!(r.log().effective_after(Slot(2)).count(), 0, "{}", r.id());
+        }
+    }
+
+    /// An `Accept` in flight that proposes a chosen command at another
+    /// slot holds compaction until it is delivered; one for the command's
+    /// own slot does not.
+    #[test]
+    fn an_accept_in_flight_for_a_second_slot_holds_compaction() {
+        let mut ensemble = trio();
+        for node in 0..3 {
+            learn(&mut ensemble, node, 1, write(1));
+        }
+        let accept = |slot| Message::Accept {
+            ballot: Ballot::ZERO,
+            slot: Slot(slot),
+            cmd: write(1),
+            committed: Slot(1),
+        };
+        let same = ensemble.post(accept(1));
+        let second = ensemble.post(accept(2));
+        ensemble.compact_through(Slot(1));
+        assert!(ensemble
+            .nodes()
+            .iter()
+            .all(|r| r.log().base() == Slot::ZERO));
+
+        ensemble.take(second);
+        ensemble.compact_through(Slot(1));
+        assert!(ensemble.nodes().iter().all(|r| r.log().base() == Slot(1)));
+        ensemble.take(same);
+    }
+
     #[test]
     fn conflicting_logs_are_reported_pairwise() {
         let mut ensemble = trio();
-        let learn = |id| Message::Learn {
-            slot: Slot(1),
-            cmd: Command::write(CmdId(id), udr_model::ids::SubscriberUid(id), None),
-        };
         assert!(ensemble.agreement_violations().is_empty());
         for (node, id) in [(0, 1), (1, 1), (2, 2)] {
-            let msg = learn(id);
-            ensemble.step(
-                node,
-                |r, out| r.handle(udr_model::time::SimTime::ZERO, NodeId(0), msg, out),
-                |_, _, _, _| false,
-            );
+            learn(&mut ensemble, node, 1, write(id));
         }
         let violations = ensemble.agreement_violations();
         assert_eq!(violations.len(), 2, "{violations:?}");

@@ -223,6 +223,21 @@ impl Replica {
         &self.log
     }
 
+    /// Compact the decided log through `floor` ([`ChosenLog::compact_through`]).
+    pub(crate) fn compact_log_through(&mut self, floor: Slot) {
+        self.log.compact_through(floor);
+    }
+
+    /// The commands this node may still propose at a slot it holds them
+    /// for: its accepted values and, while it campaigns, the ones it
+    /// gathered from promises.
+    pub(crate) fn proposals(&self) -> impl Iterator<Item = (Slot, &Command)> + '_ {
+        self.accepted
+            .iter()
+            .chain(&self.merged)
+            .map(|(slot, (_, cmd))| (*slot, cmd))
+    }
+
     /// The ballot this node last campaigned under or promised.
     pub fn current_ballot(&self) -> Ballot {
         if self.role == Role::Follower {
@@ -348,8 +363,12 @@ impl Replica {
                 self.on_heartbeat(now, from, ballot, committed, out)
             }
             Message::CatchUpRequest { above } => {
-                let chosen = self.log.suffix(above);
-                if !chosen.is_empty() {
+                // A request from below the base was sent before the
+                // compaction; the floor never passes what a member has
+                // learned, so the requester holds the compacted slots by
+                // now. It is answered all the same, from the base.
+                if above < self.log.max_slot() {
+                    let chosen = self.log.suffix(above.max(self.log.base()));
                     out.push(Outbound::To(from, Message::CatchUpReply { chosen }));
                 }
             }
@@ -386,7 +405,9 @@ impl Replica {
                 .range(committed.next()..)
                 .map(|(s, (b, c))| (*s, *b, c.clone()))
                 .collect();
-            let chosen = self.log.suffix(committed);
+            // As for a catch-up request: the candidate holds by now what
+            // was compacted.
+            let chosen = self.log.suffix(committed.max(self.log.base()));
             out.push(Outbound::To(
                 from,
                 Message::Promise {
@@ -423,7 +444,7 @@ impl Replica {
             }
             self.leader_hint = Some(ballot.node);
             self.touch_leader(now);
-            if self.log.get(slot).is_none() {
+            if !self.log.is_decided(slot) {
                 self.accepted.insert(slot, (ballot, cmd));
             }
             out.push(Outbound::To(from, Message::Accepted { ballot, slot }));
@@ -525,7 +546,7 @@ impl Replica {
             return;
         }
         for (slot, b, cmd) in accepted {
-            if self.log.get(slot).is_some() {
+            if self.log.is_decided(slot) {
                 continue; // already decided locally
             }
             match self.merged.get(&slot) {

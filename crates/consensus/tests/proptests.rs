@@ -319,6 +319,137 @@ proptest! {
     }
 }
 
+/// A compaction floor for the model test below: at or below a recorded
+/// slot, inside a segment, on a boundary, or past every slot.
+fn floor_draw() -> impl Strategy<Value = u64> {
+    let s = SEGMENT;
+    prop_oneof![
+        0u64..=4 * s,
+        proptest::sample::select(vec![0, 1, s - 1, s, s + 1, 2 * s, 3 * s + 7, u64::MAX]),
+    ]
+}
+
+/// One step of the compaction model test: record command `kind` at a slot,
+/// or compact through a floor.
+#[derive(Debug, Clone)]
+enum Step {
+    Record(u64, u64),
+    Compact(u64),
+}
+
+fn step_draw() -> impl Strategy<Value = Step> {
+    let record = || (slot_draw(), 0u64..8).prop_map(|(slot, kind)| Step::Record(slot, kind));
+    // Three records to a compaction.
+    prop_oneof![
+        record(),
+        record(),
+        record(),
+        floor_draw().prop_map(Step::Compact),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// A log compacted at random floors answers every query as a
+    /// `BTreeMap<Slot, Command>` of every decision ever recorded does, for
+    /// the slots above its base. Records fall below and above the base,
+    /// with gaps, no-ops, re-records, conflicts and duplicate ids; a
+    /// duplicate of an id whose every copy was compacted gets a fresh id
+    /// instead, as the deployment's floor guarantees (the node that still
+    /// holds such a command has not learned its slot, so the floor lies
+    /// below it). After every step `get`, `len`, `committed`, `base`,
+    /// `suffix`, `effective_after`, `contains_id` and `cursor_for_writes`
+    /// are compared with the model.
+    #[test]
+    fn a_compacted_log_matches_a_map_model(
+        steps in proptest::collection::vec(step_draw(), 1..200),
+    ) {
+        let mut log = ChosenLog::new();
+        let mut model: std::collections::BTreeMap<Slot, Command> = Default::default();
+        let mut base = Slot::ZERO;
+        let mut fresh = 1_000;
+        let committed_of = |model: &std::collections::BTreeMap<Slot, Command>| {
+            (1..)
+                .map(Slot)
+                .take_while(|s| model.contains_key(s))
+                .last()
+                .unwrap_or(Slot::ZERO)
+        };
+        for step in steps {
+            match step {
+                Step::Record(slot, kind) => {
+                    let slot = Slot(slot);
+                    let mut id = kind;
+                    let held = |id: u64| model.range(base.next()..).any(|(_, c)| c.id == CmdId(id));
+                    let ever = |id: u64| model.values().any(|c| c.id == CmdId(id));
+                    if id != 0 && slot > base && ever(id) && !held(id) {
+                        fresh += 1;
+                        id = fresh;
+                    }
+                    let cmd = match id {
+                        0 => Command::noop(),
+                        id => Command::write(CmdId(id), SubscriberUid(id), None),
+                    };
+                    let expected = match model.get(&slot) {
+                        _ if slot <= base => Ok(false),
+                        Some(existing) if *existing == cmd => Ok(false),
+                        Some(existing) => Err((existing.id, cmd.id)),
+                        None => {
+                            model.insert(slot, cmd.clone());
+                            Ok(true)
+                        }
+                    };
+                    let got = log.record(slot, cmd).map_err(|v| (v.existing.id, v.incoming.id));
+                    prop_assert_eq!(got, expected);
+                }
+                Step::Compact(floor) => {
+                    base = base.max(Slot(floor).min(committed_of(&model)));
+                    log.compact_through(Slot(floor));
+                }
+            }
+
+            let committed = committed_of(&model);
+            let held: std::collections::BTreeMap<Slot, Command> =
+                model.range(base.next()..).map(|(s, c)| (*s, c.clone())).collect();
+            prop_assert_eq!(log.base(), base);
+            prop_assert_eq!(log.committed(), committed);
+            prop_assert_eq!(log.len(), held.len());
+            let max = model.keys().next_back().copied().unwrap_or(Slot::ZERO);
+            for probe in [Slot::ZERO, base, base.next(), Slot(SEGMENT), Slot(SEGMENT + 1), max, max.next(), Slot(u64::MAX)] {
+                prop_assert_eq!(log.get(probe), held.get(&probe), "get({})", probe);
+            }
+            for above in [base, base.next(), Slot(base.0 + SEGMENT), committed, max, Slot(u64::MAX)] {
+                let model_suffix: Vec<(Slot, Command)> = held
+                    .iter()
+                    .filter(|(s, _)| **s > above)
+                    .map(|(s, c)| (*s, c.clone()))
+                    .collect();
+                prop_assert_eq!(log.suffix(above), model_suffix, "suffix({})", above);
+                let effective: Vec<(Slot, CmdId)> =
+                    log.effective_after(above).map(|(s, c)| (s, c.id)).collect();
+                prop_assert_eq!(effective, model_effective_after(&model, committed, above));
+            }
+            for id in 1..=8u64 {
+                let in_window = held.values().any(|c| c.id == CmdId(id));
+                prop_assert_eq!(log.contains_id(CmdId(id)), in_window, "contains_id({})", id);
+            }
+            let writes: Vec<Slot> = model_effective_after(&model, committed, Slot::ZERO)
+                .into_iter()
+                .map(|(slot, _)| slot)
+                .collect();
+            let below = writes.iter().filter(|s| **s <= base).count() as u64;
+            for n in below..=writes.len() as u64 + 1 {
+                let expected = match n {
+                    0 => Slot::ZERO,
+                    n => writes.get(n as usize - 1).copied().unwrap_or(committed),
+                };
+                prop_assert_eq!(log.cursor_for_writes(n), expected, "cursor_for_writes({})", n);
+            }
+        }
+    }
+}
+
 /// Deterministic deep-check on a handful of adversarial seeds: inspect the
 /// actual logs, not just the report.
 #[test]

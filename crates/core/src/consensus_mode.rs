@@ -28,7 +28,12 @@
 //! holding its one change inline. What a consensus write still allocates
 //! is its post-image and the odd catch-up transfer. Its slot costs no
 //! allocation of its own: each replica's [`ChosenLog`] stores decisions by
-//! slot in fixed segments, one allocation per 256 slots.
+//! slot in fixed segments of 256 slots, and the catch-up tick compacts
+//! every log of a partition through one floor, the lowest slot a reader
+//! may still ask for (`Udr::chosen_floor`): a node's disk image, an up
+//! node's apply cursor. Once the floor moves as fast as the logs grow, a
+//! segment is a spare a compaction emptied, not a new allocation, and a
+//! log holds about one save interval of decisions.
 //!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen
@@ -41,8 +46,9 @@
 //! Crashes model a process stop with acceptor state preserved across
 //! restart (the persistence Paxos requires): a down node simply stops
 //! ticking and receiving; on restore (`Udr::restore_se`) its engine is
-//! rolled forward from the recovered disk position by replaying the chosen
-//! log from `cursor_for_writes`.
+//! rolled forward from the recovered disk position by replaying its chosen
+//! log from [`ChosenLog::cursor_for_writes`]. The floor keeps that slot
+//! held: a down node's image is one of the floor's readers.
 //!
 //! Migration cutovers ride the log as [`Payload::Reconfig`] commands —
 //! exactly-once (command-id dedup plus first-apply-wins) and totally
@@ -51,13 +57,13 @@
 //!
 //! [`ReplicationMode::Consensus`]: udr_model::config::ReplicationMode::Consensus
 //! [module doc]: udr_consensus::ensemble
+//! [`ChosenLog`]: udr_consensus::ChosenLog
+//! [`ChosenLog::cursor_for_writes`]: udr_consensus::ChosenLog::cursor_for_writes
 //! [`Payload::Write`]: udr_consensus::Payload::Write
 //! [`Payload::Reconfig`]: udr_consensus::Payload::Reconfig
 
 use udr_consensus::replica::Outbound;
-use udr_consensus::{
-    ChosenLog, CmdId, Command, Ensemble, NodeId, Payload, Replica, ReplicaConfig, Slot,
-};
+use udr_consensus::{CmdId, Command, Ensemble, NodeId, Payload, Replica, ReplicaConfig, Slot};
 use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
 use udr_model::error::UdrError;
@@ -85,6 +91,18 @@ pub(crate) struct ConsensusGroup {
     /// holds its log's effective entries. `consensus_apply` resumes
     /// strictly above it and leaves it at the log's `committed()`.
     pub(crate) applied: Vec<Slot>,
+    /// Per node, the LSN of its SE's disk image of the partition (`ZERO`
+    /// before the first save) as the last catch-up tick saw it, and the
+    /// slot a restore from that image resumes at. Recomputed only when the
+    /// image changed.
+    pub(crate) images: Vec<(Lsn, Slot)>,
+    /// The client write `consensus_write` is polling for. A catch-up tick
+    /// that finds it chosen compacts nothing, so the poll, at most 1 ms
+    /// later, still finds its id in the logs.
+    pub(crate) awaited: Option<CmdId>,
+    /// The effective writes applied since [`Udr::record_consensus_writes`]
+    /// (`None` until then).
+    history: Option<WriteHistory>,
     /// Scratch for the read-index echoes of one `consensus_read`, kept so
     /// a read allocates nothing.
     echoes: Vec<SimDuration>,
@@ -101,6 +119,9 @@ impl ConsensusGroup {
         ConsensusGroup {
             ensemble: Ensemble::new(n, ReplicaConfig::default(), seed),
             applied: vec![Slot::ZERO; n],
+            images: vec![(Lsn::ZERO, Slot::ZERO); n],
+            awaited: None,
+            history: None,
             echoes: Vec::with_capacity(n),
             last_leader: None,
             leader_changes: 0,
@@ -108,21 +129,14 @@ impl ConsensusGroup {
     }
 }
 
-/// The apply cursor equivalent to `writes` committed records: the slot of
-/// the `writes`-th effective `Write` entry, so a recovering engine at LSN
-/// `writes` resumes exactly where its disk state left off. Reconfig
-/// entries above the cursor are re-applied; the first-apply-wins guard in
-/// [`Udr::consensus_reconfig_applied`] makes that a no-op. The one walk
-/// of the log's history left, paid per restore.
-pub(crate) fn cursor_for_writes(log: &ChosenLog, writes: u64) -> Slot {
-    if writes == 0 {
-        return Slot::ZERO;
-    }
-    log.iter_effective()
-        .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
-        .nth(writes as usize - 1)
-        // More writes on disk than the durable log exposes cannot happen.
-        .map_or_else(|| log.committed(), |(slot, _)| slot)
+/// Every effective write one partition's ensemble applied, in commit order,
+/// each recorded by the first node to apply its slot.
+struct WriteHistory {
+    /// The highest slot any node has applied; a node applying a slot at or
+    /// below it (a laggard, or a replay after a restore) adds nothing.
+    through: Slot,
+    /// Each write's subscriber and post-image.
+    writes: Vec<(SubscriberUid, Option<Entry>)>,
 }
 
 impl Udr {
@@ -328,6 +342,7 @@ impl Udr {
             .saturating_sub(ctx.breakdown.total() + SimDuration::from_millis(2));
         let deadline = t0 + allowed_wait;
         let mut t = t0;
+        self.consensus[p].awaited = Some(cmd_id);
         let chosen_at = loop {
             if self.consensus[p].ensemble.chosen(cmd_id) {
                 break Some(t);
@@ -338,6 +353,7 @@ impl Udr {
             t = (t + SimDuration::from_millis(1)).min(deadline);
             self.advance_to(t);
         };
+        self.consensus[p].awaited = None;
         match chosen_at {
             Some(at) => {
                 if ctx.span.is_active() && self.tracer.enabled() {
@@ -600,6 +616,12 @@ impl Udr {
             match cmd.payload {
                 Payload::Noop => {}
                 Payload::Write { uid, entry } => {
+                    if let Some(history) = &mut self.consensus[p].history {
+                        if slot > history.through {
+                            history.through = slot;
+                            history.writes.push((uid, entry.clone()));
+                        }
+                    }
                     let se = self.groups[p].members()[i];
                     let lsn = self.ses[se.index()]
                         .last_lsn(partition)
@@ -645,6 +667,12 @@ impl Udr {
         }
     }
 
+    /// Partition `partition`'s ensemble: its replicas and their chosen
+    /// logs (`None` unless the deployment runs consensus).
+    pub fn consensus_ensemble(&self, partition: PartitionId) -> Option<&Ensemble> {
+        self.consensus.get(partition.index()).map(|g| &g.ensemble)
+    }
+
     /// Elections started across all ensembles (proof a campaign actually
     /// exercised leader failover).
     pub fn consensus_elections(&self) -> u64 {
@@ -681,29 +709,33 @@ impl Udr {
             .collect()
     }
 
-    /// The effective `Write` post-images in one partition's final chosen
-    /// log, in commit order, read from the replica with the deepest
-    /// committed watermark. Campaign oracles check acknowledged writes by
+    /// Record every effective write each partition's ensemble applies from
+    /// now on, for [`Udr::consensus_write_history`]. Each is taken as its
+    /// slot is first applied, so the record does not depend on what the
+    /// chosen logs still hold; it changes nothing the deployment does.
+    pub fn record_consensus_writes(&mut self) {
+        for g in &mut self.consensus {
+            let through = g.applied.iter().copied().max().unwrap_or(Slot::ZERO);
+            g.history.get_or_insert(WriteHistory {
+                through,
+                writes: Vec::new(),
+            });
+        }
+    }
+
+    /// The effective `Write` post-images one partition's ensemble applied
+    /// since [`Udr::record_consensus_writes`], in commit order (empty if
+    /// nothing is recorded). Campaign oracles check acknowledged writes by
     /// value against this: an acked write is durable iff its post-image
     /// appears here, and appears exactly once.
     pub fn consensus_write_history(
         &self,
         partition: PartitionId,
-    ) -> Vec<(SubscriberUid, Option<Entry>)> {
-        let g = &self.consensus[partition.index()];
-        let best = g
-            .ensemble
-            .nodes()
-            .iter()
-            .max_by_key(|r| r.log().committed())
-            .expect("ensembles are never empty");
-        best.log()
-            .iter_effective()
-            .filter_map(|(_, cmd)| match &cmd.payload {
-                Payload::Write { uid, entry } => Some((*uid, entry.clone())),
-                _ => None,
-            })
-            .collect()
+    ) -> &[(SubscriberUid, Option<Entry>)] {
+        self.consensus[partition.index()]
+            .history
+            .as_ref()
+            .map_or(&[], |h| &h.writes)
     }
 
     /// Drive active migrations under consensus (`run_catchup` calls it on
@@ -753,10 +785,10 @@ impl Udr {
     /// A chosen [`Payload::Reconfig`] executes here, once per migration:
     /// the first replica to apply it performs the cutover (swap the
     /// member in the replication group, in place, so the moved node keeps
-    /// its index and its protocol state; carry the
-    /// retiring copy's exact storage state to the target, bump the
-    /// shard-map epoch); every later apply finds the migration already in
-    /// a terminal state and no-ops — the exactly-once guarantee.
+    /// its index and its protocol state; carry the retiring copy's exact
+    /// storage state and its disk image to the target, bump the shard-map
+    /// epoch); every later apply finds the migration already in a terminal
+    /// state and no-ops — the exactly-once guarantee.
     fn consensus_reconfig_applied(&mut self, t: SimTime, migration: u64) {
         let Some(m) = self.migrations.get(migration as usize) else {
             return;
@@ -785,6 +817,13 @@ impl Udr {
             self.migration_abort(t, migration);
             return;
         }
+        // And its disk image: the chosen logs were compacted behind that
+        // image, so a crash before the target's first save must restore
+        // from it, not from nothing.
+        if let Some(image) = self.ses[plan.from.index()].disk().load(plan.partition) {
+            let image = image.clone();
+            self.ses[plan.to.index()].install_image(plan.partition, image);
+        }
         self.groups[p]
             .replace_member(plan.from, plan.to)
             .expect("cutover swap validated");
@@ -798,7 +837,7 @@ mod tests {
     use super::*;
     use crate::rebalance::{MigrationPlan, MoveReason};
     use crate::UdrConfig;
-    use udr_consensus::Message;
+    use udr_consensus::{ChosenLog, Message};
     use udr_model::attrs::{AttrId, AttrMod, AttrValue};
     use udr_model::config::{DurabilityMode, ReplicationMode};
     use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
@@ -1047,6 +1086,97 @@ mod tests {
         assert!(udr.consensus_violations().is_empty());
     }
 
+    /// A `Forward` of a command already chosen, still in flight, holds
+    /// compaction: delivered after the next ticks, it finds the command's
+    /// id still in the leader's log and is dropped, so the write is
+    /// chosen once. Compaction resumes once it is delivered.
+    #[test]
+    fn a_forward_in_flight_for_a_chosen_command_holds_compaction() {
+        let mut udr = provisioned(DurabilityMode::SyncCommit);
+        udr.record_consensus_writes();
+        modify_round(&mut udr, 1, 5_000);
+        udr.advance_to(at(7_000));
+        let out = udr.modify_services(
+            &Identity::Imsi(imsi(0)),
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(999))],
+            SiteId(0),
+            at(7_010),
+        );
+        assert!(out.is_ok(), "{:?}", out.result);
+        let leader = udr.consensus_serving_leader(0).expect("a leader serves");
+        let follower = (leader + 1) % 3;
+        let log = udr.consensus[0].ensemble.nodes()[leader].log();
+        let slot = log.committed();
+        let cmd = log.get(slot).expect("the write's slot is held").clone();
+        let Payload::Write { uid, entry } = cmd.payload.clone() else {
+            panic!("{cmd:?} is not the write");
+        };
+        // A retry the follower sent before it learned the slot.
+        let ticket = udr.consensus[0]
+            .ensemble
+            .post(Message::Forward { cmd: cmd.clone() });
+        udr.advance_to(at(7_500));
+        for node in udr.consensus[0].ensemble.nodes() {
+            assert!(node.log().contains_id(cmd.id), "{slot} was compacted");
+        }
+        udr.consensus_deliver(at(7_500), P0, leader, follower, ticket, 0);
+        modify_round(&mut udr, 2, 8_000);
+        udr.advance_to(at(10_000));
+
+        for node in udr.consensus[0].ensemble.nodes() {
+            assert!(node.log().base() >= slot, "compaction resumed");
+        }
+        let copies = udr
+            .consensus_write_history(P0)
+            .iter()
+            .filter(|(u, e)| *u == uid && *e == entry)
+            .count();
+        assert_eq!(copies, 1, "the forwarded write was chosen again");
+        for i in 1..3 {
+            assert_eq!(records(&udr, i), records(&udr, 0), "node {i} diverged");
+        }
+        assert!(udr.consensus_violations().is_empty());
+    }
+
+    /// A follower that learned a different command for a slot than the
+    /// others did conflicts with them for good: once every log is compacted
+    /// past that slot, the digests of the compacted prefixes still tell.
+    #[test]
+    fn a_conflict_compacted_away_is_still_reported() {
+        let mut udr = provisioned(DurabilityMode::SyncCommit);
+        modify_round(&mut udr, 1, 5_000);
+        udr.advance_to(at(7_000));
+        assert!(udr.replication_settled());
+        let leader = udr.consensus_serving_leader(0).expect("a leader serves");
+        let planted = (leader + 1) % 3;
+        // A no-op for the next slot, learned by one follower only; the
+        // leader fills that slot with round 2's first write.
+        let slot = udr.consensus[0].ensemble.nodes()[leader]
+            .log()
+            .committed()
+            .next();
+        let ticket = udr.consensus[0].ensemble.post(Message::Learn {
+            slot,
+            cmd: Command::noop(),
+        });
+        udr.consensus_deliver(at(7_000), P0, planted, leader, ticket, 0);
+        modify_round(&mut udr, 2, 8_000);
+        udr.advance_to(at(10_000));
+
+        for node in udr.consensus[0].ensemble.nodes() {
+            assert!(node.log().base() >= slot, "{slot} is not compacted yet");
+        }
+        let violations = udr.consensus_violations();
+        let (a, b) = (leader.min(planted), leader.max(planted));
+        let pair = format!("partition 0: n{a} vs n{b}: ");
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.starts_with(&pair) && v.contains("compacted prefixes differ")),
+            "{violations:?}"
+        );
+    }
+
     /// A message that reaches a node after it crashed is dropped, and its
     /// mailbox slot is freed all the same: once the run settles after the
     /// crash and the restore, no ticket is left live.
@@ -1137,17 +1267,17 @@ mod tests {
         log.record(Slot(3), Command::reconfig(CmdId(9), 0)).unwrap();
         log.record(Slot(4), write(2)).unwrap();
         // Effective entries: write1 @2, reconfig @3, write2 @4.
-        assert_eq!(cursor_for_writes(&log, 0), Slot::ZERO);
-        assert_eq!(cursor_for_writes(&log, 1), Slot(2)); // reconfig re-applies (no-op)
-        assert_eq!(cursor_for_writes(&log, 2), Slot(4));
+        assert_eq!(log.cursor_for_writes(0), Slot::ZERO);
+        assert_eq!(log.cursor_for_writes(1), Slot(2)); // reconfig re-applies (no-op)
+        assert_eq!(log.cursor_for_writes(2), Slot(4));
         // More writes on disk than the log exposes cannot happen (the log
         // is durable); the cursor saturates at the watermark.
-        assert_eq!(cursor_for_writes(&log, 7), Slot(4));
+        assert_eq!(log.cursor_for_writes(7), Slot(4));
         // A re-forwarded duplicate and a trailing no-op count for nothing.
         log.record(Slot(5), write(1)).unwrap();
         log.record(Slot(6), write(3)).unwrap();
         log.record(Slot(7), Command::noop()).unwrap();
-        assert_eq!(cursor_for_writes(&log, 3), Slot(6));
-        assert_eq!(cursor_for_writes(&log, 4), Slot(7));
+        assert_eq!(log.cursor_for_writes(3), Slot(6));
+        assert_eq!(log.cursor_for_writes(4), Slot(7));
     }
 }

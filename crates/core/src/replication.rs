@@ -25,6 +25,7 @@
 //! families share most of their state, and each arm reads the fields of
 //! [`Udr`] it needs between calls that take all of it.
 
+use udr_consensus::Slot;
 use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
 use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
@@ -37,7 +38,7 @@ use udr_replication::quorum::quorum_write;
 use udr_replication::{AsyncShipper, Enqueue, MigrationState};
 use udr_storage::{CommitRecord, Lsn};
 
-use crate::consensus_mode::{cursor_for_writes, ConsensusGroup, CONSENSUS_TICK_INTERVAL};
+use crate::consensus_mode::{ConsensusGroup, CONSENSUS_TICK_INTERVAL};
 use crate::ops::OpOutcome;
 use crate::pipeline::{sample_rtt, PipelineCtx, ReadRoute};
 use crate::udr::{Udr, UdrEvent};
@@ -914,10 +915,13 @@ impl Udr {
     /// next, and its log must then serve every reader the old master's did.
     /// Under consensus no code reads an engine's log (a restore replays the
     /// chosen log, and a migration seeds from a snapshot), so each replica
-    /// keeps only what it applied since the last tick. Truncation drops only
-    /// records no later read reaches, so no simulated result depends on it.
-    /// It draws nothing from the RNG and schedules nothing, and on a tick
-    /// where no floor moved it changes nothing.
+    /// keeps only what it applied since the last tick; and every node's
+    /// chosen log is compacted through one floor per partition
+    /// ([`Udr::chosen_floor`]). Truncation and compaction drop only what no
+    /// later read reaches, so no simulated result depends on them. They
+    /// draw nothing from the RNG, schedule nothing and, once the logs are
+    /// warm, allocate nothing; on a tick where no floor moved they change
+    /// nothing.
     fn truncate_logs(&mut self) {
         let consensus = matches!(
             self.cfg.frash.replication,
@@ -933,7 +937,52 @@ impl Udr {
                     se.truncate_log(pid, upto);
                 }
             }
+            if consensus {
+                let through = self.chosen_floor(pid);
+                let g = &mut self.consensus[p];
+                // A client still polling for a write already chosen sees
+                // it on its next poll; compaction must not take its id
+                // out of every log before then.
+                if !g.awaited.is_some_and(|id| g.ensemble.chosen(id)) {
+                    g.ensemble.compact_through(through);
+                }
+            }
         }
+    }
+
+    /// The slot through which every chosen log of `pid` may be compacted
+    /// under consensus: the lowest slot any reader may still resume above.
+    /// The readers, and why each is one:
+    /// * every node's disk image, through the slot a restore from it
+    ///   resumes at ([`ChosenLog::cursor_for_writes`] of the image's LSN),
+    ///   or `Slot::ZERO` before its first save. A down node holds the floor
+    ///   there, so its replay finds every slot it needs;
+    /// * every up node's apply cursor. Catch-up requests, promise
+    ///   piggybacks and elections all read at or above it.
+    ///
+    /// A node's image slot is recomputed only when its image's LSN changed
+    /// since the last tick: once per save, a walk of the held slots.
+    ///
+    /// [`ChosenLog::cursor_for_writes`]: udr_consensus::ChosenLog::cursor_for_writes
+    fn chosen_floor(&mut self, pid: PartitionId) -> Slot {
+        let p = pid.index();
+        for (i, se) in self.groups[p].members().iter().enumerate() {
+            let lsn = self.ses[se.index()]
+                .disk()
+                .load(pid)
+                .map_or(Lsn::ZERO, |image| image.last_lsn);
+            let g = &mut self.consensus[p];
+            if g.images[i].0 != lsn {
+                let resume = g.ensemble.nodes()[i].log().cursor_for_writes(lsn.raw());
+                g.images[i] = (lsn, resume);
+            }
+        }
+        let g = &self.consensus[p];
+        let images = g.images.iter().map(|&(_, resume)| resume);
+        let cursors = (0..g.applied.len())
+            .filter(|&i| self.consensus_node_up(p, i))
+            .map(|i| g.applied[i]);
+        images.chain(cursors).min().unwrap_or(Slot::ZERO)
     }
 
     /// The highest LSN through which every member's log of `pid` may be
@@ -1147,8 +1196,8 @@ impl Udr {
                         self.ses[se.index()].add_replica(pid, role);
                     }
                     let writes = lsn.unwrap_or(Lsn::ZERO).raw();
-                    self.consensus[p].applied[i] =
-                        cursor_for_writes(self.consensus[p].ensemble.nodes()[i].log(), writes);
+                    let g = &mut self.consensus[p];
+                    g.applied[i] = g.ensemble.nodes()[i].log().cursor_for_writes(writes);
                     self.consensus_apply(t, pid);
                 }
                 _ if is_master => self.restore_master(pid, se, lsn),

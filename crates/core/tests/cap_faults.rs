@@ -3,7 +3,8 @@
 //! (one-way loss, WAN brown-outs) degrade without partitioning, and the
 //! deployment measurably re-converges after heal.
 
-use udr_core::{OpRequest, Udr, UdrConfig};
+use udr_consensus::Slot;
+use udr_core::{MigrationPlan, MoveReason, OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
@@ -546,4 +547,212 @@ fn consensus_engine_logs_hold_at_most_one_tick_of_records() {
         // Every write went through each replica's engine.
         assert!(udr.se(se).last_lsn(P).unwrap().raw() > writes);
     }
+}
+
+// --- Chosen-log compaction behind the slowest reader ------------------------
+
+/// The slot node `i` of the partition's ensemble resumes at when it
+/// restores from its disk image (zero before its first save).
+fn image_slot(udr: &Udr, i: usize) -> Slot {
+    let se = udr.group(P).members()[i];
+    let log = udr.consensus_ensemble(P).unwrap().nodes()[i].log();
+    log.cursor_for_writes(image_lsn(udr, se).raw())
+}
+
+/// After each catch-up tick, every chosen log holds exactly the slots
+/// after the oldest image's resume slot: nothing a restore replays is
+/// gone, and nothing below it is kept.
+fn compacted_to_the_oldest_image(udr: &Udr) {
+    let oldest = (0..3).map(|i| image_slot(udr, i)).min().unwrap();
+    for (i, node) in udr
+        .consensus_ensemble(P)
+        .unwrap()
+        .nodes()
+        .iter()
+        .enumerate()
+    {
+        let log = node.log();
+        assert_eq!(
+            log.base(),
+            oldest,
+            "node {i} compacted through {}; the oldest image resumes at {oldest}",
+            log.base()
+        );
+        assert_eq!(log.len() as u64, log.max_slot().0 - oldest.0, "node {i}");
+    }
+}
+
+/// Records of `se`'s copy of the partition, without the per-node apply
+/// instant.
+fn records(udr: &Udr, se: SeId) -> Vec<(u64, Lsn, Option<udr_model::attrs::Entry>)> {
+    let engine = udr.se(se).engine(P).unwrap();
+    let mut rows: Vec<_> = engine
+        .iter_committed()
+        .map(|v| (v.uid.0, v.lsn, v.entry.cloned()))
+        .collect();
+    rows.sort_by_key(|row| row.0);
+    rows
+}
+
+#[test]
+fn chosen_logs_hold_only_slots_since_the_oldest_disk_image() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
+    let writes = write_through_ticks(&mut udr, &sub, 11..=30, compacted_to_the_oldest_image);
+    let log = udr.consensus_ensemble(P).unwrap().nodes()[0].log();
+    assert!(
+        log.base().0 > writes / 2,
+        "compacted through {} after {writes} writes",
+        log.base()
+    );
+    assert!(udr.consensus_violations().is_empty());
+}
+
+/// A member that crashes 100 ms after a save holds the floor at its image
+/// while it is down, then restores from that image, replays its own log and
+/// ends with the leader's engine; compaction resumes behind it.
+#[test]
+fn a_member_crashed_after_a_save_replays_to_the_leaders_engine() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
+    udr.advance_to(t(2));
+    let ensemble = udr.consensus_ensemble(P).unwrap();
+    let leader = ensemble.leader(|_| true).expect("a leader was elected");
+    let down = (leader + 1) % 3;
+    let down_se = udr.group(P).members()[down];
+    udr.schedule_script(&FaultScript::new(6).se_outage(
+        t(3) + SimDuration::from_millis(100),
+        SimDuration::from_millis(1_500),
+        down_se,
+    ));
+    write_through_ticks(&mut udr, &sub, 11..=16, compacted_to_the_oldest_image);
+    assert!(!udr.se(down_se).is_up());
+    let held = image_slot(&udr, down);
+    assert!(held > Slot::ZERO, "the crashed member had saved");
+    // The others commit and save past the down member's image; the floor
+    // stops there.
+    let mut pinned = false;
+    write_through_ticks(&mut udr, &sub, 17..=24, |udr| {
+        compacted_to_the_oldest_image(udr);
+        if !udr.se(down_se).is_up() {
+            let log = udr.consensus_ensemble(P).unwrap().nodes()[leader].log();
+            assert!(log.base() <= held);
+            pinned |= log.base() == held && log.committed() > held;
+        }
+    });
+    assert!(pinned, "the floor never reached the down member's image");
+    assert!(udr.se(down_se).is_up(), "restored at 4.6 s");
+    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_oldest_image);
+
+    udr.advance_to(t(9));
+    assert!(udr.replication_settled());
+    let leader_se = udr.group(P).members()[leader];
+    assert_eq!(records(&udr, down_se), records(&udr, leader_se));
+    assert!(udr.consensus_violations().is_empty());
+    let log = udr.consensus_ensemble(P).unwrap().nodes()[down].log();
+    assert!(log.base() > held, "compaction resumed behind the restore");
+}
+
+/// Under sync-commit every apply is saved at once, so a catch-up tick can
+/// fall between a write being chosen everywhere and the client's next 1 ms
+/// poll with the floor already past the write's slot. That tick compacts
+/// nothing, the client is told the write committed, and the next tick
+/// compacts the slot.
+#[test]
+fn a_write_chosen_just_before_a_compaction_is_acknowledged_first() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+    cfg.frash.durability = DurabilityMode::SyncCommit;
+    cfg.seed = 43;
+    let mut udr = Udr::build(cfg).expect("valid config");
+    // Every message arrives 100 µs after it is sent: a write is chosen
+    // and learned everywhere well inside one poll interval.
+    let fast = LinkProfile::lossless(LatencyModel::Fixed(SimDuration::from_micros(100)));
+    for a in 0..3u32 {
+        for b in 0..3u32 {
+            udr.net
+                .topology_mut()
+                .set_link(SiteId(a), SiteId(b), fast.clone());
+        }
+    }
+    let sub = ids(1);
+    let out = udr.provision_subscriber(&sub, 0, SiteId(0), t(2));
+    assert!(out.is_ok(), "provisioning failed: {:?}", out.op.result);
+
+    // The write is proposed 0.9 ms before the 3 s catch-up tick.
+    let at = t(3) - SimDuration::from_micros(900);
+    udr.advance_to(at);
+    let out = udr
+        .execute(OpRequest::new(&write_op(&sub, 7)).site(SiteId(0)).at(at))
+        .into_op();
+    assert!(out.is_ok(), "the write failed: {:?}", out.result);
+    assert!(
+        out.latency < SimDuration::from_millis(5),
+        "{:?}",
+        out.latency
+    );
+    for node in udr.consensus_ensemble(P).unwrap().nodes() {
+        let log = node.log();
+        assert_eq!(log.len(), 1, "the 3 s tick held the write's slot");
+    }
+    udr.advance_to(t(3) + CATCHUP_TICK);
+    for node in udr.consensus_ensemble(P).unwrap().nodes() {
+        let log = node.log();
+        assert_eq!(log.base(), log.committed(), "the write's slot is compacted");
+        assert!(log.is_empty());
+    }
+    assert!(udr.consensus_violations().is_empty());
+}
+
+/// A node moved onto a new SE takes its disk image with it. The logs were
+/// compacted behind that image, so when the new SE crashes after the
+/// cutover and before its own first save, its restore finds every slot it
+/// replays, and it ends with the leader's engine.
+#[test]
+fn a_member_migrated_then_crashed_before_its_first_save_replays_to_the_leaders_engine() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
+    write_through_ticks(&mut udr, &sub, 11..=20, compacted_to_the_oldest_image);
+    let ensemble = udr.consensus_ensemble(P).unwrap();
+    let leader = ensemble.leader(|_| true).expect("a leader was elected");
+    // Neither the leader nor node 0, whose SE masters the partition.
+    let moved = (1..3).find(|&i| i != leader).unwrap();
+    assert!(ensemble.nodes()[moved].log().base() > Slot::ZERO);
+    let from = udr.group(P).members()[moved];
+    let image = image_lsn(&udr, from);
+    assert!(image > Lsn::ZERO, "the moving node has saved");
+
+    let start = t(4) + SimDuration::from_millis(50);
+    let to = udr.add_se(udr.se(from).site(), start);
+    let plan = MigrationPlan {
+        partition: P,
+        from,
+        to,
+        reason: MoveReason::ScaleOut,
+    };
+    let id = udr.start_migration(plan, start);
+    let mut now = start;
+    while udr.group(P).members()[moved] != to {
+        assert!(
+            now < t(5),
+            "no cutover by 5 s: {:?}",
+            udr.migration_state(id)
+        );
+        now += SimDuration::from_millis(1);
+        udr.advance_to(now);
+    }
+    // Its first save is due at 5.05 s: what it holds on disk is the image
+    // it brought along.
+    assert_eq!(image_lsn(&udr, to), image);
+    udr.schedule_script(&FaultScript::new(7).se_outage(
+        now + SimDuration::from_millis(1),
+        SimDuration::from_millis(300),
+        to,
+    ));
+    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_oldest_image);
+    assert!(udr.se(to).is_up(), "restored");
+
+    udr.advance_to(t(10));
+    assert!(udr.replication_settled());
+    let leader_se = udr.group(P).members()[leader];
+    assert_eq!(records(&udr, to), records(&udr, leader_se));
+    assert!(udr.consensus_violations().is_empty());
 }

@@ -12,7 +12,8 @@
 //!   one exact growth per replica that gained records, and nothing extra
 //!   for a sync-commit write;
 //! * a commit log truncated behind its readers takes the segments it
-//!   emptied back, instead of asking for new ones.
+//!   emptied back, instead of asking for new ones, and so does a chosen
+//!   log compacted behind its readers, whose id window stays as small.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -31,7 +32,7 @@ use udr::model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr::model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr::model::time::{SimDuration, SimTime};
 use udr::replication::ShipBatchConfig;
-use udr::sim::net::LinkProfile;
+use udr::sim::net::{LatencyModel, LinkProfile};
 use udr::storage::{CommitRecord, Engine, Lsn, StorageElement};
 
 /// What the allocator saw on one thread.
@@ -438,10 +439,12 @@ fn an_idle_pump_allocates_nothing() {
 
 // --- Consensus: allocation does not grow with the chosen log ----------------
 
-/// Enough subscribers that neither write window straddles a power of two
-/// of the log length (logs and id sets double there, which is amortised
-/// growth, not a cost per operation): with one chosen entry per
-/// provisioning, the windows see lengths 201–300 and 4 101–4 200.
+/// Subscribers provisioned before the writes, one chosen slot each, so
+/// the two write windows cover slots 201–300 and 4 101–4 200. The second
+/// lies past a dozen saves (every 30 s, a write every 100 ms): every log
+/// has been compacted behind them, its id window holds about one save
+/// interval of ids, and a newly reached segment is one a compaction
+/// emptied. Nothing a write allocates grows with the log's history.
 const CONSENSUS_SUBSCRIBERS: u64 = 100;
 /// Sim-time between operations: two protocol ticks, so every operation
 /// also pays for the pump work of an idle ensemble.
@@ -520,7 +523,7 @@ fn consensus_ops_allocate_the_same_however_long_the_log() {
         "one chosen slot per write: the windows sit where the comment says"
     );
     assert!(
-        late_writes * 2 <= early_writes * 3,
+        late_writes <= early_writes,
         "writes 4001-4100 allocated {late_writes} B against {early_writes} B for writes \
          101-200: applying a chosen command must cost the new entries, not the log"
     );
@@ -848,6 +851,84 @@ fn a_truncated_log_asks_for_no_new_segment() {
         assert!(
             log.len() < 2 * 4096,
             "{se} kept {} records: its log was not truncated",
+            log.len()
+        );
+    }
+}
+
+// --- Consensus: a compacted chosen log takes its segments back --------------
+
+/// Bytes of one chosen-log segment: 256 slots of a 40-byte
+/// `Option<Command>`.
+const CHOSEN_SEGMENT_BYTES: usize = 256 * std::mem::size_of::<Option<udr::consensus::Command>>();
+/// Bytes of the chosen log's id set at 2 048 buckets: an 8-byte id and a
+/// control byte per bucket, plus one 16-byte control group. It grows there
+/// past 896 ids.
+const ID_TABLE_BYTES: usize = 2_048 * (8 + 1) + 16;
+/// Consensus writes 5 ms apart on 100 µs links: about 200 a second, so a
+/// save interval's window of slots stays under one segment and one table
+/// of 448 ids.
+const CHOSEN_GAP: SimDuration = SimDuration::from_millis(5);
+/// Writes before and while counting: three seconds, three saves, each.
+/// Uncompacted, the id set passes 896 ids while counting, and each log
+/// reaches two new segments.
+const CHOSEN_WRITES: u64 = 600;
+
+#[test]
+fn a_compacted_chosen_log_asks_for_no_new_segment() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+    cfg.frash.durability = DurabilityMode::PeriodicSnapshot {
+        interval: SimDuration::from_secs(1),
+    };
+    let (mut udr, mut now) = provisioned_for_writes(cfg);
+    let fast = LinkProfile::lossless(LatencyModel::Fixed(SimDuration::from_micros(100)));
+    for a in 0..SITES {
+        for b in 0..SITES {
+            udr.net
+                .topology_mut()
+                .set_link(SiteId(a), SiteId(b), fast.clone());
+        }
+    }
+    let mut write = |i: u64| {
+        now += CHOSEN_GAP;
+        let out = udr.modify_services(
+            &Identity::Imsi(imsi(i % MODIFY_SUBSCRIBERS)),
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i + 1))],
+            SiteId(0),
+            now,
+        );
+        assert!(out.is_ok(), "write {i}: {:?}", out.result);
+    };
+
+    for i in 0..CHOSEN_WRITES {
+        write(i);
+    }
+    // Nothing a warm write allocates is as large as a segment, up to the
+    // id table.
+    window(CHOSEN_SEGMENT_BYTES..ID_TABLE_BYTES + 1);
+    let ((), tally) = counted(|| {
+        for i in CHOSEN_WRITES..2 * CHOSEN_WRITES {
+            write(i);
+        }
+    });
+    assert_eq!(
+        tally.in_window, 0,
+        "{CHOSEN_WRITES} writes across saves asked for a chosen-log segment or a larger id table"
+    );
+
+    let ensemble = udr.consensus_ensemble(PartitionId(0)).unwrap();
+    for node in ensemble.nodes() {
+        let log = node.log();
+        assert!(
+            log.committed().0 > 2 * CHOSEN_WRITES,
+            "every write was chosen"
+        );
+        assert!(
+            log.len() < 256,
+            "{} kept {} slots: its log was not compacted",
+            node.id(),
             log.len()
         );
     }
