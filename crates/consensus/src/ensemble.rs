@@ -18,7 +18,11 @@
 //! ensemble's mailbox, a slab whose slots a LIFO free list recycles; the
 //! host's delivery event holds only its `u32` ticket, and a host takes the
 //! message out ([`Ensemble::take`]) before anything else, so a message
-//! dropped at a down or cut-off node frees its slot too.
+//! dropped at a down or cut-off node frees its slot too. The one message
+//! that carries a vector of decisions, a catch-up reply (or a promise),
+//! takes it from the ensemble's spare list, and its receiver puts the
+//! emptied vector back; only a reply longer than every spare, or one lost
+//! on the way, costs an allocation.
 //!
 //! The hosts still differ in their delivery rule. The deployment draws no
 //! network sample for a message to a down node and drops a message at
@@ -43,6 +47,11 @@ pub struct Ensemble {
     mailbox: Mailbox,
     /// Each replica's own agreement violations, drained after every step.
     violations: Vec<String>,
+    /// Emptied `chosen` vectors of catch-up replies and promises, lent to
+    /// the replica being stepped (see `Replica::spare_chosen`): the
+    /// receiver hands its emptied vector back and the next sender fills
+    /// it, so a warm catch-up reply allocates nothing.
+    spare_chosen: Vec<Vec<(Slot, Command)>>,
 }
 
 impl Ensemble {
@@ -55,6 +64,7 @@ impl Ensemble {
             outbox: Vec::new(),
             mailbox: Mailbox::default(),
             violations: Vec::new(),
+            spare_chosen: Vec::new(),
         }
     }
 
@@ -83,7 +93,9 @@ impl Ensemble {
     ) {
         let mut outbox = std::mem::take(&mut self.outbox);
         let replica = &mut self.replicas[node];
+        std::mem::swap(&mut replica.spare_chosen, &mut self.spare_chosen);
         input(replica, &mut outbox);
+        std::mem::swap(&mut replica.spare_chosen, &mut self.spare_chosen);
         for v in replica.take_violations() {
             self.violations.push(format!("{}: {v}", replica.id()));
         }

@@ -313,11 +313,12 @@ impl ChosenLog {
         self.shadowed.iter().copied()
     }
 
-    /// Chosen entries strictly above `above`, in slot order (catch-up
-    /// transfers and promise piggybacks); empty, without allocating, for
-    /// `above >= max_slot()`. `above` must not lie below the base.
-    pub fn suffix(&self, above: Slot) -> Vec<(Slot, Command)> {
-        self.after(above).map(|(s, c)| (s, c.clone())).collect()
+    /// Append the chosen entries strictly above `above` to `out`, in slot
+    /// order (catch-up transfers and promise piggybacks); nothing for
+    /// `above >= max_slot()`. `above` must not lie below the base. `out`
+    /// is the caller's, so a reused vector with room allocates nothing.
+    pub fn suffix_into(&self, above: Slot, out: &mut Vec<(Slot, Command)>) {
+        out.extend(self.after(above).map(|(s, c)| (s, c.clone())));
     }
 
     /// Iterate every held `(slot, command)`, above the base, in slot order.
@@ -476,6 +477,13 @@ mod tests {
     use super::*;
     use udr_model::ids::SubscriberUid;
 
+    /// The chosen entries above `above`, in a fresh vector.
+    fn suffix(log: &ChosenLog, above: Slot) -> Vec<(Slot, Command)> {
+        let mut out = Vec::new();
+        log.suffix_into(above, &mut out);
+        out
+    }
+
     fn w(id: u64) -> Command {
         Command::write(CmdId(id), SubscriberUid(id), None)
     }
@@ -518,11 +526,29 @@ mod tests {
         for i in 1..=5 {
             log.record(Slot(i), w(i)).unwrap();
         }
-        let suffix = log.suffix(Slot(3));
-        assert_eq!(suffix.len(), 2);
-        assert_eq!(suffix[0].0, Slot(4));
-        assert_eq!(suffix[1].0, Slot(5));
-        assert!(log.suffix(Slot(5)).is_empty());
+        let above = suffix(&log, Slot(3));
+        assert_eq!(above.len(), 2);
+        assert_eq!(above[0].0, Slot(4));
+        assert_eq!(above[1].0, Slot(5));
+        assert!(suffix(&log, Slot(5)).is_empty());
+    }
+
+    #[test]
+    fn a_suffix_appends_into_the_room_it_is_given() {
+        let mut log = ChosenLog::new();
+        for i in 1..=5 {
+            log.record(Slot(i), w(i)).unwrap();
+        }
+        let mut out = Vec::with_capacity(4);
+        let buffer = out.as_ptr();
+        log.suffix_into(Slot(4), &mut out);
+        log.suffix_into(Slot(2), &mut out);
+        let slots: Vec<u64> = out.iter().map(|(s, _)| s.0).collect();
+        assert_eq!(slots, [5, 3, 4, 5]);
+        assert_eq!(out.as_ptr(), buffer, "four entries fit the room given");
+        out.clear();
+        log.suffix_into(Slot(5), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -624,17 +650,17 @@ mod tests {
     #[test]
     fn nothing_lies_above_the_last_slot() {
         let mut log = ChosenLog::new();
-        assert!(log.suffix(Slot(u64::MAX)).is_empty());
+        assert!(suffix(&log, Slot(u64::MAX)).is_empty());
         for i in 1..=3 {
             log.record(Slot(i), w(i)).unwrap();
         }
         // `above + 1` would overflow; a wrapped cursor would return all.
-        assert!(log.suffix(Slot(u64::MAX)).is_empty());
-        assert!(log.suffix(Slot(3)).is_empty());
-        assert_eq!(log.suffix(Slot(2)).len(), 1);
+        assert!(suffix(&log, Slot(u64::MAX)).is_empty());
+        assert!(suffix(&log, Slot(3)).is_empty());
+        assert_eq!(suffix(&log, Slot(2)).len(), 1);
         log.compact_through(Slot(2));
-        assert!(log.suffix(Slot(u64::MAX)).is_empty());
-        assert_eq!(log.suffix(Slot(2)).len(), 1);
+        assert!(suffix(&log, Slot(u64::MAX)).is_empty());
+        assert_eq!(suffix(&log, Slot(2)).len(), 1);
     }
 
     #[test]

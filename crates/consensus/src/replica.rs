@@ -153,6 +153,12 @@ pub struct Replica {
     /// times commands by (the deployment applies by its own cursor and
     /// only drains it).
     newly_chosen: Vec<(Slot, Command)>,
+    /// Emptied `chosen` vectors of received catch-up replies and promises,
+    /// each filled again for the next one this node sends. Inside an
+    /// [`Ensemble`](crate::Ensemble) this is the ensemble's one list, lent
+    /// to the node while it is stepped: a reply one node received and
+    /// emptied carries the next reply another node sends.
+    pub(crate) spare_chosen: Vec<Vec<(Slot, Command)>>,
     /// Safety violations observed (always empty in a correct run).
     violations: Vec<AgreementViolation>,
     /// Elections this node started.
@@ -194,6 +200,7 @@ impl Replica {
             last_heartbeat_sent: SimTime::ZERO,
             last_catchup_request: None,
             newly_chosen: Vec::new(),
+            spare_chosen: Vec::new(),
             violations: Vec::new(),
             elections_started: 0,
         }
@@ -368,15 +375,11 @@ impl Replica {
                 // learned, so the requester holds the compacted slots by
                 // now. It is answered all the same, from the base.
                 if above < self.log.max_slot() {
-                    let chosen = self.log.suffix(above.max(self.log.base()));
+                    let chosen = self.chosen_above(above.max(self.log.base()));
                     out.push(Outbound::To(from, Message::CatchUpReply { chosen }));
                 }
             }
-            Message::CatchUpReply { chosen } => {
-                for (slot, cmd) in chosen {
-                    self.learn(slot, cmd);
-                }
-            }
+            Message::CatchUpReply { chosen } => self.learn_all(chosen),
             Message::Forward { cmd } => self.ingest_command(now, cmd, out),
         }
     }
@@ -407,7 +410,7 @@ impl Replica {
                 .collect();
             // As for a catch-up request: the candidate holds by now what
             // was compacted.
-            let chosen = self.log.suffix(committed.max(self.log.base()));
+            let chosen = self.chosen_above(committed.max(self.log.base()));
             out.push(Outbound::To(
                 from,
                 Message::Promise {
@@ -539,9 +542,7 @@ impl Replica {
         out: &mut Vec<Outbound>,
     ) {
         // Absorb decided entries regardless of campaign state: they are facts.
-        for (slot, cmd) in chosen {
-            self.learn(slot, cmd);
-        }
+        self.learn_all(chosen);
         if self.role != Role::Candidate || ballot != self.ballot {
             return;
         }
@@ -755,6 +756,25 @@ impl Replica {
     // ------------------------------------------------------------------
     // Learner path
     // ------------------------------------------------------------------
+
+    /// The chosen entries above `above`, in a spare vector if there is
+    /// one: what a catch-up reply or a promise carries.
+    fn chosen_above(&mut self, above: Slot) -> Vec<(Slot, Command)> {
+        let mut chosen = self.spare_chosen.pop().unwrap_or_default();
+        self.log.suffix_into(above, &mut chosen);
+        chosen
+    }
+
+    /// Learn every entry of a received `chosen` vector, then keep the
+    /// emptied vector for the next one this node sends.
+    fn learn_all(&mut self, mut chosen: Vec<(Slot, Command)>) {
+        for (slot, cmd) in chosen.drain(..) {
+            self.learn(slot, cmd);
+        }
+        if chosen.capacity() > 0 {
+            self.spare_chosen.push(chosen);
+        }
+    }
 
     fn learn(&mut self, slot: Slot, cmd: Command) {
         match self.log.record(slot, cmd.clone()) {

@@ -1066,13 +1066,12 @@ impl Udr {
                     .net
                     .send(master_site, slave_site, &mut self.rng)
                     .delay();
-                let deliveries = {
-                    let master_engine = self.ses[master.index()]
-                        .engine(pid)
-                        .expect("master hosts partition");
-                    self.shippers[p].catch_up(slave, master_engine, t, delay)
-                };
-                for d in deliveries {
+                let mut deliveries = std::mem::take(&mut self.catchup_deliveries);
+                let master_engine = self.ses[master.index()]
+                    .engine(pid)
+                    .expect("master hosts partition");
+                self.shippers[p].catch_up(slave, master_engine, t, delay, &mut deliveries);
+                for d in deliveries.drain(..) {
                     self.schedule_event(
                         d.arrives,
                         UdrEvent::ReplDeliver {
@@ -1082,6 +1081,7 @@ impl Udr {
                         },
                     );
                 }
+                self.catchup_deliveries = deliveries;
             }
         }
     }
@@ -1539,19 +1539,17 @@ impl Udr {
                 continue;
             }
             let delay = self.net.send(master_site, to_site, &mut self.rng).delay();
-            let deliveries = {
-                let ses = &self.ses;
-                let engine = ses[master.index()]
-                    .engine(plan.partition)
-                    .expect("master hosts partition");
-                self.migrations[id]
-                    .channel
-                    .as_mut()
-                    .expect("started migration has channel")
-                    .catch_up(plan.to, engine, t, delay)
-            };
+            let mut deliveries = std::mem::take(&mut self.catchup_deliveries);
+            let engine = self.ses[master.index()]
+                .engine(plan.partition)
+                .expect("master hosts partition");
+            self.migrations[id]
+                .channel
+                .as_mut()
+                .expect("started migration has channel")
+                .catch_up(plan.to, engine, t, delay, &mut deliveries);
             self.metrics.migration_records_shipped += deliveries.len() as u64;
-            for d in deliveries {
+            for d in deliveries.drain(..) {
                 self.schedule_event(
                     d.arrives,
                     UdrEvent::MigrationDeliver {
@@ -1560,6 +1558,7 @@ impl Udr {
                     },
                 );
             }
+            self.catchup_deliveries = deliveries;
         }
     }
 

@@ -31,7 +31,7 @@ use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
-use udr_replication::{AsyncShipper, MigrationState, ReplicationGroup};
+use udr_replication::{AsyncShipper, Delivery, MigrationState, ReplicationGroup};
 use udr_sim::faults::{Fault, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
 use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
@@ -266,6 +266,10 @@ pub struct Udr {
     /// Scratch for the responders of one quorum read consult, kept so a
     /// read allocates nothing.
     pub(crate) quorum_responders: Vec<(SeId, SimDuration)>,
+    /// Scratch for one channel's catch-up re-shipment, replica or
+    /// migration, handed back after its deliveries are scheduled so a
+    /// catch-up tick allocates nothing once it has held its largest pass.
+    pub(crate) catchup_deliveries: Vec<Delivery>,
     /// Per-partition Multi-Paxos ensembles; empty unless the deployment
     /// runs [`ReplicationMode::Consensus`](udr_model::config::ReplicationMode::Consensus).
     pub(crate) consensus: Vec<ConsensusGroup>,
@@ -370,6 +374,7 @@ impl Udr {
             ops_per_partition: vec![0; cfg.partitions as usize],
             quorum_acked: vec![Lsn::ZERO; cfg.partitions as usize],
             quorum_responders: Vec::new(),
+            catchup_deliveries: Vec::new(),
             cfg,
             net,
             rng: rng.fork(1),

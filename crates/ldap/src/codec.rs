@@ -6,11 +6,9 @@
 //! experiment (E6) — protocol encode/decode is part of the per-operation
 //! CPU cost a 1M ops/s LDAP server must absorb.
 
-use std::sync::Arc;
-
 use bytes::{BufMut, Bytes, BytesMut};
 
-use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry, Text};
 use udr_model::error::{UdrError, UdrResult};
 
 use crate::dn::Dn;
@@ -398,9 +396,9 @@ fn decode_attr_value(reader: &mut Reader<'_>) -> UdrResult<AttrValue> {
             let mut inner = body;
             while !inner.at_end() {
                 let item = inner.expect_tlv(TAG_OCTET)?;
-                items.push(Arc::from(Reader::str_body(&item)?));
+                items.push(Text::from(Reader::str_body(&item)?));
             }
-            AttrValue::StrList(items.into())
+            AttrValue::StrList(items.into_iter().collect())
         }
         _ => return Err(Reader::err(&format!("unknown value tag {tag:#x}"))),
     })
@@ -606,6 +604,92 @@ mod tests {
             vec!["telephony".to_owned(), "sms-mt".to_owned()],
         );
         e
+    }
+
+    /// One attribute of every value kind, empty strings, octets and lists
+    /// among them, and a multi-byte string.
+    fn golden_entry() -> Entry {
+        let mut e = Entry::new();
+        e.set(AttrId::Imsi, "214011234567890");
+        e.set(AttrId::Msisdn, "");
+        e.set(
+            AttrId::ImpuList,
+            vec![
+                "sip:+34600123456@ims.example".to_owned(),
+                "tel:+34600123456".to_owned(),
+            ],
+        );
+        e.set(AttrId::AuthKi, vec![0u8, 1, 0x7f, 0x80, 0xff]);
+        e.set(AttrId::AuthAmf, 0x8000u64);
+        e.set(AttrId::AuthSqn, 0u64);
+        e.set(AttrId::OdbMask, u64::MAX);
+        e.set(AttrId::CallBarring, true);
+        e.set(AttrId::CallForwarding, false);
+        e.set(AttrId::Teleservices, Vec::<String>::new());
+        e.set(AttrId::ApnProfiles, vec!["internet".to_owned()]);
+        e.set(AttrId::CamelCsi, Vec::<u8>::new());
+        e.set(AttrId::ScscfName, "scscf.ímś.example ✓");
+        e.set(AttrId::HomeRegion, 3u64);
+        e
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The wire bytes of a search response carrying `golden_entry`. Fixed:
+    /// how a value is held in memory is no part of the format.
+    const GOLDEN_RESPONSE: &str = concat!(
+        "3081e102012a6581db0a01003081d53014020101800f32313430313132333435",
+        "3637383930300502010280003035020103a430041c7369703a2b333436303031",
+        "323334353640696d732e6578616d706c65041074656c3a2b3334363030313233",
+        "343536300a02010a830500017f80ff300702010b81028000300602010c810100",
+        "300d0201158108ffffffffffffffff3006020116820101300602011782010030",
+        "05020118a400300f020119a40a0408696e7465726e6574300502011a8300301c",
+        "02012c801773637363662ec3ad6dc59b2e6578616d706c6520e29c9330060201",
+        "3c810103",
+    );
+
+    /// The wire bytes of a modify setting and deleting one attribute of
+    /// each value kind.
+    const GOLDEN_MODIFY: &str = concat!(
+        "308198020107668192042a696d73693d3231343031313233343536373839302c",
+        "6f753d73756273637269626572732c64633d7564723064301f0a010002012c80",
+        "1773637363662ec3ad6dc59b2e6578616d706c6520e29c93300a0a010002010a",
+        "830200ff30170a0100020119a40f0408696e7465726e65740403696d7330090a",
+        "010002011581010530090a010002011682010030060a0101020128",
+    );
+
+    #[test]
+    fn entries_encode_to_the_golden_wire_bytes() {
+        let resp = LdapResponse {
+            message_id: 42,
+            code: ResultCode::Success,
+            entry: Some(golden_entry()),
+        };
+        assert_eq!(&encode_response(&resp)[..], unhex(GOLDEN_RESPONSE));
+        assert_eq!(decode_response(&unhex(GOLDEN_RESPONSE)).unwrap(), resp);
+
+        let mods = vec![
+            AttrMod::Set(AttrId::ScscfName, AttrValue::from("scscf.ímś.example ✓")),
+            AttrMod::Set(AttrId::AuthKi, AttrValue::from(vec![0u8, 0xff])),
+            AttrMod::Set(
+                AttrId::ApnProfiles,
+                AttrValue::from(vec!["internet".to_owned(), "ims".to_owned()]),
+            ),
+            AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5)),
+            AttrMod::Set(AttrId::CallBarring, AttrValue::Bool(false)),
+            AttrMod::Delete(AttrId::VlrAddress),
+        ];
+        let req = LdapRequest {
+            message_id: 7,
+            op: LdapOp::Modify { dn: dn(), mods },
+        };
+        assert_eq!(&encode_request(&req)[..], unhex(GOLDEN_MODIFY));
+        assert_eq!(decode_request(&unhex(GOLDEN_MODIFY)).unwrap(), req);
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! as an ordered attribute map — the common denominator between the storage
 //! engine (which stores whole entries as record versions) and the LDAP layer
 //! (which reads and modifies attributes). A committed version of an entry is
-//! one allocation: its reference count, length and attribute slots share one
-//! heap block, so a modify, a consensus post-image and a profile build each
-//! make one allocator call.
+//! one allocation of 16 bytes plus 16 per attribute: its reference count,
+//! a presence mask over the attribute ids and the values, in id order, share
+//! one heap block. The ids are not stored: the mask encodes them. A modify,
+//! a consensus post-image and a profile build each make one allocator call
+//! for the block.
 
 use std::fmt;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::payload::Payload;
+pub use crate::payload::{Octets, Text, TextList};
 
 /// Well-known subscriber attributes (the columns of HLR/HSS data).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -171,29 +173,38 @@ impl fmt::Display for AttrId {
     }
 }
 
-/// An attribute value.
+/// An attribute value, 16 bytes: a tag and one word.
 ///
-/// The three heap-backed shapes are immutable and reference-counted: `clone`
-/// copies no string, octet or list, so every version of a record that did
-/// not change an attribute shares that attribute's buffer with the version
-/// before it. A value is replaced whole ([`Entry::set`]), never edited, which
-/// is what keeps the sharing invisible.
+/// The three heap-backed shapes are immutable, reference-counted thin
+/// handles ([`Text`], [`Octets`], [`TextList`]): `clone` copies no string,
+/// octet or list, so every version of a record that did not change an
+/// attribute shares that attribute's buffer with the version before it. A
+/// value is replaced whole ([`Entry::set`]), never edited, which is what
+/// keeps the sharing invisible.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AttrValue {
     /// A UTF-8 string.
-    Str(Arc<str>),
+    Str(Text),
     /// An unsigned integer (counters, bitmasks, region indexes).
     U64(u64),
     /// A boolean flag.
     Bool(bool),
     /// Raw octets (keys, opaque blobs).
-    Bytes(Arc<[u8]>),
+    Bytes(Octets),
     /// A list of strings (IMPUs, teleservice codes, APNs).
-    StrList(Arc<[Arc<str>]>),
+    StrList(TextList),
 }
+
+// A version block holds 16 bytes per attribute, and a builder's gathered
+// `Option`s cost no more.
+const _: () = assert!(size_of::<AttrValue>() == 16);
+const _: () = assert!(size_of::<Option<AttrValue>>() == 16);
 
 impl AttrValue {
     /// Approximate in-RAM footprint in bytes, used by the capacity model.
+    /// The figures are the model's, not this process's layout: they price
+    /// snapshots in simulated time, so they do not follow the handles'
+    /// size.
     pub fn approx_size(&self) -> usize {
         match self {
             AttrValue::Str(s) => 24 + s.len(),
@@ -251,7 +262,7 @@ impl From<bool> for AttrValue {
 }
 impl From<Vec<String>> for AttrValue {
     fn from(v: Vec<String>) -> Self {
-        AttrValue::StrList(v.into_iter().map(Arc::from).collect())
+        AttrValue::StrList(v.into_iter().collect())
     }
 }
 impl From<Vec<u8>> for AttrValue {
@@ -262,27 +273,29 @@ impl From<Vec<u8>> for AttrValue {
 
 /// One subscriber entry: an ordered attribute map.
 ///
-/// The attributes are a slice sorted by [`AttrId`] in one reference-counted
-/// heap block (count, length and attributes together, behind one 8-byte
-/// pointer), copied on write: `clone` is a reference-count bump, so the
-/// store, the commit log, the ship channels, every slave and every disk
-/// snapshot share one immutable allocation per committed version. A handle
-/// also carries a visibility mask, one bit per attribute it shows, so a
-/// projection ([`Entry::project`]) is another handle to the same payload
-/// with fewer bits set and copies nothing. Every accessor sees the visible
-/// attributes only. The mutators ([`Entry::set`], [`Entry::remove`],
-/// [`Entry::apply`]) build a new payload holding exactly the visible
-/// attributes and the change, in one allocator call, when the payload is
-/// shared, the handle hides part of it, or the change adds or removes an
-/// attribute; only a handle that owns and shows its whole payload replaces
-/// a value in place. That keeps value semantics: a change to one handle is
-/// never visible through another, and a hidden attribute is gone for good
-/// from the handle that hid it. A new payload copies the attribute slots
-/// and no value: the strings, octets and lists in it are shared
-/// ([`AttrValue`]), so a modification costs what it changes, not what the
-/// record holds. Builders ([`FromIterator`], the profile and the codecs)
-/// gather attributes by tag first and allocate once, not once per
-/// attribute.
+/// A committed version is one reference-counted heap block behind one
+/// 8-byte pointer: a 16-byte header (the count and a presence mask, one bit
+/// per [`AttrId`] the block holds) and then the values, in `AttrId` order,
+/// 16 bytes each. An attribute's value sits at the number of present
+/// attributes before it, so no id is stored and a lookup is a mask and a
+/// population count. The block is copied on write: `clone` is a
+/// reference-count bump, so the store, the commit log, the ship channels,
+/// every slave and every disk snapshot share one immutable allocation per
+/// committed version. A handle also carries a visibility mask, one bit per
+/// attribute it shows, so a projection ([`Entry::project`]) is another
+/// handle to the same block with fewer bits set and copies nothing. Every
+/// accessor sees the visible attributes only. The mutators ([`Entry::set`],
+/// [`Entry::remove`], [`Entry::apply`]) build a new block holding exactly
+/// the visible attributes and the change, in one allocator call, when the
+/// block is shared, the handle hides part of it, or the change adds or
+/// removes an attribute; only a handle that owns and shows its whole block
+/// replaces a value in place. That keeps value semantics: a change to one
+/// handle is never visible through another, and a hidden attribute is gone
+/// for good from the handle that hid it. A new block copies the value
+/// slots and no string, octet or list: those are shared ([`AttrValue`]),
+/// so a modification costs what it changes, not what the record holds.
+/// Builders ([`FromIterator`], the profile and the codecs) gather
+/// attributes by tag first and allocate once, not once per attribute.
 ///
 /// A handle also caches [`Entry::approx_size`] of what it shows, beside its
 /// visibility mask: [`Entry::set`] and [`Entry::remove`] adjust it by the
@@ -293,8 +306,9 @@ impl From<Vec<u8>> for AttrValue {
 /// for a total too large for the cache.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Entry {
-    /// Sorted by `AttrId`, one element per attribute.
-    attrs: Payload<(AttrId, AttrValue)>,
+    /// The values of the attributes whose `AttrId::bit`s the block's
+    /// presence mask sets, in `AttrId` order.
+    attrs: Payload<AttrValue, u32>,
     /// Low half: the `AttrId::bit`s of the attributes in `attrs` that this
     /// handle shows. High half: `approx_size()` of those attributes, or
     /// [`UNKNOWN_SIZE`]. One word, not two fields: a pointer and one
@@ -305,7 +319,7 @@ pub struct Entry {
     shown: u64,
 }
 
-// The size cache costs no space: it fills what was padding. The payload
+// The size cache costs no space: it fills what was padding. The block
 // pointer is never null, so an absent entry costs nothing either.
 const _: () = assert!(size_of::<Entry>() == 16);
 const _: () = assert!(size_of::<Option<Entry>>() == 16);
@@ -330,13 +344,15 @@ fn attr_size(value: &AttrValue) -> usize {
     2 + 48 + value.approx_size()
 }
 
-/// Where `id` sits in a sorted payload, or where it would be inserted.
-fn position(attrs: &[(AttrId, AttrValue)], id: AttrId) -> Result<usize, usize> {
-    attrs.binary_search_by_key(&id, |(k, _)| *k)
+/// Where `id`'s value sits in a block whose presence mask is `present`, or
+/// where it would be inserted: the number of present attributes before it.
+#[inline]
+fn index(present: u32, id: AttrId) -> usize {
+    (present & (id.bit() - 1)).count_ones() as usize
 }
 
 /// Attribute values by [`AttrId::dense`] position: what a builder gathers
-/// before it allocates the payload once.
+/// before it allocates the block once.
 type Dense = [Option<AttrValue>; AttrId::ALL.len()];
 
 impl Entry {
@@ -351,16 +367,22 @@ impl Entry {
         self.shown as u32
     }
 
+    /// The `AttrId::bit`s of the attributes the block holds.
+    #[inline]
+    fn present(&self) -> u32 {
+        self.attrs.shape()
+    }
+
     /// The cached `approx_size()`, or [`UNKNOWN_SIZE`].
     #[inline]
     fn size(&self) -> u32 {
         (self.shown >> 32) as u32
     }
 
-    /// Whether this handle hides part of its payload.
+    /// Whether this handle hides part of its block.
     #[inline]
     fn hides(&self) -> bool {
-        self.len() != self.attrs.len()
+        self.visible() != self.present()
     }
 
     /// The visible attributes, gathered by tag.
@@ -374,22 +396,18 @@ impl Entry {
 
     /// The entry holding the attributes of `dense`, in one allocation.
     fn from_dense(dense: Dense) -> Entry {
-        let len = dense.iter().flatten().count();
-        let (mut visible, mut size) = (0, 0);
-        let present = AttrId::ALL
-            .into_iter()
-            .zip(dense)
-            .filter_map(|(id, value)| {
-                let value = value?;
-                visible |= id.bit();
-                size += attr_size(&value);
-                Some((id, value))
-            });
-        let attrs = Payload::from_exact(len, present);
+        let (mut present, mut size) = (0, 0);
+        for (id, value) in AttrId::ALL.iter().zip(&dense) {
+            if let Some(value) = value {
+                present |= id.bit();
+                size += attr_size(value);
+            }
+        }
+        let attrs = Payload::from_exact(present, dense.into_iter().flatten());
         let size = u32::try_from(size).unwrap_or(UNKNOWN_SIZE);
         Entry {
             attrs,
-            shown: shown(visible, size),
+            shown: shown(present, size),
         }
     }
 
@@ -417,27 +435,24 @@ impl Entry {
             return old;
         }
         let added = attr_size(&value);
-        let old = match position(&self.attrs, id) {
-            Ok(i) => match self.attrs.get_mut() {
-                Some(attrs) => Some(std::mem::replace(&mut attrs[i].1, value)),
+        let present = self.present();
+        let i = index(present, id);
+        let old = if self.contains(id) {
+            match self.attrs.get_mut() {
+                Some(values) => Some(std::mem::replace(&mut values[i], value)),
                 None => {
-                    let old = self.attrs[i].1.clone();
+                    let old = self.attrs[i].clone();
                     let (before, after) = (&self.attrs[..i], &self.attrs[i + 1..]);
-                    self.attrs = Payload::splice(before, Some((id, value)), after);
+                    self.attrs = Payload::splice(present, before, Some(value), after);
                     Some(old)
                 }
-            },
-            Err(i) => {
-                let (before, after) = self.attrs.split_at(i);
-                self.attrs = Payload::splice(before, Some((id, value)), after);
-                None
             }
+        } else {
+            let (before, after) = self.attrs.split_at(i);
+            self.attrs = Payload::splice(present | id.bit(), before, Some(value), after);
+            None
         };
-        self.reshow(
-            self.visible() | id.bit(),
-            added,
-            old.as_ref().map_or(0, attr_size),
-        );
+        self.reshow(self.present(), added, old.as_ref().map_or(0, attr_size));
         old
     }
 
@@ -446,7 +461,7 @@ impl Entry {
         if !self.contains(id) {
             return None;
         }
-        position(&self.attrs, id).ok().map(|i| &self.attrs[i].1)
+        Some(&self.attrs[index(self.present(), id)])
     }
 
     /// Remove an attribute; returns the removed value.
@@ -460,10 +475,12 @@ impl Entry {
             *self = Entry::from_dense(dense);
             return old;
         }
-        let i = position(&self.attrs, id).ok()?;
-        let old = self.attrs[i].1.clone();
-        self.attrs = Payload::splice(&self.attrs[..i], None, &self.attrs[i + 1..]);
-        self.reshow(self.visible() & !id.bit(), 0, attr_size(&old));
+        let present = self.present();
+        let i = index(present, id);
+        let old = self.attrs[i].clone();
+        let (before, after) = (&self.attrs[..i], &self.attrs[i + 1..]);
+        self.attrs = Payload::splice(present & !id.bit(), before, None, after);
+        self.reshow(self.present(), 0, attr_size(&old));
         Some(old)
     }
 
@@ -482,13 +499,16 @@ impl Entry {
         self.visible() == 0
     }
 
-    /// Iterate attributes in `AttrId` order.
+    /// Iterate attributes in `AttrId` order. The ids are
+    /// [`AttrId::ALL`]'s, not the entry's: the block stores none.
     pub fn iter(&self) -> impl Iterator<Item = (&AttrId, &AttrValue)> {
         let visible = self.visible();
-        self.attrs
-            .iter()
-            .filter(move |(id, _)| visible & id.bit() != 0)
-            .map(|(id, v)| (id, v))
+        let mut rest = self.present();
+        self.attrs.iter().filter_map(move |value| {
+            let dense = rest.trailing_zeros();
+            rest &= rest - 1;
+            (visible & (1 << dense) != 0).then(|| (&ALL[dense as usize], value))
+        })
     }
 
     /// Approximate in-RAM footprint of the whole entry, in bytes: the
@@ -525,7 +545,7 @@ impl Entry {
         }
     }
 
-    /// Whether `self` and `other` are the same handle: one payload shown
+    /// Whether `self` and `other` are the same handle: one block shown
     /// through the same mask. Reads no attribute. Same handles are equal
     /// entries; equal entries built apart are not the same handle.
     pub fn same_handle(&self, other: &Entry) -> bool {
@@ -533,7 +553,7 @@ impl Entry {
     }
 
     /// The entry restricted to the listed attributes (an LDAP search's
-    /// attribute selection): a view of the same payload, no attribute is
+    /// attribute selection): a view of the same block, no attribute is
     /// copied. Attributes the entry does not show stay absent.
     pub fn project(&self, attrs: &[AttrId]) -> Entry {
         let wanted = attrs.iter().fold(0, |mask, id| mask | id.bit());
@@ -550,6 +570,10 @@ impl Entry {
     }
 }
 
+/// The ids [`Entry::iter`] hands out: one `'static` copy of
+/// [`AttrId::ALL`].
+static ALL: [AttrId; AttrId::ALL.len()] = AttrId::ALL;
+
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.visible() == other.visible()
@@ -565,7 +589,7 @@ impl fmt::Debug for Entry {
 }
 
 /// Gathers the attributes by tag, a later value replacing an earlier one
-/// for the same attribute, then allocates the payload once.
+/// for the same attribute, then allocates the block once.
 impl FromIterator<(AttrId, AttrValue)> for Entry {
     fn from_iter<I: IntoIterator<Item = (AttrId, AttrValue)>>(iter: I) -> Self {
         let mut dense = Dense::default();
@@ -752,9 +776,9 @@ mod tests {
 
     #[test]
     fn handles_cloned_and_dropped_on_many_threads_free_the_payload_once() {
-        let imsi: Arc<str> = Arc::from("214010000000001");
+        let imsi = Text::from("214010000000001");
         let mut e = Entry::new();
-        e.set(AttrId::Imsi, AttrValue::Str(Arc::clone(&imsi)));
+        e.set(AttrId::Imsi, AttrValue::Str(imsi.clone()));
         e.set(AttrId::OdbMask, 5u64);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -778,11 +802,7 @@ mod tests {
             // last drop can fall on any of them.
             drop(e);
         });
-        assert_eq!(
-            Arc::strong_count(&imsi),
-            1,
-            "the payload dropped its value once"
-        );
+        assert_eq!(imsi.handles(), 1, "the block dropped its value once");
     }
 
     #[test]

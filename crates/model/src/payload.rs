@@ -1,10 +1,21 @@
-//! A thin, atomically reference-counted slice: the storage behind
-//! [`Entry`](crate::attrs::Entry).
+//! Thin, atomically reference-counted slices: the storage behind
+//! [`Entry`](crate::attrs::Entry) and behind the strings, octets and lists
+//! in its values.
 //!
 //! `Arc<Vec<T>>` costs two allocations per value (the vector's buffer and
-//! the `Arc` around it) and `Arc<[T]>` is a fat pointer that would grow an
-//! `Entry` from 16 bytes to 24. A [`Payload`] is one heap block holding the
-//! reference count, the length and the elements, behind one 8-byte pointer.
+//! the `Arc` around it), and `Arc<[T]>` or `Arc<str>` is a fat pointer: it
+//! would grow an `Entry` from 16 bytes to 24, and an
+//! [`AttrValue`](crate::attrs::AttrValue) from 16 to 24. A [`Payload`] is
+//! one heap block holding the reference count, the block's [`Shape`] and
+//! the elements, behind one 8-byte pointer. The shape says how many
+//! elements follow: a plain length, or a presence mask with one element
+//! per set bit (an entry's version block, whose values follow in attribute
+//! order). Either way the header is 16 bytes, as `Arc`'s two counts are.
+//!
+//! [`Text`], [`Octets`] and [`TextList`] are the attribute values' thin
+//! handles: a payload of UTF-8 bytes, of raw octets, and of texts. They
+//! compare, print and convert as `Arc<str>`, `Arc<[u8]>` and
+//! `Arc<[Arc<str>]>` do.
 //!
 //! Reference counting follows `Arc`: a `Relaxed` increment that aborts
 //! before the count can overflow, a `Release` decrement, and an `Acquire`
@@ -15,47 +26,77 @@
 //! This is the only module of the library that uses `unsafe`.
 
 use std::alloc::{self, Layout};
+use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::ptr::{self, NonNull};
 use std::slice;
+use std::str;
 use std::sync::atomic::{self, AtomicUsize, Ordering};
+
+/// What a block's header records beside its count: how many elements
+/// follow.
+pub(crate) trait Shape: Copy {
+    /// The number of elements in a block of this shape.
+    fn len(self) -> usize;
+}
+
+/// A plain length.
+impl Shape for usize {
+    #[inline]
+    fn len(self) -> usize {
+        self
+    }
+}
+
+/// A presence mask: one element per set bit, in bit order.
+impl Shape for u32 {
+    #[inline]
+    fn len(self) -> usize {
+        self.count_ones() as usize
+    }
+}
 
 /// The front of every block; the elements follow at [`Payload::OFFSET`].
 #[repr(C)]
-struct Header {
+struct Header<S> {
     /// Handles to this block.
     count: AtomicUsize,
-    /// Elements in this block, all initialised.
-    len: usize,
+    /// Sizes the block: `shape.len()` elements follow, all initialised.
+    shape: S,
 }
 
-/// A shared, immutable-while-shared `[T]` in one allocation.
-pub(crate) struct Payload<T> {
-    header: NonNull<Header>,
+// Both shapes fit the 16 bytes an `Arc`'s counts take.
+const _: () = assert!(size_of::<Header<usize>>() == 16);
+const _: () = assert!(size_of::<Header<u32>>() == 16);
+
+/// A shared, immutable-while-shared `[T]` in one allocation, sized by `S`.
+pub(crate) struct Payload<T, S: Shape = usize> {
+    header: NonNull<Header<S>>,
     /// The block owns its `T`s: dropping the last handle drops them.
     _owns: PhantomData<T>,
 }
 
 // SAFETY: a `Payload` hands out `&T` to every holder and moves `T`s between
 // threads when the last holder drops them, as `Arc<[T]>` does; hence the
-// same bounds, and the count is atomic.
-unsafe impl<T: Send + Sync> Send for Payload<T> {}
-// SAFETY: as for `Send`: `&Payload<T>` only reads the `T`s and clones the
-// handle, which touches nothing but the atomic count.
-unsafe impl<T: Send + Sync> Sync for Payload<T> {}
+// same bounds, and the count is atomic. The shape is plain data, only read
+// once the block is shared.
+unsafe impl<T: Send + Sync, S: Shape + Send + Sync> Send for Payload<T, S> {}
+// SAFETY: as for `Send`: `&Payload<T, S>` only reads the `T`s and the shape
+// and clones the handle, which touches nothing but the atomic count.
+unsafe impl<T: Send + Sync, S: Shape + Send + Sync> Sync for Payload<T, S> {}
 
-impl<T> Payload<T> {
+impl<T, S: Shape> Payload<T, S> {
     /// Where the elements start: the header rounded up to `T`'s alignment.
     const OFFSET: usize = {
         let align = align_of::<T>();
-        size_of::<Header>().div_ceil(align) * align
+        size_of::<Header<S>>().div_ceil(align) * align
     };
 
     /// The layout of a block of `len` elements.
     fn layout(len: usize) -> Layout {
         let elems = Layout::array::<T>(len).expect("payload length overflows the address space");
-        let (layout, offset) = Layout::new::<Header>()
+        let (layout, offset) = Layout::new::<Header<S>>()
             .extend(elems)
             .expect("payload length overflows the address space");
         debug_assert_eq!(offset, Self::OFFSET);
@@ -64,7 +105,7 @@ impl<T> Payload<T> {
 
     /// The block's header.
     #[inline]
-    fn header(&self) -> &Header {
+    fn header(&self) -> &Header<S> {
         // SAFETY: `header` points at a live block for as long as this
         // handle exists (the handle holds one count), and the header is
         // only ever written through its atomic field once shared.
@@ -73,26 +114,33 @@ impl<T> Payload<T> {
 
     /// The first element's address in `header`'s block.
     #[inline]
-    fn elems(header: NonNull<Header>) -> *mut T {
+    fn elems(header: NonNull<Header<S>>) -> *mut T {
         // SAFETY: every block is at least `OFFSET` bytes long (`layout`
         // extends the header by the element array at that offset), so the
         // result stays inside the allocation or one past its end.
         unsafe { header.as_ptr().cast::<u8>().add(Self::OFFSET).cast::<T>() }
     }
 
-    /// A block of exactly `len` elements taken from `items`.
+    /// A block of `shape` holding exactly `shape.len()` elements taken from
+    /// `items`.
     ///
     /// # Panics
     ///
-    /// If `items` yields fewer or more than `len` elements, or panics
-    /// itself; either way the elements written so far are dropped and the
-    /// block is freed.
-    pub(crate) fn from_exact(len: usize, items: impl IntoIterator<Item = T>) -> Self {
-        let mut block = Building::new(len);
+    /// If `items` yields fewer or more than `shape.len()` elements, or
+    /// panics itself; either way the elements written so far are dropped
+    /// and the block is freed.
+    pub(crate) fn from_exact(shape: S, items: impl IntoIterator<Item = T>) -> Self {
+        let mut block = Building::new(shape);
         for item in items {
             block.push(item);
         }
         block.finish()
+    }
+
+    /// What sizes this block.
+    #[inline]
+    pub(crate) fn shape(&self) -> S {
+        self.header().shape
     }
 
     /// Whether `a` and `b` are handles to the same block.
@@ -109,7 +157,7 @@ impl<T> Payload<T> {
         if self.header().count.load(Ordering::Acquire) != 1 {
             return None;
         }
-        let len = self.header().len;
+        let len = self.shape().len();
         // SAFETY: the count is one and this handle holds it, so no other
         // handle exists and none can appear while `&mut self` is borrowed;
         // the `len` elements at `elems` are initialised.
@@ -117,13 +165,16 @@ impl<T> Payload<T> {
     }
 }
 
-impl<T: Clone> Payload<T> {
-    /// A block holding clones of `before`, then `middle` if given, then
-    /// clones of `after`. Plain slice loops, no iterator adaptor: this is
-    /// every write's copy.
-    pub(crate) fn splice(before: &[T], middle: Option<T>, after: &[T]) -> Self {
-        let len = before.len() + usize::from(middle.is_some()) + after.len();
-        let mut block = Building::new(len);
+impl<T: Clone, S: Shape> Payload<T, S> {
+    /// A block of `shape` holding clones of `before`, then `middle` if
+    /// given, then clones of `after`. Plain slice loops, no iterator
+    /// adaptor: this is every write's copy.
+    ///
+    /// # Panics
+    ///
+    /// If the parts do not add up to `shape.len()` elements.
+    pub(crate) fn splice(shape: S, before: &[T], middle: Option<T>, after: &[T]) -> Self {
+        let mut block = Building::new(shape);
         for item in before {
             block.push(item.clone());
         }
@@ -137,26 +188,43 @@ impl<T: Clone> Payload<T> {
     }
 }
 
-impl<T> Default for Payload<T> {
-    fn default() -> Self {
-        Building::new(0).finish()
+impl<T: Copy> Payload<T> {
+    /// A block holding a copy of `items`, made with one `memcpy`.
+    pub(crate) fn from_slice(items: &[T]) -> Self {
+        let mut block = Building::new(items.len());
+        // SAFETY: the block has room for `items.len()` elements at
+        // `elems`, none written yet, and a fresh allocation cannot overlap
+        // `items`. `T: Copy`, so the copies need no drop of their own if
+        // this panicked (it cannot) and the originals stay valid.
+        unsafe {
+            ptr::copy_nonoverlapping(items.as_ptr(), Self::elems(block.header), items.len());
+        }
+        block.written = items.len();
+        block.finish()
     }
 }
 
-impl<T> Deref for Payload<T> {
+impl<T, S: Shape + Default> Default for Payload<T, S> {
+    fn default() -> Self {
+        Building::new(S::default()).finish()
+    }
+}
+
+impl<T, S: Shape> Deref for Payload<T, S> {
     type Target = [T];
 
     #[inline]
     fn deref(&self) -> &[T] {
-        // SAFETY: the block's `len` elements at `elems` are initialised and
-        // aligned (the block is aligned for `T`, `OFFSET` is a multiple of
-        // its alignment), and nothing mutates them while this shared
-        // borrow lives: `get_mut` needs `&mut` of the only handle.
-        unsafe { slice::from_raw_parts(Self::elems(self.header), self.header().len) }
+        // SAFETY: the block's `shape.len()` elements at `elems` are
+        // initialised and aligned (the block is aligned for `T`, `OFFSET`
+        // is a multiple of its alignment), and nothing mutates them while
+        // this shared borrow lives: `get_mut` needs `&mut` of the only
+        // handle.
+        unsafe { slice::from_raw_parts(Self::elems(self.header), self.shape().len()) }
     }
 }
 
-impl<T> Clone for Payload<T> {
+impl<T, S: Shape> Clone for Payload<T, S> {
     #[inline]
     fn clone(&self) -> Self {
         // `Relaxed` suffices, as in `Arc`: a new handle comes from an
@@ -174,7 +242,7 @@ impl<T> Clone for Payload<T> {
     }
 }
 
-impl<T> Drop for Payload<T> {
+impl<T, S: Shape> Drop for Payload<T, S> {
     #[inline]
     fn drop(&mut self) {
         if self.header().count.fetch_sub(1, Ordering::Release) != 1 {
@@ -187,12 +255,12 @@ impl<T> Drop for Payload<T> {
     }
 }
 
-impl<T> Payload<T> {
+impl<T, S: Shape> Payload<T, S> {
     /// Drop the elements and free the block: the last handle's work, kept
     /// out of line so that every other drop is a decrement.
     #[inline(never)]
     fn drop_slow(&mut self) {
-        let len = self.header().len;
+        let len = self.shape().len();
         // SAFETY: this was the last handle, so nothing else can reach the
         // block; its `len` elements are initialised and dropped exactly
         // once here, and it was allocated with `layout(len)`.
@@ -205,20 +273,21 @@ impl<T> Payload<T> {
 
 /// A block under construction: owns the elements written so far, and on
 /// unwind drops them and frees the block.
-struct Building<T> {
-    header: NonNull<Header>,
+struct Building<T, S: Shape> {
+    header: NonNull<Header<S>>,
     len: usize,
     written: usize,
     _owns: PhantomData<T>,
 }
 
-impl<T> Building<T> {
-    /// A fresh block for `len` elements, none written.
-    fn new(len: usize) -> Self {
-        let layout = Payload::<T>::layout(len);
+impl<T, S: Shape> Building<T, S> {
+    /// A fresh block of `shape`, no element written.
+    fn new(shape: S) -> Self {
+        let len = shape.len();
+        let layout = Payload::<T, S>::layout(len);
         // SAFETY: `layout` has a non-zero size: it holds at least a header.
         let raw = unsafe { alloc::alloc(layout) };
-        let Some(header) = NonNull::new(raw.cast::<Header>()) else {
+        let Some(header) = NonNull::new(raw.cast::<Header<S>>()) else {
             alloc::handle_alloc_error(layout)
         };
         // SAFETY: the block is fresh, large enough and aligned for a
@@ -226,7 +295,7 @@ impl<T> Building<T> {
         unsafe {
             header.as_ptr().write(Header {
                 count: AtomicUsize::new(1),
-                len,
+                shape,
             });
         }
         Building {
@@ -247,7 +316,7 @@ impl<T> Building<T> {
         // SAFETY: slot `written` is inside the block (`written < len`),
         // aligned, and not yet initialised.
         unsafe {
-            Payload::<T>::elems(self.header)
+            Payload::<T, S>::elems(self.header)
                 .add(self.written)
                 .write(item)
         };
@@ -255,7 +324,7 @@ impl<T> Building<T> {
     }
 
     /// The finished payload.
-    fn finish(self) -> Payload<T> {
+    fn finish(self) -> Payload<T, S> {
         assert_eq!(
             self.written, self.len,
             "fewer elements than the payload's length"
@@ -269,18 +338,133 @@ impl<T> Building<T> {
     }
 }
 
-impl<T> Drop for Building<T> {
+impl<T, S: Shape> Drop for Building<T, S> {
     fn drop(&mut self) {
         // SAFETY: the block is not shared yet; exactly the first `written`
         // elements are initialised, and it was allocated with
         // `layout(len)`.
         unsafe {
             ptr::drop_in_place(ptr::slice_from_raw_parts_mut(
-                Payload::<T>::elems(self.header),
+                Payload::<T, S>::elems(self.header),
                 self.written,
             ));
-            alloc::dealloc(self.header.as_ptr().cast(), Payload::<T>::layout(self.len));
+            alloc::dealloc(
+                self.header.as_ptr().cast(),
+                Payload::<T, S>::layout(self.len),
+            );
         }
+    }
+}
+
+/// A shared, immutable UTF-8 string behind one 8-byte pointer: a thin
+/// `Arc<str>`.
+#[derive(Clone)]
+pub struct Text(Payload<u8>);
+
+/// Shared, immutable octets behind one 8-byte pointer: a thin `Arc<[u8]>`.
+#[derive(Clone)]
+pub struct Octets(Payload<u8>);
+
+/// A shared, immutable list of [`Text`]s behind one 8-byte pointer: a thin
+/// `Arc<[Arc<str>]>` whose elements are themselves thin.
+#[derive(Clone)]
+pub struct TextList(Payload<Text>);
+
+impl Deref for Text {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        // SAFETY: a `Text` is only ever built from a `str`'s bytes
+        // (`From<&str>`), and nothing writes to them after: no `Text`
+        // method calls `get_mut`.
+        unsafe { str::from_utf8_unchecked(&self.0) }
+    }
+}
+
+impl Deref for Octets {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Deref for TextList {
+    type Target = [Text];
+
+    #[inline]
+    fn deref(&self) -> &[Text] {
+        &self.0
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text(Payload::from_slice(s.as_bytes()))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text::from(s.as_str())
+    }
+}
+
+impl From<&[u8]> for Octets {
+    fn from(bytes: &[u8]) -> Self {
+        Octets(Payload::from_slice(bytes))
+    }
+}
+
+impl From<Vec<u8>> for Octets {
+    fn from(bytes: Vec<u8>) -> Self {
+        Octets::from(bytes.as_slice())
+    }
+}
+
+impl<const N: usize> From<[u8; N]> for Octets {
+    fn from(bytes: [u8; N]) -> Self {
+        Octets::from(bytes.as_slice())
+    }
+}
+
+/// Collects the texts first, as `Arc<[T]>` does for an iterator of unknown
+/// length, then copies them into one block.
+impl<S: Into<Text>> FromIterator<S> for TextList {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let items: Vec<Text> = iter.into_iter().map(Into::into).collect();
+        TextList(Payload::from_exact(items.len(), items))
+    }
+}
+
+/// Equality and `Debug` are those of what the handle derefs to.
+macro_rules! like_target {
+    ($($handle:ty),*) => {$(
+        impl PartialEq for $handle {
+            fn eq(&self, other: &Self) -> bool {
+                **self == **other
+            }
+        }
+
+        impl Eq for $handle {}
+
+        impl fmt::Debug for $handle {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                fmt::Debug::fmt(&**self, f)
+            }
+        }
+    )*};
+}
+
+like_target!(Text, Octets, TextList);
+
+#[cfg(test)]
+impl Text {
+    /// The handles on this text's block, this one included.
+    pub(crate) fn handles(&self) -> usize {
+        self.0.header().count.load(Ordering::Relaxed)
     }
 }
 
@@ -316,7 +500,7 @@ mod tests {
             .collect()
     }
 
-    fn ids(p: &Payload<Counted>) -> Vec<u32> {
+    fn ids<S: Shape>(p: &Payload<Counted, S>) -> Vec<u32> {
         p.iter().map(|c| c.id).collect()
     }
 
@@ -328,16 +512,20 @@ mod tests {
         struct Wide(#[allow(dead_code)] u8);
         assert_eq!(Payload::<Wide>::OFFSET, 32);
         assert_eq!(Payload::<Wide>::layout(2).align(), 32);
-        let p = Payload::from_exact(3, [Wide(1), Wide(2), Wide(3)]);
+        let p = Payload::from_exact(3usize, [Wide(1), Wide(2), Wide(3)]);
         assert_eq!(p.as_ptr() as usize % 32, 0);
         assert_eq!(size_of::<Payload<Counted>>(), 8);
         assert_eq!(size_of::<Option<Payload<Counted>>>(), 8);
+        assert_eq!(Payload::<(u64, u64), u32>::OFFSET, 16);
+        assert_eq!(Payload::<(u64, u64), u32>::layout(13).size(), 224);
+        assert_eq!(size_of::<Text>(), 8);
+        assert_eq!(size_of::<Option<TextList>>(), 8);
     }
 
     #[test]
     fn every_element_drops_once_with_its_last_handle() {
         let drops = Rc::new(Cell::new(0));
-        let a = Payload::from_exact(4, items(4, &drops));
+        let a = Payload::from_exact(4usize, items(4, &drops));
         assert_eq!(drops.get(), 0, "moving in drops nothing");
         let b = a.clone();
         let c = b.clone();
@@ -362,7 +550,7 @@ mod tests {
             [2, 1, 0],
         ] {
             let drops = Rc::new(Cell::new(0));
-            let first = Payload::from_exact(3, items(3, &drops));
+            let first = Payload::from_exact(3usize, items(3, &drops));
             let mut handles = [Some(first.clone()), Some(first.clone()), Some(first)];
             for (k, i) in order.into_iter().enumerate() {
                 handles[i] = None;
@@ -375,7 +563,7 @@ mod tests {
     #[test]
     fn only_the_only_handle_writes_in_place() {
         let drops = Rc::new(Cell::new(0));
-        let mut a = Payload::from_exact(2, items(2, &drops));
+        let mut a = Payload::from_exact(2usize, items(2, &drops));
         let b = a.clone();
         assert!(a.get_mut().is_none(), "shared");
         drop(b);
@@ -393,14 +581,14 @@ mod tests {
     #[test]
     fn a_rebuild_clones_around_the_change_and_leaves_the_source() {
         let drops = Rc::new(Cell::new(0));
-        let source = Payload::from_exact(4, items(4, &drops));
+        let source = Payload::from_exact(4usize, items(4, &drops));
         let extra = Counted {
             id: 7,
             drops: Rc::clone(&drops),
         };
-        let inserted = Payload::splice(&source[..2], Some(extra), &source[2..]);
-        let removed = Payload::splice(&source[..1], None, &source[2..]);
-        let empty = Payload::<Counted>::splice(&[], None, &[]);
+        let inserted = Payload::splice(5usize, &source[..2], Some(extra), &source[2..]);
+        let removed = Payload::splice(3usize, &source[..1], None, &source[2..]);
+        let empty = Payload::<Counted>::splice(0, &[], None, &[]);
         assert_eq!(ids(&inserted), [0, 1, 7, 2, 3]);
         assert_eq!(ids(&removed), [0, 2, 3]);
         assert!(empty.is_empty());
@@ -423,7 +611,7 @@ mod tests {
             .clone()
             .into_iter()
             .inspect(|c| assert!(c.id < 3, "element {} refused", c.id));
-        let out = panic::catch_unwind(AssertUnwindSafe(|| Payload::from_exact(5, feed)));
+        let out = panic::catch_unwind(AssertUnwindSafe(|| Payload::from_exact(5usize, feed)));
         assert!(out.is_err());
         // The three written, the one that panicked and the one the iterator
         // still held; the originals are untouched.
@@ -436,12 +624,12 @@ mod tests {
     fn a_wrong_length_panics_and_drops_what_was_written() {
         let drops = Rc::new(Cell::new(0));
         let short = panic::catch_unwind(AssertUnwindSafe(|| {
-            Payload::from_exact(3, items(2, &drops))
+            Payload::from_exact(3usize, items(2, &drops))
         }));
         assert!(short.is_err());
         assert_eq!(drops.get(), 2);
         let long = panic::catch_unwind(AssertUnwindSafe(|| {
-            Payload::from_exact(2, items(3, &drops))
+            Payload::from_exact(2usize, items(3, &drops))
         }));
         assert!(long.is_err());
         assert_eq!(drops.get(), 5);
@@ -475,11 +663,117 @@ mod tests {
         };
         let source = [fragile(false), fragile(false), fragile(true)];
         let out = panic::catch_unwind(AssertUnwindSafe(|| {
-            Payload::splice(&source[..1], Some(fragile(false)), &source[1..])
+            Payload::splice(4usize, &source[..1], Some(fragile(false)), &source[1..])
         }));
         assert!(out.is_err());
         assert_eq!(drops.get(), 3, "two clones and the middle");
         drop(source);
         assert_eq!(drops.get(), 6);
+    }
+
+    #[test]
+    fn a_mask_shaped_block_holds_one_element_per_set_bit() {
+        let drops = Rc::new(Cell::new(0));
+        let block = Payload::from_exact(0b1_0110u32, items(3, &drops));
+        assert_eq!(block.shape(), 0b1_0110);
+        assert_eq!(ids(&block), [0, 1, 2]);
+        // Insert the element of bit 3: one before it, two after.
+        let extra = Counted {
+            id: 7,
+            drops: Rc::clone(&drops),
+        };
+        let wider = Payload::splice(0b1_1110u32, &block[..2], Some(extra), &block[2..]);
+        assert_eq!(ids(&wider), [0, 1, 7, 2]);
+        let narrow = Payload::splice(0b1_0100u32, &block[..1], None, &block[2..]);
+        assert_eq!(ids(&narrow), [0, 2]);
+        let wrong = panic::catch_unwind(AssertUnwindSafe(|| {
+            Payload::splice(0b11u32, &block[..], None, &[])
+        }));
+        assert!(wrong.is_err(), "three elements for a two-bit mask");
+        assert_eq!(drops.get(), 3, "the clones the refused block took");
+        drop((block, wider, narrow));
+        assert_eq!(drops.get(), 3 + 4 + 2 + 3);
+        let empty = Payload::<Counted, u32>::default();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn a_text_is_a_thin_shared_str() {
+        let a = Text::from("214010000000001");
+        let b = a.clone();
+        assert_eq!(a.handles(), 2);
+        assert!(Payload::ptr_eq(&a.0, &b.0), "clone copies no byte");
+        assert_eq!(&*b, "214010000000001");
+        assert_eq!(b, Text::from(String::from("214010000000001")));
+        assert_ne!(b, Text::from("21401"));
+        assert_eq!(format!("{b:?}"), r#""214010000000001""#);
+        drop(b);
+        assert_eq!(a.handles(), 1);
+        let empty = Text::from("");
+        assert!(empty.is_empty());
+        assert_eq!(format!("{empty:?}"), format!("{:?}", ""));
+        let multibyte = Text::from("één ✓");
+        assert_eq!(multibyte.chars().count(), 5);
+    }
+
+    #[test]
+    fn octets_compare_and_print_as_a_byte_slice() {
+        let ki = Octets::from([0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(&*ki, &[0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(ki, Octets::from(vec![0xde, 0xad, 0xbe, 0xef]));
+        assert_eq!(ki, Octets::from(&[0xde, 0xad, 0xbe, 0xef][..]));
+        assert_ne!(ki, Octets::from([0xde, 0xad]));
+        assert_eq!(format!("{ki:?}"), "[222, 173, 190, 239]");
+        assert!(Octets::from(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn a_text_list_holds_one_handle_per_element_and_drops_each_once() {
+        let impu = Text::from("sip:+34600123456@ims.example");
+        let list: TextList = [impu.clone(), impu.clone(), impu.clone()]
+            .into_iter()
+            .collect();
+        assert_eq!(impu.handles(), 4, "three in the list, no copy of the bytes");
+        let shared = list.clone();
+        drop(list);
+        assert_eq!(impu.handles(), 4, "the list is still alive");
+        assert!(shared.iter().all(|t| Payload::ptr_eq(&t.0, &impu.0)));
+        drop(shared);
+        assert_eq!(impu.handles(), 1, "each element dropped once");
+
+        let built: TextList = ["a", "b"].into_iter().collect();
+        let owned: TextList = vec!["a".to_owned(), "b".to_owned()].into_iter().collect();
+        assert_eq!(built, owned);
+        assert_eq!(format!("{built:?}"), r#"["a", "b"]"#);
+        assert!(TextList::from_iter(Vec::<Text>::new()).is_empty());
+    }
+
+    #[test]
+    fn a_panic_while_collecting_a_text_list_drops_the_texts_taken() {
+        let impu = Text::from("sip:alice@ims.example");
+        let feed = (0..4).map(|k| {
+            assert!(k < 3, "element {k} refused");
+            impu.clone()
+        });
+        let out = panic::catch_unwind(AssertUnwindSafe(|| feed.collect::<TextList>()));
+        assert!(out.is_err());
+        assert_eq!(impu.handles(), 1);
+    }
+
+    #[test]
+    fn handles_move_between_threads_and_the_last_one_frees() {
+        let impu = Text::from("sip:bob@ims.example");
+        let list: TextList = std::iter::repeat_n(impu.clone(), 8).collect();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let list = list.clone();
+                s.spawn(move || {
+                    let held: Vec<TextList> = (0..500).map(|_| list.clone()).collect();
+                    assert!(held.iter().all(|l| l.len() == 8));
+                });
+            }
+            drop(list);
+        });
+        assert_eq!(impu.handles(), 1);
     }
 }

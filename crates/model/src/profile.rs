@@ -5,7 +5,7 @@
 //! data and the default services. Everything after creation reads and
 //! writes that entry through LDAP, so the profile has no accessors.
 
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +22,7 @@ struct Defaults {
 }
 
 static DEFAULTS: LazyLock<Defaults> = LazyLock::new(|| {
-    let list = |items: &[&str]| AttrValue::StrList(items.iter().map(|s| Arc::from(*s)).collect());
+    let list = |items: &[&str]| AttrValue::StrList(items.iter().copied().collect());
     Defaults {
         status: "serviceGranted".into(),
         teleservices: list(&["telephony", "sms-mt", "sms-mo"]),
@@ -43,7 +43,7 @@ impl SubscriberProfile {
     /// provisioning "create" transaction would (§2.4).
     pub fn provision(ids: &IdentitySet, home_region: u32, ki: [u8; 16]) -> Self {
         let impus = (!ids.impus.is_empty()).then(|| {
-            let impus = ids.impus.iter().map(|i| Arc::from(i.as_str())).collect();
+            let impus = ids.impus.iter().map(|i| i.as_str()).collect();
             (AttrId::ImpuList, AttrValue::StrList(impus))
         });
         let impi = ids.impi.as_ref().map(|i| (AttrId::Impi, i.as_str().into()));
@@ -56,7 +56,7 @@ impl SubscriberProfile {
         .chain(impus)
         .chain(impi)
         .chain([
-            (AttrId::AuthKi, AttrValue::Bytes(Arc::from(ki))),
+            (AttrId::AuthKi, AttrValue::Bytes(ki.into())),
             (AttrId::AuthAmf, 0x8000u64.into()),
             (AttrId::AuthSqn, 0u64.into()),
             (AttrId::SubscriberStatus, defaults.status.clone()),

@@ -78,12 +78,26 @@ fn holds(entry: &Entry, model: &BTreeMap<AttrId, AttrValue>) -> bool {
     entry.iter().eq(model.iter())
 }
 
+/// Every value kind: integers, flags, strings (multi-byte ones too),
+/// octets and string lists, each possibly empty.
 fn attr_value() -> impl Strategy<Value = AttrValue> {
+    let wide = prop::sample::select(vec!['a', 'é', '✓', '中', '😀']);
     prop_oneof![
         any::<u64>().prop_map(AttrValue::U64),
         any::<bool>().prop_map(AttrValue::Bool),
         "[a-z]{0,12}".prop_map(AttrValue::from),
+        prop::collection::vec(wide, 0..6).prop_map(|c| AttrValue::from(String::from_iter(c))),
+        prop::collection::vec(any::<u8>(), 0..20).prop_map(AttrValue::from),
         prop::collection::vec("[a-z]{0,6}".prop_map(String::from), 0..3).prop_map(AttrValue::from),
+    ]
+}
+
+/// An entry's attributes: all 22, or a random few.
+fn attrs() -> impl Strategy<Value = Vec<(AttrId, AttrValue)>> {
+    prop_oneof![
+        prop::collection::vec(attr_value(), AttrId::ALL.len())
+            .prop_map(|values| AttrId::ALL.into_iter().zip(values).collect()),
+        prop::collection::vec((attr_id(), attr_value()), 0..16),
     ]
 }
 
@@ -152,15 +166,16 @@ fn step() -> impl Strategy<Value = Step> {
 }
 
 proptest! {
-    /// A pool of handles to shared payloads, driven by random sets,
-    /// removes, applies, projections, clones and drops, reads as a pool of
-    /// plain maps after every step: contents, `len` and `approx_size`
-    /// agree, a clone or a projection that hides nothing is the same
-    /// handle as its source, same handles always hold equal maps, and a
-    /// handle whose content changed shares its payload with no other.
+    /// A pool of handles to shared payloads, over all 22 attributes and
+    /// every value kind, driven by random sets, removes, applies,
+    /// projections, clones and drops, reads as a pool of plain maps after
+    /// every step: contents, every `get`, `len` and `approx_size` agree, a
+    /// clone or a projection that hides nothing is the same handle as its
+    /// source, same handles always hold equal maps, and a handle whose
+    /// content changed shares its payload with no other.
     #[test]
     fn a_pool_of_entry_handles_reads_as_a_pool_of_maps(
-        base in prop::collection::vec((attr_id(), attr_value()), 0..16),
+        base in attrs(),
         steps in prop::collection::vec(step(), 1..40),
     ) {
         let model: BTreeMap<AttrId, AttrValue> = base.into_iter().collect();
@@ -198,6 +213,9 @@ proptest! {
             };
             for (k, (entry, model)) in pool.iter().enumerate() {
                 prop_assert!(holds(entry, model), "{step:?}: handle {k}");
+                for id in AttrId::ALL {
+                    prop_assert_eq!(entry.get(id), model.get(&id), "{step:?}: handle {k}, {id}");
+                }
                 prop_assert_eq!(entry.len(), model.len());
                 let size: usize = model.values().map(|v| 2 + 48 + v.approx_size()).sum();
                 prop_assert_eq!(entry.approx_size(), size);

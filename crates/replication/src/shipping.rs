@@ -356,13 +356,14 @@ impl AsyncShipper {
         self.flush_open(slave, now, delay)
     }
 
-    /// Plan a catch-up pass for `slave`: re-ship every record the master
-    /// still retains beyond the slave's applied LSN. `delay` is the sampled
-    /// delay for the (batched) transfer; records inside a batch arrive
-    /// back-to-back.
+    /// Plan a catch-up pass for `slave`: append to `out` a re-shipment of
+    /// every record the master still retains beyond the slave's applied
+    /// LSN. `delay` is the sampled delay for the (batched) transfer;
+    /// records inside a batch arrive back-to-back. `out` is the caller's,
+    /// so a pass that re-ships into a buffer it reuses allocates nothing.
     ///
-    /// Returns an empty vector when the slave is up to date or the channel
-    /// is unknown. Panics never: a truncated master log that can no longer
+    /// Appends nothing when the slave is up to date or the channel is
+    /// unknown. Panics never: a truncated master log that can no longer
     /// serve the suffix yields only the retained part — callers detect the
     /// gap via [`AsyncShipper::needs_reseed`].
     pub fn catch_up(
@@ -371,12 +372,13 @@ impl AsyncShipper {
         master: &Engine,
         now: SimTime,
         delay: Option<SimDuration>,
-    ) -> Vec<Delivery> {
+        out: &mut Vec<Delivery>,
+    ) {
         let Some(ch) = self.channels.get_mut(&slave) else {
-            return Vec::new();
+            return;
         };
         if ch.applied >= master.last_lsn() {
-            return Vec::new();
+            return;
         }
         // Anything coalescing in an open batch is superseded: the catch-up
         // suffix re-ships those records straight from the log.
@@ -384,20 +386,21 @@ impl AsyncShipper {
         ch.enqueued = ch.inflight;
         ch.open_trace = 0;
         let Some(delay) = delay else {
-            return Vec::new();
+            return;
         };
         let mut records = master.log().since(ch.applied).peekable();
         if records.peek().map(|r| r.lsn) != Some(ch.applied.next()) {
             // The suffix was truncated; a full reseed is required instead.
-            return Vec::new();
+            return;
         }
         self.catchups += 1;
         let mut arrives = (now + delay).max(ch.last_arrival);
         // LSNs are contiguous, so the suffix is exactly this long.
         let len = master.last_lsn().raw() - ch.applied.raw();
-        let mut deliveries = Vec::with_capacity(len as usize);
+        out.reserve(len as usize);
+        let before = out.len();
         for record in records {
-            deliveries.push(Delivery {
+            out.push(Delivery {
                 slave,
                 record: record.clone(),
                 arrives,
@@ -408,8 +411,7 @@ impl AsyncShipper {
             // Records in the same batch arrive 1 µs apart (stream order).
             arrives += SimDuration::from_micros(1);
         }
-        self.shipped += deliveries.len() as u64;
-        deliveries
+        self.shipped += (out.len() - before) as u64;
     }
 
     /// Whether the master can no longer serve the suffix the slave needs
@@ -452,6 +454,19 @@ mod tests {
     use udr_model::attrs::{AttrId, Entry};
     use udr_model::config::IsolationLevel;
     use udr_model::ids::SubscriberUid;
+
+    /// One catch-up pass into a fresh vector.
+    fn caught_up(
+        shipper: &mut AsyncShipper,
+        slave: SeId,
+        master: &Engine,
+        now: SimTime,
+        delay: Option<SimDuration>,
+    ) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        shipper.catch_up(slave, master, now, delay, &mut out);
+        out
+    }
 
     fn commit_n(engine: &mut Engine, n: u64) -> Vec<CommitRecord> {
         (0..n)
@@ -521,7 +536,8 @@ mod tests {
         assert_eq!(shipper.lag(SeId(1), &master), Some(5));
 
         // Heal: catch-up re-ships the full suffix in order.
-        let deliveries = shipper.catch_up(
+        let deliveries = caught_up(
+            &mut shipper,
             SeId(1),
             &master,
             SimTime(100),
@@ -545,14 +561,61 @@ mod tests {
     }
 
     #[test]
+    fn a_catch_up_pass_appends_to_the_buffer_it_is_given() {
+        let mut master = Engine::new(SeId(0));
+        commit_n(&mut master, 3);
+        let mut shipper = AsyncShipper::new();
+        shipper.register_slave(SeId(1), Lsn::ZERO);
+        shipper.register_slave(SeId(2), Lsn(1));
+        let mut out = Vec::with_capacity(8);
+        let buffer = out.as_ptr();
+        for slave in [SeId(1), SeId(2)] {
+            shipper.catch_up(
+                slave,
+                &master,
+                SimTime(0),
+                Some(SimDuration::ZERO),
+                &mut out,
+            );
+        }
+        let shipped: Vec<_> = out.iter().map(|d| (d.slave, d.record.lsn.raw())).collect();
+        assert_eq!(
+            shipped,
+            [
+                (SeId(1), 1),
+                (SeId(1), 2),
+                (SeId(1), 3),
+                (SeId(2), 2),
+                (SeId(2), 3)
+            ]
+        );
+        assert_eq!(shipper.shipped, 5);
+        out.clear();
+        shipper.catch_up(
+            SeId(1),
+            &master,
+            SimTime(1),
+            Some(SimDuration::ZERO),
+            &mut out,
+        );
+        assert_eq!(out.len(), 3, "nothing applied yet: the suffix again");
+        assert_eq!(out.as_ptr(), buffer, "the buffer's room was enough");
+    }
+
+    #[test]
     fn catch_up_noop_when_current() {
         let mut master = Engine::new(SeId(0));
         commit_n(&mut master, 2);
         let mut shipper = AsyncShipper::new();
         shipper.register_slave(SeId(1), Lsn(2));
-        assert!(shipper
-            .catch_up(SeId(1), &master, SimTime(0), Some(SimDuration::ZERO))
-            .is_empty());
+        assert!(caught_up(
+            &mut shipper,
+            SeId(1),
+            &master,
+            SimTime(0),
+            Some(SimDuration::ZERO)
+        )
+        .is_empty());
     }
 
     #[test]
@@ -564,9 +627,14 @@ mod tests {
         shipper.register_slave(SeId(1), Lsn(1));
 
         assert!(shipper.needs_reseed(SeId(1), &master));
-        assert!(shipper
-            .catch_up(SeId(1), &master, SimTime(0), Some(SimDuration::ZERO))
-            .is_empty());
+        assert!(caught_up(
+            &mut shipper,
+            SeId(1),
+            &master,
+            SimTime(0),
+            Some(SimDuration::ZERO)
+        )
+        .is_empty());
 
         // Reseed from snapshot, then no more reseed needed.
         shipper.reseeded(SeId(1), master.last_lsn());
@@ -582,7 +650,13 @@ mod tests {
         let mut shipper = AsyncShipper::new();
         shipper.register_slave(SeId(1), Lsn(2));
         assert!(!shipper.needs_reseed(SeId(1), &master));
-        let deliveries = shipper.catch_up(SeId(1), &master, SimTime(0), Some(SimDuration::ZERO));
+        let deliveries = caught_up(
+            &mut shipper,
+            SeId(1),
+            &master,
+            SimTime(0),
+            Some(SimDuration::ZERO),
+        );
         assert_eq!(deliveries.len(), 3);
     }
 
@@ -612,16 +686,27 @@ mod tests {
 
         // Catch-up passes ship nothing to the drained slave, forever.
         for t in 0..3 {
-            assert!(shipper
-                .catch_up(SeId(1), &master, SimTime(t), Some(SimDuration::ZERO))
-                .is_empty());
+            assert!(caught_up(
+                &mut shipper,
+                SeId(1),
+                &master,
+                SimTime(t),
+                Some(SimDuration::ZERO)
+            )
+            .is_empty());
         }
         assert_eq!(shipper.catchups, 0);
 
         // Explicit re-registration (the slave re-joins the group) is the
         // only way back in.
         shipper.register_slave(SeId(1), Lsn(1));
-        let deliveries = shipper.catch_up(SeId(1), &master, SimTime(9), Some(SimDuration::ZERO));
+        let deliveries = caught_up(
+            &mut shipper,
+            SeId(1),
+            &master,
+            SimTime(9),
+            Some(SimDuration::ZERO),
+        );
         assert_eq!(deliveries.len(), 3);
     }
 
@@ -730,7 +815,8 @@ mod tests {
         );
         // Heal: catch-up re-ships everything from the log, superseding the
         // open batch.
-        let deliveries = shipper.catch_up(
+        let deliveries = caught_up(
+            &mut shipper,
             SeId(1),
             &master,
             SimTime(100),

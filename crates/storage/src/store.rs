@@ -31,11 +31,9 @@
 //! tombstone carries the delete's LSN), so slots are never recycled and a
 //! slot id is stable for the life of the store.
 
-use std::sync::Arc;
-
 use bytes::{BufMut, Bytes, BytesMut};
 
-use udr_model::attrs::{AttrId, AttrValue, Entry};
+use udr_model::attrs::{AttrId, AttrValue, Entry, TextList};
 use udr_model::error::{UdrError, UdrResult};
 use udr_model::ids::{IdMap, SeId, SubscriberUid};
 use udr_model::time::SimTime;
@@ -371,7 +369,7 @@ fn decode_attr(r: &mut Reader<'_>) -> UdrResult<(AttrId, AttrValue)> {
         }
         VAL_STR_LIST => {
             let count = r.u16()?;
-            let list: UdrResult<_> = (0..count).map(|_| r.str().map(Arc::from)).collect();
+            let list: UdrResult<TextList> = (0..count).map(|_| r.str()).collect();
             AttrValue::StrList(list?)
         }
         t => return Err(UdrError::Codec(format!("unknown value tag {t}"))),
@@ -435,6 +433,63 @@ mod tests {
         e.set(AttrId::Msisdn, msisdn);
         e.set(AttrId::AuthSqn, sqn);
         e
+    }
+
+    /// One attribute of every value kind, empty strings, octets and lists
+    /// among them, and a multi-byte string.
+    fn golden_entry() -> Entry {
+        let mut e = Entry::new();
+        e.set(AttrId::Imsi, "214011234567890");
+        e.set(AttrId::Msisdn, "");
+        e.set(
+            AttrId::ImpuList,
+            vec![
+                "sip:+34600123456@ims.example".to_owned(),
+                "tel:+34600123456".to_owned(),
+            ],
+        );
+        e.set(AttrId::AuthKi, vec![0u8, 1, 0x7f, 0x80, 0xff]);
+        e.set(AttrId::AuthAmf, 0x8000u64);
+        e.set(AttrId::AuthSqn, 0u64);
+        e.set(AttrId::OdbMask, u64::MAX);
+        e.set(AttrId::CallBarring, true);
+        e.set(AttrId::CallForwarding, false);
+        e.set(AttrId::Teleservices, Vec::<String>::new());
+        e.set(AttrId::ApnProfiles, vec!["internet".to_owned()]);
+        e.set(AttrId::CamelCsi, Vec::<u8>::new());
+        e.set(AttrId::ScscfName, "scscf.ímś.example ✓");
+        e.set(AttrId::HomeRegion, 3u64);
+        e
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `golden_entry` in the store's entry codec. Fixed: how a value is
+    /// held in memory is no part of the format.
+    const GOLDEN_ENTRY: &str = concat!(
+        "000e0001000000000f3231343031313233343536373839300002000000000000",
+        "030400020000001c7369703a2b333436303031323334353640696d732e657861",
+        "6d706c650000001074656c3a2b3334363030313233343536000a030000000500",
+        "017f80ff000b010000000000008000000c010000000000000000001501ffffff",
+        "ffffffffff00160201001702000018040000001904000100000008696e746572",
+        "6e6574001a0300000000002c000000001773637363662ec3ad6dc59b2e657861",
+        "6d706c6520e29c93003c010000000000000003",
+    );
+
+    #[test]
+    fn an_entry_encodes_to_the_golden_bytes() {
+        let mut buf = BytesMut::new();
+        encode_entry(&golden_entry(), &mut buf);
+        assert_eq!(&buf[..], unhex(GOLDEN_ENTRY));
+        let golden = unhex(GOLDEN_ENTRY);
+        let mut r = Reader::new(&golden);
+        assert_eq!(decode_entry(&mut r).unwrap(), golden_entry());
+        assert_eq!(r.pos, golden.len(), "the whole image read");
     }
 
     #[test]

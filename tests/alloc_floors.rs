@@ -2,7 +2,7 @@
 //!
 //! * a warm `Search` makes no allocator call inside `Udr::execute`;
 //! * a one-attribute `Modify` allocates for what it changes, not for what
-//!   the record holds;
+//!   the record holds: one block of 16 bytes plus 16 per attribute;
 //! * a consensus write allocates its post-image and nothing per protocol
 //!   message;
 //! * under consensus, what an operation allocates does not grow with the
@@ -13,7 +13,9 @@
 //!   for a sync-commit write;
 //! * a commit log truncated behind its readers takes the segments it
 //!   emptied back, instead of asking for new ones, and so does a chosen
-//!   log compacted behind its readers, whose id window stays as small.
+//!   log compacted behind its readers, whose id window stays as small;
+//! * a warm catch-up pass re-ships into a buffer the deployment keeps, and
+//!   a warm consensus catch-up reply into a vector an earlier one left.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -22,14 +24,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::Arc;
 
+use udr::consensus::{CmdId, Command, Ensemble, Message, NodeId, ReplicaConfig, Slot};
 use udr::core::{OpRequest, Udr, UdrConfig};
 use udr::ldap::{Dn, LdapOp};
-use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry};
+use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry, Octets};
 use udr::model::config::{DurabilityMode, IsolationLevel, ReadPolicy, ReplicationMode};
 use udr::model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr::model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr::model::profile::SubscriberProfile;
 use udr::model::time::{SimDuration, SimTime};
 use udr::replication::ShipBatchConfig;
 use udr::sim::net::{LatencyModel, LinkProfile};
@@ -346,6 +349,43 @@ fn a_warm_modify_allocates_for_what_it_changes() {
     );
 }
 
+/// A warm one-attribute modify of a provisioned profile, on the bare
+/// engine: the new version's block is all it asks for, 16 bytes of header
+/// and 16 per attribute, with no attribute id stored.
+#[test]
+fn a_warm_modify_of_a_provisioned_profile_requests_one_224_byte_block() {
+    let ids = IdentitySet {
+        imsi: imsi(1),
+        msisdn: Msisdn::new("34600000001").unwrap(),
+        impus: vec![],
+        impi: None,
+    };
+    let profile = SubscriberProfile::provision(&ids, 0, [7; 16]).into_entry();
+    assert_eq!(profile.len(), 13, "{profile:?}");
+    let uid = SubscriberUid(1);
+    let mut engine = Engine::new(SeId(0));
+    let txn = engine.begin(IsolationLevel::ReadCommitted);
+    engine.put(txn, uid, profile).unwrap();
+    engine.commit(txn, SimTime(0)).unwrap();
+    let mut modify = |v: u64| {
+        let txn = engine.begin(IsolationLevel::ReadCommitted);
+        let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(v))];
+        engine.modify(txn, uid, &mods).unwrap();
+        engine.commit(txn, SimTime(v)).unwrap();
+    };
+    // Warm-up: the write set, and the commit log's first segment, which
+    // grows by doubling; the counted commit is its 102nd record of 128.
+    for v in 1..=100 {
+        modify(v);
+    }
+    let ((), tally) = counted(|| modify(101));
+    assert_eq!(
+        (tally.calls, tally.bytes),
+        (1, 16 + 13 * 16),
+        "a warm modify of a 13-attribute profile"
+    );
+}
+
 // --- Consensus: a CP write allocates its post-image -------------------------
 //
 // The serving leader copies the attribute slots into the post-image it
@@ -435,6 +475,126 @@ fn an_idle_pump_allocates_nothing() {
         "{events} idle events made {} allocator calls",
         tally.calls
     );
+}
+
+// --- Catch-up: a warm pass re-ships from a buffer the deployment keeps ------
+//
+// Every catch-up tick re-ships to each lagging channel the suffix of the
+// master's log its slave has not applied, records still coalescing in an
+// open batch included. The deployment fills one buffer it keeps with those
+// re-shipments and takes it back once they are scheduled, so a pass no
+// longer than an earlier one allocates nothing.
+
+/// Ship batches linger a whole second: the writes made between two ticks
+/// still sit in an open batch at the second, which re-ships them.
+const LINGERING: ShipBatchConfig = ShipBatchConfig::coalesce(64, SimDuration::from_secs(1));
+/// Writes between two ticks, to one partition: each tick re-ships this many
+/// records to each of two slaves.
+const LAGGING: u64 = 8;
+
+#[test]
+fn a_warm_catch_up_pass_allocates_nothing() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
+    cfg.frash.durability = DurabilityMode::None;
+    cfg.ship_batch = LINGERING;
+    let (mut udr, mut tick) = provisioned_for_writes(cfg);
+    assert_eq!(
+        tick.0 % CATCHUP_TICK.as_nanos(),
+        0,
+        "the settle instant is a tick's"
+    );
+    for pass in 0..4 {
+        let mut now = tick;
+        tick += CATCHUP_TICK;
+        for n in 0..LAGGING {
+            now += SimDuration::from_millis(1);
+            let out = udr.modify_services(
+                &Identity::Imsi(imsi(n)),
+                vec![AttrMod::Set(
+                    AttrId::OdbMask,
+                    AttrValue::U64(pass * LAGGING + n),
+                )],
+                SiteId(0),
+                now,
+            );
+            assert!(out.is_ok(), "write {pass}.{n}: {:?}", out.result);
+        }
+        udr.advance_to(tick - SimDuration::from_micros(1));
+        assert!(!udr.replication_settled(), "pass {pass}: the slaves lag");
+        let (events, tally) = counted(|| udr.run(tick));
+        assert_eq!(events, 1, "pass {pass}: the tick alone");
+        udr.advance_to(tick + SimDuration::from_millis(100));
+        assert!(
+            udr.replication_settled(),
+            "pass {pass}: the tick re-shipped the batches"
+        );
+        if pass > 0 {
+            assert_eq!(
+                tally.calls, 0,
+                "catch-up pass {pass} made {} allocator calls",
+                tally.calls
+            );
+        }
+    }
+}
+
+// --- Consensus: a warm catch-up reply allocates nothing ---------------------
+//
+// A lagging node asks a peer for the decisions above its watermark, and the
+// peer answers with a vector of them. The ensemble keeps the vectors its
+// nodes received and emptied, and the next reply fills one, so a reply no
+// longer than an earlier one allocates nothing.
+
+#[test]
+fn a_warm_consensus_catch_up_reply_allocates_nothing() {
+    const DECIDED: u64 = 10;
+    let t = SimTime::ZERO;
+    let mut ensemble = Ensemble::new(3, ReplicaConfig::default(), 1);
+    for slot in 1..=DECIDED {
+        let cmd = Command::write(CmdId(slot), SubscriberUid(slot), Some(small(slot)));
+        let learn = Message::Learn {
+            slot: Slot(slot),
+            cmd,
+        };
+        ensemble.step(
+            0,
+            |r, out| r.handle(t, NodeId(1), learn, out),
+            |_, _, _, _| false,
+        );
+    }
+    // Nodes 1 and 2 in turn ask node 0 for everything; the first reply
+    // warms the outbox, the mailbox and the ensemble's spare list.
+    for asker in [1, 2] {
+        let request = Message::CatchUpRequest { above: Slot::ZERO };
+        let mut reply = None;
+        let ((), tally) = counted(|| {
+            ensemble.step(
+                0,
+                |r, out| r.handle(t, NodeId(asker as u32), request, out),
+                |_, to, ticket, _| {
+                    assert_eq!(to, asker);
+                    reply = Some(ticket);
+                    true
+                },
+            )
+        });
+        let reply = ensemble.take(reply.expect("node 0 replies"));
+        ensemble.step(
+            asker,
+            |r, out| r.handle(t, NodeId(0), reply, out),
+            |_, _, _, _| false,
+        );
+        assert_eq!(ensemble.nodes()[asker].log().committed(), Slot(DECIDED));
+        if asker == 2 {
+            assert_eq!(
+                tally.calls, 0,
+                "a warm catch-up reply made {} allocator calls",
+                tally.calls
+            );
+        }
+    }
 }
 
 // --- Consensus: allocation does not grow with the chosen log ----------------
@@ -579,22 +739,22 @@ fn committed_payloads_are_shared_not_copied() {
     assert_eq!(read, Some(payload(7)));
 
     let ki = |e: Option<&Entry>| match e.and_then(|e| e.get(AttrId::AuthKi)) {
-        Some(AttrValue::Bytes(b)) => Arc::clone(b),
+        Some(AttrValue::Bytes(b)) => b.clone(),
         other => panic!("no AuthKi octets: {other:?}"),
     };
 
     // The blob detector sees a copy into a shared buffer.
     let (blob, tally) = counted(|| ki(read.as_ref()).to_vec());
     assert_eq!(tally.in_window, 1);
-    let (_, tally) = counted(|| Arc::<[u8]>::from(blob));
+    let (_, tally) = counted(|| Octets::from(blob));
     assert_eq!((tally.calls, tally.in_window), (1, 1));
 
-    // A modify copies the attribute slots and no value in them; the store,
-    // the two logs, the commit record and the slave then share the new
-    // version, and the new version shares every untouched value with the
-    // old one. One allocator call in all: the new version's block, which
-    // holds its reference count, length and slots together; the commit
-    // record holds its one change inline. The write set is the
+    // A modify copies the value slots and no string, octet or list in
+    // them; the store, the two logs, the commit record and the slave then
+    // share the new version, and the new version shares every untouched
+    // value with the old one. One allocator call in all: the new version's
+    // block, which holds its reference count, presence mask and values
+    // together; the commit record holds its one change inline. The write set is the
     // vector the previous transaction returned, and the logs have room:
     // this is the 1 809th push into their third segment of 4 096.
     let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5))];
@@ -629,7 +789,10 @@ fn committed_payloads_are_shared_not_copied() {
         ),
         ("the slave", ki(slave.committed_entry(SubscriberUid(7)))),
     ] {
-        assert!(Arc::ptr_eq(&new, &old), "AuthKi not shared with {held_by}");
+        assert!(
+            std::ptr::eq(new.as_ptr(), old.as_ptr()),
+            "AuthKi not shared with {held_by}"
+        );
     }
 
     // The copy did not write through to the snapshot taken before it.
