@@ -163,10 +163,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e01.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): the first realization shows FE≈available/fast/stale (PA/EL)\n\
          and PS≈unavailable-on-partition/consistent (PC/EC); master-only FE reads trade A\n\

@@ -129,10 +129,7 @@ fn main() {
         ("nines", JsonValue::Null),
         ("five_nines", JsonValue::Null),
     ]);
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e03.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "\nShape check (paper): RF 1 tracks the raw SE availability (<< 5 nines); RF 2\n\
          improves by orders of magnitude; RF 3 reaches the 99.999% target because data\n\

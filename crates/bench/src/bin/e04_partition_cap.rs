@@ -171,10 +171,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e04.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): FE success stays high on both sides (pure reads always find\n\
          a local copy; only the write leg of location updates fails when the master is on\n\

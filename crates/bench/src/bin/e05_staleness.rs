@@ -124,10 +124,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e05.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): with slow writes (1 s gap) and a 5 ms backbone, almost every\n\
          remote read is fresh; push the write gap toward the one-way delay and staleness\n\

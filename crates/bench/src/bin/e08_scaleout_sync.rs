@@ -120,10 +120,7 @@ fn main() {
         }
     }
     println!("{table}");
-    match report.write() {
-        Ok(path) => println!("machine-readable rows: {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e08.json: {e}"),
-    }
+    println!("machine-readable rows: {}", report.write().display());
     println!(
         "Shape check (paper): the provisioned-map window grows linearly with N (entries\n\
          copied), and every operation landing on the new PoA inside the window is refused —\n\

@@ -86,10 +86,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e10.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): master/slave holds consistency (0 conflicts) at ~⅓–⅔ PS\n\
          availability; multi-master restores ~100% availability while conflicts grow with\n\

@@ -148,10 +148,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e11.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): async commits in microseconds and silently loses the isolated\n\
          window's writes; dual-in-sequence adds one sequential WAN ack (~2x one-way) and\n\

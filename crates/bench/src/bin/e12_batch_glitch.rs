@@ -137,10 +137,7 @@ fn main() {
         }
     }
     println!("{table}");
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e12.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): a 30 s glitch with no retries fails ~⅔ of the items that\n\
          arrived during it (those homed across the shattered backbone) — each one a manual\n\

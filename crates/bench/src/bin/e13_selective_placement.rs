@@ -105,10 +105,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e13.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): pinned placement keeps backbone crossings near the roaming\n\
          probability (only roamers' writes travel); random placement pays ~⅔ crossings on\n\

@@ -200,10 +200,7 @@ fn main() {
         ("fe_routing_misses", 0u64.into()),
     ]);
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e14.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): the pre-UDC network accumulates partially-provisioned\n\
          subscriptions during the partition — live on some sites, invisible on others —\n\

@@ -167,10 +167,7 @@ fn main() {
     );
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e15.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): geographically disperse 2PC pays two sequential WAN rounds\n\
          (~4x one-way delay ≈ 60 ms vs ~30 ms for one remote exchange and ~0.6 ms local),\n\

@@ -147,10 +147,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e16.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (§5/§6): master/slave is PC — each side only commits writes whose\n\
          master it holds (~1/3 vs ~2/3), no conflicts. Multi-master is PA — both sides\n\

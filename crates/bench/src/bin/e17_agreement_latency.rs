@@ -177,10 +177,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e17.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check (paper): async commits at LAN speed regardless of the backbone — the\n\
          EL choice §3.3.1 makes. Every durable scheme pays ≥1 WAN round trip, scaling\n\

@@ -142,10 +142,7 @@ fn main() {
     }
     println!("{table}");
     // Standard output stays the table alone; the report path goes to stderr.
-    match report.write() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e18.json: {e}"),
-    }
+    eprintln!("wrote {}", report.write().display());
     println!(
         "Shape check: fault tolerance steps only at odd sizes (2f+1), so each step from\n\
          3→5→7 buys one more survivable site loss. Commit latency barely moves — the\n\

@@ -338,10 +338,7 @@ fn main() {
         }
     }
     println!("{table}");
-    match report.write() {
-        Ok(path) => println!("machine-readable rows: {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e19.json: {e}"),
-    }
+    println!("machine-readable rows: {}", report.write().display());
     println!(
         "\nShape check: the freeze window exists only for master moves (slave copies swap\n\
          without blocking writes); blocked ops cluster inside it; each moved partition\n\

@@ -257,10 +257,7 @@ fn main() {
         );
     }
 
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e20.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "\nShape check (paper §3.6/§6): nearest-copy is fastest but serves stale data when\n\
          reads race replication; master-only is always fresh but every remote read pays\n\

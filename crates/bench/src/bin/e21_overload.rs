@@ -245,10 +245,7 @@ fn main() {
         "QoS must at least ~double high-priority goodput"
     );
 
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e21.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "\nShape check: without admission control the re-registration flood and its\n\
          retries fill the FIFO stations and every class starves together — the\n\

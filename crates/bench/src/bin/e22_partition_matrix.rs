@@ -318,10 +318,7 @@ fn main() {
     assert_eq!(replayed, DETERMINISM_CELLS);
     println!("determinism: {replayed} cells replayed byte-identically\n");
 
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e22.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "\nShape check (paper §3.6/§4.1/§5): the CAP trade is real per cell. AP-leaning\n\
          configurations (nearest-copy reads; multi-master writes) ride out every fault\n\

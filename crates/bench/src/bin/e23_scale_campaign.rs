@@ -130,7 +130,7 @@ fn main() {
         ("peak_rss_kb", out.peak_rss_kb.into()),
         ("digest", JsonValue::Str(format!("{:016x}", out.digest))),
     ]);
-    let path = report.write().expect("write BENCH_e23.json");
+    let path = report.write();
     println!("\nwrote {}", path.display());
 
     if let Some(export) = &out.trace {

@@ -347,10 +347,7 @@ fn main() {
     assert_eq!(replayed, DETERMINISM_CELLS);
     println!("determinism: {replayed} cells replayed byte-identically\n");
 
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e25.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "\nShape check: consensus replication occupies the CP corner the paper's §3.6\n\
          PACELC table predicts for PC/EC configurations — across a clean cut, one-way\n\

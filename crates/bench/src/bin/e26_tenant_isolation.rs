@@ -393,10 +393,7 @@ fn main() {
         assert_eq!(r.inversions, 0, "priority inversions must be zero");
     }
 
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_e26.json: {e}"),
-    }
+    println!("wrote {}", report.write().display());
     println!(
         "\nShape check: class-level admission control is tenant-blind — tenant A's\n\
          storm fills the shared registration bucket and tenant B's registrations\n\

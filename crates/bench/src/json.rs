@@ -196,11 +196,13 @@ impl BenchReport {
     }
 
     /// Write `BENCH_<NAME>.json` into the current directory, returning
-    /// the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
+    /// the path. Panics, failing the run, when the file cannot be written.
+    pub fn write(&self) -> PathBuf {
         let path = PathBuf::from(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        if let Err(e) = std::fs::write(&path, self.to_json()) {
+            panic!("cannot write {}: {e}", path.display());
+        }
+        path
     }
 }
 

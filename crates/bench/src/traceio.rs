@@ -35,23 +35,18 @@ pub fn trace_headline(export: &TraceExport) -> String {
 }
 
 /// The `--trace` tail of e22 and e25: print the export's headline, write
-/// both files and say where they went. Exits the process with status 1
-/// when the files cannot be written.
+/// both files and say where they went. Panics, failing the run, when the
+/// files cannot be written.
 pub fn emit_trace(name: &str, export: &TraceExport) {
     println!("trace: {}", trace_headline(export));
-    match write_trace_files(name, export) {
-        Ok((jsonl, chrome)) => println!(
-            "wrote {} and {}\n(open the .chrome.json in https://ui.perfetto.dev; \
-             summarize with tools/trace_summarize.py {})",
-            jsonl.display(),
-            chrome.display(),
-            jsonl.display()
-        ),
-        Err(e) => {
-            eprintln!("could not write trace files: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (jsonl, chrome) = write_trace_files(name, export).expect("write trace files");
+    println!(
+        "wrote {} and {}\n(open the .chrome.json in https://ui.perfetto.dev; \
+         summarize with tools/trace_summarize.py {})",
+        jsonl.display(),
+        chrome.display(),
+        jsonl.display()
+    );
 }
 
 #[cfg(test)]

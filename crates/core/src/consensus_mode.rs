@@ -4,10 +4,10 @@
 //! Under [`ReplicationMode::Consensus`] the ordinary master/slave
 //! machinery — asynchronous shippers, failover checks, snapshot reseeds —
 //! is switched off. Each partition instead runs an `n`-node
-//! [`udr_consensus::Replica`] ensemble whose membership is the replication
-//! group's alone: node `i` of partition `p` lives on
-//! `groups[p].members()[i]`, and a cutover's `replace_member` swaps in
-//! place. Protocol timers ([`UdrEvent::ConsensusTick`]) and message
+//! [`udr_consensus::Replica`] ensemble whose membership is the shard
+//! map's alone: node `i` of partition `p` lives on
+//! `shard_map.groups()[p].members()[i]`, and a cutover's
+//! `ShardMap::replace_member` swaps in place. Protocol timers ([`UdrEvent::ConsensusTick`]) and message
 //! deliveries ([`UdrEvent::ConsensusDeliver`]) flow through the
 //! deployment's one event pump, so consensus traffic interleaves
 //! deterministically with faults and client operations.
@@ -81,7 +81,7 @@ use crate::udr::{Udr, UdrEvent, LANE};
 pub(crate) const CONSENSUS_TICK_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// One partition's Multi-Paxos ensemble and its apply bookkeeping. Node
-/// `i` is hosted by the partition's `groups[p].members()[i]`.
+/// `i` is hosted by the partition's `shard_map.groups()[p].members()[i]`.
 pub(crate) struct ConsensusGroup {
     /// The protocol state machines (RAM *and* the durable acceptor state —
     /// preserved across SE crashes, as Paxos requires) and the messages in
@@ -142,12 +142,12 @@ struct WriteHistory {
 impl Udr {
     /// Whether ensemble node `i` of partition `p` is up (its hosting SE).
     pub(crate) fn consensus_node_up(&self, p: usize, i: usize) -> bool {
-        let se = self.groups[p].members()[i];
+        let se = self.shard_map.groups()[p].members()[i];
         self.ses[se.index()].is_up()
     }
 
     fn consensus_node_site(&self, p: usize, i: usize) -> SiteId {
-        let se = self.groups[p].members()[i];
+        let se = self.shard_map.groups()[p].members()[i];
         self.ses[se.index()].site()
     }
 
@@ -246,7 +246,7 @@ impl Udr {
                 required: self.consensus[p].ensemble.majority(),
             }));
         };
-        let leader_se = self.groups[p].members()[leader];
+        let leader_se = self.shard_map.groups()[p].members()[leader];
         let leader_site = self.ses[leader_se.index()].site();
         if !self.net.reachable(ctx.server_site, leader_site) {
             ctx.breakdown.replication += self.cfg.frash.op_timeout;
@@ -548,7 +548,7 @@ impl Udr {
         trace: u64,
         input: impl FnOnce(&mut Replica, &mut Vec<Outbound>),
     ) {
-        let members = self.groups[partition.index()].members();
+        let members = self.shard_map.groups()[partition.index()].members();
         self.consensus[partition.index()]
             .ensemble
             .step(node, input, |from, to, ticket, _| {
@@ -622,12 +622,12 @@ impl Udr {
                             history.writes.push((uid, entry.clone()));
                         }
                     }
-                    let se = self.groups[p].members()[i];
+                    let se = self.shard_map.groups()[p].members()[i];
                     let lsn = self.ses[se.index()]
                         .last_lsn(partition)
                         .unwrap_or(Lsn::ZERO)
                         .next();
-                    let written_by = self.groups[p].members()[0];
+                    let written_by = self.shard_map.groups()[p].members()[0];
                     let record = CommitRecord {
                         lsn,
                         committed_at: t,
@@ -802,7 +802,7 @@ impl Udr {
             return;
         }
         let p = plan.partition.index();
-        let role = if self.groups[p].master() == plan.from {
+        let role = if self.shard_map.groups()[p].master() == plan.from {
             ReplicaRole::Master
         } else {
             ReplicaRole::Slave
@@ -824,8 +824,8 @@ impl Udr {
             let image = image.clone();
             self.ses[plan.to.index()].install_image(plan.partition, image);
         }
-        self.groups[p]
-            .replace_member(plan.from, plan.to)
+        self.shard_map
+            .replace_member(plan.partition, plan.from, plan.to)
             .expect("cutover swap validated");
         self.complete_cutover(migration);
         self.metrics.consensus_commits += 1;
@@ -878,7 +878,7 @@ mod tests {
     /// Move partition 0's ensemble node `node` onto a fresh SE and wait
     /// for the cutover; returns the migration id.
     fn migrate_node(udr: &mut Udr, node: usize, start_ms: u64) -> u64 {
-        let from = udr.groups[0].members()[node];
+        let from = udr.group(P0).members()[node];
         let to = udr.add_se(udr.ses[from.index()].site(), at(start_ms));
         let id = udr.start_migration(
             MigrationPlan {
@@ -891,7 +891,7 @@ mod tests {
         );
         udr.advance_to(at(start_ms + 4_000));
         assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
-        assert_eq!(udr.groups[0].members()[node], to);
+        assert_eq!(udr.group(P0).members()[node], to);
         id
     }
 
@@ -908,7 +908,7 @@ mod tests {
 
     /// Node `i`'s copy of partition 0, without the per-node apply instant.
     fn records(udr: &Udr, i: usize) -> Vec<(SubscriberUid, Lsn, SeId, Option<Entry>)> {
-        let se = udr.groups[0].members()[i];
+        let se = udr.group(P0).members()[i];
         let engine = udr.ses[se.index()].engine(P0).expect("member hosts it");
         let mut rows: Vec<_> = engine
             .iter_committed()
@@ -963,16 +963,20 @@ mod tests {
 
     /// Node 0's SE masters the partition and stamps every apply as
     /// `written_by`, so moving node 0 is a master move cut over through
-    /// the log: mastership, the shard map and the stamp all follow it.
+    /// the log: mastership, the shard map and the stamp all follow it,
+    /// and the cutover bumps the epoch once, like a failover.
     #[test]
     fn moving_node_0_moves_the_master() {
         let mut udr = provisioned(DurabilityMode::None);
         modify_round(&mut udr, 1, 5_000);
-        assert_eq!(udr.groups[0].master(), udr.groups[0].members()[0]);
+        let (from, before) = (udr.group(P0).master(), udr.shard_map.epoch());
+        assert_eq!(from, udr.group(P0).members()[0]);
         migrate_node(&mut udr, 0, 7_000); // asserts `Done`
-        let new = udr.groups[0].members()[0];
-        assert_eq!(udr.groups[0].master(), new);
-        assert_eq!(udr.shard_map().master_of(P0), Some(new));
+        let new = udr.group(P0).members()[0];
+        assert_eq!(udr.group(P0).master(), new);
+        assert_eq!(udr.shard_map.epoch(), before.next());
+        assert_eq!(udr.shard_map.retired_master(P0), Some(from));
+        assert!(udr.shard_map.routing_changed_since(P0, before));
         modify_round(&mut udr, 2, 12_000);
         udr.advance_to(at(14_000));
         assert!(udr.replication_settled());
@@ -992,7 +996,7 @@ mod tests {
     fn crash_and_restore_a_member(durability: DurabilityMode, snapshot: bool) {
         let mut udr = provisioned(durability);
         let f = udr.consensus_serving_leader(0).expect("a leader serves");
-        let f_se = udr.groups[0].members()[f];
+        let f_se = udr.group(P0).members()[f];
         // Neither the node under test nor member 0, whose id every apply
         // stamps as `written_by`.
         let mover = if f == 1 { 2 } else { 1 };
@@ -1184,7 +1188,7 @@ mod tests {
     fn messages_dropped_at_a_crashed_node_free_their_tickets() {
         let mut udr = provisioned(DurabilityMode::None);
         let leader = udr.consensus_serving_leader(0).expect("a leader serves");
-        let f_se = udr.groups[0].members()[(leader + 1) % 3];
+        let f_se = udr.group(P0).members()[(leader + 1) % 3];
         // A write returns once the leader has chosen it, while the Learns
         // announcing it are still on the wire; the follower crashes
         // before its Learn arrives.

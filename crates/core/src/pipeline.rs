@@ -569,7 +569,7 @@ impl LocationStage {
             Some(loc) => {
                 // The probe fans out in parallel; the client proceeds as
                 // soon as the owning partition's master answers positively.
-                let owner = udr.groups[loc.partition.index()].master();
+                let owner = udr.group(loc.partition).master();
                 if !udr.ses[owner.index()].is_up() {
                     return Err(ctx.fail(UdrError::SeUnavailable(owner)));
                 }

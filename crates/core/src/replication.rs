@@ -19,7 +19,7 @@
 //!
 //! The ensembles themselves (protocol timers, messages, apply, the
 //! reconfig cutover) live in [`crate::consensus_mode`]. What every family
-//! shares (groups, shard map, migration ledger) lives in [`Udr`].
+//! shares (the shard map and the migration ledger) lives in [`Udr`].
 //!
 //! There is no protocol trait or enum beside [`ReplicationMode`]: the
 //! families share most of their state, and each arm reads the fields of
@@ -96,7 +96,7 @@ impl ReplicationStage {
                 Ok(())
             }
             None => {
-                let master = udr.groups[location.partition.index()].master();
+                let master = udr.group(location.partition).master();
                 ctx.breakdown.replication += udr.cfg.frash.op_timeout;
                 Err(ctx.fail(UdrError::Unreachable {
                     se: master,
@@ -125,7 +125,7 @@ impl ReplicationStage {
         let from_site = ctx.server_site;
         match policy {
             ReadPolicy::MasterOnly => {
-                let master = udr.groups[partition.index()].master();
+                let master = udr.group(partition).master();
                 Self::copy_usable(udr, from_site, master).then_some(master)
             }
             // Nearest-copy is the guarded selection with a zero floor:
@@ -198,7 +198,7 @@ impl ReplicationStage {
                 .map(|l| l.raw())
                 .unwrap_or(0)
         };
-        if udr.groups[p].master() == se {
+        if udr.shard_map.groups()[p].master() == se {
             return engine_lsn();
         }
         match udr.shippers[p].applied(se) {
@@ -213,7 +213,7 @@ impl ReplicationStage {
     /// position while it is up, else the freshest position any reachable
     /// copy advertises (best-known state during a master outage).
     fn reference_lsn(udr: &Udr, partition: PartitionId, from_site: SiteId) -> RawLsn {
-        let group = &udr.groups[partition.index()];
+        let group = udr.group(partition);
         let master = group.master();
         if udr.ses[master.index()].is_up() {
             return Self::routed_applied_lsn(udr, partition, master);
@@ -238,7 +238,7 @@ impl ReplicationStage {
         from_site: SiteId,
         required: RawLsn,
     ) -> Option<SeId> {
-        let group = &udr.groups[partition.index()];
+        let group = udr.group(partition);
         let master = group.master();
         let usable = |se: SeId| {
             Self::copy_usable(udr, from_site, se)
@@ -318,7 +318,7 @@ impl ReplicationStage {
         from_site: SiteId,
         now: SimTime,
     ) -> Option<SeId> {
-        let master = udr.groups[partition.index()].master();
+        let master = udr.group(partition).master();
         if Self::copy_usable(udr, from_site, master) {
             return Some(master);
         }
@@ -349,8 +349,8 @@ impl ReplicationStage {
         let p = partition.index();
         let mut responders = std::mem::take(&mut udr.quorum_responders);
         responders.clear();
-        for i in 0..udr.groups[p].members().len() {
-            let se = udr.groups[p].members()[i];
+        for i in 0..udr.shard_map.groups()[p].members().len() {
+            let se = udr.shard_map.groups()[p].members()[i];
             if !udr.ses[se.index()].is_up() {
                 continue;
             }
@@ -480,8 +480,8 @@ impl ReplicationStage {
         } else {
             Vec::new()
         };
-        for i in 0..udr.groups[p].members().len() {
-            let slave = udr.groups[p].members()[i];
+        for i in 0..udr.shard_map.groups()[p].members().len() {
+            let slave = udr.shard_map.groups()[p].members()[i];
             if slave == master {
                 continue;
             }
@@ -713,7 +713,7 @@ impl ReplicationStage {
         se: SeId,
         quorum_served: bool,
     ) {
-        let master = udr.groups[partition.index()].master();
+        let master = udr.group(partition).master();
         if se == master {
             udr.metrics.staleness.record_master_read();
             return;
@@ -748,14 +748,14 @@ impl Udr {
     // ---- construction ------------------------------------------------------
 
     /// Build the per-partition replication state of the deployment's mode,
-    /// once [`Udr::build`] has placed the groups: under consensus one
+    /// once [`Udr::build`] has built the shard map: under consensus one
     /// Multi-Paxos ensemble per partition over the group's members, with
     /// protocol timers staggered so ensembles do not beat in lockstep; under
     /// every other mode one shipping ledger per partition.
     pub(crate) fn build_replication(&mut self) {
         match self.cfg.frash.replication {
             ReplicationMode::Consensus { n } => {
-                for p in 0..self.groups.len() {
+                for p in 0..self.shard_map.groups().len() {
                     let ensemble = ConsensusGroup::new(n as usize, self.cfg.seed, p as u32);
                     self.consensus.push(ensemble);
                     self.schedule_event(
@@ -769,7 +769,7 @@ impl Udr {
                 }
             }
             _ => {
-                self.shippers = (0..self.groups.len() as u32)
+                self.shippers = (0..self.shard_map.groups().len() as u32)
                     .map(|p| self.shipping_ledger(PartitionId(p), Lsn::ZERO))
                     .collect();
             }
@@ -782,7 +782,7 @@ impl Udr {
     /// reseeds or re-registers it).
     fn shipping_ledger(&self, partition: PartitionId, master_lsn: Lsn) -> AsyncShipper {
         let mut shipper = AsyncShipper::new();
-        for slave in self.groups[partition.index()].slaves() {
+        for slave in self.group(partition).slaves() {
             let lsn = if self.ses[slave.index()].is_up() {
                 self.ses[slave.index()]
                     .last_lsn(partition)
@@ -821,7 +821,7 @@ impl Udr {
     ) {
         // The message may arrive after a partition started or the slave
         // crashed; then it is simply lost (catch-up re-ships later).
-        let master = self.groups[partition.index()].master();
+        let master = self.group(partition).master();
         let master_site = self.ses[master.index()].site();
         let slave_site = self.ses[slave.index()].site();
         if !self.ses[slave.index()].is_up() || !self.net.reachable(master_site, slave_site) {
@@ -841,7 +841,7 @@ impl Udr {
     /// generation the timer was armed for.
     pub(crate) fn ship_flush(&mut self, t: SimTime, partition: PartitionId, slave: SeId, seq: u64) {
         let p = partition.index();
-        let master = self.groups[p].master();
+        let master = self.shard_map.groups()[p].master();
         if !self.ses[master.index()].is_up() {
             return;
         }
@@ -927,10 +927,10 @@ impl Udr {
             self.cfg.frash.replication,
             ReplicationMode::Consensus { .. }
         );
-        for p in 0..self.groups.len() {
+        for p in 0..self.shard_map.groups().len() {
             let pid = PartitionId(p as u32);
             let floor = (!consensus).then(|| self.log_floor(pid));
-            for &se in self.groups[p].members() {
+            for &se in self.shard_map.groups()[p].members() {
                 let se = &mut self.ses[se.index()];
                 // Under consensus, through the replica's own position.
                 if let Some(upto) = floor.or_else(|| se.last_lsn(pid).ok()) {
@@ -966,7 +966,7 @@ impl Udr {
     /// [`ChosenLog::cursor_for_writes`]: udr_consensus::ChosenLog::cursor_for_writes
     fn chosen_floor(&mut self, pid: PartitionId) -> Slot {
         let p = pid.index();
-        for (i, se) in self.groups[p].members().iter().enumerate() {
+        for (i, se) in self.shard_map.groups()[p].members().iter().enumerate() {
             let lsn = self.ses[se.index()]
                 .disk()
                 .load(pid)
@@ -998,7 +998,7 @@ impl Udr {
     ///   channel's: a catch-up pass re-ships the suffix after it.
     fn log_floor(&self, pid: PartitionId) -> Lsn {
         let p = pid.index();
-        let members = self.groups[p]
+        let members = self.shard_map.groups()[p]
             .members()
             .iter()
             .map(|se| &self.ses[se.index()]);
@@ -1026,17 +1026,17 @@ impl Udr {
     /// Re-ship to every reachable up slave what its channel is missing, or
     /// reseed it when the master's log can no longer serve the gap.
     fn catch_up_channels(&mut self, t: SimTime) {
-        for p in 0..self.groups.len() {
+        for p in 0..self.shard_map.groups().len() {
             let pid = PartitionId(p as u32);
-            let master = self.groups[p].master();
+            let master = self.shard_map.groups()[p].master();
             if !self.ses[master.index()].is_up() {
                 continue;
             }
             let master_site = self.ses[master.index()].site();
             // By index: nothing below changes the group, and the idle tick
             // collects nothing.
-            for i in 0..self.groups[p].members().len() {
-                let slave = self.groups[p].members()[i];
+            for i in 0..self.shard_map.groups()[p].members().len() {
+                let slave = self.shard_map.groups()[p].members()[i];
                 if slave == master || !self.ses[slave.index()].is_up() {
                     continue;
                 }
@@ -1102,15 +1102,10 @@ impl Udr {
         }
         // Capture mastered partitions and their LSNs before RAM vanishes.
         let mastered: Vec<(PartitionId, Lsn)> = self
-            .groups
+            .shard_map
             .iter()
-            .filter(|g| g.master() == se)
-            .map(|g| {
-                let lsn = self.ses[se.index()]
-                    .last_lsn(g.partition())
-                    .unwrap_or(Lsn::ZERO);
-                (g.partition(), lsn)
-            })
+            .filter(|(_, g)| g.master() == se)
+            .map(|(p, _)| (p, self.ses[se.index()].last_lsn(p).unwrap_or(Lsn::ZERO)))
             .collect();
         self.ses[se.index()].crash();
         for (pid, lsn) in mastered {
@@ -1125,14 +1120,15 @@ impl Udr {
     }
 
     /// `FailoverCheck`: promote the freshest live slave of a partition
-    /// whose master is still down.
+    /// whose master is still down (the most caught-up copy wins, ties
+    /// break on the lowest `SeId`).
     pub(crate) fn failover_check(&mut self, partition: PartitionId) {
         let p = partition.index();
-        let master = self.groups[p].master();
+        let master = self.shard_map.groups()[p].master();
         if self.ses[master.index()].is_up() {
             return; // master came back before detection completed
         }
-        let alive: Vec<(SeId, Lsn)> = self.groups[p]
+        let best = self.shard_map.groups()[p]
             .slaves()
             .filter(|s| self.ses[s.index()].is_up())
             .map(|s| {
@@ -1141,27 +1137,21 @@ impl Udr {
                     self.ses[s.index()].last_lsn(partition).unwrap_or(Lsn::ZERO),
                 )
             })
-            .collect();
-        let Some(candidate) = self.groups[p].promotion_candidate(&alive) else {
+            .max_by(|(a_se, a_lsn), (b_se, b_lsn)| a_lsn.cmp(b_lsn).then_with(|| b_se.cmp(a_se)));
+        let Some((candidate, candidate_lsn)) = best else {
             return; // total outage: nothing to promote
         };
-        let candidate_lsn = alive
-            .iter()
-            .find(|(s, _)| *s == candidate)
-            .map(|(_, l)| *l)
-            .unwrap_or(Lsn::ZERO);
         if let Some(crash_lsn) = self.master_lsn_at_crash.get(&partition) {
             // §4.2: transactions committed at the master but not yet
             // replicated are lost by the promotion.
             self.metrics.lost_commits += crash_lsn.raw().saturating_sub(candidate_lsn.raw());
         }
-        self.groups[p]
-            .promote(candidate)
+        // Mastership moves and the epoch bumps, so route caches learn
+        // (lazily) that the old owner is retired.
+        self.shard_map
+            .promote(partition, candidate)
             .expect("candidate is a member");
         let _ = self.ses[candidate.index()].set_role(partition, ReplicaRole::Master);
-        // Mastership moved: bump the shard-map epoch so route caches learn
-        // (lazily) that the old owner is retired.
-        self.sync_shard_map(partition);
         self.shippers[p] = self.shipping_ledger(partition, candidate_lsn);
         self.metrics.failovers += 1;
     }
@@ -1176,13 +1166,17 @@ impl Udr {
         let t = self.events.now();
         let recovered: IdMap<PartitionId, Lsn> =
             self.ses[se.index()].restore(t).into_iter().collect();
-        for p in 0..self.groups.len() {
-            let Some(i) = self.groups[p].members().iter().position(|m| *m == se) else {
+        for p in 0..self.shard_map.groups().len() {
+            let Some(i) = self.shard_map.groups()[p]
+                .members()
+                .iter()
+                .position(|m| *m == se)
+            else {
                 continue;
             };
             let pid = PartitionId(p as u32);
             let lsn = recovered.get(&pid).copied();
-            let is_master = self.groups[p].master() == se;
+            let is_master = self.shard_map.groups()[p].master() == se;
             match self.cfg.frash.replication {
                 ReplicationMode::Consensus { .. } => {
                     if lsn.is_none() {
@@ -1216,7 +1210,7 @@ impl Udr {
         }
         // If a slave is ahead of the restored disk state, prefer rebuilding
         // the master from the most caught-up slave: less data loss.
-        let best_slave: Option<(SeId, Lsn)> = self.groups[p]
+        let best_slave: Option<(SeId, Lsn)> = self.shard_map.groups()[p]
             .slaves()
             .filter(|s| self.ses[s.index()].is_up())
             .map(|s| (s, self.ses[s.index()].last_lsn(pid).unwrap_or(Lsn::ZERO)))
@@ -1240,7 +1234,7 @@ impl Udr {
         self.metrics.lost_commits += crash_lsn.raw().saturating_sub(base_lsn.raw());
         // Slaves ahead of the rebuilt master hold orphaned commits: reseed
         // them down to the master's lineage.
-        let ahead: Vec<SeId> = self.groups[p]
+        let ahead: Vec<SeId> = self.shard_map.groups()[p]
             .slaves()
             .filter(|s| {
                 self.ses[s.index()].is_up()
@@ -1257,7 +1251,7 @@ impl Udr {
     /// was a slave).
     fn restore_slave(&mut self, pid: PartitionId, se: SeId, recovered: Option<Lsn>) {
         let p = pid.index();
-        let master = self.groups[p].master();
+        let master = self.shard_map.groups()[p].master();
         let master_lsn = self.ses[master.index()]
             .is_up()
             .then(|| self.ses[master.index()].last_lsn(pid).unwrap_or(Lsn::ZERO));
@@ -1329,7 +1323,7 @@ impl Udr {
         self.diverged.clear();
         for (pid, since) in diverged {
             let p = pid.index();
-            let members: Vec<SeId> = self.groups[p]
+            let members: Vec<SeId> = self.shard_map.groups()[p]
                 .members()
                 .iter()
                 .copied()
@@ -1349,7 +1343,7 @@ impl Udr {
                     .collect();
                 merge_branches(since, &engines)
             };
-            let master = self.groups[p].master();
+            let master = self.shard_map.groups()[p].master();
             for se in &members {
                 let role = if *se == master {
                     ReplicaRole::Master
@@ -1377,7 +1371,8 @@ impl Udr {
     /// up until they restore.
     pub fn max_replica_lag(&self) -> u64 {
         let mut max = 0u64;
-        for (p, group) in self.groups.iter().enumerate() {
+        for (partition, group) in self.shard_map.iter() {
+            let p = partition.index();
             if let ReplicationMode::Consensus { .. } = self.cfg.frash.replication {
                 let g = &self.consensus[p];
                 let nodes = g.ensemble.nodes();
@@ -1392,7 +1387,7 @@ impl Udr {
             if !self.ses[master.index()].is_up() {
                 continue;
             }
-            let Ok(engine) = self.ses[master.index()].engine(group.partition()) else {
+            let Ok(engine) = self.ses[master.index()].engine(partition) else {
                 continue;
             };
             for slave in group.slaves() {
@@ -1463,7 +1458,7 @@ impl Udr {
                 continue;
             }
             let p = plan.partition.index();
-            let master = self.groups[p].master();
+            let master = self.shard_map.groups()[p].master();
             // Fault policy: a crashed endpoint or a cut on the shipping
             // path abandons the move — restarting later is cheaper than
             // reasoning about a half-seeded copy across a partition.
@@ -1571,7 +1566,7 @@ impl Udr {
             return;
         }
         let plan = m.plan;
-        let master = self.groups[plan.partition.index()].master();
+        let master = self.group(plan.partition).master();
         let master_site = self.ses[master.index()].site();
         let to_site = self.ses[plan.to.index()].site();
         if !self.ses[plan.to.index()].is_up() || !self.net.reachable(master_site, to_site) {
@@ -1599,7 +1594,7 @@ impl Udr {
             return;
         }
         let p = plan.partition.index();
-        let master = self.groups[p].master();
+        let master = self.shard_map.groups()[p].master();
         let was_master_move = plan.from == master;
         let master_site = self.ses[master.index()].site();
         let to_site = self.ses[plan.to.index()].site();
@@ -1616,8 +1611,8 @@ impl Udr {
             self.migration_abort(t, id);
             return;
         }
-        self.groups[p]
-            .replace_member(plan.from, plan.to)
+        self.shard_map
+            .replace_member(plan.partition, plan.from, plan.to)
             .expect("cutover swap validated");
         let new_role = if was_master_move {
             ReplicaRole::Master

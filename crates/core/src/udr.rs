@@ -1,8 +1,8 @@
 //! The UDR network function: the assembled system of Figure 2.
 //!
 //! A [`Udr`] owns the simulated network, every blade cluster (PoA + LDAP
-//! servers + data-location stage), every Storage Element, the replication
-//! groups and shipping channels, and an event queue carrying replication
+//! servers + data-location stage), every Storage Element, the shard map
+//! and shipping channels, and an event queue carrying replication
 //! deliveries, durability snapshots, fault injections and failovers.
 //!
 //! Drivers (examples, tests, experiments) interleave client calls with
@@ -20,7 +20,9 @@
 
 use std::collections::BTreeMap;
 
-use udr_dls::{DataLocationStage, IdentityLocationMap, PlacementContext, ShardMap};
+use udr_dls::{
+    DataLocationStage, IdentityLocationMap, PlacementContext, ReplicationGroup, ShardMap,
+};
 use udr_ldap::{LdapServer, PointOfAccess};
 use udr_model::config::{DurabilityMode, LocatorKind, Pacelc, TxnClass};
 use udr_model::error::UdrResult;
@@ -31,7 +33,7 @@ use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
-use udr_replication::{AsyncShipper, Delivery, MigrationState, ReplicationGroup};
+use udr_replication::{AsyncShipper, Delivery, MigrationState};
 use udr_sim::faults::{Fault, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
 use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
@@ -233,13 +235,13 @@ pub struct Udr {
     /// Directory epoch `tenant_buckets` was derived from.
     pub(crate) tenant_buckets_epoch: u64,
     pub(crate) servers: Vec<LdapServer>,
-    pub(crate) groups: Vec<ReplicationGroup>,
-    pub(crate) shippers: Vec<AsyncShipper>,
-    /// The authoritative epoch-versioned partition → SE assignment table.
-    /// `groups` is the runtime view of the same assignments; every
-    /// reassignment flows through [`ShardMap::reassign`] so route caches
-    /// can version-check their views.
+    /// The one partition → replica-set table: each partition's members,
+    /// its master and the epoch route caches version-check their views
+    /// against. Failover and cutover change it only through
+    /// [`ShardMap::promote`] and [`ShardMap::replace_member`], which bump
+    /// the epoch in the same call.
     pub(crate) shard_map: ShardMap,
+    pub(crate) shippers: Vec<AsyncShipper>,
     /// Live migrations, by id (completed/aborted entries stay for audit).
     pub(crate) migrations: Vec<MigrationTask>,
     /// Operations routed per partition (hotspot detection).
@@ -305,7 +307,7 @@ impl Udr {
 
         // ---- partitions: masters round-robin, secondaries geo-spread ----
         let rf = cfg.frash.replication_factor as usize;
-        let mut groups = Vec::with_capacity(cfg.partitions as usize);
+        let mut replica_sets = Vec::with_capacity(cfg.partitions as usize);
         for p in 0..cfg.partitions {
             let master_idx = (p as usize) % ses.len();
             let mut members = vec![SeId(master_idx as u32)];
@@ -341,16 +343,9 @@ impl Udr {
                 };
                 ses[se.index()].add_replica(pid, role);
             }
-            groups.push(ReplicationGroup::new(pid, members)?);
+            replica_sets.push(members);
         }
-
-        // ---- placement context -------------------------------------------
-        let mut by_region: Vec<Vec<PartitionId>> = vec![Vec::new(); cfg.sites as usize];
-        for g in &groups {
-            let site = ses[g.master().index()].site();
-            by_region[site.index()].push(g.partition());
-        }
-        let placement = PlacementContext::new(by_region);
+        let shard_map = ShardMap::new(replica_sets)?;
 
         // ---- initial events -----------------------------------------------
         let mut events = ShardedPump::new(PumpConfig::single());
@@ -362,8 +357,6 @@ impl Udr {
                 events.schedule_at(LANE, SimTime::ZERO + interval, snap);
             }
         }
-
-        let shard_map = ShardMap::new(groups.iter().map(|g| (g.partition(), g.members().to_vec())));
 
         let sites = cfg.sites as usize;
         let tenant_buckets = Self::build_tenant_buckets(&cfg.tenants);
@@ -385,11 +378,10 @@ impl Udr {
             tenant_buckets,
             tenant_buckets_epoch,
             servers: Vec::new(),
-            groups,
-            shippers: Vec::new(),
             shard_map,
+            shippers: Vec::new(),
             migrations: Vec::new(),
-            placement,
+            placement: PlacementContext::default(),
             authority: IdentityLocationMap::new(),
             clusters_at_site: vec![Vec::new(); sites],
             next_cluster_rr: vec![0; sites],
@@ -402,6 +394,7 @@ impl Udr {
             metrics: UdrMetrics::default(),
             tracer,
         };
+        udr.rebuild_placement();
         let total_ses = udr.ses.len();
         for site in 0..udr.cfg.sites {
             for _ in 0..udr.cfg.clusters_per_site {
@@ -496,7 +489,7 @@ impl Udr {
 
     /// The replication group of a partition.
     pub fn group(&self, partition: PartitionId) -> &ReplicationGroup {
-        &self.groups[partition.index()]
+        &self.shard_map.groups()[partition.index()]
     }
 
     /// The storage element with the given id.
@@ -509,7 +502,8 @@ impl Udr {
         self.ses.len()
     }
 
-    /// The authoritative epoch-versioned shard map.
+    /// The epoch-versioned shard map: every partition's replica set and
+    /// master.
     pub fn shard_map(&self) -> &ShardMap {
         &self.shard_map
     }
@@ -763,7 +757,7 @@ impl Udr {
     /// Whether `partition` currently has a readable copy reachable from
     /// `from_site` (any up replica on a reachable site).
     fn partition_readable_from(&self, partition: PartitionId, from_site: SiteId) -> bool {
-        self.groups[partition.index()].members().iter().any(|se| {
+        self.group(partition).members().iter().any(|se| {
             self.ses[se.index()].is_up()
                 && self.net.reachable(from_site, self.ses[se.index()].site())
         })
@@ -777,10 +771,10 @@ impl Udr {
             return 1.0;
         }
         let ok: u64 = self
-            .groups
-            .iter()
-            .filter(|g| self.partition_readable_from(g.partition(), from_site))
-            .map(|g| self.subs_per_partition[g.partition().index()])
+            .shard_map
+            .partitions()
+            .filter(|p| self.partition_readable_from(*p, from_site))
+            .map(|p| self.subs_per_partition[p.index()])
             .sum();
         ok as f64 / total as f64
     }
@@ -975,11 +969,13 @@ impl Udr {
     fn migration_start(&mut self, t: SimTime, id: u64) {
         let plan = self.migrations[id as usize].plan;
         let p = plan.partition.index();
-        if !self.migration_feasible(&plan) || !self.ses[self.groups[p].master().index()].is_up() {
+        if !self.migration_feasible(&plan)
+            || !self.ses[self.shard_map.groups()[p].master().index()].is_up()
+        {
             self.migration_abort(t, id);
             return;
         }
-        let master = self.groups[p].master();
+        let master = self.shard_map.groups()[p].master();
         let bytes = self.ses[master.index()]
             .engine(plan.partition)
             .expect("master hosts partition")
@@ -1006,7 +1002,7 @@ impl Udr {
     /// out-of-range partition or a target equal to its source, fails here
     /// too.)
     pub(crate) fn migration_feasible(&self, plan: &MigrationPlan) -> bool {
-        let Some(group) = self.groups.get(plan.partition.index()) else {
+        let Some(group) = self.shard_map.group(plan.partition) else {
             return false;
         };
         group.contains(plan.from)
@@ -1017,13 +1013,12 @@ impl Udr {
     }
 
     /// The end every cutover shares, after the engine has swapped the copy
-    /// into the group: the retired copy releases its RAM and disk, the new
-    /// replica set is published (epoch bump), placement follows the
-    /// masters, a hotspot's load counter resets, and the migration is done.
+    /// into the shard map (which bumped the epoch): the retired copy
+    /// releases its RAM and disk, placement follows the masters, a
+    /// hotspot's load counter resets, and the migration is done.
     pub(crate) fn complete_cutover(&mut self, id: u64) {
         let plan = self.migrations[id as usize].plan;
         let _ = self.ses[plan.from.index()].release_partition(plan.partition);
-        self.sync_shard_map(plan.partition);
         self.rebuild_placement();
         if plan.reason == MoveReason::HotspotSplit {
             // The relocation served this load; reset the counter so the
@@ -1056,8 +1051,8 @@ impl Udr {
         // (The plan may be arbitrarily malformed — e.g. an out-of-range
         // partition — and must still abort cleanly, not panic.)
         let joined = self
-            .groups
-            .get(plan.partition.index())
+            .shard_map
+            .group(plan.partition)
             .is_some_and(|g| g.contains(plan.to));
         if plan.to.index() < self.ses.len() && !joined {
             let _ = self.ses[plan.to.index()].release_partition(plan.partition);
@@ -1068,27 +1063,15 @@ impl Udr {
         self.metrics.migrations_aborted += 1;
     }
 
-    /// Re-publish `partition`'s current replica set into the shard map
-    /// (epoch bump). The one call every membership/mastership change must
-    /// make — `ReplicationGroup::members()` keeps insertion order, which
-    /// stops being master-first after a promotion, so the master is
-    /// re-ordered to the front here ([`ShardMap::reassign`]'s contract).
-    pub(crate) fn sync_shard_map(&mut self, partition: PartitionId) {
-        let g = &self.groups[partition.index()];
-        let master = g.master();
-        let mut members = Vec::with_capacity(g.members().len());
-        members.push(master);
-        members.extend(g.members().iter().copied().filter(|se| *se != master));
-        self.shard_map.reassign(partition, members);
-    }
-
-    /// Recompute the placement context from current partition masters
-    /// (masters move sites on cutover/failover).
+    /// Recompute the placement context from current partition masters.
+    /// Runs at build and at the end of every migration cutover; a
+    /// failover leaves placement on the retired master's site until the
+    /// partition's next cutover.
     fn rebuild_placement(&mut self) {
         let mut by_region: Vec<Vec<PartitionId>> = vec![Vec::new(); self.cfg.sites as usize];
-        for g in &self.groups {
+        for (p, g) in self.shard_map.iter() {
             let site = self.ses[g.master().index()].site();
-            by_region[site.index()].push(g.partition());
+            by_region[site.index()].push(p);
         }
         self.placement = PlacementContext::new(by_region);
     }

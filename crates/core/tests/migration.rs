@@ -8,7 +8,7 @@ use udr_core::{MigrationPlan, MoveReason, OpRequest, Rebalancer, Udr, UdrConfig}
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::ReplicationMode;
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
-use udr_model::ids::{SeId, SiteId};
+use udr_model::ids::{PartitionId, SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
@@ -375,9 +375,8 @@ fn add_cluster_rejects_unknown_site() {
 }
 
 /// Failover promotes a slave whose position in the member vector is not
-/// first; the shard map must still record the *promoted* SE as master
-/// (regression: `reassign` used to receive insertion-ordered members and
-/// kept deriving the crashed SE as owner).
+/// first; the shard map must record the *promoted* SE as master, the
+/// crashed one as retired, and a route change since the old epoch.
 #[test]
 fn failover_updates_shard_map_master() {
     let mut udr = system();
@@ -404,6 +403,56 @@ fn failover_updates_shard_map_master() {
     assert!(udr
         .shard_map()
         .routing_changed_since(partition, epoch_before));
+}
+
+const P0: PartitionId = PartitionId(0);
+
+/// The last LSN `se`'s copy of partition 0 holds.
+fn lsn(udr: &Udr, se: SeId) -> udr_storage::Lsn {
+    udr.se(se).last_lsn(P0).unwrap()
+}
+
+/// Provision 24 subscribers and return those partition 0 holds.
+fn provision_p0(udr: &mut Udr) -> Vec<IdentitySet> {
+    let subs = provision_n(udr, 24);
+    subs.into_iter()
+        .filter(|set| udr.lookup_authority(&set.imsi.into()).unwrap().partition == P0)
+        .collect()
+}
+
+/// Failover promotes the most caught-up live slave, whatever its id:
+/// with site 1 islanded, SE 1's copy of partition 0 falls behind SE 2's,
+/// and SE 2 takes over when the master, SE 0, crashes.
+#[test]
+fn failover_promotes_the_most_caught_up_slave() {
+    let mut udr = Udr::build(UdrConfig::figure2()).unwrap();
+    let subs = provision_p0(&mut udr);
+    udr.advance_to(t(4));
+    assert_eq!(udr.group(P0).members(), &[SeId(0), SeId(1), SeId(2)]);
+    udr.schedule_script(
+        &FaultScript::new(0)
+            .clean_partition(t(4), SimDuration::from_secs(30), [SiteId(1)])
+            .se_crash(t(10), SeId(0)),
+    );
+    write_oracle(&mut udr, &subs, t(5));
+    udr.advance_to(t(9));
+    assert!(lsn(&udr, SeId(2)) > lsn(&udr, SeId(1)));
+    udr.advance_to(t(20)); // past failover detection
+    assert_eq!(udr.group(P0).master(), SeId(2));
+}
+
+/// Among equally caught-up slaves, failover promotes the lowest `SeId`.
+#[test]
+fn failover_ties_break_on_the_lowest_id() {
+    let mut udr = Udr::build(UdrConfig::figure2()).unwrap();
+    let subs = provision_p0(&mut udr);
+    write_oracle(&mut udr, &subs, t(5));
+    udr.advance_to(t(9));
+    assert_eq!(udr.group(P0).members(), &[SeId(0), SeId(1), SeId(2)]);
+    assert_eq!(lsn(&udr, SeId(1)), lsn(&udr, SeId(2)));
+    udr.schedule_script(&FaultScript::new(0).se_crash(t(10), SeId(0)));
+    udr.advance_to(t(20));
+    assert_eq!(udr.group(P0).master(), SeId(1));
 }
 
 /// A malformed plan (out-of-range partition, target == source, target

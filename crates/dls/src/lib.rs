@@ -14,7 +14,8 @@
 //! [`sync`] models the §3.4.2 scale-out synchronisation window during which
 //! a new PoA cannot serve; [`placement`] implements random vs home-region
 //! subscription placement; [`shardmap`] is the epoch-versioned partition →
-//! SE assignment table that lets placements move while traffic flows;
+//! replica-set table (members, master, retired master) that lets
+//! placements move and masters fail over while traffic flows;
 //! [`stage`] is the per-PoA instance the pipeline calls: it hosts one of
 //! the three realisations, chosen when the stage is built.
 
@@ -33,6 +34,6 @@ pub use cache::{CacheOutcome, CachedLocator};
 pub use maps::{IdentityLocationMap, Location};
 pub use placement::PlacementContext;
 pub use ring::ConsistentHashRing;
-pub use shardmap::{Epoch, ShardMap};
+pub use shardmap::{Epoch, ReplicationGroup, ShardMap};
 pub use stage::{DataLocationStage, Resolution};
 pub use sync::{StageSync, SyncCostModel, SyncState};

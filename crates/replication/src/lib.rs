@@ -6,11 +6,10 @@
 //! * [`shipping`] — the first realization's asynchronous master→slave log
 //!   shipping (§3.3.1 decision 2), with FIFO channels, catch-up after
 //!   partitions and snapshot reseeds after log truncation;
-//! * [`group`] — replica sets, mastership epochs and failover candidate
-//!   selection (most-caught-up slave wins);
 //! * [`migration`] — the lifecycle of a live partition move (a copy that
 //!   joins over its own shipping ledger, kept apart from the group's
-//!   replica channels until cutover);
+//!   replica channels until cutover; the replica sets themselves live in
+//!   `udr_dls::ShardMap`);
 //! * [`quorum`] — the §5 Cassandra-style `(n, w)` write round;
 //! * [`multimaster`] — §5 multi-master divergence and the
 //!   consistency-restoration merge (state-based LWW with conflict counts);
@@ -20,14 +19,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod group;
 pub mod migration;
 pub mod multimaster;
 pub mod quorum;
 pub mod shipping;
 pub mod twophase;
 
-pub use group::ReplicationGroup;
 pub use migration::MigrationState;
 pub use multimaster::{merge_branches, restoration_duration, MergeOutcome, MergeStats};
 pub use quorum::{quorum_write, QuorumWriteOutcome};
