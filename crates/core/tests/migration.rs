@@ -455,6 +455,33 @@ fn failover_ties_break_on_the_lowest_id() {
     assert_eq!(udr.group(P0).master(), SeId(1));
 }
 
+/// Failover picks only among the group's live slaves: with the master and
+/// its only slave both down, neither the crashed master nor any live SE
+/// outside the group is promoted, and the group stays as it was.
+#[test]
+fn failover_never_promotes_the_crashed_master_or_a_stranger() {
+    let mut udr = system();
+    provision_n(&mut udr, 6);
+    udr.advance_to(t(9));
+    let members = udr.shard_map().members_of(P0).unwrap().to_vec();
+    let (master, slave) = (members[0], members[1]);
+    assert_eq!(udr.group(P0).master(), master);
+    let strangers: Vec<SeId> = (0..6)
+        .map(SeId)
+        .filter(|se| !members.contains(se))
+        .collect();
+    assert_eq!(strangers.len(), 4);
+    udr.schedule_script(
+        &FaultScript::new(0)
+            .se_crash(t(10), slave)
+            .se_crash(t(10), master),
+    );
+    udr.advance_to(t(20)); // past failover detection
+    assert!(strangers.iter().all(|se| udr.se(*se).is_up()));
+    assert_eq!(udr.group(P0).master(), master);
+    assert_eq!(udr.shard_map().members_of(P0).unwrap(), &members[..]);
+}
+
 /// A malformed plan (out-of-range partition, target == source, target
 /// already a member) aborts cleanly instead of panicking, and the
 /// started/completed/aborted ledger stays consistent.
