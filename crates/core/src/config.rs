@@ -36,9 +36,11 @@ pub struct UdrConfig {
     pub ldap_ops_per_sec: f64,
     /// Capacity of cached-locator stages (entries), when used.
     pub dls_cache_capacity: usize,
-    /// Replication log-shipping coalescing. Defaults to per-record (one
-    /// delivery per commit, the paper's baseline); the scale campaign
-    /// enables batching to amortise the per-message cost.
+    /// Replication log-shipping coalescing. Every commit ships through a
+    /// channel's open batch; the default cap of one ships each commit at
+    /// once as a batch of one (one message per commit, the paper's
+    /// baseline). The scale campaign raises the cap to amortise the
+    /// per-message cost.
     pub ship_batch: ShipBatchConfig,
     /// Structured tracing (flight recorder + slow-op exemplars). Disabled
     /// by default; enabling it must never change simulated behaviour,

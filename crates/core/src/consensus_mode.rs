@@ -827,7 +827,7 @@ impl Udr {
         self.shard_map
             .replace_member(plan.partition, plan.from, plan.to)
             .expect("cutover swap validated");
-        self.complete_cutover(migration);
+        self.complete_cutover(t, migration);
         self.metrics.consensus_commits += 1;
     }
 }

@@ -471,7 +471,7 @@ impl ReplicationStage {
         // and only what that wait reads is kept from the walk over the
         // slaves: the first live ack round trip (dual-in-sequence) or every
         // member's response, the master's first (quorum).
-        let batching = !udr.cfg.ship_batch.is_per_record();
+        let cfg = udr.cfg.ship_batch;
         let mut first_live_rtt = None;
         let quorum = matches!(udr.cfg.frash.replication, ReplicationMode::Quorum { .. });
         // Master counts as the first ack at its local commit cost.
@@ -492,66 +492,55 @@ impl ReplicationStage {
             } else {
                 None
             };
-            if batching {
-                // Coalesce: the record joins the channel's open batch; the
-                // batch ships as one message at its cap or linger deadline.
-                let cfg = udr.cfg.ship_batch;
-                match udr.shippers[p].enqueue(slave, record, &cfg) {
-                    Enqueue::Opened { seq } => {
-                        // The opener's trace rides the batch: stamp it so
-                        // the eventual flush and delivery attribute to the
-                        // op that started the linger window.
-                        let trace = udr.tracer.active_trace();
-                        if trace != 0 {
-                            udr.shippers[p].stamp_open_trace(slave, trace);
+            // The record joins the channel's open batch; the batch ships
+            // as one message at its cap or linger deadline. At the default
+            // cap of one every record fills its batch and ships at once.
+            match udr.shippers[p].enqueue(slave, record, &cfg) {
+                Enqueue::Opened { seq } => {
+                    // The opener's trace rides the batch: stamp it so
+                    // the eventual flush and delivery attribute to the
+                    // op that started the linger window.
+                    let trace = udr.tracer.active_trace();
+                    if trace != 0 {
+                        udr.shippers[p].stamp_open_trace(slave, trace);
+                    }
+                    udr.schedule_event(
+                        now + cfg.linger,
+                        UdrEvent::ShipFlush {
+                            partition,
+                            slave,
+                            seq,
+                        },
+                    );
+                }
+                Enqueue::Full => {
+                    if let Some(b) = udr.shippers[p].flush_open(slave, now, delay) {
+                        if udr.tracer.enabled() && b.trace != 0 {
+                            udr.tracer.instant(
+                                b.trace,
+                                0,
+                                "ship.flush",
+                                now,
+                                Some(format!(
+                                    "p{} se{} n={} cap",
+                                    partition.0,
+                                    b.slave.0,
+                                    b.records.len()
+                                )),
+                            );
                         }
                         udr.schedule_event(
-                            now + cfg.linger,
-                            UdrEvent::ShipFlush {
+                            b.arrives,
+                            UdrEvent::ReplDeliverBatch {
                                 partition,
-                                slave,
-                                seq,
+                                slave: b.slave,
+                                records: b.records,
+                                trace: b.trace,
                             },
                         );
                     }
-                    Enqueue::Full => {
-                        if let Some(b) = udr.shippers[p].flush_open(slave, now, delay) {
-                            if udr.tracer.enabled() && b.trace != 0 {
-                                udr.tracer.instant(
-                                    b.trace,
-                                    0,
-                                    "ship.flush",
-                                    now,
-                                    Some(format!(
-                                        "p{} se{} n={} cap",
-                                        partition.0,
-                                        b.slave.0,
-                                        b.records.len()
-                                    )),
-                                );
-                            }
-                            udr.schedule_event(
-                                b.arrives,
-                                UdrEvent::ReplDeliverBatch {
-                                    partition,
-                                    slave: b.slave,
-                                    records: b.records,
-                                    trace: b.trace,
-                                },
-                            );
-                        }
-                    }
-                    Enqueue::Joined | Enqueue::Refused => {}
                 }
-            } else if let Some(d) = udr.shippers[p].ship(slave, record, now, delay) {
-                udr.schedule_event(
-                    d.arrives,
-                    UdrEvent::ReplDeliver {
-                        partition,
-                        slave: d.slave,
-                        record: d.record,
-                    },
-                );
+                Enqueue::Joined | Enqueue::Refused => {}
             }
             // The ack round trip is twice the one-way delay.
             let rtt = delay.map(|d| d * 2);
@@ -1432,8 +1421,9 @@ impl Udr {
         }
     }
 
-    /// Coalesced shipping batches delivered across all partitions'
-    /// channels (zero under per-record shipping).
+    /// Shipping batches flushed across all partitions' channels; under the
+    /// default per-record shipping every commit is a batch of one per
+    /// slave.
     pub fn shipping_batches(&self) -> u64 {
         self.shippers.iter().map(|s| s.batches).sum()
     }
@@ -1631,6 +1621,6 @@ impl Udr {
         if let MigrationState::Frozen { since } = state {
             self.metrics.migration_freeze_time += t.duration_since(since);
         }
-        self.complete_cutover(id);
+        self.complete_cutover(t, id);
     }
 }

@@ -69,7 +69,8 @@ pub struct Cluster {
 /// Internal events driving the deployment between client calls.
 #[derive(Debug, Clone)]
 pub enum UdrEvent {
-    /// A replicated commit record arrives at a slave.
+    /// A commit record re-shipped by a catch-up pass arrives at a slave.
+    /// (Commits ship as [`UdrEvent::ReplDeliverBatch`].)
     ReplDeliver {
         /// Partition replicated.
         partition: PartitionId,
@@ -78,8 +79,8 @@ pub enum UdrEvent {
         /// The record.
         record: CommitRecord,
     },
-    /// A coalesced batch of commit records arrives at a slave as one
-    /// message (batched shipping).
+    /// A shipped batch of commit records arrives at a slave as one
+    /// message; a batch of one under the default per-record shipping.
     ReplDeliverBatch {
         /// Partition replicated.
         partition: PartitionId,
@@ -156,12 +157,6 @@ pub enum UdrEvent {
     /// A migration's atomic cutover: swap group membership, release the
     /// retired copy, bump the shard-map epoch.
     MigrationCutover {
-        /// Index into the deployment's migration ledger.
-        id: u64,
-    },
-    /// A migration is abandoned (fault on an endpoint or the path): the
-    /// target's partial copy is dropped and the epoch does not advance.
-    MigrationAbort {
         /// Index into the deployment's migration ledger.
         id: u64,
     },
@@ -664,7 +659,6 @@ impl Udr {
             UdrEvent::FailoverCheck { partition } => self.failover_check(partition),
             UdrEvent::MigrationStart { id } => self.migration_start(t, id),
             UdrEvent::MigrationCutover { id } => self.migration_cutover(t, id),
-            UdrEvent::MigrationAbort { id } => self.migration_abort(t, id),
             UdrEvent::MigrationDeliver { id, record } => self.migration_deliver(id, record),
             UdrEvent::ConsensusTick { partition } => self.consensus_tick(t, partition),
             UdrEvent::ConsensusDeliver {
@@ -678,9 +672,12 @@ impl Udr {
     }
 
     /// Flight-recorder instants for background events worth seeing on a
-    /// timeline (faults, migration phases, traced batch arrivals). Bare
-    /// periodic ticks and per-record deliveries are deliberately skipped:
-    /// they would drown the ring without adding causality.
+    /// timeline (faults, a migration's start, the arrival of a batch a
+    /// traced op opened). Bare periodic ticks, catch-up deliveries and
+    /// batches no traced op opened (every batch of one) are deliberately
+    /// skipped: they would drown the ring without adding causality. A
+    /// migration's cutover and abort are recorded where they happen
+    /// (`complete_cutover`, `migration_abort`), not as events.
     fn trace_event(&mut self, t: SimTime, event: &UdrEvent) {
         match event {
             UdrEvent::ReplDeliverBatch {
@@ -688,7 +685,7 @@ impl Udr {
                 slave,
                 records,
                 trace,
-            } => self.tracer.instant(
+            } if *trace != 0 => self.tracer.instant(
                 *trace,
                 0,
                 "repl.deliver_batch",
@@ -734,15 +731,9 @@ impl Udr {
                 self.tracer
                     .instant(0, 0, "migr.start", t, Some(format!("id={id}")))
             }
-            UdrEvent::MigrationCutover { id } => {
-                self.tracer
-                    .instant(0, 0, "migr.cutover", t, Some(format!("id={id}")))
-            }
-            UdrEvent::MigrationAbort { id } => {
-                self.tracer
-                    .instant(0, 0, "migr.abort", t, Some(format!("id={id}")))
-            }
             UdrEvent::ReplDeliver { .. }
+            | UdrEvent::ReplDeliverBatch { .. }
+            | UdrEvent::MigrationCutover { .. }
             | UdrEvent::ShipFlush { .. }
             | UdrEvent::SnapshotTick { .. }
             | UdrEvent::CatchupTick
@@ -1016,7 +1007,11 @@ impl Udr {
     /// into the shard map (which bumped the epoch): the retired copy
     /// releases its RAM and disk, placement follows the masters, a
     /// hotspot's load counter resets, and the migration is done.
-    pub(crate) fn complete_cutover(&mut self, id: u64) {
+    pub(crate) fn complete_cutover(&mut self, t: SimTime, id: u64) {
+        if self.tracer.enabled() {
+            self.tracer
+                .instant(0, 0, "migr.cutover", t, Some(format!("id={id}")));
+        }
         let plan = self.migrations[id as usize].plan;
         let _ = self.ses[plan.from.index()].release_partition(plan.partition);
         self.rebuild_placement();
@@ -1033,8 +1028,9 @@ impl Udr {
         self.metrics.migrations_completed += 1;
     }
 
-    /// `MigrationAbort`: abandon the move without touching the epoch; the
-    /// old owner keeps serving unchanged.
+    /// Abandon a move (fault on an endpoint or the path) without touching
+    /// the epoch: the target's partial copy is dropped and the old owner
+    /// keeps serving unchanged.
     pub(crate) fn migration_abort(&mut self, t: SimTime, id: u64) {
         let Some(m) = self.migrations.get(id as usize) else {
             return;
@@ -1042,6 +1038,10 @@ impl Udr {
         let (plan, state) = (m.plan, m.state);
         if !state.is_active() {
             return;
+        }
+        if self.tracer.enabled() {
+            self.tracer
+                .instant(0, 0, "migr.abort", t, Some(format!("id={id}")));
         }
         if let MigrationState::Frozen { since } = state {
             self.ses[plan.from.index()].unfreeze_partition(plan.partition);

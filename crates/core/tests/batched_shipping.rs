@@ -1,6 +1,7 @@
 //! Batched log shipping through the full event pump: coalesced channels
-//! must converge replicas exactly like per-record shipping, survive
-//! partitions via catch-up, and stay deterministic under a fixed seed.
+//! must converge replicas exactly like per-record shipping (batches of
+//! one), survive partitions via catch-up, and stay deterministic under a
+//! fixed seed.
 
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
@@ -11,6 +12,7 @@ use udr_model::ids::SiteId;
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::ShipBatchConfig;
 use udr_sim::FaultScript;
+use udr_trace::{TraceConfig, TraceRecord};
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -26,7 +28,12 @@ fn t(secs: u64) -> SimTime {
 }
 
 fn build(batch: ShipBatchConfig, seed: u64) -> (Udr, Vec<IdentitySet>) {
+    build_traced(batch, seed, TraceConfig::disabled())
+}
+
+fn build_traced(batch: ShipBatchConfig, seed: u64, trace: TraceConfig) -> (Udr, Vec<IdentitySet>) {
     let mut cfg = UdrConfig::figure2();
+    cfg.trace = trace;
     cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
     cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
     cfg.ship_batch = batch;
@@ -120,12 +127,63 @@ fn batched_channels_converge_and_coalesce() {
 }
 
 #[test]
-fn per_record_mode_ships_without_batches() {
+fn per_record_mode_ships_batches_of_one() {
     let (value, batches, shipped, lag) = campaign(ShipBatchConfig::per_record(), 7);
     assert_eq!(value, Some(109));
     assert_eq!(lag, 0);
-    assert_eq!(batches, 0, "per-record mode must not coalesce");
     assert!(shipped > 0);
+    assert_eq!(batches, shipped, "per-record mode ships batches of one");
+}
+
+/// One traced modify at t=10 s, settled; returns its trace id and the
+/// flight recorder's records.
+fn traced_modify(batch: ShipBatchConfig) -> (u64, Vec<TraceRecord>) {
+    let (mut udr, subs) = build_traced(batch, 7, TraceConfig::full());
+    let out = udr
+        .execute(
+            OpRequest::new(&write_op(&subs[0], 100))
+                .class(TxnClass::FrontEnd)
+                .site(SiteId(0))
+                .at(t(10)),
+        )
+        .into_op();
+    assert!(out.is_ok(), "write failed: {:?}", out.result);
+    udr.advance_to(t(12));
+    let records = udr.trace_export().records;
+    let op = records
+        .iter()
+        .find(|r| r.name == "op.modify")
+        .expect("the modify was traced");
+    (op.trace, records)
+}
+
+#[test]
+fn the_recorder_keeps_only_batches_a_traced_op_opened() {
+    // Batches of one are never stamped, so the flight recorder keeps no
+    // flush and no delivery of them.
+    let (_, records) = traced_modify(ShipBatchConfig::per_record());
+    for name in ["ship.flush", "repl.deliver_batch"] {
+        assert!(
+            records.iter().all(|r| r.name != name),
+            "per-record shipping recorded {name}"
+        );
+    }
+    // A coalescing batch carries the trace of the op that opened it to its
+    // linger flush and to its arrival at each of the partition's two
+    // slaves. (Provisioning opened earlier batches under its own traces.)
+    let (trace, records) =
+        traced_modify(ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)));
+    for name in ["ship.flush", "repl.deliver_batch"] {
+        let since_modify: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == name && r.start >= t(10))
+            .collect();
+        assert_eq!(since_modify.len(), 2, "{name}: {since_modify:?}");
+        assert!(
+            since_modify.iter().all(|r| r.trace == trace),
+            "{name} not under the modify's trace {trace}: {since_modify:?}"
+        );
+    }
 }
 
 #[test]

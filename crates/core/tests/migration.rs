@@ -13,6 +13,7 @@ use udr_model::procedures::ProcedureKind;
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
 use udr_sim::FaultScript;
+use udr_trace::TraceConfig;
 
 fn ids(n: u64) -> IdentitySet {
     IdentitySet {
@@ -575,4 +576,92 @@ fn master_move_freeze_window_is_accounted() {
         "master move should account a freeze window"
     );
     assert!(udr.metrics.migration_records_shipped > 0 || udr.metrics.migrations_completed == 1);
+}
+
+/// How many flight-recorder instants named `name` carry migration `id`.
+fn migration_instants(udr: &Udr, name: &str, id: u64) -> usize {
+    let arg = format!("id={id}");
+    udr.trace_export()
+        .records
+        .iter()
+        .filter(|r| r.name == name && r.arg.as_deref() == Some(arg.as_str()))
+        .count()
+}
+
+/// Each move leaves exactly one terminal instant on the flight recorder:
+/// `migr.abort` when it is abandoned, `migr.cutover` when it cuts over,
+/// whichever engine ran it. An abort never travels as an event and a
+/// consensus cutover never as a `MigrationCutover`, so both are recorded
+/// where they happen.
+#[test]
+fn every_abort_and_cutover_leaves_one_instant() {
+    // Shipping engine: a plan whose target already holds the partition
+    // aborts when it starts; a slave move then cuts over.
+    let mut cfg = UdrConfig::figure2();
+    cfg.ses_per_cluster = 2;
+    cfg.partitions = 6;
+    cfg.frash.replication_factor = 2;
+    cfg.trace = TraceConfig::full();
+    let mut udr = Udr::build(cfg).unwrap();
+    provision_n(&mut udr, 6);
+    udr.advance_to(t(9));
+    let partition = PartitionId(0);
+    let members = udr.shard_map().members_of(partition).unwrap().to_vec();
+    let aborted = udr.start_migration(
+        MigrationPlan {
+            partition,
+            from: members[0],
+            to: members[1],
+            reason: MoveReason::ScaleOut,
+        },
+        t(10),
+    );
+    let slave = *members
+        .iter()
+        .find(|se| udr.shard_map().master_of(partition) != Some(**se))
+        .unwrap();
+    let to = udr.add_se(udr.se(slave).site(), t(11));
+    let moved = udr.start_migration(
+        MigrationPlan {
+            partition,
+            from: slave,
+            to,
+            reason: MoveReason::ScaleOut,
+        },
+        t(11),
+    );
+    settle_migrations(&mut udr, t(11));
+    assert_eq!(udr.migration_state(aborted), Some(MigrationState::Aborted));
+    assert_eq!(udr.migration_state(moved), Some(MigrationState::Done));
+    assert_eq!(migration_instants(&udr, "migr.abort", aborted), 1);
+    assert_eq!(migration_instants(&udr, "migr.cutover", aborted), 0);
+    assert_eq!(migration_instants(&udr, "migr.cutover", moved), 1);
+    assert_eq!(migration_instants(&udr, "migr.abort", moved), 0);
+
+    // Consensus engine: the cutover is a chosen reconfig command.
+    let mut cfg = UdrConfig::figure2();
+    cfg.ses_per_cluster = 2;
+    cfg.partitions = 6;
+    cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+    cfg.frash.replication_factor = 3;
+    cfg.trace = TraceConfig::full();
+    let mut udr = Udr::build(cfg).unwrap();
+    udr.advance_to(t(5));
+    provision_n(&mut udr, 6);
+    udr.advance_to(t(9));
+    let from = udr.shard_map().members_of(partition).unwrap()[1];
+    let to = udr.add_se(udr.se(from).site(), t(10));
+    let moved = udr.start_migration(
+        MigrationPlan {
+            partition,
+            from,
+            to,
+            reason: MoveReason::ScaleOut,
+        },
+        t(10),
+    );
+    settle_migrations(&mut udr, t(10));
+    assert_eq!(udr.migration_state(moved), Some(MigrationState::Done));
+    assert_eq!(migration_instants(&udr, "migr.cutover", moved), 1);
+    assert_eq!(migration_instants(&udr, "migr.abort", moved), 0);
 }

@@ -7,13 +7,21 @@
 //! channel stalls and a catch-up pass re-ships the missing suffix from the
 //! master's log once the slave is reachable again.
 //!
+//! Every commit takes one path: [`AsyncShipper::enqueue`] adds it to the
+//! channel's open batch, and the batch ships as one message
+//! ([`BatchDelivery`]) when it reaches [`ShipBatchConfig::max_records`]
+//! ([`AsyncShipper::flush_open`]) or when its linger timer fires
+//! ([`AsyncShipper::flush_if_open`]). The default cap is one, so each
+//! commit ships at once as a batch of one. Only a catch-up pass ships
+//! single records ([`Delivery`]).
+//!
 //! The master's log is what a catch-up pass re-ships, so it must reach back
 //! to the record after each channel's confirmed position
 //! ([`AsyncShipper::min_applied`]); the deployment truncates it no further
 //! than that. A record in flight travels as a clone; should it be lost, the
 //! re-ship starts from the confirmed position, which the log still reaches.
 //!
-//! Batched shipping recycles its vectors: a delivered batch hands its
+//! Shipping recycles its batch vectors: a delivered batch hands its
 //! emptied record vector back ([`AsyncShipper::recycle`]), and the next
 //! flush on any of the shipper's channels takes a returned vector before it
 //! allocates one, so a steady stream of batches allocates no batch vector.
@@ -36,7 +44,8 @@ pub struct ShipBatchConfig {
 }
 
 impl ShipBatchConfig {
-    /// Legacy behaviour: every commit ships as its own delivery.
+    /// The default: a cap of one record and no linger, so every commit
+    /// ships at once as a batch of one.
     pub const fn per_record() -> Self {
         ShipBatchConfig {
             max_records: 1,
@@ -50,11 +59,6 @@ impl ShipBatchConfig {
             max_records,
             linger,
         }
-    }
-
-    /// Whether this configuration coalesces at all.
-    pub fn is_per_record(&self) -> bool {
-        self.max_records <= 1
     }
 }
 
@@ -73,7 +77,7 @@ struct Channel {
     inflight: Lsn,
     /// Arrival instant of the last in-flight record (FIFO clamp).
     last_arrival: SimTime,
-    /// Records coalescing in the currently open batch (batched mode).
+    /// Records coalescing in the currently open batch.
     pending: Vec<CommitRecord>,
     /// Highest LSN accepted into `pending` (== `inflight` when empty).
     enqueued: Lsn,
@@ -101,11 +105,11 @@ pub struct AsyncShipper {
     pub shipped: u64,
     /// Catch-up passes performed.
     pub catchups: u64,
-    /// Coalesced batches delivered (batched mode only).
+    /// Batches flushed, including batches of one.
     pub batches: u64,
 }
 
-/// A planned delivery: apply `record` on `slave` at `arrives`.
+/// A planned catch-up delivery: apply `record` on `slave` at `arrives`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// Destination slave SE.
@@ -207,34 +211,6 @@ impl AsyncShipper {
         self.channels.values().map(|c| c.applied).min()
     }
 
-    /// Plan delivery of one just-committed record to one slave. `delay` is
-    /// the sampled one-way network delay; `None` (unreachable/lost) stalls
-    /// the channel — a later catch-up pass will re-ship.
-    pub fn ship(
-        &mut self,
-        slave: SeId,
-        record: &CommitRecord,
-        now: SimTime,
-        delay: Option<SimDuration>,
-    ) -> Option<Delivery> {
-        let ch = self.channels.get_mut(&slave)?;
-        // Only ship the exact next record; anything else waits for catch-up.
-        if !ch.pending.is_empty() || record.lsn != ch.inflight.next() {
-            return None;
-        }
-        let delay = delay?;
-        let arrives = (now + delay).max(ch.last_arrival);
-        ch.inflight = record.lsn;
-        ch.enqueued = record.lsn;
-        ch.last_arrival = arrives;
-        self.shipped += 1;
-        Some(Delivery {
-            slave,
-            record: record.clone(),
-            arrives,
-        })
-    }
-
     /// Confirm that `slave` applied everything through `lsn`.
     pub fn on_applied(&mut self, slave: SeId, lsn: Lsn) {
         if let Some(ch) = self.channels.get_mut(&slave) {
@@ -244,10 +220,10 @@ impl AsyncShipper {
         }
     }
 
-    /// Enqueue a just-committed record into `slave`'s open batch (batched
-    /// shipping). The record must be the exact next LSN the channel
-    /// expects; anything else is refused and left to catch-up. Reachability
-    /// is evaluated when the batch flushes, not here.
+    /// Enqueue a just-committed record into `slave`'s open batch. The
+    /// record must be the exact next LSN the channel expects; anything else
+    /// is refused and left to catch-up. Reachability is evaluated when the
+    /// batch flushes, not here.
     pub fn enqueue(
         &mut self,
         slave: SeId,
@@ -480,6 +456,21 @@ mod tests {
             .collect()
     }
 
+    /// Ship one record the way a commit does at the default cap: it fills
+    /// its batch, which flushes at once.
+    fn ship_one(
+        shipper: &mut AsyncShipper,
+        slave: SeId,
+        record: &CommitRecord,
+        now: SimTime,
+        delay: Option<SimDuration>,
+    ) -> Option<BatchDelivery> {
+        match shipper.enqueue(slave, record, &ShipBatchConfig::per_record()) {
+            Enqueue::Full => shipper.flush_open(slave, now, delay),
+            _ => None,
+        }
+    }
+
     #[test]
     fn ship_in_order_with_fifo_clamp() {
         let mut master = Engine::new(SeId(0));
@@ -488,40 +479,28 @@ mod tests {
         shipper.register_slave(SeId(1), Lsn::ZERO);
 
         // First record: 10 ms delay.
-        let d1 = shipper
-            .ship(
-                SeId(1),
-                &recs[0],
-                SimTime(0),
-                Some(SimDuration::from_millis(10)),
-            )
-            .unwrap();
+        let d1 = ship_one(
+            &mut shipper,
+            SeId(1),
+            &recs[0],
+            SimTime(0),
+            Some(SimDuration::from_millis(10)),
+        )
+        .unwrap();
         // Second record sent 1 ms later but sampled a 2 ms delay: FIFO
-        // clamps its arrival to not precede the first.
-        let d2 = shipper
-            .ship(
-                SeId(1),
-                &recs[1],
-                SimTime(1_000_000),
-                Some(SimDuration::from_millis(2)),
-            )
-            .unwrap();
-        assert!(d2.arrives >= d1.arrives);
-    }
-
-    #[test]
-    fn ship_skips_out_of_sequence_records() {
-        let mut master = Engine::new(SeId(0));
-        let recs = commit_n(&mut master, 3);
-        let mut shipper = AsyncShipper::new();
-        shipper.register_slave(SeId(1), Lsn::ZERO);
-        // Shipping record 2 before record 1 is refused.
-        assert!(shipper
-            .ship(SeId(1), &recs[1], SimTime(0), Some(SimDuration::ZERO))
-            .is_none());
-        assert!(shipper
-            .ship(SeId(1), &recs[0], SimTime(0), Some(SimDuration::ZERO))
-            .is_some());
+        // clamps its arrival to the first's instead of 3 ms.
+        let d2 = ship_one(
+            &mut shipper,
+            SeId(1),
+            &recs[1],
+            SimTime(1_000_000),
+            Some(SimDuration::from_millis(2)),
+        )
+        .unwrap();
+        assert_eq!(d1.arrives, SimTime(10_000_000));
+        assert_eq!(d2.arrives, d1.arrives);
+        assert_eq!((d1.records.len(), d2.records.len()), (1, 1));
+        assert_eq!(d2.records[0].lsn, Lsn(2));
     }
 
     #[test]
@@ -532,7 +511,7 @@ mod tests {
         shipper.register_slave(SeId(1), Lsn::ZERO);
 
         // Partition: the first ship attempt fails (None delay), channel stalls.
-        assert!(shipper.ship(SeId(1), &recs[0], SimTime(0), None).is_none());
+        assert!(ship_one(&mut shipper, SeId(1), &recs[0], SimTime(0), None).is_none());
         assert_eq!(shipper.lag(SeId(1), &master), Some(5));
 
         // Heal: catch-up re-ships the full suffix in order.
@@ -673,7 +652,7 @@ mod tests {
         shipper.register_slave(SeId(1), Lsn::ZERO);
 
         // Stall the channel (partition: ship fails), then drain the slave.
-        assert!(shipper.ship(SeId(1), &recs[0], SimTime(0), None).is_none());
+        assert!(ship_one(&mut shipper, SeId(1), &recs[0], SimTime(0), None).is_none());
         let pending = shipper.unregister_slave(SeId(1));
         assert_eq!(pending, 0); // nothing in flight, 4 unshipped
         assert_eq!(shipper.slaves().count(), 0);
@@ -718,9 +697,14 @@ mod tests {
         shipper.register_slave(SeId(1), Lsn::ZERO);
         // Two records in flight, none acked.
         for r in &recs {
-            assert!(shipper
-                .ship(SeId(1), r, SimTime(0), Some(SimDuration::from_millis(5)))
-                .is_some());
+            assert!(ship_one(
+                &mut shipper,
+                SeId(1),
+                r,
+                SimTime(0),
+                Some(SimDuration::from_millis(5))
+            )
+            .is_some());
         }
         assert_eq!(shipper.unregister_slave(SeId(1)), 2);
     }
@@ -838,6 +822,11 @@ mod tests {
         let cfg = ShipBatchConfig::coalesce(4, SimDuration::from_millis(5));
         assert_eq!(shipper.enqueue(SeId(1), &recs[1], &cfg), Enqueue::Refused);
         assert_eq!(shipper.enqueue(SeId(9), &recs[0], &cfg), Enqueue::Refused);
+        // A refusal leaves the channel as it was: the next record still opens.
+        assert_eq!(
+            shipper.enqueue(SeId(1), &recs[0], &cfg),
+            Enqueue::Opened { seq: 1 }
+        );
     }
 
     #[test]
@@ -847,7 +836,6 @@ mod tests {
         let mut shipper = AsyncShipper::new();
         shipper.register_slave(SeId(1), Lsn::ZERO);
         let cfg = ShipBatchConfig::per_record();
-        assert!(cfg.is_per_record());
         for r in &recs {
             assert_eq!(shipper.enqueue(SeId(1), r, &cfg), Enqueue::Full);
             let b = shipper
@@ -913,9 +901,14 @@ mod tests {
         let mut master = Engine::new(SeId(0));
         let recs = commit_n(&mut master, 1);
         let mut shipper = AsyncShipper::new();
-        assert!(shipper
-            .ship(SeId(9), &recs[0], SimTime(0), Some(SimDuration::ZERO))
-            .is_none());
+        assert!(ship_one(
+            &mut shipper,
+            SeId(9),
+            &recs[0],
+            SimTime(0),
+            Some(SimDuration::ZERO)
+        )
+        .is_none());
         assert!(shipper.applied(SeId(9)).is_none());
         assert!(!shipper.needs_reseed(SeId(9), &master));
     }

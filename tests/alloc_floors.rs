@@ -332,12 +332,13 @@ fn warm_writes(udr: &mut Udr, mut now: SimTime, gap: SimDuration) -> (u64, SimTi
     (tally().calls - counted_from, now)
 }
 
-#[test]
-fn a_warm_modify_allocates_for_what_it_changes() {
+/// Warm modifies under async master/slave shipping with `ship_batch`,
+/// held to the modify floor.
+fn warm_modifies_allocate_for_what_they_change(ship_batch: ShipBatchConfig) {
     let mut cfg = UdrConfig::figure2();
     cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
     cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
-    cfg.ship_batch = ShipBatchConfig::coalesce(64, SimDuration::from_millis(5));
+    cfg.ship_batch = ship_batch;
     let (mut udr, now) = provisioned_for_writes(cfg);
     let (calls, now) = warm_writes(&mut udr, now, MODIFY_GAP);
 
@@ -345,8 +346,23 @@ fn a_warm_modify_allocates_for_what_it_changes() {
     assert!(udr.replication_settled());
     assert!(
         calls <= COUNTED + COUNTED / 5,
-        "{COUNTED} warm modifies made {calls} allocator calls, pump included"
+        "{COUNTED} warm modifies made {calls} allocator calls, pump included ({ship_batch:?})"
     );
+}
+
+#[test]
+fn a_warm_modify_allocates_for_what_it_changes() {
+    warm_modifies_allocate_for_what_they_change(ShipBatchConfig::coalesce(
+        64,
+        SimDuration::from_millis(5),
+    ));
+}
+
+/// The default ships every commit at once as a batch of one; its batch
+/// vectors are recycled like coalesced ones.
+#[test]
+fn a_warm_modify_shipped_per_record_allocates_for_what_it_changes() {
+    warm_modifies_allocate_for_what_they_change(ShipBatchConfig::per_record());
 }
 
 /// A warm one-attribute modify of a provisioned profile, on the bare
