@@ -32,6 +32,8 @@
 //!
 //! [`ConsensusCluster`]: crate::runtime::ConsensusCluster
 
+use udr_model::time::SimTime;
+
 use crate::ballot::{Ballot, NodeId, Slot};
 use crate::msg::{CmdId, Command, Message};
 use crate::replica::{Outbound, Replica, ReplicaConfig, Role};
@@ -214,6 +216,16 @@ impl Ensemble {
         }
     }
 
+    /// Node `node` takes a copy of node `from`'s decided log in place of
+    /// its own, keeping its own decisions above `from`'s base: the host's
+    /// install of a node that restored behind the other logs' compacted
+    /// base. The node drops what it had queued or proposed, and a leader
+    /// or candidate steps down at `now`.
+    pub fn install_log(&mut self, now: SimTime, node: usize, from: usize) {
+        let log = self.replicas[from].log().clone();
+        self.replicas[node].install_log(now, log);
+    }
+
     /// Whether a command chosen at one slot may still be chosen at, or has
     /// not yet reached every log at, another. That takes a leader change
     /// around a re-forwarded command, so it is rare, and one of:
@@ -227,8 +239,10 @@ impl Ensemble {
     ///   yet: that log must still hold the first copy when it learns it.
     ///
     /// A pending command needs no check: its node has not learned the
-    /// command's slot, so the floor, at most that node's cursor or image,
-    /// stays below that slot.
+    /// command's slot. While the node is up its cursor holds the floor
+    /// below that slot; a node that was down restores either above the
+    /// base, or behind it, and then drops its pending commands with its
+    /// log ([`Ensemble::install_log`]).
     fn second_copy_pending(&self) -> bool {
         let chosen_elsewhere = |slot: Option<Slot>, cmd: &Command| {
             !cmd.id.is_noop()

@@ -394,25 +394,23 @@ impl ChosenLog {
     /// none). Reconfig entries above the cursor are applied again on a
     /// replay, which the deployment's first-apply-wins guard makes a no-op.
     /// Writes in the compacted prefix are counted, not walked: the walk
-    /// covers only the held slots up to that write. `writes` must not fall
-    /// short of the writes compacted, whose slots are gone.
-    pub fn cursor_for_writes(&self, writes: u64) -> Slot {
-        if writes == 0 {
-            return Slot::ZERO;
+    /// covers only the held slots up to that write. `None` when `writes`
+    /// falls short of the writes compacted: the slots a replay would need
+    /// are gone, and the copy must be installed from a peer instead.
+    pub fn cursor_for_writes(&self, writes: u64) -> Option<Slot> {
+        if writes < self.writes_below {
+            return None;
         }
-        debug_assert!(
-            writes >= self.writes_below,
-            "write {writes} lies below the compacted base {}",
-            self.base
-        );
-        if writes <= self.writes_below {
-            return self.last_write_below;
+        if writes == self.writes_below {
+            return Some(self.last_write_below);
         }
-        self.iter_effective()
+        let cursor = self
+            .iter_effective()
             .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
             .nth((writes - self.writes_below - 1) as usize)
             // More writes on disk than the log holds cannot happen.
-            .map_or(self.applied, |(slot, _)| slot)
+            .map_or(self.applied, |(slot, _)| slot);
+        Some(cursor)
     }
 
     /// Check prefix consistency against another log: every slot decided in
@@ -713,15 +711,16 @@ mod tests {
         log.record(Slot(4), w(2)).unwrap();
         log.record(Slot(5), w(1)).unwrap(); // a re-forwarded duplicate
         log.record(Slot(6), w(3)).unwrap();
-        let whole: Vec<Slot> = (0..=4).map(|n| log.cursor_for_writes(n)).collect();
+        let whole: Vec<Option<Slot>> = (0..=4).map(|n| log.cursor_for_writes(n)).collect();
         log.compact_through(Slot(3));
-        assert_eq!(log.cursor_for_writes(1), whole[1]);
-        for n in 2..=4 {
+        assert_eq!(log.cursor_for_writes(0), None, "write 0 is compacted");
+        for n in 1..=4 {
             assert_eq!(log.cursor_for_writes(n), whole[n as usize], "write {n}");
         }
         log.compact_through(Slot(5));
-        assert_eq!(log.cursor_for_writes(2), Slot(4));
-        assert_eq!(log.cursor_for_writes(3), Slot(6));
+        assert_eq!(log.cursor_for_writes(1), None, "write 1 is compacted");
+        assert_eq!(log.cursor_for_writes(2), Some(Slot(4)));
+        assert_eq!(log.cursor_for_writes(3), Some(Slot(6)));
     }
 
     #[test]

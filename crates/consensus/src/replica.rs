@@ -235,6 +235,32 @@ impl Replica {
         self.log.compact_through(floor);
     }
 
+    /// Take `log`, a copy of a peer's decided log, in place of this node's
+    /// own, which cannot serve the node from the peer's apply cursor on:
+    /// it falls short of that cursor, and the slots up to it may lie below
+    /// the peer's compacted base, where catch-up never reaches; or it was
+    /// compacted past the cursor. Its own decisions above the peer's base
+    /// are kept. A leader or candidate steps down at `now`.
+    /// What it queued or proposed may have been chosen below the base,
+    /// where no id window sees it any more, so it drops that as a
+    /// restarted process would; its promise and the values it accepted
+    /// above the base stay.
+    pub(crate) fn install_log(&mut self, now: SimTime, mut log: ChosenLog) {
+        for (slot, cmd) in self.log.iter() {
+            if let Err(v) = log.record(slot, cmd.clone()) {
+                self.violations.push(v);
+            }
+        }
+        self.accepted = self.accepted.split_off(&log.base().next());
+        self.log = log;
+        if self.role != Role::Follower {
+            self.step_down(now);
+        }
+        self.pending.clear();
+        self.pending_ids.clear();
+        self.newly_chosen.clear();
+    }
+
     /// The commands this node may still propose at a slot it holds them
     /// for: its accepted values and, while it campaigns, the ones it
     /// gathered from promises.
@@ -371,9 +397,10 @@ impl Replica {
             }
             Message::CatchUpRequest { above } => {
                 // A request from below the base was sent before the
-                // compaction; the floor never passes what a member has
-                // learned, so the requester holds the compacted slots by
-                // now. It is answered all the same, from the base.
+                // compaction, or by a node that restored behind it; the
+                // first holds the compacted slots by now, and the second's
+                // host installs a peer's log into it. It is answered all
+                // the same, from the base.
                 if above < self.log.max_slot() {
                     let chosen = self.chosen_above(above.max(self.log.base()));
                     out.push(Outbound::To(from, Message::CatchUpReply { chosen }));
@@ -838,6 +865,45 @@ mod tests {
         let mut out = Vec::new();
         r.submit(now, cmd, &mut out);
         out
+    }
+
+    /// An installed log takes the peer's compacted prefix and keeps the
+    /// node's own decisions above it, reporting one that conflicts; what
+    /// the node had queued goes.
+    #[test]
+    fn an_installed_log_keeps_own_decisions_above_the_peers_base() {
+        let mut peer = ChosenLog::new();
+        for s in 1..=6 {
+            peer.record(Slot(s), w(s)).unwrap();
+        }
+        peer.compact_through(Slot(4));
+        let mut r = Replica::new(NodeId(0), 3, cfg(), 1);
+        for (slot, cmd) in [(1, w(1)), (5, w(50)), (8, w(8))] {
+            handle(
+                &mut r,
+                t(1),
+                NodeId(1),
+                Message::Learn {
+                    slot: Slot(slot),
+                    cmd,
+                },
+            );
+        }
+        submit(&mut r, t(2), w(9));
+        assert_eq!(r.pending_len(), 1);
+
+        r.install_log(t(3), peer);
+        assert_eq!(r.log().base(), Slot(4));
+        assert_eq!(r.log().committed(), Slot(6));
+        assert_eq!(r.log().get(Slot(8)), Some(&w(8)));
+        assert_eq!(
+            r.log().get(Slot(5)),
+            Some(&w(5)),
+            "the peer's decision stands"
+        );
+        assert_eq!(r.take_violations().len(), 1, "slot 5 conflicts");
+        assert_eq!(r.pending_len(), 0);
+        assert_eq!(r.role(), Role::Follower);
     }
 
     fn accepted(ballot: Ballot, slot: u64) -> Message {

@@ -29,11 +29,10 @@
 //! is its post-image and the odd catch-up transfer. Its slot costs no
 //! allocation of its own: each replica's [`ChosenLog`] stores decisions by
 //! slot in fixed segments of 256 slots, and the catch-up tick compacts
-//! every log of a partition through one floor, the lowest slot a reader
-//! may still ask for (`Udr::chosen_floor`): a node's disk image, an up
-//! node's apply cursor. Once the floor moves as fast as the logs grow, a
-//! segment is a spare a compaction emptied, not a new allocation, and a
-//! log holds about one save interval of decisions.
+//! every log of a partition through one floor, the lowest up node's apply
+//! cursor (`Udr::chosen_floor`). Once the floor moves as fast as the logs
+//! grow, a segment is a spare a compaction emptied, not a new allocation,
+//! and a log holds about one catch-up tick of decisions.
 //!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen
@@ -47,8 +46,10 @@
 //! restart (the persistence Paxos requires): a down node simply stops
 //! ticking and receiving; on restore (`Udr::restore_se`) its engine is
 //! rolled forward from the recovered disk position by replaying its chosen
-//! log from [`ChosenLog::cursor_for_writes`]. The floor keeps that slot
-//! held: a down node's image is one of the floor's readers.
+//! log from [`ChosenLog::cursor_for_writes`]. A down node does not hold the
+//! floor, so that slot may be compacted away; the node then installs the
+//! engine of the up node furthest ahead and its cursor, and replays its
+//! own log above it (Raft's InstallSnapshot).
 //!
 //! Migration cutovers ride the log as [`Payload::Reconfig`] commands —
 //! exactly-once (command-id dedup plus first-apply-wins) and totally
@@ -91,11 +92,6 @@ pub(crate) struct ConsensusGroup {
     /// holds its log's effective entries. `consensus_apply` resumes
     /// strictly above it and leaves it at the log's `committed()`.
     pub(crate) applied: Vec<Slot>,
-    /// Per node, the LSN of its SE's disk image of the partition (`ZERO`
-    /// before the first save) as the last catch-up tick saw it, and the
-    /// slot a restore from that image resumes at. Recomputed only when the
-    /// image changed.
-    pub(crate) images: Vec<(Lsn, Slot)>,
     /// The client write `consensus_write` is polling for. A catch-up tick
     /// that finds it chosen compacts nothing, so the poll, at most 1 ms
     /// later, still finds its id in the logs.
@@ -119,7 +115,6 @@ impl ConsensusGroup {
         ConsensusGroup {
             ensemble: Ensemble::new(n, ReplicaConfig::default(), seed),
             applied: vec![Slot::ZERO; n],
-            images: vec![(Lsn::ZERO, Slot::ZERO); n],
             awaited: None,
             history: None,
             echoes: Vec::with_capacity(n),
@@ -786,9 +781,11 @@ impl Udr {
     /// the first replica to apply it performs the cutover (swap the
     /// member in the replication group, in place, so the moved node keeps
     /// its index and its protocol state; carry the retiring copy's exact
-    /// storage state and its disk image to the target, bump the shard-map
-    /// epoch); every later apply finds the migration already in a terminal
-    /// state and no-ops — the exactly-once guarantee.
+    /// storage state to the target, bump the shard-map epoch); every later
+    /// apply finds the migration already in a terminal state and no-ops —
+    /// the exactly-once guarantee. The target's disk holds nothing until
+    /// its first save: a crash before then restores like any copy behind
+    /// the floor, by installing a peer's.
     fn consensus_reconfig_applied(&mut self, t: SimTime, migration: u64) {
         let Some(m) = self.migrations.get(migration as usize) else {
             return;
@@ -816,13 +813,6 @@ impl Udr {
         {
             self.migration_abort(t, migration);
             return;
-        }
-        // And its disk image: the chosen logs were compacted behind that
-        // image, so a crash before the target's first save must restore
-        // from it, not from nothing.
-        if let Some(image) = self.ses[plan.from.index()].disk().load(plan.partition) {
-            let image = image.clone();
-            self.ses[plan.to.index()].install_image(plan.partition, image);
         }
         self.shard_map
             .replace_member(plan.partition, plan.from, plan.to)
@@ -893,12 +883,6 @@ mod tests {
         assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
         assert_eq!(udr.group(P0).members()[node], to);
         id
-    }
-
-    fn effective_writes(log: &ChosenLog) -> u64 {
-        log.iter_effective()
-            .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
-            .count() as u64
     }
 
     /// How many commit records `se`'s copy of partition 0 has applied.
@@ -988,13 +972,25 @@ mod tests {
         }
     }
 
-    /// Crash the serving leader mid-stream and bring it back, with a
-    /// cutover on each side of what its disk recovers (`snapshot`: a disk
-    /// image between the two; otherwise nothing survives) and one command
-    /// id chosen in two slots: the replay must land the engine on the
-    /// node's committed prefix with every write applied once.
-    fn crash_and_restore_a_member(durability: DurabilityMode, snapshot: bool) {
-        let mut udr = provisioned(durability);
+    /// One modify of subscriber `n` at `ms`, writing `value`.
+    fn modify_one(udr: &mut Udr, n: u64, value: u64, ms: u64) {
+        let out = udr.modify_services(
+            &Identity::Imsi(imsi(n)),
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(value))],
+            SiteId(0),
+            at(ms),
+        );
+        assert!(out.is_ok(), "write {value}: {:?}", out.result);
+    }
+
+    /// Crash the serving leader mid-stream with nothing on disk and bring
+    /// it back, with a cutover before the crash and one while it is down:
+    /// every log was compacted past the empty copy it rejoins with, so it
+    /// installs a peer's engine and cursor, and ends with every write
+    /// applied once and the second cutover not run again.
+    #[test]
+    fn restore_without_a_disk_image_installs_a_peers_copy() {
+        let mut udr = provisioned(DurabilityMode::None);
         let f = udr.consensus_serving_leader(0).expect("a leader serves");
         let f_se = udr.group(P0).members()[f];
         // Neither the node under test nor member 0, whose id every apply
@@ -1005,68 +1001,32 @@ mod tests {
         let first = migrate_node(&mut udr, mover, 7_000);
         modify_round(&mut udr, 2, 12_000);
         udr.advance_to(at(14_000));
-        let on_disk = lsn_of(&udr, f_se);
-        if snapshot {
-            udr.ses[f_se.index()].force_snapshot(at(14_000));
-        }
-        modify_round(&mut udr, 3, 15_000);
-        let second = migrate_node(&mut udr, mover, 17_000);
-        modify_round(&mut udr, 4, 22_000);
-
-        // A second slot for round 1's first write, as a re-forward around
-        // a leader change leaves behind. Every node learns it; the leader
-        // crashes before it would propose into that slot itself.
-        udr.advance_to(at(24_000));
         assert!(udr.replication_settled());
-        let log = udr.consensus[0].ensemble.nodes()[f].log();
-        let (_, twin) = log
-            .iter_effective()
-            .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
-            .nth(SUBSCRIBERS as usize)
-            .expect("round 1 is in the log");
-        let (twin, twin_slot) = (twin.clone(), log.committed().next());
-        for to in 0..3 {
-            let ticket = udr.consensus[0].ensemble.post(Message::Learn {
-                slot: twin_slot,
-                cmd: twin.clone(),
-            });
-            udr.consensus_deliver(at(24_000), P0, to, (to + 1) % 3, ticket, 0);
-        }
-        let writes_at_crash = effective_writes(udr.consensus[0].ensemble.nodes()[f].log());
-        assert_eq!(
-            lsn_of(&udr, f_se),
-            writes_at_crash,
-            "the twin must not be applied"
-        );
-
         udr.schedule_script(&FaultScript::new(0).se_outage(
-            at(24_001),
-            SimDuration::from_secs(10),
+            at(14_001),
+            SimDuration::from_secs(16),
             f_se,
         ));
-        modify_round(&mut udr, 5, 30_000);
+        modify_round(&mut udr, 3, 20_000);
+        let second = migrate_node(&mut udr, mover, 22_000);
+        modify_round(&mut udr, 4, 27_000);
+        udr.advance_to(at(30_000));
+        let log = udr.consensus[0].ensemble.nodes()[f].log();
+        assert!(log.base() > Slot::ZERO);
+        assert_eq!(log.cursor_for_writes(0), None, "the empty copy is behind");
+        assert_eq!(udr.metrics.reseeds, 0);
 
-        // Restore replays the node's own log from the recovered position:
-        // rounds 3 and 4, the second cutover (a no-op by now) and the
-        // shadowed twin — or, from nothing, all of it.
-        udr.advance_to(at(34_001));
-        let recovered = if snapshot { on_disk } else { 0 };
-        assert!(recovered < writes_at_crash);
-        assert_eq!(
-            lsn_of(&udr, f_se),
-            writes_at_crash,
-            "replay from LSN {recovered} must end where the crash left off"
-        );
-        assert_eq!(
-            udr.consensus[0].applied[f],
-            udr.consensus[0].ensemble.nodes()[f].log().committed()
-        );
-
-        modify_round(&mut udr, 6, 36_000);
+        // Restored at 30.001 s.
+        udr.advance_to(at(30_100));
+        assert!(udr.ses[f_se.index()].is_up());
+        assert_eq!(udr.metrics.reseeds, 1, "one install");
+        modify_round(&mut udr, 5, 33_000);
         udr.advance_to(at(60_000));
 
+        // Whoever leads now (the node campaigns as it rejoins, and may
+        // win), one other node to compare with.
         let l = udr.consensus_serving_leader(0).expect("a leader serves");
-        assert_ne!(l, f, "the crash must have moved leadership");
+        let l = if l == f { (f + 1) % 3 } else { l };
         let g = &udr.consensus[0];
         let log = g.ensemble.nodes()[f].log();
         assert_eq!(log.committed(), g.ensemble.nodes()[l].log().committed());
@@ -1074,19 +1034,74 @@ mod tests {
         assert!(udr.replication_settled());
         assert_eq!(records(&udr, f), records(&udr, l));
         assert_eq!(records(&udr, f).len(), SUBSCRIBERS as usize);
+        let l_se = udr.group(P0).members()[l];
+        assert_eq!(lsn_of(&udr, f_se), lsn_of(&udr, l_se));
         assert_eq!(
             lsn_of(&udr, f_se),
-            effective_writes(log),
-            "one commit record per effective write"
+            6 * SUBSCRIBERS,
+            "one commit record per write"
         );
-        assert_eq!(effective_writes(log), 7 * SUBSCRIBERS);
-        assert_eq!(log.iter().filter(|(_, c)| c.id == twin.id).count(), 2);
-        assert_eq!(log.get(twin_slot).map(|c| c.id), Some(twin.id));
         for id in [first, second] {
             assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
         }
         assert_eq!(udr.metrics.migrations_completed, 2);
         assert_eq!(udr.metrics.migrations_aborted, 0);
+        assert_eq!(udr.metrics.reseeds, 1);
+        assert!(udr.consensus_violations().is_empty());
+    }
+
+    /// A node that restores behind the compacted logs while no peer hosts
+    /// a copy hosts nothing and waits. The next peer to restore with a
+    /// copy (here one whose image no compaction passed) seeds it, and the
+    /// three end with one engine.
+    #[test]
+    fn a_node_behind_the_base_with_no_peer_up_waits_for_one() {
+        let hourly = DurabilityMode::PeriodicSnapshot {
+            interval: SimDuration::from_secs(3_600),
+        };
+        let mut udr = provisioned(hourly);
+        let l = udr.consensus_serving_leader(0).expect("a leader serves");
+        let a = (l + 1) % 3;
+        let members = udr.group(P0).members().to_vec();
+        udr.ses[members[a].index()].force_snapshot(at(5_000));
+        modify_round(&mut udr, 1, 5_100);
+        // `a` is down from 6 s to 12 s, the other two from 7 s on.
+        udr.schedule_script(&FaultScript::new(0).se_outage(
+            at(6_001),
+            SimDuration::from_secs(6),
+            members[a],
+        ));
+        modify_round(&mut udr, 2, 6_200);
+        // The 7 s tick compacts both up logs through their watermark; each
+        // then saves what it holds.
+        udr.advance_to(at(7_000));
+        let (b, c) = ((a + 1) % 3, (a + 2) % 3);
+        for (j, back) in [(b, 13_001), (c, 20_001)] {
+            udr.ses[members[j].index()].force_snapshot(at(7_000));
+            udr.schedule_script(&FaultScript::new(0).se_outage(
+                at(7_001),
+                SimDuration::from_millis(back - 7_001),
+                members[j],
+            ));
+        }
+
+        udr.advance_to(at(12_500));
+        assert!(udr.ses[members[a].index()].is_up());
+        assert!(udr.ses[members[a].index()].engine(P0).is_err(), "a waits");
+        assert_eq!(udr.metrics.reseeds, 0);
+        udr.advance_to(at(13_100));
+        assert_eq!(udr.metrics.reseeds, 1, "b's restore seeds a");
+        assert_eq!(records(&udr, a), records(&udr, b));
+
+        udr.advance_to(at(20_100));
+        assert_eq!(udr.metrics.reseeds, 1, "c replays its own log");
+        modify_round(&mut udr, 3, 21_000);
+        udr.advance_to(at(24_000));
+        assert!(udr.replication_settled());
+        assert_eq!(records(&udr, a), records(&udr, b));
+        assert_eq!(records(&udr, c), records(&udr, b));
+        // The provisioning and three rounds.
+        assert_eq!(lsn_of(&udr, members[a]), 4 * SUBSCRIBERS);
         assert!(udr.consensus_violations().is_empty());
     }
 
@@ -1249,17 +1264,72 @@ mod tests {
         );
     }
 
+    /// A follower restored from an image no compaction has passed resumes
+    /// at the slot of the recovered LSN and replays its own log from
+    /// there. Restored again from the same image after the logs were
+    /// compacted past it, it installs a peer's copy instead. Both times it
+    /// ends with the leader's engine.
     #[test]
     fn restore_resumes_at_the_slot_of_the_recovered_lsn() {
         let hourly = DurabilityMode::PeriodicSnapshot {
             interval: SimDuration::from_secs(3_600),
         };
-        crash_and_restore_a_member(hourly, true);
-    }
+        let mut udr = provisioned(hourly);
+        modify_round(&mut udr, 1, 5_000);
+        // The 7 s tick compacts every log through its watermark.
+        udr.advance_to(at(7_000));
+        let l = udr.consensus_serving_leader(0).expect("a leader serves");
+        let f = (l + 1) % 3;
+        let (f_se, l_se) = (udr.group(P0).members()[f], udr.group(P0).members()[l]);
+        udr.ses[f_se.index()].force_snapshot(at(7_000));
+        let on_disk = lsn_of(&udr, f_se);
+        modify_one(&mut udr, 0, 901, 7_010);
+        modify_one(&mut udr, 1, 902, 7_060);
+        udr.advance_to(at(7_150));
+        let writes_at_crash = lsn_of(&udr, f_se);
+        assert_eq!(writes_at_crash, on_disk + 2);
 
-    #[test]
-    fn restore_without_a_disk_image_replays_the_whole_log() {
-        crash_and_restore_a_member(DurabilityMode::None, false);
+        // Down from 7.151 s to 7.191 s, before the next tick.
+        udr.schedule_script(&FaultScript::new(0).se_outage(
+            at(7_151),
+            SimDuration::from_millis(40),
+            f_se,
+        ));
+        udr.advance_to(at(7_195));
+        assert!(udr.ses[f_se.index()].is_up());
+        let log = udr.consensus[0].ensemble.nodes()[f].log();
+        assert!(
+            log.cursor_for_writes(on_disk).is_some(),
+            "the image is above the base"
+        );
+        assert_eq!(
+            lsn_of(&udr, f_se),
+            writes_at_crash,
+            "replay from LSN {on_disk} must end where the crash left off"
+        );
+        assert_eq!(udr.consensus[0].applied[f], log.committed());
+        assert_eq!(udr.metrics.reseeds, 0, "replayed, not installed");
+
+        // Down from 7.301 s to 10.301 s, through a round of writes and
+        // every tick's compaction.
+        udr.schedule_script(&FaultScript::new(0).se_outage(
+            at(7_301),
+            SimDuration::from_secs(3),
+            f_se,
+        ));
+        modify_round(&mut udr, 2, 8_000);
+        udr.advance_to(at(10_300));
+        let log = udr.consensus[0].ensemble.nodes()[f].log();
+        assert_eq!(log.cursor_for_writes(on_disk), None, "the image is behind");
+        udr.advance_to(at(12_000));
+        assert!(udr.ses[f_se.index()].is_up());
+        assert_eq!(udr.metrics.reseeds, 1, "installed");
+        assert!(udr.replication_settled());
+        let g = &udr.consensus[0];
+        assert_eq!(g.applied[f], g.ensemble.nodes()[f].log().committed());
+        assert_eq!(records(&udr, f), records(&udr, l));
+        assert_eq!(lsn_of(&udr, f_se), lsn_of(&udr, l_se));
+        assert!(udr.consensus_violations().is_empty());
     }
 
     #[test]
@@ -1271,17 +1341,17 @@ mod tests {
         log.record(Slot(3), Command::reconfig(CmdId(9), 0)).unwrap();
         log.record(Slot(4), write(2)).unwrap();
         // Effective entries: write1 @2, reconfig @3, write2 @4.
-        assert_eq!(log.cursor_for_writes(0), Slot::ZERO);
-        assert_eq!(log.cursor_for_writes(1), Slot(2)); // reconfig re-applies (no-op)
-        assert_eq!(log.cursor_for_writes(2), Slot(4));
+        assert_eq!(log.cursor_for_writes(0), Some(Slot::ZERO));
+        assert_eq!(log.cursor_for_writes(1), Some(Slot(2))); // reconfig re-applies (no-op)
+        assert_eq!(log.cursor_for_writes(2), Some(Slot(4)));
         // More writes on disk than the log exposes cannot happen (the log
         // is durable); the cursor saturates at the watermark.
-        assert_eq!(log.cursor_for_writes(7), Slot(4));
+        assert_eq!(log.cursor_for_writes(7), Some(Slot(4)));
         // A re-forwarded duplicate and a trailing no-op count for nothing.
         log.record(Slot(5), write(1)).unwrap();
         log.record(Slot(6), write(3)).unwrap();
         log.record(Slot(7), Command::noop()).unwrap();
-        assert_eq!(log.cursor_for_writes(3), Slot(6));
-        assert_eq!(log.cursor_for_writes(4), Slot(7));
+        assert_eq!(log.cursor_for_writes(3), Some(Slot(6)));
+        assert_eq!(log.cursor_for_writes(4), Some(Slot(7)));
     }
 }

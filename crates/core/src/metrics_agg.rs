@@ -64,7 +64,9 @@ pub struct UdrMetrics {
     /// Committed transactions lost to failovers/restores (§4.2 durability
     /// gap made visible).
     pub lost_commits: u64,
-    /// Slave reseeds from master snapshots (log truncation / rejoin).
+    /// Copies taken whole from a peer: slave reseeds from a master
+    /// snapshot (log truncation / rejoin), and under consensus the
+    /// installs of a node that restored behind the compacted logs.
     pub reseeds: u64,
     /// Multi-master consistency-restoration runs (§5).
     pub merges: u64,

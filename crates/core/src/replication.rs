@@ -940,73 +940,52 @@ impl Udr {
     }
 
     /// The slot through which every chosen log of `pid` may be compacted
-    /// under consensus: the lowest slot any reader may still resume above.
-    /// The readers, and why each is one:
-    /// * every node's disk image, through the slot a restore from it
-    ///   resumes at ([`ChosenLog::cursor_for_writes`] of the image's LSN),
-    ///   or `Slot::ZERO` before its first save. A down node holds the floor
-    ///   there, so its replay finds every slot it needs;
-    /// * every up node's apply cursor. Catch-up requests, promise
-    ///   piggybacks and elections all read at or above it.
-    ///
-    /// A node's image slot is recomputed only when its image's LSN changed
-    /// since the last tick: once per save, a walk of the held slots.
-    ///
-    /// [`ChosenLog::cursor_for_writes`]: udr_consensus::ChosenLog::cursor_for_writes
-    fn chosen_floor(&mut self, pid: PartitionId) -> Slot {
+    /// under consensus: the lowest up node's apply cursor. Catch-up
+    /// requests, promise piggybacks and elections all read at or above it.
+    /// A down node holds nothing: should its disk image restore below its
+    /// log's base, it installs a peer's copy instead of replaying
+    /// (`Udr::restore_se`).
+    fn chosen_floor(&self, pid: PartitionId) -> Slot {
         let p = pid.index();
-        for (i, se) in self.shard_map.groups()[p].members().iter().enumerate() {
-            let lsn = self.ses[se.index()]
-                .disk()
-                .load(pid)
-                .map_or(Lsn::ZERO, |image| image.last_lsn);
-            let g = &mut self.consensus[p];
-            if g.images[i].0 != lsn {
-                let resume = g.ensemble.nodes()[i].log().cursor_for_writes(lsn.raw());
-                g.images[i] = (lsn, resume);
-            }
-        }
         let g = &self.consensus[p];
-        let images = g.images.iter().map(|&(_, resume)| resume);
-        let cursors = (0..g.applied.len())
+        (0..g.applied.len())
             .filter(|&i| self.consensus_node_up(p, i))
-            .map(|i| g.applied[i]);
-        images.chain(cursors).min().unwrap_or(Slot::ZERO)
+            .map(|i| g.applied[i])
+            .min()
+            .unwrap_or(Slot::ZERO)
     }
 
     /// The highest LSN through which every member's log of `pid` may be
-    /// truncated under a shipping family: the lowest position any reader
+    /// truncated under a shipping family: the lowest position an up reader
     /// may still resume from. The readers, and why each is one:
-    /// * every member's disk image, or `Lsn::ZERO` before its first save. A
-    ///   member that crashes restores from its image, and its channel
-    ///   restarts there (`restore_slave`) to catch up from the master's log;
     /// * every up member's own position. Quorum ack carry-over replays a
     ///   responder's gap from the master's log, and after a failover or a
     ///   master move the new master's log serves each slave from there;
-    /// * every ship channel's confirmed position, and every live migration
-    ///   channel's: a catch-up pass re-ships the suffix after it.
+    /// * every up slave's ship channel's confirmed position, and every live
+    ///   migration channel's: a catch-up pass re-ships the suffix after it.
+    ///
+    /// A down member holds nothing. A copy that restores below the
+    /// master's log is reseeded from the master's snapshot by the next
+    /// catch-up pass (`AsyncShipper::needs_reseed`).
     fn log_floor(&self, pid: PartitionId) -> Lsn {
         let p = pid.index();
-        let members = self.shard_map.groups()[p]
+        let up = |se: &SeId| self.ses[se.index()].is_up();
+        let copies = self.shard_map.groups()[p]
             .members()
             .iter()
-            .map(|se| &self.ses[se.index()]);
-        let images = members.clone().map(|se| {
-            se.disk()
-                .load(pid)
-                .map_or(Lsn::ZERO, |image| image.last_lsn)
-        });
-        let copies = members
-            .filter(|se| se.is_up())
-            .map(|se| se.last_lsn(pid).unwrap_or(Lsn::ZERO));
+            .filter(|se| up(se))
+            .map(|se| self.ses[se.index()].last_lsn(pid).unwrap_or(Lsn::ZERO));
+        let channels = self.shippers[p]
+            .slaves()
+            .filter(up)
+            .filter_map(|se| self.shippers[p].applied(se));
         let migrations = self
             .migrations
             .iter()
             .filter(|m| m.plan.partition == pid)
             .filter_map(|m| m.channel.as_ref()?.min_applied());
-        images
-            .chain(copies)
-            .chain(self.shippers[p].min_applied())
+        copies
+            .chain(channels)
             .chain(migrations)
             .min()
             .unwrap_or(Lsn::ZERO)
@@ -1149,8 +1128,10 @@ impl Udr {
     /// rejoins every group it belongs to. Under consensus the chosen log
     /// survived the crash (durable acceptor state): the node's apply cursor
     /// resets to the recovered disk position and the rest of its committed
-    /// prefix replays. There is no lost-commit accounting there: consensus
-    /// never acknowledged anything the log does not hold.
+    /// prefix replays. Should the log be compacted past that position, the
+    /// node installs a peer's copy instead (`Udr::consensus_installs`).
+    /// There is no lost-commit accounting there: consensus never
+    /// acknowledged anything the log does not hold.
     pub(crate) fn restore_se(&mut self, se: SeId) {
         let t = self.events.now();
         let recovered: IdMap<PartitionId, Lsn> =
@@ -1180,12 +1161,76 @@ impl Udr {
                     }
                     let writes = lsn.unwrap_or(Lsn::ZERO).raw();
                     let g = &mut self.consensus[p];
-                    g.applied[i] = g.ensemble.nodes()[i].log().cursor_for_writes(writes);
+                    let log = g.ensemble.nodes()[i].log();
+                    match log.cursor_for_writes(writes) {
+                        // A cursor below the base has only no-ops and
+                        // applied reconfigs between it and the base.
+                        Some(cursor) => g.applied[i] = cursor.max(log.base()),
+                        // The writes the image lacks are compacted away:
+                        // the copy goes, and a peer's takes its place. Until
+                        // then the cursor rests on the base.
+                        None => {
+                            g.applied[i] = log.base();
+                            self.ses[se.index()].release_partition(pid);
+                        }
+                    }
+                    self.consensus_installs(t, pid);
                     self.consensus_apply(t, pid);
                 }
                 _ if is_master => self.restore_master(pid, se, lsn),
                 _ => self.restore_slave(pid, se, lsn),
             }
+        }
+    }
+
+    /// Install a peer's copy into every up node of `pid`'s ensemble that
+    /// its own log cannot bring to the head: one that hosts no copy, or
+    /// whose committed prefix falls short of a peer's compacted base (the
+    /// slots between reach it neither by replay nor by catch-up). The
+    /// hosting node with the highest apply cursor, ties to the lowest
+    /// index, seeds its engine; the node takes that cursor, and that
+    /// node's log where its own cannot resume there
+    /// (`Ensemble::install_log`); its log serves the rest (Raft's
+    /// InstallSnapshot, Ongaro & Ousterhout, USENIX ATC 2014, §7). Each
+    /// install counts in `reseeds`. With no peer hosting a copy, a node
+    /// without one waits for the next restore.
+    fn consensus_installs(&mut self, t: SimTime, pid: PartitionId) {
+        let p = pid.index();
+        let members = self.shard_map.groups()[p].members().to_vec();
+        let hosts = |udr: &Udr, j: usize| udr.ses[members[j].index()].engine(pid).is_ok();
+        let max_base = (0..members.len())
+            .filter(|&j| hosts(self, j))
+            .map(|j| self.consensus[p].ensemble.nodes()[j].log().base())
+            .max();
+        for j in 0..members.len() {
+            let se = members[j];
+            let node = &self.consensus[p].ensemble.nodes()[j];
+            let behind = !hosts(self, j) || max_base.is_some_and(|b| node.log().committed() < b);
+            if !self.ses[se.index()].is_up() || !behind {
+                continue;
+            }
+            let applied = &self.consensus[p].applied;
+            let Some(donor) = (0..members.len())
+                .filter(|&k| k != j && hosts(self, k))
+                .max_by(|&a, &b| applied[a].cmp(&applied[b]).then(b.cmp(&a)))
+            else {
+                continue;
+            };
+            let role = if se == self.shard_map.groups()[p].master() {
+                ReplicaRole::Master
+            } else {
+                ReplicaRole::Slave
+            };
+            self.seed_copy(pid, members[donor], se, role)
+                .expect("donor hosts partition");
+            let g = &mut self.consensus[p];
+            let cursor = g.applied[donor];
+            let log = g.ensemble.nodes()[j].log();
+            if !(log.base()..=log.committed()).contains(&cursor) {
+                g.ensemble.install_log(t, j, donor);
+            }
+            g.applied[j] = cursor;
+            self.metrics.reseeds += 1;
         }
     }
 

@@ -469,33 +469,28 @@ fn image_lsn(udr: &Udr, se: SeId) -> Lsn {
         .map_or(Lsn::ZERO, |image| image.last_lsn)
 }
 
-/// After every catch-up tick, no member's commit log holds more than the
-/// records committed since the oldest member's disk image. A slave that
-/// crashes after a save, misses writes and restores from that save is
-/// caught up from the master's log, without a reseed, because the log
-/// reached back to its image all along.
-#[test]
-fn logs_truncate_behind_the_oldest_disk_image_and_a_restore_still_catches_up() {
-    let (mut udr, sub) = saving_every_second(ReplicationMode::AsyncMasterSlave);
+/// The one slave of the partition that does not master it.
+fn a_slave(udr: &Udr) -> SeId {
     let master = udr.group(P).master();
-    let slave = udr
-        .group(P)
-        .members()
-        .iter()
-        .copied()
-        .find(|&se| se != master)
-        .unwrap();
+    let members = udr.group(P).members();
+    members.iter().copied().find(|&se| se != master).unwrap()
+}
+
+/// After every catch-up tick, no up member's commit log holds more than
+/// the writes still in flight to an up slave: a down member's disk image
+/// holds nothing back. A slave that crashes after a save, misses writes
+/// and restores from that save finds the master's log truncated past its
+/// image, so the catch-up pass reseeds it from the master's snapshot, and
+/// it converges to the head.
+#[test]
+fn logs_hold_only_what_is_in_flight_and_a_restore_below_them_is_reseeded() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::AsyncMasterSlave);
+    let (master, slave) = (udr.group(P).master(), a_slave(&udr));
     let bounded = |udr: &Udr| {
-        let head = udr.se(master).last_lsn(P).unwrap();
-        let members = udr.group(P).members();
-        let oldest = members.iter().map(|&se| image_lsn(udr, se)).min().unwrap();
-        for &se in members {
+        for &se in udr.group(P).members() {
             if let Ok(engine) = udr.se(se).engine(P) {
                 let len = engine.log().len() as u64;
-                assert!(
-                    len <= head.raw() - oldest.raw(),
-                    "{se} holds {len} records; the oldest image is at {oldest}, the master at {head}"
-                );
+                assert!(len <= WRITES_PER_TICK, "{se} holds {len} records");
             }
         }
     };
@@ -510,22 +505,91 @@ fn logs_truncate_behind_the_oldest_disk_image_and_a_restore_still_catches_up() {
     let writes = write_through_ticks(&mut udr, &sub, 11..=16, bounded);
     assert!(!udr.se(slave).is_up());
     let image = image_lsn(&udr, slave);
-    assert!(udr.se(master).last_lsn(P).unwrap() > image);
+    let first = udr.se(master).engine(P).unwrap().log().first_retained();
+    assert!(
+        first.is_none_or(|first| first > image.next()),
+        "the master's log reaches back to the down slave's image at {image}"
+    );
     let writes = writes + write_through_ticks(&mut udr, &sub, 17..=40, bounded);
 
     udr.advance_to(t(9));
     assert!(udr.replication_settled());
-    assert_eq!(udr.metrics.reseeds, 0, "the restore caught up from the log");
+    assert_eq!(udr.metrics.reseeds, 1, "the restore was reseeded");
     let head = udr.se(master).last_lsn(P).unwrap();
     assert_eq!(udr.se(slave).last_lsn(P).unwrap(), head);
-    // Every member has saved the head since the last write, and every
-    // channel has confirmed it: no reader is left for any record.
+    assert_eq!(records(&udr, slave), records(&udr, master));
+    // Every channel has confirmed the head: no reader is left for any
+    // record.
     for &se in udr.group(P).members() {
-        assert_eq!(image_lsn(&udr, se), head);
         assert!(udr.se(se).engine(P).unwrap().log().is_empty(), "{se}");
     }
     // Every write committed, after the provisioning.
     assert!(head.raw() > writes);
+}
+
+/// One member of the partition is down for 60 s of steady writes. After
+/// every catch-up tick, each up member's commit log, or its node's chosen
+/// log under consensus, holds no more than two ticks of writes: memory
+/// does not grow with the outage. The member then restores from an image
+/// far below every log, takes a peer's copy (a reseed, or an install
+/// under consensus) and ends with the engine every other member holds.
+///
+/// No write is made while the member rejoins: a consensus node back from
+/// a long outage campaigns at its first tick, and a write in flight then
+/// may time out.
+fn memory_stays_bounded_through_a_long_outage(mode: ReplicationMode) {
+    let (mut udr, sub) = saving_every_second(mode);
+    let down = a_slave(&udr);
+    udr.schedule_script(&FaultScript::new(6).se_outage(
+        t(3) + SimDuration::from_millis(100),
+        SimDuration::from_secs(60),
+        down,
+    ));
+    write_through_ticks(&mut udr, &sub, 11..=15, |_| {});
+    let mut ticks_down = 0;
+    write_through_ticks(&mut udr, &sub, 16..=315, |udr| {
+        assert!(!udr.se(down).is_up(), "up between 3.1 s and 63.1 s");
+        ticks_down += 1;
+        for (j, &se) in udr.group(P).members().iter().enumerate() {
+            if se == down {
+                continue;
+            }
+            let len = match udr.consensus_ensemble(P) {
+                Some(ensemble) => ensemble.nodes()[j].log().len(),
+                None => udr.se(se).engine(P).unwrap().log().len(),
+            } as u64;
+            let bound = 2 * WRITES_PER_TICK;
+            assert!(
+                len <= bound,
+                "{se} holds {len} after {ticks_down} ticks down"
+            );
+        }
+    });
+    udr.advance_to(t(64));
+    assert!(udr.se(down).is_up(), "restored at 63.1 s");
+    assert_eq!(udr.metrics.reseeds, 1, "one copy was taken from a peer");
+    write_through_ticks(&mut udr, &sub, 321..=330, |_| {});
+
+    udr.advance_to(t(70));
+    assert!(udr.replication_settled());
+    for &se in udr.group(P).members() {
+        assert_eq!(
+            records(&udr, down),
+            records(&udr, se),
+            "{down} against {se}"
+        );
+    }
+    assert!(udr.consensus_violations().is_empty());
+}
+
+#[test]
+fn commit_logs_stay_bounded_through_a_long_slave_outage() {
+    memory_stays_bounded_through_a_long_outage(ReplicationMode::AsyncMasterSlave);
+}
+
+#[test]
+fn chosen_logs_stay_bounded_through_a_long_node_outage() {
+    memory_stays_bounded_through_a_long_outage(ReplicationMode::Consensus { n: 3 });
 }
 
 /// Under consensus no code reads an engine's log, so each catch-up tick
@@ -551,34 +615,27 @@ fn consensus_engine_logs_hold_at_most_one_tick_of_records() {
 
 // --- Chosen-log compaction behind the slowest reader ------------------------
 
-/// The slot node `i` of the partition's ensemble resumes at when it
-/// restores from its disk image (zero before its first save).
-fn image_slot(udr: &Udr, i: usize) -> Slot {
-    let se = udr.group(P).members()[i];
-    let log = udr.consensus_ensemble(P).unwrap().nodes()[i].log();
-    log.cursor_for_writes(image_lsn(udr, se).raw())
-}
-
 /// After each catch-up tick, every chosen log holds exactly the slots
-/// after the oldest image's resume slot: nothing a restore replays is
-/// gone, and nothing below it is kept.
-fn compacted_to_the_oldest_image(udr: &Udr) {
-    let oldest = (0..3).map(|i| image_slot(udr, i)).min().unwrap();
-    for (i, node) in udr
-        .consensus_ensemble(P)
-        .unwrap()
-        .nodes()
-        .iter()
-        .enumerate()
-    {
+/// above the slowest up node's watermark, or above its own where that is
+/// lower: a down node holds nothing back.
+fn compacted_to_the_slowest_up_node(udr: &Udr) {
+    let nodes = udr.consensus_ensemble(P).unwrap().nodes();
+    let members = udr.group(P).members();
+    let floor = (0..nodes.len())
+        .filter(|&i| udr.se(members[i]).is_up())
+        .map(|i| nodes[i].log().committed())
+        .min()
+        .unwrap();
+    for (i, node) in nodes.iter().enumerate() {
         let log = node.log();
+        let through = floor.min(log.committed());
         assert_eq!(
             log.base(),
-            oldest,
-            "node {i} compacted through {}; the oldest image resumes at {oldest}",
+            through,
+            "node {i} compacted through {}; the floor is {floor}",
             log.base()
         );
-        assert_eq!(log.len() as u64, log.max_slot().0 - oldest.0, "node {i}");
+        assert_eq!(log.len() as u64, log.max_slot().0 - through.0, "node {i}");
     }
 }
 
@@ -595,9 +652,9 @@ fn records(udr: &Udr, se: SeId) -> Vec<(u64, Lsn, Option<udr_model::attrs::Entry
 }
 
 #[test]
-fn chosen_logs_hold_only_slots_since_the_oldest_disk_image() {
+fn chosen_logs_hold_only_slots_above_the_slowest_up_node() {
     let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
-    let writes = write_through_ticks(&mut udr, &sub, 11..=30, compacted_to_the_oldest_image);
+    let writes = write_through_ticks(&mut udr, &sub, 11..=30, compacted_to_the_slowest_up_node);
     let log = udr.consensus_ensemble(P).unwrap().nodes()[0].log();
     assert!(
         log.base().0 > writes / 2,
@@ -607,11 +664,13 @@ fn chosen_logs_hold_only_slots_since_the_oldest_disk_image() {
     assert!(udr.consensus_violations().is_empty());
 }
 
-/// A member that crashes 100 ms after a save holds the floor at its image
-/// while it is down, then restores from that image, replays its own log and
-/// ends with the leader's engine; compaction resumes behind it.
+/// A member that crashes 100 ms after a save holds nothing back while it
+/// is down: every log, its own included, is compacted past the writes its
+/// image lacks. On restore it installs the leader's engine, replays its
+/// own log above the leader's cursor and ends with the leader's engine;
+/// compaction goes on behind it.
 #[test]
-fn a_member_crashed_after_a_save_replays_to_the_leaders_engine() {
+fn a_member_restored_below_the_base_installs_the_leaders_engine() {
     let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
     udr.advance_to(t(2));
     let ensemble = udr.consensus_ensemble(P).unwrap();
@@ -623,24 +682,28 @@ fn a_member_crashed_after_a_save_replays_to_the_leaders_engine() {
         SimDuration::from_millis(1_500),
         down_se,
     ));
-    write_through_ticks(&mut udr, &sub, 11..=16, compacted_to_the_oldest_image);
+    write_through_ticks(&mut udr, &sub, 11..=16, compacted_to_the_slowest_up_node);
     assert!(!udr.se(down_se).is_up());
-    let held = image_slot(&udr, down);
-    assert!(held > Slot::ZERO, "the crashed member had saved");
-    // The others commit and save past the down member's image; the floor
-    // stops there.
-    let mut pinned = false;
-    write_through_ticks(&mut udr, &sub, 17..=24, |udr| {
-        compacted_to_the_oldest_image(udr);
-        if !udr.se(down_se).is_up() {
-            let log = udr.consensus_ensemble(P).unwrap().nodes()[leader].log();
-            assert!(log.base() <= held);
-            pinned |= log.base() == held && log.committed() > held;
-        }
-    });
-    assert!(pinned, "the floor never reached the down member's image");
+    let image = image_lsn(&udr, down_se);
+    assert!(image > Lsn::ZERO, "the crashed member had saved");
+    let replayable = |udr: &Udr| {
+        let log = udr.consensus_ensemble(P).unwrap().nodes()[down].log();
+        log.cursor_for_writes(image.raw()).is_some()
+    };
+    assert!(
+        !replayable(&udr),
+        "its own log was compacted past its image"
+    );
+    write_through_ticks(&mut udr, &sub, 17..=24, compacted_to_the_slowest_up_node);
     assert!(udr.se(down_se).is_up(), "restored at 4.6 s");
-    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_oldest_image);
+    assert_eq!(
+        udr.metrics.reseeds, 1,
+        "the restore installed a peer's copy"
+    );
+    let base = udr.consensus_ensemble(P).unwrap().nodes()[down]
+        .log()
+        .base();
+    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_slowest_up_node);
 
     udr.advance_to(t(9));
     assert!(udr.replication_settled());
@@ -648,7 +711,7 @@ fn a_member_crashed_after_a_save_replays_to_the_leaders_engine() {
     assert_eq!(records(&udr, down_se), records(&udr, leader_se));
     assert!(udr.consensus_violations().is_empty());
     let log = udr.consensus_ensemble(P).unwrap().nodes()[down].log();
-    assert!(log.base() > held, "compaction resumed behind the restore");
+    assert!(log.base() > base, "compaction went on behind the install");
 }
 
 /// Under sync-commit every apply is saved at once, so a catch-up tick can
@@ -703,22 +766,24 @@ fn a_write_chosen_just_before_a_compaction_is_acknowledged_first() {
     assert!(udr.consensus_violations().is_empty());
 }
 
-/// A node moved onto a new SE takes its disk image with it. The logs were
-/// compacted behind that image, so when the new SE crashes after the
-/// cutover and before its own first save, its restore finds every slot it
-/// replays, and it ends with the leader's engine.
+/// A node moved onto a new SE takes its engine, not its disk image: the
+/// new SE's disk holds nothing until its first save. When it crashes
+/// after the cutover and before that save, its restore finds the writes
+/// compacted, installs the leader's engine and ends equal to it.
 #[test]
-fn a_member_migrated_then_crashed_before_its_first_save_replays_to_the_leaders_engine() {
+fn a_member_migrated_then_crashed_before_its_first_save_installs_the_leaders_engine() {
     let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
-    write_through_ticks(&mut udr, &sub, 11..=20, compacted_to_the_oldest_image);
+    write_through_ticks(&mut udr, &sub, 11..=20, compacted_to_the_slowest_up_node);
     let ensemble = udr.consensus_ensemble(P).unwrap();
     let leader = ensemble.leader(|_| true).expect("a leader was elected");
     // Neither the leader nor node 0, whose SE masters the partition.
     let moved = (1..3).find(|&i| i != leader).unwrap();
     assert!(ensemble.nodes()[moved].log().base() > Slot::ZERO);
     let from = udr.group(P).members()[moved];
-    let image = image_lsn(&udr, from);
-    assert!(image > Lsn::ZERO, "the moving node has saved");
+    assert!(
+        image_lsn(&udr, from) > Lsn::ZERO,
+        "the moving node has saved"
+    );
 
     let start = t(4) + SimDuration::from_millis(50);
     let to = udr.add_se(udr.se(from).site(), start);
@@ -739,16 +804,19 @@ fn a_member_migrated_then_crashed_before_its_first_save_replays_to_the_leaders_e
         now += SimDuration::from_millis(1);
         udr.advance_to(now);
     }
-    // Its first save is due at 5.05 s: what it holds on disk is the image
-    // it brought along.
-    assert_eq!(image_lsn(&udr, to), image);
+    // Its first save is due at 5.05 s.
+    assert!(udr.se(to).disk().load(P).is_none(), "no image came along");
     udr.schedule_script(&FaultScript::new(7).se_outage(
         now + SimDuration::from_millis(1),
         SimDuration::from_millis(300),
         to,
     ));
-    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_oldest_image);
+    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_slowest_up_node);
     assert!(udr.se(to).is_up(), "restored");
+    assert_eq!(
+        udr.metrics.reseeds, 1,
+        "the restore installed a peer's copy"
+    );
 
     udr.advance_to(t(10));
     assert!(udr.replication_settled());

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use udr_ldap::{decode_request, decode_response, encode_request, encode_response};
 use udr_ldap::{Dn, LdapOp, LdapRequest, LdapResponse, ResultCode};
+use udr_ldap::{FramedBatch, FramedResults};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
 use udr_model::identity::{Identity, Impi, Impu, Imsi, Msisdn};
 
@@ -156,6 +157,103 @@ proptest! {
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_request(&bytes);
         let _ = decode_response(&bytes);
+    }
+}
+
+/// One byte mutation: flip a byte, insert one, or delete one, at a
+/// position taken modulo the message length.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Flip(usize, u8),
+    Insert(usize, u8),
+    Delete(usize),
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip(at, mask)),
+        (any::<usize>(), any::<u8>()).prop_map(|(at, byte)| Mutation::Insert(at, byte)),
+        any::<usize>().prop_map(Mutation::Delete),
+    ]
+}
+
+/// `bytes` with `mutations` applied in order.
+fn mutate(bytes: &[u8], mutations: &[Mutation]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for m in mutations {
+        match *m {
+            Mutation::Flip(at, mask) if !out.is_empty() => {
+                let at = at % out.len();
+                out[at] ^= mask;
+            }
+            Mutation::Insert(at, byte) => out.insert(at % (out.len() + 1), byte),
+            Mutation::Delete(at) if !out.is_empty() => {
+                out.remove(at % out.len());
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+fn response_strategy() -> impl Strategy<Value = LdapResponse> {
+    (
+        any::<u32>(),
+        prop::sample::select(vec![
+            ResultCode::Success,
+            ResultCode::NoSuchObject,
+            ResultCode::Busy,
+            ResultCode::Unavailable,
+            ResultCode::UnwillingToPerform,
+            ResultCode::EntryAlreadyExists,
+            ResultCode::Other,
+        ]),
+        prop::option::of(entry_strategy()),
+    )
+        .prop_map(|(message_id, code, entry)| LdapResponse {
+            message_id,
+            code,
+            entry,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// A valid request, single or framed, with 1–8 bytes flipped, inserted
+    /// or deleted decodes to `Ok` or `Err` and never panics. Starting from
+    /// a valid message gets the mutations past the first tag, which
+    /// uniform random bytes rarely do.
+    #[test]
+    fn a_mutated_request_decodes_or_errs(
+        message_id in any::<u32>(),
+        ops in prop::collection::vec(op_strategy(), 1..4),
+        mutations in prop::collection::vec(mutation_strategy(), 1..=8),
+    ) {
+        let requests: Vec<LdapRequest> = ops
+            .into_iter()
+            .map(|op| LdapRequest { message_id, op })
+            .collect();
+        let single = mutate(&encode_request(&requests[0]), &mutations);
+        let _ = decode_request(&single);
+        let _ = FramedBatch::decode(&single);
+        let framed = mutate(&FramedBatch::new(requests).encode(), &mutations);
+        let _ = FramedBatch::decode(&framed);
+        let _ = decode_request(&framed);
+    }
+
+    /// The same for responses, single and framed.
+    #[test]
+    fn a_mutated_response_decodes_or_errs(
+        responses in prop::collection::vec(response_strategy(), 1..4),
+        mutations in prop::collection::vec(mutation_strategy(), 1..=8),
+    ) {
+        let single = mutate(&encode_response(&responses[0]), &mutations);
+        let _ = decode_response(&single);
+        let _ = FramedResults::decode(&single);
+        let framed = mutate(&FramedResults { responses }.encode(), &mutations);
+        let _ = FramedResults::decode(&framed);
+        let _ = decode_response(&framed);
     }
 }
 

@@ -93,12 +93,6 @@ impl Disk {
         engine.snapshot_into(image);
     }
 
-    /// Store `image` as the image of `partition`, in place of any held:
-    /// an image that moves with its replica from another disk.
-    pub fn install(&mut self, partition: PartitionId, image: EngineSnapshot) {
-        self.snapshots.insert(partition, image);
-    }
-
     /// Fetch the stored snapshot for a partition, if any.
     pub fn load(&self, partition: PartitionId) -> Option<&EngineSnapshot> {
         self.snapshots.get(&partition)

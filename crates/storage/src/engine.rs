@@ -372,8 +372,8 @@ impl Engine {
     }
 
     /// Drop the log's records through `upto`, once no reader can ask for
-    /// them: the deployment passes the position of the slowest channel,
-    /// copy or disk image that may still read this log
+    /// them: the deployment passes the position of the slowest up channel
+    /// or copy that may still read this log
     /// ([`CommitLog::truncate_through`]).
     pub fn truncate_log(&mut self, upto: Lsn) {
         self.log.truncate_through(upto);

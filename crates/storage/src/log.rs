@@ -5,11 +5,13 @@
 //! the same as that imposed by the master copy"); slaves keep a log too so
 //! cascading reads and merge procedures can inspect history.
 //!
-//! A log only has to reach back as far as some reader can still ask: a
+//! A log only has to reach back as far as some up reader can still ask: a
 //! ship or migration channel re-shipping what its slave has not confirmed,
-//! or a copy restoring from its disk image (§3.1 decision 1: a crash loses
-//! only what came after the last save). The deployment's catch-up tick
-//! truncates every log behind its slowest such reader
+//! or an up copy that may master the partition next. A copy that restores
+//! from a disk image older than the log is reseeded from the master's
+//! snapshot instead (§3.1 decision 1: a crash loses only what came after
+//! the last save, and the copy takes its peer's state). The deployment's
+//! catch-up tick truncates every log behind its slowest such reader
 //! ([`CommitLog::truncate_through`]), and the segments a truncation empties
 //! are kept for the appends that follow, so a log that is truncated as fast
 //! as it grows stops asking the allocator for segments.

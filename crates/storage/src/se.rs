@@ -203,13 +203,6 @@ impl StorageElement {
         }
     }
 
-    /// Take `image` as this SE's disk image of `partition` ([`Disk::install`]):
-    /// a migrated replica's image, which a crash before its first save here
-    /// restores from.
-    pub fn install_image(&mut self, partition: PartitionId, image: EngineSnapshot) {
-        self.disk.install(partition, image);
-    }
-
     /// Release this SE's copy of `partition` after a migration hand-off:
     /// the RAM engine is dropped and the on-disk snapshot is removed so a
     /// later crash/restore cannot resurrect a retired copy. Returns the
