@@ -196,23 +196,23 @@ impl Ensemble {
         violations
     }
 
-    /// Compact every node's chosen log through `floor`
-    /// ([`ChosenLog::compact_through`], which clamps it to each log's
-    /// watermark); a floor no log's base is below changes nothing. The host
-    /// picks a floor no reader of any log lies below.
+    /// Compact node `i`'s chosen log through `floor(i)`
+    /// ([`ChosenLog::compact_through`], which clamps it to the log's
+    /// watermark); floors no log's base is below change nothing. The host
+    /// picks for each node a floor no reader of its log lies below.
     ///
     /// Nothing is compacted while a command already chosen may yet be
     /// chosen, or learned, at a second slot (`second_copy_pending`):
     /// each log shadows the second copy only while it holds the first.
     ///
     /// [`ChosenLog::compact_through`]: crate::ChosenLog::compact_through
-    pub fn compact_through(&mut self, floor: Slot) {
-        let moves = |r: &Replica| r.log().base() < floor.min(r.log().committed());
-        if !self.replicas.iter().any(moves) || self.second_copy_pending() {
+    pub fn compact_through(&mut self, floor: impl Fn(usize) -> Slot) {
+        let moves = |(i, r): (usize, &Replica)| r.log().base() < floor(i).min(r.log().committed());
+        if !self.replicas.iter().enumerate().any(moves) || self.second_copy_pending() {
             return;
         }
-        for replica in &mut self.replicas {
-            replica.compact_log_through(floor);
+        for (i, replica) in self.replicas.iter_mut().enumerate() {
+            replica.compact_log_through(floor(i));
         }
     }
 
@@ -446,14 +446,14 @@ mod tests {
         for node in 0..2 {
             learn(&mut ensemble, node, 3, write(1));
         }
-        ensemble.compact_through(Slot(2));
+        ensemble.compact_through(|_| Slot(2));
         assert!(ensemble
             .nodes()
             .iter()
             .all(|r| r.log().base() == Slot::ZERO));
 
         learn(&mut ensemble, 2, 3, write(1));
-        ensemble.compact_through(Slot(2));
+        ensemble.compact_through(|_| Slot(2));
         for r in ensemble.nodes() {
             assert_eq!(r.log().base(), Slot(2));
             assert_eq!(r.log().effective_after(Slot(2)).count(), 0, "{}", r.id());
@@ -477,14 +477,14 @@ mod tests {
         };
         let same = ensemble.post(accept(1));
         let second = ensemble.post(accept(2));
-        ensemble.compact_through(Slot(1));
+        ensemble.compact_through(|_| Slot(1));
         assert!(ensemble
             .nodes()
             .iter()
             .all(|r| r.log().base() == Slot::ZERO));
 
         ensemble.take(second);
-        ensemble.compact_through(Slot(1));
+        ensemble.compact_through(|_| Slot(1));
         assert!(ensemble.nodes().iter().all(|r| r.log().base() == Slot(1)));
         ensemble.take(same);
     }

@@ -367,7 +367,9 @@ proptest! {
     /// holds such a command has not learned its slot, so the floor lies
     /// below it). After every step `get`, `len`, `committed`, `base`,
     /// `suffix`, `effective_after`, `contains_id` and `cursor_for_writes`
-    /// are compared with the model.
+    /// are compared with the model: the cursor is `None` exactly for a
+    /// write count short of the writes compacted, and a replay above any
+    /// other cursor applies the model's writes after that count.
     #[test]
     fn a_compacted_log_matches_a_map_model(
         steps in proptest::collection::vec(step_draw(), 1..200),
@@ -452,97 +454,16 @@ proptest! {
                     n => writes.get(n as usize - 1).copied().unwrap_or(committed),
                 };
                 prop_assert_eq!(log.cursor_for_writes(n), Some(expected), "cursor_for_writes({})", n);
+                // A restore replays above the cursor, or above the base
+                // where the cursor lies below it: exactly the writes after
+                // the n-th, each once.
+                let replayed: Vec<Slot> =
+                    log.effective_after(expected.max(base)).map(|(s, _)| s).collect();
+                let rest = writes.get(n as usize..).unwrap_or_default();
+                prop_assert_eq!(&replayed[..], rest, "replay after write {}", n);
             }
             for n in 0..below {
                 prop_assert_eq!(log.cursor_for_writes(n), None, "cursor_for_writes({})", n);
-            }
-        }
-    }
-}
-
-/// One step of the `cursor_for_writes` test: append the next slot, or
-/// compact through `floor`.
-#[derive(Debug, Clone)]
-enum Grow {
-    /// 0 a no-op, 1 a reconfig, otherwise a write of that command id
-    /// (ids repeat, so re-forwarded duplicates occur).
-    Append(u64),
-    Compact(u64),
-}
-
-fn grow_draw() -> impl Strategy<Value = Grow> {
-    let append = || (0u64..12).prop_map(Grow::Append);
-    // Three appends to a compaction.
-    prop_oneof![
-        append(),
-        append(),
-        append(),
-        (0u64..600).prop_map(Grow::Compact),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// Over a log grown slot by slot and compacted at random floors,
-    /// `cursor_for_writes(n)` is `None` exactly when `n` falls short of the
-    /// writes compacted, and otherwise is the slot of the `n`-th effective
-    /// write of a twin log that is never compacted (`ZERO` for none, the
-    /// watermark past the last). Replaying the compacted log above that
-    /// cursor, or above the base where the cursor lies below it, yields
-    /// exactly the twin's writes after the `n`-th.
-    #[test]
-    fn cursor_for_writes_is_none_exactly_below_the_compacted_writes(
-        steps in proptest::collection::vec(grow_draw(), 1..300),
-    ) {
-        let mut log = ChosenLog::new();
-        let mut twin = ChosenLog::new();
-        let mut next = Slot::ZERO;
-        for step in steps {
-            match step {
-                Grow::Append(kind) => {
-                    next = next.next();
-                    // A duplicate of an id whose every copy was compacted
-                    // gets a fresh id, as the deployment's floor guarantees.
-                    let id = match kind {
-                        id if id > 1 && !twin.contains_id(CmdId(id)) => id,
-                        id if id > 1 && log.contains_id(CmdId(id)) => id,
-                        _ => 1_000 + next.0,
-                    };
-                    let cmd = match kind {
-                        0 => Command::noop(),
-                        1 => Command::reconfig(CmdId(id), 0),
-                        _ => Command::write(CmdId(id), SubscriberUid(id), None),
-                    };
-                    prop_assert!(log.record(next, cmd.clone()).unwrap());
-                    twin.record(next, cmd).unwrap();
-                }
-                Grow::Compact(floor) => log.compact_through(Slot(floor)),
-            }
-            let writes: Vec<(Slot, CmdId)> = twin
-                .iter_effective()
-                .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
-                .map(|(slot, cmd)| (slot, cmd.id))
-                .collect();
-            let below = writes.iter().filter(|(s, _)| *s <= log.base()).count() as u64;
-            for n in 0..=writes.len() as u64 + 1 {
-                let cursor = log.cursor_for_writes(n);
-                if n < below {
-                    prop_assert_eq!(cursor, None, "cursor_for_writes({})", n);
-                    continue;
-                }
-                let model = match n {
-                    0 => Slot::ZERO,
-                    n => writes.get(n as usize - 1).map_or_else(|| twin.committed(), |w| w.0),
-                };
-                prop_assert_eq!(cursor, Some(model), "cursor_for_writes({})", n);
-                let replayed: Vec<(Slot, CmdId)> = log
-                    .effective_after(model.max(log.base()))
-                    .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
-                    .map(|(slot, cmd)| (slot, cmd.id))
-                    .collect();
-                let rest = writes.get(n as usize..).unwrap_or_default();
-                prop_assert_eq!(&replayed[..], rest, "replay after write {}", n);
             }
         }
     }

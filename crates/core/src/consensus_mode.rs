@@ -29,10 +29,11 @@
 //! is its post-image and the odd catch-up transfer. Its slot costs no
 //! allocation of its own: each replica's [`ChosenLog`] stores decisions by
 //! slot in fixed segments of 256 slots, and the catch-up tick compacts
-//! every log of a partition through one floor, the lowest up node's apply
-//! cursor (`Udr::chosen_floor`). Once the floor moves as fast as the logs
-//! grow, a segment is a spare a compaction emptied, not a new allocation,
-//! and a log holds about one catch-up tick of decisions.
+//! each log of a partition through the lowest up node's apply cursor
+//! (`Udr::chosen_floor`), or through the slot its own SE's disk image
+//! resumes at where that is lower. Once the floor moves as fast as the
+//! logs grow, a segment is a spare a compaction emptied, not a new
+//! allocation, and a log holds about one save interval of decisions.
 //!
 //! The log replicates *state*, not operations: the serving leader computes
 //! the post-image of a write against its committed store and the chosen
@@ -46,10 +47,12 @@
 //! restart (the persistence Paxos requires): a down node simply stops
 //! ticking and receiving; on restore (`Udr::restore_se`) its engine is
 //! rolled forward from the recovered disk position by replaying its chosen
-//! log from [`ChosenLog::cursor_for_writes`]. A down node does not hold the
-//! floor, so that slot may be compacted away; the node then installs the
-//! engine of the up node furthest ahead and its cursor, and replays its
-//! own log above it (Raft's InstallSnapshot).
+//! log from [`ChosenLog::cursor_for_writes`]. Compaction never passes that
+//! slot in the node's own log, unless the node has since installed a
+//! peer's log and not yet saved. A down node does not hold the others' logs back, so it may come
+//! back behind their bases; it then installs the engine of the up node
+//! furthest ahead and its cursor, and replays its own log above it (Raft's
+//! InstallSnapshot).
 //!
 //! Migration cutovers ride the log as [`Payload::Reconfig`] commands —
 //! exactly-once (command-id dedup plus first-apply-wins) and totally
@@ -92,6 +95,15 @@ pub(crate) struct ConsensusGroup {
     /// holds its log's effective entries. `consensus_apply` resumes
     /// strictly above it and leaves it at the log's `committed()`.
     pub(crate) applied: Vec<Slot>,
+    /// Per node, the LSN of its SE's disk image of the partition and the
+    /// slot a restore from that image resumes at
+    /// ([`ChosenLog::cursor_for_writes`]; `Slot::ZERO` before the first
+    /// save, or while the image lies below the node's log), recomputed
+    /// when the image's LSN changes. A node's log is never compacted past
+    /// it (`Udr::truncate_logs`).
+    ///
+    /// [`ChosenLog::cursor_for_writes`]: udr_consensus::ChosenLog::cursor_for_writes
+    pub(crate) images: Vec<(Lsn, Slot)>,
     /// The client write `consensus_write` is polling for. A catch-up tick
     /// that finds it chosen compacts nothing, so the poll, at most 1 ms
     /// later, still finds its id in the logs.
@@ -115,6 +127,7 @@ impl ConsensusGroup {
         ConsensusGroup {
             ensemble: Ensemble::new(n, ReplicaConfig::default(), seed),
             applied: vec![Slot::ZERO; n],
+            images: vec![(Lsn::ZERO, Slot::ZERO); n],
             awaited: None,
             history: None,
             echoes: Vec::with_capacity(n),
@@ -885,6 +898,13 @@ mod tests {
         id
     }
 
+    /// The effective writes `log` holds.
+    fn effective_writes(log: &ChosenLog) -> u64 {
+        log.iter_effective()
+            .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
+            .count() as u64
+    }
+
     /// How many commit records `se`'s copy of partition 0 has applied.
     fn lsn_of(udr: &Udr, se: SeId) -> u64 {
         udr.ses[se.index()].last_lsn(P0).expect("hosted").raw()
@@ -984,12 +1004,12 @@ mod tests {
     }
 
     /// Crash the serving leader mid-stream with nothing on disk and bring
-    /// it back, with a cutover before the crash and one while it is down:
-    /// every log was compacted past the empty copy it rejoins with, so it
-    /// installs a peer's engine and cursor, and ends with every write
-    /// applied once and the second cutover not run again.
+    /// it back, with a cutover on each side of the crash and one command id
+    /// chosen in two slots. Without an image no log is compacted, so the
+    /// replay of the node's whole log must land its engine on its committed
+    /// prefix with every write applied once.
     #[test]
-    fn restore_without_a_disk_image_installs_a_peers_copy() {
+    fn restore_without_a_disk_image_replays_the_whole_log() {
         let mut udr = provisioned(DurabilityMode::None);
         let f = udr.consensus_serving_leader(0).expect("a leader serves");
         let f_se = udr.group(P0).members()[f];
@@ -1001,32 +1021,65 @@ mod tests {
         let first = migrate_node(&mut udr, mover, 7_000);
         modify_round(&mut udr, 2, 12_000);
         udr.advance_to(at(14_000));
+        modify_round(&mut udr, 3, 15_000);
+        let second = migrate_node(&mut udr, mover, 17_000);
+        modify_round(&mut udr, 4, 22_000);
+
+        // A second slot for round 1's first write, as a re-forward around
+        // a leader change leaves behind. Every node learns it; the leader
+        // crashes before it would propose into that slot itself.
+        udr.advance_to(at(24_000));
         assert!(udr.replication_settled());
+        let log = udr.consensus[0].ensemble.nodes()[f].log();
+        let (_, twin) = log
+            .iter_effective()
+            .filter(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
+            .nth(SUBSCRIBERS as usize)
+            .expect("round 1 is in the log");
+        let (twin, twin_slot) = (twin.clone(), log.committed().next());
+        for to in 0..3 {
+            let ticket = udr.consensus[0].ensemble.post(Message::Learn {
+                slot: twin_slot,
+                cmd: twin.clone(),
+            });
+            udr.consensus_deliver(at(24_000), P0, to, (to + 1) % 3, ticket, 0);
+        }
+        let writes_at_crash = effective_writes(udr.consensus[0].ensemble.nodes()[f].log());
+        assert_eq!(
+            lsn_of(&udr, f_se),
+            writes_at_crash,
+            "the twin must not be applied"
+        );
+
         udr.schedule_script(&FaultScript::new(0).se_outage(
-            at(14_001),
-            SimDuration::from_secs(16),
+            at(24_001),
+            SimDuration::from_secs(10),
             f_se,
         ));
-        modify_round(&mut udr, 3, 20_000);
-        let second = migrate_node(&mut udr, mover, 22_000);
-        modify_round(&mut udr, 4, 27_000);
-        udr.advance_to(at(30_000));
-        let log = udr.consensus[0].ensemble.nodes()[f].log();
-        assert!(log.base() > Slot::ZERO);
-        assert_eq!(log.cursor_for_writes(0), None, "the empty copy is behind");
-        assert_eq!(udr.metrics.reseeds, 0);
+        modify_round(&mut udr, 5, 30_000);
 
-        // Restored at 30.001 s.
-        udr.advance_to(at(30_100));
-        assert!(udr.ses[f_se.index()].is_up());
-        assert_eq!(udr.metrics.reseeds, 1, "one install");
-        modify_round(&mut udr, 5, 33_000);
+        // Restore replays the node's whole log, the second cutover (a
+        // no-op by now) and the shadowed twin included.
+        udr.advance_to(at(34_001));
+        assert_eq!(
+            udr.consensus[0].ensemble.nodes()[f].log().base(),
+            Slot::ZERO
+        );
+        assert_eq!(
+            lsn_of(&udr, f_se),
+            writes_at_crash,
+            "replay from nothing must end where the crash left off"
+        );
+        assert_eq!(
+            udr.consensus[0].applied[f],
+            udr.consensus[0].ensemble.nodes()[f].log().committed()
+        );
+
+        modify_round(&mut udr, 6, 36_000);
         udr.advance_to(at(60_000));
 
-        // Whoever leads now (the node campaigns as it rejoins, and may
-        // win), one other node to compare with.
         let l = udr.consensus_serving_leader(0).expect("a leader serves");
-        let l = if l == f { (f + 1) % 3 } else { l };
+        assert_ne!(l, f, "the crash must have moved leadership");
         let g = &udr.consensus[0];
         let log = g.ensemble.nodes()[f].log();
         assert_eq!(log.committed(), g.ensemble.nodes()[l].log().committed());
@@ -1034,26 +1087,27 @@ mod tests {
         assert!(udr.replication_settled());
         assert_eq!(records(&udr, f), records(&udr, l));
         assert_eq!(records(&udr, f).len(), SUBSCRIBERS as usize);
-        let l_se = udr.group(P0).members()[l];
-        assert_eq!(lsn_of(&udr, f_se), lsn_of(&udr, l_se));
         assert_eq!(
             lsn_of(&udr, f_se),
-            6 * SUBSCRIBERS,
-            "one commit record per write"
+            effective_writes(log),
+            "one commit record per effective write"
         );
+        assert_eq!(effective_writes(log), 7 * SUBSCRIBERS);
+        assert_eq!(log.iter().filter(|(_, c)| c.id == twin.id).count(), 2);
+        assert_eq!(log.get(twin_slot).map(|c| c.id), Some(twin.id));
         for id in [first, second] {
             assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
         }
         assert_eq!(udr.metrics.migrations_completed, 2);
         assert_eq!(udr.metrics.migrations_aborted, 0);
-        assert_eq!(udr.metrics.reseeds, 1);
         assert!(udr.consensus_violations().is_empty());
     }
 
-    /// A node that restores behind the compacted logs while no peer hosts
-    /// a copy hosts nothing and waits. The next peer to restore with a
-    /// copy (here one whose image no compaction passed) seeds it, and the
-    /// three end with one engine.
+    /// A node that installed a peer's copy and crashed before saving it
+    /// restores from an image its log was compacted past. With no peer up
+    /// it hosts nothing, keeps its image and waits; the next peer to
+    /// restore, replaying its own log, seeds it, and the three end with
+    /// one engine.
     #[test]
     fn a_node_behind_the_base_with_no_peer_up_waits_for_one() {
         let hourly = DurabilityMode::PeriodicSnapshot {
@@ -1061,42 +1115,62 @@ mod tests {
         };
         let mut udr = provisioned(hourly);
         let l = udr.consensus_serving_leader(0).expect("a leader serves");
-        let a = (l + 1) % 3;
+        let (a, b, c) = ((l + 1) % 3, (l + 2) % 3, l);
         let members = udr.group(P0).members().to_vec();
-        udr.ses[members[a].index()].force_snapshot(at(5_000));
-        modify_round(&mut udr, 1, 5_100);
-        // `a` is down from 6 s to 12 s, the other two from 7 s on.
+        let save = |udr: &mut Udr, i: usize, ms: u64| {
+            udr.ses[members[i].index()].force_snapshot(at(ms));
+        };
+        modify_round(&mut udr, 1, 5_000);
+        for i in 0..3 {
+            save(&mut udr, i, 5_900);
+        }
+        // `a` is down from 6 s to 9 s. The others write a round, save it,
+        // and the 7.2 s tick compacts their logs past all `a` holds.
         udr.schedule_script(&FaultScript::new(0).se_outage(
             at(6_001),
-            SimDuration::from_secs(6),
+            SimDuration::from_secs(3),
             members[a],
         ));
         modify_round(&mut udr, 2, 6_200);
-        // The 7 s tick compacts both up logs through their watermark; each
-        // then saves what it holds.
-        udr.advance_to(at(7_000));
-        let (b, c) = ((a + 1) % 3, (a + 2) % 3);
-        for (j, back) in [(b, 13_001), (c, 20_001)] {
-            udr.ses[members[j].index()].force_snapshot(at(7_000));
+        save(&mut udr, b, 7_000);
+        save(&mut udr, c, 7_000);
+        udr.advance_to(at(7_200));
+        let nodes = udr.consensus[0].ensemble.nodes();
+        assert!(nodes[b].log().base() > nodes[a].log().committed());
+
+        udr.advance_to(at(9_100));
+        assert_eq!(udr.metrics.reseeds, 1, "a installed a peer's copy");
+        let image = udr.ses[members[a].index()]
+            .disk()
+            .load(P0)
+            .unwrap()
+            .last_lsn;
+        let log = udr.consensus[0].ensemble.nodes()[a].log();
+        assert_eq!(log.cursor_for_writes(image.raw()), None);
+
+        // `b` and `c` go down, then `a`, which is back at 10 s alone, then
+        // `b` at 11 s and `c` at 14 s.
+        for (i, from, back) in [(b, 9_201, 11_001), (c, 9_251, 14_001), (a, 9_301, 10_001)] {
             udr.schedule_script(&FaultScript::new(0).se_outage(
-                at(7_001),
-                SimDuration::from_millis(back - 7_001),
-                members[j],
+                at(from),
+                SimDuration::from_millis(back - from),
+                members[i],
             ));
         }
-
-        udr.advance_to(at(12_500));
-        assert!(udr.ses[members[a].index()].is_up());
-        assert!(udr.ses[members[a].index()].engine(P0).is_err(), "a waits");
-        assert_eq!(udr.metrics.reseeds, 0);
-        udr.advance_to(at(13_100));
-        assert_eq!(udr.metrics.reseeds, 1, "b's restore seeds a");
+        udr.advance_to(at(10_500));
+        let se = &udr.ses[members[a].index()];
+        assert!(se.is_up());
+        assert!(se.engine(P0).is_err(), "a waits");
+        assert_eq!(se.disk().load(P0).map(|image| image.last_lsn), Some(image));
+        assert_eq!(udr.metrics.reseeds, 1);
+        udr.advance_to(at(11_100));
+        assert_eq!(udr.metrics.reseeds, 2, "b's restore seeds a");
         assert_eq!(records(&udr, a), records(&udr, b));
 
-        udr.advance_to(at(20_100));
-        assert_eq!(udr.metrics.reseeds, 1, "c replays its own log");
-        modify_round(&mut udr, 3, 21_000);
-        udr.advance_to(at(24_000));
+        udr.advance_to(at(14_100));
+        assert_eq!(udr.metrics.reseeds, 2, "c replays its own log");
+        modify_round(&mut udr, 3, 15_000);
+        udr.advance_to(at(18_000));
         assert!(udr.replication_settled());
         assert_eq!(records(&udr, a), records(&udr, b));
         assert_eq!(records(&udr, c), records(&udr, b));
@@ -1264,71 +1338,104 @@ mod tests {
         );
     }
 
-    /// A follower restored from an image no compaction has passed resumes
-    /// at the slot of the recovered LSN and replays its own log from
-    /// there. Restored again from the same image after the logs were
-    /// compacted past it, it installs a peer's copy instead. Both times it
-    /// ends with the leader's engine.
+    /// The serving leader restored from its disk image resumes at the slot
+    /// of the recovered LSN and replays its own log from there, which the
+    /// logs' compaction never passes, a command chosen at a second slot
+    /// included: every write applies once. Down again while its peers save
+    /// and compact past everything its log holds, it restores behind their
+    /// bases and installs a peer's copy instead. Both times it ends with
+    /// the new leader's engine.
     #[test]
     fn restore_resumes_at_the_slot_of_the_recovered_lsn() {
         let hourly = DurabilityMode::PeriodicSnapshot {
             interval: SimDuration::from_secs(3_600),
         };
         let mut udr = provisioned(hourly);
+        let f = udr.consensus_serving_leader(0).expect("a leader serves");
+        let members = udr.group(P0).members().to_vec();
+        let f_se = members[f];
         modify_round(&mut udr, 1, 5_000);
-        // The 7 s tick compacts every log through its watermark.
-        udr.advance_to(at(7_000));
-        let l = udr.consensus_serving_leader(0).expect("a leader serves");
-        let f = (l + 1) % 3;
-        let (f_se, l_se) = (udr.group(P0).members()[f], udr.group(P0).members()[l]);
-        udr.ses[f_se.index()].force_snapshot(at(7_000));
+        for se in &members {
+            udr.ses[se.index()].force_snapshot(at(6_900));
+        }
         let on_disk = lsn_of(&udr, f_se);
+        // The 7 s tick compacts every log through its image.
+        udr.advance_to(at(7_000));
+        assert!(udr.consensus[0].ensemble.nodes()[f].log().base() > Slot::ZERO);
         modify_one(&mut udr, 0, 901, 7_010);
         modify_one(&mut udr, 1, 902, 7_060);
-        udr.advance_to(at(7_150));
-        let writes_at_crash = lsn_of(&udr, f_se);
-        assert_eq!(writes_at_crash, on_disk + 2);
 
-        // Down from 7.151 s to 7.191 s, before the next tick.
+        // A second slot for write 901, as a re-forward around a leader
+        // change leaves behind. Every node learns it; the leader crashes
+        // before it would propose into that slot itself.
+        udr.advance_to(at(7_150));
+        let log = udr.consensus[0].ensemble.nodes()[f].log();
+        let (_, twin) = log
+            .iter_effective()
+            .find(|(_, cmd)| matches!(cmd.payload, Payload::Write { .. }))
+            .expect("write 901 is held");
+        let (twin, twin_slot) = (twin.clone(), log.committed().next());
+        for to in 0..3 {
+            let ticket = udr.consensus[0].ensemble.post(Message::Learn {
+                slot: twin_slot,
+                cmd: twin.clone(),
+            });
+            udr.consensus_deliver(at(7_150), P0, to, (to + 1) % 3, ticket, 0);
+        }
+        let writes_at_crash = lsn_of(&udr, f_se);
+        assert_eq!(writes_at_crash, on_disk + 2, "the twin must not be applied");
+
+        // Down from 7.151 s to 13.151 s, through a round of writes.
         udr.schedule_script(&FaultScript::new(0).se_outage(
             at(7_151),
-            SimDuration::from_millis(40),
+            SimDuration::from_secs(6),
             f_se,
         ));
-        udr.advance_to(at(7_195));
+        modify_round(&mut udr, 2, 11_000);
+        udr.advance_to(at(13_151));
         assert!(udr.ses[f_se.index()].is_up());
         let log = udr.consensus[0].ensemble.nodes()[f].log();
-        assert!(
-            log.cursor_for_writes(on_disk).is_some(),
-            "the image is above the base"
-        );
+        assert!(log.cursor_for_writes(on_disk).is_some());
+        assert_eq!(log.get(twin_slot).map(|cmd| cmd.id), Some(twin.id));
         assert_eq!(
             lsn_of(&udr, f_se),
             writes_at_crash,
             "replay from LSN {on_disk} must end where the crash left off"
         );
-        assert_eq!(udr.consensus[0].applied[f], log.committed());
         assert_eq!(udr.metrics.reseeds, 0, "replayed, not installed");
+        udr.advance_to(at(14_000));
+        assert!(udr.replication_settled());
+        let l = udr.consensus_serving_leader(0).expect("a leader serves");
+        assert_ne!(l, f, "the crash moved leadership");
+        assert_eq!(records(&udr, f), records(&udr, l));
 
-        // Down from 7.301 s to 10.301 s, through a round of writes and
-        // every tick's compaction.
+        // Down from 14.001 s to 17.001 s, through a round of writes the
+        // others save and compact.
         udr.schedule_script(&FaultScript::new(0).se_outage(
-            at(7_301),
+            at(14_001),
             SimDuration::from_secs(3),
             f_se,
         ));
-        modify_round(&mut udr, 2, 8_000);
-        udr.advance_to(at(10_300));
-        let log = udr.consensus[0].ensemble.nodes()[f].log();
-        assert_eq!(log.cursor_for_writes(on_disk), None, "the image is behind");
-        udr.advance_to(at(12_000));
+        modify_round(&mut udr, 3, 14_500);
+        for (i, se) in members.iter().enumerate() {
+            if i != f {
+                udr.ses[se.index()].force_snapshot(at(15_500));
+            }
+        }
+        udr.advance_to(at(17_000));
+        let nodes = udr.consensus[0].ensemble.nodes();
+        assert!(nodes[l].log().base() > nodes[f].log().committed());
+        assert!(nodes[f].log().cursor_for_writes(on_disk).is_some());
+        udr.advance_to(at(19_000));
         assert!(udr.ses[f_se.index()].is_up());
         assert_eq!(udr.metrics.reseeds, 1, "installed");
         assert!(udr.replication_settled());
         let g = &udr.consensus[0];
         assert_eq!(g.applied[f], g.ensemble.nodes()[f].log().committed());
         assert_eq!(records(&udr, f), records(&udr, l));
-        assert_eq!(lsn_of(&udr, f_se), lsn_of(&udr, l_se));
+        assert_eq!(lsn_of(&udr, f_se), lsn_of(&udr, members[l]));
+        // The provisioning and three rounds and two writes, once each.
+        assert_eq!(lsn_of(&udr, f_se), 4 * SUBSCRIBERS + 2);
         assert!(udr.consensus_violations().is_empty());
     }
 

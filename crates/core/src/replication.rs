@@ -905,8 +905,10 @@ impl Udr {
     /// Under consensus no code reads an engine's log (a restore replays the
     /// chosen log, and a migration seeds from a snapshot), so each replica
     /// keeps only what it applied since the last tick; and every node's
-    /// chosen log is compacted through one floor per partition
-    /// ([`Udr::chosen_floor`]). Truncation and compaction drop only what no
+    /// chosen log is compacted through its partition's floor
+    /// ([`Udr::chosen_floor`]), or through the slot its own SE's disk image
+    /// resumes at where that is lower (Raft's rule: a node discards only
+    /// what its own snapshot holds). Truncation and compaction drop only what no
     /// later read reaches, so no simulated result depends on them. They
     /// draw nothing from the RNG, schedule nothing and, once the logs are
     /// warm, allocate nothing; on a tick where no floor moved they change
@@ -928,23 +930,25 @@ impl Udr {
             }
             if consensus {
                 let through = self.chosen_floor(pid);
+                self.refresh_image_slots(pid);
                 let g = &mut self.consensus[p];
                 // A client still polling for a write already chosen sees
                 // it on its next poll; compaction must not take its id
                 // out of every log before then.
                 if !g.awaited.is_some_and(|id| g.ensemble.chosen(id)) {
-                    g.ensemble.compact_through(through);
+                    g.ensemble.compact_through(|i| through.min(g.images[i].1));
                 }
             }
         }
     }
 
     /// The slot through which every chosen log of `pid` may be compacted
-    /// under consensus: the lowest up node's apply cursor. Catch-up
-    /// requests, promise piggybacks and elections all read at or above it.
-    /// A down node holds nothing: should its disk image restore below its
-    /// log's base, it installs a peer's copy instead of replaying
-    /// (`Udr::restore_se`).
+    /// under consensus, as far as the other nodes are concerned: the lowest
+    /// up node's apply cursor. Catch-up requests, promise piggybacks and
+    /// elections all read at or above it. A down node holds nothing back
+    /// from the others' logs; its own log keeps what its disk image needs
+    /// replayed (`ConsensusGroup::images`), and should it restore behind
+    /// the others' bases it installs a peer's copy (`Udr::restore_se`).
     fn chosen_floor(&self, pid: PartitionId) -> Slot {
         let p = pid.index();
         let g = &self.consensus[p];
@@ -953,6 +957,25 @@ impl Udr {
             .map(|i| g.applied[i])
             .min()
             .unwrap_or(Slot::ZERO)
+    }
+
+    /// Bring `ConsensusGroup::images` of `pid` up to each member's disk:
+    /// a node whose image changed since the last tick walks its held slots
+    /// to the image's write count, once per save.
+    fn refresh_image_slots(&mut self, pid: PartitionId) {
+        let p = pid.index();
+        for (i, se) in self.shard_map.groups()[p].members().iter().enumerate() {
+            let lsn = self.ses[se.index()]
+                .disk()
+                .load(pid)
+                .map_or(Lsn::ZERO, |image| image.last_lsn);
+            let g = &mut self.consensus[p];
+            if g.images[i].0 != lsn {
+                let log = g.ensemble.nodes()[i].log();
+                let resume = log.cursor_for_writes(lsn.raw()).unwrap_or(Slot::ZERO);
+                g.images[i] = (lsn, resume);
+            }
+        }
     }
 
     /// The highest LSN through which every member's log of `pid` may be
@@ -1128,10 +1151,15 @@ impl Udr {
     /// rejoins every group it belongs to. Under consensus the chosen log
     /// survived the crash (durable acceptor state): the node's apply cursor
     /// resets to the recovered disk position and the rest of its committed
-    /// prefix replays. Should the log be compacted past that position, the
-    /// node installs a peer's copy instead (`Udr::consensus_installs`).
-    /// There is no lost-commit accounting there: consensus never
-    /// acknowledged anything the log does not hold.
+    /// prefix replays. A node's log is compacted only through the slot its
+    /// own image resumes at, so the image and the log hold every write the
+    /// node applied; only a node that installed a peer's copy and crashed
+    /// before saving it finds the log compacted past its image. That node
+    /// drops the copy and keeps the image. A node left without a copy, or
+    /// whose log stops short of a peer's base, installs a peer's copy
+    /// (`Udr::consensus_installs`). There is no lost-commit accounting
+    /// there: consensus never acknowledged anything the logs and images do
+    /// not hold.
     pub(crate) fn restore_se(&mut self, se: SeId) {
         let t = self.events.now();
         let recovered: IdMap<PartitionId, Lsn> =
@@ -1166,12 +1194,12 @@ impl Udr {
                         // A cursor below the base has only no-ops and
                         // applied reconfigs between it and the base.
                         Some(cursor) => g.applied[i] = cursor.max(log.base()),
-                        // The writes the image lacks are compacted away:
-                        // the copy goes, and a peer's takes its place. Until
-                        // then the cursor rests on the base.
+                        // The image predates a peer's copy this node
+                        // installed: the copy goes, and a peer's takes its
+                        // place. Until then the cursor rests on the base.
                         None => {
                             g.applied[i] = log.base();
-                            self.ses[se.index()].release_partition(pid);
+                            self.ses[se.index()].unload_partition(pid);
                         }
                     }
                     self.consensus_installs(t, pid);

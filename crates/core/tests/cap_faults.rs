@@ -409,6 +409,8 @@ const P: PartitionId = PartitionId(0);
 const CATCHUP_TICK: SimDuration = SimDuration::from_millis(200);
 /// Modifies inside each catch-up tick's window, 50 ms apart.
 const WRITES_PER_TICK: u64 = 4;
+/// Catch-up ticks in `saving_every_second`'s save interval.
+const SAVE_TICKS: u64 = 5;
 
 /// A loss-free one-partition figure-2 deployment under `mode` that saves
 /// every SE's RAM to disk every second, with one subscriber provisioned.
@@ -528,11 +530,13 @@ fn logs_hold_only_what_is_in_flight_and_a_restore_below_them_is_reseeded() {
 }
 
 /// One member of the partition is down for 60 s of steady writes. After
-/// every catch-up tick, each up member's commit log, or its node's chosen
-/// log under consensus, holds no more than two ticks of writes: memory
-/// does not grow with the outage. The member then restores from an image
-/// far below every log, takes a peer's copy (a reseed, or an install
-/// under consensus) and ends with the engine every other member holds.
+/// every catch-up tick, each up member's commit log holds no more than two
+/// ticks of writes; under consensus its node's chosen log holds no more
+/// than one save interval's writes on top, what its own disk image lacks.
+/// Memory does not grow with the outage. The member then restores from
+/// an image far below every up member's log, takes a peer's copy (a
+/// reseed, or an install under consensus) and ends with the engine every
+/// other member holds.
 ///
 /// No write is made while the member rejoins: a consensus node back from
 /// a long outage campaigns at its first tick, and a write in flight then
@@ -554,11 +558,11 @@ fn memory_stays_bounded_through_a_long_outage(mode: ReplicationMode) {
             if se == down {
                 continue;
             }
-            let len = match udr.consensus_ensemble(P) {
-                Some(ensemble) => ensemble.nodes()[j].log().len(),
-                None => udr.se(se).engine(P).unwrap().log().len(),
-            } as u64;
-            let bound = 2 * WRITES_PER_TICK;
+            let (len, bound) = match udr.consensus_ensemble(P) {
+                Some(ensemble) => (ensemble.nodes()[j].log().len(), SAVE_TICKS + 2),
+                None => (udr.se(se).engine(P).unwrap().log().len(), 2),
+            };
+            let (len, bound) = (len as u64, bound * WRITES_PER_TICK);
             assert!(
                 len <= bound,
                 "{se} holds {len} after {ticks_down} ticks down"
@@ -615,10 +619,22 @@ fn consensus_engine_logs_hold_at_most_one_tick_of_records() {
 
 // --- Chosen-log compaction behind the slowest reader ------------------------
 
+/// The slot node `i` of the partition's ensemble resumes at when it
+/// restores from its disk image (zero before its first save), or `None`
+/// when its log was compacted past that image: it installed a peer's copy
+/// since its last save.
+fn image_slot(udr: &Udr, i: usize) -> Option<Slot> {
+    let se = udr.group(P).members()[i];
+    let log = udr.consensus_ensemble(P).unwrap().nodes()[i].log();
+    log.cursor_for_writes(image_lsn(udr, se).raw())
+}
+
 /// After each catch-up tick, every chosen log holds exactly the slots
-/// above the slowest up node's watermark, or above its own where that is
-/// lower: a down node holds nothing back.
-fn compacted_to_the_slowest_up_node(udr: &Udr) {
+/// above the slowest up node's watermark, or above the slot its own disk
+/// image resumes at where that is lower: a down node holds nothing back
+/// from the others' logs, and each log keeps what its own image lacks. A
+/// log compacted past its image is not compacted until the next save.
+fn compacted_to_its_own_image(udr: &Udr) {
     let nodes = udr.consensus_ensemble(P).unwrap().nodes();
     let members = udr.group(P).members();
     let floor = (0..nodes.len())
@@ -628,12 +644,16 @@ fn compacted_to_the_slowest_up_node(udr: &Udr) {
         .unwrap();
     for (i, node) in nodes.iter().enumerate() {
         let log = node.log();
-        let through = floor.min(log.committed());
+        let through = match image_slot(udr, i) {
+            Some(image) => floor.min(image).min(log.committed()),
+            None => log.base(),
+        };
         assert_eq!(
             log.base(),
             through,
-            "node {i} compacted through {}; the floor is {floor}",
-            log.base()
+            "node {i} compacted through {}; the floor is {floor}, its image resumes at {:?}",
+            log.base(),
+            image_slot(udr, i)
         );
         assert_eq!(log.len() as u64, log.max_slot().0 - through.0, "node {i}");
     }
@@ -652,9 +672,9 @@ fn records(udr: &Udr, se: SeId) -> Vec<(u64, Lsn, Option<udr_model::attrs::Entry
 }
 
 #[test]
-fn chosen_logs_hold_only_slots_above_the_slowest_up_node() {
+fn chosen_logs_hold_only_slots_since_their_own_disk_image() {
     let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
-    let writes = write_through_ticks(&mut udr, &sub, 11..=30, compacted_to_the_slowest_up_node);
+    let writes = write_through_ticks(&mut udr, &sub, 11..=30, compacted_to_its_own_image);
     let log = udr.consensus_ensemble(P).unwrap().nodes()[0].log();
     assert!(
         log.base().0 > writes / 2,
@@ -664,11 +684,12 @@ fn chosen_logs_hold_only_slots_above_the_slowest_up_node() {
     assert!(udr.consensus_violations().is_empty());
 }
 
-/// A member that crashes 100 ms after a save holds nothing back while it
-/// is down: every log, its own included, is compacted past the writes its
-/// image lacks. On restore it installs the leader's engine, replays its
-/// own log above the leader's cursor and ends with the leader's engine;
-/// compaction goes on behind it.
+/// A member that crashes 100 ms after a save holds nothing back from the
+/// others' logs while it is down; its own log keeps what its image lacks.
+/// The others compact past everything that log holds, so on restore it
+/// installs the leader's engine and cursor instead of replaying, takes the
+/// leader's log, and ends with the leader's engine; compaction goes on
+/// behind it.
 #[test]
 fn a_member_restored_below_the_base_installs_the_leaders_engine() {
     let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
@@ -682,19 +703,23 @@ fn a_member_restored_below_the_base_installs_the_leaders_engine() {
         SimDuration::from_millis(1_500),
         down_se,
     ));
-    write_through_ticks(&mut udr, &sub, 11..=16, compacted_to_the_slowest_up_node);
+    write_through_ticks(&mut udr, &sub, 11..=16, compacted_to_its_own_image);
     assert!(!udr.se(down_se).is_up());
     let image = image_lsn(&udr, down_se);
     assert!(image > Lsn::ZERO, "the crashed member had saved");
-    let replayable = |udr: &Udr| {
-        let log = udr.consensus_ensemble(P).unwrap().nodes()[down].log();
-        log.cursor_for_writes(image.raw()).is_some()
-    };
+    let mut passed = false;
+    write_through_ticks(&mut udr, &sub, 17..=24, |udr| {
+        compacted_to_its_own_image(udr);
+        if !udr.se(down_se).is_up() {
+            let nodes = udr.consensus_ensemble(P).unwrap().nodes();
+            assert!(image_slot(udr, down).is_some(), "its own log replays it");
+            passed |= nodes[leader].log().base() > nodes[down].log().committed();
+        }
+    });
     assert!(
-        !replayable(&udr),
-        "its own log was compacted past its image"
+        passed,
+        "the others never compacted past the down member's log"
     );
-    write_through_ticks(&mut udr, &sub, 17..=24, compacted_to_the_slowest_up_node);
     assert!(udr.se(down_se).is_up(), "restored at 4.6 s");
     assert_eq!(
         udr.metrics.reseeds, 1,
@@ -703,7 +728,7 @@ fn a_member_restored_below_the_base_installs_the_leaders_engine() {
     let base = udr.consensus_ensemble(P).unwrap().nodes()[down]
         .log()
         .base();
-    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_slowest_up_node);
+    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_its_own_image);
 
     udr.advance_to(t(9));
     assert!(udr.replication_settled());
@@ -712,6 +737,65 @@ fn a_member_restored_below_the_base_installs_the_leaders_engine() {
     assert!(udr.consensus_violations().is_empty());
     let log = udr.consensus_ensemble(P).unwrap().nodes()[down].log();
     assert!(log.base() > base, "compaction went on behind the install");
+}
+
+/// Every node of the ensemble goes down, one after another, after the
+/// logs were compacted past each node's last save and after writes it
+/// applied since; the nodes come back one at a time, the first to an
+/// ensemble of one. Each node's log still holds what its own image lacks,
+/// so each replays to where it crashed, and the group ends with every
+/// acknowledged write and serves again.
+#[test]
+fn a_group_wholly_down_past_a_compaction_recovers_every_acknowledged_write() {
+    let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
+    write_through_ticks(&mut udr, &sub, 11..=21, |_| {});
+    let members = udr.group(P).members().to_vec();
+    let lsn = |udr: &Udr, se: SeId| udr.se(se).last_lsn(P).unwrap();
+    let head = members.iter().map(|&se| lsn(&udr, se)).max().unwrap();
+    let value = |udr: &Udr, se: SeId| {
+        let rows = records(udr, se);
+        let entry = rows[0].2.as_ref().expect("the subscriber is provisioned");
+        entry.get(AttrId::OdbMask).cloned()
+    };
+    for (i, &se) in members.iter().enumerate() {
+        let log = udr.consensus_ensemble(P).unwrap().nodes()[i].log();
+        assert!(log.base() > Slot::ZERO, "node {i} has compacted");
+        assert!(image_lsn(&udr, se) < head, "node {i} saved every write");
+    }
+    // Tick 21's last write.
+    let acknowledged = Some(AttrValue::U64(213));
+
+    // Down from 4.25 s, 4.30 s and 4.35 s; back at 5.5 s, 6.0 s and 6.5 s.
+    let mut script = FaultScript::new(8);
+    for (k, &se) in members.iter().enumerate() {
+        let k = k as u64;
+        let down = t(4) + SimDuration::from_millis(250 + 50 * k);
+        let up = t(5) + SimDuration::from_millis(500 + 500 * k);
+        script = script.se_outage(down, up.duration_since(down), se);
+    }
+    udr.schedule_script(&script);
+    udr.advance_to(t(5) + SimDuration::from_millis(600));
+    assert!(udr.se(members[0]).is_up());
+    assert!(
+        udr.se(members[0]).engine(P).is_ok(),
+        "the first node back hosts its own copy, alone"
+    );
+    udr.advance_to(t(8));
+    assert!(udr.replication_settled());
+    for &se in &members {
+        assert_eq!(lsn(&udr, se), head, "{se}");
+        assert_eq!(value(&udr, se), acknowledged, "{se}");
+    }
+
+    let writes = write_through_ticks(&mut udr, &sub, 41..=45, |_| {});
+    udr.advance_to(t(10));
+    assert!(udr.replication_settled());
+    for &se in &members {
+        assert_eq!(records(&udr, se), records(&udr, members[0]), "{se}");
+        assert_eq!(lsn(&udr, se).raw(), head.raw() + writes);
+    }
+    assert_eq!(value(&udr, members[0]), Some(AttrValue::U64(453)));
+    assert!(udr.consensus_violations().is_empty());
 }
 
 /// Under sync-commit every apply is saved at once, so a catch-up tick can
@@ -773,7 +857,7 @@ fn a_write_chosen_just_before_a_compaction_is_acknowledged_first() {
 #[test]
 fn a_member_migrated_then_crashed_before_its_first_save_installs_the_leaders_engine() {
     let (mut udr, sub) = saving_every_second(ReplicationMode::Consensus { n: 3 });
-    write_through_ticks(&mut udr, &sub, 11..=20, compacted_to_the_slowest_up_node);
+    write_through_ticks(&mut udr, &sub, 11..=20, compacted_to_its_own_image);
     let ensemble = udr.consensus_ensemble(P).unwrap();
     let leader = ensemble.leader(|_| true).expect("a leader was elected");
     // Neither the leader nor node 0, whose SE masters the partition.
@@ -811,7 +895,7 @@ fn a_member_migrated_then_crashed_before_its_first_save_installs_the_leaders_eng
         SimDuration::from_millis(300),
         to,
     ));
-    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_the_slowest_up_node);
+    write_through_ticks(&mut udr, &sub, 25..=40, compacted_to_its_own_image);
     assert!(udr.se(to).is_up(), "restored");
     assert_eq!(
         udr.metrics.reseeds, 1,

@@ -214,6 +214,13 @@ impl StorageElement {
         Some(replica.engine.live_records())
     }
 
+    /// Drop this SE's RAM copy of `partition` and keep its disk image: a
+    /// copy restored from an image its replication group cannot roll
+    /// forward, waiting for a peer's.
+    pub fn unload_partition(&mut self, partition: PartitionId) {
+        self.replicas.remove(&partition);
+    }
+
     // ---- transaction API -------------------------------------------------
 
     /// Begin a transaction on this SE's copy of `partition`. Writing

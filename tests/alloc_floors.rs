@@ -973,21 +973,20 @@ fn a_sync_commit_modify_allocates_what_a_periodic_one_does() {
 // --- Log truncation: an emptied segment is taken back -----------------------
 //
 // The catch-up tick truncates every replica's commit log behind its slowest
-// up reader, here the ship channels, and each segment a truncation empties
-// is kept for the appends that follow. Once a
-// log has been truncated, a stream of writes as fast as before finds a
-// spare whenever its tail segment fills, so no log asks the allocator for a
+// up reader, here the ship channels, and each segment of 4 096 records a
+// truncation empties is kept for the appends that follow. Once a log has
+// been truncated, a stream of writes as fast as before finds a spare
+// whenever its tail segment fills, so no log asks the allocator for a
 // segment again. Nothing else here requests a block of that size.
 
 /// Bytes of one full commit-log segment.
 const LOG_SEGMENT_BYTES: usize = 4096 * std::mem::size_of::<CommitRecord>();
-/// Writes 200 µs apart: 1 000 between two catch-up ticks, so a log
-/// stays inside its first segment, which grows by doubling to one tick of
-/// records and is then reused.
-const STREAM_GAP: SimDuration = SimDuration::from_micros(200);
-/// Writes before and while counting: three seconds of writes each, so both
-/// cross three saves and truncations, and each replica's tail segment
-/// fills at least three times while counted.
+/// Writes 40 µs apart: 5 000 between two catch-up ticks, so a log spans
+/// two segments before each truncation and one after it.
+const STREAM_GAP: SimDuration = SimDuration::from_micros(40);
+/// Writes before and while counting: 0.6 s of writes each, so both cross
+/// three truncations, and each replica's tail segment fills at least three
+/// times while counted.
 const STREAM_WRITES: u64 = 15_000;
 
 #[test]
@@ -1022,7 +1021,7 @@ fn a_truncated_log_asks_for_no_new_segment() {
     });
     assert_eq!(
         tally.in_window, 0,
-        "{STREAM_WRITES} writes across saves asked for a new log segment"
+        "{STREAM_WRITES} writes across truncations asked for a new log segment"
     );
 
     let p = PartitionId(0);
@@ -1046,8 +1045,8 @@ const CHOSEN_SEGMENT_BYTES: usize = 256 * std::mem::size_of::<Option<udr::consen
 /// past 896 ids.
 const ID_TABLE_BYTES: usize = 2_048 * (8 + 1) + 16;
 /// Consensus writes 5 ms apart on 100 µs links: about 200 a second, so a
-/// catch-up tick's window of slots stays under one segment and one table
-/// of 448 ids.
+/// save interval's window of slots, what each log keeps for its own disk
+/// image, stays under one segment and one table of 448 ids.
 const CHOSEN_GAP: SimDuration = SimDuration::from_millis(5);
 /// Writes before and while counting: three seconds, three saves, each.
 /// Uncompacted, the id set passes 896 ids while counting, and each log
