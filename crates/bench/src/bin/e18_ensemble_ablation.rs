@@ -148,7 +148,8 @@ fn main() {
          3→5→7 buys one more survivable site loss. Commit latency barely moves — the\n\
          majority round trip is bounded by the median backbone RTT, not the ensemble\n\
          size — but message cost grows linearly (≈3n per commit: accept, accepted,\n\
-         learn), which is backbone bandwidth the §2.2 cost argument has to absorb.\n\
+         learn; plus (n−1) lease acks per heartbeat), which is backbone bandwidth\n\
+         the §2.2 cost argument has to absorb.\n\
          Availability is a step function: 100% with f sites down, 0% with f+1 — the\n\
          sharp CAP boundary that makes capacity planning for 99.999% (§2.3) tractable."
     );

@@ -341,6 +341,7 @@ mod tests {
         Message::Heartbeat {
             ballot: Ballot::ZERO,
             committed: Slot(committed),
+            sent: SimTime::ZERO,
         }
     }
 

@@ -3,13 +3,15 @@
 //! Every message type maps to a phase of multi-Paxos: `Prepare`/`Promise`
 //! (phase 1, leader election), `Accept`/`Accepted` (phase 2, one per log
 //! slot under a stable leader), `Learn` (choice dissemination),
-//! `Heartbeat` (failure detection + commit-watermark gossip), the catch-up
-//! pair (log transfer for lagging replicas) and `Forward` (client command
-//! routed from a non-leader to the believed leader, like ZooKeeper
-//! followers forwarding writes to the primary).
+//! `Heartbeat`/`HeartbeatAck` (failure detection, commit-watermark gossip
+//! and the leader's read lease), the catch-up pair (log transfer for
+//! lagging replicas) and `Forward` (client command routed from a
+//! non-leader to the believed leader, like ZooKeeper followers forwarding
+//! writes to the primary).
 
 use udr_model::attrs::Entry;
 use udr_model::ids::SubscriberUid;
+use udr_model::time::SimTime;
 
 use crate::ballot::{Ballot, Slot};
 
@@ -158,12 +160,24 @@ pub enum Message {
         /// The decided command.
         cmd: Command,
     },
-    /// Leader liveness + watermark gossip; followers reset election timers.
+    /// Leader liveness + watermark gossip; followers reset election timers
+    /// and answer with a [`Message::HeartbeatAck`].
     Heartbeat {
         /// The leader's ballot.
         ballot: Ballot,
         /// Leader's contiguous chosen watermark.
         committed: Slot,
+        /// The instant the leader sent it: what the acknowledgement echoes
+        /// and the leader's lease is measured from.
+        sent: SimTime,
+    },
+    /// A follower accepted the heartbeat the leader sent at `sent`, and
+    /// refuses other campaigns for one lease from when it received it.
+    HeartbeatAck {
+        /// The heartbeat's ballot (echoed).
+        ballot: Ballot,
+        /// The heartbeat's send instant (echoed).
+        sent: SimTime,
     },
     /// A lagging learner asks for chosen entries above `above`.
     CatchUpRequest {
@@ -194,6 +208,7 @@ impl Message {
             Message::AcceptNack { .. } => "accept_nack",
             Message::Learn { .. } => "learn",
             Message::Heartbeat { .. } => "heartbeat",
+            Message::HeartbeatAck { .. } => "heartbeat_ack",
             Message::CatchUpRequest { .. } => "catchup_req",
             Message::CatchUpReply { .. } => "catchup_reply",
             Message::Forward { .. } => "forward",
@@ -270,6 +285,11 @@ mod tests {
             Message::Heartbeat {
                 ballot: Ballot::ZERO,
                 committed: Slot::ZERO,
+                sent: SimTime::ZERO,
+            },
+            Message::HeartbeatAck {
+                ballot: Ballot::ZERO,
+                sent: SimTime::ZERO,
             },
             Message::CatchUpRequest { above: Slot::ZERO },
             Message::CatchUpReply { chosen: vec![] },

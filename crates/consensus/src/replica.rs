@@ -22,6 +22,16 @@
 //!   primary-order broadcast structure ZooKeeper uses).
 //! * **Learning.** Chosen decisions are broadcast; lagging learners pull
 //!   missed decisions with catch-up transfers.
+//! * **Leases.** Followers acknowledge each heartbeat, and the leader
+//!   holds a read lease while a majority (itself included) acknowledged a
+//!   heartbeat sent less than one lease ago ([`Replica::lease_holds`]). A
+//!   follower that heard from its leader less than one lease ago refuses
+//!   every other campaign, so any majority of promises meets one of those
+//!   followers and no other ballot is chosen while the lease holds (master
+//!   leases, Chandra, Griesemer & Redstone, PODC 2007, §5; Raft's
+//!   lease-based reads, Ongaro & Ousterhout, USENIX ATC 2014, §8). The
+//!   lease is half the election timeout, so a follower still campaigns
+//!   after a full timeout of silence and failover is no slower.
 //!
 //! Randomized election timeouts (each replica forks its own [`SimRng`])
 //! keep campaigns from colliding forever; ballots are totally ordered so
@@ -148,6 +158,12 @@ pub struct Replica {
     election_due: SimTime,
     last_heartbeat_sent: SimTime,
     last_catchup_request: Option<SimTime>,
+    /// Follower: when it last accepted a heartbeat or an accept from
+    /// another node; it refuses other campaigns for one lease after.
+    last_leader_contact: Option<SimTime>,
+    /// Leader: per node, the send instant of the latest heartbeat it
+    /// acknowledged under the current ballot (cleared on election).
+    heartbeat_acks: Vec<Option<SimTime>>,
 
     /// Decisions learned since the last drain: what the cluster harness
     /// times commands by (the deployment applies by its own cursor and
@@ -199,6 +215,8 @@ impl Replica {
             election_due,
             last_heartbeat_sent: SimTime::ZERO,
             last_catchup_request: None,
+            last_leader_contact: None,
+            heartbeat_acks: vec![None; n],
             newly_chosen: Vec::new(),
             spare_chosen: Vec::new(),
             violations: Vec::new(),
@@ -213,6 +231,13 @@ impl Replica {
 
     fn majority(&self) -> usize {
         self.n / 2 + 1
+    }
+
+    /// How long an acknowledged heartbeat backs the leader's lease, and
+    /// how long a follower refuses other campaigns after hearing from its
+    /// leader: half the election timeout.
+    fn lease(&self) -> SimDuration {
+        self.cfg.election_timeout / 2
     }
 
     /// This node's id.
@@ -299,12 +324,40 @@ impl Replica {
 
     /// Read-index gate: true when this node leads and has no proposal in
     /// flight, i.e. its committed prefix reflects every command it has
-    /// acknowledged taking. A linearizable read served off the leader's
-    /// committed state needs this to hold (plus a majority round-trip to
-    /// confirm the leadership is not stale) — a deposed or mid-proposal
-    /// leader must not serve.
+    /// acknowledged taking, and every value an earlier ballot may have
+    /// chosen. A linearizable read served off the leader's committed state
+    /// needs this to hold, plus proof that the leadership is not stale:
+    /// a valid lease ([`Replica::lease_holds`]) or a majority round trip.
+    /// A deposed or mid-proposal leader must not serve.
     pub fn read_index_ready(&self) -> bool {
         self.role == Role::Leader && self.inflight.is_empty()
+    }
+
+    /// Whether this node may serve a linearizable read at `now` without a
+    /// round trip: it leads, [`read_index_ready`](Self::read_index_ready)
+    /// holds, and a majority, itself included, acknowledged heartbeats it
+    /// sent less than one lease (half the election timeout) before `now`.
+    /// Each of those followers refuses every other campaign until then, so
+    /// no other ballot can be chosen meanwhile. Allocates nothing.
+    pub fn lease_holds(&self, now: SimTime) -> bool {
+        if !self.read_index_ready() {
+            return false;
+        }
+        let lease = self.lease();
+        let fresh = self
+            .heartbeat_acks
+            .iter()
+            .filter(|sent| sent.is_some_and(|sent| now.duration_since(sent) < lease))
+            .count();
+        fresh + 1 >= self.majority()
+    }
+
+    /// Restart the election timer at `now`, as a restarted process does:
+    /// a node back from an outage listens for a full election timeout
+    /// before it campaigns, instead of on the timer that lapsed while it
+    /// was down.
+    pub fn rearm_election(&mut self, now: SimTime) {
+        self.election_due = now + Self::timeout_with_jitter(&self.cfg, &mut self.rng);
     }
 
     // ------------------------------------------------------------------
@@ -346,6 +399,7 @@ impl Replica {
                     out.push(Outbound::Broadcast(Message::Heartbeat {
                         ballot: self.ballot,
                         committed: self.log.committed(),
+                        sent: now,
                     }));
                 }
             }
@@ -392,9 +446,12 @@ impl Replica {
                 }
                 self.learn(slot, cmd);
             }
-            Message::Heartbeat { ballot, committed } => {
-                self.on_heartbeat(now, from, ballot, committed, out)
-            }
+            Message::Heartbeat {
+                ballot,
+                committed,
+                sent,
+            } => self.on_heartbeat(now, from, ballot, committed, sent, out),
+            Message::HeartbeatAck { ballot, sent } => self.on_heartbeat_ack(from, ballot, sent),
             Message::CatchUpRequest { above } => {
                 // A request from below the base was sent before the
                 // compaction, or by a node that restored behind it; the
@@ -423,7 +480,13 @@ impl Replica {
         committed: Slot,
         out: &mut Vec<Outbound>,
     ) {
-        if ballot > self.promised {
+        // Stickiness: while its leader's lease may rest on this node's
+        // acknowledgement, no other node's campaign gets its promise.
+        let sticky = self.leader_hint.is_some_and(|leader| leader != from)
+            && self
+                .last_leader_contact
+                .is_some_and(|at| now.duration_since(at) < self.lease());
+        if ballot > self.promised && !sticky {
             self.promised = ballot;
             if self.role != Role::Follower && ballot.node != self.id {
                 self.step_down(now);
@@ -474,6 +537,7 @@ impl Replica {
             }
             self.leader_hint = Some(ballot.node);
             self.touch_leader(now);
+            self.last_leader_contact = Some(now);
             if !self.log.is_decided(slot) {
                 self.accepted.insert(slot, (ballot, cmd));
             }
@@ -495,6 +559,7 @@ impl Replica {
         from: NodeId,
         ballot: Ballot,
         committed: Slot,
+        sent: SimTime,
         out: &mut Vec<Outbound>,
     ) {
         if ballot >= self.promised {
@@ -504,8 +569,22 @@ impl Replica {
             }
             self.leader_hint = Some(ballot.node);
             self.touch_leader(now);
+            self.last_leader_contact = Some(now);
+            out.push(Outbound::To(from, Message::HeartbeatAck { ballot, sent }));
             self.maybe_request_catchup(now, from, committed, out);
             self.forward_pending(now, out);
+        }
+    }
+
+    /// A follower acknowledged the heartbeat sent at `sent`: under the
+    /// current ballot, it backs the lease until one lease after `sent`.
+    fn on_heartbeat_ack(&mut self, from: NodeId, ballot: Ballot, sent: SimTime) {
+        if self.role != Role::Leader || ballot != self.ballot {
+            return;
+        }
+        let acked = &mut self.heartbeat_acks[from.index()];
+        if acked.is_none_or(|prev| prev < sent) {
+            *acked = Some(sent);
         }
     }
 
@@ -595,6 +674,7 @@ impl Replica {
         self.leader_hint = Some(self.id);
         self.inflight.clear();
         self.inflight_ids.clear();
+        self.heartbeat_acks.fill(None);
 
         // Re-propose constrained slots, filling gaps with no-ops so the
         // log's contiguous prefix can advance (Paxos's value-restriction
@@ -628,6 +708,7 @@ impl Replica {
         out.push(Outbound::Broadcast(Message::Heartbeat {
             ballot: self.ballot,
             committed: self.log.committed(),
+            sent: now,
         }));
         let queued: Vec<Command> = self.pending.drain(..).map(|p| p.cmd).collect();
         self.pending_ids.clear();
@@ -994,6 +1075,156 @@ mod tests {
         assert_eq!(r.log().len(), 1);
     }
 
+    fn heartbeat_ack(ballot: Ballot, sent: SimTime) -> Message {
+        Message::HeartbeatAck { ballot, sent }
+    }
+
+    #[test]
+    fn a_lease_holds_only_after_majority_acks() {
+        let (mut r, now) = leader_of_five();
+        let ballot = r.current_ballot();
+        assert!(r.read_index_ready());
+        assert!(!r.lease_holds(now), "no acknowledgement yet");
+        // Node 1's acknowledgement twice, and node 2's under the round-1
+        // ballot: the leader and one follower, two of five.
+        handle(&mut r, now, NodeId(1), heartbeat_ack(ballot, now));
+        handle(&mut r, now, NodeId(1), heartbeat_ack(ballot, now));
+        let stale = Ballot::new(1, NodeId(0));
+        handle(&mut r, now, NodeId(2), heartbeat_ack(stale, now));
+        assert!(!r.lease_holds(now));
+        handle(&mut r, now, NodeId(2), heartbeat_ack(ballot, now));
+        assert!(r.lease_holds(now), "three of five");
+    }
+
+    #[test]
+    fn a_lease_lapses_one_lease_after_the_last_fresh_ack() {
+        let (mut nodes, leader) = elect_leader();
+        let r = &mut nodes[leader];
+        let ballot = r.current_ballot();
+        let lease = r.lease();
+        assert_eq!(lease, SimDuration::from_millis(375));
+        let sent = t(2000);
+        handle(
+            r,
+            sent + SimDuration::from_millis(40),
+            NodeId(1),
+            heartbeat_ack(ballot, sent),
+        );
+        let expiry = sent + lease;
+        assert!(r.lease_holds(expiry - SimDuration::from_nanos(1)));
+        assert!(!r.lease_holds(expiry));
+        // A later heartbeat's acknowledgement renews it; one for an older
+        // heartbeat that arrives after it does not shorten it.
+        let renewed = t(2100);
+        handle(r, expiry, NodeId(2), heartbeat_ack(ballot, renewed));
+        handle(r, expiry, NodeId(2), heartbeat_ack(ballot, sent));
+        assert!(r.lease_holds(expiry));
+        assert!(!r.lease_holds(renewed + lease));
+    }
+
+    #[test]
+    fn a_lease_is_lost_on_step_down() {
+        let (mut nodes, leader) = elect_leader();
+        let r = &mut nodes[leader];
+        let ballot = r.current_ballot();
+        let now = t(2000);
+        handle(r, now, NodeId(1), heartbeat_ack(ballot, now));
+        assert!(r.lease_holds(now));
+        let higher = ballot.succeed(NodeId(2));
+        let prepare = Message::Prepare {
+            ballot: higher,
+            committed: Slot::ZERO,
+        };
+        handle(r, now, NodeId(2), prepare);
+        assert_eq!(r.role(), Role::Follower);
+        assert!(!r.lease_holds(now));
+        // An acknowledgement of the old ballot's heartbeat restores nothing.
+        handle(r, now, NodeId(1), heartbeat_ack(ballot, now));
+        assert!(!r.lease_holds(now));
+    }
+
+    #[test]
+    fn no_lease_while_a_proposal_is_open() {
+        let (mut nodes, leader) = elect_leader();
+        let r = &mut nodes[leader];
+        let ballot = r.current_ballot();
+        let now = t(2000);
+        handle(r, now, NodeId(1), heartbeat_ack(ballot, now));
+        assert!(r.lease_holds(now));
+        submit(r, now, w(1));
+        assert!(!r.lease_holds(now), "slot 1 is open");
+        handle(r, now, NodeId(2), accepted(ballot, 1));
+        assert_eq!(r.log().committed(), Slot(1));
+        assert!(r.lease_holds(now));
+    }
+
+    #[test]
+    fn a_follower_refuses_a_third_nodes_prepare_inside_the_lease_window() {
+        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let leader = Ballot::new(1, NodeId(0));
+        let heard = t(100);
+        let heartbeat = Message::Heartbeat {
+            ballot: leader,
+            committed: Slot::ZERO,
+            sent: t(90),
+        };
+        let out = handle(&mut f, heard, NodeId(0), heartbeat);
+        assert!(out.iter().any(|o| matches!(o,
+            Outbound::To(to, Message::HeartbeatAck { ballot, sent })
+                if *to == NodeId(0) && *ballot == leader && *sent == t(90))));
+        let prepare = Message::Prepare {
+            ballot: Ballot::new(2, NodeId(2)),
+            committed: Slot::ZERO,
+        };
+        let inside = heard + f.lease() - SimDuration::from_nanos(1);
+        let out = handle(&mut f, inside, NodeId(2), prepare.clone());
+        assert!(
+            matches!(&out[..], [Outbound::To(to, Message::PrepareNack { promised })]
+                if *to == NodeId(2) && *promised == leader),
+            "{out:?}"
+        );
+        let after = heard + f.lease();
+        let out = handle(&mut f, after, NodeId(2), prepare);
+        assert!(
+            matches!(&out[..], [Outbound::To(to, Message::Promise { .. })] if *to == NodeId(2)),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn the_leader_itself_may_campaign_again_inside_the_lease_window() {
+        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let heartbeat = Message::Heartbeat {
+            ballot: Ballot::new(1, NodeId(0)),
+            committed: Slot::ZERO,
+            sent: t(90),
+        };
+        handle(&mut f, t(100), NodeId(0), heartbeat);
+        let prepare = Message::Prepare {
+            ballot: Ballot::new(2, NodeId(0)),
+            committed: Slot::ZERO,
+        };
+        let out = handle(&mut f, t(101), NodeId(0), prepare);
+        assert!(
+            matches!(&out[..], [Outbound::To(_, Message::Promise { .. })]),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn a_rearmed_timer_waits_a_full_election_timeout() {
+        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let back = f.election_due + SimDuration::from_secs(10);
+        f.rearm_election(back);
+        assert!(tick(&mut f, back).is_empty());
+        assert_eq!(f.role(), Role::Follower);
+        let timeout = cfg().election_timeout;
+        tick(&mut f, back + timeout - SimDuration::from_nanos(1));
+        assert_eq!(f.role(), Role::Follower);
+        tick(&mut f, back + timeout + timeout / 2);
+        assert_eq!(f.role(), Role::Candidate);
+    }
+
     #[test]
     #[should_panic(expected = "64-bit node mask")]
     fn an_ensemble_wider_than_the_ack_mask_is_refused() {
@@ -1171,6 +1402,7 @@ mod tests {
             Message::Heartbeat {
                 ballot: Ballot::new(1, NodeId(0)),
                 committed: Slot::ZERO,
+                sent: SimTime::ZERO,
             },
         );
         let out = submit(&mut f, t(1), w(5));
@@ -1203,6 +1435,7 @@ mod tests {
             Message::Heartbeat {
                 ballot: Ballot::new(1, NodeId(0)),
                 committed: Slot::ZERO,
+                sent: SimTime::ZERO,
             },
         );
         assert!(out
@@ -1263,6 +1496,7 @@ mod tests {
             Message::Heartbeat {
                 ballot: Ballot::new(1, NodeId(0)),
                 committed: Slot(4),
+                sent: SimTime::ZERO,
             },
         );
         let req = out.iter().find_map(|o| match o {
@@ -1332,6 +1566,7 @@ mod tests {
                 Message::Heartbeat {
                     ballot: Ballot::new(1, NodeId(0)),
                     committed: Slot::ZERO,
+                    sent: SimTime::ZERO,
                 },
             );
             now += SimDuration::from_millis(100);

@@ -11,6 +11,16 @@
 //! 3. **Integrity** — nothing appears in a log that was never submitted
 //!    (no-ops aside).
 //! 4. **Liveness** (fault-free cases only) — everything submitted commits.
+//!
+//! A second host runs a bare [`Ensemble`] under message loss, reordering,
+//! link cuts, islands and crash/restore, and checks the leader lease after
+//! every event:
+//!
+//! 5. **Lease** — at most one node holds a lease, and a holder has decided
+//!    every slot any node has decided. So no slot is chosen under a ballot
+//!    above a holder's, and a read served under the lease is not stale.
+//!    Dropping a follower's stickiness, or the `read_index_ready` term of
+//!    `Replica::lease_holds`, breaks it within the 64 cases.
 
 use proptest::prelude::*;
 
@@ -543,5 +553,239 @@ fn committed_commands_are_durable_and_exactly_once() {
             }
         }
         let _ = CmdId(0); // silence unused-import lint paths on some configs
+    }
+}
+
+// ---------------------------------------------------------------------
+// Leader leases over a bare ensemble
+// ---------------------------------------------------------------------
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use udr_consensus::replica::Outbound;
+use udr_consensus::{Ensemble, Replica, ReplicaConfig};
+use udr_sim::SimRng;
+
+/// How a lease case treats the network and the nodes.
+#[derive(Debug, Clone)]
+struct LeasePlan {
+    /// Chance in a thousand that a message is lost.
+    drop_per_mille: u64,
+    /// A message takes 1 ms up to this many ms, drawn per message, so
+    /// messages overtake each other.
+    max_delay_ms: u64,
+    /// (start ms, duration ms, a, b): the link between nodes `a` and `b`
+    /// carries nothing in either direction.
+    cuts: Vec<(u64, u64, usize, usize)>,
+    /// (start ms, duration ms, node): no link of `node` carries anything.
+    islands: Vec<(u64, u64, usize)>,
+    /// (crash ms, restore ms, node).
+    crashes: Vec<(u64, u64, usize)>,
+    /// Instants (ms) a client hands a write to a node, and the node.
+    writes: Vec<(u64, usize)>,
+}
+
+fn lease_plan(nodes: usize) -> impl Strategy<Value = LeasePlan> {
+    let cut = (0u64..20_000, 500u64..3_000, 0..nodes, 0..nodes);
+    let island = (0u64..20_000, 500u64..3_000, 0..nodes);
+    let crash = (0u64..20_000, 200u64..4_000, 0..nodes);
+    (
+        0u64..200,
+        5u64..300,
+        proptest::collection::vec(cut, 0..8),
+        proptest::collection::vec(island, 1..8),
+        proptest::collection::vec(crash, 0..3),
+        proptest::collection::vec((0u64..20_000, 0..nodes), 50..300),
+    )
+        .prop_map(
+            |(drop_per_mille, max_delay_ms, cuts, islands, crashes, writes)| LeasePlan {
+                drop_per_mille,
+                max_delay_ms,
+                cuts: cuts.into_iter().filter(|c| c.2 != c.3).collect(),
+                islands,
+                crashes: crashes
+                    .into_iter()
+                    .map(|(at, dur, node)| (at, at + dur, node))
+                    .collect(),
+                writes,
+            },
+        )
+}
+
+enum LeaseEv {
+    Tick(usize),
+    Deliver { from: usize, to: usize, ticket: u32 },
+    Write { node: usize, id: u64 },
+    Crash(usize),
+    Restore(usize),
+}
+
+/// A host of one [`Ensemble`] with nothing but a clock, a lossy
+/// reordering network, link cuts and crashes: every node ticks every
+/// 50 ms while up, and a crashed node keeps its state.
+struct LeaseHost {
+    ensemble: Ensemble,
+    up: Vec<bool>,
+    plan: LeasePlan,
+    rng: SimRng,
+    events: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    payloads: Vec<Option<LeaseEv>>,
+}
+
+impl LeaseHost {
+    fn new(nodes: usize, seed: u64, plan: LeasePlan) -> Self {
+        let mut host = LeaseHost {
+            ensemble: Ensemble::new(nodes, ReplicaConfig::default(), seed),
+            up: vec![true; nodes],
+            rng: SimRng::seed_from_u64(seed),
+            events: BinaryHeap::new(),
+            payloads: Vec::new(),
+            plan,
+        };
+        for i in 0..nodes {
+            host.schedule(50_000_000 + 137_000 * i as u64, LeaseEv::Tick(i));
+        }
+        for (k, (at, node)) in host.plan.writes.clone().into_iter().enumerate() {
+            let id = k as u64 + 1;
+            host.schedule(1_000_000_000 + at * 1_000_000, LeaseEv::Write { node, id });
+        }
+        for (crash, restore, node) in host.plan.crashes.clone() {
+            host.schedule(crash * 1_000_000, LeaseEv::Crash(node));
+            host.schedule(restore * 1_000_000, LeaseEv::Restore(node));
+        }
+        host
+    }
+
+    fn schedule(&mut self, at_ns: u64, ev: LeaseEv) {
+        let seq = self.payloads.len();
+        self.payloads.push(Some(ev));
+        self.events.push(Reverse((at_ns, seq as u64, seq)));
+    }
+
+    fn cut(&self, now: SimTime, a: usize, b: usize) -> bool {
+        let ms = now.as_nanos() / 1_000_000;
+        let during = |start: u64, dur: u64| (start..start + dur).contains(&ms);
+        let cut = |x, y| (x, y) == (a, b) || (x, y) == (b, a);
+        self.plan
+            .cuts
+            .iter()
+            .any(|&(start, dur, x, y)| cut(x, y) && during(start, dur))
+            || (self.plan.islands.iter())
+                .any(|&(start, dur, x)| (a == x) != (b == x) && during(start, dur))
+    }
+
+    /// Feed `node` one input and send what it sends.
+    fn step(
+        &mut self,
+        now: SimTime,
+        node: usize,
+        input: impl FnOnce(&mut Replica, &mut Vec<Outbound>),
+    ) {
+        let mut sends = Vec::new();
+        let (drop, max_delay) = (self.plan.drop_per_mille, self.plan.max_delay_ms);
+        let cuts: Vec<bool> = (0..self.up.len())
+            .map(|to| self.cut(now, node, to))
+            .collect();
+        let rng = &mut self.rng;
+        let up = &self.up;
+        self.ensemble.step(node, input, |from, to, ticket, _| {
+            if !up[to] || cuts[to] || rng.below(1_000) < drop {
+                return false;
+            }
+            let delay = SimDuration::from_millis(1 + rng.below(max_delay));
+            sends.push((now + delay, from, to, ticket));
+            true
+        });
+        for (at, from, to, ticket) in sends {
+            self.schedule(at.as_nanos(), LeaseEv::Deliver { from, to, ticket });
+        }
+    }
+
+    /// Run to `horizon`, checking the lease invariants after every event.
+    fn run(&mut self, horizon: SimTime) {
+        while let Some(Reverse((at, _, idx))) = self.events.pop() {
+            let now = SimTime(at);
+            if now > horizon {
+                break;
+            }
+            match self.payloads[idx].take().expect("each event runs once") {
+                LeaseEv::Tick(i) => {
+                    self.schedule(at + 50_000_000, LeaseEv::Tick(i));
+                    if self.up[i] {
+                        self.step(now, i, |r, out| r.tick(now, out));
+                    }
+                }
+                LeaseEv::Deliver { from, to, ticket } => {
+                    let msg = self.ensemble.take(ticket);
+                    if self.up[to] && !self.cut(now, from, to) {
+                        let sender = udr_consensus::NodeId(from as u32);
+                        self.step(now, to, |r, out| r.handle(now, sender, msg, out));
+                    }
+                }
+                LeaseEv::Write { node, id } => {
+                    if self.up[node] {
+                        let cmd = Command::write(CmdId(id), SubscriberUid(id), None);
+                        self.step(now, node, |r, out| r.submit(now, cmd, out));
+                    }
+                }
+                LeaseEv::Crash(i) => self.up[i] = false,
+                LeaseEv::Restore(i) => {
+                    self.up[i] = true;
+                    self.step(now, i, |r, _| r.rearm_election(now));
+                }
+            }
+            self.check(now);
+        }
+    }
+
+    /// At most one node holds a lease, and a holder has decided every
+    /// slot any node has decided: nothing was chosen under a higher
+    /// ballot, and nothing an earlier ballot chose is still open at it.
+    fn check(&self, now: SimTime) {
+        let nodes = self.ensemble.nodes();
+        let holders: Vec<usize> = (0..nodes.len())
+            .filter(|&i| nodes[i].lease_holds(now))
+            .collect();
+        prop_assert!(holders.len() <= 1, "at {now}: leases at {holders:?}");
+        let Some(&h) = holders.first() else {
+            return;
+        };
+        let held = nodes[h].log();
+        for (q, node) in nodes.iter().enumerate() {
+            let mut slot = held.committed().next();
+            while slot <= node.log().max_slot() {
+                prop_assert!(
+                    !node.log().is_decided(slot) || held.is_decided(slot),
+                    "at {now}: n{q} decided {slot:?}, which lease holder n{h} (ballot {:?}) has not",
+                    nodes[h].current_ballot()
+                );
+                slot = slot.next();
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Leases are exclusive and never stale under message loss,
+    /// reordering, link cuts and crash/restore.
+    #[test]
+    fn a_lease_is_exclusive_and_covers_every_decision(
+        seed in 0u64..1_000_000,
+        nodes in prop_oneof![Just(3usize), Just(5usize)],
+        plan in lease_plan(5),
+    ) {
+        let plan = LeasePlan {
+            cuts: plan.cuts.iter().copied().filter(|c| c.2 < nodes && c.3 < nodes).collect(),
+            islands: plan.islands.iter().map(|&(at, dur, node)| (at, dur, node % nodes)).collect(),
+            crashes: plan.crashes.iter().copied().filter(|c| c.2 < nodes).collect(),
+            writes: plan.writes.iter().map(|&(at, node)| (at, node % nodes)).collect(),
+            ..plan
+        };
+        let mut host = LeaseHost::new(nodes, seed, plan);
+        host.run(secs(24));
+        prop_assert!(host.ensemble.agreement_violations().is_empty());
     }
 }

@@ -41,7 +41,12 @@
 //! record (`Udr::consensus_apply`). A replica's engine therefore always
 //! equals its applied committed prefix — the structural property that
 //! makes stale reads impossible when reads are routed to the serving
-//! leader (`Udr::consensus_read`).
+//! leader (`Udr::consensus_read`). The leader must also prove it still
+//! leads. Under a valid lease ([`Replica::lease_holds`]: a majority
+//! acknowledged a heartbeat it sent less than half an election timeout
+//! ago, and those followers refuse every other campaign meanwhile) the
+//! read costs one round trip to the leader; otherwise a majority echo
+//! round proves it, at a second round trip.
 //!
 //! Crashes model a process stop with acceptor state preserved across
 //! restart (the persistence Paxos requires): a down node simply stops
@@ -424,24 +429,59 @@ impl Udr {
     }
 
     /// Consensus read: serve from the serving leader's committed prefix
-    /// after a read-index confirmation round.
+    /// once its leadership is proven current, by its lease or by a
+    /// read-index confirmation round.
     ///
-    /// The leader's lease is confirmed by a majority round trip (itself
-    /// included), which rules out a deposed leader serving a stale prefix
+    /// Under a valid lease ([`Replica::lease_holds`]) the leader serves
+    /// at once: a majority acknowledged one of its heartbeats less than
+    /// one lease ago, and each of those followers refuses every other
+    /// campaign until then. Otherwise a majority echo (itself included)
+    /// proves it, which rules out a deposed leader serving a stale prefix
     /// — the structural no-stale-reads property the e25 campaign asserts.
-    /// The storage stage then reads the leader's committed store without
-    /// another round trip, as it does for a quorum-served read.
+    /// Either way the storage stage then reads the leader's committed
+    /// store without another round trip, as it does for a quorum-served
+    /// read. A traced read records which proof served it as one
+    /// `consensus.read` instant, `lease` or `echo`.
     fn consensus_read(
         &mut self,
         ctx: &mut PipelineCtx,
         partition: PartitionId,
     ) -> Result<(), OpOutcome> {
         let p = partition.index();
-        let majority = self.consensus[p].ensemble.majority();
         let (leader, leader_se, leader_site) = self.reach_consensus_leader(ctx, p)?;
+        let at = self.now().max(ctx.now);
+        let leased = self.consensus[p].ensemble.nodes()[leader].lease_holds(at);
+        if ctx.span.is_active() && self.tracer.enabled() {
+            let proof = if leased { "lease" } else { "echo" };
+            self.tracer.instant(
+                ctx.span.trace,
+                ctx.span.span,
+                "consensus.read",
+                at,
+                Some(proof.to_owned()),
+            );
+        }
+        if !leased {
+            let confirmed_after = self.read_index_echo(ctx, p, leader, leader_site)?;
+            ctx.breakdown.replication += confirmed_after;
+        }
+        ctx.target = Some(leader_se);
+        ctx.read_route = ReadRoute::Leader;
+        Ok(())
+    }
 
-        // Read-index confirmation: a majority echo (leader included)
-        // proves the leader has not been silently deposed.
+    /// The read-index confirmation round of a read whose leader holds no
+    /// lease: the time until a majority (the leader included) has echoed
+    /// the leader's probe, which proves it has not been silently deposed.
+    /// Too few echoes refuse the read after the operation timeout.
+    fn read_index_echo(
+        &mut self,
+        ctx: &mut PipelineCtx,
+        p: usize,
+        leader: usize,
+        leader_site: SiteId,
+    ) -> Result<SimDuration, OpOutcome> {
+        let majority = self.consensus[p].ensemble.majority();
         let mut echoes = std::mem::take(&mut self.consensus[p].echoes);
         echoes.clear();
         for j in 0..self.consensus[p].ensemble.nodes().len() {
@@ -458,17 +498,13 @@ impl Udr {
         // The (majority-1)-th fastest echo completes the confirmation.
         let confirmed_after = echoes.get(majority - 2).copied();
         self.consensus[p].echoes = echoes;
-        let Some(confirmed_after) = confirmed_after else {
+        confirmed_after.ok_or_else(|| {
             ctx.breakdown.replication += self.cfg.frash.op_timeout;
-            return Err(ctx.fail(UdrError::ReplicationFailed {
+            ctx.fail(UdrError::ReplicationFailed {
                 acked,
                 required: majority,
-            }));
-        };
-        ctx.breakdown.replication += confirmed_after;
-        ctx.target = Some(leader_se);
-        ctx.read_route = ReadRoute::Leader;
-        Ok(())
+            })
+        })
     }
 
     /// `ConsensusTick`: run every up replica's protocol timers, apply what
@@ -548,7 +584,7 @@ impl Udr {
     /// message with the originating `trace` context. A message to a down
     /// node is not sent; a cut or link loss loses the datagram, as for
     /// replication deliveries.
-    fn consensus_step(
+    pub(crate) fn consensus_step(
         &mut self,
         t: SimTime,
         partition: PartitionId,
@@ -1311,6 +1347,32 @@ mod tests {
             "{} tickets live throughout the 200 ms after settling",
             udr.consensus[0].ensemble.in_flight()
         );
+    }
+
+    /// A follower back from a 10 s outage while the leader is healthy
+    /// hears the leader's heartbeats before its election timer fires, so
+    /// a write issued the instant it restores commits with no election.
+    #[test]
+    fn a_restored_follower_does_not_campaign_under_a_healthy_leader() {
+        let mut udr = provisioned(DurabilityMode::SyncCommit);
+        modify_round(&mut udr, 1, 5_000);
+        let leader = udr.consensus_serving_leader(0).expect("a leader serves");
+        let f_se = udr.group(P0).members()[(leader + 1) % 3];
+        udr.schedule_script(&FaultScript::new(0).se_outage(
+            at(6_000),
+            SimDuration::from_secs(10),
+            f_se,
+        ));
+        udr.advance_to(at(15_990));
+        assert!(!udr.ses[f_se.index()].is_up());
+        let elections = udr.consensus_elections();
+        // The restore at 16 s runs first, then the write.
+        modify_one(&mut udr, 0, 777, 16_000);
+        assert!(udr.ses[f_se.index()].is_up());
+        udr.advance_to(at(18_000));
+        assert_eq!(udr.consensus_elections(), elections, "an election started");
+        assert_eq!(udr.consensus_serving_leader(0), Some(leader));
+        assert!(udr.replication_settled());
     }
 
     /// Two nodes that learn different commands for one slot each hold a

@@ -1151,7 +1151,9 @@ impl Udr {
     /// rejoins every group it belongs to. Under consensus the chosen log
     /// survived the crash (durable acceptor state): the node's apply cursor
     /// resets to the recovered disk position and the rest of its committed
-    /// prefix replays. A node's log is compacted only through the slot its
+    /// prefix replays, and its election timer restarts
+    /// (`Replica::rearm_election`), so a node back while the leader is
+    /// healthy hears its heartbeats before it would campaign. A node's log is compacted only through the slot its
     /// own image resumes at, so the image and the log hold every write the
     /// node applied; only a node that installed a peer's copy and crashed
     /// before saving it finds the log compacted past its image. That node
@@ -1202,6 +1204,9 @@ impl Udr {
                             self.ses[se.index()].unload_partition(pid);
                         }
                     }
+                    // Back from an outage, the node listens for a leader's
+                    // heartbeats before it campaigns.
+                    self.consensus_step(t, pid, i, 0, |r, _| r.rearm_election(t));
                     self.consensus_installs(t, pid);
                     self.consensus_apply(t, pid);
                 }

@@ -23,7 +23,11 @@ Usage:
 
 ``--check`` validates the line schema (used by the CI trace-smoke cell)
 and exits non-zero on any malformed line, missing meta header, or a
-digest field that does not parse as 16 hex digits.
+digest field that does not parse as 16 hex digits. In an export from a
+consensus deployment (one holding any ``consensus.*`` record) it also
+checks the read path: every served ``op.search`` carries exactly one
+``consensus.read`` instant, and any other search at most one, whose
+argument names the proof that served it, ``lease`` or ``echo``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import sys
 from collections import defaultdict
 
 STAGES = ("stage.access", "stage.location", "stage.replication", "stage.storage")
+READ_PROOFS = ("lease", "echo")
 
 REC_REQUIRED = {
     "trace": int,
@@ -139,6 +144,45 @@ def load(path: str) -> tuple[dict, list[dict], list[dict]]:
     return meta, records, exemplars
 
 
+def read_path_problems(meta: dict, records: list[dict], exemplars: list[dict]) -> list[str]:
+    """Consensus reads whose ``consensus.read`` instants are wrong.
+
+    Only an export that holds a ``consensus.*`` record comes from a
+    consensus deployment; any other passes. A search served ``ok`` went
+    through exactly one proof, lease or echo; one refused before its
+    leader was reached went through none, and one refused by its echo
+    round through one. When the ring dropped records, the oldest trace in
+    it may have lost its instant, so that one is not checked for a
+    missing instant.
+    """
+    if not any(rec["name"].startswith("consensus.") for rec in records):
+        return []
+    problems = []
+    groups = [("flight recorder", records)]
+    groups += [(f"exemplar trace {ex['trace']}", ex["records"]) for ex in exemplars]
+    for where, recs in groups:
+        reads: dict[int, list[str]] = defaultdict(list)
+        searches: dict[int, str] = {}
+        for rec in recs:
+            if rec["name"] == "consensus.read":
+                reads[rec["trace"]].append(rec.get("arg"))
+            elif rec["name"] == "op.search":
+                searches[rec["trace"]] = (rec.get("arg") or "").split(" ", 1)[0]
+        partial = recs[0]["trace"] if recs and meta.get("dropped", 0) else None
+        for trace, proofs in reads.items():
+            if trace not in searches:
+                problems.append(f"{where}: trace {trace} has consensus.read but no op.search")
+            if len(proofs) > 1:
+                problems.append(f"{where}: search trace {trace} has {len(proofs)} consensus.read")
+            bad = [p for p in proofs if p not in READ_PROOFS]
+            if bad:
+                problems.append(f"{where}: search trace {trace} read proof {bad[0]!r}")
+        for trace, status in searches.items():
+            if status == "ok" and trace not in reads and trace != partial:
+                problems.append(f"{where}: served search trace {trace} has no consensus.read")
+    return problems
+
+
 def stage_breakdown(records: list[dict]) -> dict[str, tuple[int, int]]:
     """name -> (total_ns, span_count) for the four pipeline stages."""
     acc: dict[str, tuple[int, int]] = {s: (0, 0) for s in STAGES}
@@ -186,6 +230,12 @@ def main() -> int:
 
     meta, records, exemplars = load(args.trace)
     if args.check:
+        problems = read_path_problems(meta, records, exemplars)
+        for problem in problems[:10]:
+            print(f"FAIL {args.trace}: {problem}", file=sys.stderr)
+        if problems:
+            print(f"FAIL {args.trace}: {len(problems)} read-path problems", file=sys.stderr)
+            return 1
         print(
             f"ok   {args.trace} ({len(records)} records, {len(exemplars)} exemplars, "
             f"digest {meta['digest']})"
