@@ -787,42 +787,50 @@ impl Udr {
 
     // ---- shipping: delivery, catch-up, faults ------------------------------
 
-    /// A shipped batch arrives at `slave`: apply its records in order, then
-    /// hand the emptied vector back to the ledger for the next batch.
+    /// `ReplDeliverBatch`: a shipped batch arrives at `slave`. Apply it,
+    /// confirm the highest LSN applied, rewind the channel if the batch was
+    /// lost, and hand the vector back to the ledger for the next batch.
     pub(crate) fn deliver_batch(
         &mut self,
         partition: PartitionId,
         slave: SeId,
-        mut records: Vec<CommitRecord>,
+        records: Vec<CommitRecord>,
     ) {
-        for record in records.drain(..) {
-            self.deliver_replication(partition, slave, record);
+        let applied = self.apply_shipped(partition, slave, &records);
+        let channel = &mut self.shippers[partition.index()];
+        if let Some(lsn) = applied {
+            channel.on_applied(slave, lsn);
         }
-        self.shippers[partition.index()].recycle(records);
+        channel.rewind(slave, &records);
+        channel.recycle(records);
     }
 
-    /// A shipped record arrives at `slave`.
-    pub(crate) fn deliver_replication(
+    /// Apply a shipped batch on `to`'s copy of `partition`, in order, and
+    /// return the highest LSN applied. The message is lost when it arrives
+    /// after `to` crashed or a cut parted it from the partition's master;
+    /// a record the copy already holds, or one beyond a gap, is skipped.
+    fn apply_shipped(
         &mut self,
         partition: PartitionId,
-        slave: SeId,
-        record: CommitRecord,
-    ) {
-        // The message may arrive after a partition started or the slave
-        // crashed; then it is simply lost (catch-up re-ships later).
+        to: SeId,
+        records: &[CommitRecord],
+    ) -> Option<Lsn> {
         let master = self.group(partition).master();
         let master_site = self.ses[master.index()].site();
-        let slave_site = self.ses[slave.index()].site();
-        if !self.ses[slave.index()].is_up() || !self.net.reachable(master_site, slave_site) {
-            return;
+        let to_site = self.ses[to.index()].site();
+        if !self.ses[to.index()].is_up() || !self.net.reachable(master_site, to_site) {
+            return None;
         }
-        let lsn = record.lsn;
-        if self.ses[slave.index()]
-            .apply_replicated(partition, &record)
-            .is_ok()
-        {
-            self.shippers[partition.index()].on_applied(slave, lsn);
+        let mut applied = None;
+        for record in records {
+            if self.ses[to.index()]
+                .apply_replicated(partition, record)
+                .is_ok()
+            {
+                applied = Some(record.lsn);
+            }
         }
+        applied
     }
 
     /// Linger timer for a shipping batch: sample the path once and flush
@@ -871,7 +879,7 @@ impl Udr {
     }
 
     /// `CatchupTick`: merge diverged multi-master branches once the network
-    /// is whole, re-ship what stalled channels are missing, drive the
+    /// is whole, ship what channels have not yet put in flight, drive the
     /// active migrations one step, then truncate the commit logs behind
     /// their slowest readers.
     pub(crate) fn run_catchup(&mut self, t: SimTime) {
@@ -985,7 +993,8 @@ impl Udr {
     ///   responder's gap from the master's log, and after a failover or a
     ///   master move the new master's log serves each slave from there;
     /// * every up slave's ship channel's confirmed position, and every live
-    ///   migration channel's: a catch-up pass re-ships the suffix after it.
+    ///   migration channel's: a channel that loses a batch rewinds there,
+    ///   and a catch-up pass ships the suffix after it.
     ///
     /// A down member holds nothing. A copy that restores below the
     /// master's log is reseeded from the master's snapshot by the next
@@ -1014,8 +1023,9 @@ impl Udr {
             .unwrap_or(Lsn::ZERO)
     }
 
-    /// Re-ship to every reachable up slave what its channel is missing, or
-    /// reseed it when the master's log can no longer serve the gap.
+    /// Ship to every reachable up slave what its channel has not yet put in
+    /// flight, or reseed it when the master's log can no longer serve the
+    /// gap.
     fn catch_up_channels(&mut self, t: SimTime) {
         for p in 0..self.shard_map.groups().len() {
             let pid = PartitionId(p as u32);
@@ -1035,44 +1045,29 @@ impl Udr {
                 if !self.net.reachable(master_site, slave_site) {
                     continue;
                 }
-                let (needs_reseed, lag) = {
-                    let master_engine = self.ses[master.index()]
-                        .engine(pid)
-                        .expect("master hosts partition");
-                    let shipper = &self.shippers[p];
-                    (
-                        shipper.needs_reseed(slave, master_engine),
-                        shipper.lag(slave, master_engine).unwrap_or(0),
-                    )
-                };
-                // Reseed when the master's log can no longer serve the gap.
-                if needs_reseed {
-                    self.reseed_from(pid, master, slave);
-                    continue;
-                }
-                if lag == 0 {
-                    continue;
-                }
-                let delay = self
-                    .net
-                    .send(master_site, slave_site, &mut self.rng)
-                    .delay();
-                let mut deliveries = std::mem::take(&mut self.catchup_deliveries);
                 let master_engine = self.ses[master.index()]
                     .engine(pid)
                     .expect("master hosts partition");
-                self.shippers[p].catch_up(slave, master_engine, t, delay, &mut deliveries);
-                for d in deliveries.drain(..) {
-                    self.schedule_event(
-                        d.arrives,
-                        UdrEvent::ReplDeliver {
-                            partition: pid,
-                            slave: d.slave,
-                            record: d.record,
-                        },
-                    );
+                if self.shippers[p].needs_reseed(slave, master_engine) {
+                    self.reseed_from(pid, master, slave);
+                    continue;
                 }
-                self.catchup_deliveries = deliveries;
+                let Some(batch) = self.shippers[p].catch_up(slave, master_engine, t, || {
+                    self.net
+                        .send(master_site, slave_site, &mut self.rng)
+                        .delay()
+                }) else {
+                    continue;
+                };
+                self.schedule_event(
+                    batch.arrives,
+                    UdrEvent::ReplDeliverBatch {
+                        partition: pid,
+                        slave,
+                        records: batch.records,
+                        trace: batch.trace,
+                    },
+                );
             }
         }
     }
@@ -1598,35 +1593,32 @@ impl Udr {
                 self.schedule_event(t, UdrEvent::MigrationCutover { id: id as u64 });
                 continue;
             }
-            if lag == 0 {
-                continue;
-            }
-            let delay = self.net.send(master_site, to_site, &mut self.rng).delay();
-            let mut deliveries = std::mem::take(&mut self.catchup_deliveries);
             let engine = self.ses[master.index()]
                 .engine(plan.partition)
                 .expect("master hosts partition");
-            self.migrations[id]
+            let channel = self.migrations[id]
                 .channel
                 .as_mut()
-                .expect("started migration has channel")
-                .catch_up(plan.to, engine, t, delay, &mut deliveries);
-            self.metrics.migration_records_shipped += deliveries.len() as u64;
-            for d in deliveries.drain(..) {
-                self.schedule_event(
-                    d.arrives,
-                    UdrEvent::MigrationDeliver {
-                        id: id as u64,
-                        record: d.record,
-                    },
-                );
-            }
-            self.catchup_deliveries = deliveries;
+                .expect("started migration has channel");
+            let Some(batch) = channel.catch_up(plan.to, engine, t, || {
+                self.net.send(master_site, to_site, &mut self.rng).delay()
+            }) else {
+                continue;
+            };
+            self.metrics.migration_records_shipped += batch.records.len() as u64;
+            self.schedule_event(
+                batch.arrives,
+                UdrEvent::MigrationDeliver {
+                    id: id as u64,
+                    records: batch.records,
+                },
+            );
         }
     }
 
-    /// `MigrationDeliver`: apply one migrated record on the target copy.
-    pub(crate) fn migration_deliver(&mut self, id: u64, record: CommitRecord) {
+    /// `MigrationDeliver`: a batch shipped over a migration channel arrives
+    /// at the target copy; handled as `ReplDeliverBatch` is.
+    pub(crate) fn migration_deliver(&mut self, id: u64, records: Vec<CommitRecord>) {
         let Some(m) = self.migrations.get(id as usize) else {
             return;
         };
@@ -1634,21 +1626,16 @@ impl Udr {
             return;
         }
         let plan = m.plan;
-        let master = self.group(plan.partition).master();
-        let master_site = self.ses[master.index()].site();
-        let to_site = self.ses[plan.to.index()].site();
-        if !self.ses[plan.to.index()].is_up() || !self.net.reachable(master_site, to_site) {
-            return;
+        let applied = self.apply_shipped(plan.partition, plan.to, &records);
+        let channel = self.migrations[id as usize]
+            .channel
+            .as_mut()
+            .expect("checked above");
+        if let Some(lsn) = applied {
+            channel.on_applied(plan.to, lsn);
         }
-        let lsn = record.lsn;
-        if self.ses[plan.to.index()]
-            .apply_replicated(plan.partition, &record)
-            .is_ok()
-        {
-            if let Some(ch) = self.migrations[id as usize].channel.as_mut() {
-                ch.on_applied(plan.to, lsn);
-            }
-        }
+        channel.rewind(plan.to, &records);
+        channel.recycle(records);
     }
 
     /// `MigrationCutover`: atomically swap the copy into the replica set,

@@ -33,7 +33,7 @@ use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
-use udr_replication::{AsyncShipper, Delivery, MigrationState};
+use udr_replication::{AsyncShipper, MigrationState};
 use udr_sim::faults::{Fault, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
 use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
@@ -69,18 +69,9 @@ pub struct Cluster {
 /// Internal events driving the deployment between client calls.
 #[derive(Debug, Clone)]
 pub enum UdrEvent {
-    /// A commit record re-shipped by a catch-up pass arrives at a slave.
-    /// (Commits ship as [`UdrEvent::ReplDeliverBatch`].)
-    ReplDeliver {
-        /// Partition replicated.
-        partition: PartitionId,
-        /// Destination slave.
-        slave: SeId,
-        /// The record.
-        record: CommitRecord,
-    },
     /// A shipped batch of commit records arrives at a slave as one
-    /// message; a batch of one under the default per-record shipping.
+    /// message: a commit's batch (a batch of one under the default
+    /// per-record shipping) or a catch-up pass's.
     ReplDeliverBatch {
         /// Partition replicated.
         partition: PartitionId,
@@ -160,12 +151,12 @@ pub enum UdrEvent {
         /// Index into the deployment's migration ledger.
         id: u64,
     },
-    /// A record shipped over a migration channel arrives at the target.
+    /// A batch shipped over a migration channel arrives at the target.
     MigrationDeliver {
         /// Index into the deployment's migration ledger.
         id: u64,
-        /// The record.
-        record: CommitRecord,
+        /// The records, in LSN order.
+        records: Vec<CommitRecord>,
     },
     /// Consensus mode: one partition ensemble's protocol timer fires
     /// (election timeouts, heartbeats, retries).
@@ -263,10 +254,6 @@ pub struct Udr {
     /// Scratch for the responders of one quorum read consult, kept so a
     /// read allocates nothing.
     pub(crate) quorum_responders: Vec<(SeId, SimDuration)>,
-    /// Scratch for one channel's catch-up re-shipment, replica or
-    /// migration, handed back after its deliveries are scheduled so a
-    /// catch-up tick allocates nothing once it has held its largest pass.
-    pub(crate) catchup_deliveries: Vec<Delivery>,
     /// Per-partition Multi-Paxos ensembles; empty unless the deployment
     /// runs [`ReplicationMode::Consensus`](udr_model::config::ReplicationMode::Consensus).
     pub(crate) consensus: Vec<ConsensusGroup>,
@@ -362,7 +349,6 @@ impl Udr {
             ops_per_partition: vec![0; cfg.partitions as usize],
             quorum_acked: vec![Lsn::ZERO; cfg.partitions as usize],
             quorum_responders: Vec::new(),
-            catchup_deliveries: Vec::new(),
             cfg,
             net,
             rng: rng.fork(1),
@@ -601,13 +587,6 @@ impl Udr {
             self.trace_event(t, &event);
         }
         match event {
-            UdrEvent::ReplDeliver {
-                partition,
-                slave,
-                record,
-            } => {
-                self.deliver_replication(partition, slave, record);
-            }
             UdrEvent::ReplDeliverBatch {
                 partition,
                 slave,
@@ -659,7 +638,7 @@ impl Udr {
             UdrEvent::FailoverCheck { partition } => self.failover_check(partition),
             UdrEvent::MigrationStart { id } => self.migration_start(t, id),
             UdrEvent::MigrationCutover { id } => self.migration_cutover(t, id),
-            UdrEvent::MigrationDeliver { id, record } => self.migration_deliver(id, record),
+            UdrEvent::MigrationDeliver { id, records } => self.migration_deliver(id, records),
             UdrEvent::ConsensusTick { partition } => self.consensus_tick(t, partition),
             UdrEvent::ConsensusDeliver {
                 partition,
@@ -673,8 +652,8 @@ impl Udr {
 
     /// Flight-recorder instants for background events worth seeing on a
     /// timeline (faults, a migration's start, the arrival of a batch a
-    /// traced op opened). Bare periodic ticks, catch-up deliveries and
-    /// batches no traced op opened (every batch of one) are deliberately
+    /// traced op opened). Bare periodic ticks and batches no traced op
+    /// opened (every batch of one and every catch-up batch) are deliberately
     /// skipped: they would drown the ring without adding causality. A
     /// migration's cutover and abort are recorded where they happen
     /// (`complete_cutover`, `migration_abort`), not as events.
@@ -731,8 +710,7 @@ impl Udr {
                 self.tracer
                     .instant(0, 0, "migr.start", t, Some(format!("id={id}")))
             }
-            UdrEvent::ReplDeliver { .. }
-            | UdrEvent::ReplDeliverBatch { .. }
+            UdrEvent::ReplDeliverBatch { .. }
             | UdrEvent::MigrationCutover { .. }
             | UdrEvent::ShipFlush { .. }
             | UdrEvent::SnapshotTick { .. }

@@ -1,14 +1,15 @@
 //! Batched log shipping through the full event pump: coalesced channels
 //! must converge replicas exactly like per-record shipping (batches of
-//! one), survive partitions via catch-up, and stay deterministic under a
+//! one), ship each record once unless its message is lost, survive
+//! partitions and crashes via catch-up, and stay deterministic under a
 //! fixed seed.
 
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
-use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
+use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
-use udr_model::ids::SiteId;
+use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::ShipBatchConfig;
 use udr_sim::FaultScript;
@@ -27,17 +28,29 @@ fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
 }
 
-fn build(batch: ShipBatchConfig, seed: u64) -> (Udr, Vec<IdentitySet>) {
-    build_traced(batch, seed, TraceConfig::disabled())
-}
-
-fn build_traced(batch: ShipBatchConfig, seed: u64, trace: TraceConfig) -> (Udr, Vec<IdentitySet>) {
+fn config(batch: ShipBatchConfig, seed: u64) -> UdrConfig {
     let mut cfg = UdrConfig::figure2();
-    cfg.trace = trace;
     cfg.frash.replication = ReplicationMode::AsyncMasterSlave;
     cfg.frash.fe_read_policy = ReadPolicy::NearestCopy;
     cfg.ship_batch = batch;
     cfg.seed = seed;
+    cfg
+}
+
+fn build(batch: ShipBatchConfig, seed: u64) -> (Udr, Vec<IdentitySet>) {
+    provisioned(config(batch, seed))
+}
+
+fn build_traced(batch: ShipBatchConfig, seed: u64, trace: TraceConfig) -> (Udr, Vec<IdentitySet>) {
+    let mut cfg = config(batch, seed);
+    cfg.trace = trace;
+    provisioned(cfg)
+}
+
+/// The deployment with three subscribers provisioned, one per home region.
+/// Under figure 2's three partitions each master sits on its own site,
+/// with a slave on each other site.
+fn provisioned(cfg: UdrConfig) -> (Udr, Vec<IdentitySet>) {
     let mut udr = Udr::build(cfg).expect("valid config");
     let mut subs = Vec::new();
     for r in 0..3u64 {
@@ -68,71 +81,126 @@ fn read_op(subscriber: &IdentitySet) -> LdapOp {
     }
 }
 
-/// Drive a fixed write burst and return the value a remote reader sees
-/// after everything settles, plus the shipping counters.
-fn campaign(batch: ShipBatchConfig, seed: u64) -> (Option<u64>, u64, u64, u64) {
-    let (mut udr, subs) = build(batch, seed);
-    for i in 0..10u64 {
+/// `writes` writes to one subscriber, `gap` apart, starting at t=10 s.
+fn write_burst(udr: &mut Udr, subscriber: &IdentitySet, writes: u64, gap: SimDuration) {
+    for i in 0..writes {
         let out = udr
             .execute(
-                OpRequest::new(&write_op(&subs[0], 100 + i))
+                OpRequest::new(&write_op(subscriber, 100 + i))
                     .class(TxnClass::FrontEnd)
                     .site(SiteId(0))
-                    .at(t(10) + SimDuration::from_millis(i * 3)),
+                    .at(t(10) + gap * i),
             )
             .into_op();
         assert!(out.is_ok(), "write {i} failed: {:?}", out.result);
     }
-    udr.advance_to(t(20));
-    assert!(udr.replication_settled(), "replication did not settle");
-    // Read from a remote site: NearestCopy serves the local slave, which
-    // must have applied the batched stream.
+}
+
+/// The value a reader at site 2 sees: NearestCopy serves the local slave.
+fn remote_value(udr: &mut Udr, subscriber: &IdentitySet, at: SimTime) -> Option<u64> {
     let out = udr
         .execute(
-            OpRequest::new(&read_op(&subs[0]))
+            OpRequest::new(&read_op(subscriber))
                 .class(TxnClass::FrontEnd)
                 .site(SiteId(2))
-                .at(t(21)),
+                .at(at),
         )
         .into_op();
     assert!(out.is_ok(), "remote read failed: {:?}", out.result);
-    let value = out
-        .result
+    out.result
         .as_ref()
         .ok()
         .and_then(|e| e.as_ref())
         .and_then(|e| e.get(AttrId::OdbMask))
-        .and_then(AttrValue::as_u64);
-    (
-        value,
-        udr.shipping_batches(),
-        udr.shipped_records(),
-        udr.max_replica_lag(),
-    )
+        .and_then(AttrValue::as_u64)
+}
+
+/// Records the slaves of every partition applied: each slave starts empty,
+/// so its position counts them while nothing reseeds it.
+fn applied_on_slaves(udr: &Udr) -> u64 {
+    assert_eq!(udr.metrics.reseeds, 0, "a reseed skips records");
+    udr.shard_map()
+        .partitions()
+        .map(|p| {
+            udr.group(p)
+                .slaves()
+                .map(|se| udr.se(se).last_lsn(p).map_or(0, |lsn| lsn.raw()))
+                .sum::<u64>()
+        })
+        .sum()
+}
+
+/// What a write burst left behind once everything settled.
+#[derive(Debug, PartialEq)]
+struct Campaign {
+    /// The last value, as a remote reader sees it.
+    value: Option<u64>,
+    batches: u64,
+    shipped: u64,
+    /// Records the slaves applied.
+    applied: u64,
+    lag: u64,
+}
+
+/// Drive a write burst and return what it left once everything settled.
+fn campaign(batch: ShipBatchConfig, seed: u64, writes: u64, gap: SimDuration) -> Campaign {
+    let (mut udr, subs) = build(batch, seed);
+    write_burst(&mut udr, &subs[0], writes, gap);
+    udr.advance_to(t(20));
+    assert!(udr.replication_settled(), "replication did not settle");
+    Campaign {
+        value: remote_value(&mut udr, &subs[0], t(21)),
+        batches: udr.shipping_batches(),
+        shipped: udr.shipped_records(),
+        applied: applied_on_slaves(&udr),
+        lag: udr.max_replica_lag(),
+    }
+}
+
+/// Ten writes 3 ms apart: every batch has arrived before the next
+/// catch-up tick.
+fn ten_writes(batch: ShipBatchConfig, seed: u64) -> Campaign {
+    campaign(batch, seed, 10, SimDuration::from_millis(3))
 }
 
 #[test]
 fn batched_channels_converge_and_coalesce() {
-    let (value, batches, shipped, lag) = campaign(
+    let c = ten_writes(
         ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
         7,
     );
-    assert_eq!(value, Some(109), "remote slave must see the last write");
-    assert_eq!(lag, 0);
-    assert!(batches > 0, "coalesced mode must deliver batches");
+    assert_eq!(c.value, Some(109), "remote slave must see the last write");
+    assert_eq!(c.lag, 0);
+    assert!(c.batches > 0, "coalesced mode must deliver batches");
     assert!(
-        batches < shipped,
-        "batches ({batches}) must coalesce multiple records ({shipped})"
+        c.batches < c.shipped,
+        "batches ({}) must coalesce multiple records ({})",
+        c.batches,
+        c.shipped
     );
 }
 
 #[test]
 fn per_record_mode_ships_batches_of_one() {
-    let (value, batches, shipped, lag) = campaign(ShipBatchConfig::per_record(), 7);
-    assert_eq!(value, Some(109));
-    assert_eq!(lag, 0);
-    assert!(shipped > 0);
-    assert_eq!(batches, shipped, "per-record mode ships batches of one");
+    let c = ten_writes(ShipBatchConfig::per_record(), 7);
+    assert_eq!(c.value, Some(109));
+    assert_eq!(c.lag, 0);
+    assert!(c.shipped > 0);
+    assert_eq!(c.batches, c.shipped, "per-record mode ships batches of one");
+}
+
+#[test]
+fn no_record_ships_twice_in_a_fault_free_run() {
+    // The benchmark's shape: a write every 500 µs, so catch-up ticks fall
+    // while batches are in flight and, when coalescing, while one is open.
+    for batch in [
+        ShipBatchConfig::coalesce(64, SimDuration::from_millis(5)),
+        ShipBatchConfig::per_record(),
+    ] {
+        let c = campaign(batch, 7, 1_000, SimDuration::from_micros(500));
+        assert_eq!(c.value, Some(1_099), "{batch:?}");
+        assert_eq!(c.shipped, c.applied, "{batch:?}: a record shipped twice");
+    }
 }
 
 /// One traced modify at t=10 s, settled; returns its trace id and the
@@ -188,11 +256,11 @@ fn the_recorder_keeps_only_batches_a_traced_op_opened() {
 
 #[test]
 fn batched_campaign_is_deterministic() {
-    let a = campaign(
+    let a = ten_writes(
         ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
         42,
     );
-    let b = campaign(
+    let b = ten_writes(
         ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
         42,
     );
@@ -225,24 +293,68 @@ fn batches_dropped_by_partition_are_reshipped() {
     }
     udr.advance_to(t(15));
     assert!(udr.max_replica_lag() > 0, "cut slave must lag");
-    // Heal: periodic catch-up supersedes any dropped batch and re-ships
-    // the suffix from the log.
+    // Heal: the batches flushed under the cut were lost at send, and the
+    // periodic catch-up ships the suffix from the log.
     udr.advance_to(t(25));
     assert!(udr.replication_settled(), "did not settle after heal");
-    let out = udr
-        .execute(
-            OpRequest::new(&read_op(&subs[0]))
-                .class(TxnClass::FrontEnd)
-                .site(SiteId(2))
-                .at(t(26)),
-        )
-        .into_op();
-    let value = out
-        .result
-        .as_ref()
-        .ok()
-        .and_then(|e| e.as_ref())
-        .and_then(|e| e.get(AttrId::OdbMask))
-        .and_then(AttrValue::as_u64);
-    assert_eq!(value, Some(205));
+    assert_eq!(remote_value(&mut udr, &subs[0], t(26)), Some(205));
+}
+
+/// Four writes at t=10 s fill one batch to each slave of the subscriber's
+/// partition, flushed at the fourth write (t=10.003 s); `fault` strikes
+/// the site-2 slave 2 ms later, while its batch is still crossing the WAN
+/// (15 ms or more). The slave must converge once the fault is over, and
+/// the four records of the lost batch must ship exactly twice.
+fn lose_a_batch_in_flight(cfg: UdrConfig, fault: FaultScript) {
+    let (mut udr, subs) = provisioned(cfg);
+    udr.advance_to(t(9));
+    assert!(udr.replication_settled());
+    assert_eq!(udr.shipped_records(), applied_on_slaves(&udr));
+    udr.schedule_script(&fault);
+    write_burst(&mut udr, &subs[0], 4, SimDuration::from_millis(1));
+    udr.advance_to(t(20));
+    assert!(udr.replication_settled(), "did not settle after the fault");
+    assert_eq!(remote_value(&mut udr, &subs[0], t(21)), Some(103));
+    assert_eq!(
+        udr.shipped_records() - applied_on_slaves(&udr),
+        4,
+        "the four records of the lost batch ship exactly twice"
+    );
+}
+
+/// The fault starts between the batch's flush and its arrival.
+fn mid_flight() -> SimTime {
+    t(10) + SimDuration::from_millis(5)
+}
+
+#[test]
+fn a_batch_cut_off_in_flight_ships_again_after_the_heal() {
+    lose_a_batch_in_flight(
+        config(
+            ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
+            13,
+        ),
+        FaultScript::new(1).clean_partition(mid_flight(), SimDuration::from_secs(2), [SiteId(2)]),
+    );
+}
+
+#[test]
+fn a_batch_that_reaches_a_crashed_slave_ships_again_after_the_restore() {
+    // Each commit and apply reaches disk, so the slave restores exactly
+    // where it crashed: only the lost batch is missing. It is back before
+    // the next catch-up tick (t=10.2 s); a longer outage lets that tick
+    // truncate the master's log past it, and a reseed replaces the
+    // re-ship. One partition, so the crashed SE masters none: a restored
+    // master's partition gets a new shipping ledger, whose counters start
+    // again from zero.
+    let mut cfg = config(
+        ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
+        13,
+    );
+    cfg.frash.durability = DurabilityMode::SyncCommit;
+    cfg.partitions = 1;
+    lose_a_batch_in_flight(
+        cfg,
+        FaultScript::new(1).se_outage(mid_flight(), SimDuration::from_millis(100), SeId(2)),
+    );
 }

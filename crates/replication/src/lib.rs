@@ -28,5 +28,5 @@ pub mod twophase;
 pub use migration::MigrationState;
 pub use multimaster::{merge_branches, restoration_duration, MergeOutcome, MergeStats};
 pub use quorum::{quorum_write, QuorumWriteOutcome};
-pub use shipping::{AsyncShipper, BatchDelivery, Delivery, Enqueue, ShipBatchConfig};
+pub use shipping::{AsyncShipper, BatchDelivery, Enqueue, ShipBatchConfig};
 pub use twophase::{two_phase_commit, TwoPcOutcome};

@@ -3,23 +3,25 @@
 //! The master streams commit records to each slave over a FIFO channel
 //! (delivery order equals send order, like TCP); the slave applies them in
 //! LSN order, preserving the master's serialization order (§3.2). Shipping
-//! is asynchronous: commits never wait. When a slave is unreachable the
-//! channel stalls and a catch-up pass re-ships the missing suffix from the
-//! master's log once the slave is reachable again.
+//! is asynchronous: commits never wait.
 //!
-//! Every commit takes one path: [`AsyncShipper::enqueue`] adds it to the
-//! channel's open batch, and the batch ships as one message
-//! ([`BatchDelivery`]) when it reaches [`ShipBatchConfig::max_records`]
-//! ([`AsyncShipper::flush_open`]) or when its linger timer fires
-//! ([`AsyncShipper::flush_if_open`]). The default cap is one, so each
-//! commit ships at once as a batch of one. Only a catch-up pass ships
-//! single records ([`Delivery`]).
+//! Every record leaves in a batch, one message ([`BatchDelivery`]), through
+//! [`AsyncShipper::flush_open`]. A commit joins the channel's open batch
+//! ([`AsyncShipper::enqueue`]), which flushes when it reaches
+//! [`ShipBatchConfig::max_records`] or when its linger timer fires
+//! ([`AsyncShipper::flush_if_open`]); the default cap is one, so each
+//! commit ships at once as a batch of one. A catch-up pass
+//! ([`AsyncShipper::catch_up`]) is one more sender: it ships, as one batch,
+//! what the channel has not yet put in flight, taken from the master's log.
 //!
-//! The master's log is what a catch-up pass re-ships, so it must reach back
-//! to the record after each channel's confirmed position
+//! A record ships once unless its message is lost. A batch lost at send
+//! (the slave is unreachable) stalls the channel; a batch lost on arrival
+//! (the slave is down or cut off) rewinds it to the slave's confirmed
+//! position ([`AsyncShipper::rewind`]). Either way the next catch-up pass
+//! ships the rest from the master's log, which must therefore reach back to
+//! the record after each channel's confirmed position
 //! ([`AsyncShipper::min_applied`]); the deployment truncates it no further
-//! than that. A record in flight travels as a clone; should it be lost, the
-//! re-ship starts from the confirmed position, which the log still reaches.
+//! than that.
 //!
 //! Shipping recycles its batch vectors: a delivered batch hands its
 //! emptied record vector back ([`AsyncShipper::recycle`]), and the next
@@ -73,7 +75,7 @@ impl Default for ShipBatchConfig {
 struct Channel {
     /// Highest LSN this slave has applied (confirmed).
     applied: Lsn,
-    /// Highest LSN currently in flight to the slave.
+    /// Highest LSN put in flight to the slave and not known lost.
     inflight: Lsn,
     /// Arrival instant of the last in-flight record (FIFO clamp).
     last_arrival: SimTime,
@@ -103,21 +105,8 @@ pub struct AsyncShipper {
     spares: Vec<Vec<CommitRecord>>,
     /// Records shipped (including re-ships).
     pub shipped: u64,
-    /// Catch-up passes performed.
-    pub catchups: u64,
     /// Batches flushed, including batches of one.
     pub batches: u64,
-}
-
-/// A planned catch-up delivery: apply `record` on `slave` at `arrives`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery {
-    /// Destination slave SE.
-    pub slave: SeId,
-    /// The record to apply.
-    pub record: CommitRecord,
-    /// Virtual arrival instant.
-    pub arrives: SimTime,
 }
 
 /// A planned batched delivery: apply `records` (contiguous LSNs, in order)
@@ -149,7 +138,7 @@ pub enum Enqueue {
     /// [`AsyncShipper::flush_open`].
     Full,
     /// Refused: unknown channel or out-of-sequence record (catch-up will
-    /// re-ship from the log).
+    /// ship it from the log).
     Refused,
 }
 
@@ -205,8 +194,9 @@ impl AsyncShipper {
     }
 
     /// The lowest LSN any channel has confirmed applied, `None` without a
-    /// channel. A catch-up pass re-ships from the record after it, so the
-    /// master's log must still hold that record.
+    /// channel. A channel that loses a batch rewinds to it, and a catch-up
+    /// pass ships from the record after it, so the master's log must still
+    /// hold that record.
     pub fn min_applied(&self) -> Option<Lsn> {
         self.channels.values().map(|c| c.applied).min()
     }
@@ -266,7 +256,7 @@ impl AsyncShipper {
     /// Flush `slave`'s open batch unconditionally (cap reached). `delay` is
     /// the sampled network delay for the single batch message; `None`
     /// (unreachable) drops the batch and stalls the channel — catch-up
-    /// re-ships the suffix from the master's log.
+    /// ships the records from the master's log.
     pub fn flush_open(
         &mut self,
         slave: SeId,
@@ -332,62 +322,61 @@ impl AsyncShipper {
         self.flush_open(slave, now, delay)
     }
 
-    /// Plan a catch-up pass for `slave`: append to `out` a re-shipment of
-    /// every record the master still retains beyond the slave's applied
-    /// LSN. `delay` is the sampled delay for the (batched) transfer;
-    /// records inside a batch arrive back-to-back. `out` is the caller's,
-    /// so a pass that re-ships into a buffer it reuses allocates nothing.
+    /// A catch-up pass for `slave`: ship, as one batch, every record the
+    /// master's log holds beyond what the channel has put in flight. The
+    /// batch absorbs the open one, so FIFO order holds, and travels
+    /// untraced. `delay` samples the path for its message and is called only
+    /// when something is unshipped; `None` (unreachable) stalls the channel
+    /// as a lost flush does.
     ///
-    /// Appends nothing when the slave is up to date or the channel is
-    /// unknown. Panics never: a truncated master log that can no longer
-    /// serve the suffix yields only the retained part — callers detect the
-    /// gap via [`AsyncShipper::needs_reseed`].
+    /// Returns `None` when the channel is unknown or has nothing unshipped,
+    /// and when the master's log no longer reaches the record after the
+    /// in-flight position (callers detect that gap via
+    /// [`AsyncShipper::needs_reseed`]).
     pub fn catch_up(
         &mut self,
         slave: SeId,
         master: &Engine,
         now: SimTime,
-        delay: Option<SimDuration>,
-        out: &mut Vec<Delivery>,
-    ) {
+        delay: impl FnOnce() -> Option<SimDuration>,
+    ) -> Option<BatchDelivery> {
+        let ch = self.channels.get_mut(&slave)?;
+        if ch.inflight >= master.last_lsn() {
+            return None;
+        }
+        let delay = delay();
+        let mut records = master.log().since(ch.inflight).peekable();
+        if records.peek().map(|r| r.lsn) != Some(ch.inflight.next()) {
+            return None;
+        }
+        ch.pending.clear();
+        ch.pending.extend(records.cloned());
+        ch.open_trace = 0;
+        self.flush_open(slave, now, delay)
+    }
+
+    /// Rewind `slave`'s channel to its confirmed position if `batch`, which
+    /// has just arrived, was lost: it began at or below the next record the
+    /// slave lacks, yet the slave did not reach its last record (it was down
+    /// or cut off from the master). The open batch is dropped as well, and
+    /// the next catch-up pass ships from the confirmed position. A batch that
+    /// began above that record was stranded behind an earlier lost one,
+    /// whose rewind already covers it; rewinding again could send a second
+    /// copy of a catch-up batch still in flight.
+    pub fn rewind(&mut self, slave: SeId, batch: &[CommitRecord]) {
         let Some(ch) = self.channels.get_mut(&slave) else {
             return;
         };
-        if ch.applied >= master.last_lsn() {
-            return;
-        }
-        // Anything coalescing in an open batch is superseded: the catch-up
-        // suffix re-ships those records straight from the log.
-        ch.pending.clear();
-        ch.enqueued = ch.inflight;
-        ch.open_trace = 0;
-        let Some(delay) = delay else {
+        let (Some(first), Some(last)) = (batch.first(), batch.last()) else {
             return;
         };
-        let mut records = master.log().since(ch.applied).peekable();
-        if records.peek().map(|r| r.lsn) != Some(ch.applied.next()) {
-            // The suffix was truncated; a full reseed is required instead.
+        if ch.applied >= last.lsn || first.lsn > ch.applied.next() {
             return;
         }
-        self.catchups += 1;
-        let mut arrives = (now + delay).max(ch.last_arrival);
-        // LSNs are contiguous, so the suffix is exactly this long.
-        let len = master.last_lsn().raw() - ch.applied.raw();
-        out.reserve(len as usize);
-        let before = out.len();
-        for record in records {
-            out.push(Delivery {
-                slave,
-                record: record.clone(),
-                arrives,
-            });
-            ch.inflight = record.lsn;
-            ch.enqueued = record.lsn;
-            ch.last_arrival = arrives;
-            // Records in the same batch arrive 1 µs apart (stream order).
-            arrives += SimDuration::from_micros(1);
-        }
-        self.shipped += (out.len() - before) as u64;
+        ch.inflight = ch.applied;
+        ch.enqueued = ch.applied;
+        ch.pending.clear();
+        ch.open_trace = 0;
     }
 
     /// Whether the master can no longer serve the suffix the slave needs
@@ -431,17 +420,19 @@ mod tests {
     use udr_model::config::IsolationLevel;
     use udr_model::ids::SubscriberUid;
 
-    /// One catch-up pass into a fresh vector.
+    /// One catch-up pass; `None` when it shipped nothing.
     fn caught_up(
         shipper: &mut AsyncShipper,
         slave: SeId,
         master: &Engine,
         now: SimTime,
         delay: Option<SimDuration>,
-    ) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        shipper.catch_up(slave, master, now, delay, &mut out);
-        out
+    ) -> Option<BatchDelivery> {
+        shipper.catch_up(slave, master, now, || delay)
+    }
+
+    fn lsns(records: &[CommitRecord]) -> Vec<u64> {
+        records.iter().map(|r| r.lsn.raw()).collect()
     }
 
     fn commit_n(engine: &mut Engine, n: u64) -> Vec<CommitRecord> {
@@ -514,71 +505,59 @@ mod tests {
         assert!(ship_one(&mut shipper, SeId(1), &recs[0], SimTime(0), None).is_none());
         assert_eq!(shipper.lag(SeId(1), &master), Some(5));
 
-        // Heal: catch-up re-ships the full suffix in order.
-        let deliveries = caught_up(
+        // Heal: catch-up ships the full suffix in order, as one batch.
+        let batch = caught_up(
             &mut shipper,
             SeId(1),
             &master,
             SimTime(100),
             Some(SimDuration::from_millis(10)),
-        );
-        assert_eq!(deliveries.len(), 5);
-        for (i, d) in deliveries.iter().enumerate() {
-            assert_eq!(d.record.lsn, Lsn(i as u64 + 1));
-            if i > 0 {
-                assert!(d.arrives >= deliveries[i - 1].arrives);
-            }
-        }
+        )
+        .unwrap();
+        assert_eq!(lsns(&batch.records), [1, 2, 3, 4, 5]);
+        assert_eq!(batch.arrives, SimTime(10_000_100));
+        assert_eq!((shipper.shipped, shipper.batches), (5, 1));
         // Apply + confirm.
         let mut slave = Engine::new(SeId(1));
-        for d in &deliveries {
-            slave.apply_replicated(&d.record).unwrap();
-            shipper.on_applied(SeId(1), d.record.lsn);
+        for r in &batch.records {
+            slave.apply_replicated(r).unwrap();
         }
+        shipper.on_applied(SeId(1), Lsn(5));
         assert_eq!(shipper.lag(SeId(1), &master), Some(0));
-        assert_eq!(shipper.catchups, 1);
     }
 
     #[test]
-    fn a_catch_up_pass_appends_to_the_buffer_it_is_given() {
+    fn a_catch_up_pass_ships_only_what_is_not_in_flight() {
         let mut master = Engine::new(SeId(0));
-        commit_n(&mut master, 3);
+        let recs = commit_n(&mut master, 5);
         let mut shipper = AsyncShipper::new();
         shipper.register_slave(SeId(1), Lsn::ZERO);
-        shipper.register_slave(SeId(2), Lsn(1));
-        let mut out = Vec::with_capacity(8);
-        let buffer = out.as_ptr();
-        for slave in [SeId(1), SeId(2)] {
-            shipper.catch_up(
-                slave,
-                &master,
-                SimTime(0),
-                Some(SimDuration::ZERO),
-                &mut out,
-            );
+        let cfg = ShipBatchConfig::coalesce(8, SimDuration::from_millis(5));
+        let delay = Some(SimDuration::from_millis(2));
+        // LSNs 1-2 are in flight, 3-4 coalesce in the open batch and 5 was
+        // refused (out of sequence): only 3-5 are unshipped.
+        for r in &recs[..2] {
+            shipper.enqueue(SeId(1), r, &cfg);
         }
-        let shipped: Vec<_> = out.iter().map(|d| (d.slave, d.record.lsn.raw())).collect();
-        assert_eq!(
-            shipped,
-            [
-                (SeId(1), 1),
-                (SeId(1), 2),
-                (SeId(1), 3),
-                (SeId(2), 2),
-                (SeId(2), 3)
-            ]
-        );
-        assert_eq!(shipper.shipped, 5);
-        out.clear();
-        shipper.catch_up(
-            SeId(1),
-            &master,
-            SimTime(1),
-            Some(SimDuration::ZERO),
-            &mut out,
-        );
-        assert_eq!(out.len(), 3, "nothing applied yet: the suffix again");
-        assert_eq!(out.as_ptr(), buffer, "the buffer's room was enough");
+        let in_flight = shipper.flush_open(SeId(1), SimTime(0), delay).unwrap();
+        for r in &recs[2..4] {
+            shipper.enqueue(SeId(1), r, &cfg);
+        }
+        let batch = caught_up(&mut shipper, SeId(1), &master, SimTime(1), delay).unwrap();
+        assert_eq!(lsns(&batch.records), [3, 4, 5]);
+        assert_eq!(batch.arrives, SimTime(2_000_001));
+        assert_eq!((shipper.shipped, shipper.batches), (5, 2));
+        // Everything is in flight: the next pass ships nothing and does not
+        // sample the path.
+        let pass = shipper.catch_up(SeId(1), &master, SimTime(2), || {
+            panic!("a pass with nothing unshipped sampled the path")
+        });
+        assert!(pass.is_none());
+        // The superseded open batch's linger timer is a stale no-op.
+        assert!(shipper
+            .flush_if_open(SeId(1), 2, SimTime(3), delay)
+            .is_none());
+        assert_eq!(lsns(&in_flight.records), [1, 2]);
     }
 
     #[test]
@@ -594,7 +573,7 @@ mod tests {
             SimTime(0),
             Some(SimDuration::ZERO)
         )
-        .is_empty());
+        .is_none());
     }
 
     #[test]
@@ -613,7 +592,7 @@ mod tests {
             SimTime(0),
             Some(SimDuration::ZERO)
         )
-        .is_empty());
+        .is_none());
 
         // Reseed from snapshot, then no more reseed needed.
         shipper.reseeded(SeId(1), master.last_lsn());
@@ -629,20 +608,21 @@ mod tests {
         let mut shipper = AsyncShipper::new();
         shipper.register_slave(SeId(1), Lsn(2));
         assert!(!shipper.needs_reseed(SeId(1), &master));
-        let deliveries = caught_up(
+        let batch = caught_up(
             &mut shipper,
             SeId(1),
             &master,
             SimTime(0),
             Some(SimDuration::ZERO),
-        );
-        assert_eq!(deliveries.len(), 3);
+        )
+        .unwrap();
+        assert_eq!(lsns(&batch.records), [3, 4, 5]);
     }
 
     /// Regression: draining a slave mid-stall must drop its pending
     /// deliveries for good. Before the tombstone, a late `reseeded`
     /// confirmation re-created the channel and every subsequent
-    /// catch-up pass re-shipped the suffix to a slave that had already
+    /// catch-up pass shipped the suffix to a slave that had already
     /// left the group — retried forever by `CatchupTick`.
     #[test]
     fn drained_slave_stays_drained() {
@@ -672,21 +652,22 @@ mod tests {
                 SimTime(t),
                 Some(SimDuration::ZERO)
             )
-            .is_empty());
+            .is_none());
         }
-        assert_eq!(shipper.catchups, 0);
+        assert_eq!(shipper.shipped, 0);
 
         // Explicit re-registration (the slave re-joins the group) is the
         // only way back in.
         shipper.register_slave(SeId(1), Lsn(1));
-        let deliveries = caught_up(
+        let batch = caught_up(
             &mut shipper,
             SeId(1),
             &master,
             SimTime(9),
             Some(SimDuration::ZERO),
-        );
-        assert_eq!(deliveries.len(), 3);
+        )
+        .unwrap();
+        assert_eq!(lsns(&batch.records), [2, 3, 4]);
     }
 
     #[test]
@@ -797,16 +778,17 @@ mod tests {
             shipper.enqueue(SeId(1), &recs[0], &cfg),
             Enqueue::Opened { seq: 2 }
         );
-        // Heal: catch-up re-ships everything from the log, superseding the
-        // open batch.
-        let deliveries = caught_up(
+        // Heal: catch-up ships everything from the log, absorbing the open
+        // batch.
+        let batch = caught_up(
             &mut shipper,
             SeId(1),
             &master,
             SimTime(100),
             Some(SimDuration::from_millis(1)),
-        );
-        assert_eq!(deliveries.len(), 3);
+        )
+        .unwrap();
+        assert_eq!(lsns(&batch.records), [1, 2, 3]);
         // The superseded batch's timer is now a stale no-op.
         assert!(shipper
             .flush_if_open(SeId(1), 2, SimTime(200), Some(SimDuration::ZERO))
@@ -894,6 +876,45 @@ mod tests {
             shipper.recycle(batch);
             assert!(shipper.spares.len() <= delivered + 1);
         }
+    }
+
+    #[test]
+    fn a_batch_lost_on_arrival_rewinds_the_channel() {
+        let mut master = Engine::new(SeId(0));
+        let recs = commit_n(&mut master, 6);
+        let mut shipper = AsyncShipper::new();
+        shipper.register_slave(SeId(1), Lsn::ZERO);
+        let cfg = ShipBatchConfig::coalesce(2, SimDuration::from_millis(5));
+        let delay = Some(SimDuration::from_millis(1));
+        let flush = |shipper: &mut AsyncShipper, pair: &[CommitRecord]| {
+            for r in pair {
+                shipper.enqueue(SeId(1), r, &cfg);
+            }
+            shipper.flush_open(SeId(1), SimTime(0), delay).unwrap()
+        };
+        let first = flush(&mut shipper, &recs[..2]);
+        let second = flush(&mut shipper, &recs[2..4]);
+        assert_eq!(
+            shipper.enqueue(SeId(1), &recs[4], &cfg),
+            Enqueue::Opened { seq: 3 }
+        );
+        // The first batch arrives at a down slave: the channel rewinds to
+        // the confirmed 0 and drops the open batch, so the next commit is
+        // out of sequence and the pass ships everything as one batch.
+        shipper.rewind(SeId(1), &first.records);
+        assert_eq!(shipper.enqueue(SeId(1), &recs[5], &cfg), Enqueue::Refused);
+        let resent = caught_up(&mut shipper, SeId(1), &master, SimTime(1), delay).unwrap();
+        assert_eq!(lsns(&resent.records), [1, 2, 3, 4, 5, 6]);
+        // The second batch, stranded behind the lost one, does not rewind
+        // again while the catch-up batch is in flight.
+        shipper.rewind(SeId(1), &second.records);
+        assert!(caught_up(&mut shipper, SeId(1), &master, SimTime(2), delay).is_none());
+        // Nor does a batch the slave applied in full.
+        shipper.on_applied(SeId(1), Lsn(6));
+        shipper.rewind(SeId(1), &resent.records);
+        assert_eq!(shipper.lag(SeId(1), &master), Some(0));
+        assert!(caught_up(&mut shipper, SeId(1), &master, SimTime(3), delay).is_none());
+        assert_eq!(shipper.shipped, 4 + 6);
     }
 
     #[test]

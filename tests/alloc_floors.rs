@@ -14,8 +14,9 @@
 //! * a commit log truncated behind its readers takes the segments it
 //!   emptied back, instead of asking for new ones, and so does a chosen
 //!   log compacted behind its readers, whose id window stays as small;
-//! * a warm catch-up pass re-ships into a buffer the deployment keeps, and
-//!   a warm consensus catch-up reply into a vector an earlier one left.
+//! * a warm catch-up pass ships in batch vectors earlier deliveries handed
+//!   back, and a warm consensus catch-up reply fills a vector an earlier
+//!   one left.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -493,18 +494,19 @@ fn an_idle_pump_allocates_nothing() {
     );
 }
 
-// --- Catch-up: a warm pass re-ships from a buffer the deployment keeps ------
+// --- Catch-up: a warm pass ships in recycled batch vectors -----------------
 //
-// Every catch-up tick re-ships to each lagging channel the suffix of the
-// master's log its slave has not applied, records still coalescing in an
-// open batch included. The deployment fills one buffer it keeps with those
-// re-shipments and takes it back once they are scheduled, so a pass no
-// longer than an earlier one allocates nothing.
+// Every catch-up tick ships to each channel, as one batch, what the channel
+// has not yet put in flight: here, the records still coalescing in its open
+// batch. The pass refills the open batch's vector from the master's log and
+// flushes it as a commit would, taking for the next open batch a vector an
+// earlier delivered batch handed back, so a pass no longer than an earlier
+// one allocates nothing.
 
 /// Ship batches linger a whole second: the writes made between two ticks
-/// still sit in an open batch at the second, which re-ships them.
+/// still sit in an open batch at the second, which ships them.
 const LINGERING: ShipBatchConfig = ShipBatchConfig::coalesce(64, SimDuration::from_secs(1));
-/// Writes between two ticks, to one partition: each tick re-ships this many
+/// Writes between two ticks, to one partition: each tick ships this many
 /// records to each of two slaves.
 const LAGGING: u64 = 8;
 

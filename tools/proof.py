@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""One proof command: run every deterministic artifact on a parent revision
+and on this tree, and print one table of what is identical, moved, new or
+gone.
+
+    python3 tools/proof.py <parent-rev>
+
+The parent is exported with `git archive` into a temporary directory (so
+nothing is left registered in `.git`) and built there, release binaries
+only, with a CARGO_TARGET_DIR of its own; the directory and its target go
+when the run ends. This tree is used as it stands, uncommitted edits
+included, and builds into its own `target/`.
+
+The artifacts, on each side:
+
+* `report/BENCH_<eNN>.json`: the report of every experiment binary that has
+  a committed baseline under `tools/baselines/`, run without arguments;
+* `trace/<bin>`: the `trace: … digest` line of each binary in
+  `tools/trace_digests.json`, run with `--trace`;
+* `perf/<workload>/<seed>`: `udr-perf` at the allocation gates' settings
+  (`--seconds 2 --trace 0`, seeds 11 and 12), every line it prints except
+  the host-timed ones (`deterministic` below is the one place that rule
+  lives).
+
+A moved artifact is listed with its first differing line. An artifact only
+the parent has is gone; one only this tree has is new. The command fails
+only when a build or a run does; a sim-visible change reads its list of
+moves off the table.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = ("11", "12")
+PERF_ARGS = ["--seconds", "2", "--trace", "0"]
+
+
+def deterministic(line):
+    """Whether a `udr-perf` output line depends on the simulated run alone.
+    Dropped: the per-repetition host timings, every metric row whose clock
+    column reads `host`, and the result object, which repeats the metric
+    rows with the host ones among them (its verdict is kept)."""
+    if line.startswith("repetition "):
+        return False
+    fields = line.split()
+    return not (len(fields) >= 4 and fields[3] == "host")
+
+
+def build(tree, target):
+    """Release-build the experiment binaries and `udr-perf` of `tree` into
+    `target`. Building `benchmark/` rewrites its lock file, so the file is
+    put back as it was."""
+    env = {**os.environ, "CARGO_TARGET_DIR": str(target)}
+    cargo = ["cargo", "build", "--release", "--offline", "--quiet"]
+    subprocess.run([*cargo, "-p", "udr-bench", "--bins"], cwd=tree, env=env, check=True)
+    manifest = tree / "benchmark" / "Cargo.toml"
+    if manifest.exists():
+        lock = tree / "benchmark" / "Cargo.lock"
+        saved = lock.read_bytes() if lock.exists() else None
+        try:
+            subprocess.run([*cargo, "--manifest-path", str(manifest)], env=env, check=True)
+        finally:
+            if saved is not None:
+                lock.write_bytes(saved)
+
+
+def run(binary, args, workdir):
+    """Run `binary` with `args` in a fresh `workdir`; its standard output."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir(parents=True)
+    return subprocess.run(
+        [str(binary), *args], cwd=workdir, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout
+
+
+def collect(tree, target, scratch):
+    """Every artifact of `tree` built into `target`, as name → lines."""
+    release = target / "release"
+    artifacts = {}
+    bins = {p.stem.split("_")[0]: p.stem for p in (tree / "crates/bench/src/bin").glob("e*.rs")}
+    for baseline in sorted((tree / "tools" / "baselines").glob("BENCH_*.json")):
+        binary = bins.get(baseline.stem.removeprefix("BENCH_"))
+        if binary is None:
+            continue
+        work = scratch / binary
+        run(release / binary, [], work)
+        artifacts[f"report/{baseline.name}"] = (work / baseline.name).read_text().splitlines()
+    gates = tree / "tools" / "trace_digests.json"
+    for binary in json.loads(gates.read_text()) if gates.exists() else []:
+        out = run(release / binary, ["--trace"], scratch / binary)
+        artifacts[f"trace/{binary}"] = [line for line in out.splitlines() if line.startswith("trace: ")]
+    perf = release / "udr-perf"
+    workloads = tree / "BENCHMARK.json"
+    if perf.exists() and workloads.exists():
+        for workload in (w["name"] for w in json.loads(workloads.read_text())["workloads"]):
+            for seed in SEEDS:
+                args = ["--workload", workload, "--seed", seed, *PERF_ARGS]
+                lines = run(perf, args, scratch / "perf").splitlines()
+                result = json.loads(lines.pop())
+                verdict = {k: result[k] for k in ("correct", "attempted", "failed")}
+                artifacts[f"perf/{workload}/{seed}"] = [
+                    *filter(deterministic, lines),
+                    json.dumps(verdict),
+                ]
+    return artifacts
+
+
+def first_difference(old, new):
+    """The first line where `old` and `new` differ, as one table cell: the
+    line number and, on each side, the text from a little before the first
+    differing character."""
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            col = next((c for c, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            start = max(0, col - 24)
+            return f"line {i + 1}: {a[start:col + 24]!r} → {b[start:col + 24]!r}"
+    return f"length {len(old)} → {len(new)} lines"
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit("usage: tools/proof.py <parent-rev>")
+    rev = sys.argv[1]
+    with tempfile.TemporaryDirectory(prefix="udr-proof-") as tmp:
+        tmp = Path(tmp)
+        parent = tmp / "parent"
+        parent.mkdir()
+        archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", str(parent)], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            sys.exit(f"git archive {rev} failed")
+        print(f"building {rev} and this tree", file=sys.stderr)
+        build(parent, tmp / "target")
+        build(ROOT, ROOT / "target")
+        print("running both", file=sys.stderr)
+        old = collect(parent, tmp / "target", tmp / "run-parent")
+        new = collect(ROOT, ROOT / "target", tmp / "run-change")
+
+    rows = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            rows.append((name, "gone", ""))
+        elif name not in old:
+            rows.append((name, "new", ""))
+        elif old[name] == new[name]:
+            rows.append((name, "identical", ""))
+        else:
+            rows.append((name, "moved", first_difference(old[name], new[name])))
+    width = max(len(name) for name, _, _ in rows)
+    print(f"{'artifact':<{width}}  {'status':<9}  first differing line ({rev} → this tree)")
+    for name, status, detail in rows:
+        print(f"{name:<{width}}  {status:<9}  {detail}".rstrip())
+    counts = {s: sum(1 for _, st, _ in rows if st == s) for s in ("identical", "moved", "new", "gone")}
+    print(", ".join(f"{n} {s}" for s, n in counts.items()))
+
+
+if __name__ == "__main__":
+    main()
