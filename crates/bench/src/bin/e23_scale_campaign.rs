@@ -8,7 +8,7 @@
 //! 1. **intern** — identity generation through the global interner;
 //! 2. **ingest** — transactional commits into the sharded columnar stores;
 //! 3. **read**   — random zero-copy point reads against the live stores;
-//! 4. **image**  — freezing a shard into one contiguous byte image;
+//! 4. **image**  — a snapshot of one shard, its payloads shared;
 //! 5. **ship**   — batched log shipping of a full shard to a fresh slave;
 //! 6. **pipeline** — the full figure-2 request path under batched
 //!    shipping.
@@ -94,7 +94,7 @@ fn main() {
     println!(
         "\nin-store: {} records, {:.1} MiB (stores) + {:.1} MiB interner ({} symbols)\n\
          shipping: {} records in {} batches ({:.1} records/batch)\n\
-         image: {:.1} MiB frozen; peak RSS {:.1} MiB; digest {:016x}",
+         image: {:.1} MiB snapshot; peak RSS {:.1} MiB; digest {:016x}",
         out.records_in_store,
         out.store_bytes as f64 / (1024.0 * 1024.0),
         out.interner_bytes as f64 / (1024.0 * 1024.0),

@@ -111,7 +111,9 @@ pub struct ScaleOutcome {
     pub shipped_records: u64,
     /// Coalesced batches the shipping stage delivered.
     pub shipped_batches: u64,
-    /// Frozen store-image bytes for shard 0.
+    /// Snapshot bytes of shard 0 ([`EngineSnapshot::approx_bytes`]).
+    ///
+    /// [`EngineSnapshot::approx_bytes`]: udr_storage::EngineSnapshot::approx_bytes
     pub image_bytes: u64,
     /// Peak RSS of the process (kB, from `/proc/self/status`; 0 when
     /// unavailable).
@@ -302,16 +304,16 @@ pub fn run(cfg: &ScaleConfig) -> ScaleOutcome {
     assert_eq!(hits, cfg.reads, "every sampled uid must be resident");
     stages.push(read_timer.finish(cfg.reads));
 
-    // -- Stage 4: freeze shard 0 into a contiguous image ------------------
+    // -- Stage 4: snapshot shard 0 (the image a seed or a disk keeps) -------
     let image_records = engines[0].store().len() as u64;
     let mut image_timer = StageTimer::new("image", 1);
-    let image = image_timer.item(|| engines[0].store().freeze_image());
-    assert_eq!(image.len() as u64, image_records);
-    let image_bytes = image.byte_len() as u64;
-    // Spot-check zero-copy: every record slice shares the one allocation.
-    if !image.is_empty() {
-        let probe = image.record_bytes(image.len() - 1);
-        assert!(probe.shares_storage_with(image.bytes()));
+    let image = image_timer.item(|| engines[0].snapshot());
+    assert_eq!(image.records.len() as u64, image_records);
+    let image_bytes = image.approx_bytes() as u64;
+    // Spot-check zero-copy: the snapshot shares the store's payloads.
+    if let Some((uid, version)) = image.records.last() {
+        let live = engines[0].committed_entry(*uid).expect("resident");
+        assert!(version.entry.as_ref().is_some_and(|e| e.same_handle(live)));
     }
     stages.push(image_timer.finish(image_records));
 

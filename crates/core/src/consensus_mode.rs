@@ -1176,11 +1176,7 @@ mod tests {
 
         udr.advance_to(at(9_100));
         assert_eq!(udr.metrics.reseeds, 1, "a installed a peer's copy");
-        let image = udr.ses[members[a].index()]
-            .disk()
-            .load(P0)
-            .unwrap()
-            .last_lsn;
+        let image = udr.ses[members[a].index()].image_lsn(P0).unwrap();
         let log = udr.consensus[0].ensemble.nodes()[a].log();
         assert_eq!(log.cursor_for_writes(image.raw()), None);
 
@@ -1197,7 +1193,7 @@ mod tests {
         let se = &udr.ses[members[a].index()];
         assert!(se.is_up());
         assert!(se.engine(P0).is_err(), "a waits");
-        assert_eq!(se.disk().load(P0).map(|image| image.last_lsn), Some(image));
+        assert_eq!(se.image_lsn(P0), Some(image));
         assert_eq!(udr.metrics.reseeds, 1);
         udr.advance_to(at(11_100));
         assert_eq!(udr.metrics.reseeds, 2, "b's restore seeds a");

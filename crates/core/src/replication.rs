@@ -973,10 +973,7 @@ impl Udr {
     fn refresh_image_slots(&mut self, pid: PartitionId) {
         let p = pid.index();
         for (i, se) in self.shard_map.groups()[p].members().iter().enumerate() {
-            let lsn = self.ses[se.index()]
-                .disk()
-                .load(pid)
-                .map_or(Lsn::ZERO, |image| image.last_lsn);
+            let lsn = self.ses[se.index()].image_lsn(pid).unwrap_or(Lsn::ZERO);
             let g = &mut self.consensus[p];
             if g.images[i].0 != lsn {
                 let log = g.ensemble.nodes()[i].log();

@@ -465,10 +465,7 @@ fn write_through_ticks(
 /// The position a member's copy restores from: its disk image's LSN, or
 /// zero before its first save.
 fn image_lsn(udr: &Udr, se: SeId) -> Lsn {
-    udr.se(se)
-        .disk()
-        .load(P)
-        .map_or(Lsn::ZERO, |image| image.last_lsn)
+    udr.se(se).image_lsn(P).unwrap_or(Lsn::ZERO)
 }
 
 /// The one slave of the partition that does not master it.
@@ -889,7 +886,7 @@ fn a_member_migrated_then_crashed_before_its_first_save_installs_the_leaders_eng
         udr.advance_to(now);
     }
     // Its first save is due at 5.05 s.
-    assert!(udr.se(to).disk().load(P).is_none(), "no image came along");
+    assert!(udr.se(to).image_lsn(P).is_none(), "no image came along");
     udr.schedule_script(&FaultScript::new(7).se_outage(
         now + SimDuration::from_millis(1),
         SimDuration::from_millis(300),

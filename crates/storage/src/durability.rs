@@ -59,17 +59,23 @@ impl CostModel {
     }
 }
 
-/// The per-SE simulated disk: one snapshot per partition replica. Contents
+/// The per-SE simulated disk: one image per partition replica. Contents
 /// survive crashes; RAM does not.
 ///
-/// A save refreshes the stored image in place ([`Disk::refresh`]) rather
-/// than replacing it, so a save after few writes costs the host a walk of
-/// the slots and the writes, not a new image. What the simulation charges
-/// for a save does not depend on this: it prices the whole image
-/// ([`CostModel::snapshot_cost`]), as a disk that rewrites it would.
+/// The image of a copy that is up lives in that copy's store, as its
+/// saved-version column: a save (`Disk::save`) copies only the slots
+/// written since the last one, and allocates nothing. The disk itself
+/// holds a materialised [`EngineSnapshot`], in uid order, only for an image
+/// no live store holds: it takes one out of an engine's column when the
+/// engine is dropped or replaced (`Disk::keep_image`: a crash, an
+/// unload, a seed over the copy), and drops it at the partition's next
+/// save. What the simulation charges for a save does not depend on any of
+/// this: it prices the whole image ([`CostModel::snapshot_cost`]), as a
+/// disk that rewrites it would.
 #[derive(Debug, Clone, Default)]
 pub struct Disk {
-    snapshots: IdMap<PartitionId, EngineSnapshot>,
+    /// Images no live store holds.
+    images: IdMap<PartitionId, EngineSnapshot>,
     /// When the last snapshot cycle completed.
     pub last_snapshot_at: Option<SimTime>,
     /// Snapshot cycles performed.
@@ -83,29 +89,35 @@ impl Disk {
     }
 
     /// Save `engine`'s committed state as the image of `partition`: the
-    /// stored image is brought up to date in place
-    /// ([`Engine::snapshot_into`]), or built if there is none.
-    pub fn refresh(&mut self, partition: PartitionId, engine: &Engine) {
-        let image = self
-            .snapshots
-            .entry(partition)
-            .or_insert_with(EngineSnapshot::empty);
-        engine.snapshot_into(image);
+    /// engine's store takes it ([`Engine::save`]), and a copy the disk
+    /// held goes.
+    pub(crate) fn save(&mut self, partition: PartitionId, engine: &mut Engine) {
+        engine.save();
+        self.images.remove(&partition);
     }
 
-    /// Fetch the stored snapshot for a partition, if any.
+    /// Keep the image `engine` holds of `partition`, if it was ever
+    /// saved, as the engine goes ([`Engine::into_saved_image`]). An engine
+    /// never saved holds none, and whatever image the disk held stays.
+    pub(crate) fn keep_image(&mut self, partition: PartitionId, engine: Engine) {
+        if let Some(image) = engine.into_saved_image() {
+            self.images.insert(partition, image);
+        }
+    }
+
+    /// The image of `partition` that no live store holds, if any.
     pub fn load(&self, partition: PartitionId) -> Option<&EngineSnapshot> {
-        self.snapshots.get(&partition)
+        self.images.get(&partition)
     }
 
-    /// Remove a partition's snapshot (when a replica is dropped).
+    /// Remove a partition's image (when a replica is dropped).
     pub fn remove(&mut self, partition: PartitionId) {
-        self.snapshots.remove(&partition);
+        self.images.remove(&partition);
     }
 
-    /// Partitions with stored snapshots.
+    /// Partitions whose image the disk holds.
     pub fn partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
-        self.snapshots.keys().copied()
+        self.images.keys().copied()
     }
 }
 
@@ -177,8 +189,12 @@ mod tests {
     #[test]
     fn disk_store_load_remove() {
         let mut d = Disk::new();
-        assert!(d.load(PartitionId(0)).is_none());
-        d.refresh(PartitionId(0), &Engine::new(SeId(0)));
+        d.keep_image(PartitionId(0), Engine::new(SeId(0)));
+        assert!(d.load(PartitionId(0)).is_none(), "never saved");
+        let mut engine = Engine::new(SeId(0));
+        d.save(PartitionId(0), &mut engine);
+        assert!(d.load(PartitionId(0)).is_none(), "the engine holds it");
+        d.keep_image(PartitionId(0), engine);
         assert_eq!(d.load(PartitionId(0)), Some(&EngineSnapshot::empty()));
         assert_eq!(d.partitions().count(), 1);
         d.remove(PartitionId(0));

@@ -59,10 +59,9 @@ impl ActiveTxn {
     }
 }
 
-/// A snapshot of an engine's committed state (what periodic durability
-/// writes to disk): every slot, tombstones included, in uid order. The
-/// simulated disk keeps one per replica and refreshes it in place
-/// ([`Engine::snapshot_into`]).
+/// A snapshot of an engine's committed state: every slot, tombstones
+/// included, in uid order. What seeds a copy from a peer's, and the form
+/// the simulated disk keeps an image in when no live store holds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Committed records at snapshot time.
@@ -80,6 +79,14 @@ impl EngineSnapshot {
         }
     }
 
+    /// A snapshot at `last_lsn` of `records`, put in uid order.
+    fn in_uid_order(mut records: Vec<(SubscriberUid, RecordVersion)>, last_lsn: Lsn) -> Self {
+        // Uids are unique, so the unstable sort yields the same order as
+        // a stable one, and it sorts in place.
+        records.sort_unstable_by_key(|(k, _)| *k);
+        EngineSnapshot { records, last_lsn }
+    }
+
     /// Approximate serialised size in bytes (drives snapshot-cost models).
     pub fn approx_bytes(&self) -> usize {
         self.records
@@ -87,20 +94,6 @@ impl EngineSnapshot {
             .map(|(_, v)| 16 + v.entry.as_ref().map_or(0, Entry::approx_size))
             .sum()
     }
-}
-
-/// Whether a snapshot record already holds the slot `view` shows: the same
-/// metadata and the same payload handle, so no attribute is read.
-fn holds((uid, version): &(SubscriberUid, RecordVersion), view: &RecordView<'_>) -> bool {
-    *uid == view.uid
-        && version.lsn == view.lsn
-        && version.committed_at == view.committed_at
-        && version.written_by == view.written_by
-        && match (&version.entry, view.entry) {
-            (Some(held), Some(live)) => held.same_handle(live),
-            (None, None) => true,
-            _ => false,
-        }
 }
 
 /// The transactional store for one partition replica.
@@ -379,43 +372,33 @@ impl Engine {
         self.log.truncate_through(upto);
     }
 
-    /// Take a durability snapshot of the committed state: one vector of
-    /// shared payload handles, sorted by uid. This is
-    /// [`Engine::snapshot_into`] on an empty snapshot.
+    /// Take a snapshot of the committed state: one vector of shared
+    /// payload handles, sorted by uid.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut snap = EngineSnapshot::empty();
-        self.snapshot_into(&mut snap);
-        snap
+        let records = self.committed.iter().map(|v| (v.uid, v.to_version()));
+        EngineSnapshot::in_uid_order(records.collect(), self.log.last_lsn())
     }
 
-    /// Bring `snap` up to date with the committed state, in place; it then
-    /// equals what [`Engine::snapshot`] returns, whatever it held before.
-    ///
-    /// The store's slots are walked in step with `snap.records`. A record
-    /// whose uid, LSN, commit stamp, writer and payload handle
-    /// ([`Entry::same_handle`]) all match stays as it is, so a refresh
-    /// after no write touches no reference count and reads no attribute.
-    /// Any other record is overwritten, slots the snapshot lacks are
-    /// appended after growing it to exactly the slot count, and a surplus
-    /// is truncated. When the slots are already in uid order, as they
-    /// usually are, the closing sort is one linear pass; otherwise it is a
-    /// real sort.
-    pub fn snapshot_into(&self, snap: &mut EngineSnapshot) {
-        let records = &mut snap.records;
-        let slots = self.committed.len();
-        records.truncate(slots);
-        let mut views = self.committed.iter();
-        for (held, view) in records.iter_mut().zip(views.by_ref()) {
-            if !holds(held, &view) {
-                *held = (view.uid, view.to_version());
-            }
-        }
-        records.reserve_exact(slots - records.len());
-        records.extend(views.map(|view| (view.uid, view.to_version())));
-        // Uids are unique, so the unstable sort yields the same order as
-        // a stable one, and it sorts in place.
-        records.sort_unstable_by_key(|(k, _)| *k);
-        snap.last_lsn = self.log.last_lsn();
+    /// Save the committed state as this replica's disk image, which its
+    /// store keeps ([`RecordStore::save`]): only the slots written since
+    /// the last save are visited, and nothing is allocated. Returns the
+    /// number of slots written.
+    pub(crate) fn save(&mut self) -> usize {
+        self.committed.save(self.log.last_lsn())
+    }
+
+    /// The LSN of the image the last [`Engine::save`] took, or `None` if
+    /// this engine was never saved.
+    pub(crate) fn image_lsn(&self) -> Option<Lsn> {
+        self.committed.image_lsn()
+    }
+
+    /// The image the last [`Engine::save`] took, moved out of the engine
+    /// as it goes, as a snapshot in uid order; `None` if this engine was
+    /// never saved. The disk keeps it.
+    pub(crate) fn into_saved_image(self) -> Option<EngineSnapshot> {
+        let (last_lsn, records) = self.committed.into_image()?;
+        Some(EngineSnapshot::in_uid_order(records, last_lsn))
     }
 
     /// Number of live (non-tombstone) records.
@@ -728,6 +711,48 @@ mod tests {
         restored.put(t, uid(9), entry("post")).unwrap();
         let rec = restored.commit(t, SimTime(9)).unwrap().unwrap();
         assert_eq!(rec.lsn, Lsn(6));
+    }
+
+    /// A save writes each slot written since the previous save once,
+    /// however often it was written, new slots and tombstones included,
+    /// and the image it leaves is the snapshot taken at that moment,
+    /// whatever is written after it.
+    #[test]
+    fn a_save_writes_the_distinct_slots_written_since_the_last() {
+        assert_eq!(Engine::new(SeId(0)).into_saved_image(), None);
+        let mut eng = Engine::new(SeId(0));
+        assert_eq!(eng.image_lsn(), None);
+        assert_eq!(eng.save(), 0, "an empty engine");
+        assert_eq!(eng.image_lsn(), Some(Lsn::ZERO), "an empty image is one");
+
+        let mut written = std::collections::BTreeSet::new();
+        let mut at_save = eng.snapshot();
+        let mut x = 7u64;
+        for round in 0..7u64 {
+            for i in 0..round * 5 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = uid((x >> 33) % 40);
+                let t = eng.begin(IsolationLevel::ReadCommitted);
+                if i % 4 == 3 && eng.read_committed(u).is_some() {
+                    eng.delete(t, u).unwrap();
+                } else {
+                    eng.put(t, u, entry(&format!("{round}.{i}"))).unwrap();
+                }
+                eng.commit(t, SimTime(round * 100 + i)).unwrap();
+                written.insert(u);
+            }
+            if round == 6 {
+                break; // written after the last save
+            }
+            assert_eq!(eng.save(), written.len(), "round {round}");
+            written.clear();
+            assert_eq!(eng.image_lsn(), Some(eng.last_lsn()));
+            at_save = eng.snapshot();
+        }
+        assert_ne!(eng.snapshot(), at_save);
+        assert_eq!(eng.into_saved_image(), Some(at_save));
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub use durability::{CostModel, Disk, SnapshotScheduler};
 pub use engine::{Engine, EngineSnapshot, TxnId};
 pub use log::CommitLog;
 pub use se::{Replica, SeState, StorageElement};
-pub use store::{RecordStore, RecordView, StoreImage};
+pub use store::{RecordStore, RecordView};
 pub use version::{Change, Changes, CommitRecord, Lsn, RecordVersion};

@@ -107,14 +107,7 @@ impl StorageElement {
 
     /// Host a new (empty) replica of `partition` with the given role.
     pub fn add_replica(&mut self, partition: PartitionId, role: ReplicaRole) {
-        self.replicas.insert(
-            partition,
-            Replica {
-                engine: Engine::new(self.id),
-                role,
-                frozen: false,
-            },
-        );
+        self.install(partition, Engine::new(self.id), role);
     }
 
     /// Host a replica seeded from a snapshot (slave catch-up / rejoin).
@@ -126,14 +119,20 @@ impl StorageElement {
     ) {
         let mut engine = Engine::from_snapshot(self.id, snapshot);
         engine.set_se(self.id);
-        self.replicas.insert(
-            partition,
-            Replica {
-                engine,
-                role,
-                frozen: false,
-            },
-        );
+        self.install(partition, engine, role);
+    }
+
+    /// Host `engine` as the copy of `partition`. A copy it replaces leaves
+    /// its image on the disk ([`Disk::keep_image`]).
+    fn install(&mut self, partition: PartitionId, engine: Engine, role: ReplicaRole) {
+        let replica = Replica {
+            engine,
+            role,
+            frozen: false,
+        };
+        if let Some(old) = self.replicas.insert(partition, replica) {
+            self.disk.keep_image(partition, old.engine);
+        }
     }
 
     /// The partitions this SE currently hosts.
@@ -218,7 +217,9 @@ impl StorageElement {
     /// copy restored from an image its replication group cannot roll
     /// forward, waiting for a peer's.
     pub fn unload_partition(&mut self, partition: PartitionId) {
-        self.replicas.remove(&partition);
+        if let Some(r) = self.replicas.remove(&partition) {
+            self.disk.keep_image(partition, r.engine);
+        }
     }
 
     // ---- transaction API -------------------------------------------------
@@ -343,14 +344,14 @@ impl StorageElement {
     }
 
     /// Under sync-commit, bring the disk image of `partition` level with
-    /// RAM after a commit or an apply: the image is refreshed in place, and
-    /// the flush's cost is what [`CostModel::commit_cost`] charges.
+    /// RAM after a commit or an apply: a save of the slots just written,
+    /// whose cost is what [`CostModel::commit_cost`] charges.
     fn sync_to_disk(&mut self, partition: PartitionId) {
         if self.scheduler.mode() != DurabilityMode::SyncCommit {
             return;
         }
-        if let Some(r) = self.replicas.get(&partition) {
-            self.disk.refresh(partition, &r.engine);
+        if let Some(r) = self.replicas.get_mut(&partition) {
+            self.disk.save(partition, &mut r.engine);
         }
     }
 
@@ -366,6 +367,16 @@ impl StorageElement {
         if let Some(r) = self.replicas.get_mut(&partition) {
             r.engine.truncate_log(upto);
         }
+    }
+
+    /// The LSN of `partition`'s disk image, the position a restore resumes
+    /// from; `None` when there is no image, because the copy was never
+    /// saved or was released.
+    pub fn image_lsn(&self, partition: PartitionId) -> Option<Lsn> {
+        self.replicas
+            .get(&partition)
+            .and_then(|r| r.engine.image_lsn())
+            .or_else(|| self.disk.load(partition).map(|image| image.last_lsn))
     }
 
     /// Direct engine access (replication and merge procedures need it).
@@ -384,14 +395,14 @@ impl StorageElement {
         Some(self.force_snapshot(now))
     }
 
-    /// Unconditionally snapshot every replica to disk. Each stored image is
-    /// refreshed in place ([`Disk::refresh`]); the simulated cost is that
-    /// of writing every image whole.
+    /// Unconditionally snapshot every replica to disk. Each save writes
+    /// only the slots written since the last (`Disk::save`); the
+    /// simulated cost is that of writing every image whole.
     pub fn force_snapshot(&mut self, now: SimTime) -> SimDuration {
         let mut bytes = 0usize;
-        for (pid, r) in &self.replicas {
+        for (pid, r) in &mut self.replicas {
             bytes += r.engine.store().snapshot_bytes();
-            self.disk.refresh(*pid, &r.engine);
+            self.disk.save(*pid, &mut r.engine);
         }
         self.disk.last_snapshot_at = Some(now);
         self.disk.snapshot_cycles += 1;
@@ -405,10 +416,13 @@ impl StorageElement {
             return;
         }
         // Under sync-commit the disk is in lock-step with RAM by
-        // construction (every commit refreshed the image), so nothing to do;
-        // under the other modes whatever happened after the last snapshot is
-        // simply gone — the §4.2 durability gap.
-        self.replicas.clear();
+        // construction (every commit saved the image); under the other
+        // modes whatever happened after the last snapshot is simply gone —
+        // the §4.2 durability gap. Either way the images the stores held
+        // stay on the disk.
+        for (pid, r) in self.replicas.drain() {
+            self.disk.keep_image(pid, r.engine);
+        }
         self.state = SeState::Down;
         self.crashes += 1;
     }
@@ -423,6 +437,17 @@ impl StorageElement {
         }
         self.state = SeState::Up;
         self.scheduler = SnapshotScheduler::new(self.scheduler.mode(), now);
+        // A copy hosted while down may have been saved since: it goes, and
+        // its image is restored like any other.
+        let saved: Vec<PartitionId> = self
+            .replicas
+            .iter()
+            .filter(|(_, r)| r.engine.image_lsn().is_some())
+            .map(|(&pid, _)| pid)
+            .collect();
+        for pid in saved {
+            self.unload_partition(pid);
+        }
         let mut recovered = Vec::new();
         let partitions: Vec<PartitionId> = self.disk.partitions().collect();
         for pid in partitions {

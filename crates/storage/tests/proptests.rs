@@ -7,11 +7,10 @@ use std::collections::{BTreeMap, VecDeque};
 use proptest::prelude::*;
 
 use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
-use udr_model::config::IsolationLevel;
-use udr_model::ids::{SeId, SubscriberUid};
+use udr_model::config::{DurabilityMode, IsolationLevel};
+use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::SimTime;
-use udr_storage::store::{decode_entry, encode_entry};
-use udr_storage::{Change, CommitLog, CommitRecord, Engine, EngineSnapshot, Lsn};
+use udr_storage::{Change, CommitLog, CommitRecord, Engine, EngineSnapshot, Lsn, StorageElement};
 
 /// One scripted engine operation.
 #[derive(Debug, Clone)]
@@ -194,48 +193,6 @@ fn entry_strategy() -> impl Strategy<Value = Entry> {
             e
         },
     )
-}
-
-proptest! {
-    /// The TLV entry codec round-trips every value shape, and equal
-    /// entries always serialize to identical bytes (the property the
-    /// store-image digest and zero-copy shipping depend on).
-    #[test]
-    fn entry_codec_round_trips(entry in entry_strategy()) {
-        let mut buf = bytes::BytesMut::new();
-        encode_entry(&entry, &mut buf);
-        let encoded = buf.freeze();
-        let mut reader = udr_storage::store::Reader::new(&encoded);
-        let decoded = decode_entry(&mut reader).expect("decode own encoding");
-        prop_assert_eq!(&decoded, &entry);
-
-        let mut again = bytes::BytesMut::new();
-        encode_entry(&decoded, &mut again);
-        prop_assert_eq!(&encoded[..], &again.freeze()[..], "codec must be deterministic");
-    }
-
-    /// Freezing an engine's store into a byte image and decoding it back
-    /// reproduces exactly the committed state — metadata, tombstones,
-    /// payloads; byte-for-byte equivalence between the SoA store and its
-    /// contiguous image.
-    #[test]
-    fn store_image_round_trips_committed_state(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-    ) {
-        let mut engine = Engine::new(SeId(0));
-        run_script(&mut engine, &ops);
-
-        let image = engine.store().freeze_image();
-        prop_assert_eq!(image.len(), engine.store().len());
-        for (i, view) in engine.iter_committed().enumerate() {
-            let (uid, version) = image.decode_record(i).expect("slot decodes");
-            prop_assert_eq!(uid, view.uid);
-            prop_assert_eq!(version.lsn, view.lsn);
-            prop_assert_eq!(version.committed_at, view.committed_at);
-            prop_assert_eq!(version.written_by, view.written_by);
-            prop_assert_eq!(version.entry.as_ref(), view.entry);
-        }
-    }
 }
 
 // -- value semantics under sharing ---------------------------------------------
@@ -550,63 +507,76 @@ proptest! {
     }
 }
 
-// -- one disk image, refreshed in place ----------------------------------------
-// The simulated disk keeps one snapshot per replica and brings it up to date
-// in place. Whatever the image held before, and whichever engine refreshed it
-// last, a refresh must leave exactly what a snapshot built from scratch would
-// hold, and a copy of the image taken earlier must not see the refresh.
+// -- disk images: a saved-version column of each store --------------------------
+// A storage element keeps the disk image of each copy it hosts in that copy's
+// store, and puts it on the disk only when the copy goes: a crash, an unload,
+// a seed or an empty copy over it. The model keeps an owned copy of each
+// partition at its last save, every value copied; whatever happens to a copy
+// afterwards, a restore must bring exactly that back.
+
+/// Partitions the storage element hosts.
+const SE_PARTITIONS: u32 = 2;
 
 #[derive(Debug, Clone)]
-enum ImageStep {
-    /// One write on the master, committed alone, and the same write on the
-    /// twin. Uids are drawn at random, so records arrive out of uid order,
-    /// and a put on a deleted record re-adds it.
-    Write(Write),
-    /// A put of the record's own committed entry, if it has one, on master
-    /// and twin: a new LSN and commit stamp over the same payload handle.
-    Rewrite(u64),
-    /// The slave applies everything committed so far.
-    SlaveCatchUp,
-    /// The slave is rebuilt from a fresh master snapshot, its slots in uid
-    /// order where the master's are in arrival order.
-    Reseed,
-    /// Refresh the image from the master.
-    FromMaster,
-    /// Refresh the image from the slave.
-    FromSlave,
-    /// Refresh the image from the twin.
-    FromTwin,
+enum SeStep {
+    /// One write on the element's copy of a partition, committed alone as
+    /// its master; refused while the element is down or hosts no copy.
+    Commit(u32, Write),
+    /// A replicated record of one change at the copy's next LSN: a put, or
+    /// a delete when `None`.
+    Apply(u32, u64, Option<Entry>),
+    /// One write on the peer's copy of a partition.
+    PeerWrite(u32, Write),
+    /// Save every copy the element hosts (`force_snapshot`).
+    Save,
+    Crash,
+    Restore,
+    /// Seed the element's copy from the peer's snapshot, over the copy it
+    /// hosts, if any.
+    Seed(u32),
+    /// Host an empty copy, over the copy hosted, if any.
+    Add(u32),
+    Unload(u32),
+    Release(u32),
 }
 
-/// Uids the image steps write to.
-const IMAGE_UIDS: u64 = 40;
-
-fn image_step_strategy() -> impl Strategy<Value = ImageStep> {
+fn se_step_strategy() -> impl Strategy<Value = SeStep> {
+    let p = || 0..SE_PARTITIONS;
+    // Writes spread over twice the uids `write_strategy` draws.
+    let write = || (0u64..2 * SHIFT, write_strategy()).prop_map(|(uid, w)| w.to(uid));
     prop_oneof![
-        (0..IMAGE_UIDS, entry_strategy()).prop_map(|(uid, e)| ImageStep::Write(Write::Put(uid, e))),
-        (0..IMAGE_UIDS, prop::collection::vec(mod_strategy(), 1..3))
-            .prop_map(|(uid, mods)| ImageStep::Write(Write::Modify(uid, mods))),
-        (0..IMAGE_UIDS).prop_map(|uid| ImageStep::Write(Write::Delete(uid))),
-        (0..IMAGE_UIDS).prop_map(ImageStep::Rewrite),
-        Just(ImageStep::SlaveCatchUp),
-        Just(ImageStep::Reseed),
-        Just(ImageStep::FromMaster),
-        Just(ImageStep::FromSlave),
-        Just(ImageStep::FromTwin),
+        (p(), write()).prop_map(|(p, w)| SeStep::Commit(p, w)),
+        (p(), write()).prop_map(|(p, w)| SeStep::Commit(p, w)),
+        (p(), 0u64..2 * SHIFT, prop::option::of(entry_strategy()))
+            .prop_map(|(p, uid, e)| SeStep::Apply(p, uid, e)),
+        (p(), write()).prop_map(|(p, w)| SeStep::PeerWrite(p, w)),
+        Just(SeStep::Save),
+        Just(SeStep::Save),
+        Just(SeStep::Crash),
+        Just(SeStep::Restore),
+        p().prop_map(SeStep::Seed),
+        p().prop_map(SeStep::Add),
+        p().prop_map(SeStep::Unload),
+        p().prop_map(SeStep::Release),
     ]
 }
 
-/// The twin's version of a master write: a put carries one more attribute,
-/// so the twin's records match the master's in every field but the payload.
-fn twin_write(w: &Write) -> Write {
-    match w {
-        Write::Put(uid, e) => {
-            let mut e = e.clone();
-            e.set(AttrId::ScscfName, "twin");
-            Write::Put(*uid, e)
-        }
-        other => other.clone(),
-    }
+/// Everything a copy holds, every value copied: its LSN, and by uid each
+/// record's LSN, commit stamp, writer and entry.
+type OwnedCopy = (u64, BTreeMap<u64, (u64, u64, u32, Option<OwnedEntry>)>);
+
+fn owned_copy(engine: &Engine) -> OwnedCopy {
+    let records = engine
+        .iter_committed()
+        .map(|v| {
+            let version = (v.lsn.raw(), v.committed_at.0, v.written_by.0);
+            (
+                v.uid.raw(),
+                (version.0, version.1, version.2, v.entry.map(owned_entry)),
+            )
+        })
+        .collect();
+    (engine.last_lsn().raw(), records)
 }
 
 /// Stage `w` on `engine` as a transaction of its own and commit it, or
@@ -619,107 +589,122 @@ fn commit_alone(engine: &mut Engine, w: &Write, at: SimTime) {
     }
 }
 
-/// A put of `uid`'s own committed entry, if it has one.
-fn rewrite(engine: &mut Engine, uid: u64, at: SimTime) {
-    if let Some(entry) = engine.read_committed(SubscriberUid(uid)) {
-        commit_alone(engine, &Write::Put(uid, entry), at);
+/// Commit `w` on `se`'s copy of `pid` as its master; whether it committed.
+fn se_commit(se: &mut StorageElement, pid: PartitionId, w: &Write, at: SimTime) -> bool {
+    if se.set_role(pid, ReplicaRole::Master).is_err() {
+        return false;
     }
-}
-
-/// Everything an image holds, every value copied: per record its uid, LSN,
-/// commit stamp, writer and entry.
-type OwnedImage = (u64, Vec<(u64, u64, u64, u32, Option<OwnedEntry>)>);
-
-fn owned_image(image: &EngineSnapshot) -> OwnedImage {
-    let records = image
-        .records
-        .iter()
-        .map(|(uid, v)| {
-            (
-                uid.raw(),
-                v.lsn.raw(),
-                v.committed_at.0,
-                v.written_by.0,
-                v.entry.as_ref().map(owned_entry),
-            )
-        })
-        .collect();
-    (image.last_lsn.raw(), records)
-}
-
-/// `engine`'s committed state as a snapshot should hold it, built without
-/// the engine's snapshot code: every slot, in uid order.
-fn reference_image(engine: &Engine) -> OwnedImage {
-    let mut records: Vec<_> = engine
-        .iter_committed()
-        .map(|view| {
-            (
-                view.uid.raw(),
-                view.lsn.raw(),
-                view.committed_at.0,
-                view.written_by.0,
-                view.entry.map(owned_entry),
-            )
-        })
-        .collect();
-    records.sort_by_key(|r| r.0);
-    (engine.last_lsn().raw(), records)
+    let Ok(txn) = se.begin(pid, IsolationLevel::ReadCommitted) else {
+        return false;
+    };
+    let staged = match w {
+        Write::Put(uid, e) => se.put(pid, txn, SubscriberUid(*uid), e.clone()),
+        Write::Modify(uid, mods) => se.modify(pid, txn, SubscriberUid(*uid), mods),
+        Write::Delete(uid) => se.delete(pid, txn, SubscriberUid(*uid)),
+    };
+    if staged.is_err() {
+        se.abort(pid, txn);
+        return false;
+    }
+    se.commit(pid, txn, at).unwrap().0.is_some()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A refresh in place equals a snapshot built from scratch of the
-    /// engine it reads, after any writes, slave applies and reseeds, and
-    /// after a refresh from another engine, including a twin whose records
-    /// differ from the master's in the payload alone; a copy taken before a
-    /// refresh keeps what it held.
+    /// After any restore, each partition's copy equals the model's copy at
+    /// its last save, and a partition never saved, or released since, is
+    /// not restored; after every step, `image_lsn` is the LSN of that
+    /// save. Under sync-commit every commit and apply is a save.
     #[test]
-    fn a_refreshed_image_equals_a_fresh_snapshot(
-        steps in prop::collection::vec(image_step_strategy(), 1..100),
+    fn a_restore_brings_back_each_partition_as_last_saved(
+        sync in any::<bool>(),
+        steps in prop::collection::vec(se_step_strategy(), 1..80),
     ) {
-        let mut master = Engine::new(SeId(0));
-        let mut twin = Engine::new(SeId(0));
-        let mut slave = Engine::new(SeId(1));
-        let mut image = EngineSnapshot::empty();
-        let mut copies: Vec<(EngineSnapshot, OwnedImage)> = Vec::new();
+        let mode = if sync {
+            DurabilityMode::SyncCommit
+        } else {
+            DurabilityMode::periodic_default()
+        };
+        let mut se = StorageElement::new(SeId(0), SiteId(0), mode);
+        let mut peers: Vec<Engine> = (0..SE_PARTITIONS).map(|_| Engine::new(SeId(1))).collect();
+        let mut saved: Vec<Option<OwnedCopy>> = vec![None; SE_PARTITIONS as usize];
+        let pids = || (0..SE_PARTITIONS).map(PartitionId);
+        for pid in pids() {
+            se.add_replica(pid, ReplicaRole::Master);
+        }
 
         for (i, step) in steps.iter().enumerate() {
             let at = SimTime(i as u64);
-            let source = match step {
-                ImageStep::Write(w) => {
-                    commit_alone(&mut master, w, at);
-                    commit_alone(&mut twin, &twin_write(w), at);
-                    prop_assert_eq!(master.last_lsn(), twin.last_lsn());
-                    continue;
-                }
-                ImageStep::Rewrite(uid) => {
-                    rewrite(&mut master, *uid, at);
-                    rewrite(&mut twin, *uid, at);
-                    continue;
-                }
-                ImageStep::SlaveCatchUp => {
-                    let applied = slave.last_lsn();
-                    for record in master.log().iter().filter(|r| r.lsn > applied) {
-                        slave.apply_replicated(record).unwrap();
+            match step {
+                SeStep::Commit(p, w) => {
+                    let pid = PartitionId(*p);
+                    if se_commit(&mut se, pid, w, at) && sync {
+                        saved[pid.index()] = Some(owned_copy(se.engine(pid).unwrap()));
                     }
-                    continue;
                 }
-                ImageStep::Reseed => {
-                    slave = Engine::from_snapshot(SeId(1), master.snapshot());
-                    continue;
+                SeStep::Apply(p, uid, entry) => {
+                    let pid = PartitionId(*p);
+                    if let (true, Ok(last)) = (se.is_up(), se.last_lsn(pid)) {
+                        let record = CommitRecord {
+                            lsn: last.next(),
+                            committed_at: at,
+                            written_by: SeId(1),
+                            changes: Change { uid: SubscriberUid(*uid), entry: entry.clone() }.into(),
+                        };
+                        se.apply_replicated(pid, &record).unwrap();
+                        if sync {
+                            saved[pid.index()] = Some(owned_copy(se.engine(pid).unwrap()));
+                        }
+                    }
                 }
-                ImageStep::FromMaster => &master,
-                ImageStep::FromSlave => &slave,
-                ImageStep::FromTwin => &twin,
-            };
-            copies.push((image.clone(), owned_image(&image)));
-            source.snapshot_into(&mut image);
-            prop_assert_eq!(owned_image(&image), reference_image(source), "step {}: {:?}", i, step);
-            prop_assert_eq!(&image, &source.snapshot());
-        }
-        for (n, (copy, held)) in copies.iter().enumerate() {
-            prop_assert_eq!(&owned_image(copy), held, "copy {}", n);
+                SeStep::PeerWrite(p, w) => commit_alone(&mut peers[*p as usize], w, at),
+                SeStep::Save => {
+                    se.force_snapshot(at);
+                    for pid in pids() {
+                        if let Ok(engine) = se.engine(pid) {
+                            saved[pid.index()] = Some(owned_copy(engine));
+                        }
+                    }
+                }
+                SeStep::Crash => se.crash(),
+                SeStep::Restore => {
+                    let down = !se.is_up();
+                    let hosted: Vec<bool> = pids().map(|pid| se.engine(pid).is_ok()).collect();
+                    let recovered = se.restore(at);
+                    let expected: Vec<(PartitionId, Lsn)> = if down {
+                        pids()
+                            .filter_map(|pid| saved[pid.index()].as_ref().map(|c| (pid, Lsn(c.0))))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    prop_assert_eq!(&recovered, &expected, "step {}", i);
+                    for pid in pids() {
+                        match &saved[pid.index()] {
+                            Some(copy) if down => {
+                                prop_assert_eq!(&owned_copy(se.engine(pid).unwrap()), copy, "step {}: {}", i, pid);
+                            }
+                            _ => prop_assert_eq!(se.engine(pid).is_ok(), hosted[pid.index()]),
+                        }
+                    }
+                }
+                SeStep::Seed(p) => {
+                    let snapshot = peers[*p as usize].snapshot();
+                    se.seed_replica(PartitionId(*p), ReplicaRole::Slave, snapshot);
+                }
+                SeStep::Add(p) => se.add_replica(PartitionId(*p), ReplicaRole::Slave),
+                SeStep::Unload(p) => se.unload_partition(PartitionId(*p)),
+                SeStep::Release(p) => {
+                    if se.release_partition(PartitionId(*p)).is_some() {
+                        saved[*p as usize] = None;
+                    }
+                }
+            }
+            for pid in pids() {
+                let model = saved[pid.index()].as_ref().map(|c| Lsn(c.0));
+                prop_assert_eq!(se.image_lsn(pid), model, "step {}: {:?}, {}", i, step, pid);
+            }
         }
     }
 }

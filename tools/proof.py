@@ -17,6 +17,8 @@ The artifacts, on each side:
   a committed baseline under `tools/baselines/`, run without arguments;
 * `trace/<bin>`: the `trace: … digest` line of each binary in
   `tools/trace_digests.json`, run with `--trace`;
+* `example/<name>`: the standard output of each program under `examples/`,
+  run without arguments;
 * `perf/<workload>/<seed>`: `udr-perf` at the allocation gates' settings
   (`--seconds 2 --trace 0`, seeds 11 and 12), every line it prints except
   the host-timed ones (`deterministic` below is the one place that rule
@@ -53,12 +55,13 @@ def deterministic(line):
 
 
 def build(tree, target):
-    """Release-build the experiment binaries and `udr-perf` of `tree` into
-    `target`. Building `benchmark/` rewrites its lock file, so the file is
+    """Release-build the experiment binaries, the examples and `udr-perf` of
+    `tree` into `target`. Building `benchmark/` rewrites its lock file, so the file is
     put back as it was."""
     env = {**os.environ, "CARGO_TARGET_DIR": str(target)}
     cargo = ["cargo", "build", "--release", "--offline", "--quiet"]
     subprocess.run([*cargo, "-p", "udr-bench", "--bins"], cwd=tree, env=env, check=True)
+    subprocess.run([*cargo, "-p", "udr", "--examples"], cwd=tree, env=env, check=True)
     manifest = tree / "benchmark" / "Cargo.toml"
     if manifest.exists():
         lock = tree / "benchmark" / "Cargo.lock"
@@ -95,6 +98,9 @@ def collect(tree, target, scratch):
     for binary in json.loads(gates.read_text()) if gates.exists() else []:
         out = run(release / binary, ["--trace"], scratch / binary)
         artifacts[f"trace/{binary}"] = [line for line in out.splitlines() if line.startswith("trace: ")]
+    for example in sorted((tree / "examples").glob("*.rs")):
+        out = run(release / "examples" / example.stem, [], scratch / "example")
+        artifacts[f"example/{example.stem}"] = out.splitlines()
     perf = release / "udr-perf"
     workloads = tree / "BENCHMARK.json"
     if perf.exists() and workloads.exists():
