@@ -1,6 +1,7 @@
 //! Deployment configuration of a UDR NF: the topology knobs of §2.3/§3.4
 //! on top of the FRASH behaviour knobs from `udr-model`.
 
+use udr_dls::Location;
 use udr_model::config::FrashConfig;
 use udr_model::error::{UdrError, UdrResult};
 use udr_model::tenant::TenantDirectory;
@@ -109,6 +110,13 @@ impl UdrConfig {
         if self.partitions == 0 {
             return Err(UdrError::Config("at least one partition required".into()));
         }
+        if self.partitions > Location::MAX_PARTITIONS {
+            return Err(UdrError::Config(format!(
+                "{} partitions exceed the {} a data-location table addresses",
+                self.partitions,
+                Location::MAX_PARTITIONS
+            )));
+        }
         if self.partitions > self.total_ses() {
             return Err(UdrError::Config(format!(
                 "{} partitions cannot each have a master among {} SEs",
@@ -171,6 +179,16 @@ mod tests {
         let mut c = UdrConfig::default();
         c.frash.replication_factor = 200;
         assert!(c.validate().is_err());
+
+        // The data-location tables address 2^16 partitions, however many
+        // SEs could master more.
+        let mut c = UdrConfig::default();
+        (c.sites, c.clusters_per_site, c.ses_per_cluster) = (1, 1, 70_000);
+        c.partitions = 65_536;
+        assert!(c.validate().is_ok());
+        c.partitions = 65_537;
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("65537 partitions exceed the 65536"), "{err}");
 
         for rate in [0.0, f64::NAN, f64::INFINITY] {
             let mut c = UdrConfig::default();

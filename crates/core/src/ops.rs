@@ -474,6 +474,7 @@ fn outcome_trace_status(outcome: &OpOutcome) -> &'static str {
             UdrError::Overload => "overload",
             UdrError::Shed { .. } => "shed",
             UdrError::Forbidden { .. } => "forbidden",
+            UdrError::UidSpaceExhausted(_) => "uid-space-exhausted",
             UdrError::Config(_) => "config",
         },
     }

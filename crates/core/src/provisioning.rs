@@ -80,21 +80,25 @@ impl Udr {
     ) -> ProvisionOutcome {
         self.advance_to(now);
         let uid = SubscriberUid(self.alloc_uid());
+        let refused = |error| ProvisionOutcome {
+            uid,
+            partition: PartitionId(0),
+            op: OpOutcome {
+                result: Err(error),
+                latency: SimDuration::ZERO,
+                served_by: None,
+                crossed_backbone: false,
+                breakdown: crate::pipeline::LatencyBreakdown::default(),
+            },
+        };
+        if uid.raw() > udr_dls::Location::MAX_UID {
+            return refused(UdrError::UidSpaceExhausted(uid));
+        }
         let Some(partition) = self
             .placement
             .place(self.cfg.frash.placement, uid, home_region)
         else {
-            return ProvisionOutcome {
-                uid,
-                partition: PartitionId(0),
-                op: OpOutcome {
-                    result: Err(UdrError::Config("no partitions to place on".into())),
-                    latency: SimDuration::ZERO,
-                    served_by: None,
-                    crossed_backbone: false,
-                    breakdown: crate::pipeline::LatencyBreakdown::default(),
-                },
-            };
+            return refused(UdrError::Config("no partitions to place on".into()));
         };
         let location = udr_dls::Location { uid, partition };
 
@@ -405,5 +409,46 @@ impl Udr {
             finished_at,
             backlog,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::UdrConfig;
+    use udr_dls::Location;
+    use udr_model::identity::{Imsi, Msisdn};
+
+    fn ids(n: u64) -> IdentitySet {
+        IdentitySet {
+            imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
+            msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
+            impus: vec![],
+            impi: None,
+        }
+    }
+
+    /// The last uid the location tables hold is provisioned and resolves;
+    /// the next is refused with a typed error and leaves no binding.
+    #[test]
+    fn provisioning_refuses_a_uid_past_48_bits() {
+        let mut udr = Udr::build(UdrConfig::figure2()).unwrap();
+        udr.next_uid = Location::MAX_UID;
+        let at = SimTime::ZERO + SimDuration::from_secs(1);
+        let last = udr.provision_subscriber(&ids(1), 0, SiteId(0), at);
+        assert!(last.is_ok(), "{:?}", last.op.result);
+        let found = udr.lookup_authority(&ids(1).imsi.into()).unwrap();
+        assert_eq!(found.uid, SubscriberUid(Location::MAX_UID));
+        assert_eq!(found.partition, last.partition);
+
+        let past =
+            udr.provision_subscriber(&ids(2), 0, SiteId(0), at + SimDuration::from_millis(5));
+        assert_eq!(
+            past.op.result.unwrap_err(),
+            UdrError::UidSpaceExhausted(SubscriberUid(Location::MAX_UID + 1))
+        );
+        assert_eq!(udr.lookup_authority(&ids(2).imsi.into()), None);
+        assert_eq!(udr.lookup_authority(&ids(2).msisdn.into()), None);
+        assert_eq!(udr.total_subscribers(), 1);
     }
 }

@@ -6,7 +6,7 @@
 
 use udr_core::{MigrationPlan, MoveReason, OpRequest, Rebalancer, Udr, UdrConfig};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
-use udr_model::config::ReplicationMode;
+use udr_model::config::{DurabilityMode, ReplicationMode};
 use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
 use udr_model::ids::{PartitionId, SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
@@ -664,4 +664,69 @@ fn every_abort_and_cutover_leaves_one_instant() {
     assert_eq!(udr.migration_state(moved), Some(MigrationState::Done));
     assert_eq!(migration_instants(&udr, "migr.cutover", moved), 1);
     assert_eq!(migration_instants(&udr, "migr.abort", moved), 0);
+}
+
+/// A copy retired while its SE is down stays retired: the source of a slave
+/// move crashes at the very tick that cuts the move over, the cutover
+/// retires the down copy, and restoring the SE must not bring it back from
+/// its disk.
+#[test]
+fn a_copy_retired_while_its_se_is_down_stays_retired() {
+    // Sync-commit: every apply saves, so the source's disk holds an image.
+    let build = || {
+        let mut cfg = UdrConfig::figure2();
+        cfg.ses_per_cluster = 2;
+        cfg.partitions = 6;
+        cfg.frash.replication_factor = 2;
+        cfg.frash.durability = DurabilityMode::SyncCommit;
+        let mut udr = Udr::build(cfg).unwrap();
+        let subs = provision_n(&mut udr, 24);
+        write_oracle(&mut udr, &subs, t(5));
+        udr.advance_to(t(9));
+        let members = udr.shard_map().members_of(P0).unwrap().to_vec();
+        let plan = MigrationPlan {
+            partition: P0,
+            from: members[1],
+            to: (0..6).map(SeId).find(|se| !members.contains(se)).unwrap(),
+            reason: MoveReason::ScaleOut,
+        };
+        let id = udr.start_migration(plan, t(10));
+        (udr, plan, id)
+    };
+
+    // The catch-up tick that cuts the move over, with every SE up. Ticks
+    // fall every 200 ms from the start.
+    let (mut probe, _, id) = build();
+    let mut cutover = t(10);
+    while probe.migration_state(id) != Some(MigrationState::Done) {
+        assert!(cutover < t(20), "the slave move never cut over");
+        cutover += SimDuration::from_millis(200);
+        probe.advance_to(cutover);
+    }
+
+    // The same run, with the source crashing at that tick. The tick was
+    // queued before the crash, and the cutover it queues after, so the
+    // crash falls between the two and the cutover retires a down copy.
+    let (mut udr, plan, id) = build();
+    udr.advance_to(cutover - SimDuration::from_micros(1));
+    assert!(udr.se(plan.from).image_lsn(P0).is_some());
+    udr.schedule_script(&FaultScript::new(0).se_outage(
+        cutover,
+        SimDuration::from_secs(5),
+        plan.from,
+    ));
+    udr.advance_to(cutover);
+    assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
+    assert!(!udr.se(plan.from).is_up());
+    assert!(!udr.group(P0).contains(plan.from));
+
+    udr.advance_to(cutover + SimDuration::from_secs(10));
+    let source = udr.se(plan.from);
+    assert!(source.is_up());
+    assert_eq!(source.image_lsn(P0), None);
+    assert!(
+        source.partitions().all(|p| p != P0),
+        "the retired copy of {P0} re-entered {}",
+        plan.from
+    );
 }

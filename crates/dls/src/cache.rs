@@ -5,11 +5,18 @@
 //! but every cache miss implies locating the subscriber data by querying
 //! multiple or even all the SE in the system. Those data location queries
 //! may become a hurdle to scalability."
+//!
+//! Each cached location is stored packed, as in the provisioned maps
+//! ([`crate::maps`]): 8 bytes, a uid below 2^48 and a partition id below
+//! 2^16. With its `u32` key and its clock bit a binding takes a 16-byte
+//! bucket.
 
 use udr_model::identity::Identity;
 use udr_model::ids::IdMap;
 
-use crate::maps::Location;
+use crate::maps::{Location, Packed};
+
+const _: () = assert!(std::mem::size_of::<(u32, (Packed, bool))>() == 16);
 
 /// A bounded cache of identity → location bindings with FIFO-clock
 /// eviction. Misses are reported so callers can account for the SE
@@ -23,7 +30,8 @@ use crate::maps::Location;
 #[derive(Debug, Clone)]
 pub struct CachedLocator {
     capacity: usize,
-    map: IdMap<u32, (Location, bool)>,
+    /// Packed location and clock reference bit, by symbol.
+    map: IdMap<u32, (Packed, bool)>,
     /// Insertion ring for clock eviction.
     ring: Vec<u32>,
     hand: usize,
@@ -72,7 +80,7 @@ impl CachedLocator {
         if let Some((loc, referenced)) = self.map.get_mut(&identity.symbol()) {
             *referenced = true;
             self.hits += 1;
-            return CacheOutcome::Hit(*loc);
+            return CacheOutcome::Hit(loc.get());
         }
         self.misses += 1;
         CacheOutcome::Miss {
@@ -84,13 +92,13 @@ impl CachedLocator {
     pub fn fill(&mut self, identity: &Identity, location: Location) {
         let key = identity.symbol();
         if let Some(slot) = self.map.get_mut(&key) {
-            *slot = (location, true);
+            *slot = (Packed::new(location), true);
             return;
         }
         if self.map.len() >= self.capacity {
             self.evict_one();
         }
-        self.map.insert(key, (location, false));
+        self.map.insert(key, (Packed::new(location), false));
         self.ring.push(key);
     }
 

@@ -9,10 +9,21 @@
 //! That O(log N) is the paper's model of the stage, and sim-time follows
 //! the paper, not the host: a resolve charges what the paper says to charge
 //! ("very small and can be neglected"), and the footprint the model sizes
-//! RAM with is [`IdentityLocationMap::approx_bytes`]'s per-binding formula.
-//! The host index is one hash table per identity kind, keyed by interned
-//! symbols with [`IdHasher`](udr_model::ids::IdHasher): a resolve is one
-//! probe, and nothing in the stage needs key order.
+//! RAM with is [`IdentityLocationMap::approx_bytes`]: a fixed
+//! [`MODEL_BYTES_PER_BINDING`] per binding. The host index is one hash table
+//! per identity kind, keyed by interned symbols with
+//! [`IdHasher`](udr_model::ids::IdHasher): a resolve is one probe, and
+//! nothing in the stage needs key order.
+//!
+//! A table stores each [`Location`] packed into 8 bytes at 4-byte
+//! alignment: the uid's low 32 bits in one word, its high 16 bits and the
+//! partition in the other. A bucket, symbol and packed location, is 12 bytes
+//! where the padded `Location` would take 24. The packing bounds every
+//! stored location: a uid below 2^48 ([`Location::MAX_UID`]) and a partition
+//! id below 2^16 ([`Location::MAX_PARTITIONS`]). The deployment keeps inside
+//! them with typed errors, not here: its config validation refuses more
+//! partitions, and provisioning refuses a uid past the bound. Callers see
+//! only the unpacked `Location`, by value.
 
 use udr_model::identity::{Identity, IdentityKind};
 use udr_model::ids::{IdMap, PartitionId, SubscriberUid};
@@ -28,19 +39,67 @@ pub struct Location {
     pub partition: PartitionId,
 }
 
+impl Location {
+    /// The largest uid a location table holds: 48 bits.
+    pub const MAX_UID: u64 = (1 << 48) - 1;
+    /// How many partitions a location table addresses: 16 bits of id.
+    pub const MAX_PARTITIONS: u32 = 1 << 16;
+}
+
+/// A [`Location`] as the tables store it: the uid's low 32 bits, then its
+/// high 16 bits above the 16-bit partition id. Two words, so the bucket it
+/// shares with a `u32` symbol is 12 bytes at 4-byte alignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Packed([u32; 2]);
+
+const _: () = assert!(std::mem::size_of::<(u32, Packed)>() == 12);
+
+impl Packed {
+    /// Pack `location`, whose uid must be at most [`Location::MAX_UID`] and
+    /// whose partition id must be below [`Location::MAX_PARTITIONS`].
+    pub(crate) fn new(location: Location) -> Self {
+        debug_assert!(
+            location.uid.raw() <= Location::MAX_UID
+                && location.partition.0 < Location::MAX_PARTITIONS,
+            "{location:?} exceeds the packed bounds"
+        );
+        let uid = location.uid.raw();
+        Packed([
+            uid as u32,
+            ((uid >> 32) as u32) << 16 | location.partition.0,
+        ])
+    }
+
+    /// The location packed here.
+    pub(crate) fn get(self) -> Location {
+        let [low, high] = self.0;
+        Location {
+            uid: SubscriberUid(u64::from(low) | u64::from(high >> 16) << 32),
+            partition: PartitionId(high & 0xffff),
+        }
+    }
+}
+
+/// Bytes the footprint model charges per binding: a 24-byte hashed-index
+/// entry and a 16-byte location. A constant of the model, not the host
+/// layout, so the scale-out sync cost and the stage footprints that derive
+/// from it do not move when the host tables do.
+pub const MODEL_BYTES_PER_BINDING: usize = 40;
+
 /// One hashed index per identity kind: the provisioned maps of §3.5.
 ///
 /// Indexes are keyed by interned identity symbols (`u32`), not strings:
 /// at national-operator scale the maps dominate stage memory (§3.3.1), and
 /// one word per key plus the process-wide interner beats one heap string
 /// per key per index. A lookup hashes and compares a single integer
-/// instead of up to 15 bytes of digits.
+/// instead of up to 15 bytes of digits. The value beside each key is the
+/// location packed into 8 bytes, so a bucket is 12 bytes.
 #[derive(Debug, Clone, Default)]
 pub struct IdentityLocationMap {
-    imsi: IdMap<u32, Location>,
-    msisdn: IdMap<u32, Location>,
-    impu: IdMap<u32, Location>,
-    impi: IdMap<u32, Location>,
+    imsi: IdMap<u32, Packed>,
+    msisdn: IdMap<u32, Packed>,
+    impu: IdMap<u32, Packed>,
+    impi: IdMap<u32, Packed>,
     /// Lookups served (diagnostics).
     pub lookups: u64,
 }
@@ -51,7 +110,7 @@ impl IdentityLocationMap {
         Self::default()
     }
 
-    fn index(&self, kind: IdentityKind) -> &IdMap<u32, Location> {
+    fn index(&self, kind: IdentityKind) -> &IdMap<u32, Packed> {
         match kind {
             IdentityKind::Imsi => &self.imsi,
             IdentityKind::Msisdn => &self.msisdn,
@@ -60,7 +119,7 @@ impl IdentityLocationMap {
         }
     }
 
-    fn index_mut(&mut self, kind: IdentityKind) -> &mut IdMap<u32, Location> {
+    fn index_mut(&mut self, kind: IdentityKind) -> &mut IdMap<u32, Packed> {
         match kind {
             IdentityKind::Imsi => &mut self.imsi,
             IdentityKind::Msisdn => &mut self.msisdn,
@@ -72,23 +131,29 @@ impl IdentityLocationMap {
     /// Provision one identity → location binding.
     pub fn insert(&mut self, identity: &Identity, location: Location) {
         self.index_mut(identity.kind())
-            .insert(identity.symbol(), location);
+            .insert(identity.symbol(), Packed::new(location));
     }
 
     /// Remove a binding (deprovisioning); returns the removed location.
     pub fn remove(&mut self, identity: &Identity) -> Option<Location> {
-        self.index_mut(identity.kind()).remove(&identity.symbol())
+        self.index_mut(identity.kind())
+            .remove(&identity.symbol())
+            .map(Packed::get)
     }
 
     /// One-probe lookup.
     pub fn lookup(&mut self, identity: &Identity) -> Option<Location> {
         self.lookups += 1;
-        self.index(identity.kind()).get(&identity.symbol()).copied()
+        self.index(identity.kind())
+            .get(&identity.symbol())
+            .map(|p| p.get())
     }
 
     /// Lookup without mutating stats (for read-only callers).
     pub fn peek(&self, identity: &Identity) -> Option<Location> {
-        self.index(identity.kind()).get(&identity.symbol()).copied()
+        self.index(identity.kind())
+            .get(&identity.symbol())
+            .map(|p| p.get())
     }
 
     /// Total entries across all indexes.
@@ -110,17 +175,12 @@ impl IdentityLocationMap {
     /// identity-location maps deprives storage elements from memory they
     /// could use to store more data". Keys are one interned symbol each;
     /// the shared string storage lives in the process-wide interner and is
-    /// accounted there, not per index. The formula is the paper's
-    /// per-binding accounting, not the host table's layout, so the
-    /// footprint every sim-time cost derives from does not depend on how
-    /// the index is built.
+    /// accounted there, not per index. Each binding costs
+    /// [`MODEL_BYTES_PER_BINDING`], the paper's per-binding accounting and
+    /// not the host table's layout, so the footprint every sim-time cost
+    /// derives from does not depend on how the index is built.
     pub fn approx_bytes(&self) -> usize {
-        let entry_cost =
-            |m: &IdMap<u32, Location>| m.len() * (24 + std::mem::size_of::<Location>());
-        entry_cost(&self.imsi)
-            + entry_cost(&self.msisdn)
-            + entry_cost(&self.impu)
-            + entry_cost(&self.impi)
+        self.len() * MODEL_BYTES_PER_BINDING
     }
 
     /// Dump every binding, in no particular order (used by the scale-out
@@ -132,7 +192,7 @@ impl IdentityLocationMap {
         let mut out = Vec::with_capacity(self.len());
         for kind in IdentityKind::ALL {
             for (key, loc) in self.index(kind) {
-                out.push((kind, interner.resolve(*key).to_owned(), *loc));
+                out.push((kind, interner.resolve(*key).to_owned(), loc.get()));
             }
         }
         out
@@ -142,7 +202,8 @@ impl IdentityLocationMap {
     pub fn import(&mut self, entries: Vec<(IdentityKind, String, Location)>) {
         let interner = IdentityInterner::global();
         for (kind, key, loc) in entries {
-            self.index_mut(kind).insert(interner.intern(&key), loc);
+            self.index_mut(kind)
+                .insert(interner.intern(&key), Packed::new(loc));
         }
     }
 }
@@ -150,6 +211,7 @@ impl IdentityLocationMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use udr_model::identity::{Impu, Imsi, Msisdn};
 
     fn loc(uid: u64, p: u32) -> Location {
@@ -218,6 +280,42 @@ mod tests {
             peer.peek(&imsi("214010000000007")),
             m.peek(&imsi("214010000000007"))
         );
+    }
+
+    /// The footprint model charges 40 B a binding in every index, whatever
+    /// the host tables take.
+    #[test]
+    fn approx_bytes_is_forty_bytes_a_binding() {
+        let mut m = IdentityLocationMap::new();
+        assert_eq!(m.approx_bytes(), 0);
+        for i in 0..500u64 {
+            m.insert(&imsi(&format!("2140100000{i:05}")), loc(i, 0));
+            m.insert(
+                &Msisdn::new(format!("346{i:08}")).unwrap().into(),
+                loc(i, 0),
+            );
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.approx_bytes(), 40_000);
+        m.remove(&imsi("214010000000007"));
+        assert_eq!(m.approx_bytes(), 999 * 40);
+    }
+
+    fn bounded(max: u64) -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0), Just(max), 0..=max]
+    }
+
+    proptest! {
+        /// Packing then unpacking gives back every location within the
+        /// bounds, both ends of each included.
+        #[test]
+        fn pack_then_unpack_is_the_identity(
+            uid in bounded(Location::MAX_UID),
+            partition in bounded(u64::from(u16::MAX)),
+        ) {
+            let l = loc(uid, partition as u32);
+            prop_assert_eq!(Packed::new(l).get(), l);
+        }
     }
 
     #[test]

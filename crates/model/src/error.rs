@@ -96,6 +96,9 @@ pub enum UdrError {
         /// The capability the operation required.
         capability: Capability,
     },
+    /// Provisioning ran out of uids: the next one does not fit the 48 bits
+    /// a data-location table stores.
+    UidSpaceExhausted(SubscriberUid),
     /// Catch-all for configuration mistakes.
     Config(String),
 }
@@ -140,6 +143,12 @@ impl fmt::Display for UdrError {
             }
             UdrError::Forbidden { tenant, capability } => {
                 write!(f, "{tenant} is not entitled to {capability}")
+            }
+            UdrError::UidSpaceExhausted(uid) => {
+                write!(
+                    f,
+                    "{uid} exceeds the 48-bit uid space of the location tables"
+                )
             }
             UdrError::Config(msg) => write!(f, "configuration error: {msg}"),
         }

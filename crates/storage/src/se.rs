@@ -204,12 +204,13 @@ impl StorageElement {
 
     /// Release this SE's copy of `partition` after a migration hand-off:
     /// the RAM engine is dropped and the on-disk snapshot is removed so a
-    /// later crash/restore cannot resurrect a retired copy. Returns the
-    /// number of live records released, or `None` when the partition was
-    /// not hosted here.
+    /// later crash/restore cannot resurrect a retired copy. The image goes
+    /// even when no RAM copy is hosted, as while the SE is down. Returns the
+    /// number of live records released, or `None` when no RAM copy was
+    /// hosted here.
     pub fn release_partition(&mut self, partition: PartitionId) -> Option<usize> {
-        let replica = self.replicas.remove(&partition)?;
         self.disk.remove(partition);
+        let replica = self.replicas.remove(&partition)?;
         Some(replica.engine.live_records())
     }
 
@@ -854,6 +855,17 @@ mod tests {
         se.crash();
         let recovered = se.restore(SimTime(10));
         assert!(recovered.is_empty());
+    }
+
+    #[test]
+    fn release_while_down_drops_the_disk_copy() {
+        let mut se = se_with_master(DurabilityMode::SyncCommit);
+        write_one(&mut se, 1, "x", SimTime(0));
+        se.crash();
+        // No RAM copy while down, but the image goes all the same.
+        assert_eq!(se.release_partition(PartitionId(0)), None);
+        assert!(se.restore(SimTime(10)).is_empty());
+        assert!(se.engine(PartitionId(0)).is_err());
     }
 
     #[test]

@@ -696,9 +696,8 @@ proptest! {
                 SeStep::Add(p) => se.add_replica(PartitionId(*p), ReplicaRole::Slave),
                 SeStep::Unload(p) => se.unload_partition(PartitionId(*p)),
                 SeStep::Release(p) => {
-                    if se.release_partition(PartitionId(*p)).is_some() {
-                        saved[*p as usize] = None;
-                    }
+                    se.release_partition(PartitionId(*p));
+                    saved[*p as usize] = None;
                 }
             }
             for pid in pids() {

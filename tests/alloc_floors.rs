@@ -15,7 +15,9 @@
 //!   log compacted behind its readers, whose id window stays as small;
 //! * a warm catch-up pass ships in batch vectors earlier deliveries handed
 //!   back, and a warm consensus catch-up reply fills a vector an earlier
-//!   one left.
+//!   one left;
+//! * an identity-location table takes 12 bytes a binding and one control
+//!   byte per bucket.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -27,6 +29,7 @@ use std::ops::Range;
 
 use udr::consensus::{CmdId, Command, Ensemble, Message, NodeId, ReplicaConfig, Slot};
 use udr::core::{OpRequest, Udr, UdrConfig};
+use udr::dls::{IdentityLocationMap, Location};
 use udr::ldap::{Dn, LdapOp};
 use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry, Octets};
 use udr::model::config::{DurabilityMode, IsolationLevel, ReadPolicy, ReplicationMode};
@@ -1113,4 +1116,34 @@ fn a_compacted_chosen_log_asks_for_no_new_segment() {
             log.len()
         );
     }
+}
+
+/// IMSIs in the location table below.
+const BOUND_IMSIS: u64 = 50_000;
+/// Buckets of a hash table holding them: the power of two that keeps the
+/// load at most 7/8.
+const BOUND_BUCKETS: u64 = 1 << 16;
+
+#[test]
+fn a_location_table_requests_13_bytes_a_bucket() {
+    let identities: Vec<Identity> = (0..BOUND_IMSIS).map(|i| imsi(i).into()).collect();
+    let mut map = IdentityLocationMap::new();
+    for (i, identity) in (0u64..).zip(&identities) {
+        let location = Location {
+            uid: SubscriberUid(i),
+            partition: PartitionId((i % 3) as u32),
+        };
+        map.insert(identity, location);
+    }
+    // A copy requests just the one table holding the IMSIs: a 12-byte
+    // bucket and a control byte per bucket, and one trailing group of at
+    // most 16 control bytes.
+    let (copy, t) = counted(|| map.clone());
+    assert_eq!(copy.len(), BOUND_IMSIS as usize);
+    assert_eq!(t.calls, 1);
+    assert!(
+        t.bytes <= 13 * BOUND_BUCKETS + 16,
+        "{} B for {BOUND_BUCKETS} buckets",
+        t.bytes
+    );
 }

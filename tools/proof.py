@@ -28,6 +28,13 @@ A moved artifact is listed with its first differing line. An artifact only
 the parent has is gone; one only this tree has is new. The command fails
 only when a build or a run does; a sim-visible change reads its list of
 moves off the table.
+
+Under the status table a second table prints `peak_rss_mb` of each
+`perf/<workload>/<seed>` run, on the parent and on this tree, and the
+change between them. It is a measurement, not a status: the host's peak
+resident set of one `udr-perf` process, read from that run's result
+object. It repeats closely on one host and build, but it is not part of
+any artifact and never makes a row moved.
 """
 
 import json
@@ -83,9 +90,11 @@ def run(binary, args, workdir):
 
 
 def collect(tree, target, scratch):
-    """Every artifact of `tree` built into `target`, as name → lines."""
+    """Every artifact of `tree` built into `target`, as name → lines, and the
+    `peak_rss_mb` of each `perf/…` run, as name → MB."""
     release = target / "release"
     artifacts = {}
+    peak_rss = {}
     bins = {p.stem.split("_")[0]: p.stem for p in (tree / "crates/bench/src/bin").glob("e*.rs")}
     for baseline in sorted((tree / "tools" / "baselines").glob("BENCH_*.json")):
         binary = bins.get(baseline.stem.removeprefix("BENCH_"))
@@ -114,7 +123,8 @@ def collect(tree, target, scratch):
                     *filter(deterministic, lines),
                     json.dumps(verdict),
                 ]
-    return artifacts
+                peak_rss[f"perf/{workload}/{seed}"] = result["metrics"]["peak_rss_mb"]["value"]
+    return artifacts, peak_rss
 
 
 def first_difference(old, new):
@@ -145,8 +155,8 @@ def main():
         build(parent, tmp / "target")
         build(ROOT, ROOT / "target")
         print("running both", file=sys.stderr)
-        old = collect(parent, tmp / "target", tmp / "run-parent")
-        new = collect(ROOT, ROOT / "target", tmp / "run-change")
+        old, old_rss = collect(parent, tmp / "target", tmp / "run-parent")
+        new, new_rss = collect(ROOT, ROOT / "target", tmp / "run-change")
 
     rows = []
     for name in sorted(old.keys() | new.keys()):
@@ -164,6 +174,15 @@ def main():
         print(f"{name:<{width}}  {status:<9}  {detail}".rstrip())
     counts = {s: sum(1 for _, st, _ in rows if st == s) for s in ("identical", "moved", "new", "gone")}
     print(", ".join(f"{n} {s}" for s, n in counts.items()))
+
+    runs = sorted(old_rss.keys() & new_rss.keys())
+    if runs:
+        width = max(len(name) for name in runs)
+        print()
+        print(f"{'peak_rss_mb (measured)':<{width}}  {rev:>10}  {'this tree':>10}  change")
+        for name in runs:
+            a, b = old_rss[name], new_rss[name]
+            print(f"{name:<{width}}  {a:>10.2f}  {b:>10.2f}  {(b - a) / a:+.1%}")
 
 
 if __name__ == "__main__":
