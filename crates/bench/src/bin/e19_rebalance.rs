@@ -5,11 +5,12 @@
 //! stage re-syncs. This experiment measures the same F-R-S trade for live
 //! partition migration: a scale-out (N → N+1 SEs), a drain (N → N−1) and
 //! a hotspot relocation all run *while traffic flows*, per locator
-//! realisation. Reported per phase: per-op latency, operations blocked by
-//! the hand-off freeze, stale-route retries after the epoch bump, records
-//! shipped over migration channels — and a post-migration full scan
-//! against a shadow oracle proving zero committed records were lost or
-//! duplicated.
+//! realisation. Reported per phase: per-op latency, the hand-off freeze
+//! and the operations it blocked, stale-route retries after the epoch bump
+//! — and a post-migration full scan against a shadow oracle proving zero
+//! committed records were lost or duplicated. A target catches up as a
+//! learner on its partition's ship channels, so it has no stream of its
+//! own to count.
 
 use udr_bench::harness::{provisioned_system, run_events, standard_traffic, t, Scenario};
 use udr_bench::json::BenchReport;
@@ -100,7 +101,6 @@ struct PhaseRow {
     freeze_ms: f64,
     blocked_ops: u64,
     stale_retries: u64,
-    shipped: u64,
     mean_us: f64,
     p99_us: f64,
     lost: u64,
@@ -114,7 +114,6 @@ struct Snapshot {
     freeze: SimDuration,
     blocked: u64,
     stale: u64,
-    shipped: u64,
 }
 
 fn snapshot(udr: &Udr) -> Snapshot {
@@ -124,7 +123,6 @@ fn snapshot(udr: &Udr) -> Snapshot {
         freeze: udr.metrics.migration_freeze_time,
         blocked: udr.metrics.migration_blocked_ops,
         stale: udr.metrics.stale_route_retries,
-        shipped: udr.metrics.migration_records_shipped,
     }
 }
 
@@ -158,7 +156,6 @@ fn finish_phase(
         freeze_ms: (after.freeze - before.freeze).as_millis_f64(),
         blocked_ops: after.blocked - before.blocked,
         stale_retries: after.stale - before.stale,
-        shipped: after.shipped - before.shipped,
         mean_us: s.udr.metrics.fe_latency.mean().as_micros_f64(),
         p99_us: s.udr.metrics.fe_latency.p99().as_micros_f64(),
         lost,
@@ -276,9 +273,9 @@ fn main() {
     println!(
         "E19 — online repartitioning: scale-out, drain and hotspot relocation under\n\
          traffic, per locator realisation. The migration pipeline is snapshot reseed →\n\
-         async log catch-up → freeze → atomic cutover (epoch bump); stale routes bounce\n\
-         once off the retired owner. Zero lost/duplicated records is asserted by a\n\
-         full scan against a shadow oracle after every phase.\n"
+         the target hears every commit as a learner → freeze → atomic cutover (epoch\n\
+         bump); stale routes bounce once off the retired owner. Zero lost/duplicated\n\
+         records is asserted by a full scan against a shadow oracle after every phase.\n"
     );
     let mut table = Table::new([
         "locator",
@@ -287,7 +284,6 @@ fn main() {
         "freeze (ms)",
         "blocked ops",
         "stale retries",
-        "records shipped",
         "mean / p99 op latency",
         "lost",
         "dup",
@@ -316,7 +312,6 @@ fn main() {
                 format!("{:.1}", row.freeze_ms),
                 row.blocked_ops.to_string(),
                 row.stale_retries.to_string(),
-                row.shipped.to_string(),
                 format!("{:.0} / {:.0} µs", row.mean_us, row.p99_us),
                 row.lost.to_string(),
                 row.dup.to_string(),
@@ -329,7 +324,6 @@ fn main() {
                 ("freeze_ms", row.freeze_ms.into()),
                 ("blocked_ops", row.blocked_ops.into()),
                 ("stale_route_retries", row.stale_retries.into()),
-                ("records_shipped", row.shipped.into()),
                 ("mean_latency_us", row.mean_us.into()),
                 ("p99_latency_us", row.p99_us.into()),
                 ("lost_records", row.lost.into()),

@@ -76,19 +76,23 @@ impl Default for UdrConfig {
 }
 
 impl UdrConfig {
-    /// Total clusters.
-    fn total_clusters(&self) -> u32 {
-        self.sites * self.clusters_per_site
+    /// Total clusters times `per_cluster`, `None` past `u32::MAX`. The
+    /// totals below saturate there, and [`Self::validate`] rejects it.
+    fn checked_total(&self, per_cluster: u32) -> Option<u32> {
+        self.sites
+            .checked_mul(self.clusters_per_site)?
+            .checked_mul(per_cluster)
     }
 
     /// Total storage elements.
     pub fn total_ses(&self) -> u32 {
-        self.total_clusters() * self.ses_per_cluster
+        self.checked_total(self.ses_per_cluster).unwrap_or(u32::MAX)
     }
 
     /// Total LDAP servers.
     pub fn total_ldap_servers(&self) -> u32 {
-        self.total_clusters() * self.ldap_servers_per_cluster
+        self.checked_total(self.ldap_servers_per_cluster)
+            .unwrap_or(u32::MAX)
     }
 
     /// Validate the deployment shape.
@@ -106,6 +110,11 @@ impl UdrConfig {
         }
         if self.ldap_servers_per_cluster == 0 {
             return Err(UdrError::Config("each cluster needs an LDAP server".into()));
+        }
+        let per_cluster = self.ses_per_cluster.max(self.ldap_servers_per_cluster);
+        if self.checked_total(per_cluster).is_none() {
+            let msg = "the topology has more SEs or LDAP servers than a u32 counts";
+            return Err(UdrError::Config(msg.into()));
         }
         if self.partitions == 0 {
             return Err(UdrError::Config("at least one partition required".into()));
@@ -158,8 +167,21 @@ mod tests {
         let c = UdrConfig::figure2();
         assert!(c.validate().is_ok());
         assert_eq!(c.total_ses(), 3);
-        assert_eq!(c.total_clusters(), 3);
+        assert_eq!(c.checked_total(1), Some(3));
         assert_eq!(c.total_ldap_servers(), 6);
+    }
+
+    #[test]
+    fn an_overflowing_topology_is_a_config_error() {
+        let mut c = UdrConfig::default();
+        c.sites = 70_000;
+        c.clusters_per_site = 70_000;
+        assert!(matches!(c.validate(), Err(UdrError::Config(_))));
+        // Per cluster, the larger of the SE and LDAP-server counts decides.
+        let mut c = UdrConfig::default();
+        c.sites = 65_536;
+        c.ldap_servers_per_cluster = 65_536;
+        assert!(matches!(c.validate(), Err(UdrError::Config(_))));
     }
 
     #[test]

@@ -789,13 +789,9 @@ impl Udr {
     /// totally ordered against the write stream, no write-freeze window.
     pub(crate) fn run_consensus_migrations(&mut self, t: SimTime) {
         for id in 0..self.migrations.len() {
-            let (plan, state, started) = {
-                let m = &self.migrations[id];
-                (m.plan, m.state, m.channel.is_some())
-            };
-            if !state.is_active() || !started {
+            let Some((plan, state)) = self.migrations[id].running() else {
                 continue;
-            }
+            };
             if !self.migration_feasible(&plan) {
                 self.migration_abort(t, id as u64);
                 continue;

@@ -96,8 +96,6 @@ pub struct UdrMetrics {
     pub migration_freeze_time: SimDuration,
     /// Writes refused because their partition was frozen for hand-off.
     pub migration_blocked_ops: u64,
-    /// Records shipped over migration channels (log-tail catch-up).
-    pub migration_records_shipped: u64,
     /// Consensus protocol messages delivered between replica-group nodes.
     pub consensus_messages: u64,
     /// Client commands committed through the consensus log (writes and

@@ -35,12 +35,13 @@ use udr_model::session::RawLsn;
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::multimaster::{merge_branches, restoration_duration};
 use udr_replication::quorum::quorum_write;
-use udr_replication::{AsyncShipper, Enqueue, MigrationState};
+use udr_replication::{AsyncShipper, BatchDelivery, Enqueue, MigrationState};
 use udr_storage::{CommitRecord, Lsn};
 
 use crate::consensus_mode::{ConsensusGroup, CONSENSUS_TICK_INTERVAL};
 use crate::ops::OpOutcome;
 use crate::pipeline::{sample_rtt, PipelineCtx, ReadRoute};
+use crate::rebalance::MigrationPlan;
 use crate::udr::{Udr, UdrEvent};
 
 /// Per-record cost of the consistency-restoration scan (§5 merge).
@@ -48,8 +49,8 @@ const MERGE_COST_PER_RECORD: SimDuration = SimDuration::from_micros(5);
 /// Catch-up lag (records) at which a master move freezes writes for the
 /// final hand-off window.
 const MIGRATION_FREEZE_LAG: u64 = 64;
-/// Lag at which a slave-copy move may cut over: the remainder flows over
-/// the group's ordinary replica channel after the swap, no freeze needed.
+/// Lag at which a slave-copy move may cut over: the target's channel,
+/// a slave's from the swap on, ships the remainder; no freeze needed.
 const MIGRATION_SLAVE_CUTOVER_LAG: u64 = 32;
 
 /// Stage 3 of the [`pipeline`](crate::pipeline) — replica routing and
@@ -471,7 +472,6 @@ impl ReplicationStage {
         // and only what that wait reads is kept from the walk over the
         // slaves: the first live ack round trip (dual-in-sequence) or every
         // member's response, the master's first (quorum).
-        let cfg = udr.cfg.ship_batch;
         let mut first_live_rtt = None;
         let quorum = matches!(udr.cfg.frash.replication, ReplicationMode::Quorum { .. });
         // Master counts as the first ack at its local commit cost.
@@ -485,69 +485,21 @@ impl ReplicationStage {
             if slave == master {
                 continue;
             }
-            let slave_site = udr.ses[slave.index()].site();
-            let up = udr.ses[slave.index()].is_up();
-            let delay = if up {
-                udr.net.send(master_site, slave_site, &mut udr.rng).delay()
-            } else {
-                None
-            };
-            // The record joins the channel's open batch; the batch ships
-            // as one message at its cap or linger deadline. At the default
-            // cap of one every record fills its batch and ships at once.
-            match udr.shippers[p].enqueue(slave, record, &cfg) {
-                Enqueue::Opened { seq } => {
-                    // The opener's trace rides the batch: stamp it so
-                    // the eventual flush and delivery attribute to the
-                    // op that started the linger window.
-                    let trace = udr.tracer.active_trace();
-                    if trace != 0 {
-                        udr.shippers[p].stamp_open_trace(slave, trace);
-                    }
-                    udr.schedule_event(
-                        now + cfg.linger,
-                        UdrEvent::ShipFlush {
-                            partition,
-                            slave,
-                            seq,
-                        },
-                    );
-                }
-                Enqueue::Full => {
-                    if let Some(b) = udr.shippers[p].flush_open(slave, now, delay) {
-                        if udr.tracer.enabled() && b.trace != 0 {
-                            udr.tracer.instant(
-                                b.trace,
-                                0,
-                                "ship.flush",
-                                now,
-                                Some(format!(
-                                    "p{} se{} n={} cap",
-                                    partition.0,
-                                    b.slave.0,
-                                    b.records.len()
-                                )),
-                            );
-                        }
-                        udr.schedule_event(
-                            b.arrives,
-                            UdrEvent::ReplDeliverBatch {
-                                partition,
-                                slave: b.slave,
-                                records: b.records,
-                                trace: b.trace,
-                            },
-                        );
-                    }
-                }
-                Enqueue::Joined | Enqueue::Refused => {}
-            }
+            let delay = udr.ship_delay(master_site, slave);
+            Self::ship(udr, partition, slave, record, now, delay);
             // The ack round trip is twice the one-way delay.
             let rtt = delay.map(|d| d * 2);
             first_live_rtt = first_live_rtt.or(rtt);
             if quorum {
                 responses.push((slave, rtt));
             }
+        }
+        // Learners hear every commit as the slaves do, after them, and
+        // count toward no acknowledgement.
+        for i in 0..udr.shippers[p].learners().len() {
+            let learner = udr.shippers[p].learners()[i];
+            let delay = udr.ship_delay(master_site, learner);
+            Self::ship(udr, partition, learner, record, now, delay);
         }
 
         match udr.cfg.frash.replication {
@@ -591,6 +543,47 @@ impl ReplicationStage {
                     })
                 }
             }
+        }
+    }
+
+    /// Put `record` on `slave`'s channel (a slave's or a learner's): it
+    /// joins the channel's open batch, and the batch ships as one message
+    /// at its cap or linger deadline. At the default cap of one every
+    /// record fills its batch and ships at once. `delay` is the sampled
+    /// one-way delay to `slave`, `None` when it is unreachable.
+    fn ship(
+        udr: &mut Udr,
+        partition: PartitionId,
+        slave: SeId,
+        record: &CommitRecord,
+        now: SimTime,
+        delay: Option<SimDuration>,
+    ) {
+        let p = partition.index();
+        let cfg = udr.cfg.ship_batch;
+        match udr.shippers[p].enqueue(slave, record, &cfg) {
+            Enqueue::Opened { seq } => {
+                // The opener's trace rides the batch: stamp it so the
+                // eventual flush and delivery attribute to the op that
+                // started the linger window.
+                let trace = udr.tracer.active_trace();
+                if trace != 0 {
+                    udr.shippers[p].stamp_open_trace(slave, trace);
+                }
+                let flush = UdrEvent::ShipFlush {
+                    partition,
+                    slave,
+                    seq,
+                };
+                udr.schedule_event(now + cfg.linger, flush);
+            }
+            Enqueue::Full => {
+                if let Some(b) = udr.shippers[p].flush_open(slave, now, delay) {
+                    let traced = b.trace != 0;
+                    udr.send_batch(now, partition, b, traced.then_some("cap"));
+                }
+            }
+            Enqueue::Joined | Enqueue::Refused => {}
         }
     }
 
@@ -758,45 +751,80 @@ impl Udr {
                 }
             }
             _ => {
-                self.shippers = (0..self.shard_map.groups().len() as u32)
-                    .map(|p| self.shipping_ledger(PartitionId(p), Lsn::ZERO))
-                    .collect();
+                let partitions = self.shard_map.groups().len();
+                self.shippers = vec![AsyncShipper::new(); partitions];
+                for p in 0..partitions as u32 {
+                    self.shipping_ledger(PartitionId(p), Lsn::ZERO);
+                }
             }
         }
     }
 
-    /// A shipping ledger for `partition` around the group's current master,
-    /// whose position is `master_lsn`: an up slave registers at what it
-    /// holds, capped at `master_lsn`, and a down one at zero (its restore
-    /// reseeds or re-registers it).
-    fn shipping_ledger(&self, partition: PartitionId, master_lsn: Lsn) -> AsyncShipper {
-        let mut shipper = AsyncShipper::new();
-        for slave in self.group(partition).slaves() {
-            let lsn = if self.ses[slave.index()].is_up() {
-                self.ses[slave.index()]
-                    .last_lsn(partition)
-                    .unwrap_or(Lsn::ZERO)
-                    .min(master_lsn)
+    /// Build `partition`'s shipping ledger around the group's current
+    /// master, whose position is `master_lsn`, in place of the old one: an
+    /// up slave registers at what it holds, capped at `master_lsn`, and a
+    /// down one at zero (its restore reseeds or re-registers it). The old
+    /// ledger's learners carry over by the same rule, unless the group took
+    /// one in (a master move's target): the ledger is the one owner of a
+    /// partition's learners, and this the one place that builds it. An up
+    /// copy ahead of `master_lsn` holds commits of a lineage the master does
+    /// not continue and is reseeded from it; after a failover only a learner
+    /// can be, since the freshest slave was promoted.
+    fn shipping_ledger(&mut self, partition: PartitionId, master_lsn: Lsn) {
+        let p = partition.index();
+        let group = self.group(partition);
+        let up = |se: SeId| self.ses[se.index()].is_up();
+        let held = |se: SeId| {
+            self.ses[se.index()]
+                .last_lsn(partition)
+                .unwrap_or(Lsn::ZERO)
+        };
+        let position = |se: SeId| {
+            if up(se) {
+                held(se).min(master_lsn)
             } else {
                 Lsn::ZERO
-            };
-            shipper.register_slave(slave, lsn);
+            }
+        };
+        let mut ledger = AsyncShipper::new();
+        for slave in group.slaves() {
+            ledger.register_slave(slave, position(slave));
         }
-        shipper
+        let learners = self.shippers[p].learners().iter();
+        for &learner in learners.filter(|se| !group.contains(**se)) {
+            ledger.register_learner(learner, position(learner));
+        }
+        let ahead: Vec<SeId> = ledger
+            .slaves()
+            .filter(|se| up(*se) && held(*se) > master_lsn)
+            .collect();
+        let master = group.master();
+        self.shippers[p] = ledger;
+        for copy in ahead {
+            self.reseed_from(partition, master, copy);
+        }
     }
 
     // ---- shipping: delivery, catch-up, faults ------------------------------
 
-    /// `ReplDeliverBatch`: a shipped batch arrives at `slave`. Apply it,
-    /// confirm the highest LSN applied, rewind the channel if the batch was
-    /// lost, and hand the vector back to the ledger for the next batch.
-    pub(crate) fn deliver_batch(
-        &mut self,
-        partition: PartitionId,
-        slave: SeId,
-        records: Vec<CommitRecord>,
-    ) {
-        let applied = self.apply_shipped(partition, slave, &records);
+    /// `ReplDeliverBatch`: a shipped batch arrives at its slave. Apply it in
+    /// order, confirm the highest LSN applied, rewind the channel if the
+    /// batch was lost, and hand the vector back to the ledger for the next
+    /// batch. The batch is lost when it arrives after the slave crashed or
+    /// a cut parted it from the partition's master; a record the copy
+    /// already holds, or one beyond a gap, is skipped.
+    pub(crate) fn deliver_batch(&mut self, partition: PartitionId, batch: BatchDelivery) {
+        let BatchDelivery { slave, records, .. } = batch;
+        let master_site = self.ses[self.group(partition).master().index()].site();
+        let se = &mut self.ses[slave.index()];
+        let mut applied = None;
+        if se.is_up() && self.net.reachable(master_site, se.site()) {
+            for record in &records {
+                if se.apply_replicated(partition, record).is_ok() {
+                    applied = Some(record.lsn);
+                }
+            }
+        }
         let channel = &mut self.shippers[partition.index()];
         if let Some(lsn) = applied {
             channel.on_applied(slave, lsn);
@@ -805,76 +833,48 @@ impl Udr {
         channel.recycle(records);
     }
 
-    /// Apply a shipped batch on `to`'s copy of `partition`, in order, and
-    /// return the highest LSN applied. The message is lost when it arrives
-    /// after `to` crashed or a cut parted it from the partition's master;
-    /// a record the copy already holds, or one beyond a gap, is skipped.
-    fn apply_shipped(
-        &mut self,
-        partition: PartitionId,
-        to: SeId,
-        records: &[CommitRecord],
-    ) -> Option<Lsn> {
-        let master = self.group(partition).master();
-        let master_site = self.ses[master.index()].site();
-        let to_site = self.ses[to.index()].site();
-        if !self.ses[to.index()].is_up() || !self.net.reachable(master_site, to_site) {
+    /// Sample the one-way delay of a shipping message from `from_site` to
+    /// `to`: `None` when `to` is down (no sample drawn) or unreachable.
+    fn ship_delay(&mut self, from_site: SiteId, to: SeId) -> Option<SimDuration> {
+        if !self.ses[to.index()].is_up() {
             return None;
         }
-        let mut applied = None;
-        for record in records {
-            if self.ses[to.index()]
-                .apply_replicated(partition, record)
-                .is_ok()
-            {
-                applied = Some(record.lsn);
-            }
+        let to_site = self.ses[to.index()].site();
+        self.net.send(from_site, to_site, &mut self.rng).delay()
+    }
+
+    /// Put a flushed batch on the wire: its `ReplDeliverBatch` arrives at
+    /// `batch.arrives`. A flush named by `flushed` (its cause, `cap` or
+    /// `linger`) leaves a `ship.flush` instant when tracing is on.
+    fn send_batch(
+        &mut self,
+        now: SimTime,
+        partition: PartitionId,
+        batch: BatchDelivery,
+        flushed: Option<&str>,
+    ) {
+        if let Some(cause) = flushed.filter(|_| self.tracer.enabled()) {
+            let (slave, n) = (batch.slave.0, batch.records.len());
+            let arg = format!("p{} se{slave} n={n} {cause}", partition.0);
+            self.tracer
+                .instant(batch.trace, 0, "ship.flush", now, Some(arg));
         }
-        applied
+        let arrives = batch.arrives;
+        self.schedule_event(arrives, UdrEvent::ReplDeliverBatch { partition, batch });
     }
 
     /// Linger timer for a shipping batch: sample the path once and flush
     /// the channel's open batch as a single message, if it is still the
     /// generation the timer was armed for.
     pub(crate) fn ship_flush(&mut self, t: SimTime, partition: PartitionId, slave: SeId, seq: u64) {
-        let p = partition.index();
-        let master = self.shard_map.groups()[p].master();
+        let master = self.group(partition).master();
         if !self.ses[master.index()].is_up() {
             return;
         }
-        let master_site = self.ses[master.index()].site();
-        let slave_site = self.ses[slave.index()].site();
-        let delay = if self.ses[slave.index()].is_up() {
-            self.net
-                .send(master_site, slave_site, &mut self.rng)
-                .delay()
-        } else {
-            None
-        };
-        if let Some(batch) = self.shippers[p].flush_if_open(slave, seq, t, delay) {
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    batch.trace,
-                    0,
-                    "ship.flush",
-                    t,
-                    Some(format!(
-                        "p{} se{} n={} linger",
-                        p,
-                        slave.index(),
-                        batch.records.len()
-                    )),
-                );
-            }
-            self.schedule_event(
-                batch.arrives,
-                UdrEvent::ReplDeliverBatch {
-                    partition,
-                    slave: batch.slave,
-                    records: batch.records,
-                    trace: batch.trace,
-                },
-            );
+        let delay = self.ship_delay(self.ses[master.index()].site(), slave);
+        let shipper = &mut self.shippers[partition.index()];
+        if let Some(batch) = shipper.flush_if_open(slave, seq, t, delay) {
+            self.send_batch(t, partition, batch, Some("linger"));
         }
     }
 
@@ -989,9 +989,9 @@ impl Udr {
     /// * every up member's own position. Quorum ack carry-over replays a
     ///   responder's gap from the master's log, and after a failover or a
     ///   master move the new master's log serves each slave from there;
-    /// * every up slave's ship channel's confirmed position, and every live
-    ///   migration channel's: a channel that loses a batch rewinds there,
-    ///   and a catch-up pass ships the suffix after it.
+    /// * every up slave's and learner's ship channel's confirmed position: a
+    ///   channel that loses a batch rewinds there, and a catch-up pass ships
+    ///   the suffix after it.
     ///
     /// A down member holds nothing. A copy that restores below the
     /// master's log is reseeded from the master's snapshot by the next
@@ -1008,21 +1008,12 @@ impl Udr {
             .slaves()
             .filter(up)
             .filter_map(|se| self.shippers[p].applied(se));
-        let migrations = self
-            .migrations
-            .iter()
-            .filter(|m| m.plan.partition == pid)
-            .filter_map(|m| m.channel.as_ref()?.min_applied());
-        copies
-            .chain(channels)
-            .chain(migrations)
-            .min()
-            .unwrap_or(Lsn::ZERO)
+        copies.chain(channels).min().unwrap_or(Lsn::ZERO)
     }
 
-    /// Ship to every reachable up slave what its channel has not yet put in
-    /// flight, or reseed it when the master's log can no longer serve the
-    /// gap.
+    /// Ship to every reachable up slave, then to every learner, what its
+    /// channel has not yet put in flight, or reseed it when the master's log
+    /// can no longer serve the gap.
     fn catch_up_channels(&mut self, t: SimTime) {
         for p in 0..self.shard_map.groups().len() {
             let pid = PartitionId(p as u32);
@@ -1030,42 +1021,42 @@ impl Udr {
             if !self.ses[master.index()].is_up() {
                 continue;
             }
-            let master_site = self.ses[master.index()].site();
-            // By index: nothing below changes the group, and the idle tick
-            // collects nothing.
+            // By index: nothing below changes the group or the learners,
+            // and the idle tick collects nothing.
             for i in 0..self.shard_map.groups()[p].members().len() {
                 let slave = self.shard_map.groups()[p].members()[i];
-                if slave == master || !self.ses[slave.index()].is_up() {
-                    continue;
+                if slave != master {
+                    self.catch_up_channel(t, pid, master, slave);
                 }
-                let slave_site = self.ses[slave.index()].site();
-                if !self.net.reachable(master_site, slave_site) {
-                    continue;
-                }
-                let master_engine = self.ses[master.index()]
-                    .engine(pid)
-                    .expect("master hosts partition");
-                if self.shippers[p].needs_reseed(slave, master_engine) {
-                    self.reseed_from(pid, master, slave);
-                    continue;
-                }
-                let Some(batch) = self.shippers[p].catch_up(slave, master_engine, t, || {
-                    self.net
-                        .send(master_site, slave_site, &mut self.rng)
-                        .delay()
-                }) else {
-                    continue;
-                };
-                self.schedule_event(
-                    batch.arrives,
-                    UdrEvent::ReplDeliverBatch {
-                        partition: pid,
-                        slave,
-                        records: batch.records,
-                        trace: batch.trace,
-                    },
-                );
             }
+            for i in 0..self.shippers[p].learners().len() {
+                let learner = self.shippers[p].learners()[i];
+                self.catch_up_channel(t, pid, master, learner);
+            }
+        }
+    }
+
+    /// One catch-up pass over `to`'s channel of `pid`, if `to` is up and
+    /// reachable from the up `master`.
+    fn catch_up_channel(&mut self, t: SimTime, pid: PartitionId, master: SeId, to: SeId) {
+        let master_site = self.ses[master.index()].site();
+        let to_site = self.ses[to.index()].site();
+        if !self.ses[to.index()].is_up() || !self.net.reachable(master_site, to_site) {
+            return;
+        }
+        let p = pid.index();
+        let master_engine = self.ses[master.index()]
+            .engine(pid)
+            .expect("master hosts partition");
+        if self.shippers[p].needs_reseed(to, master_engine) {
+            self.reseed_from(pid, master, to);
+            return;
+        }
+        let batch = self.shippers[p].catch_up(to, master_engine, t, || {
+            self.net.send(master_site, to_site, &mut self.rng).delay()
+        });
+        if let Some(batch) = batch {
+            self.send_batch(t, pid, batch, None);
         }
     }
 
@@ -1135,7 +1126,7 @@ impl Udr {
             .promote(partition, candidate)
             .expect("candidate is a member");
         let _ = self.ses[candidate.index()].set_role(partition, ReplicaRole::Master);
-        self.shippers[p] = self.shipping_ledger(partition, candidate_lsn);
+        self.shipping_ledger(partition, candidate_lsn);
         self.metrics.failovers += 1;
     }
 
@@ -1291,19 +1282,7 @@ impl Udr {
             }
         };
         self.metrics.lost_commits += crash_lsn.raw().saturating_sub(base_lsn.raw());
-        // Slaves ahead of the rebuilt master hold orphaned commits: reseed
-        // them down to the master's lineage.
-        let ahead: Vec<SeId> = self.shard_map.groups()[p]
-            .slaves()
-            .filter(|s| {
-                self.ses[s.index()].is_up()
-                    && self.ses[s.index()].last_lsn(pid).unwrap_or(Lsn::ZERO) > base_lsn
-            })
-            .collect();
-        for slave in ahead {
-            self.reseed_from(pid, se, slave);
-        }
-        self.shippers[p] = self.shipping_ledger(pid, base_lsn);
+        self.shipping_ledger(pid, base_lsn);
     }
 
     /// A crashed SE restores as a slave (its mastership moved or it always
@@ -1412,7 +1391,7 @@ impl Udr {
                 self.ses[se.index()].seed_replica(pid, role, outcome.snapshot.clone());
             }
             // Every up member now holds the merged state.
-            self.shippers[p] = self.shipping_ledger(pid, outcome.snapshot.last_lsn);
+            self.shipping_ledger(pid, outcome.snapshot.last_lsn);
             self.metrics.merges += 1;
             self.metrics.merge_conflicts += outcome.stats.conflicts as u64;
             self.metrics.merge_records += outcome.stats.records_examined as u64;
@@ -1503,34 +1482,36 @@ impl Udr {
         self.shippers.iter().map(|s| s.shipped).sum()
     }
 
+    /// The confirmed position of `se`'s ship channel for `partition`, a
+    /// slave's or a migration target's; `None` when it has none, as a
+    /// master has none, and always under consensus.
+    pub fn channel_applied(&self, partition: PartitionId, se: SeId) -> Option<Lsn> {
+        self.shippers.get(partition.index())?.applied(se)
+    }
+
     // ---- the channel migration engine ---------------------------------------
 
-    /// Drive every active migration one catch-up step (runs on each
-    /// `CatchupTick`, after the replica channels; a consensus deployment
-    /// runs `run_consensus_migrations` instead).
+    /// Drive every active migration one step (runs on each `CatchupTick`,
+    /// after the catch-up pass has shipped to the learners; a consensus
+    /// deployment runs `run_consensus_migrations` instead). The target is a
+    /// learner on its partition's ledger, so shipping, catch-up and reseeds
+    /// are the channels' own; what is left here is the abort rule, the end
+    /// of seeding, the freeze and the cutover, all read off the learner's
+    /// lag.
     fn run_migration_catchup(&mut self, t: SimTime) {
         for id in 0..self.migrations.len() {
-            let (plan, state, started) = {
-                let m = &self.migrations[id];
-                (m.plan, m.state, m.channel.is_some())
-            };
-            if !state.is_active() || !started {
+            let Some((plan, state)) = self.migrations[id].running() else {
                 continue;
-            }
-            let p = plan.partition.index();
-            let master = self.shard_map.groups()[p].master();
-            // Fault policy: a crashed endpoint or a cut on the shipping
-            // path abandons the move — restarting later is cheaper than
-            // reasoning about a half-seeded copy across a partition.
-            let endpoints_up = self.ses[plan.from.index()].is_up()
-                && self.ses[plan.to.index()].is_up()
-                && self.ses[master.index()].is_up();
-            let master_site = self.ses[master.index()].site();
-            let to_site = self.ses[plan.to.index()].site();
-            if !endpoints_up || !self.net.reachable(master_site, to_site) {
+            };
+            // Fault policy: a crashed endpoint, a cut on the shipping path
+            // or a target no longer on the ledger abandons the move —
+            // restarting later is cheaper than reasoning about a
+            // half-seeded copy across a partition.
+            let from_up = self.ses[plan.from.index()].is_up();
+            let Some(lag) = self.learner_lag(&plan).filter(|_| from_up) else {
                 self.migration_abort(t, id as u64);
                 continue;
-            }
+            };
             match state {
                 MigrationState::Seeding { ready_at } if t < ready_at => continue,
                 MigrationState::Seeding { .. } => {
@@ -1538,33 +1519,7 @@ impl Udr {
                 }
                 _ => {}
             }
-            let (needs_reseed, lag) = {
-                let engine = self.ses[master.index()]
-                    .engine(plan.partition)
-                    .expect("master hosts partition");
-                let channel = self.migrations[id]
-                    .channel
-                    .as_ref()
-                    .expect("started migration has channel");
-                (
-                    channel.needs_reseed(plan.to, engine),
-                    channel.lag(plan.to, engine).unwrap_or(0),
-                )
-            };
-            // A truncated master log (or a failover onto a new lineage)
-            // invalidates the seed: reseed from the current master.
-            if needs_reseed {
-                let lsn = self
-                    .seed_copy(plan.partition, master, plan.to, ReplicaRole::Slave)
-                    .expect("master hosts partition");
-                self.migrations[id]
-                    .channel
-                    .as_mut()
-                    .expect("started migration has channel")
-                    .register_slave(plan.to, lsn);
-                self.metrics.reseeds += 1;
-                continue;
-            }
+            let master = self.group(plan.partition).master();
             if plan.from == master {
                 // Master move: converge, freeze the log, cut over at
                 // exact equality.
@@ -1577,108 +1532,65 @@ impl Udr {
                 if matches!(self.migrations[id].state, MigrationState::Frozen { .. }) && lag == 0 {
                     // The cutover itself is a coordination round between
                     // the endpoints: the freeze window is never zero.
+                    let master_site = self.ses[master.index()].site();
+                    let to_site = self.ses[plan.to.index()].site();
                     let coord = self
                         .net
                         .round_trip(master_site, to_site, &mut self.rng)
                         .unwrap_or(SimDuration::from_millis(1));
                     self.schedule_event(t + coord, UdrEvent::MigrationCutover { id: id as u64 });
-                    continue;
                 }
             } else if lag <= MIGRATION_SLAVE_CUTOVER_LAG {
-                // Slave move: the ordinary replica channel closes the
-                // remainder after the swap; no freeze needed.
+                // Slave move: the learner's channel closes the remainder
+                // after the swap, as a slave's; no freeze needed.
                 self.schedule_event(t, UdrEvent::MigrationCutover { id: id as u64 });
-                continue;
             }
-            let engine = self.ses[master.index()]
-                .engine(plan.partition)
-                .expect("master hosts partition");
-            let channel = self.migrations[id]
-                .channel
-                .as_mut()
-                .expect("started migration has channel");
-            let Some(batch) = channel.catch_up(plan.to, engine, t, || {
-                self.net.send(master_site, to_site, &mut self.rng).delay()
-            }) else {
-                continue;
-            };
-            self.metrics.migration_records_shipped += batch.records.len() as u64;
-            self.schedule_event(
-                batch.arrives,
-                UdrEvent::MigrationDeliver {
-                    id: id as u64,
-                    records: batch.records,
-                },
-            );
         }
     }
 
-    /// `MigrationDeliver`: a batch shipped over a migration channel arrives
-    /// at the target copy; handled as `ReplDeliverBatch` is.
-    pub(crate) fn migration_deliver(&mut self, id: u64, records: Vec<CommitRecord>) {
-        let Some(m) = self.migrations.get(id as usize) else {
-            return;
-        };
-        if !m.state.is_active() || m.channel.is_none() {
-            return;
+    /// A move's target's lag behind its partition's master, as the
+    /// target's channel on the ledger confirms it; `None` when the master
+    /// or the target is down, the path between them is cut, or the target
+    /// has no channel.
+    fn learner_lag(&self, plan: &MigrationPlan) -> Option<u64> {
+        let master = &self.ses[self.group(plan.partition).master().index()];
+        let to = &self.ses[plan.to.index()];
+        if !master.is_up() || !to.is_up() || !self.net.reachable(master.site(), to.site()) {
+            return None;
         }
-        let plan = m.plan;
-        let applied = self.apply_shipped(plan.partition, plan.to, &records);
-        let channel = self.migrations[id as usize]
-            .channel
-            .as_mut()
-            .expect("checked above");
-        if let Some(lsn) = applied {
-            channel.on_applied(plan.to, lsn);
-        }
-        channel.rewind(plan.to, &records);
-        channel.recycle(records);
+        let engine = master.engine(plan.partition).ok()?;
+        self.shippers[plan.partition.index()].lag(plan.to, engine)
     }
 
     /// `MigrationCutover`: atomically swap the copy into the replica set,
     /// release the retired copy and bump the shard-map epoch.
     pub(crate) fn migration_cutover(&mut self, t: SimTime, id: u64) {
-        let (plan, state) = {
-            let m = &self.migrations[id as usize];
-            (m.plan, m.state)
-        };
-        if !state.is_active() {
+        let Some((plan, state)) = self.migrations[id as usize].running() else {
             return;
-        }
+        };
         let p = plan.partition.index();
         let master = self.shard_map.groups()[p].master();
         let was_master_move = plan.from == master;
-        let master_site = self.ses[master.index()].site();
-        let to_site = self.ses[plan.to.index()].site();
-        let to_ok = self.ses[plan.to.index()].is_up() && self.net.reachable(master_site, to_site);
-        let target_lsn = self.ses[plan.to.index()]
-            .last_lsn(plan.partition)
-            .unwrap_or(Lsn::ZERO);
-        let master_lsn = self.ses[master.index()]
-            .last_lsn(plan.partition)
-            .unwrap_or(Lsn::ZERO);
         // A master hand-off must be exact: every committed record is on
         // the target before the old master retires (zero loss).
-        if !to_ok || (was_master_move && target_lsn != master_lsn) {
+        let lag = self.learner_lag(&plan);
+        if lag.is_none() || (was_master_move && lag != Some(0)) {
             self.migration_abort(t, id);
             return;
         }
         self.shard_map
             .replace_member(plan.partition, plan.from, plan.to)
             .expect("cutover swap validated");
-        let new_role = if was_master_move {
-            ReplicaRole::Master
-        } else {
-            ReplicaRole::Slave
-        };
-        let _ = self.ses[plan.to.index()].set_role(plan.partition, new_role);
         if was_master_move {
+            let _ = self.ses[plan.to.index()].set_role(plan.partition, ReplicaRole::Master);
             // Rebuild the shipping ledger around the new master (same
             // lineage, so the slaves' applied LSNs carry over).
-            self.shippers[p] = self.shipping_ledger(plan.partition, master_lsn);
+            let master_lsn = self.ses[plan.to.index()].last_lsn(plan.partition);
+            self.shipping_ledger(plan.partition, master_lsn.unwrap_or(Lsn::ZERO));
         } else {
+            // The target was seeded as a slave copy; its channel carries on.
             self.shippers[p].unregister_slave(plan.from);
-            self.shippers[p].register_slave(plan.to, target_lsn.min(master_lsn));
+            self.shippers[p].promote_learner(plan.to);
         }
         if let MigrationState::Frozen { since } = state {
             self.metrics.migration_freeze_time += t.duration_since(since);

@@ -33,11 +33,11 @@ use udr_model::qos::PriorityClass;
 use udr_model::tenant::{TenantDirectory, TenantGrant, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::{AdmissionController, ClassBuckets, TokenBucket};
-use udr_replication::{AsyncShipper, MigrationState};
+use udr_replication::{AsyncShipper, BatchDelivery, MigrationState};
 use udr_sim::faults::{Fault, FaultScript};
 use udr_sim::net::{Cut, CutHandle, Degrade, DegradeHandle, Network, Topology};
 use udr_sim::{LaneClass, PumpConfig, ShardedPump, SimRng};
-use udr_storage::{CommitRecord, Lsn, StorageElement};
+use udr_storage::{Lsn, StorageElement};
 use udr_trace::{TraceExport, Tracer};
 
 use crate::config::UdrConfig;
@@ -69,19 +69,15 @@ pub struct Cluster {
 /// Internal events driving the deployment between client calls.
 #[derive(Debug, Clone)]
 pub enum UdrEvent {
-    /// A shipped batch of commit records arrives at a slave as one
-    /// message: a commit's batch (a batch of one under the default
+    /// A shipped batch of commit records arrives at a slave or learner as
+    /// one message: a commit's batch (a batch of one under the default
     /// per-record shipping) or a catch-up pass's.
     ReplDeliverBatch {
         /// Partition replicated.
         partition: PartitionId,
-        /// Destination slave.
-        slave: SeId,
-        /// The records, in LSN order.
-        records: Vec<CommitRecord>,
-        /// Trace of the operation that opened the batch (0 = untraced),
-        /// so a shipped batch's arrival shows up on the opener's track.
-        trace: u64,
+        /// The batch as its channel flushed it; its trace (0 = untraced)
+        /// puts the arrival on the track of the op that opened it.
+        batch: BatchDelivery,
     },
     /// A shipping batch's linger timer fires: flush the channel's open
     /// batch if it is still the same generation.
@@ -139,8 +135,9 @@ pub enum UdrEvent {
         /// The partition to check.
         partition: PartitionId,
     },
-    /// A live partition migration begins: snapshot-seed the target and
-    /// open its migration channel.
+    /// A live partition migration begins: snapshot-seed the target and,
+    /// under a shipping family, register it as a learner on its
+    /// partition's ledger.
     MigrationStart {
         /// Index into the deployment's migration ledger.
         id: u64,
@@ -150,13 +147,6 @@ pub enum UdrEvent {
     MigrationCutover {
         /// Index into the deployment's migration ledger.
         id: u64,
-    },
-    /// A batch shipped over a migration channel arrives at the target.
-    MigrationDeliver {
-        /// Index into the deployment's migration ledger.
-        id: u64,
-        /// The records, in LSN order.
-        records: Vec<CommitRecord>,
     },
     /// Consensus mode: one partition ensemble's protocol timer fires
     /// (election timeouts, heartbeats, retries).
@@ -195,10 +185,16 @@ pub(crate) const LANE: LaneClass = LaneClass::Local(0);
 pub(crate) struct MigrationTask {
     pub(crate) plan: MigrationPlan,
     pub(crate) state: MigrationState,
-    /// The shipping ledger, with `plan.to` its one registered slave;
-    /// `None` until [`UdrEvent::MigrationStart`] fires (and again after a
-    /// terminal state).
-    pub(crate) channel: Option<AsyncShipper>,
+    /// Whether [`UdrEvent::MigrationStart`] has seeded the target.
+    pub(crate) started: bool,
+}
+
+impl MigrationTask {
+    /// The plan and state of a move an engine drives: started, not yet
+    /// done or aborted.
+    pub(crate) fn running(&self) -> Option<(MigrationPlan, MigrationState)> {
+        (self.started && self.state.is_active()).then_some((self.plan, self.state))
+    }
 }
 
 /// The assembled UDR network function.
@@ -587,12 +583,7 @@ impl Udr {
             self.trace_event(t, &event);
         }
         match event {
-            UdrEvent::ReplDeliverBatch {
-                partition,
-                slave,
-                records,
-                trace: _,
-            } => self.deliver_batch(partition, slave, records),
+            UdrEvent::ReplDeliverBatch { partition, batch } => self.deliver_batch(partition, batch),
             UdrEvent::ShipFlush {
                 partition,
                 slave,
@@ -638,7 +629,6 @@ impl Udr {
             UdrEvent::FailoverCheck { partition } => self.failover_check(partition),
             UdrEvent::MigrationStart { id } => self.migration_start(t, id),
             UdrEvent::MigrationCutover { id } => self.migration_cutover(t, id),
-            UdrEvent::MigrationDeliver { id, records } => self.migration_deliver(id, records),
             UdrEvent::ConsensusTick { partition } => self.consensus_tick(t, partition),
             UdrEvent::ConsensusDeliver {
                 partition,
@@ -659,23 +649,12 @@ impl Udr {
     /// (`complete_cutover`, `migration_abort`), not as events.
     fn trace_event(&mut self, t: SimTime, event: &UdrEvent) {
         match event {
-            UdrEvent::ReplDeliverBatch {
-                partition,
-                slave,
-                records,
-                trace,
-            } if *trace != 0 => self.tracer.instant(
-                *trace,
-                0,
-                "repl.deliver_batch",
-                t,
-                Some(format!(
-                    "p{} se{} n={}",
-                    partition.index(),
-                    slave.index(),
-                    records.len()
-                )),
-            ),
+            UdrEvent::ReplDeliverBatch { partition, batch } if batch.trace != 0 => {
+                let (slave, n) = (batch.slave.0, batch.records.len());
+                let arg = format!("p{} se{slave} n={n}", partition.0);
+                self.tracer
+                    .instant(batch.trace, 0, "repl.deliver_batch", t, Some(arg))
+            }
             UdrEvent::PartitionStart { cuts, duration } => self.tracer.instant(
                 0,
                 0,
@@ -715,7 +694,6 @@ impl Udr {
             | UdrEvent::ShipFlush { .. }
             | UdrEvent::SnapshotTick { .. }
             | UdrEvent::CatchupTick
-            | UdrEvent::MigrationDeliver { .. }
             | UdrEvent::ConsensusTick { .. }
             | UdrEvent::ConsensusDeliver { .. } => {}
         }
@@ -911,7 +889,7 @@ impl Udr {
         self.migrations.push(MigrationTask {
             plan,
             state: MigrationState::Seeding { ready_at: at },
-            channel: None,
+            started: false,
         });
         // Every accepted request counts as started, including ones that
         // abort at validation: started == completed + aborted always.
@@ -934,7 +912,8 @@ impl Udr {
     }
 
     /// `MigrationStart`: snapshot the partition master, seed the target's
-    /// copy and open the migration channel at the snapshot LSN.
+    /// copy and, under a shipping family, register the target as a learner
+    /// on the partition's ledger at the snapshot LSN.
     fn migration_start(&mut self, t: SimTime, id: u64) {
         let plan = self.migrations[id as usize].plan;
         let p = plan.partition.index();
@@ -955,10 +934,12 @@ impl Udr {
             .expect("master hosts partition");
         let transfer =
             MIGRATION_SEED_BASE + SimDuration::from_micros(bytes / MIGRATION_SEED_BYTES_PER_US);
+        // Under consensus there is no ledger: the reconfig moves the copy.
+        if let Some(shipper) = self.shippers.get_mut(p) {
+            shipper.register_learner(plan.to, lsn);
+        }
         let task = &mut self.migrations[id as usize];
-        let mut channel = AsyncShipper::new();
-        channel.register_slave(plan.to, lsn);
-        task.channel = Some(channel);
+        task.started = true;
         task.state = MigrationState::Seeding {
             ready_at: t + transfer,
         };
@@ -1000,15 +981,14 @@ impl Udr {
             // re-planning thrashes its master back and forth).
             self.ops_per_partition[plan.partition.index()] = 0;
         }
-        let task = &mut self.migrations[id as usize];
-        task.state = MigrationState::Done;
-        task.channel = None;
+        self.migrations[id as usize].state = MigrationState::Done;
         self.metrics.migrations_completed += 1;
     }
 
     /// Abandon a move (fault on an endpoint or the path) without touching
-    /// the epoch: the target's partial copy is dropped and the old owner
-    /// keeps serving unchanged.
+    /// the epoch: the target's partial copy and its learner channel are
+    /// dropped, so it no longer holds the log back, and the old owner keeps
+    /// serving unchanged.
     pub(crate) fn migration_abort(&mut self, t: SimTime, id: u64) {
         let Some(m) = self.migrations.get(id as usize) else {
             return;
@@ -1034,10 +1014,11 @@ impl Udr {
             .is_some_and(|g| g.contains(plan.to));
         if plan.to.index() < self.ses.len() && !joined {
             let _ = self.ses[plan.to.index()].release_partition(plan.partition);
+            if let Some(shipper) = self.shippers.get_mut(plan.partition.index()) {
+                shipper.unregister_slave(plan.to);
+            }
         }
-        let task = &mut self.migrations[id as usize];
-        task.state = MigrationState::Aborted;
-        task.channel = None;
+        self.migrations[id as usize].state = MigrationState::Aborted;
         self.metrics.migrations_aborted += 1;
     }
 

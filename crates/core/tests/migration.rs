@@ -244,6 +244,9 @@ fn partition_cut_between_reseed_and_cutover_aborts_cleanly() {
     assert_eq!(udr.migration_state(id), Some(MigrationState::Aborted));
     assert_eq!(udr.metrics.migrations_aborted, 1);
     assert_eq!(udr.metrics.migrations_completed, 0);
+    // The abort took the target's channel off the ledger, so a dead move
+    // no longer holds the partition's log back.
+    assert_eq!(udr.channel_applied(partition, to), None);
     assert_eq!(udr.shard_map().epoch(), epoch_before);
     assert_eq!(udr.shard_map().master_of(partition), Some(from));
     assert_eq!(udr.se(to).partitions().count(), 0);
@@ -568,6 +571,11 @@ fn master_move_freeze_window_is_accounted() {
         },
         t(10),
     );
+    // Seeded, the target is a learner on the partition's ledger at the
+    // master's position.
+    udr.advance_to(t(10) + SimDuration::from_millis(100));
+    let master_lsn = udr.se(from).last_lsn(partition).unwrap();
+    assert_eq!(udr.channel_applied(partition, to), Some(master_lsn));
     settle_migrations(&mut udr, t(10));
     assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
     // A master hand-off always passes through the freeze window.
@@ -575,7 +583,127 @@ fn master_move_freeze_window_is_accounted() {
         udr.metrics.migration_freeze_time > SimDuration::ZERO,
         "master move should account a freeze window"
     );
-    assert!(udr.metrics.migration_records_shipped > 0 || udr.metrics.migrations_completed == 1);
+    // The learner became the master, which has no channel of its own.
+    assert_eq!(udr.shard_map().master_of(partition), Some(to));
+    assert_eq!(udr.channel_applied(partition, to), None);
+}
+
+/// A write committed while a move catches up reaches the target as it
+/// reaches the slaves, not on the next catch-up tick: the target is a
+/// learner on its partition's ship channels. Shipping coalesces for 50 ms
+/// so that a burst holds the move in `CatchingUp` past its first tick.
+#[test]
+fn a_write_reaches_the_target_before_the_next_tick() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.ses_per_cluster = 2;
+    cfg.partitions = 6;
+    cfg.frash.replication_factor = 2;
+    cfg.ship_batch = udr_replication::ShipBatchConfig::coalesce(64, SimDuration::from_millis(50));
+    let mut udr = Udr::build(cfg).unwrap();
+    let subs = provision_p0(&mut udr);
+    udr.advance_to(t(9));
+    let master = udr.shard_map().master_of(P0).unwrap();
+    let from = *udr
+        .shard_map()
+        .members_of(P0)
+        .unwrap()
+        .iter()
+        .find(|se| **se != master)
+        .unwrap();
+    let to = udr.add_se(udr.se(from).site(), t(9));
+    let id = udr.start_migration(
+        MigrationPlan {
+            partition: P0,
+            from,
+            to,
+            reason: MoveReason::ScaleOut,
+        },
+        t(10),
+    );
+    let ms = |n: u64| t(10) + SimDuration::from_millis(n);
+    udr.advance_to(ms(100));
+    assert!(matches!(
+        udr.migration_state(id),
+        Some(MigrationState::Seeding { .. })
+    ));
+    // Ticks fall every 200 ms. A burst still coalescing at the 200 ms tick
+    // leaves the target more than 32 records behind, so the move stays
+    // in CatchingUp until the tick at 400 ms.
+    let write = |udr: &mut Udr, i: u64, at: SimTime| {
+        let out = udr.modify_services(
+            &subs[i as usize % subs.len()].imsi.into(),
+            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(i))],
+            SiteId(0),
+            at,
+        );
+        assert!(out.is_ok(), "write {i} failed: {:?}", out.result);
+    };
+    for i in 0..40 {
+        write(&mut udr, i, ms(180) + SimDuration::from_micros(100 * i));
+    }
+    write(&mut udr, 40, ms(210));
+    udr.advance_to(ms(390));
+    assert_eq!(udr.migration_state(id), Some(MigrationState::CatchingUp));
+    assert_eq!(lsn(&udr, to), lsn(&udr, master));
+    settle_migrations(&mut udr, ms(390));
+    assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
+}
+
+/// The master fails over while a slave move is in flight: the rebuilt
+/// ledger carries the target over as a learner, so the move completes and
+/// the target hears the new master's writes.
+#[test]
+fn a_slave_move_survives_a_failover_of_its_master() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.ses_per_cluster = 2;
+    cfg.partitions = 6;
+    cfg.frash.replication_factor = 3;
+    cfg.frash.failover_detection = SimDuration::from_millis(20);
+    let mut udr = Udr::build(cfg).unwrap();
+    let subs = provision_n(&mut udr, 24);
+    let mut oracle = write_oracle(&mut udr, &subs, t(5));
+    udr.advance_to(t(9));
+    let members = udr.shard_map().members_of(P0).unwrap().to_vec();
+    let master = udr.shard_map().master_of(P0).unwrap();
+    let from = *members.iter().rev().find(|se| **se != master).unwrap();
+    let to = (0..6).map(SeId).find(|se| !members.contains(se)).unwrap();
+    let id = udr.start_migration(
+        MigrationPlan {
+            partition: P0,
+            from,
+            to,
+            reason: MoveReason::ScaleOut,
+        },
+        t(10),
+    );
+    // The crash and the failover both fall between the ticks at 10 s and
+    // 10.2 s, so no tick sees the partition without a master.
+    let ms = |n: u64| t(10) + SimDuration::from_millis(n);
+    udr.schedule_script(&FaultScript::new(0).se_crash(ms(20), master));
+    udr.advance_to(ms(100));
+    assert_eq!(udr.metrics.failovers, 1);
+    assert_ne!(udr.shard_map().master_of(P0), Some(master));
+    assert!(udr.migration_state(id).unwrap().is_active());
+    // A write to the new master reaches the target.
+    let (i, moved) = oracle
+        .iter_mut()
+        .enumerate()
+        .find(|(_, (identity, _))| udr.lookup_authority(identity).unwrap().partition == P0)
+        .unwrap();
+    moved.1 = 0xF00D_0000 + i as u64;
+    let out = udr.modify_services(
+        &moved.0,
+        vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(moved.1))],
+        SiteId(0),
+        ms(120),
+    );
+    assert!(out.is_ok(), "write after failover failed: {:?}", out.result);
+    settle_migrations(&mut udr, ms(120));
+    assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
+    assert!(udr.shard_map().members_of(P0).unwrap().contains(&to));
+    let new_master = udr.shard_map().master_of(P0).unwrap();
+    assert_eq!(lsn(&udr, to), lsn(&udr, new_master));
+    verify_against_oracle(&udr, &oracle);
 }
 
 /// How many flight-recorder instants named `name` carry migration `id`.

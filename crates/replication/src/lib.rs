@@ -7,8 +7,8 @@
 //!   shipping (§3.3.1 decision 2), with FIFO channels, catch-up after
 //!   partitions and snapshot reseeds after log truncation;
 //! * [`migration`] — the lifecycle of a live partition move (a copy that
-//!   joins over its own shipping ledger, kept apart from the group's
-//!   replica channels until cutover; the replica sets themselves live in
+//!   catches up as a learner on its partition's shipping ledger and joins
+//!   the group at cutover; the replica sets themselves live in
 //!   `udr_dls::ShardMap`);
 //! * [`quorum`] — the §5 Cassandra-style `(n, w)` write round;
 //! * [`multimaster`] — §5 multi-master divergence and the

@@ -1,15 +1,14 @@
-//! Live partition migration: the data-movement counterpart of the
-//! replica channels in [`shipping`](crate::shipping).
+//! Live partition migration: the lifecycle of a copy moving to a new SE.
 //!
-//! A live partition migration reuses the replication machinery — seed the
-//! target from an [`EngineSnapshot`](udr_storage::EngineSnapshot), then
-//! stream the master's log tail until the target converges — but the
-//! target is *not* a group member while it catches up: commits must not
-//! wait for it, failovers must not promote it, and read policies must not
-//! route to it. A migration therefore keeps its own shipping ledger (an
-//! [`AsyncShipper`](crate::AsyncShipper) with the target as its one
-//! registered slave) next to the group's, plus the [`MigrationState`]
-//! machine the orchestrator drives:
+//! The target is seeded from an
+//! [`EngineSnapshot`](udr_storage::EngineSnapshot) and then joins its
+//! partition's shipping ledger as a *learner*
+//! ([`AsyncShipper::register_learner`](crate::AsyncShipper::register_learner)):
+//! it hears every commit and is caught up and reseeded as a slave is, but
+//! it is not a group member until cutover, so no commit waits for it, no
+//! failover promotes it and no read routes to it (Raft's catch-up of a new
+//! server as a non-voting member, Ongaro 2014, §4.2.1). The orchestrator
+//! drives the [`MigrationState`] machine:
 //!
 //! ```text
 //! Seeding ──▶ CatchingUp ──▶ Frozen ──▶ Done
@@ -17,8 +16,9 @@
 //!    └─────────────┴────────────┴──────▶ Aborted
 //! ```
 //!
-//! * `Seeding` — the snapshot is in transfer; nothing ships yet;
-//! * `CatchingUp` — periodic passes ship the log suffix while writes flow;
+//! * `Seeding` — the snapshot is in transfer; commits already ship to it;
+//! * `CatchingUp` — the transfer is done; the move waits for the target's
+//!   lag to close while writes flow;
 //! * `Frozen` — the source refuses writes for the final hand-off window;
 //! * `Done` / `Aborted` — cutover applied, or the move was abandoned
 //!   (fault on either end) without any epoch change.
@@ -30,10 +30,10 @@ use udr_model::time::SimTime;
 pub enum MigrationState {
     /// Snapshot transfer to the target is in progress.
     Seeding {
-        /// When the transfer completes and tail shipping may start.
+        /// When the transfer completes and the move may cut over.
         ready_at: SimTime,
     },
-    /// The target applies the master's log tail while traffic flows.
+    /// The target closes its lag behind the master while traffic flows.
     CatchingUp,
     /// Final window: the source is write-frozen, the last records ship.
     Frozen {

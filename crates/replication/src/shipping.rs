@@ -20,8 +20,14 @@
 //! position ([`AsyncShipper::rewind`]). Either way the next catch-up pass
 //! ships the rest from the master's log, which must therefore reach back to
 //! the record after each channel's confirmed position
-//! ([`AsyncShipper::min_applied`]); the deployment truncates it no further
-//! than that.
+//! ([`AsyncShipper::applied`]); the deployment truncates it no further than
+//! that.
+//!
+//! A learner is a channel like a slave's for a copy that is not a group
+//! member: a migration target catching up before its cutover
+//! ([`AsyncShipper::register_learner`]). It hears every commit, is caught
+//! up and reseeded, and holds the log back as a slave does; it counts
+//! toward no acknowledgement and serves no read.
 //!
 //! Shipping recycles its batch vectors: a delivered batch hands its
 //! emptied record vector back ([`AsyncShipper::recycle`]), and the next
@@ -100,6 +106,8 @@ pub struct AsyncShipper {
     /// in-flight delivery acks must not resurrect it, or the periodic
     /// catch-up pass would retry its pending suffix forever.
     drained: BTreeSet<SeId>,
+    /// The channels that belong to learners, in registration order.
+    learners: Vec<SeId>,
     /// Emptied batch vectors handed back by delivered batches, for the
     /// next flushes to reuse.
     spares: Vec<Vec<CommitRecord>>,
@@ -167,14 +175,35 @@ impl AsyncShipper {
         );
     }
 
-    /// Drain a slave (member left the group, e.g. migrated away or
-    /// decommissioned): its channel and any pending re-ship bookkeeping
-    /// are dropped, and the slave is tombstoned so late
+    /// Register a learner channel starting from `applied`: a slave's
+    /// channel for a copy outside the group, which the owner ships every
+    /// commit to and catches up after the group's slaves.
+    pub fn register_learner(&mut self, learner: SeId, applied: Lsn) {
+        self.register_slave(learner, applied);
+        if !self.learners.contains(&learner) {
+            self.learners.push(learner);
+        }
+    }
+
+    /// The registered learners, in registration order.
+    pub fn learners(&self) -> &[SeId] {
+        &self.learners
+    }
+
+    /// A learner joins the group as a slave; its channel carries on.
+    pub fn promote_learner(&mut self, learner: SeId) {
+        self.learners.retain(|l| *l != learner);
+    }
+
+    /// Drain a slave or learner (member left the group, e.g. migrated away
+    /// or decommissioned, or a move was abandoned): its channel and any
+    /// pending re-ship bookkeeping are dropped, and it is tombstoned so late
     /// [`AsyncShipper::reseeded`] confirmations cannot re-create the
     /// channel behind the group's back. Returns how many records were
     /// still pending (un-acked) on the dropped channel.
     pub fn unregister_slave(&mut self, slave: SeId) -> u64 {
         self.drained.insert(slave);
+        self.learners.retain(|l| *l != slave);
         match self.channels.remove(&slave) {
             Some(ch) => {
                 ch.inflight.raw().saturating_sub(ch.applied.raw()) + ch.pending.len() as u64
@@ -183,7 +212,7 @@ impl AsyncShipper {
         }
     }
 
-    /// Registered slaves.
+    /// Every registered channel's SE: the slaves' and the learners'.
     pub fn slaves(&self) -> impl Iterator<Item = SeId> + '_ {
         self.channels.keys().copied()
     }
@@ -191,14 +220,6 @@ impl AsyncShipper {
     /// The highest LSN `slave` has confirmed applied.
     pub fn applied(&self, slave: SeId) -> Option<Lsn> {
         self.channels.get(&slave).map(|c| c.applied)
-    }
-
-    /// The lowest LSN any channel has confirmed applied, `None` without a
-    /// channel. A channel that loses a batch rewinds to it, and a catch-up
-    /// pass ships from the record after it, so the master's log must still
-    /// hold that record.
-    pub fn min_applied(&self) -> Option<Lsn> {
-        self.channels.values().map(|c| c.applied).min()
     }
 
     /// Confirm that `slave` applied everything through `lsn`.
@@ -915,6 +936,35 @@ mod tests {
         assert_eq!(shipper.lag(SeId(1), &master), Some(0));
         assert!(caught_up(&mut shipper, SeId(1), &master, SimTime(3), delay).is_none());
         assert_eq!(shipper.shipped, 4 + 6);
+    }
+
+    #[test]
+    fn a_learner_is_a_channel_until_promoted_or_dropped() {
+        let mut master = Engine::new(SeId(0));
+        let recs = commit_n(&mut master, 3);
+        let mut shipper = AsyncShipper::new();
+        shipper.register_slave(SeId(1), Lsn::ZERO);
+        shipper.register_learner(SeId(2), Lsn(1));
+        shipper.register_learner(SeId(2), Lsn(1));
+        assert_eq!(shipper.learners(), [SeId(2)]);
+        assert_eq!(shipper.slaves().count(), 2);
+        // It takes the next commit as a slave does.
+        let batch = ship_one(
+            &mut shipper,
+            SeId(2),
+            &recs[1],
+            SimTime(0),
+            Some(SimDuration::ZERO),
+        );
+        assert_eq!(lsns(&batch.unwrap().records), [2]);
+        // Promoted, it keeps its channel; dropped, it holds nothing.
+        shipper.promote_learner(SeId(2));
+        assert!(shipper.learners().is_empty());
+        assert_eq!(shipper.applied(SeId(2)), Some(Lsn(1)));
+        shipper.register_learner(SeId(3), Lsn(3));
+        shipper.unregister_slave(SeId(3));
+        assert!(shipper.learners().is_empty());
+        assert!(shipper.applied(SeId(3)).is_none());
     }
 
     #[test]

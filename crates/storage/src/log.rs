@@ -6,8 +6,9 @@
 //! cascading reads and merge procedures can inspect history.
 //!
 //! A log only has to reach back as far as some up reader can still ask: a
-//! ship or migration channel re-shipping what its slave has not confirmed,
-//! or an up copy that may master the partition next. A copy that restores
+//! ship channel, a slave's or a migration target's, re-shipping what its
+//! copy has not confirmed, or an up copy that may master the partition
+//! next. A copy that restores
 //! from a disk image older than the log is reseeded from the master's
 //! snapshot instead (§3.1 decision 1: a crash loses only what came after
 //! the last save, and the copy takes its peer's state). The deployment's

@@ -35,6 +35,11 @@ change between them. It is a measurement, not a status: the host's peak
 resident set of one `udr-perf` process, read from that run's result
 object. It repeats closely on one host and build, but it is not part of
 any artifact and never makes a row moved.
+
+Last, `library lines` counts the library on both trees by the one rule in
+`library_lines`: every `crates/*/src/**/*.rs` outside `src/bin`, up to its
+first top-level `#[cfg(test)]`. Like the memory table it is a measurement,
+never a status.
 """
 
 import json
@@ -59,6 +64,30 @@ def deterministic(line):
         return False
     fields = line.split()
     return not (len(fields) >= 4 and fields[3] == "host")
+
+
+def export(rev, dest):
+    """Write the files of `rev` into the existing directory `dest` with
+    `git archive`, so nothing is left registered in `.git`."""
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        sys.exit(f"git archive {rev} failed")
+
+
+def library_lines(tree):
+    """Lines of library code in `tree`: each `.rs` file under a crate's
+    `src/`, binaries under `src/bin/` excluded, counted up to its first
+    top-level `#[cfg(test)]` line (its unit tests)."""
+    total = 0
+    for path in (tree / "crates").glob("*/src/**/*.rs"):
+        if path.relative_to(tree / "crates").parts[2] == "bin":
+            continue
+        for line in path.read_text().splitlines():
+            if line.rstrip() == "#[cfg(test)]":
+                break
+            total += 1
+    return total
 
 
 def build(tree, target):
@@ -147,10 +176,8 @@ def main():
         tmp = Path(tmp)
         parent = tmp / "parent"
         parent.mkdir()
-        archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(parent)], stdin=archive.stdout, check=True)
-        if archive.wait() != 0:
-            sys.exit(f"git archive {rev} failed")
+        export(rev, parent)
+        old_lines, new_lines = library_lines(parent), library_lines(ROOT)
         print(f"building {rev} and this tree", file=sys.stderr)
         build(parent, tmp / "target")
         build(ROOT, ROOT / "target")
@@ -183,6 +210,9 @@ def main():
         for name in runs:
             a, b = old_rss[name], new_rss[name]
             print(f"{name:<{width}}  {a:>10.2f}  {b:>10.2f}  {(b - a) / a:+.1%}")
+    print()
+    print(f"{'library lines (measured)':<24}  {rev:>10}  {'this tree':>10}  change")
+    print(f"{'crates/*/src, no src/bin':<24}  {old_lines:>10}  {new_lines:>10}  {new_lines - old_lines:+d}")
 
 
 if __name__ == "__main__":
