@@ -769,7 +769,9 @@ impl Udr {
     /// partition's learners, and this the one place that builds it. An up
     /// copy ahead of `master_lsn` holds commits of a lineage the master does
     /// not continue and is reseeded from it; after a failover only a learner
-    /// can be, since the freshest slave was promoted.
+    /// can be, since the freshest slave was promoted. The old ledger's
+    /// shipped-record and batch totals carry over: they count the
+    /// partition's shipping, not one ledger's.
     fn shipping_ledger(&mut self, partition: PartitionId, master_lsn: Lsn) {
         let p = partition.index();
         let group = self.group(partition);
@@ -787,6 +789,8 @@ impl Udr {
             }
         };
         let mut ledger = AsyncShipper::new();
+        ledger.shipped = self.shippers[p].shipped;
+        ledger.batches = self.shippers[p].batches;
         for slave in group.slaves() {
             ledger.register_slave(slave, position(slave));
         }

@@ -344,9 +344,8 @@ fn a_batch_that_reaches_a_crashed_slave_ships_again_after_the_restore() {
     // where it crashed: only the lost batch is missing. It is back before
     // the next catch-up tick (t=10.2 s); a longer outage lets that tick
     // truncate the master's log past it, and a reseed replaces the
-    // re-ship. One partition, so the crashed SE masters none: a restored
-    // master's partition gets a new shipping ledger, whose counters start
-    // again from zero.
+    // re-ship. One partition, so the crashed SE masters none and the
+    // partition keeps its shipping ledger.
     let mut cfg = config(
         ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
         13,
@@ -356,5 +355,58 @@ fn a_batch_that_reaches_a_crashed_slave_ships_again_after_the_restore() {
     lose_a_batch_in_flight(
         cfg,
         FaultScript::new(1).se_outage(mid_flight(), SimDuration::from_millis(100), SeId(2)),
+    );
+}
+
+/// The shipping totals count the deployment's shipping, not one ledger's:
+/// the failover that rebuilds the crashed master's partition ledger keeps
+/// what the partition shipped before it, and shipping from the new master
+/// adds to that. Sampled every 50 ms from before the crash to after the
+/// promotion, neither total ever falls.
+#[test]
+fn shipping_totals_never_fall_across_a_failover() {
+    let mut cfg = config(
+        ShipBatchConfig::coalesce(4, SimDuration::from_millis(20)),
+        13,
+    );
+    cfg.frash.failover_detection = SimDuration::from_millis(500);
+    let (mut udr, subs) = provisioned(cfg);
+    write_burst(&mut udr, &subs[0], 8, SimDuration::from_millis(1));
+    udr.advance_to(t(11));
+    assert!(udr.replication_settled());
+    let identity = Identity::Imsi(subs[0].imsi);
+    let partition = udr.lookup_authority(&identity).unwrap().partition;
+    let master = udr.group(partition).master();
+    udr.schedule_script(&FaultScript::new(0).se_crash(t(12), master));
+
+    let totals = |udr: &Udr| (udr.shipped_records(), udr.shipping_batches());
+    let before = totals(&udr);
+    assert!(before.0 >= 8 && before.1 > 0, "{before:?}");
+    let mut last = before;
+    for step in 1..=60u64 {
+        udr.advance_to(t(11) + SimDuration::from_millis(50 * step));
+        let now = totals(&udr);
+        assert!(
+            now.0 >= last.0 && now.1 >= last.1,
+            "(shipped, batches) fell from {last:?} to {now:?} at step {step}"
+        );
+        last = now;
+    }
+    assert_ne!(udr.group(partition).master(), master, "no failover");
+
+    let out = udr
+        .execute(
+            OpRequest::new(&write_op(&subs[0], 500))
+                .class(TxnClass::FrontEnd)
+                .site(SiteId(0))
+                .at(t(15)),
+        )
+        .into_op();
+    assert!(out.is_ok(), "write after the failover: {:?}", out.result);
+    udr.advance_to(t(16));
+    let after = totals(&udr);
+    assert!(
+        after.0 > last.0 && after.1 > last.1,
+        "the new master's shipping adds to the totals: {last:?} then {after:?}"
     );
 }

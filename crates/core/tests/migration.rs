@@ -576,7 +576,24 @@ fn master_move_freeze_window_is_accounted() {
     udr.advance_to(t(10) + SimDuration::from_millis(100));
     let master_lsn = udr.se(from).last_lsn(partition).unwrap();
     assert_eq!(udr.channel_applied(partition, to), Some(master_lsn));
-    settle_migrations(&mut udr, t(10));
+    // Writes during the move ship to the slaves and the learner, and the
+    // cutover's ledger rebuild keeps the totals: shipped records rise
+    // across the move and never fall.
+    let shipped = udr.shipped_records();
+    write_oracle(&mut udr, &subs, t(10) + SimDuration::from_millis(101));
+    let mut last = udr.shipped_records();
+    let mut at = t(10) + SimDuration::from_millis(180);
+    while udr.active_migrations() > 0 && at < t(30) {
+        at += SimDuration::from_millis(10);
+        udr.advance_to(at);
+        let now = udr.shipped_records();
+        assert!(now >= last, "shipped records fell from {last} to {now}");
+        last = now;
+    }
+    assert!(
+        last > shipped,
+        "shipped records did not rise across the move"
+    );
     assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
     // A master hand-off always passes through the freeze window.
     assert!(

@@ -5,17 +5,20 @@
 //! as an ordered attribute map — the common denominator between the storage
 //! engine (which stores whole entries as record versions) and the LDAP layer
 //! (which reads and modifies attributes). A committed version of an entry is
-//! one allocation of 16 bytes plus 16 per attribute: its reference count,
-//! a presence mask over the attribute ids and the values, in id order, share
-//! one heap block. The ids are not stored: the mask encodes them. A modify,
-//! a consensus post-image and a profile build each make one allocator call
-//! for the block.
+//! one heap block of 24 bytes plus 16 per value it holds: its reference
+//! count, a presence mask over the attribute ids, a pointer to the flat
+//! block it overrides, if any, and the values, in id order. The ids are not
+//! stored: the mask encodes them. A profile build makes one flat block of
+//! every attribute; a modify or a consensus post-image makes one block of
+//! the attributes the subscriber's writes changed since its last flat
+//! block, over that flat block, which it shares: one allocator call each,
+//! for what the write changes rather than what the record holds.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::payload::Payload;
+use crate::payload::{Masked, Payload};
 pub use crate::payload::{Octets, Text, TextList};
 
 /// Well-known subscriber attributes (the columns of HLR/HSS data).
@@ -274,28 +277,39 @@ impl From<Vec<u8>> for AttrValue {
 /// One subscriber entry: an ordered attribute map.
 ///
 /// A committed version is one reference-counted heap block behind one
-/// 8-byte pointer: a 16-byte header (the count and a presence mask, one bit
-/// per [`AttrId`] the block holds) and then the values, in `AttrId` order,
-/// 16 bytes each. An attribute's value sits at the number of present
-/// attributes before it, so no id is stored and a lookup is a mask and a
-/// population count. The block is copied on write: `clone` is a
-/// reference-count bump, so the store, the commit log, the ship channels,
-/// every slave and every disk snapshot share one immutable allocation per
-/// committed version. A handle also carries a visibility mask, one bit per
-/// attribute it shows, so a projection ([`Entry::project`]) is another
-/// handle to the same block with fewer bits set and copies nothing. Every
-/// accessor sees the visible attributes only. The mutators ([`Entry::set`],
-/// [`Entry::remove`], [`Entry::apply`]) build a new block holding exactly
-/// the visible attributes and the change, in one allocator call, when the
-/// block is shared, the handle hides part of it, or the change adds or
-/// removes an attribute; only a handle that owns and shows its whole block
-/// replaces a value in place. That keeps value semantics: a change to one
-/// handle is never visible through another, and a hidden attribute is gone
-/// for good from the handle that hid it. A new block copies the value
-/// slots and no string, octet or list: those are shared ([`AttrValue`]),
-/// so a modification costs what it changes, not what the record holds.
-/// Builders ([`FromIterator`], the profile and the codecs) gather
-/// attributes by tag first and allocate once, not once per attribute.
+/// 8-byte pointer: a 24-byte header (the count, a presence mask, one bit
+/// per [`AttrId`] the block holds, and an optional base) and then the
+/// values, in `AttrId` order, 16 bytes each. An attribute's value sits at
+/// the number of present attributes before it, so no id is stored and a
+/// lookup is a mask and a population count. A *flat* block has no base and
+/// holds every attribute; a *delta* block holds the attributes written
+/// since the flat block it names as its base, which it shares. A read looks
+/// in the delta first, then in the base; a delta's base is always flat, so
+/// that is at most one more pointer.
+///
+/// Blocks are copied on write: `clone` is a reference-count bump, so the
+/// store, the commit log, the ship channels, every slave and every disk
+/// snapshot share each committed version's block, and the versions of one
+/// subscriber share their base. A handle also carries a visibility mask,
+/// one bit per attribute it shows, so a projection ([`Entry::project`]) is
+/// another handle to the same block with fewer bits set and copies
+/// nothing. Every accessor sees the visible attributes only.
+///
+/// The mutators ([`Entry::set`], [`Entry::remove`], [`Entry::apply`]) make
+/// one allocator call for a new block unless the handle owns its block and
+/// the block itself holds the attribute set, which is replaced in place; a
+/// shared base is never written. A set builds a delta over the base (over
+/// the block itself, if that is flat) holding the old delta's values and
+/// the change. It builds one flat block of the visible attributes instead
+/// when the delta would hold more than half of them, when the handle hides
+/// part of its block, or for a removal or a multi-attribute apply. That
+/// keeps value semantics: a change to one handle is never visible through
+/// another, and a hidden attribute is gone for good from the handle that
+/// hid it. A new block copies value slots and no string, octet or list:
+/// those are shared ([`AttrValue`]), so a one-attribute modify of a
+/// provisioned profile asks for 40 bytes, not the profile's 232. Builders
+/// ([`FromIterator`], the profile and the codecs) gather attributes by tag
+/// first and allocate one flat block, not one per attribute.
 ///
 /// A handle also caches [`Entry::approx_size`] of what it shows, beside its
 /// visibility mask: [`Entry::set`] and [`Entry::remove`] adjust it by the
@@ -307,8 +321,9 @@ impl From<Vec<u8>> for AttrValue {
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Entry {
     /// The values of the attributes whose `AttrId::bit`s the block's
-    /// presence mask sets, in `AttrId` order.
-    attrs: Payload<AttrValue, u32>,
+    /// presence mask sets, in `AttrId` order, over the flat block they
+    /// override, if any.
+    attrs: Block,
     /// Low half: the `AttrId::bit`s of the attributes in `attrs` that this
     /// handle shows. High half: `approx_size()` of those attributes, or
     /// [`UNKNOWN_SIZE`]. One word, not two fields: a pointer and one
@@ -344,11 +359,15 @@ fn attr_size(value: &AttrValue) -> usize {
     2 + 48 + value.approx_size()
 }
 
-/// Where `id`'s value sits in a block whose presence mask is `present`, or
-/// where it would be inserted: the number of present attributes before it.
+/// An entry's version block: flat (no base) or a delta over a flat base.
+type Block = Payload<AttrValue, Masked<AttrValue>>;
+
+/// Where the value of the attribute whose `AttrId::bit` is `bit` sits in a
+/// block whose presence mask is `present`, or where it would be inserted:
+/// the number of present attributes before it.
 #[inline]
-fn index(present: u32, id: AttrId) -> usize {
-    (present & (id.bit() - 1)).count_ones() as usize
+fn index(present: u32, bit: u32) -> usize {
+    (present & (bit - 1)).count_ones() as usize
 }
 
 /// Attribute values by [`AttrId::dense`] position: what a builder gathers
@@ -367,10 +386,11 @@ impl Entry {
         self.shown as u32
     }
 
-    /// The `AttrId::bit`s of the attributes the block holds.
+    /// The `AttrId::bit`s of the attributes the block and its base hold.
     #[inline]
     fn present(&self) -> u32 {
-        self.attrs.shape()
+        let own = self.attrs.shape();
+        own.present | own.base.as_ref().map_or(0, |base| base.shape().present)
     }
 
     /// The cached `approx_size()`, or [`UNKNOWN_SIZE`].
@@ -403,7 +423,11 @@ impl Entry {
                 size += attr_size(value);
             }
         }
-        let attrs = Payload::from_exact(present, dense.into_iter().flatten());
+        let shape = Masked {
+            present,
+            base: None,
+        };
+        let attrs = Payload::from_exact(shape, dense.into_iter().flatten());
         let size = u32::try_from(size).unwrap_or(UNKNOWN_SIZE);
         Entry {
             attrs,
@@ -426,42 +450,59 @@ impl Entry {
         self.set_value(id, value.into())
     }
 
-    /// [`Entry::set`], compiled once rather than per value type.
+    /// [`Entry::set`], compiled once rather than per value type. In place
+    /// if this handle owns its block and the block itself holds `id`; else
+    /// a new delta over the flat base; else, when the handle hides part of
+    /// its block or the delta would hold more than half of the attributes
+    /// the entry shows, one flat block.
     fn set_value(&mut self, id: AttrId, value: AttrValue) -> Option<AttrValue> {
-        if self.hides() {
-            let mut dense = self.dense();
-            let old = dense[id.dense()].replace(value);
-            *self = Entry::from_dense(dense);
-            return old;
-        }
-        let added = attr_size(&value);
-        let present = self.present();
-        let i = index(present, id);
-        let old = if self.contains(id) {
-            match self.attrs.get_mut() {
-                Some(values) => Some(std::mem::replace(&mut values[i], value)),
-                None => {
-                    let old = self.attrs[i].clone();
-                    let (before, after) = (&self.attrs[..i], &self.attrs[i + 1..]);
-                    self.attrs = Payload::splice(present, before, Some(value), after);
-                    Some(old)
+        let bit = id.bit();
+        if !self.hides() {
+            let added = attr_size(&value);
+            let own = self.attrs.shape().present;
+            if own & bit != 0 {
+                if let Some(values) = self.attrs.get_mut() {
+                    let old = std::mem::replace(&mut values[index(own, bit)], value);
+                    self.reshow(self.visible(), added, attr_size(&old));
+                    return Some(old);
                 }
             }
-        } else {
-            let (before, after) = self.attrs.split_at(i);
-            self.attrs = Payload::splice(present | id.bit(), before, Some(value), after);
-            None
-        };
-        self.reshow(self.present(), added, old.as_ref().map_or(0, attr_size));
+            // The delta so far and the flat block under it.
+            let (delta, values, base) = match &self.attrs.shape().base {
+                Some(base) => (own, &self.attrs[..], base),
+                None => (0, &[][..], &self.attrs),
+            };
+            let visible = self.visible() | bit;
+            if 2 * (delta | bit).count_ones() <= visible.count_ones() {
+                debug_assert!(base.shape().base.is_none(), "a delta's base is flat");
+                let old = self.get(id).cloned();
+                let i = index(delta, bit);
+                let after = &values[i + usize::from(delta & bit != 0)..];
+                let shape = Masked {
+                    present: delta | bit,
+                    base: Some(base.clone()),
+                };
+                self.attrs = Payload::splice(shape, &values[..i], value, after);
+                self.reshow(visible, added, old.as_ref().map_or(0, attr_size));
+                return old;
+            }
+        }
+        let mut dense = self.dense();
+        let old = dense[id.dense()].replace(value);
+        *self = Entry::from_dense(dense);
         old
     }
 
-    /// Read an attribute.
+    /// Read an attribute: the block's own value, else its base's.
     pub fn get(&self, id: AttrId) -> Option<&AttrValue> {
         if !self.contains(id) {
             return None;
         }
-        Some(&self.attrs[index(self.present(), id)])
+        let (bit, own) = (id.bit(), self.attrs.shape());
+        Some(match &own.base {
+            Some(base) if own.present & bit == 0 => &base[index(base.shape().present, bit)],
+            _ => &self.attrs[index(own.present, bit)],
+        })
     }
 
     /// Remove an attribute; returns the removed value.
@@ -469,19 +510,10 @@ impl Entry {
         if !self.contains(id) {
             return None;
         }
-        if self.hides() {
-            let mut dense = self.dense();
-            let old = dense[id.dense()].take();
-            *self = Entry::from_dense(dense);
-            return old;
-        }
-        let present = self.present();
-        let i = index(present, id);
-        let old = self.attrs[i].clone();
-        let (before, after) = (&self.attrs[..i], &self.attrs[i + 1..]);
-        self.attrs = Payload::splice(present & !id.bit(), before, None, after);
-        self.reshow(self.present(), 0, attr_size(&old));
-        Some(old)
+        let mut dense = self.dense();
+        let old = dense[id.dense()].take();
+        *self = Entry::from_dense(dense);
+        old
     }
 
     /// Whether the attribute is present.
@@ -500,14 +532,37 @@ impl Entry {
     }
 
     /// Iterate attributes in `AttrId` order. The ids are
-    /// [`AttrId::ALL`]'s, not the entry's: the block stores none.
+    /// [`AttrId::ALL`]'s, not the entry's: the block stores none. One pass
+    /// over the block and its base together, both in `AttrId` order,
+    /// skipping each base value the block overrides.
     pub fn iter(&self) -> impl Iterator<Item = (&AttrId, &AttrValue)> {
         let visible = self.visible();
-        let mut rest = self.present();
-        self.attrs.iter().filter_map(move |value| {
+        let own = self.attrs.shape();
+        let (under, base): (u32, &[AttrValue]) = match &own.base {
+            Some(base) => (base.shape().present, base),
+            None => (0, &[]),
+        };
+        let over = own.present;
+        let (mut values, mut base) = (self.attrs.iter(), base.iter());
+        let mut rest = over | under;
+        std::iter::from_fn(move || loop {
+            if rest == 0 {
+                return None;
+            }
             let dense = rest.trailing_zeros();
+            let bit = 1 << dense;
             rest &= rest - 1;
-            (visible & (1 << dense) != 0).then(|| (&ALL[dense as usize], value))
+            let value = if over & bit != 0 {
+                if under & bit != 0 {
+                    base.next();
+                }
+                values.next()
+            } else {
+                base.next()
+            };
+            if visible & bit != 0 {
+                return value.map(|value| (&ALL[dense as usize], value));
+            }
         })
     }
 
@@ -543,6 +598,15 @@ impl Entry {
                 *self = Entry::from_dense(dense);
             }
         }
+    }
+
+    /// How many values the handle's block holds over a flat base, or
+    /// `None` if the block is flat. It changes no reading of the entry;
+    /// the layout tests read it.
+    #[doc(hidden)]
+    pub fn delta_len(&self) -> Option<usize> {
+        let own = self.attrs.shape();
+        own.base.as_ref().map(|_| own.present.count_ones() as usize)
     }
 
     /// Whether `self` and `other` are the same handle: one block shown
@@ -772,6 +836,44 @@ mod tests {
         let mut written = e.clone();
         written.set(AttrId::OdbMask, 6u64);
         assert!(!written.same_handle(&e));
+    }
+
+    #[test]
+    fn a_write_builds_a_delta_over_the_flat_block_it_shares() {
+        let profile: Entry = AttrId::ALL[..13]
+            .iter()
+            .map(|&id| (id, AttrValue::U64(id.tag().into())))
+            .collect();
+        assert_eq!(profile.delta_len(), None);
+        let base = |e: &Entry| e.attrs.shape().base.clone().expect("a delta");
+        let mut v1 = profile.clone();
+        v1.set(AttrId::OdbMask, 7u64);
+        assert_eq!(v1.delta_len(), Some(1));
+        assert!(Payload::ptr_eq(&base(&v1), &profile.attrs));
+        // A write to a delta builds a delta over the same flat base.
+        let mut v2 = v1.clone();
+        v2.set(AttrId::AuthSqn, 8u64);
+        assert_eq!(v2.delta_len(), Some(2));
+        assert!(Payload::ptr_eq(&base(&v2), &profile.attrs));
+        assert_eq!(v1.get(AttrId::AuthSqn), profile.get(AttrId::AuthSqn));
+        assert_eq!(v2.get(AttrId::OdbMask), Some(&AttrValue::U64(7)));
+        // The only handle to a delta writes the delta in place.
+        let block = v2.attrs.as_ptr();
+        v2.set(AttrId::AuthSqn, 9u64);
+        assert_eq!(v2.attrs.as_ptr(), block);
+        assert_eq!(profile.get(AttrId::AuthSqn), Some(&AttrValue::U64(12)));
+        // A projection of a delta reads through to the base; a write to it
+        // flattens what it shows.
+        let mut view = v1.project(&[AttrId::Imsi, AttrId::OdbMask]);
+        assert_eq!(view.get(AttrId::Imsi), Some(&AttrValue::U64(1)));
+        assert_eq!(view.get(AttrId::OdbMask), Some(&AttrValue::U64(7)));
+        view.set(AttrId::OdbMask, 1u64);
+        assert_eq!((view.delta_len(), view.len()), (None, 2));
+        // A removal flattens.
+        v2.remove(AttrId::Imsi);
+        assert_eq!((v2.delta_len(), v2.len()), (None, 12));
+        assert_eq!(v2.get(AttrId::AuthSqn), Some(&AttrValue::U64(9)));
+        assert_eq!(profile.len(), 13);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! [`AttrValue`](crate::attrs::AttrValue) from 16 to 24. A [`Payload`] is
 //! one heap block holding the reference count, the block's [`Shape`] and
 //! the elements, behind one 8-byte pointer. The shape says how many
-//! elements follow: a plain length, or a presence mask with one element
-//! per set bit (an entry's version block, whose values follow in attribute
-//! order). Either way the header is 16 bytes, as `Arc`'s two counts are.
+//! elements follow: a plain length (a 16-byte header, as `Arc`'s two counts
+//! take), or a [`Masked`] shape, a presence mask with one element per set
+//! bit and a handle to the block those elements override, if any (a
+//! 24-byte header: an entry's version block, whose values follow in
+//! attribute order).
 //!
 //! [`Text`], [`Octets`] and [`TextList`] are the attribute values' thin
 //! handles: a payload of UTF-8 bytes, of raw octets, and of texts. They
@@ -19,9 +21,10 @@
 //!
 //! Reference counting follows `Arc`: a `Relaxed` increment that aborts
 //! before the count can overflow, a `Release` decrement, and an `Acquire`
-//! fence before the last owner drops the elements. A block is never
-//! resized: a change builds a new one, unless its only owner mutates it in
-//! place through [`Payload::get_mut`].
+//! fence before the last owner drops the elements and then the shape. A
+//! block is never resized: a change builds a new one, unless its only
+//! owner mutates its elements in place through [`Payload::get_mut`], which
+//! never reaches the block a [`Masked`] shape holds.
 //!
 //! This is the only module of the library that uses `unsafe`.
 
@@ -35,25 +38,44 @@ use std::str;
 use std::sync::atomic::{self, AtomicUsize, Ordering};
 
 /// What a block's header records beside its count: how many elements
-/// follow.
-pub(crate) trait Shape: Copy {
+/// follow. The header owns it: the last handle drops it after the
+/// elements.
+pub(crate) trait Shape {
     /// The number of elements in a block of this shape.
-    fn len(self) -> usize;
+    fn len(&self) -> usize;
 }
 
 /// A plain length.
 impl Shape for usize {
     #[inline]
-    fn len(self) -> usize {
-        self
+    fn len(&self) -> usize {
+        *self
     }
 }
 
-/// A presence mask: one element per set bit, in bit order.
-impl Shape for u32 {
+/// A presence mask, one element per set bit in bit order, over the block
+/// whose elements these override, if any: the block holds a handle to it,
+/// so it lives as long as the block does. Once a block is built its shape
+/// is only lent shared ([`Payload::shape`]), so the mask that sizes it
+/// cannot change under it.
+pub(crate) struct Masked<T> {
+    pub(crate) present: u32,
+    pub(crate) base: Option<Payload<T, Masked<T>>>,
+}
+
+impl<T> Shape for Masked<T> {
     #[inline]
-    fn len(self) -> usize {
-        self.count_ones() as usize
+    fn len(&self) -> usize {
+        self.present.count_ones() as usize
+    }
+}
+
+impl<T> Default for Masked<T> {
+    fn default() -> Self {
+        Masked {
+            present: 0,
+            base: None,
+        }
     }
 }
 
@@ -66,9 +88,10 @@ struct Header<S> {
     shape: S,
 }
 
-// Both shapes fit the 16 bytes an `Arc`'s counts take.
+// A length fits the 16 bytes an `Arc`'s counts take; a mask and its base
+// take one word more.
 const _: () = assert!(size_of::<Header<usize>>() == 16);
-const _: () = assert!(size_of::<Header<u32>>() == 16);
+const _: () = assert!(size_of::<Header<Masked<u64>>>() == 24);
 
 /// A shared, immutable-while-shared `[T]` in one allocation, sized by `S`.
 pub(crate) struct Payload<T, S: Shape = usize> {
@@ -79,11 +102,13 @@ pub(crate) struct Payload<T, S: Shape = usize> {
 
 // SAFETY: a `Payload` hands out `&T` to every holder and moves `T`s between
 // threads when the last holder drops them, as `Arc<[T]>` does; hence the
-// same bounds, and the count is atomic. The shape is plain data, only read
-// once the block is shared.
+// same bounds, and the count is atomic. The shape is only read once the
+// block is shared, and dropped by the last holder as the elements are, so
+// it needs the same bounds.
 unsafe impl<T: Send + Sync, S: Shape + Send + Sync> Send for Payload<T, S> {}
 // SAFETY: as for `Send`: `&Payload<T, S>` only reads the `T`s and the shape
-// and clones the handle, which touches nothing but the atomic count.
+// and clones the handle, which touches nothing but the atomic count (a
+// shape's own handles included).
 unsafe impl<T: Send + Sync, S: Shape + Send + Sync> Sync for Payload<T, S> {}
 
 impl<T, S: Shape> Payload<T, S> {
@@ -139,8 +164,8 @@ impl<T, S: Shape> Payload<T, S> {
 
     /// What sizes this block.
     #[inline]
-    pub(crate) fn shape(&self) -> S {
-        self.header().shape
+    pub(crate) fn shape(&self) -> &S {
+        &self.header().shape
     }
 
     /// Whether `a` and `b` are handles to the same block.
@@ -149,7 +174,8 @@ impl<T, S: Shape> Payload<T, S> {
         a.header == b.header
     }
 
-    /// The elements for writing, if this is the block's only handle.
+    /// The elements for writing, if this is the block's only handle. The
+    /// shape, and any block it holds, stays read-only.
     pub(crate) fn get_mut(&mut self) -> Option<&mut [T]> {
         // `Acquire` pairs with the `Release` decrement of every handle
         // dropped before, so their reads of the elements happen before the
@@ -166,21 +192,19 @@ impl<T, S: Shape> Payload<T, S> {
 }
 
 impl<T: Clone, S: Shape> Payload<T, S> {
-    /// A block of `shape` holding clones of `before`, then `middle` if
-    /// given, then clones of `after`. Plain slice loops, no iterator
-    /// adaptor: this is every write's copy.
+    /// A block of `shape` holding clones of `before`, then `middle`, then
+    /// clones of `after`. Plain slice loops, no iterator adaptor: this is
+    /// every write's copy.
     ///
     /// # Panics
     ///
     /// If the parts do not add up to `shape.len()` elements.
-    pub(crate) fn splice(shape: S, before: &[T], middle: Option<T>, after: &[T]) -> Self {
+    pub(crate) fn splice(shape: S, before: &[T], middle: T, after: &[T]) -> Self {
         let mut block = Building::new(shape);
         for item in before {
             block.push(item.clone());
         }
-        if let Some(item) = middle {
-            block.push(item);
-        }
+        block.push(middle);
         for item in after {
             block.push(item.clone());
         }
@@ -256,23 +280,26 @@ impl<T, S: Shape> Drop for Payload<T, S> {
 }
 
 impl<T, S: Shape> Payload<T, S> {
-    /// Drop the elements and free the block: the last handle's work, kept
-    /// out of line so that every other drop is a decrement.
+    /// Drop the elements and the shape and free the block: the last
+    /// handle's work, kept out of line so that every other drop is a
+    /// decrement.
     #[inline(never)]
     fn drop_slow(&mut self) {
         let len = self.shape().len();
         // SAFETY: this was the last handle, so nothing else can reach the
-        // block; its `len` elements are initialised and dropped exactly
-        // once here, and it was allocated with `layout(len)`.
+        // block; its `len` elements and its shape are initialised and
+        // dropped exactly once here, and it was allocated with
+        // `layout(len)`.
         unsafe {
             ptr::drop_in_place(ptr::slice_from_raw_parts_mut(Self::elems(self.header), len));
+            ptr::drop_in_place(&raw mut (*self.header.as_ptr()).shape);
             alloc::dealloc(self.header.as_ptr().cast(), Self::layout(len));
         }
     }
 }
 
-/// A block under construction: owns the elements written so far, and on
-/// unwind drops them and frees the block.
+/// A block under construction: owns the shape and the elements written so
+/// far, and on unwind drops them and frees the block.
 struct Building<T, S: Shape> {
     header: NonNull<Header<S>>,
     len: usize,
@@ -340,14 +367,15 @@ impl<T, S: Shape> Building<T, S> {
 
 impl<T, S: Shape> Drop for Building<T, S> {
     fn drop(&mut self) {
-        // SAFETY: the block is not shared yet; exactly the first `written`
-        // elements are initialised, and it was allocated with
-        // `layout(len)`.
+        // SAFETY: the block is not shared yet; its shape and exactly the
+        // first `written` elements are initialised, and it was allocated
+        // with `layout(len)`.
         unsafe {
             ptr::drop_in_place(ptr::slice_from_raw_parts_mut(
                 Payload::<T, S>::elems(self.header),
                 self.written,
             ));
+            ptr::drop_in_place(&raw mut (*self.header.as_ptr()).shape);
             alloc::dealloc(
                 self.header.as_ptr().cast(),
                 Payload::<T, S>::layout(self.len),
@@ -516,8 +544,13 @@ mod tests {
         assert_eq!(p.as_ptr() as usize % 32, 0);
         assert_eq!(size_of::<Payload<Counted>>(), 8);
         assert_eq!(size_of::<Option<Payload<Counted>>>(), 8);
-        assert_eq!(Payload::<(u64, u64), u32>::OFFSET, 16);
-        assert_eq!(Payload::<(u64, u64), u32>::layout(13).size(), 224);
+        // An entry's block: 24 bytes of header, then 16 per attribute, so
+        // a 13-attribute profile asks for 232 bytes and a one-value delta
+        // for 40.
+        type Entryish = Payload<(u64, u64), Masked<(u64, u64)>>;
+        assert_eq!(Entryish::OFFSET, 24);
+        assert_eq!(Entryish::layout(13).size(), 232);
+        assert_eq!(Entryish::layout(1).size(), 40);
         assert_eq!(size_of::<Text>(), 8);
         assert_eq!(size_of::<Option<TextList>>(), 8);
     }
@@ -586,12 +619,14 @@ mod tests {
             id: 7,
             drops: Rc::clone(&drops),
         };
-        let inserted = Payload::splice(5usize, &source[..2], Some(extra), &source[2..]);
-        let removed = Payload::splice(3usize, &source[..1], None, &source[2..]);
-        let empty = Payload::<Counted>::splice(0, &[], None, &[]);
+        let replacement = Counted {
+            id: 8,
+            drops: Rc::clone(&drops),
+        };
+        let inserted = Payload::splice(5usize, &source[..2], extra, &source[2..]);
+        let replaced = Payload::splice(4usize, &source[..1], replacement, &source[2..]);
         assert_eq!(ids(&inserted), [0, 1, 7, 2, 3]);
-        assert_eq!(ids(&removed), [0, 2, 3]);
-        assert!(empty.is_empty());
+        assert_eq!(ids(&replaced), [0, 8, 2, 3]);
         assert_eq!(ids(&source), [0, 1, 2, 3]);
         assert!(!Payload::ptr_eq(&source, &inserted));
         assert_eq!(drops.get(), 0);
@@ -599,8 +634,8 @@ mod tests {
         assert_eq!(drops.get(), 4);
         drop(inserted);
         assert_eq!(drops.get(), 9);
-        drop((removed, empty));
-        assert_eq!(drops.get(), 12);
+        drop(replaced);
+        assert_eq!(drops.get(), 13);
     }
 
     #[test]
@@ -663,7 +698,7 @@ mod tests {
         };
         let source = [fragile(false), fragile(false), fragile(true)];
         let out = panic::catch_unwind(AssertUnwindSafe(|| {
-            Payload::splice(4usize, &source[..1], Some(fragile(false)), &source[1..])
+            Payload::splice(4usize, &source[..1], fragile(false), &source[1..])
         }));
         assert!(out.is_err());
         assert_eq!(drops.get(), 3, "two clones and the middle");
@@ -671,30 +706,81 @@ mod tests {
         assert_eq!(drops.get(), 6);
     }
 
+    fn masked(present: u32, base: Option<&Payload<Counted, Masked<Counted>>>) -> Masked<Counted> {
+        Masked {
+            present,
+            base: base.cloned(),
+        }
+    }
+
     #[test]
     fn a_mask_shaped_block_holds_one_element_per_set_bit() {
         let drops = Rc::new(Cell::new(0));
-        let block = Payload::from_exact(0b1_0110u32, items(3, &drops));
-        assert_eq!(block.shape(), 0b1_0110);
+        let block = Payload::from_exact(masked(0b1_0110, None), items(3, &drops));
+        assert_eq!(block.shape().present, 0b1_0110);
         assert_eq!(ids(&block), [0, 1, 2]);
         // Insert the element of bit 3: one before it, two after.
         let extra = Counted {
             id: 7,
             drops: Rc::clone(&drops),
         };
-        let wider = Payload::splice(0b1_1110u32, &block[..2], Some(extra), &block[2..]);
+        let wider = Payload::splice(masked(0b1_1110, None), &block[..2], extra, &block[2..]);
         assert_eq!(ids(&wider), [0, 1, 7, 2]);
-        let narrow = Payload::splice(0b1_0100u32, &block[..1], None, &block[2..]);
-        assert_eq!(ids(&narrow), [0, 2]);
+        let refused = Counted {
+            id: 8,
+            drops: Rc::clone(&drops),
+        };
         let wrong = panic::catch_unwind(AssertUnwindSafe(|| {
-            Payload::splice(0b11u32, &block[..], None, &[])
+            Payload::splice(masked(0b11, None), &block[..], refused, &[])
         }));
-        assert!(wrong.is_err(), "three elements for a two-bit mask");
-        assert_eq!(drops.get(), 3, "the clones the refused block took");
-        drop((block, wider, narrow));
-        assert_eq!(drops.get(), 3 + 4 + 2 + 3);
-        let empty = Payload::<Counted, u32>::default();
+        assert!(wrong.is_err(), "four elements for a two-bit mask");
+        assert_eq!(
+            drops.get(),
+            4,
+            "the three clones the refused block took and its middle"
+        );
+        drop((block, wider));
+        assert_eq!(drops.get(), 4 + 3 + 4);
+        let empty = Payload::<Counted, Masked<Counted>>::default();
         assert!(empty.is_empty());
+        assert!(empty.shape().base.is_none());
+    }
+
+    #[test]
+    fn a_block_over_a_base_keeps_it_alive_and_drops_it_last() {
+        let drops = Rc::new(Cell::new(0));
+        let base = Payload::from_exact(masked(0b111, None), items(3, &drops));
+        let top = Payload::from_exact(masked(0b10, Some(&base)), items(1, &drops));
+        assert_eq!(base.header().count.load(Ordering::Relaxed), 2);
+        assert!(Payload::ptr_eq(top.shape().base.as_ref().unwrap(), &base));
+        drop(base);
+        assert_eq!(drops.get(), 0, "the top block holds the base");
+        let shared = top.clone();
+        drop(top);
+        assert_eq!(drops.get(), 0);
+        assert_eq!(ids(shared.shape().base.as_ref().unwrap()), [0, 1, 2]);
+        drop(shared);
+        assert_eq!(drops.get(), 4, "the top's element, then the base's three");
+
+        // Writing in place through the only handle of the top block leaves
+        // the base, which another handle shares, alone.
+        let base = Payload::from_exact(masked(0b11, None), items(2, &drops));
+        let mut top = Payload::from_exact(masked(0b1, Some(&base)), items(1, &drops));
+        top.get_mut().expect("unique")[0].id = 9;
+        assert_eq!(ids(&top), [9]);
+        assert_eq!(ids(&base), [0, 1]);
+        drop((base, top));
+        assert_eq!(drops.get(), 4 + 3);
+
+        // A block abandoned mid-construction drops its base handle too.
+        let base = Payload::from_exact(masked(0b1, None), items(1, &drops));
+        let short = panic::catch_unwind(AssertUnwindSafe(|| {
+            Payload::from_exact(masked(0b11, Some(&base)), items(1, &drops))
+        }));
+        assert!(short.is_err());
+        assert_eq!(base.header().count.load(Ordering::Relaxed), 1);
+        drop(base);
+        assert_eq!(drops.get(), 7 + 1 + 1);
     }
 
     #[test]

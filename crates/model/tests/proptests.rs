@@ -145,6 +145,44 @@ enum Step {
     Project(usize, Vec<AttrId>),
     /// Drop handle `.0`, unless it is the last.
     Drop(usize),
+    /// Handle `.0`'s block holds `.1` values over a flat base (`None`: it
+    /// is flat). Only the opening script uses it.
+    Layout(usize, Option<usize>),
+}
+
+/// The steps every case opens with, on the pool's handle 1, a flat entry of
+/// all 22 attributes, so that each layout a write can leave is reached
+/// before the random steps: a clone shares the flat block (2) and each
+/// handle writes a delta over it; handle 2 writes 11 more distinct
+/// attributes, each a write to a delta, and the 12th flattens it (a delta
+/// holds at most half of what the entry shows); handle 1 writes to its
+/// delta again, is projected (3) and then removes an attribute, which
+/// flattens.
+fn opening(
+    [a, c, removed]: [AttrId; 3],
+    offset: usize,
+    values: &[AttrValue],
+    selection: Vec<AttrId>,
+) -> Vec<Step> {
+    let set = |id: AttrId, k: usize| Mutation::Apply(vec![AttrMod::Set(id, values[k].clone())]);
+    let mut script = vec![
+        Step::Clone(1),
+        Step::Mutate(1, set(a, 0)),
+        Step::Layout(1, Some(1)),
+    ];
+    for k in 0..12 {
+        let id = AttrId::ALL[(offset + k) % AttrId::ALL.len()];
+        script.push(Step::Mutate(2, set(id, k + 1)));
+        script.push(Step::Layout(2, (k < 11).then_some(k + 1)));
+    }
+    script.extend([
+        Step::Mutate(1, set(c, 13)),
+        Step::Layout(1, Some(if c == a { 1 } else { 2 })),
+        Step::Project(1, selection),
+        Step::Mutate(1, Mutation::Remove(removed)),
+        Step::Layout(1, None),
+    ]);
+    script
 }
 
 fn rich_mutation() -> impl Strategy<Value = Mutation> {
@@ -172,16 +210,29 @@ proptest! {
     /// every step: contents, every `get`, `len` and `approx_size` agree, a
     /// clone or a projection that hides nothing is the same handle as its
     /// source, same handles always hold equal maps, and a handle whose
-    /// content changed shares its payload with no other.
+    /// content changed shares its payload with no other. The opening
+    /// script reaches deltas over a shared base, writes to a delta, the
+    /// flatten boundary, a remove from a delta and a projection of a delta
+    /// in every case.
     #[test]
     fn a_pool_of_entry_handles_reads_as_a_pool_of_maps(
         base in attrs(),
+        wide in prop::collection::vec(attr_value(), AttrId::ALL.len()),
+        written in (attr_id(), attr_id(), attr_id()),
+        offset in 0..AttrId::ALL.len(),
+        values in prop::collection::vec(attr_value(), 14),
+        selection in prop::collection::vec(attr_id(), 0..10),
         steps in prop::collection::vec(step(), 1..40),
     ) {
         let model: BTreeMap<AttrId, AttrValue> = base.into_iter().collect();
-        let mut pool: Vec<(Entry, BTreeMap<AttrId, AttrValue>)> =
-            vec![(model.clone().into_iter().collect(), model)];
-        for step in &steps {
+        let wide: BTreeMap<AttrId, AttrValue> = AttrId::ALL.into_iter().zip(wide).collect();
+        let mut pool: Vec<(Entry, BTreeMap<AttrId, AttrValue>)> = vec![
+            (model.clone().into_iter().collect(), model),
+            (wide.clone().into_iter().collect(), wide),
+        ];
+        let (a, c, removed) = written;
+        let script = opening([a, c, removed], offset, &values, selection);
+        for step in script.iter().chain(&steps) {
             let changed = match step {
                 Step::Mutate(i, m) => {
                     let i = i % pool.len();
@@ -208,6 +259,10 @@ proptest! {
                     if pool.len() > 1 {
                         pool.swap_remove(i % pool.len());
                     }
+                    None
+                }
+                Step::Layout(i, delta) => {
+                    prop_assert_eq!(pool[*i].0.delta_len(), *delta, "handle {}", i);
                     None
                 }
             };

@@ -12,18 +12,21 @@
 //! LSN, commit instant, writing SE) pack 4–8 bytes per record each and scan
 //! contiguously, while entry payloads sit in their own column and are only
 //! touched by reads that need them. A payload is a copy-on-write
-//! [`Entry`]: one immutable allocation per committed version (reference
-//! count, length and attribute slots in one block), shared by
-//! this store, the commit log, the ship channels, the slaves and the disk
-//! image. Reads hand out [`RecordView`]s that borrow it, and the owning
-//! reads ([`RecordView::to_version`], `Engine::read_committed`) clone the
-//! handle — a reference-count bump, never a copy of the attributes. A
-//! modify copies the attribute slots of the version it changes into one
-//! new block, one allocator call, and no value in them: strings, octets
-//! and lists are reference-counted too
-//! ([`AttrValue`](udr_model::attrs::AttrValue)), so the new version
-//! shares every attribute it did not touch with the old one, wherever the
-//! old one is still held. Nothing on any path deep-copies a value.
+//! [`Entry`]: a handle to one immutable block per committed version,
+//! shared by this store, the commit log, the ship channels, the slaves and
+//! the disk image. A provisioned record's block is flat (reference count,
+//! presence mask and every attribute slot); a modified record's is a delta
+//! holding the slots written since that flat block, which it shares with
+//! the record's other versions. Reads hand out [`RecordView`]s that borrow
+//! it, and the owning reads ([`RecordView::to_version`],
+//! `Engine::read_committed`) clone the handle — a reference-count bump,
+//! never a copy of the attributes. A modify builds one new delta block,
+//! one allocator call, holding the changed slot and the ones the old delta
+//! held, and no value in them: strings, octets and lists are
+//! reference-counted too ([`AttrValue`](udr_model::attrs::AttrValue)), so
+//! the new version shares every attribute it did not touch with the old
+//! one, wherever the old one is still held. Nothing on any path
+//! deep-copies a value.
 //!
 //! The replica's disk image (§3.1's periodic save) is one more column, kept
 //! in fixed segments: each slot's version at the last save, beside a dirty

@@ -2,7 +2,8 @@
 //!
 //! * a warm `Search` makes no allocator call inside `Udr::execute`;
 //! * a one-attribute `Modify` allocates for what it changes, not for what
-//!   the record holds: one block of 16 bytes plus 16 per attribute;
+//!   the record holds: one delta block of 24 bytes plus 16 per attribute
+//!   written since the profile's flat block, which it shares;
 //! * a consensus write allocates its post-image and nothing per protocol
 //!   message;
 //! * under consensus, what an operation allocates does not grow with the
@@ -368,11 +369,13 @@ fn a_warm_modify_shipped_per_record_allocates_for_what_it_changes() {
     warm_modifies_allocate_for_what_they_change(ShipBatchConfig::per_record());
 }
 
-/// A warm one-attribute modify of a provisioned profile, on the bare
-/// engine: the new version's block is all it asks for, 16 bytes of header
-/// and 16 per attribute, with no attribute id stored.
-#[test]
-fn a_warm_modify_of_a_provisioned_profile_requests_one_224_byte_block() {
+const PROFILE_UID: SubscriberUid = SubscriberUid(1);
+
+/// An engine holding one provisioned 13-attribute profile under
+/// [`PROFILE_UID`], its write set and its commit log's first segment warmed
+/// up by 100 modifies of `OdbMask`. The commits that follow are the log's
+/// 102nd record of 128 and on, so up to the 128th the log asks for nothing.
+fn warm_profile_engine() -> Engine {
     let ids = IdentitySet {
         imsi: imsi(1),
         msisdn: Msisdn::new("34600000001").unwrap(),
@@ -381,28 +384,98 @@ fn a_warm_modify_of_a_provisioned_profile_requests_one_224_byte_block() {
     };
     let profile = SubscriberProfile::provision(&ids, 0, [7; 16]).into_entry();
     assert_eq!(profile.len(), 13, "{profile:?}");
-    let uid = SubscriberUid(1);
     let mut engine = Engine::new(SeId(0));
     let txn = engine.begin(IsolationLevel::ReadCommitted);
-    engine.put(txn, uid, profile).unwrap();
+    engine.put(txn, PROFILE_UID, profile).unwrap();
     engine.commit(txn, SimTime(0)).unwrap();
-    let mut modify = |v: u64| {
-        let txn = engine.begin(IsolationLevel::ReadCommitted);
-        let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(v))];
-        engine.modify(txn, uid, &mods).unwrap();
-        engine.commit(txn, SimTime(v)).unwrap();
-    };
-    // Warm-up: the write set, and the commit log's first segment, which
-    // grows by doubling; the counted commit is its 102nd record of 128.
     for v in 1..=100 {
-        modify(v);
+        modify_profile(&mut engine, AttrId::OdbMask, v);
     }
-    let ((), tally) = counted(|| modify(101));
+    engine
+}
+
+/// One committed one-attribute modify of the profile.
+fn modify_profile(engine: &mut Engine, id: AttrId, v: u64) {
+    let txn = engine.begin(IsolationLevel::ReadCommitted);
+    let mods = [AttrMod::Set(id, AttrValue::U64(v))];
+    engine.modify(txn, PROFILE_UID, &mods).unwrap();
+    engine.commit(txn, SimTime(v)).unwrap();
+}
+
+/// A version block's header: reference count, presence mask and the
+/// pointer to the flat block a delta overrides.
+const VERSION_HEADER: u64 = 24;
+
+/// A warm one-attribute modify of a provisioned profile, on the bare
+/// engine: the new version is a delta over the profile's flat block, and
+/// its block is all the modify asks for, the header and one 16-byte value.
+#[test]
+fn a_warm_modify_of_a_provisioned_profile_requests_one_40_byte_delta() {
+    let mut engine = warm_profile_engine();
+    let ((), tally) = counted(|| modify_profile(&mut engine, AttrId::OdbMask, 101));
     assert_eq!(
         (tally.calls, tally.bytes),
-        (1, 16 + 13 * 16),
+        (1, VERSION_HEADER + 16),
         "a warm modify of a 13-attribute profile"
     );
+}
+
+/// A write to a second attribute copies the delta's value beside the new
+/// one: the delta grows by 16 bytes, still in one call.
+#[test]
+fn a_modify_of_a_second_attribute_grows_the_delta_by_one_value() {
+    let mut engine = warm_profile_engine();
+    let ((), tally) = counted(|| modify_profile(&mut engine, AttrId::AuthSqn, 101));
+    assert_eq!(
+        (tally.calls, tally.bytes),
+        (1, VERSION_HEADER + 2 * 16),
+        "a second attribute over a delta of one"
+    );
+    let entry = engine.read_committed(PROFILE_UID).unwrap();
+    assert_eq!(entry.get(AttrId::AuthSqn), Some(&AttrValue::U64(101)));
+    assert_eq!(entry.get(AttrId::OdbMask), Some(&AttrValue::U64(100)));
+    assert_eq!(entry.len(), 13);
+}
+
+/// A delta holds at most half of what the entry shows: six of the
+/// profile's 13 attributes. The write that would make it seven builds one
+/// flat block of all 13 instead, in one call, and the write after that is
+/// a one-value delta over the new flat block again.
+#[test]
+fn a_modify_past_half_the_profile_requests_one_flat_block() {
+    let mut engine = warm_profile_engine();
+    let written = [
+        AttrId::AuthAmf,
+        AttrId::AuthSqn,
+        AttrId::CallBarring,
+        AttrId::HomeRegion,
+        AttrId::ProvisioningGen,
+    ];
+    for (k, id) in written.into_iter().enumerate() {
+        let ((), tally) = counted(|| modify_profile(&mut engine, id, 101 + k as u64));
+        let values = k as u64 + 2;
+        assert_eq!(
+            (tally.calls, tally.bytes),
+            (1, VERSION_HEADER + values * 16),
+            "a delta of {values} values"
+        );
+    }
+    let ((), tally) = counted(|| modify_profile(&mut engine, AttrId::SubscriberStatus, 106));
+    assert_eq!(
+        (tally.calls, tally.bytes),
+        (1, VERSION_HEADER + 13 * 16),
+        "the seventh attribute written flattens the profile"
+    );
+    let ((), tally) = counted(|| modify_profile(&mut engine, AttrId::OdbMask, 107));
+    assert_eq!((tally.calls, tally.bytes), (1, VERSION_HEADER + 16));
+    let entry = engine.read_committed(PROFILE_UID).unwrap();
+    assert_eq!(entry.len(), 13);
+    assert_eq!(entry.get(AttrId::AuthAmf), Some(&AttrValue::U64(101)));
+    assert_eq!(
+        entry.get(AttrId::SubscriberStatus),
+        Some(&AttrValue::U64(106))
+    );
+    assert_eq!(entry.get(AttrId::OdbMask), Some(&AttrValue::U64(107)));
 }
 
 // --- Consensus: a CP write allocates its post-image -------------------------
@@ -769,14 +842,14 @@ fn committed_payloads_are_shared_not_copied() {
     let (_, tally) = counted(|| Octets::from(blob));
     assert_eq!((tally.calls, tally.in_window), (1, 1));
 
-    // A modify copies the value slots and no string, octet or list in
-    // them; the store, the two logs, the commit record and the slave then
-    // share the new version, and the new version shares every untouched
-    // value with the old one. One allocator call in all: the new version's
-    // block, which holds its reference count, presence mask and values
-    // together; the commit record holds its one change inline. The write set is the
-    // vector the previous transaction returned, and the logs have room:
-    // this is the 1 809th push into their third segment of 4 096.
+    // A modify copies no string, octet or list; the store, the two logs,
+    // the commit record and the slave then share the new version, a delta
+    // holding the one changed value over the old version's block, which
+    // it shares with every untouched value. One allocator call in all: the
+    // delta's block; the commit record holds its one change inline. The
+    // write set is the vector the previous transaction returned, and the
+    // logs have room: this is the 1 809th push into their third segment of
+    // 4 096.
     let mods = [AttrMod::Set(AttrId::OdbMask, AttrValue::U64(5))];
     let ((), tally) = counted(|| {
         let txn = master.begin(IsolationLevel::ReadCommitted);

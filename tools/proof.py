@@ -34,7 +34,12 @@ Under the status table a second table prints `peak_rss_mb` of each
 change between them. It is a measurement, not a status: the host's peak
 resident set of one `udr-perf` process, read from that run's result
 object. It repeats closely on one host and build, but it is not part of
-any artifact and never makes a row moved.
+any artifact and never makes a row moved. A third table prints the same
+runs' `alloc_bytes_per_op` and `allocs_per_op` on both trees and their
+ratio (this tree over the parent; `—` where the parent reads 0). Those
+are exact counts, equal on every run of one build, but the table is a
+measurement too: a change to them shows in the status table only as the
+`perf/…` row they sit in.
 
 Last, `library lines` counts the library on both trees by the one rule in
 `library_lines`: every `crates/*/src/**/*.rs` outside `src/bin`, up to its
@@ -53,6 +58,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = ("11", "12")
 PERF_ARGS = ["--seconds", "2", "--trace", "0"]
+# The result-object metrics of each `perf/…` run printed under the status
+# table: first the memory one, then the allocation counts.
+MEASURED = ("peak_rss_mb", "alloc_bytes_per_op", "allocs_per_op")
 
 
 def deterministic(line):
@@ -120,10 +128,10 @@ def run(binary, args, workdir):
 
 def collect(tree, target, scratch):
     """Every artifact of `tree` built into `target`, as name → lines, and the
-    `peak_rss_mb` of each `perf/…` run, as name → MB."""
+    `MEASURED` metrics of each `perf/…` run, as name → metric → value."""
     release = target / "release"
     artifacts = {}
-    peak_rss = {}
+    measured = {}
     bins = {p.stem.split("_")[0]: p.stem for p in (tree / "crates/bench/src/bin").glob("e*.rs")}
     for baseline in sorted((tree / "tools" / "baselines").glob("BENCH_*.json")):
         binary = bins.get(baseline.stem.removeprefix("BENCH_"))
@@ -152,8 +160,9 @@ def collect(tree, target, scratch):
                     *filter(deterministic, lines),
                     json.dumps(verdict),
                 ]
-                peak_rss[f"perf/{workload}/{seed}"] = result["metrics"]["peak_rss_mb"]["value"]
-    return artifacts, peak_rss
+                metrics = result["metrics"]
+                measured[f"perf/{workload}/{seed}"] = {m: metrics[m]["value"] for m in MEASURED}
+    return artifacts, measured
 
 
 def first_difference(old, new):
@@ -182,8 +191,8 @@ def main():
         build(parent, tmp / "target")
         build(ROOT, ROOT / "target")
         print("running both", file=sys.stderr)
-        old, old_rss = collect(parent, tmp / "target", tmp / "run-parent")
-        new, new_rss = collect(ROOT, ROOT / "target", tmp / "run-change")
+        old, old_measured = collect(parent, tmp / "target", tmp / "run-parent")
+        new, new_measured = collect(ROOT, ROOT / "target", tmp / "run-change")
 
     rows = []
     for name in sorted(old.keys() | new.keys()):
@@ -202,14 +211,23 @@ def main():
     counts = {s: sum(1 for _, st, _ in rows if st == s) for s in ("identical", "moved", "new", "gone")}
     print(", ".join(f"{n} {s}" for s, n in counts.items()))
 
-    runs = sorted(old_rss.keys() & new_rss.keys())
+    runs = sorted(old_measured.keys() & new_measured.keys())
     if runs:
         width = max(len(name) for name in runs)
         print()
         print(f"{'peak_rss_mb (measured)':<{width}}  {rev:>10}  {'this tree':>10}  change")
         for name in runs:
-            a, b = old_rss[name], new_rss[name]
+            a, b = old_measured[name]["peak_rss_mb"], new_measured[name]["peak_rss_mb"]
             print(f"{name:<{width}}  {a:>10.2f}  {b:>10.2f}  {(b - a) / a:+.1%}")
+        counts = MEASURED[1:]
+        width = max(width, len("counts (measured)"))
+        print()
+        print(f"{'counts (measured)':<{width}}  {'metric':<18}  {rev:>10}  {'this tree':>10}  ratio")
+        for name in runs:
+            for metric in counts:
+                a, b = old_measured[name][metric], new_measured[name][metric]
+                ratio = f"{b / a:.3f}" if a else "—"
+                print(f"{name:<{width}}  {metric:<18}  {a:>10.5g}  {b:>10.5g}  {ratio}")
     print()
     print(f"{'library lines (measured)':<24}  {rev:>10}  {'this tree':>10}  change")
     print(f"{'crates/*/src, no src/bin':<24}  {old_lines:>10}  {new_lines:>10}  {new_lines - old_lines:+d}")
