@@ -94,6 +94,7 @@ fn main() {
     println!(
         "\nin-store: {} records, {:.1} MiB (stores) + {:.1} MiB interner ({} symbols)\n\
          shipping: {} records in {} batches ({:.1} records/batch)\n\
+         pipeline: {} provisioning retries\n\
          image: {:.1} MiB snapshot; peak RSS {:.1} MiB; digest {:016x}",
         out.records_in_store,
         out.store_bytes as f64 / (1024.0 * 1024.0),
@@ -102,6 +103,7 @@ fn main() {
         out.shipped_records,
         out.shipped_batches,
         out.shipped_records as f64 / out.shipped_batches.max(1) as f64,
+        out.pipeline_retries,
         out.image_bytes as f64 / (1024.0 * 1024.0),
         out.peak_rss_kb as f64 / 1024.0,
         out.digest,
@@ -126,6 +128,7 @@ fn main() {
         ("interner_bytes", out.interner_bytes.into()),
         ("shipped_records", out.shipped_records.into()),
         ("shipped_batches", out.shipped_batches.into()),
+        ("pipeline_retries", out.pipeline_retries.into()),
         ("image_bytes", out.image_bytes.into()),
         ("peak_rss_kb", out.peak_rss_kb.into()),
         ("digest", JsonValue::Str(format!("{:016x}", out.digest))),

@@ -66,12 +66,12 @@ impl ScaleConfig {
         }
     }
 
-    /// A small-N variant (CI smoke, determinism replays).
+    /// A small-N variant (CI smoke, determinism replays): the full
+    /// campaign's pipeline stage over a smaller population.
     pub fn small(subscribers: u64) -> Self {
         ScaleConfig {
             subscribers,
             reads: subscribers,
-            pipeline_ops: subscribers.min(2_000),
             ..ScaleConfig::full()
         }
     }
@@ -111,6 +111,9 @@ pub struct ScaleOutcome {
     pub shipped_records: u64,
     /// Coalesced batches the shipping stage delivered.
     pub shipped_batches: u64,
+    /// Provisioning attempts the pipeline stage retried after a retryable
+    /// failure (a timeout on the lossy backbone).
+    pub pipeline_retries: u64,
     /// Snapshot bytes of shard 0 ([`EngineSnapshot::approx_bytes`]).
     ///
     /// [`EngineSnapshot::approx_bytes`]: udr_storage::EngineSnapshot::approx_bytes
@@ -372,12 +375,20 @@ pub fn run(cfg: &ScaleConfig) -> ScaleOutcome {
     let mut pipe_rng = SimRng::seed_from_u64(cfg.seed ^ 0x717e);
     let pipe_pop = (cfg.pipeline_ops / 10).clamp(30, 2_000);
     let mut pipe_subs = Vec::with_capacity(pipe_pop as usize);
+    let mut pipeline_retries = 0u64;
     {
         let mut at = SimTime::ZERO + SimDuration::from_millis(1);
         for sub in builder.stream(pipe_pop, &mut pipe_rng) {
-            let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
-            assert!(out.is_ok(), "pipeline provisioning failed");
-            at += SimDuration::from_millis(2);
+            // Rare backbone loss can fail an attempt; the PS retries (§2.4).
+            for attempt in 1.. {
+                let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
+                at += SimDuration::from_millis(2);
+                match out.op.result {
+                    Ok(_) => break,
+                    Err(e) if e.is_retryable() && attempt < 4 => pipeline_retries += 1,
+                    Err(e) => panic!("pipeline provisioning failed after {attempt} attempts: {e}"),
+                }
+            }
             pipe_subs.push(sub.ids.imsi);
         }
     }
@@ -436,6 +447,7 @@ pub fn run(cfg: &ScaleConfig) -> ScaleOutcome {
     digest = fnv1a(digest, &shipper.shipped.to_be_bytes());
     digest = fnv1a(digest, &shipper.batches.to_be_bytes());
     digest = fnv1a(digest, &udr.shipping_batches().to_be_bytes());
+    digest = fnv1a(digest, &pipeline_retries.to_be_bytes());
     digest = fnv1a(digest, &image_bytes.to_be_bytes());
 
     let interner = IdentityInterner::global();
@@ -447,6 +459,7 @@ pub fn run(cfg: &ScaleConfig) -> ScaleOutcome {
         interner_bytes: interner.approx_bytes() as u64,
         shipped_records: shipper.shipped,
         shipped_batches: shipper.batches,
+        pipeline_retries,
         image_bytes,
         peak_rss_kb: peak_rss_kb(),
         digest,

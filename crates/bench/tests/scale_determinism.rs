@@ -16,6 +16,7 @@ fn small_scale_campaign_is_deterministic() {
     assert_eq!(a.records_in_store, cfg.subscribers);
     assert_eq!(a.shipped_records, b.shipped_records);
     assert_eq!(a.shipped_batches, b.shipped_batches);
+    assert_eq!(a.pipeline_retries, b.pipeline_retries);
     assert_eq!(a.image_bytes, b.image_bytes);
     assert_eq!(a.store_bytes, b.store_bytes);
     // Same stages, same item counts, in the same order.

@@ -300,9 +300,10 @@ impl From<Vec<u8>> for AttrValue {
 /// the block itself holds the attribute set, which is replaced in place; a
 /// shared base is never written. A set builds a delta over the base (over
 /// the block itself, if that is flat) holding the old delta's values and
-/// the change. It builds one flat block of the visible attributes instead
-/// when the delta would hold more than half of them, when the handle hides
-/// part of its block, or for a removal or a multi-attribute apply. That
+/// the change; an apply of several sets builds one delta of all of them.
+/// It builds one flat block of the visible attributes instead when the
+/// delta would hold more than half of them, when the handle hides part of
+/// its block, or for a removal or an apply that deletes. That
 /// keeps value semantics: a change to one handle is never visible through
 /// another, and a hidden attribute is gone for good from the handle that
 /// hid it. A new block copies value slots and no string, octet or list:
@@ -370,6 +371,16 @@ fn index(present: u32, bit: u32) -> usize {
     (present & (bit - 1)).count_ones() as usize
 }
 
+/// The [`AttrId::dense`] positions of the bits `mask` sets, in order.
+fn positions(mask: u32) -> impl Iterator<Item = u32> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let dense = (rest != 0).then(|| rest.trailing_zeros())?;
+        rest &= rest - 1;
+        Some(dense)
+    })
+}
+
 /// Attribute values by [`AttrId::dense`] position: what a builder gathers
 /// before it allocates the block once.
 type Dense = [Option<AttrValue>; AttrId::ALL.len()];
@@ -435,6 +446,16 @@ impl Entry {
         }
     }
 
+    /// The delta so far, as its presence mask and its values, and the flat
+    /// block under it; a flat block is an empty delta over itself.
+    fn split(&self) -> (u32, &[AttrValue], &Block) {
+        let own = self.attrs.shape();
+        match &own.base {
+            Some(base) => (own.present, &self.attrs[..], base),
+            None => (0, &[], &self.attrs),
+        }
+    }
+
     /// Show `visible`, with the size cache moved from `removed` bytes of
     /// attributes to `added`.
     fn reshow(&mut self, visible: u32, added: usize, removed: usize) {
@@ -467,11 +488,7 @@ impl Entry {
                     return Some(old);
                 }
             }
-            // The delta so far and the flat block under it.
-            let (delta, values, base) = match &self.attrs.shape().base {
-                Some(base) => (own, &self.attrs[..], base),
-                None => (0, &[][..], &self.attrs),
-            };
+            let (delta, values, base) = self.split();
             let visible = self.visible() | bit;
             if 2 * (delta | bit).count_ones() <= visible.count_ones() {
                 debug_assert!(base.shape().base.is_none(), "a delta's base is flat");
@@ -577,7 +594,9 @@ impl Entry {
     }
 
     /// Apply a set of attribute modifications in order. The post-image is
-    /// built in one allocation however many modifications there are.
+    /// built in one allocation however many modifications there are: sets
+    /// alone under [`Entry::set`]'s rule, in place or as one delta of every
+    /// value they write; anything with a delete as one flat block.
     pub fn apply(&mut self, mods: &[AttrMod]) {
         match mods {
             [] => {}
@@ -588,6 +607,13 @@ impl Entry {
                 self.remove(*id);
             }
             _ => {
+                let sets = mods.iter().try_fold(0, |bits, m| match m {
+                    AttrMod::Set(id, _) => Some(bits | id.bit()),
+                    AttrMod::Delete(_) => None,
+                });
+                if sets.is_some_and(|bits| self.set_values(mods, bits)) {
+                    return;
+                }
                 let mut dense = self.dense();
                 for m in mods {
                     dense[m.attr().dense()] = match m {
@@ -598,6 +624,64 @@ impl Entry {
                 *self = Entry::from_dense(dense);
             }
         }
+    }
+
+    /// [`Entry::set_value`]'s in-place write or delta for `mods`, all sets,
+    /// the last set of an attribute winning; `bits` are the attributes
+    /// they write. False, with the entry untouched, where that rule builds
+    /// a flat block instead.
+    fn set_values(&mut self, mods: &[AttrMod], bits: u32) -> bool {
+        if self.hides() {
+            return false;
+        }
+        // The value written to the attribute at dense position `dense`.
+        let written = |dense: u32| {
+            mods.iter()
+                .rev()
+                .find_map(|m| match m {
+                    AttrMod::Set(id, v) if id.dense() == dense as usize => Some(v),
+                    _ => None,
+                })
+                .expect("every bit is a set's")
+        };
+        let (mut added, mut removed) = (0, 0);
+        for dense in positions(bits) {
+            added += attr_size(written(dense));
+            removed += self.get(ALL[dense as usize]).map_or(0, attr_size);
+        }
+        let own = self.attrs.shape().present;
+        let visible = self.visible() | bits;
+        if own & bits == bits {
+            if let Some(values) = self.attrs.get_mut() {
+                for dense in positions(bits) {
+                    values[index(own, 1 << dense)] = written(dense).clone();
+                }
+                self.reshow(visible, added, removed);
+                return true;
+            }
+        }
+        let (delta, values, base) = self.split();
+        let present = delta | bits;
+        if 2 * present.count_ones() > visible.count_ones() {
+            return false;
+        }
+        debug_assert!(base.shape().base.is_none(), "a delta's base is flat");
+        let mut kept = values.iter();
+        let items = positions(present).map(|dense| {
+            let bit = 1 << dense;
+            let old = if delta & bit != 0 { kept.next() } else { None };
+            match old {
+                Some(old) if bits & bit == 0 => old.clone(),
+                _ => written(dense).clone(),
+            }
+        });
+        let shape = Masked {
+            present,
+            base: Some(base.clone()),
+        };
+        self.attrs = Payload::from_exact(shape, items);
+        self.reshow(visible, added, removed);
+        true
     }
 
     /// How many values the handle's block holds over a flat base, or

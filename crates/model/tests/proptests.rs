@@ -5,7 +5,7 @@
 //! Also the value semantics of the copy-on-write [`Entry`] and of its
 //! projected views, and the handle identity of its shared payload.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -156,7 +156,8 @@ enum Step {
 /// handle writes a delta over it; handle 2 writes 11 more distinct
 /// attributes, each a write to a delta, and the 12th flattens it (a delta
 /// holds at most half of what the entry shows); handle 1 writes to its
-/// delta again, is projected (3) and then removes an attribute, which
+/// delta again, applies two sets at once, which widen its delta by what
+/// they add, is projected (3) and then removes an attribute, which
 /// flattens.
 fn opening(
     [a, c, removed]: [AttrId; 3],
@@ -175,9 +176,15 @@ fn opening(
         script.push(Step::Mutate(2, set(id, k + 1)));
         script.push(Step::Layout(2, (k < 11).then_some(k + 1)));
     }
+    let two_sets = vec![
+        AttrMod::Set(a, values[14].clone()),
+        AttrMod::Set(removed, values[15].clone()),
+    ];
     script.extend([
         Step::Mutate(1, set(c, 13)),
         Step::Layout(1, Some(if c == a { 1 } else { 2 })),
+        Step::Mutate(1, Mutation::Apply(two_sets)),
+        Step::Layout(1, Some(BTreeSet::from([a, c, removed]).len())),
         Step::Project(1, selection),
         Step::Mutate(1, Mutation::Remove(removed)),
         Step::Layout(1, None),
@@ -220,7 +227,7 @@ proptest! {
         wide in prop::collection::vec(attr_value(), AttrId::ALL.len()),
         written in (attr_id(), attr_id(), attr_id()),
         offset in 0..AttrId::ALL.len(),
-        values in prop::collection::vec(attr_value(), 14),
+        values in prop::collection::vec(attr_value(), 16),
         selection in prop::collection::vec(attr_id(), 0..10),
         steps in prop::collection::vec(step(), 1..40),
     ) {

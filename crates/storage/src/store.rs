@@ -28,18 +28,27 @@
 //! one, wherever the old one is still held. Nothing on any path
 //! deep-copies a value.
 //!
-//! The replica's disk image (§3.1's periodic save) is one more column, kept
-//! in fixed segments: each slot's version at the last save, beside a dirty
-//! flag per slot and the list of the slots written since. Creating a slot
-//! makes room for it in all three, so a save (`RecordStore::save`)
-//! visits only the slots written or created since the last one and copies
-//! each one's metadata and payload handle into the column: no allocator
-//! call, no sort, no walk of the clean slots. The room stays untouched
-//! until a save fills it.
+//! Every per-slot structure is a column kept in fixed segments of 1 024
+//! slots that never move: a column grows without copying what
+//! it holds, and a store that stops growing leaves less than one segment
+//! of each column empty. A slot is split into its segment and its offset
+//! once per access, however many columns the access reads.
+//!
+//! The replica's disk image (§3.1's periodic save) is one more column:
+//! each slot's version at the last save, beside the list of the slots
+//! written since. A slot the last save saw was written since iff its LSN
+//! is past the save's, so the list is all the bookkeeping a write needs.
+//! Creating a slot opens room for it in both, so a save
+//! (`RecordStore::save`) visits only the slots written or created since
+//! the last one and copies each one's metadata and payload handle into the
+//! column: no allocator call, no sort, no walk of the clean slots. The
+//! room stays untouched until a save fills it.
 //!
 //! Deletes keep their slot as a tombstone (the engine's semantics: a
 //! tombstone carries the delete's LSN), so slots are never recycled and a
 //! slot id is stable for the life of the store.
+
+use std::ops::{Index, IndexMut};
 
 use udr_model::attrs::Entry;
 use udr_model::ids::{IdMap, SeId, SubscriberUid};
@@ -75,35 +84,125 @@ impl RecordView<'_> {
     }
 }
 
-/// Slots per segment of the saved column. Segments never move, so the
-/// column grows without copying what it holds, and a store that stops
-/// growing leaves less than one segment of it empty.
-const SAVED_SEGMENT: usize = 1024;
+/// Slots per segment of a [`Column`].
+const SEGMENT: usize = 1024;
+
+/// A slot split into its segment and its offset in that segment.
+#[derive(Clone, Copy)]
+struct At {
+    segment: usize,
+    offset: usize,
+}
+
+impl At {
+    #[inline]
+    fn of(slot: usize) -> At {
+        At {
+            segment: slot / SEGMENT,
+            offset: slot % SEGMENT,
+        }
+    }
+}
+
+/// One per-slot structure of a store, in segments of [`SEGMENT`] slots.
+/// Each segment is opened with room for all its slots and never grows, so
+/// a push into opened room makes no allocator call.
+#[derive(Debug)]
+struct Column<T> {
+    segments: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column {
+            segments: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Column<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Open segments until they cover `slots` slots.
+    fn open(&mut self, slots: usize) {
+        while self.segments.len() * SEGMENT < slots {
+            self.segments.push(Vec::with_capacity(SEGMENT));
+        }
+    }
+
+    fn push(&mut self, value: T) {
+        let at = At::of(self.len);
+        self.open(self.len + 1);
+        self.segments[at.segment].push(value);
+        self.len += 1;
+    }
+
+    /// Empty the column, keeping every segment and its room.
+    fn clear(&mut self) {
+        self.segments.iter_mut().for_each(Vec::clear);
+        self.len = 0;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.segments.iter().flatten()
+    }
+
+    /// Heap bytes held: the room of every opened segment and the segment
+    /// table.
+    fn heap_bytes(&self) -> usize {
+        self.segments.len() * SEGMENT * size_of::<T>()
+            + self.segments.capacity() * size_of::<Vec<T>>()
+    }
+}
+
+impl<T> IntoIterator for Column<T> {
+    type Item = T;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<T>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.segments.into_iter().flatten()
+    }
+}
+
+impl<T> Index<At> for Column<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, at: At) -> &T {
+        &self.segments[at.segment][at.offset]
+    }
+}
+
+impl<T> IndexMut<At> for Column<T> {
+    #[inline]
+    fn index_mut(&mut self, at: At) -> &mut T {
+        &mut self.segments[at.segment][at.offset]
+    }
+}
 
 /// Committed records of one partition replica, stored column-wise.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RecordStore {
     /// uid → slot.
     index: IdMap<SubscriberUid, u32>,
     // -- parallel columns, one element per slot ------------------------------
-    uids: Vec<SubscriberUid>,
-    lsns: Vec<Lsn>,
-    stamps: Vec<SimTime>,
-    writers: Vec<SeId>,
-    entries: Vec<Option<Entry>>,
+    uids: Column<SubscriberUid>,
+    lsns: Column<Lsn>,
+    stamps: Column<SimTime>,
+    writers: Column<SeId>,
+    entries: Column<Option<Entry>>,
     // -- the disk image --------------------------------------------------------
-    /// Each slot the last save saw, as that save left it, in segments of
-    /// [`SAVED_SEGMENT`] slots. The segments cover every slot, so a save
+    /// Each slot the last save saw, as that save left it; its length is the
+    /// slot count at the last save. Its room covers every slot, so a save
     /// that reaches slots created since fills room already there.
-    saved: Vec<Vec<RecordVersion>>,
-    /// Slots in the image: the slot count at the last save.
-    saved_slots: usize,
-    /// Whether each slot of `saved` was written since the last save (a
-    /// slot past its end always was).
-    dirty: Vec<bool>,
-    /// The slots `dirty` marks, each once. Its capacity covers every slot,
-    /// so marking one never grows it.
-    dirty_slots: Vec<u32>,
+    saved: Column<RecordVersion>,
+    /// The slots of `saved` written since the last save, each once. Its
+    /// room covers every slot, so marking one never allocates.
+    dirty_slots: Column<u32>,
     /// The last save's LSN; `None` before the first save, so an empty
     /// image is told apart from none.
     image_lsn: Option<Lsn>,
@@ -120,20 +219,23 @@ impl RecordStore {
 
     /// An empty store with room for `n` records.
     pub fn with_capacity(n: usize) -> Self {
-        RecordStore {
+        let mut store = RecordStore {
             index: IdMap::with_capacity_and_hasher(n, Default::default()),
-            uids: Vec::with_capacity(n),
-            lsns: Vec::with_capacity(n),
-            stamps: Vec::with_capacity(n),
-            writers: Vec::with_capacity(n),
-            entries: Vec::with_capacity(n),
-            saved: Vec::new(),
-            saved_slots: 0,
-            dirty: Vec::with_capacity(n),
-            dirty_slots: Vec::with_capacity(n),
-            image_lsn: None,
-            payload_bytes: 0,
-        }
+            ..RecordStore::default()
+        };
+        store.open(n);
+        store
+    }
+
+    /// Open room for `slots` slots in every per-slot structure.
+    fn open(&mut self, slots: usize) {
+        self.uids.open(slots);
+        self.lsns.open(slots);
+        self.stamps.open(slots);
+        self.writers.open(slots);
+        self.entries.open(slots);
+        self.saved.open(slots);
+        self.dirty_slots.open(slots);
     }
 
     /// Build a store from owned `(uid, version)` pairs (snapshot restore,
@@ -150,8 +252,13 @@ impl RecordStore {
     }
 
     /// Publish the committed state of `uid` (`None` entry = tombstone). A
-    /// slot the last save saw is marked for the next one; a new slot is
-    /// past the image's end, and brings its room in the image with it.
+    /// slot the last save saw and nothing wrote since is marked for the
+    /// next one; a new slot is past the image's end, and brings its room in
+    /// the image with it.
+    ///
+    /// Every write to a slot must carry a higher LSN than the slot's last
+    /// write and the last save (the engine's commits and in-order applies
+    /// do): that is how a write tells a clean slot from a marked one.
     pub fn upsert(
         &mut self,
         uid: SubscriberUid,
@@ -164,15 +271,21 @@ impl RecordStore {
         match self.index.get(&uid) {
             Some(&slot) => {
                 let slot = slot as usize;
-                self.lsns[slot] = lsn;
-                self.stamps[slot] = committed_at;
-                self.writers[slot] = written_by;
-                let old = std::mem::replace(&mut self.entries[slot], entry);
-                self.payload_bytes -= old.as_ref().map_or(0, Entry::approx_size);
-                if let Some(dirty) = self.dirty.get_mut(slot).filter(|d| !**d) {
-                    *dirty = true;
+                let at = At::of(slot);
+                let image = self.image_lsn.unwrap_or(Lsn::ZERO);
+                debug_assert!(
+                    lsn > self.lsns[at] && lsn > image,
+                    "LSNs rise: {lsn:?} after {:?}, image at {image:?}",
+                    self.lsns[at]
+                );
+                if slot < self.saved.len() && self.lsns[at] <= image {
                     self.dirty_slots.push(slot as u32);
                 }
+                self.lsns[at] = lsn;
+                self.stamps[at] = committed_at;
+                self.writers[at] = written_by;
+                let old = std::mem::replace(&mut self.entries[at], entry);
+                self.payload_bytes -= old.as_ref().map_or(0, Entry::approx_size);
             }
             None => {
                 let slot = u32::try_from(self.uids.len()).expect("record store slot overflow");
@@ -182,12 +295,7 @@ impl RecordStore {
                 self.stamps.push(committed_at);
                 self.writers.push(written_by);
                 self.entries.push(entry);
-                let slots = self.uids.len();
-                if slots > self.saved.len() * SAVED_SEGMENT {
-                    self.saved.push(Vec::with_capacity(SAVED_SEGMENT));
-                }
-                self.dirty.reserve(slots - self.dirty.len());
-                self.dirty_slots.reserve(slots - self.dirty_slots.len());
+                self.open(self.uids.len());
             }
         }
     }
@@ -197,28 +305,16 @@ impl RecordStore {
     /// image, a reference-count bump per payload and no allocator call.
     /// Returns the number of slots it wrote.
     pub(crate) fn save(&mut self, last_lsn: Lsn) -> usize {
-        for &slot in &self.dirty_slots {
+        for &slot in self.dirty_slots.iter() {
             let slot = slot as usize;
-            let saved = &mut self.saved[slot / SAVED_SEGMENT][slot % SAVED_SEGMENT];
-            saved.entry.clone_from(&self.entries[slot]);
-            saved.lsn = self.lsns[slot];
-            saved.committed_at = self.stamps[slot];
-            saved.written_by = self.writers[slot];
-            self.dirty[slot] = false;
+            self.saved[At::of(slot)] = self.view(slot).to_version();
         }
-        let created = self.saved_slots..self.uids.len();
+        let created = self.saved.len()..self.uids.len();
         let written = self.dirty_slots.len() + created.len();
         for slot in created {
-            self.saved[slot / SAVED_SEGMENT].push(RecordVersion {
-                entry: self.entries[slot].clone(),
-                lsn: self.lsns[slot],
-                committed_at: self.stamps[slot],
-                written_by: self.writers[slot],
-            });
-            self.dirty.push(false);
+            self.saved.push(self.view(slot).to_version());
         }
         self.dirty_slots.clear();
-        self.saved_slots = self.uids.len();
         self.image_lsn = Some(last_lsn);
         written
     }
@@ -233,8 +329,8 @@ impl RecordStore {
     /// saved.
     pub(crate) fn into_image(self) -> Option<(Lsn, Vec<(SubscriberUid, RecordVersion)>)> {
         let lsn = self.image_lsn?;
-        let mut records = Vec::with_capacity(self.saved_slots);
-        records.extend(self.uids.into_iter().zip(self.saved.into_iter().flatten()));
+        let mut records = Vec::with_capacity(self.saved.len());
+        records.extend(self.uids.into_iter().zip(self.saved));
         Some((lsn, records))
     }
 
@@ -248,7 +344,7 @@ impl RecordStore {
     pub fn entry(&self, uid: SubscriberUid) -> Option<&Entry> {
         self.index
             .get(&uid)
-            .and_then(|&slot| self.entries[slot as usize].as_ref())
+            .and_then(|&slot| self.entries[At::of(slot as usize)].as_ref())
     }
 
     /// Iterate every slot in slot order (stable: insertion order).
@@ -257,12 +353,13 @@ impl RecordStore {
     }
 
     fn view(&self, slot: usize) -> RecordView<'_> {
+        let at = At::of(slot);
         RecordView {
-            uid: self.uids[slot],
-            lsn: self.lsns[slot],
-            committed_at: self.stamps[slot],
-            written_by: self.writers[slot],
-            entry: self.entries[slot].as_ref(),
+            uid: self.uids[at],
+            lsn: self.lsns[at],
+            committed_at: self.stamps[at],
+            written_by: self.writers[at],
+            entry: self.entries[at].as_ref(),
         }
     }
 
@@ -273,7 +370,7 @@ impl RecordStore {
 
     /// Whether the store holds no slots at all.
     pub fn is_empty(&self) -> bool {
-        self.uids.is_empty()
+        self.uids.len() == 0
     }
 
     /// Number of live (non-tombstone) records.
@@ -297,6 +394,21 @@ impl RecordStore {
     /// [`EngineSnapshot::approx_bytes`]: crate::engine::EngineSnapshot::approx_bytes
     pub fn snapshot_bytes(&self) -> usize {
         self.len() * 16 + self.payload_bytes
+    }
+
+    /// Heap bytes the store's per-slot structures hold, from their segment
+    /// counts: the five columns, the disk image and the list of slots
+    /// written since the last save, room included. The uid index is not
+    /// counted. Unlike [`RecordStore::approx_bytes`], the capacity model's
+    /// figure, this is what the allocator handed out.
+    pub fn heap_bytes(&self) -> usize {
+        self.uids.heap_bytes()
+            + self.lsns.heap_bytes()
+            + self.stamps.heap_bytes()
+            + self.writers.heap_bytes()
+            + self.entries.heap_bytes()
+            + self.saved.heap_bytes()
+            + self.dirty_slots.heap_bytes()
     }
 }
 

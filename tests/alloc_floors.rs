@@ -3,12 +3,15 @@
 //! * a warm `Search` makes no allocator call inside `Udr::execute`;
 //! * a one-attribute `Modify` allocates for what it changes, not for what
 //!   the record holds: one delta block of 24 bytes plus 16 per attribute
-//!   written since the profile's flat block, which it shares;
+//!   written since the profile's flat block, which it shares, and a
+//!   two-attribute apply one delta of both values;
 //! * a consensus write allocates its post-image and nothing per protocol
 //!   message;
 //! * under consensus, what an operation allocates does not grow with the
 //!   chosen log;
 //! * the storage engine shares committed payloads instead of copying them;
+//! * a record store holds less than one segment of empty room in each of
+//!   its per-slot structures, and its `heap_bytes` is what it holds;
 //! * a save allocates nothing, the first one and one after new records
 //!   included, and a sync-commit write nothing extra;
 //! * a commit log truncated behind its readers takes the segments it
@@ -35,12 +38,12 @@ use udr::ldap::{Dn, LdapOp};
 use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry, Octets};
 use udr::model::config::{DurabilityMode, IsolationLevel, ReadPolicy, ReplicationMode};
 use udr::model::identity::{Identity, IdentitySet, Imsi, Msisdn};
-use udr::model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr::model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr::model::profile::SubscriberProfile;
 use udr::model::time::{SimDuration, SimTime};
 use udr::replication::ShipBatchConfig;
 use udr::sim::net::{LatencyModel, LinkProfile};
-use udr::storage::{CommitRecord, Engine, Lsn, StorageElement};
+use udr::storage::{CommitRecord, Engine, Lsn, RecordStore, RecordVersion, StorageElement};
 
 /// What the allocator saw on one thread.
 #[derive(Clone, Copy)]
@@ -51,6 +54,15 @@ struct Tally {
     bytes: u64,
     /// Requests whose size fell inside this thread's [`window`].
     in_window: u64,
+    /// Bytes handed back (a `realloc` counts its old size).
+    freed: u64,
+}
+
+impl Tally {
+    /// Bytes still held of those requested.
+    fn live(&self) -> u64 {
+        self.bytes - self.freed
+    }
 }
 
 thread_local! {
@@ -59,9 +71,18 @@ thread_local! {
             calls: 0,
             bytes: 0,
             in_window: 0,
+            freed: 0,
         })
     };
     static WINDOW: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+fn count_free(size: usize) {
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        tally.freed += size as u64;
+        t.set(tally);
+    });
 }
 
 fn count(size: usize) {
@@ -89,11 +110,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free(layout.size());
         // SAFETY: `ptr` came from this allocator with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_free(layout.size());
         count(new_size);
         // SAFETY: `ptr`/`layout` came from this allocator; `new_size` is
         // the caller's.
@@ -125,6 +148,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
             calls: after.calls - before.calls,
             bytes: after.bytes - before.bytes,
             in_window: after.in_window - before.in_window,
+            freed: after.freed - before.freed,
         },
     )
 }
@@ -371,11 +395,8 @@ fn a_warm_modify_shipped_per_record_allocates_for_what_it_changes() {
 
 const PROFILE_UID: SubscriberUid = SubscriberUid(1);
 
-/// An engine holding one provisioned 13-attribute profile under
-/// [`PROFILE_UID`], its write set and its commit log's first segment warmed
-/// up by 100 modifies of `OdbMask`. The commits that follow are the log's
-/// 102nd record of 128 and on, so up to the 128th the log asks for nothing.
-fn warm_profile_engine() -> Engine {
+/// A provisioned 13-attribute profile: one flat block.
+fn provisioned_profile() -> Entry {
     let ids = IdentitySet {
         imsi: imsi(1),
         msisdn: Msisdn::new("34600000001").unwrap(),
@@ -384,9 +405,18 @@ fn warm_profile_engine() -> Engine {
     };
     let profile = SubscriberProfile::provision(&ids, 0, [7; 16]).into_entry();
     assert_eq!(profile.len(), 13, "{profile:?}");
+    assert_eq!(profile.delta_len(), None);
+    profile
+}
+
+/// An engine holding one provisioned 13-attribute profile under
+/// [`PROFILE_UID`], its write set and its commit log's first segment warmed
+/// up by 100 modifies of `OdbMask`. The commits that follow are the log's
+/// 102nd record of 128 and on, so up to the 128th the log asks for nothing.
+fn warm_profile_engine() -> Engine {
     let mut engine = Engine::new(SeId(0));
     let txn = engine.begin(IsolationLevel::ReadCommitted);
-    engine.put(txn, PROFILE_UID, profile).unwrap();
+    engine.put(txn, PROFILE_UID, provisioned_profile()).unwrap();
     engine.commit(txn, SimTime(0)).unwrap();
     for v in 1..=100 {
         modify_profile(&mut engine, AttrId::OdbMask, v);
@@ -476,6 +506,37 @@ fn a_modify_past_half_the_profile_requests_one_flat_block() {
         Some(&AttrValue::U64(106))
     );
     assert_eq!(entry.get(AttrId::OdbMask), Some(&AttrValue::U64(107)));
+}
+
+/// A location update sets two attributes in one modify. Its apply to a
+/// shared provisioned profile builds one delta holding both values over the
+/// profile's flat block, in one call, as two one-attribute writes would
+/// leave it.
+#[test]
+fn a_two_attribute_apply_of_a_provisioned_profile_requests_one_delta_of_both() {
+    let profile = provisioned_profile();
+    let mut entry = profile.clone();
+    let vlr = AttrValue::from("vlr-3.mnc001.mcc214");
+    let mme = AttrValue::from("mme-3.mnc001.mcc214");
+    let mods = [
+        AttrMod::Set(AttrId::VlrAddress, vlr.clone()),
+        AttrMod::Set(AttrId::MmeAddress, mme.clone()),
+    ];
+    let ((), tally) = counted(|| entry.apply(&mods));
+    assert_eq!(
+        (tally.calls, tally.bytes),
+        (1, VERSION_HEADER + 2 * 16),
+        "two sets over a flat block"
+    );
+    assert_eq!(entry.delta_len(), Some(2));
+    assert_eq!(entry.get(AttrId::VlrAddress), Some(&vlr));
+    assert_eq!(entry.get(AttrId::MmeAddress), Some(&mme));
+    let mut one_by_one = profile.clone();
+    one_by_one.set(AttrId::VlrAddress, vlr);
+    one_by_one.set(AttrId::MmeAddress, mme);
+    assert_eq!(entry, one_by_one);
+    assert_eq!(entry.approx_size(), one_by_one.approx_size());
+    assert_eq!(profile.len(), 13, "the shared block is left alone");
 }
 
 // --- Consensus: a CP write allocates its post-image -------------------------
@@ -1045,6 +1106,68 @@ fn a_sync_commit_modify_allocates_what_a_periodic_one_does() {
         warm_se_modify_calls(DurabilityMode::SyncCommit),
         periodic,
         "a sync-commit modify refreshes the disk image without allocating"
+    );
+}
+
+// --- Storage: a store holds less than a segment of room per column ---------
+//
+// Every per-slot structure of a record store (the five live columns, the
+// saved column of the disk image and the list of slots written since the
+// last save) sits in fixed segments of 1 024 slots, each opened whole. A
+// store of N records therefore holds room for N rounded up to a segment in
+// each structure, and a table of segment handles, and `heap_bytes` says so
+// from its segment counts.
+
+/// Records of one store at `ps_modify`'s size: 50 000 subscribers over
+/// three partitions.
+const STORE_RECORDS: u64 = 16_667;
+/// Slots per segment of a store's per-slot structures.
+const STORE_SEGMENT: u64 = 1024;
+
+#[test]
+fn a_store_holds_less_than_a_segment_of_room_per_column() {
+    let payload = small(0);
+    let (store, built) = counted(|| {
+        let mut store = RecordStore::new();
+        for i in 0..STORE_RECORDS {
+            let (uid, lsn) = (SubscriberUid(i), Lsn(i + 1));
+            store.upsert(uid, Some(payload.clone()), lsn, SimTime(i), SeId(0));
+        }
+        store
+    });
+    // The uid index, built alone as the store builds it.
+    let (index, alone) = counted(|| {
+        let mut index: IdMap<SubscriberUid, u32> = IdMap::default();
+        for i in 0..STORE_RECORDS {
+            index.insert(SubscriberUid(i), i as u32);
+        }
+        index
+    });
+    assert_eq!((store.len(), index.len()), (16_667, 16_667));
+    let live = built.live() - alone.live();
+    let heap = store.heap_bytes() as u64;
+    assert!(
+        heap.abs_diff(live) * 100 <= live,
+        "heap_bytes {heap} B, the allocator {live} B"
+    );
+
+    // A slot's bytes over the seven structures, and room for the records
+    // rounded up to whole segments, plus at most two handles per segment in
+    // each structure's table.
+    let slot = size_of::<SubscriberUid>()
+        + size_of::<Lsn>()
+        + size_of::<SimTime>()
+        + size_of::<SeId>()
+        + size_of::<Option<Entry>>()
+        + size_of::<RecordVersion>()
+        + size_of::<u32>();
+    let segments = STORE_RECORDS.div_ceil(STORE_SEGMENT);
+    let room = segments * STORE_SEGMENT * slot as u64;
+    let tables = 7 * 2 * segments * size_of::<Vec<u8>>() as u64;
+    assert!(
+        live <= room + tables,
+        "{live} B for {STORE_RECORDS} records, room for {} slots is {room} B",
+        segments * STORE_SEGMENT
     );
 }
 
