@@ -18,6 +18,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::attrs::Text;
 use crate::error::UdrError;
 use crate::intern::IdentityInterner;
 
@@ -120,6 +121,12 @@ macro_rules! impl_interned {
             /// for the life of the process.
             pub fn as_str(&self) -> &'static str {
                 IdentityInterner::global().resolve(self.0)
+            }
+
+            /// The textual value as an attribute's [`Text`], sharing the
+            /// interner's bytes: no copy, no allocation.
+            pub fn text(&self) -> Text {
+                IdentityInterner::global().text(self.0)
             }
 
             /// The interned symbol — a dense `u32` suitable as a compact

@@ -16,15 +16,22 @@
 //! * **general path** — URIs and NAIs (IMPU/IMPI) intern through a string
 //!   keyed table.
 //!
-//! Interned strings are leaked (`&'static str`), which is exactly the
-//! lifetime a subscriber database wants: identities live as long as the
-//! process. [`IdentityInterner::global`] is the process-wide instance every
-//! identity newtype routes through.
+//! Interned strings are leaked, which is exactly the lifetime a subscriber
+//! database wants: identities live as long as the process. Each is one
+//! [`Text`] block whose handle the arena keeps and never gives back
+//! (`Text::leak`), so [`IdentityInterner::resolve`] lends it as a
+//! `&'static str` and [`IdentityInterner::text`] hands out a new `Text` on
+//! the same bytes: a provisioned profile's identity attributes share the
+//! interner's copy instead of making their own.
+//! [`IdentityInterner::global`] is the process-wide instance every identity
+//! newtype routes through.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
+
+use crate::payload::{StaticText, Text};
 
 /// Maximum digit count the packed fast path accepts (the 3GPP identity
 /// maximum: IMSI and E.164 numbers are at most 15 digits).
@@ -62,7 +69,7 @@ struct Tables {
     /// General path: interned string → symbol.
     by_str: HashMap<&'static str, u32>,
     /// Symbol → interned string (the arena of record).
-    strings: Vec<&'static str>,
+    strings: Vec<StaticText>,
 }
 
 /// A thread-safe string interner for subscriber identities.
@@ -113,7 +120,7 @@ impl IdentityInterner {
                 return sym;
             }
             let sym = Self::push(&mut t, s);
-            let leaked = t.strings[sym as usize];
+            let leaked = t.strings[sym as usize].as_str();
             t.by_str.insert(leaked, sym);
             sym
         }
@@ -122,8 +129,7 @@ impl IdentityInterner {
     fn push(t: &mut Tables, s: &str) -> u32 {
         let sym = u32::try_from(t.strings.len())
             .expect("identity interner overflow: more than u32::MAX distinct identities");
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        t.strings.push(leaked);
+        t.strings.push(Text::from(s).leak());
         sym
     }
 
@@ -132,7 +138,15 @@ impl IdentityInterner {
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: u32) -> &'static str {
-        self.tables.read().strings[sym as usize]
+        self.tables.read().strings[sym as usize].as_str()
+    }
+
+    /// A [`Text`] handle on a symbol's stored bytes: no copy, one count.
+    ///
+    /// # Panics
+    /// Panics if `sym` was not produced by this interner.
+    pub fn text(&self, sym: u32) -> Text {
+        self.tables.read().strings[sym as usize].text()
     }
 
     /// Distinct identities interned so far.
@@ -154,8 +168,11 @@ impl IdentityInterner {
     /// overhead (feeds the scale campaign's memory accounting).
     pub fn approx_bytes(&self) -> usize {
         let t = self.tables.read();
-        let payload: usize = t.strings.iter().map(|s| s.len() + 16).sum();
-        payload + t.by_packed.len() * 24 + t.by_str.len() * 32 + t.strings.len() * 16
+        let payload: usize = t.strings.iter().map(|s| s.as_str().len() + 16).sum();
+        payload
+            + t.by_packed.len() * 24
+            + t.by_str.len() * 32
+            + t.strings.len() * size_of::<StaticText>()
     }
 }
 
@@ -202,6 +219,19 @@ mod tests {
         assert_eq!(i.packed_len(), 1);
         assert_eq!(i.resolve(a), "214010000000001");
         assert_eq!(i.resolve(c), "sip:alice@ims.example.com");
+    }
+
+    #[test]
+    fn a_symbols_text_shares_the_stored_bytes() {
+        let i = IdentityInterner::new();
+        let digits = i.intern("34600123456");
+        let uri = i.intern("sip:bob@ims.example.com");
+        for sym in [digits, uri] {
+            let text = i.text(sym);
+            assert_eq!(&*text, i.resolve(sym));
+            assert_eq!(text.as_ptr(), i.resolve(sym).as_ptr(), "no copy");
+            assert_eq!(text.handles(), 2, "the arena's and this one");
+        }
     }
 
     #[test]

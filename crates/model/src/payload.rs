@@ -17,7 +17,11 @@
 //! [`Text`], [`Octets`] and [`TextList`] are the attribute values' thin
 //! handles: a payload of UTF-8 bytes, of raw octets, and of texts. They
 //! compare, print and convert as `Arc<str>`, `Arc<[u8]>` and
-//! `Arc<[Arc<str>]>` do.
+//! `Arc<[Arc<str>]>` do. [`Text::leak`] gives up a text's handle for good
+//! and returns a [`StaticText`], an 8-byte `Copy` handle whose block is
+//! never freed: it lends the bytes as `&'static str` and makes new `Text`
+//! handles on them for one count each. The identity interner keeps its
+//! strings so, and a profile's identity attributes share them.
 //!
 //! Reference counting follows `Arc`: a `Relaxed` increment that aborts
 //! before the count can overflow, a `Release` decrement, and an `Acquire`
@@ -31,6 +35,7 @@
 use std::alloc::{self, Layout};
 use std::fmt;
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::ops::Deref;
 use std::ptr::{self, NonNull};
 use std::slice;
@@ -458,12 +463,70 @@ impl<const N: usize> From<[u8; N]> for Octets {
     }
 }
 
-/// Collects the texts first, as `Arc<[T]>` does for an iterator of unknown
-/// length, then copies them into one block.
+/// Builds the block straight from an iterator whose `size_hint` is exact.
+/// Only one of unknown length is collected first, as `Arc<[T]>` does, then
+/// moved into one block. An iterator that lies about its length panics in
+/// `Payload::from_exact`, never leaves an element unwritten.
 impl<S: Into<Text>> FromIterator<S> for TextList {
     fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
-        let items: Vec<Text> = iter.into_iter().map(Into::into).collect();
-        TextList(Payload::from_exact(items.len(), items))
+        let iter = iter.into_iter().map(Into::into);
+        match iter.size_hint() {
+            (lo, Some(hi)) if lo == hi => TextList(Payload::from_exact(lo, iter)),
+            _ => {
+                let items: Vec<Text> = iter.collect();
+                TextList(Payload::from_exact(items.len(), items))
+            }
+        }
+    }
+}
+
+/// A [`Text`] whose block is never freed: an 8-byte `Copy` handle that
+/// holds the one count [`Text::leak`] gave up, so it lends its bytes for
+/// `'static` and hands out new [`Text`] handles on them without copying.
+/// The identity interner's arena.
+#[derive(Clone, Copy)]
+pub(crate) struct StaticText(NonNull<Header<usize>>);
+
+// SAFETY: a `StaticText` only reads its block's bytes, which nothing writes
+// after the block is built (no `Text` calls `get_mut`), and touches its
+// count atomically in `text`; a `Text` is `Send + Sync` for the same reasons.
+unsafe impl Send for StaticText {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for StaticText {}
+
+impl Text {
+    /// Give up this handle's count for good: the block outlives every other
+    /// handle and is never freed.
+    pub(crate) fn leak(self) -> StaticText {
+        let text = ManuallyDrop::new(self);
+        StaticText(text.0.header)
+    }
+}
+
+impl StaticText {
+    /// The text, for the life of the process.
+    pub(crate) fn as_str(self) -> &'static str {
+        // SAFETY: the count `Text::leak` kept is never given back, so the
+        // block lives as long as the process; its bytes came from a `str`
+        // and nothing writes to them (see `Text::deref`).
+        unsafe {
+            let len = self.0.as_ref().shape;
+            str::from_utf8_unchecked(slice::from_raw_parts(Payload::<u8>::elems(self.0), len))
+        }
+    }
+
+    /// A new handle on the same bytes: one count, no allocation.
+    pub(crate) fn text(self) -> Text {
+        (*self.handle()).clone()
+    }
+
+    /// The handle [`Text::leak`] gave up, never dropped: cloning it is the
+    /// only count taken.
+    fn handle(self) -> ManuallyDrop<Text> {
+        ManuallyDrop::new(Text(Payload {
+            header: self.0,
+            _owns: PhantomData,
+        }))
     }
 }
 
@@ -493,6 +556,20 @@ impl Text {
     /// The handles on this text's block, this one included.
     pub(crate) fn handles(&self) -> usize {
         self.0.header().count.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+impl StaticText {
+    /// Take back the count [`Text::leak`] kept, so that a test frees the
+    /// block it leaked.
+    ///
+    /// # Safety
+    ///
+    /// Neither this handle nor a copy of it, nor any `&'static str` it lent,
+    /// may be used after.
+    unsafe fn reclaim(self) -> Text {
+        ManuallyDrop::into_inner(self.handle())
     }
 }
 
@@ -844,6 +921,66 @@ mod tests {
         let out = panic::catch_unwind(AssertUnwindSafe(|| feed.collect::<TextList>()));
         assert!(out.is_err());
         assert_eq!(impu.handles(), 1);
+    }
+
+    #[test]
+    fn a_text_list_from_an_iterator_that_lies_about_its_length_panics() {
+        /// Yields `yields` texts but claims exactly `claims`.
+        struct Lying {
+            text: Text,
+            yields: usize,
+            claims: usize,
+        }
+        impl Iterator for Lying {
+            type Item = Text;
+            fn next(&mut self) -> Option<Text> {
+                self.yields = self.yields.checked_sub(1)?;
+                Some(self.text.clone())
+            }
+            fn size_hint(&self) -> (usize, Option<usize>) {
+                (self.claims, Some(self.claims))
+            }
+        }
+        let impu = Text::from("sip:carol@ims.example");
+        for (yields, claims) in [(2, 3), (3, 2)] {
+            let lying = Lying {
+                text: impu.clone(),
+                yields,
+                claims,
+            };
+            let out = panic::catch_unwind(AssertUnwindSafe(|| lying.collect::<TextList>()));
+            assert!(out.is_err(), "{yields} texts claimed as {claims}");
+            assert_eq!(impu.handles(), 1, "every text taken is dropped");
+        }
+        let honest = Lying {
+            text: impu.clone(),
+            yields: 2,
+            claims: 2,
+        };
+        assert_eq!(honest.collect::<TextList>().len(), 2);
+        assert_eq!(impu.handles(), 1);
+    }
+
+    #[test]
+    fn a_leaked_texts_handles_never_free_its_block() {
+        let leaked = Text::from("sip:dave@ims.example").leak();
+        let bytes = leaked.as_str();
+        let first = leaked.text();
+        assert_eq!(first.handles(), 2, "the leaked count and this one");
+        let copies: Vec<Text> = (0..3).map(|_| first.clone()).collect();
+        let again = leaked.text();
+        assert_eq!(again.handles(), 6);
+        assert_eq!(first.as_ptr(), bytes.as_ptr(), "a handle copies no byte");
+        drop(copies);
+        drop(first);
+        drop(again);
+        let last = leaked.text();
+        assert_eq!(last.handles(), 2, "only the leaked count is left");
+        drop(last);
+        assert_eq!(bytes, "sip:dave@ims.example");
+        assert_eq!(leaked.as_str().as_ptr(), bytes.as_ptr());
+        // SAFETY: `leaked` and `bytes` are not used after this.
+        drop(unsafe { leaked.reclaim() });
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! subscription" transaction writes: the identities, the authentication
 //! data and the default services. Everything after creation reads and
 //! writes that entry through LDAP, so the profile has no accessors.
+//!
+//! The identity attributes hold the interner's own bytes
+//! ([`Imsi::text`](crate::identity::Imsi::text) and its kin), so building
+//! a profile copies no identity: it allocates its flat block, the Ki
+//! octets and, for an IMS subscriber, the IMPU list.
 
 use std::sync::LazyLock;
 
@@ -43,14 +48,14 @@ impl SubscriberProfile {
     /// provisioning "create" transaction would (§2.4).
     pub fn provision(ids: &IdentitySet, home_region: u32, ki: [u8; 16]) -> Self {
         let impus = (!ids.impus.is_empty()).then(|| {
-            let impus = ids.impus.iter().map(|i| i.as_str()).collect();
+            let impus = ids.impus.iter().map(|i| i.text()).collect();
             (AttrId::ImpuList, AttrValue::StrList(impus))
         });
-        let impi = ids.impi.as_ref().map(|i| (AttrId::Impi, i.as_str().into()));
+        let impi = ids.impi.map(|i| (AttrId::Impi, AttrValue::Str(i.text())));
         let defaults = &*DEFAULTS;
         let entry = [
-            (AttrId::Imsi, ids.imsi.as_str().into()),
-            (AttrId::Msisdn, ids.msisdn.as_str().into()),
+            (AttrId::Imsi, AttrValue::Str(ids.imsi.text())),
+            (AttrId::Msisdn, AttrValue::Str(ids.msisdn.text())),
         ]
         .into_iter()
         .chain(impus)

@@ -1,6 +1,8 @@
 //! Allocation floors: what the hot paths may ask of the allocator.
 //!
 //! * a warm `Search` makes no allocator call inside `Udr::execute`;
+//! * a provisioned profile shares its identities with the interner, so
+//!   building one allocates its flat block, Ki and IMPU list only;
 //! * a one-attribute `Modify` allocates for what it changes, not for what
 //!   the record holds: one delta block of 24 bytes plus 16 per attribute
 //!   written since the profile's flat block, which it shares, and a
@@ -37,7 +39,7 @@ use udr::dls::{IdentityLocationMap, Location};
 use udr::ldap::{Dn, LdapOp};
 use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry, Octets};
 use udr::model::config::{DurabilityMode, IsolationLevel, ReadPolicy, ReplicationMode};
-use udr::model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr::model::identity::{Identity, IdentitySet, Impi, Impu, Imsi, Msisdn};
 use udr::model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr::model::profile::SubscriberProfile;
 use udr::model::time::{SimDuration, SimTime};
@@ -407,6 +409,33 @@ fn provisioned_profile() -> Entry {
     assert_eq!(profile.len(), 13, "{profile:?}");
     assert_eq!(profile.delta_len(), None);
     profile
+}
+
+/// Provisioning a subscriber with every identity kind allocates its flat
+/// block, the Ki octets and the IMPU list's block, and nothing else: each
+/// identity attribute is a handle on the interner's bytes, not a copy.
+#[test]
+fn a_provisioned_profile_shares_its_identities() {
+    let ids = IdentitySet {
+        imsi: imsi(2),
+        msisdn: Msisdn::new("34600000002").unwrap(),
+        impus: vec![Impu::new("sip:+34600000002@ims.example.com").unwrap()],
+        impi: Some(Impi::new("34600000002@ims.example.com").unwrap()),
+    };
+    // The first profile builds the shared default values.
+    SubscriberProfile::provision(&ids, 0, [7; 16]);
+    let (profile, tally) = counted(|| SubscriberProfile::provision(&ids, 0, [7; 16]));
+    assert_eq!(tally.calls, 3, "flat block, Ki octets, IMPU list");
+    let entry = profile.into_entry();
+    let text = |id| entry.get(id).and_then(AttrValue::as_str).unwrap().as_ptr();
+    assert_eq!(text(AttrId::Imsi), ids.imsi.as_str().as_ptr());
+    assert_eq!(text(AttrId::Msisdn), ids.msisdn.as_str().as_ptr());
+    assert_eq!(text(AttrId::Impi), ids.impi.unwrap().as_str().as_ptr());
+    let Some(AttrValue::StrList(impus)) = entry.get(AttrId::ImpuList) else {
+        panic!("no IMPU list: {entry:?}");
+    };
+    assert_eq!(impus.len(), 1);
+    assert_eq!(impus[0].as_ptr(), ids.impus[0].as_str().as_ptr());
 }
 
 /// An engine holding one provisioned 13-attribute profile under
