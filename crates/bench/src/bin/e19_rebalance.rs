@@ -7,16 +7,18 @@
 //! a hotspot relocation all run *while traffic flows*, per locator
 //! realisation. Reported per phase: per-op latency, the hand-off freeze
 //! and the operations it blocked, stale-route retries after the epoch bump
-//! — and a post-migration full scan against a shadow oracle proving zero
-//! committed records were lost or duplicated. A target catches up as a
-//! learner on its partition's ship channels, so it has no stream of its
-//! own to count.
+//! — and a post-migration full scan by the checker (`udr_bench::check`)
+//! proving that no acknowledged marker was lost and no copy duplicated.
+//! A target catches up as a learner on its partition's ship channels, so
+//! it has no stream of its own to count.
 
-use udr_bench::harness::{provisioned_system, run_events, standard_traffic, t, Scenario};
+use udr_bench::check::{stray_copies, write_markers, Markers};
+use udr_bench::harness::{
+    provisioned_system, run_events, settle_migrations, standard_traffic, t, PsRetry, Scenario,
+};
 use udr_bench::json::BenchReport;
 use udr_core::{Rebalancer, Udr, UdrConfig};
 use udr_metrics::Table;
-use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::LocatorKind;
 use udr_model::identity::Identity;
 use udr_model::ids::{SeId, SiteId};
@@ -27,71 +29,6 @@ use udr_workload::TrafficModel;
 const SUBSCRIBERS: u64 = 600;
 const SEED: u64 = 29;
 const TRAFFIC_RATE: f64 = 0.05;
-
-/// Marker values the shadow oracle checks after every phase.
-fn write_oracle(s: &mut Scenario, base: SimTime) -> Vec<(Identity, u64)> {
-    let population = s.population.clone();
-    let mut oracle = Vec::with_capacity(population.len());
-    let mut at = base;
-    for (i, sub) in population.iter().enumerate() {
-        let identity: Identity = sub.ids.imsi.into();
-        let value = 0xE19_0000 + i as u64;
-        // Rare WAN loss can fail an attempt; the PS retries (§2.4).
-        let mut done = false;
-        for _ in 0..4 {
-            let out = s.udr.modify_services(
-                &identity,
-                vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(value))],
-                SiteId(0),
-                at,
-            );
-            at += SimDuration::from_millis(2);
-            match out.result {
-                Ok(_) => {
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retryable() => continue,
-                Err(e) => panic!("oracle write {i} failed hard: {e}"),
-            }
-        }
-        assert!(done, "oracle write {i} kept failing");
-        oracle.push((identity, value));
-    }
-    oracle
-}
-
-/// Full scan vs the shadow oracle: `(lost, duplicated)` committed records.
-fn scan_oracle(udr: &Udr, oracle: &[(Identity, u64)]) -> (u64, u64) {
-    let mut lost = 0u64;
-    for (identity, expected) in oracle {
-        let Some(loc) = udr.lookup_authority(identity) else {
-            lost += 1;
-            continue;
-        };
-        let Some(master) = udr.shard_map().master_of(loc.partition) else {
-            lost += 1;
-            continue;
-        };
-        match udr.se(master).read_committed(loc.partition, loc.uid) {
-            Ok(Some(entry)) if entry.get(AttrId::OdbMask) == Some(&AttrValue::U64(*expected)) => {}
-            _ => lost += 1,
-        }
-    }
-    // A copy of a partition hosted outside its replica set is a
-    // duplicate left behind by a botched hand-off.
-    let mut dup = 0u64;
-    for partition in udr.shard_map().partitions() {
-        let members = udr.shard_map().members_of(partition).unwrap_or(&[]);
-        for i in 0..udr.se_count() {
-            let se = udr.se(SeId(i as u32));
-            if se.partitions().any(|p| p == partition) && !members.contains(&se.id()) {
-                dup += 1;
-            }
-        }
-    }
-    (lost, dup)
-}
 
 struct PhaseRow {
     locator: LocatorKind,
@@ -127,27 +64,20 @@ fn snapshot(udr: &Udr) -> Snapshot {
 }
 
 /// Drive one phase: run `events` (FE traffic), let pending migrations
-/// settle, and report the deltas plus the oracle scan.
+/// settle, and report the deltas plus the checker's scan.
 fn finish_phase(
     s: &mut Scenario,
     locator: LocatorKind,
     phase: &'static str,
     before: &Snapshot,
-    oracle: &[(Identity, u64)],
+    markers: &Markers,
     end: SimTime,
 ) -> PhaseRow {
     // Let in-flight migrations settle after the traffic window.
-    let mut at = end;
-    for _ in 0..300 {
-        if s.udr.active_migrations() == 0 {
-            break;
-        }
-        at += SimDuration::from_millis(100);
-        s.udr.advance_to(at);
-    }
-    assert_eq!(s.udr.active_migrations(), 0, "{phase}: migrations stuck");
+    settle_migrations(&mut s.udr, end);
     let after = snapshot(&s.udr);
-    let (lost, dup) = scan_oracle(&s.udr, oracle);
+    let lost = markers.lost(&s.udr).len() as u64;
+    let dup = stray_copies(&s.udr).len() as u64;
     PhaseRow {
         locator,
         phase,
@@ -176,8 +106,10 @@ fn run_locator(locator: LocatorKind) -> Vec<PhaseRow> {
     cfg.frash.locator = locator;
     cfg.seed = SEED;
     let mut s = provisioned_system(cfg, SUBSCRIBERS, SEED);
-    let oracle_base = s.udr.now() + SimDuration::from_secs(1);
-    let oracle = write_oracle(&mut s, oracle_base);
+    // One marker per subscriber, checked after every phase.
+    let identities: Vec<Identity> = s.population.iter().map(|sub| sub.ids.imsi.into()).collect();
+    let base = s.udr.now() + SimDuration::from_secs(1);
+    let markers = write_markers(&mut s.udr, &identities, 0xE19_0000, base, PsRetry::STANDARD);
     let mut rows = Vec::new();
 
     // -- baseline: traffic with no data movement ---------------------------
@@ -190,7 +122,7 @@ fn run_locator(locator: LocatorKind) -> Vec<PhaseRow> {
         locator,
         "baseline",
         &before,
-        &oracle,
+        &markers,
         t(35),
     ));
 
@@ -206,7 +138,7 @@ fn run_locator(locator: LocatorKind) -> Vec<PhaseRow> {
     }
     let events = standard_traffic(&s, TRAFFIC_RATE, 0.05, t(40), t(55), SEED + 2);
     run_events(&mut s, &events, None, SiteId(0));
-    let row = finish_phase(&mut s, locator, "scale-out", &before, &oracle, t(55));
+    let row = finish_phase(&mut s, locator, "scale-out", &before, &markers, t(55));
     assert_eq!(row.completed, plans.len() as u64, "scale-out move failed");
     rows.push(row);
 
@@ -222,7 +154,7 @@ fn run_locator(locator: LocatorKind) -> Vec<PhaseRow> {
     }
     let events = standard_traffic(&s, TRAFFIC_RATE, 0.05, t(60), t(75), SEED + 3);
     run_events(&mut s, &events, None, SiteId(0));
-    let row = finish_phase(&mut s, locator, "drain", &before, &oracle, t(75));
+    let row = finish_phase(&mut s, locator, "drain", &before, &markers, t(75));
     assert_eq!(row.completed, plans.len() as u64, "drain move failed");
     assert!(
         s.udr.shard_map().partitions_on(victim).is_empty(),
@@ -262,7 +194,7 @@ fn run_locator(locator: LocatorKind) -> Vec<PhaseRow> {
         locator,
         "hotspot",
         &before,
-        &oracle,
+        &markers,
         t(100),
     ));
 

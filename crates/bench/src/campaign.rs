@@ -27,15 +27,17 @@
 //!   any provisioned `OdbMask`, so a history read names exactly one
 //!   write (the shipping families' reports are byte-identical with this
 //!   base, so every family uses it);
-//! * **the lost-write oracle** — for the shipping families, a monotone
-//!   scan of every master: a final value *below* the highest acknowledged
-//!   sequence is a lost acknowledged write (writes per subscriber are
-//!   issued sequentially in virtual time, so last-writer-wins merges
-//!   preserve monotonicity). Under consensus that scan would misjudge a
-//!   legal "zombie" — a timed-out lower write that commits after a later
-//!   acknowledged one — so an acknowledged value is durable iff it appears
-//!   in the final chosen log, and a value chosen twice is a duplicate.
-//!   Any partition copy hosted outside its replica set is a duplicate too.
+//! * **the lost-write oracle** — every write is a marker in [`Markers`].
+//!   For the shipping families the checker's one rule scans every master:
+//!   a final value *below* the subscriber's last acknowledged sequence is a
+//!   lost acknowledged write (writes per subscriber are issued sequentially
+//!   in virtual time, so last-writer-wins merges preserve monotonicity),
+//!   and one *above* its last issued sequence was never written. Under
+//!   consensus that scan would misjudge a legal "zombie" — a timed-out
+//!   lower write that commits after a later acknowledged one — so an
+//!   acknowledged value is durable iff it appears in the final chosen log,
+//!   and a value chosen twice is a duplicate. Any partition copy hosted
+//!   outside its replica set is a duplicate too ([`stray_copies`]).
 //!
 //! Writes are quiesced for one second before each scheduled SE crash:
 //! the campaign measures the *replication* loss channel, not the §4.2
@@ -47,13 +49,13 @@
 
 use std::collections::HashMap;
 
-use udr_core::{OpRequest, StageLatencyMetrics, Udr, UdrConfig};
+use udr_core::{OpRequest, StageLatencyMetrics, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_metrics::CapVerdict;
 use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
 use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
 use udr_model::identity::Identity;
-use udr_model::ids::{SeId, SiteId};
+use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::session::SessionToken;
 use udr_model::time::{SimDuration, SimTime};
@@ -61,7 +63,8 @@ use udr_sim::FaultScript;
 use udr_trace::{TraceConfig, TraceExport};
 use udr_workload::{PartitionScenario, ProcedureMix, SessionBook, TrafficModel};
 
-use crate::harness::provisioned_system;
+use crate::check::{committed_value, stray_copies, Markers};
+use crate::harness::{provisioned_system, t};
 use crate::json::{BenchReport, JsonValue};
 use crate::linear::{HistOp, History, OpKind};
 
@@ -115,7 +118,6 @@ impl CampaignConfig {
     /// The standard e22 cell: 18 subscribers, 50 s of traffic, a 20 s
     /// fault window opening at t=20 s.
     pub fn new(mode: ReplicationMode, fe_policy: ReadPolicy, scenario: PartitionScenario) -> Self {
-        let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
         CampaignConfig {
             mode,
             fe_policy,
@@ -209,19 +211,6 @@ fn odb_mask(entry: &Entry) -> Option<u64> {
     }
 }
 
-/// The `OdbMask` value the subscriber's authoritative master holds.
-fn master_odb_mask(udr: &Udr, identity: &Identity) -> Option<u64> {
-    udr.lookup_authority(identity)
-        .and_then(|loc| {
-            let master = udr.shard_map().master_of(loc.partition)?;
-            udr.se(master)
-                .read_committed(loc.partition, loc.uid)
-                .ok()
-                .flatten()
-        })
-        .and_then(|entry| odb_mask(&entry))
-}
-
 /// Attach the subscriber's session token, when it has one.
 fn sessioned<'a>(req: OpRequest<'a>, token: Option<&'a mut SessionToken>) -> OpRequest<'a> {
     match token {
@@ -262,7 +251,7 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     let mut history = History::new();
     if consensus {
         for (i, sub) in s.population.iter().enumerate() {
-            let initial = master_odb_mask(&s.udr, &sub.ids.imsi.into());
+            let initial = committed_value(&s.udr, &sub.ids.imsi.into());
             history.set_initial(i, initial.unwrap_or(0));
         }
     }
@@ -329,7 +318,7 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     );
     let mut sessions = SessionBook::all(s.population.len());
     let mut seq = SEQ_BASE;
-    let mut acked: Vec<u64> = vec![0; s.population.len()];
+    let mut markers = Markers::new(s.population.iter().map(|sub| sub.ids.imsi.into()));
     let heal_at = script.end();
     let mut settled_at: Option<SimTime> = None;
     for &CampaignOp {
@@ -386,9 +375,9 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
                     .into_op();
                 // A refused or timed-out write may still commit after the
                 // fault heals ("zombie write"): pending, never acknowledged.
+                markers.issue(subscriber, seq, out.result.is_ok());
                 let resp = match &out.result {
                     Ok(_) => {
-                        acked[subscriber] = seq;
                         verdict.record(true, in_fault, None);
                         Some(at + out.latency)
                     }
@@ -448,16 +437,14 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
                 }
             }
         }
-        let lost = acked
-            .iter()
-            .filter(|&&a| a != 0 && !chosen.contains_key(&a));
+        let lost = markers.acked().filter(|a| !chosen.contains_key(a));
         verdict.lost_acked_writes += lost.count() as u64;
         verdict.duplicated_records += chosen.values().map(|&n| n - 1).sum::<u64>();
         // Close every key's history with a committed read of the final
         // state: whatever the store converged to must itself be
         // linearizable against the recorded operations.
         for (i, sub) in s.population.iter().enumerate() {
-            if let Some(v) = master_odb_mask(&s.udr, &sub.ids.imsi.into()) {
+            if let Some(v) = committed_value(&s.udr, &sub.ids.imsi.into()) {
                 let read = OpKind::Read(v);
                 history.record(
                     i,
@@ -472,23 +459,9 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     } else {
         // An acknowledged write may be *overwritten* by a later sequence
         // (including a timed-out-but-committed one); it may never vanish.
-        for (i, sub) in s.population.iter().enumerate() {
-            if acked[i] != 0
-                && master_odb_mask(&s.udr, &sub.ids.imsi.into()).is_none_or(|v| v < acked[i])
-            {
-                verdict.lost_acked_writes += 1;
-            }
-        }
+        verdict.lost_acked_writes += markers.lost(&s.udr).len() as u64;
     }
-    for partition in s.udr.shard_map().partitions() {
-        let members = s.udr.shard_map().members_of(partition).unwrap_or(&[]);
-        for i in 0..s.udr.se_count() {
-            let se = s.udr.se(SeId(i as u32));
-            if se.partitions().any(|p| p == partition) && !members.contains(&se.id()) {
-                verdict.duplicated_records += 1;
-            }
-        }
-    }
+    verdict.duplicated_records += stray_copies(&s.udr).len() as u64;
 
     // ---- consistency debt from the run metrics ------------------------
     let m = &s.udr.metrics;

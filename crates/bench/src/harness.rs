@@ -9,7 +9,7 @@ use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::ReplicationMode;
 use udr_model::error::UdrError;
-use udr_model::identity::Identity;
+use udr_model::identity::{Identity, IdentitySet, Impi, Impu, Imsi, Msisdn};
 use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::tenant::TenantId;
@@ -21,6 +21,81 @@ use udr_workload::{PopulationBuilder, Subscriber, TrafficEvent, TrafficModel};
 /// Virtual-time shorthand.
 pub fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
+}
+
+/// The identities of test subscriber `n`: IMSI `21401` and MSISDN `346`
+/// followed by `n`, and no IMS identities.
+pub fn numbered_ids(n: u64) -> IdentitySet {
+    IdentitySet {
+        imsi: Imsi::new(format!("21401{n:010}")).expect("a numbered IMSI is valid"),
+        msisdn: Msisdn::new(format!("346{n:08}")).expect("a numbered MSISDN is valid"),
+        impus: vec![],
+        impi: None,
+    }
+}
+
+/// Test subscriber `n`'s identities with one IMPU and an IMPI, `user`
+/// followed by `n` at `ims.example.com`.
+pub fn numbered_ims_ids(n: u64) -> IdentitySet {
+    let user = format!("user{n}@ims.example.com");
+    IdentitySet {
+        impus: vec![Impu::new(format!("sip:{user}")).expect("a numbered IMPU is valid")],
+        impi: Some(Impi::new(user).expect("a numbered IMPI is valid")),
+        ..numbered_ids(n)
+    }
+}
+
+/// How the PS retries one operation (§2.4): up to `attempts` tries, each
+/// moving its clock on by `step`.
+#[derive(Debug, Clone, Copy)]
+pub struct PsRetry {
+    /// Tries in all, the first included.
+    pub attempts: u32,
+    /// How far each try moves the PS's clock on, success or not.
+    pub step: SimDuration,
+}
+
+impl PsRetry {
+    /// The PS's rule: rare WAN loss can time a try out, so four tries,
+    /// 2 ms apart.
+    pub const STANDARD: PsRetry = PsRetry {
+        attempts: 4,
+        step: SimDuration::from_millis(2),
+    };
+
+    /// Issue `op` at `*at`, and again while it fails with a retryable
+    /// error and tries are left; `*at` moves on by `step` after every
+    /// try. Returns the last try's result and the number of retries.
+    pub fn run<T>(
+        self,
+        at: &mut SimTime,
+        mut op: impl FnMut(SimTime) -> Result<T, UdrError>,
+    ) -> (Result<T, UdrError>, u64) {
+        let mut retries = 0;
+        loop {
+            let result = op(*at);
+            *at += self.step;
+            match result {
+                Err(e) if e.is_retryable() && retries + 1 < self.attempts => retries += 1,
+                result => return (result, u64::from(retries)),
+            }
+        }
+    }
+}
+
+/// Run the event pump in 100 ms steps from `at` until every migration
+/// reaches a terminal state, and return the instant it got to; panics when
+/// one is still running 30 s on.
+pub fn settle_migrations(udr: &mut Udr, mut at: SimTime) -> SimTime {
+    for _ in 0..300 {
+        if udr.active_migrations() == 0 {
+            break;
+        }
+        at += SimDuration::from_millis(100);
+        udr.advance_to(at);
+    }
+    assert_eq!(udr.active_migrations(), 0, "migrations never settled");
+    at
 }
 
 /// A reusable experiment scenario: a built UDR plus its population.
@@ -50,22 +125,14 @@ pub fn provisioned_system(cfg: UdrConfig, n: u64, seed: u64) -> Scenario {
         at = t(5) + SimDuration::from_millis(1);
     }
     for sub in &population {
-        // Rare WAN message loss can time an attempt out; the PS retries
-        // (its normal §2.4 behaviour).
-        let mut done = false;
-        for _ in 0..4 {
-            let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
-            at += SimDuration::from_millis(2);
-            match out.op.result {
-                Ok(_) => {
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retryable() => continue,
-                Err(e) => panic!("provisioning failed hard: {e}"),
-            }
+        let (result, _) = PsRetry::STANDARD.run(&mut at, |at| {
+            udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at)
+                .op
+                .result
+        });
+        if let Err(e) = result {
+            panic!("provisioning failed: {e}");
         }
-        assert!(done, "provisioning kept timing out");
     }
     // Zero the counters so experiments measure only their own phase.
     udr.metrics.ps_ops = Default::default();

@@ -15,6 +15,7 @@
 #![deny(unsafe_code)]
 
 pub mod campaign;
+pub mod check;
 pub mod consensus_harness;
 pub mod harness;
 pub mod json;

@@ -31,6 +31,8 @@ use udr_storage::{Engine, Lsn};
 use udr_trace::{TraceConfig, TraceExport};
 use udr_workload::PopulationBuilder;
 
+use crate::harness::PsRetry;
+
 /// Campaign knobs.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
@@ -380,15 +382,15 @@ pub fn run(cfg: &ScaleConfig) -> ScaleOutcome {
         let mut at = SimTime::ZERO + SimDuration::from_millis(1);
         for sub in builder.stream(pipe_pop, &mut pipe_rng) {
             // Rare backbone loss can fail an attempt; the PS retries (§2.4).
-            for attempt in 1.. {
-                let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
-                at += SimDuration::from_millis(2);
-                match out.op.result {
-                    Ok(_) => break,
-                    Err(e) if e.is_retryable() && attempt < 4 => pipeline_retries += 1,
-                    Err(e) => panic!("pipeline provisioning failed after {attempt} attempts: {e}"),
-                }
+            let (result, retries) = PsRetry::STANDARD.run(&mut at, |at| {
+                udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at)
+                    .op
+                    .result
+            });
+            if let Err(e) = result {
+                panic!("pipeline provisioning failed after {retries} retries: {e}");
             }
+            pipeline_retries += retries;
             pipe_subs.push(sub.ids.imsi);
         }
     }

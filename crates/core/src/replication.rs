@@ -1510,10 +1510,16 @@ impl Udr {
             // Fault policy: a crashed endpoint, a cut on the shipping path
             // or a target no longer on the ledger abandons the move —
             // restarting later is cheaper than reasoning about a
-            // half-seeded copy across a partition.
+            // half-seeded copy across a partition. A slave move whose
+            // master alone is down waits for the failover instead: the
+            // rebuilt ledger carries the target on as a learner.
             let from_up = self.ses[plan.from.index()].is_up();
             let Some(lag) = self.learner_lag(&plan).filter(|_| from_up) else {
-                self.migration_abort(t, id as u64);
+                let master_down = !self.ses[self.group(plan.partition).master().index()].is_up();
+                let to_up = self.ses[plan.to.index()].is_up();
+                if !(from_up && to_up && master_down && self.cfg.frash.auto_failover) {
+                    self.migration_abort(t, id as u64);
+                }
                 continue;
             };
             match state {

@@ -4,29 +4,17 @@
 //! partitions and crashes via catch-up, and stay deterministic under a
 //! fixed seed.
 
+use udr_bench::harness::{numbered_ids as ids, t};
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::ShipBatchConfig;
 use udr_sim::FaultScript;
 use udr_trace::{TraceConfig, TraceRecord};
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 fn config(batch: ShipBatchConfig, seed: u64) -> UdrConfig {
     let mut cfg = UdrConfig::figure2();

@@ -3,31 +3,19 @@
 //! (one-way loss, WAN brown-outs) degrade without partitioning, and the
 //! deployment measurably re-converges after heal.
 
+use udr_bench::harness::{numbered_ids as ids, t};
 use udr_consensus::Slot;
 use udr_core::{MigrationPlan, MoveReason, OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{DurabilityMode, ReadPolicy, ReplicationMode, TxnClass};
 use udr_model::error::UdrError;
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::{PartitionId, SeId, SiteId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
 use udr_sim::FaultScript;
 use udr_storage::Lsn;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 /// Make every backbone link a loss-free 15 ms WAN link.
 fn lossless_wan(udr: &mut Udr) {

@@ -3,26 +3,14 @@
 //! the amortised framing share — and change nothing else (admission,
 //! routing, results, metrics classes).
 
+use udr_bench::harness::{numbered_ids as ids, t};
 use udr_core::{BatchItem, OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, FrameCursor, LdapOp};
 use udr_model::config::TxnClass;
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::SiteId;
 use udr_model::time::{SimDuration, SimTime};
 use udr_workload::RetryPolicy;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 fn build(seed: u64) -> (Udr, Vec<IdentitySet>) {
     let mut cfg = UdrConfig::figure2();

@@ -4,29 +4,18 @@
 //! duplicated committed records, epochs that only advance at cutover, and
 //! stale-epoch lookups retried at most once.
 
+use udr_bench::check::{self, Markers};
+use udr_bench::harness::{numbered_ids as ids, settle_migrations, t, PsRetry};
 use udr_core::{MigrationPlan, MoveReason, OpRequest, Rebalancer, Udr, UdrConfig};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{DurabilityMode, ReplicationMode};
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::{PartitionId, SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
 use udr_model::time::{SimDuration, SimTime};
 use udr_replication::MigrationState;
 use udr_sim::FaultScript;
 use udr_trace::TraceConfig;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 /// A 3-site system with two SEs per cluster: enough partitions and spare
 /// capacity for moves to be non-trivial.
@@ -57,87 +46,28 @@ fn provision_n(udr: &mut Udr, n: u64) -> Vec<IdentitySet> {
     subs
 }
 
-/// Write a known value per subscriber, returning the oracle map the
-/// post-migration full scan is checked against.
-fn write_oracle(udr: &mut Udr, subs: &[IdentitySet], base: SimTime) -> Vec<(Identity, u64)> {
-    let mut oracle = Vec::new();
-    for (i, set) in subs.iter().enumerate() {
-        let identity: Identity = set.imsi.into();
-        let value = 0xBEEF_0000 + i as u64;
-        let out = udr.modify_services(
-            &identity,
-            vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(value))],
-            SiteId(0),
-            base + SimDuration::from_millis(i as u64 * 3),
-        );
-        assert!(out.is_ok(), "oracle write {i} failed: {:?}", out.result);
-        oracle.push((identity, value));
-    }
-    oracle
+/// Write one marker per subscriber from `base`, 3 ms apart, each
+/// acknowledged at its first try.
+fn write_markers(udr: &mut Udr, subs: &[IdentitySet], base: SimTime) -> Markers {
+    let identities: Vec<Identity> = subs.iter().map(|set| set.imsi.into()).collect();
+    let step = SimDuration::from_millis(3);
+    let once = PsRetry { attempts: 1, step };
+    check::write_markers(udr, &identities, 0xBEEF_0000, base, once)
 }
 
-/// Full scan against the shadow oracle: every committed record readable
-/// exactly once, from the partition's current master, with the expected
-/// value — zero loss, zero duplication.
-fn verify_against_oracle(udr: &Udr, oracle: &[(Identity, u64)]) {
-    for (identity, expected) in oracle {
-        let loc = udr
-            .lookup_authority(identity)
-            .unwrap_or_else(|| panic!("{identity} lost its binding"));
-        // Exactly one SE may master this partition, and its copy must
-        // hold the oracle value.
-        let master = udr
-            .shard_map()
-            .master_of(loc.partition)
-            .expect("partition mapped");
-        let entry = udr
-            .se(master)
-            .read_committed(loc.partition, loc.uid)
-            .expect("master serves reads")
-            .unwrap_or_else(|| panic!("{identity}: record lost in migration"));
-        assert_eq!(
-            entry.get(AttrId::OdbMask),
-            Some(&AttrValue::U64(*expected)),
-            "{identity}: stale/duplicated value after migration"
-        );
-        // No retired copy still claims the partition: the record exists
-        // only on current group members.
-        for se_idx in 0..udr.se_count() {
-            let se = udr.se(SeId(se_idx as u32));
-            let hosts = se.partitions().any(|p| p == loc.partition);
-            let is_member = udr
-                .shard_map()
-                .members_of(loc.partition)
-                .unwrap()
-                .contains(&se.id());
-            assert!(
-                !hosts || is_member,
-                "{}: retired copy of {} still hosted (duplication)",
-                se.id(),
-                loc.partition
-            );
-        }
-    }
-}
-
-/// Let the event pump run until every migration reaches a terminal state.
-fn settle_migrations(udr: &mut Udr, mut at: SimTime) -> SimTime {
-    for _ in 0..200 {
-        if udr.active_migrations() == 0 {
-            break;
-        }
-        at += SimDuration::from_millis(100);
-        udr.advance_to(at);
-    }
-    assert_eq!(udr.active_migrations(), 0, "migrations never settled");
-    at
+/// The full scan: every acknowledged marker is still what its
+/// partition's master holds, and no copy is hosted outside its replica
+/// set — zero loss, zero duplication.
+fn assert_nothing_lost(udr: &Udr, markers: &Markers) {
+    assert_eq!(markers.lost(udr), [], "acknowledged markers lost");
+    assert_eq!(check::stray_copies(udr), [], "retired copies hosted");
 }
 
 #[test]
 fn scale_out_migrates_partitions_with_zero_loss() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 48);
-    let oracle = write_oracle(&mut udr, &subs, t(5));
+    let markers = write_markers(&mut udr, &subs, t(5));
     let epoch_before = udr.shard_map().epoch();
 
     // N → N+1: a fresh SE joins site 0 and the rebalancer fills it.
@@ -161,7 +91,7 @@ fn scale_out_migrates_partitions_with_zero_loss() {
         plans.len(),
         "newcomer hosts fewer copies than planned"
     );
-    verify_against_oracle(&udr, &oracle);
+    assert_nothing_lost(&udr, &markers);
 
     // Traffic still flows end to end after the reshuffle.
     let mut at = settled + SimDuration::from_secs(1);
@@ -182,7 +112,7 @@ fn scale_out_migrates_partitions_with_zero_loss() {
 fn drain_empties_an_se_with_zero_loss() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 36);
-    let oracle = write_oracle(&mut udr, &subs, t(5));
+    let markers = write_markers(&mut udr, &subs, t(5));
 
     // N → N−1: move everything off se3, then it could be decommissioned.
     let victim = SeId(3);
@@ -199,14 +129,14 @@ fn drain_empties_an_se_with_zero_loss() {
     // The victim is empty: shard map, groups and the SE itself agree.
     assert!(udr.shard_map().partitions_on(victim).is_empty());
     assert_eq!(udr.se(victim).partitions().count(), 0);
-    verify_against_oracle(&udr, &oracle);
+    assert_nothing_lost(&udr, &markers);
 }
 
 #[test]
 fn partition_cut_between_reseed_and_cutover_aborts_cleanly() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 24);
-    let oracle = write_oracle(&mut udr, &subs, t(5));
+    let markers = write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
     let epoch_before = udr.shard_map().epoch();
 
@@ -266,14 +196,14 @@ fn partition_cut_between_reseed_and_cutover_aborts_cleanly() {
     assert!(out.success, "read after abort failed: {:?}", out.failure);
     // After the cut heals, data is still intact everywhere.
     udr.advance_to(t(50));
-    verify_against_oracle(&udr, &oracle);
+    assert_nothing_lost(&udr, &markers);
 }
 
 #[test]
 fn stale_epoch_lookup_is_retried_at_most_once() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 24);
-    write_oracle(&mut udr, &subs, t(5));
+    write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
 
     // Complete a master move so the epoch bumps.
@@ -338,14 +268,14 @@ fn stale_epoch_lookup_is_retried_at_most_once() {
 fn hotspot_cutover_resets_load_counter() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 24);
-    write_oracle(&mut udr, &subs, t(5));
+    write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
 
     let hot = udr.shard_map().partitions().next().unwrap();
     let from = udr.shard_map().master_of(hot).unwrap();
     let to = udr.add_se(udr.se(from).site(), t(9));
     let before = udr.partition_ops(hot);
-    assert!(before > 0, "oracle writes should have loaded the partition");
+    assert!(before > 0, "marker writes should have loaded the partition");
     let id = udr.start_migration(
         MigrationPlan {
             partition: hot,
@@ -385,7 +315,7 @@ fn add_cluster_rejects_unknown_site() {
 fn failover_updates_shard_map_master() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 24);
-    write_oracle(&mut udr, &subs, t(5));
+    write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
 
     let partition = udr.shard_map().partitions().next().unwrap();
@@ -438,7 +368,7 @@ fn failover_promotes_the_most_caught_up_slave() {
             .clean_partition(t(4), SimDuration::from_secs(30), [SiteId(1)])
             .se_crash(t(10), SeId(0)),
     );
-    write_oracle(&mut udr, &subs, t(5));
+    write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
     assert!(lsn(&udr, SeId(2)) > lsn(&udr, SeId(1)));
     udr.advance_to(t(20)); // past failover detection
@@ -450,7 +380,7 @@ fn failover_promotes_the_most_caught_up_slave() {
 fn failover_ties_break_on_the_lowest_id() {
     let mut udr = Udr::build(UdrConfig::figure2()).unwrap();
     let subs = provision_p0(&mut udr);
-    write_oracle(&mut udr, &subs, t(5));
+    write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
     assert_eq!(udr.group(P0).members(), &[SeId(0), SeId(1), SeId(2)]);
     assert_eq!(lsn(&udr, SeId(1)), lsn(&udr, SeId(2)));
@@ -556,7 +486,6 @@ fn invalid_plans_abort_cleanly() {
 fn master_move_freeze_window_is_accounted() {
     let mut udr = system();
     let subs = provision_n(&mut udr, 24);
-    write_oracle(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
 
     let partition = udr.shard_map().partitions().next().unwrap();
@@ -580,7 +509,7 @@ fn master_move_freeze_window_is_accounted() {
     // cutover's ledger rebuild keeps the totals: shipped records rise
     // across the move and never fall.
     let shipped = udr.shipped_records();
-    write_oracle(&mut udr, &subs, t(10) + SimDuration::from_millis(101));
+    let markers = write_markers(&mut udr, &subs, t(10) + SimDuration::from_millis(101));
     let mut last = udr.shipped_records();
     let mut at = t(10) + SimDuration::from_millis(180);
     while udr.active_migrations() > 0 && at < t(30) {
@@ -600,9 +529,11 @@ fn master_move_freeze_window_is_accounted() {
         udr.metrics.migration_freeze_time > SimDuration::ZERO,
         "master move should account a freeze window"
     );
-    // The learner became the master, which has no channel of its own.
+    // The learner became the master, which has no channel of its own, and
+    // holds every write made during the move.
     assert_eq!(udr.shard_map().master_of(partition), Some(to));
     assert_eq!(udr.channel_applied(partition, to), None);
+    assert_nothing_lost(&udr, &markers);
 }
 
 /// A write committed while a move catches up reaches the target as it
@@ -666,19 +597,21 @@ fn a_write_reaches_the_target_before_the_next_tick() {
     assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
 }
 
-/// The master fails over while a slave move is in flight: the rebuilt
-/// ledger carries the target over as a learner, so the move completes and
-/// the target hears the new master's writes.
+/// The master fails over while a slave move is in flight. The move waits
+/// out the failure detection (5 s by default) instead of aborting, since
+/// both its endpoints are up; the rebuilt ledger carries the target over
+/// as a learner, so the move completes and the target hears the new
+/// master's writes.
 #[test]
 fn a_slave_move_survives_a_failover_of_its_master() {
     let mut cfg = UdrConfig::figure2();
     cfg.ses_per_cluster = 2;
     cfg.partitions = 6;
     cfg.frash.replication_factor = 3;
-    cfg.frash.failover_detection = SimDuration::from_millis(20);
+    let detection = cfg.frash.failover_detection;
     let mut udr = Udr::build(cfg).unwrap();
     let subs = provision_n(&mut udr, 24);
-    let mut oracle = write_oracle(&mut udr, &subs, t(5));
+    let mut markers = write_markers(&mut udr, &subs, t(5));
     udr.advance_to(t(9));
     let members = udr.shard_map().members_of(P0).unwrap().to_vec();
     let master = udr.shard_map().master_of(P0).unwrap();
@@ -693,34 +626,38 @@ fn a_slave_move_survives_a_failover_of_its_master() {
         },
         t(10),
     );
-    // The crash and the failover both fall between the ticks at 10 s and
-    // 10.2 s, so no tick sees the partition without a master.
-    let ms = |n: u64| t(10) + SimDuration::from_millis(n);
-    udr.schedule_script(&FaultScript::new(0).se_crash(ms(20), master));
-    udr.advance_to(ms(100));
+    // Every catch-up tick from 10.2 s until the failover finds the
+    // partition without a master.
+    let crash = t(10) + SimDuration::from_millis(20);
+    let after = |ms: u64| crash + detection + SimDuration::from_millis(ms);
+    udr.schedule_script(&FaultScript::new(0).se_crash(crash, master));
+    udr.advance_to(after(0) - SimDuration::from_millis(1));
+    assert_eq!(udr.metrics.failovers, 0);
+    assert!(udr.migration_state(id).unwrap().is_active());
+    udr.advance_to(after(80));
     assert_eq!(udr.metrics.failovers, 1);
     assert_ne!(udr.shard_map().master_of(P0), Some(master));
     assert!(udr.migration_state(id).unwrap().is_active());
     // A write to the new master reaches the target.
-    let (i, moved) = oracle
-        .iter_mut()
-        .enumerate()
-        .find(|(_, (identity, _))| udr.lookup_authority(identity).unwrap().partition == P0)
+    let i = subs
+        .iter()
+        .position(|set| udr.lookup_authority(&set.imsi.into()).unwrap().partition == P0)
         .unwrap();
-    moved.1 = 0xF00D_0000 + i as u64;
+    let value = 0xF00D_0000 + i as u64;
     let out = udr.modify_services(
-        &moved.0,
-        vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(moved.1))],
+        &subs[i].imsi.into(),
+        vec![AttrMod::Set(AttrId::OdbMask, AttrValue::U64(value))],
         SiteId(0),
-        ms(120),
+        after(100),
     );
     assert!(out.is_ok(), "write after failover failed: {:?}", out.result);
-    settle_migrations(&mut udr, ms(120));
+    markers.issue(i, value, true);
+    settle_migrations(&mut udr, after(100));
     assert_eq!(udr.migration_state(id), Some(MigrationState::Done));
     assert!(udr.shard_map().members_of(P0).unwrap().contains(&to));
     let new_master = udr.shard_map().master_of(P0).unwrap();
     assert_eq!(lsn(&udr, to), lsn(&udr, new_master));
-    verify_against_oracle(&udr, &oracle);
+    assert_nothing_lost(&udr, &markers);
 }
 
 /// How many flight-recorder instants named `name` carry migration `id`.
@@ -826,7 +763,7 @@ fn a_copy_retired_while_its_se_is_down_stays_retired() {
         cfg.frash.durability = DurabilityMode::SyncCommit;
         let mut udr = Udr::build(cfg).unwrap();
         let subs = provision_n(&mut udr, 24);
-        write_oracle(&mut udr, &subs, t(5));
+        write_markers(&mut udr, &subs, t(5));
         udr.advance_to(t(9));
         let members = udr.shard_map().members_of(P0).unwrap().to_vec();
         let plan = MigrationPlan {

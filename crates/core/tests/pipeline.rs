@@ -6,6 +6,7 @@
 //! `OpOutcome::latency`, deterministically across identically-seeded
 //! deployments.
 
+use udr_bench::harness::{numbered_ids as ids, t};
 use udr_core::{
     AccessStage, LatencyBreakdown, LocationStage, OpRequest, PipelineCtx, ReplicationStage,
     StorageStage, Udr, UdrConfig,
@@ -16,25 +17,12 @@ use udr_model::config::{
     DurabilityMode, IsolationLevel, LocatorKind, ReadPolicy, ReplicationMode, TxnClass,
 };
 use udr_model::error::{UdrError, UdrResult};
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::Identity;
 use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
 use udr_sim::FaultScript;
 use udr_storage::StorageElement;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 fn provisioned_udr(cfg: UdrConfig) -> Udr {
     let mut udr = Udr::build(cfg).unwrap();

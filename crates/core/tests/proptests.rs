@@ -4,26 +4,15 @@
 
 use proptest::prelude::*;
 
+use udr_bench::check::Markers;
+use udr_bench::harness::{numbered_ids as ids, t};
 use udr_core::{Udr, UdrConfig};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::ReplicationMode;
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::Identity;
 use udr_model::ids::{SeId, SiteId};
-use udr_model::time::{SimDuration, SimTime};
+use udr_model::time::SimDuration;
 use udr_sim::FaultScript;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 /// One random fault.
 #[derive(Debug, Clone)]
@@ -191,7 +180,9 @@ proptest! {
             [SiteId(2)],
         ));
 
-        let mut last_acked: std::collections::BTreeMap<u64, u64> = Default::default();
+        // Only acknowledged writes are recorded, so the checker requires
+        // each subscriber's last one exactly.
+        let mut markers = Markers::new((0..12).map(|i| Identity::Imsi(ids(i).imsi)));
         let mut sorted = writes.clone();
         sorted.sort_by_key(|(_, _, at, _)| *at);
         for (sub, val, at_s, site) in &sorted {
@@ -203,21 +194,11 @@ proptest! {
                 t(*at_s),
             );
             if out.is_ok() {
-                last_acked.insert(*sub, *val);
+                markers.issue(*sub as usize, *val, true);
             }
         }
         udr.advance_to(t(300));
 
-        for (sub, val) in last_acked {
-            let id = Identity::Imsi(ids(sub).imsi);
-            let loc = udr.lookup_authority(&id).unwrap();
-            let master = udr.group(loc.partition).master();
-            let got = udr
-                .se(master)
-                .read_committed(loc.partition, loc.uid)
-                .unwrap()
-                .and_then(|e| e.get(AttrId::OdbMask).and_then(AttrValue::as_u64));
-            prop_assert_eq!(got, Some(val), "subscriber {} lost its write", sub);
-        }
+        prop_assert_eq!(markers.lost(&udr), vec![], "acknowledged writes lost");
     }
 }

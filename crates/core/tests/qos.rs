@@ -3,28 +3,16 @@
 //! inversions, typed shed errors, rate ceilings, and the adaptive
 //! consistency degradation of sustained overload.
 
+use udr_bench::harness::{numbered_ims_ids as ids, t};
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_model::config::ReadPolicy;
 use udr_model::error::UdrError;
-use udr_model::identity::{IdentitySet, Impi, Impu, Imsi, Msisdn};
+use udr_model::identity::IdentitySet;
 use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::qos::{PriorityClass, ShedReason};
 use udr_model::time::{SimDuration, SimTime};
 use udr_qos::QosConfig;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![Impu::new(format!("sip:user{n}@ims.example.com")).unwrap()],
-        impi: Some(Impi::new(format!("user{n}@ims.example.com")).unwrap()),
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 /// A deployment slow enough to overload from a test loop: one 500 ops/s
 /// LDAP server per cluster (2 ms service, 5 ms queue bound).

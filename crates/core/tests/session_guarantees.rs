@@ -6,24 +6,16 @@
 
 use proptest::prelude::*;
 
+use udr_bench::harness::numbered_ids as ids;
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::{ReadPolicy, TxnClass};
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::{PartitionId, SiteId};
 use udr_model::session::SessionToken;
 use udr_model::time::{SimDuration, SimTime};
 use udr_sim::net::{LatencyModel, LinkProfile};
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
 
 /// A figure-2 deployment with session-consistent FE reads, loss-free
 /// links at the given backbone median, and one provisioned home-region-0

@@ -1,6 +1,8 @@
 //! System-level tests of the assembled UDR: the paper's qualitative claims
 //! must hold on the Figure 2 deployment.
 
+use udr_bench::check::committed_value;
+use udr_bench::harness::{numbered_ims_ids as ids, t};
 use udr_core::{BatchItem, OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
@@ -8,25 +10,12 @@ use udr_model::config::{
     DurabilityMode, LocatorKind, Pacelc, PlacementPolicy, ReplicationMode, TxnClass,
 };
 use udr_model::error::UdrError;
-use udr_model::identity::{Identity, IdentitySet, Impi, Impu, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
-use udr_model::time::{SimDuration, SimTime};
+use udr_model::time::SimDuration;
 use udr_sim::FaultScript;
 use udr_workload::RetryPolicy;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![Impu::new(format!("sip:user{n}@ims.example.com")).unwrap()],
-        impi: Some(Impi::new(format!("user{n}@ims.example.com")).unwrap()),
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 /// Provision `n` subscribers with home regions round-robin over sites.
 fn provision_n(udr: &mut Udr, n: u64, sites: u32) -> Vec<IdentitySet> {
@@ -377,15 +366,8 @@ fn periodic_snapshot_bounds_crash_loss_and_reseed_restores_fleet() {
 
     // The restored master rebuilt itself from the most caught-up slave
     // (which had the t=40 write replicated), so nothing was lost.
-    let entry = udr
-        .se(master)
-        .read_committed(loc.partition, loc.uid)
-        .unwrap()
-        .unwrap();
-    assert_eq!(
-        entry.get(AttrId::OdbMask).and_then(AttrValue::as_u64),
-        Some(7)
-    );
+    assert_eq!(udr.shard_map().master_of(loc.partition), Some(master));
+    assert_eq!(committed_value(&udr, &imsi), Some(7));
     assert!(udr.metrics.reseeds >= 1);
 }
 
@@ -412,15 +394,8 @@ fn sync_commit_masters_lose_nothing_even_without_slaves() {
     udr.schedule_script(&FaultScript::new(0).se_outage(t(41), SimDuration::from_secs(4), master));
     udr.advance_to(t(50));
 
-    let entry = udr
-        .se(master)
-        .read_committed(loc.partition, loc.uid)
-        .unwrap()
-        .unwrap();
-    assert_eq!(
-        entry.get(AttrId::OdbMask).and_then(AttrValue::as_u64),
-        Some(9)
-    );
+    assert_eq!(udr.shard_map().master_of(loc.partition), Some(master));
+    assert_eq!(committed_value(&udr, &imsi), Some(9));
     assert_eq!(udr.metrics.lost_commits, 0);
 }
 

@@ -4,31 +4,19 @@
 //! retried), revocations take effect mid-run via the directory epoch,
 //! and per-tenant rate budgets spend independently.
 
+use udr_bench::harness::{numbered_ids as ids, t};
 use udr_core::{OpRequest, Udr, UdrConfig};
 use udr_ldap::{Dn, LdapOp};
 use udr_model::attrs::{AttrId, AttrMod, AttrValue};
 use udr_model::config::TxnClass;
 use udr_model::error::UdrError;
-use udr_model::identity::{Identity, IdentitySet, Imsi, Msisdn};
+use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::SiteId;
 use udr_model::procedures::ProcedureKind;
 use udr_model::qos::{PriorityClass, ShedReason};
 use udr_model::tenant::{Capability, CapabilitySet, TenantBudget, TenantDirectory, TenantId};
 use udr_model::time::{SimDuration, SimTime};
 use udr_workload::RetryPolicy;
-
-fn ids(n: u64) -> IdentitySet {
-    IdentitySet {
-        imsi: Imsi::new(format!("21401{n:010}")).unwrap(),
-        msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
-        impus: vec![],
-        impi: None,
-    }
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(secs)
-}
 
 /// Two tenants: A (0) fully entitled, B (1) front-end only.
 fn two_tenant_directory() -> TenantDirectory {

@@ -43,8 +43,11 @@ measurement too: a change to them shows in the status table only as the
 
 Last, `library lines` counts the library on both trees by the one rule in
 `library_lines`: every `crates/*/src/**/*.rs` outside `src/bin`, up to its
-first top-level `#[cfg(test)]`. Like the memory table it is a measurement,
-never a status.
+first top-level `#[cfg(test)]`. Under it `all lines` counts every line of
+every `.rs` file under `crates/`, `tests/` and `examples/` (`all_lines`),
+so a change that moves code out of tests and binaries into a library
+module shows its net. Like the memory table both are measurements, never
+a status.
 """
 
 import json
@@ -96,6 +99,16 @@ def library_lines(tree):
                 break
             total += 1
     return total
+
+
+def all_lines(tree):
+    """Lines of every `.rs` file under `crates/`, `tests/` and `examples/`
+    of `tree`: libraries, binaries, unit and integration tests alike."""
+    return sum(
+        len(path.read_text().splitlines())
+        for top in ("crates", "tests", "examples")
+        for path in (tree / top).glob("**/*.rs")
+    )
 
 
 def build(tree, target):
@@ -187,6 +200,7 @@ def main():
         parent.mkdir()
         export(rev, parent)
         old_lines, new_lines = library_lines(parent), library_lines(ROOT)
+        old_all, new_all = all_lines(parent), all_lines(ROOT)
         print(f"building {rev} and this tree", file=sys.stderr)
         build(parent, tmp / "target")
         build(ROOT, ROOT / "target")
@@ -231,6 +245,7 @@ def main():
     print()
     print(f"{'library lines (measured)':<24}  {rev:>10}  {'this tree':>10}  change")
     print(f"{'crates/*/src, no src/bin':<24}  {old_lines:>10}  {new_lines:>10}  {new_lines - old_lines:+d}")
+    print(f"{'all lines':<24}  {old_all:>10}  {new_all:>10}  {new_all - old_all:+d}")
 
 
 if __name__ == "__main__":
