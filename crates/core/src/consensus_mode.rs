@@ -10,7 +10,9 @@
 //! `ShardMap::replace_member` swaps in place. Protocol timers ([`UdrEvent::ConsensusTick`]) and message
 //! deliveries ([`UdrEvent::ConsensusDeliver`]) flow through the
 //! deployment's one event pump, so consensus traffic interleaves
-//! deterministically with faults and client operations.
+//! deterministically with faults and client operations. A client write
+//! steps that pump until the event that chooses its command and is
+//! acknowledged at that event's instant.
 //!
 //! This module holds the groups and the paths only the deployment has:
 //! routing (the consensus arm of `ReplicationStage::route` calls
@@ -109,10 +111,6 @@ pub(crate) struct ConsensusGroup {
     ///
     /// [`ChosenLog::cursor_for_writes`]: udr_consensus::ChosenLog::cursor_for_writes
     pub(crate) images: Vec<(Lsn, Slot)>,
-    /// The client write `consensus_write` is polling for. A catch-up tick
-    /// that finds it chosen compacts nothing, so the poll, at most 1 ms
-    /// later, still finds its id in the logs.
-    pub(crate) awaited: Option<CmdId>,
     /// The effective writes applied since [`Udr::record_consensus_writes`]
     /// (`None` until then).
     history: Option<WriteHistory>,
@@ -133,7 +131,6 @@ impl ConsensusGroup {
             ensemble: Ensemble::new(n, ReplicaConfig::default(), seed),
             applied: vec![Slot::ZERO; n],
             images: vec![(Lsn::ZERO, Slot::ZERO); n],
-            awaited: None,
             history: None,
             echoes: Vec::with_capacity(n),
             last_leader: None,
@@ -281,10 +278,11 @@ impl Udr {
     ///
     /// The leader computes the post-image against its committed store (the
     /// ensemble's serialization point), submits it as a log command, and
-    /// routing waits — in virtual time, driving the event pump — for the
-    /// choice. No serving leader, an unreachable leader or an election
-    /// gap all yield *typed* refusals ([`UdrError::is_partition_induced`]),
-    /// never a silent downgrade: the CP contract of the mode.
+    /// steps the event pump one event at a time until the event that
+    /// chooses it; that event's instant is the commit instant. No serving
+    /// leader, an unreachable leader or an election gap all yield *typed*
+    /// refusals ([`UdrError::is_partition_induced`]), never a silent
+    /// downgrade: the CP contract of the mode.
     ///
     /// Returns `Err` in both directions: a refusal carries the error, a
     /// chosen command carries the completed [`OpOutcome`] directly (the
@@ -345,28 +343,22 @@ impl Udr {
             ctx.span.trace,
         );
 
-        // Drive the pump until the command is chosen or the operation
-        // budget runs out (margin below the timeout so a success is not
-        // re-classified by the ok-over-deadline clamp).
+        // Step the pump until the event that chooses the command, or until
+        // the operation budget runs out (margin below the timeout so a
+        // success is not re-classified by the ok-over-deadline clamp).
         let allowed_wait = self
             .cfg
             .frash
             .op_timeout
             .saturating_sub(ctx.breakdown.total() + SimDuration::from_millis(2));
         let deadline = t0 + allowed_wait;
-        let mut t = t0;
-        self.consensus[p].awaited = Some(cmd_id);
-        let chosen_at = loop {
+        let mut chosen_at = None;
+        while let Some(t) = self.step_until(deadline) {
             if self.consensus[p].ensemble.chosen(cmd_id) {
-                break Some(t);
+                chosen_at = Some(t);
+                break;
             }
-            if t >= deadline {
-                break None;
-            }
-            t = (t + SimDuration::from_millis(1)).min(deadline);
-            self.advance_to(t);
-        };
-        self.consensus[p].awaited = None;
+        }
         match chosen_at {
             Some(at) => {
                 if ctx.span.is_active() && self.tracer.enabled() {

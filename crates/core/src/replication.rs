@@ -920,11 +920,14 @@ impl Udr {
     /// chosen log is compacted through its partition's floor
     /// ([`Udr::chosen_floor`]), or through the slot its own SE's disk image
     /// resumes at where that is lower (Raft's rule: a node discards only
-    /// what its own snapshot holds). Truncation and compaction drop only what no
-    /// later read reaches, so no simulated result depends on them. They
-    /// draw nothing from the RNG, schedule nothing and, once the logs are
-    /// warm, allocate nothing; on a tick where no floor moved they change
-    /// nothing.
+    /// what its own snapshot holds). A waiting client write never needs a
+    /// compacted id: it stops at the event that chooses it, and this tick
+    /// chooses no client command (it submits only reconfigs, and with
+    /// n ≥ 3 a choice needs a remote ack). Truncation and compaction drop
+    /// only what no later read reaches, so no simulated result depends on
+    /// them. They draw nothing from the RNG, schedule nothing and, once the
+    /// logs are warm, allocate nothing; on a tick where no floor moved they
+    /// change nothing.
     fn truncate_logs(&mut self) {
         let consensus = matches!(
             self.cfg.frash.replication,
@@ -944,12 +947,7 @@ impl Udr {
                 let through = self.chosen_floor(pid);
                 self.refresh_image_slots(pid);
                 let g = &mut self.consensus[p];
-                // A client still polling for a write already chosen sees
-                // it on its next poll; compaction must not take its id
-                // out of every log before then.
-                if !g.awaited.is_some_and(|id| g.ensemble.chosen(id)) {
-                    g.ensemble.compact_through(|i| through.min(g.images[i].1));
-                }
+                g.ensemble.compact_through(|i| through.min(g.images[i].1));
             }
         }
     }

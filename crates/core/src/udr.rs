@@ -560,9 +560,15 @@ impl Udr {
     /// Drain internal events up to `now`. Every client entry point calls
     /// this first; experiments may also call it to let the system settle.
     pub fn advance_to(&mut self, now: SimTime) {
-        while let Some((t, event)) = self.events.pop_until(now) {
-            self.handle_event(t, event);
-        }
+        while self.step_until(now).is_some() {}
+    }
+
+    /// Handle the next event due at or before `deadline` and return its
+    /// instant, or `None` when no event is due by then.
+    pub(crate) fn step_until(&mut self, deadline: SimTime) -> Option<SimTime> {
+        let (t, event) = self.events.pop_until(deadline)?;
+        self.handle_event(t, event);
+        Some(t)
     }
 
     /// Run the deployment's event pump to `until` and return how many

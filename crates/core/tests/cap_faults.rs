@@ -3,6 +3,7 @@
 //! (one-way loss, WAN brown-outs) degrade without partitioning, and the
 //! deployment measurably re-converges after heal.
 
+use udr_bench::check::committed_value;
 use udr_bench::harness::{numbered_ids as ids, t};
 use udr_consensus::Slot;
 use udr_core::{MigrationPlan, MoveReason, OpRequest, Udr, UdrConfig};
@@ -783,11 +784,10 @@ fn a_group_wholly_down_past_a_compaction_recovers_every_acknowledged_write() {
     assert!(udr.consensus_violations().is_empty());
 }
 
-/// Under sync-commit every apply is saved at once, so a catch-up tick can
-/// fall between a write being chosen everywhere and the client's next 1 ms
-/// poll with the floor already past the write's slot. That tick compacts
-/// nothing, the client is told the write committed, and the next tick
-/// compacts the slot.
+/// Under sync-commit every apply is saved at once, so the 3 s catch-up
+/// tick finds the floor past a write proposed 0.9 ms before it. The client
+/// is told the write committed at the event that chose it, before the
+/// tick; the tick then compacts every log, and the write stays committed.
 #[test]
 fn a_write_chosen_just_before_a_compaction_is_acknowledged_first() {
     let mut cfg = UdrConfig::figure2();
@@ -797,15 +797,8 @@ fn a_write_chosen_just_before_a_compaction_is_acknowledged_first() {
     cfg.seed = 43;
     let mut udr = Udr::build(cfg).expect("valid config");
     // Every message arrives 100 µs after it is sent: a write is chosen
-    // and learned everywhere well inside one poll interval.
-    let fast = LinkProfile::lossless(LatencyModel::Fixed(SimDuration::from_micros(100)));
-    for a in 0..3u32 {
-        for b in 0..3u32 {
-            udr.net
-                .topology_mut()
-                .set_link(SiteId(a), SiteId(b), fast.clone());
-        }
-    }
+    // and learned everywhere well inside 0.9 ms.
+    fixed_links(&mut udr, SimDuration::from_micros(100));
     let sub = ids(1);
     let out = udr.provision_subscriber(&sub, 0, SiteId(0), t(2));
     assert!(out.is_ok(), "provisioning failed: {:?}", out.op.result);
@@ -817,20 +810,61 @@ fn a_write_chosen_just_before_a_compaction_is_acknowledged_first() {
         .execute(OpRequest::new(&write_op(&sub, 7)).site(SiteId(0)).at(at))
         .into_op();
     assert!(out.is_ok(), "the write failed: {:?}", out.result);
-    assert!(
-        out.latency < SimDuration::from_millis(5),
-        "{:?}",
-        out.latency
-    );
-    for node in udr.consensus_ensemble(P).unwrap().nodes() {
-        let log = node.log();
-        assert_eq!(log.len(), 1, "the 3 s tick held the write's slot");
-    }
+    assert!(at + out.latency < t(3), "{:?}", out.latency);
+    assert!(udr.now() < t(3), "the write returned at {:?}", udr.now());
+
     udr.advance_to(t(3) + CATCHUP_TICK);
+    let imsi = Identity::Imsi(sub.imsi);
+    assert_eq!(committed_value(&udr, &imsi), Some(7), "the write stays");
     for node in udr.consensus_ensemble(P).unwrap().nodes() {
         let log = node.log();
         assert_eq!(log.base(), log.committed(), "the write's slot is compacted");
         assert!(log.is_empty());
+    }
+    assert!(udr.consensus_violations().is_empty());
+}
+
+/// Make every link, intra-site ones included, loss-free with the fixed
+/// one-way delay `delay`.
+fn fixed_links(udr: &mut Udr, delay: SimDuration) {
+    let link = LinkProfile::lossless(LatencyModel::Fixed(delay));
+    for a in 0..3u32 {
+        for b in 0..3u32 {
+            udr.net
+                .topology_mut()
+                .set_link(SiteId(a), SiteId(b), link.clone());
+        }
+    }
+}
+
+/// A consensus write is acknowledged at the event that chooses it: on
+/// fixed 10.3 ms links its replication phase is one round trip to the
+/// leader plus one majority round trip, 41.2 ms, not a millisecond grid
+/// point after it.
+#[test]
+fn a_consensus_write_commits_at_the_event_that_chooses_it() {
+    let mut cfg = UdrConfig::figure2();
+    cfg.partitions = 1;
+    cfg.frash.replication = ReplicationMode::Consensus { n: 3 };
+    cfg.seed = 43;
+    let mut udr = Udr::build(cfg).expect("valid config");
+    fixed_links(&mut udr, SimDuration::from_micros(10_300));
+    let sub = ids(1);
+    let out = udr.provision_subscriber(&sub, 0, SiteId(0), t(2));
+    assert!(out.is_ok(), "provisioning failed: {:?}", out.op.result);
+
+    for k in 0..4u64 {
+        let at = t(3) + SimDuration::from_millis(500 * k);
+        udr.advance_to(at);
+        let out = udr
+            .execute(OpRequest::new(&write_op(&sub, k)).site(SiteId(0)).at(at))
+            .into_op();
+        assert!(out.is_ok(), "write {k} failed: {:?}", out.result);
+        assert_eq!(
+            out.breakdown.replication,
+            SimDuration::from_micros(41_200),
+            "write {k}"
+        );
     }
     assert!(udr.consensus_violations().is_empty());
 }

@@ -27,6 +27,7 @@ use udr::model::ids::{SeId, SiteId};
 use udr::model::{ReplicaRole, SimDuration, SimTime};
 use udr::sim::SimRng;
 use udr::workload::PopulationBuilder;
+use udr_bench::harness::PsRetry;
 
 fn main() {
     let cfg = UdrConfig::figure2();
@@ -42,20 +43,14 @@ fn main() {
     for sub in &population {
         // Rare WAN message loss can time an attempt out; the PS retries,
         // as §2.4 describes.
-        let mut done = false;
-        for _ in 0..4 {
-            let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
-            at += SimDuration::from_millis(2);
-            match out.op.result {
-                Ok(_) => {
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retryable() => continue,
-                Err(e) => panic!("provisioning failed hard: {e}"),
-            }
+        let (result, _) = PsRetry::STANDARD.run(&mut at, |at| {
+            udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at)
+                .op
+                .result
+        });
+        if let Err(e) = result {
+            panic!("provisioning failed: {e}");
         }
-        assert!(done, "provisioning kept timing out");
     }
 
     // Shape profiles through ordinary provisioning writes: pay-call barring
@@ -77,20 +72,12 @@ fn main() {
             ));
         }
         let id = Identity::Imsi(sub.ids.imsi);
-        let mut done = false;
-        for _ in 0..4 {
-            let out = udr.modify_services(&id, mods.clone(), SiteId(0), at);
-            at += SimDuration::from_millis(2);
-            match out.result {
-                Ok(_) => {
-                    done = true;
-                    break;
-                }
-                Err(e) if e.is_retryable() => continue,
-                Err(e) => panic!("modify failed hard: {e}"),
-            }
+        let (result, _) = PsRetry::STANDARD.run(&mut at, |at| {
+            udr.modify_services(&id, mods.clone(), SiteId(0), at).result
+        });
+        if let Err(e) = result {
+            panic!("modify failed: {e}");
         }
-        assert!(done, "modify kept timing out");
     }
 
     // The operator's questions, as standard RFC 4515 filters.

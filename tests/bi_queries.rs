@@ -9,6 +9,7 @@ use udr::model::ids::SiteId;
 use udr::model::{Identity, SimDuration, SimTime};
 use udr::sim::SimRng;
 use udr::workload::PopulationBuilder;
+use udr_bench::harness::PsRetry;
 
 fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
@@ -22,12 +23,13 @@ fn provisioned() -> (Udr, Vec<udr::workload::Subscriber>) {
     let population = PopulationBuilder::new(3).build(30, &mut rng);
     let mut at = t(0) + SimDuration::from_millis(1);
     for sub in &population {
-        for _ in 0..4 {
-            let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
-            at += SimDuration::from_millis(2);
-            if out.is_ok() {
-                break;
-            }
+        let (result, _) = PsRetry::STANDARD.run(&mut at, |at| {
+            udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at)
+                .op
+                .result
+        });
+        if let Err(e) = result {
+            panic!("provisioning failed: {e}");
         }
     }
     (udr, population)

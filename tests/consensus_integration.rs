@@ -13,6 +13,7 @@ use udr::sim::net::Topology;
 use udr::sim::{FaultScript, SimRng};
 use udr::storage::Engine;
 use udr::workload::PopulationBuilder;
+use udr_bench::harness::PsRetry;
 
 fn t(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
@@ -32,12 +33,13 @@ fn consensus_beats_master_slave_on_majority_side_availability() {
     let population = PopulationBuilder::new(3).build(60, &mut rng);
     let mut at = t(0) + SimDuration::from_millis(1);
     for sub in &population {
-        for _ in 0..4 {
-            let out = udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at);
-            at += SimDuration::from_millis(2);
-            if out.is_ok() {
-                break;
-            }
+        let (result, _) = PsRetry::STANDARD.run(&mut at, |at| {
+            udr.provision_subscriber(&sub.ids, sub.home_region, SiteId(0), at)
+                .op
+                .result
+        });
+        if let Err(e) = result {
+            panic!("provisioning failed: {e}");
         }
     }
     udr.schedule_script(&FaultScript::new(0).clean_partition(

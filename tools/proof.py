@@ -27,7 +27,9 @@ The artifacts, on each side:
 A moved artifact is listed with its first differing line. An artifact only
 the parent has is gone; one only this tree has is new. The command fails
 only when a build or a run does; a sim-visible change reads its list of
-moves off the table.
+moves off the table. Under the table each moved `report/…` artifact is
+diffed cell by cell by `tools/bench_compare.py`, so the list names every
+moved cell with its old and new value.
 
 Under the status table a second table prints `peak_rss_mb` of each
 `perf/<workload>/<seed>` run, on the parent and on this tree, and the
@@ -190,6 +192,29 @@ def first_difference(old, new):
     return f"length {len(old)} → {len(new)} lines"
 
 
+def report_diffs(rev, old, new, workdir):
+    """`tools/bench_compare.py`'s output for each `report/…` artifact that
+    moved, as one string per report; the two files are written under
+    `workdir` as `<rev>/<report>` and `this-tree/<report>`."""
+    diffs = []
+    for name in sorted(old.keys() & new.keys()):
+        if not name.startswith("report/") or old[name] == new[name]:
+            continue
+        report = name.removeprefix("report/")
+        for side, lines in ((rev, old[name]), ("this-tree", new[name])):
+            (workdir / side).mkdir(parents=True, exist_ok=True)
+            (workdir / side / report).write_text("\n".join(lines) + "\n")
+        compare = [sys.executable, str(ROOT / "tools" / "bench_compare.py")]
+        out = subprocess.run(
+            [*compare, f"{rev}/{report}", f"this-tree/{report}"],
+            cwd=workdir,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        diffs.append(out.stdout.rstrip())
+    return diffs
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit("usage: tools/proof.py <parent-rev>")
@@ -207,6 +232,7 @@ def main():
         print("running both", file=sys.stderr)
         old, old_measured = collect(parent, tmp / "target", tmp / "run-parent")
         new, new_measured = collect(ROOT, ROOT / "target", tmp / "run-change")
+        diffs = report_diffs(rev, old, new, tmp / "reports")
 
     rows = []
     for name in sorted(old.keys() | new.keys()):
@@ -224,6 +250,9 @@ def main():
         print(f"{name:<{width}}  {status:<9}  {detail}".rstrip())
     counts = {s: sum(1 for _, st, _ in rows if st == s) for s in ("identical", "moved", "new", "gone")}
     print(", ".join(f"{n} {s}" for s, n in counts.items()))
+    for diff in diffs:
+        print()
+        print(diff)
 
     runs = sorted(old_measured.keys() & new_measured.keys())
     if runs:
