@@ -480,9 +480,10 @@ impl AccessStage {
 }
 
 /// Stage 2 — §3.3.1 decision 1: resolve the identity to a data location
-/// through the cluster's [`udr_dls::DataLocationStage`]. Cached and hashed
-/// realisations may require an SE probe broadcast (§3.5's scalability
-/// hurdle).
+/// through the cluster's [`udr_dls::DataLocationStage`]. A provisioned
+/// stage reads the deployment's one identity table once its sync window has
+/// ended. Cached and hashed realisations may require an SE probe broadcast
+/// (§3.5's scalability hurdle).
 ///
 /// The stage also version-checks the cluster stage's routing view against the
 /// deployment's epoch-versioned shard map: a lookup resolved under a
@@ -502,8 +503,10 @@ impl LocationStage {
         let mut retried = false;
         loop {
             let stage = &mut udr.clusters[ctx.cluster_idx].stage;
-            let (observed, resolution) =
-                (stage.map_epoch(), stage.resolve(&identity, ctx.now, None));
+            let (observed, resolution) = (
+                stage.map_epoch(),
+                stage.resolve_in(&udr.authority, &identity, ctx.now, None),
+            );
             return match resolution {
                 Resolution::Found(loc) => {
                     if !retried
@@ -565,7 +568,7 @@ impl LocationStage {
         ses_to_probe: usize,
     ) -> Result<(), OpOutcome> {
         udr.metrics.dls_probes += ses_to_probe as u64;
-        match udr.authority.peek(identity) {
+        match udr.authority.lookup(identity) {
             Some(loc) => {
                 // The probe fans out in parallel; the client proceeds as
                 // soon as the owning partition's master answers positively.

@@ -106,7 +106,7 @@ impl Udr {
         for identity in ids.iter() {
             self.authority.insert(&identity, location);
             for cluster in &mut self.clusters {
-                cluster.stage.provision(&identity, location);
+                cluster.stage.fill_cache(&identity, location);
             }
         }
 
@@ -127,12 +127,7 @@ impl Udr {
             self.subs_per_partition[partition.index()] += 1;
         } else {
             // Roll back the bindings (PS cleanup logic).
-            for identity in ids.iter() {
-                self.authority.remove(&identity);
-                for cluster in &mut self.clusters {
-                    cluster.stage.deprovision(&identity);
-                }
-            }
+            self.unbind(ids);
         }
         ProvisionOutcome {
             uid,
@@ -229,7 +224,7 @@ impl Udr {
         now: SimTime,
     ) -> OpOutcome {
         let identity: Identity = ids.imsi.into();
-        let partition = self.authority.peek(&identity).map(|l| l.partition);
+        let partition = self.authority.lookup(&identity).map(|l| l.partition);
         let op = LdapOp::Delete {
             dn: Dn::for_identity(identity),
         };
@@ -241,12 +236,7 @@ impl Udr {
             None,
         );
         if outcome.is_ok() {
-            for identity in ids.iter() {
-                self.authority.remove(&identity);
-                for cluster in &mut self.clusters {
-                    cluster.stage.deprovision(&identity);
-                }
-            }
+            self.unbind(ids);
             if let Some(p) = partition {
                 let slot = &mut self.subs_per_partition[p.index()];
                 *slot = slot.saturating_sub(1);
@@ -255,10 +245,23 @@ impl Udr {
         outcome
     }
 
-    /// Fetch the authoritative location of an identity (test/diagnostic
-    /// helper — production clients go through the stages).
+    /// Remove every identity of `ids` from the deployment's table and from
+    /// every cached stage.
+    fn unbind(&mut self, ids: &IdentitySet) {
+        for identity in ids.iter() {
+            self.authority.remove(&identity);
+            for cluster in &mut self.clusters {
+                cluster.stage.invalidate_cache(&identity);
+            }
+        }
+    }
+
+    /// Fetch the location of an identity from the deployment's one
+    /// identity table, which every provisioned stage resolves through once
+    /// its sync window has ended. Unlike an operation, this reads no stage:
+    /// no sync window, cache or ring is consulted.
     pub fn lookup_authority(&self, identity: &Identity) -> Option<udr_dls::Location> {
-        self.authority.peek(identity)
+        self.authority.lookup(identity)
     }
 }
 

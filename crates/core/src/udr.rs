@@ -229,7 +229,9 @@ pub struct Udr {
     /// Operations routed per partition (hotspot detection).
     pub(crate) ops_per_partition: Vec<u64>,
     pub(crate) placement: PlacementContext,
-    /// Ground-truth identity→location bindings (what the PS provisioned).
+    /// The deployment's one identity table: every identity→location
+    /// binding the PS provisioned. Provisioned stages resolve through it
+    /// and hold no copy of it.
     pub(crate) authority: IdentityLocationMap,
     /// Clusters hosted at each site.
     pub(crate) clusters_at_site: Vec<Vec<usize>>,
@@ -816,8 +818,9 @@ impl Udr {
     // ---- scale-out (§3.4.2) --------------------------------------------------
 
     /// Deploy an additional blade cluster at `site` (scale-out). The new
-    /// cluster's data-location stage must first sync its identity-location
-    /// maps from a peer; until the sync window elapses the new PoA answers
+    /// cluster's data-location stage must first sync the deployment's
+    /// identity table from a peer; until the sync window, sized by that
+    /// table's entry count, elapses the new PoA answers
     /// [`UdrError::LocationStageSyncing`](udr_model::error::UdrError) —
     /// the §3.4.2 availability impact. With cached or hashed locators there
     /// is no sync window.
@@ -831,15 +834,14 @@ impl Udr {
     pub fn add_cluster(&mut self, site: SiteId, now: SimTime) -> usize {
         self.advance_to(now);
         let mut stage = match self.cfg.frash.locator {
-            LocatorKind::ProvisionedMaps => {
-                // Copy the maps from a peer stage; the transfer blocks the
-                // new PoA for the sync window.
-                let entries = self.authority.len();
-                let cost = udr_dls::SyncCostModel::default();
-                let mut stage = DataLocationStage::provisioned_syncing(now, entries, &cost);
-                stage.import(self.authority.export());
-                stage
-            }
+            // The new PoA syncs the deployment's table, whose size sets the
+            // sync window that blocks it; it then resolves through that
+            // table, so nothing is copied.
+            LocatorKind::ProvisionedMaps => DataLocationStage::provisioned_syncing(
+                now,
+                self.authority.len(),
+                &udr_dls::SyncCostModel::default(),
+            ),
             LocatorKind::CachedMaps => {
                 DataLocationStage::cached(self.cfg.dls_cache_capacity, self.ses.len())
             }
@@ -847,7 +849,7 @@ impl Udr {
                 udr_dls::ConsistentHashRing::new((0..self.cfg.partitions).map(PartitionId), 64),
             ),
         };
-        // The sync copies a current view: the stage joins at today's epoch.
+        // The sync brings a current view: the stage joins at today's epoch.
         stage.install_map_epoch(self.shard_map.epoch());
         self.push_cluster(site, stage)
     }

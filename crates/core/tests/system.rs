@@ -13,7 +13,7 @@ use udr_model::error::UdrError;
 use udr_model::identity::{Identity, IdentitySet};
 use udr_model::ids::{SeId, SiteId};
 use udr_model::procedures::ProcedureKind;
-use udr_model::time::SimDuration;
+use udr_model::time::{SimDuration, SimTime};
 use udr_sim::FaultScript;
 use udr_workload::RetryPolicy;
 
@@ -562,6 +562,69 @@ fn scale_out_sync_window_blocks_new_poa_with_provisioned_maps() {
         at += SimDuration::from_millis(10);
     }
     assert!(all_ok, "new PoA still failing after sync window");
+}
+
+/// A PoA added by scale-out resolves through the deployment's one identity
+/// table: a subscriber provisioned during its sync window is found through
+/// it afterwards, and one deleted during the window is unknown there. During
+/// the window it answers `LocationStageSyncing`.
+#[test]
+fn a_new_poa_sees_what_changed_during_its_sync_window() {
+    let mut udr = Udr::build(UdrConfig::figure2()).unwrap();
+    let subs = provision_n(&mut udr, 30, 3);
+    let idx = udr.add_cluster(SiteId(1), t(100));
+    let done_at = udr.cluster_sync_done_at(idx).expect("the new PoA syncs");
+
+    let mut at = t(100) + SimDuration::from_millis(10);
+    let fresh = ids(100);
+    let out = udr.provision_subscriber(&fresh, 1, SiteId(0), at);
+    assert!(out.is_ok(), "provisioning failed: {:?}", out.op.result);
+    at += SimDuration::from_millis(10);
+    let out = udr.delete_subscription(&subs[1], SiteId(0), at);
+    assert!(out.is_ok(), "delete failed: {:?}", out.result);
+
+    // Site 1 round-robins over its old PoA and the new one, so of any two
+    // consecutive searches from there one goes through each.
+    let search_twice = |udr: &mut Udr, identity: Identity, at: &mut SimTime| {
+        let op = LdapOp::Search {
+            base: Dn::for_identity(identity),
+            attrs: vec![],
+        };
+        [(); 2].map(|()| {
+            *at += SimDuration::from_millis(10);
+            udr.execute(OpRequest::new(&op).site(SiteId(1)).at(*at))
+                .into_op()
+                .result
+        })
+    };
+    for identity in [Identity::from(fresh.imsi), Identity::from(subs[1].imsi)] {
+        let results = search_twice(&mut udr, identity, &mut at);
+        assert!(at < done_at, "the window ended at {done_at:?}");
+        assert!(
+            results
+                .iter()
+                .any(|r| matches!(r, Err(UdrError::LocationStageSyncing))),
+            "no search of {identity} hit the sync window: {results:?}"
+        );
+    }
+
+    let mut at = t(1000);
+    for identity in fresh.iter() {
+        for result in search_twice(&mut udr, identity, &mut at) {
+            assert!(
+                matches!(result, Ok(Some(_))),
+                "provisioned {identity} gave {result:?}"
+            );
+        }
+    }
+    for identity in subs[1].iter() {
+        for result in search_twice(&mut udr, identity, &mut at) {
+            assert!(
+                matches!(result, Err(UdrError::UnknownIdentity(_))),
+                "deleted {identity} gave {result:?}"
+            );
+        }
+    }
 }
 
 #[test]

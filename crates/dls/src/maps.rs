@@ -27,7 +27,6 @@
 
 use udr_model::identity::{Identity, IdentityKind};
 use udr_model::ids::{IdMap, PartitionId, SubscriberUid};
-use udr_model::intern::IdentityInterner;
 
 /// Where a subscription lives: its internal uid and the partition holding
 /// its data (the replication layer knows which SE masters the partition).
@@ -100,8 +99,6 @@ pub struct IdentityLocationMap {
     msisdn: IdMap<u32, Packed>,
     impu: IdMap<u32, Packed>,
     impi: IdMap<u32, Packed>,
-    /// Lookups served (diagnostics).
-    pub lookups: u64,
 }
 
 impl IdentityLocationMap {
@@ -142,15 +139,7 @@ impl IdentityLocationMap {
     }
 
     /// One-probe lookup.
-    pub fn lookup(&mut self, identity: &Identity) -> Option<Location> {
-        self.lookups += 1;
-        self.index(identity.kind())
-            .get(&identity.symbol())
-            .map(|p| p.get())
-    }
-
-    /// Lookup without mutating stats (for read-only callers).
-    pub fn peek(&self, identity: &Identity) -> Option<Location> {
+    pub fn lookup(&self, identity: &Identity) -> Option<Location> {
         self.index(identity.kind())
             .get(&identity.symbol())
             .map(|p| p.get())
@@ -166,11 +155,6 @@ impl IdentityLocationMap {
         self.len() == 0
     }
 
-    /// Entries in one index.
-    pub fn len_of(&self, kind: IdentityKind) -> usize {
-        self.index(kind).len()
-    }
-
     /// Approximate RAM footprint in bytes — §3.3.1: "storage of the
     /// identity-location maps deprives storage elements from memory they
     /// could use to store more data". Keys are one interned symbol each;
@@ -181,30 +165,6 @@ impl IdentityLocationMap {
     /// derives from does not depend on how the index is built.
     pub fn approx_bytes(&self) -> usize {
         self.len() * MODEL_BYTES_PER_BINDING
-    }
-
-    /// Dump every binding, in no particular order (used by the scale-out
-    /// sync protocol to seed a peer stage instance). The textual form is exported — the sync
-    /// protocol models a wire transfer, and symbols are only meaningful
-    /// inside one process.
-    pub fn export(&self) -> Vec<(IdentityKind, String, Location)> {
-        let interner = IdentityInterner::global();
-        let mut out = Vec::with_capacity(self.len());
-        for kind in IdentityKind::ALL {
-            for (key, loc) in self.index(kind) {
-                out.push((kind, interner.resolve(*key).to_owned(), loc.get()));
-            }
-        }
-        out
-    }
-
-    /// Bulk-load bindings exported from a peer.
-    pub fn import(&mut self, entries: Vec<(IdentityKind, String, Location)>) {
-        let interner = IdentityInterner::global();
-        for (kind, key, loc) in entries {
-            self.index_mut(kind)
-                .insert(interner.intern(&key), Packed::new(loc));
-        }
     }
 }
 
@@ -233,7 +193,6 @@ mod tests {
         assert_eq!(m.lookup(&imsi("214010000000002")), None);
         assert_eq!(m.remove(&imsi("214010000000001")), Some(loc(1, 0)));
         assert_eq!(m.lookup(&imsi("214010000000001")), None);
-        assert_eq!(m.lookups, 3);
     }
 
     #[test]
@@ -244,12 +203,11 @@ mod tests {
         m.insert(&msisdn, loc(1, 0));
         m.insert(&impu, loc(1, 0));
         assert_eq!(m.len(), 2);
-        assert_eq!(m.len_of(IdentityKind::Msisdn), 1);
-        assert_eq!(m.len_of(IdentityKind::Impu), 1);
-        assert_eq!(m.len_of(IdentityKind::Imsi), 0);
+        assert_eq!(m.lookup(&msisdn), Some(loc(1, 0)));
+        assert_eq!(m.lookup(&impu), Some(loc(1, 0)));
         // Same digits under a different kind don't collide.
         let imsi_same_digits = imsi("346001234560001");
-        assert_eq!(m.peek(&imsi_same_digits), None);
+        assert_eq!(m.lookup(&imsi_same_digits), None);
     }
 
     #[test]
@@ -262,23 +220,6 @@ mod tests {
         assert_eq!(
             m.lookup(&Msisdn::new("34600000042").unwrap().into()),
             Some(l)
-        );
-    }
-
-    #[test]
-    fn export_import_round_trip() {
-        let mut m = IdentityLocationMap::new();
-        for i in 0..100u64 {
-            m.insert(&imsi(&format!("2140100000{i:05}")), loc(i, (i % 3) as u32));
-        }
-        let exported = m.export();
-        assert_eq!(exported.len(), 100);
-        let mut peer = IdentityLocationMap::new();
-        peer.import(exported);
-        assert_eq!(peer.len(), 100);
-        assert_eq!(
-            peer.peek(&imsi("214010000000007")),
-            m.peek(&imsi("214010000000007"))
         );
     }
 

@@ -6,6 +6,12 @@
 //! provisioned maps, cached maps, or a consistent-hash ring — chosen once
 //! when the stage is built, and answers every lookup with a `match` over
 //! that closed set.
+//!
+//! A provisioned stage deployed in a UDR holds no bindings: it models the
+//! §3.4.2 sync window and its PoA's shard-map epoch, and resolves through
+//! the deployment's one identity table ([`DataLocationStage::resolve_in`]).
+//! A stage built alone keeps its own table ([`DataLocationStage::provision`],
+//! [`DataLocationStage::resolve`]).
 
 use udr_model::identity::Identity;
 use udr_model::ids::SubscriberUid;
@@ -39,7 +45,8 @@ pub enum Resolution {
 #[derive(Debug)]
 enum Realisation {
     /// Provisioned maps (the paper's choice), which pay the §3.4.2
-    /// scale-out sync window.
+    /// scale-out sync window. Deployed in a UDR, such a stage models that
+    /// window and resolves through the deployment's table.
     Provisioned(StageSync),
     /// Maps built on the fly and cached; a miss probes the SEs.
     Cached(CachedLocator),
@@ -47,10 +54,46 @@ enum Realisation {
     Hashed(ConsistentHashRing),
 }
 
+impl Realisation {
+    /// Resolve `identity` at `now`; a provisioned stage reads `table`.
+    fn resolve(
+        &mut self,
+        table: &IdentityLocationMap,
+        identity: &Identity,
+        now: SimTime,
+        uid_hint: Option<SubscriberUid>,
+    ) -> Resolution {
+        match self {
+            Realisation::Provisioned(sync) => {
+                if !sync.is_ready(now) {
+                    return Resolution::Syncing;
+                }
+                match table.lookup(identity) {
+                    Some(loc) => Resolution::Found(loc),
+                    None => Resolution::Unknown,
+                }
+            }
+            Realisation::Cached(cache) => match cache.lookup(identity) {
+                CacheOutcome::Hit(loc) => Resolution::Found(loc),
+                CacheOutcome::Miss { ses_to_probe } => Resolution::NeedsProbe { ses_to_probe },
+            },
+            Realisation::Hashed(ring) => match (ring.locate(identity), uid_hint) {
+                (Some(partition), Some(uid)) => Resolution::Found(Location { uid, partition }),
+                // Without a uid hint the SE must resolve the identity
+                // itself; we model that as a single-SE probe.
+                (Some(_), None) => Resolution::NeedsProbe { ses_to_probe: 1 },
+                (None, _) => Resolution::Unknown,
+            },
+        }
+    }
+}
+
 /// One stage instance.
 #[derive(Debug)]
 pub struct DataLocationStage {
     realisation: Realisation,
+    /// The bindings of a stage built alone; a deployed stage leaves it
+    /// empty and resolves through the deployment's table.
     maps: IdentityLocationMap,
     /// Shard-map epoch this stage instance last observed.
     map_epoch: Epoch,
@@ -102,7 +145,7 @@ impl DataLocationStage {
         self.map_epoch = self.map_epoch.max(epoch);
     }
 
-    /// Resolve an identity at `now`.
+    /// Resolve an identity at `now` through this stage's own table.
     ///
     /// For the hashed stage the caller must map the identity to a uid
     /// itself (identities are not invertible through a hash); `uid_hint`
@@ -113,32 +156,27 @@ impl DataLocationStage {
         now: SimTime,
         uid_hint: Option<SubscriberUid>,
     ) -> Resolution {
-        match &mut self.realisation {
-            Realisation::Provisioned(sync) => {
-                if !sync.is_ready(now) {
-                    return Resolution::Syncing;
-                }
-                match self.maps.lookup(identity) {
-                    Some(loc) => Resolution::Found(loc),
-                    None => Resolution::Unknown,
-                }
-            }
-            Realisation::Cached(cache) => match cache.lookup(identity) {
-                CacheOutcome::Hit(loc) => Resolution::Found(loc),
-                CacheOutcome::Miss { ses_to_probe } => Resolution::NeedsProbe { ses_to_probe },
-            },
-            Realisation::Hashed(ring) => match (ring.locate(identity), uid_hint) {
-                (Some(partition), Some(uid)) => Resolution::Found(Location { uid, partition }),
-                // Without a uid hint the SE must resolve the identity
-                // itself; we model that as a single-SE probe.
-                (Some(_), None) => Resolution::NeedsProbe { ses_to_probe: 1 },
-                (None, _) => Resolution::Unknown,
-            },
-        }
+        self.realisation
+            .resolve(&self.maps, identity, now, uid_hint)
     }
 
-    /// Provision a binding (PS write path). Meaningful for provisioned
-    /// maps; for cached stages it warms the cache; no-op for hashed stages.
+    /// [`DataLocationStage::resolve`] through `table`, the deployment's
+    /// one identity table, instead of this stage's own: what a provisioned
+    /// stage of a UDR site does once its sync window has ended. Cached and
+    /// hashed stages never read `table`.
+    pub fn resolve_in(
+        &mut self,
+        table: &IdentityLocationMap,
+        identity: &Identity,
+        now: SimTime,
+        uid_hint: Option<SubscriberUid>,
+    ) -> Resolution {
+        self.realisation.resolve(table, identity, now, uid_hint)
+    }
+
+    /// Provision a binding into a stage built alone. Meaningful for
+    /// provisioned maps; for cached stages it warms the cache; no-op for
+    /// hashed stages.
     pub fn provision(&mut self, identity: &Identity, location: Location) {
         match &mut self.realisation {
             Realisation::Provisioned(_) => self.maps.insert(identity, location),
@@ -147,35 +185,23 @@ impl DataLocationStage {
         }
     }
 
-    /// Remove a binding (deprovisioning).
-    pub fn deprovision(&mut self, identity: &Identity) {
-        match &mut self.realisation {
-            Realisation::Provisioned(_) => {
-                self.maps.remove(identity);
-            }
-            Realisation::Cached(cache) => cache.invalidate(identity),
-            Realisation::Hashed(_) => {}
-        }
-    }
-
-    /// Install a probe answer into a cached stage.
+    /// Install a binding into a cached stage: a probe answer or a fresh
+    /// provisioning. No-op for the other realisations.
     pub fn fill_cache(&mut self, identity: &Identity, location: Location) {
         if let Realisation::Cached(cache) = &mut self.realisation {
             cache.fill(identity, location);
         }
     }
 
-    /// Bulk-import of provisioned bindings (the scale-out copy payload).
-    pub fn import(&mut self, entries: Vec<(udr_model::identity::IdentityKind, String, Location)>) {
-        self.maps.import(entries);
+    /// Drop a cached binding (deprovisioning). No-op for the other
+    /// realisations.
+    pub fn invalidate_cache(&mut self, identity: &Identity) {
+        if let Realisation::Cached(cache) = &mut self.realisation {
+            cache.invalidate(identity);
+        }
     }
 
-    /// Export provisioned bindings (to seed a new peer).
-    pub fn export(&self) -> Vec<(udr_model::identity::IdentityKind, String, Location)> {
-        self.maps.export()
-    }
-
-    /// Provisioned bindings held.
+    /// Provisioned bindings this stage holds itself.
     pub fn len(&self) -> usize {
         self.maps.len()
     }
@@ -193,7 +219,8 @@ impl DataLocationStage {
         }
     }
 
-    /// Approximate RAM used by the provisioned maps (H-link accounting).
+    /// Approximate RAM used by the bindings this stage holds itself
+    /// (H-link accounting).
     pub fn approx_bytes(&self) -> usize {
         self.maps.approx_bytes()
     }
@@ -240,42 +267,35 @@ mod tests {
             s.resolve(&imsi(2), SimTime::ZERO, None),
             Resolution::Unknown
         );
-        s.deprovision(&imsi(1));
-        assert_eq!(
-            s.resolve(&imsi(1), SimTime::ZERO, None),
-            Resolution::Unknown
-        );
+        assert_eq!(s.len(), 1);
     }
 
+    /// A syncing stage refuses during its window, then resolves through
+    /// the table it is given while holding nothing itself.
     #[test]
     fn syncing_stage_refuses_then_serves() {
         let cost = SyncCostModel {
             base: SimDuration::from_secs(10),
             per_entry: SimDuration::ZERO,
         };
-        let mut s = DataLocationStage::provisioned_syncing(SimTime::ZERO, 0, &cost);
+        let mut table = IdentityLocationMap::new();
+        table.insert(&imsi(1), loc(1, 2));
+        let mut s = DataLocationStage::provisioned_syncing(SimTime::ZERO, table.len(), &cost);
         assert_eq!(
-            s.resolve(&imsi(1), SimTime::ZERO, None),
+            s.resolve_in(&table, &imsi(1), SimTime::ZERO, None),
             Resolution::Syncing
         );
-        // After the window, it serves (still unknown until imported).
         let later = SimTime::ZERO + SimDuration::from_secs(11);
-        assert_eq!(s.resolve(&imsi(1), later, None), Resolution::Unknown);
-    }
-
-    #[test]
-    fn import_export_seeds_peer() {
-        let mut a = DataLocationStage::provisioned();
-        for i in 0..10 {
-            a.provision(&imsi(i), loc(i, 0));
-        }
-        let mut b = DataLocationStage::provisioned();
-        b.import(a.export());
-        assert_eq!(b.len(), 10);
         assert_eq!(
-            b.resolve(&imsi(3), SimTime::ZERO, None),
-            Resolution::Found(loc(3, 0))
+            s.resolve_in(&table, &imsi(1), later, None),
+            Resolution::Found(loc(1, 2))
         );
+        assert_eq!(
+            s.resolve_in(&table, &imsi(2), later, None),
+            Resolution::Unknown
+        );
+        assert!(s.is_empty());
+        assert_eq!(s.resolve(&imsi(1), later, None), Resolution::Unknown);
     }
 
     #[test]
@@ -292,7 +312,7 @@ mod tests {
             Resolution::Found(loc(1, 2))
         );
         // Deprovisioning drops the cached binding: the next lookup probes.
-        s.deprovision(&imsi(1));
+        s.invalidate_cache(&imsi(1));
         assert_eq!(
             s.resolve(&imsi(1), SimTime::ZERO, None),
             Resolution::NeedsProbe { ses_to_probe: 16 }

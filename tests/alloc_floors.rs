@@ -23,7 +23,9 @@
 //!   back, and a warm consensus catch-up reply fills a vector an earlier
 //!   one left;
 //! * an identity-location table takes 12 bytes a binding and one control
-//!   byte per bucket.
+//!   byte per bucket;
+//! * a three-site deployment holds one identity table: its provisioned
+//!   site stages resolve through it and hold no binding of their own.
 //!
 //! One counting allocator serves them all. It counts per thread, in
 //! const-initialised thread-locals that never allocate, so the floors run
@@ -38,7 +40,9 @@ use udr::core::{OpRequest, Udr, UdrConfig};
 use udr::dls::{IdentityLocationMap, Location};
 use udr::ldap::{Dn, LdapOp};
 use udr::model::attrs::{AttrId, AttrMod, AttrValue, Entry, Octets};
-use udr::model::config::{DurabilityMode, IsolationLevel, ReadPolicy, ReplicationMode};
+use udr::model::config::{
+    DurabilityMode, IsolationLevel, LocatorKind, ReadPolicy, ReplicationMode,
+};
 use udr::model::identity::{Identity, IdentitySet, Impi, Impu, Imsi, Msisdn};
 use udr::model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr::model::profile::SubscriberProfile;
@@ -1370,5 +1374,84 @@ fn a_location_table_requests_13_bytes_a_bucket() {
         t.bytes <= 13 * BOUND_BUCKETS + 16,
         "{} B for {BOUND_BUCKETS} buckets",
         t.bytes
+    );
+}
+
+// --- One identity table per deployment --------------------------------------
+//
+// Every provisioned site stage resolves through the deployment's table, so a
+// three-site deployment holds each binding once. A consistent-hashing
+// deployment holds the same table and rings of fixed size, so the difference
+// of the two deployments' live bytes is what the provisioned stages hold,
+// plus fixed bytes that cancel in the slope over two sizes.
+
+/// Subscribers in the smaller and the larger deployment.
+const TABLE_SUBSCRIBERS: [u64; 2] = [10_000, 20_000];
+
+/// Live bytes held after building a figure-2 deployment with `locator` on a
+/// lossless backbone and provisioning `subs`, 1 ms apart, then settling.
+fn deployment_live_bytes(locator: LocatorKind, subs: &[IdentitySet]) -> u64 {
+    let (udr, t) = counted(|| {
+        let mut cfg = UdrConfig::figure2();
+        cfg.frash.locator = locator;
+        cfg.seed = 23;
+        let mut udr = Udr::build(cfg).unwrap();
+        lossless_backbone(&mut udr);
+        let mut now = SimTime::ZERO;
+        for (n, ids) in subs.iter().enumerate() {
+            now += SimDuration::from_millis(1);
+            let out = udr.provision_subscriber(ids, 0, SiteId(0), now);
+            assert!(out.is_ok(), "provisioning {n}: {:?}", out.op.result);
+        }
+        udr.advance_to(now + SimDuration::from_secs(5));
+        udr
+    });
+    drop(udr);
+    t.live()
+}
+
+/// Live bytes of one table holding `subs`' bindings.
+fn table_live_bytes(subs: &[IdentitySet]) -> u64 {
+    let (table, t) = counted(|| {
+        let mut table = IdentityLocationMap::new();
+        for (uid, ids) in (0u64..).zip(subs) {
+            let location = Location {
+                uid: SubscriberUid(uid),
+                partition: PartitionId(0),
+            };
+            for identity in ids.iter() {
+                table.insert(&identity, location);
+            }
+        }
+        table
+    });
+    drop(table);
+    t.live()
+}
+
+#[test]
+fn a_deployment_holds_one_identity_table() {
+    // Built before anything is counted: identities intern their text.
+    let subs: Vec<IdentitySet> = (0..TABLE_SUBSCRIBERS[1])
+        .map(|n| IdentitySet {
+            imsi: imsi(n),
+            msisdn: Msisdn::new(format!("346{n:08}")).unwrap(),
+            impus: vec![],
+            impi: None,
+        })
+        .collect();
+    let [small, large] = TABLE_SUBSCRIBERS.map(|n| &subs[..n as usize]);
+    let stages = |subs| {
+        deployment_live_bytes(LocatorKind::ProvisionedMaps, subs) as i64
+            - deployment_live_bytes(LocatorKind::ConsistentHashing, subs) as i64
+    };
+    let table = table_live_bytes(large) as i64 - table_live_bytes(small) as i64;
+    // The deployment's DLS: the table, and what its provisioned stages hold
+    // beyond the hashed deployment's rings.
+    let dls = table + stages(large) - stages(small);
+    assert!(
+        (dls - table).abs() * 100 <= table,
+        "{} more subscribers take {dls} B of DLS, one table {table} B",
+        large.len() - small.len()
     );
 }
