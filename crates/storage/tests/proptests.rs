@@ -2,7 +2,7 @@
 //! design depends on (§3.2's serialization-order guarantee and §3.1's
 //! snapshot durability semantics).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 
@@ -10,7 +10,10 @@ use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
 use udr_model::config::{DurabilityMode, IsolationLevel};
 use udr_model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::SimTime;
-use udr_storage::{Change, CommitLog, CommitRecord, Engine, EngineSnapshot, Lsn, StorageElement};
+use udr_storage::{
+    Change, CommitLog, CommitRecord, Engine, EngineSnapshot, Lsn, RecordStore, RecordVersion,
+    StorageElement,
+};
 
 /// One scripted engine operation.
 #[derive(Debug, Clone)]
@@ -809,5 +812,136 @@ proptest! {
                 prop_assert_eq!(log.since(Lsn(probe)).count(), above.count(), "since({})", probe);
             }
         }
+    }
+}
+
+// --- A record store against a map model -------------------------------------
+
+/// One step of a record store's script.
+#[derive(Debug, Clone)]
+enum StoreStep {
+    /// Write a live value to a uid, held or not.
+    Put(u64, u64),
+    /// Tombstone a uid, held or not.
+    Delete(u64),
+    /// Save the store as its image.
+    Save,
+}
+
+/// The dense keys of a store's script run `0..STORE_KEYS`; the others are
+/// `k << 16` for `k` in `1..STORE_KEYS`. Those share every low bit of
+/// their hash, so they all start probing at one bucket and build a long
+/// chain that the dense keys' probes run into.
+const STORE_KEYS: u64 = 48;
+
+fn store_key() -> impl Strategy<Value = u64> {
+    prop_oneof![0..STORE_KEYS, (1..STORE_KEYS).prop_map(|k| k << 16)]
+}
+
+/// Every key a script may write, and a few it never does, which share low
+/// bits with those it does.
+fn store_probe_keys() -> impl Iterator<Item = u64> {
+    (0..=STORE_KEYS).chain((1..=STORE_KEYS + 1).map(|k| k << 16))
+}
+
+fn store_step_strategy() -> impl Strategy<Value = StoreStep> {
+    let put = || (store_key(), any::<u64>()).prop_map(|(uid, val)| StoreStep::Put(uid, val));
+    prop_oneof![
+        put(),
+        put(),
+        put(),
+        store_key().prop_map(StoreStep::Delete),
+        Just(StoreStep::Save),
+    ]
+}
+
+/// Assert that `store` holds exactly what `model` does, its slots in the order
+/// `slots` lists their uids.
+fn assert_store_matches(store: &RecordStore, model: &BTreeMap<u64, RecordVersion>, slots: &[u64]) {
+    assert_eq!(store.len(), model.len());
+    let live = model.values().filter(|v| v.entry.is_some()).count();
+    assert_eq!(store.live_records(), live);
+    assert!(store.iter().map(|v| v.uid.raw()).eq(slots.iter().copied()));
+    for uid in store_probe_keys() {
+        let held = model.get(&uid);
+        let got = store.get(SubscriberUid(uid));
+        assert_eq!(
+            got.map(|v| v.uid),
+            held.map(|_| SubscriberUid(uid)),
+            "get({})",
+            uid
+        );
+        assert_eq!(got.map(|v| v.to_version()).as_ref(), held, "get({})", uid);
+        let entry = held.and_then(|v| v.entry.as_ref());
+        assert_eq!(store.entry(SubscriberUid(uid)), entry, "entry({})", uid);
+    }
+}
+
+/// The image of `store` as a save would take it now: every slot in slot
+/// order.
+fn store_image(
+    model: &BTreeMap<u64, RecordVersion>,
+    slots: &[u64],
+) -> Vec<(SubscriberUid, RecordVersion)> {
+    slots
+        .iter()
+        .map(|&uid| (SubscriberUid(uid), model[&uid].clone()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `RecordStore` answers `get`, `entry`, `len`, `live_records` and
+    /// `iter` as a map of uid → version does, through writes, tombstones
+    /// and re-adds of keys whose probes collide, and through every doubling
+    /// of its uid index: the script ends by writing each of its 95 keys,
+    /// so the index doubles from 8 buckets to at least 128. A store built
+    /// by `from_records` from its `iter` agrees too, and the image a save
+    /// takes comes out of `into_image` in slot order.
+    #[test]
+    fn a_record_store_matches_a_map_model(
+        steps in prop::collection::vec(store_step_strategy(), 1..200),
+    ) {
+        let fill = (0..STORE_KEYS).chain((1..STORE_KEYS).map(|k| k << 16));
+        let steps = steps.into_iter().chain(fill.map(|uid| StoreStep::Put(uid, uid)));
+        let mut store = RecordStore::new();
+        let mut model: BTreeMap<u64, RecordVersion> = BTreeMap::new();
+        let mut slots: Vec<u64> = Vec::new();
+        let mut image = None;
+        let mut written = BTreeSet::new();
+        let mut lsn = 0;
+        for (i, step) in steps.enumerate() {
+            let (uid, entry) = match step {
+                StoreStep::Put(uid, val) => (uid, Some(entry_with(val))),
+                StoreStep::Delete(uid) => (uid, None),
+                StoreStep::Save => {
+                    prop_assert_eq!(store.save(Lsn(lsn)), written.len());
+                    written.clear();
+                    image = Some((Lsn(lsn), store_image(&model, &slots)));
+                    continue;
+                }
+            };
+            lsn += 1;
+            let version = RecordVersion {
+                entry,
+                lsn: Lsn(lsn),
+                committed_at: SimTime(i as u64),
+                written_by: SeId(uid as u32 % 3),
+            };
+            store.upsert(SubscriberUid(uid), version.entry.clone(), version.lsn, version.committed_at, version.written_by);
+            written.insert(uid);
+            if model.insert(uid, version).is_none() {
+                slots.push(uid);
+            }
+            assert_store_matches(&store, &model, &slots);
+        }
+        prop_assert_eq!(slots.len(), 95);
+
+        let mut restored = RecordStore::from_records(store.iter().map(|v| (v.uid, v.to_version())));
+        assert_store_matches(&restored, &model, &slots);
+        prop_assert_eq!(store.into_image(), image);
+        prop_assert_eq!(restored.save(Lsn(lsn)), slots.len(), "a restored store saves every slot");
+        prop_assert_eq!(restored.into_image(), Some((Lsn(lsn), store_image(&model, &slots))));
     }
 }

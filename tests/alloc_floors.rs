@@ -14,6 +14,8 @@
 //! * the storage engine shares committed payloads instead of copying them;
 //! * a record store holds less than one segment of empty room in each of
 //!   its per-slot structures, and its `heap_bytes` is what it holds;
+//! * a record store's uid index holds a 4-byte slot per bucket and no key,
+//!   in 32 768 buckets for 16 667 records;
 //! * a save allocates nothing, the first one and one after new records
 //!   included, and a sync-commit write nothing extra;
 //! * a commit log truncated behind its readers takes the segments it
@@ -44,7 +46,7 @@ use udr::model::config::{
     DurabilityMode, IsolationLevel, LocatorKind, ReadPolicy, ReplicationMode,
 };
 use udr::model::identity::{Identity, IdentitySet, Impi, Impu, Imsi, Msisdn};
-use udr::model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
+use udr::model::ids::{PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr::model::profile::SubscriberProfile;
 use udr::model::time::{SimDuration, SimTime};
 use udr::replication::ShipBatchConfig;
@@ -1148,17 +1150,25 @@ fn a_sync_commit_modify_allocates_what_a_periodic_one_does() {
 // saved column of the disk image and the list of slots written since the
 // last save) sits in fixed segments of 1 024 slots, each opened whole. A
 // store of N records therefore holds room for N rounded up to a segment in
-// each structure, and a table of segment handles, and `heap_bytes` says so
-// from its segment counts.
+// each structure, and a table of segment handles. Its uid index holds one
+// 4-byte slot per bucket and no key, in the least power-of-two table that
+// N fill to no more than 3/4. `heap_bytes` says all of it from its segment
+// and bucket counts.
 
 /// Records of one store at `ps_modify`'s size: 50 000 subscribers over
 /// three partitions.
 const STORE_RECORDS: u64 = 16_667;
 /// Slots per segment of a store's per-slot structures.
 const STORE_SEGMENT: u64 = 1024;
+/// Buckets of the uid index of a store of [`STORE_RECORDS`] records.
+const STORE_BUCKETS: u64 = 32_768;
+/// A store's per-slot structures: five columns, the image and the list of
+/// slots written since the last save.
+const STORE_STRUCTURES: u64 = 7;
 
-#[test]
-fn a_store_holds_less_than_a_segment_of_room_per_column() {
+/// A store of [`STORE_RECORDS`] records built one upsert at a time, as a
+/// replica's store grows, and the bytes building it left live.
+fn counted_store() -> (RecordStore, u64) {
     let payload = small(0);
     let (store, built) = counted(|| {
         let mut store = RecordStore::new();
@@ -1168,25 +1178,14 @@ fn a_store_holds_less_than_a_segment_of_room_per_column() {
         }
         store
     });
-    // The uid index, built alone as the store builds it.
-    let (index, alone) = counted(|| {
-        let mut index: IdMap<SubscriberUid, u32> = IdMap::default();
-        for i in 0..STORE_RECORDS {
-            index.insert(SubscriberUid(i), i as u32);
-        }
-        index
-    });
-    assert_eq!((store.len(), index.len()), (16_667, 16_667));
-    let live = built.live() - alone.live();
-    let heap = store.heap_bytes() as u64;
-    assert!(
-        heap.abs_diff(live) * 100 <= live,
-        "heap_bytes {heap} B, the allocator {live} B"
-    );
+    assert_eq!(store.len(), 16_667);
+    (store, built.live())
+}
 
-    // A slot's bytes over the seven structures, and room for the records
-    // rounded up to whole segments, plus at most two handles per segment in
-    // each structure's table.
+/// Segments each per-slot structure of a store of [`STORE_RECORDS`] opens,
+/// and the room they hold over the seven structures: a slot's bytes in each,
+/// for the records rounded up to whole segments.
+fn store_segment_room() -> (u64, u64) {
     let slot = size_of::<SubscriberUid>()
         + size_of::<Lsn>()
         + size_of::<SimTime>()
@@ -1195,12 +1194,43 @@ fn a_store_holds_less_than_a_segment_of_room_per_column() {
         + size_of::<RecordVersion>()
         + size_of::<u32>();
     let segments = STORE_RECORDS.div_ceil(STORE_SEGMENT);
-    let room = segments * STORE_SEGMENT * slot as u64;
-    let tables = 7 * 2 * segments * size_of::<Vec<u8>>() as u64;
+    (segments, segments * STORE_SEGMENT * slot as u64)
+}
+
+#[test]
+fn a_store_holds_less_than_a_segment_of_room_per_column() {
+    let (store, live) = counted_store();
+    let heap = store.heap_bytes() as u64;
     assert!(
-        live <= room + tables,
+        heap.abs_diff(live) * 100 <= live,
+        "heap_bytes {heap} B, the allocator {live} B"
+    );
+
+    // The segment room, plus at most two handles per segment in each
+    // structure's table, plus the index's 4 bytes a bucket.
+    let (segments, room) = store_segment_room();
+    let tables = STORE_STRUCTURES * 2 * segments * size_of::<Vec<u8>>() as u64;
+    let index = STORE_BUCKETS * size_of::<u32>() as u64;
+    assert!(
+        live <= room + tables + index,
         "{live} B for {STORE_RECORDS} records, room for {} slots is {room} B",
         segments * STORE_SEGMENT
+    );
+}
+
+#[test]
+fn a_store_index_holds_a_slot_per_bucket() {
+    let (_store, live) = counted_store();
+    // What is live beyond the segment room and one handle per segment in
+    // each structure's table is the index, and the tables' spare handles:
+    // at most one more per segment, since a table doubles as it grows.
+    let (segments, room) = store_segment_room();
+    let handles = STORE_STRUCTURES * segments * size_of::<Vec<u8>>() as u64;
+    let index = live - room - handles;
+    let slots = STORE_BUCKETS * size_of::<u32>() as u64;
+    assert!(
+        index <= slots + handles,
+        "the index of {STORE_RECORDS} records takes {index} B, {STORE_BUCKETS} slots {slots} B"
     );
 }
 

@@ -43,6 +43,13 @@ are exact counts, equal on every run of one build, but the table is a
 measurement too: a change to them shows in the status table only as the
 `perf/…` row they sit in.
 
+Under those `op_cost` prints what `udr-bench`'s `op_cost` binary counts on
+each tree: user-space instructions retired per operation of a fixed stream
+of searches and of modifies on `fe_read`'s deployment, and per uid lookup
+of one store. A measurement as well, never a status; where the host
+denies the instruction counter, each side prints the reason it gave, and
+a tree without the binary prints `—`.
+
 Last, `library lines` counts the library on both trees by the one rule in
 `library_lines`: every `crates/*/src/**/*.rs` outside `src/bin`, up to its
 first top-level `#[cfg(test)]`. Under it `all lines` counts every line of
@@ -141,12 +148,28 @@ def run(binary, args, workdir):
     ).stdout
 
 
+def op_cost(release, workdir):
+    """What `op_cost` in `release` counts, as row → instructions per op, or
+    the one line it printed instead of counts; `None` if there is no such
+    binary."""
+    binary = release / "op_cost"
+    if not binary.exists():
+        return None
+    lines = run(binary, [], workdir).splitlines()
+    rows = {}
+    for line in lines[2:]:
+        row, _ops, per_op = line.split()
+        rows[row] = float(per_op)
+    return rows or lines[0]
+
+
 def collect(tree, target, scratch):
-    """Every artifact of `tree` built into `target`, as name → lines, and the
-    `MEASURED` metrics of each `perf/…` run, as name → metric → value."""
+    """Every artifact of `tree` built into `target`, as name → lines, the
+    `MEASURED` metrics of each `perf/…` run, as name → metric → value, and
+    `op_cost`'s counts (`op_cost` above)."""
     release = target / "release"
     artifacts = {}
-    measured = {}
+    measured = {"op_cost": op_cost(release, scratch / "op_cost")}
     bins = {p.stem.split("_")[0]: p.stem for p in (tree / "crates/bench/src/bin").glob("e*.rs")}
     for baseline in sorted((tree / "tools" / "baselines").glob("BENCH_*.json")):
         binary = bins.get(baseline.stem.removeprefix("BENCH_"))
@@ -254,6 +277,7 @@ def main():
         print()
         print(diff)
 
+    old_cost, new_cost = old_measured.pop("op_cost"), new_measured.pop("op_cost")
     runs = sorted(old_measured.keys() & new_measured.keys())
     if runs:
         width = max(len(name) for name in runs)
@@ -271,6 +295,19 @@ def main():
                 a, b = old_measured[name][metric], new_measured[name][metric]
                 ratio = f"{b / a:.3f}" if a else "—"
                 print(f"{name:<{width}}  {metric:<18}  {a:>10.5g}  {b:>10.5g}  {ratio}")
+    print()
+    if isinstance(old_cost, dict) and isinstance(new_cost, dict):
+        print(f"{'op_cost (measured)':<24}  {rev:>10}  {'this tree':>10}  change  (instructions/op)")
+        for row in sorted(old_cost.keys() | new_cost.keys()):
+            a, b = old_cost.get(row), new_cost.get(row)
+            change = f"{(b - a) / a:+.1%}" if a and b is not None else ""
+            cells = [f"{v:>10.1f}" if v is not None else f"{'—':>10}" for v in (a, b)]
+            print(f"{row:<24}  {cells[0]}  {cells[1]}  {change}".rstrip())
+    else:
+        for side, cost in ((rev, old_cost), ("this tree", new_cost)):
+            if isinstance(cost, dict):
+                cost = ", ".join(f"{row} {v:.1f}" for row, v in cost.items()) + " instructions/op"
+            print(f"op_cost (measured), {side}: {cost or '—'}")
     print()
     print(f"{'library lines (measured)':<24}  {rev:>10}  {'this tree':>10}  change")
     print(f"{'crates/*/src, no src/bin':<24}  {old_lines:>10}  {new_lines:>10}  {new_lines - old_lines:+d}")
