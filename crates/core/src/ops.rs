@@ -293,11 +293,13 @@ impl Udr {
             }
             OpPayload::Procedure { kind, ids } => {
                 // Every operation of the procedure carries the procedure's
-                // QoS priority class (deployment overrides first, then the
-                // built-in telecom mapping) so admission control sheds
-                // whole procedures coherently — and the procedure's
-                // capability, so authorization does too.
-                let priority = req.priority.unwrap_or_else(|| self.cfg.qos.class_for(kind));
+                // QoS priority class (the request's own, else the built-in
+                // telecom mapping) so admission control sheds whole
+                // procedures coherently — and the procedure's capability,
+                // so authorization does too.
+                let priority = req
+                    .priority
+                    .unwrap_or_else(|| PriorityClass::for_procedure(kind));
                 let capability = req.capability.unwrap_or(Capability::Procedure(kind));
                 let ops = procedure_ops(kind, ids, req.site);
                 let mut session = req.session;

@@ -392,14 +392,14 @@ impl AccessStage {
         }
 
         // Per-tenant rate budget: the authorized tenant spends from its
-        // own per-class buckets, isolated — no downward borrowing and no
-        // lending across tenants — so one tenant's storm exhausts only
-        // its own budget. Cluster-level CoDel shedding below stays
+        // own per-class buckets — one class never draws on another's and
+        // no tenant lends to another — so one tenant's storm exhausts
+        // only its own budget. Cluster-level CoDel shedding below stays
         // shared: it protects the deployment, this protects the
         // neighbours.
         udr.sync_tenant_buckets();
         if let Some(buckets) = udr.tenant_bucket_mut(ctx.tenant) {
-            if !buckets.admit_isolated(ctx.priority, ctx.now) {
+            if !buckets.admit(ctx.priority, ctx.now) {
                 if ctx.span.is_active() && udr.tracer.enabled() {
                     udr.tracer.instant(
                         ctx.span.trace,
@@ -618,11 +618,8 @@ impl LocationStage {
 ///
 /// A write runs inside a single-element transaction. A read opens none: it
 /// reads the latest committed version. That is exactly what a one-read
-/// transaction returns. At READ_COMMITTED a transaction that wrote nothing
-/// sees the committed version. READ_UNCOMMITTED would also see other
-/// transactions' staged writes, but every transaction this stage opens
-/// commits or aborts before [`StorageStage::run`] returns, so between calls
-/// there are none to see.
+/// transaction returns: at READ_COMMITTED a transaction that wrote nothing
+/// sees the committed version.
 pub struct StorageStage;
 
 impl StorageStage {

@@ -746,12 +746,6 @@ impl Udr {
         &self.clusters[idx]
     }
 
-    /// Borrow a cluster's QoS admission controller (experiments inspect
-    /// shedding/degradation state through this).
-    pub fn qos_controller(&self, idx: usize) -> &AdmissionController {
-        &self.qos[idx]
-    }
-
     /// Mutate the tenant directory at runtime (grant/revoke/budget
     /// changes). Every mutation bumps the directory epoch, which makes
     /// the pipeline rebuild the derived rate-budget buckets before the

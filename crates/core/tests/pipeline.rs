@@ -371,11 +371,10 @@ fn read_through_txn(
     op: &LdapOp,
     partition: PartitionId,
     uid: SubscriberUid,
-    isolation: IsolationLevel,
 ) -> (UdrResult<Option<Entry>>, SimDuration) {
     let read_cost = se.cost_model().read;
     let mut cost = SimDuration::ZERO;
-    let txn = match se.begin(partition, isolation) {
+    let txn = match se.begin(partition, IsolationLevel::ReadCommitted) {
         Ok(t) => t,
         Err(e) => return (Err(e), cost),
     };
@@ -452,8 +451,8 @@ fn mirror(udr: &Udr, se: SeId, partition: PartitionId) -> StorageElement {
     copy
 }
 
-/// The condition that makes a committed read exact at READ_UNCOMMITTED:
-/// nothing the pipeline opened is still open.
+/// Every transaction the pipeline opened is closed again: nothing is left
+/// holding a row lock or a staged write.
 fn assert_no_open_txns(udr: &Udr, after: &str) {
     for i in 0..udr.se_count() {
         let se = udr.se(SeId(i as u32));
@@ -555,7 +554,7 @@ fn read_ops(n: u64) -> Vec<LdapOp> {
 /// Route read number `k` in state `held` through the first three stages,
 /// then check `StorageStage::run` against [`read_through_txn`] on a mirror
 /// of the routed SE: same value or error, same storage charge.
-fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held: Held, k: usize) {
+fn storage_stage_matches_the_transactional_read(held: Held, k: usize) {
     let mut udr = equivalence_udr();
     // Read at a slave's site: nearest-copy routing serves it from that
     // slave, which has not yet received an Add committed at the master in
@@ -583,7 +582,7 @@ fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held:
         .expect("bound")
         .uid;
     let op = read_ops(n).swap_remove(k);
-    let label = format!("{isolation:?} {held:?} {op:?}");
+    let label = format!("{held:?} {op:?}");
 
     udr.advance_to(now);
     let mut ctx = PipelineCtx::new(&op, TxnClass::FrontEnd, site, now);
@@ -600,7 +599,7 @@ fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held:
     }
 
     let mut reference = mirror(&udr, target, P0);
-    let (expected, engine_charge) = read_through_txn(&mut reference, &op, P0, uid, isolation);
+    let (expected, engine_charge) = read_through_txn(&mut reference, &op, P0, uid);
     match held {
         Held::Present => assert!(expected.is_ok(), "{label}: {expected:?}"),
         Held::Absent | Held::Tombstoned => {
@@ -632,14 +631,9 @@ fn storage_stage_matches_the_transactional_read(isolation: IsolationLevel, held:
 
 #[test]
 fn reads_return_what_a_read_only_transaction_returned() {
-    for isolation in [
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::ReadUncommitted,
-    ] {
-        for held in [Held::Present, Held::Absent, Held::Tombstoned, Held::SeDown] {
-            for k in 0..read_ops(0).len() {
-                storage_stage_matches_the_transactional_read(isolation, held, k);
-            }
+    for held in [Held::Present, Held::Absent, Held::Tombstoned, Held::SeDown] {
+        for k in 0..read_ops(0).len() {
+            storage_stage_matches_the_transactional_read(held, k);
         }
     }
 }

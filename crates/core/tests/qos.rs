@@ -1,6 +1,6 @@
 //! Integration tests of the QoS admission-control subsystem wired into
 //! the pipeline: class-aware shedding under overload, zero priority
-//! inversions, typed shed errors, rate ceilings, and the adaptive
+//! inversions, typed shed errors, per-request priority, and the adaptive
 //! consistency degradation of sustained overload.
 
 use udr_bench::harness::{numbered_ims_ids as ids, t};
@@ -166,50 +166,6 @@ fn shed_error_is_typed_and_retryable() {
 }
 
 #[test]
-fn rate_ceiling_sheds_with_rate_limit_reason() {
-    // Bucket the Query class (bare FE searches) tightly. Provisioning
-    // must carry a bucket too: the borrowing walk falls through an
-    // unbucketed lower class, so Query is only ever rate-shed once its
-    // own budget *and* Provisioning's are both exhausted — which also
-    // sheds Provisioning itself at that point (no inversion).
-    let qos = QosConfig::protective()
-        .with_rate_limit(PriorityClass::Query, 10.0, 2.0)
-        .with_rate_limit(PriorityClass::Provisioning, 1_000_000.0, 4.0);
-    let mut cfg = UdrConfig::figure2();
-    cfg.qos = qos;
-    let mut udr = Udr::build(cfg).unwrap();
-    let subs = provision_n(&mut udr, 4);
-
-    // Bare searches run as TxnClass::FrontEnd → PriorityClass::Query.
-    use udr_ldap::{Dn, LdapOp};
-    use udr_model::config::TxnClass;
-    let op = LdapOp::Search {
-        base: Dn::for_identity(subs[0].imsi.into()),
-        attrs: vec![],
-    };
-    let mut shed_rate = 0u64;
-    for _ in 0..40 {
-        let out = udr
-            .execute(
-                OpRequest::new(&op)
-                    .class(TxnClass::FrontEnd)
-                    .site(SiteId(0))
-                    .at(t(10)),
-            )
-            .into_op();
-        if let Err(UdrError::Shed { reason, .. }) = out.result {
-            assert_eq!(reason, ShedReason::RateLimit);
-            shed_rate += 1;
-        }
-    }
-    // 2 own tokens + 4 borrowed from provisioning admit 6; the rest of
-    // the zero-width burst is rate-shed.
-    assert!(shed_rate > 20, "only {shed_rate} rate-shed of 40");
-    assert_eq!(udr.metrics.qos.priority_inversions, 0);
-    assert!(udr.metrics.qos.class(PriorityClass::Query).shed_rate > 0);
-}
-
-#[test]
 fn sustained_overload_downgrades_guarded_reads_and_accounts_them() {
     let mut qos = QosConfig::protective();
     qos.shed_target = SimDuration::from_micros(300);
@@ -249,27 +205,24 @@ fn sustained_overload_downgrades_guarded_reads_and_accounts_them() {
         0,
         "downgrades are accounted, never silent violations"
     );
-    // Non-degraded periods still audit normally.
-    assert!(udr.qos_controller(0).config().adaptive_degradation);
 }
 
 #[test]
 fn procedure_overrides_reroute_priority() {
-    let qos = QosConfig::protective()
-        .with_override(ProcedureKind::SmsDelivery, PriorityClass::Provisioning);
     let mut cfg = UdrConfig::figure2();
-    cfg.qos = qos;
+    cfg.qos = QosConfig::protective();
     let mut udr = Udr::build(cfg).unwrap();
     let subs = provision_n(&mut udr, 3);
     let out = udr
         .execute(
             OpRequest::procedure(ProcedureKind::SmsDelivery, &subs[0])
+                .priority(PriorityClass::Provisioning)
                 .site(SiteId(0))
                 .at(t(10)),
         )
         .into_procedure();
     assert!(out.success);
-    // The op was accounted under the overridden class.
+    // Every op of the procedure was accounted under the request's class.
     assert!(udr.metrics.qos.class(PriorityClass::Provisioning).offered > 0);
     assert_eq!(udr.metrics.qos.class(PriorityClass::CallSetup).offered, 0);
 }

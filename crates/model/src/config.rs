@@ -104,12 +104,12 @@ impl fmt::Display for ReplicationMode {
     }
 }
 
-/// SQL-92 isolation levels the engine supports (§3.2 decision 2).
+/// The SQL-92 isolation level the engine runs (§3.2 decision 2). The paper
+/// also grants READ_UNCOMMITTED to transactions that span SEs; the
+/// simulator runs none on an engine (e15 prices two-phase commit in closed
+/// form), so the engine offers READ_COMMITTED only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum IsolationLevel {
-    /// Reads may observe uncommitted writes. The paper affords this level to
-    /// transactions spanning multiple SEs.
-    ReadUncommitted,
     /// Reads observe only committed data; "prevents locking from delaying
     /// reads on subscription data". The intra-SE level.
     ReadCommitted,
@@ -117,10 +117,7 @@ pub enum IsolationLevel {
 
 impl fmt::Display for IsolationLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            IsolationLevel::ReadUncommitted => "READ_UNCOMMITTED",
-            IsolationLevel::ReadCommitted => "READ_COMMITTED",
-        })
+        f.write_str("READ_COMMITTED")
     }
 }
 
@@ -629,10 +626,6 @@ mod tests {
             DurabilityMode::PeriodicSnapshot {
                 interval: SimDuration::from_millis(250),
             },
-        ]);
-        assert_distinct_labels(&[
-            IsolationLevel::ReadUncommitted,
-            IsolationLevel::ReadCommitted,
         ]);
         assert_distinct_labels(&[PlacementPolicy::Random, PlacementPolicy::HomeRegion]);
         assert_distinct_labels(&[

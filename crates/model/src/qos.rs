@@ -99,11 +99,10 @@ impl fmt::Display for PriorityClass {
     }
 }
 
-/// Why the admission controller refused an operation.
+/// Why admission refused an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ShedReason {
-    /// The class (and every class it may borrow from) exhausted its
-    /// token-bucket rate budget.
+    /// The tenant's token-bucket rate budget for the class is exhausted.
     RateLimit,
     /// Sustained queueing delay above the class's CoDel-style target —
     /// the server is falling behind and this class is below the cut.

@@ -1,29 +1,24 @@
-//! The per-cluster admission controller: rate ceilings + CoDel-style
-//! queue-delay shedding + the sustained-overload degradation signal.
+//! The per-cluster admission controller: CoDel-style queue-delay shedding
+//! and the sustained-overload degradation signal.
 
 use udr_model::qos::{PriorityClass, ShedReason};
 use udr_model::time::SimTime;
 
-use crate::bucket::ClassBuckets;
 use crate::config::QosConfig;
 
 /// One cluster's admission controller.
 ///
 /// Every operation entering the access stage presents its priority class
 /// and the queueing delay the serving LDAP station would impose. The
-/// controller decides admit/shed in two steps:
-///
-/// 1. **Delay shedding** — CoDel-flavoured: while the measured delay
-///    stays at or below the lowest class's target the queue is healthy
-///    and all state clears. Once it exceeds a class's own target *and*
-///    has been above the base target for longer than the grace interval,
-///    that class is shed ([`ShedReason::QueueDelay`]). Targets grow
-///    strictly up the priority order, so the lowest classes are always
-///    cut first and a class is never shed at a delay a lower class
-///    would survive. A delay-shed op consumes **no** rate budget.
-/// 2. **Rate ceilings** — the class takes a token from its
-///    [`ClassBuckets`] stack (borrowing downward when starved); an
-///    exhausted stack is [`ShedReason::RateLimit`].
+/// controller decides admit/shed CoDel-style: while the measured delay
+/// stays at or below the lowest class's target the queue is healthy and
+/// all state clears. Once it exceeds a class's own target *and* has been
+/// above the base target for longer than the grace interval, that class
+/// is shed ([`ShedReason::QueueDelay`]). Targets grow strictly up the
+/// priority order, so the lowest classes are always cut first and a class
+/// is never shed at a delay a lower class would survive. Rate budgets are
+/// per tenant ([`ClassBuckets`](crate::ClassBuckets)), spent before this
+/// controller is asked.
 ///
 /// Sustained shedding (longer than `degrade_after`) raises the
 /// [`AdmissionController::degraded`] signal, which the replication stage
@@ -33,7 +28,6 @@ use crate::config::QosConfig;
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     cfg: QosConfig,
-    buckets: ClassBuckets,
     /// Since when the measured delay has been exceeding the base
     /// (lowest-class) target; `None` = queue healthy.
     above_since: Option<SimTime>,
@@ -42,11 +36,8 @@ pub struct AdmissionController {
     /// the backlog, a momentary dip) must not clear an overload episode;
     /// the queue has to stay drained for a full grace interval.
     below_since: Option<SimTime>,
-    /// Since when the controller has actually been delay-shedding.
+    /// Since when the controller has actually been shedding.
     shedding_since: Option<SimTime>,
-    /// Since when rate ceilings have been refusing tokens; cleared the
-    /// moment a bucket admit succeeds again.
-    rate_shed_since: Option<SimTime>,
     /// Instant of the last observed sample (admitted or shed). Seeds
     /// `below_since` so that an idle gap — no traffic at all — counts as
     /// drained time: the first low sample after a long gap clears the
@@ -57,21 +48,13 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller for one cluster under `cfg`.
     pub fn new(cfg: QosConfig) -> Self {
-        let buckets = cfg.buckets();
         AdmissionController {
             cfg,
-            buckets,
             above_since: None,
             below_since: None,
             shedding_since: None,
-            rate_shed_since: None,
             last_sample: None,
         }
-    }
-
-    /// The configuration the controller runs under.
-    pub fn config(&self) -> &QosConfig {
-        &self.cfg
     }
 
     /// Decide admission for one `class` operation arriving at `now` that
@@ -86,9 +69,6 @@ impl AdmissionController {
             return Ok(());
         }
         let prev_sample = self.last_sample.replace(now);
-        // Delay shedding first: an op the queue is about to refuse must
-        // not consume rate budget (its own, or budget borrowed from a
-        // lower class's bucket).
         if queue_delay <= self.cfg.shed_target {
             // Low sample: the overload episode only ends once the queue
             // stays drained for a full grace interval (exit hysteresis —
@@ -113,17 +93,12 @@ impl AdmissionController {
                 return Err(ShedReason::QueueDelay);
             }
         }
-        if !self.buckets.admit(class, now) {
-            self.rate_shed_since.get_or_insert(now);
-            return Err(ShedReason::RateLimit);
-        }
-        self.rate_shed_since = None;
         Ok(())
     }
 
-    /// Whether `class` would currently be admitted, without consuming a
-    /// token or advancing any state — the priority-inversion audit: after
-    /// shedding class `c`, no class `c` outranks may answer `true` here.
+    /// Whether `class` would currently be admitted, without advancing any
+    /// state — the priority-inversion audit: after shedding class `c`, no
+    /// class `c` outranks may answer `true` here.
     pub fn would_admit(
         &self,
         class: PriorityClass,
@@ -132,9 +107,6 @@ impl AdmissionController {
     ) -> bool {
         if !self.cfg.enabled {
             return true;
-        }
-        if !self.buckets.would_admit(class, now) {
-            return false;
         }
         if queue_delay <= self.cfg.shed_target || queue_delay <= self.cfg.class_target(class) {
             return true;
@@ -145,30 +117,13 @@ impl AdmissionController {
         }
     }
 
-    /// Whether the controller is currently shedding at all — by queue
-    /// delay *or* by rate ceiling. A pure rate-limit storm (healthy
-    /// queue, exhausted buckets) is overload too.
-    fn is_shedding(&self) -> bool {
-        self.shedding_since.is_some() || self.rate_shed_since.is_some()
-    }
-
-    /// Since when the controller has been shedding for any reason.
-    fn shedding_start(&self) -> Option<SimTime> {
-        match (self.shedding_since, self.rate_shed_since) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Whether sustained overload has reached the point where guarded
-    /// read policies downgrade to nearest-copy. Rate-limit shedding
-    /// counts: a retry storm held off purely by token buckets is still
-    /// sustained overload.
+    /// read policies downgrade to nearest-copy: the controller has been
+    /// shedding for at least `degrade_after`.
     pub fn degraded(&self, now: SimTime) -> bool {
         self.cfg.enabled
-            && self.cfg.adaptive_degradation
             && self
-                .shedding_start()
+                .shedding_since
                 .is_some_and(|since| now.duration_since(since) >= self.cfg.degrade_after)
     }
 
@@ -179,7 +134,7 @@ impl AdmissionController {
     pub fn pressure_label(&self, now: SimTime) -> &'static str {
         if self.degraded(now) {
             "degraded"
-        } else if self.is_shedding() {
+        } else if self.shedding_since.is_some() {
             "shedding"
         } else {
             "healthy"
@@ -224,7 +179,7 @@ mod tests {
         for class in PriorityClass::ALL {
             assert!(c.admit(class, ms(1), at(0)).is_ok());
         }
-        assert!(!c.is_shedding());
+        assert!(c.shedding_since.is_none());
     }
 
     #[test]
@@ -247,14 +202,14 @@ mod tests {
         assert!(c.admit(PriorityClass::Registration, ms(3), at(12)).is_ok());
         assert!(c.admit(PriorityClass::CallSetup, ms(3), at(12)).is_ok());
         assert!(c.admit(PriorityClass::Emergency, ms(3), at(12)).is_ok());
-        assert!(c.is_shedding());
+        assert!(c.shedding_since.is_some());
         // One low sample is admitted but does NOT end the episode (exit
         // hysteresis): the queue must stay drained for a grace interval.
         assert!(c.admit(PriorityClass::Provisioning, ms(1), at(20)).is_ok());
-        assert!(c.is_shedding());
+        assert!(c.shedding_since.is_some());
         assert!(c.admit(PriorityClass::Provisioning, ms(1), at(31)).is_ok());
         assert!(
-            !c.is_shedding(),
+            c.shedding_since.is_none(),
             "11 ms of drained queue clears the episode"
         );
     }
@@ -275,7 +230,7 @@ mod tests {
             Err(ShedReason::QueueDelay),
             "the episode must survive a lone low sample"
         );
-        assert!(c.is_shedding());
+        assert!(c.shedding_since.is_some());
     }
 
     #[test]
@@ -328,88 +283,16 @@ mod tests {
             c.admit(PriorityClass::Provisioning, ms(20), at(12)),
             Err(ShedReason::QueueDelay)
         );
-        assert!(c.is_shedding());
+        assert!(c.shedding_since.is_some());
         // Nothing was queued for 500 ms — the first low sample after the
         // gap proves the queue drained long ago and ends the episode
         // immediately, instead of demanding another full grace interval
         // of post-gap traffic.
         assert!(c.admit(PriorityClass::Provisioning, ms(0), at(512)).is_ok());
-        assert!(!c.is_shedding(), "idle gap must clear the episode");
+        assert!(
+            c.shedding_since.is_none(),
+            "idle gap must clear the episode"
+        );
         assert!(!c.degraded(at(512)));
-    }
-
-    #[test]
-    fn rate_limit_storms_count_as_shedding_and_degrade() {
-        let mut cfg =
-            QosConfig::protective().with_rate_limit(PriorityClass::Provisioning, 1.0, 1.0);
-        cfg.degrade_after = ms(50);
-        let mut c = cfg.controller();
-        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(0)).is_ok());
-        assert!(!c.is_shedding());
-        // The bucket is dry: every refusal from here on is overload even
-        // though the queue itself is healthy.
-        assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(0), at(1)),
-            Err(ShedReason::RateLimit)
-        );
-        assert!(c.is_shedding(), "rate-limit shedding is shedding");
-        assert!(!c.degraded(at(2)), "degradation still has its fuse");
-        assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(0), at(40)),
-            Err(ShedReason::RateLimit)
-        );
-        assert!(c.degraded(at(60)), "a sustained token drought degrades");
-        // One refill later the bucket admits again and the episode ends.
-        assert!(c
-            .admit(PriorityClass::Provisioning, ms(0), at(2_000))
-            .is_ok());
-        assert!(!c.is_shedding());
-        assert!(!c.degraded(at(2_000)));
-    }
-
-    #[test]
-    fn delay_shed_consumes_no_rate_budget() {
-        let mut cfg = QosConfig::protective()
-            .with_rate_limit(PriorityClass::Registration, 10.0, 1.0)
-            .with_rate_limit(PriorityClass::Query, 10.0, 1.0)
-            .with_rate_limit(PriorityClass::Provisioning, 10.0, 1.0);
-        cfg.shed_target = ms(1);
-        cfg.shed_interval = ms(10);
-        let mut c = cfg.controller();
-        // Drive registration into delay shedding; none of these may take
-        // a token from any bucket.
-        let _ = c.admit(PriorityClass::Registration, ms(30), at(0));
-        for i in 0..20 {
-            assert_eq!(
-                c.admit(PriorityClass::Registration, ms(30), at(12 + i)),
-                Err(ShedReason::QueueDelay)
-            );
-        }
-        // The budgets are intact up to the one grace-period admit at
-        // t=0: borrowed query and provisioning tokens still admit at a
-        // healthy delay, then the stack is genuinely dry.
-        assert!(c.admit(PriorityClass::Registration, ms(0), at(33)).is_ok());
-        assert!(c.admit(PriorityClass::Registration, ms(0), at(33)).is_ok());
-        assert_eq!(
-            c.admit(PriorityClass::Registration, ms(0), at(33)),
-            Err(ShedReason::RateLimit)
-        );
-    }
-
-    #[test]
-    fn rate_limits_report_their_own_reason() {
-        let cfg = QosConfig::protective()
-            .with_rate_limit(PriorityClass::Provisioning, 10.0, 1.0)
-            .with_rate_limit(PriorityClass::Query, 10.0, 1.0);
-        let mut c = cfg.controller();
-        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(0)).is_ok());
-        assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(0), at(0)),
-            Err(ShedReason::RateLimit)
-        );
-        // Query borrows nothing from above but still has its own token.
-        assert!(c.admit(PriorityClass::Query, ms(0), at(0)).is_ok());
-        // CallSetup (unbucketed) is never rate-shed.
-        assert!(c.admit(PriorityClass::CallSetup, ms(0), at(0)).is_ok());
     }
 }

@@ -1,4 +1,4 @@
-//! Token buckets: per-class rate ceilings with strict-priority borrowing.
+//! Token buckets: per-class rate budgets of one tenant.
 
 use udr_model::qos::PriorityClass;
 use udr_model::time::SimTime;
@@ -34,16 +34,6 @@ impl TokenBucket {
         }
     }
 
-    /// Sustained rate (tokens per second).
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Burst capacity (tokens).
-    pub fn burst(&self) -> f64 {
-        self.burst
-    }
-
     fn refill(&mut self, now: SimTime) {
         if now > self.refilled_at {
             let dt = now.duration_since(self.refilled_at).as_secs_f64();
@@ -62,26 +52,15 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Whether a token would be available at `now`, without taking it.
-    pub fn peek(&self, now: SimTime) -> bool {
-        // `duration_since` saturates, so a peek into the past sees the
-        // current token count.
-        let dt = now.duration_since(self.refilled_at).as_secs_f64();
-        (self.tokens + dt * self.rate).min(self.burst) >= 1.0
-    }
 }
 
-/// The per-class bucket stack with strict-priority borrowing.
+/// One tenant's per-class bucket stack.
 ///
 /// A class with no bucket of its own is not rate-limited. A class whose
-/// bucket is empty walks *down* the priority order and takes the first
-/// available token from a lower class's bucket (sacrificing bulk budget
-/// to urgent traffic); it is only rate-shed when every class at or below
-/// it is both bucketed and exhausted. That walk is what makes priority
-/// inversion impossible by construction: if a high class is rate-shed,
-/// every lower class's walk covers a subset of the same exhausted
-/// buckets, so the lower class is shed too.
+/// bucket is empty is rate-shed: it never takes a token from another
+/// class's bucket. A tenant's budget is a contractual ceiling per class,
+/// not a priority ordering, so a tenant whose registration budget is dry
+/// must not drain its own lower-class buckets to keep storming.
 #[derive(Debug, Clone, Default)]
 pub struct ClassBuckets {
     by_rank: [Option<TokenBucket>; PriorityClass::ALL.len()],
@@ -98,56 +77,13 @@ impl ClassBuckets {
         self.by_rank[class.rank()] = Some(bucket);
     }
 
-    /// The bucket of `class`, when one is installed.
-    pub fn get(&self, class: PriorityClass) -> Option<&TokenBucket> {
-        self.by_rank[class.rank()].as_ref()
-    }
-
-    /// Admit one `class` operation at `now`: take a token from the
-    /// class's own bucket, else borrow from the first lower-priority
-    /// class that has one; an unbucketed class on the walk admits
-    /// unconditionally. `false` = rate-shed.
+    /// Admit one `class` operation at `now` from the class's own bucket;
+    /// an absent bucket means the class is uncapped. `false` = rate-shed.
     pub fn admit(&mut self, class: PriorityClass, now: SimTime) -> bool {
-        for slot in self.by_rank[class.rank()..].iter_mut() {
-            match slot {
-                None => return true,
-                Some(bucket) => {
-                    if bucket.try_take(now) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether `class` would be admitted at `now`, without consuming
-    /// anything (the priority-inversion audit uses this).
-    pub fn would_admit(&self, class: PriorityClass, now: SimTime) -> bool {
-        self.by_rank[class.rank()..]
-            .iter()
-            .any(|slot| slot.as_ref().is_none_or(|bucket| bucket.peek(now)))
-    }
-
-    /// Admit one `class` operation at `now` consulting *only* the class's
-    /// own bucket — no downward borrowing, and an absent bucket means the
-    /// class is uncapped. Per-tenant budgets use this: a tenant's budget
-    /// is a contractual ceiling per class, not a priority ordering, so a
-    /// tenant whose registration budget is dry must not drain its own
-    /// (or anyone else's) lower-class buckets to keep storming.
-    pub fn admit_isolated(&mut self, class: PriorityClass, now: SimTime) -> bool {
         match &mut self.by_rank[class.rank()] {
             None => true,
             Some(bucket) => bucket.try_take(now),
         }
-    }
-
-    /// Whether [`ClassBuckets::admit_isolated`] would admit `class` at
-    /// `now`, without consuming anything.
-    pub fn would_admit_isolated(&self, class: PriorityClass, now: SimTime) -> bool {
-        self.by_rank[class.rank()]
-            .as_ref()
-            .is_none_or(|bucket| bucket.peek(now))
     }
 }
 
@@ -183,15 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_take() {
-        let mut b = TokenBucket::new(10.0, 1.0);
-        assert!(b.peek(at(0)));
-        assert!(b.try_take(at(0)));
-        assert!(!b.peek(at(0)));
-        assert!(b.peek(at(100)));
-    }
-
-    #[test]
     fn unbucketed_class_is_unlimited() {
         let mut stack = ClassBuckets::unlimited();
         for _ in 0..10_000 {
@@ -200,45 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn starved_high_class_borrows_downward() {
-        let mut stack = ClassBuckets::unlimited();
-        stack.set(PriorityClass::CallSetup, TokenBucket::new(10.0, 1.0));
-        stack.set(PriorityClass::Registration, TokenBucket::new(10.0, 1.0));
-        stack.set(PriorityClass::Query, TokenBucket::new(10.0, 1.0));
-        stack.set(PriorityClass::Provisioning, TokenBucket::new(10.0, 1.0));
-        // Four call setups at t=0: own token, then borrowed from each
-        // lower class in priority order; the fifth is rate-shed.
-        for _ in 0..4 {
-            assert!(stack.admit(PriorityClass::CallSetup, at(0)));
-        }
-        assert!(!stack.admit(PriorityClass::CallSetup, at(0)));
-        // Every lower class is exhausted too — no inversion.
-        for class in [
-            PriorityClass::Registration,
-            PriorityClass::Query,
-            PriorityClass::Provisioning,
-        ] {
-            assert!(!stack.would_admit(class, at(0)));
-            assert!(!stack.admit(class, at(0)));
-        }
-        // Emergency has no bucket: still admitted.
-        assert!(stack.admit(PriorityClass::Emergency, at(0)));
-    }
-
-    #[test]
     fn isolated_admission_never_borrows() {
         let mut stack = ClassBuckets::unlimited();
         stack.set(PriorityClass::Registration, TokenBucket::new(10.0, 1.0));
         stack.set(PriorityClass::Query, TokenBucket::new(10.0, 1.0));
-        assert!(stack.admit_isolated(PriorityClass::Registration, at(0)));
-        // Registration budget is dry; the borrowing walk would have
-        // taken Query's token, the isolated check must not.
-        assert!(!stack.would_admit_isolated(PriorityClass::Registration, at(0)));
-        assert!(!stack.admit_isolated(PriorityClass::Registration, at(0)));
-        assert!(stack.would_admit_isolated(PriorityClass::Query, at(0)));
-        assert!(stack.admit_isolated(PriorityClass::Query, at(0)));
+        assert!(stack.admit(PriorityClass::Registration, at(0)));
+        // Registration budget is dry; a walk down the order would take
+        // Query's token, the admit must not.
+        assert!(!stack.admit(PriorityClass::Registration, at(0)));
+        assert!(stack.admit(PriorityClass::Query, at(0)));
         // An unbucketed class stays uncapped.
-        assert!(stack.admit_isolated(PriorityClass::Emergency, at(0)));
+        assert!(stack.admit(PriorityClass::Emergency, at(0)));
     }
 
     #[test]

@@ -1,39 +1,20 @@
 //! The QoS knob set of one deployment.
 
 use udr_model::error::{UdrError, UdrResult};
-use udr_model::procedures::ProcedureKind;
 use udr_model::qos::PriorityClass;
 use udr_model::time::SimDuration;
 
 use crate::admission::AdmissionController;
-use crate::bucket::{ClassBuckets, TokenBucket};
-
-/// A per-class rate ceiling: `rate` ops/s sustained, `burst` ops of
-/// headroom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimit {
-    /// Sustained admission rate (ops per second).
-    pub rate: f64,
-    /// Burst capacity (ops).
-    pub burst: f64,
-}
 
 /// Admission-control configuration of one deployment. The default is
 /// [`QosConfig::disabled`]: the controller admits everything and the
 /// system behaves exactly as it did before the subsystem existed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QosConfig {
-    /// Master switch; everything below is inert while `false`.
+    /// Master switch; everything below is inert while `false`. While
+    /// `true`, sustained shedding also downgrades guarded read policies
+    /// (see [`QosConfig::degrade_after`]).
     pub enabled: bool,
-    /// Per-procedure-kind priority overrides (e.g. promote `CallSetupMo`
-    /// to [`PriorityClass::Emergency`] for an emergency-call FE). Kinds
-    /// not listed use [`PriorityClass::for_procedure`].
-    pub overrides: Vec<(ProcedureKind, PriorityClass)>,
-    /// Per-class rate ceilings, indexed by [`PriorityClass::rank`];
-    /// `None` = not rate-limited. A starved class borrows from
-    /// lower-priority buckets before being shed (see
-    /// [`ClassBuckets::admit`]).
-    pub rates: [Option<RateLimit>; PriorityClass::ALL.len()],
     /// Queue-delay target of the *lowest* class (CoDel's `target`): the
     /// station queueing delay above which provisioning traffic starts
     /// being shed. Each class up the order tolerates twice the delay of
@@ -43,13 +24,10 @@ pub struct QosConfig {
     /// before that class is actually shed (CoDel's `interval` — absorbs
     /// transient bursts that would drain on their own).
     pub shed_interval: SimDuration,
-    /// Whether sustained overload may downgrade guarded read policies
-    /// (`BoundedStaleness`/`SessionConsistent`) to `NearestCopy` — the
-    /// PACELC "else" leg flipped live, always recorded in
-    /// `GuaranteeTracker` as an explicit policy downgrade.
-    pub adaptive_degradation: bool,
-    /// How long the controller must have been shedding before the
-    /// degradation kicks in.
+    /// How long the controller must have been shedding before guarded
+    /// read policies (`BoundedStaleness`/`SessionConsistent`) downgrade to
+    /// `NearestCopy` — the PACELC "else" leg flipped live, always recorded
+    /// in `GuaranteeTracker` as an explicit policy downgrade.
     pub degrade_after: SimDuration,
 }
 
@@ -64,46 +42,19 @@ impl QosConfig {
     pub fn disabled() -> Self {
         QosConfig {
             enabled: false,
-            overrides: Vec::new(),
-            rates: [None, None, None, None, None],
             shed_target: SimDuration::from_micros(500),
             shed_interval: SimDuration::from_millis(100),
-            adaptive_degradation: false,
             degrade_after: SimDuration::from_secs(2),
         }
     }
 
-    /// Overload protection on with the default targets, no rate
-    /// ceilings, and adaptive degradation enabled.
+    /// Overload protection on with the default targets: delay shedding
+    /// and the degradation of sustained overload.
     pub fn protective() -> Self {
         QosConfig {
             enabled: true,
-            adaptive_degradation: true,
             ..QosConfig::disabled()
         }
-    }
-
-    /// Builder: install a rate ceiling for `class`.
-    pub fn with_rate_limit(mut self, class: PriorityClass, rate: f64, burst: f64) -> Self {
-        self.rates[class.rank()] = Some(RateLimit { rate, burst });
-        self
-    }
-
-    /// Builder: override the priority class of a procedure kind.
-    pub fn with_override(mut self, kind: ProcedureKind, class: PriorityClass) -> Self {
-        self.overrides.retain(|(k, _)| *k != kind);
-        self.overrides.push((kind, class));
-        self
-    }
-
-    /// The priority class of a front-end procedure under this
-    /// configuration (override, else the built-in mapping).
-    pub fn class_for(&self, kind: ProcedureKind) -> PriorityClass {
-        self.overrides
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, class)| *class)
-            .unwrap_or_else(|| PriorityClass::for_procedure(kind))
     }
 
     /// The queue-delay target of a class: [`QosConfig::shed_target`] for
@@ -131,35 +82,12 @@ impl QosConfig {
                 "qos shed_interval must be non-zero".into(),
             ));
         }
-        if self.adaptive_degradation && self.degrade_after.is_zero() {
+        if self.degrade_after.is_zero() {
             return Err(UdrError::Config(
-                "qos degrade_after must be non-zero when adaptive degradation is on".into(),
+                "qos degrade_after must be non-zero".into(),
             ));
         }
-        for (rank, limit) in self.rates.iter().enumerate() {
-            if let Some(RateLimit { rate, burst }) = limit {
-                let rate_ok = rate.is_finite() && *rate > 0.0;
-                let burst_ok = burst.is_finite() && *burst >= 1.0;
-                if !rate_ok || !burst_ok {
-                    return Err(UdrError::Config(format!(
-                        "qos rate limit for {} needs rate > 0 and burst >= 1 (got {rate}, {burst})",
-                        PriorityClass::ALL[rank]
-                    )));
-                }
-            }
-        }
         Ok(())
-    }
-
-    /// Build the per-class bucket stack this configuration describes.
-    pub(crate) fn buckets(&self) -> ClassBuckets {
-        let mut stack = ClassBuckets::unlimited();
-        for (rank, limit) in self.rates.iter().enumerate() {
-            if let Some(RateLimit { rate, burst }) = limit {
-                stack.set(PriorityClass::ALL[rank], TokenBucket::new(*rate, *burst));
-            }
-        }
-        stack
     }
 
     /// Build an [`AdmissionController`] for one cluster.
@@ -195,32 +123,14 @@ mod tests {
     }
 
     #[test]
-    fn overrides_beat_the_builtin_mapping() {
-        let cfg = QosConfig::protective()
-            .with_override(ProcedureKind::CallSetupMo, PriorityClass::Emergency)
-            .with_override(ProcedureKind::CallSetupMo, PriorityClass::Emergency);
-        assert_eq!(
-            cfg.class_for(ProcedureKind::CallSetupMo),
-            PriorityClass::Emergency
-        );
-        assert_eq!(
-            cfg.class_for(ProcedureKind::CallSetupMt),
-            PriorityClass::CallSetup
-        );
-        assert_eq!(cfg.overrides.len(), 1, "re-override replaces, not stacks");
-    }
-
-    #[test]
     fn validation_catches_bad_knobs() {
         let mut cfg = QosConfig::protective();
         cfg.shed_target = SimDuration::ZERO;
         assert!(cfg.validate().is_err());
 
-        let bad_rate = QosConfig::protective().with_rate_limit(PriorityClass::Query, 0.0, 4.0);
-        assert!(bad_rate.validate().is_err());
-
-        let bad_burst = QosConfig::protective().with_rate_limit(PriorityClass::Query, 100.0, 0.5);
-        assert!(bad_burst.validate().is_err());
+        let mut no_fuse = QosConfig::protective();
+        no_fuse.degrade_after = SimDuration::ZERO;
+        assert!(no_fuse.validate().is_err());
 
         // Disabled configs are never rejected: the knobs are inert.
         let mut off = QosConfig::disabled();

@@ -14,14 +14,14 @@
 //!   `udr-model`, where `UdrError::Shed` carries it): emergency traffic
 //!   outranks call setup outranks registration outranks queries outranks
 //!   provisioning;
-//! * [`TokenBucket`] / [`ClassBuckets`] — per-class rate ceilings where a
-//!   starved high-priority class borrows budget downward before ever
-//!   being shed (no priority inversion by construction);
-//! * [`AdmissionController`] — one per blade cluster: combines the rate
-//!   ceilings with CoDel-style queue-delay shedding (measure the LDAP
-//!   station's queueing delay against per-class targets; sustained
-//!   excess sheds the lowest classes first) and drives the adaptive
-//!   consistency degradation of sustained overload;
+//! * [`TokenBucket`] / [`ClassBuckets`] — one tenant's per-class rate
+//!   budgets: each class spends from its own bucket only, and an empty
+//!   bucket sheds that class ([`ShedReason::RateLimit`]);
+//! * [`AdmissionController`] — one per blade cluster: CoDel-style
+//!   queue-delay shedding (measure the LDAP station's queueing delay
+//!   against per-class targets; sustained excess sheds the lowest
+//!   classes first, so no priority inversion by construction) that
+//!   drives the adaptive consistency degradation of sustained overload;
 //! * [`QosConfig`] — the knob set, disabled by default so existing
 //!   deployments behave exactly as before.
 
@@ -34,5 +34,5 @@ pub mod config;
 
 pub use admission::AdmissionController;
 pub use bucket::{ClassBuckets, TokenBucket};
-pub use config::{QosConfig, RateLimit};
+pub use config::QosConfig;
 pub use udr_model::qos::{PriorityClass, ShedReason};

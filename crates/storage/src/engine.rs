@@ -2,16 +2,14 @@
 //!
 //! Implements the §3.2 decisions: transactions are ACID *within* one storage
 //! element only; the isolation level is READ_COMMITTED (reads never block,
-//! writers take row locks that fail fast on conflict), with READ_UNCOMMITTED
-//! available for the cross-SE transaction groups the paper demotes.
+//! writers take row locks that fail fast on conflict). The paper grants
+//! READ_UNCOMMITTED to transactions that span SEs; the simulator runs none
+//! on an engine, so the engine offers no dirty reads.
 //!
 //! Reads served to clients take no transaction: the pipeline calls
 //! [`Engine::read_committed`], and only writes `begin` and `commit`. That
-//! is exact at both levels. A transaction that has written nothing sees the
-//! latest committed version at READ_COMMITTED; at READ_UNCOMMITTED it would
-//! also see other transactions' staged writes, but the pipeline commits or
-//! aborts every transaction inside the call that opened it, so when a read
-//! runs no staged write exists anywhere.
+//! is exact: a transaction that has written nothing sees the latest
+//! committed version.
 //!
 //! The engine is clock-free: commit timestamps are supplied by the caller
 //! (virtual time in simulations, wall time in benchmarks), which keeps the
@@ -23,11 +21,10 @@
 //! vector and `commit`/`abort` hand it back emptied, so in the pipeline's
 //! one-transaction-at-a-time use a write stages into memory the previous
 //! transaction already allocated. A transaction that begins while another
-//! holds the spare starts with an empty vector of its own. Row locks and
-//! staged values are one map, so staging a write is one probe and so is
-//! releasing it at commit.
-
-use std::collections::hash_map::Entry as MapEntry;
+//! holds the spare starts with an empty vector of its own. The lock table
+//! maps a uid to its holder only; the staged value lives in the holder's
+//! write set, so staging a write is one probe and so is releasing it at
+//! commit.
 
 use udr_model::attrs::{AttrMod, Entry};
 use udr_model::config::IsolationLevel;
@@ -45,7 +42,6 @@ pub struct TxnId(pub u64);
 
 #[derive(Debug)]
 struct ActiveTxn {
-    isolation: IsolationLevel,
     /// Staged final values per record (`None` = delete), one per uid,
     /// sorted by uid so commit application is deterministic.
     writes: Vec<(SubscriberUid, Option<Entry>)>,
@@ -103,9 +99,8 @@ pub struct Engine {
     se: SeId,
     /// Committed state, stored column-wise (see [`RecordStore`]).
     committed: RecordStore,
-    /// Row write locks with the holder's staged value: uid → (holding
-    /// transaction, value readable at READ_UNCOMMITTED).
-    dirty: IdMap<SubscriberUid, (TxnId, Option<Entry>)>,
+    /// Row write locks: uid → holding transaction.
+    locks: IdMap<SubscriberUid, TxnId>,
     active: IdMap<TxnId, ActiveTxn>,
     /// The write-set vector the next `begin` borrows (empty, capacity
     /// kept).
@@ -124,7 +119,7 @@ impl Engine {
         Engine {
             se,
             committed: RecordStore::new(),
-            dirty: IdMap::default(),
+            locks: IdMap::default(),
             active: IdMap::default(),
             spare_writes: Vec::new(),
             log: CommitLog::new(),
@@ -141,7 +136,7 @@ impl Engine {
         Engine {
             se,
             committed: RecordStore::from_records(snapshot.records),
-            dirty: IdMap::default(),
+            locks: IdMap::default(),
             active: IdMap::default(),
             spare_writes: Vec::new(),
             log: CommitLog::starting_after(snapshot.last_lsn),
@@ -161,14 +156,13 @@ impl Engine {
         self.se = se;
     }
 
-    /// Begin a transaction at the given isolation level.
-    pub fn begin(&mut self, isolation: IsolationLevel) -> TxnId {
+    /// Begin a READ_COMMITTED transaction.
+    pub fn begin(&mut self, _isolation: IsolationLevel) -> TxnId {
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
         self.active.insert(
             id,
             ActiveTxn {
-                isolation,
                 writes: std::mem::take(&mut self.spare_writes),
             },
         );
@@ -190,22 +184,13 @@ impl Engine {
 
     /// Read a record inside a transaction.
     ///
-    /// * Own staged writes are always visible (read-your-writes).
-    /// * READ_COMMITTED sees the latest committed version and never blocks
-    ///   on other writers (§3.2 decision 2).
-    /// * READ_UNCOMMITTED additionally sees other transactions' staged
-    ///   writes (dirty reads).
+    /// Own staged writes are always visible (read-your-writes); otherwise
+    /// the read sees the latest committed version and never blocks on
+    /// other writers (§3.2 decision 2).
     pub fn read(&self, id: TxnId, uid: SubscriberUid) -> UdrResult<Option<Entry>> {
         let txn = self.txn(id)?;
         if let Some(staged) = txn.staged(uid) {
             return Ok(staged.clone());
-        }
-        if txn.isolation == IsolationLevel::ReadUncommitted {
-            if let Some((owner, staged)) = self.dirty.get(&uid) {
-                if *owner != id {
-                    return Ok(staged.clone());
-                }
-            }
         }
         Ok(self.read_committed(uid))
     }
@@ -233,15 +218,10 @@ impl Engine {
     /// `value` as its new version.
     fn stage(&mut self, id: TxnId, uid: SubscriberUid, value: Option<Entry>) -> UdrResult<()> {
         let txn = self.active.get_mut(&id).ok_or(UdrError::TxnInvalid)?;
-        match self.dirty.entry(uid) {
-            MapEntry::Occupied(e) if e.get().0 != id => {
-                self.conflict_count += 1;
-                return Err(UdrError::WriteConflict(uid));
-            }
-            MapEntry::Occupied(mut e) => e.get_mut().1 = value.clone(),
-            MapEntry::Vacant(e) => {
-                e.insert((id, value.clone()));
-            }
+        let owner = *self.locks.entry(uid).or_insert(id);
+        if owner != id {
+            self.conflict_count += 1;
+            return Err(UdrError::WriteConflict(uid));
         }
         match txn.writes.binary_search_by_key(&uid, |(u, _)| *u) {
             Ok(i) => txn.writes[i].1 = value,
@@ -250,19 +230,9 @@ impl Engine {
         Ok(())
     }
 
-    /// The currently visible value for a write operation: own staged value
-    /// first, then committed.
-    fn visible_for_write(&self, id: TxnId, uid: SubscriberUid) -> UdrResult<Option<Entry>> {
-        let txn = self.txn(id)?;
-        if let Some(staged) = txn.staged(uid) {
-            return Ok(staged.clone());
-        }
-        Ok(self.read_committed(uid))
-    }
-
     /// Create a record; fails if it already exists.
     pub fn insert(&mut self, id: TxnId, uid: SubscriberUid, entry: Entry) -> UdrResult<()> {
-        if self.visible_for_write(id, uid)?.is_some() {
+        if self.read(id, uid)?.is_some() {
             return Err(UdrError::AlreadyExists(uid));
         }
         self.stage(id, uid, Some(entry))
@@ -275,16 +245,14 @@ impl Engine {
 
     /// Apply attribute-level modifications to an existing record.
     pub fn modify(&mut self, id: TxnId, uid: SubscriberUid, mods: &[AttrMod]) -> UdrResult<()> {
-        let mut entry = self
-            .visible_for_write(id, uid)?
-            .ok_or(UdrError::NotFound(uid))?;
+        let mut entry = self.read(id, uid)?.ok_or(UdrError::NotFound(uid))?;
         entry.apply(mods);
         self.stage(id, uid, Some(entry))
     }
 
     /// Delete an existing record.
     pub fn delete(&mut self, id: TxnId, uid: SubscriberUid) -> UdrResult<()> {
-        if self.visible_for_write(id, uid)?.is_none() {
+        if self.read(id, uid)?.is_none() {
             return Err(UdrError::NotFound(uid));
         }
         self.stage(id, uid, None)
@@ -304,7 +272,7 @@ impl Engine {
         let changes = writes
             .drain(..)
             .map(|(uid, entry)| {
-                self.dirty.remove(&uid);
+                self.locks.remove(&uid);
                 self.committed.upsert(uid, entry.clone(), lsn, now, self.se);
                 Change { uid, entry }
             })
@@ -325,7 +293,7 @@ impl Engine {
     pub fn abort(&mut self, id: TxnId) {
         if let Some(txn) = self.active.remove(&id) {
             for (uid, _) in &txn.writes {
-                self.dirty.remove(uid);
+                self.locks.remove(uid);
             }
             self.return_writes(txn.writes);
         }
@@ -495,25 +463,6 @@ mod tests {
             seen.get(AttrId::Msisdn).and_then(AttrValue::as_str),
             Some("new")
         );
-    }
-
-    #[test]
-    fn read_uncommitted_sees_dirty_writes() {
-        let mut eng = Engine::new(SeId(0));
-        let writer = eng.begin(IsolationLevel::ReadCommitted);
-        eng.put(writer, uid(1), entry("dirty")).unwrap();
-
-        let reader = eng.begin(IsolationLevel::ReadUncommitted);
-        let seen = eng.read(reader, uid(1)).unwrap().unwrap();
-        assert_eq!(
-            seen.get(AttrId::Msisdn).and_then(AttrValue::as_str),
-            Some("dirty")
-        );
-
-        // If the writer aborts, the dirty read turns out to have been wrong —
-        // exactly the hazard the paper accepts for cross-SE transactions.
-        eng.abort(writer);
-        assert!(eng.read(reader, uid(1)).unwrap().is_none());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! decisions prescribe:
 //!
 //! * ACID transactions **within one element only** — no 2PC across SEs;
-//! * READ_COMMITTED isolation on the intra-SE path (readers never block),
-//!   READ_UNCOMMITTED available for cross-SE transaction groups;
+//! * READ_COMMITTED isolation (readers never block, writers take row
+//!   locks that fail fast on conflict);
 //! * a per-replica LSN-ordered commit log that doubles as the replication
 //!   stream, so slaves replay exactly the master's serialization order;
 //! * durability modes: none, periodic RAM→disk snapshots (§3.1 decision 1),

@@ -489,14 +489,11 @@ impl RecordStore {
     }
 
     /// Approximate RAM footprint of committed data, in bytes: the packed
-    /// scalar columns, 16 bytes of index per record and payload estimates.
-    /// The index figure is the capacity model's, kept as it was when the
-    /// index was a map of uid → slot pairs, because `storage.bytes_per_record`
-    /// and e23 read this figure; [`RecordStore::heap_bytes`] holds what the
-    /// index really takes.
+    /// scalar columns, the uid index's buckets at 4 bytes each and payload
+    /// estimates.
     pub fn approx_bytes(&self) -> usize {
         let scalar_columns = self.len() * (8 + 8 + 8 + 4);
-        let index = self.len() * 16;
+        let index = self.index.heap_bytes();
         let payloads = self.len() * 8 + self.payload_bytes;
         scalar_columns + index + payloads
     }
@@ -589,7 +586,7 @@ mod tests {
             last_lsn: Lsn::ZERO,
         };
         (
-            s.len() * (8 + 8 + 8 + 4) + s.len() * 16 + payloads,
+            s.len() * (8 + 8 + 8 + 4) + s.index.buckets.len() * 4 + payloads,
             snapshot.approx_bytes(),
         )
     }
