@@ -152,6 +152,32 @@ proptest! {
         prop_assert_eq!(decode_response(&on_wire).unwrap().entry, Some(view));
     }
 
+    /// An entry holding attributes at their defaults, in its flat block as
+    /// default bits and in a delta as stored values, decodes to a flat
+    /// block that elides every one of them; it equals its source and
+    /// encodes to the same bytes.
+    #[test]
+    fn a_decoded_entry_with_defaults_encodes_as_its_source(
+        message_id in any::<u32>(),
+        entry in entry_strategy(),
+        in_block in prop::collection::vec(attr_id_strategy(), 0..8),
+        written in prop::collection::vec(attr_id_strategy(), 0..4),
+    ) {
+        let default = |id: &AttrId| Some((*id, id.default_value()?.clone()));
+        let mut source: Entry = entry
+            .iter()
+            .map(|(id, v)| (*id, v.clone()))
+            .chain(in_block.iter().filter_map(default))
+            .collect();
+        for (id, v) in written.iter().filter_map(default) {
+            source.set(id, v);
+        }
+        let on_wire = encode_response(&LdapResponse::with_entry(message_id, source.clone()));
+        let decoded = decode_response(&on_wire).unwrap().entry.unwrap();
+        prop_assert_eq!(&decoded, &source);
+        prop_assert_eq!(encode_response(&LdapResponse::with_entry(message_id, decoded)), on_wire);
+    }
+
     /// The decoder never panics on arbitrary bytes — it returns errors.
     #[test]
     fn decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {

@@ -5,16 +5,19 @@
 //! as an ordered attribute map — the common denominator between the storage
 //! engine (which stores whole entries as record versions) and the LDAP layer
 //! (which reads and modifies attributes). A committed version of an entry is
-//! one heap block of 24 bytes plus 16 per value it holds: its reference
-//! count, a presence mask over the attribute ids, a pointer to the flat
-//! block it overrides, if any, and the values, in id order. The ids are not
-//! stored: the mask encodes them. A profile build makes one flat block of
-//! every attribute; a modify or a consensus post-image makes one block of
-//! the attributes the subscriber's writes changed since its last flat
-//! block, over that flat block, which it shares: one allocator call each,
-//! for what the write changes rather than what the record holds.
+//! one heap block of 24 bytes plus 16 per value it stores: its reference
+//! count, a presence mask over the attribute ids, a mask of the attributes
+//! it holds at their default, a pointer to the flat block it overrides, if
+//! any, and the values, in id order. The ids are not stored: the masks
+//! encode them. A profile build makes one flat block of every attribute
+//! whose value differs from its default; a modify or a consensus post-image
+//! makes one block of the attributes the subscriber's writes changed since
+//! its last flat block, over that flat block, which it shares: one
+//! allocator call each, for what the write changes rather than what the
+//! record holds.
 
 use std::fmt;
+use std::sync::LazyLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -128,6 +131,12 @@ impl AttrId {
     #[inline]
     const fn bit(self) -> u32 {
         1 << self.dense()
+    }
+
+    /// The value every subscription starts with (§2.4), if the attribute
+    /// has one: what a provisioned profile holds before its first write.
+    pub fn default_value(self) -> Option<&'static AttrValue> {
+        DEFAULTS[self.dense()].as_ref()
     }
 
     /// Numeric wire tag (used by the codec).
@@ -274,18 +283,48 @@ impl From<Vec<u8>> for AttrValue {
     }
 }
 
+/// The one table of default values, by [`AttrId::dense`] position
+/// ([`AttrId::default_value`]). Built once per process: a provisioned
+/// profile starts from these handles, and an [`Entry`] block stores no slot
+/// for an attribute that holds its default.
+static DEFAULTS: LazyLock<Dense> = LazyLock::new(|| {
+    let list = |items: &[&str]| AttrValue::StrList(items.iter().copied().collect());
+    let mut table = Dense::default();
+    for (id, value) in [
+        (AttrId::AuthAmf, AttrValue::U64(0x8000)),
+        (AttrId::AuthSqn, AttrValue::U64(0)),
+        (AttrId::SubscriberStatus, "serviceGranted".into()),
+        (AttrId::OdbMask, AttrValue::U64(0)),
+        (AttrId::CallBarring, AttrValue::Bool(false)),
+        (
+            AttrId::Teleservices,
+            list(&["telephony", "sms-mt", "sms-mo"]),
+        ),
+        (AttrId::ApnProfiles, list(&["internet"])),
+        (AttrId::ChargingProfile, "default".into()),
+        (AttrId::ProvisioningGen, AttrValue::U64(1)),
+    ] {
+        table[id.dense()] = Some(value);
+    }
+    table
+});
+
 /// One subscriber entry: an ordered attribute map.
 ///
 /// A committed version is one reference-counted heap block behind one
 /// 8-byte pointer: a 24-byte header (the count, a presence mask, one bit
-/// per [`AttrId`] the block holds, and an optional base) and then the
-/// values, in `AttrId` order, 16 bytes each. An attribute's value sits at
-/// the number of present attributes before it, so no id is stored and a
-/// lookup is a mask and a population count. A *flat* block has no base and
-/// holds every attribute; a *delta* block holds the attributes written
-/// since the flat block it names as its base, which it shares. A read looks
-/// in the delta first, then in the base; a delta's base is always flat, so
-/// that is at most one more pointer.
+/// per [`AttrId`] the block stores, a defaults mask, one bit per attribute
+/// it holds at its [`AttrId::default_value`], and an optional base) and
+/// then the stored values, in `AttrId` order, 16 bytes each. An attribute's
+/// value sits at the number of stored attributes before it, so no id is
+/// stored and a lookup is a mask and a population count. A *flat* block has
+/// no base and holds every attribute: it stores each value that differs
+/// from its attribute's default and sets a defaults bit for each one that
+/// equals it. A *delta* block stores the attributes written since the flat
+/// block it names as its base, which it shares, and never elides a value. A
+/// read looks in the delta first, then in the base, then in the defaults
+/// table; a delta's base is always flat, so that is at most one more
+/// pointer.
 ///
 /// Blocks are copied on write: `clone` is a reference-count bump, so the
 /// store, the commit log, the ship channels, every slave and every disk
@@ -308,9 +347,11 @@ impl From<Vec<u8>> for AttrValue {
 /// another, and a hidden attribute is gone for good from the handle that
 /// hid it. A new block copies value slots and no string, octet or list:
 /// those are shared ([`AttrValue`]), so a one-attribute modify of a
-/// provisioned profile asks for 40 bytes, not the profile's 232. Builders
-/// ([`FromIterator`], the profile and the codecs) gather attributes by tag
-/// first and allocate one flat block, not one per attribute.
+/// provisioned profile asks for 40 bytes, not the profile's 88 or 120; a
+/// set of an attribute the flat block holds at its default builds a delta
+/// like any other. Builders ([`FromIterator`], the profile and the codecs)
+/// gather attributes by tag first, compare each value with its default and
+/// allocate one flat block, not one per attribute.
 ///
 /// A handle also caches [`Entry::approx_size`] of what it shows, beside its
 /// visibility mask: [`Entry::set`] and [`Entry::remove`] adjust it by the
@@ -322,7 +363,8 @@ impl From<Vec<u8>> for AttrValue {
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Entry {
     /// The values of the attributes whose `AttrId::bit`s the block's
-    /// presence mask sets, in `AttrId` order, over the flat block they
+    /// presence mask sets, in `AttrId` order, beside the bits of those its
+    /// defaults mask holds at their default, over the flat block they
     /// override, if any.
     attrs: Block,
     /// Low half: the `AttrId::bit`s of the attributes in `attrs` that this
@@ -397,11 +439,15 @@ impl Entry {
         self.shown as u32
     }
 
-    /// The `AttrId::bit`s of the attributes the block and its base hold.
+    /// The `AttrId::bit`s of the attributes the block and its base hold,
+    /// stored or at their default. A handle that showed a defaulted
+    /// attribute would otherwise hide part of its block, and every write to
+    /// it would flatten.
     #[inline]
     fn present(&self) -> u32 {
         let own = self.attrs.shape();
-        own.present | own.base.as_ref().map_or(0, |base| base.shape().present)
+        let flat = own.base.as_ref().map_or(own, Payload::shape);
+        own.present | flat.present | flat.defaults
     }
 
     /// The cached `approx_size()`, or [`UNKNOWN_SIZE`].
@@ -425,24 +471,42 @@ impl Entry {
         dense
     }
 
-    /// The entry holding the attributes of `dense`, in one allocation.
-    fn from_dense(dense: Dense) -> Entry {
-        let (mut present, mut size) = (0, 0);
-        for (id, value) in AttrId::ALL.iter().zip(&dense) {
-            if let Some(value) = value {
-                present |= id.bit();
-                size += attr_size(value);
+    /// The entry holding the attributes of `dense`, and each attribute
+    /// `held` names that `dense` leaves unset at its default if it has one,
+    /// in one allocation: a flat block storing each value that differs from
+    /// its attribute's default, with a defaults bit for each one that
+    /// equals it. The size cache counts them all.
+    fn from_dense(dense: Dense, held: u32) -> Entry {
+        let (mut present, mut defaults, mut size) = (0, 0, 0);
+        for ((id, value), default) in AttrId::ALL.iter().zip(&dense).zip(DEFAULTS.iter()) {
+            match (value, default) {
+                (Some(value), _) => {
+                    size += attr_size(value);
+                    if default.as_ref() == Some(value) {
+                        defaults |= id.bit();
+                    } else {
+                        present |= id.bit();
+                    }
+                }
+                (None, Some(default)) if held & id.bit() != 0 => {
+                    size += attr_size(default);
+                    defaults |= id.bit();
+                }
+                (None, _) => {}
             }
         }
         let shape = Masked {
             present,
+            defaults,
             base: None,
         };
-        let attrs = Payload::from_exact(shape, dense.into_iter().flatten());
+        let stored = (dense.into_iter().zip(AttrId::ALL))
+            .filter_map(|(value, id)| value.filter(|_| present & id.bit() != 0));
+        let attrs = Payload::from_exact(shape, stored);
         let size = u32::try_from(size).unwrap_or(UNKNOWN_SIZE);
         Entry {
             attrs,
-            shown: shown(present, size),
+            shown: shown(present | defaults, size),
         }
     }
 
@@ -497,6 +561,7 @@ impl Entry {
                 let after = &values[i + usize::from(delta & bit != 0)..];
                 let shape = Masked {
                     present: delta | bit,
+                    defaults: 0,
                     base: Some(base.clone()),
                 };
                 self.attrs = Payload::splice(shape, &values[..i], value, after);
@@ -506,20 +571,26 @@ impl Entry {
         }
         let mut dense = self.dense();
         let old = dense[id.dense()].replace(value);
-        *self = Entry::from_dense(dense);
+        *self = Entry::from_dense(dense, 0);
         old
     }
 
-    /// Read an attribute: the block's own value, else its base's.
+    /// Read an attribute: the block's own value, else its base's, else the
+    /// attribute's default.
     pub fn get(&self, id: AttrId) -> Option<&AttrValue> {
         if !self.contains(id) {
             return None;
         }
         let (bit, own) = (id.bit(), self.attrs.shape());
-        Some(match &own.base {
-            Some(base) if own.present & bit == 0 => &base[index(base.shape().present, bit)],
-            _ => &self.attrs[index(own.present, bit)],
-        })
+        if own.present & bit != 0 {
+            return Some(&self.attrs[index(own.present, bit)]);
+        }
+        match &own.base {
+            Some(base) if base.shape().present & bit != 0 => {
+                Some(&base[index(base.shape().present, bit)])
+            }
+            _ => id.default_value(),
+        }
     }
 
     /// Remove an attribute; returns the removed value.
@@ -529,7 +600,7 @@ impl Entry {
         }
         let mut dense = self.dense();
         let old = dense[id.dense()].take();
-        *self = Entry::from_dense(dense);
+        *self = Entry::from_dense(dense, 0);
         old
     }
 
@@ -550,18 +621,18 @@ impl Entry {
 
     /// Iterate attributes in `AttrId` order. The ids are
     /// [`AttrId::ALL`]'s, not the entry's: the block stores none. One pass
-    /// over the block and its base together, both in `AttrId` order,
-    /// skipping each base value the block overrides.
+    /// over the block, its base and the defaults table together, all in
+    /// `AttrId` order, skipping each base value the block overrides.
     pub fn iter(&self) -> impl Iterator<Item = (&AttrId, &AttrValue)> {
         let visible = self.visible();
         let own = self.attrs.shape();
-        let (under, base): (u32, &[AttrValue]) = match &own.base {
-            Some(base) => (base.shape().present, base),
-            None => (0, &[]),
+        let (under, base, defaults): (u32, &[AttrValue], u32) = match &own.base {
+            Some(base) => (base.shape().present, base, base.shape().defaults),
+            None => (0, &[], own.defaults),
         };
         let over = own.present;
         let (mut values, mut base) = (self.attrs.iter(), base.iter());
-        let mut rest = over | under;
+        let mut rest = over | under | defaults;
         std::iter::from_fn(move || loop {
             if rest == 0 {
                 return None;
@@ -574,8 +645,10 @@ impl Entry {
                     base.next();
                 }
                 values.next()
-            } else {
+            } else if under & bit != 0 {
                 base.next()
+            } else {
+                DEFAULTS[dense as usize].as_ref()
             };
             if visible & bit != 0 {
                 return value.map(|value| (&ALL[dense as usize], value));
@@ -621,7 +694,7 @@ impl Entry {
                         AttrMod::Delete(_) => None,
                     };
                 }
-                *self = Entry::from_dense(dense);
+                *self = Entry::from_dense(dense, 0);
             }
         }
     }
@@ -677,11 +750,20 @@ impl Entry {
         });
         let shape = Masked {
             present,
+            defaults: 0,
             base: Some(base.clone()),
         };
         self.attrs = Payload::from_exact(shape, items);
         self.reshow(visible, added, removed);
         true
+    }
+
+    /// The entry holding `attrs` and, for every other attribute that has
+    /// one, its [`AttrId::default_value`], in one allocation: a new
+    /// subscription's profile. The defaults it adds are mask bits, so
+    /// building it clones no default's handle.
+    pub(crate) fn with_defaults(attrs: impl IntoIterator<Item = (AttrId, AttrValue)>) -> Entry {
+        Entry::from_dense(gather(attrs), u32::MAX)
     }
 
     /// How many values the handle's block holds over a flat base, or
@@ -736,15 +818,20 @@ impl fmt::Debug for Entry {
     }
 }
 
-/// Gathers the attributes by tag, a later value replacing an earlier one
-/// for the same attribute, then allocates the block once.
+/// The attributes by tag, a later value replacing an earlier one for the
+/// same attribute.
+fn gather(attrs: impl IntoIterator<Item = (AttrId, AttrValue)>) -> Dense {
+    let mut dense = Dense::default();
+    for (id, value) in attrs {
+        dense[id.dense()] = Some(value);
+    }
+    dense
+}
+
+/// Gathers the attributes by tag, then allocates the block once.
 impl FromIterator<(AttrId, AttrValue)> for Entry {
     fn from_iter<I: IntoIterator<Item = (AttrId, AttrValue)>>(iter: I) -> Self {
-        let mut dense = Dense::default();
-        for (id, value) in iter {
-            dense[id.dense()] = Some(value);
-        }
-        Entry::from_dense(dense)
+        Entry::from_dense(gather(iter), 0)
     }
 }
 
@@ -958,6 +1045,68 @@ mod tests {
         assert_eq!((v2.delta_len(), v2.len()), (None, 12));
         assert_eq!(v2.get(AttrId::AuthSqn), Some(&AttrValue::U64(9)));
         assert_eq!(profile.len(), 13);
+    }
+
+    #[test]
+    fn a_flat_block_stores_only_what_differs_from_the_defaults() {
+        let e: Entry = [
+            (AttrId::Imsi, AttrValue::from("214010000000001")),
+            (AttrId::OdbMask, AttrValue::U64(0)),
+            (AttrId::SubscriberStatus, AttrValue::from("serviceGranted")),
+            (AttrId::ApnProfiles, vec!["internet".to_owned()].into()),
+            (AttrId::AuthSqn, AttrValue::U64(5)),
+            (AttrId::CallBarring, AttrValue::U64(0)),
+        ]
+        .into_iter()
+        .collect();
+        // Equal by value, built apart: elided. A value of another kind than
+        // the default's is stored.
+        assert_eq!(e.attrs.len(), 3, "Imsi, AuthSqn and CallBarring");
+        assert_eq!(e.len(), 6);
+        let status = AttrId::SubscriberStatus;
+        assert_eq!(e.get(status), status.default_value());
+        assert_eq!(e.get(AttrId::CallBarring), Some(&AttrValue::U64(0)));
+        let walk: usize = e.iter().map(|(_, v)| attr_size(v)).sum();
+        assert_eq!(e.approx_size(), walk, "the cache counts the defaults");
+        let view = e.project(&[AttrId::OdbMask, AttrId::AuthSqn]);
+        assert_eq!(
+            view.iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect::<Vec<_>>(),
+            [
+                (AttrId::AuthSqn, 5u64.into()),
+                (AttrId::OdbMask, 0u64.into())
+            ]
+        );
+        // A set of a defaulted attribute is a delta over the flat block,
+        // and a delta stores even a default; it reads as the elided entry.
+        let mut v = e.clone();
+        v.set(AttrId::OdbMask, 7u64);
+        assert_eq!(v.delta_len(), Some(1));
+        assert_eq!(v.set(AttrId::OdbMask, 0u64), Some(AttrValue::U64(7)));
+        assert_eq!(v.delta_len(), Some(1));
+        assert_eq!(v, e);
+        // A flattening elides it again.
+        v.remove(AttrId::Imsi);
+        assert_eq!((v.delta_len(), v.attrs.len(), v.len()), (None, 2, 5));
+        assert_eq!(v.remove(AttrId::OdbMask), Some(AttrValue::U64(0)));
+        assert_eq!(v.get(AttrId::OdbMask), None);
+        assert_eq!(v.len(), 4);
+
+        // A profile's defaults are mask bits from the start, and read as
+        // the defaults written out; a value given for one replaces it.
+        let given = [
+            (AttrId::Imsi, AttrValue::from("214010000000001")),
+            (AttrId::AuthSqn, AttrValue::U64(5)),
+        ];
+        let profile = Entry::with_defaults(given.clone());
+        let written: Entry = (AttrId::ALL.into_iter())
+            .filter_map(|id| Some((id, id.default_value()?.clone())))
+            .chain(given)
+            .collect();
+        assert_eq!(profile, written);
+        assert_eq!(profile.approx_size(), written.approx_size());
+        assert_eq!((profile.attrs.len(), profile.len()), (2, 10));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! the elements, behind one 8-byte pointer. The shape says how many
 //! elements follow: a plain length (a 16-byte header, as `Arc`'s two counts
 //! take), or a [`Masked`] shape, a presence mask with one element per set
-//! bit and a handle to the block those elements override, if any (a
+//! bit, a mask of the attributes held at their default, which take no
+//! element, and a handle to the block those elements override, if any (a
 //! 24-byte header: an entry's version block, whose values follow in
 //! attribute order).
 //!
@@ -58,13 +59,17 @@ impl Shape for usize {
     }
 }
 
-/// A presence mask, one element per set bit in bit order, over the block
+/// A presence mask, one element per set bit in bit order, and a mask of the
+/// attributes the block holds at their default: present, but stored
+/// nowhere in the block, so they take no element. Both are over the block
 /// whose elements these override, if any: the block holds a handle to it,
 /// so it lives as long as the block does. Once a block is built its shape
 /// is only lent shared ([`Payload::shape`]), so the mask that sizes it
 /// cannot change under it.
 pub(crate) struct Masked<T> {
     pub(crate) present: u32,
+    /// Fills what would be padding between `present` and `base`.
+    pub(crate) defaults: u32,
     pub(crate) base: Option<Payload<T, Masked<T>>>,
 }
 
@@ -79,6 +84,7 @@ impl<T> Default for Masked<T> {
     fn default() -> Self {
         Masked {
             present: 0,
+            defaults: 0,
             base: None,
         }
     }
@@ -93,8 +99,8 @@ struct Header<S> {
     shape: S,
 }
 
-// A length fits the 16 bytes an `Arc`'s counts take; a mask and its base
-// take one word more.
+// A length fits the 16 bytes an `Arc`'s counts take; the two masks and the
+// base take one word more.
 const _: () = assert!(size_of::<Header<usize>>() == 16);
 const _: () = assert!(size_of::<Header<Masked<u64>>>() == 24);
 
@@ -621,12 +627,14 @@ mod tests {
         assert_eq!(p.as_ptr() as usize % 32, 0);
         assert_eq!(size_of::<Payload<Counted>>(), 8);
         assert_eq!(size_of::<Option<Payload<Counted>>>(), 8);
-        // An entry's block: 24 bytes of header, then 16 per attribute, so
-        // a 13-attribute profile asks for 232 bytes and a one-value delta
-        // for 40.
+        // An entry's block: 24 bytes of header, then 16 per stored value,
+        // so a provisioned profile, which stores 4 values beside its 9
+        // defaults (6 for an IMS subscriber), asks for 88 bytes (120), and
+        // a one-value delta for 40.
         type Entryish = Payload<(u64, u64), Masked<(u64, u64)>>;
         assert_eq!(Entryish::OFFSET, 24);
-        assert_eq!(Entryish::layout(13).size(), 232);
+        assert_eq!(Entryish::layout(4).size(), 88);
+        assert_eq!(Entryish::layout(6).size(), 120);
         assert_eq!(Entryish::layout(1).size(), 40);
         assert_eq!(size_of::<Text>(), 8);
         assert_eq!(size_of::<Option<TextList>>(), 8);
@@ -786,6 +794,7 @@ mod tests {
     fn masked(present: u32, base: Option<&Payload<Counted, Masked<Counted>>>) -> Masked<Counted> {
         Masked {
             present,
+            defaults: 0,
             base: base.cloned(),
         }
     }

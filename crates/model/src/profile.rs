@@ -8,33 +8,14 @@
 //! The identity attributes hold the interner's own bytes
 //! ([`Imsi::text`](crate::identity::Imsi::text) and its kin), so building
 //! a profile copies no identity: it allocates its flat block, the Ki
-//! octets and, for an IMS subscriber, the IMPU list.
-
-use std::sync::LazyLock;
+//! octets and, for an IMS subscriber, the IMPU list. The default services
+//! are [`AttrId::default_value`]'s, which the flat block holds as mask
+//! bits, not as values (`Entry::with_defaults`).
 
 use serde::{Deserialize, Serialize};
 
 use crate::attrs::{AttrId, AttrValue, Entry};
 use crate::identity::IdentitySet;
-
-/// The values every new subscription starts with. Each is built once per
-/// process; a provisioned profile holds a reference to it, not a copy.
-struct Defaults {
-    status: AttrValue,
-    teleservices: AttrValue,
-    apn_profiles: AttrValue,
-    charging_profile: AttrValue,
-}
-
-static DEFAULTS: LazyLock<Defaults> = LazyLock::new(|| {
-    let list = |items: &[&str]| AttrValue::StrList(items.iter().copied().collect());
-    Defaults {
-        status: "serviceGranted".into(),
-        teleservices: list(&["telephony", "sms-mt", "sms-mo"]),
-        apn_profiles: list(&["internet"]),
-        charging_profile: "default".into(),
-    }
-});
 
 /// A subscriber entry as provisioned; the storage engine and replication
 /// layers only ever see the [`Entry`] it unwraps into.
@@ -52,8 +33,7 @@ impl SubscriberProfile {
             (AttrId::ImpuList, AttrValue::StrList(impus))
         });
         let impi = ids.impi.map(|i| (AttrId::Impi, AttrValue::Str(i.text())));
-        let defaults = &*DEFAULTS;
-        let entry = [
+        let attrs = [
             (AttrId::Imsi, AttrValue::Str(ids.imsi.text())),
             (AttrId::Msisdn, AttrValue::Str(ids.msisdn.text())),
         ]
@@ -62,19 +42,11 @@ impl SubscriberProfile {
         .chain(impi)
         .chain([
             (AttrId::AuthKi, AttrValue::Bytes(ki.into())),
-            (AttrId::AuthAmf, 0x8000u64.into()),
-            (AttrId::AuthSqn, 0u64.into()),
-            (AttrId::SubscriberStatus, defaults.status.clone()),
-            (AttrId::OdbMask, 0u64.into()),
-            (AttrId::CallBarring, false.into()),
-            (AttrId::Teleservices, defaults.teleservices.clone()),
-            (AttrId::ApnProfiles, defaults.apn_profiles.clone()),
-            (AttrId::ChargingProfile, defaults.charging_profile.clone()),
             (AttrId::HomeRegion, u64::from(home_region).into()),
-            (AttrId::ProvisioningGen, 1u64.into()),
-        ])
-        .collect();
-        SubscriberProfile { entry }
+        ]);
+        SubscriberProfile {
+            entry: Entry::with_defaults(attrs),
+        }
     }
 
     /// Unwrap into the underlying entry.

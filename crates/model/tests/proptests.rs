@@ -3,13 +3,16 @@
 //! interning must be idempotent (same string ⇒ same symbol), and the
 //! digit-packed fast path must never collide with the spilled path.
 //! Also the value semantics of the copy-on-write [`Entry`] and of its
-//! projected views, and the handle identity of its shared payload.
+//! projected views, and the handle identity of its shared payload. Each
+//! attribute's value is its own default about a third of the time, so the
+//! blocks that elide defaults are set to them, set away from them, have
+//! them removed, projected and flattened.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry};
+use udr_model::attrs::{AttrId, AttrMod, AttrValue, Entry, Octets};
 use udr_model::identity::{Identity, IdentityKind, Impi, Impu, Imsi, Msisdn};
 use udr_model::intern::IdentityInterner;
 use udr_model::tenant::{Capability, CapabilitySet};
@@ -26,7 +29,7 @@ fn digits(range: std::ops::Range<usize>) -> impl Strategy<Value = String> {
 /// One change to an entry, and which mutator carries it.
 #[derive(Debug, Clone)]
 enum Mutation {
-    Set(AttrId, u64),
+    Set(AttrId, AttrValue),
     Remove(AttrId),
     Apply(Vec<AttrMod>),
 }
@@ -35,16 +38,46 @@ fn attr_id() -> impl Strategy<Value = AttrId> {
     prop::sample::select(AttrId::ALL.to_vec())
 }
 
+/// A copy of `value` that shares no handle with it.
+fn fresh(value: &AttrValue) -> AttrValue {
+    match value {
+        AttrValue::Str(s) => AttrValue::from(&**s),
+        AttrValue::Bytes(b) => AttrValue::Bytes(Octets::from(&**b)),
+        AttrValue::StrList(l) => AttrValue::StrList(l.iter().map(|t| &**t).collect()),
+        AttrValue::U64(_) | AttrValue::Bool(_) => value.clone(),
+    }
+}
+
+/// A value for `id` drawn as `(pick, value)`: `id`'s default, built
+/// fresh, when `pick` is 0 (a third of the time) and `id` has one, else
+/// `value`.
+fn for_attr(id: AttrId, (pick, value): (u8, AttrValue)) -> AttrValue {
+    match id.default_value() {
+        Some(default) if pick == 0 => fresh(default),
+        _ => value,
+    }
+}
+
+/// The draw [`for_attr`] takes.
+fn drawn() -> impl Strategy<Value = (u8, AttrValue)> {
+    (0..3u8, attr_value())
+}
+
+/// An attribute and a value for it.
+fn valued() -> impl Strategy<Value = (AttrId, AttrValue)> {
+    (attr_id(), drawn()).prop_map(|(id, v)| (id, for_attr(id, v)))
+}
+
 fn attr_mod() -> impl Strategy<Value = AttrMod> {
     prop_oneof![
-        (attr_id(), any::<u64>()).prop_map(|(id, v)| AttrMod::Set(id, AttrValue::U64(v))),
+        valued().prop_map(|(id, v)| AttrMod::Set(id, v)),
         attr_id().prop_map(AttrMod::Delete),
     ]
 }
 
 fn mutation() -> impl Strategy<Value = Mutation> {
     prop_oneof![
-        (attr_id(), any::<u64>()).prop_map(|(id, v)| Mutation::Set(id, v)),
+        valued().prop_map(|(id, v)| Mutation::Set(id, v)),
         attr_id().prop_map(Mutation::Remove),
         prop::collection::vec(attr_mod(), 0..4).prop_map(Mutation::Apply),
     ]
@@ -55,8 +88,8 @@ fn mutation() -> impl Strategy<Value = Mutation> {
 fn mutate(entry: &mut Entry, model: &mut BTreeMap<AttrId, AttrValue>, m: &Mutation) {
     match m {
         Mutation::Set(id, v) => {
-            entry.set(*id, *v);
-            model.insert(*id, AttrValue::U64(*v));
+            entry.set(*id, v.clone());
+            model.insert(*id, v.clone());
         }
         Mutation::Remove(id) => {
             entry.remove(*id);
@@ -92,13 +125,18 @@ fn attr_value() -> impl Strategy<Value = AttrValue> {
     ]
 }
 
+/// A value for each of the 22 attributes, in `AttrId` order.
+fn all_attrs() -> impl Strategy<Value = Vec<(AttrId, AttrValue)>> {
+    prop::collection::vec(drawn(), AttrId::ALL.len()).prop_map(|values| {
+        (AttrId::ALL.into_iter().zip(values))
+            .map(|(id, v)| (id, for_attr(id, v)))
+            .collect()
+    })
+}
+
 /// An entry's attributes: all 22, or a random few.
 fn attrs() -> impl Strategy<Value = Vec<(AttrId, AttrValue)>> {
-    prop_oneof![
-        prop::collection::vec(attr_value(), AttrId::ALL.len())
-            .prop_map(|values| AttrId::ALL.into_iter().zip(values).collect()),
-        prop::collection::vec((attr_id(), attr_value()), 0..16),
-    ]
+    prop_oneof![all_attrs(), prop::collection::vec(valued(), 0..16)]
 }
 
 /// The reference projection: copy the selected attributes into a new map
@@ -162,10 +200,11 @@ enum Step {
 fn opening(
     [a, c, removed]: [AttrId; 3],
     offset: usize,
-    values: &[AttrValue],
+    values: &[(u8, AttrValue)],
     selection: Vec<AttrId>,
 ) -> Vec<Step> {
-    let set = |id: AttrId, k: usize| Mutation::Apply(vec![AttrMod::Set(id, values[k].clone())]);
+    let value = |id: AttrId, k: usize| for_attr(id, values[k].clone());
+    let set = |id: AttrId, k: usize| Mutation::Apply(vec![AttrMod::Set(id, value(id, k))]);
     let mut script = vec![
         Step::Clone(1),
         Step::Mutate(1, set(a, 0)),
@@ -177,8 +216,8 @@ fn opening(
         script.push(Step::Layout(2, (k < 11).then_some(k + 1)));
     }
     let two_sets = vec![
-        AttrMod::Set(a, values[14].clone()),
-        AttrMod::Set(removed, values[15].clone()),
+        AttrMod::Set(a, value(a, 14)),
+        AttrMod::Set(removed, value(removed, 15)),
     ];
     script.extend([
         Step::Mutate(1, set(c, 13)),
@@ -193,11 +232,9 @@ fn opening(
 }
 
 fn rich_mutation() -> impl Strategy<Value = Mutation> {
-    let set = (attr_id(), attr_value()).prop_map(|(id, v)| AttrMod::Set(id, v));
-    let any_mod = prop_oneof![set, attr_id().prop_map(AttrMod::Delete)];
     prop_oneof![
         mutation(),
-        prop::collection::vec(any_mod, 0..5).prop_map(Mutation::Apply),
+        prop::collection::vec(attr_mod(), 0..5).prop_map(Mutation::Apply),
     ]
 }
 
@@ -224,15 +261,15 @@ proptest! {
     #[test]
     fn a_pool_of_entry_handles_reads_as_a_pool_of_maps(
         base in attrs(),
-        wide in prop::collection::vec(attr_value(), AttrId::ALL.len()),
+        wide in all_attrs(),
         written in (attr_id(), attr_id(), attr_id()),
         offset in 0..AttrId::ALL.len(),
-        values in prop::collection::vec(attr_value(), 16),
+        values in prop::collection::vec(drawn(), 16),
         selection in prop::collection::vec(attr_id(), 0..10),
         steps in prop::collection::vec(step(), 1..40),
     ) {
         let model: BTreeMap<AttrId, AttrValue> = base.into_iter().collect();
-        let wide: BTreeMap<AttrId, AttrValue> = AttrId::ALL.into_iter().zip(wide).collect();
+        let wide: BTreeMap<AttrId, AttrValue> = wide.into_iter().collect();
         let mut pool: Vec<(Entry, BTreeMap<AttrId, AttrValue>)> = vec![
             (model.clone().into_iter().collect(), model),
             (wide.clone().into_iter().collect(), wide),
@@ -303,12 +340,11 @@ proptest! {
     /// either direction, and equality follows content, not sharing.
     #[test]
     fn entry_clones_are_independent_values(
-        base in prop::collection::vec((attr_id(), any::<u64>()), 0..12),
+        base in prop::collection::vec(valued(), 0..12),
         on_clone in prop::collection::vec(mutation(), 1..6),
         on_original in prop::collection::vec(mutation(), 1..6),
     ) {
-        let mut original_model: BTreeMap<AttrId, AttrValue> =
-            base.iter().map(|(id, v)| (*id, AttrValue::U64(*v))).collect();
+        let mut original_model: BTreeMap<AttrId, AttrValue> = base.into_iter().collect();
         let mut original: Entry = original_model.clone().into_iter().collect();
         let mut copy = original.clone();
         let mut copy_model = original_model.clone();
@@ -338,7 +374,7 @@ proptest! {
     /// from nor any other handle to its payload ever changes.
     #[test]
     fn projected_views_read_and_write_as_copies(
-        base in prop::collection::vec((attr_id(), attr_value()), 0..16),
+        base in prop::collection::vec(valued(), 0..16),
         selections in prop::collection::vec(prop::collection::vec(attr_id(), 0..8), 1..4),
         on_view in prop::collection::vec(mutation(), 0..6),
         on_view_clone in prop::collection::vec(mutation(), 0..4),

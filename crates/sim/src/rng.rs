@@ -83,12 +83,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal variate with given mean and standard deviation.
-    #[inline]
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Log-normal variate parameterised by the *median* and a shape sigma.
     ///
     /// WAN latencies are heavy-tailed; log-normal matches measured backbone
@@ -167,17 +161,6 @@ mod tests {
     fn exponential_zero_mean_is_zero() {
         let mut rng = SimRng::seed_from_u64(9);
         assert_eq!(rng.exponential(0.0), 0.0);
-    }
-
-    #[test]
-    fn normal_moments_are_close() {
-        let mut rng = SimRng::seed_from_u64(11);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean={mean}");
-        assert!((var - 4.0).abs() < 0.12, "var={var}");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! [`Entry`]: a handle to one immutable block per committed version,
 //! shared by this store, the commit log, the ship channels, the slaves and
 //! the disk image. A provisioned record's block is flat (reference count,
-//! presence mask and every attribute slot); a modified record's is a delta
+//! presence and defaults masks, and a slot for every attribute that differs
+//! from its default); a modified record's is a delta
 //! holding the slots written since that flat block, which it shares with
 //! the record's other versions. Reads hand out [`RecordView`]s that borrow
 //! it, and the owning reads ([`RecordView::to_version`],

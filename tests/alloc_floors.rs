@@ -2,7 +2,8 @@
 //!
 //! * a warm `Search` makes no allocator call inside `Udr::execute`;
 //! * a provisioned profile shares its identities with the interner, so
-//!   building one allocates its flat block, Ki and IMPU list only;
+//!   building one allocates its flat block, Ki and IMPU list only, and its
+//!   flat block stores only the values that differ from the defaults;
 //! * a one-attribute `Modify` allocates for what it changes, not for what
 //!   the record holds: one delta block of 24 bytes plus 16 per attribute
 //!   written since the profile's flat block, which it shares, and a
@@ -403,7 +404,9 @@ fn a_warm_modify_shipped_per_record_allocates_for_what_it_changes() {
 
 const PROFILE_UID: SubscriberUid = SubscriberUid(1);
 
-/// A provisioned 13-attribute profile: one flat block.
+/// A provisioned 13-attribute profile: one flat block, storing the 4 values
+/// that differ from [`AttrId::default_value`] and holding the other 9 as
+/// default bits.
 fn provisioned_profile() -> Entry {
     let ids = IdentitySet {
         imsi: imsi(1),
@@ -442,6 +445,46 @@ fn a_provisioned_profile_shares_its_identities() {
     };
     assert_eq!(impus.len(), 1);
     assert_eq!(impus[0].as_ptr(), ids.impus[0].as_str().as_ptr());
+}
+
+/// A plain payload's 16-byte header and the 16 octets of a Ki.
+const KI_BLOCK: u64 = 16 + 16;
+
+/// A provisioned profile's flat block stores only the values that differ
+/// from the defaults: the IMSI, the MSISDN, the Ki and the home region, and
+/// for an IMS subscriber the IMPU list and the IMPI. The nine default
+/// services are bits in the block's header, which stays 24 bytes.
+#[test]
+fn a_provisioned_profile_stores_only_what_differs_from_the_defaults() {
+    let plain = IdentitySet {
+        imsi: imsi(3),
+        msisdn: Msisdn::new("34600000003").unwrap(),
+        impus: vec![],
+        impi: None,
+    };
+    let ims = IdentitySet {
+        impus: vec![Impu::new("sip:+34600000003@ims.example.com").unwrap()],
+        impi: Some(Impi::new("34600000003@ims.example.com").unwrap()),
+        ..plain.clone()
+    };
+    // The first profile builds the defaults table.
+    SubscriberProfile::provision(&plain, 0, [7; 16]);
+    let (profile, tally) = counted(|| SubscriberProfile::provision(&plain, 0, [7; 16]));
+    assert_eq!(
+        (tally.calls, tally.bytes - KI_BLOCK),
+        (2, VERSION_HEADER + 4 * 16),
+        "a non-IMS profile's flat block"
+    );
+    assert_eq!(profile.into_entry().len(), 13);
+    // An IMPU list of one handle: a 16-byte header and 8 bytes.
+    let impus = 16 + 8;
+    let (profile, tally) = counted(|| SubscriberProfile::provision(&ims, 0, [7; 16]));
+    assert_eq!(
+        (tally.calls, tally.bytes - KI_BLOCK - impus),
+        (3, VERSION_HEADER + 6 * 16),
+        "an IMS profile's flat block"
+    );
+    assert_eq!(profile.into_entry().len(), 15);
 }
 
 /// An engine holding one provisioned 13-attribute profile under
@@ -505,7 +548,10 @@ fn a_modify_of_a_second_attribute_grows_the_delta_by_one_value() {
 /// A delta holds at most half of what the entry shows: six of the
 /// profile's 13 attributes. The write that would make it seven builds one
 /// flat block of all 13 instead, in one call, and the write after that is
-/// a one-value delta over the new flat block again.
+/// a one-value delta over the new flat block again. That flat block stores
+/// the 10 values that differ from their defaults: the IMSI, MSISDN and Ki
+/// and the seven attributes written; the teleservices, APN profiles and
+/// charging profile are still default bits.
 #[test]
 fn a_modify_past_half_the_profile_requests_one_flat_block() {
     let mut engine = warm_profile_engine();
@@ -528,7 +574,7 @@ fn a_modify_past_half_the_profile_requests_one_flat_block() {
     let ((), tally) = counted(|| modify_profile(&mut engine, AttrId::SubscriberStatus, 106));
     assert_eq!(
         (tally.calls, tally.bytes),
-        (1, VERSION_HEADER + 13 * 16),
+        (1, VERSION_HEADER + (13 - 3) * 16),
         "the seventh attribute written flattens the profile"
     );
     let ((), tally) = counted(|| modify_profile(&mut engine, AttrId::OdbMask, 107));
