@@ -15,7 +15,7 @@ use udr_model::time::SimDuration;
 use udr_replication::twophase::{two_phase_commit, TwoPcOutcome};
 use udr_sim::net::{Cut, Network, Topology};
 use udr_sim::SimRng;
-use udr_storage::CostModel;
+use udr_storage::COST_MODEL;
 
 const TIMEOUT: SimDuration = SimDuration::from_millis(500);
 const ROUNDS: usize = 2000;
@@ -35,7 +35,6 @@ fn run(participant_sites: &[u32], cut_between_phases: Option<u32>, seed: u64) ->
     let participants: Vec<SeId> = (0..participant_sites.len())
         .map(|i| SeId(i as u32))
         .collect();
-    let engine_cost = CostModel::default();
 
     let mut total = SimDuration::ZERO;
     let mut committed = 0usize;
@@ -66,7 +65,7 @@ fn run(participant_sites: &[u32], cut_between_phases: Option<u32>, seed: u64) ->
             TwoPcOutcome::Committed { latency } => {
                 committed += 1;
                 // Plus the engine work at each participant (parallel).
-                total += latency + engine_cost.commit_ram;
+                total += latency + COST_MODEL.commit_ram;
             }
             TwoPcOutcome::InDoubt { latency, .. } => {
                 in_doubt += 1;
@@ -88,14 +87,13 @@ fn run(participant_sites: &[u32], cut_between_phases: Option<u32>, seed: u64) ->
 fn run_single(site: u32, seed: u64) -> Cell {
     let mut net = Network::new(Topology::multinational(3));
     let mut rng = SimRng::seed_from_u64(seed);
-    let engine_cost = CostModel::default();
     let mut total = SimDuration::ZERO;
     let mut committed = 0usize;
     for _ in 0..ROUNDS {
         match net.round_trip(SiteId(0), SiteId(site), &mut rng) {
             Some(rtt) => {
                 committed += 1;
-                total += rtt + engine_cost.commit_ram;
+                total += rtt + COST_MODEL.commit_ram;
             }
             None => total += TIMEOUT,
         }

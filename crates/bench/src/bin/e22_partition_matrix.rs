@@ -28,7 +28,7 @@
 //! * **the whole grid is deterministic**: replaying a cell yields a
 //!   field-identical verdict and byte-identical report rows.
 
-use udr_bench::campaign::{row_bytes, run_cell, verdict_cells, CampaignConfig};
+use udr_bench::campaign::{self, row_bytes, run_cell, verdict_cells, CampaignConfig};
 use udr_bench::json::{BenchReport, JsonValue};
 use udr_bench::traceio::emit_trace;
 use udr_metrics::{pct, CapVerdict, Table, VerdictMatrix};
@@ -138,8 +138,8 @@ fn main() {
     report
         .config("subscribers", probe.subscribers)
         .config("read_rate_per_sub", probe.read_rate)
-        .config("write_period_ms", probe.write_period.as_millis_f64())
-        .config("roaming", probe.roaming)
+        .config("write_period_ms", campaign::WRITE_PERIOD.as_millis_f64())
+        .config("roaming", campaign::ROAMING)
         .config("fault_window_s", probe.fault_duration.as_millis_f64() / 1e3)
         .config("max_lag", MAX_LAG);
 

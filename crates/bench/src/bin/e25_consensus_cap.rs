@@ -24,7 +24,7 @@
 //! * **the grid is deterministic**: replaying a cell yields a
 //!   field-identical verdict and byte-identical report rows.
 
-use udr_bench::campaign::{row_bytes, run_cell, verdict_cells, CampaignConfig, CellOutcome};
+use udr_bench::campaign::{self, row_bytes, run_cell, verdict_cells, CampaignConfig, CellOutcome};
 use udr_bench::json::{stage_latency_value, BenchReport, JsonValue};
 use udr_bench::traceio::emit_trace;
 use udr_metrics::{pct, Table};
@@ -171,8 +171,8 @@ fn main() {
     report
         .config("subscribers", probe.subscribers)
         .config("read_rate_per_sub", probe.read_rate)
-        .config("write_period_ms", probe.write_period.as_millis_f64())
-        .config("roaming", probe.roaming)
+        .config("write_period_ms", campaign::WRITE_PERIOD.as_millis_f64())
+        .config("roaming", campaign::ROAMING)
         .config("fault_window_s", probe.fault_duration.as_millis_f64() / 1e3)
         .config("heal_budget_ms", HEAL_BUDGET.as_millis_f64());
 

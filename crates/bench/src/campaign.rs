@@ -78,6 +78,14 @@ const SETTLE_LIMIT: SimDuration = SimDuration::from_secs(60);
 const ROAM_EVERY: u64 = 5;
 /// Oracle-write values live above this base.
 const SEQ_BASE: u64 = 1 << 32;
+/// Gap between one subscriber's oracle writes.
+pub const WRITE_PERIOD: SimDuration = SimDuration::from_millis(2500);
+/// Probability a read roams outside the home region.
+pub const ROAMING: f64 = 0.35;
+/// When traffic starts.
+const TRAFFIC_START: SimTime = SimTime(SimDuration::from_secs(10).as_nanos());
+/// When the fault window opens.
+const FAULT_AT: SimTime = SimTime(SimDuration::from_secs(20).as_nanos());
 
 /// One cell of the fault-campaign grid.
 #[derive(Debug, Clone)]
@@ -95,16 +103,8 @@ pub struct CampaignConfig {
     pub subscribers: u64,
     /// Read procedures per subscriber per second.
     pub read_rate: f64,
-    /// Gap between one subscriber's oracle writes.
-    pub write_period: SimDuration,
-    /// Probability a read roams outside the home region.
-    pub roaming: f64,
-    /// When traffic starts.
-    pub traffic_start: SimTime,
     /// When traffic stops.
     pub traffic_end: SimTime,
-    /// When the fault window opens.
-    pub fault_at: SimTime,
     /// How long the fault window lasts.
     pub fault_duration: SimDuration,
     /// Tracing for the cell's deployment. Disabled by default; when
@@ -125,11 +125,7 @@ impl CampaignConfig {
             seed: 22,
             subscribers: 18,
             read_rate: 0.3,
-            write_period: SimDuration::from_millis(2500),
-            roaming: 0.35,
-            traffic_start: t(10),
             traffic_end: t(60),
-            fault_at: t(20),
             fault_duration: SimDuration::from_secs(20),
             trace: TraceConfig::disabled(),
         }
@@ -158,7 +154,7 @@ impl CampaignConfig {
         self.scenario.script(
             self.seed,
             self.udr_config().sites,
-            self.fault_at,
+            FAULT_AT,
             self.fault_duration,
         )
     }
@@ -259,9 +255,9 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     // ---- the two traffic streams, merged into one virtual-time order --
     let mut model = TrafficModel::flat(cc.read_rate, sites);
     model.mix = ProcedureMix::read_only();
-    model.roaming_probability = cc.roaming;
+    model.roaming_probability = ROAMING;
     let mut rng = udr_sim::SimRng::seed_from_u64(cc.seed ^ 0xA11CE);
-    let reads = model.generate(&s.population, cc.traffic_start, cc.traffic_end, &mut rng);
+    let reads = model.generate(&s.population, TRAFFIC_START, cc.traffic_end, &mut rng);
 
     let crash_instants = script.crash_instants();
     let quiesced = |at: SimTime| {
@@ -281,8 +277,8 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
     for (i, sub) in s.population.iter().enumerate() {
         // Spread subscribers' write phases evenly across one period.
         let offset =
-            SimDuration::from_nanos(cc.write_period.as_nanos() * i as u64 / cc.subscribers.max(1));
-        let mut at = cc.traffic_start + offset;
+            SimDuration::from_nanos(WRITE_PERIOD.as_nanos() * i as u64 / cc.subscribers.max(1));
+        let mut at = TRAFFIC_START + offset;
         let mut k = 0u64;
         while at < cc.traffic_end {
             if !quiesced(at) {
@@ -302,7 +298,7 @@ pub fn run_cell(cc: &CampaignConfig, script: &FaultScript) -> CellOutcome {
                     read: None,
                 });
             }
-            at += cc.write_period;
+            at += WRITE_PERIOD;
             k += 1;
         }
     }

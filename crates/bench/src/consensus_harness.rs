@@ -26,7 +26,7 @@ pub struct SettledCluster {
 /// Build a cluster on `topo` under the default protocol timing, run it
 /// until leadership settles, and return it with its leader.
 pub fn settled_cluster(topo: Topology, seed: u64) -> SettledCluster {
-    let mut cluster = ConsensusCluster::new(topo, ClusterConfig::default(), seed);
+    let mut cluster = ConsensusCluster::new(topo, ClusterConfig, seed);
     cluster.run_until(SimTime::ZERO + WARMUP);
     let leader = cluster
         .current_leader()

@@ -36,7 +36,7 @@ use udr_model::time::SimTime;
 
 use crate::ballot::{Ballot, NodeId, Slot};
 use crate::msg::{CmdId, Command, Message};
-use crate::replica::{Outbound, Replica, ReplicaConfig, Role};
+use crate::replica::{Outbound, Replica, Role};
 
 /// `n` replicas and the messages in flight between them.
 pub struct Ensemble {
@@ -57,11 +57,11 @@ pub struct Ensemble {
 }
 
 impl Ensemble {
-    /// `n` fresh followers, each built from `cfg` and `seed`.
-    pub fn new(n: usize, cfg: ReplicaConfig, seed: u64) -> Self {
+    /// `n` fresh followers, each built from `seed`.
+    pub fn new(n: usize, seed: u64) -> Self {
         Ensemble {
             replicas: (0..n as u32)
-                .map(|i| Replica::new(NodeId(i), n, cfg.clone(), seed))
+                .map(|i| Replica::new(NodeId(i), n, seed))
                 .collect(),
             outbox: Vec::new(),
             mailbox: Mailbox::default(),
@@ -346,7 +346,7 @@ mod tests {
     }
 
     fn trio() -> Ensemble {
-        Ensemble::new(3, ReplicaConfig::default(), 1)
+        Ensemble::new(3, 1)
     }
 
     #[test]
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn a_broadcast_reaches_every_other_node_in_index_order() {
-        let mut ensemble = Ensemble::new(5, ReplicaConfig::default(), 1);
+        let mut ensemble = Ensemble::new(5, 1);
         let mut sent = Vec::new();
         ensemble.step(
             2,

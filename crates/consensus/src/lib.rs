@@ -22,7 +22,10 @@
 //! * [`replica`] — one multi-Paxos node: acceptor + learner + leader
 //!   election with randomized timeouts and a stable-leader fast path
 //!   (phase 1 amortized across slots, the property that makes ZooKeeper's
-//!   primary-order broadcast affordable);
+//!   primary-order broadcast affordable). Its timers are constants
+//!   ([`replica::ELECTION_TIMEOUT`], [`replica::HEARTBEAT_INTERVAL`],
+//!   [`replica::RETRY_INTERVAL`]), and both hosts run them every
+//!   [`TICK_INTERVAL`] from [`first_tick`] on;
 //! * [`ensemble`] — the one host of N replicas: it steps a replica, fans
 //!   out what it sends, holds messages in flight under tickets, and
 //!   answers leader, majority and agreement for the deployment's
@@ -46,8 +49,9 @@
 //! use udr_model::time::{SimDuration, SimTime};
 //! use udr_sim::net::Topology;
 //!
-//! // Three sites, one consensus node each, default timeouts.
-//! let mut cluster = ConsensusCluster::new(Topology::multinational(3), ClusterConfig::default(), 7);
+//! // Three sites, one consensus node each. `ClusterConfig` carries
+//! // nothing: the protocol's timers are the `replica` constants.
+//! let mut cluster = ConsensusCluster::new(Topology::multinational(3), ClusterConfig, 7);
 //! cluster.submit_write_at(SimTime(0) + SimDuration::from_secs(2), 0, SubscriberUid(42), None);
 //! let report = cluster.run_until(SimTime(0) + SimDuration::from_secs(5));
 //! assert_eq!(report.committed(), 1);
@@ -68,5 +72,5 @@ pub use ballot::{Ballot, NodeId, Slot};
 pub use ensemble::Ensemble;
 pub use log::ChosenLog;
 pub use msg::{CmdId, Command, Message, Payload};
-pub use replica::{Replica, ReplicaConfig, Role};
+pub use replica::{first_tick, Replica, Role, TICK_INTERVAL};
 pub use runtime::{ClusterConfig, CommandFate, ConsensusCluster, MsgStats, RunReport};

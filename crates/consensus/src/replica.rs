@@ -48,28 +48,30 @@ use crate::ballot::{Ballot, NodeId, Slot};
 use crate::log::{AgreementViolation, ChosenLog};
 use crate::msg::{CmdId, Command, Message};
 
-/// Timing knobs of one replica.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaConfig {
-    /// How long a follower waits without leader contact before campaigning
-    /// (a uniform jitter of up to half this value is added per wait).
-    pub election_timeout: SimDuration,
-    /// Leader heartbeat period. Must be well below `election_timeout`.
-    pub heartbeat_interval: SimDuration,
-    /// Retransmission period for unacknowledged proposals, pending command
-    /// forwards and catch-up requests.
-    pub retry_interval: SimDuration,
+/// How long a follower waits without leader contact before campaigning
+/// (a uniform jitter of up to half this value is added per wait).
+pub const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(750);
+/// Leader heartbeat period, well below [`ELECTION_TIMEOUT`].
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Retransmission period for unacknowledged proposals, pending command
+/// forwards and catch-up requests.
+pub const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// How often a host runs each replica's [`Replica::tick`]. Both hosts, the
+/// [`ConsensusCluster`](crate::ConsensusCluster) and the deployment's
+/// per-partition groups, tick at this period from [`first_tick`] on.
+pub const TICK_INTERVAL: SimDuration = SimDuration::from_millis(50);
+
+/// When a host first ticks its `index`-th timer: one [`TICK_INTERVAL`] in,
+/// staggered by 137 µs an index so timers do not beat in lockstep.
+pub fn first_tick(index: usize) -> SimTime {
+    SimTime::ZERO + TICK_INTERVAL + SimDuration::from_micros(137 * index as u64)
 }
 
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            election_timeout: SimDuration::from_millis(750),
-            heartbeat_interval: SimDuration::from_millis(100),
-            retry_interval: SimDuration::from_millis(200),
-        }
-    }
-}
+const _: () = assert!(
+    HEARTBEAT_INTERVAL.as_nanos() < ELECTION_TIMEOUT.as_nanos(),
+    "heartbeats must outpace election timeouts"
+);
 
 /// The replica's current posture in the election protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,7 +127,6 @@ struct Inflight {
 pub struct Replica {
     id: NodeId,
     n: usize,
-    cfg: ReplicaConfig,
     rng: SimRng,
 
     role: Role,
@@ -185,19 +186,14 @@ impl Replica {
     /// A fresh follower. `n` is the ensemble size, at most 64 (a
     /// proposal's acks are one bit per node); `seed` feeds the node-local
     /// jitter stream.
-    pub fn new(id: NodeId, n: usize, cfg: ReplicaConfig, seed: u64) -> Self {
+    pub fn new(id: NodeId, n: usize, seed: u64) -> Self {
         assert!(n >= 1, "an ensemble needs at least one node");
         assert!(n <= 64, "acks are a 64-bit node mask");
-        assert!(
-            cfg.heartbeat_interval < cfg.election_timeout,
-            "heartbeats must outpace election timeouts"
-        );
         let mut rng = SimRng::seed_from_u64(seed ^ 0xC0_5E_0A_11 ^ id.0 as u64);
-        let election_due = SimTime::ZERO + Self::timeout_with_jitter(&cfg, &mut rng);
+        let election_due = SimTime::ZERO + Self::timeout_with_jitter(&mut rng);
         Replica {
             id,
             n,
-            cfg,
             rng,
             role: Role::Follower,
             promised: Ballot::ZERO,
@@ -224,9 +220,9 @@ impl Replica {
         }
     }
 
-    fn timeout_with_jitter(cfg: &ReplicaConfig, rng: &mut SimRng) -> SimDuration {
-        let jitter = rng.below(cfg.election_timeout.as_nanos().max(2) / 2);
-        cfg.election_timeout + SimDuration::from_nanos(jitter)
+    fn timeout_with_jitter(rng: &mut SimRng) -> SimDuration {
+        let jitter = rng.below(ELECTION_TIMEOUT.as_nanos() / 2);
+        ELECTION_TIMEOUT + SimDuration::from_nanos(jitter)
     }
 
     fn majority(&self) -> usize {
@@ -237,7 +233,7 @@ impl Replica {
     /// how long a follower refuses other campaigns after hearing from its
     /// leader: half the election timeout.
     fn lease(&self) -> SimDuration {
-        self.cfg.election_timeout / 2
+        ELECTION_TIMEOUT / 2
     }
 
     /// This node's id.
@@ -357,7 +353,7 @@ impl Replica {
     /// before it campaigns, instead of on the timer that lapsed while it
     /// was down.
     pub fn rearm_election(&mut self, now: SimTime) {
-        self.election_due = now + Self::timeout_with_jitter(&self.cfg, &mut self.rng);
+        self.election_due = now + Self::timeout_with_jitter(&mut self.rng);
     }
 
     // ------------------------------------------------------------------
@@ -378,10 +374,10 @@ impl Replica {
         match self.role {
             Role::Leader => {
                 // Retransmit stale proposals (lost Accepts) and heartbeat.
-                let retry_before = now.duration_since(SimTime::ZERO).as_nanos()
-                    >= self.cfg.retry_interval.as_nanos();
+                let retry_before =
+                    now.duration_since(SimTime::ZERO).as_nanos() >= RETRY_INTERVAL.as_nanos();
                 if retry_before {
-                    let cutoff = SimTime(now.as_nanos() - self.cfg.retry_interval.as_nanos());
+                    let cutoff = SimTime(now.as_nanos() - RETRY_INTERVAL.as_nanos());
                     for (slot, p) in &mut self.inflight {
                         if p.sent <= cutoff {
                             p.sent = now;
@@ -394,7 +390,7 @@ impl Replica {
                         }
                     }
                 }
-                if now.duration_since(self.last_heartbeat_sent) >= self.cfg.heartbeat_interval {
+                if now.duration_since(self.last_heartbeat_sent) >= HEARTBEAT_INTERVAL {
                     self.last_heartbeat_sent = now;
                     out.push(Outbound::Broadcast(Message::Heartbeat {
                         ballot: self.ballot,
@@ -597,7 +593,7 @@ impl Replica {
     ) {
         let due = self
             .last_catchup_request
-            .is_none_or(|last| now.duration_since(last) >= self.cfg.retry_interval);
+            .is_none_or(|last| now.duration_since(last) >= RETRY_INTERVAL);
         if leader_committed > self.log.committed() && due {
             self.last_catchup_request = Some(now);
             out.push(Outbound::To(
@@ -627,7 +623,7 @@ impl Replica {
             .range(self.log.committed().next()..)
             .map(|(s, v)| (*s, v.clone()))
             .collect();
-        self.election_due = now + Self::timeout_with_jitter(&self.cfg, &mut self.rng);
+        self.election_due = now + Self::timeout_with_jitter(&mut self.rng);
         if self.promised_from.len() >= self.majority() {
             self.become_leader(now, out);
         } else {
@@ -730,7 +726,7 @@ impl Replica {
         }
         self.merged.clear();
         self.promised_from.clear();
-        self.election_due = now + Self::timeout_with_jitter(&self.cfg, &mut self.rng);
+        self.election_due = now + Self::timeout_with_jitter(&mut self.rng);
     }
 
     fn on_nack(&mut self, now: SimTime, promised: Ballot) {
@@ -802,7 +798,7 @@ impl Replica {
         for p in &mut self.pending {
             let due = p
                 .last_sent
-                .is_none_or(|last| now.duration_since(last) >= self.cfg.retry_interval);
+                .is_none_or(|last| now.duration_since(last) >= RETRY_INTERVAL);
             if due {
                 p.last_sent = Some(now);
                 out.push(Outbound::To(
@@ -901,7 +897,7 @@ impl Replica {
     }
 
     fn touch_leader(&mut self, now: SimTime) {
-        self.election_due = now + Self::timeout_with_jitter(&self.cfg, &mut self.rng);
+        self.election_due = now + Self::timeout_with_jitter(&mut self.rng);
     }
 }
 
@@ -914,10 +910,6 @@ fn node_bit(node: NodeId) -> u64 {
 mod tests {
     use super::*;
     use udr_model::ids::SubscriberUid;
-
-    fn cfg() -> ReplicaConfig {
-        ReplicaConfig::default()
-    }
 
     fn w(id: u64) -> Command {
         Command::write(CmdId(id), SubscriberUid(id), None)
@@ -958,7 +950,7 @@ mod tests {
             peer.record(Slot(s), w(s)).unwrap();
         }
         peer.compact_through(Slot(4));
-        let mut r = Replica::new(NodeId(0), 3, cfg(), 1);
+        let mut r = Replica::new(NodeId(0), 3, 1);
         for (slot, cmd) in [(1, w(1)), (5, w(50)), (8, w(8))] {
             handle(
                 &mut r,
@@ -997,9 +989,7 @@ mod tests {
     /// Walk a 3-node ensemble to a stable leader by hand-delivering
     /// messages; returns (replicas, leader index).
     fn elect_leader() -> (Vec<Replica>, usize) {
-        let mut nodes: Vec<Replica> = (0..3)
-            .map(|i| Replica::new(NodeId(i), 3, cfg(), 42))
-            .collect();
+        let mut nodes: Vec<Replica> = (0..3).map(|i| Replica::new(NodeId(i), 3, 42)).collect();
         // Force node 0 to campaign.
         let due = nodes[0].election_due;
         let mut out = tick(&mut nodes[0], due);
@@ -1029,7 +1019,7 @@ mod tests {
     /// nodes 1 and 2 (its round-1 campaign drew none), and the instant it
     /// won.
     fn leader_of_five() -> (Replica, SimTime) {
-        let mut r = Replica::new(NodeId(0), 5, cfg(), 5);
+        let mut r = Replica::new(NodeId(0), 5, 5);
         let mut due = r.election_due;
         tick(&mut r, due);
         due = r.election_due;
@@ -1160,7 +1150,7 @@ mod tests {
 
     #[test]
     fn a_follower_refuses_a_third_nodes_prepare_inside_the_lease_window() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         let leader = Ballot::new(1, NodeId(0));
         let heard = t(100);
         let heartbeat = Message::Heartbeat {
@@ -1193,7 +1183,7 @@ mod tests {
 
     #[test]
     fn the_leader_itself_may_campaign_again_inside_the_lease_window() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         let heartbeat = Message::Heartbeat {
             ballot: Ballot::new(1, NodeId(0)),
             committed: Slot::ZERO,
@@ -1213,12 +1203,12 @@ mod tests {
 
     #[test]
     fn a_rearmed_timer_waits_a_full_election_timeout() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         let back = f.election_due + SimDuration::from_secs(10);
         f.rearm_election(back);
         assert!(tick(&mut f, back).is_empty());
         assert_eq!(f.role(), Role::Follower);
-        let timeout = cfg().election_timeout;
+        let timeout = ELECTION_TIMEOUT;
         tick(&mut f, back + timeout - SimDuration::from_nanos(1));
         assert_eq!(f.role(), Role::Follower);
         tick(&mut f, back + timeout + timeout / 2);
@@ -1228,7 +1218,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "64-bit node mask")]
     fn an_ensemble_wider_than_the_ack_mask_is_refused() {
-        Replica::new(NodeId(0), 65, cfg(), 1);
+        Replica::new(NodeId(0), 65, 1);
     }
 
     #[test]
@@ -1249,7 +1239,7 @@ mod tests {
 
     #[test]
     fn lone_node_elects_itself_and_commits() {
-        let mut r = Replica::new(NodeId(0), 1, cfg(), 1);
+        let mut r = Replica::new(NodeId(0), 1, 1);
         let due = r.election_due;
         tick(&mut r, due);
         assert_eq!(r.role(), Role::Leader);
@@ -1286,7 +1276,7 @@ mod tests {
 
     #[test]
     fn acceptor_rejects_stale_ballots() {
-        let mut r = Replica::new(NodeId(1), 3, cfg(), 9);
+        let mut r = Replica::new(NodeId(1), 3, 9);
         let high = Ballot::new(5, NodeId(2));
         let out = handle(
             &mut r,
@@ -1339,7 +1329,7 @@ mod tests {
         // Node 2 campaigns; node 1 promises carrying an accepted entry for
         // slot 1 under an old ballot. The new leader must re-propose that
         // value, not its own.
-        let mut leader = Replica::new(NodeId(2), 3, cfg(), 3);
+        let mut leader = Replica::new(NodeId(2), 3, 3);
         let due = leader.election_due;
         tick(&mut leader, due);
         let ballot = leader.current_ballot();
@@ -1364,7 +1354,7 @@ mod tests {
 
     #[test]
     fn gaps_fill_with_noops_on_leader_change() {
-        let mut leader = Replica::new(NodeId(2), 3, cfg(), 3);
+        let mut leader = Replica::new(NodeId(2), 3, 3);
         let due = leader.election_due;
         tick(&mut leader, due);
         let ballot = leader.current_ballot();
@@ -1393,7 +1383,7 @@ mod tests {
 
     #[test]
     fn follower_forwards_submissions_to_leader() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         // Learn of a leader via heartbeat.
         handle(
             &mut f,
@@ -1424,7 +1414,7 @@ mod tests {
 
     #[test]
     fn leaderless_submissions_queue_until_leader_known() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         assert!(submit(&mut f, t(0), w(5)).is_empty());
         assert_eq!(f.pending_len(), 1);
         // Heartbeat announces a leader: pending flushes as Forward.
@@ -1488,7 +1478,7 @@ mod tests {
 
     #[test]
     fn lagging_learner_requests_catchup() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         let out = handle(
             &mut f,
             t(0),
@@ -1508,7 +1498,7 @@ mod tests {
 
     #[test]
     fn catchup_reply_fills_log() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         handle(
             &mut f,
             t(0),
@@ -1555,7 +1545,7 @@ mod tests {
 
     #[test]
     fn heartbeats_defer_elections() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         let mut now = t(0);
         // Regular heartbeats: no election for a long horizon.
         for _ in 0..100 {
@@ -1583,7 +1573,7 @@ mod tests {
 
     #[test]
     fn candidate_rebids_with_higher_round_after_timeout() {
-        let mut c = Replica::new(NodeId(0), 3, cfg(), 4);
+        let mut c = Replica::new(NodeId(0), 3, 4);
         let due = c.election_due;
         tick(&mut c, due);
         let first = c.current_ballot();
@@ -1611,7 +1601,7 @@ mod tests {
 
     #[test]
     fn learn_is_idempotent_and_detects_conflicts() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         handle(
             &mut f,
             t(0),
@@ -1649,7 +1639,7 @@ mod tests {
 
     #[test]
     fn a_learn_for_slot_zero_is_ignored() {
-        let mut f = Replica::new(NodeId(1), 3, cfg(), 4);
+        let mut f = Replica::new(NodeId(1), 3, 4);
         handle(
             &mut f,
             t(0),

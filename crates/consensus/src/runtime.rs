@@ -28,25 +28,14 @@ use udr_sim::{Fault, FaultScript, LaneClass, PumpConfig, ShardedPump, SimRng};
 use crate::ballot::{NodeId, Slot};
 use crate::ensemble::Ensemble;
 use crate::msg::{CmdId, Command};
-use crate::replica::{Outbound, Replica, ReplicaConfig, Role};
+use crate::replica::{first_tick, Outbound, Replica, Role, TICK_INTERVAL};
 
-/// Cluster-level knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Per-replica protocol timing.
-    pub replica: ReplicaConfig,
-    /// Timer granularity: how often each node's `tick` runs.
-    pub tick_interval: SimDuration,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            replica: ReplicaConfig::default(),
-            tick_interval: SimDuration::from_millis(50),
-        }
-    }
-}
+/// The argument of [`ConsensusCluster::new`]. It carries nothing: the
+/// protocol's timers are the constants of [`replica`](crate::replica), and
+/// `new` ignores it. The type stays because the benchmark package's
+/// isolated replay builds its cluster with `ClusterConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterConfig;
 
 /// What happened to one submitted command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +148,6 @@ pub struct ConsensusCluster {
     net: Network,
     queue: ShardedPump<Ev>,
     rng: SimRng,
-    cfg: ClusterConfig,
     cuts: Vec<Cut>,
     active_cuts: Vec<Option<CutHandle>>,
     next_cmd: u64,
@@ -171,17 +159,16 @@ pub struct ConsensusCluster {
 
 impl ConsensusCluster {
     /// One consensus node per site of `topo`.
-    pub fn new(topo: Topology, cfg: ClusterConfig, seed: u64) -> Self {
+    pub fn new(topo: Topology, _cfg: ClusterConfig, seed: u64) -> Self {
         let n = topo.sites();
         let sites: Vec<SiteId> = (0..n as u32).map(SiteId).collect();
         ConsensusCluster {
-            ensemble: Ensemble::new(n, cfg.replica.clone(), seed),
+            ensemble: Ensemble::new(n, seed),
             sites,
             down: vec![false; n],
             net: Network::new(topo),
             queue: ShardedPump::new(PumpConfig::single()),
             rng: SimRng::seed_from_u64(seed ^ 0x5EED_CAFE),
-            cfg,
             cuts: Vec::new(),
             active_cuts: Vec::new(),
             next_cmd: 1,
@@ -297,11 +284,9 @@ impl ConsensusCluster {
         }
         self.ticks_started = true;
         for i in 0..self.len() {
-            // Small per-node stagger so timer events interleave.
-            let first = self.cfg.tick_interval + SimDuration::from_micros(137 * i as u64);
             self.queue.schedule_at(
                 LANE,
-                SimTime::ZERO + first,
+                first_tick(i),
                 Ev::Tick {
                     node: NodeId(i as u32),
                 },
@@ -370,7 +355,7 @@ impl ConsensusCluster {
                 }
                 Ev::Tick { node } => {
                     self.queue
-                        .schedule_at(LANE, now + self.cfg.tick_interval, Ev::Tick { node });
+                        .schedule_at(LANE, now + TICK_INTERVAL, Ev::Tick { node });
                     if self.down[node.index()] {
                         continue;
                     }
@@ -441,11 +426,7 @@ mod tests {
     }
 
     fn quiet_cluster(sites: usize, seed: u64) -> ConsensusCluster {
-        ConsensusCluster::new(
-            Topology::multinational(sites),
-            ClusterConfig::default(),
-            seed,
-        )
+        ConsensusCluster::new(Topology::multinational(sites), ClusterConfig, seed)
     }
 
     #[test]
@@ -614,7 +595,7 @@ mod tests {
                 }
             }
         }
-        let mut cluster = ConsensusCluster::new(topo, ClusterConfig::default(), 6);
+        let mut cluster = ConsensusCluster::new(topo, ClusterConfig, 6);
         for i in 0..30 {
             cluster.submit_write_at(
                 secs(3) + SimDuration::from_millis(150 * i),

@@ -83,11 +83,8 @@ fn run_script(seed: u64, script: &FaultScript) -> (ConsensusCluster, RunReport, 
     const NODES: u32 = 3;
     const WRITES: u64 = 24;
     let windows = crash_windows(script);
-    let mut cluster = ConsensusCluster::new(
-        Topology::multinational(NODES as usize),
-        ClusterConfig::default(),
-        seed,
-    );
+    let mut cluster =
+        ConsensusCluster::new(Topology::multinational(NODES as usize), ClusterConfig, seed);
     let mut expected = 0usize;
     for i in 0..WRITES {
         let at = secs(2) + ms(i * 800);

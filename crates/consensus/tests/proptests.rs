@@ -74,11 +74,8 @@ fn run_case(
     submissions: &[(u64, u32)],
     plan: &FaultPlan,
 ) -> udr_consensus::RunReport {
-    let mut cluster = ConsensusCluster::new(
-        Topology::multinational(nodes as usize),
-        ClusterConfig::default(),
-        seed,
-    );
+    let mut cluster =
+        ConsensusCluster::new(Topology::multinational(nodes as usize), ClusterConfig, seed);
     for (i, (at_ms, origin)) in submissions.iter().enumerate() {
         cluster.submit_write_at(
             SimTime::ZERO + ms(2_000 + at_ms),
@@ -484,8 +481,7 @@ proptest! {
 #[test]
 fn committed_commands_are_durable_and_exactly_once() {
     for seed in [11u64, 23, 47, 91] {
-        let mut cluster =
-            ConsensusCluster::new(Topology::multinational(5), ClusterConfig::default(), seed);
+        let mut cluster = ConsensusCluster::new(Topology::multinational(5), ClusterConfig, seed);
         for i in 0..30u64 {
             cluster.submit_write_at(
                 secs(2) + ms(400 * i),
@@ -564,7 +560,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use udr_consensus::replica::Outbound;
-use udr_consensus::{Ensemble, Replica, ReplicaConfig};
+use udr_consensus::{Ensemble, Replica};
 use udr_sim::SimRng;
 
 /// How a lease case treats the network and the nodes.
@@ -636,7 +632,7 @@ struct LeaseHost {
 impl LeaseHost {
     fn new(nodes: usize, seed: u64, plan: LeasePlan) -> Self {
         let mut host = LeaseHost {
-            ensemble: Ensemble::new(nodes, ReplicaConfig::default(), seed),
+            ensemble: Ensemble::new(nodes, seed),
             up: vec![true; nodes],
             rng: SimRng::seed_from_u64(seed),
             events: BinaryHeap::new(),

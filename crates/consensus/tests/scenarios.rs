@@ -24,8 +24,7 @@ fn ms(v: u64) -> SimDuration {
 /// once one cut heals and a majority re-forms.
 #[test]
 fn no_majority_freezes_writes_without_losing_them() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(5), ClusterConfig::default(), 41);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(5), ClusterConfig, 41);
     cluster.run_until(secs(4));
 
     // Both cuts active from t=5; the {0,1} cut heals at t=40, giving
@@ -66,8 +65,7 @@ fn no_majority_freezes_writes_without_losing_them() {
 /// the ensemble to a 2-node rump, which must freeze.
 #[test]
 fn serial_leader_crashes_lose_nothing() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(5), ClusterConfig::default(), 43);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(5), ClusterConfig, 43);
     let mut submitted: Vec<CmdId> = Vec::new();
     let mut crashed: Vec<u32> = Vec::new();
     let mut now = 4u64;
@@ -128,8 +126,7 @@ fn serial_leader_crashes_lose_nothing() {
 /// realized on the simulated backbone.
 #[test]
 fn seven_nodes_tolerate_exactly_three_failures() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(7), ClusterConfig::default(), 47);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(7), ClusterConfig, 47);
     cluster.run_until(secs(4));
     let leader = cluster.current_leader().expect("leader");
     // Crash three non-leader nodes; the first returns at 41 s, after the
@@ -173,8 +170,7 @@ fn seven_nodes_tolerate_exactly_three_failures() {
 /// every flap and all majority-side writes commit.
 #[test]
 fn partition_flapping_preserves_safety() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(3), ClusterConfig::default(), 53);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(3), ClusterConfig, 53);
     cluster.run_until(secs(3));
     let flaps = (0..5u64).fold(FaultScript::new(0), |script, flap| {
         script.clean_partition(secs(5 + 6 * flap), SimDuration::from_secs(3), [SiteId(2)])

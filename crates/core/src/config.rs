@@ -19,11 +19,10 @@ pub struct UdrConfig {
     /// realization does).
     pub qos: QosConfig,
     /// Geographic sites (regions); FE populations and home regions map 1:1
-    /// onto sites.
+    /// onto sites. Each site starts with one blade cluster (a PoA, LDAP
+    /// servers and a data-location stage instance);
+    /// [`Udr::add_cluster`](crate::Udr::add_cluster) adds more.
     pub sites: u32,
-    /// Blade clusters per site (each with a PoA, LDAP servers and a
-    /// data-location stage instance).
-    pub clusters_per_site: u32,
     /// Storage elements per cluster (§3.5 caps this at 16 per cluster).
     pub ses_per_cluster: u32,
     /// LDAP server processes per cluster (§3.5 caps this at 32).
@@ -35,8 +34,6 @@ pub struct UdrConfig {
     /// blades do 10⁶; simulations usually run smaller populations and keep
     /// the ratio meaningful rather than the absolute.
     pub ldap_ops_per_sec: f64,
-    /// Capacity of cached-locator stages (entries), when used.
-    pub dls_cache_capacity: usize,
     /// Replication log-shipping coalescing. Every commit ships through a
     /// channel's open batch; the default cap of one ships each commit at
     /// once as a batch of one (one message per commit, the paper's
@@ -61,12 +58,10 @@ impl Default for UdrConfig {
             frash: FrashConfig::default(),
             qos: QosConfig::disabled(),
             sites: 3,
-            clusters_per_site: 1,
             ses_per_cluster: 1,
             ldap_servers_per_cluster: 2,
             partitions: 3,
             ldap_ops_per_sec: 1_000_000.0,
-            dls_cache_capacity: 65_536,
             ship_batch: ShipBatchConfig::per_record(),
             trace: TraceConfig::disabled(),
             tenants: TenantDirectory::single_tenant(),
@@ -76,12 +71,11 @@ impl Default for UdrConfig {
 }
 
 impl UdrConfig {
-    /// Total clusters times `per_cluster`, `None` past `u32::MAX`. The
-    /// totals below saturate there, and [`Self::validate`] rejects it.
+    /// Clusters at build (one a site) times `per_cluster`, `None` past
+    /// `u32::MAX`. The totals below saturate there, and
+    /// [`Self::validate`] rejects it.
     fn checked_total(&self, per_cluster: u32) -> Option<u32> {
-        self.sites
-            .checked_mul(self.clusters_per_site)?
-            .checked_mul(per_cluster)
+        self.sites.checked_mul(per_cluster)
     }
 
     /// Total storage elements.
@@ -98,15 +92,12 @@ impl UdrConfig {
     /// Validate the deployment shape.
     pub fn validate(&self) -> UdrResult<()> {
         self.frash.validate()?;
-        self.qos.validate()?;
         self.tenants.validate()?;
         if self.sites == 0 {
             return Err(UdrError::Config("at least one site required".into()));
         }
-        if self.clusters_per_site == 0 || self.ses_per_cluster == 0 {
-            return Err(UdrError::Config(
-                "clusters and SEs per cluster must be ≥ 1".into(),
-            ));
+        if self.ses_per_cluster == 0 {
+            return Err(UdrError::Config("SEs per cluster must be ≥ 1".into()));
         }
         if self.ldap_servers_per_cluster == 0 {
             return Err(UdrError::Config("each cluster needs an LDAP server".into()));
@@ -175,7 +166,7 @@ mod tests {
     fn an_overflowing_topology_is_a_config_error() {
         let mut c = UdrConfig::default();
         c.sites = 70_000;
-        c.clusters_per_site = 70_000;
+        c.ses_per_cluster = 70_000;
         assert!(matches!(c.validate(), Err(UdrError::Config(_))));
         // Per cluster, the larger of the SE and LDAP-server counts decides.
         let mut c = UdrConfig::default();
@@ -205,7 +196,7 @@ mod tests {
         // The data-location tables address 2^16 partitions, however many
         // SEs could master more.
         let mut c = UdrConfig::default();
-        (c.sites, c.clusters_per_site, c.ses_per_cluster) = (1, 1, 70_000);
+        (c.sites, c.ses_per_cluster) = (1, 70_000);
         c.partitions = 65_536;
         assert!(c.validate().is_ok());
         c.partitions = 65_537;
@@ -217,15 +208,6 @@ mod tests {
             c.ldap_ops_per_sec = rate;
             assert!(c.validate().is_err(), "ldap_ops_per_sec = {rate}");
         }
-    }
-
-    #[test]
-    fn qos_knobs_are_validated_when_enabled() {
-        let mut c = UdrConfig::default();
-        c.qos = udr_qos::QosConfig::protective();
-        assert!(c.validate().is_ok());
-        c.qos.shed_interval = udr_model::time::SimDuration::ZERO;
-        assert!(c.validate().is_err());
     }
 
     #[test]

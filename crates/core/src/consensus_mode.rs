@@ -74,7 +74,7 @@
 //! [`Payload::Reconfig`]: udr_consensus::Payload::Reconfig
 
 use udr_consensus::replica::Outbound;
-use udr_consensus::{CmdId, Command, Ensemble, NodeId, Payload, Replica, ReplicaConfig, Slot};
+use udr_consensus::{CmdId, Command, Ensemble, NodeId, Payload, Replica, Slot, TICK_INTERVAL};
 use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
 use udr_model::error::UdrError;
@@ -86,10 +86,6 @@ use udr_storage::{Change, CommitRecord, Lsn};
 use crate::ops::OpOutcome;
 use crate::pipeline::{sample_rtt, PipelineCtx, ReadRoute};
 use crate::udr::{Udr, UdrEvent, LANE};
-
-/// How often each partition's ensemble runs its protocol timers
-/// (election timeouts, heartbeats, forward retries, catch-up probes).
-pub(crate) const CONSENSUS_TICK_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// One partition's Multi-Paxos ensemble and its apply bookkeeping. Node
 /// `i` is hosted by the partition's `shard_map.groups()[p].members()[i]`.
@@ -128,7 +124,7 @@ impl ConsensusGroup {
     pub(crate) fn new(n: usize, seed: u64, partition: u32) -> Self {
         let seed = seed ^ 0x9A05 ^ ((partition as u64) << 8);
         ConsensusGroup {
-            ensemble: Ensemble::new(n, ReplicaConfig::default(), seed),
+            ensemble: Ensemble::new(n, seed),
             applied: vec![Slot::ZERO; n],
             images: vec![(Lsn::ZERO, Slot::ZERO); n],
             history: None,
@@ -511,10 +507,7 @@ impl Udr {
         }
         self.consensus_apply(t, partition);
         self.note_consensus_leadership(p);
-        self.schedule_event(
-            t + CONSENSUS_TICK_INTERVAL,
-            UdrEvent::ConsensusTick { partition },
-        );
+        self.schedule_event(t + TICK_INTERVAL, UdrEvent::ConsensusTick { partition });
     }
 
     /// `ConsensusDeliver`: hand the protocol message `ticket` names to its

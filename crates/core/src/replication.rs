@@ -25,7 +25,7 @@
 //! families share most of their state, and each arm reads the fields of
 //! [`Udr`] it needs between calls that take all of it.
 
-use udr_consensus::Slot;
+use udr_consensus::{first_tick, Slot};
 use udr_ldap::LdapOp;
 use udr_model::attrs::Entry;
 use udr_model::config::{ReadPolicy, ReplicationMode, TxnClass};
@@ -38,7 +38,7 @@ use udr_replication::quorum::quorum_write;
 use udr_replication::{AsyncShipper, BatchDelivery, Enqueue, MigrationState};
 use udr_storage::{CommitRecord, Lsn};
 
-use crate::consensus_mode::{ConsensusGroup, CONSENSUS_TICK_INTERVAL};
+use crate::consensus_mode::ConsensusGroup;
 use crate::ops::OpOutcome;
 use crate::pipeline::{sample_rtt, PipelineCtx, ReadRoute};
 use crate::rebalance::MigrationPlan;
@@ -741,9 +741,7 @@ impl Udr {
                     let ensemble = ConsensusGroup::new(n as usize, self.cfg.seed, p as u32);
                     self.consensus.push(ensemble);
                     self.schedule_event(
-                        SimTime::ZERO
-                            + CONSENSUS_TICK_INTERVAL
-                            + SimDuration::from_micros(137 * p as u64),
+                        first_tick(p),
                         UdrEvent::ConsensusTick {
                             partition: PartitionId(p as u32),
                         },

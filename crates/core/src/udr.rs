@@ -51,6 +51,8 @@ const CATCHUP_INTERVAL: SimDuration = SimDuration::from_millis(200);
 const MIGRATION_SEED_BASE: SimDuration = SimDuration::from_millis(50);
 /// Snapshot transfer throughput (bytes per microsecond ≙ 100 MB/s).
 const MIGRATION_SEED_BYTES_PER_US: u64 = 100;
+/// Bindings a cached-locator stage holds (§3.5 alternative).
+const DLS_CACHE_CAPACITY: usize = 65_536;
 
 /// One blade cluster: PoA, LDAP servers and a data-location stage (§3.4.1).
 pub struct Cluster {
@@ -275,7 +277,7 @@ impl Udr {
         // ---- storage elements (clusters are wired once `udr` exists) ------
         let mut ses = Vec::new();
         for site in 0..cfg.sites {
-            for _ in 0..cfg.clusters_per_site * cfg.ses_per_cluster {
+            for _ in 0..cfg.ses_per_cluster {
                 let se_id = SeId(ses.len() as u32);
                 ses.push(StorageElement::new(
                     se_id,
@@ -376,21 +378,14 @@ impl Udr {
         udr.rebuild_placement();
         let total_ses = udr.ses.len();
         for site in 0..udr.cfg.sites {
-            for _ in 0..udr.cfg.clusters_per_site {
-                let stage = match udr.cfg.frash.locator {
-                    LocatorKind::ProvisionedMaps => DataLocationStage::provisioned(),
-                    LocatorKind::CachedMaps => {
-                        DataLocationStage::cached(udr.cfg.dls_cache_capacity, total_ses)
-                    }
-                    LocatorKind::ConsistentHashing => {
-                        DataLocationStage::hashed(udr_dls::ConsistentHashRing::new(
-                            (0..udr.cfg.partitions).map(PartitionId),
-                            64,
-                        ))
-                    }
-                };
-                udr.push_cluster(SiteId(site), stage);
-            }
+            let stage = match udr.cfg.frash.locator {
+                LocatorKind::ProvisionedMaps => DataLocationStage::provisioned(),
+                LocatorKind::CachedMaps => DataLocationStage::cached(DLS_CACHE_CAPACITY, total_ses),
+                LocatorKind::ConsistentHashing => DataLocationStage::hashed(
+                    udr_dls::ConsistentHashRing::new((0..udr.cfg.partitions).map(PartitionId), 64),
+                ),
+            };
+            udr.push_cluster(SiteId(site), stage);
         }
         udr.build_replication();
         Ok(udr)
@@ -831,13 +826,11 @@ impl Udr {
             // The new PoA syncs the deployment's table, whose size sets the
             // sync window that blocks it; it then resolves through that
             // table, so nothing is copied.
-            LocatorKind::ProvisionedMaps => DataLocationStage::provisioned_syncing(
-                now,
-                self.authority.len(),
-                &udr_dls::SyncCostModel::default(),
-            ),
+            LocatorKind::ProvisionedMaps => {
+                DataLocationStage::provisioned_syncing(now, self.authority.len())
+            }
             LocatorKind::CachedMaps => {
-                DataLocationStage::cached(self.cfg.dls_cache_capacity, self.ses.len())
+                DataLocationStage::cached(DLS_CACHE_CAPACITY, self.ses.len())
             }
             LocatorKind::ConsistentHashing => DataLocationStage::hashed(
                 udr_dls::ConsistentHashRing::new((0..self.cfg.partitions).map(PartitionId), 64),

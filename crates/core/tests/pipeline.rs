@@ -120,18 +120,23 @@ fn read_and_write_traverse_all_four_stages() {
 fn cached_locator_charges_the_location_stage() {
     let mut cfg = UdrConfig::figure2();
     cfg.frash.locator = LocatorKind::CachedMaps;
-    // A one-entry cache: provisioning subscribers 0..4 evicts the early
-    // bindings, so resolving subscriber 2 misses → probe → fill.
-    cfg.dls_cache_capacity = 1;
     let mut udr = provisioned_udr(cfg);
-    let read = udr
-        .execute(
+    // Provisioning warmed the caches it went through; a cluster added at
+    // site 1 starts cold, so resolving subscriber 2 there misses → probe
+    // → fill. Site 1's two clusters take turns: the warm one serves the
+    // odd reads below, the new one the even.
+    udr.add_cluster(SiteId(1), t(5));
+    let mut read_at = |ms| {
+        udr.execute(
             OpRequest::new(&search(2))
                 .class(TxnClass::FrontEnd)
                 .site(SiteId(1))
-                .at(t(10)),
+                .at(t(ms)),
         )
-        .into_op();
+        .into_op()
+    };
+    assert!(read_at(9).is_ok());
+    let read = read_at(10);
     assert!(read.is_ok(), "read failed: {:?}", read.result);
     assert_decomposed("cached read", &read.breakdown, read.latency);
     assert!(
@@ -140,14 +145,8 @@ fn cached_locator_charges_the_location_stage() {
         read.breakdown
     );
     // The filled cache serves the next resolution locally.
-    let again = udr
-        .execute(
-            OpRequest::new(&search(2))
-                .class(TxnClass::FrontEnd)
-                .site(SiteId(1))
-                .at(t(11)),
-        )
-        .into_op();
+    assert!(read_at(11).is_ok());
+    let again = read_at(12);
     assert!(again.is_ok());
     assert_eq!(again.breakdown.location, SimDuration::ZERO);
 }
@@ -432,12 +431,11 @@ fn read_through_txn(
 }
 
 /// A stand-alone copy of `se`'s replica of `partition` — the same
-/// committed records (tombstones included), cost model, role and up/down
-/// state — for the reference to run against.
+/// committed records (tombstones included), role and up/down state — for
+/// the reference to run against.
 fn mirror(udr: &Udr, se: SeId, partition: PartitionId) -> StorageElement {
     let src = udr.se(se);
     let mut copy = StorageElement::new(se, src.site(), DurabilityMode::None);
-    copy.set_cost_model(src.cost_model().clone());
     match src.engine(partition) {
         Ok(engine) => {
             let role = src.role(partition).expect("hosted");

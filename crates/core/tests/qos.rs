@@ -81,10 +81,7 @@ fn disabled_qos_changes_nothing_but_overloads_blindly() {
 
 #[test]
 fn overload_sheds_low_classes_and_spares_high_with_zero_inversions() {
-    let mut qos = QosConfig::protective();
-    qos.shed_target = SimDuration::from_micros(500);
-    qos.shed_interval = SimDuration::from_millis(5);
-    let mut udr = Udr::build(slow_config(qos)).unwrap();
+    let mut udr = Udr::build(slow_config(QosConfig::protective())).unwrap();
     let subs = provision_n(&mut udr, 6);
 
     // Sustained 3× overload: one procedure per virtual millisecond
@@ -137,13 +134,10 @@ fn overload_sheds_low_classes_and_spares_high_with_zero_inversions() {
 
 #[test]
 fn shed_error_is_typed_and_retryable() {
-    let mut qos = QosConfig::protective();
-    qos.shed_target = SimDuration::from_micros(200);
-    qos.shed_interval = SimDuration::from_millis(2);
-    let mut udr = Udr::build(slow_config(qos)).unwrap();
+    let mut udr = Udr::build(slow_config(QosConfig::protective())).unwrap();
     let subs = provision_n(&mut udr, 4);
     let mut seen_shed = None;
-    for i in 0..200u64 {
+    for i in 0..400u64 {
         let out = udr
             .execute(
                 OpRequest::procedure(
@@ -167,19 +161,19 @@ fn shed_error_is_typed_and_retryable() {
 
 #[test]
 fn sustained_overload_downgrades_guarded_reads_and_accounts_them() {
-    let mut qos = QosConfig::protective();
-    qos.shed_target = SimDuration::from_micros(300);
-    qos.shed_interval = SimDuration::from_millis(2);
-    qos.degrade_after = SimDuration::from_millis(10);
-    let mut cfg = slow_config(qos);
+    let mut cfg = slow_config(QosConfig::protective());
+    // A 200 ops/s server (5 ms service): a queued op may wait up to 10 ms,
+    // past the call-setup class's 8 ms target (16 × `SHED_TARGET`), so
+    // call setups themselves shed and the controller stays shedding.
+    cfg.ldap_ops_per_sec = 200.0;
     cfg.frash.fe_read_policy = ReadPolicy::BoundedStaleness { max_lag: 2 };
     let mut udr = Udr::build(cfg).unwrap();
     let subs = provision_n(&mut udr, 6);
 
-    // Sustained saturation at site 0: zero-gap bursts across 100 ms of
+    // Sustained saturation at site 0: zero-gap bursts across 2.5 s of
     // virtual time keep the queue above target past the degradation fuse.
     let mut downgraded_reads = 0u64;
-    for step in 0..100u64 {
+    for step in 0..2_500u64 {
         let at = t(10) + SimDuration::from_millis(step);
         for i in 0..4 {
             let out = udr

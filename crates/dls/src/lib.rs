@@ -36,4 +36,4 @@ pub use placement::PlacementContext;
 pub use ring::ConsistentHashRing;
 pub use shardmap::{Epoch, ReplicationGroup, ShardMap};
 pub use stage::{DataLocationStage, Resolution};
-pub use sync::{StageSync, SyncCostModel, SyncState};
+pub use sync::{StageSync, SyncState};

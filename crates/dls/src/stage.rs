@@ -21,7 +21,7 @@ use crate::cache::{CacheOutcome, CachedLocator};
 use crate::maps::{IdentityLocationMap, Location};
 use crate::ring::ConsistentHashRing;
 use crate::shardmap::Epoch;
-use crate::sync::{StageSync, SyncCostModel};
+use crate::sync::StageSync;
 
 /// Outcome of a local resolution attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,10 +115,8 @@ impl DataLocationStage {
 
     /// A provisioned-maps stage created by scale-out: it must first copy
     /// `entries` bindings from a peer before it can serve.
-    pub fn provisioned_syncing(now: SimTime, entries: usize, cost: &SyncCostModel) -> Self {
-        Self::with(Realisation::Provisioned(StageSync::syncing(
-            now, entries, cost,
-        )))
+    pub fn provisioned_syncing(now: SimTime, entries: usize) -> Self {
+        Self::with(Realisation::Provisioned(StageSync::syncing(now, entries)))
     }
 
     /// A cached-maps stage (§3.5 alternative): `capacity` bindings, misses
@@ -229,9 +227,9 @@ impl DataLocationStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{SYNC_BASE, SYNC_PER_ENTRY};
     use udr_model::identity::Imsi;
     use udr_model::ids::PartitionId;
-    use udr_model::time::SimDuration;
 
     fn imsi(i: u64) -> Identity {
         Imsi::new(format!("21401{i:010}")).unwrap().into()
@@ -274,18 +272,14 @@ mod tests {
     /// the table it is given while holding nothing itself.
     #[test]
     fn syncing_stage_refuses_then_serves() {
-        let cost = SyncCostModel {
-            base: SimDuration::from_secs(10),
-            per_entry: SimDuration::ZERO,
-        };
         let mut table = IdentityLocationMap::new();
         table.insert(&imsi(1), loc(1, 2));
-        let mut s = DataLocationStage::provisioned_syncing(SimTime::ZERO, table.len(), &cost);
+        let mut s = DataLocationStage::provisioned_syncing(SimTime::ZERO, table.len());
         assert_eq!(
             s.resolve_in(&table, &imsi(1), SimTime::ZERO, None),
             Resolution::Syncing
         );
-        let later = SimTime::ZERO + SimDuration::from_secs(11);
+        let later = SimTime::ZERO + SYNC_BASE + SYNC_PER_ENTRY;
         assert_eq!(
             s.resolve_in(&table, &imsi(1), later, None),
             Resolution::Found(loc(1, 2))

@@ -21,32 +21,18 @@ pub enum SyncState {
     Ready,
 }
 
-/// Parameters of the map-copy protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyncCostModel {
-    /// Fixed handshake/setup cost.
-    pub base: SimDuration,
-    /// Per-entry transfer + index-build cost.
-    pub per_entry: SimDuration,
-}
+// ~40 B/entry over a backbone plus local B-tree insert: ≈3 µs/entry keeps
+// a 10M-entry sync in the tens of seconds, matching the "takes some time"
+// the paper worries about.
 
-impl Default for SyncCostModel {
-    fn default() -> Self {
-        // ~40 B/entry over a backbone plus local B-tree insert: ≈3 µs/entry
-        // keeps a 10M-entry sync in the tens of seconds, matching the
-        // "takes some time" the paper worries about.
-        SyncCostModel {
-            base: SimDuration::from_millis(100),
-            per_entry: SimDuration::from_micros(3),
-        }
-    }
-}
+/// Fixed handshake/setup cost of a map copy.
+pub const SYNC_BASE: SimDuration = SimDuration::from_millis(100);
+/// Per-entry transfer + index-build cost of a map copy.
+pub const SYNC_PER_ENTRY: SimDuration = SimDuration::from_micros(3);
 
-impl SyncCostModel {
-    /// Total time to copy `entries` bindings from a peer.
-    fn transfer_time(&self, entries: usize) -> SimDuration {
-        self.base + self.per_entry * entries as u64
-    }
+/// Total time to copy `entries` bindings from a peer.
+fn transfer_time(entries: usize) -> SimDuration {
+    SYNC_BASE + SYNC_PER_ENTRY * entries as u64
 }
 
 /// Tracks a stage instance's sync lifecycle.
@@ -68,10 +54,10 @@ impl StageSync {
     }
 
     /// A stage that starts syncing `entries` bindings at `now`.
-    pub fn syncing(now: SimTime, entries: usize, cost: &SyncCostModel) -> Self {
+    pub fn syncing(now: SimTime, entries: usize) -> Self {
         StageSync {
             state: SyncState::Syncing {
-                done_at: now + cost.transfer_time(entries),
+                done_at: now + transfer_time(entries),
             },
             rounds: 0,
         }
@@ -109,11 +95,10 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_entries() {
-        let c = SyncCostModel::default();
-        let t1m = c.transfer_time(1_000_000);
-        let t10m = c.transfer_time(10_000_000);
+        let t1m = transfer_time(1_000_000);
+        let t10m = transfer_time(10_000_000);
         // Linear in entries once past the fixed base.
-        assert_eq!(t10m - c.base, (t1m - c.base) * 10);
+        assert_eq!(t10m - SYNC_BASE, (t1m - SYNC_BASE) * 10);
         // 10M entries ≈ 30.5 s with defaults: a visible availability window.
         assert!(t10m > SimDuration::from_secs(20));
         assert!(t10m < SimDuration::from_secs(60));
@@ -121,8 +106,7 @@ mod tests {
 
     #[test]
     fn stage_blocks_until_done() {
-        let cost = SyncCostModel::default();
-        let mut s = StageSync::syncing(SimTime::ZERO, 1_000_000, &cost);
+        let mut s = StageSync::syncing(SimTime::ZERO, 1_000_000);
         assert!(!s.is_ready(SimTime::ZERO));
         assert!(!s.is_ready(SimTime::ZERO + SimDuration::from_secs(1)));
         assert!(s.is_ready(SimTime::ZERO + SimDuration::from_secs(10)));
@@ -140,11 +124,8 @@ mod tests {
 
     #[test]
     fn done_at_exposed_while_syncing() {
-        let cost = SyncCostModel {
-            base: SimDuration::from_secs(1),
-            per_entry: SimDuration::ZERO,
-        };
-        let s = StageSync::syncing(SimTime::ZERO, 123, &cost);
-        assert_eq!(s.done_at(), Some(SimTime::ZERO + SimDuration::from_secs(1)));
+        let s = StageSync::syncing(SimTime::ZERO, 123);
+        let window = SYNC_BASE + SYNC_PER_ENTRY * 123;
+        assert_eq!(s.done_at(), Some(SimTime::ZERO + window));
     }
 }

@@ -4,7 +4,7 @@
 use udr_model::qos::{PriorityClass, ShedReason};
 use udr_model::time::SimTime;
 
-use crate::config::QosConfig;
+use crate::config::{QosConfig, DEGRADE_AFTER, SHED_INTERVAL, SHED_TARGET};
 
 /// One cluster's admission controller.
 ///
@@ -13,21 +13,22 @@ use crate::config::QosConfig;
 /// controller decides admit/shed CoDel-style: while the measured delay
 /// stays at or below the lowest class's target the queue is healthy and
 /// all state clears. Once it exceeds a class's own target *and* has been
-/// above the base target for longer than the grace interval, that class
-/// is shed ([`ShedReason::QueueDelay`]). Targets grow strictly up the
-/// priority order, so the lowest classes are always cut first and a class
-/// is never shed at a delay a lower class would survive. Rate budgets are
-/// per tenant ([`ClassBuckets`](crate::ClassBuckets)), spent before this
-/// controller is asked.
+/// above the base target for longer than the grace interval
+/// ([`SHED_INTERVAL`]), that class is shed ([`ShedReason::QueueDelay`]).
+/// Targets grow strictly up the priority order, so the lowest classes are
+/// always cut first and a class is never shed at a delay a lower class
+/// would survive. Rate budgets are per tenant
+/// ([`ClassBuckets`](crate::ClassBuckets)), spent before this controller
+/// is asked.
 ///
-/// Sustained shedding (longer than `degrade_after`) raises the
+/// Sustained shedding (longer than [`DEGRADE_AFTER`]) raises the
 /// [`AdmissionController::degraded`] signal, which the replication stage
 /// uses to downgrade guarded read policies to nearest-copy — trading
 /// consistency for latency *under load*, the PACELC "else" leg applied
 /// dynamically.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
-    cfg: QosConfig,
+    enabled: bool,
     /// Since when the measured delay has been exceeding the base
     /// (lowest-class) target; `None` = queue healthy.
     above_since: Option<SimTime>,
@@ -49,7 +50,7 @@ impl AdmissionController {
     /// A controller for one cluster under `cfg`.
     pub fn new(cfg: QosConfig) -> Self {
         AdmissionController {
-            cfg,
+            enabled: cfg.enabled,
             above_since: None,
             below_since: None,
             shedding_since: None,
@@ -65,11 +66,11 @@ impl AdmissionController {
         queue_delay: udr_model::time::SimDuration,
         now: SimTime,
     ) -> Result<(), ShedReason> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return Ok(());
         }
         let prev_sample = self.last_sample.replace(now);
-        if queue_delay <= self.cfg.shed_target {
+        if queue_delay <= SHED_TARGET {
             // Low sample: the overload episode only ends once the queue
             // stays drained for a full grace interval (exit hysteresis —
             // a lone op that raced ahead of the backlog must not reset
@@ -80,15 +81,15 @@ impl AdmissionController {
             let below = *self
                 .below_since
                 .get_or_insert_with(|| prev_sample.unwrap_or(now));
-            if now.duration_since(below) >= self.cfg.shed_interval {
+            if now.duration_since(below) >= SHED_INTERVAL {
                 self.above_since = None;
                 self.shedding_since = None;
             }
         } else {
             self.below_since = None;
             let since = *self.above_since.get_or_insert(now);
-            let in_grace = now.duration_since(since) < self.cfg.shed_interval;
-            if queue_delay > self.cfg.class_target(class) && !in_grace {
+            let in_grace = now.duration_since(since) < SHED_INTERVAL;
+            if queue_delay > QosConfig::class_target(class) && !in_grace {
                 self.shedding_since.get_or_insert(now);
                 return Err(ShedReason::QueueDelay);
             }
@@ -105,26 +106,26 @@ impl AdmissionController {
         queue_delay: udr_model::time::SimDuration,
         now: SimTime,
     ) -> bool {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return true;
         }
-        if queue_delay <= self.cfg.shed_target || queue_delay <= self.cfg.class_target(class) {
+        if queue_delay <= SHED_TARGET || queue_delay <= QosConfig::class_target(class) {
             return true;
         }
         match self.above_since {
             None => true,
-            Some(since) => now.duration_since(since) < self.cfg.shed_interval,
+            Some(since) => now.duration_since(since) < SHED_INTERVAL,
         }
     }
 
     /// Whether sustained overload has reached the point where guarded
     /// read policies downgrade to nearest-copy: the controller has been
-    /// shedding for at least `degrade_after`.
+    /// shedding for at least [`DEGRADE_AFTER`].
     pub fn degraded(&self, now: SimTime) -> bool {
-        self.cfg.enabled
+        self.enabled
             && self
                 .shedding_since
-                .is_some_and(|since| now.duration_since(since) >= self.cfg.degrade_after)
+                .is_some_and(|since| now.duration_since(since) >= DEGRADE_AFTER)
     }
 
     /// Compact label of the controller's overload state at `now` —
@@ -155,13 +156,15 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
-    /// Protective config with a 1 ms base target and 10 ms grace.
+    /// A queue delay of `n` base targets ([`SHED_TARGET`]).
+    fn targets(n: u64) -> SimDuration {
+        SHED_TARGET * n
+    }
+
+    /// A protective controller: a 500 µs base target, a 100 ms grace and a
+    /// 2 s degradation delay.
     fn controller() -> AdmissionController {
-        let mut cfg = QosConfig::protective();
-        cfg.shed_target = ms(1);
-        cfg.shed_interval = ms(10);
-        cfg.degrade_after = ms(50);
-        cfg.controller()
+        QosConfig::protective().controller()
     }
 
     #[test]
@@ -177,7 +180,7 @@ mod tests {
     fn healthy_queue_admits_all_classes() {
         let mut c = controller();
         for class in PriorityClass::ALL {
-            assert!(c.admit(class, ms(1), at(0)).is_ok());
+            assert!(c.admit(class, targets(1), at(0)).is_ok());
         }
         assert!(c.shedding_since.is_none());
     }
@@ -185,48 +188,62 @@ mod tests {
     #[test]
     fn sustained_delay_sheds_lowest_classes_first() {
         let mut c = controller();
-        // 3 ms delay: above provisioning (1 ms) and query (2 ms) targets,
-        // below registration (4 ms). Grace absorbs the first 10 ms.
-        assert!(c.admit(PriorityClass::Provisioning, ms(3), at(0)).is_ok());
-        assert!(c.admit(PriorityClass::Provisioning, ms(3), at(5)).is_ok());
+        // 3 targets: above provisioning (1) and query (2), below
+        // registration (4). Grace absorbs the first 100 ms.
+        assert!(c
+            .admit(PriorityClass::Provisioning, targets(3), at(0))
+            .is_ok());
+        assert!(c
+            .admit(PriorityClass::Provisioning, targets(3), at(50))
+            .is_ok());
         // Past the grace interval: provisioning and query shed,
         // registration and above still admitted.
         assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(3), at(12)),
+            c.admit(PriorityClass::Provisioning, targets(3), at(120)),
             Err(ShedReason::QueueDelay)
         );
         assert_eq!(
-            c.admit(PriorityClass::Query, ms(3), at(12)),
+            c.admit(PriorityClass::Query, targets(3), at(120)),
             Err(ShedReason::QueueDelay)
         );
-        assert!(c.admit(PriorityClass::Registration, ms(3), at(12)).is_ok());
-        assert!(c.admit(PriorityClass::CallSetup, ms(3), at(12)).is_ok());
-        assert!(c.admit(PriorityClass::Emergency, ms(3), at(12)).is_ok());
+        assert!(c
+            .admit(PriorityClass::Registration, targets(3), at(120))
+            .is_ok());
+        assert!(c
+            .admit(PriorityClass::CallSetup, targets(3), at(120))
+            .is_ok());
+        assert!(c
+            .admit(PriorityClass::Emergency, targets(3), at(120))
+            .is_ok());
         assert!(c.shedding_since.is_some());
         // One low sample is admitted but does NOT end the episode (exit
         // hysteresis): the queue must stay drained for a grace interval.
-        assert!(c.admit(PriorityClass::Provisioning, ms(1), at(20)).is_ok());
+        assert!(c
+            .admit(PriorityClass::Provisioning, targets(1), at(200))
+            .is_ok());
         assert!(c.shedding_since.is_some());
-        assert!(c.admit(PriorityClass::Provisioning, ms(1), at(31)).is_ok());
+        assert!(c
+            .admit(PriorityClass::Provisioning, targets(1), at(310))
+            .is_ok());
         assert!(
             c.shedding_since.is_none(),
-            "11 ms of drained queue clears the episode"
+            "110 ms of drained queue clears the episode"
         );
     }
 
     #[test]
     fn lone_low_sample_does_not_reset_the_episode() {
         let mut c = controller();
-        let _ = c.admit(PriorityClass::Provisioning, ms(8), at(0));
+        let _ = c.admit(PriorityClass::Provisioning, targets(8), at(0));
         assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(8), at(12)),
+            c.admit(PriorityClass::Provisioning, targets(8), at(120)),
             Err(ShedReason::QueueDelay)
         );
         // An op that raced ahead of the backlog sees a momentary 0 —
         // overload continues around it.
-        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(13)).is_ok());
+        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(130)).is_ok());
         assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(8), at(14)),
+            c.admit(PriorityClass::Provisioning, targets(8), at(140)),
             Err(ShedReason::QueueDelay),
             "the episode must survive a lone low sample"
         );
@@ -237,15 +254,15 @@ mod tests {
     fn no_priority_inversion_across_the_delay_sweep() {
         let mut c = controller();
         // Drive the controller into shedding.
-        let _ = c.admit(PriorityClass::Provisioning, ms(20), at(0));
-        for delay_ms in [1u64, 2, 3, 5, 9, 17, 33] {
-            let now = at(50 + delay_ms);
+        let _ = c.admit(PriorityClass::Provisioning, targets(20), at(0));
+        for n in [1u64, 2, 3, 5, 9, 17, 33] {
+            let now = at(500 + 10 * n);
             for (hi_idx, hi) in PriorityClass::ALL.iter().enumerate() {
-                if !c.would_admit(*hi, ms(delay_ms), now) {
+                if !c.would_admit(*hi, targets(n), now) {
                     for lo in &PriorityClass::ALL[hi_idx + 1..] {
                         assert!(
-                            !c.would_admit(*lo, ms(delay_ms), now),
-                            "{lo} admitted at {delay_ms} ms while {hi} shed"
+                            !c.would_admit(*lo, targets(n), now),
+                            "{lo} admitted at {n} targets while {hi} shed"
                         );
                     }
                 }
@@ -256,43 +273,50 @@ mod tests {
     #[test]
     fn degradation_needs_sustained_shedding() {
         let mut c = controller();
-        let _ = c.admit(PriorityClass::Provisioning, ms(20), at(0));
+        let _ = c.admit(PriorityClass::Provisioning, targets(20), at(0));
         // Shedding starts once the grace interval elapses.
         assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(20), at(15)),
+            c.admit(PriorityClass::Provisioning, targets(20), at(150)),
             Err(ShedReason::QueueDelay)
         );
-        assert!(!c.degraded(at(16)), "degradation has its own fuse");
-        assert!(c.degraded(at(70)), "sustained shedding degrades");
+        assert!(!c.degraded(at(160)), "degradation has its own fuse");
+        let fused = at(150) + DEGRADE_AFTER;
+        assert!(c.degraded(fused + ms(50)), "sustained shedding degrades");
         // Keep traffic continuous so the drain clock starts at the last
         // overloaded sample: a sustained drain (low samples spanning the
         // grace interval) then clears the degradation too.
-        let _ = c.admit(PriorityClass::Provisioning, ms(20), at(75));
-        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(80)).is_ok());
-        assert!(c.degraded(at(81)), "one low sample is not a drain");
-        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(95)).is_ok());
-        assert!(!c.degraded(at(96)));
+        let _ = c.admit(PriorityClass::Provisioning, targets(20), fused + ms(100));
+        assert!(c
+            .admit(PriorityClass::Provisioning, ms(0), fused + ms(150))
+            .is_ok());
+        assert!(c.degraded(fused + ms(160)), "one low sample is not a drain");
+        assert!(c
+            .admit(PriorityClass::Provisioning, ms(0), fused + ms(300))
+            .is_ok());
+        assert!(!c.degraded(fused + ms(310)));
     }
 
     #[test]
     fn idle_gap_counts_as_drained_time() {
         let mut c = controller();
         // Drive the controller into shedding, then go completely idle.
-        let _ = c.admit(PriorityClass::Provisioning, ms(20), at(0));
+        let _ = c.admit(PriorityClass::Provisioning, targets(20), at(0));
         assert_eq!(
-            c.admit(PriorityClass::Provisioning, ms(20), at(12)),
+            c.admit(PriorityClass::Provisioning, targets(20), at(120)),
             Err(ShedReason::QueueDelay)
         );
         assert!(c.shedding_since.is_some());
-        // Nothing was queued for 500 ms — the first low sample after the
-        // gap proves the queue drained long ago and ends the episode
+        // Nothing was queued for 5 s — the first low sample after the gap
+        // proves the queue drained long ago and ends the episode
         // immediately, instead of demanding another full grace interval
         // of post-gap traffic.
-        assert!(c.admit(PriorityClass::Provisioning, ms(0), at(512)).is_ok());
+        assert!(c
+            .admit(PriorityClass::Provisioning, ms(0), at(5_120))
+            .is_ok());
         assert!(
             c.shedding_since.is_none(),
             "idle gap must clear the episode"
         );
-        assert!(!c.degraded(at(512)));
+        assert!(!c.degraded(at(5_120)));
     }
 }

@@ -22,8 +22,10 @@
 //!   against per-class targets; sustained excess sheds the lowest
 //!   classes first, so no priority inversion by construction) that
 //!   drives the adaptive consistency degradation of sustained overload;
-//! * [`QosConfig`] — the knob set, disabled by default so existing
-//!   deployments behave exactly as before.
+//! * [`QosConfig`] — the on/off switch, off by default so existing
+//!   deployments behave exactly as before; the controller's timings are
+//!   the constants [`SHED_TARGET`], [`SHED_INTERVAL`] and
+//!   [`DEGRADE_AFTER`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -34,5 +36,5 @@ pub mod config;
 
 pub use admission::AdmissionController;
 pub use bucket::{ClassBuckets, TokenBucket};
-pub use config::QosConfig;
+pub use config::{QosConfig, DEGRADE_AFTER, SHED_INTERVAL, SHED_TARGET};
 pub use udr_model::qos::{PriorityClass, ShedReason};

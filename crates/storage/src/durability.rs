@@ -12,8 +12,7 @@ use udr_model::time::{SimDuration, SimTime};
 use crate::engine::{Engine, EngineSnapshot};
 
 /// Latency costs of engine-side operations, added by the simulation when an
-/// operation executes. Defaults approximate the 2014-era hardware the paper
-/// assumes (RAM engine, SAS/SATA disks).
+/// operation executes. Every SE charges [`COST_MODEL`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Indexed read of one record from RAM.
@@ -30,18 +29,16 @@ pub struct CostModel {
     pub snapshot_per_mb: SimDuration,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            read: SimDuration::from_micros(2),
-            write: SimDuration::from_micros(3),
-            commit_ram: SimDuration::from_micros(5),
-            commit_fsync: SimDuration::from_millis(8),
-            snapshot_base: SimDuration::from_millis(50),
-            snapshot_per_mb: SimDuration::from_millis(10),
-        }
-    }
-}
+/// The costs every SE charges, approximating the 2014-era hardware the
+/// paper assumes (RAM engine, SAS/SATA disks).
+pub const COST_MODEL: CostModel = CostModel {
+    read: SimDuration::from_micros(2),
+    write: SimDuration::from_micros(3),
+    commit_ram: SimDuration::from_micros(5),
+    commit_fsync: SimDuration::from_millis(8),
+    snapshot_base: SimDuration::from_millis(50),
+    snapshot_per_mb: SimDuration::from_millis(10),
+};
 
 impl CostModel {
     /// The commit-path latency under a durability mode.
@@ -161,7 +158,7 @@ mod tests {
 
     #[test]
     fn commit_cost_by_mode() {
-        let c = CostModel::default();
+        let c = COST_MODEL;
         assert_eq!(c.commit_cost(DurabilityMode::None), c.commit_ram);
         assert_eq!(
             c.commit_cost(DurabilityMode::periodic_default()),
@@ -179,7 +176,7 @@ mod tests {
 
     #[test]
     fn snapshot_cost_scales_with_size() {
-        let c = CostModel::default();
+        let c = COST_MODEL;
         let small = c.snapshot_cost(1024 * 1024);
         let large = c.snapshot_cost(100 * 1024 * 1024);
         assert!(large > small);

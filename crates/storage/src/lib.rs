@@ -27,7 +27,7 @@ pub mod se;
 pub mod store;
 pub mod version;
 
-pub use durability::{CostModel, Disk, SnapshotScheduler};
+pub use durability::{CostModel, Disk, SnapshotScheduler, COST_MODEL};
 pub use engine::{Engine, EngineSnapshot, TxnId};
 pub use log::CommitLog;
 pub use se::{Replica, SeState, StorageElement};

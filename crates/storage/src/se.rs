@@ -13,7 +13,7 @@ use udr_model::error::{UdrError, UdrResult};
 use udr_model::ids::{IdMap, PartitionId, ReplicaRole, SeId, SiteId, SubscriberUid};
 use udr_model::time::{SimDuration, SimTime};
 
-use crate::durability::{CostModel, Disk, SnapshotScheduler};
+use crate::durability::{CostModel, Disk, SnapshotScheduler, COST_MODEL};
 use crate::engine::{Engine, EngineSnapshot, TxnId};
 use crate::version::{CommitRecord, Lsn};
 
@@ -47,7 +47,6 @@ pub struct StorageElement {
     replicas: IdMap<PartitionId, Replica>,
     disk: Disk,
     scheduler: SnapshotScheduler,
-    cost: CostModel,
     /// Commits accepted while up (diagnostics).
     pub commits: u64,
     /// Times this SE crashed.
@@ -64,20 +63,14 @@ impl StorageElement {
             replicas: IdMap::default(),
             disk: Disk::new(),
             scheduler: SnapshotScheduler::new(durability, SimTime::ZERO),
-            cost: CostModel::default(),
             commits: 0,
             crashes: 0,
         }
     }
 
-    /// Replace the cost model (experiments tune it).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+    /// The cost model in force: [`COST_MODEL`].
+    pub fn cost_model(&self) -> &'static CostModel {
+        &COST_MODEL
     }
 
     /// SE identity.
@@ -316,7 +309,7 @@ impl StorageElement {
         let cost = if record.is_some() {
             self.commits += 1;
             self.sync_to_disk(partition);
-            self.cost.commit_cost(mode)
+            COST_MODEL.commit_cost(mode)
         } else {
             SimDuration::ZERO
         };
@@ -407,7 +400,7 @@ impl StorageElement {
         }
         self.disk.last_snapshot_at = Some(now);
         self.disk.snapshot_cycles += 1;
-        self.cost.snapshot_cost(bytes)
+        COST_MODEL.snapshot_cost(bytes)
     }
 
     /// Crash: RAM engines vanish; the disk (and the roles recorded for

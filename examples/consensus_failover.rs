@@ -24,8 +24,7 @@ fn secs(s: u64) -> SimTime {
 }
 
 fn main() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(5), ClusterConfig::default(), 2014);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(5), ClusterConfig, 2014);
 
     // Let a leader emerge, then find out who it is so the drill can target it.
     cluster.run_until(secs(5));

@@ -38,7 +38,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::ops::Range;
 
-use udr::consensus::{CmdId, Command, Ensemble, Message, NodeId, ReplicaConfig, Slot};
+use udr::consensus::{CmdId, Command, Ensemble, Message, NodeId, Slot};
 use udr::core::{OpRequest, Udr, UdrConfig};
 use udr::dls::{IdentityLocationMap, Location};
 use udr::ldap::{Dn, LdapOp};
@@ -786,7 +786,7 @@ fn a_warm_catch_up_pass_allocates_nothing() {
 fn a_warm_consensus_catch_up_reply_allocates_nothing() {
     const DECIDED: u64 = 10;
     let t = SimTime::ZERO;
-    let mut ensemble = Ensemble::new(3, ReplicaConfig::default(), 1);
+    let mut ensemble = Ensemble::new(3, 1);
     for slot in 1..=DECIDED {
         let cmd = Command::write(CmdId(slot), SubscriberUid(slot), Some(small(slot)));
         let learn = Message::Learn {

@@ -68,8 +68,7 @@ fn consensus_beats_master_slave_on_majority_side_availability() {
     );
 
     // --- consensus over the same 3-site geometry ------------------------
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(3), ClusterConfig::default(), 5);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(3), ClusterConfig, 5);
     cluster.run_until(t(5));
     cluster.schedule_script(&FaultScript::new(0).clean_partition(
         t(100),
@@ -101,8 +100,7 @@ fn consensus_beats_master_slave_on_majority_side_availability() {
 /// copy is exactly the same"), now without a distinguished master.
 #[test]
 fn chosen_log_applies_identically_on_every_replica() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(3), ClusterConfig::default(), 9);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(3), ClusterConfig, 9);
     for i in 0..40u64 {
         let mut entry = udr::model::Entry::new();
         entry.set(AttrId::OdbMask, i);
@@ -156,8 +154,7 @@ fn chosen_log_applies_identically_on_every_replica() {
 /// outage duration, and loses nothing.
 #[test]
 fn leader_site_catastrophe_is_survivable() {
-    let mut cluster =
-        ConsensusCluster::new(Topology::multinational(5), ClusterConfig::default(), 13);
+    let mut cluster = ConsensusCluster::new(Topology::multinational(5), ClusterConfig, 13);
     cluster.run_until(t(5));
     let leader = cluster.current_leader().expect("leader by t=5");
     let origin = (0..5u32).find(|i| NodeId(*i) != leader).unwrap();
